@@ -21,7 +21,7 @@
 use std::sync::{Arc, Mutex};
 
 use ust_core::engine::cache::BackwardFieldCache;
-use ust_core::engine::query_based::{self, SharedFieldPlan};
+use ust_core::engine::query_based::{self, FieldRule, SharedFieldPlan};
 use ust_core::engine::EngineConfig;
 use ust_core::parallel::{
     evaluate_exists_qb_cached_on, evaluate_exists_qb_on, ShardedExecutor, WorkerPool,
@@ -101,8 +101,17 @@ fn pool_experiment(cfg: &SyntheticConfig) -> ExperimentOutput {
         // What a per-worker re-sweep would cost: every worker whose shard
         // touches the model pays the full field sweep again.
         let mut naive = EvalStats::new();
+        let everyone: Vec<usize> = (0..data.db.len()).collect();
         for _ in 0..threads {
-            SharedFieldPlan::prepare(&data.db, &window, &config, &mut naive).unwrap();
+            SharedFieldPlan::prepare_on(
+                &data.db,
+                &everyone,
+                &window,
+                FieldRule::Exists,
+                &config,
+                &mut naive,
+            )
+            .unwrap();
         }
         table.push_row([
             if threads == 1 { "1 (inline)".to_string() } else { threads.to_string() },

@@ -1,12 +1,13 @@
 //! Keyed caches of query-based backward fields.
 //!
 //! The query-based engines answer a whole database from one backward sweep
-//! per `(model, window)` — but every *query* used to pay that sweep again,
-//! even when consecutive queries share the window (a dashboard refreshing a
-//! danger-zone query, a threshold and a top-k run over the same window, a
-//! sliding workload revisiting recent windows). [`FieldCache`] memoizes
-//! backward fields under a `(model id, window)` key, with the anchor-time
-//! snapshots living inside each entry:
+//! per `(model, window, rule)` — but every *query* used to pay that sweep
+//! again, even when consecutive queries share the window (a dashboard
+//! refreshing a danger-zone query, a threshold and a top-k run over the
+//! same window, a sliding workload revisiting recent windows).
+//! [`FieldCache`] memoizes backward fields under a
+//! `(model id, window, rule)` key, with the anchor-time snapshots living
+//! inside each entry:
 //!
 //! * a lookup whose anchor times are all snapshotted is a **hit** — no
 //!   backward work at all;
@@ -17,11 +18,15 @@
 //!   replaces the entry (a **miss**).
 //!
 //! Two instantiations serve the two field shapes of the paper's queries:
-//! [`BackwardFieldCache`] holds the PST∃Q satisfaction fields
-//! ([`BackwardField`], one vector per sweep) and [`KTimesFieldCache`] the
-//! PSTkQ level fields ([`KTimesBackwardField`], `|T▫| + 1` level vectors
-//! per sweep — the cache that stops repeated PSTkQ windows from paying
-//! `(|T▫|+1)` level sweeps every time). Hits and misses of either cache
+//! [`BackwardFieldCache`] holds the PST∃Q and PST∀Q fields
+//! ([`BackwardField`], one vector per sweep; the [`FieldRule`] in the key
+//! keeps an ∃ and a ∀ field over the same window apart) and
+//! [`KTimesFieldCache`] the PSTkQ level fields ([`KTimesBackwardField`],
+//! `|T▫| + 1` level vectors per sweep — the cache that stops repeated
+//! PSTkQ windows from paying `(|T▫|+1)` level sweeps every time). Every
+//! snapshot is stored trimmed to its non-zero span
+//! ([`ust_markov::SpanVector`]), so an entry costs what `S_reach` covers,
+//! not `|S|` per anchor time. Hits and misses of either cache
 //! are reported through [`EvalStats::cache_hits`] /
 //! [`EvalStats::cache_misses`]. Eviction is least-recently-used at a fixed
 //! entry capacity. Cached answers are bit-for-bit identical to uncached
@@ -29,39 +34,46 @@
 //! accumulation order (property-tested in `tests/proptest_engines.rs`).
 
 // lint: allow-file(unordered-iteration-on-answer-path) — entries are only
-// read by exact `(model, window)` key lookup; the one iteration (LRU
+// read by exact `(model, window, rule)` key lookup; the one iteration (LRU
 // eviction) takes `min_by_key(last_used)` over strictly increasing clock
 // values, so the minimum is unique and map order cannot change which entry
 // is evicted, let alone a cached field's contents.
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use ust_markov::MarkovChain;
 
 use crate::engine::ktimes::KTimesBackwardField;
-use crate::engine::query_based::BackwardField;
+use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
 
-/// Default number of `(model, window)` entries a cache retains.
+/// Default number of `(model, window, rule)` entries a cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// A backward field shape a [`FieldCache`] can memoize: computable for a
 /// set of anchor times, extendable downward from its earliest snapshot,
 /// and introspectable about which snapshots it holds.
 ///
-/// Implemented by [`BackwardField`] (PST∃Q satisfaction fields) and
+/// Implemented by [`BackwardField`] (PST∃Q / PST∀Q fields) and
 /// [`KTimesBackwardField`] (PSTkQ level fields). The contract behind the
 /// cache's bit-identity guarantee: extending a field down to earlier times
 /// must reproduce exactly the snapshots a from-scratch sweep over the
 /// union of times would produce.
 pub trait CacheableField: Clone + Sized {
+    /// What, beside the window, shapes the sweep — part of the cache key.
+    /// The [`FieldRule`] of a [`BackwardField`]; nothing for level fields.
+    type Rule: Copy + Eq + Hash + Debug;
+
     /// Sweeps a fresh field for `window` with snapshots at `anchor_times`.
     fn compute_field(
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: Self::Rule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
@@ -94,14 +106,17 @@ pub trait CacheableField: Clone + Sized {
 }
 
 impl CacheableField for BackwardField {
+    type Rule = FieldRule;
+
     fn compute_field(
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: FieldRule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<Self> {
-        BackwardField::compute_with_config(chain, window, anchor_times, config, stats)
+        BackwardField::compute_with_config(chain, window, rule, anchor_times, config, stats)
     }
 
     fn extend_field_down(
@@ -129,15 +144,17 @@ impl CacheableField for BackwardField {
 }
 
 impl CacheableField for KTimesBackwardField {
+    type Rule = ();
+
     fn compute_field(
         chain: &MarkovChain,
         window: &QueryWindow,
+        (): (),
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<Self> {
-        let _ = config;
-        KTimesBackwardField::compute(chain, window, anchor_times, stats)
+        KTimesBackwardField::compute(chain, window, anchor_times, config, stats)
     }
 
     fn extend_field_down(
@@ -148,8 +165,7 @@ impl CacheableField for KTimesBackwardField {
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let _ = config;
-        self.extend_down(chain, window, anchor_times, stats)
+        self.extend_down(chain, window, anchor_times, config, stats)
     }
 
     fn has_snapshot(&self, t: u32) -> bool {
@@ -165,8 +181,8 @@ impl CacheableField for KTimesBackwardField {
     }
 }
 
-/// The identity of a backward field: which chain it was swept over and
-/// which query window shaped the sweep.
+/// The identity of a backward field: which chain it was swept over, which
+/// query window shaped the sweep and under which rule.
 ///
 /// The chain is identified by its model index **plus** its heap address
 /// and shape, so one cache shared across several databases (or a database
@@ -174,22 +190,24 @@ impl CacheableField for KTimesBackwardField {
 /// different `MarkovChain` allocation yields a different key, and the
 /// stale entry simply ages out of the LRU.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
+struct CacheKey<R> {
     model: usize,
     chain_addr: usize,
     chain_shape: (usize, usize),
     states: Vec<usize>,
     times: Vec<u32>,
+    rule: R,
 }
 
-impl CacheKey {
-    fn of(model: usize, chain: &MarkovChain, window: &QueryWindow) -> CacheKey {
+impl<R> CacheKey<R> {
+    fn of(model: usize, chain: &MarkovChain, window: &QueryWindow, rule: R) -> CacheKey<R> {
         CacheKey {
             model,
             chain_addr: chain as *const MarkovChain as usize,
             chain_shape: (chain.num_states(), chain.matrix().nnz()),
             states: window.states().to_indices(),
             times: window.times().as_slice().to_vec(),
+            rule,
         }
     }
 }
@@ -207,18 +225,18 @@ struct CacheEntry<F> {
 
 /// An LRU cache of backward fields, generic over the field shape.
 ///
-/// Use the [`BackwardFieldCache`] alias for PST∃Q satisfaction fields
-/// (shared by the query-based ∃/∀ drivers, the cached threshold driver and
-/// the query-based top-k driver) and [`KTimesFieldCache`] for PSTkQ level
+/// Use the [`BackwardFieldCache`] alias for PST∃Q / PST∀Q fields (shared
+/// by the query-based ∃/∀ drivers, the cached threshold driver and the
+/// query-based top-k driver) and [`KTimesFieldCache`] for PSTkQ level
 /// fields.
 #[derive(Debug)]
-pub struct FieldCache<F> {
+pub struct FieldCache<F: CacheableField> {
     capacity: usize,
-    entries: HashMap<CacheKey, CacheEntry<F>>,
+    entries: HashMap<CacheKey<F::Rule>, CacheEntry<F>>,
     clock: u64,
 }
 
-/// An LRU cache of PST∃Q backward satisfaction fields.
+/// An LRU cache of PST∃Q / PST∀Q backward fields.
 pub type BackwardFieldCache = FieldCache<BackwardField>;
 
 /// An LRU cache of PSTkQ backward level fields — the
@@ -232,6 +250,7 @@ impl<F: CacheableField> Default for FieldCache<F> {
     }
 }
 
+/// What a lookup needs from the cached entry (if any).
 enum Lookup {
     /// All requested anchors are snapshotted.
     Hit,
@@ -239,6 +258,26 @@ enum Lookup {
     Extend(Vec<u32>),
     /// The entry must be (re)computed for these times.
     Compute(Vec<u32>),
+}
+
+impl Lookup {
+    /// Classifies a lookup of `anchor_times` against the field cached
+    /// under its key.
+    fn classify<F: CacheableField>(field: &F, anchor_times: &[u32]) -> Lookup {
+        let missing: Vec<u32> =
+            anchor_times.iter().copied().filter(|&t| !field.has_snapshot(t)).collect();
+        if missing.is_empty() {
+            Lookup::Hit
+        } else if field.min_snapshot_time().is_some_and(|min| missing.iter().all(|&t| t < min)) {
+            Lookup::Extend(missing)
+        } else {
+            // Times above the sweep's floor were never snapshotted;
+            // recompute the union so nothing already served is lost.
+            let mut union: Vec<u32> = field.snapshot_times();
+            union.extend_from_slice(anchor_times);
+            Lookup::Compute(union)
+        }
+    }
 }
 
 /// Outcome of a lock-held [`FieldCache::probe`]: either a served field, or
@@ -258,7 +297,7 @@ enum Probe<F> {
 }
 
 impl<F: CacheableField> FieldCache<F> {
-    /// A cache retaining at most `capacity` `(model, window)` entries
+    /// A cache retaining at most `capacity` `(model, window, rule)` entries
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
         FieldCache { capacity: capacity.max(1), entries: HashMap::new(), clock: 0 }
@@ -284,18 +323,19 @@ impl<F: CacheableField> FieldCache<F> {
         self.entries.clear();
     }
 
-    /// True when the `(model, chain, window)` triple has a cached field
-    /// covering all of `anchor_times` (a lookup that would hit without
-    /// backward work).
+    /// True when the `(model, chain, window, rule)` tuple has a cached
+    /// field covering all of `anchor_times` (a lookup that would hit
+    /// without backward work).
     pub fn contains(
         &self,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
     ) -> bool {
         self.entries
-            .get(&CacheKey::of(model, chain, window))
+            .get(&CacheKey::of(model, chain, window, rule))
             .is_some_and(|e| e.field.covers_times(anchor_times))
     }
 
@@ -310,47 +350,39 @@ impl<F: CacheableField> FieldCache<F> {
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
     ) -> (bool, Option<u32>) {
-        match self.entries.get(&CacheKey::of(model, chain, window)) {
-            Some(entry) => {
-                let missing: Vec<u32> = anchor_times
-                    .iter()
-                    .copied()
-                    .filter(|&t| !entry.field.has_snapshot(t))
-                    .collect();
-                if missing.is_empty() {
-                    (true, entry.field.min_snapshot_time())
-                } else if entry
-                    .field
-                    .min_snapshot_time()
-                    .is_some_and(|min| missing.iter().all(|&t| t < min))
-                {
-                    (false, entry.field.min_snapshot_time())
-                } else {
-                    (false, None)
-                }
-            }
-            None => (false, None),
+        let Some(entry) = self.entries.get(&CacheKey::of(model, chain, window, rule)) else {
+            return (false, None);
+        };
+        let floor = entry.field.min_snapshot_time();
+        match Lookup::classify(entry.field.as_ref(), anchor_times) {
+            Lookup::Hit => (true, floor),
+            Lookup::Extend(_) => (false, floor),
+            Lookup::Compute(_) => (false, None),
         }
     }
 
-    /// The backward field of `(model, window)` with snapshots at every time
-    /// in `anchor_times`, computing, extending or reusing as needed.
+    /// The backward field of `(model, window, rule)` with snapshots at
+    /// every time in `anchor_times`, computing, extending or reusing as
+    /// needed.
     ///
     /// The key includes the chain's identity (address + shape), so one
     /// cache can safely be shared across databases: a different chain under
     /// the same model index misses instead of serving the wrong field.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_compute<'c>(
         &'c mut self,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<&'c F> {
-        self.get_or_compute_entry(model, chain, window, anchor_times, config, stats)
+        self.get_or_compute_entry(model, chain, window, rule, anchor_times, config, stats)
             .map(|arc| arc.as_ref())
     }
 
@@ -365,16 +397,18 @@ impl<F: CacheableField> FieldCache<F> {
     /// later install wins; outstanding `Arc` views stay valid) — wasted
     /// work, never a wrong answer, and sequentially the hit/miss
     /// accounting is identical to [`FieldCache::get_or_compute_shared`].
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_compute_shared_concurrent(
         cache: &std::sync::Mutex<Self>,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<Arc<F>> {
-        let key = CacheKey::of(model, chain, window);
+        let key = CacheKey::of(model, chain, window, rule);
         let probe = {
             let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             cache.probe(&key, anchor_times, stats)
@@ -388,7 +422,7 @@ impl<F: CacheableField> FieldCache<F> {
                 Ok(cache.install(key, field))
             }
             Probe::Compute(times) => {
-                let field = F::compute_field(chain, window, &times, config, stats)?;
+                let field = F::compute_field(chain, window, rule, &times, config, stats)?;
                 let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 Ok(cache.install(key, field))
             }
@@ -398,40 +432,34 @@ impl<F: CacheableField> FieldCache<F> {
     /// The lock-held half of
     /// [`FieldCache::get_or_compute_shared_concurrent`]: classifies the
     /// lookup, counts it, and returns any work to do outside the lock.
-    fn probe(&mut self, key: &CacheKey, anchor_times: &[u32], stats: &mut EvalStats) -> Probe<F> {
+    fn probe(
+        &mut self,
+        key: &CacheKey<F::Rule>,
+        anchor_times: &[u32],
+        stats: &mut EvalStats,
+    ) -> Probe<F> {
         self.clock += 1;
         let clock = self.clock;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                let missing: Vec<u32> = anchor_times
-                    .iter()
-                    .copied()
-                    .filter(|&t| !entry.field.has_snapshot(t))
-                    .collect();
-                if missing.is_empty() {
-                    stats.cache_hits += 1;
-                    entry.last_used = clock;
-                    Probe::Ready(Arc::clone(&entry.field))
-                } else if entry
-                    .field
-                    .min_snapshot_time()
-                    .is_some_and(|min| missing.iter().all(|&t| t < min))
-                {
-                    // A partial hit: the suffix is reused, the extension
-                    // below it is swept by the caller (outside the lock).
-                    stats.cache_hits += 1;
-                    entry.last_used = clock;
-                    Probe::Extend { base: Arc::clone(&entry.field), missing }
-                } else {
-                    stats.cache_misses += 1;
-                    let mut union: Vec<u32> = entry.field.snapshot_times();
-                    union.extend_from_slice(anchor_times);
-                    Probe::Compute(union)
-                }
+        let Some(entry) = self.entries.get_mut(key) else {
+            stats.cache_misses += 1;
+            return Probe::Compute(anchor_times.to_vec());
+        };
+        match Lookup::classify(entry.field.as_ref(), anchor_times) {
+            Lookup::Hit => {
+                stats.cache_hits += 1;
+                entry.last_used = clock;
+                Probe::Ready(Arc::clone(&entry.field))
             }
-            None => {
+            // A partial hit: the suffix is reused, the extension below it
+            // is swept by the caller (outside the lock).
+            Lookup::Extend(missing) => {
+                stats.cache_hits += 1;
+                entry.last_used = clock;
+                Probe::Extend { base: Arc::clone(&entry.field), missing }
+            }
+            Lookup::Compute(times) => {
                 stats.cache_misses += 1;
-                Probe::Compute(anchor_times.to_vec())
+                Probe::Compute(times)
             }
         }
     }
@@ -439,7 +467,7 @@ impl<F: CacheableField> FieldCache<F> {
     /// The install half of
     /// [`FieldCache::get_or_compute_shared_concurrent`]: (re)inserts the
     /// swept field under `key` and returns the shared handle.
-    fn install(&mut self, key: CacheKey, field: F) -> Arc<F> {
+    fn install(&mut self, key: CacheKey<F::Rule>, field: F) -> Arc<F> {
         self.clock += 1;
         let clock = self.clock;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -457,58 +485,41 @@ impl<F: CacheableField> FieldCache<F> {
     /// the `Arc` lets the plan release the cache immediately and hand the
     /// workers read-only views; a later suffix extension of the entry
     /// copies-on-write, so outstanding views are never mutated.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_compute_shared(
         &mut self,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<Arc<F>> {
-        self.get_or_compute_entry(model, chain, window, anchor_times, config, stats).map(Arc::clone)
+        self.get_or_compute_entry(model, chain, window, rule, anchor_times, config, stats)
+            .map(Arc::clone)
     }
 
     /// The lookup/compute/extend state machine shared by both accessors.
+    #[allow(clippy::too_many_arguments)]
     fn get_or_compute_entry<'c>(
         &'c mut self,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: F::Rule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<&'c Arc<F>> {
-        let key = CacheKey::of(model, chain, window);
+        let key = CacheKey::of(model, chain, window, rule);
         self.clock += 1;
         let clock = self.clock;
 
         let lookup = match self.entries.get(&key) {
-            Some(entry) => {
-                let missing: Vec<u32> = anchor_times
-                    .iter()
-                    .copied()
-                    .filter(|&t| !entry.field.has_snapshot(t))
-                    .collect();
-                if missing.is_empty() {
-                    Lookup::Hit
-                } else if entry
-                    .field
-                    .min_snapshot_time()
-                    .is_some_and(|min| missing.iter().all(|&t| t < min))
-                {
-                    Lookup::Extend(missing)
-                } else {
-                    // Times above the sweep's floor were never snapshotted;
-                    // recompute the union so nothing already served is lost.
-                    let mut union: Vec<u32> = entry.field.snapshot_times();
-                    union.extend_from_slice(anchor_times);
-                    Lookup::Compute(union)
-                }
-            }
+            Some(entry) => Lookup::classify(entry.field.as_ref(), anchor_times),
             None => Lookup::Compute(anchor_times.to_vec()),
         };
-
         match lookup {
             Lookup::Hit => {
                 stats.cache_hits += 1;
@@ -533,7 +544,7 @@ impl<F: CacheableField> FieldCache<F> {
             }
             Lookup::Compute(times) => {
                 stats.cache_misses += 1;
-                let field = F::compute_field(chain, window, &times, config, stats)?;
+                let field = F::compute_field(chain, window, rule, &times, config, stats)?;
                 if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
                     self.evict_lru();
                 }
@@ -562,6 +573,8 @@ mod tests {
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
+    const EXISTS: FieldRule = FieldRule::Exists;
+
     fn paper_chain() -> MarkovChain {
         MarkovChain::from_csr(
             CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
@@ -582,7 +595,7 @@ mod tests {
         let config = EngineConfig::default();
         let w = window(3);
         let first = cache
-            .get_or_compute(0, &chain, &w, &[0], &config, &mut stats)
+            .get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats)
             .unwrap()
             .at(0)
             .unwrap()
@@ -590,17 +603,17 @@ mod tests {
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let sweeps_after_miss = stats.backward_steps;
         let again = cache
-            .get_or_compute(0, &chain, &w, &[0], &config, &mut stats)
+            .get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats)
             .unwrap()
             .at(0)
             .unwrap()
             .clone();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, sweeps_after_miss, "a hit performs no sweep");
-        assert!(first.approx_eq(&again, 0.0), "hits return the identical field");
-        assert!(cache.contains(0, &chain, &w, &[0]));
-        assert!(!cache.contains(0, &chain, &w, &[1]));
-        assert!(!cache.contains(1, &chain, &w, &[0]));
+        assert_eq!(first, again, "hits return the identical field");
+        assert!(cache.contains(0, &chain, &w, EXISTS, &[0]));
+        assert!(!cache.contains(0, &chain, &w, EXISTS, &[1]));
+        assert!(!cache.contains(1, &chain, &w, EXISTS, &[0]));
     }
 
     #[test]
@@ -611,11 +624,11 @@ mod tests {
         let config = EngineConfig::default();
         let w = window(3);
         // First query anchors at t=2: sweep 3 → 2 (one step).
-        cache.get_or_compute(0, &chain, &w, &[2], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w, EXISTS, &[2], &config, &mut stats).unwrap();
         assert_eq!(stats.backward_steps, 1);
         // Second query anchors at t=0: extend 2 → 0 (two more steps), a
         // partial hit rather than a 3-step recomputation.
-        let field = cache.get_or_compute(0, &chain, &w, &[0], &config, &mut stats).unwrap();
+        let field = cache.get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats).unwrap();
         assert_eq!(stats.backward_steps, 3);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         // The extended field matches Example 2 exactly.
@@ -630,18 +643,18 @@ mod tests {
         let mut stats = EvalStats::new();
         let config = EngineConfig::default();
         let (w3, w4, w5) = (window(3), window(4), window(5));
-        cache.get_or_compute(0, &chain, &w3, &[0], &config, &mut stats).unwrap();
-        cache.get_or_compute(0, &chain, &w4, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w3, EXISTS, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w4, EXISTS, &[0], &config, &mut stats).unwrap();
         // Touch w3 so w4 becomes the least recently used...
-        cache.get_or_compute(0, &chain, &w3, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w3, EXISTS, &[0], &config, &mut stats).unwrap();
         // ...then inserting a third window must evict w4, not w3.
-        cache.get_or_compute(0, &chain, &w5, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w5, EXISTS, &[0], &config, &mut stats).unwrap();
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(0, &chain, &w3, &[0]));
-        assert!(!cache.contains(0, &chain, &w4, &[0]));
-        assert!(cache.contains(0, &chain, &w5, &[0]));
+        assert!(cache.contains(0, &chain, &w3, EXISTS, &[0]));
+        assert!(!cache.contains(0, &chain, &w4, EXISTS, &[0]));
+        assert!(cache.contains(0, &chain, &w5, EXISTS, &[0]));
         // Re-requesting the evicted window is a fresh miss.
-        cache.get_or_compute(0, &chain, &w4, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w4, EXISTS, &[0], &config, &mut stats).unwrap();
         assert_eq!(stats.cache_misses, 4);
         cache.clear();
         assert!(cache.is_empty());
@@ -660,13 +673,13 @@ mod tests {
         let config = EngineConfig::default();
         let w = window(3);
         let from_moving = cache
-            .get_or_compute(0, &moving, &w, &[0], &config, &mut stats)
+            .get_or_compute(0, &moving, &w, EXISTS, &[0], &config, &mut stats)
             .unwrap()
             .at(0)
             .unwrap()
             .clone();
         let from_frozen = cache
-            .get_or_compute(0, &frozen, &w, &[0], &config, &mut stats)
+            .get_or_compute(0, &frozen, &w, EXISTS, &[0], &config, &mut stats)
             .unwrap()
             .at(0)
             .unwrap()
@@ -686,16 +699,16 @@ mod tests {
         let mut stats = EvalStats::new();
         let config = EngineConfig::default();
         let w = window(3);
-        cache.get_or_compute(0, &chain, &w, &[0], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats).unwrap();
         // t=1 lies above the floor snapshot set {0}? No — 1 > 0, and 1 was
         // never snapshotted, so the entry cannot be extended downward: it
         // must be recomputed with the union {0, 1}.
-        let field = cache.get_or_compute(0, &chain, &w, &[1], &config, &mut stats).unwrap();
+        let field = cache.get_or_compute(0, &chain, &w, EXISTS, &[1], &config, &mut stats).unwrap();
         assert!(field.at(0).is_some(), "union keeps previously served anchors");
         assert!(field.at(1).is_some());
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
         // Both anchors now hit.
-        cache.get_or_compute(0, &chain, &w, &[0, 1], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w, EXISTS, &[0, 1], &config, &mut stats).unwrap();
         assert_eq!(stats.cache_hits, 1);
     }
 
@@ -706,13 +719,13 @@ mod tests {
         let mut stats = EvalStats::new();
         let config = EngineConfig::default();
         let w = window(3);
-        assert_eq!(cache.residency(0, &chain, &w, &[0]), (false, None));
-        cache.get_or_compute(0, &chain, &w, &[2], &config, &mut stats).unwrap();
+        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[0]), (false, None));
+        cache.get_or_compute(0, &chain, &w, EXISTS, &[2], &config, &mut stats).unwrap();
         // Full hit at the snapshotted time, extendable below it, dead
         // between floor and t_end.
-        assert_eq!(cache.residency(0, &chain, &w, &[2]), (true, Some(2)));
-        assert_eq!(cache.residency(0, &chain, &w, &[0]), (false, Some(2)));
-        assert_eq!(cache.residency(0, &chain, &w, &[3]), (false, None));
+        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[2]), (true, Some(2)));
+        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[0]), (false, Some(2)));
+        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[3]), (false, None));
         // Probing changed no counters and swept nothing.
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
@@ -726,28 +739,29 @@ mod tests {
         let config = EngineConfig::default();
 
         // Miss, then pure hit: no further backward level steps.
-        cache.get_or_compute(0, &chain, &w, &[2], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w, (), &[2], &config, &mut stats).unwrap();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let after_miss = stats.backward_steps;
         assert!(after_miss > 0);
-        cache.get_or_compute(0, &chain, &w, &[2], &config, &mut stats).unwrap();
+        cache.get_or_compute(0, &chain, &w, (), &[2], &config, &mut stats).unwrap();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, after_miss, "a hit performs no level sweep");
 
         // Extension down to t=0 must be bit-identical to a fresh sweep
         // over both anchor times.
         let extended = cache
-            .get_or_compute(0, &chain, &w, &[0], &config, &mut stats)
+            .get_or_compute(0, &chain, &w, (), &[0], &config, &mut stats)
             .unwrap()
             .at(0)
             .unwrap()
-            .clone();
+            .to_vec();
         assert_eq!((stats.cache_hits, stats.cache_misses), (2, 1));
-        let fresh = KTimesBackwardField::compute(&chain, &w, &[0, 2], &mut EvalStats::new())
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .clone();
+        let fresh =
+            KTimesBackwardField::compute(&chain, &w, &[0, 2], &config, &mut EvalStats::new())
+                .unwrap()
+                .at(0)
+                .unwrap()
+                .to_vec();
         assert_eq!(extended.len(), fresh.len());
         for (a, b) in extended.iter().zip(&fresh) {
             for s in 0..3 {

@@ -1,4 +1,4 @@
-//! PST∀Q evaluation by complement reduction — Section VII of the paper.
+//! PST∀Q evaluation — Section VII of the paper.
 //!
 //! The probability that an object stays inside `S▫` at *all* query
 //! timestamps complements the probability that it is outside at *some*
@@ -8,16 +8,34 @@
 //! P∀(o, S▫, T▫) = 1 − P∃(o, S ∖ S▫, T▫)
 //! ```
 //!
-//! The paper notes that despite `|S ∖ S▫| ≫ |S▫|` the complemented run is
+//! The **object-based** drivers evaluate exactly this reduction: the paper
+//! notes that despite `|S ∖ S▫| ≫ |S▫|` the complemented forward run is
 //! "generally not larger" — and often faster, because `M+` of the
 //! complement zeroes *more* columns, i.e. the forward pass absorbs worlds
-//! sooner. Our tests confirm both engines agree with direct computation.
+//! sooner.
+//!
+//! Backward, the reduction is the wrong way round: the ∃ field of the
+//! complement window is non-zero on every state that can *leave* `S▫` —
+//! nearly all of `S`, dense from the first step. The **query-based**
+//! drivers therefore sweep the ∀ field directly
+//! ([`FieldRule::ForAll`]): at a query timestamp the backward vector
+//! *keeps* only `S▫` instead of clamping it to 1, so `g_t(s)` =
+//! P(inside `S▫` at all query times in `(t, t_end]` | `s` at `t`) lives on
+//! the states that can reach `S▫`, like the ∃ field of the window itself.
+//! The complement reduction stays the oracle the direct field is tested
+//! against.
+//!
+//! A window covering the whole state space is rejected with
+//! [`QueryError::EmptySpatialWindow`] under both strategies (its
+//! complement selects no states), so the two cannot disagree on where a ∀
+//! query is answerable.
 
 use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
+use crate::engine::query_based::FieldRule;
 use crate::engine::{object_based, query_based, EngineConfig};
-use crate::error::Result;
+use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
@@ -34,22 +52,31 @@ pub fn forall_probability_ob(
     Ok((1.0 - p_escape).max(0.0))
 }
 
-/// PST∀Q for one object, query-based evaluation.
+/// PST∀Q for one object, query-based evaluation (direct ∀ field).
 pub fn forall_probability_qb(
     chain: &MarkovChain,
     object: &UncertainObject,
     window: &QueryWindow,
     config: &EngineConfig,
 ) -> Result<f64> {
-    let complement = window.complement_states()?;
-    let p_escape = query_based::exists_probability(chain, object, &complement, config)?;
-    Ok((1.0 - p_escape).max(0.0))
+    reject_full_space(window)?;
+    query_based::field_probability(chain, object, window, FieldRule::ForAll, config)
+}
+
+/// The query-based side of the full-space parity: the direct ∀ field could
+/// answer a window covering all of `S` (with 1), but the object-based
+/// reduction cannot — its complement is empty — so neither does.
+pub(crate) fn reject_full_space(window: &QueryWindow) -> Result<()> {
+    if window.states().count() == window.states().dim() {
+        return Err(QueryError::EmptySpatialWindow);
+    }
+    Ok(())
 }
 
 /// The complement side of the Section VII reduction: turns the ∃
 /// probabilities of the complemented window into ∀ probabilities, in
-/// place. Shared by the sequential and sharded ∀ drivers so the clamp
-/// stays identical everywhere.
+/// place. Shared by the sequential and sharded object-based ∀ drivers so
+/// the clamp stays identical everywhere.
 pub(crate) fn complement_probabilities(results: &mut [ObjectProbability]) {
     for r in results {
         r.probability = (1.0 - r.probability).max(0.0);
@@ -69,17 +96,16 @@ pub fn evaluate_object_based(
     Ok(results)
 }
 
-/// PST∀Q for the whole database, query-based.
+/// PST∀Q for the whole database, query-based: one direct ∀ backward field
+/// per model, one dot product per object.
 pub fn evaluate_query_based(
     db: &TrajectoryDatabase,
     window: &QueryWindow,
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let complement = window.complement_states()?;
-    let mut results = query_based::evaluate(db, &complement, config, stats)?;
-    complement_probabilities(&mut results);
-    Ok(results)
+    reject_full_space(window)?;
+    query_based::evaluate_rule(db, window, FieldRule::ForAll, config, stats)
 }
 
 #[cfg(test)]
@@ -133,9 +159,10 @@ mod tests {
         // Staying "somewhere in S" is certain, but the complement window
         // would be empty — the reduction must surface that as an error.
         let window = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::interval(1, 2)).unwrap();
-        let r =
-            forall_probability_ob(&paper_chain(), &object_at(0), &window, &EngineConfig::default());
-        assert!(r.is_err(), "degenerate full-space ∀ query should error, got {r:?}");
+        for forall in [forall_probability_ob, forall_probability_qb] {
+            let r = forall(&paper_chain(), &object_at(0), &window, &EngineConfig::default());
+            assert_eq!(r, Err(QueryError::EmptySpatialWindow), "degenerate full-space ∀ query");
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   backward level vectors `f_t(s, j)` = probability of exactly `j`
 //!   further window visits in `(t, t_end]` given state `s` at `t`,
 //!   propagated with one `M·w` product per level and step — hence the
-//!   "scales rather linearly with k" behaviour the paper observes.
+//!   "scales rather linearly with k" behaviour the paper observes. Level 0
+//!   is carried as its deficit `d = 1 − f₀` (the PST∃Q field), so every
+//!   level vector starts empty and stays on the states that can reach the
+//!   window.
 //! * [`ktimes_distribution_blowup`] — the explicit `S × {0..|T▫|}`
 //!   blown-up-matrix construction, kept as the executable specification
 //!   (exercised by tests on small instances).
@@ -25,11 +28,12 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use ust_markov::augmented;
-use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
+use ust_markov::{DenseVector, MarkovChain, PropagationVector, SpanVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::validate;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
+use crate::engine::query_based::window_indicator;
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -83,7 +87,15 @@ pub(crate) fn ktimes_with(
     pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, |rows, _| {
         shift_down(rows, window)
     })?;
-    Ok(rows.iter().map(|r| r.sum()).collect())
+    Ok(level_masses(&rows))
+}
+
+/// The answer of the `C(t)` algorithm: the mass at each count level. Sums
+/// of many products overshoot 1 by an ulp or two, so every entry is clamped
+/// into `[0, 1]` — no engine reports a probability outside the unit
+/// interval.
+fn level_masses(rows: &[PropagationVector]) -> Vec<f64> {
+    rows.iter().map(|r| r.sum().clamp(0.0, 1.0)).collect()
 }
 
 /// The column shift of the `C(t)` algorithm: for every state `s ∈ S▫`, the
@@ -101,10 +113,19 @@ fn shift_down(rows: &mut [PropagationVector], window: &QueryWindow) -> Result<()
 }
 
 /// Backward level field for query-based PSTkQ: snapshots (per anchor time)
-/// of the level vectors `f_t(·, j)`, `j ∈ {0..|T▫|}`.
+/// of the level vectors `f_t(·, j)`, `j ∈ {0..|T▫|}`, each trimmed to its
+/// non-zero span.
+///
+/// Level 0 is stored as its **deficit** `d_t = 1 − f_t(·, 0)` — the
+/// probability of at least one further visit, i.e. the PST∃Q field. `f₀`
+/// itself is 1 on every state that cannot reach the window, so carrying it
+/// would make the family dense from the first step; `d` and every
+/// `f_j, j ≥ 1` are zero there (the count distribution sums to 1, so
+/// nothing is lost), and the whole family sweeps as hybrid vectors over the
+/// transposed chain exactly like the ∃ field does.
 #[derive(Debug, Clone)]
 pub struct KTimesBackwardField {
-    snapshots: BTreeMap<u32, Vec<DenseVector>>,
+    snapshots: BTreeMap<u32, Vec<SpanVector>>,
 }
 
 impl KTimesBackwardField {
@@ -113,20 +134,11 @@ impl KTimesBackwardField {
         chain: &MarkovChain,
         window: &QueryWindow,
         anchor_times: &[u32],
+        config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<KTimesBackwardField> {
-        let n = chain.num_states();
-        let k_max = window.num_times();
-
-        // Boundary at t_end: zero further visits with certainty.
-        let mut levels: Vec<DenseVector> = Vec::with_capacity(k_max + 1);
-        levels.push(DenseVector::from_vec(vec![1.0; n]));
-        for _ in 0..k_max {
-            levels.push(DenseVector::zeros(n));
-        }
-
         let mut field = KTimesBackwardField { snapshots: BTreeMap::new() };
-        field.sweep_down(chain, window, levels, window.t_end(), anchor_times, stats)?;
+        field.sweep_down(chain, window, None, anchor_times, config, stats)?;
         Ok(field)
     }
 
@@ -145,6 +157,7 @@ impl KTimesBackwardField {
         chain: &MarkovChain,
         window: &QueryWindow,
         anchor_times: &[u32],
+        config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<()> {
         let Some(resume) = self.min_time() else {
@@ -154,72 +167,85 @@ impl KTimesBackwardField {
         if wanted.is_empty() {
             return Ok(());
         }
-        let levels = self
-            .snapshots
-            .get(&resume)
-            .ok_or(QueryError::internal("a level field's floor is always snapshotted"))?
-            .clone();
-        self.sweep_down(chain, window, levels, resume, &wanted, stats)
+        self.sweep_down(chain, window, Some(resume), &wanted, config, stats)
     }
 
-    /// The shared backward level sweep: from `levels` = the family at
-    /// `resume` down to the earliest requested time, recording snapshots
-    /// along the way.
+    /// The shared backward level sweep, recording snapshots along the way
+    /// down to the earliest requested time: from the family snapshotted at
+    /// `resume` (`levels[0]` the deficit), or — `None` — from the boundary
+    /// at `t_end`.
     fn sweep_down(
         &mut self,
         chain: &MarkovChain,
         window: &QueryWindow,
-        mut levels: Vec<DenseVector>,
-        resume: u32,
+        resume: Option<u32>,
         anchor_times: &[u32],
+        config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let k_max = levels.len() - 1;
-        let mut pipeline = Propagator::new(&EngineConfig::default(), stats);
+        let k_max = window.num_times();
+        let transposed = chain.transposed();
+        let inside = window.states();
+        let ones = window_indicator(window)?;
+        let (mut levels, resume): (Vec<PropagationVector>, u32) = match resume {
+            Some(t) => {
+                let family = self
+                    .snapshots
+                    .get(&t)
+                    .ok_or(QueryError::internal("a level field's floor is always snapshotted"))?;
+                let resumed = |level| PropagationVector::from_span(level, config.densify_threshold);
+                (family.iter().map(resumed).collect(), t)
+            }
+            // Boundary at t_end: zero further visits with certainty — no
+            // deficit, nothing at any higher level.
+            None => {
+                let empty = PropagationVector::from_sparse(SparseVector::zeros(inside.dim()))
+                    .with_densify_threshold(config.densify_threshold);
+                (vec![empty; k_max + 1], window.t_end())
+            }
+        };
+        let mut pipeline = Propagator::new(config, stats);
         let snapshots = &mut self.snapshots;
         pipeline.backward_from(
             &mut levels,
             resume,
             window,
             anchor_times,
-            // Entering a window state consumes one visit level: processed
-            // top-down so each lower level is still unmodified when the
-            // level above reads it.
+            // Entering a window state consumes one visit level:
+            // f_j[S▫] ← f_{j−1}[S▫], top-down so each lower level is still
+            // unmodified when the level above takes it; then
+            // f₁[S▫] ← f₀[S▫] = 1 − d[S▫] and f₀[S▫] ← 0, i.e. d[S▫] ← 1.
             |levels| {
-                for j in (0..=k_max).rev() {
-                    if j == 0 {
-                        let slice = levels[0].as_mut_slice();
-                        for s in window.states().iter() {
-                            slice[s] = 0.0;
-                        }
-                    } else {
-                        let (lower, upper) = levels.split_at_mut(j);
-                        let lower = lower[j - 1].as_slice();
-                        let slice = upper[0].as_mut_slice();
-                        for s in window.states().iter() {
-                            slice[s] = lower[s];
-                        }
-                    }
+                let _ = levels[k_max].split_masked(inside);
+                for j in (2..=k_max).rev() {
+                    let moved = levels[j - 1].split_masked(inside);
+                    levels[j].add_sparse(&moved)?;
                 }
+                let deficit = levels[0].split_masked(inside);
+                let no_visit = SparseVector::from_pairs(
+                    inside.dim(),
+                    inside.iter().map(|s| (s, 1.0 - deficit.get(s))),
+                )?;
+                levels[1].add_sparse(&no_visit)?;
+                levels[0].add_sparse(&ones)?;
                 Ok(())
             },
-            |levels, _| {
-                for level in levels.iter_mut() {
-                    *level = chain.matrix().matvec_dense(level)?;
-                }
+            |levels, scratch| {
+                transposed.step_batch(levels, &[], scratch)?;
                 Ok(levels.len() as u64)
             },
             |levels, t| {
-                snapshots.insert(t, levels.clone());
+                snapshots.insert(t, levels.iter().map(PropagationVector::to_span).collect());
             },
         )
     }
 
-    /// The level-vector family snapshotted at anchor time `t`, if it was
-    /// requested (`levels[j]` = probability of exactly `j` further window
-    /// visits in `(t, t_end]`, per state).
-    pub fn at(&self, t: u32) -> Option<&Vec<DenseVector>> {
-        self.snapshots.get(&t)
+    /// The level family snapshotted at anchor time `t`, if it was
+    /// requested: `levels[0]` is the deficit `1 − f_t(·, 0)`, `levels[j]`
+    /// for `j ≥ 1` the probability of exactly `j` further window visits in
+    /// `(t, t_end]`, per state.
+    pub fn at(&self, t: u32) -> Option<&[SpanVector]> {
+        self.snapshots.get(&t).map(Vec::as_slice)
     }
 
     /// The earliest snapshotted time — how far down the sweep has run.
@@ -237,31 +263,30 @@ impl KTimesBackwardField {
         anchor_times.iter().all(|t| self.snapshots.contains_key(t))
     }
 
-    /// Answers one object from the field.
+    /// Answers one object from the field; every entry lies in `[0, 1]`.
     pub fn object_distribution(
         &self,
         object: &UncertainObject,
         window: &QueryWindow,
     ) -> Option<Vec<f64>> {
         let anchor = object.anchor();
-        let levels = self.snapshots.get(&anchor.time())?;
-        let k_max = levels.len() - 1;
+        let levels = self.at(anchor.time())?;
+        let level = |j: usize, s: usize| match j {
+            0 => 1.0 - levels[0].get(s),
+            _ => levels[j].get(s),
+        };
         let anchor_in = window.time_in_window(anchor.time());
-        let mut out = vec![0.0; k_max + 1];
+        let mut out = vec![0.0; levels.len()];
         for (s, mass) in anchor.distribution().iter() {
-            let counts_now = anchor_in && window.states().contains(s);
-            for (k, slot) in out.iter_mut().enumerate() {
-                let f = if counts_now {
-                    if k == 0 {
-                        0.0
-                    } else {
-                        levels[k - 1].get(s)
-                    }
-                } else {
-                    levels[k].get(s)
-                };
-                *slot += mass * f;
+            // Footnote 3: anchor mass inside the window has one visit
+            // already.
+            let visited = usize::from(anchor_in && window.states().contains(s));
+            for (k, slot) in out.iter_mut().enumerate().skip(visited) {
+                *slot += mass * level(k - visited, s);
             }
+        }
+        for p in &mut out {
+            *p = p.clamp(0.0, 1.0);
         }
         Some(out)
     }
@@ -274,12 +299,12 @@ pub fn ktimes_distribution_qb(
     window: &QueryWindow,
     config: &EngineConfig,
 ) -> Result<Vec<f64>> {
-    let _ = config;
     validate(chain, object, window)?;
     let field = KTimesBackwardField::compute(
         chain,
         window,
         &[object.anchor().time()],
+        config,
         &mut EvalStats::new(),
     )?;
     field
@@ -373,7 +398,7 @@ pub(crate) fn ktimes_batched(
                 ))?;
                 results[pos] = Some(ObjectKDistribution {
                     object_id: object.id(),
-                    probabilities: batch.group(g).iter().map(|r| r.sum()).collect(),
+                    probabilities: level_masses(batch.group(g)),
                 });
             }
         }
@@ -414,32 +439,28 @@ pub struct KTimesFieldPlan {
 }
 
 impl KTimesFieldPlan {
-    /// Validates every object and sweeps one backward level field per
-    /// populated model (over all of that model's object anchors). `None`
-    /// entries are models without objects.
-    pub fn prepare(
-        db: &TrajectoryDatabase,
-        window: &QueryWindow,
-        stats: &mut EvalStats,
-    ) -> Result<KTimesFieldPlan> {
-        let indices: Vec<usize> = (0..db.len()).collect();
-        KTimesFieldPlan::prepare_on(db, &indices, window, stats)
-    }
-
-    /// As [`KTimesFieldPlan::prepare`], restricted to an explicit subset
-    /// of database object indices.
+    /// Validates the objects at `indices` (ascending database indices) and
+    /// sweeps one backward level field per populated model, snapshotted at
+    /// that model's anchor times. `None` entries are models without
+    /// objects.
     pub fn prepare_on(
         db: &TrajectoryDatabase,
         indices: &[usize],
         window: &QueryWindow,
+        config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<KTimesFieldPlan> {
         let mut fields: Vec<Option<Arc<KTimesBackwardField>>> =
             (0..db.models().len()).map(|_| None).collect();
         for group in crate::engine::query_based::validated_model_groups_on(db, indices, window)? {
             let chain = &db.models()[group.model];
-            fields[group.model] =
-                Some(Arc::new(KTimesBackwardField::compute(chain, window, &group.anchors, stats)?));
+            fields[group.model] = Some(Arc::new(KTimesBackwardField::compute(
+                chain,
+                window,
+                &group.anchors,
+                config,
+                stats,
+            )?));
         }
         Ok(KTimesFieldPlan { fields })
     }
@@ -455,7 +476,7 @@ impl KTimesFieldPlan {
         db: &TrajectoryDatabase,
         indices: &[usize],
         window: &QueryWindow,
-        config: &crate::engine::EngineConfig,
+        config: &EngineConfig,
         cache: &std::sync::Mutex<crate::engine::cache::KTimesFieldCache>,
         stats: &mut EvalStats,
     ) -> Result<KTimesFieldPlan> {
@@ -469,6 +490,7 @@ impl KTimesFieldPlan {
                     group.model,
                     chain,
                     window,
+                    (),
                     &group.anchors,
                     config,
                     stats,
@@ -497,8 +519,8 @@ pub fn evaluate_query_based(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
-    let _ = config;
-    let plan = KTimesFieldPlan::prepare(db, window, stats)?;
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let plan = KTimesFieldPlan::prepare_on(db, &indices, window, config, stats)?;
     let mut results = Vec::with_capacity(db.len());
     for object in db.objects() {
         let field = plan
@@ -601,6 +623,27 @@ mod tests {
             // with certainty.
             assert!((dist[1] - 1.0).abs() < 1e-12, "{dist:?}");
             assert!(dist[2].abs() < 1e-12, "{dist:?}");
+        }
+    }
+
+    #[test]
+    fn distribution_entries_stay_inside_the_unit_interval() {
+        // Anchor weights 7 : 11 : 2 normalise to masses whose left-to-right
+        // float sum is 1 + 1 ulp; a frozen chain inside a full-space window
+        // puts all of it on the single count level k = 1.
+        let frozen = MarkovChain::from_csr(CsrMatrix::identity(3)).unwrap();
+        let start =
+            ust_markov::SparseVector::from_pairs(3, [(0, 7.0), (1, 11.0), (2, 2.0)]).unwrap();
+        let o =
+            UncertainObject::with_single_observation(3, Observation::uncertain(0, start).unwrap());
+        assert!(o.anchor().distribution().sum() > 1.0, "the instance must overshoot");
+        let w = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::at(1)).unwrap();
+        let config = EngineConfig::default();
+        for dist in [
+            ktimes_distribution_ob(&frozen, &o, &w, &config).unwrap(),
+            ktimes_distribution_qb(&frozen, &o, &w, &config).unwrap(),
+        ] {
+            assert_eq!(dist, vec![0.0, 1.0]);
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`object_based`] / [`query_based`] — exact possible-worlds evaluation
 //!   using the virtual `M−`/`M+` operators;
-//! * [`forall`] — PST∀Q by complement reduction (Section VII);
+//! * [`forall`] — PST∀Q (Section VII): complement reduction object-based,
+//!   the direct keep-`S▫` backward field query-based;
 //! * [`ktimes`] — the memory-efficient `C(t)` algorithm (Section VII), a
 //!   QB counterpart, and the blown-up-matrix reference;
 //! * [`monte_carlo`] — the sampling competitor (MC in Fig. 8);
@@ -541,8 +542,9 @@ pub struct QueryProcessor {
     /// The processor's long-lived workers; `None` runs inline
     /// (`num_threads <= 1`).
     pool: Option<Arc<crate::parallel::WorkerPool>>,
-    /// PST∃Q backward fields shared by the query-based evaluations (and
-    /// by asynchronous submissions), reused across queries and windows.
+    /// PST∃Q / PST∀Q backward fields shared by the query-based
+    /// evaluations (and by asynchronous submissions), reused across
+    /// queries and windows.
     cache: Arc<Mutex<cache::BackwardFieldCache>>,
     /// PSTkQ backward level fields, ditto.
     ktimes_cache: Arc<Mutex<cache::KTimesFieldCache>>,
@@ -955,25 +957,25 @@ impl QueryProcessor {
     /// Pre-sweeps the shared backward-field caches densely over every
     /// anchor time in `[0, t_end]` for the models a query-based
     /// subscription can touch: single-object refreshes then hit whatever
-    /// anchor time an arrival lands on without any backward work. PST∀Q
-    /// sweeps ride the complement window (the Section VII reduction),
+    /// anchor time an arrival lands on without any backward work. PST∃Q
+    /// and PST∀Q warm the field of their own rule over the spec's window,
     /// PSTkQ the level-field cache. A failed warm sweep is deliberately
     /// swallowed — the evaluation path reports the error with its proper
-    /// payload.
+    /// payload (as it does for the full-space ∀ window no strategy
+    /// answers, which is not warmed at all).
     fn warm_backward_fields(
         &self,
         db: &TrajectoryDatabase,
         spec: &QuerySpec,
         stats: &mut EvalStats,
     ) {
-        let probe_window = match spec.predicate() {
-            Predicate::ForAll => match spec.window().complement_states() {
-                Ok(window) => window,
-                Err(_) => return,
-            },
-            _ => spec.window().clone(),
+        let window = spec.window();
+        let rule = match spec.predicate() {
+            Predicate::ForAll if forall::reject_full_space(window).is_err() => return,
+            Predicate::ForAll => query_based::FieldRule::ForAll,
+            _ => query_based::FieldRule::Exists,
         };
-        let anchors: Vec<u32> = (0..=spec.window().t_end()).collect();
+        let anchors: Vec<u32> = (0..=window.t_end()).collect();
         let models: std::collections::BTreeSet<usize> = match spec.objects() {
             Some(ids) => ids
                 .iter()
@@ -990,7 +992,8 @@ impl QueryProcessor {
                     &self.ktimes_cache,
                     model,
                     chain,
-                    &probe_window,
+                    window,
+                    (),
                     &anchors,
                     &self.config,
                     stats,
@@ -1000,7 +1003,8 @@ impl QueryProcessor {
                     &self.cache,
                     model,
                     chain,
-                    &probe_window,
+                    window,
+                    rule,
                     &anchors,
                     &self.config,
                     stats,
@@ -1203,8 +1207,8 @@ impl QueryProcessor {
         }
     }
 
-    /// PST∀Q for every object, query-based evaluation (complement windows
-    /// ride the shared cache like any other window).
+    /// PST∀Q for every object, query-based evaluation (the direct ∀ field
+    /// rides the shared cache beside the window's ∃ field).
     #[deprecated(note = "use Query::forall().window(…).strategy(Strategy::QueryBased) + execute")]
     pub fn forall_query_based(&self, window: &QueryWindow) -> Result<Vec<ObjectProbability>> {
         let spec = Query::forall().window(window.clone()).strategy(Strategy::QueryBased).build()?;

@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use crate::cluster;
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::{BackwardFieldCache, KTimesFieldCache};
-use crate::engine::query_based::{validated_model_groups_on, SharedFieldPlan};
+use crate::engine::query_based::{validated_model_groups_on, FieldRule, SharedFieldPlan};
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
 use crate::index::{intersect_sorted, SpatioTemporalIndex};
@@ -421,13 +421,12 @@ fn plan_on(
         Predicate::KTimes(_) => (window.num_times() + 1) as f64,
         _ => 1.0,
     };
-    // The QB sweep (and its cache entries) run over the complement window
-    // for PST∀Q — the Section VII reduction — so residency is probed there.
-    let probe_window = match spec.predicate() {
-        Predicate::ForAll => Some(window.complement_states()?),
-        _ => None,
+    // ∃ and ∀ fields over one window share the cache but not the entry:
+    // residency is probed under the rule the QB sweep would run.
+    let rule = match spec.predicate() {
+        Predicate::ForAll => FieldRule::ForAll,
+        _ => FieldRule::Exists,
     };
-    let probe_window = probe_window.as_ref().unwrap_or(window);
     let t_end = window.t_end();
 
     let mut ob = CostEstimate::default();
@@ -455,11 +454,11 @@ fn plan_on(
             Predicate::KTimes(_) => {
                 let cache =
                     ctx.ktimes_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                cache.residency(group.model, chain, probe_window, &group.anchors)
+                cache.residency(group.model, chain, window, (), &group.anchors)
             }
             _ => {
                 let cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                cache.residency(group.model, chain, probe_window, &group.anchors)
+                cache.residency(group.model, chain, window, rule, &group.anchors)
             }
         };
         let sweep = match residency {
@@ -913,29 +912,39 @@ fn exists_probs(
                 object_based::exists_batched(pipeline, ctx.db, idxs, window)
             })
         }
-        Strategy::QueryBased => {
-            let plan = SharedFieldPlan::prepare_with_cache_on(
-                ctx.db, indices, window, ctx.config, ctx.cache, stats,
-            )?;
-            stats.fields_shared += plan.num_fields() as u64;
-            crate::parallel::answer_exists_plan_on(
-                &ctx.executor,
-                ctx.db,
-                indices,
-                window,
-                ctx.config,
-                stats,
-                &plan,
-            )
-        }
+        Strategy::QueryBased => field_probs(ctx, FieldRule::Exists, indices, window, stats),
         Strategy::MonteCarlo => Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, 1)),
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
     }
 }
 
+/// Query-based ∃ / ∀ probabilities over `indices`: the cached backward
+/// field of `rule` per model, then one sharded dot product per object.
+fn field_probs(
+    ctx: &ExecContext<'_>,
+    rule: FieldRule,
+    indices: &[usize],
+    window: &QueryWindow,
+    stats: &mut EvalStats,
+) -> Result<Vec<ObjectProbability>> {
+    let plan = SharedFieldPlan::prepare_with_cache_on(
+        ctx.db, indices, window, rule, ctx.config, ctx.cache, stats,
+    )?;
+    stats.fields_shared += plan.num_fields() as u64;
+    crate::parallel::answer_field_plan_on(
+        &ctx.executor,
+        ctx.db,
+        indices,
+        window,
+        ctx.config,
+        stats,
+        &plan,
+    )
+}
+
 /// PST∀Q probabilities over `indices`: the Section VII complement
-/// reduction for the exact strategies, the direct all-visits tail for the
-/// sampling baseline.
+/// reduction object-based, the direct ∀ backward field query-based, the
+/// all-visits tail for the sampling baseline.
 fn forall_probs(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
@@ -944,14 +953,22 @@ fn forall_probs(
     sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    if strategy == Strategy::MonteCarlo {
-        let k_max = window.num_times();
-        return Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, k_max));
+    match strategy {
+        Strategy::MonteCarlo => {
+            let k_max = window.num_times();
+            Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, k_max))
+        }
+        Strategy::QueryBased => {
+            forall::reject_full_space(window)?;
+            field_probs(ctx, FieldRule::ForAll, indices, window, stats)
+        }
+        _ => {
+            let complement = window.complement_states()?;
+            let mut results = exists_probs(ctx, strategy, indices, &complement, sampling, stats)?;
+            forall::complement_probabilities(&mut results);
+            Ok(results)
+        }
     }
-    let complement = window.complement_states()?;
-    let mut results = exists_probs(ctx, strategy, indices, &complement, sampling, stats)?;
-    forall::complement_probabilities(&mut results);
-    Ok(results)
 }
 
 /// PSTkQ visit-count distributions over `indices` under the resolved

@@ -20,11 +20,16 @@
 //!
 //! is one `M · w` product per step, where `w` is `h_{t+1}` with the window
 //! states clamped to 1 when `t+1 ∈ T▫`.
+//!
+//! The PST∀Q field is the same sweep under the other [`FieldRule`]: `w`
+//! *keeps* only the window states of `g_{t+1}` when `t+1 ∈ T▫` (a world
+//! outside `S▫` at a query time has failed), so `g_t` too lives on the
+//! states that can reach the window and one object is one dot product.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
+use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::BackwardFieldCache;
@@ -36,17 +41,43 @@ use crate::object::UncertainObject;
 use crate::query::{ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
-/// The backward satisfaction field of a query window under one chain:
-/// snapshots of `h_t` at every requested anchor time.
+/// What a backward sweep does to the window states `S▫` at a query
+/// timestamp — the one difference between the PST∃Q and the PST∀Q field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FieldRule {
+    /// **Clamp** `S▫` to 1: a world there satisfies "at some query time"
+    /// with certainty. The field is `h_t(s)` = P(inside `S▫` at some query
+    /// time in `(t, t_end]` | `s` at `t`).
+    Exists,
+    /// **Keep** only `S▫`: a world anywhere else has already failed "at all
+    /// query times". The field is `g_t(s)` = P(inside `S▫` at all query
+    /// times in `(t, t_end]` | `s` at `t`) — PST∀Q answered directly
+    /// instead of through the complement window, so the sweep stays on the
+    /// states that can reach `S▫` rather than on everything that can leave
+    /// it.
+    ForAll,
+}
+
+/// The indicator vector of `S▫`: the clamp of the ∃ (and k-times deficit)
+/// rule and the start state of the ∀ sweep.
+pub(crate) fn window_indicator(window: &QueryWindow) -> Result<SparseVector> {
+    let n = window.states().dim();
+    Ok(SparseVector::from_pairs(n, window.states().iter().map(|s| (s, 1.0)))?)
+}
+
+/// The backward field of a query window under one chain: snapshots of
+/// `h_t` (or `g_t`, see [`FieldRule`]) at every requested anchor time, each
+/// trimmed to its non-zero span.
 #[derive(Debug, Clone)]
 pub struct BackwardField {
-    snapshots: BTreeMap<u32, DenseVector>,
+    rule: FieldRule,
+    snapshots: BTreeMap<u32, SpanVector>,
 }
 
 impl BackwardField {
-    /// Computes the field for `window`, keeping snapshots at every time in
-    /// `anchor_times` (each must be ≤ `t_end`). One backward sweep from
-    /// `t_end` down to the earliest anchor.
+    /// Computes the PST∃Q field for `window`, keeping snapshots at every
+    /// time in `anchor_times` (each must be ≤ `t_end`). One backward sweep
+    /// from `t_end` down to the earliest anchor.
     ///
     /// The sweep runs on a **hybrid vector over the transposed chain**: the
     /// support of `h_t` is exactly the set of states that can still reach
@@ -59,22 +90,34 @@ impl BackwardField {
         anchor_times: &[u32],
         stats: &mut EvalStats,
     ) -> Result<BackwardField> {
-        Self::compute_with_config(chain, window, anchor_times, &EngineConfig::default(), stats)
+        Self::compute_with_config(
+            chain,
+            window,
+            FieldRule::Exists,
+            anchor_times,
+            &EngineConfig::default(),
+            stats,
+        )
     }
 
-    /// As [`Self::compute`] with an explicit configuration (densification
-    /// threshold of the hybrid backward vector).
+    /// As [`Self::compute`] under an explicit window rule and configuration
+    /// (densification threshold of the hybrid backward vector).
+    ///
+    /// The ∀ sweep starts from the indicator of `S▫` rather than from the
+    /// all-ones vector `g_{t_end}` formally is: `t_end` is a query
+    /// timestamp, and at a query timestamp only the `S▫` entries of a ∀
+    /// snapshot are ever read ([`Self::object_probability`] scores anchor
+    /// mass outside `S▫` as 0) or survive the next step's keep rule.
     pub fn compute_with_config(
         chain: &MarkovChain,
         window: &QueryWindow,
+        rule: FieldRule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<BackwardField> {
-        let mut field = BackwardField { snapshots: BTreeMap::new() };
-        let mut h = PropagationVector::from_sparse(SparseVector::zeros(chain.num_states()))
-            .with_densify_threshold(config.densify_threshold);
-        field.sweep_down(chain, window, &mut h, window.t_end(), anchor_times, config, stats)?;
+        let mut field = BackwardField { rule, snapshots: BTreeMap::new() };
+        field.sweep_down(chain, window, None, anchor_times, config, stats)?;
         Ok(field)
     }
 
@@ -103,45 +146,63 @@ impl BackwardField {
         if wanted.is_empty() {
             return Ok(());
         }
-        let snapshot = self
-            .snapshots
-            .get(&resume)
-            .ok_or(QueryError::internal("a backward field's floor is always snapshotted"))?;
-        let mut h = PropagationVector::from_dense(snapshot.clone())
-            .with_densify_threshold(config.densify_threshold);
-        self.sweep_down(chain, window, &mut h, resume, &wanted, config, stats)
+        self.sweep_down(chain, window, Some(resume), &wanted, config, stats)
     }
 
-    /// The shared backward sweep: from `h` = `h_{resume}` down to the
-    /// earliest requested time, recording snapshots along the way.
-    #[allow(clippy::too_many_arguments)]
+    /// The shared backward sweep, recording snapshots along the way down to
+    /// the earliest requested time: from the snapshot at `resume`, or —
+    /// `None` — from the boundary state at `t_end`.
     fn sweep_down(
         &mut self,
         chain: &MarkovChain,
         window: &QueryWindow,
-        h: &mut PropagationVector,
-        resume: u32,
+        resume: Option<u32>,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let n = chain.num_states();
         let transposed = chain.transposed();
+        let rule = self.rule;
+        let ones = window_indicator(window)?;
+        let (mut h, resume) = match resume {
+            Some(t) => {
+                let snapshot = self.snapshots.get(&t).ok_or(QueryError::internal(
+                    "a backward field's floor is always snapshotted",
+                ))?;
+                (PropagationVector::from_span(snapshot, config.densify_threshold), t)
+            }
+            None => {
+                let boundary = match rule {
+                    FieldRule::Exists => SparseVector::zeros(chain.num_states()),
+                    FieldRule::ForAll => ones.clone(),
+                };
+                let h = PropagationVector::from_sparse(boundary)
+                    .with_densify_threshold(config.densify_threshold);
+                (h, window.t_end())
+            }
+        };
         let mut pipeline = Propagator::new(config, stats);
         let snapshots = &mut self.snapshots;
         pipeline.backward_from(
-            h,
+            &mut h,
             resume,
             window,
             anchor_times,
-            // Transposed M+ surgery: when the step's target time is in T▫,
-            // clamp the window states to 1 (a world there satisfies the
-            // predicate with certainty) before h_{t-1} = M · w, evaluated
-            // as w · Mᵀ on the hybrid vector.
+            // Transposed M+ surgery, applied when the step's target time is
+            // in T▫, before h_{t-1} = M · w is evaluated as w · Mᵀ on the
+            // hybrid vector.
             |h| {
-                let _ = h.extract_masked(window.states());
-                let ones = SparseVector::from_pairs(n, window.states().iter().map(|s| (s, 1.0)))?;
-                h.add_sparse(&ones)?;
+                match rule {
+                    FieldRule::Exists => {
+                        let _ = h.extract_masked(window.states());
+                        h.add_sparse(&ones)?;
+                    }
+                    // What is kept has at most |S▫| entries: back to sparse.
+                    FieldRule::ForAll => {
+                        *h = PropagationVector::from_sparse(h.split_masked(window.states()))
+                            .with_densify_threshold(config.densify_threshold);
+                    }
+                }
                 Ok(())
             },
             |h, scratch| {
@@ -149,13 +210,13 @@ impl BackwardField {
                 Ok(1)
             },
             |h, t| {
-                snapshots.insert(t, h.to_dense());
+                snapshots.insert(t, h.to_span());
             },
         )
     }
 
     /// The snapshot at anchor time `t`, if it was requested.
-    pub fn at(&self, t: u32) -> Option<&DenseVector> {
+    pub fn at(&self, t: u32) -> Option<&SpanVector> {
         self.snapshots.get(&t)
     }
 
@@ -176,8 +237,9 @@ impl BackwardField {
 
     /// Answers one object from the field: a sparse dot product of its
     /// anchor distribution with the snapshot at the anchor time, with the
-    /// anchor-in-window adjustment (worlds already inside the window at the
-    /// anchor count with probability 1).
+    /// anchor-in-window adjustment — worlds inside `S▫` at an anchor in
+    /// `T▫` count with probability 1 under the ∃ rule, worlds outside it
+    /// with probability 0 under the ∀ rule.
     pub fn object_probability(
         &self,
         object: &UncertainObject,
@@ -188,20 +250,25 @@ impl BackwardField {
         let anchor_in_window = window.time_in_window(anchor.time());
         let mut p = 0.0;
         for (s, mass) in anchor.distribution().iter() {
-            let value =
-                if anchor_in_window && window.states().contains(s) { 1.0 } else { h.get(s) };
+            let value = match self.rule {
+                FieldRule::Exists if anchor_in_window && window.states().contains(s) => 1.0,
+                FieldRule::ForAll if anchor_in_window && !window.states().contains(s) => 0.0,
+                _ => h.get(s),
+            };
             p += mass * value;
         }
         Some(p.min(1.0))
     }
 }
 
-/// Probability that `object` satisfies the PST∃Q, via a (single-object)
-/// backward pass. For batches prefer [`evaluate`], which amortizes the pass.
-pub fn exists_probability(
+/// Probability that `object` satisfies the window predicate of `rule`, via
+/// a (single-object) backward pass. For batches prefer [`evaluate_rule`],
+/// which amortizes the pass.
+pub fn field_probability(
     chain: &MarkovChain,
     object: &UncertainObject,
     window: &QueryWindow,
+    rule: FieldRule,
     config: &EngineConfig,
 ) -> Result<f64> {
     let mut stats = EvalStats::new();
@@ -209,6 +276,7 @@ pub fn exists_probability(
     let field = BackwardField::compute_with_config(
         chain,
         window,
+        rule,
         &[object.anchor().time()],
         config,
         &mut stats,
@@ -216,6 +284,17 @@ pub fn exists_probability(
     field
         .object_probability(object, window)
         .ok_or(QueryError::internal("anchor snapshot was requested from the backward field"))
+}
+
+/// Probability that `object` satisfies the PST∃Q
+/// ([`field_probability`] under [`FieldRule::Exists`]).
+pub fn exists_probability(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    window: &QueryWindow,
+    config: &EngineConfig,
+) -> Result<f64> {
+    field_probability(chain, object, window, FieldRule::Exists, config)
 }
 
 /// A model's populated object group: database indices in insertion order
@@ -299,13 +378,14 @@ fn answer_group(
     Ok(())
 }
 
-/// A query's backward fields, swept **exactly once** per `(model, window)`
-/// and shared read-only across the evaluation fan-out.
+/// A query's backward fields, swept **exactly once** per
+/// `(model, window, rule)` and shared read-only across the evaluation
+/// fan-out.
 ///
 /// This is the stage the pooled query-based drivers run *before* sharding:
 /// every populated model's [`BackwardField`] is computed up front (or
 /// fetched from a lock-guarded [`BackwardFieldCache`] via
-/// [`SharedFieldPlan::prepare_with_cache`]) and wrapped in an [`Arc`], so
+/// [`SharedFieldPlan::prepare_with_cache_on`]) and wrapped in an [`Arc`], so
 /// workers receive cheap read-only views instead of re-sweeping the field
 /// per shard. The deduplication is surfaced through
 /// [`EvalStats::fields_shared`]: one increment per field a plan serves,
@@ -316,26 +396,15 @@ pub struct SharedFieldPlan {
 }
 
 impl SharedFieldPlan {
-    /// Validates every object, groups the database by model and sweeps one
-    /// backward field per populated model (over all of that model's object
-    /// anchors). `None` entries are models without objects.
-    pub fn prepare(
-        db: &TrajectoryDatabase,
-        window: &QueryWindow,
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<SharedFieldPlan> {
-        let indices: Vec<usize> = (0..db.len()).collect();
-        SharedFieldPlan::prepare_on(db, &indices, window, config, stats)
-    }
-
-    /// As [`SharedFieldPlan::prepare`], restricted to an explicit subset
-    /// of database object indices: only the subset's models are swept, and
-    /// only the subset's anchor times are snapshotted.
+    /// Validates the objects at `indices` (ascending database indices),
+    /// groups them by model and sweeps one backward field per populated
+    /// model, snapshotted at that model's anchor times. `None` entries are
+    /// models without objects.
     pub fn prepare_on(
         db: &TrajectoryDatabase,
         indices: &[usize],
         window: &QueryWindow,
+        rule: FieldRule,
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<SharedFieldPlan> {
@@ -346,6 +415,7 @@ impl SharedFieldPlan {
             fields[group.model] = Some(Arc::new(BackwardField::compute_with_config(
                 chain,
                 window,
+                rule,
                 &group.anchors,
                 config,
                 stats,
@@ -354,35 +424,22 @@ impl SharedFieldPlan {
         Ok(SharedFieldPlan { fields })
     }
 
-    /// As [`SharedFieldPlan::prepare`], serving each field through a
+    /// As [`SharedFieldPlan::prepare_on`], serving each field through a
     /// lock-guarded [`BackwardFieldCache`]: hits and suffix extensions pay
     /// no (or less) backward work, fresh windows sweep once and stay
-    /// cached for the next query. The lock is held only for the prepare
-    /// stage — the fan-out works on the returned `Arc` views, so workers
-    /// never contend on the cache.
-    pub fn prepare_with_cache(
-        db: &TrajectoryDatabase,
-        window: &QueryWindow,
-        config: &EngineConfig,
-        cache: &Mutex<BackwardFieldCache>,
-        stats: &mut EvalStats,
-    ) -> Result<SharedFieldPlan> {
-        let indices: Vec<usize> = (0..db.len()).collect();
-        SharedFieldPlan::prepare_with_cache_on(db, &indices, window, config, cache, stats)
-    }
-
-    /// As [`SharedFieldPlan::prepare_with_cache`], restricted to an
-    /// explicit subset of database object indices.
+    /// cached for the next query.
     ///
     /// The cache lock is held only to probe and install — the backward
     /// sweeps themselves run outside it
     /// ([`BackwardFieldCache::get_or_compute_shared_concurrent`]), so
     /// concurrent queries over distinct windows (an async submission
-    /// burst) sweep in parallel instead of convoying on the cache.
+    /// burst) sweep in parallel instead of convoying on the cache, and the
+    /// fan-out works on the returned `Arc` views.
     pub fn prepare_with_cache_on(
         db: &TrajectoryDatabase,
         indices: &[usize],
         window: &QueryWindow,
+        rule: FieldRule,
         config: &EngineConfig,
         cache: &Mutex<BackwardFieldCache>,
         stats: &mut EvalStats,
@@ -396,6 +453,7 @@ impl SharedFieldPlan {
                 group.model,
                 chain,
                 window,
+                rule,
                 &group.anchors,
                 config,
                 stats,
@@ -423,11 +481,23 @@ pub fn evaluate(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
+    evaluate_rule(db, window, FieldRule::Exists, config, stats)
+}
+
+/// As [`evaluate`] under an explicit window rule — [`FieldRule::ForAll`]
+/// answers the PST∀Q from its direct backward field.
+pub fn evaluate_rule(
+    db: &TrajectoryDatabase,
+    window: &QueryWindow,
+    rule: FieldRule,
+    config: &EngineConfig,
+    stats: &mut EvalStats,
+) -> Result<Vec<ObjectProbability>> {
     let mut results: Vec<Option<ObjectProbability>> = vec![None; db.len()];
     for group in validated_model_groups(db, window)? {
         let chain = &db.models()[group.model];
         let field =
-            BackwardField::compute_with_config(chain, window, &group.anchors, config, stats)?;
+            BackwardField::compute_with_config(chain, window, rule, &group.anchors, config, stats)?;
         answer_group(db, &group, &field, window, stats, &mut results)?;
     }
     results
@@ -451,8 +521,15 @@ pub fn evaluate_with_cache(
     let mut results: Vec<Option<ObjectProbability>> = vec![None; db.len()];
     for group in validated_model_groups(db, window)? {
         let chain = &db.models()[group.model];
-        let field =
-            cache.get_or_compute(group.model, chain, window, &group.anchors, config, stats)?;
+        let field = cache.get_or_compute(
+            group.model,
+            chain,
+            window,
+            FieldRule::Exists,
+            &group.anchors,
+            config,
+            stats,
+        )?;
         answer_group(db, &group, field, window, stats, &mut results)?;
     }
     results
@@ -465,7 +542,7 @@ pub fn evaluate_with_cache(
 mod tests {
     use super::*;
     use crate::observation::Observation;
-    use ust_markov::CsrMatrix;
+    use ust_markov::{CsrMatrix, DenseVector};
     use ust_space::TimeSet;
 
     fn paper_chain() -> MarkovChain {
@@ -487,7 +564,7 @@ mod tests {
         let mut stats = EvalStats::new();
         let field =
             BackwardField::compute(&paper_chain(), &paper_window(), &[0], &mut stats).unwrap();
-        let h0 = field.at(0).unwrap();
+        let h0 = field.at(0).unwrap().to_dense();
         assert!(h0.approx_eq(&DenseVector::from_vec(vec![0.96, 0.864, 0.928]), 1e-12));
         assert_eq!(stats.backward_steps, 3);
         assert!(field.at(1).is_none(), "only requested snapshots are kept");

@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::BackwardFieldCache;
 use crate::engine::pipeline::Propagator;
-use crate::engine::query_based::SharedFieldPlan;
+use crate::engine::query_based::{FieldRule, SharedFieldPlan};
 use crate::engine::{ktimes, object_based, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::query::{ObjectKDistribution, ObjectProbability, QueryWindow};
@@ -680,12 +680,13 @@ pub fn evaluate_exists_parallel(
     evaluate_exists_on(&ShardedExecutor::from_config(config), db, window, config, stats)
 }
 
-/// The shared answer fan-out of the query-based ∃ drivers — including the
-/// planner's dispatch over explicit index subsets: one dot product per
+/// The shared answer fan-out of the query-based ∃ / ∀ drivers — including
+/// the planner's dispatch over explicit index subsets: one dot product per
 /// object against the plan's read-only fields, sharded. This is the one
 /// copy of the bit-identity-critical loop (object lookup, field lookup,
-/// `object_probability`, evaluation accounting) every QB ∃ path runs.
-pub(crate) fn answer_exists_plan_on(
+/// `object_probability`, evaluation accounting) every QB ∃ / ∀ path runs;
+/// the rule the fields were swept under rides in the fields themselves.
+pub(crate) fn answer_field_plan_on(
     executor: &ShardedExecutor,
     db: &TrajectoryDatabase,
     indices: &[usize],
@@ -713,7 +714,7 @@ pub(crate) fn answer_exists_plan_on(
     })
 }
 
-/// The k-times analogue of [`answer_exists_plan_on`]: one
+/// The k-times analogue of [`answer_field_plan_on`]: one
 /// `(|T▫|+1)`-level dot product per object against the plan's read-only
 /// level fields, sharded over an explicit index set.
 pub(crate) fn answer_ktimes_plan_on(
@@ -757,10 +758,10 @@ pub fn evaluate_exists_qb_on(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let plan = SharedFieldPlan::prepare(db, window, config, stats)?;
-    stats.fields_shared += plan.num_fields() as u64;
     let indices: Vec<usize> = (0..db.len()).collect();
-    answer_exists_plan_on(executor, db, &indices, window, config, stats, &plan)
+    let plan = SharedFieldPlan::prepare_on(db, &indices, window, FieldRule::Exists, config, stats)?;
+    stats.fields_shared += plan.num_fields() as u64;
+    answer_field_plan_on(executor, db, &indices, window, config, stats, &plan)
 }
 
 /// As [`evaluate_exists_qb_on`], on the process-wide shared pool.
@@ -786,10 +787,18 @@ pub fn evaluate_exists_qb_cached_on(
     cache: &Mutex<BackwardFieldCache>,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let plan = SharedFieldPlan::prepare_with_cache(db, window, config, cache, stats)?;
-    stats.fields_shared += plan.num_fields() as u64;
     let indices: Vec<usize> = (0..db.len()).collect();
-    answer_exists_plan_on(executor, db, &indices, window, config, stats, &plan)
+    let plan = SharedFieldPlan::prepare_with_cache_on(
+        db,
+        &indices,
+        window,
+        FieldRule::Exists,
+        config,
+        cache,
+        stats,
+    )?;
+    stats.fields_shared += plan.num_fields() as u64;
+    answer_field_plan_on(executor, db, &indices, window, config, stats, &plan)
 }
 
 /// PST∀Q for every object, object-based, sharded (complement reduction on
@@ -815,30 +824,6 @@ pub fn evaluate_forall_parallel(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     evaluate_forall_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// PST∀Q for every object, query-based, sharded.
-pub fn evaluate_forall_qb_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    let complement = window.complement_states()?;
-    let mut results = evaluate_exists_qb_on(executor, db, &complement, config, stats)?;
-    crate::engine::forall::complement_probabilities(&mut results);
-    Ok(results)
-}
-
-/// As [`evaluate_forall_qb_on`], on the process-wide shared pool.
-pub fn evaluate_forall_qb_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_forall_qb_on(&ShardedExecutor::from_config(config), db, window, config, stats)
 }
 
 /// PSTkQ for every object, object-based (`C(t)` algorithm), sharded.
@@ -875,9 +860,9 @@ pub fn evaluate_ktimes_qb_on(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
-    let plan = ktimes::KTimesFieldPlan::prepare(db, window, stats)?;
-    stats.fields_shared += plan.num_fields() as u64;
     let indices: Vec<usize> = (0..db.len()).collect();
+    let plan = ktimes::KTimesFieldPlan::prepare_on(db, &indices, window, config, stats)?;
+    stats.fields_shared += plan.num_fields() as u64;
     answer_ktimes_plan_on(executor, db, &indices, window, config, stats, &plan)
 }
 
@@ -1118,14 +1103,16 @@ mod tests {
             for (a, b) in p.iter().zip(&forall_ob) {
                 assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             }
-            let p = evaluate_forall_qb_parallel(
-                &db,
-                &window,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&forall_qb) {
+            // Sharded query-based ∀ has one route: the planner's.
+            let spec = crate::query::Query::forall()
+                .window(window.clone())
+                .strategy(crate::query::Strategy::QueryBased)
+                .build()
+                .unwrap();
+            let pooled =
+                crate::engine::QueryProcessor::with_config(&db, config.with_num_threads(threads));
+            let p = pooled.execute(&spec).unwrap();
+            for (a, b) in p.probabilities().unwrap().iter().zip(&forall_qb) {
                 assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             }
             let p = evaluate_ktimes_parallel(

@@ -18,6 +18,7 @@ use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
 use crate::kernels::{self, KernelMode};
 use crate::mask::StateMask;
+use crate::span_vec::SpanVector;
 use crate::sparse_vec::SparseVector;
 
 /// Density above which the vector flips to the dense representation.
@@ -529,6 +530,32 @@ impl PropagationVector {
             Repr::Dense(v) => SparseVector::from_dense(v, 0.0),
         }
     }
+
+    /// Snapshots the current state trimmed to its non-zero span, without
+    /// changing (or forcing) the representation.
+    pub fn to_span(&self) -> SpanVector {
+        match &self.repr {
+            Repr::Sparse(v) => SpanVector::from_sparse(v),
+            Repr::Dense(v) => SpanVector::from_slice(v.as_slice()),
+        }
+    }
+
+    /// Resumes propagation from a span snapshot: sparse unless the
+    /// snapshot's density already exceeds `densify_threshold`, exactly the
+    /// rule a vector propagated up to that point would have followed.
+    pub fn from_span(span: &SpanVector, densify_threshold: f64) -> Self {
+        let (offset, values) = span.span();
+        let mut indices = Vec::new();
+        let mut nonzero = Vec::new();
+        for (i, v) in values.iter().enumerate().filter(|(_, v)| **v != 0.0) {
+            indices.push((offset + i) as u32);
+            nonzero.push(*v);
+        }
+        let mut out = PropagationVector::from_sparse(SparseVector::zeros(span.dim()))
+            .with_densify_threshold(densify_threshold);
+        out.adopt_sparse_result(SparseVector::from_sorted_parts(span.dim(), indices, nonzero));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -856,6 +883,25 @@ mod tests {
         assert!(m.step_batch(&mut batch, &[true], &mut scratch).is_err(), "mask length");
         let mut wrong = vec![PropagationVector::from_dense(DenseVector::from_vec(vec![1.0, 0.0]))];
         assert!(m.step_batch(&mut wrong, &[], &mut scratch).is_err(), "dimension");
+    }
+
+    #[test]
+    fn span_snapshots_resume_in_the_representation_their_density_calls_for() {
+        let m = paper_matrix();
+        let mut scratch = SpmvScratch::new();
+        for threshold in [0.0, 0.5, 1.0] {
+            let mut v = PropagationVector::from_sparse(SparseVector::unit(3, 1).unwrap())
+                .with_densify_threshold(threshold);
+            v.step(&m, &mut scratch).unwrap();
+            let mut resumed = PropagationVector::from_span(&v.to_span(), threshold);
+            assert_eq!(resumed.is_sparse(), v.is_sparse(), "threshold {threshold}");
+            assert_eq!(resumed.nnz(), v.nnz());
+            v.step(&m, &mut scratch).unwrap();
+            resumed.step(&m, &mut scratch).unwrap();
+            for s in 0..3 {
+                assert_eq!(v.get(s).to_bits(), resumed.get(s).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   vector–matrix, matrix–matrix and transpose kernels used by every query;
 //! * [`sparse_vec::SparseVector`] / [`dense::DenseVector`] — the two
 //!   distribution representations, with [`hybrid::PropagationVector`]
-//!   switching adaptively between them during propagation;
+//!   switching adaptively between them during propagation, and
+//!   [`span_vec::SpanVector`] the span-trimmed snapshot of either;
 //! * [`stochastic::StochasticMatrix`] / [`chain::MarkovChain`] — validated
 //!   transition matrices and chains (Definitions 5/6, Corollaries 1/2);
 //! * [`augmented`] — the paper's `M−`/`M+` constructions with the absorbing
@@ -43,6 +44,7 @@ pub mod interval;
 pub mod kernels;
 pub mod mask;
 pub mod power;
+pub mod span_vec;
 pub mod sparse_vec;
 pub mod stochastic;
 pub mod testutil;
@@ -57,5 +59,6 @@ pub use interval::IntervalMatrix;
 pub use kernels::KernelMode;
 pub use mask::StateMask;
 pub use power::PowerCache;
+pub use span_vec::SpanVector;
 pub use sparse_vec::SparseVector;
 pub use stochastic::StochasticMatrix;

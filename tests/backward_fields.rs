@@ -1,0 +1,278 @@
+//! Property tests of the query-based backward fields that live on
+//! `S_reach`: the direct PST∀Q field, the sparse PSTkQ level family with
+//! level 0 carried as its deficit, and the span-trimmed snapshots both
+//! resume from.
+//!
+//! The oracles are the routes the direct fields replaced or sit beside:
+//! the Section VII complement reduction, `engine::exhaustive`, the blown-up
+//! matrix construction and the object-based `C(t)` driver. Windows here
+//! have arbitrary (non-contiguous) time sets and anchors may lie inside
+//! `T▫`, which the interval generator of `tests/proptest_engines.rs` never
+//! produces.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use ust::prelude::*;
+use ust_core::engine::forall;
+use ust_core::engine::ktimes::{self, KTimesBackwardField};
+use ust_core::engine::query_based::{self, BackwardField, FieldRule};
+use ust_core::engine::{exhaustive, object_based};
+// Explicit import: both glob preludes export a `Strategy` (proptest's
+// trait and the engine's enum).
+use ust_core::Strategy;
+use ust_markov::{testutil, SpanVector};
+use ust_space::TimeSet;
+
+const TOL: f64 = 1e-12;
+
+/// A window over the first `n` of `dim` states — each joins `S▫` with
+/// probability 0.4 — whose `T▫` is a random non-empty subset of
+/// `[t_lo, t_lo + 4]`. `None` when `S▫` comes out empty or covers all
+/// `dim` states (the ∀ complement oracle needs a proper subset).
+fn random_window(dim: usize, n: usize, seed: u64, t_lo: u32) -> Option<QueryWindow> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mask = StateMask::new(dim);
+    for s in 0..n {
+        if rng.random::<f64>() < 0.4 {
+            mask.insert(s).unwrap();
+        }
+    }
+    let mut times: Vec<u32> = (t_lo..=t_lo + 4).filter(|_| rng.random::<f64>() < 0.5).collect();
+    if times.is_empty() {
+        times.push(t_lo + 2);
+    }
+    if mask.is_empty() || mask.count() == dim {
+        return None;
+    }
+    QueryWindow::new(mask, TimeSet::new(times)).ok()
+}
+
+/// A random chain on `n` states plus one extra absorbing state `n` that
+/// nothing else leads to: whatever sits there provably never reaches a
+/// window over the first `n` states.
+fn chain_with_island(seed: u64, n: usize, deg: usize) -> MarkovChain {
+    let mut rng = testutil::rng(seed);
+    let mut rows: Vec<Vec<f64>> = testutil::random_stochastic(&mut rng, n, deg)
+        .to_dense()
+        .into_iter()
+        .map(|mut row| {
+            row.push(0.0);
+            row
+        })
+        .collect();
+    let mut island = vec![0.0; n + 1];
+    island[n] = 1.0;
+    rows.push(island);
+    MarkovChain::from_csr(CsrMatrix::from_dense(&rows).unwrap()).unwrap()
+}
+
+/// A banded chain on a line: every state steps to itself or a neighbour
+/// within `reach`, so backward fields stay a narrow band and their
+/// snapshots really are trimmed.
+fn banded_chain(seed: u64, n: usize, reach: usize) -> MarkovChain {
+    let mut rng = testutil::rng(seed);
+    let rows: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|s| {
+            let cols: Vec<usize> = (s.saturating_sub(reach)..=(s + reach).min(n - 1)).collect();
+            let weights: Vec<f64> = cols.iter().map(|_| rng.random::<f64>() + 0.05).collect();
+            let total: f64 = weights.iter().sum();
+            cols.into_iter().zip(weights).map(|(c, w)| (c, w / total)).collect()
+        })
+        .collect();
+    MarkovChain::from_csr(CsrMatrix::from_rows(n, &rows).unwrap()).unwrap()
+}
+
+fn object(id: u64, seed: u64, n: usize, time: u32) -> UncertainObject {
+    let dist = testutil::random_distribution(&mut testutil::rng(seed), n, 2);
+    UncertainObject::with_single_observation(id, Observation::uncertain(time, dist).unwrap())
+}
+
+fn span_bits(v: &SpanVector) -> (usize, Vec<u64>) {
+    let (offset, values) = v.span();
+    (offset, values.iter().map(|x| x.to_bits()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // (a) The direct ∀ field against the complement reduction and the
+    // possible-worlds enumeration; unreachable objects score exactly 0.
+    #[test]
+    fn direct_forall_field_matches_complement_reduction_and_exhaustive(
+        (seed, n, deg) in (0u64..10_000, 2usize..=5, 1usize..=3),
+        window_seed in 0u64..1_000,
+        t_lo in 1u32..=2,
+        anchor_gap in 0u32..=1,
+    ) {
+        let chain = chain_with_island(seed, n, deg);
+        let window = match random_window(n + 1, n, window_seed, t_lo) {
+            Some(w) => w,
+            None => { prop_assume!(false); unreachable!() }
+        };
+        let config = EngineConfig::default();
+        // anchor_gap = 0 puts the anchor on min(T▫): inside the window.
+        let anchor_time = window.t_start() - anchor_gap.min(window.t_start());
+        let dist = testutil::random_distribution(&mut testutil::rng(seed ^ 0xA11), n, 2);
+        let dist = SparseVector::from_pairs(n + 1, dist.iter()).unwrap();
+        let o = UncertainObject::with_single_observation(
+            0, Observation::uncertain(anchor_time, dist).unwrap());
+
+        let direct = forall::forall_probability_qb(&chain, &o, &window, &config).unwrap();
+        let complement = window.complement_states().unwrap();
+        let reduced =
+            1.0 - query_based::exists_probability(&chain, &o, &complement, &config).unwrap();
+        prop_assert!((direct - reduced).abs() < TOL, "direct {direct} vs 1 − ∃(complement) {reduced}");
+        let ob = forall::forall_probability_ob(&chain, &o, &window, &config).unwrap();
+        prop_assert!((direct - ob).abs() < TOL, "direct {direct} vs OB {ob}");
+        let truth = exhaustive::enumerate(&chain, &o, &window, 1 << 22).unwrap();
+        prop_assert!((direct - truth.forall()).abs() < TOL,
+            "direct {direct} vs exhaustive {}", truth.forall());
+        prop_assert!((0.0..=1.0).contains(&direct));
+
+        let stranded = UncertainObject::with_single_observation(
+            1, Observation::exact(anchor_time, n + 1, n).unwrap());
+        let p = forall::forall_probability_qb(&chain, &stranded, &window, &config).unwrap();
+        prop_assert_eq!(p.to_bits(), 0.0f64.to_bits(), "unreachable object scored {}", p);
+    }
+
+    // (b) The sparse level family against the blown-up matrices and the
+    // C(t) driver; every entry inside [0, 1], exactly.
+    #[test]
+    fn sparse_level_ktimes_matches_blowup_and_ct_driver(
+        (seed, n, deg) in (0u64..10_000, 2usize..=6, 1usize..=3),
+        window_seed in 0u64..1_000,
+        t_lo in 1u32..=2,
+        anchor_gap in 0u32..=1,
+        threshold in 0usize..3,
+    ) {
+        let chain = testutil::random_chain(seed, n, deg);
+        let window = match random_window(n, n, window_seed, t_lo) {
+            Some(w) => w,
+            None => { prop_assume!(false); unreachable!() }
+        };
+        let config =
+            EngineConfig::default().with_densify_threshold([0.0, 0.25, 1.0][threshold]);
+        let o = object(0, seed ^ 0xB0B, n, window.t_start() - anchor_gap.min(window.t_start()));
+
+        let qb = ktimes::ktimes_distribution_qb(&chain, &o, &window, &config).unwrap();
+        let ob = ktimes::ktimes_distribution_ob(&chain, &o, &window, &config).unwrap();
+        let blowup = ktimes::ktimes_distribution_blowup(&chain, &o, &window).unwrap();
+        prop_assert_eq!(qb.len(), window.num_times() + 1);
+        for k in 0..qb.len() {
+            prop_assert!((qb[k] - blowup[k]).abs() < TOL, "k={k}: qb {qb:?} blowup {blowup:?}");
+            prop_assert!((qb[k] - ob[k]).abs() < TOL, "k={k}: qb {qb:?} ob {ob:?}");
+            prop_assert!((0.0..=1.0).contains(&qb[k]) && (0.0..=1.0).contains(&ob[k]),
+                "k={k}: qb {qb:?} ob {ob:?}");
+        }
+    }
+
+    // (c) Resuming from a trimmed snapshot replays the from-scratch sweep
+    // bit for bit — ∃, ∀ and k-times fields, kept sparse and densified.
+    #[test]
+    fn extend_down_is_bit_identical_to_a_fresh_sweep(
+        seed in 0u64..10_000,
+        n in 40usize..=64,
+        first in 15usize..=25,
+        width in 1usize..=3,
+        t_lo in 3u32..=5,
+        window_seed in 0u64..1_000,
+        threshold in 0usize..3,
+    ) {
+        let chain = banded_chain(seed, n, 2);
+        let mut rng = StdRng::seed_from_u64(window_seed);
+        let mut times: Vec<u32> = (t_lo..=t_lo + 3).filter(|_| rng.random::<f64>() < 0.6).collect();
+        times.push(t_lo + 3);
+        let window =
+            QueryWindow::from_states(n, first..first + width, TimeSet::new(times)).unwrap();
+        let config =
+            EngineConfig::default().with_densify_threshold([0.0, 0.25, 1.0][threshold]);
+        let (early, late) = ([0u32, 1], [2u32, t_lo]);
+        let all = [0u32, 1, 2, t_lo];
+
+        for rule in [FieldRule::Exists, FieldRule::ForAll] {
+            let mut resumed = BackwardField::compute_with_config(
+                &chain, &window, rule, &late, &config, &mut EvalStats::new()).unwrap();
+            prop_assert!(resumed.at(2).unwrap().span().1.len() < n, "snapshots are trimmed");
+            resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
+            let fresh = BackwardField::compute_with_config(
+                &chain, &window, rule, &all, &config, &mut EvalStats::new()).unwrap();
+            for t in all {
+                prop_assert_eq!(
+                    span_bits(resumed.at(t).unwrap()), span_bits(fresh.at(t).unwrap()),
+                    "{:?} field at t={}", rule, t);
+            }
+        }
+
+        let mut resumed = KTimesBackwardField::compute(
+            &chain, &window, &late, &config, &mut EvalStats::new()).unwrap();
+        resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
+        let fresh = KTimesBackwardField::compute(
+            &chain, &window, &all, &config, &mut EvalStats::new()).unwrap();
+        for t in all {
+            let (a, b) = (resumed.at(t).unwrap(), fresh.at(t).unwrap());
+            prop_assert_eq!(a.len(), window.num_times() + 1);
+            for (j, (x, y)) in a.iter().zip(b).enumerate() {
+                prop_assert_eq!(span_bits(x), span_bits(y), "level {} at t={}", j, t);
+            }
+        }
+    }
+
+    // (d) ∃ and ∀ over one window share the cache but never an entry, and
+    // what the cache serves is what an uncached sweep computes.
+    #[test]
+    fn exists_and_forall_fields_never_serve_each_other(
+        (seed, n, deg) in (0u64..10_000, 3usize..=8, 1usize..=3),
+        window_seed in 0u64..1_000,
+        t_lo in 1u32..=2,
+        objects in 2usize..=6,
+    ) {
+        let chain = testutil::random_chain(seed, n, deg);
+        let window = match random_window(n, n, window_seed, t_lo) {
+            Some(w) => w,
+            None => { prop_assume!(false); unreachable!() }
+        };
+        let mut db = TrajectoryDatabase::new(chain);
+        for i in 0..objects {
+            db.insert(object(i as u64, seed + i as u64, n, (i % 2) as u32)).unwrap();
+        }
+        let config = EngineConfig::default();
+        let processor = QueryProcessor::with_config(&db, config);
+        let spec = |query: QueryBuilder| {
+            query.window(window.clone()).strategy(Strategy::QueryBased).build().unwrap()
+        };
+        let (exists, forall) = (spec(Query::exists()), spec(Query::forall()));
+        let uncached = |rule| {
+            query_based::evaluate_rule(&db, &window, rule, &config, &mut EvalStats::new()).unwrap()
+        };
+
+        for (spec, rule, miss) in [
+            (&exists, FieldRule::Exists, true),
+            (&forall, FieldRule::ForAll, true),
+            (&exists, FieldRule::Exists, false),
+            (&forall, FieldRule::ForAll, false),
+        ] {
+            let mut stats = EvalStats::new();
+            let answer = processor.execute_with_stats(spec, &mut stats).unwrap();
+            prop_assert_eq!((stats.cache_hits, stats.cache_misses), (!miss as u64, miss as u64),
+                "{:?} lookup", rule);
+            prop_assert_eq!(stats.backward_steps == 0, !miss);
+            for (a, b) in answer.probabilities().unwrap().iter().zip(&uncached(rule)) {
+                prop_assert_eq!(a.object_id, b.object_id);
+                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
+                    "{:?}: cached {} vs uncached {}", rule, a.probability, b.probability);
+            }
+        }
+
+        // The two answers are different predicates, not one field read twice.
+        let e = object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        for (p, q) in uncached(FieldRule::Exists).iter().zip(&e) {
+            prop_assert!((p.probability - q.probability).abs() < TOL);
+        }
+        let a = forall::evaluate_object_based(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        for (p, q) in uncached(FieldRule::ForAll).iter().zip(&a) {
+            prop_assert!((p.probability - q.probability).abs() < TOL);
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! answer.
 
 use ust::prelude::*;
-use ust_core::engine::{exhaustive, object_based, query_based};
+use ust_core::engine::{exhaustive, forall, object_based, query_based};
 use ust_core::{multi_obs, smoothing, QueryError};
 use ust_markov::{MarkovError, StochasticMatrix};
 
@@ -45,6 +45,40 @@ fn empty_windows_are_rejected() {
         QueryWindow::from_states(5, [5usize], TimeSet::at(1)),
         Err(QueryError::Markov(MarkovError::IndexOutOfBounds { .. }))
     ));
+}
+
+#[test]
+fn full_space_forall_is_rejected_by_every_exact_route() {
+    // The object-based reduction cannot answer a ∀ window covering all of
+    // S (its complement selects no states); the direct query-based field
+    // could, and must not: both strategies err identically, through the
+    // planner (one-shot and standing) and through the free functions.
+    let mut db = TrajectoryDatabase::new(paper_chain());
+    db.insert(UncertainObject::with_single_observation(7, Observation::exact(0, 3, 1).unwrap()))
+        .unwrap();
+    let full = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::interval(1, 2)).unwrap();
+    let config = EngineConfig::default();
+    let processor = QueryProcessor::new(&db);
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+        let spec = Query::forall().window(full.clone()).strategy(strategy).build().unwrap();
+        assert_eq!(processor.execute(&spec), Err(QueryError::EmptySpatialWindow), "{strategy:?}");
+        let standing = processor.watch(&spec).unwrap();
+        assert_eq!(standing.answer(), Err(QueryError::EmptySpatialWindow), "{strategy:?} watch");
+    }
+    let mut stats = EvalStats::new();
+    for answer in [
+        forall::evaluate_object_based(&db, &full, &config, &mut stats),
+        forall::evaluate_query_based(&db, &full, &config, &mut stats),
+        ust_core::parallel::evaluate_forall_parallel(&db, &full, &config, &mut stats),
+    ] {
+        assert_eq!(answer, Err(QueryError::EmptySpatialWindow));
+    }
+    assert_eq!(stats.backward_steps, 0, "no route swept a field before rejecting");
+    // ∃ and k-times have no complement to lose: the same window answers.
+    for query in [Query::exists(), Query::ktimes(1)] {
+        let spec = query.window(full.clone()).strategy(Strategy::QueryBased).build().unwrap();
+        assert!(processor.execute(&spec).is_ok());
+    }
 }
 
 #[test]

@@ -119,6 +119,16 @@ proptest! {
             prop_assert!((forall_qb[idx].probability - truth.forall()).abs() < TOL,
                 "∀ QB {} vs exhaustive {}", forall_qb[idx].probability, truth.forall());
 
+            // No engine reports a probability outside [0, 1] — exactly, not
+            // to a tolerance.
+            let unit = |p: &f64| (0.0..=1.0).contains(p);
+            prop_assert!(
+                [&exists_ob, &exists_qb, &forall_ob, &forall_qb].iter().all(|r| unit(&r[idx].probability))
+                    && ktimes_ob[idx].probabilities.iter().all(unit)
+                    && ktimes_qb[idx].probabilities.iter().all(unit),
+                "outside [0, 1]: OB {:?} QB {:?}",
+                ktimes_ob[idx].probabilities, ktimes_qb[idx].probabilities);
+
             prop_assert_eq!(ktimes_ob[idx].probabilities.len(), truth.ktimes.len());
             for (k, expected) in truth.ktimes.iter().enumerate() {
                 prop_assert!((ktimes_ob[idx].probabilities[k] - expected).abs() < TOL,
