@@ -7,7 +7,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ust_core::engine::{object_based, EngineConfig};
-use ust_core::{threshold, EvalStats};
+use ust_core::{EvalStats, Query, QueryProcessor, Strategy};
 use ust_data::workload;
 use ust_data::{synthetic, SyntheticConfig};
 use ust_markov::{augmented, DenseVector};
@@ -108,12 +108,15 @@ fn bench_threshold(c: &mut Criterion) {
                 .count()
         })
     });
+    let processor = QueryProcessor::new(&data.db);
+    let spec = Query::exists()
+        .window(window.clone())
+        .threshold(0.5)
+        .strategy(Strategy::ObjectBased)
+        .build()
+        .unwrap();
     group.bench_function("bounded_early_termination", |b| {
-        b.iter(|| {
-            threshold::threshold_query(&data.db, &window, 0.5, &config, &mut EvalStats::new())
-                .unwrap()
-                .len()
-        })
+        b.iter(|| processor.execute(&spec).unwrap().len())
     });
     group.finish();
 }

@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Prints each experiment as a Markdown table; `--out` writes one CSV per
-//! experiment, `--json` writes every experiment's wall time, metrics and
-//! table into one machine-readable JSON file (the `BENCH_pr2.json` /
-//! `BENCH_pr3.json` perf trajectories committed at the repository root).
+//! experiment, `--json` writes every experiment's wall time and table into
+//! one machine-readable JSON file. (Performance over time is the job of
+//! the repository's benchmark — `BENCHMARK.json`, `benchmark/README.md` —
+//! not of this binary.)
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -95,7 +96,7 @@ fn json_number(v: f64) -> String {
 }
 
 /// Renders the run as one JSON document: per experiment its id, title,
-/// wall time, named metrics and the full result table.
+/// wall time and the full result table.
 fn render_json(scale_name: &str, results: &[(f64, ExperimentOutput)]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_name)));
@@ -105,14 +106,6 @@ fn render_json(scale_name: &str, results: &[(f64, ExperimentOutput)]) -> String 
         out.push_str(&format!("      \"id\": \"{}\",\n", json_escape(&exp.id)));
         out.push_str(&format!("      \"title\": \"{}\",\n", json_escape(&exp.title)));
         out.push_str(&format!("      \"wall_secs\": {},\n", json_number(*wall)));
-        out.push_str("      \"metrics\": {");
-        for (j, (name, value)) in exp.metrics.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", json_escape(name), json_number(*value)));
-        }
-        out.push_str("},\n");
         out.push_str("      \"table\": {\n");
         out.push_str("        \"columns\": [");
         for (j, h) in exp.table.headers().iter().enumerate() {
@@ -203,7 +196,7 @@ fn main() -> ExitCode {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("JSON trajectory written to {}", path.display());
+        println!("JSON written to {}", path.display());
     }
     ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@
 //! early termination).
 
 use ust_core::engine::{object_based, EngineConfig};
-use ust_core::{threshold, EvalStats};
+use ust_core::{EvalStats, Query, QueryProcessor, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
@@ -85,7 +85,6 @@ pub fn ablation_augmented(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "ablation_augmented".into(),
         title: "Ablation — virtual M−/M+ operators vs materialized matrices".into(),
         table,
@@ -120,7 +119,6 @@ pub fn ablation_hybrid(scale: Scale) -> ExperimentOutput {
         table.push_row([label.to_string(), fmt_secs(t)]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "ablation_hybrid".into(),
         title: "Ablation — hybrid propagation-vector representation".into(),
         table,
@@ -163,7 +161,6 @@ pub fn ablation_epsilon(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "ablation_epsilon".into(),
         title: "Ablation — ε-pruning of propagation vectors".into(),
         table,
@@ -186,6 +183,7 @@ pub fn ablation_threshold(scale: Scale) -> ExperimentOutput {
     let config = EngineConfig::default();
     let (exact_t, _) =
         time(|| object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap());
+    let processor = QueryProcessor::new(&data.db);
     let mut table = ResultTable::new([
         "τ",
         "threshold query (s)",
@@ -194,10 +192,14 @@ pub fn ablation_threshold(scale: Scale) -> ExperimentOutput {
         "accepted",
     ]);
     for tau in [0.1, 0.5, 0.9] {
+        let spec = Query::exists()
+            .window(window.clone())
+            .threshold(tau)
+            .strategy(Strategy::ObjectBased)
+            .build()
+            .expect("τ is a probability");
         let mut stats = EvalStats::new();
-        let (t, accepted) = time(|| {
-            threshold::threshold_query(&data.db, &window, tau, &config, &mut stats).unwrap()
-        });
+        let (t, accepted) = time(|| processor.execute_with_stats(&spec, &mut stats).unwrap());
         table.push_row([
             format!("{tau}"),
             fmt_secs(t),
@@ -207,7 +209,6 @@ pub fn ablation_threshold(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "ablation_threshold".into(),
         title: "Ablation — bound-based early termination for threshold queries".into(),
         table,

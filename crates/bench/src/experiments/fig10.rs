@@ -48,7 +48,6 @@ pub fn fig10a(scale: Scale) -> ExperimentOutput {
         table.push_row([len.to_string(), fmt_secs(e_t), fmt_secs(a_t), fmt_secs(k_t)]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig10a".into(),
         title: "Fig. 10(a) — OB runtime of the three predicates vs window length".into(),
         table,
@@ -79,7 +78,6 @@ pub fn fig10b(scale: Scale) -> ExperimentOutput {
         table.push_row([len.to_string(), fmt_secs(e_t), fmt_secs(a_t), fmt_secs(k_t)]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig10b".into(),
         title: "Fig. 10(b) — QB runtime of the three predicates vs window length".into(),
         table,

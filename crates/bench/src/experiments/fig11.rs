@@ -10,10 +10,8 @@ use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
 use crate::{time, ExperimentOutput, Scale};
 
-/// The fig11 locality dataset shape, shared with the `pr2_batching` /
-/// `pr2_cache` experiments so "the fig11 locality workload" stays one
-/// definition.
-pub(crate) fn base_config(scale: Scale) -> SyntheticConfig {
+/// The fig11 locality dataset shape.
+fn base_config(scale: Scale) -> SyntheticConfig {
     match scale {
         Scale::Ci => {
             SyntheticConfig { num_objects: 1_000, num_states: 10_000, ..SyntheticConfig::default() }
@@ -52,7 +50,6 @@ pub fn fig11a(scale: Scale) -> ExperimentOutput {
             .map(|max_step| (max_step.to_string(), SyntheticConfig { max_step, ..base })),
     );
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig11a".into(),
         title: "Fig. 11(a) — impact of max_step on OB and QB".into(),
         table,
@@ -74,7 +71,6 @@ pub fn fig11b(scale: Scale) -> ExperimentOutput {
             (state_spread.to_string(), SyntheticConfig { state_spread, ..base })
         }));
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig11b".into(),
         title: "Fig. 11(b) — impact of state_spread on OB and QB".into(),
         table,

@@ -61,7 +61,6 @@ pub fn fig8a(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig8a".into(),
         title: "Fig. 8(a) — runtime vs |S| (small state space, with MC)".into(),
         table,
@@ -102,7 +101,6 @@ pub fn fig8b(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig8b".into(),
         title: "Fig. 8(b) — runtime vs |S| (large database, OB vs QB)".into(),
         table,

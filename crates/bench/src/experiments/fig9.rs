@@ -55,7 +55,6 @@ pub fn fig9a(scale: Scale) -> ExperimentOutput {
     let base = workload::paper_default_window(cfg.num_states).expect("window fits");
     let table = start_time_sweep(&data.db, &base, &start_times(scale));
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig9a".into(),
         title: "Fig. 9(a) — runtime vs query start time (synthetic)".into(),
         table,
@@ -84,7 +83,6 @@ fn network_experiment(
         .expect("window fits");
     let table = start_time_sweep(&dataset.db, &base, starts);
     ExperimentOutput {
-        metrics: Vec::new(),
         id: id.into(),
         title: title.into(),
         table,
@@ -183,7 +181,6 @@ pub fn fig9d(scale: Scale) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        metrics: Vec::new(),
         id: "fig9d".into(),
         title: "Fig. 9(d) — accuracy: with vs without temporal correlation".into(),
         table,

@@ -5,13 +5,6 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig8;
 pub mod fig9;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
 
 use crate::{ExperimentOutput, Scale};
 
@@ -31,14 +24,6 @@ pub fn all(scale: Scale) -> Vec<ExperimentOutput> {
         fig11::fig11b(scale),
     ];
     out.extend(ablation::all(scale));
-    out.push(pr2::pr2_batching(scale));
-    out.push(pr2::pr2_cache(scale));
-    out.push(pr3::pr3_pool(scale));
-    out.push(pr4::pr4_planner(scale));
-    out.push(pr5::pr5_admission(scale));
-    out.push(pr6::pr6_kernels(scale));
-    out.push(pr7::pr7_index(scale));
-    out.push(pr8::pr8_streaming(scale));
     out
 }
 
@@ -59,14 +44,6 @@ pub fn by_id(id: &str, scale: Scale) -> Option<ExperimentOutput> {
         "ablation_hybrid" => Some(ablation::ablation_hybrid(scale)),
         "ablation_epsilon" => Some(ablation::ablation_epsilon(scale)),
         "ablation_threshold" => Some(ablation::ablation_threshold(scale)),
-        "pr2_batching" => Some(pr2::pr2_batching(scale)),
-        "pr2_cache" => Some(pr2::pr2_cache(scale)),
-        "pr3_pool" => Some(pr3::pr3_pool(scale)),
-        "pr4_planner" => Some(pr4::pr4_planner(scale)),
-        "pr5_admission" => Some(pr5::pr5_admission(scale)),
-        "pr6_kernels" => Some(pr6::pr6_kernels(scale)),
-        "pr7_index" => Some(pr7::pr7_index(scale)),
-        "pr8_streaming" => Some(pr8::pr8_streaming(scale)),
         _ => None,
     }
 }
@@ -88,14 +65,6 @@ pub fn known_ids() -> &'static [&'static str] {
         "ablation_hybrid",
         "ablation_epsilon",
         "ablation_threshold",
-        "pr2_batching",
-        "pr2_cache",
-        "pr3_pool",
-        "pr4_planner",
-        "pr5_admission",
-        "pr6_kernels",
-        "pr7_index",
-        "pr8_streaming",
     ]
 }
 
@@ -115,6 +84,6 @@ mod tests {
         assert!(!out.table.is_empty());
         assert_eq!(out.id, "ablation_augmented");
         assert!(by_id("nope", Scale::Ci).is_none());
-        assert_eq!(known_ids().len(), 22);
+        assert_eq!(known_ids().len(), 14);
     }
 }

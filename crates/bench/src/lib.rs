@@ -4,9 +4,9 @@
 //! Table I is the generator configuration, encoded as
 //! [`ust_data::SyntheticConfig::default`]). Each experiment module produces
 //! [`ust_data::ResultTable`]s with the same axes as the corresponding
-//! figure; the `paper_experiments` binary renders them as Markdown/CSV, and
-//! `--json` writes the machine-readable trajectory files committed at the
-//! repository root (`BENCH_pr2.json`, `BENCH_pr3.json`).
+//! figure; the `paper_experiments` binary renders them as Markdown/CSV.
+//! Performance over time is not tracked here but by the repository's
+//! benchmark (`BENCHMARK.json`, `benchmark/README.md`).
 //!
 //! Two scales are supported: [`Scale::Ci`] shrinks `|D|`/`|S|` so the whole
 //! suite runs in a couple of minutes on a laptop, [`Scale::Paper`] uses the
@@ -48,8 +48,8 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-/// A labelled experiment output: figure id, table, free-form notes on the
-/// expected shape, and machine-readable metrics.
+/// A labelled experiment output: figure id, table and free-form notes on
+/// the expected shape.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutput {
     /// Figure identifier, e.g. `"fig8a"`.
@@ -60,34 +60,6 @@ pub struct ExperimentOutput {
     pub table: ust_data::ResultTable,
     /// What the paper's figure shows, and what to check here.
     pub expectation: String,
-    /// Named scalar metrics (operation counters, cache hit rates, …) for
-    /// the machine-readable `BENCH_pr2.json` trajectory.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl ExperimentOutput {
-    /// Appends a named metric (builder style).
-    pub fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.metrics.push((name.into(), value));
-        self
-    }
-
-    /// Appends the counters of an [`ust_core::EvalStats`] under a prefix,
-    /// e.g. `"ob_transitions"`.
-    pub fn with_stats_metrics(mut self, prefix: &str, stats: &ust_core::EvalStats) -> Self {
-        self.metrics.push((format!("{prefix}_transitions"), stats.transitions as f64));
-        self.metrics.push((format!("{prefix}_rows_traversed"), stats.rows_traversed as f64));
-        self.metrics.push((format!("{prefix}_entries_touched"), stats.entries_touched as f64));
-        self.metrics.push((format!("{prefix}_backward_steps"), stats.backward_steps as f64));
-        self.metrics.push((format!("{prefix}_cache_hits"), stats.cache_hits as f64));
-        self.metrics.push((format!("{prefix}_cache_misses"), stats.cache_misses as f64));
-        self.metrics.push((format!("{prefix}_fields_shared"), stats.fields_shared as f64));
-        self.metrics.push((format!("{prefix}_pruned_mass"), stats.pruned_mass));
-        self.metrics
-            .push((format!("{prefix}_candidates_examined"), stats.candidates_examined as f64));
-        self.metrics.push((format!("{prefix}_candidates_pruned"), stats.candidates_pruned as f64));
-        self
-    }
 }
 
 #[cfg(test)]

@@ -181,8 +181,11 @@ pub fn decide_by_bounds(
     Ok(decisions)
 }
 
-/// Thresholded PST∃Q using cluster-level interval bounds, falling back to
-/// exact per-object evaluation only for undecided objects.
+/// Thresholded PST∃Q using caller-chosen clusters' interval bounds, falling
+/// back to exact per-object evaluation only for undecided objects. (The
+/// planner does not route through here: it calls [`decide_by_bounds`] with
+/// the spatial index's envelope clusters and hands the undecided rest to
+/// its own strategy's driver.)
 pub fn clustered_threshold_query(
     db: &TrajectoryDatabase,
     window: &QueryWindow,
@@ -192,30 +195,12 @@ pub fn clustered_threshold_query(
     stats: &mut EvalStats,
 ) -> Result<ClusteredThresholdResult> {
     let indices: Vec<usize> = (0..db.len()).collect();
-    clustered_threshold_query_on(db, &indices, window, tau, clusters, config, stats)
-}
-
-/// [`clustered_threshold_query`] over an explicit candidate subset
-/// (database indices, processed in the given order) — the entry point the
-/// planner dispatches through after index pruning.
-pub fn clustered_threshold_query_on(
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    tau: f64,
-    clusters: &[ModelCluster],
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<ClusteredThresholdResult> {
-    let decisions = decide_by_bounds(db, indices, window, tau, clusters, stats)?;
+    let decisions = decide_by_bounds(db, &indices, window, tau, clusters, stats)?;
 
     let mut accepted = Vec::new();
     let mut decided = 0usize;
     let mut individual = 0usize;
-    for (&idx, decision) in indices.iter().zip(&decisions) {
-        let object = db.object(idx).ok_or(crate::error::QueryError::internal(
-            "bound-decided indices resolve to database objects",
-        ))?;
+    for (object, decision) in db.objects().iter().zip(&decisions) {
         match decision {
             Some(true) => {
                 accepted.push(object.id());
@@ -245,9 +230,10 @@ pub fn clustered_threshold_query_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryProcessor;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use crate::threshold;
+    use crate::query::{Query, Strategy};
     use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 
@@ -326,12 +312,16 @@ mod tests {
             let clustered =
                 clustered_threshold_query(&db, &window(), tau, &clusters, &config, &mut stats)
                     .unwrap();
-            let exact =
-                threshold::threshold_query(&db, &window(), tau, &config, &mut EvalStats::new())
-                    .unwrap();
+            let spec = Query::exists()
+                .window(window())
+                .threshold(tau)
+                .strategy(Strategy::ObjectBased)
+                .build()
+                .unwrap();
+            let exact = QueryProcessor::new(&db).execute(&spec).unwrap();
             let mut got = clustered.accepted.clone();
             got.sort_unstable();
-            assert_eq!(got, exact, "τ = {tau}");
+            assert_eq!(got, exact.ids().unwrap(), "τ = {tau}");
             assert_eq!(clustered.decided_by_bounds + clustered.individually_evaluated, db.len());
         }
     }
@@ -363,37 +353,21 @@ mod tests {
 
     #[test]
     fn subset_variant_matches_full_query_on_subset() {
+        // The planner hands `decide_by_bounds` whatever candidate subset
+        // survived the index: per-object decisions must not depend on who
+        // else was asked.
         let db = make_db();
         let clusters = greedy_clusters(&db, 0.5).unwrap();
-        let config = EngineConfig::default();
+        let everyone: Vec<usize> = (0..db.len()).collect();
         let subset = [0usize, 2, 4];
         for tau in [0.05, 0.5, 0.9] {
-            let on = clustered_threshold_query_on(
-                &db,
-                &subset,
-                &window(),
-                tau,
-                &clusters,
-                &config,
-                &mut EvalStats::new(),
-            )
-            .unwrap();
-            // The subset answer is the full answer restricted to the subset
-            // — per-object decisions do not depend on who else was asked.
-            let full = clustered_threshold_query(
-                &db,
-                &window(),
-                tau,
-                &clusters,
-                &config,
-                &mut EvalStats::new(),
-            )
-            .unwrap();
-            let subset_ids: Vec<u64> = subset.iter().map(|&i| db.object(i).unwrap().id()).collect();
-            let expect: Vec<u64> =
-                full.accepted.iter().copied().filter(|id| subset_ids.contains(id)).collect();
-            assert_eq!(on.accepted, expect, "τ = {tau}");
-            assert_eq!(on.decided_by_bounds + on.individually_evaluated, subset.len());
+            let decide = |indices: &[usize]| {
+                decide_by_bounds(&db, indices, &window(), tau, &clusters, &mut EvalStats::new())
+                    .unwrap()
+            };
+            let full = decide(&everyone);
+            let expect: Vec<Option<bool>> = subset.iter().map(|&i| full[i]).collect();
+            assert_eq!(decide(&subset), expect, "τ = {tau}");
         }
     }
 

@@ -48,7 +48,7 @@ use ust_markov::MarkovChain;
 use crate::engine::ktimes::KTimesBackwardField;
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
-use crate::error::{QueryError, Result};
+use crate::error::Result;
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
 
@@ -215,10 +215,10 @@ impl<R> CacheKey<R> {
 #[derive(Debug)]
 struct CacheEntry<F> {
     /// The field is held behind an [`Arc`] so
-    /// [`FieldCache::get_or_compute_shared`] can hand out read-only views
-    /// without cloning the snapshots; a suffix extension on an entry whose
-    /// `Arc` is still shared copies-on-write ([`Arc::make_mut`]), leaving
-    /// earlier views untouched.
+    /// [`FieldCache::get_or_compute_shared_concurrent`] can hand out
+    /// read-only views without cloning the snapshots; a suffix extension
+    /// works on a clone and replaces the entry, leaving earlier views
+    /// untouched.
     field: Arc<F>,
     last_used: u64,
 }
@@ -366,37 +366,23 @@ impl<F: CacheableField> FieldCache<F> {
 
     /// The backward field of `(model, window, rule)` with snapshots at
     /// every time in `anchor_times`, computing, extending or reusing as
-    /// needed.
+    /// needed, as a cheap shared handle: the plan releases the cache at
+    /// once and hands its workers read-only views.
     ///
     /// The key includes the chain's identity (address + shape), so one
     /// cache can safely be shared across databases: a different chain under
     /// the same model index misses instead of serving the wrong field.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_compute<'c>(
-        &'c mut self,
-        model: usize,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: F::Rule,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<&'c F> {
-        self.get_or_compute_entry(model, chain, window, rule, anchor_times, config, stats)
-            .map(|arc| arc.as_ref())
-    }
-
-    /// As [`FieldCache::get_or_compute_shared`], but designed for
-    /// **concurrent** callers sharing the cache behind a mutex: the lock
-    /// is held only to probe and to install — the backward sweep itself
-    /// (fresh or suffix extension of a cloned entry) runs **outside** the
+    ///
+    /// Designed for **concurrent** callers sharing the cache behind a
+    /// mutex: the lock is held only to probe and to install — the backward
+    /// sweep itself (fresh, or a suffix extension of a *clone* of the
+    /// entry, so outstanding views are never mutated) runs **outside** the
     /// lock, so a burst of asynchronously submitted queries over distinct
     /// windows sweeps in parallel instead of convoying on the cache.
     ///
     /// Two racing callers that miss on the same key may both sweep (the
     /// later install wins; outstanding `Arc` views stay valid) — wasted
-    /// work, never a wrong answer, and sequentially the hit/miss
-    /// accounting is identical to [`FieldCache::get_or_compute_shared`].
+    /// work, never a wrong answer.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_compute_shared_concurrent(
         cache: &std::sync::Mutex<Self>,
@@ -478,86 +464,6 @@ impl<F: CacheableField> FieldCache<F> {
         field
     }
 
-    /// As [`FieldCache::get_or_compute`], returning a cheap shared handle
-    /// to the cached field.
-    ///
-    /// This is the lookup the shared-field plans perform behind a lock:
-    /// the `Arc` lets the plan release the cache immediately and hand the
-    /// workers read-only views; a later suffix extension of the entry
-    /// copies-on-write, so outstanding views are never mutated.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_compute_shared(
-        &mut self,
-        model: usize,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: F::Rule,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<Arc<F>> {
-        self.get_or_compute_entry(model, chain, window, rule, anchor_times, config, stats)
-            .map(Arc::clone)
-    }
-
-    /// The lookup/compute/extend state machine shared by both accessors.
-    #[allow(clippy::too_many_arguments)]
-    fn get_or_compute_entry<'c>(
-        &'c mut self,
-        model: usize,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: F::Rule,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<&'c Arc<F>> {
-        let key = CacheKey::of(model, chain, window, rule);
-        self.clock += 1;
-        let clock = self.clock;
-
-        let lookup = match self.entries.get(&key) {
-            Some(entry) => Lookup::classify(entry.field.as_ref(), anchor_times),
-            None => Lookup::Compute(anchor_times.to_vec()),
-        };
-        match lookup {
-            Lookup::Hit => {
-                stats.cache_hits += 1;
-                let entry = self
-                    .entries
-                    .get_mut(&key)
-                    .ok_or(QueryError::internal("a cache hit means the entry exists"))?;
-                entry.last_used = clock;
-            }
-            Lookup::Extend(missing) => {
-                // A partial hit: the (min, t_end] suffix is reused, only
-                // the extension below it is swept. `make_mut` clones first
-                // if a previous query still holds a shared view.
-                stats.cache_hits += 1;
-                let entry = self
-                    .entries
-                    .get_mut(&key)
-                    .ok_or(QueryError::internal("a cache hit means the entry exists"))?;
-                Arc::make_mut(&mut entry.field)
-                    .extend_field_down(chain, window, &missing, config, stats)?;
-                entry.last_used = clock;
-            }
-            Lookup::Compute(times) => {
-                stats.cache_misses += 1;
-                let field = F::compute_field(chain, window, rule, &times, config, stats)?;
-                if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-                    self.evict_lru();
-                }
-                self.entries
-                    .insert(key.clone(), CacheEntry { field: Arc::new(field), last_used: clock });
-            }
-        }
-        self.entries
-            .get(&key)
-            .map(|entry| &entry.field)
-            .ok_or(QueryError::internal("every probe branch installs the entry"))
-    }
-
     fn evict_lru(&mut self) {
         if let Some(victim) =
             self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
@@ -570,6 +476,7 @@ impl<F: CacheableField> FieldCache<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
@@ -587,48 +494,63 @@ mod tests {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, t_hi)).unwrap()
     }
 
+    /// One lookup on model 0 under the default configuration.
+    fn get<F: CacheableField>(
+        cache: &Mutex<FieldCache<F>>,
+        chain: &MarkovChain,
+        window: &QueryWindow,
+        rule: F::Rule,
+        anchor_times: &[u32],
+        stats: &mut EvalStats,
+    ) -> Arc<F> {
+        let config = EngineConfig::default();
+        FieldCache::get_or_compute_shared_concurrent(
+            cache,
+            0,
+            chain,
+            window,
+            rule,
+            anchor_times,
+            &config,
+            stats,
+        )
+        .unwrap()
+    }
+
+    fn locked<F: CacheableField>(cache: &Mutex<FieldCache<F>>) -> MutexGuard<'_, FieldCache<F>> {
+        cache.lock().unwrap()
+    }
+
     #[test]
     fn repeated_lookup_hits_without_backward_work() {
         let chain = paper_chain();
-        let mut cache = BackwardFieldCache::new(4);
+        let cache = Mutex::new(BackwardFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let w = window(3);
-        let first = cache
-            .get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats)
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .clone();
+        let first = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let sweeps_after_miss = stats.backward_steps;
-        let again = cache
-            .get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats)
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .clone();
+        let again = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, sweeps_after_miss, "a hit performs no sweep");
         assert_eq!(first, again, "hits return the identical field");
-        assert!(cache.contains(0, &chain, &w, EXISTS, &[0]));
-        assert!(!cache.contains(0, &chain, &w, EXISTS, &[1]));
-        assert!(!cache.contains(1, &chain, &w, EXISTS, &[0]));
+        assert!(locked(&cache).contains(0, &chain, &w, EXISTS, &[0]));
+        assert!(!locked(&cache).contains(0, &chain, &w, EXISTS, &[1]));
+        assert!(!locked(&cache).contains(1, &chain, &w, EXISTS, &[0]));
     }
 
     #[test]
     fn extension_reuses_the_suffix_sweep() {
         let chain = paper_chain();
-        let mut cache = BackwardFieldCache::new(4);
+        let cache = Mutex::new(BackwardFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let w = window(3);
         // First query anchors at t=2: sweep 3 → 2 (one step).
-        cache.get_or_compute(0, &chain, &w, EXISTS, &[2], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w, EXISTS, &[2], &mut stats);
         assert_eq!(stats.backward_steps, 1);
         // Second query anchors at t=0: extend 2 → 0 (two more steps), a
         // partial hit rather than a 3-step recomputation.
-        let field = cache.get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats).unwrap();
+        let field = get(&cache, &chain, &w, EXISTS, &[0], &mut stats);
         assert_eq!(stats.backward_steps, 3);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         // The extended field matches Example 2 exactly.
@@ -639,26 +561,25 @@ mod tests {
     #[test]
     fn lru_eviction_at_capacity() {
         let chain = paper_chain();
-        let mut cache = BackwardFieldCache::new(2);
+        let cache = Mutex::new(BackwardFieldCache::new(2));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let (w3, w4, w5) = (window(3), window(4), window(5));
-        cache.get_or_compute(0, &chain, &w3, EXISTS, &[0], &config, &mut stats).unwrap();
-        cache.get_or_compute(0, &chain, &w4, EXISTS, &[0], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w3, EXISTS, &[0], &mut stats);
+        get(&cache, &chain, &w4, EXISTS, &[0], &mut stats);
         // Touch w3 so w4 becomes the least recently used...
-        cache.get_or_compute(0, &chain, &w3, EXISTS, &[0], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w3, EXISTS, &[0], &mut stats);
         // ...then inserting a third window must evict w4, not w3.
-        cache.get_or_compute(0, &chain, &w5, EXISTS, &[0], &config, &mut stats).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(0, &chain, &w3, EXISTS, &[0]));
-        assert!(!cache.contains(0, &chain, &w4, EXISTS, &[0]));
-        assert!(cache.contains(0, &chain, &w5, EXISTS, &[0]));
+        get(&cache, &chain, &w5, EXISTS, &[0], &mut stats);
+        assert_eq!(locked(&cache).len(), 2);
+        assert!(locked(&cache).contains(0, &chain, &w3, EXISTS, &[0]));
+        assert!(!locked(&cache).contains(0, &chain, &w4, EXISTS, &[0]));
+        assert!(locked(&cache).contains(0, &chain, &w5, EXISTS, &[0]));
         // Re-requesting the evicted window is a fresh miss.
-        cache.get_or_compute(0, &chain, &w4, EXISTS, &[0], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w4, EXISTS, &[0], &mut stats);
         assert_eq!(stats.cache_misses, 4);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), 2);
+        locked(&cache).clear();
+        assert!(locked(&cache).is_empty());
+        assert_eq!(locked(&cache).capacity(), 2);
         assert_eq!(BackwardFieldCache::new(0).capacity(), 1, "capacity clamps to 1");
     }
 
@@ -668,22 +589,11 @@ mod tests {
         // and get its own field, not the first chain's.
         let moving = paper_chain();
         let frozen = MarkovChain::from_csr(CsrMatrix::identity(3)).unwrap();
-        let mut cache = BackwardFieldCache::new(4);
+        let cache = Mutex::new(BackwardFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let w = window(3);
-        let from_moving = cache
-            .get_or_compute(0, &moving, &w, EXISTS, &[0], &config, &mut stats)
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .clone();
-        let from_frozen = cache
-            .get_or_compute(0, &frozen, &w, EXISTS, &[0], &config, &mut stats)
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .clone();
+        let from_moving = get(&cache, &moving, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
+        let from_frozen = get(&cache, &frozen, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
         assert_eq!(stats.cache_misses, 2, "different chains must not share an entry");
         assert!((from_moving.get(1) - 0.864).abs() < 1e-12);
         // Under the identity chain, worlds inside the window stay there
@@ -695,37 +605,35 @@ mod tests {
     #[test]
     fn anchors_between_snapshots_force_a_union_recompute() {
         let chain = paper_chain();
-        let mut cache = BackwardFieldCache::new(4);
+        let cache = Mutex::new(BackwardFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let w = window(3);
-        cache.get_or_compute(0, &chain, &w, EXISTS, &[0], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w, EXISTS, &[0], &mut stats);
         // t=1 lies above the floor snapshot set {0}? No — 1 > 0, and 1 was
         // never snapshotted, so the entry cannot be extended downward: it
         // must be recomputed with the union {0, 1}.
-        let field = cache.get_or_compute(0, &chain, &w, EXISTS, &[1], &config, &mut stats).unwrap();
+        let field = get(&cache, &chain, &w, EXISTS, &[1], &mut stats);
         assert!(field.at(0).is_some(), "union keeps previously served anchors");
         assert!(field.at(1).is_some());
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
         // Both anchors now hit.
-        cache.get_or_compute(0, &chain, &w, EXISTS, &[0, 1], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w, EXISTS, &[0, 1], &mut stats);
         assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]
     fn residency_probe_does_not_mutate() {
         let chain = paper_chain();
-        let mut cache = BackwardFieldCache::new(4);
+        let cache = Mutex::new(BackwardFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
         let w = window(3);
-        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[0]), (false, None));
-        cache.get_or_compute(0, &chain, &w, EXISTS, &[2], &config, &mut stats).unwrap();
+        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[0]), (false, None));
+        get(&cache, &chain, &w, EXISTS, &[2], &mut stats);
         // Full hit at the snapshotted time, extendable below it, dead
         // between floor and t_end.
-        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[2]), (true, Some(2)));
-        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[0]), (false, Some(2)));
-        assert_eq!(cache.residency(0, &chain, &w, EXISTS, &[3]), (false, None));
+        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[2]), (true, Some(2)));
+        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[0]), (false, Some(2)));
+        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[3]), (false, None));
         // Probing changed no counters and swept nothing.
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
@@ -734,34 +642,33 @@ mod tests {
     fn ktimes_cache_hits_extends_and_matches_fresh_sweeps() {
         let chain = paper_chain();
         let w = window(3);
-        let mut cache = KTimesFieldCache::new(4);
+        let cache = Mutex::new(KTimesFieldCache::new(4));
         let mut stats = EvalStats::new();
-        let config = EngineConfig::default();
 
         // Miss, then pure hit: no further backward level steps.
-        cache.get_or_compute(0, &chain, &w, (), &[2], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w, (), &[2], &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let after_miss = stats.backward_steps;
         assert!(after_miss > 0);
-        cache.get_or_compute(0, &chain, &w, (), &[2], &config, &mut stats).unwrap();
+        get(&cache, &chain, &w, (), &[2], &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, after_miss, "a hit performs no level sweep");
 
         // Extension down to t=0 must be bit-identical to a fresh sweep
         // over both anchor times.
-        let extended = cache
-            .get_or_compute(0, &chain, &w, (), &[0], &config, &mut stats)
-            .unwrap()
-            .at(0)
-            .unwrap()
-            .to_vec();
+        let extended = get(&cache, &chain, &w, (), &[0], &mut stats).at(0).unwrap().to_vec();
         assert_eq!((stats.cache_hits, stats.cache_misses), (2, 1));
-        let fresh =
-            KTimesBackwardField::compute(&chain, &w, &[0, 2], &config, &mut EvalStats::new())
-                .unwrap()
-                .at(0)
-                .unwrap()
-                .to_vec();
+        let fresh = KTimesBackwardField::compute(
+            &chain,
+            &w,
+            &[0, 2],
+            &EngineConfig::default(),
+            &mut EvalStats::new(),
+        )
+        .unwrap()
+        .at(0)
+        .unwrap()
+        .to_vec();
         assert_eq!(extended.len(), fresh.len());
         for (a, b) in extended.iter().zip(&fresh) {
             for s in 0..3 {

@@ -648,6 +648,43 @@ mod tests {
     }
 
     #[test]
+    fn tail_probability_stays_inside_the_unit_interval() {
+        // The same 7 : 11 : 2 anchor on a deterministic shift chain
+        // (`s → s+1`, last state absorbing) with `S▫ = {3,4,5}`,
+        // `T▫ = {1,2,3}`: the masses land on the levels k = 1, 2, 3, every
+        // entry is below 1, and their left-to-right sum is 1 + 1 ulp.
+        let mut shift = ust_markov::CooBuilder::new(6, 6);
+        for s in 0..6 {
+            shift.push(s, (s + 1).min(5), 1.0).unwrap();
+        }
+        let chain = MarkovChain::from_csr(shift.build()).unwrap();
+        let start =
+            ust_markov::SparseVector::from_pairs(6, [(0, 7.0), (1, 11.0), (2, 2.0)]).unwrap();
+        let o =
+            UncertainObject::with_single_observation(3, Observation::uncertain(0, start).unwrap());
+        let w = QueryWindow::from_states(6, [3usize, 4, 5], TimeSet::interval(1, 3)).unwrap();
+        let config = EngineConfig::default();
+        for probabilities in [
+            ktimes_distribution_ob(&chain, &o, &w, &config).unwrap(),
+            ktimes_distribution_qb(&chain, &o, &w, &config).unwrap(),
+        ] {
+            assert_eq!(probabilities, vec![0.0, 0.35000000000000003, 0.55, 0.1]);
+            assert!(probabilities.iter().skip(1).sum::<f64>() > 1.0, "the instance overshoots");
+            let dist = ObjectKDistribution { object_id: 3, probabilities };
+            assert_eq!(dist.prob_at_least(1), 1.0);
+        }
+
+        let mut db = TrajectoryDatabase::new(chain);
+        db.insert(o).unwrap();
+        let processor = crate::engine::QueryProcessor::new(&db);
+        let at_least_once = crate::query::Query::ktimes(1).window(w);
+        let certain = processor.execute(&at_least_once.clone().threshold(1.0).build().unwrap());
+        assert_eq!(certain.unwrap().ids().unwrap(), &[3]);
+        let ranked = processor.execute(&at_least_once.top_k(1).build().unwrap()).unwrap();
+        assert_eq!(ranked.ranked().unwrap()[0].probability, 1.0);
+    }
+
+    #[test]
     fn three_engines_agree_on_uncertain_anchor() {
         let chain = paper_chain();
         let start =

@@ -40,10 +40,7 @@ use crate::database::{IngestOutcome, TrajectoryDatabase};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::observation::Observation;
-use crate::query::{
-    Decorator, ObjectKDistribution, ObjectProbability, Predicate, Query, QueryAnswer, QuerySpec,
-    QueryWindow, Strategy,
-};
+use crate::query::{Decorator, Predicate, QueryAnswer, QuerySpec, Strategy};
 use crate::stats::EvalStats;
 use crate::streaming::{self, RawAnswer, Subscription, SubscriptionState};
 
@@ -114,14 +111,14 @@ pub struct EngineConfig {
     /// Worker threads the [`crate::parallel::ShardedExecutor`] shards
     /// object batches across (clamped to at least 1; `1` runs inline). A
     /// [`QueryProcessor`] built with `num_threads > 1` owns a long-lived
-    /// [`crate::parallel::WorkerPool`] of this size; the free `*_parallel`
-    /// functions borrow the process-wide shared pool instead.
+    /// [`crate::parallel::WorkerPool`] of this size.
     pub num_threads: usize,
     /// `(model, window)` entries retained by the [`QueryProcessor`]'s
     /// backward-field cache (clamped to at least 1). Each entry holds one
-    /// dense snapshot per distinct anchor time, so memory scales with
-    /// `capacity × anchors × |S|`; repeated or overlapping windows served
-    /// from the cache skip their backward sweeps entirely.
+    /// span-trimmed snapshot per distinct anchor time (the states from
+    /// which the window is still reachable, not all of `|S|`), so memory
+    /// scales with `capacity × anchors × span`; repeated or overlapping
+    /// windows served from the cache skip their backward sweeps entirely.
     pub cache_capacity: usize,
     /// Admission bound on **pending asynchronous submissions** per
     /// processor (`0` = unbounded, the default). Once this many
@@ -465,8 +462,8 @@ impl Drop for TicketGuard {
 /// service object of the crate.
 ///
 /// The query surface is **spec-driven**: build a [`QuerySpec`] with
-/// [`Query`] (predicate × decorator × window × strategy × optional object
-/// subset) and hand it to one entry point —
+/// [`crate::query::Query`] (predicate × decorator × window × strategy ×
+/// optional object subset) and hand it to one entry point —
 ///
 /// * [`QueryProcessor::execute`] evaluates synchronously and returns the
 ///   [`QueryAnswer`];
@@ -664,8 +661,7 @@ impl QueryProcessor {
     }
 
     /// Executes a declarative query spec — **the** synchronous entry
-    /// point, covering every predicate × decorator × strategy combination
-    /// (the legacy per-predicate methods are thin shims over it).
+    /// point, covering every predicate × decorator × strategy combination.
     ///
     /// [`Strategy::Auto`] specs are planned first (see
     /// [`QueryProcessor::explain`]); explicit strategies dispatch
@@ -881,7 +877,8 @@ impl QueryProcessor {
     /// Query-based subscriptions also pre-sweep their backward fields
     /// densely over every anchor time in `[0, t_end]`, so subsequent
     /// refreshes are pure cache hits: one sparse dot product per arrival,
-    /// zero backward steps — the saving `BENCH_pr8.json` measures.
+    /// zero backward steps (the benchmark's `stream_mixed` workload reports
+    /// it as `streaming.incremental_steps`).
     pub fn watch(&self, spec: &QuerySpec) -> Result<Subscription> {
         let snapshot = self.snapshot();
         let pinned_strategy = match spec.strategy() {
@@ -1173,148 +1170,6 @@ impl QueryProcessor {
         inner.stale = true;
         inner.last_shed = Some(error);
     }
-
-    /// PST∃Q for every object, object-based (forward) evaluation.
-    #[deprecated(note = "use Query::exists().window(…).strategy(Strategy::ObjectBased) + execute")]
-    pub fn exists_object_based(&self, window: &QueryWindow) -> Result<Vec<ObjectProbability>> {
-        let spec =
-            Query::exists().window(window.clone()).strategy(Strategy::ObjectBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Probabilities(p) => Ok(p),
-            _ => Err(QueryError::internal("probabilities decorator must yield probabilities")),
-        }
-    }
-
-    /// PST∃Q for every object, query-based (backward) evaluation through
-    /// the processor's shared field cache.
-    #[deprecated(note = "use Query::exists().window(…).strategy(Strategy::QueryBased) + execute")]
-    pub fn exists_query_based(&self, window: &QueryWindow) -> Result<Vec<ObjectProbability>> {
-        let spec = Query::exists().window(window.clone()).strategy(Strategy::QueryBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Probabilities(p) => Ok(p),
-            _ => Err(QueryError::internal("probabilities decorator must yield probabilities")),
-        }
-    }
-
-    /// PST∀Q for every object, object-based evaluation.
-    #[deprecated(note = "use Query::forall().window(…).strategy(Strategy::ObjectBased) + execute")]
-    pub fn forall_object_based(&self, window: &QueryWindow) -> Result<Vec<ObjectProbability>> {
-        let spec =
-            Query::forall().window(window.clone()).strategy(Strategy::ObjectBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Probabilities(p) => Ok(p),
-            _ => Err(QueryError::internal("probabilities decorator must yield probabilities")),
-        }
-    }
-
-    /// PST∀Q for every object, query-based evaluation (the direct ∀ field
-    /// rides the shared cache beside the window's ∃ field).
-    #[deprecated(note = "use Query::forall().window(…).strategy(Strategy::QueryBased) + execute")]
-    pub fn forall_query_based(&self, window: &QueryWindow) -> Result<Vec<ObjectProbability>> {
-        let spec = Query::forall().window(window.clone()).strategy(Strategy::QueryBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Probabilities(p) => Ok(p),
-            _ => Err(QueryError::internal("probabilities decorator must yield probabilities")),
-        }
-    }
-
-    /// PSTkQ for every object, object-based (`C(t)` algorithm).
-    #[deprecated(note = "use Query::ktimes(k).window(…).strategy(Strategy::ObjectBased) + execute")]
-    pub fn ktimes_object_based(&self, window: &QueryWindow) -> Result<Vec<ObjectKDistribution>> {
-        let spec =
-            Query::ktimes(1).window(window.clone()).strategy(Strategy::ObjectBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Distributions(d) => Ok(d),
-            _ => Err(QueryError::internal("k-times probabilities must yield distributions")),
-        }
-    }
-
-    /// PSTkQ for every object, query-based evaluation through the
-    /// processor's level-field cache.
-    #[deprecated(note = "use Query::ktimes(k).window(…).strategy(Strategy::QueryBased) + execute")]
-    pub fn ktimes_query_based(&self, window: &QueryWindow) -> Result<Vec<ObjectKDistribution>> {
-        let spec =
-            Query::ktimes(1).window(window.clone()).strategy(Strategy::QueryBased).build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Distributions(d) => Ok(d),
-            _ => Err(QueryError::internal("k-times probabilities must yield distributions")),
-        }
-    }
-
-    /// Ids of all objects whose PST∃Q probability is at least `tau`
-    /// (object-based with bound-based early termination). Note the spec
-    /// builder rejects `tau` outside `[0, 1]`, which the legacy signature
-    /// silently accepted.
-    #[deprecated(note = "use Query::exists().window(…).threshold(τ) + execute")]
-    pub fn threshold_query(&self, window: &QueryWindow, tau: f64) -> Result<Vec<u64>> {
-        let spec = Query::exists()
-            .window(window.clone())
-            .threshold(tau)
-            .strategy(Strategy::ObjectBased)
-            .build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::ObjectIds(ids) => Ok(ids),
-            _ => Err(QueryError::internal("threshold decorator must yield ids")),
-        }
-    }
-
-    /// As [`QueryProcessor::threshold_query`], answered from the
-    /// query-based shared-field plan through the processor's cache.
-    #[deprecated(
-        note = "use Query::exists().window(…).threshold(τ).strategy(Strategy::QueryBased) + \
-                execute"
-    )]
-    pub fn threshold_query_cached(&self, window: &QueryWindow, tau: f64) -> Result<Vec<u64>> {
-        let spec = Query::exists()
-            .window(window.clone())
-            .threshold(tau)
-            .strategy(Strategy::QueryBased)
-            .build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::ObjectIds(ids) => Ok(ids),
-            _ => Err(QueryError::internal("threshold decorator must yield ids")),
-        }
-    }
-
-    /// The `k` objects most likely to intersect the window (object-based
-    /// with reachability pruning).
-    #[deprecated(note = "use Query::exists().window(…).top_k(k) + execute")]
-    pub fn topk(
-        &self,
-        window: &QueryWindow,
-        k: usize,
-    ) -> Result<Vec<crate::ranking::RankedObject>> {
-        let spec = Query::exists()
-            .window(window.clone())
-            .top_k(k)
-            .strategy(Strategy::ObjectBased)
-            .build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Ranked(r) => Ok(r),
-            _ => Err(QueryError::internal("top-k decorator must yield a ranking")),
-        }
-    }
-
-    /// As [`QueryProcessor::topk`], via the query-based engine and the
-    /// processor's shared cache. Same ranking, bit for bit.
-    #[deprecated(
-        note = "use Query::exists().window(…).top_k(k).strategy(Strategy::QueryBased) + execute"
-    )]
-    pub fn topk_query_based(
-        &self,
-        window: &QueryWindow,
-        k: usize,
-    ) -> Result<Vec<crate::ranking::RankedObject>> {
-        let spec = Query::exists()
-            .window(window.clone())
-            .top_k(k)
-            .strategy(Strategy::QueryBased)
-            .build()?;
-        match self.execute(&spec)? {
-            QueryAnswer::Ranked(r) => Ok(r),
-            _ => Err(QueryError::internal("top-k decorator must yield a ranking")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1322,6 +1177,7 @@ mod tests {
     use super::*;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
+    use crate::query::{Query, QueryWindow};
     use ust_markov::testutil;
     use ust_space::TimeSet;
 
@@ -1458,11 +1314,15 @@ mod tests {
                 .with_num_threads(2)
                 .with_default_deadline(std::time::Duration::ZERO),
         );
-        // A zero deadline has always expired by the time the job starts.
-        let ticket = processor.submit(&spec).unwrap();
-        assert_eq!(ticket.wait(), Err(QueryError::DeadlineExceeded));
+        // A zero deadline has always expired by the time a job starts:
+        // every admitted submission of the burst is shed and counted.
+        let tickets: Vec<_> = (0..4).map(|_| processor.submit(&spec).unwrap()).collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait(), Err(QueryError::DeadlineExceeded));
+        }
         let metrics = processor.metrics();
-        assert_eq!(metrics.deadline_expired, 1);
+        assert_eq!(metrics.deadline_expired, 4);
+        assert_eq!(metrics.executions, 0, "shed jobs never execute");
         assert_eq!(metrics.in_flight, 0);
     }
 

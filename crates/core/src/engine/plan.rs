@@ -12,9 +12,9 @@
 //! human-readable rationale. [`crate::engine::QueryProcessor::explain`]
 //! returns the plan without executing;
 //! [`crate::engine::QueryProcessor::execute`] plans and then dispatches to
-//! the same batched, sharded drivers the legacy per-predicate entry points
-//! used — so planned answers are bit-for-bit identical to the
-//! pre-planner API (pinned by `tests/query_planner.rs`).
+//! the batched, sharded counterparts of the sequential reference drivers —
+//! so planned answers are bit-for-bit identical to the paper's algorithms
+//! run with no planner, pool or cache (pinned by `tests/query_planner.rs`).
 //!
 //! ## Cost model
 //!
@@ -700,7 +700,7 @@ fn dispatch(
             }
             Decorator::TopK(k) => {
                 let ranked = if strategy == Strategy::ObjectBased {
-                    // Reachability-pruned ranking, the legacy `topk` path.
+                    // Reachability-pruned ranking.
                     if k == 0 {
                         Vec::new()
                     } else {
@@ -874,8 +874,7 @@ fn threshold_qualifies(
     stats: &mut EvalStats,
 ) -> Result<Vec<bool>> {
     if strategy == Strategy::ObjectBased {
-        // The bound-based driver: early termination per object, exactly
-        // the legacy `threshold_query` path.
+        // The bound-based driver: early termination per object.
         let outcomes = ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
             threshold::threshold_batched(pipeline, ctx.db, idxs, window, tau)
         })?;

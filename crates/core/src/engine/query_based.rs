@@ -309,7 +309,8 @@ pub(crate) struct ModelGroup {
 }
 
 /// Validates every object and groups the database by model — the shared
-/// front half of the sequential, cached and sharded QB drivers, so the
+/// front half of the sequential reference drivers and (through
+/// [`validated_model_groups_on`]) the planner's shared-field plans, so the
 /// validation and anchor-collection rules cannot diverge between them.
 pub(crate) fn validated_model_groups(
     db: &TrajectoryDatabase,
@@ -354,9 +355,9 @@ pub(crate) fn validated_model_groups_on(
     Ok(groups)
 }
 
-/// The answer half shared by the QB drivers: one dot product per group
-/// member against the group's backward field, written into `results` by
-/// database index.
+/// The answer half of the sequential reference driver: one dot product per
+/// group member against the group's backward field, written into `results`
+/// by database index.
 fn answer_group(
     db: &TrajectoryDatabase,
     group: &ModelGroup,
@@ -382,10 +383,10 @@ fn answer_group(
 /// `(model, window, rule)` and shared read-only across the evaluation
 /// fan-out.
 ///
-/// This is the stage the pooled query-based drivers run *before* sharding:
-/// every populated model's [`BackwardField`] is computed up front (or
-/// fetched from a lock-guarded [`BackwardFieldCache`] via
-/// [`SharedFieldPlan::prepare_with_cache_on`]) and wrapped in an [`Arc`], so
+/// This is the stage the planner's query-based dispatch runs *before*
+/// sharding: every populated model's [`BackwardField`] is fetched from (or
+/// swept into) the processor's lock-guarded [`BackwardFieldCache`] via
+/// [`SharedFieldPlan::prepare_with_cache_on`] and held as an [`Arc`], so
 /// workers receive cheap read-only views instead of re-sweeping the field
 /// per shard. The deduplication is surfaced through
 /// [`EvalStats::fields_shared`]: one increment per field a plan serves,
@@ -397,37 +398,12 @@ pub struct SharedFieldPlan {
 
 impl SharedFieldPlan {
     /// Validates the objects at `indices` (ascending database indices),
-    /// groups them by model and sweeps one backward field per populated
-    /// model, snapshotted at that model's anchor times. `None` entries are
-    /// models without objects.
-    pub fn prepare_on(
-        db: &TrajectoryDatabase,
-        indices: &[usize],
-        window: &QueryWindow,
-        rule: FieldRule,
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<SharedFieldPlan> {
-        let mut fields: Vec<Option<Arc<BackwardField>>> =
-            (0..db.models().len()).map(|_| None).collect();
-        for group in validated_model_groups_on(db, indices, window)? {
-            let chain = &db.models()[group.model];
-            fields[group.model] = Some(Arc::new(BackwardField::compute_with_config(
-                chain,
-                window,
-                rule,
-                &group.anchors,
-                config,
-                stats,
-            )?));
-        }
-        Ok(SharedFieldPlan { fields })
-    }
-
-    /// As [`SharedFieldPlan::prepare_on`], serving each field through a
+    /// groups them by model and serves one backward field per populated
+    /// model, snapshotted at that model's anchor times, through a
     /// lock-guarded [`BackwardFieldCache`]: hits and suffix extensions pay
     /// no (or less) backward work, fresh windows sweep once and stay
-    /// cached for the next query.
+    /// cached for the next query. `None` entries are models without
+    /// objects.
     ///
     /// The cache lock is held only to probe and install — the backward
     /// sweeps themselves run outside it
@@ -499,38 +475,6 @@ pub fn evaluate_rule(
         let field =
             BackwardField::compute_with_config(chain, window, rule, &group.anchors, config, stats)?;
         answer_group(db, &group, &field, window, stats, &mut results)?;
-    }
-    results
-        .into_iter()
-        .map(|r| r.ok_or(QueryError::internal("every object belongs to exactly one model group")))
-        .collect()
-}
-
-/// As [`evaluate`], answering each model's backward field through a
-/// [`BackwardFieldCache`]: repeated or overlapping queries on the same
-/// `(model, window)` reuse the cached suffix sweep (extending it to earlier
-/// anchor times when needed) instead of recomputing it. Results are
-/// bit-for-bit identical to the uncached path.
-pub fn evaluate_with_cache(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    cache: &mut BackwardFieldCache,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    let mut results: Vec<Option<ObjectProbability>> = vec![None; db.len()];
-    for group in validated_model_groups(db, window)? {
-        let chain = &db.models()[group.model];
-        let field = cache.get_or_compute(
-            group.model,
-            chain,
-            window,
-            FieldRule::Exists,
-            &group.anchors,
-            config,
-            stats,
-        )?;
-        answer_group(db, &group, field, window, stats, &mut results)?;
     }
     results
         .into_iter()

@@ -1,4 +1,4 @@
-//! Long-lived worker-pool execution for every query driver.
+//! Long-lived worker-pool execution behind [`crate::engine::QueryProcessor`].
 //!
 //! All of the paper's queries are embarrassingly parallel over objects —
 //! each propagation touches only the shared read-only chain. Two layers
@@ -18,23 +18,24 @@
 //!   buffers), and stitches the per-object outputs back in database order,
 //!   merging the per-worker [`EvalStats`] deterministically in shard order.
 //!
-//! The query-based drivers add a third ingredient, the **shared-field
-//! plan** ([`SharedFieldPlan`] / [`ktimes::KTimesFieldPlan`]):
+//! The planner's query-based dispatch adds a third ingredient, the
+//! **shared-field plan** ([`SharedFieldPlan`] / [`ktimes::KTimesFieldPlan`]):
 //! each `(model, window)` backward field is swept **exactly once** before
-//! the fan-out — or fetched from a [`BackwardFieldCache`] behind a lock —
+//! the fan-out — or fetched from the processor's
+//! [`crate::engine::cache::BackwardFieldCache`] behind a lock —
 //! and the workers receive read-only [`std::sync::Arc`] views, so no worker
 //! ever re-sweeps a field another worker (or a previous query) already
 //! paid for. The deduplication is observable through
 //! [`EvalStats::fields_shared`].
 //!
-//! Every [`crate::engine::QueryProcessor`] entry point routes through the
+//! Every [`crate::engine::QueryProcessor`] execution routes through the
 //! executor: with [`crate::engine::EngineConfig::num_threads`] `== 1` the
 //! worker runs inline on the caller's thread (no queue hop), at higher
 //! counts the shards run on the pool. Within each shard the drivers are
-//! the same batched ones the sequential path uses, so parallel results are
-//! **bit-for-bit identical** to sequential evaluation for ∃/∀/k, threshold
-//! decisions and top-k rankings (asserted by the tests below and the
-//! property suite).
+//! the same batched ones the sequential reference drivers use, so parallel
+//! results are **bit-for-bit identical** to sequential evaluation for
+//! ∃/∀/k, threshold decisions and top-k rankings (asserted by the tests
+//! below and the property suite).
 //!
 //! ## Admission control
 //!
@@ -60,15 +61,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::cache::BackwardFieldCache;
 use crate::engine::pipeline::Propagator;
-use crate::engine::query_based::{FieldRule, SharedFieldPlan};
-use crate::engine::{ktimes, object_based, EngineConfig};
+use crate::engine::query_based::SharedFieldPlan;
+use crate::engine::{ktimes, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::query::{ObjectKDistribution, ObjectProbability, QueryWindow};
-use crate::ranking::{self, RankedObject};
 use crate::stats::EvalStats;
-use crate::threshold;
 
 /// A unit of pool work. Jobs are type-erased to `'static`; soundness of the
 /// erasure is the contract of [`WorkerPool::run_scoped`], which never
@@ -214,9 +212,9 @@ impl Drop for CompletionGuard<'_> {
 ///
 /// The pool is the process's reusable evaluation capacity: create it once
 /// (a [`crate::engine::QueryProcessor`] with
-/// [`EngineConfig::num_threads`] `> 1` owns one; ad-hoc callers share the
-/// process-wide pool of [`shared_pool`]) and submit every query's shard
-/// jobs to the same threads. Shard `i` of a run always lands on worker
+/// [`EngineConfig::num_threads`] `> 1` owns one; an inline processor's
+/// `submit` borrows the process-wide pool of [`shared_pool`]) and submit
+/// every query's shard jobs to the same threads. Shard `i` of a run always lands on worker
 /// `i % num_threads`, so repeated queries over the same database keep each
 /// worker on the same contiguous object range — the precondition for the
 /// NUMA/affinity work ROADMAP.md names as the next step.
@@ -501,7 +499,7 @@ fn worker_loop(queue: &ShardQueue, discard_on_shutdown: bool) {
     }
 }
 
-/// The process-wide shared pool used by the free `*_parallel` functions.
+/// The process-wide shared pool inline processors submit detached jobs to.
 static SHARED_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
 
 /// A process-wide [`WorkerPool`] with at least `min_threads` workers.
@@ -541,21 +539,6 @@ pub struct ShardedExecutor {
 }
 
 impl ShardedExecutor {
-    /// An executor over `num_threads` workers of the process-wide
-    /// [`shared_pool`] (clamped to at least 1; `1` runs inline without
-    /// touching the pool).
-    pub fn new(num_threads: usize) -> ShardedExecutor {
-        let num_threads = num_threads.max(1);
-        let pool = (num_threads > 1).then(|| shared_pool(num_threads));
-        ShardedExecutor { num_threads, pool }
-    }
-
-    /// An executor sized from [`EngineConfig::num_threads`], on the
-    /// process-wide shared pool.
-    pub fn from_config(config: &EngineConfig) -> ShardedExecutor {
-        ShardedExecutor::new(config.effective_num_threads())
-    }
-
     /// A strictly sequential executor (inline on the caller's thread).
     pub fn sequential() -> ShardedExecutor {
         ShardedExecutor { num_threads: 1, pool: None }
@@ -572,8 +555,9 @@ impl ShardedExecutor {
         self.num_threads
     }
 
-    /// Runs `worker` over contiguous shards of the database's object
-    /// indices and concatenates the outputs in shard order.
+    /// Runs `worker` over contiguous shards of `indices` (database object
+    /// indices: the whole database, a spec's subset, or a prefilter's
+    /// survivors) and concatenates the outputs in `indices` order.
     ///
     /// Each worker owns one [`Propagator`] over a private [`EvalStats`]
     /// that is merged into `stats` afterwards (deterministically, in shard
@@ -581,25 +565,6 @@ impl ShardedExecutor {
     /// return one output per index therefore produce the same vector the
     /// sequential driver would; reduction-style workers (top-k candidates)
     /// return fewer and the caller merges.
-    pub fn run<T, F>(
-        &self,
-        db: &TrajectoryDatabase,
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-        worker: F,
-    ) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(&mut Propagator<'_>, &[usize]) -> Result<Vec<T>> + Sync,
-    {
-        let indices: Vec<usize> = (0..db.len()).collect();
-        self.run_on(&indices, config, stats, worker)
-    }
-
-    /// As [`ShardedExecutor::run`], over an explicit set of database
-    /// object indices — the fan-out of subset-restricted query specs.
-    /// Shards are contiguous chunks of `indices`; outputs come back
-    /// concatenated in `indices` order.
     pub fn run_on<T, F>(
         &self,
         indices: &[usize],
@@ -654,38 +619,10 @@ impl ShardedExecutor {
     }
 }
 
-/// PST∃Q for every object, object-based, sharded over the executor's
-/// workers. Identical to [`object_based::evaluate`] (same order, same
-/// bits); `stats` aggregates the per-worker counters.
-pub fn evaluate_exists_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    executor.run(db, config, stats, |pipeline, indices| {
-        object_based::exists_batched(pipeline, db, indices, window)
-    })
-}
-
-/// As [`evaluate_exists_on`], on the process-wide shared pool sized from
-/// [`EngineConfig::num_threads`].
-pub fn evaluate_exists_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_exists_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// The shared answer fan-out of the query-based ∃ / ∀ drivers — including
-/// the planner's dispatch over explicit index subsets: one dot product per
-/// object against the plan's read-only fields, sharded. This is the one
-/// copy of the bit-identity-critical loop (object lookup, field lookup,
-/// `object_probability`, evaluation accounting) every QB ∃ / ∀ path runs;
-/// the rule the fields were swept under rides in the fields themselves.
+/// The answer fan-out of the planner's query-based ∃ / ∀ dispatch: one dot
+/// product per object against the plan's read-only fields, sharded over an
+/// explicit index set. The rule the fields were swept under rides in the
+/// fields themselves.
 pub(crate) fn answer_field_plan_on(
     executor: &ShardedExecutor,
     db: &TrajectoryDatabase,
@@ -745,279 +682,14 @@ pub(crate) fn answer_ktimes_plan_on(
     })
 }
 
-/// PST∃Q for every object, query-based, sharded. The backward sweep — the
-/// dominant, inherently sequential cost — runs **once per model** in the
-/// [`SharedFieldPlan`] stage before the fan-out; the workers then share the
-/// read-only `Arc` fields and shard only the per-object dot products, so no
-/// field is swept more than once regardless of the worker count. Results
-/// match [`crate::engine::query_based::evaluate`] bit for bit.
-pub fn evaluate_exists_qb_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let plan = SharedFieldPlan::prepare_on(db, &indices, window, FieldRule::Exists, config, stats)?;
-    stats.fields_shared += plan.num_fields() as u64;
-    answer_field_plan_on(executor, db, &indices, window, config, stats, &plan)
-}
-
-/// As [`evaluate_exists_qb_on`], on the process-wide shared pool.
-pub fn evaluate_exists_qb_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_exists_qb_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// As [`evaluate_exists_qb_on`], preparing the shared-field plan through a
-/// lock-guarded [`BackwardFieldCache`]: a repeated or overlapping window
-/// reuses the cached suffix sweep, a fresh one is swept once and cached,
-/// and either way the workers receive read-only `Arc` views. Bit-for-bit
-/// identical to the uncached path.
-pub fn evaluate_exists_qb_cached_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    cache: &Mutex<BackwardFieldCache>,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let plan = SharedFieldPlan::prepare_with_cache_on(
-        db,
-        &indices,
-        window,
-        FieldRule::Exists,
-        config,
-        cache,
-        stats,
-    )?;
-    stats.fields_shared += plan.num_fields() as u64;
-    answer_field_plan_on(executor, db, &indices, window, config, stats, &plan)
-}
-
-/// PST∀Q for every object, object-based, sharded (complement reduction on
-/// the sharded ∃ driver).
-pub fn evaluate_forall_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    let complement = window.complement_states()?;
-    let mut results = evaluate_exists_on(executor, db, &complement, config, stats)?;
-    crate::engine::forall::complement_probabilities(&mut results);
-    Ok(results)
-}
-
-/// As [`evaluate_forall_on`], on the process-wide shared pool.
-pub fn evaluate_forall_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_forall_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// PSTkQ for every object, object-based (`C(t)` algorithm), sharded.
-pub fn evaluate_ktimes_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    executor.run(db, config, stats, |pipeline, indices| {
-        ktimes::ktimes_batched(pipeline, db, indices, window)
-    })
-}
-
-/// As [`evaluate_ktimes_on`], on the process-wide shared pool.
-pub fn evaluate_ktimes_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    evaluate_ktimes_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// PSTkQ for every object, query-based, sharded. As with
-/// [`evaluate_exists_qb_on`], the per-model backward level sweeps run once
-/// in the [`ktimes::KTimesFieldPlan`] stage and the workers shard the
-/// per-object dot products against the shared read-only fields.
-pub fn evaluate_ktimes_qb_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let plan = ktimes::KTimesFieldPlan::prepare_on(db, &indices, window, config, stats)?;
-    stats.fields_shared += plan.num_fields() as u64;
-    answer_ktimes_plan_on(executor, db, &indices, window, config, stats, &plan)
-}
-
-/// As [`evaluate_ktimes_qb_on`], on the process-wide shared pool.
-pub fn evaluate_ktimes_qb_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    evaluate_ktimes_qb_on(&ShardedExecutor::from_config(config), db, window, config, stats)
-}
-
-/// Thresholded PST∃Q over the whole database, sharded: each worker runs the
-/// batched bound-based driver on its shard (building its own reachability
-/// pruners). The accepted id list matches [`threshold::threshold_query`]
-/// exactly.
-pub fn threshold_query_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<u64>> {
-    let outcomes = executor.run(db, config, stats, |pipeline, indices| {
-        threshold::threshold_batched(pipeline, db, indices, window, tau)
-    })?;
-    outcomes
-        .into_iter()
-        .enumerate()
-        .filter(|(_, o)| o.qualifies)
-        .map(|(idx, _)| {
-            db.object(idx)
-                .map(|o| o.id())
-                .ok_or(QueryError::internal("each outcome aligns with a database object"))
-        })
-        .collect()
-}
-
-/// As [`threshold_query_on`], on the process-wide shared pool.
-pub fn threshold_query_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<u64>> {
-    threshold_query_on(&ShardedExecutor::from_config(config), db, window, tau, config, stats)
-}
-
-/// Thresholded PST∃Q answered from the query-based shared-field plan: one
-/// locked cache lookup (or fresh sweep) per `(model, window)`, then sharded
-/// dot products and the `≥ τ` filter. Exact, and bit-for-bit identical to
-/// [`threshold::threshold_query_cached`] run sequentially.
-pub fn threshold_query_cached_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    cache: &Mutex<BackwardFieldCache>,
-    stats: &mut EvalStats,
-) -> Result<Vec<u64>> {
-    let all = evaluate_exists_qb_cached_on(executor, db, window, config, cache, stats)?;
-    Ok(all.into_iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect())
-}
-
-/// Top-k most likely window intersectors, object-based with pruning,
-/// sharded: each worker ranks its shard (pruning against its local k-th
-/// bound — conservative, so no global candidate is lost) and the shard
-/// lists are merged. The final ranking matches
-/// [`ranking::topk_object_based_pruned`] exactly.
-pub fn topk_object_based_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let candidates = executor.run(db, config, stats, |pipeline, indices| {
-        ranking::topk_batched(pipeline, db, indices, window, k)
-    })?;
-    let mut best: Vec<RankedObject> = Vec::with_capacity(k + 1);
-    for candidate in candidates {
-        ranking::insert_ranked(&mut best, candidate, k);
-    }
-    Ok(best)
-}
-
-/// As [`topk_object_based_on`], on the process-wide shared pool.
-pub fn topk_object_based_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    topk_object_based_on(&ShardedExecutor::from_config(config), db, window, k, config, stats)
-}
-
-/// Top-k via the query-based engine, sharded over the probability
-/// computation (one shared-field sweep per model up front). Matches
-/// [`ranking::topk_query_based`] exactly.
-pub fn topk_query_based_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    let all = evaluate_exists_qb_on(executor, db, window, config, stats)?;
-    Ok(ranking::select_topk(all, k))
-}
-
-/// As [`topk_query_based_on`], on the process-wide shared pool.
-pub fn topk_query_based_parallel(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    topk_query_based_on(&ShardedExecutor::from_config(config), db, window, k, config, stats)
-}
-
-/// As [`topk_query_based_on`], preparing the shared-field plan through a
-/// lock-guarded [`BackwardFieldCache`]. Bit-for-bit identical to the
-/// uncached ranking.
-pub fn topk_query_based_cached_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    cache: &Mutex<BackwardFieldCache>,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    let all = evaluate_exists_qb_cached_on(executor, db, window, config, cache, stats)?;
-    Ok(ranking::select_topk(all, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{forall, query_based};
+    use crate::engine::{forall, object_based, query_based, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
+    use crate::query::{Query, QueryAnswer, QueryBuilder, Strategy};
     use ust_markov::testutil;
-    use ust_markov::MarkovChain;
     use ust_space::TimeSet;
 
     fn random_db(seed: u64, n_states: usize, n_objects: usize) -> TrajectoryDatabase {
@@ -1040,6 +712,23 @@ mod tests {
         QueryWindow::from_states(n, 10usize..=15, TimeSet::interval(4, 7)).unwrap()
     }
 
+    /// Executes `builder` (window attached here) and accumulates into `stats`.
+    fn run(
+        processor: &QueryProcessor,
+        builder: QueryBuilder,
+        window: &QueryWindow,
+        stats: &mut EvalStats,
+    ) -> QueryAnswer {
+        let spec = builder.window(window.clone()).build().unwrap();
+        processor.execute_with_stats(&spec, stats).unwrap()
+    }
+
+    /// Bit-exact canonical form of an answer: `f64`'s `Debug` is its
+    /// shortest round-trip rendering, so equal strings mean equal bits.
+    fn bits(answer: &QueryAnswer) -> String {
+        format!("{answer:?}")
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let db = random_db(17, 60, 37);
@@ -1048,131 +737,62 @@ mod tests {
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         for threads in [1usize, 2, 3, 8, 64] {
+            let processor = QueryProcessor::with_config(&db, config.with_num_threads(threads));
             let mut stats = EvalStats::new();
-            let parallel = evaluate_exists_parallel(
-                &db,
+            let parallel = run(
+                &processor,
+                Query::exists().strategy(Strategy::ObjectBased),
                 &window,
-                &config.with_num_threads(threads),
                 &mut stats,
-            )
-            .unwrap();
-            assert_eq!(parallel.len(), sequential.len());
-            for (a, b) in parallel.iter().zip(&sequential) {
-                assert_eq!(a.object_id, b.object_id);
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits(), "threads={threads}");
-            }
+            );
+            assert_eq!(
+                bits(&parallel),
+                bits(&QueryAnswer::Probabilities(sequential.clone())),
+                "threads={threads}"
+            );
             assert_eq!(stats.objects_evaluated, db.len() as u64);
         }
     }
 
     #[test]
     fn all_drivers_match_sequential_bit_for_bit() {
+        use Strategy::{ObjectBased as Ob, QueryBased as Qb};
         let db = random_db(23, 60, 29);
         let window = window(60);
         let config = EngineConfig::default().with_batch_size(7);
         let mut seq = EvalStats::new();
+        let exists_ob = object_based::evaluate(&db, &window, &config, &mut seq).unwrap();
         let exists_qb = query_based::evaluate(&db, &window, &config, &mut seq).unwrap();
         let forall_ob = forall::evaluate_object_based(&db, &window, &config, &mut seq).unwrap();
         let forall_qb = forall::evaluate_query_based(&db, &window, &config, &mut seq).unwrap();
         let ktimes_ob = ktimes::evaluate_object_based(&db, &window, &config, &mut seq).unwrap();
         let ktimes_qb = ktimes::evaluate_query_based(&db, &window, &config, &mut seq).unwrap();
-        let accepted = threshold::threshold_query(&db, &window, 0.4, &config, &mut seq).unwrap();
-        let topk_ob =
-            ranking::topk_object_based_pruned(&db, &window, 5, &config, &mut seq).unwrap();
-        let topk_qb = ranking::topk_query_based(&db, &window, 5, &config, &mut seq).unwrap();
-
+        let mut expected = vec![
+            (Query::exists().strategy(Ob), QueryAnswer::Probabilities(exists_ob)),
+            (Query::exists().strategy(Qb), QueryAnswer::Probabilities(exists_qb)),
+            (Query::forall().strategy(Ob), QueryAnswer::Probabilities(forall_ob)),
+            (Query::forall().strategy(Qb), QueryAnswer::Probabilities(forall_qb)),
+            (Query::ktimes(1).strategy(Ob), QueryAnswer::Distributions(ktimes_ob)),
+            (Query::ktimes(1).strategy(Qb), QueryAnswer::Distributions(ktimes_qb)),
+        ];
+        // The decorated shapes have no sequential driver of their own:
+        // their reference is the one-worker (inline) run, itself pinned to
+        // the drivers above by `tests/query_planner.rs`.
+        let inline = QueryProcessor::with_config(&db, config.with_num_threads(1));
+        for builder in [
+            Query::exists().threshold(0.4).strategy(Ob),
+            Query::exists().threshold(0.4).strategy(Qb),
+            Query::exists().top_k(5).strategy(Ob),
+            Query::exists().top_k(5).strategy(Qb),
+        ] {
+            let reference = run(&inline, builder.clone(), &window, &mut EvalStats::new());
+            expected.push((builder, reference));
+        }
         for threads in [2usize, 5, 16] {
-            let mut stats = EvalStats::new();
-            let p = evaluate_exists_qb_parallel(
-                &db,
-                &window,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&exists_qb) {
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let p = evaluate_forall_parallel(
-                &db,
-                &window,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&forall_ob) {
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            // Sharded query-based ∀ has one route: the planner's.
-            let spec = crate::query::Query::forall()
-                .window(window.clone())
-                .strategy(crate::query::Strategy::QueryBased)
-                .build()
-                .unwrap();
-            let pooled =
-                crate::engine::QueryProcessor::with_config(&db, config.with_num_threads(threads));
-            let p = pooled.execute(&spec).unwrap();
-            for (a, b) in p.probabilities().unwrap().iter().zip(&forall_qb) {
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let p = evaluate_ktimes_parallel(
-                &db,
-                &window,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&ktimes_ob) {
-                assert_eq!(a.object_id, b.object_id);
-                for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            let p = evaluate_ktimes_qb_parallel(
-                &db,
-                &window,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&ktimes_qb) {
-                for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            let p = threshold_query_parallel(
-                &db,
-                &window,
-                0.4,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            assert_eq!(p, accepted, "threads={threads}");
-            let p = topk_object_based_parallel(
-                &db,
-                &window,
-                5,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            assert_eq!(p.len(), topk_ob.len());
-            for (a, b) in p.iter().zip(&topk_ob) {
-                assert_eq!(a.object_id, b.object_id);
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let p = topk_query_based_parallel(
-                &db,
-                &window,
-                5,
-                &config.with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
-            for (a, b) in p.iter().zip(&topk_qb) {
-                assert_eq!(a.object_id, b.object_id);
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+            let processor = QueryProcessor::with_config(&db, config.with_num_threads(threads));
+            for (builder, reference) in &expected {
+                let answer = run(&processor, builder.clone(), &window, &mut EvalStats::new());
+                assert_eq!(bits(&answer), bits(reference), "threads={threads} {builder:?}");
             }
         }
     }
@@ -1187,9 +807,13 @@ mod tests {
         let executor = ShardedExecutor::on_pool(Arc::clone(&pool));
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let indices: Vec<usize> = (0..db.len()).collect();
         // Many queries over the same pool: no respawn, identical bits.
         for _ in 0..3 {
-            let out = evaluate_exists_on(&executor, &db, &window, &config, &mut EvalStats::new())
+            let out = executor
+                .run_on(&indices, &config, &mut EvalStats::new(), |pipeline, idxs| {
+                    object_based::exists_batched(pipeline, &db, idxs, &window)
+                })
                 .unwrap();
             for (a, b) in out.iter().zip(&sequential) {
                 assert_eq!(a.probability.to_bits(), b.probability.to_bits());
@@ -1243,49 +867,31 @@ mod tests {
         let db = random_db(31, 50, 19);
         let window = window(50);
         let config = EngineConfig::default().with_num_threads(3);
-        let executor = ShardedExecutor::from_config(&config);
-        let cache = Mutex::new(BackwardFieldCache::new(8));
-        let uncached =
-            evaluate_exists_qb_on(&executor, &db, &window, &config, &mut EvalStats::new()).unwrap();
+        let processor = QueryProcessor::with_config(&db, config);
+        let uncached = query_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let exists_qb = Query::exists().strategy(Strategy::QueryBased);
         // Twice through the cache: a miss-then-sweep pass and a pure-hit
         // pass must both reproduce the uncached bits.
         for pass in 0..2 {
             let mut stats = EvalStats::new();
-            let cached =
-                evaluate_exists_qb_cached_on(&executor, &db, &window, &config, &cache, &mut stats)
-                    .unwrap();
-            for (a, b) in cached.iter().zip(&uncached) {
-                assert_eq!(a.probability.to_bits(), b.probability.to_bits(), "pass={pass}");
-            }
-            if pass == 1 {
-                assert_eq!(stats.cache_misses, 0, "second pass must be a pure hit");
-                assert_eq!(stats.backward_steps, 0);
-            }
+            let cached = run(&processor, exists_qb.clone(), &window, &mut stats);
+            assert_eq!(
+                bits(&cached),
+                bits(&QueryAnswer::Probabilities(uncached.clone())),
+                "pass={pass}"
+            );
+            assert_eq!((stats.cache_misses, stats.cache_hits), [(1, 0), (0, 1)][pass]);
+            assert_eq!(stats.backward_steps == 0, pass == 1, "only the first pass sweeps");
             assert_eq!(stats.fields_shared, 1, "one model, one shared field");
         }
-        let mut stats = EvalStats::new();
-        let accepted_cached =
-            threshold_query_cached_on(&executor, &db, &window, 0.4, &config, &cache, &mut stats)
-                .unwrap();
-        let accepted =
-            threshold_query_parallel(&db, &window, 0.4, &config, &mut EvalStats::new()).unwrap();
-        assert_eq!(accepted_cached, accepted);
-        assert_eq!(stats.backward_steps, 0, "the threshold run rides the cached field");
-        let topk_cached = topk_query_based_cached_on(
-            &executor,
-            &db,
-            &window,
-            5,
-            &config,
-            &cache,
-            &mut EvalStats::new(),
-        )
-        .unwrap();
-        let topk =
-            topk_query_based_parallel(&db, &window, 5, &config, &mut EvalStats::new()).unwrap();
-        for (a, b) in topk_cached.iter().zip(&topk) {
-            assert_eq!(a.object_id, b.object_id);
-            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        // The decorated shapes ride the same cached field and answer as a
+        // cold processor does.
+        for builder in [exists_qb.clone().threshold(0.4), exists_qb.top_k(5)] {
+            let cold = QueryProcessor::with_config(&db, config);
+            let reference = run(&cold, builder.clone(), &window, &mut EvalStats::new());
+            let mut stats = EvalStats::new();
+            assert_eq!(bits(&run(&processor, builder, &window, &mut stats)), bits(&reference));
+            assert_eq!((stats.cache_hits, stats.backward_steps), (1, 0));
         }
     }
 
@@ -1294,28 +900,19 @@ mod tests {
         let db = random_db(37, 50, 24);
         let window = window(50);
         let mut baseline = EvalStats::new();
-        evaluate_exists_qb_parallel(
-            &db,
-            &window,
-            &EngineConfig::default().with_num_threads(1),
-            &mut baseline,
-        )
-        .unwrap();
+        query_based::evaluate(&db, &window, &EngineConfig::default(), &mut baseline).unwrap();
         assert!(baseline.backward_steps > 0);
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
+            // A fresh processor per count: a cold cache, so the sweep is paid.
+            let processor =
+                QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(threads));
             let mut stats = EvalStats::new();
-            evaluate_exists_qb_parallel(
-                &db,
-                &window,
-                &EngineConfig::default().with_num_threads(threads),
-                &mut stats,
-            )
-            .unwrap();
+            run(&processor, Query::exists().strategy(Strategy::QueryBased), &window, &mut stats);
             assert_eq!(
                 stats.backward_steps, baseline.backward_steps,
                 "threads={threads}: the shared-field plan must not re-sweep per worker"
             );
-            assert_eq!(stats.fields_shared, baseline.fields_shared);
+            assert_eq!(stats.fields_shared, 1);
         }
     }
 
@@ -1323,14 +920,13 @@ mod tests {
     fn empty_database() {
         let db = random_db(5, 10, 0);
         let window = QueryWindow::from_states(10, [0usize], TimeSet::at(1)).unwrap();
-        let out = evaluate_exists_parallel(
-            &db,
-            &window,
-            &EngineConfig::default().with_num_threads(4),
-            &mut EvalStats::new(),
-        )
-        .unwrap();
-        assert!(out.is_empty());
+        let processor =
+            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(4));
+        for strategy in [Strategy::ObjectBased, Strategy::QueryBased] {
+            let out =
+                run(&processor, Query::exists().strategy(strategy), &window, &mut EvalStats::new());
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
@@ -1343,15 +939,16 @@ mod tests {
         ))
         .unwrap();
         let window = QueryWindow::from_states(10, [0usize], TimeSet::at(3)).unwrap();
-        for threads in [1usize, 4] {
-            assert!(evaluate_exists_parallel(
-                &db,
-                &window,
-                &EngineConfig::default().with_num_threads(threads),
-                &mut EvalStats::new(),
-            )
-            .is_err());
-        }
+        let spec = Query::exists().window(window).strategy(Strategy::ObjectBased).build().unwrap();
+        let errors: Vec<QueryError> = [1usize, 4]
+            .into_iter()
+            .map(|threads| {
+                QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(threads))
+                    .execute(&spec)
+                    .unwrap_err()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1], "the first failing shard decides, at any width");
     }
 
     #[test]
@@ -1513,17 +1110,12 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let db = random_db(3, 20, 5);
         let window = QueryWindow::from_states(20, [1usize, 2], TimeSet::interval(2, 4)).unwrap();
-        let out = evaluate_exists_parallel(
-            &db,
-            &window,
-            &EngineConfig::default().with_num_threads(0),
-            &mut EvalStats::new(),
-        )
-        .unwrap();
+        let processor =
+            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(0));
+        assert!(processor.pool().is_none(), "zero threads evaluates inline");
+        let out = run(&processor, Query::exists(), &window, &mut EvalStats::new());
         assert_eq!(out.len(), 5);
-        assert_eq!(ShardedExecutor::new(0).num_threads(), 1);
         assert_eq!(ShardedExecutor::sequential().num_threads(), 1);
         assert_eq!(WorkerPool::new(0).num_threads(), 1);
-        let _ = MarkovChain::from_csr(ust_markov::CsrMatrix::identity(2)).unwrap();
     }
 }

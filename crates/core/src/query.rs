@@ -151,12 +151,14 @@ impl ObjectKDistribution {
 
     /// `P(visits ≥ k)` — the tail mass of the distribution, the quantity
     /// the [`Predicate::KTimes`] threshold and top-k decorators filter and
-    /// rank by. `k = 0` is trivially 1, `k > |T▫|` trivially 0.
+    /// rank by. `k = 0` is trivially 1, `k > |T▫|` trivially 0. The entries
+    /// are each inside `[0, 1]` but their rounded sum can exceed 1, so the
+    /// tail is capped there.
     pub fn prob_at_least(&self, k: usize) -> f64 {
         if k == 0 {
             return 1.0;
         }
-        self.probabilities.iter().skip(k).sum()
+        self.probabilities.iter().skip(k).sum::<f64>().min(1.0)
     }
 }
 

@@ -3,25 +3,26 @@
 //! "Find the k icebergs most likely to enter the shipping lane" — a ranking
 //! variant of the PST∃Q that uncertain databases commonly expose alongside
 //! threshold queries (cf. the probabilistic ranking literature the paper
-//! cites, e.g. Bernecker et al., TKDE 2010). Two strategies:
+//! cites, e.g. Bernecker et al., TKDE 2010). The planner dispatches a
+//! [`crate::query::Decorator::TopK`] spec one of two ways:
 //!
-//! * [`topk_query_based`] — compute every probability via the (cheap)
-//!   query-based engine and select the k largest; the baseline.
-//! * [`topk_object_based_pruned`] — object-based evaluation with
-//!   bound-based pruning: objects are first screened with the
-//!   [`ReachabilityPruner`]'s instant upper bound; propagation then runs
-//!   only while an object's upper bound still beats the current k-th best
-//!   lower bound. With a selective window most objects are dismissed
-//!   before (or shortly after) their first transition.
+//! * query-based — compute every probability via the (cheap) query-based
+//!   engine and select the k largest; the baseline.
+//! * object-based — evaluation with bound-based pruning: objects are first
+//!   screened with the [`ReachabilityPruner`]'s instant upper bound;
+//!   propagation then runs only while an object's upper bound still beats
+//!   the current k-th best lower bound. With a selective window most
+//!   objects are dismissed before (or shortly after) their first
+//!   transition. Useful when objects follow *many distinct models* (where
+//!   QB would need one backward pass per model) or when `k` is small.
 
 use std::ops::ControlFlow;
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::engine::{group_batchable, object_based, query_based, EngineConfig};
+use crate::engine::{group_batchable, object_based};
 use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
-use crate::stats::EvalStats;
 use crate::threshold::ReachabilityPruner;
 
 /// One ranked result.
@@ -33,35 +34,7 @@ pub struct RankedObject {
     pub probability: f64,
 }
 
-/// Exact top-k via the query-based engine (one backward pass, one dot
-/// product per object, then selection). Ties broken by ascending id.
-pub fn topk_query_based(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    let all = query_based::evaluate(db, window, config, stats)?;
-    Ok(select_topk(all, k))
-}
-
-/// As [`topk_query_based`], answering the backward fields through a shared
-/// [`crate::engine::cache::BackwardFieldCache`]: a repeated or overlapping
-/// window reuses the cached suffix sweep. Bit-for-bit identical to the
-/// uncached ranking.
-pub fn topk_query_based_with_cache(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    cache: &mut crate::engine::cache::BackwardFieldCache,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    let all = query_based::evaluate_with_cache(db, window, config, cache, stats)?;
-    Ok(select_topk(all, k))
-}
-
+/// Selects the `k` largest probabilities, ties broken by ascending id.
 pub(crate) fn select_topk(
     mut all: Vec<crate::query::ObjectProbability>,
     k: usize,
@@ -71,23 +44,6 @@ pub(crate) fn select_topk(
         .take(k)
         .map(|r| RankedObject { object_id: r.object_id, probability: r.probability })
         .collect()
-}
-
-/// Exact top-k via pruned object-based evaluation.
-///
-/// Useful when objects follow *many distinct models* (where QB would need
-/// one backward pass per model) or when `k` is small and the window
-/// selective. Produces exactly the same ranking as [`topk_query_based`].
-pub fn topk_object_based_pruned(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    k: usize,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<RankedObject>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let mut pipeline = Propagator::new(config, stats);
-    topk_batched(&mut pipeline, db, &indices, window, k)
 }
 
 /// Inserts `entry` into the sorted top-k candidate list (probability
@@ -114,8 +70,8 @@ pub(crate) fn insert_ranked(best: &mut Vec<RankedObject>, entry: RankedObject, k
 /// merge their candidate lists with [`insert_ranked`].
 ///
 /// Objects grouped by `(model, anchor time)` propagate in
-/// [`EngineConfig::batch_size`] batches: the ∃ rule accumulates per live
-/// group, and after every timestamp each group whose reachability-pruned
+/// [`crate::engine::EngineConfig::batch_size`] batches: the ∃ rule
+/// accumulates per live group, and after every timestamp each group whose reachability-pruned
 /// upper bound can no longer beat the current k-th best lower bound drops
 /// out of the batch. The candidate list is updated per batch, so later
 /// batches prune against the tightened bound. Survivor probabilities are
@@ -213,10 +169,30 @@ pub(crate) fn topk_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryProcessor;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
+    use crate::query::Strategy::{self, ObjectBased, QueryBased};
+    use crate::query::{Query, QueryAnswer};
+    use crate::stats::EvalStats;
     use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
+
+    /// The top-k answer of `execute` under an explicit strategy, with the
+    /// evaluation counters it accumulated.
+    fn topk(
+        db: &TrajectoryDatabase,
+        window: &QueryWindow,
+        k: usize,
+        strategy: Strategy,
+    ) -> (Vec<RankedObject>, EvalStats) {
+        let spec = Query::exists().window(window.clone()).top_k(k).strategy(strategy).build();
+        let mut stats = EvalStats::new();
+        match QueryProcessor::new(db).execute_with_stats(&spec.unwrap(), &mut stats).unwrap() {
+            QueryAnswer::Ranked(ranked) => (ranked, stats),
+            other => panic!("top-k must rank, got {other:?}"),
+        }
+    }
 
     fn paper_chain() -> MarkovChain {
         MarkovChain::from_csr(
@@ -246,8 +222,7 @@ mod tests {
     fn topk_orders_by_probability() {
         // Exact probabilities: id 10 → 0.96, id 20 → 0.864, id 30 → 0.928.
         let db = three_object_db();
-        let config = EngineConfig::default();
-        let top2 = topk_query_based(&db, &window(), 2, &config, &mut EvalStats::new()).unwrap();
+        let (top2, _) = topk(&db, &window(), 2, QueryBased);
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].object_id, 10);
         assert_eq!(top2[1].object_id, 30);
@@ -257,11 +232,9 @@ mod tests {
     #[test]
     fn both_strategies_agree() {
         let db = three_object_db();
-        let config = EngineConfig::default();
         for k in 0..=4usize {
-            let qb = topk_query_based(&db, &window(), k, &config, &mut EvalStats::new()).unwrap();
-            let ob = topk_object_based_pruned(&db, &window(), k, &config, &mut EvalStats::new())
-                .unwrap();
+            let (qb, _) = topk(&db, &window(), k, QueryBased);
+            let (ob, _) = topk(&db, &window(), k, ObjectBased);
             assert_eq!(qb.len(), ob.len(), "k = {k}");
             for (a, b) in qb.iter().zip(&ob) {
                 assert_eq!(a.object_id, b.object_id, "k = {k}");
@@ -284,9 +257,8 @@ mod tests {
             .unwrap();
         }
         let window = QueryWindow::from_states(100, 10usize..=14, TimeSet::interval(3, 6)).unwrap();
-        let config = EngineConfig::default();
-        let qb = topk_query_based(&db, &window, 5, &config, &mut EvalStats::new()).unwrap();
-        let ob = topk_object_based_pruned(&db, &window, 5, &config, &mut EvalStats::new()).unwrap();
+        let (qb, _) = topk(&db, &window, 5, QueryBased);
+        let (ob, _) = topk(&db, &window, 5, ObjectBased);
         assert_eq!(qb.len(), 5);
         for (a, b) in qb.iter().zip(&ob) {
             assert_eq!(a.object_id, b.object_id);
@@ -318,9 +290,7 @@ mod tests {
         // Window at states [40, 42] over times [1, 3]: only objects at
         // 37..=41 can hit it.
         let window = QueryWindow::from_states(n, 40usize..=42, TimeSet::interval(1, 3)).unwrap();
-        let mut stats = EvalStats::new();
-        let top = topk_object_based_pruned(&db, &window, 3, &EngineConfig::default(), &mut stats)
-            .unwrap();
+        let (top, stats) = topk(&db, &window, 3, ObjectBased);
         assert_eq!(top.len(), 3);
         for r in &top {
             assert!((r.probability - 1.0).abs() < 1e-12);
@@ -335,16 +305,9 @@ mod tests {
     #[test]
     fn k_zero_and_empty_db() {
         let db = three_object_db();
-        let config = EngineConfig::default();
-        assert!(topk_object_based_pruned(&db, &window(), 0, &config, &mut EvalStats::new())
-            .unwrap()
-            .is_empty());
+        assert!(topk(&db, &window(), 0, ObjectBased).0.is_empty());
         let empty = TrajectoryDatabase::new(paper_chain());
-        assert!(topk_object_based_pruned(&empty, &window(), 3, &config, &mut EvalStats::new())
-            .unwrap()
-            .is_empty());
-        assert!(topk_query_based(&empty, &window(), 3, &config, &mut EvalStats::new())
-            .unwrap()
-            .is_empty());
+        assert!(topk(&empty, &window(), 3, ObjectBased).0.is_empty());
+        assert!(topk(&empty, &window(), 3, QueryBased).0.is_empty());
     }
 }

@@ -136,8 +136,9 @@ pub(crate) struct ExecutionRecord {
 /// is what full evaluations (the registration probe plus any stale
 /// resynchronizations) cost, `incremental_steps` what the per-arrival
 /// single-object refreshes cost. On a warmed query-based subscription
-/// the latter stays at zero backward steps per arrival — the ratio
-/// `BENCH_pr8.json` reports.
+/// the latter stays at zero backward steps per arrival (pinned by
+/// `tests/streaming.rs`, reported by the benchmark's `stream_mixed`
+/// workload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamMetrics {
     /// The subscription this row accounts for.

@@ -11,7 +11,7 @@
 
 use std::ops::ControlFlow;
 
-use ust_markov::{MarkovChain, PropagationVector, StateMask};
+use ust_markov::{MarkovChain, StateMask};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::{self, validate};
@@ -108,7 +108,7 @@ pub fn exists_threshold(
 }
 
 /// As [`exists_threshold`], accumulating counters.
-pub fn exists_threshold_with_stats(
+fn exists_threshold_with_stats(
     chain: &MarkovChain,
     object: &UncertainObject,
     window: &QueryWindow,
@@ -116,22 +116,7 @@ pub fn exists_threshold_with_stats(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<ThresholdOutcome> {
-    threshold_driver(&mut Propagator::new(config, stats), chain, object, window, tau, None)
-}
-
-/// As [`exists_threshold_with_stats`], additionally using a
-/// [`ReachabilityPruner`] to tighten the upper bound: alive mass outside
-/// the remaining window's backward-reachable set can never hit.
-pub fn exists_threshold_pruned(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    pruner: &ReachabilityPruner,
-    stats: &mut EvalStats,
-) -> Result<ThresholdOutcome> {
-    threshold_driver(&mut Propagator::new(config, stats), chain, object, window, tau, Some(pruner))
+    threshold_driver(&mut Propagator::new(config, stats), chain, object, window, tau)
 }
 
 /// The thresholded-∃ driver on the shared pipeline: the accumulation rule
@@ -144,7 +129,6 @@ fn threshold_driver(
     object: &UncertainObject,
     window: &QueryWindow,
     tau: f64,
-    pruner: Option<&ReachabilityPruner>,
 ) -> Result<ThresholdOutcome> {
     validate(chain, object, window)?;
     let anchor = object.anchor();
@@ -156,13 +140,6 @@ fn threshold_driver(
     let mut remaining_query_times = window.times().iter().filter(|&t| t > t0).count();
     let mut decision: Option<(bool, f64, f64)> = None;
 
-    let alive = |rows: &[PropagationVector], t: u32| -> f64 {
-        match pruner.and_then(|p| p.mask_at(t)) {
-            Some(mask) => rows[0].masked_sum(mask),
-            None => rows[0].sum(),
-        }
-    };
-
     let decided_at =
         pipeline.forward_until(chain.matrix(), &mut rows, t0, window, |event| match event {
             ForwardEvent::Window { rows, t } => {
@@ -172,10 +149,10 @@ fn threshold_driver(
                 }
                 Ok(ControlFlow::Continue(()))
             }
-            ForwardEvent::StepEnd { rows, t } => {
+            ForwardEvent::StepEnd { rows, .. } => {
                 // With no query timestamps left, no more mass can reach ⊤.
                 let upper =
-                    if remaining_query_times == 0 { hit } else { (hit + alive(rows, t)).min(1.0) };
+                    if remaining_query_times == 0 { hit } else { (hit + rows[0].sum()).min(1.0) };
                 if hit >= tau {
                     decision = Some((true, hit, upper));
                     Ok(ControlFlow::Break(()))
@@ -213,8 +190,11 @@ fn threshold_driver(
 /// Objects grouped by `(model, anchor time)` propagate together through the
 /// batched kernel; after every timestamp each live object's bounds are
 /// compared against `τ`, and decided objects drop out of the batch —
-/// without stopping the sweep for the undecided rest. Decisions and bounds
-/// are bit-for-bit identical to [`exists_threshold_pruned`].
+/// without stopping the sweep for the undecided rest. A
+/// [`ReachabilityPruner`] per `(model, anchor time)` group tightens the
+/// upper bound — alive mass outside the remaining window's
+/// backward-reachable set can never hit — so decisions equal the
+/// single-object driver's and come no later.
 pub(crate) fn threshold_batched(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
@@ -310,45 +290,12 @@ pub(crate) fn threshold_batched(
         .collect()
 }
 
-/// Ids of all database objects with `P∃ ≥ τ`, answered from cached
-/// query-based backward fields: one dot product per object against the
-/// `(model, window)` field served by `cache`, so a repeated or overlapping
-/// window pays no backward sweep at all. Exact (the dot product yields the
-/// full probability), and shares its cache entries with
-/// [`crate::ranking::topk_query_based_with_cache`] and
-/// [`crate::engine::query_based::evaluate_with_cache`].
-pub fn threshold_query_cached(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    cache: &mut crate::engine::cache::BackwardFieldCache,
-    stats: &mut EvalStats,
-) -> Result<Vec<u64>> {
-    let all = crate::engine::query_based::evaluate_with_cache(db, window, config, cache, stats)?;
-    Ok(all.into_iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect())
-}
-
-/// Ids of all database objects with `P∃ ≥ τ`. Builds one
-/// [`ReachabilityPruner`] per (model, anchor time) and evaluates
-/// [`EngineConfig::batch_size`] objects per shared propagation batch, with
-/// tight bound-based early termination per object; shards across
-/// [`EngineConfig::num_threads`] workers.
-pub fn threshold_query(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<u64>> {
-    crate::parallel::threshold_query_parallel(db, window, tau, config, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::object_based;
+    use crate::engine::{object_based, QueryProcessor};
     use crate::observation::Observation;
+    use crate::query::{Query, Strategy};
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
@@ -366,6 +313,21 @@ mod tests {
 
     fn paper_window() -> QueryWindow {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+    }
+
+    /// The batched, reachability-pruned driver on a one-object database.
+    fn threshold_batched_one(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+        tau: f64,
+        stats: &mut EvalStats,
+    ) -> ThresholdOutcome {
+        let mut db = TrajectoryDatabase::new(chain.clone());
+        db.insert(object.clone()).unwrap();
+        let config = EngineConfig::default();
+        let mut pipeline = Propagator::new(&config, stats);
+        threshold_batched(&mut pipeline, &db, &[0], window, tau).unwrap()[0]
     }
 
     #[test]
@@ -460,19 +422,9 @@ mod tests {
         let o = object_at_s2();
         let w = paper_window();
         let config = EngineConfig::default();
-        let pruner = ReachabilityPruner::build(&chain, &w, 0).unwrap();
         for tau in [0.05, 0.3, 0.5, 0.8, 0.9] {
             let plain = exists_threshold(&chain, &o, &w, tau, &config).unwrap();
-            let pruned = exists_threshold_pruned(
-                &chain,
-                &o,
-                &w,
-                tau,
-                &config,
-                &pruner,
-                &mut EvalStats::new(),
-            )
-            .unwrap();
+            let pruned = threshold_batched_one(&chain, &o, &w, tau, &mut EvalStats::new());
             assert_eq!(plain.qualifies, pruned.qualifies, "τ = {tau}");
             assert!(pruned.upper <= plain.upper + 1e-12, "pruned bound must be tighter");
         }
@@ -495,18 +447,8 @@ mod tests {
         .unwrap();
         let o = UncertainObject::with_single_observation(1, Observation::exact(0, 5, 4).unwrap());
         let w = QueryWindow::from_states(5, [0usize], TimeSet::interval(3, 8)).unwrap();
-        let pruner = ReachabilityPruner::build(&chain, &w, 0).unwrap();
         let mut stats = EvalStats::new();
-        let outcome = exists_threshold_pruned(
-            &chain,
-            &o,
-            &w,
-            0.01,
-            &EngineConfig::default(),
-            &pruner,
-            &mut stats,
-        )
-        .unwrap();
+        let outcome = threshold_batched_one(&chain, &o, &w, 0.01, &mut stats);
         assert!(!outcome.qualifies);
         assert!(outcome.early);
         assert_eq!(stats.transitions, 0, "decided before any propagation");
@@ -523,14 +465,13 @@ mod tests {
             .unwrap();
         }
         // Exact probabilities are (0.96, 0.864, 0.928).
-        let accepted = threshold_query(
-            &db,
-            &paper_window(),
-            0.9,
-            &EngineConfig::default(),
-            &mut EvalStats::new(),
-        )
-        .unwrap();
-        assert_eq!(accepted, vec![0, 2]);
+        let spec = Query::exists()
+            .window(paper_window())
+            .threshold(0.9)
+            .strategy(Strategy::ObjectBased)
+            .build()
+            .unwrap();
+        let accepted = QueryProcessor::new(&db).execute(&spec).unwrap();
+        assert_eq!(accepted.ids().unwrap(), &[0, 2]);
     }
 }

@@ -8,8 +8,7 @@
 //! [`ust_core::TrajectoryDatabase::ingest`] classifies as
 //! [`ust_core::IngestOutcome::IgnoredStale`]). This module generates that
 //! feed deterministically per seed, so the incremental-≡-batch harness in
-//! `tests/streaming.rs` and the `pr8_streaming` experiment replay
-//! identical sequences.
+//! `tests/streaming.rs` replays identical sequences.
 //!
 //! The motion model and placement reuse the clustered index workload
 //! ([`crate::index_workload`]): the database a feed starts from is

@@ -5,8 +5,8 @@
 //! Compares the shared-union, adaptive and per-object kernel modes with
 //! the two solo step orders (object-major = hot cache, step-major = the
 //! access pattern a batch forces), isolating kernel cost from driver and
-//! window bookkeeping. Useful when tuning `kernels.rs` — the full
-//! `pr6_kernels` paper experiment measures the same trade end to end.
+//! window bookkeeping. Useful when tuning `kernels.rs` — the benchmark's
+//! `forward_scan` workload measures the same trade end to end.
 
 use std::time::Instant;
 

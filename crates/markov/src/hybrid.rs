@@ -30,12 +30,12 @@ pub const DEFAULT_DENSIFY_THRESHOLD: f64 = 0.25;
 /// `(columns, values)` pair was streamed from memory. It is the unit the
 /// batched kernels amortize — a panel of densified vectors stepped together
 /// reads each touched matrix row once per panel instead of once per vector —
-/// and the quantity the `pr2_batching` benchmark compares against the
-/// per-object baseline. `entries_touched` counts the matrix entries actually
-/// multiplied into some vector; it is invariant across kernel choices (every
-/// mode performs the same floating-point work), so dividing it by wall time
-/// gives the matrix-entry *throughput* the `pr6_kernels` benchmark and the
-/// plan cost model consume.
+/// and the quantity that drops against the per-object baseline as the batch
+/// grows. `entries_touched` counts the matrix entries actually multiplied
+/// into some vector; it is invariant across kernel choices (every mode
+/// performs the same floating-point work), so dividing it by wall time
+/// gives the matrix-entry *throughput* the benchmark's `kernels.*` probes
+/// and the plan cost model consume.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStepStats {
     /// Matrix rows streamed during this batched transition.

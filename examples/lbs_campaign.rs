@@ -14,7 +14,6 @@
 
 use ust::prelude::*;
 use ust_core::engine::{ktimes, EngineConfig};
-use ust_core::threshold;
 use ust_data::{synthetic, SyntheticConfig};
 
 fn main() -> Result<()> {
@@ -33,7 +32,15 @@ fn main() -> Result<()> {
 
     // --- Stage 1: cheap threshold prefilter -------------------------------
     let mut stats = EvalStats::new();
-    let reachable = threshold::threshold_query(&data.db, &mall, 0.01, &engine, &mut stats)?;
+    let candidates = QueryProcessor::new(&data.db).execute_with_stats(
+        &Query::exists()
+            .window(mall.clone())
+            .threshold(0.01)
+            .strategy(Strategy::ObjectBased)
+            .build()?,
+        &mut stats,
+    )?;
+    let reachable = candidates.ids().unwrap_or_default();
     println!(
         "\nStage 1 — threshold PST∃Q (τ = 1%): {} candidate customers \
          ({} early terminations across {} objects).",
@@ -45,7 +52,7 @@ fn main() -> Result<()> {
     // --- Stage 2: dwell-time distribution for the candidates --------------
     let mut tiers = [0usize; 3]; // bronze (1), silver (2-3), gold (4+)
     let mut total_expected_dwell = 0.0;
-    for &id in &reachable {
+    for &id in reachable {
         let object =
             data.db.objects().iter().find(|o| o.id() == id).expect("id from this database");
         let dist =

@@ -137,8 +137,7 @@
 //!
 //! See the repository README for a guided tour, ARCHITECTURE.md for the
 //! crate and dataflow map, `examples/` for runnable programs, and
-//! `BENCH_pr2.json` … `BENCH_pr8.json` for the machine-readable perf
-//! trajectory regenerated by the `paper_experiments` binary.
+//! `BENCHMARK.json` / `benchmark/README.md` for the repository's benchmark.
 
 #![deny(missing_docs)]
 

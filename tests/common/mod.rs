@@ -1,0 +1,126 @@
+//! Support shared by the integration tests: random instances and the
+//! `execute`-to-probabilities shorthand. Each test binary uses a subset.
+#![allow(dead_code)]
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use ust::prelude::*;
+use ust_markov::{testutil, StateMask};
+use ust_space::TimeSet;
+
+/// A random query window over `n` states: each state joins `S▫` with
+/// probability 0.4; `T▫ = [t_start, t_start + t_len]`. `None` unless `S▫`
+/// is a proper non-empty subset (PST∀Q reduces via the complement).
+pub fn random_window(n: usize, mask_seed: u64, t_start: u32, t_len: u32) -> Option<QueryWindow> {
+    let mut rng = StdRng::seed_from_u64(mask_seed);
+    let mut mask = StateMask::new(n);
+    for s in 0..n {
+        if rng.random::<f64>() < 0.4 {
+            mask.insert(s).unwrap();
+        }
+    }
+    if mask.is_empty() || mask.count() == n {
+        return None;
+    }
+    QueryWindow::new(mask, TimeSet::interval(t_start, t_start + t_len)).ok()
+}
+
+/// A database of `objects` uncertain objects over one random chain with
+/// `deg` successors per state; anchor times alternate between 0 and
+/// `max_anchor` to exercise the per-anchor snapshots of the backward field.
+pub fn random_db(
+    seed: u64,
+    n: usize,
+    deg: usize,
+    objects: usize,
+    max_anchor: u32,
+) -> TrajectoryDatabase {
+    let chain = MarkovChain::from_csr({
+        let mut rng = testutil::rng(seed);
+        testutil::random_stochastic(&mut rng, n, deg)
+    })
+    .unwrap();
+    let mut rng = testutil::rng(seed ^ 0xDA7A);
+    let mut db = TrajectoryDatabase::new(chain);
+    for i in 0..objects {
+        let dist = testutil::random_distribution(&mut rng, n, 2);
+        let anchor_time = if i % 2 == 0 { 0 } else { max_anchor };
+        db.insert(UncertainObject::with_single_observation(
+            i as u64,
+            Observation::uncertain(anchor_time, dist).unwrap(),
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Executes `builder` (window and strategy already attached) and returns
+/// its per-object probabilities.
+pub fn probs(processor: &QueryProcessor, builder: QueryBuilder) -> Vec<ObjectProbability> {
+    let answer = processor.execute(&builder.build().unwrap()).unwrap();
+    answer.probabilities().expect("a probabilities answer").to_vec()
+}
+
+/// As [`probs`] for a PSTkQ: the per-object visit-count distributions.
+pub fn dists(processor: &QueryProcessor, builder: QueryBuilder) -> Vec<ObjectKDistribution> {
+    let answer = processor.execute(&builder.build().unwrap()).unwrap();
+    answer.distributions().expect("a distributions answer").to_vec()
+}
+
+/// The first bit-level difference between two answers (f64s compared via
+/// `to_bits`), or `Ok(())`. Property tests report it through
+/// `prop_assert_eq!(bit_diff(..), Ok(()))`; plain tests use
+/// [`assert_bit_eq`].
+pub fn bit_diff(a: &QueryAnswer, b: &QueryAnswer) -> std::result::Result<(), String> {
+    fn same<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        i: usize,
+        x: T,
+        y: T,
+    ) -> std::result::Result<(), String> {
+        if x == y {
+            Ok(())
+        } else {
+            Err(format!("{what} differs at entry {i}: {x:?} vs {y:?}"))
+        }
+    }
+    match (a, b) {
+        (QueryAnswer::Probabilities(x), QueryAnswer::Probabilities(y)) => {
+            same("length", 0, x.len(), y.len())?;
+            for (i, (p, q)) in x.iter().zip(y).enumerate() {
+                same("object order", i, p.object_id, q.object_id)?;
+                same("bits", i, p.probability.to_bits(), q.probability.to_bits())?;
+            }
+        }
+        (QueryAnswer::Distributions(x), QueryAnswer::Distributions(y)) => {
+            same("length", 0, x.len(), y.len())?;
+            for (i, (p, q)) in x.iter().zip(y).enumerate() {
+                same("object order", i, p.object_id, q.object_id)?;
+                let bits = |d: &ObjectKDistribution| -> Vec<u64> {
+                    d.probabilities.iter().map(|v| v.to_bits()).collect()
+                };
+                same("distribution bits", i, bits(p), bits(q))?;
+            }
+        }
+        (QueryAnswer::ObjectIds(x), QueryAnswer::ObjectIds(y)) => {
+            same("accepted ids", 0, x, y)?;
+        }
+        (QueryAnswer::Ranked(x), QueryAnswer::Ranked(y)) => {
+            same("length", 0, x.len(), y.len())?;
+            for (i, (p, q)) in x.iter().zip(y).enumerate() {
+                same("ranking", i, p.object_id, q.object_id)?;
+                same("bits", i, p.probability.to_bits(), q.probability.to_bits())?;
+            }
+        }
+        _ => return Err(format!("answers have different variants: {a:?} vs {b:?}")),
+    }
+    Ok(())
+}
+
+/// Panics with `what` unless the answers are equal to the bit.
+pub fn assert_bit_eq(a: &QueryAnswer, b: &QueryAnswer, what: &str) {
+    if let Err(diff) = bit_diff(a, b) {
+        panic!("{what}: {diff}");
+    }
+}

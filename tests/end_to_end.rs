@@ -2,9 +2,13 @@
 //! road networks, icebergs — exercising the full public API surface the
 //! way the examples and the benchmark harness do.
 
+mod common;
+
+use common::{dists, probs};
 use ust::prelude::*;
 use ust_core::engine::{independent, ktimes};
-use ust_core::{parallel, prefilter, threshold};
+use ust_core::prefilter;
+use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::{iceberg, synthetic, traffic, workload, SyntheticConfig};
 use ust_space::network_gen;
@@ -19,7 +23,7 @@ fn synthetic_pipeline_all_queries() {
     let window = workload::paper_default_window(5_000).unwrap();
     let processor = QueryProcessor::new(&data.db);
 
-    let exists = processor.exists_query_based(&window).unwrap();
+    let exists = probs(&processor, Query::exists().window(window.clone()).strategy(QueryBased));
     assert_eq!(exists.len(), 200);
     for r in &exists {
         assert!((0.0..=1.0).contains(&r.probability), "p = {}", r.probability);
@@ -29,8 +33,8 @@ fn synthetic_pipeline_all_queries() {
     // can reach it within 25 steps (cone ≤ 20·25 states wide).
     assert!(nonzero < 200, "window must not be reachable by everyone");
 
-    let forall = processor.forall_query_based(&window).unwrap();
-    let kdist = processor.ktimes_query_based(&window).unwrap();
+    let forall = probs(&processor, Query::forall().window(window.clone()).strategy(QueryBased));
+    let kdist = dists(&processor, Query::ktimes(1).window(window.clone()).strategy(QueryBased));
     for ((e, f), k) in exists.iter().zip(&forall).zip(&kdist) {
         assert!(f.probability <= e.probability + 1e-9, "∀ ≤ ∃");
         assert!((e.probability - k.prob_at_least_once()).abs() < 1e-9);
@@ -52,25 +56,16 @@ fn parallel_threshold_and_prefilter_consistency() {
     let sequential =
         ust_core::engine::object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new())
             .unwrap();
-    let parallel = parallel::evaluate_exists_parallel(
-        &data.db,
-        &window,
-        &config.with_num_threads(4),
-        &mut EvalStats::new(),
-    )
-    .unwrap();
-    for (a, b) in sequential.iter().zip(&parallel) {
-        assert!((a.probability - b.probability).abs() < 1e-12);
-    }
+    let pooled = QueryProcessor::with_config(&data.db, config.with_num_threads(4));
+    let exists_ob = Query::exists().window(window.clone()).strategy(ObjectBased);
+    assert_eq!(probs(&pooled, exists_ob.clone()), sequential);
 
     // Threshold query == filtering the exact results.
     for tau in [0.01, 0.2, 0.7] {
-        let accepted =
-            threshold::threshold_query(&data.db, &window, tau, &config, &mut EvalStats::new())
-                .unwrap();
+        let accepted = pooled.execute(&exists_ob.clone().threshold(tau).build().unwrap()).unwrap();
         let expected: Vec<u64> =
             sequential.iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect();
-        assert_eq!(accepted, expected, "τ = {tau}");
+        assert_eq!(accepted.ids().unwrap(), expected, "τ = {tau}");
     }
 
     // Cone prefilter keeps every object with non-zero probability.
@@ -85,6 +80,33 @@ fn parallel_threshold_and_prefilter_consistency() {
     assert!(candidates.len() < data.db.len(), "prefilter should prune something");
 }
 
+/// Batched object-based evaluation streams a transition-matrix row once
+/// per batch instead of once per object: the same answers from the same
+/// transitions and matrix entries, with fewer row reads.
+#[test]
+fn batching_shares_matrix_rows_without_changing_the_work() {
+    let cfg = SyntheticConfig::small();
+    let data = synthetic::generate(&cfg);
+    let window = workload::paper_default_window(cfg.num_states).unwrap();
+    let spec = Query::exists().window(window).strategy(ObjectBased).build().unwrap();
+    let run = |batch_size: usize| {
+        let config = EngineConfig::default().with_batch_size(batch_size);
+        let mut stats = EvalStats::new();
+        let answer = QueryProcessor::with_config(&data.db, config)
+            .execute_with_stats(&spec, &mut stats)
+            .unwrap();
+        (answer, stats)
+    };
+    let (per_object, base) = run(1);
+    for batch_size in [8usize, 32, 128] {
+        let (batched, stats) = run(batch_size);
+        assert_eq!(batched, per_object, "batch={batch_size}");
+        assert_eq!(stats.transitions, base.transitions, "batch={batch_size}");
+        assert_eq!(stats.entries_touched, base.entries_touched, "batch={batch_size}");
+        assert!(stats.rows_traversed < base.rows_traversed, "batch={batch_size}");
+    }
+}
+
 #[test]
 fn road_network_pipeline() {
     let dataset = network_data::generate(
@@ -95,8 +117,8 @@ fn road_network_pipeline() {
     let n = dataset.network.num_nodes();
     let window = QueryWindow::from_states(n, 100usize..=140, TimeSet::interval(10, 15)).unwrap();
     let processor = QueryProcessor::new(&dataset.db);
-    let ob = processor.exists_object_based(&window).unwrap();
-    let qb = processor.exists_query_based(&window).unwrap();
+    let ob = probs(&processor, Query::exists().window(window.clone()).strategy(ObjectBased));
+    let qb = probs(&processor, Query::exists().window(window.clone()).strategy(QueryBased));
     for (a, b) in ob.iter().zip(&qb) {
         assert!((a.probability - b.probability).abs() < 1e-9);
     }
@@ -152,7 +174,10 @@ fn accuracy_experiment_shape_holds() {
     let mut deviations = Vec::new();
     for len in [1u32, 5, 10] {
         let window = workload::with_duration(&base, len).unwrap();
-        let exact = QueryProcessor::new(&data.db).exists_query_based(&window).unwrap();
+        let exact = probs(
+            &QueryProcessor::new(&data.db),
+            Query::exists().window(window.clone()).strategy(QueryBased),
+        );
         let indep = independent::evaluate_exists_independent(
             &data.db,
             &window,

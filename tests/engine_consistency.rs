@@ -8,8 +8,11 @@
 //! * Monte-Carlo lands within a generous confidence band;
 //! * ε-pruning errs by at most the reported dropped mass.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{dists, probs};
 use ust::prelude::*;
 use ust_core::engine::{
     exhaustive, forall, ktimes, monte_carlo::MonteCarlo, object_based, query_based,
@@ -157,9 +160,12 @@ fn batch_engines_agree_on_synthetic_data() {
     });
     let window = ust_data::workload::paper_default_window(3_000).unwrap();
     let processor = QueryProcessor::new(&data.db);
-    let ob = processor.exists_object_based(&window).unwrap();
-    let qb = processor.exists_query_based(&window).unwrap();
-    let kd = processor.ktimes_object_based(&window).unwrap();
+    let exists = Query::exists().window(window.clone());
+    // (`ust_core::Strategy` spelled out: proptest's prelude exports one too.)
+    let ob = probs(&processor, exists.clone().strategy(ust_core::Strategy::ObjectBased));
+    let qb = probs(&processor, exists.strategy(ust_core::Strategy::QueryBased));
+    let ktimes_ob = Query::ktimes(1).window(window).strategy(ust_core::Strategy::ObjectBased);
+    let kd = dists(&processor, ktimes_ob);
     for ((a, b), k) in ob.iter().zip(&qb).zip(&kd) {
         assert!((a.probability - b.probability).abs() < 1e-9);
         assert!((a.probability - k.prob_at_least_once()).abs() < 1e-9);

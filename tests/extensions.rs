@@ -5,9 +5,13 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::probs;
 use ust::prelude::*;
+use ust_core::cluster;
 use ust_core::streaming::{StandingQuery, StreamingMonitor};
-use ust_core::{cluster, ranking, threshold};
+use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
 use ust_markov::PowerCache;
 
@@ -31,8 +35,9 @@ fn persisted_dataset_answers_identically() {
     io::save_database(&data.db, &path).unwrap();
     let loaded = io::load_database(&path).unwrap();
 
-    let a = QueryProcessor::new(&data.db).exists_query_based(&window).unwrap();
-    let b = QueryProcessor::new(&loaded).exists_query_based(&window).unwrap();
+    let exists_qb = Query::exists().window(window).strategy(QueryBased);
+    let a = probs(&QueryProcessor::new(&data.db), exists_qb.clone());
+    let b = probs(&QueryProcessor::new(&loaded), exists_qb);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.object_id, y.object_id);
@@ -48,7 +53,9 @@ fn standing_query_agrees_with_batch_for_fresh_fixes() {
     let standing = StandingQuery::new(chain, window.clone()).unwrap();
     let mut monitor = StreamingMonitor::new(standing);
 
-    let batch = QueryProcessor::new(&data.db).exists_query_based(&window).unwrap();
+    let processor = QueryProcessor::new(&data.db);
+    let exists_qb = Query::exists().window(window).strategy(QueryBased);
+    let batch = probs(&processor, exists_qb.clone());
     for (object, expected) in data.db.objects().iter().zip(&batch) {
         let p = monitor.observe(object.id(), object.anchor()).unwrap();
         assert!(
@@ -61,15 +68,8 @@ fn standing_query_agrees_with_batch_for_fresh_fixes() {
     assert_eq!(monitor.len(), data.db.len());
     // The ranking of the monitor's board matches a top-k query.
     let board = monitor.above(0.0);
-    let topk = ranking::topk_query_based(
-        &data.db,
-        &window,
-        5,
-        &EngineConfig::default(),
-        &mut EvalStats::new(),
-    )
-    .unwrap();
-    for (b, t) in board.iter().take(5).zip(&topk) {
+    let topk = processor.execute(&exists_qb.top_k(5).build().unwrap()).unwrap();
+    for (b, t) in board.iter().take(5).zip(topk.ranked().unwrap()) {
         assert_eq!(b.0, t.object_id);
     }
 }
@@ -78,12 +78,13 @@ fn standing_query_agrees_with_batch_for_fresh_fixes() {
 fn topk_matches_threshold_and_exact_order() {
     let data = dataset();
     let window = workload::paper_default_window(3_000).unwrap();
-    let config = EngineConfig::default();
-    let k = 10;
-    let qb =
-        ranking::topk_query_based(&data.db, &window, k, &config, &mut EvalStats::new()).unwrap();
-    let mut stats = EvalStats::new();
-    let ob = ranking::topk_object_based_pruned(&data.db, &window, k, &config, &mut stats).unwrap();
+    let processor = QueryProcessor::new(&data.db);
+    let exists = Query::exists().window(window);
+    let top10 = |strategy| {
+        let spec = exists.clone().top_k(10).strategy(strategy).build().unwrap();
+        processor.execute(&spec).unwrap().ranked().unwrap().to_vec()
+    };
+    let (qb, ob) = (top10(QueryBased), top10(ObjectBased));
     assert_eq!(qb.len(), ob.len());
     for (a, b) in qb.iter().zip(&ob) {
         assert_eq!(a.object_id, b.object_id);
@@ -92,16 +93,11 @@ fn topk_matches_threshold_and_exact_order() {
     // Every member of the top-k passes a threshold query at its own score.
     if let Some(last) = qb.last() {
         if last.probability > 0.0 {
-            let accepted = threshold::threshold_query(
-                &data.db,
-                &window,
-                last.probability,
-                &config,
-                &mut EvalStats::new(),
-            )
-            .unwrap();
+            let at_last_score =
+                exists.threshold(last.probability).strategy(ObjectBased).build().unwrap();
+            let accepted = processor.execute(&at_last_score).unwrap();
             for r in &qb {
-                assert!(accepted.contains(&r.object_id));
+                assert!(accepted.ids().unwrap().contains(&r.object_id));
             }
         }
     }
@@ -148,15 +144,12 @@ fn cluster_bounds_respect_exact_results_on_perturbed_models() {
         &mut EvalStats::new(),
     )
     .unwrap();
-    let exact = threshold::threshold_query(
-        &db,
-        &window,
-        tau,
-        &EngineConfig::default(),
-        &mut EvalStats::new(),
-    )
-    .unwrap();
+    let exact = QueryProcessor::new(&db)
+        .execute(
+            &Query::exists().window(window).threshold(tau).strategy(ObjectBased).build().unwrap(),
+        )
+        .unwrap();
     let mut got = result.accepted.clone();
     got.sort_unstable();
-    assert_eq!(got, exact);
+    assert_eq!(got, exact.ids().unwrap());
 }

@@ -52,7 +52,7 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
     // The object-based reduction cannot answer a ∀ window covering all of
     // S (its complement selects no states); the direct query-based field
     // could, and must not: both strategies err identically, through the
-    // planner (one-shot and standing) and through the free functions.
+    // planner (one-shot and standing) and through the reference drivers.
     let mut db = TrajectoryDatabase::new(paper_chain());
     db.insert(UncertainObject::with_single_observation(7, Observation::exact(0, 3, 1).unwrap()))
         .unwrap();
@@ -69,7 +69,6 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
     for answer in [
         forall::evaluate_object_based(&db, &full, &config, &mut stats),
         forall::evaluate_query_based(&db, &full, &config, &mut stats),
-        ust_core::parallel::evaluate_forall_parallel(&db, &full, &config, &mut stats),
     ] {
         assert_eq!(answer, Err(QueryError::EmptySpatialWindow));
     }

@@ -1,9 +1,13 @@
 //! End-to-end verification of every worked example in the paper, through
 //! the public facade crate.
 
+mod common;
+
+use common::{dists, probs};
 use ust::prelude::*;
 use ust_core::engine::{exhaustive, forall, monte_carlo::MonteCarlo};
 use ust_core::multi_obs;
+use ust_core::Strategy::{ObjectBased, QueryBased};
 
 /// The running-example chain of Section V.
 fn paper_chain() -> MarkovChain {
@@ -55,20 +59,24 @@ fn section_5a_stepwise_narrative() {
 #[test]
 fn example_1_object_based_result() {
     let db = single_object_db(paper_chain(), 1);
-    let results = QueryProcessor::new(&db).exists_object_based(&paper_window()).unwrap();
+    let results = probs(
+        &QueryProcessor::new(&db),
+        Query::exists().window(paper_window()).strategy(ObjectBased),
+    );
     assert!((results[0].probability - 0.864).abs() < 1e-12);
 }
 
 #[test]
 fn example_2_query_based_result() {
     let db = single_object_db(paper_chain(), 1);
-    let results = QueryProcessor::new(&db).exists_query_based(&paper_window()).unwrap();
+    let exists_qb = Query::exists().window(paper_window()).strategy(QueryBased);
+    let results = probs(&QueryProcessor::new(&db), exists_qb.clone());
     assert!((results[0].probability - 0.864).abs() < 1e-12);
     // The full backward vector (0.96, 0.864, 0.928) from Example 2, read
     // off by anchoring one object per start state.
     for (state, expected) in [(0usize, 0.96), (1, 0.864), (2, 0.928)] {
         let db = single_object_db(paper_chain(), state);
-        let r = QueryProcessor::new(&db).exists_query_based(&paper_window()).unwrap();
+        let r = probs(&QueryProcessor::new(&db), exists_qb.clone());
         assert!(
             (r[0].probability - expected).abs() < 1e-12,
             "start state {state}: got {}",
@@ -101,10 +109,11 @@ fn section_7_ktimes_distribution() {
     // C(3) row sums (0.136, 0.672, 0.192) from the worked example.
     let db = single_object_db(paper_chain(), 1);
     let window = paper_window();
-    for results in [
-        QueryProcessor::new(&db).ktimes_object_based(&window).unwrap(),
-        QueryProcessor::new(&db).ktimes_query_based(&window).unwrap(),
-    ] {
+    for strategy in [ObjectBased, QueryBased] {
+        let results = dists(
+            &QueryProcessor::new(&db),
+            Query::ktimes(1).window(window.clone()).strategy(strategy),
+        );
         let probs = &results[0].probabilities;
         assert!((probs[0] - 0.136).abs() < 1e-12);
         assert!((probs[1] - 0.672).abs() < 1e-12);
@@ -119,9 +128,11 @@ fn section_7_forall_complement_identity() {
     let db = single_object_db(chain.clone(), 1);
     let window = paper_window();
     let processor = QueryProcessor::new(&db);
-    let forall_ob = processor.forall_object_based(&window).unwrap()[0].probability;
-    let forall_qb = processor.forall_query_based(&window).unwrap()[0].probability;
-    let k = processor.ktimes_object_based(&window).unwrap()[0].clone();
+    let forall = Query::forall().window(window.clone());
+    let forall_ob = probs(&processor, forall.clone().strategy(ObjectBased))[0].probability;
+    let forall_qb = probs(&processor, forall.strategy(QueryBased))[0].probability;
+    let ktimes_ob = Query::ktimes(1).window(window.clone()).strategy(ObjectBased);
+    let k = dists(&processor, ktimes_ob)[0].clone();
     assert!((forall_ob - forall_qb).abs() < 1e-12);
     assert!((forall_ob - k.prob_always()).abs() < 1e-12);
     // Direct identity check.

@@ -141,13 +141,27 @@ proptest! {
 
 /// On the clustered workload the selective window *must* prune (this is
 /// the effectiveness half of the contract; the proptests above are the
-/// safety half) — and still answer identically to the unpruned run.
+/// safety half) — under `On` and, on a database past its size floor, under
+/// `Auto`: fewer than 1 % of the objects are examined where `Off` examines
+/// them all — and still answer identically to the unpruned run.
 #[test]
 fn selective_window_prunes_and_preserves_answers() {
-    let mut data = generate_index_workload(&IndexWorkloadConfig::small());
+    let mut data = generate_index_workload(&IndexWorkloadConfig {
+        num_objects: 4_000,
+        num_states: 20_000,
+        ..IndexWorkloadConfig::default()
+    });
     let space = data.space;
     data.db.attach_space(Arc::new(space)).unwrap();
+    let total = data.db.len() as u64;
     let window = data.selective_window().unwrap();
+    let run = |mode: PrefilterMode, spec: &QuerySpec| {
+        let config = EngineConfig::default().with_prefilter(mode);
+        let mut stats = EvalStats::new();
+        let answer =
+            QueryProcessor::with_config(&data.db, config).execute_with_stats(spec, &mut stats);
+        (canon(&answer), stats)
+    };
     for tau in [0.0, 0.5] {
         let spec = Query::exists()
             .window(window.clone())
@@ -155,22 +169,18 @@ fn selective_window_prunes_and_preserves_answers() {
             .threshold(tau)
             .build()
             .unwrap();
-        let off = QueryProcessor::with_config(
-            &data.db,
-            EngineConfig::default().with_prefilter(PrefilterMode::Off),
-        );
-        let on = QueryProcessor::with_config(
-            &data.db,
-            EngineConfig::default().with_prefilter(PrefilterMode::On),
-        );
-        let mut off_stats = EvalStats::new();
-        let mut on_stats = EvalStats::new();
-        let off_answer = off.execute_with_stats(&spec, &mut off_stats).unwrap();
-        let on_answer = on.execute_with_stats(&spec, &mut on_stats).unwrap();
-        assert_eq!(canon(&Ok(off_answer)), canon(&Ok(on_answer)), "τ = {tau}");
-        assert_eq!(off_stats.candidates_pruned, 0);
-        assert!(on_stats.candidates_pruned > 0, "selective window must prune");
-        assert_eq!(on_stats.candidates_examined + on_stats.candidates_pruned, data.db.len() as u64);
+        let (off_answer, off) = run(PrefilterMode::Off, &spec);
+        assert_eq!((off.candidates_examined, off.candidates_pruned), (total, 0));
+        for mode in [PrefilterMode::On, PrefilterMode::Auto] {
+            let (answer, stats) = run(mode, &spec);
+            assert_eq!(answer, off_answer, "τ = {tau}, {mode:?}");
+            assert!(
+                stats.candidates_examined * 100 < total,
+                "{mode:?} examined {} of {total}",
+                stats.candidates_examined
+            );
+            assert_eq!(stats.candidates_examined + stats.candidates_pruned, total);
+        }
     }
 }
 

@@ -6,9 +6,10 @@
 //! Every evaluation below drives the shared `engine::pipeline` propagation
 //! core — OB through the batched forward sweep, QB through
 //! `Propagator::backward` — so this is an end-to-end consistency check of
-//! the pipeline from both directions, across all six `QueryProcessor`
-//! entry points. Two further structural properties of the batch-first
-//! core are pinned down exactly (to the bit, not a tolerance):
+//! the pipeline from both directions, across all six (predicate,
+//! strategy) shapes of `QueryProcessor::execute`. Three further structural
+//! properties of the batch-first core are pinned down exactly (to the bit,
+//! not a tolerance):
 //!
 //! * batched OB evaluation is **bit-identical** to the per-object path at
 //!   every batch size, for ∃/∀/k results, threshold decisions and top-k
@@ -22,63 +23,23 @@
 //!   every worker count, and sweeps each `(model, window)` backward field
 //!   at most once per query regardless of the worker count.
 
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod common;
 
+use proptest::prelude::*;
+
+use common::{bit_diff, dists, probs, random_db, random_window};
 use ust::prelude::*;
-use ust_core::engine::{exhaustive, query_based};
-use ust_core::{ranking, threshold};
-use ust_markov::{testutil, StateMask};
-use ust_space::TimeSet;
+use ust_core::engine::{exhaustive, forall, ktimes, object_based, query_based};
+use ust_core::threshold;
+// Explicit import: both glob preludes export a `Strategy` (proptest's
+// strategy trait vs. the planner override enum); the planner enum wins.
+use ust_core::Strategy::{ObjectBased, QueryBased};
 
 const TOL: f64 = 1e-9;
 
-/// A random query window over `n` states: each state joins `S▫` with
-/// probability 0.4; `T▫ = [t_start, t_start + t_len]`.
-fn random_window(n: usize, mask_seed: u64, t_start: u32, t_len: u32) -> Option<QueryWindow> {
-    let mut rng = StdRng::seed_from_u64(mask_seed);
-    let mut mask = StateMask::new(n);
-    for s in 0..n {
-        if rng.random::<f64>() < 0.4 {
-            mask.insert(s).unwrap();
-        }
-    }
-    // PST∀Q reduces via the complement, so the window must be a proper
-    // non-empty subset of the state space.
-    if mask.is_empty() || mask.count() == n {
-        return None;
-    }
-    QueryWindow::new(mask, TimeSet::interval(t_start, t_start + t_len)).ok()
-}
-
-/// A database of `objects` uncertain objects over one random chain, with
-/// anchor times alternating between 0 and `max_anchor` to exercise the
-/// per-anchor snapshots of the backward field.
-fn random_db(
-    seed: u64,
-    n: usize,
-    deg: usize,
-    objects: usize,
-    max_anchor: u32,
-) -> TrajectoryDatabase {
-    let chain = MarkovChain::from_csr({
-        let mut rng = testutil::rng(seed);
-        testutil::random_stochastic(&mut rng, n, deg)
-    })
-    .unwrap();
-    let mut rng = testutil::rng(seed ^ 0xDA7A);
-    let mut db = TrajectoryDatabase::new(chain);
-    for i in 0..objects {
-        let dist = testutil::random_distribution(&mut rng, n, 2);
-        let anchor_time = if i % 2 == 0 { 0 } else { max_anchor };
-        db.insert(UncertainObject::with_single_observation(
-            i as u64,
-            Observation::uncertain(anchor_time, dist).unwrap(),
-        ))
-        .unwrap();
-    }
-    db
+/// `execute` on a fresh processor under `config`.
+fn run(db: &TrajectoryDatabase, config: EngineConfig, builder: &QueryBuilder) -> QueryAnswer {
+    QueryProcessor::with_config(db, config).execute(&builder.clone().build().unwrap()).unwrap()
 }
 
 proptest! {
@@ -99,12 +60,15 @@ proptest! {
         let db = random_db(seed, n, deg, objects, t_start.min(1));
         let processor = QueryProcessor::new(&db);
 
-        let exists_ob = processor.exists_object_based(&window).unwrap();
-        let exists_qb = processor.exists_query_based(&window).unwrap();
-        let forall_ob = processor.forall_object_based(&window).unwrap();
-        let forall_qb = processor.forall_query_based(&window).unwrap();
-        let ktimes_ob = processor.ktimes_object_based(&window).unwrap();
-        let ktimes_qb = processor.ktimes_query_based(&window).unwrap();
+        let exists = Query::exists().window(window.clone());
+        let forall = Query::forall().window(window.clone());
+        let ktimes = Query::ktimes(1).window(window.clone());
+        let exists_ob = probs(&processor, exists.clone().strategy(ObjectBased));
+        let exists_qb = probs(&processor, exists.strategy(QueryBased));
+        let forall_ob = probs(&processor, forall.clone().strategy(ObjectBased));
+        let forall_qb = probs(&processor, forall.strategy(QueryBased));
+        let ktimes_ob = dists(&processor, ktimes.clone().strategy(ObjectBased));
+        let ktimes_qb = dists(&processor, ktimes.strategy(QueryBased));
 
         for (idx, object) in db.objects().iter().enumerate() {
             let truth =
@@ -154,10 +118,13 @@ proptest! {
             None => { prop_assume!(false); unreachable!() }
         };
         let db = random_db(seed, n, deg, 1, 0);
-        let exact = QueryProcessor::new(&db).exists_object_based(&window).unwrap();
+        let exact = probs(
+            &QueryProcessor::new(&db),
+            Query::exists().window(window.clone()).strategy(ObjectBased),
+        );
 
         let mut stats = EvalStats::new();
-        let pruned = ust_core::engine::object_based::evaluate(
+        let pruned = object_based::evaluate(
             &db,
             &window,
             &EngineConfig::exact().with_epsilon(epsilon),
@@ -189,49 +156,38 @@ proptest! {
         };
         let db = random_db(seed, n, deg, objects, t_start.min(1));
         let per_object = EngineConfig::default().with_batch_size(1);
-
-        let exists_ref =
-            ust_core::engine::object_based::evaluate(&db, &window, &per_object, &mut EvalStats::new()).unwrap();
-        let forall_ref =
-            ust_core::engine::forall::evaluate_object_based(&db, &window, &per_object, &mut EvalStats::new()).unwrap();
-        let ktimes_ref =
-            ust_core::engine::ktimes::evaluate_object_based(&db, &window, &per_object, &mut EvalStats::new()).unwrap();
-        let accepted_ref =
-            threshold::threshold_query(&db, &window, tau, &per_object, &mut EvalStats::new()).unwrap();
-        let topk_ref =
-            ranking::topk_object_based_pruned(&db, &window, k, &per_object, &mut EvalStats::new()).unwrap();
+        let stats = &mut EvalStats::new();
+        let exists_ref = object_based::evaluate(&db, &window, &per_object, stats).unwrap();
+        let forall_ref = forall::evaluate_object_based(&db, &window, &per_object, stats).unwrap();
+        let ktimes_ref = ktimes::evaluate_object_based(&db, &window, &per_object, stats).unwrap();
+        let exists_ob = Query::exists().window(window.clone()).strategy(ObjectBased);
+        let threshold_ob = exists_ob.clone().threshold(tau);
+        let topk_ob = exists_ob.top_k(k);
+        let accepted_ref = run(&db, per_object, &threshold_ob);
+        let topk_ref = run(&db, per_object, &topk_ob);
 
         for batch_size in [3usize, 16] {
             let config = EngineConfig::default().with_batch_size(batch_size);
-            let exists =
-                ust_core::engine::object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+            let exists = object_based::evaluate(&db, &window, &config, stats).unwrap();
             for (a, b) in exists.iter().zip(&exists_ref) {
                 prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
                     "∃ batch={} {} vs {}", batch_size, a.probability, b.probability);
             }
-            let forall =
-                ust_core::engine::forall::evaluate_object_based(&db, &window, &config, &mut EvalStats::new()).unwrap();
+            let forall = forall::evaluate_object_based(&db, &window, &config, stats).unwrap();
             for (a, b) in forall.iter().zip(&forall_ref) {
                 prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             }
-            let ktimes =
-                ust_core::engine::ktimes::evaluate_object_based(&db, &window, &config, &mut EvalStats::new()).unwrap();
+            let ktimes = ktimes::evaluate_object_based(&db, &window, &config, stats).unwrap();
             for (a, b) in ktimes.iter().zip(&ktimes_ref) {
                 prop_assert_eq!(a.object_id, b.object_id);
                 for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
-            let accepted =
-                threshold::threshold_query(&db, &window, tau, &config, &mut EvalStats::new()).unwrap();
-            prop_assert_eq!(&accepted, &accepted_ref, "threshold batch={}", batch_size);
-            let topk =
-                ranking::topk_object_based_pruned(&db, &window, k, &config, &mut EvalStats::new()).unwrap();
-            prop_assert_eq!(topk.len(), topk_ref.len());
-            for (a, b) in topk.iter().zip(&topk_ref) {
-                prop_assert_eq!(a.object_id, b.object_id, "top-k order batch={}", batch_size);
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
+            prop_assert_eq!(bit_diff(&run(&db, config, &threshold_ob), &accepted_ref), Ok(()),
+                "threshold batch={}", batch_size);
+            prop_assert_eq!(bit_diff(&run(&db, config, &topk_ob), &topk_ref), Ok(()),
+                "top-k batch={}", batch_size);
         }
     }
 
@@ -254,8 +210,8 @@ proptest! {
             TimeSet::interval(window.t_start() + slide, window.t_end() + slide),
         ).unwrap();
         let db = random_db(seed, n, deg, objects, t_start.min(1));
-        let config = EngineConfig::default();
-        let mut cache = BackwardFieldCache::new(4);
+        let config = EngineConfig::default().with_cache_capacity(4);
+        let processor = QueryProcessor::with_config(&db, config);
         let mut stats = EvalStats::new();
 
         // Revisit each window twice so both fresh sweeps and pure hits are
@@ -264,9 +220,9 @@ proptest! {
         for w in [&window, &slid, &window, &slid] {
             let uncached =
                 query_based::evaluate(&db, w, &config, &mut EvalStats::new()).unwrap();
-            let cached =
-                query_based::evaluate_with_cache(&db, w, &config, &mut cache, &mut stats).unwrap();
-            for (a, b) in cached.iter().zip(&uncached) {
+            let spec = Query::exists().window(w.clone()).strategy(QueryBased).build().unwrap();
+            let cached = processor.execute_with_stats(&spec, &mut stats).unwrap();
+            for (a, b) in cached.probabilities().unwrap().iter().zip(&uncached) {
                 prop_assert_eq!(a.object_id, b.object_id);
                 prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
                     "cached {} vs uncached {}", a.probability, b.probability);
@@ -292,69 +248,46 @@ proptest! {
         };
         let db = random_db(seed, n, deg, objects, t_start.min(1));
         let sequential = EngineConfig::default();
-
-        let exists_qb_ref =
-            query_based::evaluate(&db, &window, &sequential, &mut EvalStats::new()).unwrap();
-        let ktimes_ref = ust_core::engine::ktimes::evaluate_query_based(
-            &db, &window, &sequential, &mut EvalStats::new()).unwrap();
-        let accepted_ref =
-            threshold::threshold_query(&db, &window, tau, &sequential, &mut EvalStats::new())
-                .unwrap();
-        let topk_ref =
-            ranking::topk_object_based_pruned(&db, &window, k, &sequential, &mut EvalStats::new())
-                .unwrap();
-        let topk_qb_ref =
-            ranking::topk_query_based(&db, &window, k, &sequential, &mut EvalStats::new())
-                .unwrap();
+        let exists = Query::exists().window(window.clone());
+        let shapes = [
+            exists.clone().strategy(QueryBased),
+            Query::ktimes(1).window(window.clone()).strategy(QueryBased),
+            exists.clone().threshold(tau).strategy(ObjectBased),
+            exists.clone().threshold(tau).strategy(QueryBased),
+            exists.clone().top_k(k).strategy(ObjectBased),
+            exists.clone().top_k(k).strategy(QueryBased),
+        ];
+        let references: Vec<QueryAnswer> =
+            shapes.iter().map(|shape| run(&db, sequential, shape)).collect();
         let mut baseline = EvalStats::new();
-        ust_core::parallel::evaluate_exists_qb_parallel(
-            &db, &window, &sequential, &mut baseline).unwrap();
+        let exists_qb_ref = query_based::evaluate(&db, &window, &sequential, &mut baseline).unwrap();
+        prop_assert_eq!(references[0].probabilities().unwrap(), &exists_qb_ref[..]);
 
         for threads in [2usize, 4] {
             let config = EngineConfig::default().with_num_threads(threads);
             // The processor owns a long-lived pool and a lock-guarded
-            // backward-field cache; run every entry point twice so both
-            // the fresh-sweep and the pure-cache-hit paths are pinned.
+            // backward-field cache; run every shape twice so both the
+            // fresh-sweep and the pure-cache-hit paths are pinned.
             let processor = QueryProcessor::with_config(&db, config);
             prop_assert!(processor.pool().is_some());
+            let mut first = None;
             for round in 0..2 {
-                let exists_qb = processor.exists_query_based(&window).unwrap();
-                for (a, b) in exists_qb.iter().zip(&exists_qb_ref) {
-                    prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
-                        "∃ QB pooled threads={} round={}", threads, round);
-                }
-                let ktimes = processor.ktimes_query_based(&window).unwrap();
-                for (a, b) in ktimes.iter().zip(&ktimes_ref) {
-                    prop_assert_eq!(a.object_id, b.object_id);
-                    for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                let accepted = processor.threshold_query(&window, tau).unwrap();
-                prop_assert_eq!(&accepted, &accepted_ref, "threshold threads={}", threads);
-                let accepted_cached = processor.threshold_query_cached(&window, tau).unwrap();
-                prop_assert_eq!(&accepted_cached, &accepted_ref,
-                    "cached threshold threads={}", threads);
-                let topk = processor.topk(&window, k).unwrap();
-                prop_assert_eq!(topk.len(), topk_ref.len());
-                for (a, b) in topk.iter().zip(&topk_ref) {
-                    prop_assert_eq!(a.object_id, b.object_id);
-                    prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-                }
-                let topk_qb = processor.topk_query_based(&window, k).unwrap();
-                for (a, b) in topk_qb.iter().zip(&topk_qb_ref) {
-                    prop_assert_eq!(a.object_id, b.object_id, "top-k QB threads={}", threads);
-                    prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+                for (shape, reference) in shapes.iter().zip(&references) {
+                    let spec = shape.clone().build().unwrap();
+                    let mut stats = EvalStats::new();
+                    let answer = processor.execute_with_stats(&spec, &mut stats).unwrap();
+                    prop_assert_eq!(bit_diff(&answer, reference), Ok(()),
+                        "threads={} round={} {:?}", threads, round, spec);
+                    // The very first execution is the cold ∃ QB sweep.
+                    first.get_or_insert(stats);
                 }
             }
+            let first = first.unwrap();
             // The shared-field plan sweeps each (model, window) field at
             // most once per query, independent of the worker count.
-            let mut stats = EvalStats::new();
-            ust_core::parallel::evaluate_exists_qb_parallel(
-                &db, &window, &config, &mut stats).unwrap();
-            prop_assert_eq!(stats.backward_steps, baseline.backward_steps,
+            prop_assert_eq!(first.backward_steps, baseline.backward_steps,
                 "threads={} must not re-sweep the shared field", threads);
-            prop_assert_eq!(stats.fields_shared, baseline.fields_shared);
+            prop_assert_eq!(first.fields_shared, 1);
         }
     }
 
@@ -372,7 +305,11 @@ proptest! {
         };
         let db = random_db(seed, n, deg, 1, 0);
         let object = &db.objects()[0];
-        let exact = QueryProcessor::new(&db).exists_object_based(&window).unwrap()[0].probability;
+        let exact = probs(
+            &QueryProcessor::new(&db),
+            Query::exists().window(window.clone()).strategy(ObjectBased),
+        )[0]
+        .probability;
         // Bound-based early decisions must agree with the exact value
         // whenever τ is not razor-close to it.
         prop_assume!((exact - tau).abs() > 1e-6);

@@ -1,6 +1,6 @@
 //! Property and integration tests of the unified query API: the
-//! `QuerySpec` builder, the planner, the single `execute` entry point, the
-//! async `submit` front door and the deprecated per-predicate shims.
+//! `QuerySpec` builder, the planner, the single `execute` entry point and
+//! the async `submit` front door.
 //!
 //! The pinned invariants:
 //!
@@ -12,94 +12,67 @@
 //!   worker counts (1 and 4).
 //! * **submit ≡ execute** — awaiting an asynchronously submitted spec
 //!   yields the bit-identical answer of the synchronous call.
-//! * **shims ≡ pre-redesign drivers** — every deprecated `QueryProcessor`
-//!   method returns bit-for-bit what the original free-function drivers
-//!   return, so the API redesign changed no numbers.
+//! * **execute ≡ reference drivers** — every (predicate, strategy,
+//!   decorator) shape answers bit-for-bit what the sequential reference
+//!   drivers (the paper's algorithms with no planner, pool or cache)
+//!   return, at 1 and 4 workers.
 //! * **subset ≡ filtered full run** — a spec restricted to explicit
 //!   object ids returns exactly the full run's entries for those objects.
 
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod common;
 
+use proptest::prelude::*;
+
+use common::{assert_bit_eq, bit_diff, random_window};
 use ust::prelude::*;
 use ust_core::engine::{forall, ktimes, object_based, query_based};
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // strategy trait vs. the planner override enum); the planner enum wins.
 use ust_core::Strategy;
-use ust_core::{ranking, threshold};
-use ust_markov::{testutil, StateMask};
 use ust_space::TimeSet;
 
 const TOL: f64 = 1e-9;
 
-fn random_window(n: usize, mask_seed: u64, t_start: u32, t_len: u32) -> Option<QueryWindow> {
-    let mut rng = StdRng::seed_from_u64(mask_seed);
-    let mut mask = StateMask::new(n);
-    for s in 0..n {
-        if rng.random::<f64>() < 0.4 {
-            mask.insert(s).unwrap();
-        }
-    }
-    // The ∀ reduction needs a proper non-empty subset.
-    if mask.is_empty() || mask.count() == n {
-        return None;
-    }
-    QueryWindow::new(mask, TimeSet::interval(t_start, t_start + t_len)).ok()
-}
-
 fn random_db(seed: u64, n: usize, objects: usize, max_anchor: u32) -> TrajectoryDatabase {
-    let chain = MarkovChain::from_csr({
-        let mut rng = testutil::rng(seed);
-        testutil::random_stochastic(&mut rng, n, 3)
-    })
-    .unwrap();
-    let mut rng = testutil::rng(seed ^ 0x51EC);
-    let mut db = TrajectoryDatabase::new(chain);
-    for i in 0..objects {
-        let dist = testutil::random_distribution(&mut rng, n, 2);
-        let anchor_time = if i % 2 == 0 { 0 } else { max_anchor };
-        db.insert(UncertainObject::with_single_observation(
-            i as u64,
-            Observation::uncertain(anchor_time, dist).unwrap(),
-        ))
-        .unwrap();
-    }
-    db
+    common::random_db(seed, n, 3, objects, max_anchor)
 }
 
-/// Bit-level equality of two answers (f64s compared via `to_bits`).
-fn assert_bit_eq(a: &QueryAnswer, b: &QueryAnswer, what: &str) {
-    match (a, b) {
-        (QueryAnswer::Probabilities(x), QueryAnswer::Probabilities(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}: length");
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id, "{what}: object order");
-                assert_eq!(p.probability.to_bits(), q.probability.to_bits(), "{what}: bits");
-            }
-        }
-        (QueryAnswer::Distributions(x), QueryAnswer::Distributions(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}: length");
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id, "{what}: object order");
-                assert_eq!(p.probabilities.len(), q.probabilities.len());
-                for (u, v) in p.probabilities.iter().zip(&q.probabilities) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "{what}: bits");
-                }
-            }
-        }
-        (QueryAnswer::ObjectIds(x), QueryAnswer::ObjectIds(y)) => {
-            assert_eq!(x, y, "{what}: accepted ids");
-        }
-        (QueryAnswer::Ranked(x), QueryAnswer::Ranked(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}: length");
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id, "{what}: ranking");
-                assert_eq!(p.probability.to_bits(), q.probability.to_bits(), "{what}: bits");
-            }
-        }
-        _ => panic!("{what}: answers have different variants: {a:?} vs {b:?}"),
+/// Checks a ranked answer against the top-`k` a reference probability
+/// vector implies: `(p desc, id asc)`. The object-based ranking may *omit*
+/// provably unreachable objects from its zero-probability tail (see
+/// `Decorator::TopK`), so only the positively ranked prefix is compared
+/// entry by entry; whatever follows must be zero-probability objects of
+/// the reference.
+fn ranking_diff(
+    answer: &QueryAnswer,
+    reference: &[ObjectProbability],
+    k: usize,
+) -> std::result::Result<(), String> {
+    let mut expected = reference.to_vec();
+    expected.sort_by(|a, b| {
+        b.probability.total_cmp(&a.probability).then(a.object_id.cmp(&b.object_id))
+    });
+    expected.truncate(k);
+    let ranked = answer.ranked().ok_or("not a ranked answer")?;
+    let positive = expected.iter().take_while(|r| r.probability > 0.0).count();
+    if ranked.len() < positive || ranked.len() > expected.len() {
+        return Err(format!("{} ranked, {positive}..={} expected", ranked.len(), expected.len()));
     }
+    for (got, want) in ranked.iter().zip(&expected).take(positive) {
+        if (got.object_id, got.probability.to_bits())
+            != (want.object_id, want.probability.to_bits())
+        {
+            return Err(format!("ranked {got:?}, expected {want:?}"));
+        }
+    }
+    for tail in &ranked[positive..] {
+        let zero_in_reference =
+            reference.iter().any(|r| r.object_id == tail.object_id && r.probability == 0.0);
+        if tail.probability != 0.0 || !zero_in_reference {
+            return Err(format!("tail entry {tail:?} is not a zero-probability object"));
+        }
+    }
+    Ok(())
 }
 
 /// Value-level agreement of the two exact strategies: exact for id lists
@@ -200,8 +173,8 @@ proptest! {
                     .strategy(plan.strategy)
                     .build()
                     .unwrap();
-                assert_bit_eq(&auto_answer, &processor.execute(&chosen).unwrap(),
-                    &format!("{what} (auto vs {:?}, threads={threads})", plan.strategy));
+                prop_assert_eq!(bit_diff(&auto_answer, &processor.execute(&chosen).unwrap()), Ok(()),
+                    "{} (auto vs {:?}, threads={})", what, plan.strategy, threads);
 
                 // The two exact strategies tell the same story.
                 let ob = processor.execute(
@@ -215,10 +188,13 @@ proptest! {
                 // And the pooled run reproduces the sequential bits.
                 if threads > 1 {
                     let sequential = QueryProcessor::new(&db);
-                    assert_bit_eq(
-                        &processor.execute(&chosen).unwrap(),
-                        &sequential.execute(&chosen).unwrap(),
-                        &format!("{what} (pooled vs sequential)"),
+                    prop_assert_eq!(
+                        bit_diff(
+                            &processor.execute(&chosen).unwrap(),
+                            &sequential.execute(&chosen).unwrap(),
+                        ),
+                        Ok(()),
+                        "{} (pooled vs sequential)", what
                     );
                 }
             }
@@ -257,13 +233,14 @@ proptest! {
             for (spec, ticket) in specs.iter().zip(tickets) {
                 let sync = processor.execute(spec).unwrap();
                 let awaited = ticket.wait().unwrap();
-                assert_bit_eq(&awaited, &sync, &format!("submit vs execute (threads={threads})"));
+                prop_assert_eq!(bit_diff(&awaited, &sync), Ok(()),
+                    "submit vs execute (threads={})", threads);
             }
         }
     }
 
     #[test]
-    fn deprecated_shims_match_pre_redesign_drivers(
+    fn execute_matches_reference_drivers(
         (seed, n) in (0u64..10_000, 4usize..=8),
         mask_seed in 0u64..1_000,
         t_start in 1u32..=3,
@@ -272,75 +249,50 @@ proptest! {
         tau in 0.05f64..0.95,
         top in 1usize..=4,
     ) {
+        use Strategy::{ObjectBased as Ob, QueryBased as Qb};
         let window = match random_window(n, mask_seed, t_start, t_len) {
             Some(w) => w,
             None => { prop_assume!(false); unreachable!() }
         };
         let db = random_db(seed, n, objects, 1);
         let config = EngineConfig::default();
-        let processor = QueryProcessor::new(&db);
-        let mut stats = EvalStats::new();
+        let stats = &mut EvalStats::new();
+        let exists_ob = object_based::evaluate(&db, &window, &config, stats).unwrap();
+        let exists_qb = query_based::evaluate(&db, &window, &config, stats).unwrap();
+        let forall_ob = forall::evaluate_object_based(&db, &window, &config, stats).unwrap();
+        let forall_qb = forall::evaluate_query_based(&db, &window, &config, stats).unwrap();
+        let ktimes_ob = ktimes::evaluate_object_based(&db, &window, &config, stats).unwrap();
+        let ktimes_qb = ktimes::evaluate_query_based(&db, &window, &config, stats).unwrap();
+        let accepted = |reference: &[ObjectProbability]| {
+            QueryAnswer::ObjectIds(
+                reference.iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect(),
+            )
+        };
+        let exact = [
+            ("exists/ob", Query::exists().strategy(Ob), QueryAnswer::Probabilities(exists_ob.clone())),
+            ("exists/qb", Query::exists().strategy(Qb), QueryAnswer::Probabilities(exists_qb.clone())),
+            ("forall/ob", Query::forall().strategy(Ob), QueryAnswer::Probabilities(forall_ob)),
+            ("forall/qb", Query::forall().strategy(Qb), QueryAnswer::Probabilities(forall_qb)),
+            ("ktimes/ob", Query::ktimes(1).strategy(Ob), QueryAnswer::Distributions(ktimes_ob)),
+            ("ktimes/qb", Query::ktimes(1).strategy(Qb), QueryAnswer::Distributions(ktimes_qb)),
+            ("threshold/ob", Query::exists().threshold(tau).strategy(Ob), accepted(&exists_ob)),
+            ("threshold/qb", Query::exists().threshold(tau).strategy(Qb), accepted(&exists_qb)),
+        ];
 
-        #[allow(deprecated)]
-        {
-            let shim = processor.exists_object_based(&window).unwrap();
-            let original = object_based::evaluate(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        for threads in [1usize, 4] {
+            let processor =
+                QueryProcessor::with_config(&db, config.with_num_threads(threads));
+            let run = |builder: QueryBuilder| {
+                processor.execute(&builder.window(window.clone()).build().unwrap()).unwrap()
+            };
+            for (what, builder, reference) in &exact {
+                prop_assert_eq!(bit_diff(&run(builder.clone()), reference), Ok(()),
+                    "{} (threads={})", what, threads);
             }
-            let shim = processor.exists_query_based(&window).unwrap();
-            let original = query_based::evaluate(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let shim = processor.forall_object_based(&window).unwrap();
-            let original = forall::evaluate_object_based(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let shim = processor.forall_query_based(&window).unwrap();
-            let original = forall::evaluate_query_based(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let shim = processor.ktimes_object_based(&window).unwrap();
-            let original = ktimes::evaluate_object_based(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            // The k-times QB shim rides the new level-field cache; still
-            // bit-identical to the uncached pre-redesign driver.
-            let shim = processor.ktimes_query_based(&window).unwrap();
-            let original = ktimes::evaluate_query_based(&db, &window, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            let shim = processor.threshold_query(&window, tau).unwrap();
-            let original =
-                threshold::threshold_query(&db, &window, tau, &config, &mut stats).unwrap();
-            prop_assert_eq!(shim, original);
-            let shim = processor.threshold_query_cached(&window, tau).unwrap();
-            let original =
-                threshold::threshold_query(&db, &window, tau, &config, &mut stats).unwrap();
-            prop_assert_eq!(shim, original);
-            let shim = processor.topk(&window, top).unwrap();
-            let original =
-                ranking::topk_object_based_pruned(&db, &window, top, &config, &mut stats).unwrap();
-            prop_assert_eq!(shim.len(), original.len());
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.object_id, b.object_id);
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let shim = processor.topk_query_based(&window, top).unwrap();
-            let original =
-                ranking::topk_query_based(&db, &window, top, &config, &mut stats).unwrap();
-            for (a, b) in shim.iter().zip(&original) {
-                prop_assert_eq!(a.object_id, b.object_id);
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+            for (strategy, reference) in [(Ob, &exists_ob), (Qb, &exists_qb)] {
+                let ranked = run(Query::exists().top_k(top).strategy(strategy));
+                prop_assert_eq!(ranking_diff(&ranked, reference, top), Ok(()),
+                    "top-k {:?} (threads={})", strategy, threads);
             }
         }
     }
@@ -437,6 +389,31 @@ fn ktimes_cache_serves_repeated_windows() {
     assert_eq!(second.cache_hits, 1, "repeated PSTkQ window hits the level-field cache");
     assert_eq!(second.backward_steps, 0, "a hit pays no level sweep");
     assert_bit_eq(&cold, &warm, "cached PSTkQ answer");
+}
+
+/// A dashboard-style workload — probabilities, top-k and threshold over one
+/// window, the same three over a slid window, then the first window again —
+/// sweeps each distinct `(model, window)` once: nine queries, two misses,
+/// seven hits, bit-identical to nine cold executions.
+#[test]
+fn overlapping_window_dashboard_sweeps_each_window_once() {
+    let db = random_db(29, 15, 8, 1);
+    let base = QueryWindow::from_states(15, [1usize, 2, 6], TimeSet::interval(2, 4)).unwrap();
+    let slid = QueryWindow::new(base.states().clone(), TimeSet::interval(3, 5)).unwrap();
+    let processor = QueryProcessor::new(&db);
+    let (mut cached, mut uncached) = (EvalStats::new(), EvalStats::new());
+    for window in [&base, &slid, &base] {
+        let exists = Query::exists().window(window.clone()).strategy(Strategy::QueryBased);
+        for builder in [exists.clone(), exists.clone().top_k(3), exists.threshold(0.3)] {
+            let spec = builder.build().unwrap();
+            let warm = processor.execute_with_stats(&spec, &mut cached).unwrap();
+            let cold = QueryProcessor::new(&db).execute_with_stats(&spec, &mut uncached).unwrap();
+            assert_bit_eq(&warm, &cold, "shared cache vs cold processor");
+        }
+    }
+    assert_eq!((cached.cache_misses, cached.cache_hits), (2, 7));
+    assert_eq!((uncached.cache_misses, uncached.cache_hits), (9, 0));
+    assert!(cached.backward_steps < uncached.backward_steps);
 }
 
 #[test]

@@ -21,8 +21,11 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::assert_bit_eq;
 use ust::prelude::*;
 use ust_core::engine::monte_carlo::MonteCarlo;
 use ust_core::Strategy;
@@ -79,35 +82,6 @@ fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
         let (lock, cv) = &*gate;
         *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
         cv.notify_all();
-    }
-}
-
-fn assert_bit_eq(a: &QueryAnswer, b: &QueryAnswer, what: &str) {
-    match (a, b) {
-        (QueryAnswer::Probabilities(x), QueryAnswer::Probabilities(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}");
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id, "{what}");
-                assert_eq!(p.probability.to_bits(), q.probability.to_bits(), "{what}");
-            }
-        }
-        (QueryAnswer::ObjectIds(x), QueryAnswer::ObjectIds(y)) => assert_eq!(x, y, "{what}"),
-        (QueryAnswer::Ranked(x), QueryAnswer::Ranked(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}");
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id, "{what}");
-                assert_eq!(p.probability.to_bits(), q.probability.to_bits(), "{what}");
-            }
-        }
-        (QueryAnswer::Distributions(x), QueryAnswer::Distributions(y)) => {
-            assert_eq!(x.len(), y.len(), "{what}");
-            for (p, q) in x.iter().zip(y) {
-                for (u, v) in p.probabilities.iter().zip(&q.probabilities) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "{what}");
-                }
-            }
-        }
-        _ => panic!("{what}: different answer variants"),
     }
 }
 

@@ -177,22 +177,26 @@ proptest! {
 /// from-scratch side pays a fresh backward sweep for every prefix.
 #[test]
 fn ingest_preserves_field_caches_and_invalidates_one_entry_per_arrival() {
-    let feed = feed(0xCAFE, 12);
+    let feed = feed(0xCAFE, 16);
     let n = feed.config.workload.num_states;
     let window = QueryWindow::from_states(n, 4usize..14, TimeSet::interval(20, 22)).unwrap();
     let spec = Query::exists().window(window).strategy(Strategy::QueryBased).build().unwrap();
     let processor = QueryProcessor::new(&feed.db);
     let sub = processor.watch(&spec).unwrap();
 
+    // The dashboard this replaces: a cold re-execution per applied arrival.
     let mut applied = 0u64;
+    let mut cold = EvalStats::new();
     for event in &feed.events {
         if processor.ingest(event.object_id, event.observation.clone()).unwrap()
             == IngestOutcome::Applied
         {
             applied += 1;
+            let fresh = QueryProcessor::new(&processor.snapshot());
+            fresh.execute_with_stats(sub.spec(), &mut cold).unwrap();
         }
     }
-    assert!(applied >= 8, "the feed applies most events ({applied}/12)");
+    assert!(applied >= 10, "the feed applies most events ({applied}/16)");
     assert_eq!(sub.notifications(), applied, "stale arrivals never notify");
 
     let stream = processor.metrics().stream(sub.id()).unwrap().clone();
@@ -203,6 +207,12 @@ fn ingest_preserves_field_caches_and_invalidates_one_entry_per_arrival() {
     );
     assert_eq!(stream.incremental_steps, 0, "warm refreshes are pure cache hits");
     assert!(stream.recompute_steps > 0, "the registration sweep did the backward work once");
+    assert!(
+        cold.backward_steps >= 10 * (stream.recompute_steps + stream.incremental_steps),
+        "streaming must be ≥ 10× cheaper in backward steps: {} cold vs {} registration",
+        cold.backward_steps,
+        stream.recompute_steps
+    );
 
     // The from-scratch side pays backward steps for the same answer.
     let fresh = QueryProcessor::new(&feed.replay_prefix(feed.events.len()));
