@@ -2,8 +2,8 @@
 //!
 //! These go beyond the paper's figures: they quantify the impact of the
 //! implementation decisions this reproduction makes on top of the paper's
-//! algorithms (virtual operators, hybrid vectors, ε-pruning, bound-based
-//! early termination).
+//! algorithms (virtual operators, ε-pruning, bound-based early
+//! termination).
 
 use ust_core::engine::{object_based, EngineConfig};
 use ust_core::{EvalStats, Query, QueryProcessor, Strategy};
@@ -16,12 +16,7 @@ use crate::{time, ExperimentOutput, Scale};
 
 /// All ablation experiments.
 pub fn all(scale: Scale) -> Vec<ExperimentOutput> {
-    vec![
-        ablation_augmented(scale),
-        ablation_hybrid(scale),
-        ablation_epsilon(scale),
-        ablation_threshold(scale),
-    ]
+    vec![ablation_augmented(scale), ablation_epsilon(scale), ablation_threshold(scale)]
 }
 
 /// Virtual `M−`/`M+` operators vs materialized augmented matrices.
@@ -91,40 +86,6 @@ pub fn ablation_augmented(scale: Scale) -> ExperimentOutput {
         expectation: "The virtual operator wins increasingly with |S|: materialization pays \
                       an O(nnz(M)) copy per query plus dense |S|+1 vectors per object, while \
                       the virtual path stays sparse."
-            .into(),
-    }
-}
-
-/// Hybrid sparse→dense switching vs always-sparse vs always-dense vectors.
-pub fn ablation_hybrid(scale: Scale) -> ExperimentOutput {
-    let cfg = match scale {
-        Scale::Ci => {
-            SyntheticConfig { num_objects: 500, num_states: 10_000, ..SyntheticConfig::default() }
-        }
-        Scale::Paper => SyntheticConfig::default(),
-    };
-    let data = synthetic::generate(&cfg);
-    let window = workload::paper_default_window(cfg.num_states).expect("window fits");
-    let mut table = ResultTable::new(["densify threshold", "OB (s)"]);
-    for (label, threshold) in [
-        ("0.0 (always dense)", 0.0),
-        ("0.05", 0.05),
-        ("0.25 (default)", 0.25),
-        ("1.0 (always sparse)", 1.0),
-    ] {
-        let config = EngineConfig::default().with_densify_threshold(threshold);
-        let (t, _) = time(|| {
-            object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
-        table.push_row([label.to_string(), fmt_secs(t)]);
-    }
-    ExperimentOutput {
-        id: "ablation_hybrid".into(),
-        title: "Ablation — hybrid propagation-vector representation".into(),
-        table,
-        expectation: "Always-dense pays O(|S|) per transition regardless of support; \
-                      always-sparse pays sorting overhead once vectors densify. The hybrid \
-                      default sits at or near the minimum."
             .into(),
     }
 }
@@ -228,11 +189,5 @@ mod tests {
         // The function itself cross-asserts virtual vs materialized.
         let out = ablation_augmented(Scale::Ci);
         assert_eq!(out.table.len(), 2);
-    }
-
-    #[test]
-    fn hybrid_ablation_has_four_rows() {
-        let out = ablation_hybrid(Scale::Ci);
-        assert_eq!(out.table.len(), 4);
     }
 }

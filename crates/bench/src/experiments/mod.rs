@@ -41,7 +41,6 @@ pub fn by_id(id: &str, scale: Scale) -> Option<ExperimentOutput> {
         "fig11a" => Some(fig11::fig11a(scale)),
         "fig11b" => Some(fig11::fig11b(scale)),
         "ablation_augmented" => Some(ablation::ablation_augmented(scale)),
-        "ablation_hybrid" => Some(ablation::ablation_hybrid(scale)),
         "ablation_epsilon" => Some(ablation::ablation_epsilon(scale)),
         "ablation_threshold" => Some(ablation::ablation_threshold(scale)),
         _ => None,
@@ -62,7 +61,6 @@ pub fn known_ids() -> &'static [&'static str] {
         "fig11a",
         "fig11b",
         "ablation_augmented",
-        "ablation_hybrid",
         "ablation_epsilon",
         "ablation_threshold",
     ]
@@ -84,6 +82,6 @@ mod tests {
         assert!(!out.table.is_empty());
         assert_eq!(out.id, "ablation_augmented");
         assert!(by_id("nope", Scale::Ci).is_none());
-        assert_eq!(known_ids().len(), 14);
+        assert_eq!(known_ids().len(), 13);
     }
 }

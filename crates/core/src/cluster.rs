@@ -10,16 +10,17 @@
 //! clusters which cannot be decided as a whole need their objects to be
 //! considered individually."
 //!
-//! [`clustered_threshold_query`] implements exactly that protocol on top of
-//! [`ust_markov::IntervalMatrix`].
+//! [`decide_by_bounds`] is the deciding half of that protocol, on top of
+//! [`ust_markov::IntervalMatrix`]; the planner's thresholded-`∃` dispatch
+//! calls it with the spatial index's envelope clusters and hands the
+//! undecided rest to its own strategy's exact driver.
 
 use std::collections::BTreeMap;
 
 use ust_markov::{CsrMatrix, IntervalMatrix};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::{query_based, EngineConfig};
-use crate::error::Result;
+use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
 
@@ -37,10 +38,7 @@ impl ModelCluster {
         let matrices: Vec<&CsrMatrix> = models
             .iter()
             .map(|&m| {
-                db.models()
-                    .get(m)
-                    .map(|c| c.matrix())
-                    .ok_or(crate::error::QueryError::UnknownModel { model: m })
+                db.models().get(m).map(|c| c.matrix()).ok_or(QueryError::UnknownModel { model: m })
             })
             .collect::<Result<_>>()?;
         let envelope = IntervalMatrix::envelope(&matrices)?;
@@ -87,17 +85,6 @@ pub fn greedy_clusters(db: &TrajectoryDatabase, max_width: f64) -> Result<Vec<Mo
     clusters.into_iter().map(|models| ModelCluster::build(db, models)).collect()
 }
 
-/// Result of a clustered threshold query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusteredThresholdResult {
-    /// Ids of objects with `P∃ ≥ τ`.
-    pub accepted: Vec<u64>,
-    /// Objects decided purely by cluster bounds (no exact evaluation).
-    pub decided_by_bounds: usize,
-    /// Objects that required individual exact evaluation.
-    pub individually_evaluated: usize,
-}
-
 /// Per-object envelope-bound decisions over `indices` (database indices,
 /// evaluated in the given order): `Some(true)` — the cluster's lower bound
 /// already certifies `P∃ ≥ τ`; `Some(false)` — the upper bound rules it
@@ -130,14 +117,13 @@ pub fn decide_by_bounds(
 
     let mut decisions = Vec::with_capacity(indices.len());
     for &idx in indices {
-        let object =
-            db.object(idx).ok_or(crate::error::QueryError::UnknownObject { id: idx as u64 })?;
+        let object = db
+            .object(idx)
+            .ok_or(QueryError::internal("bound decisions received an unresolved object index"))?;
         let model = object.model();
         let ci = match cluster_of_model.get(&model) {
             Some(&ci) => ci,
-            None => {
-                return Err(crate::error::QueryError::UnknownModel { model });
-            }
+            None => return Err(QueryError::UnknownModel { model }),
         };
         let anchor = object.anchor();
         let a = anchor.time();
@@ -181,56 +167,10 @@ pub fn decide_by_bounds(
     Ok(decisions)
 }
 
-/// Thresholded PST∃Q using caller-chosen clusters' interval bounds, falling
-/// back to exact per-object evaluation only for undecided objects. (The
-/// planner does not route through here: it calls [`decide_by_bounds`] with
-/// the spatial index's envelope clusters and hands the undecided rest to
-/// its own strategy's driver.)
-pub fn clustered_threshold_query(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    tau: f64,
-    clusters: &[ModelCluster],
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<ClusteredThresholdResult> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let decisions = decide_by_bounds(db, &indices, window, tau, clusters, stats)?;
-
-    let mut accepted = Vec::new();
-    let mut decided = 0usize;
-    let mut individual = 0usize;
-    for (object, decision) in db.objects().iter().zip(&decisions) {
-        match decision {
-            Some(true) => {
-                accepted.push(object.id());
-                decided += 1;
-            }
-            Some(false) => decided += 1,
-            None => {
-                // Undecided: exact QB evaluation with the object's own
-                // chain.
-                individual += 1;
-                let p =
-                    query_based::exists_probability(db.model_of(object), object, window, config)?;
-                stats.objects_evaluated += 1;
-                if p >= tau {
-                    accepted.push(object.id());
-                }
-            }
-        }
-    }
-    Ok(ClusteredThresholdResult {
-        accepted,
-        decided_by_bounds: decided,
-        individually_evaluated: individual,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryProcessor;
+    use crate::engine::{query_based, EngineConfig, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, Strategy};
@@ -302,27 +242,31 @@ mod tests {
         assert_eq!(clusters[1].models, vec![2]);
     }
 
+    /// The Section V-C protocol: bounds decide what they can, the exact
+    /// engine answers the undecided rest.
     #[test]
     fn clustered_query_matches_exact_threshold_query() {
         let db = make_db();
         let clusters = greedy_clusters(&db, 0.5).unwrap();
-        let config = EngineConfig::default();
+        let processor = QueryProcessor::new(&db);
+        let indices: Vec<usize> = (0..db.len()).collect();
         for tau in [0.05, 0.3, 0.5, 0.85, 0.9, 0.99] {
-            let mut stats = EvalStats::new();
-            let clustered =
-                clustered_threshold_query(&db, &window(), tau, &clusters, &config, &mut stats)
+            let exists = Query::exists().window(window()).strategy(Strategy::ObjectBased);
+            let decisions =
+                decide_by_bounds(&db, &indices, &window(), tau, &clusters, &mut EvalStats::new())
                     .unwrap();
-            let spec = Query::exists()
-                .window(window())
-                .threshold(tau)
-                .strategy(Strategy::ObjectBased)
-                .build()
-                .unwrap();
-            let exact = QueryProcessor::new(&db).execute(&spec).unwrap();
-            let mut got = clustered.accepted.clone();
-            got.sort_unstable();
-            assert_eq!(got, exact.ids().unwrap(), "τ = {tau}");
-            assert_eq!(clustered.decided_by_bounds + clustered.individually_evaluated, db.len());
+            let mut accepted = Vec::new();
+            for (object, decision) in db.objects().iter().zip(decisions) {
+                let qualifies = decision.unwrap_or_else(|| {
+                    let one = exists.clone().objects([object.id()]).build().unwrap();
+                    processor.execute(&one).unwrap().probabilities().unwrap()[0].probability >= tau
+                });
+                if qualifies {
+                    accepted.push(object.id());
+                }
+            }
+            let exact = processor.execute(&exists.threshold(tau).build().unwrap()).unwrap();
+            assert_eq!(accepted, exact.ids().unwrap(), "τ = {tau}");
         }
     }
 
@@ -333,18 +277,10 @@ mod tests {
         let db = make_db();
         let clusters: Vec<ModelCluster> =
             (0..3).map(|m| ModelCluster::build(&db, vec![m]).unwrap()).collect();
+        let indices: Vec<usize> = (0..db.len()).collect();
         let mut stats = EvalStats::new();
-        let result = clustered_threshold_query(
-            &db,
-            &window(),
-            0.5,
-            &clusters,
-            &EngineConfig::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(result.individually_evaluated, 0);
-        assert_eq!(result.decided_by_bounds, db.len());
+        let decisions = decide_by_bounds(&db, &indices, &window(), 0.5, &clusters, &mut stats);
+        assert!(decisions.unwrap().iter().all(Option::is_some));
         // "Without touching members": no object was exactly evaluated and
         // every one was pruned by the envelope.
         assert_eq!(stats.objects_evaluated, 0);
@@ -403,14 +339,12 @@ mod tests {
     fn missing_cluster_for_model_errors() {
         let db = make_db();
         let clusters = vec![ModelCluster::build(&db, vec![0, 1]).unwrap()];
-        assert!(clustered_threshold_query(
-            &db,
-            &window(),
-            0.5,
-            &clusters,
-            &EngineConfig::default(),
-            &mut EvalStats::new(),
-        )
-        .is_err());
+        let decide = |indices: &[usize]| {
+            decide_by_bounds(&db, indices, &window(), 0.5, &clusters, &mut EvalStats::new())
+        };
+        assert_eq!(decide(&[0, 1, 2]), Err(QueryError::UnknownModel { model: 2 }));
+        // An index that resolves to no object is the caller's bug, not an
+        // unknown object *id*.
+        assert!(matches!(decide(&[99]), Err(QueryError::Internal { .. })));
     }
 }

@@ -1,13 +1,13 @@
-//! Keyed caches of query-based backward fields.
+//! The keyed cache of query-based backward fields.
 //!
 //! The query-based engines answer a whole database from one backward sweep
-//! per `(model, window, rule)` — but every *query* used to pay that sweep
+//! per `(model, window, rule)` — but every *query* would pay that sweep
 //! again, even when consecutive queries share the window (a dashboard
 //! refreshing a danger-zone query, a threshold and a top-k run over the
 //! same window, a sliding workload revisiting recent windows).
-//! [`FieldCache`] memoizes backward fields under a
-//! `(model id, window, rule)` key, with the anchor-time snapshots living
-//! inside each entry:
+//! [`FieldCache`] memoizes [`BackwardField`]s under a
+//! `(model id, chain, window, rule)` key, with the anchor-time snapshots
+//! living inside each entry:
 //!
 //! * a lookup whose anchor times are all snapshotted is a **hit** — no
 //!   backward work at all;
@@ -17,21 +17,18 @@
 //! * anything else recomputes the union of known and requested times and
 //!   replaces the entry (a **miss**).
 //!
-//! Two instantiations serve the two field shapes of the paper's queries:
-//! [`BackwardFieldCache`] holds the PST∃Q and PST∀Q fields
-//! ([`BackwardField`], one vector per sweep; the [`FieldRule`] in the key
-//! keeps an ∃ and a ∀ field over the same window apart) and
-//! [`KTimesFieldCache`] the PSTkQ level fields ([`KTimesBackwardField`],
-//! `|T▫| + 1` level vectors per sweep — the cache that stops repeated
-//! PSTkQ windows from paying `(|T▫|+1)` level sweeps every time). Every
-//! snapshot is stored trimmed to its non-zero span
-//! ([`ust_markov::SpanVector`]), so an entry costs what `S_reach` covers,
-//! not `|S|` per anchor time. Hits and misses of either cache
-//! are reported through [`EvalStats::cache_hits`] /
+//! One cache holds the fields of all three predicates: the [`FieldRule`]
+//! in the key keeps an ∃, a ∀ and a k-times field over the same window
+//! apart, and one capacity bounds them together. Every snapshot is stored
+//! trimmed to its non-zero span ([`ust_markov::SpanVector`]), so an entry
+//! costs what `S_reach` covers (times `|T▫| + 1` levels under
+//! [`FieldRule::KTimes`]), not `|S|` per anchor time. Hits and misses are
+//! reported through [`EvalStats::cache_hits`] /
 //! [`EvalStats::cache_misses`]. Eviction is least-recently-used at a fixed
 //! entry capacity. Cached answers are bit-for-bit identical to uncached
 //! evaluation — resumed sweeps replay the same per-slot floating-point
-//! accumulation order (property-tested in `tests/proptest_engines.rs`).
+//! accumulation order (property-tested in `tests/proptest_engines.rs` and
+//! `tests/backward_fields.rs`).
 
 // lint: allow-file(unordered-iteration-on-answer-path) — entries are only
 // read by exact `(model, window, rule)` key lookup; the one iteration (LRU
@@ -39,13 +36,10 @@
 // values, so the minimum is unique and map order cannot change which entry
 // is evicted, let alone a cached field's contents.
 use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use ust_markov::MarkovChain;
 
-use crate::engine::ktimes::KTimesBackwardField;
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::Result;
@@ -54,132 +48,6 @@ use crate::stats::EvalStats;
 
 /// Default number of `(model, window, rule)` entries a cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-/// A backward field shape a [`FieldCache`] can memoize: computable for a
-/// set of anchor times, extendable downward from its earliest snapshot,
-/// and introspectable about which snapshots it holds.
-///
-/// Implemented by [`BackwardField`] (PST∃Q / PST∀Q fields) and
-/// [`KTimesBackwardField`] (PSTkQ level fields). The contract behind the
-/// cache's bit-identity guarantee: extending a field down to earlier times
-/// must reproduce exactly the snapshots a from-scratch sweep over the
-/// union of times would produce.
-pub trait CacheableField: Clone + Sized {
-    /// What, beside the window, shapes the sweep — part of the cache key.
-    /// The [`FieldRule`] of a [`BackwardField`]; nothing for level fields.
-    type Rule: Copy + Eq + Hash + Debug;
-
-    /// Sweeps a fresh field for `window` with snapshots at `anchor_times`.
-    fn compute_field(
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: Self::Rule,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<Self>;
-
-    /// Resumes the sweep from the earliest snapshot down to every earlier
-    /// time in `anchor_times`.
-    fn extend_field_down(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<()>;
-
-    /// True when the field holds a snapshot at time `t`.
-    fn has_snapshot(&self, t: u32) -> bool;
-
-    /// The earliest snapshotted time — how far down the sweep has run.
-    fn min_snapshot_time(&self) -> Option<u32>;
-
-    /// All snapshotted times, ascending.
-    fn snapshot_times(&self) -> Vec<u32>;
-
-    /// True when every time in `anchor_times` has a snapshot.
-    fn covers_times(&self, anchor_times: &[u32]) -> bool {
-        anchor_times.iter().all(|&t| self.has_snapshot(t))
-    }
-}
-
-impl CacheableField for BackwardField {
-    type Rule = FieldRule;
-
-    fn compute_field(
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: FieldRule,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<Self> {
-        BackwardField::compute_with_config(chain, window, rule, anchor_times, config, stats)
-    }
-
-    fn extend_field_down(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        self.extend_down(chain, window, anchor_times, config, stats)
-    }
-
-    fn has_snapshot(&self, t: u32) -> bool {
-        self.at(t).is_some()
-    }
-
-    fn min_snapshot_time(&self) -> Option<u32> {
-        self.min_time()
-    }
-
-    fn snapshot_times(&self) -> Vec<u32> {
-        self.times().collect()
-    }
-}
-
-impl CacheableField for KTimesBackwardField {
-    type Rule = ();
-
-    fn compute_field(
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        (): (),
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<Self> {
-        KTimesBackwardField::compute(chain, window, anchor_times, config, stats)
-    }
-
-    fn extend_field_down(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        self.extend_down(chain, window, anchor_times, config, stats)
-    }
-
-    fn has_snapshot(&self, t: u32) -> bool {
-        self.at(t).is_some()
-    }
-
-    fn min_snapshot_time(&self) -> Option<u32> {
-        self.min_time()
-    }
-
-    fn snapshot_times(&self) -> Vec<u32> {
-        self.times().collect()
-    }
-}
 
 /// The identity of a backward field: which chain it was swept over, which
 /// query window shaped the sweep and under which rule.
@@ -190,17 +58,17 @@ impl CacheableField for KTimesBackwardField {
 /// different `MarkovChain` allocation yields a different key, and the
 /// stale entry simply ages out of the LRU.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey<R> {
+struct CacheKey {
     model: usize,
     chain_addr: usize,
     chain_shape: (usize, usize),
     states: Vec<usize>,
     times: Vec<u32>,
-    rule: R,
+    rule: FieldRule,
 }
 
-impl<R> CacheKey<R> {
-    fn of(model: usize, chain: &MarkovChain, window: &QueryWindow, rule: R) -> CacheKey<R> {
+impl CacheKey {
+    fn of(model: usize, chain: &MarkovChain, window: &QueryWindow, rule: FieldRule) -> CacheKey {
         CacheKey {
             model,
             chain_addr: chain as *const MarkovChain as usize,
@@ -213,38 +81,26 @@ impl<R> CacheKey<R> {
 }
 
 #[derive(Debug)]
-struct CacheEntry<F> {
+struct CacheEntry {
     /// The field is held behind an [`Arc`] so
     /// [`FieldCache::get_or_compute_shared_concurrent`] can hand out
     /// read-only views without cloning the snapshots; a suffix extension
     /// works on a clone and replaces the entry, leaving earlier views
     /// untouched.
-    field: Arc<F>,
+    field: Arc<BackwardField>,
     last_used: u64,
 }
 
-/// An LRU cache of backward fields, generic over the field shape.
-///
-/// Use the [`BackwardFieldCache`] alias for PST∃Q / PST∀Q fields (shared
-/// by the query-based ∃/∀ drivers, the cached threshold driver and the
-/// query-based top-k driver) and [`KTimesFieldCache`] for PSTkQ level
-/// fields.
+/// An LRU cache of [`BackwardField`]s — every query-based evaluation of a
+/// processor (∃, ∀ and k-times, plain, thresholded or ranked) shares one.
 #[derive(Debug)]
-pub struct FieldCache<F: CacheableField> {
+pub struct FieldCache {
     capacity: usize,
-    entries: HashMap<CacheKey<F::Rule>, CacheEntry<F>>,
+    entries: HashMap<CacheKey, CacheEntry>,
     clock: u64,
 }
 
-/// An LRU cache of PST∃Q / PST∀Q backward fields.
-pub type BackwardFieldCache = FieldCache<BackwardField>;
-
-/// An LRU cache of PSTkQ backward level fields — the
-/// [`KTimesBackwardField`] analogue of [`BackwardFieldCache`], so repeated
-/// PSTkQ windows stop paying `(|T▫|+1)` level sweeps every time.
-pub type KTimesFieldCache = FieldCache<KTimesBackwardField>;
-
-impl<F: CacheableField> Default for FieldCache<F> {
+impl Default for FieldCache {
     fn default() -> Self {
         FieldCache::new(DEFAULT_CACHE_CAPACITY)
     }
@@ -263,17 +119,17 @@ enum Lookup {
 impl Lookup {
     /// Classifies a lookup of `anchor_times` against the field cached
     /// under its key.
-    fn classify<F: CacheableField>(field: &F, anchor_times: &[u32]) -> Lookup {
+    fn classify(field: &BackwardField, anchor_times: &[u32]) -> Lookup {
         let missing: Vec<u32> =
-            anchor_times.iter().copied().filter(|&t| !field.has_snapshot(t)).collect();
+            anchor_times.iter().copied().filter(|&t| field.at(t).is_none()).collect();
         if missing.is_empty() {
             Lookup::Hit
-        } else if field.min_snapshot_time().is_some_and(|min| missing.iter().all(|&t| t < min)) {
+        } else if field.min_time().is_some_and(|min| missing.iter().all(|&t| t < min)) {
             Lookup::Extend(missing)
         } else {
             // Times above the sweep's floor were never snapshotted;
             // recompute the union so nothing already served is lost.
-            let mut union: Vec<u32> = field.snapshot_times();
+            let mut union: Vec<u32> = field.times().collect();
             union.extend_from_slice(anchor_times);
             Lookup::Compute(union)
         }
@@ -282,13 +138,13 @@ impl Lookup {
 
 /// Outcome of a lock-held [`FieldCache::probe`]: either a served field, or
 /// the backward work to perform *outside* the lock.
-enum Probe<F> {
+enum Probe {
     /// All requested anchors are snapshotted — no backward work.
-    Ready(Arc<F>),
+    Ready(Arc<BackwardField>),
     /// Clone `base`, extend it down to `missing`, then install.
     Extend {
         /// The cached field to resume from.
-        base: Arc<F>,
+        base: Arc<BackwardField>,
         /// The times below its floor that must be swept.
         missing: Vec<u32>,
     },
@@ -296,7 +152,7 @@ enum Probe<F> {
     Compute(Vec<u32>),
 }
 
-impl<F: CacheableField> FieldCache<F> {
+impl FieldCache {
     /// A cache retaining at most `capacity` `(model, window, rule)` entries
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
@@ -331,12 +187,12 @@ impl<F: CacheableField> FieldCache<F> {
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
-        rule: F::Rule,
+        rule: FieldRule,
         anchor_times: &[u32],
     ) -> bool {
         self.entries
             .get(&CacheKey::of(model, chain, window, rule))
-            .is_some_and(|e| e.field.covers_times(anchor_times))
+            .is_some_and(|e| e.field.covers(anchor_times))
     }
 
     /// How much of a lookup the cache could serve without a fresh sweep:
@@ -350,13 +206,13 @@ impl<F: CacheableField> FieldCache<F> {
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
-        rule: F::Rule,
+        rule: FieldRule,
         anchor_times: &[u32],
     ) -> (bool, Option<u32>) {
         let Some(entry) = self.entries.get(&CacheKey::of(model, chain, window, rule)) else {
             return (false, None);
         };
-        let floor = entry.field.min_snapshot_time();
+        let floor = entry.field.min_time();
         match Lookup::classify(entry.field.as_ref(), anchor_times) {
             Lookup::Hit => (true, floor),
             Lookup::Extend(_) => (false, floor),
@@ -389,11 +245,11 @@ impl<F: CacheableField> FieldCache<F> {
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
-        rule: F::Rule,
+        rule: FieldRule,
         anchor_times: &[u32],
         config: &EngineConfig,
         stats: &mut EvalStats,
-    ) -> Result<Arc<F>> {
+    ) -> Result<Arc<BackwardField>> {
         let key = CacheKey::of(model, chain, window, rule);
         let probe = {
             let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -403,12 +259,13 @@ impl<F: CacheableField> FieldCache<F> {
             Probe::Ready(field) => Ok(field),
             Probe::Extend { base, missing } => {
                 let mut field = (*base).clone();
-                field.extend_field_down(chain, window, &missing, config, stats)?;
+                field.extend_down(chain, window, &missing, config, stats)?;
                 let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 Ok(cache.install(key, field))
             }
             Probe::Compute(times) => {
-                let field = F::compute_field(chain, window, rule, &times, config, stats)?;
+                let field =
+                    BackwardField::compute_with_config(chain, window, rule, &times, config, stats)?;
                 let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 Ok(cache.install(key, field))
             }
@@ -418,12 +275,7 @@ impl<F: CacheableField> FieldCache<F> {
     /// The lock-held half of
     /// [`FieldCache::get_or_compute_shared_concurrent`]: classifies the
     /// lookup, counts it, and returns any work to do outside the lock.
-    fn probe(
-        &mut self,
-        key: &CacheKey<F::Rule>,
-        anchor_times: &[u32],
-        stats: &mut EvalStats,
-    ) -> Probe<F> {
+    fn probe(&mut self, key: &CacheKey, anchor_times: &[u32], stats: &mut EvalStats) -> Probe {
         self.clock += 1;
         let clock = self.clock;
         let Some(entry) = self.entries.get_mut(key) else {
@@ -453,7 +305,7 @@ impl<F: CacheableField> FieldCache<F> {
     /// The install half of
     /// [`FieldCache::get_or_compute_shared_concurrent`]: (re)inserts the
     /// swept field under `key` and returns the shared handle.
-    fn install(&mut self, key: CacheKey<F::Rule>, field: F) -> Arc<F> {
+    fn install(&mut self, key: CacheKey, field: BackwardField) -> Arc<BackwardField> {
         self.clock += 1;
         let clock = self.clock;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -481,6 +333,7 @@ mod tests {
     use ust_space::TimeSet;
 
     const EXISTS: FieldRule = FieldRule::Exists;
+    const KTIMES: FieldRule = FieldRule::KTimes;
 
     fn paper_chain() -> MarkovChain {
         MarkovChain::from_csr(
@@ -495,14 +348,14 @@ mod tests {
     }
 
     /// One lookup on model 0 under the default configuration.
-    fn get<F: CacheableField>(
-        cache: &Mutex<FieldCache<F>>,
+    fn get(
+        cache: &Mutex<FieldCache>,
         chain: &MarkovChain,
         window: &QueryWindow,
-        rule: F::Rule,
+        rule: FieldRule,
         anchor_times: &[u32],
         stats: &mut EvalStats,
-    ) -> Arc<F> {
+    ) -> Arc<BackwardField> {
         let config = EngineConfig::default();
         FieldCache::get_or_compute_shared_concurrent(
             cache,
@@ -517,20 +370,20 @@ mod tests {
         .unwrap()
     }
 
-    fn locked<F: CacheableField>(cache: &Mutex<FieldCache<F>>) -> MutexGuard<'_, FieldCache<F>> {
+    fn locked(cache: &Mutex<FieldCache>) -> MutexGuard<'_, FieldCache> {
         cache.lock().unwrap()
     }
 
     #[test]
     fn repeated_lookup_hits_without_backward_work() {
         let chain = paper_chain();
-        let cache = Mutex::new(BackwardFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
-        let first = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
+        let first = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap()[0].clone();
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let sweeps_after_miss = stats.backward_steps;
-        let again = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
+        let again = get(&cache, &chain, &w, EXISTS, &[0], &mut stats).at(0).unwrap()[0].clone();
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, sweeps_after_miss, "a hit performs no sweep");
         assert_eq!(first, again, "hits return the identical field");
@@ -542,7 +395,7 @@ mod tests {
     #[test]
     fn extension_reuses_the_suffix_sweep() {
         let chain = paper_chain();
-        let cache = Mutex::new(BackwardFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
         // First query anchors at t=2: sweep 3 → 2 (one step).
@@ -554,14 +407,14 @@ mod tests {
         assert_eq!(stats.backward_steps, 3);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         // The extended field matches Example 2 exactly.
-        let h0 = field.at(0).unwrap();
+        let h0 = &field.at(0).unwrap()[0];
         assert!((h0.get(1) - 0.864).abs() < 1e-12);
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
         let chain = paper_chain();
-        let cache = Mutex::new(BackwardFieldCache::new(2));
+        let cache = Mutex::new(FieldCache::new(2));
         let mut stats = EvalStats::new();
         let (w3, w4, w5) = (window(3), window(4), window(5));
         get(&cache, &chain, &w3, EXISTS, &[0], &mut stats);
@@ -580,7 +433,7 @@ mod tests {
         locked(&cache).clear();
         assert!(locked(&cache).is_empty());
         assert_eq!(locked(&cache).capacity(), 2);
-        assert_eq!(BackwardFieldCache::new(0).capacity(), 1, "capacity clamps to 1");
+        assert_eq!(FieldCache::new(0).capacity(), 1, "capacity clamps to 1");
     }
 
     #[test]
@@ -589,11 +442,13 @@ mod tests {
         // and get its own field, not the first chain's.
         let moving = paper_chain();
         let frozen = MarkovChain::from_csr(CsrMatrix::identity(3)).unwrap();
-        let cache = Mutex::new(BackwardFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
-        let from_moving = get(&cache, &moving, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
-        let from_frozen = get(&cache, &frozen, &w, EXISTS, &[0], &mut stats).at(0).unwrap().clone();
+        let from_moving =
+            get(&cache, &moving, &w, EXISTS, &[0], &mut stats).at(0).unwrap()[0].clone();
+        let from_frozen =
+            get(&cache, &frozen, &w, EXISTS, &[0], &mut stats).at(0).unwrap()[0].clone();
         assert_eq!(stats.cache_misses, 2, "different chains must not share an entry");
         assert!((from_moving.get(1) - 0.864).abs() < 1e-12);
         // Under the identity chain, worlds inside the window stay there
@@ -605,7 +460,7 @@ mod tests {
     #[test]
     fn anchors_between_snapshots_force_a_union_recompute() {
         let chain = paper_chain();
-        let cache = Mutex::new(BackwardFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
         get(&cache, &chain, &w, EXISTS, &[0], &mut stats);
@@ -624,7 +479,7 @@ mod tests {
     #[test]
     fn residency_probe_does_not_mutate() {
         let chain = paper_chain();
-        let cache = Mutex::new(BackwardFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
         assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[0]), (false, None));
@@ -642,25 +497,26 @@ mod tests {
     fn ktimes_cache_hits_extends_and_matches_fresh_sweeps() {
         let chain = paper_chain();
         let w = window(3);
-        let cache = Mutex::new(KTimesFieldCache::new(4));
+        let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
 
         // Miss, then pure hit: no further backward level steps.
-        get(&cache, &chain, &w, (), &[2], &mut stats);
+        get(&cache, &chain, &w, KTIMES, &[2], &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
         let after_miss = stats.backward_steps;
         assert!(after_miss > 0);
-        get(&cache, &chain, &w, (), &[2], &mut stats);
+        get(&cache, &chain, &w, KTIMES, &[2], &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, after_miss, "a hit performs no level sweep");
 
         // Extension down to t=0 must be bit-identical to a fresh sweep
         // over both anchor times.
-        let extended = get(&cache, &chain, &w, (), &[0], &mut stats).at(0).unwrap().to_vec();
+        let extended = get(&cache, &chain, &w, KTIMES, &[0], &mut stats).at(0).unwrap().to_vec();
         assert_eq!((stats.cache_hits, stats.cache_misses), (2, 1));
-        let fresh = KTimesBackwardField::compute(
+        let fresh = BackwardField::compute_with_config(
             &chain,
             &w,
+            KTIMES,
             &[0, 2],
             &EngineConfig::default(),
             &mut EvalStats::new(),
@@ -674,6 +530,54 @@ mod tests {
             for s in 0..3 {
                 assert_eq!(a.get(s).to_bits(), b.get(s).to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn one_capacity_bounds_every_rule() {
+        use crate::database::TrajectoryDatabase;
+        use crate::engine::{ktimes, query_based};
+        use crate::object::UncertainObject;
+        use crate::observation::Observation;
+
+        let mut db = TrajectoryDatabase::new(paper_chain());
+        for s in 0..3usize {
+            db.insert(UncertainObject::with_single_observation(
+                s as u64,
+                Observation::exact(0, 3, s).unwrap(),
+            ))
+            .unwrap();
+        }
+        let chain = &db.models()[0];
+        let w = window(3);
+        let config = EngineConfig::default();
+        let cache = Mutex::new(FieldCache::new(2));
+        let mut stats = EvalStats::new();
+
+        // Three rules over one window are three entries: the first is
+        // evicted by the third.
+        let rules = [EXISTS, FieldRule::ForAll, KTIMES];
+        for rule in rules {
+            get(&cache, chain, &w, rule, &[0], &mut stats);
+        }
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 3));
+        assert_eq!(locked(&cache).len(), 2);
+        assert!(!locked(&cache).contains(0, chain, &w, EXISTS, &[0]));
+
+        // The surviving two serve repeats without backward work, and what
+        // they serve is what the uncached reference drivers compute.
+        let mut repeat = EvalStats::new();
+        let forall = get(&cache, chain, &w, FieldRule::ForAll, &[0], &mut repeat);
+        let levels = get(&cache, chain, &w, KTIMES, &[0], &mut repeat);
+        assert_eq!((repeat.cache_hits, repeat.cache_misses), (2, 0));
+        assert_eq!(repeat.backward_steps, 0);
+        let sink = &mut EvalStats::new();
+        let probs = query_based::evaluate_rule(&db, &w, FieldRule::ForAll, &config, sink).unwrap();
+        let dists = ktimes::evaluate_query_based(&db, &w, &config, sink).unwrap();
+        for (object, (p, d)) in db.objects().iter().zip(probs.iter().zip(&dists)) {
+            let served = forall.object_probability(object, &w).unwrap();
+            assert_eq!(served.to_bits(), p.probability.to_bits());
+            assert_eq!(levels.object_distribution(object, &w).unwrap(), d.probabilities);
         }
     }
 }

@@ -10,30 +10,23 @@
 //!   mass currently at each state *having visited the window exactly `i`
 //!   times*; a transition steps every row through `M`, and each query
 //!   timestamp "shifts down" the columns of `S▫` by one row.
-//! * [`ktimes_distribution_qb`] — a query-based counterpart (the paper
-//!   reports its runtime in Fig. 10(b) without spelling out the algorithm):
-//!   backward level vectors `f_t(s, j)` = probability of exactly `j`
-//!   further window visits in `(t, t_end]` given state `s` at `t`,
-//!   propagated with one `M·w` product per level and step — hence the
-//!   "scales rather linearly with k" behaviour the paper observes. Level 0
-//!   is carried as its deficit `d = 1 − f₀` (the PST∃Q field), so every
-//!   level vector starts empty and stays on the states that can reach the
-//!   window.
+//! * [`ktimes_distribution_qb`] — the query-based counterpart: the shared
+//!   [`BackwardField`] swept under [`FieldRule::KTimes`], whose snapshots
+//!   are the backward level vectors `f_t(s, j)` = probability of exactly
+//!   `j` further window visits in `(t, t_end]` given state `s` at `t`.
 //! * [`ktimes_distribution_blowup`] — the explicit `S × {0..|T▫|}`
 //!   blown-up-matrix construction, kept as the executable specification
 //!   (exercised by tests on small instances).
 
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 use ust_markov::augmented;
-use ust_markov::{DenseVector, MarkovChain, PropagationVector, SpanVector, SparseVector};
+use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::validate;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::engine::query_based::window_indicator;
+use crate::engine::query_based::{evaluate_fields, BackwardField, FieldRule};
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -112,186 +105,6 @@ fn shift_down(rows: &mut [PropagationVector], window: &QueryWindow) -> Result<()
     Ok(())
 }
 
-/// Backward level field for query-based PSTkQ: snapshots (per anchor time)
-/// of the level vectors `f_t(·, j)`, `j ∈ {0..|T▫|}`, each trimmed to its
-/// non-zero span.
-///
-/// Level 0 is stored as its **deficit** `d_t = 1 − f_t(·, 0)` — the
-/// probability of at least one further visit, i.e. the PST∃Q field. `f₀`
-/// itself is 1 on every state that cannot reach the window, so carrying it
-/// would make the family dense from the first step; `d` and every
-/// `f_j, j ≥ 1` are zero there (the count distribution sums to 1, so
-/// nothing is lost), and the whole family sweeps as hybrid vectors over the
-/// transposed chain exactly like the ∃ field does.
-#[derive(Debug, Clone)]
-pub struct KTimesBackwardField {
-    snapshots: BTreeMap<u32, Vec<SpanVector>>,
-}
-
-impl KTimesBackwardField {
-    /// Computes the field down to the earliest requested anchor time.
-    pub fn compute(
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<KTimesBackwardField> {
-        let mut field = KTimesBackwardField { snapshots: BTreeMap::new() };
-        field.sweep_down(chain, window, None, anchor_times, config, stats)?;
-        Ok(field)
-    }
-
-    /// Extends an already-computed field downward to earlier anchor times,
-    /// resuming the level sweep from its earliest snapshot instead of
-    /// recomputing the `(min, t_end]` suffix. Every time in `anchor_times`
-    /// must lie at or below [`Self::min_time`]; times already snapshotted
-    /// are free. Resumed sweeps are bit-for-bit identical to a
-    /// from-scratch sweep — the level family at the resume snapshot is the
-    /// complete sweep state.
-    ///
-    /// This is the suffix sharing behind
-    /// [`crate::engine::cache::KTimesFieldCache`].
-    pub fn extend_down(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        let Some(resume) = self.min_time() else {
-            return Ok(());
-        };
-        let wanted: Vec<u32> = anchor_times.iter().copied().filter(|&t| t < resume).collect();
-        if wanted.is_empty() {
-            return Ok(());
-        }
-        self.sweep_down(chain, window, Some(resume), &wanted, config, stats)
-    }
-
-    /// The shared backward level sweep, recording snapshots along the way
-    /// down to the earliest requested time: from the family snapshotted at
-    /// `resume` (`levels[0]` the deficit), or — `None` — from the boundary
-    /// at `t_end`.
-    fn sweep_down(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        resume: Option<u32>,
-        anchor_times: &[u32],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        let k_max = window.num_times();
-        let transposed = chain.transposed();
-        let inside = window.states();
-        let ones = window_indicator(window)?;
-        let (mut levels, resume): (Vec<PropagationVector>, u32) = match resume {
-            Some(t) => {
-                let family = self
-                    .snapshots
-                    .get(&t)
-                    .ok_or(QueryError::internal("a level field's floor is always snapshotted"))?;
-                let resumed = |level| PropagationVector::from_span(level, config.densify_threshold);
-                (family.iter().map(resumed).collect(), t)
-            }
-            // Boundary at t_end: zero further visits with certainty — no
-            // deficit, nothing at any higher level.
-            None => {
-                let empty = PropagationVector::from_sparse(SparseVector::zeros(inside.dim()))
-                    .with_densify_threshold(config.densify_threshold);
-                (vec![empty; k_max + 1], window.t_end())
-            }
-        };
-        let mut pipeline = Propagator::new(config, stats);
-        let snapshots = &mut self.snapshots;
-        pipeline.backward_from(
-            &mut levels,
-            resume,
-            window,
-            anchor_times,
-            // Entering a window state consumes one visit level:
-            // f_j[S▫] ← f_{j−1}[S▫], top-down so each lower level is still
-            // unmodified when the level above takes it; then
-            // f₁[S▫] ← f₀[S▫] = 1 − d[S▫] and f₀[S▫] ← 0, i.e. d[S▫] ← 1.
-            |levels| {
-                let _ = levels[k_max].split_masked(inside);
-                for j in (2..=k_max).rev() {
-                    let moved = levels[j - 1].split_masked(inside);
-                    levels[j].add_sparse(&moved)?;
-                }
-                let deficit = levels[0].split_masked(inside);
-                let no_visit = SparseVector::from_pairs(
-                    inside.dim(),
-                    inside.iter().map(|s| (s, 1.0 - deficit.get(s))),
-                )?;
-                levels[1].add_sparse(&no_visit)?;
-                levels[0].add_sparse(&ones)?;
-                Ok(())
-            },
-            |levels, scratch| {
-                transposed.step_batch(levels, &[], scratch)?;
-                Ok(levels.len() as u64)
-            },
-            |levels, t| {
-                snapshots.insert(t, levels.iter().map(PropagationVector::to_span).collect());
-            },
-        )
-    }
-
-    /// The level family snapshotted at anchor time `t`, if it was
-    /// requested: `levels[0]` is the deficit `1 − f_t(·, 0)`, `levels[j]`
-    /// for `j ≥ 1` the probability of exactly `j` further window visits in
-    /// `(t, t_end]`, per state.
-    pub fn at(&self, t: u32) -> Option<&[SpanVector]> {
-        self.snapshots.get(&t).map(Vec::as_slice)
-    }
-
-    /// The earliest snapshotted time — how far down the sweep has run.
-    pub fn min_time(&self) -> Option<u32> {
-        self.snapshots.keys().next().copied()
-    }
-
-    /// Iterates the snapshotted anchor times in ascending order.
-    pub fn times(&self) -> impl Iterator<Item = u32> + '_ {
-        self.snapshots.keys().copied()
-    }
-
-    /// True when every time in `anchor_times` has a snapshot.
-    pub fn covers(&self, anchor_times: &[u32]) -> bool {
-        anchor_times.iter().all(|t| self.snapshots.contains_key(t))
-    }
-
-    /// Answers one object from the field; every entry lies in `[0, 1]`.
-    pub fn object_distribution(
-        &self,
-        object: &UncertainObject,
-        window: &QueryWindow,
-    ) -> Option<Vec<f64>> {
-        let anchor = object.anchor();
-        let levels = self.at(anchor.time())?;
-        let level = |j: usize, s: usize| match j {
-            0 => 1.0 - levels[0].get(s),
-            _ => levels[j].get(s),
-        };
-        let anchor_in = window.time_in_window(anchor.time());
-        let mut out = vec![0.0; levels.len()];
-        for (s, mass) in anchor.distribution().iter() {
-            // Footnote 3: anchor mass inside the window has one visit
-            // already.
-            let visited = usize::from(anchor_in && window.states().contains(s));
-            for (k, slot) in out.iter_mut().enumerate().skip(visited) {
-                *slot += mass * level(k - visited, s);
-            }
-        }
-        for p in &mut out {
-            *p = p.clamp(0.0, 1.0);
-        }
-        Some(out)
-    }
-}
-
 /// Query-based PSTkQ for a single object.
 pub fn ktimes_distribution_qb(
     chain: &MarkovChain,
@@ -300,9 +113,10 @@ pub fn ktimes_distribution_qb(
     config: &EngineConfig,
 ) -> Result<Vec<f64>> {
     validate(chain, object, window)?;
-    let field = KTimesBackwardField::compute(
+    let field = BackwardField::compute_with_config(
         chain,
         window,
+        FieldRule::KTimes,
         &[object.anchor().time()],
         config,
         &mut EvalStats::new(),
@@ -422,117 +236,27 @@ pub fn evaluate_object_based(
     ktimes_batched(&mut pipeline, db, &indices, window)
 }
 
-/// A PSTkQ query's backward level fields, swept exactly once per
-/// `(model, window)` and shared read-only across the evaluation fan-out —
-/// the k-times analogue of
-/// [`crate::engine::query_based::SharedFieldPlan`].
-///
-/// The plan-staged parallel driver counts each field it hands to the
-/// fan-out toward [`EvalStats::fields_shared`]. Like the ∃ plan, the
-/// fields can be served through a lock-guarded
-/// [`crate::engine::cache::KTimesFieldCache`]
-/// ([`KTimesFieldPlan::prepare_with_cache_on`]), so repeated PSTkQ windows
-/// stop paying their `(|T▫|+1)` level sweeps.
-#[derive(Debug, Clone)]
-pub struct KTimesFieldPlan {
-    fields: Vec<Option<Arc<KTimesBackwardField>>>,
-}
-
-impl KTimesFieldPlan {
-    /// Validates the objects at `indices` (ascending database indices) and
-    /// sweeps one backward level field per populated model, snapshotted at
-    /// that model's anchor times. `None` entries are models without
-    /// objects.
-    pub fn prepare_on(
-        db: &TrajectoryDatabase,
-        indices: &[usize],
-        window: &QueryWindow,
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-    ) -> Result<KTimesFieldPlan> {
-        let mut fields: Vec<Option<Arc<KTimesBackwardField>>> =
-            (0..db.models().len()).map(|_| None).collect();
-        for group in crate::engine::query_based::validated_model_groups_on(db, indices, window)? {
-            let chain = &db.models()[group.model];
-            fields[group.model] = Some(Arc::new(KTimesBackwardField::compute(
-                chain,
-                window,
-                &group.anchors,
-                config,
-                stats,
-            )?));
-        }
-        Ok(KTimesFieldPlan { fields })
-    }
-
-    /// As [`KTimesFieldPlan::prepare_on`], serving each level field
-    /// through a lock-guarded [`crate::engine::cache::KTimesFieldCache`]:
-    /// hits and suffix extensions pay no (or less) backward level work,
-    /// fresh windows sweep once and stay cached for the next query. The
-    /// lock is held only for the prepare stage — the fan-out works on the
-    /// returned `Arc` views, so workers never contend on the cache.
-    /// Bit-for-bit identical to the uncached plan.
-    pub fn prepare_with_cache_on(
-        db: &TrajectoryDatabase,
-        indices: &[usize],
-        window: &QueryWindow,
-        config: &EngineConfig,
-        cache: &std::sync::Mutex<crate::engine::cache::KTimesFieldCache>,
-        stats: &mut EvalStats,
-    ) -> Result<KTimesFieldPlan> {
-        let mut fields: Vec<Option<Arc<KTimesBackwardField>>> =
-            (0..db.models().len()).map(|_| None).collect();
-        for group in crate::engine::query_based::validated_model_groups_on(db, indices, window)? {
-            let chain = &db.models()[group.model];
-            fields[group.model] =
-                Some(crate::engine::cache::KTimesFieldCache::get_or_compute_shared_concurrent(
-                    cache,
-                    group.model,
-                    chain,
-                    window,
-                    (),
-                    &group.anchors,
-                    config,
-                    stats,
-                )?);
-        }
-        Ok(KTimesFieldPlan { fields })
-    }
-
-    /// The shared level field of `model`, if the model has objects.
-    pub fn field(&self, model: usize) -> Option<&Arc<KTimesBackwardField>> {
-        self.fields.get(model).and_then(|f| f.as_ref())
-    }
-
-    /// Number of populated models (fields the plan shares).
-    pub fn num_fields(&self) -> usize {
-        self.fields.iter().filter(|f| f.is_some()).count()
-    }
-}
-
 /// PSTkQ for the whole database, query-based: one backward level sweep per
-/// model (the [`KTimesFieldPlan`] stage), one `(|T▫|+1)`-way dot product
-/// per object.
+/// model, one `(|T▫|+1)`-way dot product per object.
 pub fn evaluate_query_based(
     db: &TrajectoryDatabase,
     window: &QueryWindow,
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let plan = KTimesFieldPlan::prepare_on(db, &indices, window, config, stats)?;
-    let mut results = Vec::with_capacity(db.len());
-    for object in db.objects() {
-        let field = plan
-            .field(object.model())
-            .ok_or(QueryError::internal("the shared plan holds one field per populated model"))?;
-        let probabilities = field
-            .object_distribution(object, window)
-            .ok_or(QueryError::internal("anchor snapshot was requested from the level field"))?;
-        stats.objects_evaluated += 1;
-        results.push(ObjectKDistribution { object_id: object.id(), probabilities });
-    }
-    Ok(results)
+    evaluate_fields(db, window, FieldRule::KTimes, config, stats, |field, object| {
+        distribution_row(field, object, window)
+    })
+}
+
+/// `object`'s PSTkQ answer row, read from its model's level field.
+pub(crate) fn distribution_row(
+    field: &BackwardField,
+    object: &UncertainObject,
+    window: &QueryWindow,
+) -> Option<ObjectKDistribution> {
+    let probabilities = field.object_distribution(object, window)?;
+    Some(ObjectKDistribution { object_id: object.id(), probabilities })
 }
 
 #[cfg(test)]

@@ -99,10 +99,6 @@ pub struct EngineConfig {
     /// during propagation (`0.0` = exact). The dropped mass is reported in
     /// [`EvalStats::pruned_mass`] and bounds the absolute result error.
     pub epsilon: f64,
-    /// Density at which propagation vectors switch from sparse to dense
-    /// (see `ust_markov::hybrid`); `≥ 1.0` forces always-sparse, `0.0`
-    /// always-dense.
-    pub densify_threshold: f64,
     /// Objects propagated together per batch by the object-based drivers
     /// (clamped to at least 1). Batched and per-object evaluation are
     /// bit-for-bit identical; larger batches amortize matrix-row traversals
@@ -113,12 +109,15 @@ pub struct EngineConfig {
     /// [`QueryProcessor`] built with `num_threads > 1` owns a long-lived
     /// [`crate::parallel::WorkerPool`] of this size.
     pub num_threads: usize,
-    /// `(model, window)` entries retained by the [`QueryProcessor`]'s
-    /// backward-field cache (clamped to at least 1). Each entry holds one
-    /// span-trimmed snapshot per distinct anchor time (the states from
-    /// which the window is still reachable, not all of `|S|`), so memory
-    /// scales with `capacity × anchors × span`; repeated or overlapping
-    /// windows served from the cache skip their backward sweeps entirely.
+    /// `(model, window, rule)` entries retained by the
+    /// [`QueryProcessor`]'s backward-field cache (clamped to at least 1) —
+    /// one bound over all backward fields of the processor, ∃, ∀ and
+    /// k-times together. Each entry holds one span-trimmed snapshot per
+    /// distinct anchor time (the states from which the window is still
+    /// reachable, not all of `|S|`; `|T▫| + 1` of them for a k-times
+    /// field), so memory scales with `capacity × anchors × span`; repeated
+    /// or overlapping windows served from the cache skip their backward
+    /// sweeps entirely.
     pub cache_capacity: usize,
     /// Admission bound on **pending asynchronous submissions** per
     /// processor (`0` = unbounded, the default). Once this many
@@ -135,20 +134,16 @@ pub struct EngineConfig {
     /// deadline is checked when the job starts and again between planning
     /// and execution, never mid-propagation.
     pub default_deadline: Option<std::time::Duration>,
-    /// Lets the planner consult the serving EWMAs (observed/estimated
-    /// step ratios per strategy, see [`crate::serving::Metrics`]) in
-    /// place of its flat ×0.5 early-termination discount. Off by default:
-    /// calibration can legitimately flip a borderline plan between two
-    /// executions of the same spec, and the exact strategies agree only
-    /// to rounding — the default keeps a session's plans bit-stable.
-    pub calibrate_planner: bool,
     /// Kernel selection policy for batched forward propagation (see
     /// [`ust_markov::KernelMode`]). [`KernelMode::Auto`], the default,
     /// chooses per batch between the shared-union sparse kernel, the
     /// per-object kernels and the dense panel kernel from the members'
-    /// support overlap; the explicit modes pin the choice for
-    /// benchmarking. Every mode yields bit-identical results — only
-    /// traversal order and memory traffic differ.
+    /// support overlap; the explicit modes pin the choice. The knob stays
+    /// because a non-default value wins a gated benchmark metric:
+    /// [`KernelMode::PerObject`] reads the benchmark's `forward_scan` at
+    /// ×0.79 throughput but 2.8 instead of 10.3 MiB peak heap. Every mode
+    /// yields bit-identical results — only traversal order and memory
+    /// traffic differ.
     pub batching: KernelMode,
     /// Index-accelerated candidate pruning policy (see [`PrefilterMode`]).
     /// [`PrefilterMode::Auto`], the default, prunes eligible queries
@@ -162,13 +157,11 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             epsilon: 0.0,
-            densify_threshold: 0.25,
             batch_size: DEFAULT_BATCH_SIZE,
             num_threads: 1,
             cache_capacity: cache::DEFAULT_CACHE_CAPACITY,
             max_queue_depth: 0,
             default_deadline: None,
-            calibrate_planner: false,
             batching: KernelMode::Auto,
             prefilter: PrefilterMode::Auto,
         }
@@ -184,12 +177,6 @@ impl EngineConfig {
     /// Sets the ε-pruning threshold.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the sparse→dense switching threshold.
-    pub fn with_densify_threshold(mut self, threshold: f64) -> Self {
-        self.densify_threshold = threshold;
         self
     }
 
@@ -220,13 +207,6 @@ impl EngineConfig {
     /// Sets the deadline submitted queries are shed at.
     pub fn with_default_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Enables (or disables) EWMA calibration of the planner's cost
-    /// model.
-    pub fn with_planner_calibration(mut self, calibrate: bool) -> Self {
-        self.calibrate_planner = calibrate;
         self
     }
 
@@ -479,12 +459,11 @@ impl Drop for TicketGuard {
 /// thread; with [`EngineConfig::with_num_threads`] `> 1` the processor
 /// **owns a [`crate::parallel::WorkerPool`]** — the worker threads are
 /// spawned once at construction, reused by every query, and joined when
-/// the processor is dropped. Query-based evaluations share a
-/// [`cache::BackwardFieldCache`] and a [`cache::KTimesFieldCache`] (sized
-/// by [`EngineConfig::cache_capacity`], behind locks), so repeated or
-/// overlapping windows skip their backward sweeps. Results are bit-for-bit
-/// independent of the strategy dispatch, the batch size, the worker count
-/// and the caches.
+/// the processor is dropped. Query-based evaluations share one
+/// [`cache::FieldCache`] (sized by [`EngineConfig::cache_capacity`], behind
+/// a lock), so repeated or overlapping windows skip their backward sweeps.
+/// Results are bit-for-bit independent of the strategy dispatch, the batch
+/// size, the worker count and the cache.
 ///
 /// The processor **owns its database state**: construction clones the
 /// caller's [`TrajectoryDatabase`] handle (a cheap copy-on-write share),
@@ -539,16 +518,14 @@ pub struct QueryProcessor {
     /// The processor's long-lived workers; `None` runs inline
     /// (`num_threads <= 1`).
     pool: Option<Arc<crate::parallel::WorkerPool>>,
-    /// PST∃Q / PST∀Q backward fields shared by the query-based
+    /// The backward fields of every rule, shared by the query-based
     /// evaluations (and by asynchronous submissions), reused across
     /// queries and windows.
-    cache: Arc<Mutex<cache::BackwardFieldCache>>,
-    /// PSTkQ backward level fields, ditto.
-    ktimes_cache: Arc<Mutex<cache::KTimesFieldCache>>,
+    cache: Arc<Mutex<cache::FieldCache>>,
     /// Round-robin shard assignment for submitted queries.
     submit_seq: AtomicUsize,
-    /// Serving registry: admission outcomes, per-plan latencies, the
-    /// planner-calibration EWMAs. Shared with every submitted job.
+    /// Serving registry: admission outcomes and per-plan latencies.
+    /// Shared with every submitted job.
     metrics: Arc<crate::serving::Metrics>,
     /// Asynchronous submissions accepted but not yet finished — the
     /// counter [`EngineConfig::max_queue_depth`] bounds. Standing-query
@@ -592,8 +569,7 @@ impl QueryProcessor {
             db: RwLock::new(db.clone()),
             config,
             pool,
-            cache: Arc::new(Mutex::new(cache::BackwardFieldCache::new(capacity))),
-            ktimes_cache: Arc::new(Mutex::new(cache::KTimesFieldCache::new(capacity))),
+            cache: Arc::new(Mutex::new(cache::FieldCache::new(capacity))),
             submit_seq: AtomicUsize::new(0),
             metrics: Arc::new(crate::serving::Metrics::new()),
             pending: Arc::new(AtomicUsize::new(0)),
@@ -646,15 +622,14 @@ impl QueryProcessor {
             config: &self.config,
             executor: self.executor(),
             cache: &self.cache,
-            ktimes_cache: &self.ktimes_cache,
             metrics: &self.metrics,
         }
     }
 
     /// A snapshot of the processor's serving counters: submissions
     /// accepted / rejected / cancelled / dropped / shed, per-plan queue
-    /// wait, plan and execute latencies, cache traffic and the
-    /// planner-calibration EWMAs. Every [`QueryProcessor::submit`] and
+    /// wait, plan and execute latencies and cache traffic. Every
+    /// [`QueryProcessor::submit`] and
     /// every execution (synchronous or asynchronous) is accounted here.
     pub fn metrics(&self) -> crate::serving::MetricsSnapshot {
         self.metrics.snapshot()
@@ -700,13 +675,13 @@ impl QueryProcessor {
     /// process-wide shared pool — sized from the host's available
     /// parallelism — when the processor evaluates inline), capturing an
     /// owned snapshot of the database handle, the configuration and the
-    /// shared field caches — so the ticket outlives the borrow rules:
+    /// shared field cache — so the ticket outlives the borrow rules:
     /// callers can submit a burst, keep inserting into their own database
     /// handle, and await the answers later. Within the job the evaluation
     /// is sequential (pool workers do not re-shard onto the pool); a
     /// burst of submissions parallelizes **across** queries instead,
     /// round-robin over the shard queues. Submitted queries share the
-    /// processor's caches, so a burst over the same window sweeps its
+    /// processor's cache, so a burst over the same window sweeps its
     /// backward field once.
     ///
     /// With [`EngineConfig::max_queue_depth`] set, a submission beyond
@@ -781,7 +756,6 @@ impl QueryProcessor {
         let db = self.snapshot();
         let config = self.config;
         let cache = Arc::clone(&self.cache);
-        let ktimes_cache = Arc::clone(&self.ktimes_cache);
         let metrics = Arc::clone(&self.metrics);
         let spec = spec.clone();
         let pool = match &self.pool {
@@ -823,7 +797,6 @@ impl QueryProcessor {
                     config: &config,
                     executor: crate::parallel::ShardedExecutor::sequential(),
                     cache: &cache,
-                    ktimes_cache: &ktimes_cache,
                     metrics: &metrics,
                 };
                 plan::execute_monitored(
@@ -951,12 +924,12 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Pre-sweeps the shared backward-field caches densely over every
+    /// Pre-sweeps the shared backward-field cache densely over every
     /// anchor time in `[0, t_end]` for the models a query-based
     /// subscription can touch: single-object refreshes then hit whatever
-    /// anchor time an arrival lands on without any backward work. PST∃Q
-    /// and PST∀Q warm the field of their own rule over the spec's window,
-    /// PSTkQ the level-field cache. A failed warm sweep is deliberately
+    /// anchor time an arrival lands on without any backward work. Each
+    /// predicate warms the field of its own rule over the spec's window. A
+    /// failed warm sweep is deliberately
     /// swallowed — the evaluation path reports the error with its proper
     /// payload (as it does for the full-space ∀ window no strategy
     /// answers, which is not warmed at all).
@@ -967,11 +940,10 @@ impl QueryProcessor {
         stats: &mut EvalStats,
     ) {
         let window = spec.window();
-        let rule = match spec.predicate() {
-            Predicate::ForAll if forall::reject_full_space(window).is_err() => return,
-            Predicate::ForAll => query_based::FieldRule::ForAll,
-            _ => query_based::FieldRule::Exists,
-        };
+        let rule = plan::field_rule(spec.predicate());
+        if rule == query_based::FieldRule::ForAll && forall::reject_full_space(window).is_err() {
+            return;
+        }
         let anchors: Vec<u32> = (0..=window.t_end()).collect();
         let models: std::collections::BTreeSet<usize> = match spec.objects() {
             Some(ids) => ids
@@ -984,30 +956,16 @@ impl QueryProcessor {
         };
         for model in models {
             let Some(chain) = db.models().get(model) else { continue };
-            let _ = match spec.predicate() {
-                Predicate::KTimes(_) => cache::FieldCache::get_or_compute_shared_concurrent(
-                    &self.ktimes_cache,
-                    model,
-                    chain,
-                    window,
-                    (),
-                    &anchors,
-                    &self.config,
-                    stats,
-                )
-                .map(|_| ()),
-                _ => cache::FieldCache::get_or_compute_shared_concurrent(
-                    &self.cache,
-                    model,
-                    chain,
-                    window,
-                    rule,
-                    &anchors,
-                    &self.config,
-                    stats,
-                )
-                .map(|_| ()),
-            };
+            let _ = cache::FieldCache::get_or_compute_shared_concurrent(
+                &self.cache,
+                model,
+                chain,
+                window,
+                rule,
+                &anchors,
+                &self.config,
+                stats,
+            );
         }
     }
 
@@ -1358,60 +1316,23 @@ mod tests {
         assert!(!metrics.to_string().is_empty());
     }
 
-    /// `explain` renders the calibration state and the planner only
-    /// consults the EWMA when the knob is on.
+    /// A bound decorator halves the object-based step estimate, and
+    /// nothing an execution measures feeds back into the next plan.
     #[test]
-    fn explain_renders_calibration_state() {
+    fn bound_discount_is_flat_across_executions() {
         let db = small_db(61, 12, 6);
         let window =
             QueryWindow::from_states(db.num_states(), [1usize, 2], TimeSet::interval(2, 4))
                 .unwrap();
+        let plain = Query::exists().window(window.clone()).build().unwrap();
         let bounded = Query::exists().window(window).threshold(0.4).build().unwrap();
         let processor = QueryProcessor::new(&db);
-        let plan = processor.explain(&bounded).unwrap();
-        assert!(!plan.calibrated, "cold registry: flat prior");
-        assert_eq!(plan.ob_discount, 0.5);
-        assert!(plan.to_string().contains("ob ×0.500 (prior)"));
-        assert!(!plan.to_string().contains("ewma"));
-        // Execute once: the EWMA gets a sample, but with calibration off
-        // the planner keeps the flat prior.
+        let unbounded = processor.explain(&plain).unwrap().object_based;
+        let cold = processor.explain(&bounded).unwrap().object_based;
+        assert_eq!(cold.step_ops, 0.5 * unbounded.step_ops);
+        assert_eq!(cold.object_ops, unbounded.object_ops);
         processor.execute(&bounded).unwrap();
-        let plan = processor.explain(&bounded).unwrap();
-        assert!(!plan.calibrated);
-        assert_eq!(plan.ob_discount, 0.5);
-
-        // Same workload with calibration on: after one bounded run the
-        // learned ratio replaces the prior.
-        let calibrated = QueryProcessor::with_config(
-            &db,
-            EngineConfig::default().with_planner_calibration(true),
-        );
-        calibrated.execute(&bounded).unwrap();
-        let plan = calibrated.explain(&bounded).unwrap();
-        assert!(plan.calibrated, "one bounded sample calibrates the next plan");
-        assert!(plan.to_string().contains("(ewma)"));
-        assert!(
-            plan.ob_discount_learned || plan.qb_discount_learned,
-            "the executed strategy's discount is marked learned"
-        );
-        // An untrained strategy's discount is still honestly a prior.
-        if !plan.ob_discount_learned {
-            assert!(plan.to_string().contains("ob ×0.500 (prior)"));
-        }
-        let discounts = calibrated.metrics();
-        assert!(
-            discounts.ob_discount.is_some() || discounts.qb_discount.is_some(),
-            "the executed strategy recorded its step ratio"
-        );
-        // The matrix-entry throughput EWMA follows the same opt-in: the
-        // uncalibrated processor's plan never exposes it, the calibrated
-        // one reports whatever the executed strategy measured.
-        assert_eq!(processor.explain(&bounded).unwrap().ob_entry_throughput, None);
-        assert_eq!(
-            plan.ob_entry_throughput.is_some(),
-            discounts.ob_entry_throughput.is_some(),
-            "the calibrated plan mirrors the registry's observed rate"
-        );
+        assert_eq!(processor.explain(&bounded).unwrap().object_based, cold);
     }
 
     fn fresh_answer(processor: &QueryProcessor, spec: &QuerySpec) -> Result<QueryAnswer> {

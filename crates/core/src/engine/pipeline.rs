@@ -43,7 +43,8 @@
 //!   are dropped right after every transition and the dropped mass is
 //!   accounted in [`EvalStats::pruned_mass`] (the absolute error bound);
 //! * **Densification** — vectors created through [`Propagator::seed`]
-//!   switch from sparse to dense at [`EngineConfig::densify_threshold`];
+//!   switch from sparse to dense at
+//!   [`ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD`];
 //! * **Early termination** — a group whose rows run empty (all worlds
 //!   decided) is retired from the batch and counted in
 //!   [`EvalStats::early_terminations`]; the sweep itself stops only when no
@@ -258,10 +259,10 @@ impl<'s> Propagator<'s> {
         self.stats
     }
 
-    /// Wraps a start distribution in a hybrid vector honoring the
-    /// configured densification threshold.
+    /// Wraps a start distribution in a hybrid vector (densifying at
+    /// [`ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD`]).
     pub fn seed(&self, start: SparseVector) -> PropagationVector {
-        PropagationVector::from_sparse(start).with_densify_threshold(self.config.densify_threshold)
+        PropagationVector::from_sparse(start)
     }
 
     /// Forward sweep of a multi-object batch from `start_time` to
@@ -483,7 +484,7 @@ impl<'s> Propagator<'s> {
     /// at `resume_time` (i.e. `state` holds `h_{resume_time}`).
     ///
     /// This is the suffix-sharing primitive behind
-    /// [`crate::engine::cache::BackwardFieldCache`]: a cached sweep that
+    /// [`crate::engine::cache::FieldCache`]: a cached sweep that
     /// stopped at its earliest snapshot can be extended further down to new
     /// anchor times without recomputing the `(resume_time, t_end]` suffix.
     /// Snapshot times above `resume_time` are ignored — they belong to the

@@ -26,10 +26,10 @@
 //!   `t_end`, so the step work is `Σ_o (t_end − t_o) × L × nnz(M)`, where
 //!   `L` is the number of rows per object (1 for ∃/∀, `|T▫|+1` count
 //!   levels for PSTkQ). Threshold and top-k decorators terminate early on
-//!   bound decisions, modelled as a constant discount.
+//!   bound decisions, modelled as a constant ×0.5 discount.
 //! * **Query-based**: one backward sweep per populated model —
 //!   `(t_end − min_o t_o) × L × nnz(M)` — plus one sparse dot product per
-//!   object. A sweep whose `(model, window)` field is **cache-resident**
+//!   object. A sweep whose `(model, window, rule)` field is **cache-resident**
 //!   costs nothing; a field extendable downward pays only the missing
 //!   suffix. This is what makes repeated dashboards and bursts plan to QB.
 //! * **Monte Carlo**: never chosen by [`Strategy::Auto`] (it is
@@ -37,22 +37,6 @@
 //!
 //! The estimates are deliberately coarse — they rank strategies, they do
 //! not predict wall clock.
-//!
-//! ## Calibration
-//!
-//! Every execution reports its *observed* propagation-step count back to
-//! the processor's [`crate::serving::Metrics`] registry, which keeps a
-//! per-strategy EWMA of `observed / estimated` steps for bound-decorated
-//! (threshold / top-k) queries. With
-//! [`EngineConfig::calibrate_planner`] enabled, that learned ratio
-//! replaces the flat `×0.5` early-termination prior — the
-//! planner's discount then reflects how much early termination the
-//! workload actually exhibits instead of assuming half. Calibration is
-//! **off by default** because a learned discount can legitimately flip a
-//! borderline plan between two executions of the same spec, and the two
-//! exact strategies agree only to rounding, not to the bit; the default
-//! keeps plans bit-stable across a session. The EWMA state is recorded
-//! and rendered by [`crate::engine::QueryProcessor::explain`] either way.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -60,11 +44,14 @@ use std::time::{Duration, Instant};
 
 use crate::cluster;
 use crate::database::TrajectoryDatabase;
-use crate::engine::cache::{BackwardFieldCache, KTimesFieldCache};
-use crate::engine::query_based::{validated_model_groups_on, FieldRule, SharedFieldPlan};
+use crate::engine::cache::FieldCache;
+use crate::engine::query_based::{
+    probability_row, validated_model_groups_on, BackwardField, FieldRule, SharedFieldPlan,
+};
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
 use crate::index::{intersect_sorted, SpatioTemporalIndex};
+use crate::object::UncertainObject;
 use crate::parallel::ShardedExecutor;
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
@@ -74,10 +61,8 @@ use crate::ranking::{self, RankedObject};
 use crate::stats::EvalStats;
 use crate::threshold;
 
-/// Cold-start discount applied to the object-based step estimate when a
-/// threshold or top-k decorator lets the forward sweep terminate on bound
-/// decisions — superseded by the measured per-strategy EWMA once
-/// [`EngineConfig::calibrate_planner`] is on and samples exist.
+/// Discount applied to the object-based step estimate when a threshold or
+/// top-k decorator lets the forward sweep terminate on bound decisions.
 const OB_EARLY_TERMINATION_DISCOUNT: f64 = 0.5;
 
 /// Under [`PrefilterMode::Auto`], candidate sets smaller than this skip the
@@ -137,35 +122,6 @@ pub struct QueryPlan {
     pub window_times: usize,
     /// The propagation horizon `t_end = max(T▫)`.
     pub horizon: u32,
-    /// The step discount applied to the object-based estimate: `1.0` for
-    /// unbounded decorators, the flat prior or the learned EWMA under a
-    /// threshold/top-k decorator.
-    pub ob_discount: f64,
-    /// True when [`QueryPlan::ob_discount`] is the EWMA-learned ratio
-    /// rather than a prior (requires
-    /// [`EngineConfig::calibrate_planner`] plus at least one observed
-    /// bound-decorated object-based run).
-    pub ob_discount_learned: bool,
-    /// The step discount applied to the query-based estimate (learned;
-    /// `1.0` cold — the backward sweep has no early termination, so this
-    /// mostly absorbs estimator slack).
-    pub qb_discount: f64,
-    /// True when [`QueryPlan::qb_discount`] is EWMA-learned (see
-    /// [`QueryPlan::ob_discount_learned`]).
-    pub qb_discount_learned: bool,
-    /// True when at least one discount is EWMA-learned — each discount's
-    /// own `*_learned` flag says which; a strategy without samples still
-    /// falls back to its prior.
-    pub calibrated: bool,
-    /// Observed object-based matrix-entry throughput (entries per second,
-    /// see [`crate::serving::Metrics::entry_throughputs`]). Populated only
-    /// under [`EngineConfig::calibrate_planner`]; when both strategies
-    /// have a measured rate, [`Strategy::Auto`] ranks them by *predicted
-    /// seconds* (`estimated entries / observed rate`) instead of raw entry
-    /// counts.
-    pub ob_entry_throughput: Option<f64>,
-    /// Observed query-based matrix-entry throughput, ditto.
-    pub qb_entry_throughput: Option<f64>,
     /// Candidate objects handed to the engines after the index prefilter —
     /// the `|D∩|` the cost estimates above were computed over. Equals
     /// [`QueryPlan::num_objects`] when no pruning ran.
@@ -175,10 +131,6 @@ pub struct QueryPlan {
     pub candidates_pruned: usize,
     /// One-line human-readable rationale for the choice.
     pub reason: String,
-    /// Undiscounted propagation-step estimates `(object-based,
-    /// query-based)` in vector steps — the denominators of the
-    /// calibration ratios fed back to [`crate::serving::Metrics`].
-    pub(crate) raw_steps: (f64, f64),
 }
 
 impl fmt::Display for QueryPlan {
@@ -212,27 +164,11 @@ impl fmt::Display for QueryPlan {
             self.extendable_fields,
             self.num_models,
         )?;
-        writeln!(
+        write!(
             f,
             "  monte-carlo  : {:>12.0} walk transitions (approximate; explicit override only)",
             self.monte_carlo.step_ops
         )?;
-        write!(
-            f,
-            "  calibration  : ob ×{:.3} ({}), qb ×{:.3} ({})",
-            self.ob_discount,
-            if self.ob_discount_learned { "ewma" } else { "prior" },
-            self.qb_discount,
-            if self.qb_discount_learned { "ewma" } else { "prior" },
-        )?;
-        if self.ob_entry_throughput.is_some() || self.qb_entry_throughput.is_some() {
-            write!(
-                f,
-                "\n  throughput   : ob {} entries/s, qb {} entries/s (ewma)",
-                self.ob_entry_throughput.map_or("—".into(), |r| format!("{r:.0}")),
-                self.qb_entry_throughput.map_or("—".into(), |r| format!("{r:.0}")),
-            )?;
-        }
         if self.candidates_pruned > 0 {
             write!(
                 f,
@@ -255,12 +191,10 @@ pub(crate) struct ExecContext<'a> {
     pub config: &'a EngineConfig,
     /// The fan-out executor (inline or pooled).
     pub executor: ShardedExecutor,
-    /// The PST∃Q backward-field cache shared across queries.
-    pub cache: &'a Mutex<BackwardFieldCache>,
-    /// The PSTkQ level-field cache shared across queries.
-    pub ktimes_cache: &'a Mutex<KTimesFieldCache>,
+    /// The backward-field cache shared across queries.
+    pub cache: &'a Mutex<FieldCache>,
     /// The processor's serving registry: every execution is recorded
-    /// here, and the planner reads its calibration EWMAs.
+    /// here.
     pub metrics: &'a crate::serving::Metrics,
 }
 
@@ -421,12 +355,9 @@ fn plan_on(
         Predicate::KTimes(_) => (window.num_times() + 1) as f64,
         _ => 1.0,
     };
-    // ∃ and ∀ fields over one window share the cache but not the entry:
+    // The fields of one window share the cache but not the entry:
     // residency is probed under the rule the QB sweep would run.
-    let rule = match spec.predicate() {
-        Predicate::ForAll => FieldRule::ForAll,
-        _ => FieldRule::Exists,
-    };
+    let rule = field_rule(spec.predicate());
     let t_end = window.t_end();
 
     let mut ob = CostEstimate::default();
@@ -434,11 +365,6 @@ fn plan_on(
     let mut mc = CostEstimate::default();
     let mut cached_fields = 0usize;
     let mut extendable_fields = 0usize;
-    // Undiscounted vector-step totals (no nnz scaling) — the unit the
-    // EvalStats counters report in, so observed/estimated ratios are
-    // dimensionless.
-    let mut ob_raw_steps = 0.0f64;
-    let mut qb_raw_steps = 0.0f64;
 
     for group in &groups {
         let chain = &ctx.db.models()[group.model];
@@ -446,21 +372,14 @@ fn plan_on(
         let spans: f64 = group.anchors.iter().map(|&a| (t_end - a.min(t_end)) as f64).sum::<f64>();
         ob.step_ops += spans * levels * nnz;
         ob.object_ops += group.members.len() as f64;
-        ob_raw_steps += spans * levels;
 
         let min_anchor = group.anchors.iter().copied().min().unwrap_or(t_end);
         let full_sweep = (t_end - min_anchor.min(t_end)) as f64;
-        let residency = match spec.predicate() {
-            Predicate::KTimes(_) => {
-                let cache =
-                    ctx.ktimes_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                cache.residency(group.model, chain, window, (), &group.anchors)
-            }
-            _ => {
-                let cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                cache.residency(group.model, chain, window, rule, &group.anchors)
-            }
-        };
+        let residency = ctx
+            .cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .residency(group.model, chain, window, rule, &group.anchors);
         let sweep = match residency {
             (true, _) => {
                 cached_fields += 1;
@@ -473,7 +392,6 @@ fn plan_on(
             (false, None) => full_sweep,
         };
         qb.step_ops += sweep * levels * nnz;
-        qb_raw_steps += sweep * levels;
         qb.object_ops += group
             .members
             .iter()
@@ -483,46 +401,17 @@ fn plan_on(
         mc.step_ops += spans * spec.sampling().samples as f64;
     }
 
-    let bounded = matches!(spec.decorator(), Decorator::Threshold(_) | Decorator::TopK(_));
-    let (learned_ob, learned_qb) = ctx.metrics.discounts();
-    let calibrate = ctx.config.calibrate_planner;
-    let ob_discount_learned = bounded && calibrate && learned_ob.is_some();
-    let qb_discount_learned = bounded && calibrate && learned_qb.is_some();
-    let calibrated = ob_discount_learned || qb_discount_learned;
-    let (ob_discount, qb_discount) = if bounded {
-        if calibrate {
-            (learned_ob.unwrap_or(OB_EARLY_TERMINATION_DISCOUNT), learned_qb.unwrap_or(1.0))
-        } else {
-            (OB_EARLY_TERMINATION_DISCOUNT, 1.0)
-        }
-    } else {
-        (1.0, 1.0)
-    };
-    ob.step_ops *= ob_discount;
-    qb.step_ops *= qb_discount;
-
-    // Throughput calibration: with measured matrix-entry rates for both
-    // strategies, Auto ranks by predicted seconds instead of raw entry
-    // counts — a QB sweep that streams entries 3× faster than the OB
-    // kernels deserves a 3× handicap. Gated exactly like the discounts:
-    // wall-clock-derived feedback is opt-in.
-    let (ob_entry_throughput, qb_entry_throughput) =
-        if calibrate { ctx.metrics.entry_throughputs() } else { (None, None) };
-    let (ob_cost, qb_cost) = match (ob_entry_throughput, qb_entry_throughput) {
-        (Some(ob_rate), Some(qb_rate)) if ob_rate > 0.0 && qb_rate > 0.0 => {
-            (ob.total() / ob_rate, qb.total() / qb_rate)
-        }
-        _ => (ob.total(), qb.total()),
-    };
+    if matches!(spec.decorator(), Decorator::Threshold(_) | Decorator::TopK(_)) {
+        ob.step_ops *= OB_EARLY_TERMINATION_DISCOUNT;
+    }
 
     let (strategy, reason) = match spec.strategy() {
         Strategy::Auto => {
-            let how = if calibrated { "auto (ewma-calibrated)" } else { "auto" };
-            if qb_cost <= ob_cost {
+            if qb.total() <= ob.total() {
                 (
                     Strategy::QueryBased,
                     format!(
-                        "{how}: backward sweep amortizes over {} object(s){}",
+                        "auto: backward sweep amortizes over {} object(s){}",
                         indices.len(),
                         if cached_fields > 0 {
                             format!(", {cached_fields} field(s) cache-resident")
@@ -535,7 +424,7 @@ fn plan_on(
                 (
                     Strategy::ObjectBased,
                     format!(
-                        "{how}: {} forward pass(es) estimated cheaper than the backward sweep",
+                        "auto: {} forward pass(es) estimated cheaper than the backward sweep",
                         indices.len()
                     ),
                 )
@@ -556,17 +445,9 @@ fn plan_on(
         window_states: window.states().count(),
         window_times: window.num_times(),
         horizon: t_end,
-        ob_discount,
-        ob_discount_learned,
-        qb_discount,
-        qb_discount_learned,
-        calibrated,
-        ob_entry_throughput,
-        qb_entry_throughput,
         candidates_examined: indices.len(),
         candidates_pruned: pruned,
         reason,
-        raw_steps: (ob_raw_steps, qb_raw_steps),
     })
 }
 
@@ -587,13 +468,10 @@ pub(crate) fn execute(
 /// `queue_wait` is the submission-to-start latency attributed to the
 /// execution's metrics record. Every call — synchronous or asynchronous —
 /// reports plan time, execute time and cache counters to
-/// [`crate::serving::Metrics`]. The cost model itself runs when it has a
-/// consumer: always for [`Strategy::Auto`] (it decides the strategy),
-/// and for explicit strategies only under
-/// [`EngineConfig::calibrate_planner`] (where its estimates feed the
-/// EWMA) — an explicit strategy with calibration off skips the
-/// cost-model and residency probes entirely, exactly like the pre-metrics
-/// execute path, and records `estimated_steps = 0`.
+/// [`crate::serving::Metrics`]. The cost model itself runs only when it
+/// has a consumer — under [`Strategy::Auto`], where it decides the
+/// strategy; an explicit strategy skips the cost-model and residency
+/// probes entirely.
 /// An execution shed by `interrupt` is *not* recorded as an execution;
 /// the async lifecycle counters account for it instead.
 pub(crate) fn execute_monitored(
@@ -603,11 +481,10 @@ pub(crate) fn execute_monitored(
     interrupt: Option<&(dyn Fn() -> Option<QueryError> + '_)>,
     queue_wait: Option<Duration>,
 ) -> Result<QueryAnswer> {
-    let bounded = matches!(spec.decorator(), Decorator::Threshold(_) | Decorator::TopK(_));
-    let need_plan = spec.strategy() == Strategy::Auto || ctx.config.calibrate_planner;
+    let need_plan = spec.strategy() == Strategy::Auto;
     // lint: allow(wall-clock-in-deterministic-path) — metrics capture only:
-    // plan_time is recorded into the serving EWMA after the fact and never
-    // feeds this query's own strategy choice.
+    // plan_time is recorded into the serving ledger after the fact and never
+    // feeds any query's strategy choice.
     let plan_start = Instant::now();
     let planned = resolve_indices(ctx.db, spec).and_then(|indices| {
         let (indices, pruned) = match prefilter_candidates(ctx, spec, &indices) {
@@ -626,8 +503,6 @@ pub(crate) fn execute_monitored(
             ctx.metrics.record_execution(&crate::serving::ExecutionRecord {
                 predicate: spec.predicate(),
                 strategy: spec.strategy(),
-                bounded,
-                estimated_steps: 0.0,
                 plan_time: plan_start.elapsed(),
                 execute_time: Duration::ZERO,
                 queue_wait,
@@ -656,12 +531,6 @@ pub(crate) fn execute_monitored(
     ctx.metrics.record_execution(&crate::serving::ExecutionRecord {
         predicate: spec.predicate(),
         strategy,
-        bounded,
-        estimated_steps: plan.as_ref().map_or(0.0, |p| match strategy {
-            Strategy::ObjectBased => p.raw_steps.0,
-            Strategy::QueryBased => p.raw_steps.1,
-            _ => 0.0,
-        }),
         plan_time,
         execute_time: exec_start.elapsed(),
         queue_wait,
@@ -911,34 +780,60 @@ fn exists_probs(
                 object_based::exists_batched(pipeline, ctx.db, idxs, window)
             })
         }
-        Strategy::QueryBased => field_probs(ctx, FieldRule::Exists, indices, window, stats),
+        Strategy::QueryBased => {
+            field_answers(ctx, FieldRule::Exists, indices, window, stats, |field, object| {
+                probability_row(field, object, window)
+            })
+        }
         Strategy::MonteCarlo => Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, 1)),
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
     }
 }
 
-/// Query-based ∃ / ∀ probabilities over `indices`: the cached backward
-/// field of `rule` per model, then one sharded dot product per object.
-fn field_probs(
+/// The backward-field rule a predicate's query-based evaluation sweeps
+/// (and is cached) under.
+pub(crate) fn field_rule(predicate: Predicate) -> FieldRule {
+    match predicate {
+        Predicate::Exists => FieldRule::Exists,
+        Predicate::ForAll => FieldRule::ForAll,
+        Predicate::KTimes(_) => FieldRule::KTimes,
+    }
+}
+
+/// Query-based answers over `indices`: the cached backward field of `rule`
+/// per model, then the fan-out — `answer` once per object against the
+/// read-only field of the object's model (one dot product each), sharded.
+/// The rule rides in the fields; `answer` picks the matching read.
+fn field_answers<T: Send>(
     ctx: &ExecContext<'_>,
     rule: FieldRule,
     indices: &[usize],
     window: &QueryWindow,
     stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
+    answer: impl Fn(&BackwardField, &UncertainObject) -> Option<T> + Sync,
+) -> Result<Vec<T>> {
     let plan = SharedFieldPlan::prepare_with_cache_on(
         ctx.db, indices, window, rule, ctx.config, ctx.cache, stats,
     )?;
     stats.fields_shared += plan.num_fields() as u64;
-    crate::parallel::answer_field_plan_on(
-        &ctx.executor,
-        ctx.db,
-        indices,
-        window,
-        ctx.config,
-        stats,
-        &plan,
-    )
+    ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
+        let mut out = Vec::with_capacity(idxs.len());
+        for &idx in idxs {
+            let object = ctx
+                .db
+                .object(idx)
+                .ok_or(QueryError::internal("the executor shards validated indices"))?;
+            let field = plan.field(object.model()).ok_or(QueryError::internal(
+                "the shared plan holds one field per populated model",
+            ))?;
+            out.push(
+                answer(field, object)
+                    .ok_or(QueryError::internal("the shared plan requested anchor snapshots"))?,
+            );
+            pipeline.stats().objects_evaluated += 1;
+        }
+        Ok(out)
+    })
 }
 
 /// PST∀Q probabilities over `indices`: the Section VII complement
@@ -959,7 +854,9 @@ fn forall_probs(
         }
         Strategy::QueryBased => {
             forall::reject_full_space(window)?;
-            field_probs(ctx, FieldRule::ForAll, indices, window, stats)
+            field_answers(ctx, FieldRule::ForAll, indices, window, stats, |field, object| {
+                probability_row(field, object, window)
+            })
         }
         _ => {
             let complement = window.complement_states()?;
@@ -987,24 +884,9 @@ fn ktimes_dists(
             })
         }
         Strategy::QueryBased => {
-            let plan = ktimes::KTimesFieldPlan::prepare_with_cache_on(
-                ctx.db,
-                indices,
-                window,
-                ctx.config,
-                ctx.ktimes_cache,
-                stats,
-            )?;
-            stats.fields_shared += plan.num_fields() as u64;
-            crate::parallel::answer_ktimes_plan_on(
-                &ctx.executor,
-                ctx.db,
-                indices,
-                window,
-                ctx.config,
-                stats,
-                &plan,
-            )
+            field_answers(ctx, FieldRule::KTimes, indices, window, stats, |field, object| {
+                ktimes::distribution_row(field, object, window)
+            })
         }
         Strategy::MonteCarlo => mc_counts(ctx, sampling, indices, window, stats),
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),

@@ -1,4 +1,5 @@
-//! Query-based (QB) PST∃Q evaluation — Section V-B of the paper.
+//! Query-based (QB) evaluation — Section V-B of the paper, for all three
+//! predicates.
 //!
 //! The computation is reversed: starting from the assumption that a world
 //! satisfies the query at `t_end = max(T▫)`, the transposed augmented
@@ -21,18 +22,24 @@
 //! is one `M · w` product per step, where `w` is `h_{t+1}` with the window
 //! states clamped to 1 when `t+1 ∈ T▫`.
 //!
-//! The PST∀Q field is the same sweep under the other [`FieldRule`]: `w`
-//! *keeps* only the window states of `g_{t+1}` when `t+1 ∈ T▫` (a world
-//! outside `S▫` at a query time has failed), so `g_t` too lives on the
-//! states that can reach the window and one object is one dot product.
+//! The PST∀Q and PSTkQ fields are the same sweep under the other
+//! [`FieldRule`]s. For ∀, `w` *keeps* only the window states of `g_{t+1}`
+//! when `t+1 ∈ T▫` (a world outside `S▫` at a query time has failed), so
+//! `g_t` too lives on the states that can reach the window and one object
+//! is one dot product. For k-times the swept state is a family of
+//! `|T▫| + 1` visit-level vectors and entering `S▫` shifts each level up by
+//! one — one `M · w` product per level and step, hence the "scales rather
+//! linearly with k" behaviour the paper observes — and one object is a
+//! `(|T▫|+1)`-way dot product.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD;
 use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::cache::BackwardFieldCache;
+use crate::engine::cache::FieldCache;
 use crate::engine::object_based::validate;
 use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
@@ -42,7 +49,8 @@ use crate::query::{ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// What a backward sweep does to the window states `S▫` at a query
-/// timestamp — the one difference between the PST∃Q and the PST∀Q field.
+/// timestamp — the one difference between the PST∃Q, the PST∀Q and the
+/// PSTkQ field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldRule {
     /// **Clamp** `S▫` to 1: a world there satisfies "at some query time"
@@ -56,22 +64,36 @@ pub enum FieldRule {
     /// states that can reach `S▫` rather than on everything that can leave
     /// it.
     ForAll,
+    /// **Shift** `S▫` up one visit level. The field is the family
+    /// `f_t(s, j)` = P(exactly `j` visits to `S▫` at query times in
+    /// `(t, t_end]` | `s` at `t`), `j ∈ {0..|T▫|}` — the query-based
+    /// counterpart of the Section VII `C(t)` algorithm (the paper reports
+    /// its runtime in Fig. 10(b) without spelling it out). Level 0 is
+    /// stored as its **deficit** `d_t = 1 − f_t(·, 0)`, the probability of
+    /// at least one further visit, i.e. the PST∃Q field: `f₀` itself is 1
+    /// on every state that cannot reach the window, so carrying it would
+    /// make the family dense from the first step, whereas `d` and every
+    /// `f_j, j ≥ 1` are zero there (the count distribution sums to 1, so
+    /// nothing is lost).
+    KTimes,
 }
 
 /// The indicator vector of `S▫`: the clamp of the ∃ (and k-times deficit)
 /// rule and the start state of the ∀ sweep.
-pub(crate) fn window_indicator(window: &QueryWindow) -> Result<SparseVector> {
+fn window_indicator(window: &QueryWindow) -> Result<SparseVector> {
     let n = window.states().dim();
     Ok(SparseVector::from_pairs(n, window.states().iter().map(|s| (s, 1.0)))?)
 }
 
-/// The backward field of a query window under one chain: snapshots of
-/// `h_t` (or `g_t`, see [`FieldRule`]) at every requested anchor time, each
-/// trimmed to its non-zero span.
+/// The backward field of a query window under one chain: snapshots of the
+/// level family at every requested anchor time — the single vector `h_t`
+/// or `g_t` under [`FieldRule::Exists`] / [`FieldRule::ForAll`], the
+/// `|T▫| + 1` visit levels under [`FieldRule::KTimes`] — each level trimmed
+/// to its non-zero span.
 #[derive(Debug, Clone)]
 pub struct BackwardField {
     rule: FieldRule,
-    snapshots: BTreeMap<u32, SpanVector>,
+    snapshots: BTreeMap<u32, Vec<SpanVector>>,
 }
 
 impl BackwardField {
@@ -79,7 +101,7 @@ impl BackwardField {
     /// time in `anchor_times` (each must be ≤ `t_end`). One backward sweep
     /// from `t_end` down to the earliest anchor.
     ///
-    /// The sweep runs on a **hybrid vector over the transposed chain**: the
+    /// The sweep runs on **hybrid vectors over the transposed chain**: the
     /// support of `h_t` is exactly the set of states that can still reach
     /// the remaining window (`S_reach` in the paper's cost analysis), so
     /// for small windows each step costs `O(|S_reach|·deg)` instead of
@@ -100,14 +122,15 @@ impl BackwardField {
         )
     }
 
-    /// As [`Self::compute`] under an explicit window rule and configuration
-    /// (densification threshold of the hybrid backward vector).
+    /// As [`Self::compute`] under an explicit window rule and
+    /// configuration.
     ///
     /// The ∀ sweep starts from the indicator of `S▫` rather than from the
     /// all-ones vector `g_{t_end}` formally is: `t_end` is a query
     /// timestamp, and at a query timestamp only the `S▫` entries of a ∀
     /// snapshot are ever read ([`Self::object_probability`] scores anchor
-    /// mass outside `S▫` as 0) or survive the next step's keep rule.
+    /// mass outside `S▫` as 0) or survive the next step's keep rule. The ∃
+    /// and k-times sweeps start empty: zero further visits with certainty.
     pub fn compute_with_config(
         chain: &MarkovChain,
         window: &QueryWindow,
@@ -126,11 +149,12 @@ impl BackwardField {
     /// recomputing the `(min, t_end]` suffix. Every time in `anchor_times`
     /// must lie at or below [`Self::min_time`]; times already snapshotted
     /// are free. Resumed sweeps are bit-for-bit identical to a from-scratch
-    /// sweep (the per-slot accumulation order of the backward product does
-    /// not depend on the vector's representation).
+    /// sweep: the level family at the resume snapshot is the complete sweep
+    /// state, and the per-slot accumulation order of the backward product
+    /// does not depend on the vectors' representation.
     ///
     /// This is the suffix sharing behind
-    /// [`crate::engine::cache::BackwardFieldCache`].
+    /// [`crate::engine::cache::FieldCache`].
     pub fn extend_down(
         &mut self,
         chain: &MarkovChain,
@@ -149,9 +173,9 @@ impl BackwardField {
         self.sweep_down(chain, window, Some(resume), &wanted, config, stats)
     }
 
-    /// The shared backward sweep, recording snapshots along the way down to
-    /// the earliest requested time: from the snapshot at `resume`, or —
-    /// `None` — from the boundary state at `t_end`.
+    /// The one backward sweep, recording snapshots along the way down to
+    /// the earliest requested time: from the family snapshotted at
+    /// `resume`, or — `None` — from the rule's boundary state at `t_end`.
     fn sweep_down(
         &mut self,
         chain: &MarkovChain,
@@ -163,61 +187,89 @@ impl BackwardField {
     ) -> Result<()> {
         let transposed = chain.transposed();
         let rule = self.rule;
+        let inside = window.states();
         let ones = window_indicator(window)?;
-        let (mut h, resume) = match resume {
+        let (mut levels, resume): (Vec<PropagationVector>, u32) = match resume {
             Some(t) => {
-                let snapshot = self.snapshots.get(&t).ok_or(QueryError::internal(
+                let family = self.snapshots.get(&t).ok_or(QueryError::internal(
                     "a backward field's floor is always snapshotted",
                 ))?;
-                (PropagationVector::from_span(snapshot, config.densify_threshold), t)
+                let resumed =
+                    |level| PropagationVector::from_span(level, DEFAULT_DENSIFY_THRESHOLD);
+                (family.iter().map(resumed).collect(), t)
             }
             None => {
+                let empty = PropagationVector::from_sparse(SparseVector::zeros(inside.dim()));
                 let boundary = match rule {
-                    FieldRule::Exists => SparseVector::zeros(chain.num_states()),
-                    FieldRule::ForAll => ones.clone(),
+                    FieldRule::Exists => vec![empty],
+                    FieldRule::ForAll => vec![PropagationVector::from_sparse(ones.clone())],
+                    FieldRule::KTimes => vec![empty; window.num_times() + 1],
                 };
-                let h = PropagationVector::from_sparse(boundary)
-                    .with_densify_threshold(config.densify_threshold);
-                (h, window.t_end())
+                (boundary, window.t_end())
             }
         };
         let mut pipeline = Propagator::new(config, stats);
         let snapshots = &mut self.snapshots;
         pipeline.backward_from(
-            &mut h,
+            &mut levels,
             resume,
             window,
             anchor_times,
             // Transposed M+ surgery, applied when the step's target time is
-            // in T▫, before h_{t-1} = M · w is evaluated as w · Mᵀ on the
-            // hybrid vector.
-            |h| {
+            // in T▫, before the levels of t-1 are evaluated as w · Mᵀ on the
+            // hybrid vectors.
+            |levels| {
                 match rule {
                     FieldRule::Exists => {
-                        let _ = h.extract_masked(window.states());
-                        h.add_sparse(&ones)?;
+                        let _ = levels[0].extract_masked(inside);
+                        levels[0].add_sparse(&ones)?;
                     }
                     // What is kept has at most |S▫| entries: back to sparse.
                     FieldRule::ForAll => {
-                        *h = PropagationVector::from_sparse(h.split_masked(window.states()))
-                            .with_densify_threshold(config.densify_threshold);
+                        levels[0] = PropagationVector::from_sparse(levels[0].split_masked(inside));
+                    }
+                    // Entering a window state consumes one visit level:
+                    // f_j[S▫] ← f_{j−1}[S▫], top-down so each lower level is
+                    // still unmodified when the level above takes it; then
+                    // f₁[S▫] ← f₀[S▫] = 1 − d[S▫] and f₀[S▫] ← 0, i.e.
+                    // d[S▫] ← 1.
+                    FieldRule::KTimes => {
+                        let k_max = levels.len() - 1;
+                        let _ = levels[k_max].split_masked(inside);
+                        for j in (2..=k_max).rev() {
+                            let moved = levels[j - 1].split_masked(inside);
+                            levels[j].add_sparse(&moved)?;
+                        }
+                        let deficit = levels[0].split_masked(inside);
+                        let no_visit = SparseVector::from_pairs(
+                            inside.dim(),
+                            inside.iter().map(|s| (s, 1.0 - deficit.get(s))),
+                        )?;
+                        levels[1].add_sparse(&no_visit)?;
+                        levels[0].add_sparse(&ones)?;
                     }
                 }
                 Ok(())
             },
-            |h, scratch| {
-                h.step(transposed, scratch)?;
-                Ok(1)
+            // A one-member batch performs exactly the operations of
+            // `PropagationVector::step`, in the same order.
+            |levels, scratch| {
+                transposed.step_batch(levels, &[], scratch)?;
+                Ok(levels.len() as u64)
             },
-            |h, t| {
-                snapshots.insert(t, h.to_span());
+            |levels, t| {
+                snapshots.insert(t, levels.iter().map(PropagationVector::to_span).collect());
             },
         )
     }
 
-    /// The snapshot at anchor time `t`, if it was requested.
-    pub fn at(&self, t: u32) -> Option<&SpanVector> {
-        self.snapshots.get(&t)
+    /// The level family snapshotted at anchor time `t`, if it was
+    /// requested: one vector (`h_t` / `g_t`) under the ∃ / ∀ rules; under
+    /// [`FieldRule::KTimes`] `levels[0]` is the deficit `1 − f_t(·, 0)` and
+    /// `levels[j]`, `j ≥ 1`, the probability of exactly `j` further window
+    /// visits in `(t, t_end]`, per state.
+    pub fn at(&self, t: u32) -> Option<&[SpanVector]> {
+        self.snapshots.get(&t).map(Vec::as_slice)
     }
 
     /// The earliest snapshotted time — how far down the sweep has run.
@@ -235,10 +287,11 @@ impl BackwardField {
         anchor_times.iter().all(|t| self.snapshots.contains_key(t))
     }
 
-    /// Answers one object from the field: a sparse dot product of its
-    /// anchor distribution with the snapshot at the anchor time, with the
-    /// anchor-in-window adjustment — worlds inside `S▫` at an anchor in
-    /// `T▫` count with probability 1 under the ∃ rule, worlds outside it
+    /// Answers one object from level 0 of the field: a sparse dot product
+    /// of its anchor distribution with the snapshot at the anchor time,
+    /// with the anchor-in-window adjustment — worlds inside `S▫` at an
+    /// anchor in `T▫` count with probability 1 under the ∃ rule (and under
+    /// the k-times rule, whose level 0 is the ∃ field), worlds outside it
     /// with probability 0 under the ∀ rule.
     pub fn object_probability(
         &self,
@@ -246,18 +299,53 @@ impl BackwardField {
         window: &QueryWindow,
     ) -> Option<f64> {
         let anchor = object.anchor();
-        let h = self.at(anchor.time())?;
+        let h = &self.at(anchor.time())?[0];
         let anchor_in_window = window.time_in_window(anchor.time());
         let mut p = 0.0;
         for (s, mass) in anchor.distribution().iter() {
+            let inside = anchor_in_window && window.states().contains(s);
             let value = match self.rule {
-                FieldRule::Exists if anchor_in_window && window.states().contains(s) => 1.0,
-                FieldRule::ForAll if anchor_in_window && !window.states().contains(s) => 0.0,
+                FieldRule::Exists | FieldRule::KTimes if inside => 1.0,
+                FieldRule::ForAll if anchor_in_window && !inside => 0.0,
                 _ => h.get(s),
             };
             p += mass * value;
         }
         Some(p.min(1.0))
+    }
+
+    /// Answers one object from a [`FieldRule::KTimes`] field: `P(k)` for
+    /// `k ∈ {0..|T▫|}`, every entry in `[0, 1]`. `None` without a snapshot
+    /// at the anchor time, or under any other rule.
+    pub fn object_distribution(
+        &self,
+        object: &UncertainObject,
+        window: &QueryWindow,
+    ) -> Option<Vec<f64>> {
+        if self.rule != FieldRule::KTimes {
+            return None;
+        }
+        let anchor = object.anchor();
+        let levels = self.at(anchor.time())?;
+        let level = |j: usize, s: usize| match j {
+            0 => 1.0 - levels[0].get(s),
+            _ => levels[j].get(s),
+        };
+        let anchor_in = window.time_in_window(anchor.time());
+        let mut out = vec![0.0; levels.len()];
+        for (s, mass) in anchor.distribution().iter() {
+            // Footnote 3: anchor mass inside the window has one visit
+            // already.
+            let visited = usize::from(anchor_in && window.states().contains(s));
+            for (k, slot) in out.iter_mut().enumerate().skip(visited) {
+                *slot += mass * level(k - visited, s);
+            }
+        }
+        // Sums of many products overshoot 1 by an ulp or two.
+        for p in &mut out {
+            *p = p.clamp(0.0, 1.0);
+        }
+        Some(out)
     }
 }
 
@@ -308,22 +396,11 @@ pub(crate) struct ModelGroup {
     pub anchors: Vec<u32>,
 }
 
-/// Validates every object and groups the database by model — the shared
-/// front half of the sequential reference drivers and (through
-/// [`validated_model_groups_on`]) the planner's shared-field plans, so the
-/// validation and anchor-collection rules cannot diverge between them.
-pub(crate) fn validated_model_groups(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-) -> Result<Vec<ModelGroup>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    validated_model_groups_on(db, &indices, window)
-}
-
-/// As [`validated_model_groups`], over an explicit subset of database
-/// object indices (ascending) — the grouping stage of subset-restricted
-/// query specs. Validation runs model-major in member order, matching the
-/// whole-database grouping when `indices` covers everything.
+/// Validates the objects at `indices` (ascending database indices) and
+/// groups them by model — the shared front half of the sequential reference
+/// drivers and the planner's shared-field plans, so the validation and
+/// anchor-collection rules cannot diverge between them. Validation runs
+/// model-major in member order.
 pub(crate) fn validated_model_groups_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
@@ -355,37 +432,13 @@ pub(crate) fn validated_model_groups_on(
     Ok(groups)
 }
 
-/// The answer half of the sequential reference driver: one dot product per
-/// group member against the group's backward field, written into `results`
-/// by database index.
-fn answer_group(
-    db: &TrajectoryDatabase,
-    group: &ModelGroup,
-    field: &BackwardField,
-    window: &QueryWindow,
-    stats: &mut EvalStats,
-    results: &mut [Option<ObjectProbability>],
-) -> Result<()> {
-    for &idx in &group.members {
-        let object = db
-            .object(idx)
-            .ok_or(QueryError::internal("group membership indices resolve to objects"))?;
-        let probability = field
-            .object_probability(object, window)
-            .ok_or(QueryError::internal("anchor snapshot was requested from the backward field"))?;
-        stats.objects_evaluated += 1;
-        results[idx] = Some(ObjectProbability { object_id: object.id(), probability });
-    }
-    Ok(())
-}
-
 /// A query's backward fields, swept **exactly once** per
 /// `(model, window, rule)` and shared read-only across the evaluation
 /// fan-out.
 ///
 /// This is the stage the planner's query-based dispatch runs *before*
 /// sharding: every populated model's [`BackwardField`] is fetched from (or
-/// swept into) the processor's lock-guarded [`BackwardFieldCache`] via
+/// swept into) the processor's lock-guarded [`FieldCache`] via
 /// [`SharedFieldPlan::prepare_with_cache_on`] and held as an [`Arc`], so
 /// workers receive cheap read-only views instead of re-sweeping the field
 /// per shard. The deduplication is surfaced through
@@ -400,14 +453,14 @@ impl SharedFieldPlan {
     /// Validates the objects at `indices` (ascending database indices),
     /// groups them by model and serves one backward field per populated
     /// model, snapshotted at that model's anchor times, through a
-    /// lock-guarded [`BackwardFieldCache`]: hits and suffix extensions pay
+    /// lock-guarded [`FieldCache`]: hits and suffix extensions pay
     /// no (or less) backward work, fresh windows sweep once and stay
     /// cached for the next query. `None` entries are models without
     /// objects.
     ///
     /// The cache lock is held only to probe and install — the backward
     /// sweeps themselves run outside it
-    /// ([`BackwardFieldCache::get_or_compute_shared_concurrent`]), so
+    /// ([`FieldCache::get_or_compute_shared_concurrent`]), so
     /// concurrent queries over distinct windows (an async submission
     /// burst) sweep in parallel instead of convoying on the cache, and the
     /// fan-out works on the returned `Arc` views.
@@ -417,14 +470,14 @@ impl SharedFieldPlan {
         window: &QueryWindow,
         rule: FieldRule,
         config: &EngineConfig,
-        cache: &Mutex<BackwardFieldCache>,
+        cache: &Mutex<FieldCache>,
         stats: &mut EvalStats,
     ) -> Result<SharedFieldPlan> {
         let mut fields: Vec<Option<Arc<BackwardField>>> =
             (0..db.models().len()).map(|_| None).collect();
         for group in validated_model_groups_on(db, indices, window)? {
             let chain = &db.models()[group.model];
-            fields[group.model] = Some(BackwardFieldCache::get_or_compute_shared_concurrent(
+            fields[group.model] = Some(FieldCache::get_or_compute_shared_concurrent(
                 cache,
                 group.model,
                 chain,
@@ -469,12 +522,48 @@ pub fn evaluate_rule(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let mut results: Vec<Option<ObjectProbability>> = vec![None; db.len()];
-    for group in validated_model_groups(db, window)? {
+    evaluate_fields(db, window, rule, config, stats, |field, object| {
+        probability_row(field, object, window)
+    })
+}
+
+/// `object`'s ∃ / ∀ answer row, read from its model's field.
+pub(crate) fn probability_row(
+    field: &BackwardField,
+    object: &UncertainObject,
+    window: &QueryWindow,
+) -> Option<ObjectProbability> {
+    let probability = field.object_probability(object, window)?;
+    Some(ObjectProbability { object_id: object.id(), probability })
+}
+
+/// The sequential reference driver behind every query-based whole-database
+/// evaluation: one uncached backward sweep of `rule` per populated model,
+/// then `answer` once per object against its model's field, in database
+/// order.
+pub(crate) fn evaluate_fields<T>(
+    db: &TrajectoryDatabase,
+    window: &QueryWindow,
+    rule: FieldRule,
+    config: &EngineConfig,
+    stats: &mut EvalStats,
+    answer: impl Fn(&BackwardField, &UncertainObject) -> Option<T>,
+) -> Result<Vec<T>> {
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let mut results: Vec<Option<T>> = (0..db.len()).map(|_| None).collect();
+    for group in validated_model_groups_on(db, &indices, window)? {
         let chain = &db.models()[group.model];
         let field =
             BackwardField::compute_with_config(chain, window, rule, &group.anchors, config, stats)?;
-        answer_group(db, &group, &field, window, stats, &mut results)?;
+        for &idx in &group.members {
+            let object = db
+                .object(idx)
+                .ok_or(QueryError::internal("group membership indices resolve to objects"))?;
+            results[idx] = Some(answer(&field, object).ok_or(QueryError::internal(
+                "anchor snapshot was requested from the backward field",
+            ))?);
+            stats.objects_evaluated += 1;
+        }
     }
     results
         .into_iter()
@@ -508,7 +597,7 @@ mod tests {
         let mut stats = EvalStats::new();
         let field =
             BackwardField::compute(&paper_chain(), &paper_window(), &[0], &mut stats).unwrap();
-        let h0 = field.at(0).unwrap().to_dense();
+        let h0 = field.at(0).unwrap()[0].to_dense();
         assert!(h0.approx_eq(&DenseVector::from_vec(vec![0.96, 0.864, 0.928]), 1e-12));
         assert_eq!(stats.backward_steps, 3);
         assert!(field.at(1).is_none(), "only requested snapshots are kept");

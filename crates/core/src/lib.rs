@@ -75,7 +75,7 @@ pub mod streaming;
 pub mod threshold;
 
 pub use database::{IngestOutcome, TrajectoryDatabase};
-pub use engine::cache::{BackwardFieldCache, KTimesFieldCache};
+pub use engine::cache::FieldCache;
 pub use engine::{
     CostEstimate, EngineConfig, KernelMode, PrefilterMode, QueryPlan, QueryProcessor, QueryTicket,
 };
@@ -96,7 +96,7 @@ pub use streaming::Subscription;
 /// Convenience prelude re-exporting the types most applications need.
 pub mod prelude {
     pub use crate::database::{IngestOutcome, TrajectoryDatabase};
-    pub use crate::engine::cache::{BackwardFieldCache, KTimesFieldCache};
+    pub use crate::engine::cache::FieldCache;
     pub use crate::engine::{
         CostEstimate, EngineConfig, KernelMode, PrefilterMode, QueryPlan, QueryProcessor,
         QueryTicket,

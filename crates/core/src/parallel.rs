@@ -19,10 +19,10 @@
 //!   merging the per-worker [`EvalStats`] deterministically in shard order.
 //!
 //! The planner's query-based dispatch adds a third ingredient, the
-//! **shared-field plan** ([`SharedFieldPlan`] / [`ktimes::KTimesFieldPlan`]):
-//! each `(model, window)` backward field is swept **exactly once** before
-//! the fan-out — or fetched from the processor's
-//! [`crate::engine::cache::BackwardFieldCache`] behind a lock —
+//! **shared-field plan** ([`crate::engine::query_based::SharedFieldPlan`]):
+//! each `(model, window, rule)`
+//! backward field is swept **exactly once** before the fan-out — or fetched
+//! from the processor's [`crate::engine::cache::FieldCache`] behind a lock —
 //! and the workers receive read-only [`std::sync::Arc`] views, so no worker
 //! ever re-sweeps a field another worker (or a previous query) already
 //! paid for. The deduplication is observable through
@@ -60,12 +60,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::Propagator;
-use crate::engine::query_based::SharedFieldPlan;
-use crate::engine::{ktimes, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
-use crate::query::{ObjectKDistribution, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// A unit of pool work. Jobs are type-erased to `'static`; soundness of the
@@ -619,76 +616,14 @@ impl ShardedExecutor {
     }
 }
 
-/// The answer fan-out of the planner's query-based ∃ / ∀ dispatch: one dot
-/// product per object against the plan's read-only fields, sharded over an
-/// explicit index set. The rule the fields were swept under rides in the
-/// fields themselves.
-pub(crate) fn answer_field_plan_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-    plan: &SharedFieldPlan,
-) -> Result<Vec<ObjectProbability>> {
-    executor.run_on(indices, config, stats, |pipeline, idxs| {
-        let mut out = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            let object = db
-                .object(idx)
-                .ok_or(QueryError::internal("the executor shards validated indices"))?;
-            let field = plan.field(object.model()).ok_or(QueryError::internal(
-                "the shared plan holds one field per populated model",
-            ))?;
-            let probability = field
-                .object_probability(object, window)
-                .ok_or(QueryError::internal("the shared plan requested anchor snapshots"))?;
-            pipeline.stats().objects_evaluated += 1;
-            out.push(ObjectProbability { object_id: object.id(), probability });
-        }
-        Ok(out)
-    })
-}
-
-/// The k-times analogue of [`answer_field_plan_on`]: one
-/// `(|T▫|+1)`-level dot product per object against the plan's read-only
-/// level fields, sharded over an explicit index set.
-pub(crate) fn answer_ktimes_plan_on(
-    executor: &ShardedExecutor,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-    plan: &ktimes::KTimesFieldPlan,
-) -> Result<Vec<ObjectKDistribution>> {
-    executor.run_on(indices, config, stats, |pipeline, idxs| {
-        let mut out = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            let object = db
-                .object(idx)
-                .ok_or(QueryError::internal("the executor shards validated indices"))?;
-            let field = plan.field(object.model()).ok_or(QueryError::internal(
-                "the shared plan holds one field per populated model",
-            ))?;
-            let probabilities = field
-                .object_distribution(object, window)
-                .ok_or(QueryError::internal("the shared plan requested anchor snapshots"))?;
-            pipeline.stats().objects_evaluated += 1;
-            out.push(ObjectKDistribution { object_id: object.id(), probabilities });
-        }
-        Ok(out)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{forall, object_based, query_based, QueryProcessor};
+    use crate::database::TrajectoryDatabase;
+    use crate::engine::{forall, ktimes, object_based, query_based, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use crate::query::{Query, QueryAnswer, QueryBuilder, Strategy};
+    use crate::query::{Query, QueryAnswer, QueryBuilder, QueryWindow, Strategy};
     use ust_markov::testutil;
     use ust_space::TimeSet;
 

@@ -1,5 +1,5 @@
-//! Serving-side accounting: per-plan latency counters, admission
-//! outcomes, and the planner-calibration feedback loop.
+//! Serving-side accounting: per-plan latency counters and admission
+//! outcomes.
 //!
 //! A [`crate::engine::QueryProcessor`] that serves traffic needs more than
 //! per-query [`EvalStats`]: it needs to know, *across* queries, how many
@@ -11,42 +11,13 @@
 //! [`crate::engine::QueryProcessor::metrics`] which returns an owned
 //! [`MetricsSnapshot`].
 //!
-//! ## The calibration loop
-//!
-//! The registry also closes the loop PR 4's planner left open: every
-//! executed query reports how many propagation steps it *actually*
-//! performed against the step count the cost model *estimated*, and the
-//! per-strategy EWMA of that ratio replaces the planner's flat `×0.5`
-//! early-termination discount once samples exist (see
-//! [`crate::engine::plan`]). The feedback is deliberately fed by the
-//! deterministic [`EvalStats`] counters, **not** by wall-clock time:
-//! counter-based calibration makes a given query sequence plan
-//! reproducibly (the property suite depends on it), whereas wall-clock
-//! feedback would make strategy choice — and therefore result bits, since
-//! the two exact strategies agree only to rounding — depend on machine
-//! noise. Because even deterministic calibration can legitimately flip a
-//! borderline plan between two executions of the same spec, the planner
-//! only *consults* the EWMA when
-//! [`crate::engine::EngineConfig::calibrate_planner`] is enabled; the
-//! registry records a sample whenever a cost model was computed for the
-//! executed query (always under [`Strategy::Auto`]; for explicit
-//! strategies only when calibration is on, since the estimates are
-//! otherwise skipped), and
-//! [`crate::engine::QueryProcessor::explain`] renders the state either
-//! way.
-//!
-//! Wall-clock latencies (queue wait, plan time, execute time) are still
-//! recorded per plan shape — they are what a serving dashboard watches —
-//! and by default they never influence planning. The one deliberate
-//! exception is the per-strategy **matrix-entry throughput** EWMA
-//! (`entries_touched / execute_time`, entries per second): because
-//! [`EvalStats::entries_touched`] is invariant across the batched kernel
-//! modes, the rate is a clean measure of how fast each strategy actually
-//! chews through matrix entries on this machine, and the planner divides
-//! its entry-count estimates by it to rank strategies in predicted
-//! seconds — but **only** when
-//! [`crate::engine::EngineConfig::calibrate_planner`] is enabled, the
-//! same opt-in that accepts plan drift for the step-ratio EWMA.
+//! The registry is a ledger, not a feedback loop: wall-clock latencies
+//! (queue wait, plan time, execute time) are recorded per plan shape —
+//! they are what a serving dashboard watches — and nothing recorded here
+//! ever influences planning. Strategy choice depends only on the
+//! database, the window and cache residency, so a given query sequence
+//! plans reproducibly (the two exact strategies agree only to rounding,
+//! and a plan that flipped with machine noise would flip result bits).
 
 use std::fmt;
 use std::sync::Mutex;
@@ -54,33 +25,6 @@ use std::time::Duration;
 
 use crate::query::{Predicate, Strategy};
 use crate::stats::EvalStats;
-
-/// Smoothing factor of the calibration EWMAs: a new observation
-/// contributes 30%, so roughly the last ~7 queries dominate the estimate.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Floor applied to observed step ratios so a fully-pruned query cannot
-/// teach the planner that a strategy is free.
-const MIN_STEP_RATIO: f64 = 0.01;
-
-/// An exponentially weighted moving average over `f64` observations.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ewma {
-    value: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    fn observe(&mut self, x: f64) {
-        self.value =
-            if self.samples == 0 { x } else { EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.value };
-        self.samples += 1;
-    }
-
-    fn get(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.value)
-    }
-}
 
 /// How an asynchronously submitted query left the system — the
 /// classification [`Metrics::record_async_finished`] tallies.
@@ -110,12 +54,6 @@ pub(crate) struct ExecutionRecord {
     /// before its plan was resolved (index resolution / planning error),
     /// the *requested* strategy, which may still be [`Strategy::Auto`].
     pub strategy: Strategy,
-    /// True when a threshold/top-k decorator allowed early termination —
-    /// the runs the discount EWMA learns from.
-    pub bounded: bool,
-    /// The cost model's *undiscounted* estimate of propagation steps for
-    /// the strategy that ran (vector steps, not matrix-entry touches).
-    pub estimated_steps: f64,
     /// Time spent resolving indices and planning.
     pub plan_time: Duration,
     /// Time spent executing the resolved plan.
@@ -280,16 +218,6 @@ pub struct MetricsSnapshot {
     /// Executions recorded in total — synchronous `execute` calls plus
     /// asynchronous job bodies.
     pub executions: u64,
-    /// Learned object-based step discount (actual / estimated forward
-    /// steps under bound decorators), once observed.
-    pub ob_discount: Option<f64>,
-    /// Learned query-based step discount, once observed.
-    pub qb_discount: Option<f64>,
-    /// Observed object-based matrix-entry throughput (entries per second
-    /// of execute wall), once a forward execution touched entries.
-    pub ob_entry_throughput: Option<f64>,
-    /// Observed query-based matrix-entry throughput, ditto.
-    pub qb_entry_throughput: Option<f64>,
     /// Per-`(predicate, strategy)` counters, in first-seen order.
     pub plans: Vec<PlanMetrics>,
     /// Per-subscription streaming counters, in registration order.
@@ -321,7 +249,7 @@ impl MetricsSnapshot {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
             "serving: {} submitted = {} accepted + {} rejected; {} completed, {} failed, \
              {} cancelled, {} dropped, {} deadline-expired, {} panicked, {} in flight",
@@ -335,14 +263,6 @@ impl fmt::Display for MetricsSnapshot {
             self.deadline_expired,
             self.panicked,
             self.in_flight,
-        )?;
-        write!(
-            f,
-            "calibration: ob discount {}, qb discount {}, ob {} entries/s, qb {} entries/s",
-            self.ob_discount.map_or("—".into(), |d| format!("{d:.3}")),
-            self.qb_discount.map_or("—".into(), |d| format!("{d:.3}")),
-            self.ob_entry_throughput.map_or("—".into(), |r| format!("{r:.0}")),
-            self.qb_entry_throughput.map_or("—".into(), |r| format!("{r:.0}")),
         )?;
         for p in &self.plans {
             write!(
@@ -401,10 +321,6 @@ struct Inner {
     panicked: u64,
     in_flight: u64,
     executions: u64,
-    ob_discount: Ewma,
-    qb_discount: Ewma,
-    ob_entry_rate: Ewma,
-    qb_entry_rate: Ewma,
     plans: Vec<PlanMetrics>,
     streams: Vec<StreamMetrics>,
 }
@@ -487,34 +403,6 @@ impl Metrics {
     pub(crate) fn record_execution(&self, record: &ExecutionRecord) {
         let mut inner = self.lock();
         inner.executions += 1;
-        if record.ok && record.bounded && record.estimated_steps > 0.0 {
-            let actual = match record.strategy {
-                Strategy::ObjectBased => Some(record.delta.transitions),
-                Strategy::QueryBased => Some(record.delta.backward_steps),
-                _ => None,
-            };
-            if let Some(actual) = actual {
-                let ratio = (actual as f64 / record.estimated_steps).clamp(MIN_STEP_RATIO, 1.0);
-                match record.strategy {
-                    Strategy::ObjectBased => inner.ob_discount.observe(ratio),
-                    Strategy::QueryBased => inner.qb_discount.observe(ratio),
-                    // lint: allow(panicking-call-in-lib) — the surrounding
-                    // `if` admits only the two exact strategies matched above.
-                    _ => unreachable!("filtered above"),
-                }
-            }
-        }
-        if record.ok && record.delta.entries_touched > 0 {
-            let secs = record.execute_time.as_secs_f64();
-            if secs > 0.0 {
-                let rate = record.delta.entries_touched as f64 / secs;
-                match record.strategy {
-                    Strategy::ObjectBased => inner.ob_entry_rate.observe(rate),
-                    Strategy::QueryBased => inner.qb_entry_rate.observe(rate),
-                    _ => {}
-                }
-            }
-        }
         let entry = inner.plan_entry(record.predicate, record.strategy);
         entry.executions += 1;
         if !record.ok {
@@ -570,25 +458,6 @@ impl Metrics {
         self.lock().stream_entry(subscription_id).sheds += 1;
     }
 
-    /// The learned `(object-based, query-based)` matrix-entry throughputs
-    /// (entries per second of execute wall); `None` until the respective
-    /// strategy has executed a query that touched entries. Wall-clock
-    /// derived — the planner consults them only under
-    /// [`crate::engine::EngineConfig::calibrate_planner`].
-    pub fn entry_throughputs(&self) -> (Option<f64>, Option<f64>) {
-        let inner = self.lock();
-        (inner.ob_entry_rate.get(), inner.qb_entry_rate.get())
-    }
-
-    /// The learned `(object-based, query-based)` step discounts the
-    /// planner substitutes for its flat `×0.5` prior when calibration is
-    /// enabled; `None` until the respective strategy has served a
-    /// bound-decorated query.
-    pub fn discounts(&self) -> (Option<f64>, Option<f64>) {
-        let inner = self.lock();
-        (inner.ob_discount.get(), inner.qb_discount.get())
-    }
-
     /// An owned, consistent snapshot of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
@@ -604,10 +473,6 @@ impl Metrics {
             panicked: inner.panicked,
             in_flight: inner.in_flight,
             executions: inner.executions,
-            ob_discount: inner.ob_discount.get(),
-            qb_discount: inner.qb_discount.get(),
-            ob_entry_throughput: inner.ob_entry_rate.get(),
-            qb_entry_throughput: inner.qb_entry_rate.get(),
             plans: inner.plans.clone(),
             streams: inner.streams.clone(),
         }
@@ -618,24 +483,17 @@ impl Metrics {
 mod tests {
     use super::*;
 
-    fn record(
-        strategy: Strategy,
-        bounded: bool,
-        est: f64,
-        actual: u64,
-        ok: bool,
-    ) -> ExecutionRecord {
+    fn record(strategy: Strategy, actual: u64, ok: bool) -> ExecutionRecord {
         ExecutionRecord {
             predicate: Predicate::Exists,
             strategy,
-            bounded,
-            estimated_steps: est,
             plan_time: Duration::from_micros(5),
             execute_time: Duration::from_micros(50),
             queue_wait: Some(Duration::from_micros(10)),
             delta: EvalStats {
                 transitions: actual,
                 backward_steps: actual,
+                entries_touched: 500,
                 cache_hits: 1,
                 candidates_examined: 8,
                 candidates_pruned: 2,
@@ -668,9 +526,9 @@ mod tests {
     #[test]
     fn execution_records_accumulate_per_plan() {
         let m = Metrics::new();
-        m.record_execution(&record(Strategy::ObjectBased, false, 100.0, 40, true));
-        m.record_execution(&record(Strategy::ObjectBased, false, 100.0, 40, false));
-        m.record_execution(&record(Strategy::QueryBased, false, 100.0, 70, true));
+        m.record_execution(&record(Strategy::ObjectBased, 40, true));
+        m.record_execution(&record(Strategy::ObjectBased, 40, false));
+        m.record_execution(&record(Strategy::QueryBased, 70, true));
         let s = m.snapshot();
         assert_eq!(s.executions, 3);
         let ob = s.plan(Predicate::Exists, Strategy::ObjectBased).unwrap();
@@ -682,29 +540,7 @@ mod tests {
         assert!(s.to_string().contains("prefilter 16/20 examined"));
         assert!(ob.queue_wait_secs > 0.0);
         assert!(ob.mean_execute_secs().unwrap() > 0.0);
-        // Unbounded executions never touch the discount EWMAs.
-        assert_eq!(s.ob_discount, None);
-        assert_eq!(s.qb_discount, None);
-    }
-
-    #[test]
-    fn discount_ewma_learns_from_bounded_runs_only() {
-        let m = Metrics::new();
-        m.record_execution(&record(Strategy::ObjectBased, true, 100.0, 40, true));
-        let (ob, qb) = m.discounts();
-        assert!((ob.unwrap() - 0.4).abs() < 1e-12, "first sample seeds the EWMA");
-        assert_eq!(qb, None);
-        m.record_execution(&record(Strategy::ObjectBased, true, 100.0, 80, true));
-        let (ob, _) = m.discounts();
-        assert!((ob.unwrap() - (0.3 * 0.8 + 0.7 * 0.4)).abs() < 1e-12);
-        // Failures and zero estimates are ignored; ratios are clamped.
-        m.record_execution(&record(Strategy::QueryBased, true, 0.0, 10, true));
-        m.record_execution(&record(Strategy::QueryBased, true, 100.0, 10, false));
-        assert_eq!(m.discounts().1, None);
-        m.record_execution(&record(Strategy::QueryBased, true, 10.0, 500, true));
-        assert!((m.discounts().1.unwrap() - 1.0).abs() < 1e-12, "ratio clamps at 1");
-        m.record_execution(&record(Strategy::MonteCarlo, true, 10.0, 5, true));
-        assert!((m.discounts().1.unwrap() - 1.0).abs() < 1e-12, "MC never calibrates");
+        assert_eq!(ob.entries_touched, 1_000, "the per-plan totals keep the raw entry counts");
     }
 
     #[test]
@@ -729,31 +565,5 @@ mod tests {
         assert_eq!(s.stream(7).unwrap().recompute_steps, 50);
         assert_eq!(s.stream(42), None);
         assert!(s.to_string().contains("stream #3: 3 notified"));
-    }
-
-    #[test]
-    fn entry_throughput_ewma_tracks_entries_per_second() {
-        let m = Metrics::new();
-        assert_eq!(m.entry_throughputs(), (None, None));
-        // 1000 entries in 1 ms → 1e6 entries/s seeds the OB EWMA.
-        let mut r = record(Strategy::ObjectBased, false, 0.0, 40, true);
-        r.delta.entries_touched = 1_000;
-        r.execute_time = Duration::from_millis(1);
-        m.record_execution(&r);
-        let (ob, qb) = m.entry_throughputs();
-        assert!((ob.unwrap() - 1.0e6).abs() < 1.0);
-        assert_eq!(qb, None);
-        // Failed executions and zero-entry executions never contribute.
-        let mut bad = record(Strategy::QueryBased, false, 0.0, 40, false);
-        bad.delta.entries_touched = 1_000;
-        m.record_execution(&bad);
-        m.record_execution(&record(Strategy::QueryBased, false, 0.0, 40, true));
-        assert_eq!(m.entry_throughputs().1, None);
-        // The per-plan totals accumulate the raw entry counts.
-        let s = m.snapshot();
-        assert_eq!(s.ob_entry_throughput, m.entry_throughputs().0);
-        let ob_plan = s.plan(Predicate::Exists, Strategy::ObjectBased).unwrap();
-        assert_eq!(ob_plan.entries_touched, 1_000);
-        assert!(s.to_string().contains("entries/s"));
     }
 }

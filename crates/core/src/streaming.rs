@@ -2,165 +2,34 @@
 //!
 //! The paper's motivating deployment is *monitoring*: the Ice Patrol keeps
 //! a fixed danger region under watch while sightings trickle in. The
-//! query-based machinery fits this perfectly — the backward satisfaction
-//! field of a window depends only on the chain and the window, so it can be
-//! computed **once** and then every incoming observation is scored with a
-//! single sparse dot product, regardless of how many fixes arrive.
+//! query-based machinery fits this perfectly — the backward field of a
+//! window depends only on the chain and the window, so it is computed
+//! **once** and then every incoming observation is scored with a single
+//! sparse dot product, regardless of how many fixes arrive.
 //!
-//! [`StandingQuery`] precomputes the field for every possible anchor time;
-//! [`StreamingMonitor`] maintains the latest probability per object as
-//! observations arrive (latest-fix semantics: each new fix supersedes the
-//! previous one, which is the standard dashboard behaviour; full Bayesian
-//! fusion of *all* fixes is [`crate::multi_obs`]).
-//!
-//! Both are self-contained, single-chain tools. The engine-integrated
-//! layer lives on [`crate::engine::QueryProcessor`]: `watch` registers a
-//! full [`QuerySpec`] as a [`Subscription`], `ingest` applies latest-fix
-//! observations to the processor's database, and every applied arrival
-//! re-evaluates exactly the affected object of each registered
-//! subscription through the planner (prefilter, batching, caches and
-//! serving metrics all apply). The subscription's decorated answer is
+//! The mechanism lives on [`crate::engine::QueryProcessor`]: `watch`
+//! registers a full [`QuerySpec`] as a [`Subscription`] (pre-sweeping its
+//! backward fields over every anchor time in `[0, t_end]`), `ingest`
+//! applies latest-fix observations to the processor's database (each new
+//! fix supersedes the previous one, the standard dashboard behaviour; full
+//! Bayesian fusion of *all* fixes is [`crate::multi_obs`]), and every
+//! applied arrival re-evaluates exactly the affected object of each
+//! registered subscription through the planner (prefilter, batching, cache
+//! and serving metrics all apply). The subscription's decorated answer is
 //! *derived* from its maintained per-object state through the same
 //! `engine::plan` helpers the batch dispatcher uses, so incremental and
 //! from-scratch answers are bit-for-bit identical — the property
-//! `tests/streaming.rs` pins.
+//! `tests/streaming.rs` pins. This module holds the subscription handle
+//! and that maintained state.
 
-// lint: allow-file(unordered-iteration-on-answer-path) — `latest` is keyed
-// by object id and read by point lookup; the one iterating reader,
-// `StreamingMonitor::above`, re-sorts by (probability desc, id asc) with a
-// total tiebreak before returning, so map order never reaches an answer.
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ust_markov::MarkovChain;
-
 use crate::engine::plan;
-use crate::engine::query_based::BackwardField;
 use crate::error::{QueryError, Result};
-use crate::object::UncertainObject;
-use crate::observation::Observation;
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, Query, QueryAnswer, QuerySpec,
-    QueryWindow,
 };
-use crate::stats::EvalStats;
-
-/// A precomputed PST∃Q whose backward field covers every anchor time in
-/// `[0, t_end]`, ready to score arbitrary observations.
-#[derive(Debug, Clone)]
-pub struct StandingQuery {
-    chain: Arc<MarkovChain>,
-    window: QueryWindow,
-    field: BackwardField,
-}
-
-impl StandingQuery {
-    /// Builds the standing query (one backward sweep over `t_end` steps).
-    pub fn new(chain: Arc<MarkovChain>, window: QueryWindow) -> Result<StandingQuery> {
-        let anchor_times: Vec<u32> = (0..=window.t_end()).collect();
-        let field = BackwardField::compute(&chain, &window, &anchor_times, &mut EvalStats::new())?;
-        Ok(StandingQuery { chain, window, field })
-    }
-
-    /// The monitored window.
-    pub fn window(&self) -> &QueryWindow {
-        &self.window
-    }
-
-    /// Scores a single observation: the probability that an object whose
-    /// latest fix is `obs` intersects the window at some **remaining**
-    /// query time (`T▫ ∩ [obs.time(), t_end]`). Query times already in the
-    /// past of the fix are unknowable from the fix alone and count as
-    /// misses — the natural monitoring semantics (the batch engines instead
-    /// reject such anchors with [`QueryError::WindowBeforeObservation`]).
-    /// Observations after `t_end` score the trailing window membership only
-    /// (0 unless the fix itself is inside an active cell).
-    pub fn score(&self, obs: &Observation) -> Result<f64> {
-        if obs.num_states() != self.chain.num_states() {
-            return Err(QueryError::ModelDimensionMismatch {
-                model_states: self.chain.num_states(),
-                object_states: obs.num_states(),
-            });
-        }
-        if obs.time() > self.window.t_end() {
-            // The window lies entirely in the past of this fix.
-            return Ok(if self.window.time_in_window(obs.time()) {
-                obs.distribution().masked_sum(self.window.states())
-            } else {
-                0.0
-            });
-        }
-        let object = UncertainObject::with_single_observation(u64::MAX, obs.clone());
-        self.field.object_probability(&object, &self.window).ok_or(
-            QueryError::WindowBeforeObservation {
-                window_start: self.window.t_start(),
-                observation: obs.time(),
-            },
-        )
-    }
-}
-
-/// Per-object latest-fix probabilities for a standing query.
-#[derive(Debug, Clone)]
-pub struct StreamingMonitor {
-    query: StandingQuery,
-    latest: HashMap<u64, (u32, f64)>,
-}
-
-impl StreamingMonitor {
-    /// Creates a monitor for the given standing query.
-    pub fn new(query: StandingQuery) -> StreamingMonitor {
-        StreamingMonitor { query, latest: HashMap::new() }
-    }
-
-    /// The underlying standing query.
-    pub fn query(&self) -> &StandingQuery {
-        &self.query
-    }
-
-    /// Ingests an observation for `object_id`, returning the object's new
-    /// probability. Out-of-order fixes (older than the stored one) are
-    /// ignored and return the current probability.
-    pub fn observe(&mut self, object_id: u64, obs: &Observation) -> Result<f64> {
-        if let Some(&(t, p)) = self.latest.get(&object_id) {
-            if obs.time() < t {
-                return Ok(p);
-            }
-        }
-        let p = self.query.score(obs)?;
-        self.latest.insert(object_id, (obs.time(), p));
-        Ok(p)
-    }
-
-    /// Number of tracked objects.
-    pub fn len(&self) -> usize {
-        self.latest.len()
-    }
-
-    /// True when no object has reported yet.
-    pub fn is_empty(&self) -> bool {
-        self.latest.is_empty()
-    }
-
-    /// The current probability of an object, if it ever reported.
-    pub fn probability(&self, object_id: u64) -> Option<f64> {
-        self.latest.get(&object_id).map(|&(_, p)| p)
-    }
-
-    /// All objects currently at or above `tau`, sorted by descending
-    /// probability.
-    pub fn above(&self, tau: f64) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self
-            .latest
-            .iter()
-            .filter(|(_, &(_, p))| p >= tau)
-            .map(|(&id, &(_, p))| (id, p))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
 
 /// The undecorated per-object state a [`Subscription`] maintains between
 /// arrivals: exact probabilities for ∃/∀ specs, visit-count distributions
@@ -451,106 +320,97 @@ impl Drop for Subscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{object_based, EngineConfig};
-    use ust_markov::CsrMatrix;
+    use crate::database::TrajectoryDatabase;
+    use crate::engine::query_based::BackwardField;
+    use crate::engine::{object_based, EngineConfig, QueryProcessor};
+    use crate::object::UncertainObject;
+    use crate::observation::Observation;
+    use crate::query::QueryWindow;
+    use crate::stats::EvalStats;
+    use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 
-    fn paper_chain() -> Arc<MarkovChain> {
-        Arc::new(
-            MarkovChain::from_csr(
-                CsrMatrix::from_dense(&[
-                    vec![0.0, 0.0, 1.0],
-                    vec![0.6, 0.0, 0.4],
-                    vec![0.0, 0.8, 0.2],
-                ])
+    fn paper_chain() -> MarkovChain {
+        MarkovChain::from_csr(
+            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
                 .unwrap(),
-            )
-            .unwrap(),
         )
+        .unwrap()
     }
 
     fn paper_window() -> QueryWindow {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
     }
 
+    /// The dense field `watch` pre-sweeps: snapshots at every anchor time
+    /// in `[0, t_end]` score a fix at any of them as the batch engine does.
     #[test]
     fn scores_match_object_based_engine_at_every_anchor_time() {
-        // Fixes at or before the window start agree with the batch engine.
         let chain = paper_chain();
-        let query = StandingQuery::new(chain.clone(), paper_window()).unwrap();
-        for t in 0..=2u32 {
+        let window = paper_window();
+        let anchors: Vec<u32> = (0..=window.t_end()).collect();
+        let field =
+            BackwardField::compute(&chain, &window, &anchors, &mut EvalStats::new()).unwrap();
+        for t in anchors {
             for s in 0..3usize {
-                let obs = Observation::exact(t, 3, s).unwrap();
-                let streamed = query.score(&obs).unwrap();
-                let object = UncertainObject::with_single_observation(1, obs);
-                let direct = object_based::exists_probability(
-                    &chain,
-                    &object,
-                    &paper_window(),
-                    &EngineConfig::default(),
-                )
-                .unwrap();
-                assert!((streamed - direct).abs() < 1e-12, "t={t}, s={s}: {streamed} vs {direct}");
+                let object = UncertainObject::with_single_observation(
+                    1,
+                    Observation::exact(t, 3, s).unwrap(),
+                );
+                let streamed = field.object_probability(&object, &window).unwrap();
+                if t <= window.t_start() {
+                    let direct = object_based::exists_probability(
+                        &chain,
+                        &object,
+                        &window,
+                        &EngineConfig::default(),
+                    )
+                    .unwrap();
+                    assert!((streamed - direct).abs() < 1e-12, "t={t}, s={s}");
+                } else {
+                    // A fix inside the window (t = 3 > t_start) scores the
+                    // *remaining* window: membership at t = 3 only.
+                    assert_eq!(streamed, [1.0, 1.0, 0.0][s], "state {s}");
+                }
             }
-        }
-        // A fix inside the window (t = 3 > t_start) scores the *remaining*
-        // window: membership at t=3 only (no future query times remain).
-        for (s, expected) in [(0usize, 1.0), (1, 1.0), (2, 0.0)] {
-            let obs = Observation::exact(3, 3, s).unwrap();
-            assert_eq!(query.score(&obs).unwrap(), expected, "state {s}");
         }
     }
 
-    #[test]
-    fn observation_after_window_scores_zero_or_membership() {
-        let query = StandingQuery::new(paper_chain(), paper_window()).unwrap();
-        let late_outside = Observation::exact(7, 3, 2).unwrap();
-        assert_eq!(query.score(&late_outside).unwrap(), 0.0);
-        // A fix exactly at t_end inside the window scores its mass.
-        let at_end = Observation::exact(3, 3, 0).unwrap();
-        assert_eq!(query.score(&at_end).unwrap(), 1.0);
+    /// Object 9 fixed at s2, t=0, under watch for the paper window.
+    fn watched_object() -> (QueryProcessor, Subscription) {
+        let mut db = TrajectoryDatabase::new(paper_chain());
+        db.insert(UncertainObject::with_single_observation(
+            9,
+            Observation::exact(0, 3, 1).unwrap(),
+        ))
+        .unwrap();
+        let processor = QueryProcessor::new(&db);
+        let spec = Query::exists().window(paper_window()).build().unwrap();
+        let monitor = processor.watch(&spec).unwrap();
+        (processor, monitor)
     }
 
     #[test]
     fn monitor_tracks_latest_fix() {
-        let query = StandingQuery::new(paper_chain(), paper_window()).unwrap();
-        let mut monitor = StreamingMonitor::new(query);
-        assert!(monitor.is_empty());
         // First fix at s2, t=0 → 0.864.
-        let p0 = monitor.observe(9, &Observation::exact(0, 3, 1).unwrap()).unwrap();
-        assert!((p0 - 0.864).abs() < 1e-12);
+        let (processor, monitor) = watched_object();
+        assert!((monitor.probability(9).unwrap() - 0.864).abs() < 1e-12);
         // Newer fix at s3, t=1 → h_1(s3) = 0.96.
-        let p1 = monitor.observe(9, &Observation::exact(1, 3, 2).unwrap()).unwrap();
-        assert!((p1 - 0.96).abs() < 1e-12);
+        processor.ingest(9, Observation::exact(1, 3, 2).unwrap()).unwrap();
+        assert!((monitor.probability(9).unwrap() - 0.96).abs() < 1e-12);
         // An out-of-order stale fix is ignored.
-        let p2 = monitor.observe(9, &Observation::exact(0, 3, 0).unwrap()).unwrap();
-        assert!((p2 - 0.96).abs() < 1e-12);
-        assert_eq!(monitor.len(), 1);
-        assert_eq!(monitor.probability(9), Some(p1));
+        processor.ingest(9, Observation::exact(0, 3, 0).unwrap()).unwrap();
+        assert!((monitor.probability(9).unwrap() - 0.96).abs() < 1e-12);
+        assert_eq!(monitor.notifications(), 1);
         assert_eq!(monitor.probability(404), None);
     }
 
     #[test]
-    fn above_sorts_descending() {
-        let query = StandingQuery::new(paper_chain(), paper_window()).unwrap();
-        let mut monitor = StreamingMonitor::new(query);
-        // Probabilities at t=0: s1 → 0.96, s2 → 0.864, s3 → 0.928.
-        for (id, s) in [(1u64, 0usize), (2, 1), (3, 2)] {
-            monitor.observe(id, &Observation::exact(0, 3, s).unwrap()).unwrap();
-        }
-        let hot = monitor.above(0.9);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, 1);
-        assert_eq!(hot[1].0, 3);
-        assert_eq!(monitor.above(0.99).len(), 0);
-        assert_eq!(monitor.above(0.0).len(), 3);
-    }
-
-    #[test]
     fn dimension_mismatch_is_rejected() {
-        let query = StandingQuery::new(paper_chain(), paper_window()).unwrap();
+        let (processor, monitor) = watched_object();
         let bad = Observation::exact(0, 5, 0).unwrap();
-        assert!(matches!(query.score(&bad), Err(QueryError::ModelDimensionMismatch { .. })));
+        assert!(matches!(processor.ingest(9, bad), Err(QueryError::ModelDimensionMismatch { .. })));
+        assert_eq!(monitor.notifications(), 0, "a rejected fix reaches no subscription");
     }
 
     #[test]

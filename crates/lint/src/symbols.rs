@@ -134,8 +134,8 @@ impl<'a> Workspace<'a> {
 
     /// The identity key of the lock inside a normalized type, if any:
     /// `Mutex<...>`/`RwLock<...>` with the payload collapsed to its base
-    /// workspace struct (resolving aliases) so `Mutex<BackwardFieldCache>`,
-    /// `Mutex<FieldCache<F>>` and `Mutex<Self>` inside the impl are one
+    /// workspace struct (resolving aliases) so `Mutex<FieldCache>`, a
+    /// `Mutex<Alias>` of it and `Mutex<Self>` inside the impl are one
     /// node. Payloads naming no workspace struct key by their full text.
     pub fn lock_key(&self, norm_ty: &str) -> Option<String> {
         let extracted = lock_inner(norm_ty)?;

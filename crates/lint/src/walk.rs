@@ -5,7 +5,7 @@
 //!
 //! Excluded by design:
 //! * `crates/compat/` — vendored API stand-ins for third-party crates
-//!   (`rand`, `proptest`, `criterion`); project conventions do not govern
+//!   (`rand`, `proptest`); project conventions do not govern
 //!   foreign API surfaces, and the stand-ins are swapped for the real
 //!   crates once the build environment has network access;
 //! * `tests/`, `benches/`, `examples/` trees — integration tests and

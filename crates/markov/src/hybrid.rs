@@ -8,7 +8,6 @@
 //! dense kernel is faster and allocation-free. [`PropagationVector`] switches
 //! representation automatically at a configurable density threshold.
 //!
-//! This is the "hybrid" design choice ablated in `bench/ablation_hybrid`.
 //! The batched entry points ([`CsrMatrix::step_batch`] and
 //! [`CsrMatrix::step_batch_with_mode`]) classify a batch and dispatch to
 //! the cache-blocked kernels in [`crate::kernels`].
@@ -128,7 +127,7 @@ impl CsrMatrix {
 
         let result = (|| {
             self.step_sparse_members(rows, &sparse_members, mode, scratch, &mut stats)?;
-            self.step_dense_members(rows, &dense_members, mode, scratch, &mut stats);
+            self.step_dense_members(rows, &dense_members, mode, scratch, &mut stats)?;
             Ok(stats)
         })();
         scratch.members_sparse = sparse_members;
@@ -226,9 +225,20 @@ impl CsrMatrix {
         mode: KernelMode,
         scratch: &mut SpmvScratch,
         stats: &mut BatchStepStats,
-    ) {
+    ) -> Result<()> {
+        if let [r] = *members {
+            // Single-member fast path, as on the sparse side: identical
+            // operations, none of the panel packing.
+            if let Repr::Dense(v) = &rows[r].repr {
+                for (i, _) in v.as_slice().iter().enumerate().filter(|(_, x)| **x != 0.0) {
+                    stats.rows_traversed += 1;
+                    stats.entries_touched += self.row_nnz(i) as u64;
+                }
+            }
+            return rows[r].step(self, scratch);
+        }
         if members.is_empty() {
-            return;
+            return Ok(());
         }
         let mut inputs: Vec<DenseVector> = Vec::with_capacity(members.len());
         for &r in members {
@@ -263,6 +273,7 @@ impl CsrMatrix {
         for input in inputs {
             scratch.dense_pool.push(input.into_vec());
         }
+        Ok(())
     }
 }
 
@@ -825,6 +836,10 @@ mod tests {
             vec![PropagationVector::from_dense(DenseVector::from_vec(vec![0.2, 0.3, 0.5]))];
         let alone = m.step_batch(&mut solo, &[], &mut scratch).unwrap();
         assert_eq!(alone.rows_traversed, 3);
+        // The single-member fast path counts the same multiply work per
+        // vector as the panel kernel.
+        assert_eq!(2 * alone.entries_touched, shared.entries_touched);
+        assert_eq!(solo[0], batch[0]);
     }
 
     #[test]

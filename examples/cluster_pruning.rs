@@ -9,8 +9,9 @@
 //!
 //! This example builds 12 perturbed variants of a base chain (three
 //! families × four perturbations), clusters them greedily by envelope
-//! width, and runs a thresholded PST∃Q, reporting how many objects were
-//! decided by interval bounds alone.
+//! width, and runs a thresholded PST∃Q: `cluster::decide_by_bounds` settles
+//! what the interval bounds can, one exact query answers the undecided
+//! rest.
 //!
 //! Run with: `cargo run --release --example cluster_pruning`
 
@@ -70,34 +71,36 @@ fn main() -> Result<()> {
         println!("  cluster {i}: models {:?} (envelope width {:.1})", c.models, c.envelope_width());
     }
 
-    let mut stats = EvalStats::new();
-    let result = cluster::clustered_threshold_query(
-        &db,
-        &window,
-        tau,
-        &clusters,
-        &EngineConfig::default(),
-        &mut stats,
-    )?;
-    println!(
-        "\nThreshold query (τ = {tau}): {} of {} objects qualify.",
-        result.accepted.len(),
-        db.len()
-    );
-    println!(
-        "  decided by cluster bounds alone: {} ({}%)",
-        result.decided_by_bounds,
-        result.decided_by_bounds * 100 / db.len()
-    );
-    println!("  exact fallback evaluations     : {}", result.individually_evaluated);
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let decisions =
+        cluster::decide_by_bounds(&db, &indices, &window, tau, &clusters, &mut EvalStats::new())?;
+    let id_of = |idx: usize| db.objects()[idx].id();
+    let mut accepted: Vec<u64> = Vec::new();
+    let mut undecided: Vec<u64> = Vec::new();
+    for (&idx, decision) in indices.iter().zip(&decisions) {
+        match decision {
+            Some(true) => accepted.push(id_of(idx)),
+            Some(false) => {}
+            None => undecided.push(id_of(idx)),
+        }
+    }
+    // Exact fallback for what the bounds left open: one query-based run
+    // restricted to those objects.
+    let processor = QueryProcessor::new(&db);
+    let exists = Query::exists().window(window).threshold(tau);
+    if !undecided.is_empty() {
+        let fallback = exists.clone().strategy(Strategy::QueryBased).objects(undecided.clone());
+        accepted.extend(processor.execute(&fallback.build()?)?.ids().unwrap_or_default());
+    }
+    accepted.sort_unstable();
+    let decided = db.len() - undecided.len();
+    println!("\nThreshold query (τ = {tau}): {} of {} objects qualify.", accepted.len(), db.len());
+    println!("  decided by cluster bounds alone: {decided} ({}%)", decided * 100 / db.len());
+    println!("  exact fallback evaluations     : {}", undecided.len());
 
     // Exact reference: the decision set must be identical.
-    let exact = QueryProcessor::new(&db).execute(
-        &Query::exists().window(window).threshold(tau).strategy(Strategy::ObjectBased).build()?,
-    )?;
-    let mut got = result.accepted.clone();
-    got.sort_unstable();
-    assert_eq!(Some(got.as_slice()), exact.ids(), "cluster pruning must be exact");
+    let exact = processor.execute(&exists.strategy(Strategy::ObjectBased).build()?)?;
+    assert_eq!(Some(accepted.as_slice()), exact.ids(), "cluster pruning must be exact");
     println!("\nVerified: identical answer set to the exact per-object evaluation.");
     Ok(())
 }

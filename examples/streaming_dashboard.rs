@@ -1,19 +1,24 @@
-//! A live monitoring dashboard — standing queries over an observation
-//! stream.
+//! A live monitoring dashboard — a standing query over an observation
+//! stream, built directly on the backward field.
 //!
 //! The Ice Patrol scenario as a *continuous* workload: the danger-region
-//! query is registered once (one backward sweep), then sightings stream in
-//! and each costs only a sparse dot product — the operational payoff of the
-//! paper's query-based evaluation. Simulates a stream of noisy fixes from
-//! drifting icebergs and prints the evolving risk board.
+//! field is swept once over every anchor time in `[0, t_end]`, then
+//! sightings stream in and each costs only a sparse dot product — the
+//! operational payoff of the paper's query-based evaluation. A fix that
+//! arrives while the window is already open scores the *remaining* query
+//! times, which is what a dashboard wants (the database-backed
+//! `QueryProcessor::watch` instead rejects such anchors, as the batch
+//! engines do). Simulates a stream of noisy fixes from drifting icebergs
+//! and prints the evolving risk board.
 //!
 //! Run with: `cargo run --release --example streaming_dashboard`
 
 use rand::Rng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ust::prelude::*;
-use ust_core::streaming::{StandingQuery, StreamingMonitor};
+use ust_core::engine::query_based::BackwardField;
 use ust_data::iceberg::{self, IcebergConfig};
 use ust_markov::testutil;
 
@@ -33,7 +38,17 @@ fn main() -> Result<()> {
         "Standing query registered: {} lane cells × times [2, 14] (one backward sweep).",
         window.states().count()
     );
-    let mut monitor = StreamingMonitor::new(StandingQuery::new(Arc::clone(&chain), window)?);
+    let anchors: Vec<u32> = (0..=window.t_end()).collect();
+    let field = BackwardField::compute(&chain, &window, &anchors, &mut EvalStats::new())?;
+    // The board: each iceberg's lane risk as of its latest fix, and the
+    // icebergs at or above `tau`, most at risk first.
+    let mut latest: BTreeMap<u64, f64> = BTreeMap::new();
+    let above = |latest: &BTreeMap<u64, f64>, tau: f64| {
+        let mut board: Vec<(u64, f64)> =
+            latest.iter().map(|(&id, &p)| (id, p)).filter(|&(_, p)| p >= tau).collect();
+        board.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        board
+    };
 
     // Simulate 12 icebergs drifting along the chain, reporting noisy fixes
     // at irregular times. They spawn upstream of the lane (the prevailing
@@ -69,13 +84,18 @@ fn main() -> Result<()> {
                 }
                 let obs =
                     Observation::uncertain(t, ust_markov::SparseVector::from_pairs(n, pairs)?)?;
-                monitor.observe(berg as u64, &obs)?;
+                // Fixes arrive in time order, so the newest always wins.
+                let fix = UncertainObject::with_single_observation(berg as u64, obs);
+                let risk = field
+                    .object_probability(&fix, &window)
+                    .expect("every fix time up to t_end is snapshotted");
+                latest.insert(berg as u64, risk);
             }
         }
-        let board = monitor.above(0.25);
+        let board = above(&latest, 0.25);
         println!(
             "t={t}: {} fixes on board, {} icebergs above 25% lane risk{}",
-            monitor.len(),
+            latest.len(),
             board.len(),
             if board.is_empty() {
                 String::new()
@@ -86,7 +106,7 @@ fn main() -> Result<()> {
     }
 
     println!("\nFinal risk board (≥ 10%):");
-    for (id, p) in monitor.above(0.10) {
+    for (id, p) in above(&latest, 0.10) {
         println!("  iceberg #{id}: {:.1}%", p * 100.0);
     }
     Ok(())

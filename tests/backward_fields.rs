@@ -1,7 +1,7 @@
-//! Property tests of the query-based backward fields that live on
-//! `S_reach`: the direct PST∀Q field, the sparse PSTkQ level family with
-//! level 0 carried as its deficit, and the span-trimmed snapshots both
-//! resume from.
+//! Property tests of the query-based backward field under its three
+//! rules: the direct PST∀Q field, the sparse PSTkQ level family with level
+//! 0 carried as its deficit, and the span-trimmed snapshots every rule
+//! resumes from.
 //!
 //! The oracles are the routes the direct fields replaced or sit beside:
 //! the Section VII complement reduction, `engine::exhaustive`, the blown-up
@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use ust::prelude::*;
 use ust_core::engine::forall;
-use ust_core::engine::ktimes::{self, KTimesBackwardField};
+use ust_core::engine::ktimes;
 use ust_core::engine::query_based::{self, BackwardField, FieldRule};
 use ust_core::engine::{exhaustive, object_based};
 // Explicit import: both glob preludes export a `Strategy` (proptest's
@@ -138,22 +138,24 @@ proptest! {
     }
 
     // (b) The sparse level family against the blown-up matrices and the
-    // C(t) driver; every entry inside [0, 1], exactly.
+    // C(t) driver; every entry inside [0, 1], exactly. Small state spaces
+    // densify the levels at once (any entry of ≤ 3 states is past the 0.25
+    // density), the 8× wider ones start sparse under a window of ≤ 5 states.
     #[test]
     fn sparse_level_ktimes_matches_blowup_and_ct_driver(
         (seed, n, deg) in (0u64..10_000, 2usize..=6, 1usize..=3),
+        wide in 0usize..2,
         window_seed in 0u64..1_000,
         t_lo in 1u32..=2,
         anchor_gap in 0u32..=1,
-        threshold in 0usize..3,
     ) {
+        let n = [n, 8 * n][wide];
         let chain = testutil::random_chain(seed, n, deg);
-        let window = match random_window(n, n, window_seed, t_lo) {
+        let window = match random_window(n, n.min(5), window_seed, t_lo) {
             Some(w) => w,
             None => { prop_assume!(false); unreachable!() }
         };
-        let config =
-            EngineConfig::default().with_densify_threshold([0.0, 0.25, 1.0][threshold]);
+        let config = EngineConfig::default();
         let o = object(0, seed ^ 0xB0B, n, window.t_start() - anchor_gap.min(window.t_start()));
 
         let qb = ktimes::ktimes_distribution_qb(&chain, &o, &window, &config).unwrap();
@@ -169,52 +171,46 @@ proptest! {
     }
 
     // (c) Resuming from a trimmed snapshot replays the from-scratch sweep
-    // bit for bit — ∃, ∀ and k-times fields, kept sparse and densified.
+    // bit for bit, under every rule. The band widens by 4 states a step, so
+    // on the narrow chains (≤ 64 states) the snapshot resumed from is
+    // already densified (≥ 17 states, past the 0.25 density) and on the 5×
+    // wider ones the whole sweep stays sparse (≤ 35 of ≥ 200).
     #[test]
     fn extend_down_is_bit_identical_to_a_fresh_sweep(
         seed in 0u64..10_000,
         n in 40usize..=64,
+        wide in 0usize..2,
         first in 15usize..=25,
         width in 1usize..=3,
         t_lo in 3u32..=5,
         window_seed in 0u64..1_000,
-        threshold in 0usize..3,
     ) {
+        let n = [n, 5 * n][wide];
         let chain = banded_chain(seed, n, 2);
         let mut rng = StdRng::seed_from_u64(window_seed);
         let mut times: Vec<u32> = (t_lo..=t_lo + 3).filter(|_| rng.random::<f64>() < 0.6).collect();
         times.push(t_lo + 3);
         let window =
             QueryWindow::from_states(n, first..first + width, TimeSet::new(times)).unwrap();
-        let config =
-            EngineConfig::default().with_densify_threshold([0.0, 0.25, 1.0][threshold]);
+        let config = EngineConfig::default();
         let (early, late) = ([0u32, 1], [2u32, t_lo]);
         let all = [0u32, 1, 2, t_lo];
 
-        for rule in [FieldRule::Exists, FieldRule::ForAll] {
+        for rule in [FieldRule::Exists, FieldRule::ForAll, FieldRule::KTimes] {
+            let levels = if rule == FieldRule::KTimes { window.num_times() + 1 } else { 1 };
             let mut resumed = BackwardField::compute_with_config(
                 &chain, &window, rule, &late, &config, &mut EvalStats::new()).unwrap();
-            prop_assert!(resumed.at(2).unwrap().span().1.len() < n, "snapshots are trimmed");
+            prop_assert!(resumed.at(2).unwrap()[0].span().1.len() < n, "snapshots are trimmed");
             resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
             let fresh = BackwardField::compute_with_config(
                 &chain, &window, rule, &all, &config, &mut EvalStats::new()).unwrap();
             for t in all {
-                prop_assert_eq!(
-                    span_bits(resumed.at(t).unwrap()), span_bits(fresh.at(t).unwrap()),
-                    "{:?} field at t={}", rule, t);
-            }
-        }
-
-        let mut resumed = KTimesBackwardField::compute(
-            &chain, &window, &late, &config, &mut EvalStats::new()).unwrap();
-        resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
-        let fresh = KTimesBackwardField::compute(
-            &chain, &window, &all, &config, &mut EvalStats::new()).unwrap();
-        for t in all {
-            let (a, b) = (resumed.at(t).unwrap(), fresh.at(t).unwrap());
-            prop_assert_eq!(a.len(), window.num_times() + 1);
-            for (j, (x, y)) in a.iter().zip(b).enumerate() {
-                prop_assert_eq!(span_bits(x), span_bits(y), "level {} at t={}", j, t);
+                let (a, b) = (resumed.at(t).unwrap(), fresh.at(t).unwrap());
+                prop_assert_eq!(a.len(), levels);
+                for (j, (x, y)) in a.iter().zip(b).enumerate() {
+                    prop_assert_eq!(span_bits(x), span_bits(y),
+                        "{:?} field, level {} at t={}", rule, j, t);
+                }
             }
         }
     }

@@ -1,16 +1,13 @@
 //! Integration tests for the engineering extensions layered on the paper's
-//! framework: persistence, standing queries, top-k ranking, cluster pruning
-//! and the Chapman-Kolmogorov power cache — all exercised together through
-//! the public facade.
-
-use std::sync::Arc;
+//! framework: persistence, top-k ranking, cluster pruning and the
+//! Chapman-Kolmogorov power cache — all exercised together through the
+//! public facade.
 
 mod common;
 
 use common::probs;
 use ust::prelude::*;
 use ust_core::cluster;
-use ust_core::streaming::{StandingQuery, StreamingMonitor};
 use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
 use ust_markov::PowerCache;
@@ -42,35 +39,6 @@ fn persisted_dataset_answers_identically() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.object_id, y.object_id);
         assert!((x.probability - y.probability).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn standing_query_agrees_with_batch_for_fresh_fixes() {
-    let data = dataset();
-    let window = workload::paper_default_window(3_000).unwrap();
-    let chain = Arc::clone(&data.db.models()[0]);
-    let standing = StandingQuery::new(chain, window.clone()).unwrap();
-    let mut monitor = StreamingMonitor::new(standing);
-
-    let processor = QueryProcessor::new(&data.db);
-    let exists_qb = Query::exists().window(window).strategy(QueryBased);
-    let batch = probs(&processor, exists_qb.clone());
-    for (object, expected) in data.db.objects().iter().zip(&batch) {
-        let p = monitor.observe(object.id(), object.anchor()).unwrap();
-        assert!(
-            (p - expected.probability).abs() < 1e-12,
-            "object {}: streamed {p} vs batch {}",
-            object.id(),
-            expected.probability
-        );
-    }
-    assert_eq!(monitor.len(), data.db.len());
-    // The ranking of the monitor's board matches a top-k query.
-    let board = monitor.above(0.0);
-    let topk = processor.execute(&exists_qb.top_k(5).build().unwrap()).unwrap();
-    for (b, t) in board.iter().take(5).zip(topk.ranked().unwrap()) {
-        assert_eq!(b.0, t.object_id);
     }
 }
 
@@ -135,21 +103,22 @@ fn cluster_bounds_respect_exact_results_on_perturbed_models() {
     let window = workload::paper_default_window(n).unwrap();
     let clusters = vec![cluster::ModelCluster::build(&db, vec![0, 1, 2, 3]).unwrap()];
     let tau = 0.05;
-    let result = cluster::clustered_threshold_query(
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let decisions =
+        cluster::decide_by_bounds(&db, &indices, &window, tau, &clusters, &mut EvalStats::new())
+            .unwrap();
+    // The oracle evaluates every object exactly: no bounds, no index.
+    let exact = QueryProcessor::with_config(
         &db,
-        &window,
-        tau,
-        &clusters,
-        &EngineConfig::default(),
-        &mut EvalStats::new(),
+        EngineConfig::default().with_prefilter(PrefilterMode::Off),
     )
+    .execute(&Query::exists().window(window).threshold(tau).strategy(ObjectBased).build().unwrap())
     .unwrap();
-    let exact = QueryProcessor::new(&db)
-        .execute(
-            &Query::exists().window(window).threshold(tau).strategy(ObjectBased).build().unwrap(),
-        )
-        .unwrap();
-    let mut got = result.accepted.clone();
-    got.sort_unstable();
-    assert_eq!(got, exact.ids().unwrap());
+    let accepted = exact.ids().unwrap();
+    assert!(decisions.iter().any(Option::is_some), "the envelope decides something");
+    for (object, decision) in db.objects().iter().zip(decisions) {
+        if let Some(accept) = decision {
+            assert_eq!(accept, accepted.contains(&object.id()), "object {}", object.id());
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! * batched OB evaluation is **bit-identical** to the per-object path at
 //!   every batch size, for ∃/∀/k results, threshold decisions and top-k
 //!   rankings;
-//! * query-based results served through the `BackwardFieldCache` are
+//! * query-based results served through the `FieldCache` are
 //!   **bit-identical** to uncached evaluation across random overlapping
 //!   windows, including suffix-extended partial hits;
 //! * evaluation on the long-lived `WorkerPool` — including the

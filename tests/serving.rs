@@ -283,56 +283,6 @@ proptest! {
     }
 }
 
-/// With `calibrate_planner` on, the learned discount really drives the
-/// choice: whatever strategy `explain` picks for an `Auto` spec must be
-/// the argmin of its own (calibrated) estimates, the calibration must be
-/// marked, and plans stay internally consistent before and after
-/// training. With the knob off (default), the flat prior stays in force.
-#[test]
-fn calibrated_plans_are_internally_consistent() {
-    let db = random_db(89, 12, 2);
-    let w = window(12);
-    let bounded = Query::exists().window(w.clone()).top_k(2).build().unwrap();
-
-    let flat = QueryProcessor::new(&db);
-    let flat_plan = flat.explain(&bounded).unwrap();
-    assert!(!flat_plan.calibrated);
-    assert_eq!(flat_plan.ob_discount, 0.5, "cold prior");
-
-    let calibrated =
-        QueryProcessor::with_config(&db, EngineConfig::default().with_planner_calibration(true));
-    // Train on the bounded workload, then replan.
-    for _ in 0..3 {
-        calibrated.execute(&bounded).unwrap();
-    }
-    let plan = calibrated.explain(&bounded).unwrap();
-    assert!(plan.calibrated, "bounded runs feed the EWMA");
-    assert_ne!(plan.ob_discount, 0.5, "the learned ratio replaced the flat prior");
-    assert!(plan.ob_discount_learned, "this 2-object workload trains the OB side");
-    match plan.strategy {
-        Strategy::QueryBased => {
-            assert!(plan.query_based.total() <= plan.object_based.total(), "{plan}")
-        }
-        Strategy::ObjectBased => {
-            assert!(plan.object_based.total() < plan.query_based.total(), "{plan}")
-        }
-        other => panic!("Auto resolved to {other:?}"),
-    }
-    // Whatever the calibrated planner picks, answers agree with the flat
-    // planner's to value level (strategy-independence of the engines).
-    let a = calibrated.execute(&bounded).unwrap();
-    let b = flat.execute(&bounded).unwrap();
-    match (&a, &b) {
-        (QueryAnswer::Ranked(x), QueryAnswer::Ranked(y)) => {
-            for (p, q) in x.iter().zip(y) {
-                assert_eq!(p.object_id, q.object_id);
-                assert!((p.probability - q.probability).abs() < 1e-9);
-            }
-        }
-        _ => panic!("top-k answers expected"),
-    }
-}
-
 // --- Streaming interleavings --------------------------------------------
 
 /// Snapshot isolation: a submitted query captures its database view at
