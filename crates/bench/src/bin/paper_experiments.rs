@@ -10,6 +10,10 @@
 //! one machine-readable JSON file. (Performance over time is the job of
 //! the repository's benchmark — `BENCHMARK.json`, `benchmark/README.md` —
 //! not of this binary.)
+//!
+//! The run exits 1 when an experiment's `max |OB-QB|` column (Fig. 8(a))
+//! exceeds 1e-12: the forward and the backward engine are both exact, so a
+//! larger gap means one of them lost or double-counted worlds.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -68,6 +72,27 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// The column in which an experiment reports the largest gap between the
+/// object-based and the query-based answer to the same query.
+const AGREEMENT_COLUMN: &str = "max |OB-QB|";
+/// What two exact engines may differ by: accumulated rounding, nothing more.
+const AGREEMENT_BOUND: f64 = 1e-12;
+
+/// The rows of `output` whose [`AGREEMENT_COLUMN`] cell is above
+/// [`AGREEMENT_BOUND`] (or unreadable), rendered for the error message.
+fn agreement_violations(output: &ExperimentOutput) -> Vec<String> {
+    let Some(col) = output.table.headers().iter().position(|h| h == AGREEMENT_COLUMN) else {
+        return Vec::new();
+    };
+    output
+        .table
+        .rows()
+        .iter()
+        .filter(|row| !row[col].parse::<f64>().is_ok_and(|gap| gap <= AGREEMENT_BOUND))
+        .map(|row| format!("{}: {} = {} at {}", output.id, AGREEMENT_COLUMN, row[col], row[0]))
+        .collect()
 }
 
 /// Minimal JSON string escaping (the vendored toolchain has no serde).
@@ -168,6 +193,7 @@ fn main() -> ExitCode {
     };
 
     let mut results: Vec<(f64, ExperimentOutput)> = Vec::with_capacity(ids.len());
+    let mut violations: Vec<String> = Vec::new();
     for id in &ids {
         let started = std::time::Instant::now();
         let output = experiments::by_id(id, args.scale).expect("ids validated during parsing");
@@ -183,6 +209,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+        violations.extend(agreement_violations(&output));
         results.push((wall, output));
         // Flush so long runs stream progress.
         let _ = std::io::stdout().flush();
@@ -198,5 +225,43 @@ fn main() -> ExitCode {
         }
         println!("JSON written to {}", path.display());
     }
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("error: {violation} (bound {AGREEMENT_BOUND:e})");
+        }
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ust_data::ResultTable;
+
+    fn output(cells: &[&str]) -> ExperimentOutput {
+        let mut table = ResultTable::new(["|S|", AGREEMENT_COLUMN]);
+        for (i, cell) in cells.iter().enumerate() {
+            table.push_row([format!("{}", 1_000 * (i + 1)), cell.to_string()]);
+        }
+        ExperimentOutput {
+            id: "fig".into(),
+            title: String::new(),
+            table,
+            expectation: String::new(),
+        }
+    }
+
+    #[test]
+    fn agreement_check_flags_gaps_beyond_rounding() {
+        assert!(agreement_violations(&output(&["0.00e0", "4.44e-16", "1.00e-12"])).is_empty());
+        let bad = agreement_violations(&output(&["2.22e-16", "3.10e-9", "NaN"]));
+        assert_eq!(bad.len(), 2);
+        assert!(bad[0].contains("3.10e-9") && bad[0].contains("2000"), "{bad:?}");
+        // Experiments without the column are not judged.
+        let mut other = output(&[]);
+        other.table = ResultTable::new(["|S|", "OB (s)"]);
+        other.table.push_row(["10".to_string(), "7.5".to_string()]);
+        assert!(agreement_violations(&other).is_empty());
+    }
 }

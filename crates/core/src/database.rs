@@ -46,6 +46,10 @@ pub struct TrajectoryDatabase {
 struct DbInner {
     models: Vec<Arc<MarkovChain>>,
     objects: Vec<UncertainObject>,
+    /// True while every insert carried an id above the previous one, i.e.
+    /// the store is strictly ascending in id and id lookups may bisect it
+    /// (see [`TrajectoryDatabase::index_of`]).
+    ids_ascending: bool,
     /// Spatial embedding of the state space, when one has been attached;
     /// required for the planner's spatio-temporal prefilter.
     space: Option<Arc<dyn StateSpace + Send + Sync>>,
@@ -63,6 +67,7 @@ impl Clone for DbInner {
         DbInner {
             models: self.models.clone(),
             objects: self.objects.clone(),
+            ids_ascending: self.ids_ascending,
             space: self.space.clone(),
             index: OnceLock::new(),
         }
@@ -88,6 +93,7 @@ impl TrajectoryDatabase {
             inner: Arc::new(DbInner {
                 models: vec![Arc::new(chain)],
                 objects: Vec::new(),
+                ids_ascending: true,
                 space: None,
                 index: OnceLock::new(),
             }),
@@ -112,6 +118,7 @@ impl TrajectoryDatabase {
             inner: Arc::new(DbInner {
                 models: chains.into_iter().map(Arc::new).collect(),
                 objects: Vec::new(),
+                ids_ascending: true,
                 space: None,
                 index: OnceLock::new(),
             }),
@@ -176,6 +183,9 @@ impl TrajectoryDatabase {
         let idx = {
             let inner = Arc::make_mut(&mut self.inner);
             let idx = inner.objects.len();
+            if inner.objects.last().is_some_and(|last| object.id() <= last.id()) {
+                inner.ids_ascending = false;
+            }
             inner.objects.push(object);
             // When this handle was the sole owner, make_mut mutated in
             // place — drop the index explicitly so it can never describe a
@@ -204,12 +214,7 @@ impl TrajectoryDatabase {
     /// [`SpatioTemporalIndex`] is updated incrementally instead of being
     /// rebuilt from scratch.
     pub fn ingest(&mut self, object_id: u64, observation: Observation) -> Result<IngestOutcome> {
-        let idx = self
-            .inner
-            .objects
-            .iter()
-            .position(|o| o.id() == object_id)
-            .ok_or(QueryError::UnknownObject { id: object_id })?;
+        let idx = self.index_of(object_id).ok_or(QueryError::UnknownObject { id: object_id })?;
         let current = &self.inner.objects[idx];
         let model = current.model();
         let chain = &self.inner.models[model];
@@ -233,9 +238,24 @@ impl TrajectoryDatabase {
         Ok(IngestOutcome::Applied)
     }
 
-    /// The database index of the object with the given id, if present.
+    /// The database index of the object with the given id, if present
+    /// (the first one, should ids repeat).
+    ///
+    /// A store filled in strictly ascending id order — what every
+    /// generator and loader produces — is bisected; one out-of-order or
+    /// duplicate insert drops the database back to a linear scan for good.
     pub fn index_of(&self, object_id: u64) -> Option<usize> {
-        self.inner.objects.iter().position(|o| o.id() == object_id)
+        if self.inner.ids_ascending {
+            self.inner.objects.binary_search_by_key(&object_id, UncertainObject::id).ok()
+        } else {
+            self.inner.objects.iter().position(|o| o.id() == object_id)
+        }
+    }
+
+    /// True while ids were inserted strictly ascending: id order is then
+    /// index order and [`TrajectoryDatabase::index_of`] is a binary search.
+    pub(crate) fn ids_ascending(&self) -> bool {
+        self.inner.ids_ascending
     }
 
     /// Installs the incrementally updated successor of `prev` (if any) into
@@ -464,6 +484,49 @@ mod tests {
         ));
         assert_eq!(db.index_of(1), Some(0));
         assert_eq!(db.index_of(9), None);
+    }
+
+    #[test]
+    fn index_of_bisects_ascending_ids_and_falls_back_otherwise() {
+        let scan =
+            |db: &TrajectoryDatabase, id: u64| db.objects().iter().position(|o| o.id() == id);
+        let mut db = TrajectoryDatabase::new(chain3());
+        assert_eq!(db.index_of(1), None, "empty store");
+        db.insert_all([2u64, 5, 7, 11, 40].map(|id| object(id, 0))).unwrap();
+        assert!(db.ids_ascending());
+        for id in 0..=41u64 {
+            assert_eq!(db.index_of(id), scan(&db, id), "id {id}");
+        }
+        // The flag rides along with a copy-on-write clone.
+        let mut clone = db.clone();
+        clone.insert(object(41, 1)).unwrap();
+        assert!(clone.ids_ascending());
+        assert_eq!(clone.index_of(41), Some(5));
+        // An ingest right after an insert finds the new object.
+        assert_eq!(
+            clone.ingest(41, Observation::exact(2, 3, 2).unwrap()),
+            Ok(IngestOutcome::Applied)
+        );
+        assert_eq!(clone.object(5).unwrap().anchor().time(), 2);
+        assert_eq!(db.index_of(41), None, "the source snapshot never saw it");
+
+        // Out of order: lookups fall back to the scan and answer as before.
+        let mut unordered = db.clone();
+        unordered.insert(object(3, 1)).unwrap();
+        assert!(!unordered.ids_ascending());
+        for id in 0..=41u64 {
+            assert_eq!(unordered.index_of(id), scan(&unordered, id), "id {id}");
+        }
+        assert_eq!(unordered.index_of(3), Some(5));
+        // A duplicate id: the first holder keeps answering, for lookups and
+        // for ingest.
+        let mut duplicated = db.clone();
+        duplicated.insert(object(40, 2)).unwrap();
+        assert!(!duplicated.ids_ascending());
+        assert_eq!(duplicated.index_of(40), Some(4));
+        duplicated.ingest(40, Observation::exact(6, 3, 1).unwrap()).unwrap();
+        assert_eq!(duplicated.object(4).unwrap().anchor().time(), 6);
+        assert_eq!(duplicated.object(5).unwrap().anchor().time(), 0);
     }
 
     #[test]

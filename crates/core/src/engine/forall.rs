@@ -12,7 +12,11 @@
 //! notes that despite `|S ∖ S▫| ≫ |S▫|` the complemented forward run is
 //! "generally not larger" — and often faster, because `M+` of the
 //! complement zeroes *more* columns, i.e. the forward pass absorbs worlds
-//! sooner.
+//! sooner. The sweep is trimmed to the ∀ reach of the *original* window
+//! ([`ReachRule::ForAll`]): a world on a state from which `S▫` cannot be
+//! held at all remaining query times is certain to escape, so its mass is
+//! *decided* — counted as escaped on the spot instead of being propagated
+//! until it does.
 //!
 //! Backward, the reduction is the wrong way round: the ∃ field of the
 //! complement window is non-zero on every state that can *leave* `S▫` —
@@ -33,8 +37,10 @@
 use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::query_based::FieldRule;
-use crate::engine::{object_based, query_based, EngineConfig};
+use crate::engine::object_based::{self, ReachPlan};
+use crate::engine::pipeline::{Propagator, ReachRule, ReachSchedule};
+use crate::engine::query_based::{self, FieldRule};
+use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{ObjectProbability, QueryWindow};
@@ -48,8 +54,13 @@ pub fn forall_probability_ob(
     config: &EngineConfig,
 ) -> Result<f64> {
     let complement = window.complement_states()?;
-    let p_escape = object_based::exists_probability(chain, object, &complement, config)?;
-    Ok((1.0 - p_escape).max(0.0))
+    object_based::validate(chain, object, window)?;
+    let reach = ReachSchedule::build(chain, window, ReachRule::ForAll, object.anchor().time())?;
+    let mut stats = EvalStats::new();
+    let mut pipeline = Propagator::new(config, &mut stats);
+    let (escaped, decided) =
+        object_based::window_mass_with(&mut pipeline, chain, object, &complement, &reach)?;
+    Ok(forall_answer(escaped, decided))
 }
 
 /// PST∀Q for one object, query-based evaluation (direct ∀ field).
@@ -73,14 +84,12 @@ pub(crate) fn reject_full_space(window: &QueryWindow) -> Result<()> {
     Ok(())
 }
 
-/// The complement side of the Section VII reduction: turns the ∃
-/// probabilities of the complemented window into ∀ probabilities, in
-/// place. Shared by the sequential and sharded object-based ∀ drivers so
-/// the clamp stays identical everywhere.
-pub(crate) fn complement_probabilities(results: &mut [ObjectProbability]) {
-    for r in results {
-        r.probability = (1.0 - r.probability).max(0.0);
-    }
+/// The complement side of the Section VII reduction: the PST∀Q answer from
+/// a complement-window sweep's ⊤ mass (worlds seen outside `S▫`) and the
+/// mass the ∀ schedule decided (worlds certain to leave it). Shared by
+/// every object-based ∀ driver so the clamp stays identical everywhere.
+pub(crate) fn forall_answer(escaped: f64, decided: f64) -> f64 {
+    (1.0 - (escaped + decided)).max(0.0)
 }
 
 /// PST∀Q for the whole database, object-based.
@@ -91,9 +100,17 @@ pub fn evaluate_object_based(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     let complement = window.complement_states()?;
-    let mut results = object_based::evaluate(db, &complement, config, stats)?;
-    complement_probabilities(&mut results);
-    Ok(results)
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::ForAll)?;
+    let mut pipeline = Propagator::new(config, stats);
+    object_based::probabilities_batched(
+        &mut pipeline,
+        db,
+        &indices,
+        &complement,
+        &reach,
+        forall_answer,
+    )
 }
 
 /// PST∀Q for the whole database, query-based: one direct ∀ backward field

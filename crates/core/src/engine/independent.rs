@@ -16,11 +16,13 @@
 //! assumption (the k-times case via the Poisson-binomial recurrence) to
 //! regenerate the accuracy experiment of Fig. 9(d).
 
+use std::ops::ControlFlow;
+
 use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::validate;
-use crate::engine::pipeline::Propagator;
+use crate::engine::pipeline::{ForwardEvent, Propagator};
 use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::object::UncertainObject;
@@ -54,10 +56,21 @@ pub(crate) fn marginals_with(
     let anchor = object.anchor();
     let mut rows = [pipeline.seed(anchor.distribution().clone())];
     let mut marginals = Vec::with_capacity(window.num_times());
-    pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, |rows, _| {
-        marginals.push(rows[0].masked_sum(window.states()));
-        Ok(())
-    })?;
+    // Untrimmed on purpose: a marginal keeps its mass in the vector, so
+    // there are no decided worlds for a reach schedule to drop.
+    pipeline.forward_to(
+        chain.matrix(),
+        &mut rows,
+        anchor.time(),
+        window.t_end(),
+        window,
+        |event| {
+            if let ForwardEvent::Window { rows, .. } = event {
+                marginals.push(rows[0].masked_sum(window.states()));
+            }
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
     // Under ε-pruning the pipeline may stop once the vector runs empty; the
     // remaining query timestamps then carry marginal 0, and the contract
     // stays "one entry per t ∈ T▫".

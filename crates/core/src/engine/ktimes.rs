@@ -24,8 +24,8 @@ use ust_markov::augmented;
 use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::validate;
-use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
+use crate::engine::object_based::{validate, ReachPlan};
+use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
 use crate::engine::query_based::{evaluate_fields, BackwardField, FieldRule};
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
@@ -59,7 +59,9 @@ pub fn ktimes_distribution_ob_with_stats(
 /// The `C(t)` driver on an existing [`Propagator`]: the propagated state is
 /// the family of count-level vectors, and the accumulation rule applied at
 /// every query timestamp (including an anchor inside `T▫`, footnote 3) is
-/// the [`shift_down`] column shift.
+/// the [`shift_down`] column shift. The sweep is trimmed to the ∃ reach of
+/// the window: mass that cannot visit `S▫` again keeps its count level
+/// for good and is *decided* there.
 pub(crate) fn ktimes_with(
     pipeline: &mut Propagator<'_>,
     chain: &MarkovChain,
@@ -77,18 +79,21 @@ pub(crate) fn ktimes_with(
         rows.push(pipeline.seed(SparseVector::zeros(chain.num_states())));
     }
 
-    pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, |rows, _| {
-        shift_down(rows, window)
-    })?;
-    Ok(level_masses(&rows))
+    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, anchor.time())?;
+    let decided =
+        pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, &reach, |rows, _| {
+            shift_down(rows, window)
+        })?;
+    Ok(level_masses(&rows, &decided))
 }
 
-/// The answer of the `C(t)` algorithm: the mass at each count level. Sums
-/// of many products overshoot 1 by an ulp or two, so every entry is clamped
+/// The answer of the `C(t)` algorithm: the mass at each count level —
+/// what is still propagating there plus what was decided there. Sums of
+/// many products overshoot 1 by an ulp or two, so every entry is clamped
 /// into `[0, 1]` — no engine reports a probability outside the unit
 /// interval.
-fn level_masses(rows: &[PropagationVector]) -> Vec<f64> {
-    rows.iter().map(|r| r.sum().clamp(0.0, 1.0)).collect()
+fn level_masses(rows: &[PropagationVector], decided: &[f64]) -> Vec<f64> {
+    rows.iter().zip(decided).map(|(r, d)| (r.sum() + d).clamp(0.0, 1.0)).collect()
 }
 
 /// The column shift of the `C(t)` algorithm: for every state `s ∈ S▫`, the
@@ -162,21 +167,23 @@ pub fn ktimes_distribution_blowup(
 ///
 /// Each object contributes `|T▫| + 1` count-level rows to the batch, so a
 /// batch of `B` objects steps `B · (|T▫|+1)` rows through one shared matrix
-/// traversal per timestamp. The level shift is applied per live group; per
-/// object, results are bit-for-bit identical to [`ktimes_with`].
+/// traversal per timestamp, trimmed to `reach` (the ∃ schedules of
+/// `window`). The level shift is applied per live group; per object,
+/// results are bit-for-bit identical to [`ktimes_with`].
 pub(crate) fn ktimes_batched(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
+    reach: &ReachPlan,
 ) -> Result<Vec<ObjectKDistribution>> {
-    crate::engine::object_based::validate_indices(db, indices, window)?;
     let k_max = window.num_times();
     let group_size = k_max + 1;
     let batch_size = pipeline.config().effective_batch_size();
     let mut results: Vec<Option<ObjectKDistribution>> = vec![None; indices.len()];
     for ((model, anchor_time), members) in group_batchable(db, indices)? {
         let chain = &db.models()[model];
+        let schedule = reach.schedule(model)?;
         let n = chain.num_states();
         for chunk in members.chunks(batch_size) {
             let mut rows: Vec<PropagationVector> = Vec::with_capacity(chunk.len() * group_size);
@@ -195,6 +202,7 @@ pub(crate) fn ktimes_batched(
                 &mut batch,
                 anchor_time,
                 window,
+                schedule,
                 |phase, batch, _| {
                     if phase == BatchPhase::Window {
                         for g in 0..batch.num_groups() {
@@ -212,7 +220,7 @@ pub(crate) fn ktimes_batched(
                 ))?;
                 results[pos] = Some(ObjectKDistribution {
                     object_id: object.id(),
-                    probabilities: level_masses(batch.group(g)),
+                    probabilities: level_masses(batch.group(g), batch.decided(g)),
                 });
             }
         }
@@ -232,8 +240,9 @@ pub fn evaluate_object_based(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
     let indices: Vec<usize> = (0..db.len()).collect();
+    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::Exists)?;
     let mut pipeline = Propagator::new(config, stats);
-    ktimes_batched(&mut pipeline, db, &indices, window)
+    ktimes_batched(&mut pipeline, db, &indices, window, &reach)
 }
 
 /// PSTkQ for the whole database, query-based: one backward level sweep per

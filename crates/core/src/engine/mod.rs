@@ -141,7 +141,8 @@ pub struct EngineConfig {
     /// support overlap; the explicit modes pin the choice. The knob stays
     /// because a non-default value wins a gated benchmark metric:
     /// [`KernelMode::PerObject`] reads the benchmark's `forward_scan` at
-    /// ×0.79 throughput but 2.8 instead of 10.3 MiB peak heap. Every mode
+    /// 2.6 instead of 6.2 MiB peak heap (and, since reach trimming thinned
+    /// the rows, at no throughput cost — see README). Every mode
     /// yields bit-identical results — only traversal order and memory
     /// traffic differ.
     pub batching: KernelMode,

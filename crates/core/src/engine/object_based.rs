@@ -19,7 +19,7 @@ use std::ops::ControlFlow;
 use ust_markov::{MarkovChain, PropagationVector};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
+use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -52,13 +52,6 @@ pub fn exists_probability_with_stats(
 /// The OB driver on an existing [`Propagator`] (the batch evaluator and the
 /// parallel engine reuse one pipeline per worker so scratch space is
 /// allocated once).
-///
-/// The driver's whole job is the ∃ accumulation rule: at every query
-/// timestamp the mass inside `S▫` moves from the vector to the scalar ⊤ —
-/// the virtual application of the `M+` column surgery (worlds that reached
-/// the window are excluded from further propagation, so each world is
-/// counted at most once). Step loop, pruning and accounting live in
-/// [`Propagator::forward`].
 pub(crate) fn exists_with(
     pipeline: &mut Propagator<'_>,
     chain: &MarkovChain,
@@ -66,30 +59,92 @@ pub(crate) fn exists_with(
     window: &QueryWindow,
 ) -> Result<f64> {
     validate(chain, object, window)?;
+    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, object.anchor().time())?;
+    let (hit, decided) = window_mass_with(pipeline, chain, object, window, &reach)?;
+    Ok(exists_answer(hit, decided))
+}
+
+/// The forward sweep under the ∃ accumulation rule for one validated
+/// object: at every query timestamp the mass inside `S▫` moves from the
+/// vector to the scalar ⊤ — the virtual application of the `M+` column
+/// surgery (worlds that reached the window are excluded from further
+/// propagation, so each world is counted at most once). Returns ⊤ and the
+/// mass `reach` decided; step loop, trimming, pruning and accounting live
+/// in [`Propagator::forward`].
+pub(crate) fn window_mass_with(
+    pipeline: &mut Propagator<'_>,
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    window: &QueryWindow,
+    reach: &ReachSchedule,
+) -> Result<(f64, f64)> {
     let anchor = object.anchor();
     let mut rows = [pipeline.seed(anchor.distribution().clone())];
     let mut hit = 0.0;
-    pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, |rows, _| {
-        hit += rows[0].extract_masked(window.states());
-        Ok(())
-    })?;
-    Ok(hit.min(1.0))
+    let decided =
+        pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, reach, |rows, _| {
+            hit += rows[0].extract_masked(window.states());
+            Ok(())
+        })?;
+    Ok((hit, decided[0]))
 }
 
-/// Validates every object in a worker's share, in index order, so the
-/// first error is deterministic regardless of batch or shard layout.
-pub(crate) fn validate_indices(
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-) -> Result<()> {
-    for &idx in indices {
-        let object = db
-            .object(idx)
-            .ok_or(QueryError::internal("index validation received an unresolved object index"))?;
-        validate(db.model_of(object), object, window)?;
+/// The PST∃Q answer from a sweep's ⊤ mass: decided mass can never hit and
+/// is ignored.
+pub(crate) fn exists_answer(hit: f64, _decided: f64) -> f64 {
+    hit.min(1.0)
+}
+
+/// One query's reach schedules: one [`ReachSchedule`] per populated model,
+/// built from that model's earliest anchor (the masks do not depend on the
+/// start, so it serves every later anchor), **once per query** — before
+/// the fan-out, shared read-only by every shard.
+///
+/// Preparing the plan is also where a query's objects are validated, in
+/// index order — so the first error is deterministic regardless of batch
+/// or shard layout; the batched drivers trust a plan to cover their
+/// indices.
+#[derive(Debug)]
+pub(crate) struct ReachPlan {
+    schedules: Vec<Option<ReachSchedule>>,
+}
+
+impl ReachPlan {
+    /// Validates `indices` against `window` and sweeps one schedule of
+    /// `rule` per model they populate.
+    pub(crate) fn prepare(
+        db: &TrajectoryDatabase,
+        indices: &[usize],
+        window: &QueryWindow,
+        rule: ReachRule,
+    ) -> Result<ReachPlan> {
+        let mut earliest: Vec<Option<u32>> = vec![None; db.models().len()];
+        for &idx in indices {
+            let object = db.object(idx).ok_or(QueryError::internal(
+                "the reach plan received an unresolved object index",
+            ))?;
+            validate(db.model_of(object), object, window)?;
+            let slot = &mut earliest[object.model()];
+            let t0 = object.anchor().time();
+            *slot = Some(slot.map_or(t0, |t| t.min(t0)));
+        }
+        let schedules = earliest
+            .into_iter()
+            .zip(db.models())
+            .map(|(t0, chain)| {
+                t0.map(|t0| ReachSchedule::build(chain, window, rule, t0)).transpose()
+            })
+            .collect::<Result<_>>()?;
+        Ok(ReachPlan { schedules })
     }
-    Ok(())
+
+    /// The schedule of `model`.
+    pub(crate) fn schedule(&self, model: usize) -> Result<&ReachSchedule> {
+        self.schedules
+            .get(model)
+            .and_then(Option::as_ref)
+            .ok_or(QueryError::internal("the reach plan covers every model its indices populate"))
+    }
 }
 
 /// Seeds one propagation row per chunk member from its anchor
@@ -115,7 +170,8 @@ pub(crate) fn seed_anchor_rows(
 /// The ∃ accumulation rule over a whole batch: for every live group, the
 /// mass inside `S▫` moves from the group's row into `hits[g]` — the
 /// virtual `M+` redirect to ⊤, applied per object. Shared verbatim by the
-/// ∃, threshold and top-k drivers so the rule cannot diverge between them.
+/// ∃, ∀, threshold and top-k drivers so the rule cannot diverge between
+/// them.
 pub(crate) fn accumulate_exists_hits(
     batch: &mut ObjectBatch<'_>,
     hits: &mut [f64],
@@ -134,21 +190,27 @@ pub(crate) fn accumulate_exists_hits(
 ///
 /// Objects are grouped by `(model, anchor time)` and propagated in
 /// [`EngineConfig::batch_size`] batches of one row each; every batch shares
-/// one matrix traversal per timestamp through the batched kernel. The ∃
-/// accumulation rule is applied per live group, and groups whose worlds are
-/// all decided drop out of the batch without stopping the sweep. Per
-/// object, results are bit-for-bit identical to [`exists_with`].
-pub(crate) fn exists_batched(
+/// one matrix traversal per timestamp through the batched kernel, trimmed
+/// to `reach`. The ∃ accumulation rule is applied per live group, and
+/// groups whose worlds are all decided drop out of the batch without
+/// stopping the sweep. `answer` turns an object's `(⊤, decided)` masses
+/// into its probability: [`exists_answer`] for PST∃Q over `window`, the
+/// escape complement for PST∀Q over the complement window under the ∀
+/// schedule. Per object, results are bit-for-bit identical to
+/// [`window_mass_with`].
+pub(crate) fn probabilities_batched(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
+    reach: &ReachPlan,
+    answer: fn(f64, f64) -> f64,
 ) -> Result<Vec<ObjectProbability>> {
-    validate_indices(db, indices, window)?;
     let batch_size = pipeline.config().effective_batch_size();
     let mut results: Vec<Option<ObjectProbability>> = vec![None; indices.len()];
     for ((model, anchor_time), members) in group_batchable(db, indices)? {
         let chain = &db.models()[model];
+        let schedule = reach.schedule(model)?;
         for chunk in members.chunks(batch_size) {
             let mut rows = seed_anchor_rows(pipeline, db, indices, chunk)?;
             let mut batch = ObjectBatch::new(&mut rows, 1)?;
@@ -158,6 +220,7 @@ pub(crate) fn exists_batched(
                 &mut batch,
                 anchor_time,
                 window,
+                schedule,
                 |phase, batch, _| {
                     if phase == BatchPhase::Window {
                         accumulate_exists_hits(batch, &mut hits, window);
@@ -165,12 +228,14 @@ pub(crate) fn exists_batched(
                     Ok(ControlFlow::Continue(()))
                 },
             )?;
-            for (&pos, hit) in chunk.iter().zip(hits) {
+            for (g, (&pos, hit)) in chunk.iter().zip(hits).enumerate() {
                 let object = db.object(indices[pos]).ok_or(QueryError::internal(
                     "batched position resolves to a database object",
                 ))?;
-                results[pos] =
-                    Some(ObjectProbability { object_id: object.id(), probability: hit.min(1.0) });
+                results[pos] = Some(ObjectProbability {
+                    object_id: object.id(),
+                    probability: answer(hit, batch.decided(g)[0]),
+                });
             }
         }
     }
@@ -189,8 +254,9 @@ pub fn evaluate(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     let indices: Vec<usize> = (0..db.len()).collect();
+    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::Exists)?;
     let mut pipeline = Propagator::new(config, stats);
-    exists_batched(&mut pipeline, db, &indices, window)
+    probabilities_batched(&mut pipeline, db, &indices, window, &reach, exists_answer)
 }
 
 /// Common validation: dimensions agree and the window starts no earlier

@@ -42,6 +42,19 @@
 //! * **ε-pruning** — with [`EngineConfig::epsilon`] `> 0`, entries `≤ ε`
 //!   are dropped right after every transition and the dropped mass is
 //!   accounted in [`EvalStats::pruned_mass`] (the absolute error bound);
+//! * **Reach trimming** — a windowed sweep carries a [`ReachSchedule`]:
+//!   right after the window hook of every processed timestamp `t` (the
+//!   anchor time included) and before `StepEnd`, every live row is cut
+//!   down to `mask(t)`, the states from which the window can still decide
+//!   the predicate, and the dropped mass is added to the row's *decided*
+//!   accumulator ([`ObjectBatch::decided`]). Every source of an in-mask
+//!   state lies in the previous mask, and a row's per-slot accumulation
+//!   order does not depend on what else the row holds, so the entries that
+//!   stay are bit-identical to an untrimmed sweep's — the sweep just stops
+//!   paying for the `|S| ∖ S_reach` states the paper's
+//!   `O(|D|·|S_reach|²·δt)` never charges for. Sweeps with no window to
+//!   reach ([`Propagator::forward_to`], [`Propagator::forward_steps`]) run
+//!   untrimmed;
 //! * **Densification** — vectors created through [`Propagator::seed`]
 //!   switch from sparse to dense at
 //!   [`ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD`];
@@ -57,12 +70,105 @@
 
 use std::ops::ControlFlow;
 
-use ust_markov::{CsrMatrix, PropagationVector, SparseVector, SpmvScratch};
+use ust_markov::{CsrMatrix, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask};
 
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
+
+/// Which predicate a [`ReachSchedule`] keeps decidable — the two window
+/// rules the backward fields of [`crate::engine::query_based`] are swept
+/// under (a k-times sweep lives on the ∃ reach: mass that cannot visit the
+/// window again keeps its count level).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReachRule {
+    /// `mask(t)` = states that can still **enter** `S▫` at a query time in
+    /// `(t, t_end]` (union with the window, empty at `t_end`). Mass outside
+    /// can never hit: decided as a miss.
+    Exists,
+    /// `mask(t)` = states that can still be **inside** `S▫` at *all* query
+    /// times in `(t, t_end]` (intersection with the window, full at
+    /// `t_end`). Mass outside is certain to escape: decided as escaped.
+    ForAll,
+}
+
+/// Time-indexed backward reachability of a query window: the forward
+/// pipeline's trimming schedule.
+///
+/// `mask(t)` holds the states from which the *remaining* window
+/// (`T▫ ∩ (t, t_end]`) can still decide the predicate along the chain's
+/// stored transitions (see [`ReachRule`]). Mass outside `mask(t)` is
+/// decided, so the sweep drops it — the structural pruning the paper folds
+/// into the `M+` matrices, hoisted out as boolean masks built once per
+/// model and query from the transposed chain. The masks do not depend on
+/// where the sweep starts, so one schedule built from the earliest anchor
+/// time serves every later one.
+#[derive(Debug, Clone)]
+pub struct ReachSchedule {
+    t0: u32,
+    masks: Vec<StateMask>,
+}
+
+impl ReachSchedule {
+    /// Builds the masks for times `t0..=t_end` (one backward pass over the
+    /// transposed chain; `t0` is clamped to `t_end`).
+    pub fn build(
+        chain: &MarkovChain,
+        window: &QueryWindow,
+        rule: ReachRule,
+        t0: u32,
+    ) -> Result<ReachSchedule> {
+        let n = chain.num_states();
+        let t_end = window.t_end();
+        let t0 = t0.min(t_end);
+        let transposed = chain.transposed();
+        let mut masks: Vec<StateMask> = Vec::with_capacity((t_end - t0) as usize + 1);
+        // Nothing of the window remains ahead of t_end: no state can still
+        // hit it, every state still satisfies "all remaining times".
+        masks.push(match rule {
+            ReachRule::Exists => StateMask::new(n),
+            ReachRule::ForAll => StateMask::full(n),
+        });
+        for t in (t0 + 1..=t_end).rev() {
+            let ahead = &masks[(t_end - t) as usize];
+            // Where a world must be at time `t` to stay undecided: on the
+            // states ahead, joined with the window by the rule when `t` is
+            // a query time.
+            let joins = window.time_in_window(t).then_some(rule);
+            // Every state has a successor (rows are stochastic), so a full
+            // target is reached from everywhere.
+            let sources = if ahead.count() == n && joins != Some(ReachRule::ForAll) {
+                StateMask::full(n)
+            } else {
+                let mut sources = StateMask::new(n);
+                let mut add_sources_of = |s: usize| {
+                    transposed.row(s).0.iter().try_for_each(|&p| sources.insert(p as usize))
+                };
+                let inside = window.states();
+                match joins {
+                    None => ahead.iter().try_for_each(&mut add_sources_of)?,
+                    Some(ReachRule::Exists) => {
+                        ahead.iter().chain(inside.iter()).try_for_each(&mut add_sources_of)?
+                    }
+                    Some(ReachRule::ForAll) => inside
+                        .iter()
+                        .filter(|&s| ahead.contains(s))
+                        .try_for_each(&mut add_sources_of)?,
+                }
+                sources
+            };
+            masks.push(sources);
+        }
+        masks.reverse();
+        Ok(ReachSchedule { t0, masks })
+    }
+
+    /// The mask at time `t` (`None` outside `t0..=t_end`).
+    pub fn mask_at(&self, t: u32) -> Option<&StateMask> {
+        self.masks.get(t.checked_sub(self.t0)? as usize)
+    }
+}
 
 /// One moment of a forward sweep, delivered to the driver's event hook.
 ///
@@ -125,6 +231,9 @@ pub struct ObjectBatch<'r> {
     /// Per group: retired by the pipeline because its mass ran out (counts
     /// as evaluated, unlike a driver deactivation).
     exhausted: Vec<bool>,
+    /// Per row: mass the reach trimming dropped — worlds the window can no
+    /// longer change the predicate for.
+    decided: Vec<f64>,
 }
 
 impl<'r> ObjectBatch<'r> {
@@ -136,11 +245,13 @@ impl<'r> ObjectBatch<'r> {
             return Err(QueryError::MalformedBatch { rows: rows.len(), group_size });
         }
         let groups = rows.len() / group_size;
+        let decided = vec![0.0; rows.len()];
         Ok(ObjectBatch {
             rows,
             group_size,
             active: vec![true; groups],
             exhausted: vec![false; groups],
+            decided,
         })
     }
 
@@ -174,6 +285,15 @@ impl<'r> ObjectBatch<'r> {
         &mut self.rows[g * self.group_size..(g + 1) * self.group_size]
     }
 
+    /// The decided mass of group `g`, one entry per row: what the reach
+    /// trimming dropped from that row so far. What it means is the
+    /// driver's rule — a certain miss for ∃ (ignored), a certain escape
+    /// for ∀ through the complement window, mass that keeps its count
+    /// level for k-times. All zero on sweeps without a [`ReachSchedule`].
+    pub fn decided(&self, g: usize) -> &[f64] {
+        &self.decided[g * self.group_size..(g + 1) * self.group_size]
+    }
+
     /// True while group `g` still participates in the sweep.
     pub fn is_active(&self, g: usize) -> bool {
         self.active[g]
@@ -203,6 +323,22 @@ impl<'r> ObjectBatch<'r> {
             }
         }
         retired
+    }
+
+    /// Reach trimming: cuts every live row down to `mask`, crediting the
+    /// dropped mass to the row's decided accumulator.
+    fn trim_to(&mut self, mask: &StateMask) {
+        if mask.count() == mask.dim() {
+            return;
+        }
+        for (g, _) in self.active.iter().enumerate().filter(|(_, a)| **a) {
+            let span = g * self.group_size..(g + 1) * self.group_size;
+            for (row, decided) in self.rows[span.clone()].iter_mut().zip(&mut self.decided[span]) {
+                if row.nnz() > 0 {
+                    *decided += row.retain_masked(mask);
+                }
+            }
+        }
     }
 
     /// Per-row activity for the batched kernel; `None` when every group is
@@ -274,45 +410,53 @@ impl<'s> Propagator<'s> {
     /// `start_time` itself when it lies in `T▫`) and with
     /// [`BatchPhase::StepEnd`] after every processed timestamp; the driver
     /// applies its accumulation rule to each active group and may retire
-    /// decided groups via [`ObjectBatch::deactivate`]. Returning
-    /// [`ControlFlow::Break`] aborts the whole sweep (single-object drivers
-    /// use it for their bound decisions); the returned timestamp is where
-    /// the sweep broke, `None` at the natural end.
+    /// decided groups via [`ObjectBatch::deactivate`]. Between the two
+    /// hooks every live row is trimmed to `reach`'s mask of that timestamp
+    /// (see the module docs); the driver reads what was dropped from
+    /// [`ObjectBatch::decided`]. Returning [`ControlFlow::Break`] aborts
+    /// the whole sweep (single-object drivers use it for their bound
+    /// decisions); the returned timestamp is where the sweep broke, `None`
+    /// at the natural end.
     pub fn forward_batch(
         &mut self,
         matrix: &CsrMatrix,
         batch: &mut ObjectBatch<'_>,
         start_time: u32,
         window: &QueryWindow,
+        reach: &ReachSchedule,
         on_event: impl FnMut(BatchPhase, &mut ObjectBatch<'_>, u32) -> Result<ControlFlow<()>>,
     ) -> Result<Option<u32>> {
         let end_time = window.t_end();
-        self.forward_core(matrix, batch, start_time, end_time, Some(window), on_event)
+        self.forward_core(matrix, batch, start_time, end_time, Some(window), Some(reach), on_event)
     }
 
-    /// Forward sweep from `start_time` to `window.t_end()`.
+    /// Forward sweep from `start_time` to `window.t_end()`, trimmed to
+    /// `reach`.
     ///
     /// `rows` is the propagated state of **one object** — a single vector
     /// for the ∃ engines, the `|T▫| + 1` count levels of the `C(t)`
     /// algorithm for PSTkQ. At every query timestamp (including
     /// `start_time` itself when it lies in `T▫`) `on_window` applies the
-    /// driver's accumulation rule.
+    /// driver's accumulation rule. Returns the decided mass per row
+    /// ([`ObjectBatch::decided`]).
     pub fn forward(
         &mut self,
         matrix: &CsrMatrix,
         rows: &mut [PropagationVector],
         start_time: u32,
         window: &QueryWindow,
+        reach: &ReachSchedule,
         mut on_window: impl FnMut(&mut [PropagationVector], u32) -> Result<()>,
-    ) -> Result<()> {
-        self.forward_until(matrix, rows, start_time, window, |event| match event {
-            ForwardEvent::Window { rows, t } => {
+    ) -> Result<Vec<f64>> {
+        let end_time = window.t_end();
+        let reach = Some(reach);
+        self.forward_rows(matrix, rows, start_time, end_time, Some(window), reach, |event| {
+            if let ForwardEvent::Window { rows, t } = event {
                 on_window(rows, t)?;
-                Ok(ControlFlow::Continue(()))
             }
-            ForwardEvent::StepEnd { .. } => Ok(ControlFlow::Continue(())),
+            Ok(ControlFlow::Continue(()))
         })
-        .map(|_| ())
+        .map(|(_, decided)| decided)
     }
 
     /// As [`Propagator::forward`], delivering the full [`ForwardEvent`]
@@ -321,25 +465,28 @@ impl<'s> Propagator<'s> {
     ///
     /// Returns the timestamp at which the driver broke, or `None` when the
     /// sweep ran to its natural end (in which case the pipeline counts the
-    /// object as evaluated). Used by the single-object threshold and top-k
-    /// drivers, whose bound-based stopping rules are evaluation outcomes of
-    /// their own — they update [`EvalStats`] through [`Propagator::stats`].
+    /// object as evaluated). Used by the single-object threshold driver,
+    /// whose bound-based stopping rule is an evaluation outcome of its own
+    /// — it updates [`EvalStats`] through [`Propagator::stats`].
     pub fn forward_until(
         &mut self,
         matrix: &CsrMatrix,
         rows: &mut [PropagationVector],
         start_time: u32,
         window: &QueryWindow,
+        reach: &ReachSchedule,
         on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
     ) -> Result<Option<u32>> {
         let end_time = window.t_end();
-        self.forward_to(matrix, rows, start_time, end_time, window, on_event)
+        self.forward_rows(matrix, rows, start_time, end_time, Some(window), Some(reach), on_event)
+            .map(|(broke_at, _)| broke_at)
     }
 
-    /// As [`Propagator::forward_until`] with an explicit end of sweep,
-    /// which may lie beyond `window.t_end()` — the multi-observation
-    /// engine keeps propagating to its last observation so later evidence
-    /// still conditions the result.
+    /// The window schedule with an explicit end of sweep, which may lie
+    /// beyond `window.t_end()`, and **no reach trimming** — the
+    /// multi-observation engine keeps propagating to its last observation
+    /// so later evidence still conditions the result, and the independence
+    /// baseline reads marginals rather than deciding worlds.
     pub fn forward_to(
         &mut self,
         matrix: &CsrMatrix,
@@ -349,7 +496,8 @@ impl<'s> Propagator<'s> {
         window: &QueryWindow,
         on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
     ) -> Result<Option<u32>> {
-        self.forward_rows(matrix, rows, start_time, end_time, Some(window), on_event)
+        self.forward_rows(matrix, rows, start_time, end_time, Some(window), None, on_event)
+            .map(|(broke_at, _)| broke_at)
     }
 
     /// Forward sweep with **no window schedule**: only
@@ -365,11 +513,14 @@ impl<'s> Propagator<'s> {
         end_time: u32,
         on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
     ) -> Result<Option<u32>> {
-        self.forward_rows(matrix, rows, start_time, end_time, None, on_event)
+        self.forward_rows(matrix, rows, start_time, end_time, None, None, on_event)
+            .map(|(broke_at, _)| broke_at)
     }
 
     /// The single-object adapter: one group holding all `rows`, driven
-    /// through the batch core with [`ForwardEvent`] translation.
+    /// through the batch core with [`ForwardEvent`] translation. Returns
+    /// where the sweep broke and the decided mass per row.
+    #[allow(clippy::too_many_arguments)]
     fn forward_rows(
         &mut self,
         matrix: &CsrMatrix,
@@ -377,19 +528,51 @@ impl<'s> Propagator<'s> {
         start_time: u32,
         end_time: u32,
         window: Option<&QueryWindow>,
+        reach: Option<&ReachSchedule>,
         mut on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<Option<u32>> {
+    ) -> Result<(Option<u32>, Vec<f64>)> {
         let group_size = rows.len().max(1);
         let mut batch = ObjectBatch::new(rows, group_size)?;
-        self.forward_core(matrix, &mut batch, start_time, end_time, window, |phase, batch, t| {
-            on_event(match phase {
-                BatchPhase::Window => ForwardEvent::Window { rows: batch.rows_mut(), t },
-                BatchPhase::StepEnd => ForwardEvent::StepEnd { rows: batch.rows_mut(), t },
-            })
-        })
+        let broke_at = self.forward_core(
+            matrix,
+            &mut batch,
+            start_time,
+            end_time,
+            window,
+            reach,
+            |phase, batch, t| {
+                on_event(match phase {
+                    BatchPhase::Window => ForwardEvent::Window { rows: batch.rows_mut(), t },
+                    BatchPhase::StepEnd => ForwardEvent::StepEnd { rows: batch.rows_mut(), t },
+                })
+            },
+        )?;
+        Ok((broke_at, batch.decided))
+    }
+
+    /// One processed timestamp of the masking schedule: the window hook
+    /// when `t ∈ T▫`, reach trimming, then `StepEnd`. True when the driver
+    /// broke the sweep.
+    fn process_timestamp(
+        batch: &mut ObjectBatch<'_>,
+        t: u32,
+        window: Option<&QueryWindow>,
+        reach: Option<&ReachSchedule>,
+        on_event: &mut impl FnMut(BatchPhase, &mut ObjectBatch<'_>, u32) -> Result<ControlFlow<()>>,
+    ) -> Result<bool> {
+        if window.is_some_and(|w| w.time_in_window(t))
+            && on_event(BatchPhase::Window, batch, t)?.is_break()
+        {
+            return Ok(true);
+        }
+        if let Some(mask) = reach.and_then(|r| r.mask_at(t)) {
+            batch.trim_to(mask);
+        }
+        Ok(on_event(BatchPhase::StepEnd, batch, t)?.is_break())
     }
 
     /// The one step loop behind every forward API.
+    #[allow(clippy::too_many_arguments)]
     fn forward_core(
         &mut self,
         matrix: &CsrMatrix,
@@ -397,19 +580,16 @@ impl<'s> Propagator<'s> {
         start_time: u32,
         end_time: u32,
         window: Option<&QueryWindow>,
+        reach: Option<&ReachSchedule>,
         mut on_event: impl FnMut(BatchPhase, &mut ObjectBatch<'_>, u32) -> Result<ControlFlow<()>>,
     ) -> Result<Option<u32>> {
-        if window.is_some_and(|w| w.time_in_window(start_time))
-            && on_event(BatchPhase::Window, batch, start_time)?.is_break()
-        {
-            return Ok(Some(start_time));
-        }
-        if on_event(BatchPhase::StepEnd, batch, start_time)?.is_break() {
+        if Self::process_timestamp(batch, start_time, window, reach, &mut on_event)? {
             return Ok(Some(start_time));
         }
         for t in start_time..end_time {
             // Retire groups whose worlds are all decided (the paper's
-            // inherent true-hit stop), then stop once none remain.
+            // inherent true-hit stop, and every world the reach trimming
+            // dropped), then stop once none remain.
             self.stats.early_terminations += batch.retire_exhausted();
             if batch.active_groups() == 0 {
                 break;
@@ -435,12 +615,7 @@ impl<'s> Propagator<'s> {
                     }
                 }
             }
-            if window.is_some_and(|w| w.time_in_window(t + 1))
-                && on_event(BatchPhase::Window, batch, t + 1)?.is_break()
-            {
-                return Ok(Some(t + 1));
-            }
-            if on_event(BatchPhase::StepEnd, batch, t + 1)?.is_break() {
+            if Self::process_timestamp(batch, t + 1, window, reach, &mut on_event)? {
                 return Ok(Some(t + 1));
             }
         }
@@ -585,6 +760,51 @@ mod tests {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
     }
 
+    fn exists_reach(chain: &MarkovChain, window: &QueryWindow) -> ReachSchedule {
+        ReachSchedule::build(chain, window, ReachRule::Exists, 0).unwrap()
+    }
+
+    #[test]
+    fn trimming_moves_unreachable_mass_to_the_decided_accumulator() {
+        // A conveyor belt moving right: from s2 onwards the window {s0} is
+        // out of reach, so that mass is decided before any transition while
+        // the in-reach row is stepped as usual.
+        let chain = MarkovChain::from_csr(
+            CsrMatrix::from_dense(&[vec![0.5, 0.5, 0.0], vec![0.0, 0.0, 1.0], vec![0.0, 0.0, 1.0]])
+                .unwrap(),
+        )
+        .unwrap();
+        let window = QueryWindow::from_states(3, [0usize], TimeSet::interval(1, 2)).unwrap();
+        let reach = exists_reach(&chain, &window);
+        let mut stats = EvalStats::new();
+        let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
+        let mut rows = vec![
+            pipeline.seed(SparseVector::from_pairs(3, [(0, 0.5), (2, 0.5)]).unwrap()),
+            pipeline.seed(SparseVector::unit(3, 1).unwrap()),
+        ];
+        let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
+        let mut hits = [0.0f64; 2];
+        pipeline
+            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, _| {
+                if phase == BatchPhase::Window {
+                    for (g, hit) in hits.iter_mut().enumerate() {
+                        *hit += batch.group_mut(g)[0].extract_masked(window.states());
+                    }
+                }
+                Ok(ControlFlow::Continue(()))
+            })
+            .unwrap();
+        // Group 0: 0.5 at s0 hits with 0.25 at t=1 (0.25 left for s1, which
+        // is out of reach and decided); the 0.5 at s2 was decided at t=0.
+        assert_eq!(hits, [0.25, 0.0]);
+        assert_eq!(batch.decided(0), &[0.75]);
+        assert_eq!(batch.decided(1), &[1.0]);
+        // Only group 0 ever stepped, once; group 1 retired empty at t=0.
+        assert_eq!(stats.transitions, 1);
+        assert_eq!(stats.early_terminations, 2);
+        assert_eq!(stats.objects_evaluated, 2);
+    }
+
     #[test]
     fn forward_applies_schedule_and_counts() {
         // Re-derives the paper's 0.864 directly through the pipeline.
@@ -597,10 +817,17 @@ mod tests {
         let mut rows = [pipeline.seed(object.anchor().distribution().clone())];
         let mut hit = 0.0;
         pipeline
-            .forward(chain.matrix(), &mut rows, 0, &window, |rows, _| {
-                hit += rows[0].extract_masked(window.states());
-                Ok(())
-            })
+            .forward(
+                chain.matrix(),
+                &mut rows,
+                0,
+                &window,
+                &exists_reach(&chain, &window),
+                |rows, _| {
+                    hit += rows[0].extract_masked(window.states());
+                    Ok(())
+                },
+            )
             .unwrap();
         assert!((hit - 0.864).abs() < 1e-12);
         assert_eq!(stats.transitions, 3);
@@ -612,11 +839,12 @@ mod tests {
     fn forward_until_breaks_without_counting_evaluation() {
         let chain = paper_chain();
         let window = paper_window();
+        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = [pipeline.seed(SparseVector::from_pairs(3, [(1usize, 1.0)]).unwrap())];
         let decided = pipeline
-            .forward_until(chain.matrix(), &mut rows, 0, &window, |event| match event {
+            .forward_until(chain.matrix(), &mut rows, 0, &window, &reach, |event| match event {
                 ForwardEvent::StepEnd { t, .. } if t >= 1 => Ok(ControlFlow::Break(())),
                 _ => Ok(ControlFlow::Continue(())),
             })
@@ -632,6 +860,7 @@ mod tests {
         // propagates to the end and is counted as evaluated.
         let chain = paper_chain();
         let window = paper_window();
+        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = vec![
@@ -641,7 +870,7 @@ mod tests {
         let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hits = [0.0f64; 2];
         let end = pipeline
-            .forward_batch(chain.matrix(), &mut batch, 0, &window, |phase, batch, t| {
+            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, t| {
                 match phase {
                     BatchPhase::Window => {
                         for (g, hit) in hits.iter_mut().enumerate() {
@@ -675,6 +904,7 @@ mod tests {
         // vector; both groups retire, both count as evaluated.
         let chain = paper_chain();
         let window = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::new([1, 9])).unwrap();
+        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = vec![
@@ -684,7 +914,7 @@ mod tests {
         let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hit = 0.0;
         pipeline
-            .forward_batch(chain.matrix(), &mut batch, 0, &window, |phase, batch, _| {
+            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, _| {
                 if phase == BatchPhase::Window {
                     for g in 0..batch.num_groups() {
                         hit += batch.group_mut(g)[0].extract_masked(window.states());

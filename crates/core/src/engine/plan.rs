@@ -26,7 +26,9 @@
 //!   `t_end`, so the step work is `Σ_o (t_end − t_o) × L × nnz(M)`, where
 //!   `L` is the number of rows per object (1 for ∃/∀, `|T▫|+1` count
 //!   levels for PSTkQ). Threshold and top-k decorators terminate early on
-//!   bound decisions, modelled as a constant ×0.5 discount.
+//!   bound decisions, modelled as a constant ×0.5 discount. The estimate
+//!   is an upper bound: the sweep is trimmed to the window's reach and
+//!   touches far fewer entries when the window is selective.
 //! * **Query-based**: one backward sweep per populated model —
 //!   `(t_end − min_o t_o) × L × nnz(M)` — plus one sparse dot product per
 //!   object. A sweep whose `(model, window, rule)` field is **cache-resident**
@@ -45,6 +47,8 @@ use std::time::{Duration, Instant};
 use crate::cluster;
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
+use crate::engine::object_based::ReachPlan;
+use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{
     probability_row, validated_model_groups_on, BackwardField, FieldRule, SharedFieldPlan,
 };
@@ -98,7 +102,10 @@ pub struct QueryPlan {
     /// The strategy the query will run under (never [`Strategy::Auto`]:
     /// an `Auto` spec is resolved, an explicit override is echoed).
     pub strategy: Strategy,
-    /// Estimated cost of object-based evaluation.
+    /// Estimated cost of object-based evaluation — an upper bound: it
+    /// charges every object the whole matrix per step and ignores reach
+    /// trimming, which stops paying for states (and objects) the window
+    /// cannot be reached from.
     pub object_based: CostEstimate,
     /// Estimated cost of query-based evaluation (cache-aware).
     pub query_based: CostEstimate,
@@ -200,10 +207,16 @@ pub(crate) struct ExecContext<'a> {
 
 /// Maps a spec's optional object-id subset to ascending database indices;
 /// `None` means the whole database. Fails with
-/// [`QueryError::UnknownObject`] when an id does not exist.
+/// [`QueryError::UnknownObject`] (the smallest missing id) when an id does
+/// not exist. On a store with ascending ids — id order is index order —
+/// each id is bisected, O(k·log |D|); otherwise one walk over the store
+/// collects every holder of a requested id.
 pub(crate) fn resolve_indices(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Vec<usize>> {
     match spec.objects() {
         None => Ok((0..db.len()).collect()),
+        Some(ids) if db.ids_ascending() => {
+            ids.iter().map(|&id| db.index_of(id).ok_or(QueryError::UnknownObject { id })).collect()
+        }
         Some(ids) => {
             let mut out = Vec::with_capacity(ids.len());
             let mut matched = vec![false; ids.len()];
@@ -241,8 +254,8 @@ pub(crate) struct Prefiltered {
 ///   would have to be re-synthesized into the answer, and only the `∃`
 ///   probability/threshold shapes make that bit-exact (a pruned object's
 ///   `P∃` is `0.0` exactly in every engine, whereas `∀`/PSTkQ answers
-///   carry float residue and OB top-k has its own pruner with a different
-///   omission contract);
+///   carry float residue and OB top-k dismisses on its own bounds, with a
+///   different omission contract);
 /// * a window whose mask dimension differs from the database's, or one
 ///   starting before the latest first observation over the candidates —
 ///   in both cases the exact drivers are entitled to fail validation, and
@@ -569,13 +582,14 @@ fn dispatch(
             }
             Decorator::TopK(k) => {
                 let ranked = if strategy == Strategy::ObjectBased {
-                    // Reachability-pruned ranking.
+                    // Bound-pruned ranking on the reach-trimmed sweep.
                     if k == 0 {
                         Vec::new()
                     } else {
+                        let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
                         let candidates =
                             ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                                ranking::topk_batched(pipeline, ctx.db, idxs, window, k)
+                                ranking::topk_batched(pipeline, ctx.db, idxs, window, &reach, k)
                             })?;
                         let mut best: Vec<RankedObject> = Vec::with_capacity(k + 1);
                         for candidate in candidates {
@@ -744,8 +758,9 @@ fn threshold_qualifies(
 ) -> Result<Vec<bool>> {
     if strategy == Strategy::ObjectBased {
         // The bound-based driver: early termination per object.
+        let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
         let outcomes = ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-            threshold::threshold_batched(pipeline, ctx.db, idxs, window, tau)
+            threshold::threshold_batched(pipeline, ctx.db, idxs, window, &reach, tau)
         })?;
         Ok(outcomes.into_iter().map(|o| o.qualifies).collect())
     } else {
@@ -776,8 +791,16 @@ fn exists_probs(
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
         Strategy::ObjectBased => {
+            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
             ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                object_based::exists_batched(pipeline, ctx.db, idxs, window)
+                object_based::probabilities_batched(
+                    pipeline,
+                    ctx.db,
+                    idxs,
+                    window,
+                    &reach,
+                    object_based::exists_answer,
+                )
             })
         }
         Strategy::QueryBased => {
@@ -837,7 +860,8 @@ fn field_answers<T: Send>(
 }
 
 /// PST∀Q probabilities over `indices`: the Section VII complement
-/// reduction object-based, the direct ∀ backward field query-based, the
+/// reduction object-based (the complement-window sweep under the ∀ reach
+/// of the original window), the direct ∀ backward field query-based, the
 /// all-visits tail for the sampling baseline.
 fn forall_probs(
     ctx: &ExecContext<'_>,
@@ -858,12 +882,21 @@ fn forall_probs(
                 probability_row(field, object, window)
             })
         }
-        _ => {
+        Strategy::ObjectBased => {
             let complement = window.complement_states()?;
-            let mut results = exists_probs(ctx, strategy, indices, &complement, sampling, stats)?;
-            forall::complement_probabilities(&mut results);
-            Ok(results)
+            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::ForAll)?;
+            ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
+                object_based::probabilities_batched(
+                    pipeline,
+                    ctx.db,
+                    idxs,
+                    &complement,
+                    &reach,
+                    forall::forall_answer,
+                )
+            })
         }
+        Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
     }
 }
 
@@ -879,8 +912,9 @@ fn ktimes_dists(
 ) -> Result<Vec<ObjectKDistribution>> {
     match strategy {
         Strategy::ObjectBased => {
+            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
             ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                ktimes::ktimes_batched(pipeline, ctx.db, idxs, window)
+                ktimes::ktimes_batched(pipeline, ctx.db, idxs, window, &reach)
             })
         }
         Strategy::QueryBased => {

@@ -620,6 +620,7 @@ impl ShardedExecutor {
 mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
+    use crate::engine::pipeline::ReachRule;
     use crate::engine::{forall, ktimes, object_based, query_based, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
@@ -743,11 +744,20 @@ mod tests {
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         let indices: Vec<usize> = (0..db.len()).collect();
+        let reach =
+            object_based::ReachPlan::prepare(&db, &indices, &window, ReachRule::Exists).unwrap();
         // Many queries over the same pool: no respawn, identical bits.
         for _ in 0..3 {
             let out = executor
                 .run_on(&indices, &config, &mut EvalStats::new(), |pipeline, idxs| {
-                    object_based::exists_batched(pipeline, &db, idxs, &window)
+                    object_based::probabilities_batched(
+                        pipeline,
+                        &db,
+                        idxs,
+                        &window,
+                        &reach,
+                        object_based::exists_answer,
+                    )
                 })
                 .unwrap();
             for (a, b) in out.iter().zip(&sequential) {

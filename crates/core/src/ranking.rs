@@ -8,22 +8,23 @@
 //!
 //! * query-based — compute every probability via the (cheap) query-based
 //!   engine and select the k largest; the baseline.
-//! * object-based — evaluation with bound-based pruning: objects are first
-//!   screened with the [`ReachabilityPruner`]'s instant upper bound;
-//!   propagation then runs only while an object's upper bound still beats
-//!   the current k-th best lower bound. With a selective window most
-//!   objects are dismissed before (or shortly after) their first
-//!   transition. Useful when objects follow *many distinct models* (where
+//! * object-based — evaluation with bound-based pruning: the pipeline's
+//!   reach trimming leaves in each vector only the mass that can still hit,
+//!   so an object's upper bound is `⊤ + alive`; an object with nothing
+//!   alive at its anchor is screened out on the spot, and propagation runs
+//!   only while the upper bound still beats the current k-th best lower
+//!   bound. With a selective window most objects are dismissed before (or
+//!   shortly after) their first transition. Useful when objects follow *many distinct models* (where
 //!   QB would need one backward pass per model) or when `k` is small.
 
 use std::ops::ControlFlow;
 
 use crate::database::TrajectoryDatabase;
+use crate::engine::group_batchable;
+use crate::engine::object_based::{self, ReachPlan};
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::engine::{group_batchable, object_based};
 use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
-use crate::threshold::ReachabilityPruner;
 
 /// One ranked result.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,10 +71,10 @@ pub(crate) fn insert_ranked(best: &mut Vec<RankedObject>, entry: RankedObject, k
 /// merge their candidate lists with [`insert_ranked`].
 ///
 /// Objects grouped by `(model, anchor time)` propagate in
-/// [`crate::engine::EngineConfig::batch_size`] batches: the ∃ rule
-/// accumulates per live group, and after every timestamp each group whose reachability-pruned
-/// upper bound can no longer beat the current k-th best lower bound drops
-/// out of the batch. The candidate list is updated per batch, so later
+/// [`crate::engine::EngineConfig::batch_size`] batches, trimmed to `reach`
+/// (the ∃ schedules of `window`): the ∃ rule accumulates per live group,
+/// and after every timestamp each group whose upper bound `⊤ + alive` can
+/// no longer beat the current k-th best lower bound drops out of the batch. The candidate list is updated per batch, so later
 /// batches prune against the tightened bound. Survivor probabilities are
 /// exact, making the final ranking identical at every batch size.
 pub(crate) fn topk_batched(
@@ -81,12 +82,12 @@ pub(crate) fn topk_batched(
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
+    reach: &ReachPlan,
     k: usize,
 ) -> Result<Vec<RankedObject>> {
     if k == 0 || indices.is_empty() {
         return Ok(Vec::new());
     }
-    object_based::validate_indices(db, indices, window)?;
 
     // Current top-k lower bounds (min-heap behaviour via sorted Vec —
     // k is small in practice).
@@ -102,45 +103,47 @@ pub(crate) fn topk_batched(
     let batch_size = pipeline.config().effective_batch_size();
     for ((model, t0), members) in group_batchable(db, indices)? {
         let chain = &db.models()[model];
-        let pruner = ReachabilityPruner::build(chain, window, t0)?;
+        let schedule = reach.schedule(model)?;
         for chunk in members.chunks(batch_size) {
             let mut rows = object_based::seed_anchor_rows(pipeline, db, indices, chunk)?;
             let mut batch = ObjectBatch::new(&mut rows, 1)?;
             let mut hits = vec![0.0f64; chunk.len()];
             let mut dismissed_at: Vec<Option<u32>> = vec![None; chunk.len()];
-            pipeline.forward_batch(chain.matrix(), &mut batch, t0, window, |phase, batch, t| {
-                match phase {
-                    BatchPhase::Window => {
-                        object_based::accumulate_exists_hits(batch, &mut hits, window);
-                    }
-                    BatchPhase::StepEnd => {
-                        for (g, dismissal) in dismissed_at.iter_mut().enumerate() {
-                            if !batch.is_active(g) {
-                                continue;
-                            }
-                            let upper = match pruner.mask_at(t) {
-                                Some(mask) => {
-                                    (hits[g] + batch.group(g)[0].masked_sum(mask)).min(1.0)
+            pipeline.forward_batch(
+                chain.matrix(),
+                &mut batch,
+                t0,
+                window,
+                schedule,
+                |phase, batch, t| {
+                    match phase {
+                        BatchPhase::Window => {
+                            object_based::accumulate_exists_hits(batch, &mut hits, window);
+                        }
+                        BatchPhase::StepEnd => {
+                            for (g, dismissal) in dismissed_at.iter_mut().enumerate() {
+                                if !batch.is_active(g) {
+                                    continue;
                                 }
-                                None => (hits[g] + batch.group(g)[0].sum()).min(1.0),
-                            };
-                            // Dismiss an object that can no longer
-                            // *strictly* beat the k-th candidate, or
-                            // that can never reach the window at all.
-                            // The strict comparison keeps boundary ties
-                            // alive in every batch size, so exact ties
-                            // are always resolved by the deterministic
-                            // id tie-break — the final ranking is
-                            // independent of batch composition.
-                            if upper == 0.0 || upper < kth_bound(&best) {
-                                *dismissal = Some(t);
-                                batch.deactivate(g);
+                                let upper = (hits[g] + batch.group(g)[0].sum()).min(1.0);
+                                // Dismiss an object that can no longer
+                                // *strictly* beat the k-th candidate, or
+                                // that can never reach the window at all.
+                                // The strict comparison keeps boundary ties
+                                // alive in every batch size, so exact ties
+                                // are always resolved by the deterministic
+                                // id tie-break — the final ranking is
+                                // independent of batch composition.
+                                if upper == 0.0 || upper < kth_bound(&best) {
+                                    *dismissal = Some(t);
+                                    batch.deactivate(g);
+                                }
                             }
                         }
                     }
-                }
-                Ok(ControlFlow::Continue(()))
-            })?;
+                    Ok(ControlFlow::Continue(()))
+                },
+            )?;
             for (g, &pos) in chunk.iter().enumerate() {
                 match dismissed_at[g] {
                     // Screened out by the instant upper bound, before any

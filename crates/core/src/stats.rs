@@ -9,7 +9,10 @@
 /// Counters accumulated during query evaluation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalStats {
-    /// Forward vector–matrix transitions performed.
+    /// Forward vector–matrix transitions performed. A windowed forward
+    /// sweep steps only rows that still hold mass inside the window's reach
+    /// (see [`crate::engine::pipeline::ReachSchedule`]): an object whose
+    /// anchor lies outside it is answered with zero transitions.
     pub transitions: u64,
     /// Transition-matrix rows streamed during forward propagation. The
     /// batched kernel reads each touched row once per *batch* instead of
@@ -21,13 +24,18 @@ pub struct EvalStats {
     /// across kernel choices (every batching mode performs the same
     /// floating-point work), so `entries_touched / execute_time` is the
     /// matrix-entry *throughput* the serving calibration and the plan cost
-    /// model reason about.
+    /// model reason about. On a windowed forward sweep this is reachable
+    /// work only — the rows of source states from which the window can
+    /// still decide the predicate, the `|S_reach|²` of the paper's bound.
     pub entries_touched: u64,
     /// Backward vector–matrix transitions performed (query-based passes).
     pub backward_steps: u64,
     /// Objects whose probability was computed.
     pub objects_evaluated: u64,
-    /// Objects skipped by a prefilter or cluster bound.
+    /// Objects skipped by a prefilter, a cluster bound or the top-k
+    /// driver's dismissal at the anchor time. An object the reach trimming
+    /// empties under any other driver is *not* pruned: it was evaluated
+    /// (its answer is exact) and retires as an early termination.
     pub objects_pruned: u64,
     /// Candidate objects the spatio-temporal index handed to the engines —
     /// the post-pruning `|D∩|` a query actually dispatched on. Without an
@@ -36,7 +44,9 @@ pub struct EvalStats {
     /// Candidate objects discarded by the spatio-temporal index before any
     /// matrix work (provably `P∃ = 0`).
     pub candidates_pruned: u64,
-    /// Propagations cut short because all worlds were already decided.
+    /// Propagations cut short because all worlds were already decided —
+    /// absorbed by the window, or trimmed because the window can no longer
+    /// change their outcome.
     pub early_terminations: u64,
     /// Backward-field cache lookups answered without a fresh sweep
     /// (including suffix-extended partial hits).

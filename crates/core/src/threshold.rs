@@ -8,79 +8,23 @@
 //! propagation can stop as soon as either bound decides `τ` — the paper's
 //! remark that "computation can be stopped as soon as the probability of
 //! state ⊤ becomes sufficiently large", made symmetric for rejection.
+//! The pipeline's reach trimming keeps `remaining` tight: what is left in
+//! the vector after a timestamp is exactly the mass that can still hit.
 
 use std::ops::ControlFlow;
 
-use ust_markov::{MarkovChain, StateMask};
+use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{self, validate};
-use crate::engine::pipeline::{BatchPhase, ForwardEvent, ObjectBatch, Propagator};
+use crate::engine::object_based::{self, validate, ReachPlan};
+use crate::engine::pipeline::{
+    BatchPhase, ForwardEvent, ObjectBatch, Propagator, ReachRule, ReachSchedule,
+};
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
-
-/// Time-indexed backward reachability of the query window.
-///
-/// `mask(t)` is the set of states from which the *remaining* window
-/// (`T▫ ∩ (t, t_end]`) is reachable along the chain's non-zero transitions.
-/// Mass outside `mask(t)` can never contribute to ⊤ anymore, so the upper
-/// bound tightens from `hit + alive` to `hit + alive∩mask(t)` — this is the
-/// structural pruning the paper folds into the `M+` matrices, hoisted out
-/// as a per-query precomputation shared by all objects.
-#[derive(Debug, Clone)]
-pub struct ReachabilityPruner {
-    t0: u32,
-    masks: Vec<StateMask>,
-}
-
-impl ReachabilityPruner {
-    /// Builds the masks for times `t0..=t_end` (one backward sweep over the
-    /// transposed chain).
-    pub fn build(chain: &MarkovChain, window: &QueryWindow, t0: u32) -> Result<ReachabilityPruner> {
-        let n = chain.num_states();
-        let t_end = window.t_end();
-        let steps = (t_end - t0.min(t_end)) as usize;
-        let transposed = chain.transposed();
-        let mut masks: Vec<StateMask> = Vec::with_capacity(steps + 1);
-        // At t_end nothing of the window remains ahead.
-        masks.push(StateMask::new(n));
-        let mut current = StateMask::new(n);
-        let mut t = t_end;
-        while t > t0.min(t_end) {
-            // Target of a transition out of time t-1: remaining-window
-            // reachable states at t, plus the window itself when t ∈ T▫.
-            let target = if window.time_in_window(t) {
-                current.union(window.states())?
-            } else {
-                current.clone()
-            };
-            let mut prev = StateMask::new(n);
-            if target.count() == n {
-                prev = StateMask::full(n);
-            } else {
-                for s in target.iter() {
-                    let (preds, _) = transposed.row(s);
-                    for &p in preds {
-                        let _ = prev.insert(p as usize);
-                    }
-                }
-            }
-            masks.push(prev.clone());
-            current = prev;
-            t -= 1;
-        }
-        masks.reverse();
-        Ok(ReachabilityPruner { t0: t0.min(t_end), masks })
-    }
-
-    /// The reachability mask at time `t` (None when `t` is out of range).
-    pub fn mask_at(&self, t: u32) -> Option<&StateMask> {
-        self.masks.get((t.checked_sub(self.t0)?) as usize)
-    }
-}
 
 /// Outcome of a thresholded PST∃Q on one object.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +63,22 @@ fn exists_threshold_with_stats(
     threshold_driver(&mut Propagator::new(config, stats), chain, object, window, tau)
 }
 
+/// Where a thresholded sweep stands after a timestamp: `Some(qualifies)`
+/// once either bound decides `τ`, with the upper bound it was decided on.
+/// `alive` is what reach trimming left in the vector — the mass that can
+/// still hit (none at `t_end`).
+fn decide(hit: f64, alive: f64, tau: f64) -> (Option<bool>, f64) {
+    let upper = (hit + alive).min(1.0);
+    let decision = if hit >= tau {
+        Some(true)
+    } else if upper < tau {
+        Some(false)
+    } else {
+        None
+    };
+    (decision, upper)
+}
+
 /// The thresholded-∃ driver on the shared pipeline: the accumulation rule
 /// is the ⊤ redirect of the OB engine, and the decision rule compares the
 /// monotone lower bound `⊤` / shrinking upper bound `⊤ + alive` against
@@ -134,36 +94,32 @@ fn threshold_driver(
     let anchor = object.anchor();
     let t0 = anchor.time();
     let t_end = window.t_end();
+    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, t0)?;
 
     let mut rows = [pipeline.seed(anchor.distribution().clone())];
     let mut hit = 0.0;
-    let mut remaining_query_times = window.times().iter().filter(|&t| t > t0).count();
-    let mut decision: Option<(bool, f64, f64)> = None;
+    let mut decision: Option<(bool, f64)> = None;
 
-    let decided_at =
-        pipeline.forward_until(chain.matrix(), &mut rows, t0, window, |event| match event {
-            ForwardEvent::Window { rows, t } => {
+    let decided_at = pipeline.forward_until(
+        chain.matrix(),
+        &mut rows,
+        t0,
+        window,
+        &reach,
+        |event| match event {
+            ForwardEvent::Window { rows, .. } => {
                 hit += rows[0].extract_masked(window.states());
-                if t > t0 {
-                    remaining_query_times -= 1;
-                }
                 Ok(ControlFlow::Continue(()))
             }
-            ForwardEvent::StepEnd { rows, .. } => {
-                // With no query timestamps left, no more mass can reach ⊤.
-                let upper =
-                    if remaining_query_times == 0 { hit } else { (hit + rows[0].sum()).min(1.0) };
-                if hit >= tau {
-                    decision = Some((true, hit, upper));
+            ForwardEvent::StepEnd { rows, .. } => match decide(hit, rows[0].sum(), tau) {
+                (Some(qualifies), upper) => {
+                    decision = Some((qualifies, upper));
                     Ok(ControlFlow::Break(()))
-                } else if upper < tau {
-                    decision = Some((false, hit, upper));
-                    Ok(ControlFlow::Break(()))
-                } else {
-                    Ok(ControlFlow::Continue(()))
                 }
-            }
-        })?;
+                (None, _) => Ok(ControlFlow::Continue(())),
+            },
+        },
+    )?;
 
     match decided_at {
         Some(t) => {
@@ -172,9 +128,9 @@ fn threshold_driver(
                 pipeline.stats().early_terminations += 1;
             }
             pipeline.stats().objects_evaluated += 1;
-            let (qualifies, lower, upper) =
+            let (qualifies, upper) =
                 decision.ok_or(QueryError::internal("an early break always records a decision"))?;
-            Ok(ThresholdOutcome { qualifies, lower, upper, early })
+            Ok(ThresholdOutcome { qualifies, lower: hit, upper, early })
         }
         None => {
             // Ran to t_end undecided: the bounds have met at `hit`.
@@ -188,78 +144,65 @@ fn threshold_driver(
 /// [`ThresholdOutcome`] per index, in order.
 ///
 /// Objects grouped by `(model, anchor time)` propagate together through the
-/// batched kernel; after every timestamp each live object's bounds are
-/// compared against `τ`, and decided objects drop out of the batch —
-/// without stopping the sweep for the undecided rest. A
-/// [`ReachabilityPruner`] per `(model, anchor time)` group tightens the
-/// upper bound — alive mass outside the remaining window's
-/// backward-reachable set can never hit — so decisions equal the
-/// single-object driver's and come no later.
+/// batched kernel, trimmed to `reach` (the ∃ schedules of `window`); after
+/// every timestamp each live object's bounds are compared against `τ`, and
+/// decided objects drop out of the batch — without stopping the sweep for
+/// the undecided rest. Decisions, bounds and decision times equal the
+/// single-object driver's.
 pub(crate) fn threshold_batched(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
+    reach: &ReachPlan,
     tau: f64,
 ) -> Result<Vec<ThresholdOutcome>> {
-    object_based::validate_indices(db, indices, window)?;
     let batch_size = pipeline.config().effective_batch_size();
     let t_end = window.t_end();
     let mut results: Vec<Option<ThresholdOutcome>> = vec![None; indices.len()];
     for ((model, t0), members) in group_batchable(db, indices)? {
         let chain = &db.models()[model];
-        let pruner = ReachabilityPruner::build(chain, window, t0)?;
+        let schedule = reach.schedule(model)?;
         for chunk in members.chunks(batch_size) {
             let mut rows = object_based::seed_anchor_rows(pipeline, db, indices, chunk)?;
             let mut batch = ObjectBatch::new(&mut rows, 1)?;
             let mut hits = vec![0.0f64; chunk.len()];
             let mut outcomes: Vec<Option<ThresholdOutcome>> = vec![None; chunk.len()];
-            // The remaining-window count is shared: every member anchors at
-            // the same t0.
-            let mut remaining_query_times = window.times().iter().filter(|&t| t > t0).count();
-            pipeline.forward_batch(chain.matrix(), &mut batch, t0, window, |phase, batch, t| {
-                match phase {
-                    BatchPhase::Window => {
-                        object_based::accumulate_exists_hits(batch, &mut hits, window);
-                        if t > t0 {
-                            remaining_query_times -= 1;
+            pipeline.forward_batch(
+                chain.matrix(),
+                &mut batch,
+                t0,
+                window,
+                schedule,
+                |phase, batch, t| {
+                    match phase {
+                        BatchPhase::Window => {
+                            object_based::accumulate_exists_hits(batch, &mut hits, window);
                         }
-                    }
-                    BatchPhase::StepEnd => {
-                        for (g, outcome) in outcomes.iter_mut().enumerate() {
-                            if !batch.is_active(g) {
-                                continue;
-                            }
-                            let hit = hits[g];
-                            // With no query timestamps left, no more
-                            // mass can reach ⊤.
-                            let upper = if remaining_query_times == 0 {
-                                hit
-                            } else {
-                                let alive = match pruner.mask_at(t) {
-                                    Some(mask) => batch.group(g)[0].masked_sum(mask),
-                                    None => batch.group(g)[0].sum(),
-                                };
-                                (hit + alive).min(1.0)
-                            };
-                            let decision = if hit >= tau {
-                                Some(true)
-                            } else if upper < tau {
-                                Some(false)
-                            } else {
-                                None
-                            };
-                            if let Some(qualifies) = decision {
-                                let early = t < t_end;
-                                *outcome =
-                                    Some(ThresholdOutcome { qualifies, lower: hit, upper, early });
-                                batch.deactivate(g);
+                        BatchPhase::StepEnd => {
+                            for (g, outcome) in outcomes.iter_mut().enumerate() {
+                                if !batch.is_active(g) {
+                                    continue;
+                                }
+                                let hit = hits[g];
+                                if let (Some(qualifies), upper) =
+                                    decide(hit, batch.group(g)[0].sum(), tau)
+                                {
+                                    let early = t < t_end;
+                                    *outcome = Some(ThresholdOutcome {
+                                        qualifies,
+                                        lower: hit,
+                                        upper,
+                                        early,
+                                    });
+                                    batch.deactivate(g);
+                                }
                             }
                         }
                     }
-                }
-                Ok(ControlFlow::Continue(()))
-            })?;
+                    Ok(ControlFlow::Continue(()))
+                },
+            )?;
             for (g, &pos) in chunk.iter().enumerate() {
                 results[pos] = Some(match outcomes[g].take() {
                     Some(outcome) => {
@@ -315,7 +258,7 @@ mod tests {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
     }
 
-    /// The batched, reachability-pruned driver on a one-object database.
+    /// The batched driver on a one-object database.
     fn threshold_batched_one(
         chain: &MarkovChain,
         object: &UncertainObject,
@@ -326,8 +269,9 @@ mod tests {
         let mut db = TrajectoryDatabase::new(chain.clone());
         db.insert(object.clone()).unwrap();
         let config = EngineConfig::default();
+        let reach = ReachPlan::prepare(&db, &[0], window, ReachRule::Exists).unwrap();
         let mut pipeline = Propagator::new(&config, stats);
-        threshold_batched(&mut pipeline, &db, &[0], window, tau).unwrap()[0]
+        threshold_batched(&mut pipeline, &db, &[0], window, &reach, tau).unwrap()[0]
     }
 
     #[test]
@@ -405,15 +349,31 @@ mod tests {
     fn reachability_pruner_masks_shrink_near_t_end() {
         let chain = paper_chain();
         let window = paper_window();
-        let pruner = ReachabilityPruner::build(&chain, &window, 0).unwrap();
+        // The bounds above read `⊤ + alive` as tight because of exactly
+        // these masks: what the ∃ schedule leaves in a vector can still hit.
+        let exists = ReachSchedule::build(&chain, &window, ReachRule::Exists, 0).unwrap();
         // At t_end nothing remains ahead.
-        assert_eq!(pruner.mask_at(3).unwrap().count(), 0);
+        assert_eq!(exists.mask_at(3).unwrap().count(), 0);
         // At t=2: states that can enter {s1, s2} at t=3 → predecessors of
         // the window: s2 (→s1) and s3 (→s2).
-        assert_eq!(pruner.mask_at(2).unwrap().to_indices(), vec![1, 2]);
+        assert_eq!(exists.mask_at(2).unwrap().to_indices(), vec![1, 2]);
         // Earlier masks can only grow (window reachable from everywhere).
-        assert_eq!(pruner.mask_at(0).unwrap().count(), 3);
-        assert!(pruner.mask_at(4).is_none());
+        assert_eq!(exists.mask_at(0).unwrap().count(), 3);
+        assert!(exists.mask_at(4).is_none());
+
+        let forall = ReachSchedule::build(&chain, &window, ReachRule::ForAll, 1).unwrap();
+        // At t_end every state still satisfies "all remaining times".
+        assert_eq!(forall.mask_at(3).unwrap().count(), 3);
+        // At t=2: states that can be inside {s1, s2} at t=3 — as for ∃.
+        assert_eq!(forall.mask_at(2).unwrap().to_indices(), vec![1, 2]);
+        // At t=1: states that can step into {s1, s2} ∩ mask(2) = {s2} at
+        // t=2 — only s3 (→s2); s2 steps to s1 or s3, s1 to s3.
+        assert_eq!(forall.mask_at(1).unwrap().to_indices(), vec![2]);
+        assert!(forall.mask_at(0).is_none(), "built from t0 = 1");
+        // A start beyond t_end is clamped to it.
+        let late = ReachSchedule::build(&chain, &window, ReachRule::ForAll, 9).unwrap();
+        assert_eq!(late.mask_at(3).unwrap().count(), 3);
+        assert!(late.mask_at(2).is_none());
     }
 
     #[test]
@@ -427,6 +387,46 @@ mod tests {
             let pruned = threshold_batched_one(&chain, &o, &w, tau, &mut EvalStats::new());
             assert_eq!(plain.qualifies, pruned.qualifies, "τ = {tau}");
             assert!(pruned.upper <= plain.upper + 1e-12, "pruned bound must be tighter");
+        }
+    }
+
+    #[test]
+    fn batched_outcomes_equal_the_single_object_driver_at_every_batch_size() {
+        // Same trimmed core, same bounds: decision, lower, upper and the
+        // early flag agree field by field, whatever the batch holds.
+        let n = 40;
+        let chain = ust_markov::testutil::random_chain(11, n, 3);
+        let mut rng = ust_markov::testutil::rng(12);
+        let mut db = TrajectoryDatabase::new(chain.clone());
+        for id in 0..23u64 {
+            let dist = ust_markov::testutil::random_distribution(&mut rng, n, 3);
+            let t0 = (id % 3) as u32;
+            db.insert(UncertainObject::with_single_observation(
+                id,
+                Observation::uncertain(t0, dist).unwrap(),
+            ))
+            .unwrap();
+        }
+        let window = QueryWindow::from_states(n, 5usize..=9, TimeSet::new([2, 4, 5, 8])).unwrap();
+        let indices: Vec<usize> = (0..db.len()).collect();
+        let reach = ReachPlan::prepare(&db, &indices, &window, ReachRule::Exists).unwrap();
+        for tau in [0.05, 0.2, 0.5, 0.9] {
+            let single: Vec<ThresholdOutcome> = db
+                .objects()
+                .iter()
+                .map(|o| {
+                    exists_threshold(&chain, o, &window, tau, &EngineConfig::default()).unwrap()
+                })
+                .collect();
+            assert!(single.iter().any(|o| o.early), "τ = {tau}: some bound must decide early");
+            for batch_size in [1usize, 7, 64] {
+                let config = EngineConfig::default().with_batch_size(batch_size);
+                let mut stats = EvalStats::new();
+                let mut pipeline = Propagator::new(&config, &mut stats);
+                let batched =
+                    threshold_batched(&mut pipeline, &db, &indices, &window, &reach, tau).unwrap();
+                assert_eq!(batched, single, "τ = {tau}, batch = {batch_size}");
+            }
         }
     }
 

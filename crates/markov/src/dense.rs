@@ -204,6 +204,23 @@ impl DenseVector {
         (moved, zeroed)
     }
 
+    /// Zeroes every entry outside `mask`, returning the mass dropped
+    /// (summed in ascending state order) and how many previously non-zero
+    /// entries were zeroed — the dense side of
+    /// [`crate::hybrid::PropagationVector::retain_masked`].
+    pub(crate) fn retain_masked_counting(&mut self, mask: &StateMask) -> (f64, usize) {
+        let mut dropped = 0.0;
+        let mut zeroed = 0usize;
+        for (i, v) in self.values.iter_mut().enumerate() {
+            if *v != 0.0 && !mask.contains(i) {
+                dropped += *v;
+                zeroed += 1;
+                *v = 0.0;
+            }
+        }
+        (dropped, zeroed)
+    }
+
     /// Removes the entries of states in `mask`, returning them as a sparse
     /// vector (dense-side counterpart of
     /// [`crate::sparse_vec::SparseVector::split_masked`]).

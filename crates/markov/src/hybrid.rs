@@ -413,6 +413,21 @@ impl PropagationVector {
         }
     }
 
+    /// Keeps only the mass inside `mask`, in place, and returns the mass
+    /// dropped — the forward pipeline's reach trimming. Kept entries are
+    /// untouched in either representation, and a densified vector stays
+    /// dense (its tracked non-zero count stays exact).
+    pub fn retain_masked(&mut self, mask: &StateMask) -> f64 {
+        match &mut self.repr {
+            Repr::Sparse(v) => v.retain_masked(mask),
+            Repr::Dense(v) => {
+                let (dropped, zeroed) = v.retain_masked_counting(mask);
+                self.dense_nnz -= zeroed;
+                dropped
+            }
+        }
+    }
+
     /// Removes the entries inside `mask`, returning them as a sparse vector
     /// (the k-times level shift of Section VII).
     pub fn split_masked(&mut self, mask: &StateMask) -> SparseVector {
@@ -632,6 +647,22 @@ mod tests {
     }
 
     #[test]
+    fn retain_masked_drops_the_same_mass_in_both_representations() {
+        let mask = StateMask::from_indices(3, [0usize, 1]).unwrap();
+        let mut sparse = PropagationVector::from_sparse(
+            SparseVector::from_pairs(3, [(0, 0.3), (2, 0.7)]).unwrap(),
+        );
+        let mut dense = PropagationVector::from_dense(DenseVector::from_vec(vec![0.3, 0.0, 0.7]));
+        for v in [&mut sparse, &mut dense] {
+            assert_eq!(v.retain_masked(&mask), 0.7);
+            assert_eq!(v.nnz(), 1);
+            assert_eq!(v.get(0), 0.3);
+            assert_eq!(v.retain_masked(&StateMask::full(3)), 0.0);
+        }
+        assert!(sparse.is_sparse() && !dense.is_sparse());
+    }
+
+    #[test]
     fn hadamard_fusion_on_dense_resparsifies() {
         let mut v = PropagationVector::from_dense(DenseVector::from_vec(vec![0.2, 0.5, 0.3]))
             .with_densify_threshold(0.5);
@@ -717,6 +748,10 @@ mod tests {
         check(&v);
         v.add_sparse(&split).unwrap();
         check(&v);
+        let before = v.sum();
+        let dropped = v.retain_masked(&StateMask::from_indices(3, [1usize]).unwrap());
+        check(&v);
+        assert!((dropped + v.sum() - before).abs() < 1e-12, "trimming conserves mass");
         v.scale(0.0);
         check(&v);
         assert_eq!(v.nnz(), 0, "scaling by zero empties the vector");

@@ -331,6 +331,28 @@ impl SparseVector {
         SparseVector { dim: self.dim, indices: out_i, values: out_v }
     }
 
+    /// Keeps only the entries of states in `mask`, compacting the storage
+    /// in place; returns the mass dropped (summed in ascending state
+    /// order). The forward pipeline's reach trimming: the kept entries
+    /// are untouched, so nothing downstream of them can move by a bit.
+    pub fn retain_masked(&mut self, mask: &StateMask) -> f64 {
+        let mut dropped = 0.0;
+        let mut kept = 0usize;
+        for pos in 0..self.indices.len() {
+            let (i, v) = (self.indices[pos], self.values[pos]);
+            if mask.contains(i as usize) {
+                self.indices[kept] = i;
+                self.values[kept] = v;
+                kept += 1;
+            } else {
+                dropped += v;
+            }
+        }
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
+        dropped
+    }
+
     /// Removes (returns and zeroes) the mass of states in `mask`; the
     /// sparse-side implementation of the `M+` redirect-to-⊤ step.
     pub fn extract_masked(&mut self, mask: &StateMask) -> f64 {
@@ -436,6 +458,19 @@ mod tests {
         assert!((moved - 0.7).abs() < 1e-12);
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.get(1), 0.3);
+    }
+
+    #[test]
+    fn retain_masked_compacts_in_place_and_reports_dropped_mass() {
+        let mut v = SparseVector::from_pairs(8, [(1, 0.3), (4, 0.2), (6, 0.5)]).unwrap();
+        let mask = StateMask::from_indices(8, [4usize, 5]).unwrap();
+        assert_eq!(v.retain_masked(&mask), 0.3 + 0.5);
+        assert_eq!(v.indices(), &[4]);
+        assert_eq!(v.values(), &[0.2]);
+        assert_eq!(v.retain_masked(&StateMask::full(8)), 0.0);
+        assert_eq!(v.nnz(), 1);
+        assert_eq!(v.retain_masked(&StateMask::new(8)), 0.2);
+        assert_eq!(v.nnz(), 0);
     }
 
     #[test]

@@ -331,11 +331,29 @@ proptest! {
                     "subset answers must equal the full run's entries");
             }
         }
-        // Unknown ids are an error, not a silent skip.
-        let bad = Query::exists().window(window).objects([999_999u64]).build().unwrap();
+        // Unknown ids are an error, not a silent skip — the smallest one,
+        // whether the store bisects its ascending ids or (filled in
+        // reverse) falls back to walking them; and the walk resolves a
+        // subset to the same per-id answers.
+        let mut reversed = TrajectoryDatabase::new((*db.models()[0]).clone());
+        reversed.insert_all(db.objects().iter().rev().cloned()).unwrap();
+        let bad = Query::exists().window(window.clone())
+            .objects([999_999u64, 0, 500_000]).build().unwrap();
+        for store in [&db, &reversed] {
+            prop_assert_eq!(
+                QueryProcessor::new(store).execute(&bad),
+                Err(QueryError::UnknownObject { id: 500_000 })
+            );
+        }
+        let spec = Query::exists().window(window).objects(subset.iter().copied()).build().unwrap();
+        let by_id = |answer: QueryAnswer| {
+            let mut probs = answer.probabilities().unwrap().to_vec();
+            probs.sort_by_key(|p| p.object_id);
+            probs.iter().map(|p| (p.object_id, p.probability.to_bits())).collect::<Vec<_>>()
+        };
         prop_assert_eq!(
-            processor.execute(&bad),
-            Err(QueryError::UnknownObject { id: 999_999 })
+            by_id(QueryProcessor::new(&reversed).execute(&spec).unwrap()),
+            by_id(processor.execute(&spec).unwrap())
         );
     }
 }
