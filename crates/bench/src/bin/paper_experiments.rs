@@ -11,8 +11,8 @@
 //! the repository's benchmark — `BENCHMARK.json`, `benchmark/README.md` —
 //! not of this binary.)
 //!
-//! The run exits 1 when an experiment's `max |OB-QB|` column (Fig. 8(a))
-//! exceeds 1e-12: the forward and the backward engine are both exact, so a
+//! The run exits 1 when an experiment's `max |OB-QB|` column (Fig. 8(a),
+//! Fig. 11) exceeds 1e-12: the forward and the backward engine are both exact, so a
 //! larger gap means one of them lost or double-counted worlds.
 
 use std::io::Write as _;

@@ -8,6 +8,7 @@ use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
+use super::agreement_cell;
 use crate::{time, ExperimentOutput, Scale};
 
 /// The fig11 locality dataset shape.
@@ -22,17 +23,17 @@ fn base_config(scale: Scale) -> SyntheticConfig {
 
 fn sweep(configs: impl Iterator<Item = (String, SyntheticConfig)>) -> ResultTable {
     let engine = EngineConfig::default();
-    let mut table = ResultTable::new(["parameter", "OB (s)", "QB (s)"]);
+    let mut table = ResultTable::new(["parameter", "OB (s)", "QB (s)", "max |OB-QB|"]);
     for (label, cfg) in configs {
         let data = synthetic::generate(&cfg);
         let window = workload::paper_default_window(cfg.num_states).expect("window fits");
-        let (ob_t, _) = time(|| {
+        let (ob_t, ob) = time(|| {
             object_based::evaluate(&data.db, &window, &engine, &mut EvalStats::new()).unwrap()
         });
-        let (qb_t, _) = time(|| {
+        let (qb_t, qb) = time(|| {
             query_based::evaluate(&data.db, &window, &engine, &mut EvalStats::new()).unwrap()
         });
-        table.push_row([label, fmt_secs(ob_t), fmt_secs(qb_t)]);
+        table.push_row([label, fmt_secs(ob_t), fmt_secs(qb_t), agreement_cell(&ob, &qb)]);
     }
     table
 }
@@ -95,5 +96,7 @@ mod tests {
         );
         assert_eq!(table.len(), 2);
         assert_eq!(table.rows()[0][0], "10");
+        assert_eq!(table.headers()[3], "max |OB-QB|");
+        assert!(table.rows().iter().all(|row| row[3].parse::<f64>().unwrap() <= 1e-12));
     }
 }

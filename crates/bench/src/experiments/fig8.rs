@@ -12,6 +12,7 @@ use ust_data::csv::fmt_secs;
 use ust_data::workload::paper_default_window;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
+use super::agreement_cell;
 use crate::{time, ExperimentOutput, Scale};
 
 /// Figure 8(a): PST∃Q runtime vs `|S|`, small database, MC vs OB vs QB.
@@ -46,18 +47,13 @@ pub fn fig8a(scale: Scale) -> ExperimentOutput {
         let (qb_t, qb) = time(|| {
             query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
         });
-        let max_diff = ob
-            .iter()
-            .zip(&qb)
-            .map(|(a, b)| (a.probability - b.probability).abs())
-            .fold(0.0f64, f64::max);
         table.push_row([
             states.to_string(),
             fmt_secs(mc_t),
             fmt_secs(mc_acc_t),
             fmt_secs(ob_t),
             fmt_secs(qb_t),
-            format!("{max_diff:.2e}"),
+            agreement_cell(&ob, &qb),
         ]);
     }
     ExperimentOutput {

@@ -6,7 +6,17 @@ pub mod fig11;
 pub mod fig8;
 pub mod fig9;
 
+use ust_core::ObjectProbability;
+
 use crate::{ExperimentOutput, Scale};
+
+/// The cell of a `max |OB-QB|` column: the largest gap between the
+/// object-based and the query-based answer to one query, which the
+/// `paper_experiments` binary holds to 1e-12.
+fn agreement_cell(ob: &[ObjectProbability], qb: &[ObjectProbability]) -> String {
+    let gap = ob.iter().zip(qb).map(|(a, b)| (a.probability - b.probability).abs());
+    format!("{:.2e}", gap.fold(0.0f64, f64::max))
+}
 
 /// Runs every experiment of the evaluation section (Figures 8–11) plus the
 /// design-choice ablations, in figure order.

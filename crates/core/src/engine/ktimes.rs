@@ -26,7 +26,7 @@ use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::{validate, ReachPlan};
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
-use crate::engine::query_based::{evaluate_fields, BackwardField, FieldRule};
+use crate::engine::query_based::{evaluate_fields, AnchoredField, BackwardField, FieldRule};
 use crate::engine::{group_batchable, EngineConfig};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -253,19 +253,16 @@ pub fn evaluate_query_based(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
-    evaluate_fields(db, window, FieldRule::KTimes, config, stats, |field, object| {
-        distribution_row(field, object, window)
-    })
+    evaluate_fields(db, window, FieldRule::KTimes, config, stats, distribution_row)
 }
 
-/// `object`'s PSTkQ answer row, read from its model's level field.
+/// `object`'s PSTkQ answer row, read from its model's level field at the
+/// object's anchor time.
 pub(crate) fn distribution_row(
-    field: &BackwardField,
+    field: &AnchoredField<'_>,
     object: &UncertainObject,
-    window: &QueryWindow,
 ) -> Option<ObjectKDistribution> {
-    let probabilities = field.object_distribution(object, window)?;
-    Some(ObjectKDistribution { object_id: object.id(), probabilities })
+    Some(ObjectKDistribution { object_id: object.id(), probabilities: field.distribution(object)? })
 }
 
 #[cfg(test)]

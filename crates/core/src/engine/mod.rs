@@ -45,7 +45,6 @@ use crate::stats::EvalStats;
 use crate::streaming::{self, RawAnswer, Subscription, SubscriptionState};
 
 pub use plan::{CostEstimate, QueryPlan};
-pub use ust_markov::KernelMode;
 
 /// When the planner consults the [`crate::index::SpatioTemporalIndex`] to
 /// prune candidate objects before costing and execution.
@@ -134,18 +133,6 @@ pub struct EngineConfig {
     /// deadline is checked when the job starts and again between planning
     /// and execution, never mid-propagation.
     pub default_deadline: Option<std::time::Duration>,
-    /// Kernel selection policy for batched forward propagation (see
-    /// [`ust_markov::KernelMode`]). [`KernelMode::Auto`], the default,
-    /// chooses per batch between the shared-union sparse kernel, the
-    /// per-object kernels and the dense panel kernel from the members'
-    /// support overlap; the explicit modes pin the choice. The knob stays
-    /// because a non-default value wins a gated benchmark metric:
-    /// [`KernelMode::PerObject`] reads the benchmark's `forward_scan` at
-    /// 2.6 instead of 6.2 MiB peak heap (and, since reach trimming thinned
-    /// the rows, at no throughput cost — see README). Every mode
-    /// yields bit-identical results — only traversal order and memory
-    /// traffic differ.
-    pub batching: KernelMode,
     /// Index-accelerated candidate pruning policy (see [`PrefilterMode`]).
     /// [`PrefilterMode::Auto`], the default, prunes eligible queries
     /// through [`crate::database::TrajectoryDatabase::spatial_index`] once
@@ -163,7 +150,6 @@ impl Default for EngineConfig {
             cache_capacity: cache::DEFAULT_CACHE_CAPACITY,
             max_queue_depth: 0,
             default_deadline: None,
-            batching: KernelMode::Auto,
             prefilter: PrefilterMode::Auto,
         }
     }
@@ -208,12 +194,6 @@ impl EngineConfig {
     /// Sets the deadline submitted queries are shed at.
     pub fn with_default_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the batched-propagation kernel selection policy.
-    pub fn with_batching(mut self, mode: KernelMode) -> Self {
-        self.batching = mode;
         self
     }
 

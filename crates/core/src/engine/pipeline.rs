@@ -596,12 +596,7 @@ impl<'s> Propagator<'s> {
             }
             let masked = batch.row_activity(&mut self.row_active);
             let activity: &[bool] = if masked { &self.row_active } else { &[] };
-            let report = matrix.step_batch_with_mode(
-                batch.rows,
-                activity,
-                self.config.batching,
-                &mut self.scratch,
-            )?;
+            let report = matrix.step_batch(batch.rows, activity, &mut self.scratch)?;
             self.stats.transitions += report.vectors_stepped;
             self.stats.rows_traversed += report.rows_traversed;
             self.stats.entries_touched += report.entries_touched;

@@ -50,7 +50,8 @@ use crate::engine::cache::FieldCache;
 use crate::engine::object_based::ReachPlan;
 use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{
-    probability_row, validated_model_groups_on, BackwardField, FieldRule, SharedFieldPlan,
+    probability_row, validated_model_groups_on, AnchorMemo, AnchoredField, FieldRule,
+    SharedFieldPlan,
 };
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
@@ -804,9 +805,7 @@ fn exists_probs(
             })
         }
         Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::Exists, indices, window, stats, |field, object| {
-                probability_row(field, object, window)
-            })
+            field_answers(ctx, FieldRule::Exists, indices, window, stats, probability_row)
         }
         Strategy::MonteCarlo => Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, 1)),
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
@@ -833,7 +832,7 @@ fn field_answers<T: Send>(
     indices: &[usize],
     window: &QueryWindow,
     stats: &mut EvalStats,
-    answer: impl Fn(&BackwardField, &UncertainObject) -> Option<T> + Sync,
+    answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T> + Sync,
 ) -> Result<Vec<T>> {
     let plan = SharedFieldPlan::prepare_with_cache_on(
         ctx.db, indices, window, rule, ctx.config, ctx.cache, stats,
@@ -841,17 +840,17 @@ fn field_answers<T: Send>(
     stats.fields_shared += plan.num_fields() as u64;
     ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
+        let mut memo = AnchorMemo::new();
         for &idx in idxs {
             let object = ctx
                 .db
                 .object(idx)
                 .ok_or(QueryError::internal("the executor shards validated indices"))?;
-            let field = plan.field(object.model()).ok_or(QueryError::internal(
-                "the shared plan holds one field per populated model",
-            ))?;
+            let anchored =
+                memo.resolve(object, window, |model| plan.field(model).map(|field| &**field))?;
             out.push(
-                answer(field, object)
-                    .ok_or(QueryError::internal("the shared plan requested anchor snapshots"))?,
+                answer(&anchored, object)
+                    .ok_or(QueryError::internal("the field was swept under the answer's rule"))?,
             );
             pipeline.stats().objects_evaluated += 1;
         }
@@ -878,9 +877,7 @@ fn forall_probs(
         }
         Strategy::QueryBased => {
             forall::reject_full_space(window)?;
-            field_answers(ctx, FieldRule::ForAll, indices, window, stats, |field, object| {
-                probability_row(field, object, window)
-            })
+            field_answers(ctx, FieldRule::ForAll, indices, window, stats, probability_row)
         }
         Strategy::ObjectBased => {
             let complement = window.complement_states()?;
@@ -918,9 +915,7 @@ fn ktimes_dists(
             })
         }
         Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::KTimes, indices, window, stats, |field, object| {
-                ktimes::distribution_row(field, object, window)
-            })
+            field_answers(ctx, FieldRule::KTimes, indices, window, stats, ktimes::distribution_row)
         }
         Strategy::MonteCarlo => mc_counts(ctx, sampling, indices, window, stats),
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),

@@ -35,8 +35,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD;
-use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector};
+use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector, StateMask};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
@@ -194,9 +193,7 @@ impl BackwardField {
                 let family = self.snapshots.get(&t).ok_or(QueryError::internal(
                     "a backward field's floor is always snapshotted",
                 ))?;
-                let resumed =
-                    |level| PropagationVector::from_span(level, DEFAULT_DENSIFY_THRESHOLD);
-                (family.iter().map(resumed).collect(), t)
+                (family.iter().cloned().map(PropagationVector::from_span).collect(), t)
             }
             None => {
                 let empty = PropagationVector::from_sparse(SparseVector::zeros(inside.dim()));
@@ -287,56 +284,84 @@ impl BackwardField {
         anchor_times.iter().all(|t| self.snapshots.contains_key(t))
     }
 
-    /// Answers one object from level 0 of the field: a sparse dot product
-    /// of its anchor distribution with the snapshot at the anchor time,
-    /// with the anchor-in-window adjustment — worlds inside `S▫` at an
-    /// anchor in `T▫` count with probability 1 under the ∃ rule (and under
-    /// the k-times rule, whose level 0 is the ∃ field), worlds outside it
-    /// with probability 0 under the ∀ rule.
+    /// The field read at anchor time `t`: the snapshot family there and
+    /// whether `t` is a query timestamp, resolved once for every object
+    /// anchored at `t`. `None` without a snapshot at `t`.
+    pub fn anchored_at<'f>(&'f self, t: u32, window: &'f QueryWindow) -> Option<AnchoredField<'f>> {
+        let inside = window.time_in_window(t).then(|| window.states());
+        Some(AnchoredField { rule: self.rule, levels: self.at(t)?, inside })
+    }
+
+    /// Answers one object from level 0 of the field
+    /// ([`AnchoredField::probability`] at the object's anchor time).
     pub fn object_probability(
         &self,
         object: &UncertainObject,
         window: &QueryWindow,
     ) -> Option<f64> {
-        let anchor = object.anchor();
-        let h = &self.at(anchor.time())?[0];
-        let anchor_in_window = window.time_in_window(anchor.time());
-        let mut p = 0.0;
-        for (s, mass) in anchor.distribution().iter() {
-            let inside = anchor_in_window && window.states().contains(s);
-            let value = match self.rule {
-                FieldRule::Exists | FieldRule::KTimes if inside => 1.0,
-                FieldRule::ForAll if anchor_in_window && !inside => 0.0,
-                _ => h.get(s),
-            };
-            p += mass * value;
-        }
-        Some(p.min(1.0))
+        Some(self.anchored_at(object.anchor().time(), window)?.probability(object))
     }
 
-    /// Answers one object from a [`FieldRule::KTimes`] field: `P(k)` for
-    /// `k ∈ {0..|T▫|}`, every entry in `[0, 1]`. `None` without a snapshot
-    /// at the anchor time, or under any other rule.
+    /// Answers one object from a [`FieldRule::KTimes`] field
+    /// ([`AnchoredField::distribution`] at the object's anchor time).
     pub fn object_distribution(
         &self,
         object: &UncertainObject,
         window: &QueryWindow,
     ) -> Option<Vec<f64>> {
+        self.anchored_at(object.anchor().time(), window)?.distribution(object)
+    }
+}
+
+/// A [`BackwardField`] read at one anchor time
+/// ([`BackwardField::anchored_at`]) — what the fan-out resolves once per
+/// run of objects sharing an anchor time instead of once per object.
+#[derive(Debug, Clone, Copy)]
+pub struct AnchoredField<'f> {
+    rule: FieldRule,
+    levels: &'f [SpanVector],
+    /// `S▫` when the anchor time is a query timestamp.
+    inside: Option<&'f StateMask>,
+}
+
+impl AnchoredField<'_> {
+    /// Answers one object anchored at this time from level 0 of the field:
+    /// a sparse dot product of its anchor distribution with the snapshot,
+    /// with the anchor-in-window adjustment — worlds inside `S▫` at an
+    /// anchor in `T▫` count with probability 1 under the ∃ rule (and under
+    /// the k-times rule, whose level 0 is the ∃ field), worlds outside it
+    /// with probability 0 under the ∀ rule.
+    pub fn probability(&self, object: &UncertainObject) -> f64 {
+        let h = &self.levels[0];
+        let mut p = 0.0;
+        for (s, mass) in object.anchor().distribution().iter() {
+            let value = match (self.rule, self.inside.map(|states| states.contains(s))) {
+                (FieldRule::Exists | FieldRule::KTimes, Some(true)) => 1.0,
+                (FieldRule::ForAll, Some(false)) => 0.0,
+                _ => h.get(s),
+            };
+            p += mass * value;
+        }
+        p.min(1.0)
+    }
+
+    /// Answers one object anchored at this time from a
+    /// [`FieldRule::KTimes`] field: `P(k)` for `k ∈ {0..|T▫|}`, every entry
+    /// in `[0, 1]`. `None` under any other rule.
+    pub fn distribution(&self, object: &UncertainObject) -> Option<Vec<f64>> {
         if self.rule != FieldRule::KTimes {
             return None;
         }
-        let anchor = object.anchor();
-        let levels = self.at(anchor.time())?;
+        let levels = self.levels;
         let level = |j: usize, s: usize| match j {
             0 => 1.0 - levels[0].get(s),
             _ => levels[j].get(s),
         };
-        let anchor_in = window.time_in_window(anchor.time());
         let mut out = vec![0.0; levels.len()];
-        for (s, mass) in anchor.distribution().iter() {
+        for (s, mass) in object.anchor().distribution().iter() {
             // Footnote 3: anchor mass inside the window has one visit
             // already.
-            let visited = usize::from(anchor_in && window.states().contains(s));
+            let visited = usize::from(self.inside.is_some_and(|states| states.contains(s)));
             for (k, slot) in out.iter_mut().enumerate().skip(visited) {
                 *slot += mass * level(k - visited, s);
             }
@@ -522,19 +547,53 @@ pub fn evaluate_rule(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    evaluate_fields(db, window, rule, config, stats, |field, object| {
-        probability_row(field, object, window)
-    })
+    evaluate_fields(db, window, rule, config, stats, probability_row)
 }
 
-/// `object`'s ∃ / ∀ answer row, read from its model's field.
+/// `object`'s ∃ / ∀ answer row, read from its model's field at the
+/// object's anchor time.
 pub(crate) fn probability_row(
-    field: &BackwardField,
+    field: &AnchoredField<'_>,
     object: &UncertainObject,
-    window: &QueryWindow,
 ) -> Option<ObjectProbability> {
-    let probability = field.object_probability(object, window)?;
-    Some(ObjectProbability { object_id: object.id(), probability })
+    Some(ObjectProbability { object_id: object.id(), probability: field.probability(object) })
+}
+
+/// The fan-out's one-entry memo: the field of an object's model read at
+/// its anchor time, resolved again only when `(model, anchor time)` changes
+/// from one object to the next — objects arrive in index order, so a
+/// database ingested at one timestamp resolves once.
+pub(crate) struct AnchorMemo<'f> {
+    current: Option<((usize, u32), AnchoredField<'f>)>,
+}
+
+impl<'f> AnchorMemo<'f> {
+    pub(crate) fn new() -> Self {
+        AnchorMemo { current: None }
+    }
+
+    /// `object`'s [`AnchoredField`], with `field_of` naming its model's
+    /// field on a miss.
+    pub(crate) fn resolve(
+        &mut self,
+        object: &UncertainObject,
+        window: &'f QueryWindow,
+        field_of: impl FnOnce(usize) -> Option<&'f BackwardField>,
+    ) -> Result<AnchoredField<'f>> {
+        let key = (object.model(), object.anchor().time());
+        match self.current {
+            Some((current, anchored)) if current == key => Ok(anchored),
+            _ => {
+                let anchored = field_of(key.0)
+                    .and_then(|field| field.anchored_at(key.1, window))
+                    .ok_or(QueryError::internal(
+                    "anchor snapshot was requested from the backward field",
+                ))?;
+                self.current = Some((key, anchored));
+                Ok(anchored)
+            }
+        }
+    }
 }
 
 /// The sequential reference driver behind every query-based whole-database
@@ -547,7 +606,7 @@ pub(crate) fn evaluate_fields<T>(
     rule: FieldRule,
     config: &EngineConfig,
     stats: &mut EvalStats,
-    answer: impl Fn(&BackwardField, &UncertainObject) -> Option<T>,
+    answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T>,
 ) -> Result<Vec<T>> {
     let indices: Vec<usize> = (0..db.len()).collect();
     let mut results: Vec<Option<T>> = (0..db.len()).map(|_| None).collect();
@@ -555,12 +614,14 @@ pub(crate) fn evaluate_fields<T>(
         let chain = &db.models()[group.model];
         let field =
             BackwardField::compute_with_config(chain, window, rule, &group.anchors, config, stats)?;
+        let mut memo = AnchorMemo::new();
         for &idx in &group.members {
             let object = db
                 .object(idx)
                 .ok_or(QueryError::internal("group membership indices resolve to objects"))?;
-            results[idx] = Some(answer(&field, object).ok_or(QueryError::internal(
-                "anchor snapshot was requested from the backward field",
+            let anchored = memo.resolve(object, window, |_| Some(&field))?;
+            results[idx] = Some(answer(&anchored, object).ok_or(QueryError::internal(
+                "the field was swept under the rule the answer reads",
             ))?);
             stats.objects_evaluated += 1;
         }

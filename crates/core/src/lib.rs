@@ -77,7 +77,7 @@ pub mod threshold;
 pub use database::{IngestOutcome, TrajectoryDatabase};
 pub use engine::cache::FieldCache;
 pub use engine::{
-    CostEstimate, EngineConfig, KernelMode, PrefilterMode, QueryPlan, QueryProcessor, QueryTicket,
+    CostEstimate, EngineConfig, PrefilterMode, QueryPlan, QueryProcessor, QueryTicket,
 };
 pub use error::{QueryError, Result};
 pub use index::SpatioTemporalIndex;
@@ -98,8 +98,7 @@ pub mod prelude {
     pub use crate::database::{IngestOutcome, TrajectoryDatabase};
     pub use crate::engine::cache::FieldCache;
     pub use crate::engine::{
-        CostEstimate, EngineConfig, KernelMode, PrefilterMode, QueryPlan, QueryProcessor,
-        QueryTicket,
+        CostEstimate, EngineConfig, PrefilterMode, QueryPlan, QueryProcessor, QueryTicket,
     };
     pub use crate::error::{QueryError, Result};
     pub use crate::index::SpatioTemporalIndex;

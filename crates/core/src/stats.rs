@@ -21,7 +21,7 @@ pub struct EvalStats {
     pub rows_traversed: u64,
     /// Transition-matrix entries multiplied into an accumulator during
     /// forward propagation. Unlike `rows_traversed` this is invariant
-    /// across kernel choices (every batching mode performs the same
+    /// across kernel choices (every batch grouping performs the same
     /// floating-point work), so `entries_touched / execute_time` is the
     /// matrix-entry *throughput* the serving calibration and the plan cost
     /// model reason about. On a windowed forward sweep this is reachable

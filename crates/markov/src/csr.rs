@@ -14,6 +14,7 @@
 
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
+use crate::span_vec::SpanVector;
 use crate::sparse_vec::SparseVector;
 
 /// A sparse matrix in compressed sparse row format.
@@ -26,73 +27,54 @@ pub struct CsrMatrix {
     data: Vec<f64>,
 }
 
-/// Reusable scratch space for sparse vector–matrix products.
+/// Reusable scratch space for the propagation products.
 ///
-/// `vecmat_sparse` scatters into a dense accumulator; reusing the
+/// The sorted-index kernel scatters into a dense accumulator; reusing the
 /// accumulator across the thousands of transitions of a query avoids an
 /// `O(|S|)` allocation + clear per step (the clear is proportional to the
-/// *touched* entries only).
+/// *touched* entries only). Every output buffer of either arm is recycled
+/// through the pools below, so a steady-state sweep allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct SpmvScratch {
     acc: Vec<f64>,
     touched: Vec<u32>,
-    /// One epoch-tracked accumulator lane per member of a batched sparse
-    /// product (see `CsrMatrix::step_batch`); pooled so a long sweep
-    /// allocates them once.
-    lanes: Vec<BatchLane>,
-    /// The stamp the current sweep's live lane entries carry in their
-    /// epoch arrays; bumped by [`SpmvScratch::lanes_epoch`] so lanes never
-    /// need clearing between steps.
-    lane_stamp: u32,
-    /// Batched-kernel member lists, pooled for the same reason (one batch
-    /// sweep performs one `step_batch` call per timestamp).
+    /// Batched-kernel member lists, pooled because one batch sweep
+    /// performs one `step_batch` call per timestamp.
     pub(crate) members_sparse: Vec<usize>,
-    pub(crate) members_dense: Vec<usize>,
-    /// Shared-union merge state of the sparse batched kernel: an
-    /// epoch-marked row set (`merge_marks` is live where it equals
-    /// `merge_stamp`), the union row list sorted once per step, per-row
-    /// bucket cursors, the scattered per-row contribution events (lane ids
-    /// only — each lane's values are replayed in order through
-    /// `merge_cursor` during the sweep) — a counting-sort layout that
-    /// costs O(1) per contribution where a cursor heap would pay
-    /// O(log batch).
-    pub(crate) merge_rows: Vec<u32>,
-    pub(crate) merge_marks: Vec<u32>,
-    pub(crate) merge_stamp: u32,
-    pub(crate) merge_bucket: Vec<u32>,
-    pub(crate) merge_events: Vec<u32>,
-    pub(crate) merge_cursor: Vec<u32>,
-    /// Recycled dense-vector storage for the batched dense kernel: each
-    /// step's inputs return their buffers here and the next step's outputs
-    /// take them back, so a steady-state sweep allocates nothing.
-    pub(crate) dense_pool: Vec<Vec<f64>>,
-    /// Recycled sparse `(indices, values)` storage for the batched sparse
-    /// kernel, mirroring `dense_pool`.
+    pub(crate) members_span: Vec<usize>,
+    /// The span members of one panel group, moved out of their rows for
+    /// the duration of the panel kernel.
+    pub(crate) panel_members: Vec<SpanVector>,
+    /// Recycled span storage: each step's inputs return their buffers here
+    /// and the next step's outputs take them back.
+    pub(crate) span_pool: Vec<Vec<f64>>,
+    /// Recycled sparse `(indices, values)` storage, mirroring `span_pool`.
     pub(crate) sparse_pool: Vec<(Vec<u32>, Vec<f64>)>,
-    /// Interleaved input/output panels of the dense panel kernel
-    /// (`panel[i * width + k]` = vector `k`'s value at state `i`).
-    pub(crate) panel_in: Vec<f64>,
+    /// The interleaved output panel of the span panel kernel
+    /// (`panel[j * width + k]` = vector `k`'s value at the panel's `j`-th
+    /// column).
     pub(crate) panel_out: Vec<f64>,
+    /// The output buffers of one panel's lanes while they are unpacked.
+    pub(crate) panel_lanes: Vec<Vec<f64>>,
 }
 
-/// One member's accumulator lane in the batched sparse kernel. A slot
-/// `acc[c]` is live iff `epoch[c]` equals the sweep's stamp — first-touch
-/// detection without a float probe and without clearing between steps.
-/// `lo`/`hi` bound the touched columns so the gather pass can recognize
-/// (near-)contiguous touched sets and scan the span in order instead of
-/// sorting the touched list.
-#[derive(Debug, Clone)]
-pub(crate) struct BatchLane {
-    pub(crate) acc: Vec<f64>,
-    pub(crate) touched: Vec<u32>,
-    pub(crate) epoch: Vec<u32>,
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
+/// What a set of matrix rows touches: the column range `[lo, hi)` (CSR
+/// columns are sorted, so each row contributes its first and last), the
+/// row count and the matrix entries they hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Reach {
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+    pub(crate) rows: u64,
+    pub(crate) entries: u64,
 }
 
-impl Default for BatchLane {
-    fn default() -> Self {
-        BatchLane { acc: Vec::new(), touched: Vec::new(), epoch: Vec::new(), lo: u32::MAX, hi: 0 }
+impl Reach {
+    /// True when the live rows scatter so far apart that a contiguous
+    /// output would be mostly zeros (more than 4 slots per matrix entry
+    /// read): the step belongs to the sorted-index kernel.
+    pub(crate) fn is_scattered(&self) -> bool {
+        (self.hi - self.lo) as u64 > 4 * self.entries
     }
 }
 
@@ -108,54 +90,12 @@ impl SpmvScratch {
         }
     }
 
-    /// `count` accumulator lanes of dimension `dim` plus the fresh epoch
-    /// stamp that marks this sweep's live entries. No accumulator data is
-    /// cleared — stale values are simply never read because their epoch
-    /// differs from the returned stamp.
-    pub(crate) fn lanes_epoch(&mut self, count: usize, dim: usize) -> (&mut [BatchLane], u32) {
-        self.lane_stamp = self.lane_stamp.wrapping_add(1);
-        if self.lane_stamp == 0 {
-            // One-in-2³² wrap: reset every epoch array so stale stamps
-            // from the previous cycle cannot collide.
-            for lane in &mut self.lanes {
-                lane.epoch.iter_mut().for_each(|e| *e = 0);
-            }
-            self.lane_stamp = 1;
-        }
-        if self.lanes.len() < count {
-            self.lanes.resize_with(count, Default::default);
-        }
-        for lane in &mut self.lanes[..count] {
-            if lane.acc.len() < dim {
-                lane.acc.resize(dim, 0.0);
-            }
-            if lane.epoch.len() < dim {
-                lane.epoch.resize(dim, 0);
-            }
-            lane.touched.clear();
-            lane.lo = u32::MAX;
-            lane.hi = 0;
-        }
-        (&mut self.lanes[..count], self.lane_stamp)
-    }
-
-    /// A fresh stamp for the shared-union merge's row set, with
-    /// `merge_marks` and `merge_bucket` grown to `nrows`. Like
-    /// [`SpmvScratch::lanes_epoch`], nothing is cleared between steps —
-    /// a row is in the current union iff its mark equals the stamp.
-    pub(crate) fn merge_epoch(&mut self, nrows: usize) -> u32 {
-        self.merge_stamp = self.merge_stamp.wrapping_add(1);
-        if self.merge_stamp == 0 {
-            self.merge_marks.iter_mut().for_each(|m| *m = 0);
-            self.merge_stamp = 1;
-        }
-        if self.merge_marks.len() < nrows {
-            self.merge_marks.resize(nrows, 0);
-        }
-        if self.merge_bucket.len() < nrows {
-            self.merge_bucket.resize(nrows, 0);
-        }
-        self.merge_stamp
+    /// A zeroed buffer of `len` slots from the span pool.
+    pub(crate) fn zeroed_span(&mut self, len: usize) -> Vec<f64> {
+        let mut buf = self.span_pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(len, 0.0);
+        buf
     }
 }
 
@@ -335,10 +275,12 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Row-vector × matrix with a sparse input, reusing `scratch`.
+    /// Row-vector × matrix with a sparse input, reusing `scratch` — the
+    /// sorted-index kernel.
     ///
     /// Cost is `Σ_{i ∈ supp(v)} nnz(row i)` — the `|S_reach|` bound of the
-    /// paper — independent of `|S|`.
+    /// paper — independent of `|S|`, plus one sort of the touched columns.
+    /// The output's index / value storage comes from the scratch's pool.
     pub fn vecmat_sparse_with(
         &self,
         v: &SparseVector,
@@ -364,15 +306,68 @@ impl CsrMatrix {
             }
         }
         scratch.touched.sort_unstable();
-        let mut pairs = Vec::with_capacity(scratch.touched.len());
+        let (mut indices, mut values) = scratch.sparse_pool.pop().unwrap_or_default();
+        indices.clear();
+        values.clear();
+        // A slot that summed back to zero is listed once per first touch;
+        // the later listings read the cleared slot and are skipped with it.
         for &c in &scratch.touched {
-            let val = scratch.acc[c as usize];
-            scratch.acc[c as usize] = 0.0;
+            let val = std::mem::take(&mut scratch.acc[c as usize]);
             if val != 0.0 {
-                pairs.push((c as usize, val));
+                indices.push(c);
+                values.push(val);
             }
         }
-        SparseVector::from_pairs(self.ncols, pairs)
+        Ok(SparseVector::from_sorted_parts(self.ncols, indices, values))
+    }
+
+    /// The [`Reach`] of `rows`.
+    pub(crate) fn reach(&self, rows: impl Iterator<Item = usize>) -> Reach {
+        let mut reach = Reach { lo: usize::MAX, ..Reach::default() };
+        for i in rows {
+            let (cols, _) = self.row(i);
+            if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+                reach.lo = reach.lo.min(first as usize);
+                reach.hi = reach.hi.max(last as usize + 1);
+            }
+            reach.rows += 1;
+            reach.entries += cols.len() as u64;
+        }
+        reach.lo = reach.lo.min(reach.hi);
+        reach
+    }
+
+    /// The [`Reach`] of one transition of `v`: of the rows where it is
+    /// non-zero.
+    pub(crate) fn reach_of(&self, v: &SpanVector) -> Reach {
+        let (offset, values) = v.span();
+        let live = values.iter().enumerate().filter(|(_, vi)| **vi != 0.0);
+        self.reach(live.map(|(i, _)| offset + i))
+    }
+
+    /// Row-vector × matrix with a span input whose `reach` is known — the
+    /// span kernel: the products scatter into the zeroed contiguous output
+    /// range (ascending source, ascending column, zero sources skipped as
+    /// in [`CsrMatrix::vecmat_dense`]), which is then counted and trimmed
+    /// in one pass. No index is built and nothing is sorted.
+    pub(crate) fn vecmat_span_with(
+        &self,
+        v: &SpanVector,
+        reach: Reach,
+        scratch: &mut SpmvScratch,
+    ) -> SpanVector {
+        let mut out = scratch.zeroed_span(reach.hi - reach.lo);
+        let (offset, values) = v.span();
+        for (i, &vi) in values.iter().enumerate() {
+            if vi == 0.0 {
+                continue;
+            }
+            let (cols, vals) = self.row(offset + i);
+            for (&c, &m) in cols.iter().zip(vals) {
+                out[c as usize - reach.lo] += vi * m;
+            }
+        }
+        SpanVector::from_parts(self.ncols, reach.lo, out)
     }
 
     /// Row-vector × matrix with a sparse input (allocating convenience).

@@ -170,55 +170,21 @@ impl DenseVector {
     /// This is the "redirect to the ⊤ state" step of the paper's `M+`
     /// matrix, applied virtually after an ordinary transition.
     pub fn extract_masked(&mut self, mask: &StateMask) -> f64 {
-        self.extract_masked_counting(mask).0
-    }
-
-    /// As [`Self::extract_masked`], also reporting how many previously
-    /// non-zero entries were zeroed — the feed that lets
-    /// [`crate::hybrid::PropagationVector`] keep its non-zero count exact
-    /// without rescanning the vector.
-    pub(crate) fn extract_masked_counting(&mut self, mask: &StateMask) -> (f64, usize) {
         let mut moved = 0.0;
-        let mut zeroed = 0usize;
         if mask.count() * 4 < self.dim() {
             for i in mask.iter() {
                 if let Some(v) = self.values.get_mut(i) {
-                    moved += *v;
-                    if *v != 0.0 {
-                        zeroed += 1;
-                    }
-                    *v = 0.0;
+                    moved += std::mem::take(v);
                 }
             }
         } else {
             for (i, v) in self.values.iter_mut().enumerate() {
                 if mask.contains(i) {
-                    moved += *v;
-                    if *v != 0.0 {
-                        zeroed += 1;
-                    }
-                    *v = 0.0;
+                    moved += std::mem::take(v);
                 }
             }
         }
-        (moved, zeroed)
-    }
-
-    /// Zeroes every entry outside `mask`, returning the mass dropped
-    /// (summed in ascending state order) and how many previously non-zero
-    /// entries were zeroed — the dense side of
-    /// [`crate::hybrid::PropagationVector::retain_masked`].
-    pub(crate) fn retain_masked_counting(&mut self, mask: &StateMask) -> (f64, usize) {
-        let mut dropped = 0.0;
-        let mut zeroed = 0usize;
-        for (i, v) in self.values.iter_mut().enumerate() {
-            if *v != 0.0 && !mask.contains(i) {
-                dropped += *v;
-                zeroed += 1;
-                *v = 0.0;
-            }
-        }
-        (dropped, zeroed)
+        moved
     }
 
     /// Removes the entries of states in `mask`, returning them as a sparse

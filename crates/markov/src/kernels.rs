@@ -1,61 +1,31 @@
-//! Cache-blocked, branch-light kernels behind [`CsrMatrix::step_batch`].
+//! The cache-blocked panel kernel behind [`CsrMatrix::step_batch`].
 //!
-//! The batched transition has two halves with very different memory
-//! behaviour, and this module owns the fast path of both:
-//!
-//! * **Dense panels** — densified vectors are packed into an interleaved
-//!   *panel*: `panel[i * P + k]` holds vector `k`'s value at state `i`, so
-//!   for a given matrix row the `P` vector values are contiguous and the
-//!   inner loop is an unrolled (and, on `x86_64` with AVX, vectorized)
-//!   multiply-add over the panel. The panel width `P` is sized so the
-//!   input and output panels together fit a slice of L2
-//!   (`panel_width`), and the matrix is streamed once per panel instead
-//!   of once per vector.
-//! * **Sparse union merge** — sparse members are merged over the sorted
-//!   union of their supports with an epoch-marked counting-sort scatter
-//!   (mark union rows once, sort the deduplicated row list once per step,
-//!   bucket each member's `(lane, value)` contributions in O(1) each),
-//!   replacing the flatten-and-sort of every `(row, member, value)`
-//!   triple the previous kernel paid per step. First-touch detection uses
-//!   a per-lane epoch array instead of a `== 0.0` probe, so accumulator
-//!   lanes never need clearing between steps.
+//! Span vectors whose spans overlap — a k-times level family, clustered
+//! objects — step together through one interleaved *panel*:
+//! `panel[j * P + k]` holds vector `k`'s value at the panel's `j`-th
+//! column, so for a given matrix entry the `P` vector values are contiguous
+//! and the inner loop is an unrolled (and, on `x86_64` with AVX,
+//! vectorized) multiply-add over the panel row. The panel covers the
+//! members' union span, not the state space; its width `P` is sized so the
+//! panel fits a slice of L2 (`panel_width`), and the matrix rows of the
+//! union span are streamed once per panel instead of once per vector.
 //!
 //! **Bit-identity contract.** Per vector, the floating-point operations
 //! and their order are exactly those of a solo
 //! [`crate::hybrid::PropagationVector::step`]: ascending source state,
 //! then ascending column within each matrix row, with a first touch
-//! computed as `0.0 + vi * m` (the literal operation the reference kernel
-//! performs on its zeroed accumulator). SIMD and unrolling only ever act
-//! *across* independent vectors of a panel, never across the terms of one
-//! vector's accumulation, so no sum is reassociated and no FMA contraction
-//! is introduced. The proptests in `tests/proptests.rs` pin this contract
-//! across panel widths, batch compositions and kernel choices.
+//! computed as `0.0 + vi * m` (a zeroed slot plus the term). SIMD and
+//! unrolling only ever act *across* independent vectors of a panel, never
+//! across the terms of one vector's accumulation, so no sum is reassociated
+//! and no FMA contraction is introduced. The proptests in
+//! `tests/proptests.rs` pin this contract across panel widths and batch
+//! compositions.
 
-use crate::csr::{CsrMatrix, SpmvScratch};
-use crate::dense::DenseVector;
-use crate::sparse_vec::SparseVector;
+use std::ops::Range;
 
-/// Batched-kernel selection policy for [`CsrMatrix::step_batch_with_mode`]
-/// (the `batching` knob of `ust-core`'s `EngineConfig`).
-///
-/// Every mode produces bit-for-bit identical results; they differ only in
-/// which traversal pays for the product (and therefore in wall time and
-/// in the `rows_traversed` accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum KernelMode {
-    /// Per-batch heuristic choice (the default): take the shared-union
-    /// merge when the sparse members' supports overlap meaningfully or
-    /// are large enough for the merge's per-member savings to pay on
-    /// their own, and step members individually only for small-support
-    /// low-overlap batches; densified members always use the panel
-    /// kernel. See `choose_shared_union` for the estimate.
-    #[default]
-    Auto,
-    /// Always merge sparse members over the union of their supports.
-    SharedUnion,
-    /// Always step members individually (the per-object baseline).
-    PerObject,
-}
+use crate::csr::{CsrMatrix, Reach, SpmvScratch};
+use crate::hybrid::BatchStepStats;
+use crate::span_vec::SpanVector;
 
 /// Byte budget for one input + output panel pair — a conservative slice
 /// of a typical per-core L2 so the hot panel data stays cache-resident
@@ -65,14 +35,21 @@ const PANEL_L2_BYTES: usize = 256 * 1024;
 /// Width of the SIMD/unrolled lane groups the panel kernels operate on.
 pub(crate) const LANE_WIDTH: usize = 4;
 
-/// Panel width (vectors interleaved per panel) for a matrix with `ncols`
-/// columns and a batch of `batch` densified vectors: as many lanes as keep
+/// Most lanes a panel ever interleaves.
+const MAX_PANEL_WIDTH: usize = 64;
+
+/// Panel rows transposed per block when unpacking: a block of the widest
+/// panel is 32 KiB, an L1-resident tile.
+const TRANSPOSE_ROWS: usize = 64;
+
+/// Panel width (vectors interleaved per panel) for a union span of `ncols`
+/// states and a group of `batch` span vectors: as many lanes as keep
 /// `2 × P × ncols` doubles inside [`PANEL_L2_BYTES`], clamped to
 /// `[LANE_WIDTH, 64]`, rounded down to a [`LANE_WIDTH`] multiple, and
 /// never more than the batch itself.
 pub(crate) fn panel_width(ncols: usize, batch: usize) -> usize {
     let by_cache = PANEL_L2_BYTES / (2 * std::mem::size_of::<f64>() * ncols.max(1));
-    let p = by_cache.clamp(LANE_WIDTH, 64);
+    let p = by_cache.clamp(LANE_WIDTH, MAX_PANEL_WIDTH);
     if p >= batch {
         batch.max(1)
     } else {
@@ -81,177 +58,160 @@ pub(crate) fn panel_width(ncols: usize, batch: usize) -> usize {
     }
 }
 
-/// Support-overlap heuristic for the sparse half of a batch (the
-/// [`KernelMode::Auto`] decision).
+/// The span half of the batched kernel: one interleaved multi-vector
+/// panel over the members' **union span**.
 ///
-/// `spans` yields `(first index, last index, nnz)` per sparse member. The
-/// union of the supports is estimated as `min(range, Σ nnz)` where `range`
-/// is the merged `[min first, max last]` span — on the paper's banded
-/// locality workloads supports are near-intervals, so the range is a tight
-/// proxy.
-///
-/// The shared-union merge is chosen when the estimate is at most 90% of
-/// the per-object sum (the amortized matrix-row reads pay for the merge
-/// bookkeeping), and also — regardless of overlap — once the members'
-/// supports average a non-trivial size: past that point the merge's
-/// per-member savings (a pooled in-order gather instead of a sort +
-/// re-sorting constructor, and no per-step output allocation) beat its
-/// O(Σ nnz) bookkeeping even with zero row sharing. Only small-support
-/// low-overlap batches step per object, where the bookkeeping is pure
-/// overhead on a few dozen entries.
-pub(crate) fn choose_shared_union(spans: impl IntoIterator<Item = (u32, u32, usize)>) -> bool {
-    let (mut lo, mut hi, mut sum, mut members) = (u32::MAX, 0u32, 0usize, 0usize);
-    for (first, last, nnz) in spans {
-        lo = lo.min(first);
-        hi = hi.max(last);
-        sum += nnz;
-        members += 1;
-    }
-    if sum == 0 || lo > hi {
-        return false;
-    }
-    let range = (hi - lo) as usize + 1;
-    let est_union = range.min(sum);
-    est_union * 10 <= sum * 9 || sum >= 64 * members
-}
-
-/// Result of one dense-panel sweep: the stepped vectors, their exact
-/// non-zero counts (gathered for free during the unpack pass) and the
-/// traversal counters.
-pub(crate) struct DensePanelOutput {
-    pub outs: Vec<DenseVector>,
-    pub nnz: Vec<usize>,
-    pub rows_traversed: u64,
-    pub entries_touched: u64,
-}
-
-/// The dense half of the batched kernel: interleaved multi-vector panels.
-///
-/// Inputs are packed `LANE_WIDTH`-aligned panels wide ([`panel_width`]);
-/// each panel streams the matrix once. Rows where every panel lane is
-/// non-zero take the branch-free unrolled update ([`axpy_panel`]); rows
-/// with a mix of live and zero lanes fall back to the per-lane loop, which
-/// performs exactly the reference operations (a zero lane's multiply-add
-/// is *skipped*, as in [`CsrMatrix::vecmat_dense`], keeping bit-identity
-/// even for non-finite or signed-zero inputs). Output storage is recycled
-/// through `scratch.dense_pool`.
-pub(crate) fn step_dense_panels(
+/// `panel` holds at most [`panel_width`] span vectors whose spans overlap
+/// (a k-times level family, clustered objects — the caller groups them),
+/// `rows` is the union of their spans and `out` the [`Reach`] of those
+/// rows. The rows are streamed once ([`sweep_panel`]) into an interleaved
+/// output panel — `panel_out[j * P + k]` holds vector `k`'s value at the
+/// `j`-th column of `out` — which is then transposed back, a block of
+/// columns at a time so the strided side of the copy stays in L1. Each
+/// member is replaced by its stepped vector, trimmed to its own span; value
+/// storage is recycled through `scratch.span_pool`. Reports the matrix
+/// rows streamed and the entries multiplied (per vector fed).
+pub(crate) fn step_span_panel(
     m: &CsrMatrix,
-    inputs: &[DenseVector],
+    panel: &mut [SpanVector],
+    (rows, out): (Range<usize>, Reach),
     scratch: &mut SpmvScratch,
-) -> DensePanelOutput {
-    let (nrows, ncols) = m.shape();
-    let batch = inputs.len();
-    let width = panel_width(ncols, batch);
-    let mut out = DensePanelOutput {
-        outs: Vec::with_capacity(batch),
-        nnz: Vec::with_capacity(batch),
-        rows_traversed: 0,
-        entries_touched: 0,
-    };
-    let mut panel_in = std::mem::take(&mut scratch.panel_in);
+) -> BatchStepStats {
+    let mut stats = BatchStepStats::default();
+    // Lanes are padded to whole SIMD groups: a pad lane holds zeros,
+    // accumulates `0.0 * m` and is never unpacked.
+    let stride = panel.len().next_multiple_of(LANE_WIDTH);
     let mut panel_out = std::mem::take(&mut scratch.panel_out);
-    let mut start = 0;
-    while start < batch {
-        let lanes = width.min(batch - start);
-        // Pack: vector k of the panel lands in stride position k, so one
-        // matrix row's vector values are the contiguous run
-        // `panel_in[i*lanes .. (i+1)*lanes]`.
-        panel_in.clear();
-        panel_in.resize(nrows * lanes, 0.0);
-        for (k, input) in inputs[start..start + lanes].iter().enumerate() {
-            for (i, &v) in input.as_slice().iter().enumerate() {
-                panel_in[i * lanes + k] = v;
+    panel_out.clear();
+    panel_out.resize((out.hi - out.lo) * stride, 0.0);
+    sweep_panel(m, panel, &mut panel_out, (rows, out.lo), &mut stats);
+    let mut outs = std::mem::take(&mut scratch.panel_lanes);
+    outs.clear();
+    outs.resize_with(panel.len(), || scratch.zeroed_span(out.hi - out.lo));
+    for block in (0..out.hi - out.lo).step_by(TRANSPOSE_ROWS) {
+        for (k, lane_out) in outs.iter_mut().enumerate() {
+            let lane = panel_out[block * stride + k..].iter().step_by(stride);
+            for (slot, &v) in lane_out[block..].iter_mut().take(TRANSPOSE_ROWS).zip(lane) {
+                *slot = v;
             }
         }
-        panel_out.clear();
-        panel_out.resize(ncols * lanes, 0.0);
-        for (i, vals_i) in panel_in.chunks_exact(lanes).enumerate() {
-            let live = vals_i.iter().filter(|v| **v != 0.0).count();
-            if live == 0 {
-                continue;
-            }
-            out.rows_traversed += 1;
-            let (cols, mvals) = m.row(i);
-            out.entries_touched += cols.len() as u64 * live as u64;
-            if live == lanes {
-                // Branch-free hot path: every lane is live, so the
-                // unconditional update performs exactly the reference ops.
-                for (&c, &mv) in cols.iter().zip(mvals) {
-                    let base = c as usize * lanes;
-                    axpy_panel(&mut panel_out[base..base + lanes], vals_i, mv);
-                }
-            } else {
-                for (k, &vi) in vals_i.iter().enumerate() {
-                    if vi == 0.0 {
-                        continue;
-                    }
-                    for (&c, &mv) in cols.iter().zip(mvals) {
-                        panel_out[c as usize * lanes + k] += vi * mv;
-                    }
-                }
-            }
-        }
-        // Unpack, counting non-zeros on the way out (the exact-nnz feed
-        // for `PropagationVector`).
-        for k in 0..lanes {
-            let mut buf = scratch.dense_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.reserve(ncols);
-            let mut count = 0usize;
-            for chunk in panel_out.chunks_exact(lanes) {
-                let v = chunk[k];
-                if v != 0.0 {
-                    count += 1;
-                }
-                // lint: allow(alloc-in-kernel-hot-loop) — buf is pool-recycled and reserved to ncols above
-                buf.push(v);
-            }
-            // lint: allow(alloc-in-kernel-hot-loop) — outs is with_capacity(batch); one push per lane, not per element
-            out.outs.push(DenseVector::from_vec(buf));
-            // lint: allow(alloc-in-kernel-hot-loop) — nnz is with_capacity(batch); one push per lane, not per element
-            out.nnz.push(count);
-        }
-        start += lanes;
     }
-    scratch.panel_in = panel_in;
+    for (member, lane_out) in panel.iter_mut().zip(outs.drain(..)) {
+        let next = SpanVector::from_parts(m.ncols(), out.lo, lane_out);
+        let previous = std::mem::replace(member, next);
+        // lint: allow(alloc-in-kernel-hot-loop) — returns the input's buffer to the pool it was taken from; one push per lane, not per element
+        scratch.span_pool.push(previous.into_values());
+    }
     scratch.panel_out = panel_out;
-    out
+    scratch.panel_lanes = outs;
+    stats
 }
 
-/// `out[k] += vals[k] * m` across a panel row — the only loop SIMD ever
-/// touches. Element-wise with separate multiply and add (never FMA), so
-/// each lane's operation is bitwise the scalar reference.
-#[inline]
-pub(crate) fn axpy_panel(out: &mut [f64], vals: &[f64], m: f64) {
+/// Streams the matrix rows `rows` once into the interleaved output panel
+/// whose first column is `out_lo`, with the widest lane-group update the
+/// CPU has, adding the work to `stats`.
+fn sweep_panel(
+    m: &CsrMatrix,
+    panel: &[SpanVector],
+    panel_out: &mut [f64],
+    (rows, out_lo): (Range<usize>, usize),
+    stats: &mut BatchStepStats,
+) {
     #[cfg(target_arch = "x86_64")]
     {
-        if out.len() >= LANE_WIDTH && std::arch::is_x86_feature_detected!("avx") {
+        if std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: AVX availability was just checked.
-            unsafe { axpy_panel_avx(out, vals, m) };
-            return;
+            return unsafe { sweep_panel_avx(m, panel, panel_out, (rows, out_lo), stats) };
         }
     }
-    axpy_panel_scalar(out, vals, m);
+    sweep_panel_with(m, panel, panel_out, (rows, out_lo), stats, axpy_panel_scalar)
 }
 
-/// Portable 4-wide unrolled fallback for [`axpy_panel`].
+/// [`sweep_panel`] compiled with AVX enabled, so the lane-group update
+/// inlines into the row loop.
+///
+/// # Safety
+/// Caller must ensure the `avx` target feature is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn sweep_panel_avx(
+    m: &CsrMatrix,
+    panel: &[SpanVector],
+    panel_out: &mut [f64],
+    (rows, out_lo): (Range<usize>, usize),
+    stats: &mut BatchStepStats,
+) {
+    sweep_panel_with(m, panel, panel_out, (rows, out_lo), stats, |out, vals, mv| {
+        // SAFETY: this function is only entered with AVX available.
+        unsafe { axpy_panel_avx(out, vals, mv) }
+    })
+}
+
+/// The row sweep behind [`sweep_panel`]. Per row, the lanes' values are
+/// gathered from the members (no packed input panel is ever written) and
+/// every lane takes the branch-free lane-group update `axpy`. A zero lane
+/// then adds `0.0 · m` to its slots — an identity on an accumulator, which
+/// starts at `+0.0` and can never hold `-0.0` — unless `m` is not finite:
+/// such rows take the per-lane loop, which *skips* a zero lane's
+/// multiply-add exactly as [`CsrMatrix::vecmat_dense`] does.
+#[inline(always)]
+fn sweep_panel_with(
+    m: &CsrMatrix,
+    panel: &[SpanVector],
+    panel_out: &mut [f64],
+    (rows, out_lo): (Range<usize>, usize),
+    stats: &mut BatchStepStats,
+    axpy: impl Fn(&mut [f64], &[f64], f64),
+) {
+    let lanes = panel.len();
+    let stride = lanes.next_multiple_of(LANE_WIDTH);
+    let mut gathered = [0.0; MAX_PANEL_WIDTH];
+    let vals_i = &mut gathered[..stride];
+    for i in rows {
+        let mut live = 0;
+        for (slot, member) in vals_i.iter_mut().zip(panel) {
+            *slot = member.get(i);
+            live += u64::from(*slot != 0.0);
+        }
+        if live == 0 {
+            continue;
+        }
+        let (cols, mvals) = m.row(i);
+        stats.rows_traversed += 1;
+        stats.entries_touched += cols.len() as u64 * live;
+        if live == lanes as u64 || mvals.iter().all(|mv| mv.is_finite()) {
+            for (&c, &mv) in cols.iter().zip(mvals) {
+                let base = (c as usize - out_lo) * stride;
+                axpy(&mut panel_out[base..base + stride], vals_i, mv);
+            }
+        } else {
+            for (k, &vi) in vals_i[..lanes].iter().enumerate() {
+                if vi == 0.0 {
+                    continue;
+                }
+                for (&c, &mv) in cols.iter().zip(mvals) {
+                    panel_out[(c as usize - out_lo) * stride + k] += vi * mv;
+                }
+            }
+        }
+    }
+}
+
+/// `out[k] += vals[k] * m` across a panel row of whole [`LANE_WIDTH`]
+/// groups — the only loop SIMD ever touches. Element-wise with separate
+/// multiply and add (never FMA), so each lane's operation is bitwise the
+/// scalar reference.
 #[inline]
 fn axpy_panel_scalar(out: &mut [f64], vals: &[f64], m: f64) {
-    let mut o = out.chunks_exact_mut(LANE_WIDTH);
-    let mut v = vals.chunks_exact(LANE_WIDTH);
-    for (oc, vc) in (&mut o).zip(&mut v) {
+    for (oc, vc) in out.chunks_exact_mut(LANE_WIDTH).zip(vals.chunks_exact(LANE_WIDTH)) {
         oc[0] += vc[0] * m;
         oc[1] += vc[1] * m;
         oc[2] += vc[2] * m;
         oc[3] += vc[3] * m;
     }
-    for (oo, &vv) in o.into_remainder().iter_mut().zip(v.remainder()) {
-        *oo += vv * m;
-    }
 }
 
-/// AVX path for [`axpy_panel`]: 4 doubles per step with distinct
+/// AVX form of [`axpy_panel_scalar`]: 4 doubles per step with distinct
 /// `_mm256_mul_pd` + `_mm256_add_pd` (no fused multiply-add, preserving
 /// the scalar rounding per element).
 ///
@@ -259,240 +219,21 @@ fn axpy_panel_scalar(out: &mut [f64], vals: &[f64], m: f64) {
 /// Caller must ensure the `avx` target feature is available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
+#[inline]
 unsafe fn axpy_panel_avx(out: &mut [f64], vals: &[f64], m: f64) {
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
     };
     let mv = _mm256_set1_pd(m);
-    let chunks = out.len() / LANE_WIDTH;
-    for idx in 0..chunks {
-        // SAFETY: idx * LANE_WIDTH + LANE_WIDTH <= len for both slices
-        // (vals is at least as long as out's panel row by construction).
+    for (oc, vc) in out.chunks_exact_mut(LANE_WIDTH).zip(vals.chunks_exact(LANE_WIDTH)) {
+        // SAFETY: both chunks hold exactly LANE_WIDTH = 4 doubles, the
+        // width of one unaligned 256-bit load / store.
         unsafe {
-            let o = out.as_mut_ptr().add(idx * LANE_WIDTH);
-            let v = vals.as_ptr().add(idx * LANE_WIDTH);
-            let prod = _mm256_mul_pd(_mm256_loadu_pd(v), mv);
-            _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), prod));
+            let prod = _mm256_mul_pd(_mm256_loadu_pd(vc.as_ptr()), mv);
+            let sum = _mm256_add_pd(_mm256_loadu_pd(oc.as_ptr()), prod);
+            _mm256_storeu_pd(oc.as_mut_ptr(), sum);
         }
     }
-    for k in chunks * LANE_WIDTH..out.len() {
-        out[k] += vals[k] * m;
-    }
-}
-
-/// Result of one sparse shared-union sweep.
-pub(crate) struct SparseUnionOutput {
-    pub outs: Vec<SparseVector>,
-    pub rows_traversed: u64,
-    pub entries_touched: u64,
-}
-
-/// The sparse half of the batched kernel: one pass over the sorted union
-/// of the members' supports.
-///
-/// The union is built with a counting-sort layout rather than a cursor
-/// heap — a heap pays O(log batch) per `(member, row)` contribution, which
-/// on the locality workloads is millions of push/pop pairs per query and
-/// was the dominant cost of the first version of this kernel:
-///
-/// 1. **Mark** — every member's rows are stamped into an epoch-marked row
-///    set (`scratch.merge_epoch`); the first member to touch a row appends
-///    it to the union list, and a per-row counter sizes its bucket.
-/// 2. **Order once** — the deduplicated union is put in ascending order:
-///    a mark-scan over its span when dense within it (the banded locality
-///    workloads), a sort when scattered.
-/// 3. **Scatter** — each member's contributions are written into their
-///    row's bucket in O(1) each, as bare lane ids; values are replayed
-///    through per-lane cursors during the sweep.
-/// 4. **Sweep** — union rows are visited in ascending order; each matrix
-///    row is streamed exactly once and every bucketed contribution
-///    accumulates into its member's lane.
-///
-/// Members are independent accumulators, so bucket order within a row is
-/// irrelevant; per member, rows arrive ascending (the union is sorted) and
-/// columns ascending within each row — exactly the reference order.
-/// First-touch tracking uses the lanes' epoch arrays
-/// (`scratch.lanes_epoch`), so no accumulator is ever cleared — a slot is
-/// live iff its epoch matches the sweep's stamp. Output index/value
-/// storage is recycled through `scratch.sparse_pool`.
-pub(crate) fn step_sparse_union(
-    m: &CsrMatrix,
-    inputs: &[SparseVector],
-    scratch: &mut SpmvScratch,
-) -> SparseUnionOutput {
-    let (nrows, ncols) = m.shape();
-    let members = inputs.len();
-    let mut out = SparseUnionOutput {
-        outs: Vec::with_capacity(members),
-        rows_traversed: 0,
-        entries_touched: 0,
-    };
-    let row_stamp = scratch.merge_epoch(nrows);
-    let mut union_rows = std::mem::take(&mut scratch.merge_rows);
-    let mut marks = std::mem::take(&mut scratch.merge_marks);
-    let mut bucket = std::mem::take(&mut scratch.merge_bucket);
-    let mut events = std::mem::take(&mut scratch.merge_events);
-    let mut cursors = std::mem::take(&mut scratch.merge_cursor);
-    let mut pool = std::mem::take(&mut scratch.sparse_pool);
-
-    // 1. Mark union rows and count contributions per row.
-    union_rows.clear();
-    let mut total = 0usize;
-    let (mut lo, mut hi) = (u32::MAX, 0u32);
-    for v in inputs {
-        let idx = v.indices();
-        total += idx.len();
-        if let (Some(&first), Some(&last)) = (idx.first(), idx.last()) {
-            lo = lo.min(first);
-            hi = hi.max(last);
-        }
-        for &r in idx {
-            let ru = r as usize;
-            if marks[ru] == row_stamp {
-                bucket[ru] += 1;
-            } else {
-                marks[ru] = row_stamp;
-                bucket[ru] = 1;
-                // lint: allow(alloc-in-kernel-hot-loop) — union_rows is the scratch-recycled merge_rows buffer; it grows to the union size once, then recycles
-                union_rows.push(r);
-            }
-        }
-    }
-    // 2. Put the deduplicated union in ascending order. When the union is
-    // dense within its span — the locality workloads, where the members'
-    // banded supports overlap — a linear scan over the epoch marks
-    // rebuilds it sorted for O(span); only a scattered union pays a sort.
-    if !union_rows.is_empty() {
-        let span = (hi - lo) as usize + 1;
-        if span <= union_rows.len().saturating_mul(8) {
-            union_rows.clear();
-            for r in lo..=hi {
-                if marks[r as usize] == row_stamp {
-                    // lint: allow(alloc-in-kernel-hot-loop) — rebuilds into the already-sized scratch buffer just cleared above; no growth
-                    union_rows.push(r);
-                }
-            }
-        } else {
-            union_rows.sort_unstable();
-        }
-    }
-    // Bucket counters become running cursors (exclusive prefix sum in
-    // union order); after the scatter each counter sits at its bucket end.
-    let mut offset = 0u32;
-    for &r in &union_rows {
-        let count = bucket[r as usize];
-        bucket[r as usize] = offset;
-        offset += count;
-    }
-    // 3. Scatter every contribution's lane id into its row bucket. Values
-    // are *not* scattered: the sweep visits rows ascending, so each lane's
-    // values are consumed in exactly their stored order and a per-lane
-    // cursor replays them sequentially — half the event traffic.
-    events.clear();
-    events.resize(total, 0u32);
-    for (b, v) in inputs.iter().enumerate() {
-        for &r in v.indices() {
-            let slot = &mut bucket[r as usize];
-            events[*slot as usize] = b as u32;
-            *slot += 1;
-        }
-    }
-    cursors.clear();
-    cursors.resize(members, 0u32);
-
-    // 4. Sweep the union in ascending row order, streaming each matrix
-    // row exactly once.
-    {
-        let (lanes, stamp) = scratch.lanes_epoch(members, ncols);
-        let mut begin = 0usize;
-        for &i in &union_rows {
-            let end = bucket[i as usize] as usize;
-            let (cols, mvals) = m.row(i as usize);
-            out.rows_traversed += 1;
-            out.entries_touched += cols.len() as u64 * (end - begin) as u64;
-            for &b in &events[begin..end] {
-                let bu = b as usize;
-                let cursor = cursors[bu] as usize;
-                let vi = inputs[bu].values()[cursor];
-                cursors[bu] = (cursor + 1) as u32;
-                let lane = &mut lanes[bu];
-                // SAFETY: every stored CSR column index is `< ncols`
-                // (enforced by `CsrMatrix::from_raw_parts` and maintained
-                // by all other constructors), and `lanes_epoch` sized
-                // `acc`/`epoch` to `ncols` — so `cu` is in bounds for
-                // both arrays. Eliding the two bounds checks matters:
-                // this loop runs once per matrix entry per contribution.
-                unsafe {
-                    let acc = lane.acc.as_mut_ptr();
-                    let epoch = lane.epoch.as_mut_ptr();
-                    for (&c, &mv) in cols.iter().zip(mvals) {
-                        let cu = c as usize;
-                        if *epoch.add(cu) == stamp {
-                            *acc.add(cu) += vi * mv;
-                        } else {
-                            *epoch.add(cu) = stamp;
-                            // The literal first-touch operation of the
-                            // reference kernel (a zeroed slot plus the
-                            // term): `0.0 + x` is *not* the identity for
-                            // x = -0.0, so spelling it out keeps
-                            // bit-identity.
-                            *acc.add(cu) = 0.0 + vi * mv;
-                            // lint: allow(alloc-in-kernel-hot-loop) — touched is the lane's scratch-recycled first-touch list; one push per distinct column
-                            lane.touched.push(c);
-                            lane.lo = lane.lo.min(c);
-                            lane.hi = lane.hi.max(c);
-                        }
-                    }
-                }
-            }
-            begin = end;
-        }
-        for lane in lanes.iter_mut().take(members) {
-            let (mut indices, mut values) = pool.pop().unwrap_or_default();
-            indices.clear();
-            values.clear();
-            indices.reserve(lane.touched.len());
-            values.reserve(lane.touched.len());
-            let span = if lane.touched.is_empty() { 0 } else { (lane.hi - lane.lo) as usize + 1 };
-            if span > 0 && span <= lane.touched.len().saturating_mul(8) {
-                // On the locality workloads a lane's touched set converges
-                // to a (near-)contiguous interval: an in-order scan of the
-                // span — epoch marks say which slots are live — replaces
-                // the O(n log n) sort with a sequential O(span) sweep.
-                for cu in lane.lo as usize..=lane.hi as usize {
-                    if lane.epoch[cu] == stamp {
-                        let v = lane.acc[cu];
-                        if v != 0.0 {
-                            // lint: allow(alloc-in-kernel-hot-loop) — reserved to touched.len() above
-                            indices.push(cu as u32);
-                            // lint: allow(alloc-in-kernel-hot-loop) — reserved to touched.len() above
-                            values.push(v);
-                        }
-                    }
-                }
-            } else {
-                lane.touched.sort_unstable();
-                for &c in &lane.touched {
-                    let v = lane.acc[c as usize];
-                    if v != 0.0 {
-                        // lint: allow(alloc-in-kernel-hot-loop) — reserved to touched.len() above
-                        indices.push(c);
-                        // lint: allow(alloc-in-kernel-hot-loop) — reserved to touched.len() above
-                        values.push(v);
-                    }
-                }
-            }
-            // lint: allow(alloc-in-kernel-hot-loop) — outs is with_capacity(members); one push per member, not per element
-            out.outs.push(SparseVector::from_sorted_parts(ncols, indices, values));
-        }
-    }
-    scratch.merge_rows = union_rows;
-    scratch.merge_marks = marks;
-    scratch.merge_bucket = bucket;
-    scratch.merge_events = events;
-    scratch.merge_cursor = cursors;
-    scratch.sparse_pool = pool;
-    out
 }
 
 #[cfg(test)]
@@ -514,26 +255,20 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_prefers_union_on_overlap() {
-        // Two members over the same narrow band: union ≈ range ≪ sum.
-        assert!(choose_shared_union([(10, 20, 8), (12, 22, 8)]));
-        // Disjoint far-apart supports: range is huge, union = sum.
-        assert!(!choose_shared_union([(0, 4, 5), (10_000, 10_004, 5)]));
-        // Borderline: est_union must be ≤ 90% of the sum.
-        assert!(choose_shared_union([(0, 8, 5), (0, 8, 5)])); // 9 ≤ 0.9·10
-        assert!(!choose_shared_union([(0, 9, 5), (0, 9, 5)])); // 10 > 0.9·10
-        assert!(!choose_shared_union(std::iter::empty()));
-    }
-
-    #[test]
     fn axpy_paths_agree_bitwise() {
-        let vals: Vec<f64> = (0..13).map(|k| 0.1 + k as f64 * 0.07).collect();
+        let vals: Vec<f64> = (0..12).map(|k| 0.1 + k as f64 * 0.07).collect();
         let m = 0.37;
-        let mut a: Vec<f64> = (0..13).map(|k| k as f64 * 0.01).collect();
+        let mut a: Vec<f64> = (0..12).map(|k| k as f64 * 0.01).collect();
         let mut b = a.clone();
-        axpy_panel(&mut a, &vals, m);
+        let reference: Vec<f64> = a.iter().zip(&vals).map(|(o, v)| o + v * m).collect();
         axpy_panel_scalar(&mut b, &vals, m);
-        for (x, y) in a.iter().zip(&b) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: AVX availability was just checked.
+            unsafe { axpy_panel_avx(&mut a, &vals, m) };
+            b.iter().zip(&a).for_each(|(x, y)| assert_eq!(x.to_bits(), y.to_bits()));
+        }
+        for (x, y) in b.iter().zip(&reference) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

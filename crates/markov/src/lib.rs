@@ -11,19 +11,19 @@
 //!
 //! * [`csr::CsrMatrix`] — compressed sparse row matrices with the
 //!   vector–matrix, matrix–matrix and transpose kernels used by every query;
-//! * [`sparse_vec::SparseVector`] / [`dense::DenseVector`] — the two
-//!   distribution representations, with [`hybrid::PropagationVector`]
-//!   switching adaptively between them during propagation, and
-//!   [`span_vec::SpanVector`] the span-trimmed snapshot of either;
+//! * [`sparse_vec::SparseVector`] / [`span_vec::SpanVector`] — sorted
+//!   indices or the contiguous span between the first and last non-zero,
+//!   the two arms [`hybrid::PropagationVector`] switches between during
+//!   propagation (a span is also the snapshot format of a backward field);
+//!   [`dense::DenseVector`] for whole-space vectors;
 //! * [`stochastic::StochasticMatrix`] / [`chain::MarkovChain`] — validated
 //!   transition matrices and chains (Definitions 5/6, Corollaries 1/2);
 //! * [`augmented`] — the paper's `M−`/`M+` constructions with the absorbing
 //!   ⊤ state (Section V), the doubled state space for multiple observations
 //!   (Section VI) and the k-times blow-up (Section VII), kept as executable
 //!   specifications the fast engines are cross-checked against;
-//! * [`kernels`] — the cache-blocked, SIMD-friendly batched propagation
-//!   kernels (dense panels, sparse k-way merge) and the [`KernelMode`]
-//!   selection policy behind `CsrMatrix::step_batch`;
+//! * [`kernels`] — the cache-blocked, SIMD-friendly span panel kernel
+//!   behind `CsrMatrix::step_batch`;
 //! * [`interval::IntervalMatrix`] — interval Markov chains for the
 //!   cluster-level pruning sketched in Section V-C;
 //! * [`mask::StateMask`] — bitset state sets for query windows.
@@ -56,7 +56,6 @@ pub use dense::DenseVector;
 pub use error::{MarkovError, Result};
 pub use hybrid::{BatchStepStats, PropagationVector};
 pub use interval::IntervalMatrix;
-pub use kernels::KernelMode;
 pub use mask::StateMask;
 pub use power::PowerCache;
 pub use span_vec::SpanVector;

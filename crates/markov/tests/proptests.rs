@@ -6,25 +6,51 @@ use proptest::prelude::*;
 use ust_markov::augmented;
 use ust_markov::testutil;
 use ust_markov::{
-    CsrMatrix, DenseVector, KernelMode, MarkovChain, PropagationVector, SparseVector, SpmvScratch,
-    StateMask, StochasticMatrix,
+    CsrMatrix, DenseVector, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask,
+    StochasticMatrix,
 };
 
-/// A batch of propagation vectors with mixed representations and densify
-/// policies — the compositions the batched kernels must keep bit-identical
+/// A batch of propagation vectors on both arms — scattered supports
+/// through either constructor, and (every third member) a contiguous
+/// cluster — the compositions the batched kernels must keep bit-identical
 /// to solo stepping.
 fn mixed_batch(rng: &mut rand::rngs::StdRng, n: usize, members: usize) -> Vec<PropagationVector> {
     (0..members)
         .map(|k| {
-            let start = testutil::random_distribution(rng, n, 1 + k % 4);
-            let threshold = [0.0, 0.25, 1.0][k % 3];
+            let start = match k % 3 {
+                2 => cluster(rng, n, 1 + k % 4),
+                _ => testutil::random_distribution(rng, n, 1 + k % 4),
+            };
             if k % 2 == 0 {
-                PropagationVector::from_sparse(start).with_densify_threshold(threshold)
+                PropagationVector::from_sparse(start)
             } else {
-                PropagationVector::from_dense(start.to_dense()).with_densify_threshold(threshold)
+                PropagationVector::from_dense(start.to_dense())
             }
         })
         .collect()
+}
+
+/// A distribution over `width` neighbouring states at a random centre.
+fn cluster(rng: &mut rand::rngs::StdRng, n: usize, width: usize) -> SparseVector {
+    use rand::Rng as _;
+    let width = width.clamp(1, n);
+    let first = rng.random_range(0..=n - width);
+    let weights: Vec<f64> = (0..width).map(|_| rng.random::<f64>() + 1e-3).collect();
+    let total: f64 = weights.iter().sum();
+    SparseVector::from_pairs(n, (first..first + width).zip(weights.iter().map(|w| w / total)))
+        .unwrap()
+}
+
+/// The textbook transition: the sorted-index product of a freshly built
+/// sparse vector — no hybrid arm, no pooled storage, no batching.
+fn textbook_step(m: &CsrMatrix, v: &SparseVector) -> SparseVector {
+    m.vecmat_sparse(&SparseVector::from_pairs(v.dim(), v.iter()).unwrap()).unwrap()
+}
+
+/// Matrix entries one transition of `v` multiplies: the entries of the rows
+/// where `v` is non-zero — what every kernel must report per vector fed.
+fn entries_of(m: &CsrMatrix, v: &SparseVector) -> u64 {
+    v.iter().map(|(i, _)| m.row_nnz(i) as u64).sum()
 }
 
 fn chain_params() -> impl Strategy<Value = (u64, usize, usize)> {
@@ -136,21 +162,76 @@ proptest! {
     fn hybrid_vector_agrees_with_pure_sparse(
         (seed, n, deg) in chain_params(),
         steps in 0u32..8,
-        threshold in 0.0f64..=1.0,
+        clustered in 0u8..2,
     ) {
         let mut rng = testutil::rng(seed);
         let m = testutil::random_stochastic(&mut rng, n, deg);
-        let start = testutil::random_distribution(&mut rng, n, 2);
+        let start = match clustered {
+            0 => testutil::random_distribution(&mut rng, n, 2),
+            _ => cluster(&mut rng, n, 2),
+        };
         let mut scratch = SpmvScratch::new();
-        let mut hybrid = PropagationVector::from_sparse(start.clone())
-            .with_densify_threshold(threshold);
-        let mut reference = PropagationVector::from_sparse(start)
-            .with_densify_threshold(1.0);
+        let mut hybrid = PropagationVector::from_sparse(start.clone());
+        let mut reference = start;
         for _ in 0..steps {
             hybrid.step(&m, &mut scratch).unwrap();
-            reference.step(&m, &mut scratch).unwrap();
+            reference = textbook_step(&m, &reference);
         }
-        prop_assert!(hybrid.to_dense().approx_eq(&reference.to_dense(), 1e-12));
+        prop_assert_eq!(hybrid.to_sparse(), reference);
+    }
+
+    #[test]
+    fn both_arms_match_the_textbook_loop_at_every_batch_size(
+        seed in 0u64..10_000,
+        n in 48usize..=160,
+        shape in 0u8..3,
+        batch_sel in 0u8..3,
+    ) {
+        // Banded chains keep supports contiguous (the span arm from step
+        // one), unstructured chains scatter them (the sorted-index arm,
+        // flipping once the space fills), two far-apart clusters start
+        // scattered on a banded chain and fill in from both sides.
+        let mut rng = testutil::rng(seed);
+        let m = match shape {
+            1 => testutil::random_stochastic(&mut rng, n, 3),
+            _ => testutil::random_banded_stochastic(&mut rng, n, 3, 8),
+        };
+        let batch = [1usize, 7, 64][batch_sel as usize];
+        // A batch of 7 is a level family: clusters around one centre.
+        let centre = cluster(&mut rng, n, 5);
+        let mut textbook: Vec<SparseVector> = (0..batch)
+            .map(|k| match (shape, batch) {
+                (2, _) => {
+                    let (a, b) = (cluster(&mut rng, n / 4, 3), cluster(&mut rng, n / 4, 3));
+                    let far = b.iter().map(|(i, v)| (i + n - n / 4, v));
+                    let mut both = SparseVector::from_pairs(n, a.iter().chain(far)).unwrap();
+                    both.scale(0.5);
+                    both
+                }
+                (_, 7) => {
+                    let keep = centre.iter().skip(k % 3).map(|(i, v)| (i, v / (k + 1) as f64));
+                    SparseVector::from_pairs(n, keep).unwrap()
+                }
+                _ => cluster(&mut rng, n, 5),
+            })
+            .collect();
+        let mut rows: Vec<PropagationVector> =
+            textbook.iter().cloned().map(PropagationVector::from_sparse).collect();
+        let mut solo = rows.clone();
+        let mut scratch = SpmvScratch::new();
+        for _ in 0..6 {
+            let expected: u64 = textbook.iter().map(|v| entries_of(&m, v)).sum();
+            let stats = m.step_batch(&mut rows, &[], &mut scratch).unwrap();
+            prop_assert_eq!(stats.entries_touched, expected);
+            for ((row, alone), reference) in rows.iter().zip(&mut solo).zip(&mut textbook) {
+                alone.step(&m, &mut scratch).unwrap();
+                *reference = textbook_step(&m, reference);
+                prop_assert_eq!(row, &*alone);
+                prop_assert_eq!(row.nnz(), reference.nnz());
+                prop_assert_eq!(&row.to_sparse(), &*reference);
+                prop_assert_eq!(row.to_span().to_sparse(), row.to_sparse());
+            }
+        }
     }
 
     #[test]
@@ -158,19 +239,14 @@ proptest! {
         (seed, n, deg) in chain_params(),
         members in 1usize..=6,
         steps in 0u32..6,
-        mode_sel in 0u8..3,
         mask_seed in 0u64..1_000,
     ) {
-        // The PR 6 contract: every kernel the batched path can choose —
-        // shared-union sparse merge, dense panels (any panel width the
-        // dimension induces), per-object fallback, and the Auto heuristic
-        // mixing them — produces the *same bits* as stepping each member
-        // alone, for any batch composition and activity mask.
-        let mode = match mode_sel {
-            0 => KernelMode::Auto,
-            1 => KernelMode::SharedUnion,
-            _ => KernelMode::PerObject,
-        };
+        // The PR 6 contract: whatever the batched path does with a batch —
+        // span panels (any panel width the union span induces), members
+        // stepped on their own, the sorted-index kernel — produces the
+        // *same bits* as stepping each member alone, for any batch
+        // composition and activity mask, and reports the same multiply
+        // work.
         let mut rng = testutil::rng(seed);
         let m = testutil::random_stochastic(&mut rng, n, deg);
         let mut batch = mixed_batch(&mut rng, n, members);
@@ -181,7 +257,10 @@ proptest! {
         let mut batch_scratch = SpmvScratch::new();
         let mut solo_scratch = SpmvScratch::new();
         for _ in 0..steps {
-            m.step_batch_with_mode(&mut batch, &active, mode, &mut batch_scratch).unwrap();
+            let live = solo.iter().zip(&active).filter(|(row, on)| **on && row.nnz() > 0);
+            let expected: u64 = live.map(|(row, _)| entries_of(&m, &row.to_sparse())).sum();
+            let stats = m.step_batch(&mut batch, &active, &mut batch_scratch).unwrap();
+            prop_assert_eq!(stats.entries_touched, expected);
             for (k, row) in solo.iter_mut().enumerate() {
                 if active[k] && row.nnz() > 0 {
                     row.step(&m, &mut solo_scratch).unwrap();
@@ -193,41 +272,6 @@ proptest! {
             // tracked non-zero count, all bit-for-bit.
             prop_assert_eq!(a, b);
             prop_assert_eq!(a.nnz(), a.to_dense().nnz(), "tracked nnz matches a rescan");
-        }
-    }
-
-    #[test]
-    fn kernel_modes_agree_and_touch_the_same_entries(
-        (seed, n, deg) in chain_params(),
-        members in 2usize..=5,
-        steps in 1u32..5,
-    ) {
-        // entries_touched counts multiplies per vector fed, so it is
-        // invariant across kernel choices — the property that makes
-        // entries/second comparable across modes in the benchmarks.
-        let mut rng = testutil::rng(seed);
-        let m = testutil::random_stochastic(&mut rng, n, deg);
-        let batch = mixed_batch(&mut rng, n, members);
-        let active = vec![true; members];
-        let mut outcomes = Vec::new();
-        for mode in [KernelMode::Auto, KernelMode::SharedUnion, KernelMode::PerObject] {
-            let mut rows = batch.clone();
-            let mut scratch = SpmvScratch::new();
-            let mut entries = 0u64;
-            for _ in 0..steps {
-                let report =
-                    m.step_batch_with_mode(&mut rows, &active, mode, &mut scratch).unwrap();
-                entries += report.entries_touched;
-            }
-            outcomes.push((rows, entries));
-        }
-        let (reference, ref_entries) = &outcomes[0];
-        prop_assert!(*ref_entries > 0);
-        for (rows, entries) in &outcomes[1..] {
-            prop_assert_eq!(entries, ref_entries);
-            for (a, b) in rows.iter().zip(reference.iter()) {
-                prop_assert_eq!(a, b);
-            }
         }
     }
 
