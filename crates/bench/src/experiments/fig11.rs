@@ -8,7 +8,7 @@ use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
-use super::agreement_cell;
+use super::{agreement_cell, paired};
 use crate::{time, ExperimentOutput, Scale};
 
 /// The fig11 locality dataset shape.
@@ -33,7 +33,7 @@ fn sweep(configs: impl Iterator<Item = (String, SyntheticConfig)>) -> ResultTabl
         let (qb_t, qb) = time(|| {
             query_based::evaluate(&data.db, &window, &engine, &mut EvalStats::new()).unwrap()
         });
-        table.push_row([label, fmt_secs(ob_t), fmt_secs(qb_t), agreement_cell(&ob, &qb)]);
+        table.push_row([label, fmt_secs(ob_t), fmt_secs(qb_t), agreement_cell(paired(&ob, &qb))]);
     }
     table
 }

@@ -12,7 +12,7 @@ use ust_data::csv::fmt_secs;
 use ust_data::workload::paper_default_window;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
-use super::agreement_cell;
+use super::{agreement_cell, paired};
 use crate::{time, ExperimentOutput, Scale};
 
 /// Figure 8(a): PST∃Q runtime vs `|S|`, small database, MC vs OB vs QB.
@@ -53,7 +53,7 @@ pub fn fig8a(scale: Scale) -> ExperimentOutput {
             fmt_secs(mc_acc_t),
             fmt_secs(ob_t),
             fmt_secs(qb_t),
-            agreement_cell(&ob, &qb),
+            agreement_cell(paired(&ob, &qb)),
         ]);
     }
     ExperimentOutput {

@@ -10,12 +10,19 @@ use ust_core::ObjectProbability;
 
 use crate::{ExperimentOutput, Scale};
 
-/// The cell of a `max |OB-QB|` column: the largest gap between the
-/// object-based and the query-based answer to one query, which the
+/// The cell of a `max |OB-QB|` column: the largest gap over the paired
+/// object-based and query-based values of one row's queries, which the
 /// `paper_experiments` binary holds to 1e-12.
-fn agreement_cell(ob: &[ObjectProbability], qb: &[ObjectProbability]) -> String {
-    let gap = ob.iter().zip(qb).map(|(a, b)| (a.probability - b.probability).abs());
-    format!("{:.2e}", gap.fold(0.0f64, f64::max))
+fn agreement_cell(pairs: impl IntoIterator<Item = (f64, f64)>) -> String {
+    format!("{:.2e}", pairs.into_iter().map(|(ob, qb)| (ob - qb).abs()).fold(0.0f64, f64::max))
+}
+
+/// The paired probabilities of the two strategies' answers to one query.
+fn paired<'a>(
+    ob: &'a [ObjectProbability],
+    qb: &'a [ObjectProbability],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    ob.iter().zip(qb).map(|(a, b)| (a.probability, b.probability))
 }
 
 /// Runs every experiment of the evaluation section (Figures 8–11) plus the

@@ -37,8 +37,8 @@
 use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{self, ReachPlan};
-use crate::engine::pipeline::{Propagator, ReachRule, ReachSchedule};
+use crate::engine::object_based::{self, ForwardRule, Swept};
+use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{self, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
@@ -53,14 +53,10 @@ pub fn forall_probability_ob(
     window: &QueryWindow,
     config: &EngineConfig,
 ) -> Result<f64> {
-    let complement = window.complement_states()?;
-    object_based::validate(chain, object, window)?;
-    let reach = ReachSchedule::build(chain, window, ReachRule::ForAll, object.anchor().time())?;
-    let mut stats = EvalStats::new();
-    let mut pipeline = Propagator::new(config, &mut stats);
-    let (escaped, decided) =
-        object_based::window_mass_with(&mut pipeline, chain, object, &complement, &reach)?;
-    Ok(forall_answer(escaped, decided))
+    let rule = ForAll::over(window)?;
+    let answer =
+        object_based::evaluate_one(chain, object, window, config, &mut EvalStats::new(), rule)?;
+    Ok(answer.probability)
 }
 
 /// PST∀Q for one object, query-based evaluation (direct ∀ field).
@@ -84,11 +80,43 @@ pub(crate) fn reject_full_space(window: &QueryWindow) -> Result<()> {
     Ok(())
 }
 
-/// The complement side of the Section VII reduction: the PST∀Q answer from
-/// a complement-window sweep's ⊤ mass (worlds seen outside `S▫`) and the
-/// mass the ∀ schedule decided (worlds certain to leave it). Shared by
-/// every object-based ∀ driver so the clamp stays identical everywhere.
-pub(crate) fn forall_answer(escaped: f64, decided: f64) -> f64 {
+/// The object-based ∀ rule — the Section VII reduction: the ∃ redirect over
+/// the *complement* window (⊤ collects the worlds seen outside `S▫`),
+/// trimmed to the ∀ reach of the original window (mass certain to leave
+/// `S▫` is decided as escaped on the spot).
+#[derive(Debug, Clone)]
+pub(crate) struct ForAll {
+    outside: QueryWindow,
+}
+
+impl ForAll {
+    /// The rule for `window`; fails with [`QueryError::EmptySpatialWindow`]
+    /// when its complement selects no states.
+    pub(crate) fn over(window: &QueryWindow) -> Result<ForAll> {
+        Ok(ForAll { outside: window.complement_states()? })
+    }
+}
+
+impl ForwardRule for ForAll {
+    type Output = ObjectProbability;
+    const REACH: ReachRule = ReachRule::ForAll;
+
+    fn absorbing<'w>(&'w self, _window: &'w QueryWindow) -> &'w QueryWindow {
+        &self.outside
+    }
+
+    fn finish(&mut self, swept: Swept<'_>, _stats: &mut EvalStats) -> ObjectProbability {
+        ObjectProbability {
+            object_id: swept.object.id(),
+            probability: forall_answer(swept.hit, swept.decided[0]),
+        }
+    }
+}
+
+/// The PST∀Q answer from a complement-window sweep's ⊤ mass (worlds seen
+/// outside `S▫`) and the mass the ∀ schedule decided (worlds certain to
+/// leave it).
+fn forall_answer(escaped: f64, decided: f64) -> f64 {
     (1.0 - (escaped + decided)).max(0.0)
 }
 
@@ -99,18 +127,7 @@ pub fn evaluate_object_based(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let complement = window.complement_states()?;
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::ForAll)?;
-    let mut pipeline = Propagator::new(config, stats);
-    object_based::probabilities_batched(
-        &mut pipeline,
-        db,
-        &indices,
-        &complement,
-        &reach,
-        forall_answer,
-    )
+    object_based::evaluate_rule(db, window, config, stats, ForAll::over(window)?)
 }
 
 /// PST∀Q for the whole database, query-based: one direct ∀ backward field

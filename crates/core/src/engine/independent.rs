@@ -22,7 +22,7 @@ use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::validate;
-use crate::engine::pipeline::{ForwardEvent, Propagator};
+use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
 use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::object::UncertainObject;
@@ -58,15 +58,16 @@ pub(crate) fn marginals_with(
     let mut marginals = Vec::with_capacity(window.num_times());
     // Untrimmed on purpose: a marginal keeps its mass in the vector, so
     // there are no decided worlds for a reach schedule to drop.
-    pipeline.forward_to(
+    pipeline.forward(
         chain.matrix(),
-        &mut rows,
+        &mut ObjectBatch::new(&mut rows, 1)?,
         anchor.time(),
         window.t_end(),
-        window,
-        |event| {
-            if let ForwardEvent::Window { rows, .. } = event {
-                marginals.push(rows[0].masked_sum(window.states()));
+        Some(window),
+        None,
+        |phase, batch, _| {
+            if phase == BatchPhase::Window {
+                marginals.push(batch.group(0)[0].masked_sum(window.states()));
             }
             Ok(ControlFlow::Continue(()))
         },

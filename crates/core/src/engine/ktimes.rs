@@ -18,16 +18,14 @@
 //!   blown-up-matrix construction, kept as the executable specification
 //!   (exercised by tests on small instances).
 
-use std::ops::ControlFlow;
-
 use ust_markov::augmented;
-use ust_markov::{DenseVector, MarkovChain, PropagationVector, SparseVector};
+use ust_markov::{DenseVector, MarkovChain, PropagationVector};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{validate, ReachPlan};
-use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
+use crate::engine::object_based::{self, validate, ForwardRule, Swept};
+use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{evaluate_fields, AnchoredField, BackwardField, FieldRule};
-use crate::engine::{group_batchable, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{ObjectKDistribution, QueryWindow};
@@ -53,38 +51,42 @@ pub fn ktimes_distribution_ob_with_stats(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<f64>> {
-    ktimes_with(&mut Propagator::new(config, stats), chain, object, window)
+    Ok(object_based::evaluate_one(chain, object, window, config, stats, KTimes)?.probabilities)
 }
 
-/// The `C(t)` driver on an existing [`Propagator`]: the propagated state is
-/// the family of count-level vectors, and the accumulation rule applied at
-/// every query timestamp (including an anchor inside `T▫`, footnote 3) is
-/// the [`shift_down`] column shift. The sweep is trimmed to the ∃ reach of
-/// the window: mass that cannot visit `S▫` again keeps its count level
-/// for good and is *decided* there.
-pub(crate) fn ktimes_with(
-    pipeline: &mut Propagator<'_>,
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-) -> Result<Vec<f64>> {
-    validate(chain, object, window)?;
-    let k_max = window.num_times();
-    let anchor = object.anchor();
+/// The `C(t)` rule: the propagated state is the family of count-level
+/// vectors (`rows[i]` = mass at each state having visited the window
+/// exactly `i` times), and the accumulation rule applied at every query
+/// timestamp (including an anchor inside `T▫`, footnote 3) is the
+/// [`shift_down`] column shift. The sweep is trimmed to the ∃ reach of the
+/// window: mass that cannot visit `S▫` again keeps its count level for
+/// good and is *decided* there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KTimes;
 
-    // rows[i] = mass at each state having visited the window exactly i times.
-    let mut rows: Vec<PropagationVector> = Vec::with_capacity(k_max + 1);
-    rows.push(pipeline.seed(anchor.distribution().clone()));
-    for _ in 0..k_max {
-        rows.push(pipeline.seed(SparseVector::zeros(chain.num_states())));
+impl ForwardRule for KTimes {
+    type Output = ObjectKDistribution;
+    const REACH: ReachRule = ReachRule::Exists;
+
+    fn rows_per_object(&self, window: &QueryWindow) -> usize {
+        window.num_times() + 1
     }
 
-    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, anchor.time())?;
-    let decided =
-        pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, &reach, |rows, _| {
-            shift_down(rows, window)
-        })?;
-    Ok(level_masses(&rows, &decided))
+    fn at_window(
+        &self,
+        rows: &mut [PropagationVector],
+        _hit: &mut f64,
+        window: &QueryWindow,
+    ) -> Result<()> {
+        shift_down(rows, window)
+    }
+
+    fn finish(&mut self, swept: Swept<'_>, _stats: &mut EvalStats) -> ObjectKDistribution {
+        ObjectKDistribution {
+            object_id: swept.object.id(),
+            probabilities: level_masses(swept.rows, swept.decided),
+        }
+    }
 }
 
 /// The answer of the `C(t)` algorithm: the mass at each count level —
@@ -161,88 +163,17 @@ pub fn ktimes_distribution_blowup(
     Ok((0..levels).map(|k| (0..n).map(|s| v.get(k * n + s)).sum()).collect())
 }
 
-/// The batched `C(t)` driver over an explicit set of database object
-/// indices (one `ShardedExecutor` worker's share). Results come back in the
-/// order of `indices`.
-///
-/// Each object contributes `|T▫| + 1` count-level rows to the batch, so a
-/// batch of `B` objects steps `B · (|T▫|+1)` rows through one shared matrix
-/// traversal per timestamp, trimmed to `reach` (the ∃ schedules of
-/// `window`). The level shift is applied per live group; per object,
-/// results are bit-for-bit identical to [`ktimes_with`].
-pub(crate) fn ktimes_batched(
-    pipeline: &mut Propagator<'_>,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    reach: &ReachPlan,
-) -> Result<Vec<ObjectKDistribution>> {
-    let k_max = window.num_times();
-    let group_size = k_max + 1;
-    let batch_size = pipeline.config().effective_batch_size();
-    let mut results: Vec<Option<ObjectKDistribution>> = vec![None; indices.len()];
-    for ((model, anchor_time), members) in group_batchable(db, indices)? {
-        let chain = &db.models()[model];
-        let schedule = reach.schedule(model)?;
-        let n = chain.num_states();
-        for chunk in members.chunks(batch_size) {
-            let mut rows: Vec<PropagationVector> = Vec::with_capacity(chunk.len() * group_size);
-            for &pos in chunk {
-                let object = db.object(indices[pos]).ok_or(QueryError::internal(
-                    "batched position resolves to a database object",
-                ))?;
-                rows.push(pipeline.seed(object.anchor().distribution().clone()));
-                for _ in 0..k_max {
-                    rows.push(pipeline.seed(SparseVector::zeros(n)));
-                }
-            }
-            let mut batch = ObjectBatch::new(&mut rows, group_size)?;
-            pipeline.forward_batch(
-                chain.matrix(),
-                &mut batch,
-                anchor_time,
-                window,
-                schedule,
-                |phase, batch, _| {
-                    if phase == BatchPhase::Window {
-                        for g in 0..batch.num_groups() {
-                            if batch.is_active(g) {
-                                shift_down(batch.group_mut(g), window)?;
-                            }
-                        }
-                    }
-                    Ok(ControlFlow::Continue(()))
-                },
-            )?;
-            for (g, &pos) in chunk.iter().enumerate() {
-                let object = db.object(indices[pos]).ok_or(QueryError::internal(
-                    "batched position resolves to a database object",
-                ))?;
-                results[pos] = Some(ObjectKDistribution {
-                    object_id: object.id(),
-                    probabilities: level_masses(batch.group(g), batch.decided(g)),
-                });
-            }
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.ok_or(QueryError::internal("the batch loop covers every position")))
-        .collect()
-}
-
 /// PSTkQ for the whole database, object-based `C(t)` algorithm, through the
-/// batched kernel.
+/// batched kernel: each object contributes `|T▫| + 1` count-level rows, so
+/// a batch of `B` objects steps `B · (|T▫|+1)` rows through one shared
+/// matrix traversal per timestamp.
 pub fn evaluate_object_based(
     db: &TrajectoryDatabase,
     window: &QueryWindow,
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::Exists)?;
-    let mut pipeline = Propagator::new(config, stats);
-    ktimes_batched(&mut pipeline, db, &indices, window, &reach)
+    object_based::evaluate_rule(db, window, config, stats, KTimes)
 }
 
 /// PSTkQ for the whole database, query-based: one backward level sweep per

@@ -68,26 +68,6 @@ pub enum PrefilterMode {
     Off,
 }
 
-/// Groups a worker's object indices by `(model, anchor time)` — the two
-/// properties every member of an [`pipeline::ObjectBatch`] must share (one
-/// transition matrix, one sweep start). Returns, per key, the *positions*
-/// into `indices` in their original order, so drivers can stitch results
-/// back deterministically.
-pub(crate) fn group_batchable(
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-) -> Result<std::collections::BTreeMap<(usize, u32), Vec<usize>>> {
-    let mut groups: std::collections::BTreeMap<(usize, u32), Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (pos, &idx) in indices.iter().enumerate() {
-        let object = db
-            .object(idx)
-            .ok_or(QueryError::internal("batch grouping received an unresolved object index"))?;
-        groups.entry((object.model(), object.anchor().time())).or_default().push(pos);
-    }
-    Ok(groups)
-}
-
 /// Default number of objects propagated per [`pipeline::ObjectBatch`].
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 

@@ -13,18 +13,108 @@
 //! which is what makes the result correct under possible-worlds semantics —
 //! each world is counted at most once (the flaw of the naive
 //! "sum the per-timestamp probabilities" approach the paper opens with).
+//!
+//! This is also the home of the **one forward driver** of the whole
+//! object-based family: `ForwardRule` (what a member does at a query
+//! timestamp, decides after it, reads at the end), `forward_chunk` (one
+//! batch, one sweep) and `forward_database` (group, chunk, scatter). ∃ is
+//! its plainest rule; ∀ ([`crate::engine::forall`]), threshold `τ`
+//! ([`crate::threshold`]), top-k ([`crate::ranking`]) and `C(t)` k-times
+//! ([`crate::engine::ktimes`]) declare theirs beside their answer types.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
-use ust_markov::{MarkovChain, PropagationVector};
+use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
-use crate::engine::{group_batchable, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
+
+/// One member of the object-based family: what happens to `S▫` at a query
+/// timestamp, what is decided after a timestamp, and how an object's answer
+/// is read off the swept rows. Statically dispatched — [`forward_chunk`]
+/// is monomorphised per rule.
+pub(crate) trait ForwardRule {
+    /// The per-object answer.
+    type Output;
+
+    /// The reach the sweep is trimmed to — which mass is *decided*.
+    const REACH: ReachRule;
+
+    /// The window whose states the sweep absorbs on: the query window
+    /// itself, or its complement for the Section VII ∀ reduction.
+    fn absorbing<'w>(&'w self, window: &'w QueryWindow) -> &'w QueryWindow {
+        window
+    }
+
+    /// Rows per object: row 0 starts as the anchor distribution, the rest
+    /// empty.
+    fn rows_per_object(&self, _window: &QueryWindow) -> usize {
+        1
+    }
+
+    /// The window hook on one live object's rows. The default is the ∃
+    /// accumulation rule — the mass inside `S▫` moves from the vector to the
+    /// scalar ⊤, the virtual `M+` of the module docs — shared verbatim by ∃,
+    /// ∀, threshold and top-k so it cannot diverge between them.
+    fn at_window(
+        &self,
+        rows: &mut [PropagationVector],
+        hit: &mut f64,
+        window: &QueryWindow,
+    ) -> Result<()> {
+        *hit += rows[0].extract_masked(window.states());
+        Ok(())
+    }
+
+    /// The step-end decision on one live object: true retires it from the
+    /// batch (bound met, dismissed) without stopping the sweep for the
+    /// rest. `rows` is what reach trimming left — the mass that can still
+    /// change the answer.
+    fn retires(&self, _hit: f64, _rows: &[PropagationVector]) -> bool {
+        false
+    }
+
+    /// Reads one object's answer off its finished sweep. A retirement is
+    /// the rule's own outcome — the pipeline counted every other object as
+    /// evaluated — so the rule accounts it in `stats` here.
+    fn finish(&mut self, swept: Swept<'_>, stats: &mut EvalStats) -> Self::Output;
+}
+
+/// One object's finished sweep, as [`ForwardRule::finish`] reads it.
+pub(crate) struct Swept<'a> {
+    /// The object.
+    pub object: &'a UncertainObject,
+    /// The ⊤ mass [`ForwardRule::at_window`] accumulated.
+    pub hit: f64,
+    /// The object's rows where the sweep left them.
+    pub rows: &'a [PropagationVector],
+    /// Per row, the mass reach trimming decided ([`ObjectBatch::decided`]).
+    pub decided: &'a [f64],
+    /// The timestamp at which [`ForwardRule::retires`] retired the object
+    /// (`None`: it ran to the natural end).
+    pub retired_at: Option<u32>,
+    /// Where the sweep ends, `window.t_end()`.
+    pub t_end: u32,
+}
+
+/// PST∃Q: decided mass can never hit and is ignored.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Exists;
+
+impl ForwardRule for Exists {
+    type Output = ObjectProbability;
+    const REACH: ReachRule = ReachRule::Exists;
+
+    fn finish(&mut self, swept: Swept<'_>, _stats: &mut EvalStats) -> ObjectProbability {
+        ObjectProbability { object_id: swept.object.id(), probability: swept.hit.min(1.0) }
+    }
+}
 
 /// Probability that `object` intersects the query window at some query
 /// timestamp (PST∃Q, Definition 2), evaluated forward from the object's
@@ -46,53 +136,102 @@ pub fn exists_probability_with_stats(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<f64> {
-    exists_with(&mut Propagator::new(config, stats), chain, object, window)
+    Ok(evaluate_one(chain, object, window, config, stats, Exists)?.probability)
 }
 
-/// The OB driver on an existing [`Propagator`] (the batch evaluator and the
-/// parallel engine reuse one pipeline per worker so scratch space is
-/// allocated once).
-pub(crate) fn exists_with(
-    pipeline: &mut Propagator<'_>,
+/// The per-object reference of `rule`: validation, the object's own reach
+/// schedule and [`forward_chunk`] on a chunk of one — no planner, pool or
+/// cache.
+pub(crate) fn evaluate_one<R: ForwardRule>(
     chain: &MarkovChain,
     object: &UncertainObject,
     window: &QueryWindow,
-) -> Result<f64> {
+    config: &EngineConfig,
+    stats: &mut EvalStats,
+    mut rule: R,
+) -> Result<R::Output> {
     validate(chain, object, window)?;
-    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, object.anchor().time())?;
-    let (hit, decided) = window_mass_with(pipeline, chain, object, window, &reach)?;
-    Ok(exists_answer(hit, decided))
+    let t0 = object.anchor().time();
+    let reach = ReachSchedule::build(chain, window, R::REACH, t0)?;
+    let mut pipeline = Propagator::new(config, stats);
+    forward_chunk(&mut pipeline, chain, t0, &[object], window, &reach, &mut rule)?
+        .pop()
+        .ok_or(QueryError::internal("a chunk of one yields one answer"))
 }
 
-/// The forward sweep under the ∃ accumulation rule for one validated
-/// object: at every query timestamp the mass inside `S▫` moves from the
-/// vector to the scalar ⊤ — the virtual application of the `M+` column
-/// surgery (worlds that reached the window are excluded from further
-/// propagation, so each world is counted at most once). Returns ⊤ and the
-/// mass `reach` decided; step loop, trimming, pruning and accounting live
-/// in [`Propagator::forward`].
-pub(crate) fn window_mass_with(
+/// The chunk-level driver of the object-based family: seeds `objects`
+/// (validated, all on `chain`, all anchored at `t0`) as one
+/// [`ObjectBatch`], sweeps it to `window.t_end()` trimmed to `reach` with
+/// `rule`'s hooks applied per live object, and reads one answer per object
+/// in order. The batch shares one matrix traversal per timestamp and a
+/// decided object drops out without stopping the sweep; per object the
+/// floating-point work does not depend on what else the chunk holds, so a
+/// chunk of one *is* the per-object algorithm. Step loop, trimming, pruning
+/// and accounting live in [`Propagator::forward`].
+pub(crate) fn forward_chunk<R: ForwardRule>(
     pipeline: &mut Propagator<'_>,
     chain: &MarkovChain,
-    object: &UncertainObject,
+    t0: u32,
+    objects: &[&UncertainObject],
     window: &QueryWindow,
     reach: &ReachSchedule,
-) -> Result<(f64, f64)> {
-    let anchor = object.anchor();
-    let mut rows = [pipeline.seed(anchor.distribution().clone())];
-    let mut hit = 0.0;
-    let decided =
-        pipeline.forward(chain.matrix(), &mut rows, anchor.time(), window, reach, |rows, _| {
-            hit += rows[0].extract_masked(window.states());
-            Ok(())
-        })?;
-    Ok((hit, decided[0]))
-}
-
-/// The PST∃Q answer from a sweep's ⊤ mass: decided mass can never hit and
-/// is ignored.
-pub(crate) fn exists_answer(hit: f64, _decided: f64) -> f64 {
-    hit.min(1.0)
+    rule: &mut R,
+) -> Result<Vec<R::Output>> {
+    let window = rule.absorbing(window);
+    let t_end = window.t_end();
+    let group_size = rule.rows_per_object(window);
+    let mut rows: Vec<PropagationVector> = Vec::with_capacity(objects.len() * group_size);
+    for object in objects {
+        rows.push(pipeline.seed(object.anchor().distribution().clone()));
+        for _ in 1..group_size {
+            rows.push(pipeline.seed(SparseVector::zeros(chain.num_states())));
+        }
+    }
+    let mut batch = ObjectBatch::new(&mut rows, group_size)?;
+    let mut hits = vec![0.0f64; objects.len()];
+    let mut retired_at: Vec<Option<u32>> = vec![None; objects.len()];
+    pipeline.forward(
+        chain.matrix(),
+        &mut batch,
+        t0,
+        t_end,
+        Some(window),
+        Some(reach),
+        |phase, batch, t| {
+            for g in 0..batch.num_groups() {
+                if !batch.is_active(g) {
+                    continue;
+                }
+                match phase {
+                    BatchPhase::Window => {
+                        rule.at_window(batch.group_mut(g), &mut hits[g], window)?
+                    }
+                    BatchPhase::StepEnd => {
+                        if rule.retires(hits[g], batch.group(g)) {
+                            retired_at[g] = Some(t);
+                            batch.deactivate(g);
+                        }
+                    }
+                }
+            }
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
+    Ok(objects
+        .iter()
+        .enumerate()
+        .map(|(g, object)| {
+            let swept = Swept {
+                object,
+                hit: hits[g],
+                rows: batch.group(g),
+                decided: batch.decided(g),
+                retired_at: retired_at[g],
+                t_end,
+            };
+            rule.finish(swept, pipeline.stats())
+        })
+        .collect())
 }
 
 /// One query's reach schedules: one [`ReachSchedule`] per populated model,
@@ -102,7 +241,7 @@ pub(crate) fn exists_answer(hit: f64, _decided: f64) -> f64 {
 ///
 /// Preparing the plan is also where a query's objects are validated, in
 /// index order — so the first error is deterministic regardless of batch
-/// or shard layout; the batched drivers trust a plan to cover their
+/// or shard layout; [`forward_database`] trusts a plan to cover its
 /// indices.
 #[derive(Debug)]
 pub(crate) struct ReachPlan {
@@ -139,7 +278,7 @@ impl ReachPlan {
     }
 
     /// The schedule of `model`.
-    pub(crate) fn schedule(&self, model: usize) -> Result<&ReachSchedule> {
+    fn schedule(&self, model: usize) -> Result<&ReachSchedule> {
         self.schedules
             .get(model)
             .and_then(Option::as_ref)
@@ -147,95 +286,51 @@ impl ReachPlan {
     }
 }
 
-/// Seeds one propagation row per chunk member from its anchor
-/// distribution — the single-row-per-object batch layout shared by the
-/// ∃, threshold and top-k drivers.
-pub(crate) fn seed_anchor_rows(
-    pipeline: &Propagator<'_>,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    chunk: &[usize],
-) -> Result<Vec<PropagationVector>> {
-    chunk
-        .iter()
-        .map(|&pos| {
-            let object = db
-                .object(indices[pos])
-                .ok_or(QueryError::internal("batched position resolves to a database object"))?;
-            Ok(pipeline.seed(object.anchor().distribution().clone()))
-        })
-        .collect()
-}
+/// Per `(model, anchor time)`: the members with their positions in the
+/// grouped index list.
+type Batchable<'d> = BTreeMap<(usize, u32), Vec<(usize, &'d UncertainObject)>>;
 
-/// The ∃ accumulation rule over a whole batch: for every live group, the
-/// mass inside `S▫` moves from the group's row into `hits[g]` — the
-/// virtual `M+` redirect to ⊤, applied per object. Shared verbatim by the
-/// ∃, ∀, threshold and top-k drivers so the rule cannot diverge between
-/// them.
-pub(crate) fn accumulate_exists_hits(
-    batch: &mut ObjectBatch<'_>,
-    hits: &mut [f64],
-    window: &QueryWindow,
-) {
-    for (g, hit) in hits.iter_mut().enumerate() {
-        if batch.is_active(g) {
-            *hit += batch.group_mut(g)[0].extract_masked(window.states());
-        }
+/// Groups a worker's object indices by `(model, anchor time)` — the two
+/// properties every member of an [`ObjectBatch`] must share (one transition
+/// matrix, one sweep start) — keeping each member's *position* in
+/// `indices`, in the original order, so the loop can stitch results back
+/// deterministically.
+fn group_batchable<'d>(db: &'d TrajectoryDatabase, indices: &[usize]) -> Result<Batchable<'d>> {
+    let mut groups = Batchable::new();
+    for (pos, &idx) in indices.iter().enumerate() {
+        let object = db
+            .object(idx)
+            .ok_or(QueryError::internal("batch grouping received an unresolved object index"))?;
+        groups.entry((object.model(), object.anchor().time())).or_default().push((pos, object));
     }
+    Ok(groups)
 }
 
-/// The batched OB driver over an explicit set of database object indices —
-/// the unit of work one `ShardedExecutor` worker owns. Results come back in
-/// the order of `indices`.
-///
-/// Objects are grouped by `(model, anchor time)` and propagated in
-/// [`EngineConfig::batch_size`] batches of one row each; every batch shares
-/// one matrix traversal per timestamp through the batched kernel, trimmed
-/// to `reach`. The ∃ accumulation rule is applied per live group, and
-/// groups whose worlds are all decided drop out of the batch without
-/// stopping the sweep. `answer` turns an object's `(⊤, decided)` masses
-/// into its probability: [`exists_answer`] for PST∃Q over `window`, the
-/// escape complement for PST∀Q over the complement window under the ∀
-/// schedule. Per object, results are bit-for-bit identical to
-/// [`window_mass_with`].
-pub(crate) fn probabilities_batched(
+/// The database-level loop of the object-based family over an explicit set
+/// of database object indices — the unit of work one `ShardedExecutor`
+/// worker owns. Objects are grouped by `(model, anchor time)`, each group
+/// runs through [`forward_chunk`] in [`EngineConfig::batch_size`] chunks
+/// (in group order, so a rule that carries state — top-k's candidate list
+/// — tightens from chunk to chunk), and the answers are scattered back
+/// into the order of `indices`.
+pub(crate) fn forward_database<R: ForwardRule>(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
     reach: &ReachPlan,
-    answer: fn(f64, f64) -> f64,
-) -> Result<Vec<ObjectProbability>> {
+    rule: &mut R,
+) -> Result<Vec<R::Output>> {
     let batch_size = pipeline.config().effective_batch_size();
-    let mut results: Vec<Option<ObjectProbability>> = vec![None; indices.len()];
-    for ((model, anchor_time), members) in group_batchable(db, indices)? {
+    let mut results: Vec<Option<R::Output>> = indices.iter().map(|_| None).collect();
+    for ((model, t0), members) in group_batchable(db, indices)? {
         let chain = &db.models()[model];
         let schedule = reach.schedule(model)?;
         for chunk in members.chunks(batch_size) {
-            let mut rows = seed_anchor_rows(pipeline, db, indices, chunk)?;
-            let mut batch = ObjectBatch::new(&mut rows, 1)?;
-            let mut hits = vec![0.0f64; chunk.len()];
-            pipeline.forward_batch(
-                chain.matrix(),
-                &mut batch,
-                anchor_time,
-                window,
-                schedule,
-                |phase, batch, _| {
-                    if phase == BatchPhase::Window {
-                        accumulate_exists_hits(batch, &mut hits, window);
-                    }
-                    Ok(ControlFlow::Continue(()))
-                },
-            )?;
-            for (g, (&pos, hit)) in chunk.iter().zip(hits).enumerate() {
-                let object = db.object(indices[pos]).ok_or(QueryError::internal(
-                    "batched position resolves to a database object",
-                ))?;
-                results[pos] = Some(ObjectProbability {
-                    object_id: object.id(),
-                    probability: answer(hit, batch.decided(g)[0]),
-                });
+            let objects: Vec<&UncertainObject> = chunk.iter().map(|&(_, object)| object).collect();
+            let answers = forward_chunk(pipeline, chain, t0, &objects, window, schedule, rule)?;
+            for (&(pos, _), answer) in chunk.iter().zip(answers) {
+                results[pos] = Some(answer);
             }
         }
     }
@@ -243,6 +338,21 @@ pub(crate) fn probabilities_batched(
         .into_iter()
         .map(|r| r.ok_or(QueryError::internal("the batch loop covers every position")))
         .collect()
+}
+
+/// The sequential whole-database reference of `rule`: one reach plan, one
+/// pipeline, [`forward_database`] over every object — no planner, pool or
+/// cache.
+pub(crate) fn evaluate_rule<R: ForwardRule>(
+    db: &TrajectoryDatabase,
+    window: &QueryWindow,
+    config: &EngineConfig,
+    stats: &mut EvalStats,
+    mut rule: R,
+) -> Result<Vec<R::Output>> {
+    let indices: Vec<usize> = (0..db.len()).collect();
+    let reach = ReachPlan::prepare(db, &indices, window, R::REACH)?;
+    forward_database(&mut Propagator::new(config, stats), db, &indices, window, &reach, &mut rule)
 }
 
 /// Evaluates the PST∃Q for every object in the database through the batched
@@ -253,10 +363,7 @@ pub fn evaluate(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let reach = ReachPlan::prepare(db, &indices, window, ReachRule::Exists)?;
-    let mut pipeline = Propagator::new(config, stats);
-    probabilities_batched(&mut pipeline, db, &indices, window, &reach, exists_answer)
+    evaluate_rule(db, window, config, stats, Exists)
 }
 
 /// Common validation: dimensions agree and the window starts no earlier
@@ -291,7 +398,13 @@ pub(crate) fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::forall::ForAll;
+    use crate::engine::ktimes::KTimes;
     use crate::observation::Observation;
+    use crate::parallel::{ShardedExecutor, WorkerPool};
+    use crate::ranking::{select_topk, TopK};
+    use crate::threshold::Threshold;
+    use std::sync::Arc;
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
@@ -440,6 +553,111 @@ mod tests {
         assert!((results[0].probability - 0.96).abs() < 1e-12);
         assert!((results[1].probability - 0.864).abs() < 1e-12);
         assert!((results[2].probability - 0.928).abs() < 1e-12);
+    }
+
+    /// Runs `rule` over `db` the way the planner does (one reach plan,
+    /// sharded database loops) at every batch size × thread count and
+    /// checks it against the chunk-of-one reference ([`evaluate_one`] per
+    /// object, returned): `view` of the answers — `Debug` text, which
+    /// round-trips every `f64` bit — and, with `ledger`, the counters that
+    /// do not depend on how objects share a batch.
+    fn assert_matches_chunk_of_one<R>(
+        db: &TrajectoryDatabase,
+        window: &QueryWindow,
+        rule: R,
+        ledger: bool,
+        mut view: impl FnMut(&[R::Output]) -> String,
+    ) -> Vec<R::Output>
+    where
+        R: ForwardRule + Clone + Sync,
+        R::Output: Send,
+    {
+        let counters = |s: &EvalStats| {
+            let retired = s.objects_evaluated + s.objects_pruned + s.early_terminations;
+            (s.transitions, s.entries_touched, retired)
+        };
+        let mut expected = EvalStats::new();
+        let solo = |o| {
+            let config = EngineConfig::default();
+            evaluate_one(db.model_of(o), o, window, &config, &mut expected, rule.clone()).unwrap()
+        };
+        let reference: Vec<R::Output> = db.objects().iter().map(solo).collect();
+        let indices: Vec<usize> = (0..db.len()).collect();
+        let reach = ReachPlan::prepare(db, &indices, window, R::REACH).unwrap();
+        for threads in [1usize, 3] {
+            let executor = match threads {
+                1 => ShardedExecutor::sequential(),
+                _ => ShardedExecutor::on_pool(Arc::new(WorkerPool::new(threads))),
+            };
+            for batch_size in [1usize, 3, 64] {
+                let config = EngineConfig::default().with_batch_size(batch_size);
+                let mut stats = EvalStats::new();
+                let answers = executor
+                    .run_on(&indices, &config, &mut stats, |pipeline, idxs| {
+                        forward_database(pipeline, db, idxs, window, &reach, &mut rule.clone())
+                    })
+                    .unwrap();
+                let at = format!("batch = {batch_size}, threads = {threads}");
+                assert_eq!(view(&answers), view(&reference), "{at}");
+                if ledger {
+                    assert_eq!(counters(&stats), counters(&expected), "{at}");
+                }
+            }
+        }
+        reference
+    }
+
+    #[test]
+    fn every_rule_matches_its_chunk_of_one_at_every_batch_size_and_thread_count() {
+        // Two models, three anchor times, exact and uncertain anchors mixed.
+        let n = 40;
+        let chains = vec![
+            ust_markov::testutil::random_chain(11, n, 3),
+            ust_markov::testutil::random_chain(13, n, 4),
+        ];
+        let mut db = TrajectoryDatabase::with_models(chains).unwrap();
+        let mut rng = ust_markov::testutil::rng(12);
+        for id in 0..23u64 {
+            let t0 = (id % 3) as u32;
+            let anchor = match id % 4 {
+                0 => Observation::exact(t0, n, (id as usize * 7) % n).unwrap(),
+                _ => {
+                    let dist = ust_markov::testutil::random_distribution(&mut rng, n, 3);
+                    Observation::uncertain(t0, dist).unwrap()
+                }
+            };
+            let object = UncertainObject::with_single_observation(id, anchor);
+            db.insert(object.with_model((id % 2) as usize)).unwrap();
+        }
+        let window = QueryWindow::from_states(n, 5usize..=9, TimeSet::new([2, 4, 5, 8])).unwrap();
+        fn bits<T: std::fmt::Debug>(answers: &[T]) -> String {
+            format!("{answers:?}")
+        }
+
+        let exists = assert_matches_chunk_of_one(&db, &window, Exists, true, bits);
+        assert_matches_chunk_of_one(&db, &window, ForAll::over(&window).unwrap(), true, bits);
+        assert_matches_chunk_of_one(&db, &window, KTimes, true, bits);
+        for tau in [0.05, 0.2, 0.5, 0.9] {
+            let outcomes = assert_matches_chunk_of_one(&db, &window, Threshold { tau }, true, bits);
+            assert!(outcomes.iter().any(|o| o.early), "τ = {tau}: some bound must decide early");
+            for (outcome, exact) in outcomes.iter().zip(&exists) {
+                assert_eq!(outcome.qualifies, exact.probability >= tau, "τ = {tau}");
+            }
+        }
+        // Top-k: which objects a shard dismisses depends on the bound its
+        // earlier chunks left, so only the ranking is layout-independent. A
+        // chunk of one starts from an empty candidate list and dismisses
+        // only what can never hit: its survivors carry their exact ∃.
+        // (Each of the six runs views its answers and the reference.)
+        let k = 4;
+        let mut dismissed = 0;
+        let solo = assert_matches_chunk_of_one(&db, &window, TopK::new(k), false, |answers| {
+            dismissed += answers.iter().filter(|a| a.is_none()).count();
+            bits(&select_topk(answers.iter().flatten().cloned().collect(), k))
+        });
+        let never_hit = solo.iter().filter(|a| a.is_none()).count();
+        assert!(dismissed > 12 * never_hit, "the k-th bound must dismiss someone");
+        assert_eq!(select_topk(solo.into_iter().flatten().collect(), k), select_topk(exists, k));
     }
 
     #[test]

@@ -52,11 +52,10 @@
 //!   order does not depend on what else the row holds, so the entries that
 //!   stay are bit-identical to an untrimmed sweep's — the sweep just stops
 //!   paying for the `|S| ∖ S_reach` states the paper's
-//!   `O(|D|·|S_reach|²·δt)` never charges for. Sweeps with no window to
-//!   reach ([`Propagator::forward_to`], [`Propagator::forward_steps`]) run
-//!   untrimmed;
+//!   `O(|D|·|S_reach|²·δt)` never charges for. Sweeps without a window or
+//!   a schedule pass `None` and run unhooked or untrimmed;
 //! * **Densification** — vectors created through [`Propagator::seed`]
-//!   switch from sparse to dense at
+//!   move from the sorted-index arm to the span arm at
 //!   [`ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD`];
 //! * **Early termination** — a group whose rows run empty (all worlds
 //!   decided) is retired from the batch and counted in
@@ -170,46 +169,20 @@ impl ReachSchedule {
     }
 }
 
-/// One moment of a forward sweep, delivered to the driver's event hook.
+/// Which hook of the masking schedule a forward event belongs to.
 ///
-/// A single-closure event stream (rather than separate window/decision
-/// callbacks) lets a driver keep its accumulator state in plain captured
+/// One closure receives both (rather than separate window / decision
+/// callbacks) so a driver keeps its accumulator state in plain captured
 /// variables shared by both rules.
-#[derive(Debug)]
-pub enum ForwardEvent<'r> {
-    /// The sweep reached a query timestamp: apply the accumulation rule
-    /// (mutably) to the propagated rows.
-    Window {
-        /// The propagated vectors, freshly stepped into `t`.
-        rows: &'r mut [PropagationVector],
-        /// The query timestamp (`t ∈ T▫`).
-        t: u32,
-    },
-    /// A timestamp is fully processed (stepped, window rule applied,
-    /// pruned). Drivers with their own stopping rules (threshold / top-k
-    /// bounds) decide here; drivers with non-window per-step rules
-    /// (observation fusion in the multi-observation engine) mutate here;
-    /// plain sweeps just continue.
-    StepEnd {
-        /// The propagated vectors after the timestamp's processing.
-        rows: &'r mut [PropagationVector],
-        /// The processed timestamp.
-        t: u32,
-    },
-}
-
-/// Which hook of the masking schedule a batch event belongs to.
-///
-/// The batched analogue of the two [`ForwardEvent`] variants: `Window`
-/// fires at query timestamps (apply the accumulation rule to every live
-/// group), `StepEnd` after every timestamp's processing (bound checks,
-/// group retirement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPhase {
-    /// The sweep reached a query timestamp `t ∈ T▫`.
+    /// The sweep reached a query timestamp `t ∈ T▫`: apply the
+    /// accumulation rule to every live group.
     Window,
     /// A timestamp is fully processed (stepped, window rule applied,
-    /// pruned).
+    /// pruned, trimmed). Drivers with their own stopping rules (threshold /
+    /// top-k bounds) decide here; drivers with non-window per-step rules
+    /// (observation fusion) mutate here; plain sweeps just continue.
     StepEnd,
 }
 
@@ -258,21 +231,6 @@ impl<'r> ObjectBatch<'r> {
     /// Number of object groups in the batch.
     pub fn num_groups(&self) -> usize {
         self.active.len()
-    }
-
-    /// Rows per object group.
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// All rows, in group order.
-    pub fn rows(&self) -> &[PropagationVector] {
-        self.rows
-    }
-
-    /// All rows, mutably.
-    pub fn rows_mut(&mut self) -> &mut [PropagationVector] {
-        self.rows
     }
 
     /// The rows of group `g`.
@@ -365,7 +323,9 @@ impl<'r> ObjectBatch<'r> {
 }
 
 /// The shared propagation core: owns the step loop, the masking schedule,
-/// ε-pruning, the sparse↔dense policy and all [`EvalStats`] accounting.
+/// ε-pruning, reach trimming and all [`EvalStats`] accounting (which arm a
+/// vector lives on — span or sorted-index — is the vector's own decision,
+/// see [`PropagationVector`]).
 ///
 /// One `Propagator` is typically created per evaluation batch (or per
 /// [`crate::parallel::WorkerPool`] shard job) so the sparse-product
@@ -401,155 +361,6 @@ impl<'s> Propagator<'s> {
         PropagationVector::from_sparse(start)
     }
 
-    /// Forward sweep of a multi-object batch from `start_time` to
-    /// `window.t_end()` — the batch-first core every OB driver runs on.
-    ///
-    /// All groups must share `start_time` (one anchor time per batch; the
-    /// drivers group objects accordingly). `on_event` fires with
-    /// [`BatchPhase::Window`] at every query timestamp (including
-    /// `start_time` itself when it lies in `T▫`) and with
-    /// [`BatchPhase::StepEnd`] after every processed timestamp; the driver
-    /// applies its accumulation rule to each active group and may retire
-    /// decided groups via [`ObjectBatch::deactivate`]. Between the two
-    /// hooks every live row is trimmed to `reach`'s mask of that timestamp
-    /// (see the module docs); the driver reads what was dropped from
-    /// [`ObjectBatch::decided`]. Returning [`ControlFlow::Break`] aborts
-    /// the whole sweep (single-object drivers use it for their bound
-    /// decisions); the returned timestamp is where the sweep broke, `None`
-    /// at the natural end.
-    pub fn forward_batch(
-        &mut self,
-        matrix: &CsrMatrix,
-        batch: &mut ObjectBatch<'_>,
-        start_time: u32,
-        window: &QueryWindow,
-        reach: &ReachSchedule,
-        on_event: impl FnMut(BatchPhase, &mut ObjectBatch<'_>, u32) -> Result<ControlFlow<()>>,
-    ) -> Result<Option<u32>> {
-        let end_time = window.t_end();
-        self.forward_core(matrix, batch, start_time, end_time, Some(window), Some(reach), on_event)
-    }
-
-    /// Forward sweep from `start_time` to `window.t_end()`, trimmed to
-    /// `reach`.
-    ///
-    /// `rows` is the propagated state of **one object** — a single vector
-    /// for the ∃ engines, the `|T▫| + 1` count levels of the `C(t)`
-    /// algorithm for PSTkQ. At every query timestamp (including
-    /// `start_time` itself when it lies in `T▫`) `on_window` applies the
-    /// driver's accumulation rule. Returns the decided mass per row
-    /// ([`ObjectBatch::decided`]).
-    pub fn forward(
-        &mut self,
-        matrix: &CsrMatrix,
-        rows: &mut [PropagationVector],
-        start_time: u32,
-        window: &QueryWindow,
-        reach: &ReachSchedule,
-        mut on_window: impl FnMut(&mut [PropagationVector], u32) -> Result<()>,
-    ) -> Result<Vec<f64>> {
-        let end_time = window.t_end();
-        let reach = Some(reach);
-        self.forward_rows(matrix, rows, start_time, end_time, Some(window), reach, |event| {
-            if let ForwardEvent::Window { rows, t } = event {
-                on_window(rows, t)?;
-            }
-            Ok(ControlFlow::Continue(()))
-        })
-        .map(|(_, decided)| decided)
-    }
-
-    /// As [`Propagator::forward`], delivering the full [`ForwardEvent`]
-    /// stream: returning [`ControlFlow::Break`] from any event stops the
-    /// sweep.
-    ///
-    /// Returns the timestamp at which the driver broke, or `None` when the
-    /// sweep ran to its natural end (in which case the pipeline counts the
-    /// object as evaluated). Used by the single-object threshold driver,
-    /// whose bound-based stopping rule is an evaluation outcome of its own
-    /// — it updates [`EvalStats`] through [`Propagator::stats`].
-    pub fn forward_until(
-        &mut self,
-        matrix: &CsrMatrix,
-        rows: &mut [PropagationVector],
-        start_time: u32,
-        window: &QueryWindow,
-        reach: &ReachSchedule,
-        on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<Option<u32>> {
-        let end_time = window.t_end();
-        self.forward_rows(matrix, rows, start_time, end_time, Some(window), Some(reach), on_event)
-            .map(|(broke_at, _)| broke_at)
-    }
-
-    /// The window schedule with an explicit end of sweep, which may lie
-    /// beyond `window.t_end()`, and **no reach trimming** — the
-    /// multi-observation engine keeps propagating to its last observation
-    /// so later evidence still conditions the result, and the independence
-    /// baseline reads marginals rather than deciding worlds.
-    pub fn forward_to(
-        &mut self,
-        matrix: &CsrMatrix,
-        rows: &mut [PropagationVector],
-        start_time: u32,
-        end_time: u32,
-        window: &QueryWindow,
-        on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<Option<u32>> {
-        self.forward_rows(matrix, rows, start_time, end_time, Some(window), None, on_event)
-            .map(|(broke_at, _)| broke_at)
-    }
-
-    /// Forward sweep with **no window schedule**: only
-    /// [`ForwardEvent::StepEnd`] fires, after every processed timestamp
-    /// (including `start_time`). This is the observation-driven schedule —
-    /// the smoothing α-recursion fuses evidence at its own timestamps
-    /// rather than a query window's.
-    pub fn forward_steps(
-        &mut self,
-        matrix: &CsrMatrix,
-        rows: &mut [PropagationVector],
-        start_time: u32,
-        end_time: u32,
-        on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<Option<u32>> {
-        self.forward_rows(matrix, rows, start_time, end_time, None, None, on_event)
-            .map(|(broke_at, _)| broke_at)
-    }
-
-    /// The single-object adapter: one group holding all `rows`, driven
-    /// through the batch core with [`ForwardEvent`] translation. Returns
-    /// where the sweep broke and the decided mass per row.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_rows(
-        &mut self,
-        matrix: &CsrMatrix,
-        rows: &mut [PropagationVector],
-        start_time: u32,
-        end_time: u32,
-        window: Option<&QueryWindow>,
-        reach: Option<&ReachSchedule>,
-        mut on_event: impl FnMut(ForwardEvent<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<(Option<u32>, Vec<f64>)> {
-        let group_size = rows.len().max(1);
-        let mut batch = ObjectBatch::new(rows, group_size)?;
-        let broke_at = self.forward_core(
-            matrix,
-            &mut batch,
-            start_time,
-            end_time,
-            window,
-            reach,
-            |phase, batch, t| {
-                on_event(match phase {
-                    BatchPhase::Window => ForwardEvent::Window { rows: batch.rows_mut(), t },
-                    BatchPhase::StepEnd => ForwardEvent::StepEnd { rows: batch.rows_mut(), t },
-                })
-            },
-        )?;
-        Ok((broke_at, batch.decided))
-    }
-
     /// One processed timestamp of the masking schedule: the window hook
     /// when `t ∈ T▫`, reach trimming, then `StepEnd`. True when the driver
     /// broke the sweep.
@@ -571,9 +382,27 @@ impl<'s> Propagator<'s> {
         Ok(on_event(BatchPhase::StepEnd, batch, t)?.is_break())
     }
 
-    /// The one step loop behind every forward API.
+    /// Forward sweep of an object batch from `start_time` to `end_time` —
+    /// the one step loop every forward driver runs on.
+    ///
+    /// All groups must share `start_time` (one anchor time per batch; the
+    /// object-based driver groups objects accordingly, one-object callers
+    /// wrap their rows in a batch of one group). With a `window`,
+    /// `on_event` fires with [`BatchPhase::Window`] at every query timestamp
+    /// (including `start_time` itself when it lies in `T▫`); it always
+    /// fires with [`BatchPhase::StepEnd`] after every processed timestamp.
+    /// The driver applies its accumulation rule to each active group and
+    /// may retire decided groups via [`ObjectBatch::deactivate`]. Between
+    /// the two hooks every live row is trimmed to `reach`'s mask of that
+    /// timestamp (see the module docs); the driver reads what was dropped
+    /// from [`ObjectBatch::decided`]. `end_time` may lie beyond
+    /// `window.t_end()` (later evidence still conditions a
+    /// multi-observation result). Returning [`ControlFlow::Break`] aborts
+    /// the whole sweep without counting its groups as evaluated; the
+    /// returned timestamp is where the sweep broke, `None` at the natural
+    /// end.
     #[allow(clippy::too_many_arguments)]
-    fn forward_core(
+    pub fn forward(
         &mut self,
         matrix: &CsrMatrix,
         batch: &mut ObjectBatch<'_>,
@@ -755,8 +584,18 @@ mod tests {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
     }
 
-    fn exists_reach(chain: &MarkovChain, window: &QueryWindow) -> ReachSchedule {
-        ReachSchedule::build(chain, window, ReachRule::Exists, 0).unwrap()
+    /// The sweep the tests below share: from `t = 0` to `window.t_end()`,
+    /// hooked on `window` and trimmed to its ∃ reach.
+    fn sweep(
+        pipeline: &mut Propagator<'_>,
+        chain: &MarkovChain,
+        batch: &mut ObjectBatch<'_>,
+        window: &QueryWindow,
+        on_event: impl FnMut(BatchPhase, &mut ObjectBatch<'_>, u32) -> Result<ControlFlow<()>>,
+    ) -> Option<u32> {
+        let reach = ReachSchedule::build(chain, window, ReachRule::Exists, 0).unwrap();
+        let (matrix, t_end) = (chain.matrix(), window.t_end());
+        pipeline.forward(matrix, batch, 0, t_end, Some(window), Some(&reach), on_event).unwrap()
     }
 
     #[test]
@@ -770,7 +609,6 @@ mod tests {
         )
         .unwrap();
         let window = QueryWindow::from_states(3, [0usize], TimeSet::interval(1, 2)).unwrap();
-        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = vec![
@@ -779,16 +617,14 @@ mod tests {
         ];
         let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hits = [0.0f64; 2];
-        pipeline
-            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, _| {
-                if phase == BatchPhase::Window {
-                    for (g, hit) in hits.iter_mut().enumerate() {
-                        *hit += batch.group_mut(g)[0].extract_masked(window.states());
-                    }
+        sweep(&mut pipeline, &chain, &mut batch, &window, |phase, batch, _| {
+            if phase == BatchPhase::Window {
+                for (g, hit) in hits.iter_mut().enumerate() {
+                    *hit += batch.group_mut(g)[0].extract_masked(window.states());
                 }
-                Ok(ControlFlow::Continue(()))
-            })
-            .unwrap();
+            }
+            Ok(ControlFlow::Continue(()))
+        });
         // Group 0: 0.5 at s0 hits with 0.25 at t=1 (0.25 left for s1, which
         // is out of reach and decided); the 0.5 at s2 was decided at t=0.
         assert_eq!(hits, [0.25, 0.0]);
@@ -802,7 +638,8 @@ mod tests {
 
     #[test]
     fn forward_applies_schedule_and_counts() {
-        // Re-derives the paper's 0.864 directly through the pipeline.
+        // Re-derives the paper's 0.864 directly through the pipeline, on a
+        // batch of one group.
         let chain = paper_chain();
         let window = paper_window();
         let object =
@@ -810,20 +647,14 @@ mod tests {
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = [pipeline.seed(object.anchor().distribution().clone())];
+        let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hit = 0.0;
-        pipeline
-            .forward(
-                chain.matrix(),
-                &mut rows,
-                0,
-                &window,
-                &exists_reach(&chain, &window),
-                |rows, _| {
-                    hit += rows[0].extract_masked(window.states());
-                    Ok(())
-                },
-            )
-            .unwrap();
+        sweep(&mut pipeline, &chain, &mut batch, &window, |phase, batch, _| {
+            if phase == BatchPhase::Window {
+                hit += batch.group_mut(0)[0].extract_masked(window.states());
+            }
+            Ok(ControlFlow::Continue(()))
+        });
         assert!((hit - 0.864).abs() < 1e-12);
         assert_eq!(stats.transitions, 3);
         assert_eq!(stats.objects_evaluated, 1);
@@ -831,20 +662,20 @@ mod tests {
     }
 
     #[test]
-    fn forward_until_breaks_without_counting_evaluation() {
+    fn a_broken_forward_sweep_is_not_counted_as_an_evaluation() {
         let chain = paper_chain();
         let window = paper_window();
-        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = [pipeline.seed(SparseVector::from_pairs(3, [(1usize, 1.0)]).unwrap())];
-        let decided = pipeline
-            .forward_until(chain.matrix(), &mut rows, 0, &window, &reach, |event| match event {
-                ForwardEvent::StepEnd { t, .. } if t >= 1 => Ok(ControlFlow::Break(())),
-                _ => Ok(ControlFlow::Continue(())),
+        let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
+        let broke_at = sweep(&mut pipeline, &chain, &mut batch, &window, |phase, _, t| {
+            Ok(match phase {
+                BatchPhase::StepEnd if t >= 1 => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
             })
-            .unwrap();
-        assert_eq!(decided, Some(1));
+        });
+        assert_eq!(broke_at, Some(1));
         assert_eq!(stats.transitions, 1);
         assert_eq!(stats.objects_evaluated, 0, "broken sweeps are the driver's outcome");
     }
@@ -855,7 +686,6 @@ mod tests {
         // propagates to the end and is counted as evaluated.
         let chain = paper_chain();
         let window = paper_window();
-        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = vec![
@@ -864,25 +694,23 @@ mod tests {
         ];
         let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hits = [0.0f64; 2];
-        let end = pipeline
-            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, t| {
-                match phase {
-                    BatchPhase::Window => {
-                        for (g, hit) in hits.iter_mut().enumerate() {
-                            if batch.is_active(g) {
-                                *hit += batch.group_mut(g)[0].extract_masked(window.states());
-                            }
-                        }
-                    }
-                    BatchPhase::StepEnd => {
-                        if t == 1 && batch.is_active(0) {
-                            batch.deactivate(0);
+        let end = sweep(&mut pipeline, &chain, &mut batch, &window, |phase, batch, t| {
+            match phase {
+                BatchPhase::Window => {
+                    for (g, hit) in hits.iter_mut().enumerate() {
+                        if batch.is_active(g) {
+                            *hit += batch.group_mut(g)[0].extract_masked(window.states());
                         }
                     }
                 }
-                Ok(ControlFlow::Continue(()))
-            })
-            .unwrap();
+                BatchPhase::StepEnd => {
+                    if t == 1 && batch.is_active(0) {
+                        batch.deactivate(0);
+                    }
+                }
+            }
+            Ok(ControlFlow::Continue(()))
+        });
         assert_eq!(end, None);
         assert_eq!(stats.objects_evaluated, 1, "the dismissed group is not an evaluation");
         // Group 1 from s3: hits 0.8 at t=2, then 0.2·0.8 = 0.16 at t=3.
@@ -899,7 +727,6 @@ mod tests {
         // vector; both groups retire, both count as evaluated.
         let chain = paper_chain();
         let window = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::new([1, 9])).unwrap();
-        let reach = exists_reach(&chain, &window);
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = vec![
@@ -908,16 +735,14 @@ mod tests {
         ];
         let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut hit = 0.0;
-        pipeline
-            .forward_batch(chain.matrix(), &mut batch, 0, &window, &reach, |phase, batch, _| {
-                if phase == BatchPhase::Window {
-                    for g in 0..batch.num_groups() {
-                        hit += batch.group_mut(g)[0].extract_masked(window.states());
-                    }
+        sweep(&mut pipeline, &chain, &mut batch, &window, |phase, batch, _| {
+            if phase == BatchPhase::Window {
+                for g in 0..batch.num_groups() {
+                    hit += batch.group_mut(g)[0].extract_masked(window.states());
                 }
-                Ok(ControlFlow::Continue(()))
-            })
-            .unwrap();
+            }
+            Ok(ControlFlow::Continue(()))
+        });
         assert!((hit - 2.0).abs() < 1e-12);
         assert_eq!(stats.early_terminations, 2);
         assert_eq!(stats.objects_evaluated, 2);
@@ -938,25 +763,24 @@ mod tests {
         assert!(matches!(ObjectBatch::new(&mut rows, 0), Err(QueryError::MalformedBatch { .. })));
         let batch = ObjectBatch::new(&mut rows, 3).unwrap();
         assert_eq!(batch.num_groups(), 1);
-        assert_eq!(batch.group_size(), 3);
+        assert_eq!(batch.group(0).len(), 3);
     }
 
     #[test]
-    fn forward_steps_fires_no_window_events() {
+    fn forward_without_a_window_fires_only_step_end() {
         // The observation-driven schedule: StepEnd at every timestamp,
         // never a Window event.
         let chain = paper_chain();
         let mut stats = EvalStats::new();
         let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
         let mut rows = [pipeline.seed(SparseVector::unit(3, 1).unwrap())];
+        let mut batch = ObjectBatch::new(&mut rows, 1).unwrap();
         let mut steps = Vec::new();
         pipeline
-            .forward_steps(chain.matrix(), &mut rows, 0, 4, |event| match event {
-                ForwardEvent::StepEnd { t, .. } => {
-                    steps.push(t);
-                    Ok(ControlFlow::Continue(()))
-                }
-                ForwardEvent::Window { .. } => panic!("no window schedule"),
+            .forward(chain.matrix(), &mut batch, 0, 4, None, None, |phase, _, t| {
+                assert_eq!(phase, BatchPhase::StepEnd, "no window schedule");
+                steps.push(t);
+                Ok(ControlFlow::Continue(()))
             })
             .unwrap();
         assert_eq!(steps, vec![0, 1, 2, 3, 4]);

@@ -47,8 +47,7 @@ use std::time::{Duration, Instant};
 use crate::cluster;
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
-use crate::engine::object_based::ReachPlan;
-use crate::engine::pipeline::ReachRule;
+use crate::engine::object_based::{ForwardRule, ReachPlan};
 use crate::engine::query_based::{
     probability_row, validated_model_groups_on, AnchorMemo, AnchoredField, FieldRule,
     SharedFieldPlan,
@@ -62,9 +61,9 @@ use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
     QueryWindow, Strategy,
 };
-use crate::ranking::{self, RankedObject};
+use crate::ranking;
 use crate::stats::EvalStats;
-use crate::threshold;
+use crate::threshold::Threshold;
 
 /// Discount applied to the object-based step estimate when a threshold or
 /// top-k decorator lets the forward sweep terminate on bound decisions.
@@ -582,29 +581,19 @@ fn dispatch(
                 Ok(QueryAnswer::ObjectIds(ids))
             }
             Decorator::TopK(k) => {
-                let ranked = if strategy == Strategy::ObjectBased {
-                    // Bound-pruned ranking on the reach-trimmed sweep.
-                    if k == 0 {
-                        Vec::new()
-                    } else {
-                        let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
-                        let candidates =
-                            ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                                ranking::topk_batched(pipeline, ctx.db, idxs, window, &reach, k)
-                            })?;
-                        let mut best: Vec<RankedObject> = Vec::with_capacity(k + 1);
-                        for candidate in candidates {
-                            ranking::insert_ranked(&mut best, candidate, k);
-                        }
-                        best
+                let survivors = match strategy {
+                    Strategy::ObjectBased if k == 0 => Vec::new(),
+                    // Bound-pruned ranking on the reach-trimmed sweep:
+                    // dismissed objects answer `None`.
+                    Strategy::ObjectBased => {
+                        forward_answers(ctx, ranking::TopK::new(k), indices, window, stats)?
+                            .into_iter()
+                            .flatten()
+                            .collect()
                     }
-                } else {
-                    ranking::select_topk(
-                        exists_probs(ctx, strategy, indices, window, sampling, stats)?,
-                        k,
-                    )
+                    _ => exists_probs(ctx, strategy, indices, window, sampling, stats)?,
                 };
-                Ok(QueryAnswer::Ranked(ranked))
+                Ok(QueryAnswer::Ranked(ranking::select_topk(survivors, k)))
             }
         },
         Predicate::ForAll => {
@@ -638,10 +627,39 @@ pub(crate) fn accepted_ids(probs: Vec<ObjectProbability>, tau: f64) -> Vec<u64> 
     probs.into_iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect()
 }
 
+/// One slot of a prefilter partition merged back into database-index
+/// order.
+enum Merged {
+    /// The survivor at this position of the survivor list.
+    Survivor(usize),
+    /// The index-pruned object at this database index.
+    Pruned(usize),
+}
+
+/// Walks the ascending, disjoint `survivors` and `pruned` database indices
+/// as one linear merge — the order the unpruned path produces.
+fn merged_order<'a>(
+    survivors: &'a [usize],
+    pruned: &'a [usize],
+) -> impl Iterator<Item = Merged> + 'a {
+    let (mut i, mut j) = (0usize, 0usize);
+    std::iter::from_fn(move || {
+        let slot = match (survivors.get(i), pruned.get(j)) {
+            (None, None) => return None,
+            (Some(s), Some(p)) if s < p => Merged::Survivor(i),
+            (Some(_), None) => Merged::Survivor(i),
+            (_, Some(&p)) => Merged::Pruned(p),
+        };
+        match slot {
+            Merged::Survivor(_) => i += 1,
+            Merged::Pruned(_) => j += 1,
+        }
+        Some(slot)
+    })
+}
+
 /// Re-interleaves index-pruned candidates into a probability answer as
-/// exact `0.0` entries, restoring database-index order — the order the
-/// unpruned path produces. Both inputs are ascending and disjoint, so the
-/// merge is a linear zip.
+/// exact `0.0` entries, restoring database-index order.
 fn merge_pruned_zeros(
     db: &TrajectoryDatabase,
     survivors: &[usize],
@@ -652,25 +670,21 @@ fn merge_pruned_zeros(
         return Ok(probs);
     }
     debug_assert_eq!(survivors.len(), probs.len());
+    // Sized up front: an index-pruned answer is as long as the database.
     let mut out = Vec::with_capacity(survivors.len() + pruned.len());
     let mut probs = probs.into_iter();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < survivors.len() || j < pruned.len() {
-        let take_survivor = j >= pruned.len() || (i < survivors.len() && survivors[i] < pruned[j]);
-        if take_survivor {
-            let p = probs
+    for slot in merged_order(survivors, pruned) {
+        out.push(match slot {
+            Merged::Survivor(_) => probs
                 .next()
-                .ok_or(QueryError::internal("the survivor list carries one probability each"))?;
-            out.push(p);
-            i += 1;
-        } else {
-            let id = db
-                .object(pruned[j])
-                .ok_or(QueryError::internal("pruned indices resolve to database objects"))?
-                .id();
-            out.push(ObjectProbability { object_id: id, probability: 0.0 });
-            j += 1;
-        }
+                .ok_or(QueryError::internal("the survivor list carries one probability each"))?,
+            Merged::Pruned(idx) => {
+                let object = db
+                    .object(idx)
+                    .ok_or(QueryError::internal("pruned indices resolve to database objects"))?;
+                ObjectProbability { object_id: object.id(), probability: 0.0 }
+            }
+        });
     }
     Ok(out)
 }
@@ -700,8 +714,15 @@ fn threshold_ids(
     let undecided: Vec<usize> =
         indices.iter().zip(&decisions).filter(|(_, d)| d.is_none()).map(|(&idx, _)| idx).collect();
     if !undecided.is_empty() {
-        let qualifies =
-            threshold_qualifies(ctx, strategy, &undecided, window, tau, sampling, stats)?;
+        // The strategy's own driver: the bound-based forward rule (early
+        // termination per object), or probabilities compared against `τ`.
+        let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
+            let outcomes = forward_answers(ctx, Threshold { tau }, &undecided, window, stats)?;
+            outcomes.into_iter().map(|o| o.qualifies).collect()
+        } else {
+            let probs = exists_probs(ctx, strategy, &undecided, window, sampling, stats)?;
+            probs.into_iter().map(|r| r.probability >= tau).collect()
+        };
         let mut q = qualifies.into_iter();
         for d in decisions.iter_mut().filter(|d| d.is_none()) {
             let outcome = q
@@ -716,60 +737,15 @@ fn threshold_ids(
             .map(|o| o.id())
             .ok_or(QueryError::internal("threshold candidates resolve to database objects"))
     };
-    if pruned.is_empty() || tau > 0.0 {
-        // Pruned objects have P∃ = 0 < τ: they cannot qualify.
-        return indices
-            .iter()
-            .zip(&decisions)
-            .filter(|(_, d)| **d == Some(true))
-            .map(|(&idx, _)| id_of(idx))
-            .collect();
-    }
-    // τ = 0 accepts everything, including the pruned complement; restore
-    // database-index order (every survivor qualifies here too: P∃ ≥ 0).
-    let mut out = Vec::with_capacity(indices.len() + pruned.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < indices.len() || j < pruned.len() {
-        let take_survivor = j >= pruned.len() || (i < indices.len() && indices[i] < pruned[j]);
-        if take_survivor {
-            if decisions[i] == Some(true) {
-                out.push(id_of(indices[i])?);
-            }
-            i += 1;
-        } else {
-            out.push(id_of(pruned[j])?);
-            j += 1;
-        }
-    }
-    Ok(out)
-}
-
-/// Per-candidate threshold outcomes (`P∃ ≥ τ`), aligned with `indices`,
-/// via the strategy's own driver: the early-terminating bound-based OB
-/// driver, or probabilities compared against `τ` for QB / Monte Carlo —
-/// exactly the pre-prefilter dispatch paths.
-fn threshold_qualifies(
-    ctx: &ExecContext<'_>,
-    strategy: Strategy,
-    indices: &[usize],
-    window: &QueryWindow,
-    tau: f64,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
-    stats: &mut EvalStats,
-) -> Result<Vec<bool>> {
-    if strategy == Strategy::ObjectBased {
-        // The bound-based driver: early termination per object.
-        let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
-        let outcomes = ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-            threshold::threshold_batched(pipeline, ctx.db, idxs, window, &reach, tau)
-        })?;
-        Ok(outcomes.into_iter().map(|o| o.qualifies).collect())
-    } else {
-        Ok(exists_probs(ctx, strategy, indices, window, sampling, stats)?
-            .into_iter()
-            .map(|r| r.probability >= tau)
-            .collect())
-    }
+    // Pruned objects have P∃ = 0: they qualify only at τ = 0, where they
+    // are merged back in database-index order.
+    let pruned = if tau > 0.0 { &[] } else { pruned };
+    merged_order(indices, pruned)
+        .filter_map(|slot| match slot {
+            Merged::Survivor(i) => (decisions[i] == Some(true)).then(|| id_of(indices[i])),
+            Merged::Pruned(idx) => Some(id_of(idx)),
+        })
+        .collect()
 }
 
 /// Reduces visit-count distributions to `P(visits ≥ k)` probabilities.
@@ -791,19 +767,7 @@ fn exists_probs(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
-        Strategy::ObjectBased => {
-            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
-            ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                object_based::probabilities_batched(
-                    pipeline,
-                    ctx.db,
-                    idxs,
-                    window,
-                    &reach,
-                    object_based::exists_answer,
-                )
-            })
-        }
+        Strategy::ObjectBased => forward_answers(ctx, object_based::Exists, indices, window, stats),
         Strategy::QueryBased => {
             field_answers(ctx, FieldRule::Exists, indices, window, stats, probability_row)
         }
@@ -858,6 +822,28 @@ fn field_answers<T: Send>(
     })
 }
 
+/// Object-based answers over `indices`: the reach schedules of `rule` per
+/// model (validating the objects in index order), then the fan-out — every
+/// shard runs the database loop of the one forward driver under its own
+/// copy of `rule` (a rule's state, like top-k's candidate list, is per
+/// shard).
+fn forward_answers<R>(
+    ctx: &ExecContext<'_>,
+    rule: R,
+    indices: &[usize],
+    window: &QueryWindow,
+    stats: &mut EvalStats,
+) -> Result<Vec<R::Output>>
+where
+    R: ForwardRule + Clone + Sync,
+    R::Output: Send,
+{
+    let reach = ReachPlan::prepare(ctx.db, indices, window, R::REACH)?;
+    ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
+        object_based::forward_database(pipeline, ctx.db, idxs, window, &reach, &mut rule.clone())
+    })
+}
+
 /// PST∀Q probabilities over `indices`: the Section VII complement
 /// reduction object-based (the complement-window sweep under the ∀ reach
 /// of the original window), the direct ∀ backward field query-based, the
@@ -880,18 +866,7 @@ fn forall_probs(
             field_answers(ctx, FieldRule::ForAll, indices, window, stats, probability_row)
         }
         Strategy::ObjectBased => {
-            let complement = window.complement_states()?;
-            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::ForAll)?;
-            ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                object_based::probabilities_batched(
-                    pipeline,
-                    ctx.db,
-                    idxs,
-                    &complement,
-                    &reach,
-                    forall::forall_answer,
-                )
-            })
+            forward_answers(ctx, forall::ForAll::over(window)?, indices, window, stats)
         }
         Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
     }
@@ -908,12 +883,7 @@ fn ktimes_dists(
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
     match strategy {
-        Strategy::ObjectBased => {
-            let reach = ReachPlan::prepare(ctx.db, indices, window, ReachRule::Exists)?;
-            ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
-                ktimes::ktimes_batched(pipeline, ctx.db, idxs, window, &reach)
-            })
-        }
+        Strategy::ObjectBased => forward_answers(ctx, ktimes::KTimes, indices, window, stats),
         Strategy::QueryBased => {
             field_answers(ctx, FieldRule::KTimes, indices, window, stats, ktimes::distribution_row)
         }

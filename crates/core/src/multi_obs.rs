@@ -25,7 +25,7 @@ use ust_markov::{MarkovChain, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::validate;
-use crate::engine::pipeline::{ForwardEvent, Propagator};
+use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -66,38 +66,49 @@ pub fn exists_probability_multi_with_stats(
         pipeline.seed(SparseVector::zeros(chain.num_states())),
     ];
 
-    pipeline.forward_to(chain.matrix(), &mut rows, t0, horizon, window, |event| match event {
-        ForwardEvent::Window { rows, .. } => {
-            let (u, w) = rows.split_at_mut(1);
-            let moved = u[0].split_masked(window.states());
-            if moved.nnz() > 0 {
-                w[0].add_sparse(&moved)?;
-            }
-            Ok(ControlFlow::Continue(()))
-        }
-        ForwardEvent::StepEnd { rows, t } => {
-            if t > t0 {
-                if let Some(obs) = object.observation_at(t) {
-                    // Lemma 1: independent observations fuse
-                    // multiplicatively; the observation says nothing about
-                    // the hit flag, so it applies to both halves
-                    // identically.
-                    for row in rows.iter_mut() {
-                        row.hadamard_sparse(obs.distribution())?;
+    // One group of two rows, untrimmed: the sweep runs on to the last
+    // observation so later evidence still conditions the result.
+    let mut batch = ObjectBatch::new(&mut rows, 2)?;
+    pipeline.forward(
+        chain.matrix(),
+        &mut batch,
+        t0,
+        horizon,
+        Some(window),
+        None,
+        |phase, batch, t| {
+            let rows = batch.group_mut(0);
+            match phase {
+                BatchPhase::Window => {
+                    let (u, w) = rows.split_at_mut(1);
+                    let moved = u[0].split_masked(window.states());
+                    if moved.nnz() > 0 {
+                        w[0].add_sparse(&moved)?;
                     }
-                    let total: f64 = rows.iter().map(|r| r.sum()).sum();
-                    if total <= 0.0 {
-                        return Err(QueryError::ImpossibleEvidence);
-                    }
-                    // Equation 1: renormalize over the surviving worlds.
-                    for row in rows.iter_mut() {
-                        row.scale(1.0 / total);
+                }
+                BatchPhase::StepEnd => {
+                    if let Some(obs) = object.observation_at(t).filter(|_| t > t0) {
+                        // Lemma 1: independent observations fuse
+                        // multiplicatively; the observation says nothing
+                        // about the hit flag, so it applies to both halves
+                        // identically.
+                        for row in rows.iter_mut() {
+                            row.hadamard_sparse(obs.distribution())?;
+                        }
+                        let total: f64 = rows.iter().map(|r| r.sum()).sum();
+                        if total <= 0.0 {
+                            return Err(QueryError::ImpossibleEvidence);
+                        }
+                        // Equation 1: renormalize over the surviving worlds.
+                        for row in rows.iter_mut() {
+                            row.scale(1.0 / total);
+                        }
                     }
                 }
             }
             Ok(ControlFlow::Continue(()))
-        }
-    })?;
+        },
+    )?;
     let (hit, alive) = (rows[1].sum(), rows[0].sum());
     let total = hit + alive;
     if total <= 0.0 {

@@ -750,14 +750,8 @@ mod tests {
         for _ in 0..3 {
             let out = executor
                 .run_on(&indices, &config, &mut EvalStats::new(), |pipeline, idxs| {
-                    object_based::probabilities_batched(
-                        pipeline,
-                        &db,
-                        idxs,
-                        &window,
-                        &reach,
-                        object_based::exists_answer,
-                    )
+                    let rule = &mut object_based::Exists;
+                    object_based::forward_database(pipeline, &db, idxs, &window, &reach, rule)
                 })
                 .unwrap();
             for (a, b) in out.iter().zip(&sequential) {

@@ -17,14 +17,12 @@
 //!   shortly after) their first transition. Useful when objects follow *many distinct models* (where
 //!   QB would need one backward pass per model) or when `k` is small.
 
-use std::ops::ControlFlow;
+use ust_markov::PropagationVector;
 
-use crate::database::TrajectoryDatabase;
-use crate::engine::group_batchable;
-use crate::engine::object_based::{self, ReachPlan};
-use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::error::{QueryError, Result};
-use crate::query::QueryWindow;
+use crate::engine::object_based::{ForwardRule, Swept};
+use crate::engine::pipeline::ReachRule;
+use crate::query::ObjectProbability;
+use crate::stats::EvalStats;
 
 /// One ranked result.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,10 +34,7 @@ pub struct RankedObject {
 }
 
 /// Selects the `k` largest probabilities, ties broken by ascending id.
-pub(crate) fn select_topk(
-    mut all: Vec<crate::query::ObjectProbability>,
-    k: usize,
-) -> Vec<RankedObject> {
+pub(crate) fn select_topk(mut all: Vec<ObjectProbability>, k: usize) -> Vec<RankedObject> {
     all.sort_by(|a, b| b.probability.total_cmp(&a.probability).then(a.object_id.cmp(&b.object_id)));
     all.into_iter()
         .take(k)
@@ -47,137 +42,76 @@ pub(crate) fn select_topk(
         .collect()
 }
 
-/// Inserts `entry` into the sorted top-k candidate list (probability
-/// descending, ties by ascending id), trimming beyond `k`.
-pub(crate) fn insert_ranked(best: &mut Vec<RankedObject>, entry: RankedObject, k: usize) {
-    let pos = best
-        .binary_search_by(|probe| {
-            probe
-                .probability
-                .total_cmp(&entry.probability)
-                .reverse()
-                .then(probe.object_id.cmp(&entry.object_id))
-        })
-        .unwrap_or_else(|p| p);
-    best.insert(pos, entry);
-    if best.len() > k {
-        best.pop();
+/// The bound-pruned top-k rule. It carries the `k` best lower bounds seen
+/// so far (one list per executor shard, tightened after every chunk, so
+/// later chunks prune against the tighter bound): the ∃ rule accumulates,
+/// and after every timestamp an object whose upper bound `⊤ + alive` can
+/// no longer beat the k-th best drops out of its batch. A dismissed object
+/// answers `None`; survivor probabilities are exact, so
+/// [`select_topk`] over the survivors of all shards is the ranking — at
+/// every batch size and shard layout.
+#[derive(Debug, Clone)]
+pub(crate) struct TopK {
+    k: usize,
+    /// The `k` largest survivor probabilities so far, descending.
+    best: Vec<f64>,
+}
+
+impl TopK {
+    /// The rule for the `k` most probable objects.
+    pub(crate) fn new(k: usize) -> TopK {
+        TopK { k, best: Vec::with_capacity(k + 1) }
     }
 }
 
-/// The batched top-k driver over an explicit set of database object indices
-/// (one `ShardedExecutor` worker's share). Returns that share's top-k
-/// candidates — already the final answer for a single-worker run; shards
-/// merge their candidate lists with [`insert_ranked`].
-///
-/// Objects grouped by `(model, anchor time)` propagate in
-/// [`crate::engine::EngineConfig::batch_size`] batches, trimmed to `reach`
-/// (the ∃ schedules of `window`): the ∃ rule accumulates per live group,
-/// and after every timestamp each group whose upper bound `⊤ + alive` can
-/// no longer beat the current k-th best lower bound drops out of the batch. The candidate list is updated per batch, so later
-/// batches prune against the tightened bound. Survivor probabilities are
-/// exact, making the final ranking identical at every batch size.
-pub(crate) fn topk_batched(
-    pipeline: &mut Propagator<'_>,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    reach: &ReachPlan,
-    k: usize,
-) -> Result<Vec<RankedObject>> {
-    if k == 0 || indices.is_empty() {
-        return Ok(Vec::new());
+impl ForwardRule for TopK {
+    type Output = Option<ObjectProbability>;
+    const REACH: ReachRule = ReachRule::Exists;
+
+    fn retires(&self, hit: f64, rows: &[PropagationVector]) -> bool {
+        let upper = (hit + rows[0].sum()).min(1.0);
+        let full = self.best.len() >= self.k;
+        let kth_bound = self.best.last().copied().filter(|_| full).unwrap_or(0.0);
+        // Dismiss an object that can no longer *strictly* beat the k-th
+        // candidate, or that can never reach the window at all. The strict
+        // comparison keeps boundary ties alive in every batch size, so
+        // exact ties are always resolved by the deterministic id tie-break
+        // — the final ranking is independent of batch composition.
+        upper == 0.0 || upper < kth_bound
     }
 
-    // Current top-k lower bounds (min-heap behaviour via sorted Vec —
-    // k is small in practice).
-    let mut best: Vec<RankedObject> = Vec::with_capacity(k + 1);
-    let kth_bound = |best: &Vec<RankedObject>| -> f64 {
-        if best.len() < k {
-            0.0
-        } else {
-            best.last().map(|r| r.probability).unwrap_or(0.0)
-        }
-    };
-
-    let batch_size = pipeline.config().effective_batch_size();
-    for ((model, t0), members) in group_batchable(db, indices)? {
-        let chain = &db.models()[model];
-        let schedule = reach.schedule(model)?;
-        for chunk in members.chunks(batch_size) {
-            let mut rows = object_based::seed_anchor_rows(pipeline, db, indices, chunk)?;
-            let mut batch = ObjectBatch::new(&mut rows, 1)?;
-            let mut hits = vec![0.0f64; chunk.len()];
-            let mut dismissed_at: Vec<Option<u32>> = vec![None; chunk.len()];
-            pipeline.forward_batch(
-                chain.matrix(),
-                &mut batch,
-                t0,
-                window,
-                schedule,
-                |phase, batch, t| {
-                    match phase {
-                        BatchPhase::Window => {
-                            object_based::accumulate_exists_hits(batch, &mut hits, window);
-                        }
-                        BatchPhase::StepEnd => {
-                            for (g, dismissal) in dismissed_at.iter_mut().enumerate() {
-                                if !batch.is_active(g) {
-                                    continue;
-                                }
-                                let upper = (hits[g] + batch.group(g)[0].sum()).min(1.0);
-                                // Dismiss an object that can no longer
-                                // *strictly* beat the k-th candidate, or
-                                // that can never reach the window at all.
-                                // The strict comparison keeps boundary ties
-                                // alive in every batch size, so exact ties
-                                // are always resolved by the deterministic
-                                // id tie-break — the final ranking is
-                                // independent of batch composition.
-                                if upper == 0.0 || upper < kth_bound(&best) {
-                                    *dismissal = Some(t);
-                                    batch.deactivate(g);
-                                }
-                            }
-                        }
-                    }
-                    Ok(ControlFlow::Continue(()))
-                },
-            )?;
-            for (g, &pos) in chunk.iter().enumerate() {
-                match dismissed_at[g] {
-                    // Screened out by the instant upper bound, before any
-                    // step.
-                    Some(t) if t == t0 => pipeline.stats().objects_pruned += 1,
-                    // Dismissed mid-propagation: cannot beat the k-th
-                    // candidate.
-                    Some(_) => pipeline.stats().early_terminations += 1,
-                    None => {
-                        let object = db.object(indices[pos]).ok_or(QueryError::internal(
-                            "ranked positions resolve to database objects",
-                        ))?;
-                        insert_ranked(
-                            &mut best,
-                            RankedObject { object_id: object.id(), probability: hits[g].min(1.0) },
-                            k,
-                        );
-                    }
-                }
+    fn finish(&mut self, swept: Swept<'_>, stats: &mut EvalStats) -> Option<ObjectProbability> {
+        match swept.retired_at {
+            // Screened out by the instant upper bound, before any step.
+            Some(t) if t == swept.object.anchor().time() => {
+                stats.objects_pruned += 1;
+                None
+            }
+            // Dismissed mid-propagation: cannot beat the k-th candidate.
+            Some(_) => {
+                stats.early_terminations += 1;
+                None
+            }
+            None => {
+                let probability = swept.hit.min(1.0);
+                let at = self.best.partition_point(|&p| p >= probability);
+                self.best.insert(at, probability);
+                self.best.truncate(self.k);
+                Some(ObjectProbability { object_id: swept.object.id(), probability })
             }
         }
     }
-    Ok(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::TrajectoryDatabase;
     use crate::engine::QueryProcessor;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::Strategy::{self, ObjectBased, QueryBased};
-    use crate::query::{Query, QueryAnswer};
-    use crate::stats::EvalStats;
+    use crate::query::{Query, QueryAnswer, QueryWindow};
     use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 

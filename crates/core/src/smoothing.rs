@@ -14,10 +14,11 @@
 //! (`β ≡ 1`), matching Corollary 2 extrapolation.
 //!
 //! The α-recursion runs on the shared propagation pipeline: its schedule is
-//! **observation-driven** rather than window-driven, so it uses
-//! [`Propagator::forward_steps`] — the window-free sweep that fires only
-//! [`ForwardEvent::StepEnd`] — and fuses each observation's likelihood when
-//! the sweep reaches its timestamp. The β-recursion deliberately stays a
+//! **observation-driven** rather than window-driven, so it runs
+//! [`Propagator::forward`] with no window and no reach schedule — only
+//! [`crate::engine::pipeline::BatchPhase::StepEnd`] fires — and fuses each
+//! observation's likelihood when the sweep reaches its timestamp. The
+//! β-recursion deliberately stays a
 //! plain backward `M·β` product with evidence fusion: the pipeline's
 //! backward sweep ([`Propagator::backward_from`]) is shaped by a query
 //! window — its masking schedule and snapshot times have no analogue here —
@@ -29,7 +30,7 @@ use std::ops::ControlFlow;
 
 use ust_markov::{DenseVector, MarkovChain};
 
-use crate::engine::pipeline::{ForwardEvent, Propagator};
+use crate::engine::pipeline::{ObjectBatch, Propagator};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -74,13 +75,10 @@ pub fn smoothed_distribution_with_stats(
     let mut pipeline = Propagator::new(&EngineConfig::exact(), stats);
     let mut rows = [pipeline.seed(anchor.distribution().clone())];
     let mut impossible = false;
-    pipeline.forward_steps(chain.matrix(), &mut rows, anchor.time(), t, |event| {
-        let ForwardEvent::StepEnd { rows, t } = event else {
-            // lint: allow(panicking-call-in-lib) — `forward_steps` is the
-            // schedule-free propagation entry point: it emits only `StepEnd`
-            // events, never the windowed variants.
-            unreachable!("forward_steps has no window schedule");
-        };
+    // No window, no schedule: only `StepEnd` fires, at every timestamp.
+    let mut batch = ObjectBatch::new(&mut rows, 1)?;
+    pipeline.forward(chain.matrix(), &mut batch, anchor.time(), t, None, None, |_, batch, t| {
+        let rows = batch.group_mut(0);
         if let Some(obs) = object.observation_at(t) {
             // The anchor's own observation is already the start state.
             if t > anchor.time() {

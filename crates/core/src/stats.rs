@@ -22,11 +22,12 @@ pub struct EvalStats {
     /// Transition-matrix entries multiplied into an accumulator during
     /// forward propagation. Unlike `rows_traversed` this is invariant
     /// across kernel choices (every batch grouping performs the same
-    /// floating-point work), so `entries_touched / execute_time` is the
-    /// matrix-entry *throughput* the serving calibration and the plan cost
-    /// model reason about. On a windowed forward sweep this is reachable
-    /// work only — the rows of source states from which the window can
-    /// still decide the predicate, the `|S_reach|²` of the paper's bound.
+    /// floating-point work): it is the unit the plan cost model estimates
+    /// in, and `entries_touched / execute_time` is the matrix-entry
+    /// *throughput* of a forward run. On a windowed forward sweep this is
+    /// reachable work only — the rows of source states from which the
+    /// window can still decide the predicate, the `|S_reach|²` of the
+    /// paper's bound.
     pub entries_touched: u64,
     /// Backward vector–matrix transitions performed (query-based passes).
     pub backward_steps: u64,

@@ -11,17 +11,12 @@
 //! The pipeline's reach trimming keeps `remaining` tight: what is left in
 //! the vector after a timestamp is exactly the mass that can still hit.
 
-use std::ops::ControlFlow;
+use ust_markov::{MarkovChain, PropagationVector};
 
-use ust_markov::MarkovChain;
-
-use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{self, validate, ReachPlan};
-use crate::engine::pipeline::{
-    BatchPhase, ForwardEvent, ObjectBatch, Propagator, ReachRule, ReachSchedule,
-};
-use crate::engine::{group_batchable, EngineConfig};
-use crate::error::{QueryError, Result};
+use crate::engine::object_based::{self, ForwardRule, Swept};
+use crate::engine::pipeline::ReachRule;
+use crate::engine::EngineConfig;
+use crate::error::Result;
 use crate::object::UncertainObject;
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
@@ -60,7 +55,7 @@ fn exists_threshold_with_stats(
     config: &EngineConfig,
     stats: &mut EvalStats,
 ) -> Result<ThresholdOutcome> {
-    threshold_driver(&mut Propagator::new(config, stats), chain, object, window, tau)
+    object_based::evaluate_one(chain, object, window, config, stats, Threshold { tau })
 }
 
 /// Where a thresholded sweep stands after a timestamp: `Some(qualifies)`
@@ -79,167 +74,56 @@ fn decide(hit: f64, alive: f64, tau: f64) -> (Option<bool>, f64) {
     (decision, upper)
 }
 
-/// The thresholded-∃ driver on the shared pipeline: the accumulation rule
-/// is the ⊤ redirect of the OB engine, and the decision rule compares the
-/// monotone lower bound `⊤` / shrinking upper bound `⊤ + alive` against
-/// `τ` after every timestamp, stopping the sweep at the first decision.
-fn threshold_driver(
-    pipeline: &mut Propagator<'_>,
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    tau: f64,
-) -> Result<ThresholdOutcome> {
-    validate(chain, object, window)?;
-    let anchor = object.anchor();
-    let t0 = anchor.time();
-    let t_end = window.t_end();
-    let reach = ReachSchedule::build(chain, window, ReachRule::Exists, t0)?;
-
-    let mut rows = [pipeline.seed(anchor.distribution().clone())];
-    let mut hit = 0.0;
-    let mut decision: Option<(bool, f64)> = None;
-
-    let decided_at = pipeline.forward_until(
-        chain.matrix(),
-        &mut rows,
-        t0,
-        window,
-        &reach,
-        |event| match event {
-            ForwardEvent::Window { rows, .. } => {
-                hit += rows[0].extract_masked(window.states());
-                Ok(ControlFlow::Continue(()))
-            }
-            ForwardEvent::StepEnd { rows, .. } => match decide(hit, rows[0].sum(), tau) {
-                (Some(qualifies), upper) => {
-                    decision = Some((qualifies, upper));
-                    Ok(ControlFlow::Break(()))
-                }
-                (None, _) => Ok(ControlFlow::Continue(())),
-            },
-        },
-    )?;
-
-    match decided_at {
-        Some(t) => {
-            let early = t < t_end;
-            if early {
-                pipeline.stats().early_terminations += 1;
-            }
-            pipeline.stats().objects_evaluated += 1;
-            let (qualifies, upper) =
-                decision.ok_or(QueryError::internal("an early break always records a decision"))?;
-            Ok(ThresholdOutcome { qualifies, lower: hit, upper, early })
-        }
-        None => {
-            // Ran to t_end undecided: the bounds have met at `hit`.
-            Ok(ThresholdOutcome { qualifies: hit >= tau, lower: hit, upper: hit, early: false })
-        }
-    }
+/// The thresholded-∃ rule: the accumulation rule is the ⊤ redirect of the
+/// OB engine, and the decision rule compares the monotone lower bound `⊤` /
+/// shrinking upper bound `⊤ + alive` against `τ` after every timestamp,
+/// retiring the object at the first decision — without stopping the sweep
+/// for the undecided rest of its batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Threshold {
+    /// The probability threshold `τ`.
+    pub tau: f64,
 }
 
-/// The batched thresholded-∃ driver over an explicit set of database object
-/// indices (one `ShardedExecutor` worker's share). Returns one
-/// [`ThresholdOutcome`] per index, in order.
-///
-/// Objects grouped by `(model, anchor time)` propagate together through the
-/// batched kernel, trimmed to `reach` (the ∃ schedules of `window`); after
-/// every timestamp each live object's bounds are compared against `τ`, and
-/// decided objects drop out of the batch — without stopping the sweep for
-/// the undecided rest. Decisions, bounds and decision times equal the
-/// single-object driver's.
-pub(crate) fn threshold_batched(
-    pipeline: &mut Propagator<'_>,
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: &QueryWindow,
-    reach: &ReachPlan,
-    tau: f64,
-) -> Result<Vec<ThresholdOutcome>> {
-    let batch_size = pipeline.config().effective_batch_size();
-    let t_end = window.t_end();
-    let mut results: Vec<Option<ThresholdOutcome>> = vec![None; indices.len()];
-    for ((model, t0), members) in group_batchable(db, indices)? {
-        let chain = &db.models()[model];
-        let schedule = reach.schedule(model)?;
-        for chunk in members.chunks(batch_size) {
-            let mut rows = object_based::seed_anchor_rows(pipeline, db, indices, chunk)?;
-            let mut batch = ObjectBatch::new(&mut rows, 1)?;
-            let mut hits = vec![0.0f64; chunk.len()];
-            let mut outcomes: Vec<Option<ThresholdOutcome>> = vec![None; chunk.len()];
-            pipeline.forward_batch(
-                chain.matrix(),
-                &mut batch,
-                t0,
-                window,
-                schedule,
-                |phase, batch, t| {
-                    match phase {
-                        BatchPhase::Window => {
-                            object_based::accumulate_exists_hits(batch, &mut hits, window);
-                        }
-                        BatchPhase::StepEnd => {
-                            for (g, outcome) in outcomes.iter_mut().enumerate() {
-                                if !batch.is_active(g) {
-                                    continue;
-                                }
-                                let hit = hits[g];
-                                if let (Some(qualifies), upper) =
-                                    decide(hit, batch.group(g)[0].sum(), tau)
-                                {
-                                    let early = t < t_end;
-                                    *outcome = Some(ThresholdOutcome {
-                                        qualifies,
-                                        lower: hit,
-                                        upper,
-                                        early,
-                                    });
-                                    batch.deactivate(g);
-                                }
-                            }
-                        }
-                    }
-                    Ok(ControlFlow::Continue(()))
-                },
-            )?;
-            for (g, &pos) in chunk.iter().enumerate() {
-                results[pos] = Some(match outcomes[g].take() {
-                    Some(outcome) => {
-                        // The decision is the driver's outcome: account it
-                        // the way the single-object driver does.
-                        if outcome.early {
-                            pipeline.stats().early_terminations += 1;
-                        }
-                        pipeline.stats().objects_evaluated += 1;
-                        outcome
-                    }
-                    // Ran to t_end undecided (or its mass ran out): the
-                    // bounds have met at `hit`; the pipeline already counted
-                    // the evaluation.
-                    None => ThresholdOutcome {
-                        qualifies: hits[g] >= tau,
-                        lower: hits[g],
-                        upper: hits[g],
-                        early: false,
-                    },
-                });
-            }
+impl ForwardRule for Threshold {
+    type Output = ThresholdOutcome;
+    const REACH: ReachRule = ReachRule::Exists;
+
+    fn retires(&self, hit: f64, rows: &[PropagationVector]) -> bool {
+        decide(hit, rows[0].sum(), self.tau).0.is_some()
+    }
+
+    fn finish(&mut self, swept: Swept<'_>, stats: &mut EvalStats) -> ThresholdOutcome {
+        // A retired object's row and ⊤ are as the decision saw them; one
+        // that ran to `t_end` (or out of mass) has nothing alive, so its
+        // bounds have met at ⊤.
+        let (decision, upper) = decide(swept.hit, swept.rows[0].sum(), self.tau);
+        let early = swept.retired_at.is_some_and(|t| t < swept.t_end);
+        if swept.retired_at.is_some() {
+            // The pipeline does not count a retirement as an evaluation.
+            stats.early_terminations += u64::from(early);
+            stats.objects_evaluated += 1;
+        }
+        // ⊤ is a sum of many products and may overshoot 1 by an ulp: the
+        // decisions compare it raw, the reported bound is clamped.
+        ThresholdOutcome {
+            qualifies: decision == Some(true),
+            lower: swept.hit.min(1.0),
+            upper,
+            early,
         }
     }
-    results
-        .into_iter()
-        .map(|r| r.ok_or(QueryError::internal("the batch loop covers every position")))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{object_based, QueryProcessor};
+    use crate::database::TrajectoryDatabase;
+    use crate::engine::pipeline::ReachSchedule;
+    use crate::engine::{exhaustive, QueryProcessor};
     use crate::observation::Observation;
     use crate::query::{Query, Strategy};
-    use ust_markov::CsrMatrix;
+    use ust_markov::{testutil, CsrMatrix};
     use ust_space::TimeSet;
 
     fn paper_chain() -> MarkovChain {
@@ -256,22 +140,6 @@ mod tests {
 
     fn paper_window() -> QueryWindow {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
-    }
-
-    /// The batched driver on a one-object database.
-    fn threshold_batched_one(
-        chain: &MarkovChain,
-        object: &UncertainObject,
-        window: &QueryWindow,
-        tau: f64,
-        stats: &mut EvalStats,
-    ) -> ThresholdOutcome {
-        let mut db = TrajectoryDatabase::new(chain.clone());
-        db.insert(object.clone()).unwrap();
-        let config = EngineConfig::default();
-        let reach = ReachPlan::prepare(&db, &[0], window, ReachRule::Exists).unwrap();
-        let mut pipeline = Propagator::new(&config, stats);
-        threshold_batched(&mut pipeline, &db, &[0], window, &reach, tau).unwrap()[0]
     }
 
     #[test]
@@ -346,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn reachability_pruner_masks_shrink_near_t_end() {
+    fn reach_schedule_masks_shrink_near_t_end() {
         let chain = paper_chain();
         let window = paper_window();
         // The bounds above read `⊤ + alive` as tight because of exactly
@@ -377,61 +245,44 @@ mod tests {
     }
 
     #[test]
-    fn pruned_threshold_matches_unpruned_decisions() {
+    fn reach_trimmed_bounds_bracket_the_enumerated_probability() {
+        // The trimmed sweep reads `⊤ + alive` as its upper bound; against
+        // the possible-worlds enumeration (no sweep, no schedule) every
+        // decision is right and the bounds bracket the true probability.
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
-        let config = EngineConfig::default();
+        let exact = exhaustive::enumerate(&chain, &o, &w, 10_000).unwrap().exists();
         for tau in [0.05, 0.3, 0.5, 0.8, 0.9] {
-            let plain = exists_threshold(&chain, &o, &w, tau, &config).unwrap();
-            let pruned = threshold_batched_one(&chain, &o, &w, tau, &mut EvalStats::new());
-            assert_eq!(plain.qualifies, pruned.qualifies, "τ = {tau}");
-            assert!(pruned.upper <= plain.upper + 1e-12, "pruned bound must be tighter");
+            let outcome = exists_threshold(&chain, &o, &w, tau, &EngineConfig::default()).unwrap();
+            assert_eq!(outcome.qualifies, exact >= tau, "τ = {tau}");
+            assert!(outcome.lower <= exact + 1e-12 && exact <= outcome.upper + 1e-12, "τ = {tau}");
         }
     }
 
     #[test]
-    fn batched_outcomes_equal_the_single_object_driver_at_every_batch_size() {
-        // Same trimmed core, same bounds: decision, lower, upper and the
-        // early flag agree field by field, whatever the batch holds.
-        let n = 40;
-        let chain = ust_markov::testutil::random_chain(11, n, 3);
-        let mut rng = ust_markov::testutil::rng(12);
-        let mut db = TrajectoryDatabase::new(chain.clone());
-        for id in 0..23u64 {
-            let dist = ust_markov::testutil::random_distribution(&mut rng, n, 3);
-            let t0 = (id % 3) as u32;
-            db.insert(UncertainObject::with_single_observation(
-                id,
-                Observation::uncertain(t0, dist).unwrap(),
-            ))
-            .unwrap();
-        }
-        let window = QueryWindow::from_states(n, 5usize..=9, TimeSet::new([2, 4, 5, 8])).unwrap();
-        let indices: Vec<usize> = (0..db.len()).collect();
-        let reach = ReachPlan::prepare(&db, &indices, &window, ReachRule::Exists).unwrap();
-        for tau in [0.05, 0.2, 0.5, 0.9] {
-            let single: Vec<ThresholdOutcome> = db
-                .objects()
-                .iter()
-                .map(|o| {
-                    exists_threshold(&chain, o, &window, tau, &EngineConfig::default()).unwrap()
-                })
-                .collect();
-            assert!(single.iter().any(|o| o.early), "τ = {tau}: some bound must decide early");
-            for batch_size in [1usize, 7, 64] {
-                let config = EngineConfig::default().with_batch_size(batch_size);
-                let mut stats = EvalStats::new();
-                let mut pipeline = Propagator::new(&config, &mut stats);
-                let batched =
-                    threshold_batched(&mut pipeline, &db, &indices, &window, &reach, tau).unwrap();
-                assert_eq!(batched, single, "τ = {tau}, batch = {batch_size}");
-            }
-        }
+    fn reported_bounds_stay_ordered_inside_the_unit_interval() {
+        // ⊤ is a sum of many products: on this instance it reaches
+        // 1 + 1 ulp, which `lower` used to report raw — above `upper`.
+        let seed = 14u64;
+        let n = 6 + (seed % 6) as usize;
+        let matrix =
+            testutil::random_stochastic(&mut testutil::rng(seed), n, 2 + (seed % 3) as usize);
+        let chain = MarkovChain::from_csr(matrix).unwrap();
+        let start = testutil::random_distribution(&mut testutil::rng(seed ^ 0xDA7A), n, 4);
+        let o =
+            UncertainObject::with_single_observation(1, Observation::uncertain(0, start).unwrap());
+        let inside = (0..n).filter(|&s| s != (seed as usize) % n);
+        let w = QueryWindow::from_states(n, inside, TimeSet::interval(1, 6)).unwrap();
+        let outcome = exists_threshold(&chain, &o, &w, 1.0, &EngineConfig::default()).unwrap();
+        assert_eq!(
+            outcome,
+            ThresholdOutcome { qualifies: true, lower: 1.0, upper: 1.0, early: true }
+        );
     }
 
     #[test]
-    fn pruner_rejects_unreachable_objects_immediately() {
+    fn reach_schedule_rejects_unreachable_objects_before_any_transition() {
         // A 5-state "conveyor belt" moving right: an object at state 4
         // (the absorbing end) can never come back to state 0.
         let chain = MarkovChain::from_csr(
@@ -448,7 +299,9 @@ mod tests {
         let o = UncertainObject::with_single_observation(1, Observation::exact(0, 5, 4).unwrap());
         let w = QueryWindow::from_states(5, [0usize], TimeSet::interval(3, 8)).unwrap();
         let mut stats = EvalStats::new();
-        let outcome = threshold_batched_one(&chain, &o, &w, 0.01, &mut stats);
+        let outcome =
+            exists_threshold_with_stats(&chain, &o, &w, 0.01, &EngineConfig::default(), &mut stats)
+                .unwrap();
         assert!(!outcome.qualifies);
         assert!(outcome.early);
         assert_eq!(stats.transitions, 0, "decided before any propagation");

@@ -324,5 +324,7 @@ proptest! {
         prop_assert_eq!(outcome.qualifies, exact >= tau,
             "τ = {}, exact = {}, outcome = {:?}", tau, exact, outcome);
         prop_assert!(outcome.lower <= exact + TOL && exact <= outcome.upper + TOL);
+        prop_assert!(0.0 <= outcome.lower && outcome.lower <= outcome.upper && outcome.upper <= 1.0,
+            "outcome = {:?}", outcome);
     }
 }
