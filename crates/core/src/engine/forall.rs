@@ -43,7 +43,7 @@ use crate::engine::query_based::{self, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
-use crate::query::{ObjectProbability, QueryWindow};
+use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// PST∀Q (Definition 3) for one object, object-based evaluation.
@@ -117,7 +117,7 @@ impl ForwardRule for ForAll {
 /// outside `S▫`) and the mass the ∀ schedule decided (worlds certain to
 /// leave it).
 fn forall_answer(escaped: f64, decided: f64) -> f64 {
-    (1.0 - (escaped + decided)).max(0.0)
+    unit_clamp(1.0 - (escaped + decided))
 }
 
 /// PST∀Q for the whole database, object-based.

@@ -28,7 +28,7 @@ use crate::engine::query_based::{evaluate_fields, AnchoredField, BackwardField, 
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
-use crate::query::{ObjectKDistribution, QueryWindow};
+use crate::query::{unit_clamp, ObjectKDistribution, QueryWindow};
 use crate::stats::EvalStats;
 
 /// The paper's memory-efficient `C(t)` algorithm (object-based).
@@ -95,7 +95,7 @@ impl ForwardRule for KTimes {
 /// into `[0, 1]` — no engine reports a probability outside the unit
 /// interval.
 fn level_masses(rows: &[PropagationVector], decided: &[f64]) -> Vec<f64> {
-    rows.iter().zip(decided).map(|(r, d)| (r.sum() + d).clamp(0.0, 1.0)).collect()
+    rows.iter().zip(decided).map(|(r, d)| unit_clamp(r.sum() + d)).collect()
 }
 
 /// The column shift of the `C(t)` algorithm: for every state `s ∈ S▫`, the

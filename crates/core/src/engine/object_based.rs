@@ -32,7 +32,7 @@ use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, Re
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
-use crate::query::{ObjectProbability, QueryWindow};
+use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// One member of the object-based family: what happens to `S▫` at a query
@@ -112,7 +112,7 @@ impl ForwardRule for Exists {
     const REACH: ReachRule = ReachRule::Exists;
 
     fn finish(&mut self, swept: Swept<'_>, _stats: &mut EvalStats) -> ObjectProbability {
-        ObjectProbability { object_id: swept.object.id(), probability: swept.hit.min(1.0) }
+        ObjectProbability { object_id: swept.object.id(), probability: unit_clamp(swept.hit) }
     }
 }
 

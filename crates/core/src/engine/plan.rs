@@ -9,12 +9,15 @@
 //! decision record: per-strategy cost estimates derived from database and
 //! window statistics (object count, propagation horizon, matrix density,
 //! backward-field cache residency), the chosen [`Strategy`], and a
-//! human-readable rationale. [`crate::engine::QueryProcessor::explain`]
-//! returns the plan without executing;
-//! [`crate::engine::QueryProcessor::execute`] plans and then dispatches to
-//! the batched, sharded counterparts of the sequential reference drivers —
-//! so planned answers are bit-for-bit identical to the paper's algorithms
-//! run with no planner, pool or cache (pinned by `tests/query_planner.rs`).
+//! human-readable rationale. The module is the two halves of a query's
+//! life, and clock-free: `prepare` resolves the candidates, runs the
+//! index prefilter and — when asked — costs
+//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone);
+//! `refine` dispatches to the batched, sharded counterparts of the
+//! sequential reference drivers — so planned answers are bit-for-bit
+//! identical to the paper's algorithms run with no planner, pool or cache
+//! (pinned by `tests/query_planner.rs`). The serving function that strings
+//! them together, times them and records them lives with the processor.
 //!
 //! ## Cost model
 //!
@@ -42,7 +45,6 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::cluster;
 use crate::database::TrajectoryDatabase;
@@ -234,19 +236,12 @@ pub(crate) fn resolve_indices(db: &TrajectoryDatabase, spec: &QuerySpec) -> Resu
     }
 }
 
-/// The outcome of an index prefilter pass: the candidates that survive and
-/// the complement that was pruned, both as ascending database indices
-/// partitioning the resolved set.
-pub(crate) struct Prefiltered {
-    /// Candidates the engines will actually evaluate.
-    pub survivors: Vec<usize>,
-    /// Candidates with provably `P∃ = 0`, answered without evaluation.
-    pub pruned: Vec<usize>,
-}
-
 /// Runs the spatio-temporal index over the resolved candidate set, when
-/// that is both enabled and *provably answer-preserving*. Returns `None`
-/// whenever the unpruned path must run instead — which is the common case:
+/// that is both enabled and *provably answer-preserving*: the candidates
+/// that survive and the complement that was pruned (provably `P∃ = 0`,
+/// answered without evaluation), both ascending, partitioning `indices`.
+/// Returns `None` whenever the unpruned path must run instead — which is
+/// the common case:
 ///
 /// * [`PrefilterMode::Off`], or [`PrefilterMode::Auto`] on a database
 ///   below the size floor, or no index (no attached space);
@@ -264,7 +259,7 @@ fn prefilter_candidates(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
     indices: &[usize],
-) -> Option<Prefiltered> {
+) -> Option<(Vec<usize>, Vec<usize>)> {
     match ctx.config.prefilter {
         PrefilterMode::Off => return None,
         PrefilterMode::Auto if indices.len() < PREFILTER_AUTO_MIN_OBJECTS => return None,
@@ -314,7 +309,7 @@ fn prefilter_candidates(
             pruned.push(idx);
         }
     }
-    Some(Prefiltered { survivors, pruned })
+    Some((survivors, pruned))
 }
 
 /// The interval-envelope clusters to decide threshold candidates with, when
@@ -337,24 +332,44 @@ fn envelope_clusters(
     (!index.clusters().is_empty()).then_some(index)
 }
 
-/// Builds the [`QueryPlan`] for a spec: resolves the candidate set, runs
-/// the index prefilter, estimates every strategy's cost from the surviving
-/// candidates and cache residency, then resolves [`Strategy::Auto`] to the
-/// cheaper exact strategy (explicit overrides are echoed with the same
-/// estimates attached).
-pub(crate) fn plan(ctx: &ExecContext<'_>, spec: &QuerySpec) -> Result<QueryPlan> {
-    let indices = resolve_indices(ctx.db, spec)?;
-    match prefilter_candidates(ctx, spec, &indices) {
-        Some(pre) => plan_on(ctx, spec, &pre.survivors, pre.pruned.len()),
-        None => plan_on(ctx, spec, &indices, 0),
-    }
+/// A spec resolved against one database snapshot — what the *prepare* half
+/// of a query's life hands to [`refine`]: the candidates the engines will
+/// evaluate, the complement the index answered for, the strategy to run
+/// under, and the cost model's record when it was asked for.
+pub(crate) struct Prepared {
+    /// Candidates to evaluate (ascending database indices; the index
+    /// prefilter's survivors when it ran).
+    pub indices: Vec<usize>,
+    /// Index-pruned candidates, answered as exact `P∃ = 0` unevaluated.
+    pub pruned: Vec<usize>,
+    /// The strategy [`refine`] dispatches on: the spec's own, or the
+    /// planner's resolution of [`Strategy::Auto`].
+    pub strategy: Strategy,
+    /// The planner's decision record — present exactly when `prepare` was
+    /// asked to cost.
+    pub plan: Option<QueryPlan>,
 }
 
-/// The planning body over already-prefiltered indices (`pruned` counts the
-/// candidates the index discarded), so [`execute`] pays the subset
-/// resolution and the index pass once, not per phase. The cost estimates
-/// see only the surviving candidates — this is where pruning shrinks the
-/// planner's `|D|`.
+/// The prepare half of a query's life, shared by `explain`, a standing
+/// query's strategy pinning and every execution: resolves the candidate
+/// set, runs the index prefilter, and — only when `cost` is set —
+/// estimates every strategy from the surviving candidates and cache
+/// residency, resolving [`Strategy::Auto`] to the cheaper exact strategy
+/// (explicit overrides are echoed with the same estimates attached). The
+/// cost model has a consumer only under `Auto` and in `explain`; an
+/// explicit-strategy execution skips its residency probes entirely.
+pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Prepared> {
+    let indices = resolve_indices(ctx.db, spec)?;
+    let (indices, pruned) =
+        prefilter_candidates(ctx, spec, &indices).unwrap_or((indices, Vec::new()));
+    let plan = cost.then(|| plan_on(ctx, spec, &indices, pruned.len())).transpose()?;
+    let strategy = plan.as_ref().map_or(spec.strategy(), |p| p.strategy);
+    Ok(Prepared { indices, pruned, strategy, plan })
+}
+
+/// The cost model over already-prefiltered indices (`pruned` counts the
+/// candidates the index discarded). The estimates see only the surviving
+/// candidates — this is where pruning shrinks the planner's `|D|`.
 fn plan_on(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
@@ -464,108 +479,20 @@ fn plan_on(
     })
 }
 
-/// Plans and executes a spec: the engine behind
-/// [`crate::engine::QueryProcessor::execute`] and the body of every
-/// asynchronously submitted query.
-pub(crate) fn execute(
+/// The refine half of a query's life: runs a prepared spec under its
+/// resolved strategy — the strategy × predicate × decorator dispatch onto
+/// the batched, sharded drivers. Index-pruned candidates are answered as
+/// exact `P∃ = 0` without being evaluated.
+pub(crate) fn refine(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
+    prepared: &Prepared,
     stats: &mut EvalStats,
 ) -> Result<QueryAnswer> {
-    execute_monitored(ctx, spec, stats, None, None)
-}
-
-/// [`execute`] with the serving hooks attached: `interrupt` is polled
-/// once **between planning and execution** (how a submitted query's
-/// cancellation flag or deadline sheds the expensive phase), and
-/// `queue_wait` is the submission-to-start latency attributed to the
-/// execution's metrics record. Every call — synchronous or asynchronous —
-/// reports plan time, execute time and cache counters to
-/// [`crate::serving::Metrics`]. The cost model itself runs only when it
-/// has a consumer — under [`Strategy::Auto`], where it decides the
-/// strategy; an explicit strategy skips the cost-model and residency
-/// probes entirely.
-/// An execution shed by `interrupt` is *not* recorded as an execution;
-/// the async lifecycle counters account for it instead.
-pub(crate) fn execute_monitored(
-    ctx: &ExecContext<'_>,
-    spec: &QuerySpec,
-    stats: &mut EvalStats,
-    interrupt: Option<&(dyn Fn() -> Option<QueryError> + '_)>,
-    queue_wait: Option<Duration>,
-) -> Result<QueryAnswer> {
-    let need_plan = spec.strategy() == Strategy::Auto;
-    // lint: allow(wall-clock-in-deterministic-path) — metrics capture only:
-    // plan_time is recorded into the serving ledger after the fact and never
-    // feeds any query's strategy choice.
-    let plan_start = Instant::now();
-    let planned = resolve_indices(ctx.db, spec).and_then(|indices| {
-        let (indices, pruned) = match prefilter_candidates(ctx, spec, &indices) {
-            Some(pre) => (pre.survivors, pre.pruned),
-            None => (indices, Vec::new()),
-        };
-        if need_plan {
-            plan_on(ctx, spec, &indices, pruned.len()).map(|plan| (indices, pruned, Some(plan)))
-        } else {
-            Ok((indices, pruned, None))
-        }
-    });
-    let (indices, pruned, plan) = match planned {
-        Ok(v) => v,
-        Err(e) => {
-            ctx.metrics.record_execution(&crate::serving::ExecutionRecord {
-                predicate: spec.predicate(),
-                strategy: spec.strategy(),
-                plan_time: plan_start.elapsed(),
-                execute_time: Duration::ZERO,
-                queue_wait,
-                delta: EvalStats::new(),
-                ok: false,
-            });
-            return Err(e);
-        }
-    };
-    let plan_time = plan_start.elapsed();
-    let strategy = plan.as_ref().map_or(spec.strategy(), |p| p.strategy);
-    debug_assert!(strategy != Strategy::Auto, "Auto always plans");
-    if let Some(check) = interrupt {
-        if let Some(err) = check() {
-            return Err(err);
-        }
-    }
-    let before = stats.clone();
-    // lint: allow(wall-clock-in-deterministic-path) — metrics capture only:
-    // execute_time is an observability record; the dispatch below is
-    // already committed to `strategy`.
-    let exec_start = Instant::now();
+    let &Prepared { ref indices, ref pruned, strategy, .. } = prepared;
+    debug_assert!(strategy != Strategy::Auto, "an Auto spec is prepared with costing");
     stats.candidates_examined += indices.len() as u64;
     stats.candidates_pruned += pruned.len() as u64;
-    let result = dispatch(ctx, spec, strategy, &indices, &pruned, stats);
-    ctx.metrics.record_execution(&crate::serving::ExecutionRecord {
-        predicate: spec.predicate(),
-        strategy,
-        plan_time,
-        execute_time: exec_start.elapsed(),
-        queue_wait,
-        delta: stats.delta_since(&before),
-        ok: result.is_ok(),
-    });
-    result
-}
-
-/// Runs a spec under an already-resolved strategy — the strategy ×
-/// predicate × decorator dispatch onto the batched, sharded drivers.
-/// `pruned` holds the index-pruned complement of `indices` (empty when no
-/// prefilter ran); pruned objects are answered as exact `P∃ = 0` without
-/// being evaluated.
-fn dispatch(
-    ctx: &ExecContext<'_>,
-    spec: &QuerySpec,
-    strategy: Strategy,
-    indices: &[usize],
-    pruned: &[usize],
-    stats: &mut EvalStats,
-) -> Result<QueryAnswer> {
     let window = spec.window();
 
     let sampling = spec.sampling();
@@ -772,7 +699,7 @@ fn exists_probs(
             field_answers(ctx, FieldRule::Exists, indices, window, stats, probability_row)
         }
         Strategy::MonteCarlo => Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, 1)),
-        Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
+        Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }
 
@@ -868,7 +795,7 @@ fn forall_probs(
         Strategy::ObjectBased => {
             forward_answers(ctx, forall::ForAll::over(window)?, indices, window, stats)
         }
-        Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
+        Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }
 
@@ -888,7 +815,7 @@ fn ktimes_dists(
             field_answers(ctx, FieldRule::KTimes, indices, window, stats, ktimes::distribution_row)
         }
         Strategy::MonteCarlo => mc_counts(ctx, sampling, indices, window, stats),
-        Strategy::Auto => Err(QueryError::internal("execute resolves Auto before dispatch")),
+        Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }
 

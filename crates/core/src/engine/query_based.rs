@@ -44,7 +44,7 @@ use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
-use crate::query::{ObjectProbability, QueryWindow};
+use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// What a backward sweep does to the window states `S▫` at a query
@@ -342,7 +342,7 @@ impl AnchoredField<'_> {
             };
             p += mass * value;
         }
-        p.min(1.0)
+        unit_clamp(p)
     }
 
     /// Answers one object anchored at this time from a
@@ -368,7 +368,7 @@ impl AnchoredField<'_> {
         }
         // Sums of many products overshoot 1 by an ulp or two.
         for p in &mut out {
-            *p = p.clamp(0.0, 1.0);
+            *p = unit_clamp(*p);
         }
         Some(out)
     }

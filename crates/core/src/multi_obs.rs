@@ -29,7 +29,7 @@ use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
-use crate::query::{ObjectProbability, QueryWindow};
+use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
 
 /// PST∃Q probability for an object with an arbitrary number of
@@ -115,7 +115,7 @@ pub fn exists_probability_multi_with_stats(
         return Err(QueryError::ImpossibleEvidence);
     }
     // `+ 0.0` normalizes a possible IEEE negative zero for display.
-    Ok((hit / total).clamp(0.0, 1.0) + 0.0)
+    Ok(unit_clamp(hit / total) + 0.0)
 }
 
 /// Database-level PST∃Q honoring all observations of every object.

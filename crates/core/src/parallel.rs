@@ -37,23 +37,19 @@
 //! ∃/∀/k, threshold decisions and top-k rankings (asserted by the tests
 //! below and the property suite).
 //!
-//! ## Admission control
+//! ## Detached jobs and shutdown
 //!
 //! Detached jobs (the [`crate::engine::QueryProcessor::submit`] path) are
-//! where overload lives: nothing blocks the submitter, so without a bound
-//! a burst can queue arbitrary work. Each shard queue therefore carries
-//! a configurable depth bound — [`WorkerPool::with_queue_depth`] — that
-//! [`WorkerPool::try_spawn`] enforces by handing the job back instead of
-//! enqueueing it ([`WorkerPool::spawn`] and the scoped path stay
-//! unconditional: a scoped submitter is already blocked on its own
-//! latch). Queue depths and the bound are observable through
-//! [`WorkerPool::stats`] / [`PoolStats`]. Depth-bounded pools also shut
-//! down like a server rather than a batch runner: jobs still queued when
-//! the pool is dropped are **discarded** (their `Drop` impls run, which
-//! is how abandoned query tickets get completed with
-//! `QueryError::AsyncQueryDropped`), whereas unbounded [`WorkerPool::new`]
-//! pools keep the PR 3 drain-to-completion semantics the process-wide
-//! [`shared_pool`] relies on.
+//! where overload lives: nothing blocks the submitter. The pool does not
+//! bound them — its queues are unbounded, and admission is decided once,
+//! by the processor's gate, before a job is ever built. Queue depths are
+//! observable through [`WorkerPool::stats`] / [`PoolStats`]. What the pool
+//! does choose is how it shuts down: a [`WorkerPool::shedding`] pool (the
+//! one a processor owns) behaves like a server — jobs still queued when it
+//! is dropped are **discarded** (their `Drop` impls run, which is how
+//! abandoned query tickets get completed with
+//! `QueryError::AsyncQueryDropped`) — whereas [`WorkerPool::new`] pools
+//! drain to completion, as the process-wide [`shared_pool`] relies on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,28 +84,15 @@ impl std::fmt::Debug for QueueState {
     }
 }
 
-/// A per-shard queue: its mutex-guarded state, the condvar the owning
-/// worker parks on while the queue is empty, and the depth bound
-/// [`ShardQueue::try_push`] enforces for detached jobs (`usize::MAX`
-/// means unbounded).
-#[derive(Debug)]
+/// A per-shard queue: its mutex-guarded state and the condvar the owning
+/// worker parks on while the queue is empty.
+#[derive(Debug, Default)]
 struct ShardQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
-    limit: usize,
-}
-
-impl Default for ShardQueue {
-    fn default() -> ShardQueue {
-        ShardQueue::with_limit(usize::MAX)
-    }
 }
 
 impl ShardQueue {
-    fn with_limit(limit: usize) -> ShardQueue {
-        ShardQueue { state: Mutex::default(), ready: Condvar::new(), limit }
-    }
-
     // Every lock below recovers from poisoning instead of panicking: the
     // queue and latch state stay consistent under unwinds (a panicking job
     // never holds these locks), and `run_scoped`'s soundness argument
@@ -119,20 +102,6 @@ impl ShardQueue {
         state.jobs.push_back((id, job));
         drop(state);
         self.ready.notify_one();
-    }
-
-    /// Enqueues the job unless the queue is at its depth bound or already
-    /// shut down, handing the job back on refusal (backpressure, never
-    /// blocking).
-    fn try_push(&self, id: u64, job: Job) -> std::result::Result<(), Job> {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.shutdown || state.jobs.len() >= self.limit {
-            return Err(job);
-        }
-        state.jobs.push_back((id, job));
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
     }
 
     /// Removes a still-queued job by id — the dequeue half of best-effort
@@ -218,28 +187,24 @@ impl Drop for CompletionGuard<'_> {
 ///
 /// Dropping the pool shuts it down and joins the worker threads. What
 /// happens to jobs still queued at that point depends on the constructor:
-/// unbounded [`WorkerPool::new`] pools drain them to completion (the PR 3
-/// semantics the process-wide [`shared_pool`] relies on), depth-bounded
-/// [`WorkerPool::with_queue_depth`] pools **discard** them — a serving
-/// pool shutting down mid-burst sheds its backlog, and dropping the job
-/// boxes runs their `Drop` impls, which is what completes abandoned
-/// query tickets with `QueryError::AsyncQueryDropped` instead of leaving
-/// their waiters blocked forever. A job that panics is caught on the
+/// [`WorkerPool::new`] pools drain them to completion (what the
+/// process-wide [`shared_pool`] relies on), [`WorkerPool::shedding`] pools
+/// **discard** them — a serving pool shutting down mid-burst sheds its
+/// backlog, and dropping the job boxes runs their `Drop` impls, which is
+/// what completes abandoned query tickets with
+/// `QueryError::AsyncQueryDropped` instead of leaving their waiters
+/// blocked forever. A job that panics is caught on the
 /// worker (the thread survives for the next query) and the panic is
 /// re-raised on the thread that submitted the batch.
 pub struct WorkerPool {
     queues: Arc<Vec<ShardQueue>>,
     handles: Vec<JoinHandle<()>>,
     next_job: AtomicU64,
-    max_queue_depth: Option<usize>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("num_threads", &self.num_threads())
-            .field("max_queue_depth", &self.max_queue_depth)
-            .finish()
+        f.debug_struct("WorkerPool").field("num_threads", &self.num_threads()).finish()
     }
 }
 
@@ -255,14 +220,10 @@ pub struct PoolStats {
     pub queued_jobs: usize,
     /// Per-shard queue depths, indexed by shard.
     pub shard_depths: Vec<usize>,
-    /// The per-shard depth bound detached spawns are held to, if the pool
-    /// was built with one.
-    pub max_queue_depth: Option<usize>,
 }
 
 /// Identifies one detached job on its pool — returned by
-/// [`WorkerPool::spawn`] / [`WorkerPool::try_spawn`] and accepted by
-/// [`WorkerPool::cancel_queued`].
+/// [`WorkerPool::spawn`] and accepted by [`WorkerPool::cancel_queued`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobHandle {
     shard: usize,
@@ -271,31 +232,24 @@ pub struct JobHandle {
 
 impl WorkerPool {
     /// Spawns a pool of `num_threads` workers (clamped to at least 1), each
-    /// owning one unbounded work queue; queued jobs are drained to
-    /// completion on drop.
+    /// owning one work queue; queued jobs are drained to completion on
+    /// drop.
     pub fn new(num_threads: usize) -> WorkerPool {
-        WorkerPool::build(num_threads, None)
+        WorkerPool::build(num_threads, false)
     }
 
-    /// As [`WorkerPool::new`], but every shard queue refuses detached
-    /// [`WorkerPool::try_spawn`] jobs beyond `max_queue_depth` pending
-    /// entries (`0` means unbounded), and jobs still queued when the pool
-    /// is dropped are discarded rather than drained — the serving
+    /// As [`WorkerPool::new`], but jobs still queued when the pool is
+    /// dropped are discarded rather than drained — the serving
     /// configuration [`crate::engine::QueryProcessor`] uses for the pool
     /// it owns.
-    pub fn with_queue_depth(num_threads: usize, max_queue_depth: usize) -> WorkerPool {
-        WorkerPool::build(num_threads, Some(max_queue_depth))
+    pub fn shedding(num_threads: usize) -> WorkerPool {
+        WorkerPool::build(num_threads, true)
     }
 
-    fn build(num_threads: usize, depth: Option<usize>) -> WorkerPool {
+    fn build(num_threads: usize, discard_on_shutdown: bool) -> WorkerPool {
         let num_threads = num_threads.max(1);
-        let limit = match depth {
-            Some(0) | None => usize::MAX,
-            Some(d) => d,
-        };
-        let discard_on_shutdown = depth.is_some();
         let queues: Arc<Vec<ShardQueue>> =
-            Arc::new((0..num_threads).map(|_| ShardQueue::with_limit(limit)).collect());
+            Arc::new((0..num_threads).map(|_| ShardQueue::default()).collect());
         let handles = (0..num_threads)
             .map(|i| {
                 let queues = Arc::clone(&queues);
@@ -309,22 +263,12 @@ impl WorkerPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        WorkerPool {
-            queues,
-            handles,
-            next_job: AtomicU64::new(0),
-            max_queue_depth: depth.filter(|&d| d > 0),
-        }
+        WorkerPool { queues, handles, next_job: AtomicU64::new(0) }
     }
 
     /// The number of worker threads (and shard queues).
     pub fn num_threads(&self) -> usize {
         self.queues.len()
-    }
-
-    /// The per-shard depth bound detached spawns are held to, if any.
-    pub fn max_queue_depth(&self) -> Option<usize> {
-        self.max_queue_depth
     }
 
     /// Jobs currently queued (not yet running) on shard
@@ -340,7 +284,6 @@ impl WorkerPool {
             num_threads: self.queues.len(),
             queued_jobs: shard_depths.iter().sum(),
             shard_depths,
-            max_queue_depth: self.max_queue_depth,
         }
     }
 
@@ -369,9 +312,6 @@ impl WorkerPool {
             // and the latch local) outlives this call.
             let erased: Job = unsafe { erase_job_lifetime(wrapped) };
             let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-            // Scoped jobs bypass the depth bound: the submitter is about
-            // to block on the latch, so the backlog is already bounded by
-            // the callers themselves.
             self.queues[i % self.queues.len()].push(id, erased);
         }
         let panicked = latch.wait();
@@ -379,9 +319,7 @@ impl WorkerPool {
     }
 
     /// Enqueues one detached `'static` job on shard queue
-    /// `shard % num_threads` and returns immediately — ignoring any depth
-    /// bound. Prefer [`WorkerPool::try_spawn`] for admission-controlled
-    /// submission.
+    /// `shard % num_threads` and returns immediately.
     ///
     /// Unlike [`WorkerPool::run_scoped`] nothing blocks: the job must own
     /// everything it touches (completion is typically signalled through a
@@ -394,23 +332,6 @@ impl WorkerPool {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.queues[shard].push(id, job);
         JobHandle { shard, id }
-    }
-
-    /// As [`WorkerPool::spawn`], but refuses the job — handing it back
-    /// instead of enqueueing — when shard queue `shard % num_threads` is
-    /// at its depth bound (or the pool is shutting down). The
-    /// backpressure primitive behind
-    /// [`crate::engine::QueryProcessor::submit`]'s `QueueFull` rejection:
-    /// the caller is never blocked either way.
-    pub fn try_spawn(
-        &self,
-        shard: usize,
-        job: Box<dyn FnOnce() + Send + 'static>,
-    ) -> std::result::Result<JobHandle, Box<dyn FnOnce() + Send + 'static>> {
-        let shard = shard % self.queues.len();
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.queues[shard].try_push(id, job)?;
-        Ok(JobHandle { shard, id })
     }
 
     /// Removes a detached job from its queue if the worker has not popped
@@ -891,63 +812,8 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_rejects_overflow_without_blocking() {
-        // One worker, depth 2. Gate the worker so queued depths are
-        // deterministic, then overfill the queue.
-        let pool = WorkerPool::with_queue_depth(1, 2);
-        assert_eq!(pool.max_queue_depth(), Some(2));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let worker_gate = Arc::clone(&gate);
-        pool.spawn(
-            0,
-            Box::new(move || {
-                let (lock, cv) = &*worker_gate;
-                let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }),
-        );
-        // Wait for the worker to pop the gate job so the queue is empty.
-        while pool.shard_depth(0) > 0 {
-            std::thread::yield_now();
-        }
-        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut accepted = 0usize;
-        let mut rejected = 0usize;
-        for _ in 0..5 {
-            let ran = Arc::clone(&ran);
-            let job: Job = Box::new(move || {
-                ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            });
-            match pool.try_spawn(0, job) {
-                Ok(_) => accepted += 1,
-                Err(_returned_job) => rejected += 1,
-            }
-        }
-        assert_eq!(accepted, 2, "exactly the depth bound is admitted");
-        assert_eq!(rejected, 3, "the overflow is refused, never queued");
-        let stats = pool.stats();
-        assert_eq!(stats.queued_jobs, 2);
-        assert_eq!(stats.shard_depths, vec![2]);
-        assert_eq!(stats.max_queue_depth, Some(2));
-        // Release the gate: the admitted jobs run, the rejected never do.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cv.notify_all();
-        drop(pool);
-        // Depth-bounded pools discard on shutdown, but these two were
-        // already queued before the gate opened and the drain-side
-        // ordering (gate job finishes, then pop) means they may run or be
-        // shed; the gate released before drop, so the worker pops them
-        // before it ever observes shutdown only if it wins the race.
-        // What must hold: no rejected job ever ran.
-        assert!(ran.load(std::sync::atomic::Ordering::SeqCst) <= 2);
-    }
-
-    #[test]
     fn cancel_queued_removes_pending_jobs_only() {
-        let pool = WorkerPool::with_queue_depth(1, 0);
+        let pool = WorkerPool::shedding(1);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let worker_gate = Arc::clone(&gate);
         pool.spawn(
@@ -973,16 +839,13 @@ mod tests {
         }
         let sensor = DropSensor(Arc::clone(&dropped));
         let ran_flag = Arc::clone(&ran);
-        let handle = match pool.try_spawn(
+        let handle = pool.spawn(
             0,
             Box::new(move || {
                 let _sensor = &sensor;
                 ran_flag.store(true, std::sync::atomic::Ordering::SeqCst);
             }),
-        ) {
-            Ok(handle) => handle,
-            Err(_) => panic!("unbounded queue must admit the job"),
-        };
+        );
         assert!(pool.cancel_queued(handle), "still queued — removable");
         assert!(dropped.load(std::sync::atomic::Ordering::SeqCst), "the job box was dropped");
         assert!(!pool.cancel_queued(handle), "second cancel finds nothing");
@@ -996,8 +859,7 @@ mod tests {
     #[test]
     fn bounded_pool_discards_backlog_on_shutdown_unbounded_drains() {
         for (discard, expect_ran) in [(true, false), (false, true)] {
-            let pool =
-                if discard { WorkerPool::with_queue_depth(1, 0) } else { WorkerPool::new(1) };
+            let pool = if discard { WorkerPool::shedding(1) } else { WorkerPool::new(1) };
             // Close the queues first: the worker exits immediately, so a
             // job spawned afterwards can never be popped — it is dropped
             // (discard mode) when the pool's queues are freed, exactly

@@ -158,8 +158,19 @@ impl ObjectKDistribution {
         if k == 0 {
             return 1.0;
         }
-        self.probabilities.iter().skip(k).sum::<f64>().min(1.0)
+        unit_clamp(self.probabilities.iter().skip(k).sum::<f64>())
     }
+}
+
+/// The one place a computed probability is brought into `[0, 1]`: sums of
+/// many products overshoot the unit interval by an ulp or two, and every
+/// engine reports through here so none of them answers outside it. A value
+/// that has to move further than rounding explains is a bug in the caller,
+/// not something to hide — debug builds assert on it.
+pub(crate) fn unit_clamp(p: f64) -> f64 {
+    let clamped = p.clamp(0.0, 1.0);
+    debug_assert!((p - clamped).abs() <= 1e-9, "{p} is further than rounding from [0, 1]");
+    clamped
 }
 
 /// The query predicate: *what* is asked of each object over the window.
@@ -273,6 +284,28 @@ impl QuerySpec {
     /// The sampling parameters used under [`Strategy::MonteCarlo`].
     pub fn sampling(&self) -> MonteCarlo {
         self.sampling
+    }
+
+    // The field updates standing queries derive their pinned and probe
+    // specs with. Each keeps a validated spec valid (the window stays, no
+    // threshold is introduced), so none re-runs the builder's checks.
+
+    /// This spec under `strategy`.
+    pub(crate) fn with_strategy(mut self, strategy: Strategy) -> QuerySpec {
+        self.strategy = strategy;
+        self
+    }
+
+    /// This spec asking for every object's probability / distribution.
+    pub(crate) fn with_probabilities(mut self) -> QuerySpec {
+        self.decorator = Decorator::Probabilities;
+        self
+    }
+
+    /// This spec restricted to the single object `id`.
+    pub(crate) fn restricted_to(mut self, id: u64) -> QuerySpec {
+        self.objects = Some(vec![id]);
+        self
     }
 }
 

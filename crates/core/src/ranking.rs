@@ -21,7 +21,7 @@ use ust_markov::PropagationVector;
 
 use crate::engine::object_based::{ForwardRule, Swept};
 use crate::engine::pipeline::ReachRule;
-use crate::query::ObjectProbability;
+use crate::query::{unit_clamp, ObjectProbability};
 use crate::stats::EvalStats;
 
 /// One ranked result.
@@ -69,7 +69,7 @@ impl ForwardRule for TopK {
     const REACH: ReachRule = ReachRule::Exists;
 
     fn retires(&self, hit: f64, rows: &[PropagationVector]) -> bool {
-        let upper = (hit + rows[0].sum()).min(1.0);
+        let upper = unit_clamp(hit + rows[0].sum());
         let full = self.best.len() >= self.k;
         let kth_bound = self.best.last().copied().filter(|_| full).unwrap_or(0.0);
         // Dismiss an object that can no longer *strictly* beat the k-th
@@ -93,7 +93,7 @@ impl ForwardRule for TopK {
                 None
             }
             None => {
-                let probability = swept.hit.min(1.0);
+                let probability = unit_clamp(swept.hit);
                 let at = self.best.partition_point(|&p| p >= probability);
                 self.best.insert(at, probability);
                 self.best.truncate(self.k);

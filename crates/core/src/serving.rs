@@ -20,10 +20,12 @@
 //! and a plan that flipped with machine noise would flip result bits).
 
 use std::fmt;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use crate::query::{Predicate, Strategy};
+use crate::error::{QueryError, Result};
+use crate::query::{Predicate, QuerySpec, Strategy};
 use crate::stats::EvalStats;
 
 /// How an asynchronously submitted query left the system — the
@@ -42,6 +44,126 @@ pub(crate) enum AsyncOutcome {
     DeadlineExpired,
     /// Panicked on its worker.
     Panicked,
+}
+
+impl AsyncOutcome {
+    /// How admitted work that ended with `outcome` left the system.
+    pub(crate) fn of<T>(outcome: &Result<T>) -> AsyncOutcome {
+        match outcome {
+            Ok(_) => AsyncOutcome::Completed,
+            Err(QueryError::Cancelled) => AsyncOutcome::Cancelled,
+            Err(QueryError::AsyncQueryDropped) => AsyncOutcome::Dropped,
+            Err(QueryError::DeadlineExceeded) => AsyncOutcome::DeadlineExpired,
+            Err(QueryError::AsyncQueryPanicked) => AsyncOutcome::Panicked,
+            Err(_) => AsyncOutcome::Failed,
+        }
+    }
+}
+
+/// The one admission gate of a processor: the pending counter
+/// [`crate::engine::EngineConfig::max_queue_depth`] bounds, the deadline
+/// admitted work is shed at, and the registry both are tallied in.
+/// Submitted queries and standing-query refreshes pass the same gate, so
+/// re-evaluation load and submissions share one budget — and this is the
+/// only place the bound is enforced.
+#[derive(Debug)]
+pub(crate) struct AdmissionGate {
+    /// Slots handed out and not yet released.
+    pending: AtomicUsize,
+    /// The pending bound (`usize::MAX` when unbounded).
+    limit: usize,
+    deadline: Option<Duration>,
+    metrics: Metrics,
+}
+
+impl AdmissionGate {
+    /// A gate admitting at most `max_queue_depth` slots at a time (`0` =
+    /// unbounded) and shedding work older than `deadline`.
+    pub(crate) fn new(max_queue_depth: usize, deadline: Option<Duration>) -> AdmissionGate {
+        let limit = if max_queue_depth == 0 { usize::MAX } else { max_queue_depth };
+        AdmissionGate { pending: AtomicUsize::new(0), limit, deadline, metrics: Metrics::new() }
+    }
+
+    /// The serving registry this gate tallies into.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Reserves a slot for evaluating `spec`, or rejects with
+    /// [`QueryError::QueueFull`] without blocking. `since` is when the
+    /// work entered the system (submission, or the arrival behind a
+    /// refresh): what the deadline and the queue wait are measured from.
+    pub(crate) fn admit(
+        self: &Arc<Self>,
+        spec: &QuerySpec,
+        since: Instant,
+    ) -> Result<AdmissionSlot> {
+        let mut current = self.pending.load(Ordering::Relaxed);
+        loop {
+            if current >= self.limit {
+                self.metrics.record_rejected(spec.predicate(), spec.strategy());
+                return Err(QueryError::QueueFull { limit: self.limit });
+            }
+            // AcqRel pairs with the release in `AdmissionSlot::release`:
+            // a slot observed free was fully given back.
+            match self.pending.compare_exchange_weak(
+                current,
+                current + 1,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(observed) => current = observed,
+            }
+        }
+        self.metrics.record_accepted();
+        Ok(AdmissionSlot { gate: Arc::clone(self), since, held: true })
+    }
+}
+
+/// One admitted unit of work's hold on the [`AdmissionGate`]. Whoever
+/// finishes the work releases the slot with how it ended; a slot dropped
+/// while still held (its owner unwound, or was discarded without running)
+/// releases itself — so every exit path frees the slot and is tallied
+/// exactly once.
+#[derive(Debug)]
+pub(crate) struct AdmissionSlot {
+    gate: Arc<AdmissionGate>,
+    since: Instant,
+    held: bool,
+}
+
+impl AdmissionSlot {
+    /// Time since the admitted work entered the system.
+    pub(crate) fn waited(&self) -> Duration {
+        self.since.elapsed()
+    }
+
+    /// True once the work has waited past the gate's deadline.
+    pub(crate) fn expired(&self) -> bool {
+        self.gate.deadline.is_some_and(|deadline| self.since.elapsed() > deadline)
+    }
+
+    /// Gives the slot back and tallies `outcome`. Only the first call does
+    /// (and returns true).
+    pub(crate) fn release(&mut self, outcome: AsyncOutcome) -> bool {
+        let held = std::mem::replace(&mut self.held, false);
+        if held {
+            self.gate.pending.fetch_sub(1, Ordering::AcqRel);
+            self.gate.metrics.record_async_finished(outcome);
+        }
+        held
+    }
+}
+
+impl Drop for AdmissionSlot {
+    fn drop(&mut self) {
+        self.release(if std::thread::panicking() {
+            AsyncOutcome::Panicked
+        } else {
+            AsyncOutcome::Dropped
+        });
+    }
 }
 
 /// One execution's worth of accounting handed to
@@ -308,44 +430,24 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    submitted: u64,
-    accepted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    dropped: u64,
-    deadline_expired: u64,
-    panicked: u64,
-    in_flight: u64,
-    executions: u64,
-    plans: Vec<PlanMetrics>,
-    streams: Vec<StreamMetrics>,
-}
-
-impl Inner {
+impl MetricsSnapshot {
     fn plan_entry(&mut self, predicate: Predicate, strategy: Strategy) -> &mut PlanMetrics {
-        if let Some(pos) =
-            self.plans.iter().position(|p| p.predicate == predicate && p.strategy == strategy)
-        {
-            return &mut self.plans[pos];
-        }
-        self.plans.push(PlanMetrics::new(predicate, strategy));
-        // lint: allow(panicking-call-in-lib) — `last_mut` on the vector the
-        // previous line pushed to; it cannot be empty here.
-        self.plans.last_mut().expect("just pushed")
+        let known =
+            self.plans.iter().position(|p| p.predicate == predicate && p.strategy == strategy);
+        let pos = known.unwrap_or_else(|| {
+            self.plans.push(PlanMetrics::new(predicate, strategy));
+            self.plans.len() - 1
+        });
+        &mut self.plans[pos]
     }
 
     fn stream_entry(&mut self, subscription_id: u64) -> &mut StreamMetrics {
-        if let Some(pos) = self.streams.iter().position(|s| s.subscription_id == subscription_id) {
-            return &mut self.streams[pos];
-        }
-        self.streams.push(StreamMetrics::new(subscription_id));
-        // lint: allow(panicking-call-in-lib) — `last_mut` on the vector the
-        // previous line pushed to; it cannot be empty here.
-        self.streams.last_mut().expect("just pushed")
+        let known = self.streams.iter().position(|s| s.subscription_id == subscription_id);
+        let pos = known.unwrap_or_else(|| {
+            self.streams.push(StreamMetrics::new(subscription_id));
+            self.streams.len() - 1
+        });
+        &mut self.streams[pos]
     }
 }
 
@@ -354,7 +456,8 @@ impl Inner {
 /// so a panicking job can never wedge the accounting.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    inner: Mutex<Inner>,
+    /// The live ledger *is* a snapshot — the one every reader clones.
+    inner: Mutex<MetricsSnapshot>,
 }
 
 impl Metrics {
@@ -363,7 +466,7 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -460,22 +563,7 @@ impl Metrics {
 
     /// An owned, consistent snapshot of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.lock();
-        MetricsSnapshot {
-            submitted: inner.submitted,
-            accepted: inner.accepted,
-            rejected: inner.rejected,
-            completed: inner.completed,
-            failed: inner.failed,
-            cancelled: inner.cancelled,
-            dropped: inner.dropped,
-            deadline_expired: inner.deadline_expired,
-            panicked: inner.panicked,
-            in_flight: inner.in_flight,
-            executions: inner.executions,
-            plans: inner.plans.clone(),
-            streams: inner.streams.clone(),
-        }
+        self.lock().clone()
     }
 }
 

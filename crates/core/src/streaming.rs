@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use crate::engine::plan;
 use crate::error::{QueryError, Result};
 use crate::query::{
-    Decorator, ObjectKDistribution, ObjectProbability, Predicate, Query, QueryAnswer, QuerySpec,
+    Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
 };
 
 /// The undecorated per-object state a [`Subscription`] maintains between
@@ -92,9 +92,10 @@ pub(crate) struct SubscriptionInner {
     /// batch execution returns. Error states are maintained with the same
     /// fidelity as answers: the equivalence harness compares both.
     pub(crate) raw: Result<RawAnswer>,
-    /// Set when a re-evaluation was shed (admission bound or deadline):
-    /// the maintained state no longer reflects the database, and the next
-    /// admitted refresh resynchronizes with a full re-evaluation.
+    /// Set while the maintained state does not reflect the database: a
+    /// re-evaluation was shed (admission bound or deadline), unwound, or
+    /// is still running. The next admitted refresh of a stale subscription
+    /// resynchronizes with a full re-evaluation.
     pub(crate) stale: bool,
     /// The most recent shed error, for dashboards.
     pub(crate) last_shed: Option<QueryError>,
@@ -120,14 +121,26 @@ pub(crate) struct SubscriptionState {
     pub(crate) cancelled: AtomicBool,
 }
 
+impl SubscriptionInner {
+    /// Replaces the maintained state with a full evaluation's outcome: the
+    /// subscription reflects the database that evaluation ran against.
+    pub(crate) fn resync(&mut self, raw: Result<RawAnswer>) {
+        self.raw = raw;
+        self.stale = false;
+    }
+}
+
 impl SubscriptionState {
-    pub(crate) fn new(id: u64, spec: QuerySpec, raw: Result<RawAnswer>) -> SubscriptionState {
+    /// A subscription that has not been evaluated yet. It is born stale —
+    /// its state reflects no database — and `watch` seeds it with a full
+    /// evaluation before anyone can read it.
+    pub(crate) fn unseeded(id: u64, spec: QuerySpec) -> SubscriptionState {
         SubscriptionState {
             id,
             spec,
             inner: Mutex::new(SubscriptionInner {
-                raw,
-                stale: false,
+                raw: Err(QueryError::internal("a subscription is seeded before it is read")),
+                stale: true,
                 last_shed: None,
                 notifications: 0,
             }),
@@ -162,52 +175,22 @@ impl SubscriptionState {
     }
 }
 
-/// Rebuilds `spec` with an explicit strategy — how `watch` pins a
+/// `spec` under an explicit strategy — how `watch` pins a
 /// [`crate::query::Strategy::Auto`] spec to the planner's choice once,
 /// instead of re-planning (and possibly flipping bits) on every arrival.
-pub(crate) fn pin_strategy(
-    spec: &QuerySpec,
-    strategy: crate::query::Strategy,
-) -> Result<QuerySpec> {
-    let builder = match spec.predicate() {
-        Predicate::Exists => Query::exists(),
-        Predicate::ForAll => Query::forall(),
-        Predicate::KTimes(k) => Query::ktimes(k),
-    };
-    let builder =
-        builder.window(spec.window().clone()).strategy(strategy).sampling(spec.sampling());
-    let builder = match spec.decorator() {
-        Decorator::Probabilities => builder.probabilities(),
-        Decorator::Threshold(tau) => builder.threshold(tau),
-        Decorator::TopK(k) => builder.top_k(k),
-    };
-    let builder = match spec.objects() {
-        Some(ids) => builder.objects(ids.iter().copied()),
-        None => builder,
-    };
-    builder.build()
+pub(crate) fn pin_strategy(spec: &QuerySpec, strategy: crate::query::Strategy) -> QuerySpec {
+    spec.clone().with_strategy(strategy)
 }
 
 /// The probabilities-decorated probe of `spec` the maintained state is
 /// computed with — same predicate, window, strategy, sampling and subset,
 /// optionally narrowed to a single object for incremental refreshes.
-pub(crate) fn probe_spec(spec: &QuerySpec, object: Option<u64>) -> Result<QuerySpec> {
-    let builder = match spec.predicate() {
-        Predicate::Exists => Query::exists(),
-        Predicate::ForAll => Query::forall(),
-        Predicate::KTimes(k) => Query::ktimes(k),
-    };
-    let builder = builder
-        .window(spec.window().clone())
-        .probabilities()
-        .strategy(spec.strategy())
-        .sampling(spec.sampling());
-    let builder = match (object, spec.objects()) {
-        (Some(id), _) => builder.objects([id]),
-        (None, Some(ids)) => builder.objects(ids.iter().copied()),
-        (None, None) => builder,
-    };
-    builder.build()
+pub(crate) fn probe_spec(spec: &QuerySpec, object: Option<u64>) -> QuerySpec {
+    let probe = spec.clone().with_probabilities();
+    match object {
+        Some(id) => probe.restricted_to(id),
+        None => probe,
+    }
 }
 
 /// A continuously maintained standing query, registered with
@@ -283,9 +266,10 @@ impl Subscription {
         self.state.lock().notifications
     }
 
-    /// True when a shed re-evaluation left the answer behind the
-    /// database; the subscription resynchronizes (with a full
-    /// re-evaluation) on its next admitted refresh.
+    /// True while the answer is behind the database: a re-evaluation was
+    /// shed (or unwound) and the subscription resynchronizes, with a full
+    /// re-evaluation, on its next admitted refresh — or a refresh is
+    /// running right now and about to commit.
     pub fn is_stale(&self) -> bool {
         self.state.lock().stale
     }
@@ -325,7 +309,7 @@ mod tests {
     use crate::engine::{object_based, EngineConfig, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use crate::query::QueryWindow;
+    use crate::query::{Query, QueryWindow};
     use crate::stats::EvalStats;
     use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
@@ -438,7 +422,7 @@ mod tests {
         let probs = vec![p(1, 0.9), p(2, 0.3), p(3, 0.7)];
 
         let threshold = Query::exists().window(window.clone()).threshold(0.5).build().unwrap();
-        let state = SubscriptionState::new(0, threshold, Ok(RawAnswer::Probs(probs.clone())));
+        let state = SubscriptionState::unseeded(0, threshold);
         assert_eq!(
             state.derive(&RawAnswer::Probs(probs.clone())),
             QueryAnswer::ObjectIds(vec![1, 3]),
@@ -446,7 +430,7 @@ mod tests {
         );
 
         let topk = Query::exists().window(window.clone()).top_k(2).build().unwrap();
-        let state = SubscriptionState::new(1, topk, Ok(RawAnswer::Probs(probs.clone())));
+        let state = SubscriptionState::unseeded(1, topk);
         match state.derive(&RawAnswer::Probs(probs)) {
             QueryAnswer::Ranked(r) => {
                 assert_eq!(r.len(), 2);
@@ -465,7 +449,7 @@ mod tests {
             .strategy(Strategy::QueryBased)
             .build()
             .unwrap();
-        let state = SubscriptionState::new(2, ktimes, Ok(RawAnswer::Dists(dists.clone())));
+        let state = SubscriptionState::unseeded(2, ktimes);
         assert_eq!(state.derive(&RawAnswer::Dists(dists)), QueryAnswer::ObjectIds(vec![1]));
     }
 
@@ -479,12 +463,12 @@ mod tests {
             .objects([5u64, 2])
             .build()
             .unwrap();
-        let full = probe_spec(&spec, None).unwrap();
+        let full = probe_spec(&spec, None);
         assert_eq!(full.predicate(), spec.predicate());
         assert_eq!(full.decorator(), Decorator::Probabilities);
         assert_eq!(full.strategy(), Strategy::QueryBased);
         assert_eq!(full.objects(), Some(&[2u64, 5][..]));
-        let narrowed = probe_spec(&spec, Some(5)).unwrap();
+        let narrowed = probe_spec(&spec, Some(5));
         assert_eq!(narrowed.objects(), Some(&[5u64][..]));
     }
 }

@@ -18,7 +18,7 @@ use crate::engine::pipeline::ReachRule;
 use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::object::UncertainObject;
-use crate::query::QueryWindow;
+use crate::query::{unit_clamp, QueryWindow};
 use crate::stats::EvalStats;
 
 /// Outcome of a thresholded PST∃Q on one object.
@@ -63,7 +63,7 @@ fn exists_threshold_with_stats(
 /// `alive` is what reach trimming left in the vector — the mass that can
 /// still hit (none at `t_end`).
 fn decide(hit: f64, alive: f64, tau: f64) -> (Option<bool>, f64) {
-    let upper = (hit + alive).min(1.0);
+    let upper = unit_clamp(hit + alive);
     let decision = if hit >= tau {
         Some(true)
     } else if upper < tau {
@@ -108,7 +108,7 @@ impl ForwardRule for Threshold {
         // decisions compare it raw, the reported bound is clamped.
         ThresholdOutcome {
             qualifies: decision == Some(true),
-            lower: swept.hit.min(1.0),
+            lower: unit_clamp(swept.hit),
             upper,
             early,
         }

@@ -145,14 +145,18 @@ impl RuleId {
             | RuleId::LockPoisonIdiom
             | RuleId::UnusedWaiver
             | RuleId::MalformedWaiver => true,
-            // Plan decisions and propagation kernels must be pure functions
-            // of their inputs: these are the modules whose bit-for-bit
-            // equivalence the tier-1 tests pin across strategies and
-            // batch/thread configurations.
+            // Plan decisions, engines and propagation kernels must be pure
+            // functions of their inputs: these are the modules whose
+            // bit-for-bit equivalence the tier-1 tests pin across
+            // strategies and batch/thread configurations. The serving
+            // modules are the exception — they stamp stage boundaries
+            // (submission, arrival, plan | execute) *around* that code.
             RuleId::WallClockInDeterministicPath => {
-                path == "crates/core/src/engine/pipeline.rs"
-                    || path == "crates/core/src/engine/plan.rs"
-                    || path.starts_with("crates/markov/src/")
+                const SERVING: [&str; 3] = ["processor.rs", "refresh.rs", "ticket.rs"];
+                match path.strip_prefix("crates/core/src/engine/") {
+                    Some(module) => !SERVING.contains(&module),
+                    None => path.starts_with("crates/markov/src/"),
+                }
             }
             // Library code only: the bench harness is an experiment driver
             // where a panic on a bad configuration is the desired behavior.
@@ -190,7 +194,13 @@ mod tests {
     #[test]
     fn scoping_matches_the_issue() {
         let wall = RuleId::WallClockInDeterministicPath;
-        assert!(wall.applies_to("crates/core/src/engine/plan.rs"));
+        for engine in ["plan", "pipeline", "object_based", "query_based", "cache", "mod", "config"]
+        {
+            assert!(wall.applies_to(&format!("crates/core/src/engine/{engine}.rs")), "{engine}");
+        }
+        for serving in ["processor", "refresh", "ticket"] {
+            assert!(!wall.applies_to(&format!("crates/core/src/engine/{serving}.rs")), "{serving}");
+        }
         assert!(wall.applies_to("crates/markov/src/kernels.rs"));
         assert!(!wall.applies_to("crates/core/src/serving.rs"));
         assert!(!wall.applies_to("crates/bench/src/lib.rs"));

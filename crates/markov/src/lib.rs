@@ -43,7 +43,6 @@ pub mod hybrid;
 pub mod interval;
 pub mod kernels;
 pub mod mask;
-pub mod power;
 pub mod span_vec;
 pub mod sparse_vec;
 pub mod stochastic;
@@ -57,7 +56,6 @@ pub use error::{MarkovError, Result};
 pub use hybrid::{BatchStepStats, PropagationVector};
 pub use interval::IntervalMatrix;
 pub use mask::StateMask;
-pub use power::PowerCache;
 pub use span_vec::SpanVector;
 pub use sparse_vec::SparseVector;
 pub use stochastic::StochasticMatrix;

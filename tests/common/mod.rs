@@ -55,6 +55,38 @@ pub fn random_db(
     db
 }
 
+/// Blocks every worker of `processor`'s pool until the returned closure is
+/// called, so jobs submitted or sharded onto the pool in between stay
+/// deterministically queued.
+pub fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    let pool = processor.pool().expect("gated tests need an owned pool");
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    for shard in 0..pool.num_threads() {
+        let gate = Arc::clone(&gate);
+        pool.spawn(
+            shard,
+            Box::new(move || {
+                let (lock, cv) = &*gate;
+                let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                while !*open {
+                    open = cv.wait(open).unwrap_or_else(PoisonError::into_inner);
+                }
+            }),
+        );
+    }
+    // Wait until every gate job has been popped: the queues are now empty
+    // and every worker is parked inside its gate.
+    while pool.stats().queued_jobs > 0 {
+        std::thread::yield_now();
+    }
+    move || {
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        cv.notify_all();
+    }
+}
+
 /// Executes `builder` (window and strategy already attached) and returns
 /// its per-object probabilities.
 pub fn probs(processor: &QueryProcessor, builder: QueryBuilder) -> Vec<ObjectProbability> {

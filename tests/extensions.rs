@@ -1,7 +1,6 @@
 //! Integration tests for the engineering extensions layered on the paper's
-//! framework: persistence, top-k ranking, cluster pruning and the
-//! Chapman-Kolmogorov power cache — all exercised together through the
-//! public facade.
+//! framework: persistence, top-k ranking and cluster pruning — all
+//! exercised together through the public facade.
 
 mod common;
 
@@ -10,7 +9,6 @@ use ust::prelude::*;
 use ust_core::cluster;
 use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
-use ust_markov::PowerCache;
 
 fn dataset() -> ust_data::SyntheticDataset {
     synthetic::generate(&SyntheticConfig {
@@ -68,20 +66,6 @@ fn topk_matches_threshold_and_exact_order() {
                 assert!(accepted.ids().unwrap().contains(&r.object_id));
             }
         }
-    }
-}
-
-#[test]
-fn power_cache_predicts_like_the_chain() {
-    let data = dataset();
-    let chain = &data.db.models()[0];
-    let mut cache = PowerCache::new(chain.stochastic());
-    let object = data.db.object(0).unwrap();
-    for horizon in [0u32, 1, 7, 25] {
-        let via_cache = cache.propagate_sparse(object.initial_distribution(), horizon).unwrap();
-        let via_steps =
-            chain.propagate_sparse(object.initial_distribution(), horizon).unwrap().to_dense();
-        assert!(via_cache.approx_eq(&via_steps, 1e-9), "horizon {horizon} diverged");
     }
 }
 

@@ -2,6 +2,9 @@
 //! API must surface as a typed error, never a panic or a silent wrong
 //! answer.
 
+mod common;
+
+use common::gate_workers;
 use ust::prelude::*;
 use ust_core::engine::{exhaustive, forall, object_based, query_based};
 use ust_core::{multi_obs, smoothing, QueryError};
@@ -213,34 +216,6 @@ fn streaming_spec(db: &TrajectoryDatabase) -> QuerySpec {
     Query::exists().window(window).build().unwrap()
 }
 
-/// Blocks every pool worker until the returned closure is called.
-fn gate_pool(processor: &QueryProcessor) -> impl FnOnce() + 'static {
-    use std::sync::{Arc, Condvar, Mutex};
-    let pool = processor.pool().expect("gated tests need an owned pool");
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    for shard in 0..pool.num_threads() {
-        let gate = Arc::clone(&gate);
-        pool.spawn(
-            shard,
-            Box::new(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }),
-        );
-    }
-    while pool.stats().queued_jobs > 0 {
-        std::thread::yield_now();
-    }
-    move || {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cv.notify_all();
-    }
-}
-
 #[test]
 fn ingest_validation_errors_are_typed() {
     let db = streaming_db();
@@ -274,7 +249,7 @@ fn refresh_sheds_queue_full_then_resynchronizes() {
     let sub = processor.watch(&spec).unwrap();
     let before = sub.answer();
 
-    let release = gate_pool(&processor);
+    let release = gate_workers(&processor);
     let ticket = processor.submit(&spec).unwrap();
     // The submit holds the only admission slot, so the refresh is shed.
     assert_eq!(

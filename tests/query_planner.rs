@@ -492,7 +492,7 @@ fn tickets_surface_errors_and_readiness() {
     let answer = ticket.wait().unwrap();
     assert_eq!(answer.len(), 3);
     let ticket = processor.submit(&spec).unwrap();
-    while !ticket.is_ready() {
+    while !ticket.is_done() {
         std::thread::yield_now();
     }
     assert!(ticket.wait().is_ok());

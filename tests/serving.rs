@@ -18,14 +18,13 @@
 //!   cancelled submission leaving the processor's caches bit-for-bit
 //!   consistent with a fresh processor.
 
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::assert_bit_eq;
+use common::{assert_bit_eq, gate_workers};
 use ust::prelude::*;
 use ust_core::engine::monte_carlo::MonteCarlo;
 use ust_core::Strategy;
@@ -53,36 +52,6 @@ fn random_db(seed: u64, n: usize, objects: usize) -> TrajectoryDatabase {
 
 fn window(n: usize) -> QueryWindow {
     QueryWindow::from_states(n, [1usize, 2], TimeSet::interval(3, 5)).unwrap()
-}
-
-/// Blocks every pool worker until the returned closure is called, so
-/// submitted jobs stay deterministically queued.
-fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
-    let pool = processor.pool().expect("gated tests need an owned pool");
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    for shard in 0..pool.num_threads() {
-        let gate = Arc::clone(&gate);
-        pool.spawn(
-            shard,
-            Box::new(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }),
-        );
-    }
-    // Wait until every gate job has been popped: the queues are now empty
-    // and every worker is parked inside its gate.
-    while pool.stats().queued_jobs > 0 {
-        std::thread::yield_now();
-    }
-    move || {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cv.notify_all();
-    }
 }
 
 /// The acceptance scenario: a burst of `2 × max_queue_depth` submissions
@@ -400,4 +369,60 @@ fn mixed_submits_and_ingests_keep_accounting_identities() {
         &QueryProcessor::new(&processor.snapshot()).execute(sub.spec()).unwrap(),
         "the subscription tracks the mixed stream",
     );
+}
+
+/// `watch` must not lose an arrival. The seed evaluation of a new
+/// subscription runs under the same lock as every refresh, from its
+/// database snapshot through its registration — so an `ingest` (or an
+/// `insert`) applied while the seed is still evaluating finds the
+/// subscription registered and refreshes it. The interleaving is forced:
+/// the seed's shard jobs sit on a gated pool, the arrival is applied
+/// meanwhile, and only then does the seed finish.
+#[test]
+fn arrivals_during_watch_are_not_lost() {
+    for inserting in [false, true] {
+        let db = random_db(0x51AF, 8, 6);
+        let spec =
+            Query::exists().window(window(8)).strategy(Strategy::QueryBased).build().unwrap();
+        let processor =
+            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(2));
+        let pool = processor.pool().unwrap();
+        let mut rng = testutil::rng(0x51B0);
+        let fix = Observation::uncertain(1, testutil::random_distribution(&mut rng, 8, 2)).unwrap();
+
+        let release = gate_workers(&processor);
+        let sub = std::thread::scope(|scope| {
+            let watching = scope.spawn(|| processor.watch(&spec).unwrap());
+            // The seed evaluation has sharded onto the gated pool: `watch`
+            // holds its snapshot and cannot finish before the gate opens.
+            while pool.stats().queued_jobs == 0 {
+                std::thread::yield_now();
+            }
+            let arriving = scope.spawn(|| match inserting {
+                true => processor.insert(UncertainObject::with_single_observation(99, fix.clone())),
+                false => processor.ingest(1, fix.clone()).map(|_| ()),
+            });
+            // The write is visible before the arrival's notification phase
+            // (which may be waiting for `watch`) has run.
+            let written = |db: &TrajectoryDatabase| match inserting {
+                true => db.len() == 7,
+                false => db.object(1).is_some_and(|o| o.anchor().time() == 1),
+            };
+            while !written(&processor.snapshot()) {
+                std::thread::yield_now();
+            }
+            release();
+            arriving.join().unwrap().unwrap();
+            watching.join().unwrap()
+        });
+
+        let fresh = QueryProcessor::new(&processor.snapshot()).execute(sub.spec()).unwrap();
+        assert_bit_eq(&sub.answer().unwrap(), &fresh, "the arrival reached the new subscription");
+        assert!(!sub.is_stale());
+        assert_eq!(sub.notifications(), 1, "inserting={inserting}");
+        let metrics = processor.metrics();
+        let stream = metrics.stream(sub.id()).unwrap();
+        assert_eq!((stream.full_recomputes, stream.notifications, stream.reevaluations), (1, 1, 1));
+        assert_eq!(metrics.finished() + metrics.in_flight, metrics.accepted);
+    }
 }
