@@ -89,10 +89,10 @@ pub fn greedy_clusters(db: &TrajectoryDatabase, max_width: f64) -> Result<Vec<Mo
 /// evaluated in the given order): `Some(true)` — the cluster's lower bound
 /// already certifies `P∃ ≥ τ`; `Some(false)` — the upper bound rules it
 /// out; `None` — the interval straddles `τ` and the object needs exact
-/// evaluation. Decided objects count into [`EvalStats::objects_pruned`];
-/// each object is validated against `window` exactly like the exact
-/// drivers do, so a query that would fail without bounds fails here with
-/// the same first error.
+/// evaluation. Decided objects count into [`EvalStats::objects_pruned`].
+/// An object `window` is not valid for is left undecided: the exact driver
+/// that evaluates the undecided rest then fails with its own first error,
+/// in its own validation order, exactly as it would without bounds.
 pub fn decide_by_bounds(
     db: &TrajectoryDatabase,
     indices: &[usize],
@@ -127,7 +127,10 @@ pub fn decide_by_bounds(
         };
         let anchor = object.anchor();
         let a = anchor.time();
-        crate::engine::object_based::validate(db.model_of(object), object, window)?;
+        if crate::engine::object_based::validate(db.model_of(object), object, window).is_err() {
+            decisions.push(None);
+            continue;
+        }
         let (lo_vec, hi_vec) = match bound_cache.get(&(ci, a)) {
             Some(bounds) => bounds.clone(),
             None => {

@@ -316,25 +316,6 @@ impl TrajectoryDatabase {
     pub fn model_of(&self, object: &UncertainObject) -> &Arc<MarkovChain> {
         &self.inner.models[object.model()]
     }
-
-    /// The shared model, when there is exactly one.
-    pub fn shared_model(&self) -> Option<&Arc<MarkovChain>> {
-        if self.inner.models.len() == 1 {
-            Some(&self.inner.models[0])
-        } else {
-            None
-        }
-    }
-
-    /// Groups object indices by model index (used by the query-based engine
-    /// to amortize one backward pass per model, per Section V-C).
-    pub fn objects_by_model(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.inner.models.len()];
-        for (idx, o) in self.inner.objects.iter().enumerate() {
-            groups[o.model()].push(idx);
-        }
-        groups
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +346,7 @@ mod tests {
         assert_eq!(db.num_states(), 3);
         assert_eq!(db.object(0).unwrap().id(), 1);
         assert!(db.object(5).is_none());
-        assert!(db.shared_model().is_some());
+        assert_eq!(db.models().len(), 1);
     }
 
     #[test]
@@ -382,9 +363,8 @@ mod tests {
     fn multi_model_grouping() {
         let mut db = TrajectoryDatabase::with_models(vec![chain3(), chain3()]).unwrap();
         db.insert_all([object(1, 0), object(2, 1).with_model(1), object(3, 2)]).unwrap();
-        assert!(db.shared_model().is_none());
-        let groups = db.objects_by_model();
-        assert_eq!(groups, vec![vec![0, 2], vec![1]]);
+        let models: Vec<usize> = db.objects().iter().map(UncertainObject::model).collect();
+        assert_eq!(models, vec![0, 1, 0]);
         assert_eq!(db.model_of(db.object(1).unwrap()).num_states(), 3);
     }
 

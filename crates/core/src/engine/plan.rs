@@ -10,11 +10,13 @@
 //! window statistics (object count, propagation horizon, matrix density,
 //! backward-field cache residency), the chosen [`Strategy`], and a
 //! human-readable rationale. The module is the two halves of a query's
-//! life, and clock-free: `prepare` resolves the candidates, runs the
-//! index prefilter and — when asked — costs
+//! life, and clock-free: `prepare` resolves the spec's scope, runs the
+//! index filter over it — it holds one candidate set, the survivors; the
+//! pruned rest of the scope stays implicit — and, when asked, costs
 //! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone);
 //! `refine` dispatches to the batched, sharded counterparts of the
-//! sequential reference drivers — so planned answers are bit-for-bit
+//! sequential reference drivers and spells the pruned objects out as exact
+//! zeros only where an answer needs them — so planned answers are bit-for-bit
 //! identical to the paper's algorithms run with no planner, pool or cache
 //! (pinned by `tests/query_planner.rs`). The serving function that strings
 //! them together, times them and records them lives with the processor.
@@ -207,18 +209,58 @@ pub(crate) struct ExecContext<'a> {
     pub metrics: &'a crate::serving::Metrics,
 }
 
-/// Maps a spec's optional object-id subset to ascending database indices;
-/// `None` means the whole database. Fails with
+/// What a spec addresses, before any filtering.
+pub(crate) enum Scope {
+    /// The whole database, as its length: an index probe never has to
+    /// materialise `0..len` just to discard most of it.
+    Database(usize),
+    /// The spec's object-id subset, as ascending database indices.
+    Subset(Vec<usize>),
+}
+
+impl Scope {
+    fn len(&self) -> usize {
+        match self {
+            Scope::Database(len) => *len,
+            Scope::Subset(indices) => indices.len(),
+        }
+    }
+
+    /// Each object in scope, ascending, with its position in the scope's
+    /// ascending `survivors` — or `None` for one the index pruned, whose
+    /// `P∃` is `0` exactly. The pruned complement exists only as this walk
+    /// against a survivor cursor, run where an answer has to spell the
+    /// zeros out.
+    fn against<'a>(
+        &'a self,
+        survivors: &'a [usize],
+    ) -> impl Iterator<Item = (usize, Option<usize>)> + 'a {
+        let mut cursor = 0usize;
+        (0..self.len()).map(move |i| {
+            let idx = match self {
+                Scope::Database(_) => i,
+                Scope::Subset(indices) => indices[i],
+            };
+            let survivor = (survivors.get(cursor) == Some(&idx)).then_some(cursor);
+            cursor += usize::from(survivor.is_some());
+            (idx, survivor)
+        })
+    }
+}
+
+/// Maps a spec's optional object-id subset to its [`Scope`]. Fails with
 /// [`QueryError::UnknownObject`] (the smallest missing id) when an id does
 /// not exist. On a store with ascending ids — id order is index order —
 /// each id is bisected, O(k·log |D|); otherwise one walk over the store
 /// collects every holder of a requested id.
-pub(crate) fn resolve_indices(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Vec<usize>> {
+fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
     match spec.objects() {
-        None => Ok((0..db.len()).collect()),
-        Some(ids) if db.ids_ascending() => {
-            ids.iter().map(|&id| db.index_of(id).ok_or(QueryError::UnknownObject { id })).collect()
-        }
+        None => Ok(Scope::Database(db.len())),
+        Some(ids) if db.ids_ascending() => ids
+            .iter()
+            .map(|&id| db.index_of(id).ok_or(QueryError::UnknownObject { id }))
+            .collect::<Result<_>>()
+            .map(Scope::Subset),
         Some(ids) => {
             let mut out = Vec::with_capacity(ids.len());
             let mut matched = vec![false; ids.len()];
@@ -231,20 +273,19 @@ pub(crate) fn resolve_indices(db: &TrajectoryDatabase, spec: &QuerySpec) -> Resu
             if let Some(pos) = matched.iter().position(|m| !m) {
                 return Err(QueryError::UnknownObject { id: ids[pos] });
             }
-            Ok(out)
+            Ok(Scope::Subset(out))
         }
     }
 }
 
-/// Runs the spatio-temporal index over the resolved candidate set, when
-/// that is both enabled and *provably answer-preserving*: the candidates
-/// that survive and the complement that was pruned (provably `P∃ = 0`,
-/// answered without evaluation), both ascending, partitioning `indices`.
-/// Returns `None` whenever the unpruned path must run instead — which is
-/// the common case:
+/// Runs the spatio-temporal index over the spec's scope, when that is both
+/// enabled and *provably answer-preserving*: the candidates that survive
+/// (ascending); the rest of the scope is provably `P∃ = 0` and answered
+/// without evaluation. Returns `None` whenever the unpruned path must run
+/// instead — which is the common case:
 ///
-/// * [`PrefilterMode::Off`], or [`PrefilterMode::Auto`] on a database
-///   below the size floor, or no index (no attached space);
+/// * [`PrefilterMode::Off`], or [`PrefilterMode::Auto`] on a scope below
+///   the size floor, or no index (no attached space);
 /// * a predicate other than `∃`, or the top-k decorator: pruned objects
 ///   would have to be re-synthesized into the answer, and only the `∃`
 ///   probability/threshold shapes make that bit-exact (a pruned object's
@@ -252,17 +293,18 @@ pub(crate) fn resolve_indices(db: &TrajectoryDatabase, spec: &QuerySpec) -> Resu
 ///   carry float residue and OB top-k dismisses on its own bounds, with a
 ///   different omission contract);
 /// * a window whose mask dimension differs from the database's, or one
-///   starting before the latest first observation over the candidates —
-///   in both cases the exact drivers are entitled to fail validation, and
-///   pruning must never mask that error.
+///   starting before the latest first observation over the scope — in
+///   both cases the exact drivers are entitled to fail validation, and
+///   pruning must never mask that error;
+/// * an index that prunes nothing.
 fn prefilter_candidates(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
-    indices: &[usize],
-) -> Option<(Vec<usize>, Vec<usize>)> {
+    scope: &Scope,
+) -> Option<Vec<usize>> {
     match ctx.config.prefilter {
         PrefilterMode::Off => return None,
-        PrefilterMode::Auto if indices.len() < PREFILTER_AUTO_MIN_OBJECTS => return None,
+        PrefilterMode::Auto if scope.len() < PREFILTER_AUTO_MIN_OBJECTS => return None,
         PrefilterMode::Auto | PrefilterMode::On => {}
     }
     if spec.predicate() != Predicate::Exists || matches!(spec.decorator(), Decorator::TopK(_)) {
@@ -277,39 +319,24 @@ fn prefilter_candidates(
     // is only sound when per-object validation could not have rejected the
     // window. All dimensions already match, so the only per-object check
     // left is `t_start ≥ anchor time` — over the whole database that is
-    // the index's O(1) max; over an explicit subset, an O(k) fold.
-    let max_anchor = if indices.len() == ctx.db.len() {
-        index.max_anchor_time()
-    } else {
-        indices
+    // the index's own maximum; over an explicit subset, an O(k) fold.
+    let max_anchor = match scope {
+        Scope::Database(_) => index.max_anchor_time(),
+        Scope::Subset(indices) => indices
             .iter()
             .filter_map(|&idx| ctx.db.object(idx).map(|o| o.anchor().time()))
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0),
     };
     if window.t_start() < max_anchor {
         return None;
     }
     let candidates = index.candidates(window);
-    let survivors = if indices.len() == ctx.db.len() {
-        candidates
-    } else {
-        intersect_sorted(indices, &candidates)
+    let survivors = match scope {
+        Scope::Database(_) => candidates,
+        Scope::Subset(indices) => intersect_sorted(indices, &candidates),
     };
-    if survivors.len() == indices.len() {
-        // Nothing pruned: the plain path avoids the merge bookkeeping.
-        return None;
-    }
-    let mut pruned = Vec::with_capacity(indices.len() - survivors.len());
-    let mut s = 0usize;
-    for &idx in indices {
-        if s < survivors.len() && survivors[s] == idx {
-            s += 1;
-        } else {
-            pruned.push(idx);
-        }
-    }
-    Some((survivors, pruned))
+    (survivors.len() < scope.len()).then_some(survivors)
 }
 
 /// The interval-envelope clusters to decide threshold candidates with, when
@@ -334,14 +361,16 @@ fn envelope_clusters(
 
 /// A spec resolved against one database snapshot — what the *prepare* half
 /// of a query's life hands to [`refine`]: the candidates the engines will
-/// evaluate, the complement the index answered for, the strategy to run
+/// evaluate, the scope the index pruned them from, the strategy to run
 /// under, and the cost model's record when it was asked for.
 pub(crate) struct Prepared {
-    /// Candidates to evaluate (ascending database indices; the index
-    /// prefilter's survivors when it ran).
+    /// Candidates to evaluate (ascending database indices): the index's
+    /// survivors when it pruned, the whole scope otherwise.
     pub indices: Vec<usize>,
-    /// Index-pruned candidates, answered as exact `P∃ = 0` unevaluated.
-    pub pruned: Vec<usize>,
+    /// The scope `indices` are the survivors of — its other members are
+    /// answered as exact `P∃ = 0`, unevaluated. `None` when nothing was
+    /// pruned and `indices` is the scope.
+    pub pruned_from: Option<Scope>,
     /// The strategy [`refine`] dispatches on: the spec's own, or the
     /// planner's resolution of [`Strategy::Auto`].
     pub strategy: Strategy,
@@ -350,21 +379,36 @@ pub(crate) struct Prepared {
     pub plan: Option<QueryPlan>,
 }
 
+impl Prepared {
+    /// Objects in scope the index answered for.
+    fn num_pruned(&self) -> usize {
+        self.pruned_from.as_ref().map_or(0, |scope| scope.len() - self.indices.len())
+    }
+}
+
 /// The prepare half of a query's life, shared by `explain`, a standing
-/// query's strategy pinning and every execution: resolves the candidate
-/// set, runs the index prefilter, and — only when `cost` is set —
-/// estimates every strategy from the surviving candidates and cache
-/// residency, resolving [`Strategy::Auto`] to the cheaper exact strategy
-/// (explicit overrides are echoed with the same estimates attached). The
-/// cost model has a consumer only under `Auto` and in `explain`; an
-/// explicit-strategy execution skips its residency probes entirely.
+/// query's strategy pinning and every execution: resolves the scope, runs
+/// the index prefilter over it, and — only when `cost` is set — estimates
+/// every strategy from the surviving candidates and cache residency,
+/// resolving [`Strategy::Auto`] to the cheaper exact strategy (explicit
+/// overrides are echoed with the same estimates attached). The cost model
+/// has a consumer only under `Auto` and in `explain`; an explicit-strategy
+/// execution skips its residency probes entirely.
 pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Prepared> {
-    let indices = resolve_indices(ctx.db, spec)?;
-    let (indices, pruned) =
-        prefilter_candidates(ctx, spec, &indices).unwrap_or((indices, Vec::new()));
-    let plan = cost.then(|| plan_on(ctx, spec, &indices, pruned.len())).transpose()?;
-    let strategy = plan.as_ref().map_or(spec.strategy(), |p| p.strategy);
-    Ok(Prepared { indices, pruned, strategy, plan })
+    let scope = resolve_scope(ctx.db, spec)?;
+    let survivors = prefilter_candidates(ctx, spec, &scope);
+    let (indices, pruned_from) = match (survivors, scope) {
+        (Some(survivors), scope) => (survivors, Some(scope)),
+        (None, Scope::Database(len)) => ((0..len).collect(), None),
+        (None, Scope::Subset(indices)) => (indices, None),
+    };
+    let mut prepared = Prepared { indices, pruned_from, strategy: spec.strategy(), plan: None };
+    if cost {
+        let plan = plan_on(ctx, spec, &prepared.indices, prepared.num_pruned())?;
+        prepared.strategy = plan.strategy;
+        prepared.plan = Some(plan);
+    }
+    Ok(prepared)
 }
 
 /// The cost model over already-prefiltered indices (`pruned` counts the
@@ -489,10 +533,10 @@ pub(crate) fn refine(
     prepared: &Prepared,
     stats: &mut EvalStats,
 ) -> Result<QueryAnswer> {
-    let &Prepared { ref indices, ref pruned, strategy, .. } = prepared;
+    let &Prepared { ref indices, ref pruned_from, strategy, .. } = prepared;
     debug_assert!(strategy != Strategy::Auto, "an Auto spec is prepared with costing");
     stats.candidates_examined += indices.len() as u64;
-    stats.candidates_pruned += pruned.len() as u64;
+    stats.candidates_pruned += prepared.num_pruned() as u64;
     let window = spec.window();
 
     let sampling = spec.sampling();
@@ -500,11 +544,15 @@ pub(crate) fn refine(
         Predicate::Exists => match spec.decorator() {
             Decorator::Probabilities => {
                 let probs = exists_probs(ctx, strategy, indices, window, sampling, stats)?;
-                Ok(QueryAnswer::Probabilities(merge_pruned_zeros(ctx.db, indices, probs, pruned)?))
+                Ok(QueryAnswer::Probabilities(match pruned_from {
+                    Some(scope) => with_pruned_zeros(ctx.db, scope, indices, probs)?,
+                    None => probs,
+                }))
             }
             Decorator::Threshold(tau) => {
+                let scope = pruned_from.as_ref();
                 let ids =
-                    threshold_ids(ctx, strategy, indices, pruned, window, tau, sampling, stats)?;
+                    threshold_ids(ctx, strategy, indices, scope, window, tau, sampling, stats)?;
                 Ok(QueryAnswer::ObjectIds(ids))
             }
             Decorator::TopK(k) => {
@@ -554,58 +602,25 @@ pub(crate) fn accepted_ids(probs: Vec<ObjectProbability>, tau: f64) -> Vec<u64> 
     probs.into_iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect()
 }
 
-/// One slot of a prefilter partition merged back into database-index
-/// order.
-enum Merged {
-    /// The survivor at this position of the survivor list.
-    Survivor(usize),
-    /// The index-pruned object at this database index.
-    Pruned(usize),
-}
-
-/// Walks the ascending, disjoint `survivors` and `pruned` database indices
-/// as one linear merge — the order the unpruned path produces.
-fn merged_order<'a>(
-    survivors: &'a [usize],
-    pruned: &'a [usize],
-) -> impl Iterator<Item = Merged> + 'a {
-    let (mut i, mut j) = (0usize, 0usize);
-    std::iter::from_fn(move || {
-        let slot = match (survivors.get(i), pruned.get(j)) {
-            (None, None) => return None,
-            (Some(s), Some(p)) if s < p => Merged::Survivor(i),
-            (Some(_), None) => Merged::Survivor(i),
-            (_, Some(&p)) => Merged::Pruned(p),
-        };
-        match slot {
-            Merged::Survivor(_) => i += 1,
-            Merged::Pruned(_) => j += 1,
-        }
-        Some(slot)
-    })
-}
-
-/// Re-interleaves index-pruned candidates into a probability answer as
-/// exact `0.0` entries, restoring database-index order.
-fn merge_pruned_zeros(
+/// A probability answer over `scope`, in database-index order: the
+/// survivors' computed `probs`, and an exact `0.0` for every object the
+/// index pruned.
+fn with_pruned_zeros(
     db: &TrajectoryDatabase,
+    scope: &Scope,
     survivors: &[usize],
     probs: Vec<ObjectProbability>,
-    pruned: &[usize],
 ) -> Result<Vec<ObjectProbability>> {
-    if pruned.is_empty() {
-        return Ok(probs);
-    }
     debug_assert_eq!(survivors.len(), probs.len());
-    // Sized up front: an index-pruned answer is as long as the database.
-    let mut out = Vec::with_capacity(survivors.len() + pruned.len());
+    // Sized up front: an index-pruned answer is as long as its scope.
+    let mut out = Vec::with_capacity(scope.len());
     let mut probs = probs.into_iter();
-    for slot in merged_order(survivors, pruned) {
-        out.push(match slot {
-            Merged::Survivor(_) => probs
+    for (idx, survivor) in scope.against(survivors) {
+        out.push(match survivor {
+            Some(_) => probs
                 .next()
                 .ok_or(QueryError::internal("the survivor list carries one probability each"))?,
-            Merged::Pruned(idx) => {
+            None => {
                 let object = db
                     .object(idx)
                     .ok_or(QueryError::internal("pruned indices resolve to database objects"))?;
@@ -619,14 +634,14 @@ fn merge_pruned_zeros(
 /// Thresholded-`∃` accepted ids over a prefiltered candidate set: cluster
 /// envelope bounds decide what they can (heterogeneous models only), the
 /// exact drivers evaluate the rest, and — only at `τ = 0`, where `P∃ = 0`
-/// still qualifies — the index-pruned complement is merged back in
-/// database-index order.
+/// still qualifies — the index-pruned rest of the scope `indices` were
+/// `pruned_from` is accepted with them, in database-index order.
 #[allow(clippy::too_many_arguments)]
 fn threshold_ids(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
     indices: &[usize],
-    pruned: &[usize],
+    pruned_from: Option<&Scope>,
     window: &QueryWindow,
     tau: f64,
     sampling: crate::engine::monte_carlo::MonteCarlo,
@@ -664,15 +679,15 @@ fn threshold_ids(
             .map(|o| o.id())
             .ok_or(QueryError::internal("threshold candidates resolve to database objects"))
     };
-    // Pruned objects have P∃ = 0: they qualify only at τ = 0, where they
-    // are merged back in database-index order.
-    let pruned = if tau > 0.0 { &[] } else { pruned };
-    merged_order(indices, pruned)
-        .filter_map(|slot| match slot {
-            Merged::Survivor(i) => (decisions[i] == Some(true)).then(|| id_of(indices[i])),
-            Merged::Pruned(idx) => Some(id_of(idx)),
-        })
-        .collect()
+    let accepted = |survivor: usize| decisions[survivor] == Some(true);
+    match pruned_from.filter(|_| tau <= 0.0) {
+        None => (0..indices.len()).filter(|&i| accepted(i)).map(|i| id_of(indices[i])).collect(),
+        Some(scope) => scope
+            .against(indices)
+            .filter(|&(_, survivor)| survivor.is_none_or(accepted))
+            .map(|(idx, _)| id_of(idx))
+            .collect(),
+    }
 }
 
 /// Reduces visit-count distributions to `P(visits ≥ k)` probabilities.

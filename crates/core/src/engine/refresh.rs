@@ -248,9 +248,10 @@ impl QueryProcessor {
             }
             Cause::Arrival { object_id, arrived } => (object_id, arrived),
         };
-        // Out of scope: the maintained answer provably cannot change, so
-        // nothing is invalidated or re-evaluated.
-        if sub.is_cancelled() || sub.spec.objects().is_some_and(|ids| !ids.contains(&object_id)) {
+        // Out of scope (a spec's ids are sorted): the maintained answer
+        // provably cannot change, so nothing is invalidated or re-evaluated.
+        let out_of_scope = |ids: &[u64]| ids.binary_search(&object_id).is_err();
+        if sub.is_cancelled() || sub.spec.objects().is_some_and(out_of_scope) {
             return;
         }
         let shed = |error: QueryError| {

@@ -1,16 +1,16 @@
-//! The spatio-temporal candidate index behind the planner's prefilter.
+//! The spatio-temporal candidate index: the filter step in front of the
+//! planner's refine step.
 //!
-//! Combines three pruning structures over one database snapshot:
+//! Two pruning structures over one database snapshot:
 //!
-//! 1. the [`ConePrefilter`]'s R-tree over object reachability cones
-//!    (geometry: which objects can possibly reach the query region by
-//!    `t_end`),
-//! 2. an [`IntervalIndex`] over object observation spans (time: which
-//!    objects are alive during the query window — spans are right-extended
-//!    to `u32::MAX` because the motion model extrapolates indefinitely past
-//!    the last observation, so the temporal test reduces to "has the object
-//!    been observed by `t_end`"), and
-//! 3. the interval-envelope [`ModelCluster`]s used by the clustered
+//! 1. an R-tree over the objects' reachability-cone anchors
+//!    ([`crate::prefilter`]): which objects can possibly be inside the query
+//!    region by `t_end`. Liveness — the object has been observed by `t_end`;
+//!    the motion model extrapolates indefinitely past the last observation,
+//!    so that is the whole temporal test — is part of the same per-anchor
+//!    predicate, `ConeAnchor::reaches`, which is the only place either
+//!    comparison is written;
+//! 2. the interval-envelope [`ModelCluster`]s used by the clustered
 //!    threshold protocol when the database hosts heterogeneous models.
 //!
 //! The index is built lazily per snapshot via
@@ -18,8 +18,8 @@
 //! snapshots taken by async `submit` keep the index they were built with,
 //! while mutations of the source database update it **incrementally** — the
 //! bulk-built structures stay immutable behind a shared `Arc` and mutated
-//! or inserted objects live in a small sorted *overlay* tested with exactly
-//! the same cone and liveness predicates ([`SpatioTemporalIndex::with_updated`]).
+//! or inserted objects live in a small sorted *overlay* of the same anchors,
+//! tested by the same predicate ([`SpatioTemporalIndex::with_updated`]).
 //! Once the overlay outgrows [`SpatioTemporalIndex::wants_compaction`]'s
 //! threshold the writer drops the index and the next read rebuilds it in
 //! bulk (compaction).
@@ -30,12 +30,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use ust_space::{IntervalIndex, Point2, Rect, StateSpace};
+use ust_space::{RTree, RTreeEntry, Rect, StateSpace};
 
 use crate::cluster::{greedy_clusters, ModelCluster};
 use crate::database::TrajectoryDatabase;
 use crate::object::UncertainObject;
-use crate::prefilter::{anchor_geometry, cone_radius, ConePrefilter};
+use crate::prefilter::{max_step_distance, ConeAnchor};
 use crate::query::QueryWindow;
 
 /// Greedy model-clustering budget, expressed as total envelope width per
@@ -54,31 +54,32 @@ const OVERLAY_COMPACTION_MIN: usize = 16;
 /// The immutable bulk-built portion of the index, `Arc`-shared between an
 /// index and its incrementally updated successors.
 struct IndexBase {
-    cones: ConePrefilter,
-    spans: IntervalIndex,
+    /// Anchor centroids, keyed by database index.
+    tree: RTree,
+    /// Cone geometry per database index; overlay keys at or beyond its
+    /// length are insertions, keys below it shadow stale entries.
+    anchors: Vec<ConeAnchor>,
+    /// The largest displacement of one transition of any model.
+    max_step: f64,
+    /// `max_a slack_a`: the `t_end`-independent part of the widest cone,
+    /// so the coarse expansion radius is O(1) per probe instead of a fold
+    /// over every anchor.
+    max_slack: f64,
+    /// `min_a slack_a`: the same for the *narrowest* cone, for accepting
+    /// whole R-tree leaves that sit within even the smallest reach.
+    min_slack: f64,
+    /// Latest anchor time over `anchors` (0 when empty).
+    max_anchor_time: u32,
     space: Arc<dyn StateSpace + Send + Sync>,
     clusters: Vec<ModelCluster>,
-    /// Number of objects covered by the bulk structures; overlay keys at or
-    /// beyond this are insertions, keys below it shadow stale base entries.
-    len: usize,
 }
 
-/// Cone geometry of one object mutated or inserted after the bulk build.
-#[derive(Debug, Clone, Copy)]
-struct OverlayEntry {
-    centroid: Point2,
-    radius: f64,
-    anchor_time: u32,
-}
-
-/// The combined cone + interval + cluster index over one database snapshot.
+/// The combined cone + cluster index over one database snapshot.
 pub struct SpatioTemporalIndex {
     base: Arc<IndexBase>,
-    /// Database indices whose geometry differs from the bulk build, sorted
-    /// by index. Base results for these indices are stale and discarded;
-    /// the overlay entry is tested with the exact cone + liveness
-    /// predicates instead.
-    overlay: BTreeMap<usize, OverlayEntry>,
+    /// Database indices whose geometry differs from the bulk build. Base
+    /// results for these indices are stale; the overlay anchor decides.
+    overlay: BTreeMap<usize, ConeAnchor>,
     num_objects: usize,
 }
 
@@ -96,9 +97,16 @@ impl fmt::Debug for SpatioTemporalIndex {
 impl SpatioTemporalIndex {
     /// Builds the index for all objects of `db` embedded in `space`.
     pub fn build(db: &TrajectoryDatabase, space: Arc<dyn StateSpace + Send + Sync>) -> Self {
-        let cones = ConePrefilter::build(db, space.as_ref());
-        let spans =
-            IntervalIndex::build(db.objects().iter().map(|o| (o.anchor().time(), u32::MAX)));
+        let max_step = db
+            .models()
+            .iter()
+            .map(|chain| max_step_distance(chain.as_ref(), space.as_ref()))
+            .fold(0.0f64, f64::max);
+        let anchors: Vec<ConeAnchor> =
+            db.objects().iter().map(|o| ConeAnchor::of(o, space.as_ref())).collect();
+        let slacks = || anchors.iter().map(|a| a.slack(max_step));
+        let entries =
+            anchors.iter().enumerate().map(|(id, a)| RTreeEntry { point: a.centroid, id });
         // Envelope clusters only pay off with heterogeneous models; the
         // models are valid by construction, so a build error (impossible
         // for database-resident model indices) just disables the protocol.
@@ -108,8 +116,18 @@ impl SpatioTemporalIndex {
         } else {
             Vec::new()
         };
+        let base = IndexBase {
+            tree: RTree::bulk_load(entries.collect()),
+            max_step,
+            max_slack: slacks().fold(f64::NEG_INFINITY, f64::max),
+            min_slack: slacks().fold(f64::INFINITY, f64::min),
+            max_anchor_time: anchors.iter().map(|a| a.anchor_time).max().unwrap_or(0),
+            anchors,
+            space,
+            clusters,
+        };
         SpatioTemporalIndex {
-            base: Arc::new(IndexBase { cones, spans, space, clusters, len: db.len() }),
+            base: Arc::new(base),
             overlay: BTreeMap::new(),
             num_objects: db.len(),
         }
@@ -121,9 +139,8 @@ impl SpatioTemporalIndex {
     /// a rebuild. Handles both mutation (`idx` already covered) and
     /// insertion (`idx == num_objects()`).
     pub fn with_updated(&self, idx: usize, object: &UncertainObject) -> SpatioTemporalIndex {
-        let (centroid, radius) = anchor_geometry(object, self.base.space.as_ref());
         let mut overlay = self.overlay.clone();
-        overlay.insert(idx, OverlayEntry { centroid, radius, anchor_time: object.anchor().time() });
+        overlay.insert(idx, ConeAnchor::of(object, self.base.space.as_ref()));
         SpatioTemporalIndex {
             base: Arc::clone(&self.base),
             overlay,
@@ -136,7 +153,7 @@ impl SpatioTemporalIndex {
     /// the index and let the next read rebuild it.
     pub fn wants_compaction(&self) -> bool {
         self.overlay.len()
-            >= OVERLAY_COMPACTION_MIN.max(self.base.len / OVERLAY_COMPACTION_FRACTION)
+            >= OVERLAY_COMPACTION_MIN.max(self.base.anchors.len() / OVERLAY_COMPACTION_FRACTION)
     }
 
     /// Number of objects mutated or inserted since the bulk build.
@@ -157,9 +174,8 @@ impl SpatioTemporalIndex {
     /// they shadow (ingest never moves an anchor backwards), so the max of
     /// both sides is exact.
     pub fn max_anchor_time(&self) -> u32 {
-        let base = self.base.spans.max_start().unwrap_or(0);
-        let overlay = self.overlay.values().map(|e| e.anchor_time).max().unwrap_or(0);
-        base.max(overlay)
+        let overlay = self.overlay.values().map(|a| a.anchor_time).max().unwrap_or(0);
+        self.base.max_anchor_time.max(overlay)
     }
 
     /// The embedding the index was built against.
@@ -184,53 +200,40 @@ impl SpatioTemporalIndex {
     }
 
     /// Database indices of objects that *may* satisfy `window` (sorted):
-    /// alive during the window's time span and whose reachability cone
+    /// observed by the window's end and with a reachability cone that
     /// touches the window's bounding rectangle. Everything else is
     /// guaranteed to have `P∃ = 0`. Conservative by construction — never
     /// discards an object with non-zero probability.
     pub fn candidates(&self, window: &QueryWindow) -> Vec<usize> {
-        let base = self.base_candidates(window);
-        if self.overlay.is_empty() {
-            return base;
-        }
-        // Base hits for overlaid indices describe stale geometry — discard
-        // them and re-test those objects from the overlay with the same
-        // exact predicates the bulk path applies per anchor.
+        let base = &*self.base;
         let rect = self.window_rect(window);
         let t_end = window.t_end();
-        let max_step = self.base.cones.max_step();
-        let overlay_hits = self.overlay.iter().filter_map(|(&idx, e)| {
-            let alive = e.anchor_time <= t_end;
-            let reach = cone_radius(e.anchor_time, t_end, max_step) + e.radius;
-            (alive && rect.distance_to_point(&e.centroid) <= reach).then_some(idx)
+        let reaches = |a: &ConeAnchor| a.reaches(&rect, t_end, base.max_step);
+        // An anchor observed by `t_end` reaches `t_end · max_step` plus its
+        // slack: the coarse R-tree pass expands the rectangle by the widest
+        // such reach (anchors after `t_end` fail the predicate wherever
+        // they sit), and a leaf whose box lies entirely within the
+        // narrowest passes wholesale — which only holds while no bulk
+        // anchor is later than `t_end`. Every other visited entry is
+        // confirmed by its own cone.
+        let horizon = f64::from(t_end) * base.max_step;
+        let max_reach = (horizon + base.max_slack).max(0.0);
+        let min_reach = horizon + base.min_slack;
+        let all_observed = base.max_anchor_time <= t_end;
+        let mut hit = vec![false; self.num_objects];
+        base.tree.visit_leaves(&rect.expand(max_reach), &mut |bbox, entries| {
+            let whole_leaf = all_observed && rect.max_distance_to_rect(bbox) <= min_reach;
+            for entry in entries {
+                hit[entry.id] = whole_leaf || reaches(&base.anchors[entry.id]);
+            }
         });
-        merge_sorted(base.into_iter().filter(|idx| !self.overlay.contains_key(idx)), overlay_hits)
-    }
-
-    /// Candidate pass over the immutable bulk structures only; indices
-    /// shadowed by the overlay may appear and are filtered by the caller.
-    fn base_candidates(&self, window: &QueryWindow) -> Vec<usize> {
-        // Temporal pass first (cheapest): objects observed only after the
-        // window ends cannot be in it. The common case — every span has
-        // begun by t_end — is detected in O(1) and skips materialisation.
-        let alive = match self.base.spans.max_start() {
-            None => return Vec::new(),
-            Some(s) if s <= window.t_end() => None,
-            Some(_) => Some(self.base.spans.overlapping(window.t_start(), window.t_end())),
-        };
-        let geometric = self.base.cones.candidates(&self.window_rect(window), window);
-        match alive {
-            None => geometric,
-            Some(alive) => intersect_sorted(&geometric, &alive),
+        // Overlay anchors replace whatever the bulk pass said about their
+        // (stale or absent) base entries.
+        for (&idx, anchor) in &self.overlay {
+            hit[idx] = reaches(anchor);
         }
+        hit.iter().enumerate().filter(|(_, &h)| h).map(|(id, _)| id).collect()
     }
-}
-
-/// Union of two ascending-sorted, mutually disjoint index streams.
-fn merge_sorted(a: impl Iterator<Item = usize>, b: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out: Vec<usize> = a.chain(b).collect();
-    out.sort_unstable();
-    out
 }
 
 /// Intersection of two ascending-sorted index sets.
@@ -297,6 +300,25 @@ mod tests {
         assert_eq!(index.candidates(&window), vec![1]);
         assert_eq!(index.max_anchor_time(), 8);
         assert_eq!(index.num_objects(), 4);
+    }
+
+    #[test]
+    fn whole_leaf_accept_waits_for_every_anchor() {
+        // Two objects spread over states 10 and 30 (centroid 20, radius
+        // 10) share one R-tree leaf that sits well within even the narrower
+        // reach of a window around state 20 — but the second is first
+        // observed at t = 6, after the window ends at t = 5.
+        let n = 50;
+        let spread = || ust_markov::SparseVector::from_pairs(n, [(10, 0.5), (30, 0.5)]).unwrap();
+        let mut db = TrajectoryDatabase::new(line_chain(n));
+        for (id, t) in [(0, 0), (1, 6)] {
+            let observation = Observation::uncertain(t, spread()).unwrap();
+            db.insert(UncertainObject::with_single_observation(id, observation)).unwrap();
+        }
+        let index = SpatioTemporalIndex::build(&db, Arc::new(LineSpace::new(n)));
+        let window = |t1| QueryWindow::from_states(n, 19usize..=21, TimeSet::interval(3, t1));
+        assert_eq!(index.candidates(&window(5).unwrap()), vec![0]);
+        assert_eq!(index.candidates(&window(6).unwrap()), vec![0, 1]);
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! Spatial candidate prefiltering (reachability cones).
+//! Reachability-cone geometry: the per-object test behind the candidate filter.
 //!
 //! Before any matrix work, objects that *cannot possibly* reach the query
 //! region in the available time can be discarded geometrically: the chain
 //! moves an object at most `max_step_distance` per transition (the longest
 //! spatial displacement of any non-zero transition), so an object anchored
 //! at time `t_a` can reach at most radius `(t_end − t_a) · max_step`
-//! around its anchor support by `t_end`. An R-tree over object anchor
-//! centroids turns this cone test into a range query.
+//! around its anchor support by `t_end` — and an object first observed
+//! after `t_end` cannot be in the window at all. `ConeAnchor::reaches` is
+//! that test, written once; [`crate::index::SpatioTemporalIndex`] puts an
+//! R-tree over the anchor centroids in front of it.
 //!
-//! This prefilter is an *engineering extension* of the paper (which prunes
+//! The filter is an *engineering extension* of the paper (which prunes
 //! inside the matrices); it is conservative — never discards an object with
 //! non-zero probability — as verified against the exact engines.
 
 use ust_markov::MarkovChain;
-use ust_space::{Point2, RTree, RTreeEntry, Rect, StateSpace};
+use ust_space::{Point2, Rect, StateSpace};
 
-use crate::database::TrajectoryDatabase;
 use crate::object::UncertainObject;
-use crate::query::QueryWindow;
 
 /// The largest spatial displacement of any single transition of `chain`
 /// under the embedding of `space`.
@@ -39,177 +39,74 @@ pub fn max_step_distance<S: StateSpace + ?Sized>(chain: &MarkovChain, space: &S)
 /// Per-object cone geometry: where the anchor support sits and how far the
 /// object can have strayed from it by any given time.
 #[derive(Debug, Clone, Copy)]
-struct ConeAnchor {
-    centroid: Point2,
-    anchor_time: u32,
+pub(crate) struct ConeAnchor {
+    /// Weighted centroid of the anchor support.
+    pub centroid: Point2,
+    /// Time of the anchoring (latest) observation.
+    pub anchor_time: u32,
     /// Radius of the anchor support around its centroid.
-    radius: f64,
+    pub radius: f64,
 }
 
-/// A prefilter over a database: object anchor geometry indexed in an
-/// R-tree, plus the chain's per-step displacement bound.
-#[derive(Debug)]
-pub struct ConePrefilter {
-    tree: RTree,
-    anchors: Vec<ConeAnchor>,
-    max_step: f64,
-    /// `max_a (radius_a − anchor_time_a · max_step)`: the t_end-independent
-    /// part of the widest cone, so the coarse expansion radius is O(1) per
-    /// query instead of a fold over every anchor.
-    max_slack: f64,
-    /// `max_a radius_a`: lower bound on the expansion for anchors after
-    /// `t_end`, whose cone is clamped to zero rather than negative.
-    max_anchor_radius: f64,
-    /// `min_a (radius_a − anchor_time_a · max_step)`: the t_end-independent
-    /// part of the *narrowest* cone, for batch-accepting whole R-tree
-    /// leaves that sit within even the smallest reach.
-    min_slack: f64,
-    /// `min_a radius_a`: the narrowest reach an anchor after `t_end` can
-    /// have (its cone is clamped to zero).
-    min_anchor_radius: f64,
-}
-
-impl ConePrefilter {
-    /// Builds the prefilter for all objects of `db` embedded in `space`.
-    pub fn build<S: StateSpace + ?Sized>(db: &TrajectoryDatabase, space: &S) -> ConePrefilter {
-        let max_step = db
-            .models()
-            .iter()
-            .map(|chain| max_step_distance(chain.as_ref(), space))
-            .fold(0.0f64, f64::max);
-        let mut entries = Vec::with_capacity(db.len());
-        let mut anchors = Vec::with_capacity(db.len());
-        let mut max_slack = f64::NEG_INFINITY;
-        let mut max_anchor_radius: f64 = 0.0;
-        let mut min_slack = f64::INFINITY;
-        let mut min_anchor_radius = f64::INFINITY;
-        for (idx, object) in db.objects().iter().enumerate() {
-            let (centroid, radius) = anchor_geometry(object, space);
-            entries.push(RTreeEntry { point: centroid, id: idx });
-            let anchor_time = object.anchor().time();
-            let slack = radius - f64::from(anchor_time) * max_step;
-            max_slack = max_slack.max(slack);
-            min_slack = min_slack.min(slack);
-            max_anchor_radius = max_anchor_radius.max(radius);
-            min_anchor_radius = min_anchor_radius.min(radius);
-            anchors.push(ConeAnchor { centroid, anchor_time, radius });
+impl ConeAnchor {
+    /// The cone geometry of `object` under the embedding of `space`.
+    pub fn of<S: StateSpace + ?Sized>(object: &UncertainObject, space: &S) -> ConeAnchor {
+        let dist = object.initial_distribution();
+        let mut cx = 0.0;
+        let mut cy = 0.0;
+        let mut total = 0.0;
+        for (s, p) in dist.iter() {
+            let loc = space.location(s);
+            cx += loc.x * p;
+            cy += loc.y * p;
+            total += p;
         }
-        ConePrefilter {
-            tree: RTree::bulk_load(entries),
-            anchors,
-            max_step,
-            max_slack,
-            max_anchor_radius,
-            min_slack,
-            min_anchor_radius,
+        if total > 0.0 {
+            cx /= total;
+            cy /= total;
         }
+        let centroid = Point2::new(cx, cy);
+        let radius =
+            dist.iter().map(|(s, _)| space.location(s).distance(&centroid)).fold(0.0f64, f64::max);
+        ConeAnchor { centroid, anchor_time: object.anchor().time(), radius }
     }
 
-    /// The chain displacement bound used by the cone test.
-    pub fn max_step(&self) -> f64 {
-        self.max_step
+    /// The `t_end`-independent part of the reach: for an anchor at or
+    /// before `t_end`, `cone + radius = t_end · max_step + slack`.
+    pub fn slack(&self, max_step: f64) -> f64 {
+        self.radius - f64::from(self.anchor_time) * max_step
     }
 
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.anchors.len()
+    /// The one cone-and-liveness test: whether the object may be inside
+    /// `rect` at some time up to `t_end`. It must have been observed by
+    /// then (the chain cannot reach backwards), and after `k` steps it has
+    /// moved at most `k · max_step` from its anchor support, so anything
+    /// further from the (closed) rectangle than cone + support radius
+    /// cannot intersect the window.
+    pub fn reaches(&self, rect: &Rect, t_end: u32, max_step: f64) -> bool {
+        self.anchor_time <= t_end
+            && rect.distance_to_point(&self.centroid)
+                <= f64::from(t_end - self.anchor_time) * max_step + self.radius
     }
-
-    /// True when no object is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.anchors.is_empty()
-    }
-
-    /// Indices of objects that *may* intersect `query_rect` during the
-    /// window (sorted). Everything outside is guaranteed to have `P∃ = 0`.
-    pub fn candidates(&self, query_rect: &Rect, window: &QueryWindow) -> Vec<usize> {
-        let t_end = window.t_end();
-        // The cone radius depends on each object's anchor time; expand the
-        // query rectangle by the *maximum* possible cone for the coarse
-        // R-tree pass, then confirm each candidate with its own cone. The
-        // exact test is Euclidean distance from the anchor centroid to the
-        // (closed) query rectangle: after k steps the object has moved at
-        // most k · max_step from its anchor support, so anything further
-        // than cone + support radius cannot intersect the window. (Anchors
-        // after t_end cannot reach backwards: radius 0.)
-        // `max_slack` linearizes `cone + radius` in t_end for anchors at or
-        // before t_end; anchors after t_end have their cone clamped to
-        // zero, which `max_anchor_radius` covers. Both are upper-bounded by
-        // the exact per-anchor fold, so the coarse pass stays conservative.
-        let max_radius = (f64::from(t_end) * self.max_step + self.max_slack)
-            .max(self.max_anchor_radius)
-            .max(0.0);
-        // Every anchor reaches at least `min_reach`: a leaf whose box sits
-        // entirely within that distance of the query rectangle passes
-        // wholesale, without per-entry cone tests. Boundary leaves fall
-        // back to the exact per-anchor test (which also rejects entries
-        // the coarse rectangle over-collected).
-        let min_reach = (f64::from(t_end) * self.max_step + self.min_slack)
-            .min(self.min_anchor_radius)
-            .max(0.0);
-        let mut hit = vec![false; self.anchors.len()];
-        self.tree.visit_leaves(&query_rect.expand(max_radius), &mut |bbox, entries| {
-            if query_rect.max_distance_to_rect(bbox) <= min_reach {
-                for entry in entries {
-                    hit[entry.id] = true;
-                }
-            } else {
-                for entry in entries {
-                    let a = &self.anchors[entry.id];
-                    let reach = cone_radius(a.anchor_time, t_end, self.max_step) + a.radius;
-                    if query_rect.distance_to_point(&a.centroid) <= reach {
-                        hit[entry.id] = true;
-                    }
-                }
-            }
-        });
-        hit.iter().enumerate().filter(|(_, &h)| h).map(|(id, _)| id).collect()
-    }
-}
-
-/// How far an object anchored at `anchor_time` can have strayed from its
-/// anchor support by `t_end` (zero for anchors after `t_end`: the chain
-/// cannot reach backwards). Shared with the index overlay so entries added
-/// after the bulk build are tested with exactly the same cone.
-pub(crate) fn cone_radius(anchor_time: u32, t_end: u32, max_step: f64) -> f64 {
-    f64::from(t_end.saturating_sub(anchor_time)) * max_step
-}
-
-/// Weighted centroid of the anchor support and the largest distance from
-/// the centroid to any support state. `pub(crate)` so the index overlay can
-/// derive geometry for objects mutated or inserted after the bulk build.
-pub(crate) fn anchor_geometry<S: StateSpace + ?Sized>(
-    object: &UncertainObject,
-    space: &S,
-) -> (Point2, f64) {
-    let dist = object.initial_distribution();
-    let mut cx = 0.0;
-    let mut cy = 0.0;
-    let mut total = 0.0;
-    for (s, p) in dist.iter() {
-        let loc = space.location(s);
-        cx += loc.x * p;
-        cy += loc.y * p;
-        total += p;
-    }
-    if total > 0.0 {
-        cx /= total;
-        cy /= total;
-    }
-    let centroid = Point2::new(cx, cy);
-    let radius =
-        dist.iter().map(|(s, _)| space.location(s).distance(&centroid)).fold(0.0f64, f64::max);
-    (centroid, radius)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::database::TrajectoryDatabase;
     use crate::engine::{object_based, EngineConfig};
+    use crate::index::SpatioTemporalIndex;
     use crate::observation::Observation;
     use crate::query::QueryWindow;
     use ust_markov::{CooBuilder, MarkovChain};
     use ust_space::{LineSpace, TimeSet};
+
+    /// The index's survivors of `window` over `db` on a line of `n` states.
+    fn candidates(db: &TrajectoryDatabase, n: usize, window: &QueryWindow) -> Vec<usize> {
+        SpatioTemporalIndex::build(db, Arc::new(LineSpace::new(n))).candidates(window)
+    }
 
     /// A random-walk chain on a line: state i moves to i±1 (clipped).
     fn line_chain(n: usize) -> MarkovChain {
@@ -250,12 +147,9 @@ mod tests {
     fn cone_filter_is_conservative() {
         // Objects at 0, 10, 25, 49; window around states 20..=22 at t ≤ 5.
         let n = 50;
-        let space = LineSpace::new(n);
         let db = db_on_line(n, &[0, 10, 25, 49]);
         let window = QueryWindow::from_states(n, 20usize..=22, TimeSet::interval(3, 5)).unwrap();
-        let filter = ConePrefilter::build(&db, &space);
-        let rect = Rect::from_bounds(20.0, -0.5, 22.0, 0.5);
-        let candidates = filter.candidates(&rect, &window);
+        let survivors = candidates(&db, n, &window);
 
         // Exact check: every object with non-zero probability must survive.
         let exact =
@@ -264,7 +158,7 @@ mod tests {
         for (idx, r) in exact.iter().enumerate() {
             if r.probability > 0.0 {
                 assert!(
-                    candidates.contains(&idx),
+                    survivors.contains(&idx),
                     "object {idx} (p = {}) was wrongly pruned",
                     r.probability
                 );
@@ -272,15 +166,14 @@ mod tests {
         }
         // And the far-away objects (0 and 49, > 5 steps from the window)
         // must be pruned.
-        assert!(!candidates.contains(&0));
-        assert!(!candidates.contains(&3));
-        assert!(candidates.contains(&2));
+        assert!(!survivors.contains(&0));
+        assert!(!survivors.contains(&3));
+        assert!(survivors.contains(&2));
     }
 
     #[test]
     fn anchor_time_shrinks_the_cone() {
         let n = 50;
-        let space = LineSpace::new(n);
         let mut db = TrajectoryDatabase::new(line_chain(n));
         // Same state, but anchored at t=4 → only 1 step of slack.
         db.insert(UncertainObject::with_single_observation(
@@ -289,15 +182,12 @@ mod tests {
         ))
         .unwrap();
         let window = QueryWindow::from_states(n, [20usize], TimeSet::at(5)).unwrap();
-        let filter = ConePrefilter::build(&db, &space);
-        let rect = Rect::from_bounds(20.0, -0.5, 20.0, 0.5);
-        assert!(filter.candidates(&rect, &window).is_empty());
+        assert!(candidates(&db, n, &window).is_empty());
     }
 
     #[test]
     fn uncertain_anchor_radius_is_respected() {
         let n = 50;
-        let space = LineSpace::new(n);
         let mut db = TrajectoryDatabase::new(line_chain(n));
         // Anchor spread over states 5 and 15: centroid 10, radius 5.
         db.insert(UncertainObject::with_single_observation(
@@ -311,17 +201,13 @@ mod tests {
         .unwrap();
         // Window at state 18, t=3: reachable from 15 (distance 3).
         let window = QueryWindow::from_states(n, [18usize], TimeSet::at(3)).unwrap();
-        let filter = ConePrefilter::build(&db, &space);
-        let rect = Rect::from_bounds(18.0, -0.5, 18.0, 0.5);
-        assert_eq!(filter.candidates(&rect, &window), vec![0]);
+        assert_eq!(candidates(&db, n, &window), vec![0]);
     }
 
     #[test]
     fn empty_database_yields_no_candidates() {
         let db = TrajectoryDatabase::new(line_chain(10));
-        let space = LineSpace::new(10);
-        let filter = ConePrefilter::build(&db, &space);
         let window = QueryWindow::from_states(10, [5usize], TimeSet::at(1)).unwrap();
-        assert!(filter.candidates(&Rect::from_bounds(5.0, -1.0, 5.0, 1.0), &window).is_empty());
+        assert!(candidates(&db, 10, &window).is_empty());
     }
 }

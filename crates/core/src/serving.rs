@@ -301,11 +301,6 @@ impl PlanMetrics {
             candidates_pruned: 0,
         }
     }
-
-    /// Mean execute wall per execution, if any were recorded.
-    pub fn mean_execute_secs(&self) -> Option<f64> {
-        (self.executions > 0).then(|| self.execute_secs / self.executions as f64)
-    }
 }
 
 /// An owned, consistent copy of a processor's serving counters at one
@@ -627,7 +622,7 @@ mod tests {
         assert_eq!(ob.candidates_pruned, 4);
         assert!(s.to_string().contains("prefilter 16/20 examined"));
         assert!(ob.queue_wait_secs > 0.0);
-        assert!(ob.mean_execute_secs().unwrap() > 0.0);
+        assert!(ob.execute_secs > 0.0);
         assert_eq!(ob.entries_touched, 1_000, "the per-plan totals keep the raw entry counts");
     }
 

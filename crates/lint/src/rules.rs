@@ -139,6 +139,14 @@ impl RuleId {
     /// forward slashes). Test code is additionally excluded token-by-token
     /// via `#[cfg(test)]` region tracking, not here.
     pub fn applies_to(self, path: &str) -> bool {
+        // The candidate filter decides which objects are answered as exact
+        // zeros without evaluation, so it sits on the answer path with the
+        // engines it feeds.
+        const FILTER: [&str; 3] = [
+            "crates/core/src/index.rs",
+            "crates/core/src/prefilter.rs",
+            "crates/core/src/cluster.rs",
+        ];
         match self {
             // Safety and waiver-hygiene rules run on everything scanned.
             RuleId::UndocumentedUnsafe
@@ -155,7 +163,7 @@ impl RuleId {
                 const SERVING: [&str; 3] = ["processor.rs", "refresh.rs", "ticket.rs"];
                 match path.strip_prefix("crates/core/src/engine/") {
                     Some(module) => !SERVING.contains(&module),
-                    None => path.starts_with("crates/markov/src/"),
+                    None => path.starts_with("crates/markov/src/") || FILTER.contains(&path),
                 }
             }
             // Library code only: the bench harness is an experiment driver
@@ -171,6 +179,7 @@ impl RuleId {
             // tests, so iteration order must never reach a result.
             RuleId::UnorderedIterationOnAnswerPath => {
                 path.starts_with("crates/core/src/engine/")
+                    || FILTER.contains(&path)
                     || path == "crates/core/src/ranking.rs"
                     || path == "crates/core/src/threshold.rs"
                     || path == "crates/core/src/streaming.rs"
@@ -202,6 +211,12 @@ mod tests {
             assert!(!wall.applies_to(&format!("crates/core/src/engine/{serving}.rs")), "{serving}");
         }
         assert!(wall.applies_to("crates/markov/src/kernels.rs"));
+        for filter in ["index", "prefilter", "cluster"] {
+            let path = format!("crates/core/src/{filter}.rs");
+            assert!(wall.applies_to(&path), "{filter}");
+            assert!(RuleId::UnorderedIterationOnAnswerPath.applies_to(&path), "{filter}");
+        }
+        assert!(!wall.applies_to("crates/core/src/database.rs"));
         assert!(!wall.applies_to("crates/core/src/serving.rs"));
         assert!(!wall.applies_to("crates/bench/src/lib.rs"));
 

@@ -34,23 +34,6 @@ pub fn top_index(num_states: usize) -> usize {
     num_states
 }
 
-/// Splits `M` column-wise on `window`: returns `(M − M', M')` where `M'`
-/// keeps exactly the columns whose state is in `window`.
-pub fn split_columns(m: &CsrMatrix, window: &StateMask) -> (CsrMatrix, CsrMatrix) {
-    let (nrows, ncols) = m.shape();
-    let mut outside = CooBuilder::with_capacity(nrows, ncols, m.nnz());
-    let mut inside = CooBuilder::with_capacity(nrows, ncols, m.nnz());
-    for i in 0..nrows {
-        let (cols, vals) = m.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            let target = if window.contains(c as usize) { &mut inside } else { &mut outside };
-            // push cannot fail: indices come from a valid matrix
-            target.push(i, c as usize, v).expect("index within matrix bounds");
-        }
-    }
-    (outside.build(), inside.build())
-}
-
 /// `M−` for the PST∃Q: `M` plus an absorbing ⊤ state (index `n`).
 pub fn exists_minus(m: &CsrMatrix) -> CsrMatrix {
     let n = m.nrows();
@@ -296,20 +279,6 @@ mod tests {
         ])
         .unwrap();
         assert!(plus.approx_eq(&expected_plus, 1e-12));
-    }
-
-    #[test]
-    fn split_columns_partitions_mass() {
-        let m = paper_matrix();
-        let (outside, inside) = split_columns(&m, &window_s1_s2());
-        assert_eq!(outside.nnz() + inside.nnz(), m.nnz());
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((outside.get(i, j) + inside.get(i, j) - m.get(i, j)).abs() < 1e-12);
-            }
-        }
-        assert_eq!(inside.get(1, 0), 0.6); // column 0 is in the window
-        assert_eq!(outside.get(1, 0), 0.0);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl DenseVector {
         &mut self.values
     }
 
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Value at `index` (0.0 if out of range, mirroring sparse semantics).
     pub fn get(&self, index: usize) -> f64 {
         self.values.get(index).copied().unwrap_or(0.0)
@@ -122,21 +117,6 @@ impl DenseVector {
             });
         }
         Ok(self.values.iter().zip(other.values.iter()).map(|(a, b)| a * b).sum())
-    }
-
-    /// `self += other` element-wise.
-    pub fn add_assign(&mut self, other: &DenseVector) -> Result<()> {
-        if self.dim() != other.dim() {
-            return Err(MarkovError::DimensionMismatch {
-                op: "dense add",
-                expected: self.dim(),
-                found: other.dim(),
-            });
-        }
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a += b;
-        }
-        Ok(())
     }
 
     /// Element-wise (Hadamard) product, used to condition a prior on an
@@ -219,11 +199,6 @@ impl DenseVector {
         self.dim() == other.dim()
             && self.values.iter().zip(other.values.iter()).all(|(a, b)| (a - b).abs() <= tol)
     }
-
-    /// Iterates `(index, value)` over non-zero entries.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.values.iter().copied().enumerate().filter(|(_, v)| *v != 0.0)
-    }
 }
 
 impl From<Vec<f64>> for DenseVector {
@@ -270,7 +245,6 @@ mod tests {
         assert_eq!(a.dot(&b).unwrap(), 1.5);
         let c = DenseVector::zeros(2);
         assert!(a.dot(&c).is_err());
-        assert!(a.clone().add_assign(&c).is_err());
     }
 
     #[test]
@@ -317,12 +291,5 @@ mod tests {
         assert_eq!(v.get(1), 0.5);
         assert_eq!(v.get(99), 0.0);
         assert!(v.set(3, 1.0).is_err());
-    }
-
-    #[test]
-    fn iter_nonzero_skips_zeros() {
-        let v = DenseVector::from_vec(vec![0.0, 0.5, 0.0, 0.5]);
-        let nz: Vec<_> = v.iter_nonzero().collect();
-        assert_eq!(nz, vec![(1, 0.5), (3, 0.5)]);
     }
 }

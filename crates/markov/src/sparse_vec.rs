@@ -113,16 +113,6 @@ impl SparseVector {
         self.indices.len()
     }
 
-    /// Fraction of entries that are non-zero; drives hybrid representation
-    /// switching in the propagation engine.
-    pub fn density(&self) -> f64 {
-        if self.dim == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.dim as f64
-        }
-    }
-
     /// Value at `index` via binary search (0.0 when absent).
     pub fn get(&self, index: usize) -> f64 {
         match self.indices.binary_search(&(index as u32)) {
@@ -471,12 +461,5 @@ mod tests {
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.retain_masked(&StateMask::new(8)), 0.2);
         assert_eq!(v.nnz(), 0);
-    }
-
-    #[test]
-    fn density_reflects_fill() {
-        let v = SparseVector::from_pairs(10, [(0, 1.0), (1, 1.0)]).unwrap();
-        assert!((v.density() - 0.2).abs() < 1e-12);
-        assert_eq!(SparseVector::zeros(0).density(), 0.0);
     }
 }

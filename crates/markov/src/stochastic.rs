@@ -99,11 +99,6 @@ impl StochasticMatrix {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the underlying CSR matrix.
-    pub fn into_matrix(self) -> CsrMatrix {
-        self.inner
-    }
-
     /// The transposed (no longer stochastic) matrix, needed by the
     /// query-based backward pass.
     pub fn transposed(&self) -> CsrMatrix {
@@ -113,32 +108,6 @@ impl StochasticMatrix {
     /// `M^m` (Chapman-Kolmogorov). The result is again row-stochastic.
     pub fn power(&self, m: u32) -> Result<StochasticMatrix> {
         Ok(StochasticMatrix { inner: self.inner.power(m)? })
-    }
-
-    /// Average number of stored transitions per state.
-    pub fn mean_out_degree(&self) -> f64 {
-        if self.dim() == 0 {
-            0.0
-        } else {
-            self.inner.nnz() as f64 / self.dim() as f64
-        }
-    }
-
-    /// Maximum out-degree over all states.
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.dim()).map(|i| self.inner.row_nnz(i)).max().unwrap_or(0)
-    }
-
-    /// States whose only transition is a self-loop (absorbing states).
-    pub fn absorbing_states(&self) -> Vec<usize> {
-        (0..self.dim())
-            .filter(|&i| {
-                let (cols, vals) = self.inner.row(i);
-                cols.len() == 1
-                    && cols[0] as usize == i
-                    && (vals[0] - 1.0).abs() <= ROW_SUM_TOLERANCE
-            })
-            .collect()
     }
 }
 
@@ -155,8 +124,7 @@ mod tests {
     fn accepts_valid_stochastic_matrix() {
         let m = StochasticMatrix::new(paper_matrix()).unwrap();
         assert_eq!(m.dim(), 3);
-        assert!((m.mean_out_degree() - 5.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.max_out_degree(), 2);
+        assert_eq!(m.matrix().nnz(), 5);
     }
 
     #[test]
@@ -205,7 +173,6 @@ mod tests {
         assert_eq!(m.matrix().get(0, 0), 0.5);
         assert_eq!(m.matrix().get(1, 1), 1.0);
         assert_eq!(m.matrix().get(2, 1), 0.75);
-        assert_eq!(m.absorbing_states(), vec![1]);
     }
 
     #[test]
@@ -220,7 +187,8 @@ mod tests {
     #[test]
     fn identity_is_all_absorbing() {
         let id = StochasticMatrix::identity(4);
-        assert_eq!(id.absorbing_states(), vec![0, 1, 2, 3]);
+        assert_eq!(id.matrix().nnz(), 4);
+        assert!((0..4).all(|i| id.matrix().get(i, i) == 1.0));
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use rect::Rect;
 pub use region::Region;
 pub use rtree::{RTree, RTreeEntry};
 pub use state_space::StateSpace;
-pub use temporal::{IntervalIndex, TimeSet};
+pub use temporal::TimeSet;

@@ -36,11 +36,6 @@ impl Point2 {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (L1) distance.
-    pub fn manhattan(&self, other: &Point2) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Component-wise midpoint.
     pub fn midpoint(&self, other: &Point2) -> Point2 {
         Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
@@ -62,7 +57,6 @@ mod tests {
         let b = Point2::new(3.0, 4.0);
         assert_eq!(a.distance(&b), 5.0);
         assert_eq!(a.distance_sq(&b), 25.0);
-        assert_eq!(a.manhattan(&b), 7.0);
         assert_eq!(a.distance(&a), 0.0);
     }
 

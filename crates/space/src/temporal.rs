@@ -87,84 +87,6 @@ impl TimeSet {
     }
 }
 
-/// A static index over closed integer intervals `[start, end]`.
-///
-/// Backs the temporal half of the planner's spatio-temporal prefilter: each
-/// uncertain object contributes the span of timestamps it can occupy (its
-/// observation span, right-extended to `u32::MAX` when the motion model
-/// extrapolates past the last observation). Intervals are stored sorted by
-/// start, so stabbing/overlap queries resolve with one binary search plus a
-/// scan of the candidate prefix, and the largest start — the guard the
-/// planner checks before skipping per-object window validation — is O(1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalIndex {
-    /// `(start, end, id)` sorted by `start`, then `id`; `start <= end`.
-    spans: Vec<(u32, u32, usize)>,
-    /// Largest `end` over all spans (0 when empty).
-    max_end: u32,
-}
-
-impl IntervalIndex {
-    /// Builds the index from `(start, end)` spans; the id of a span is its
-    /// position in the input. Swapped endpoints are normalised.
-    pub fn build<I: IntoIterator<Item = (u32, u32)>>(spans: I) -> Self {
-        let mut spans: Vec<(u32, u32, usize)> =
-            spans.into_iter().enumerate().map(|(id, (a, b))| (a.min(b), a.max(b), id)).collect();
-        spans.sort_unstable();
-        let max_end = spans.iter().map(|&(_, end, _)| end).max().unwrap_or(0);
-        IntervalIndex { spans, max_end }
-    }
-
-    /// Number of indexed spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no span is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Largest span start, if any — the O(1) guard for "every span has
-    /// begun by time `t`".
-    pub fn max_start(&self) -> Option<u32> {
-        self.spans.last().map(|&(start, _, _)| start)
-    }
-
-    /// Smallest span start, if any.
-    pub fn min_start(&self) -> Option<u32> {
-        self.spans.first().map(|&(start, _, _)| start)
-    }
-
-    /// Largest span end, if any.
-    pub fn max_end(&self) -> Option<u32> {
-        (!self.spans.is_empty()).then_some(self.max_end)
-    }
-
-    /// Ids of all spans overlapping the closed window `[lo, hi]`, in
-    /// ascending id order. `lo > hi` yields the empty set.
-    pub fn overlapping(&self, lo: u32, hi: u32) -> Vec<usize> {
-        if lo > hi || self.spans.is_empty() {
-            return Vec::new();
-        }
-        // Spans are sorted by start: everything past the first start > hi
-        // cannot overlap, so only the prefix needs the end >= lo test.
-        let cut = self.spans.partition_point(|&(start, _, _)| start <= hi);
-        let mut out: Vec<usize> = self.spans[..cut]
-            .iter()
-            .filter(|&&(_, end, _)| end >= lo)
-            .map(|&(_, _, id)| id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of spans whose start is `<= t` (binary search).
-    pub fn count_started_by(&self, t: u32) -> usize {
-        self.spans.partition_point(|&(start, _, _)| start <= t)
-    }
-}
-
 impl fmt::Display for TimeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Contiguous sets print as intervals, others as explicit sets.
@@ -234,44 +156,5 @@ mod tests {
         assert_eq!(TimeSet::interval(2, 4).to_string(), "[2, 4]");
         assert_eq!(TimeSet::new([2, 5]).to_string(), "{2, 5}");
         assert_eq!(TimeSet::at(3).to_string(), "[3, 3]");
-    }
-
-    #[test]
-    fn interval_index_overlap_matches_linear_scan() {
-        let spans = [(0u32, 5u32), (3, 3), (7, 12), (10, u32::MAX), (2, 8)];
-        let idx = IntervalIndex::build(spans);
-        for (lo, hi) in [(0u32, 0u32), (4, 6), (6, 6), (9, 11), (13, 13), (5, 2)] {
-            let expect: Vec<usize> = spans
-                .iter()
-                .enumerate()
-                .filter(|(_, &(a, b))| lo <= hi && a <= hi && b >= lo)
-                .map(|(id, _)| id)
-                .collect();
-            assert_eq!(idx.overlapping(lo, hi), expect, "window [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn interval_index_extrema_and_counts() {
-        let idx = IntervalIndex::build([(4u32, 2u32), (9, 9), (0, 1)]);
-        // The swapped (4, 2) span is normalised to [2, 4].
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.min_start(), Some(0));
-        assert_eq!(idx.max_start(), Some(9));
-        assert_eq!(idx.max_end(), Some(9));
-        assert_eq!(idx.count_started_by(1), 1);
-        assert_eq!(idx.count_started_by(2), 2);
-        assert_eq!(idx.count_started_by(9), 3);
-        assert_eq!(idx.overlapping(3, 3), vec![0]);
-    }
-
-    #[test]
-    fn interval_index_empty() {
-        let idx = IntervalIndex::build(std::iter::empty());
-        assert!(idx.is_empty());
-        assert_eq!(idx.max_start(), None);
-        assert_eq!(idx.max_end(), None);
-        assert!(idx.overlapping(0, u32::MAX).is_empty());
-        assert_eq!(idx.count_started_by(u32::MAX), 0);
     }
 }

@@ -7,7 +7,6 @@ mod common;
 use common::{dists, probs};
 use ust::prelude::*;
 use ust_core::engine::{independent, ktimes};
-use ust_core::prefilter;
 use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::{iceberg, synthetic, traffic, workload, SyntheticConfig};
@@ -68,10 +67,10 @@ fn parallel_threshold_and_prefilter_consistency() {
         assert_eq!(accepted.ids().unwrap(), expected, "τ = {tau}");
     }
 
-    // Cone prefilter keeps every object with non-zero probability.
-    let filter = prefilter::ConePrefilter::build(&data.db, &data.space);
-    let rect = ust_space::Rect::from_bounds(100.0, -0.5, 120.0, 0.5);
-    let candidates = filter.candidates(&rect, &window);
+    // The index keeps every object with non-zero probability.
+    let mut indexed = data.db.clone();
+    indexed.attach_space(std::sync::Arc::new(data.space)).unwrap();
+    let candidates = indexed.spatial_index().unwrap().candidates(&window);
     for (idx, r) in sequential.iter().enumerate() {
         if r.probability > 0.0 {
             assert!(candidates.contains(&idx), "object {idx} wrongly pruned");

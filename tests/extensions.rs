@@ -106,3 +106,94 @@ fn cluster_bounds_respect_exact_results_on_perturbed_models() {
         }
     }
 }
+
+/// The planner's own use of the envelopes: a heterogeneous database *with*
+/// an attached space, so `execute` consults the index's model clusters
+/// (three near-identical models form one, the divergent fourth stays a
+/// singleton) behind the index probe. Bounds-decided objects skip exact
+/// evaluation, and nothing about the answer — ids or first error — moves.
+#[test]
+fn planner_envelopes_decide_thresholds_without_changing_answers() {
+    let base = dataset();
+    let n = base.db.num_states();
+    let weights = base.db.models()[0].matrix();
+    // Non-linear reweighting, so that row normalisation does not undo it.
+    let mut models: Vec<_> = (0..3)
+        .map(|i| weights.map_values(|v| v.powf(1.0 + 0.01 * i as f64)))
+        .map(|m| ust_markov::MarkovChain::from_weights(m).unwrap())
+        .collect();
+    models.push(ust_markov::MarkovChain::from_weights(weights.map_values(|v| v.powi(8))).unwrap());
+    let mut db = TrajectoryDatabase::with_models(models).unwrap();
+    for (i, o) in base.db.objects().iter().take(80).enumerate() {
+        db.insert(o.clone().with_model(i % 4)).unwrap();
+    }
+    db.attach_space(std::sync::Arc::new(base.space)).unwrap();
+    let clusters: Vec<Vec<usize>> =
+        db.spatial_index().unwrap().clusters().iter().map(|c| c.models.clone()).collect();
+    assert_eq!(clusters, vec![vec![0, 1, 2], vec![3]]);
+
+    let window = workload::paper_default_window(n).unwrap();
+    let reference = ust_core::engine::object_based::evaluate(
+        &db,
+        &window,
+        &EngineConfig::default(),
+        &mut EvalStats::new(),
+    )
+    .unwrap();
+    let subset: Vec<u64> = db.objects().iter().map(|o| o.id()).filter(|id| id % 3 != 1).collect();
+    let run = |db: &TrajectoryDatabase, mode, spec: &ust_core::QuerySpec| {
+        let mut stats = EvalStats::new();
+        let config = EngineConfig::default().with_prefilter(mode);
+        let result = QueryProcessor::with_config(db, config).execute_with_stats(spec, &mut stats);
+        (result.map(|answer| answer.ids().unwrap().to_vec()), stats)
+    };
+    let tau = 0.05;
+    for strategy in [ObjectBased, QueryBased] {
+        for scope in [None, Some(&subset)] {
+            let mut query =
+                Query::exists().window(window.clone()).threshold(tau).strategy(strategy);
+            if let Some(ids) = scope {
+                query = query.objects(ids.iter().copied());
+            }
+            let spec = query.build().unwrap();
+            let (with_envelopes, stats) = run(&db, PrefilterMode::On, &spec);
+            let (without, off_stats) = run(&db, PrefilterMode::Off, &spec);
+            let expected: Vec<u64> = reference
+                .iter()
+                .filter(|r| r.probability >= tau && scope.is_none_or(|s| s.contains(&r.object_id)))
+                .map(|r| r.object_id)
+                .collect();
+            assert!(!expected.is_empty(), "the window is reachable");
+            assert_eq!(
+                with_envelopes.as_ref(),
+                Ok(&expected),
+                "{strategy:?} {:?}",
+                scope.is_some()
+            );
+            assert_eq!(without.as_ref(), Ok(&expected), "{strategy:?} {:?}", scope.is_some());
+            assert!(stats.objects_pruned > 0, "the envelopes decided something");
+            assert_eq!(off_stats.objects_pruned, 0);
+        }
+    }
+
+    // A window that starts before two objects' (different) latest fixes.
+    // The envelopes leave both undecided, so each strategy's own driver
+    // reports its own first offender: the forward sweep validates in index
+    // order (object 7), the backward plan model by model (object 30 follows
+    // model 2, object 7 model 3).
+    let fix = |t: u32| Observation::exact(t, n, 110).unwrap();
+    db.ingest(db.object(7).unwrap().id(), fix(23)).unwrap();
+    db.ingest(db.object(30).unwrap().id(), fix(24)).unwrap();
+    for (strategy, observation) in [(ObjectBased, 23), (QueryBased, 24)] {
+        let spec = Query::exists()
+            .window(window.clone())
+            .threshold(tau)
+            .strategy(strategy)
+            .build()
+            .unwrap();
+        let first =
+            Err(ust_core::QueryError::WindowBeforeObservation { window_start: 20, observation });
+        assert_eq!(run(&db, PrefilterMode::On, &spec).0, first, "{strategy:?}");
+        assert_eq!(run(&db, PrefilterMode::Off, &spec).0, first, "{strategy:?}");
+    }
+}
