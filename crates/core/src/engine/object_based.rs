@@ -29,6 +29,7 @@ use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
+use crate::engine::query_based::ModelGroup;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -267,6 +268,31 @@ impl ReachPlan {
             let t0 = object.anchor().time();
             *slot = Some(slot.map_or(t0, |t| t.min(t0)));
         }
+        Self::from_earliest(db, earliest, window, rule)
+    }
+
+    /// As [`ReachPlan::prepare`] over groups the planner already validated
+    /// against `window`: each group's earliest anchor is its first time.
+    pub(crate) fn from_groups(
+        db: &TrajectoryDatabase,
+        groups: &[ModelGroup],
+        window: &QueryWindow,
+        rule: ReachRule,
+    ) -> Result<ReachPlan> {
+        let mut earliest: Vec<Option<u32>> = vec![None; db.models().len()];
+        for group in groups {
+            earliest[group.model] = group.times.first().copied();
+        }
+        Self::from_earliest(db, earliest, window, rule)
+    }
+
+    /// One schedule per model with an earliest anchor.
+    fn from_earliest(
+        db: &TrajectoryDatabase,
+        earliest: Vec<Option<u32>>,
+        window: &QueryWindow,
+        rule: ReachRule,
+    ) -> Result<ReachPlan> {
         let schedules = earliest
             .into_iter()
             .zip(db.models())

@@ -13,7 +13,12 @@
 //! life, and clock-free: `prepare` resolves the spec's scope, runs the
 //! index filter over it — it holds one candidate set, the survivors; the
 //! pruned rest of the scope stays implicit — and, when asked, costs
-//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone);
+//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). Costing
+//! is the query's one validation: a single pass validates the survivors and
+//! groups them by model with their distinct anchor times, and the groups
+//! ride in `Prepared` to `refine`, whose field and reach plans are built
+//! from them instead of validating the same objects again (an
+//! explicit-strategy execution skips costing and validates in its driver);
 //! `refine` dispatches to the batched, sharded counterparts of the
 //! sequential reference drivers and spells the pruned objects out as exact
 //! zeros only where an answer needs them — so planned answers are bit-for-bit
@@ -53,8 +58,8 @@ use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
 use crate::engine::object_based::{ForwardRule, ReachPlan};
 use crate::engine::query_based::{
-    probability_row, validated_model_groups_on, AnchorMemo, AnchoredField, FieldRule,
-    SharedFieldPlan,
+    model_groups_on, probability_row, validated_model_groups_on, AnchorMemo, AnchoredField,
+    FieldRule, ModelGroup, SharedFieldPlan,
 };
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
@@ -361,8 +366,9 @@ fn envelope_clusters(
 
 /// A spec resolved against one database snapshot — what the *prepare* half
 /// of a query's life hands to [`refine`]: the candidates the engines will
-/// evaluate, the scope the index pruned them from, the strategy to run
-/// under, and the cost model's record when it was asked for.
+/// evaluate, the scope the index pruned them from, the candidates' model
+/// groups when costing validated them, the strategy to run under, and the
+/// cost model's record when it was asked for.
 pub(crate) struct Prepared {
     /// Candidates to evaluate (ascending database indices): the index's
     /// survivors when it pruned, the whole scope otherwise.
@@ -371,6 +377,11 @@ pub(crate) struct Prepared {
     /// answered as exact `P∃ = 0`, unevaluated. `None` when nothing was
     /// pruned and `indices` is the scope.
     pub pruned_from: Option<Scope>,
+    /// `indices` validated against the window and grouped by model —
+    /// present exactly when `prepare` costed, and what [`refine`] builds
+    /// its field or reach plan from instead of validating again. An
+    /// explicit-strategy execution leaves validation to its driver.
+    pub groups: Option<Vec<ModelGroup>>,
     /// The strategy [`refine`] dispatches on: the spec's own, or the
     /// planner's resolution of [`Strategy::Auto`].
     pub strategy: Strategy,
@@ -388,12 +399,14 @@ impl Prepared {
 
 /// The prepare half of a query's life, shared by `explain`, a standing
 /// query's strategy pinning and every execution: resolves the scope, runs
-/// the index prefilter over it, and — only when `cost` is set — estimates
-/// every strategy from the surviving candidates and cache residency,
-/// resolving [`Strategy::Auto`] to the cheaper exact strategy (explicit
-/// overrides are echoed with the same estimates attached). The cost model
-/// has a consumer only under `Auto` and in `explain`; an explicit-strategy
-/// execution skips its residency probes entirely.
+/// the index prefilter over it, and — only when `cost` is set — validates
+/// and groups the surviving candidates (the one validation of the query:
+/// the groups ride to [`refine`]) and estimates every strategy from them
+/// and cache residency, resolving [`Strategy::Auto`] to the cheaper exact
+/// strategy (explicit overrides are echoed with the same estimates
+/// attached). The cost model has a consumer only under `Auto` and in
+/// `explain`; an explicit-strategy execution skips its residency probes
+/// entirely.
 pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Prepared> {
     let scope = resolve_scope(ctx.db, spec)?;
     let survivors = prefilter_candidates(ctx, spec, &scope);
@@ -402,27 +415,30 @@ pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Re
         (None, Scope::Database(len)) => ((0..len).collect(), None),
         (None, Scope::Subset(indices)) => (indices, None),
     };
-    let mut prepared = Prepared { indices, pruned_from, strategy: spec.strategy(), plan: None };
+    let mut prepared =
+        Prepared { indices, pruned_from, groups: None, strategy: spec.strategy(), plan: None };
     if cost {
-        let plan = plan_on(ctx, spec, &prepared.indices, prepared.num_pruned())?;
+        let groups = validated_model_groups_on(ctx.db, &prepared.indices, spec.window())?;
+        let plan = plan_on(ctx, spec, &groups, prepared.indices.len(), prepared.num_pruned());
         prepared.strategy = plan.strategy;
         prepared.plan = Some(plan);
+        prepared.groups = Some(groups);
     }
     Ok(prepared)
 }
 
-/// The cost model over already-prefiltered indices (`pruned` counts the
-/// candidates the index discarded). The estimates see only the surviving
-/// candidates — this is where pruning shrinks the planner's `|D|`.
+/// The cost model over the validated groups of the `examined` candidates
+/// that survived the prefilter (`pruned` counts the ones the index
+/// discarded). The estimates see only the surviving candidates — this is
+/// where pruning shrinks the planner's `|D|`.
 fn plan_on(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
-    indices: &[usize],
+    groups: &[ModelGroup],
+    examined: usize,
     pruned: usize,
-) -> Result<QueryPlan> {
+) -> QueryPlan {
     let window = spec.window();
-    let groups = validated_model_groups_on(ctx.db, indices, window)?;
-
     let levels = match spec.predicate() {
         Predicate::KTimes(_) => (window.num_times() + 1) as f64,
         _ => 1.0,
@@ -438,20 +454,22 @@ fn plan_on(
     let mut cached_fields = 0usize;
     let mut extendable_fields = 0usize;
 
-    for group in &groups {
+    for group in groups {
         let chain = &ctx.db.models()[group.model];
         let nnz = chain.matrix().nnz() as f64;
-        let spans: f64 = group.anchors.iter().map(|&a| (t_end - a.min(t_end)) as f64).sum::<f64>();
+        // Σ (t_end − anchor) over the members; validated anchors lie at or
+        // before `t_start ≤ t_end`.
+        let spans = (group.members.len() as u64 * u64::from(t_end) - group.time_sum) as f64;
         ob.step_ops += spans * levels * nnz;
         ob.object_ops += group.members.len() as f64;
 
-        let min_anchor = group.anchors.iter().copied().min().unwrap_or(t_end);
+        let min_anchor = group.times.first().copied().unwrap_or(t_end);
         let full_sweep = (t_end - min_anchor.min(t_end)) as f64;
         let residency = ctx
             .cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .residency(group.model, chain, window, rule, &group.anchors);
+            .residency(group.model, chain, window, rule, &group.times);
         let sweep = match residency {
             (true, _) => {
                 cached_fields += 1;
@@ -464,11 +482,7 @@ fn plan_on(
             (false, None) => full_sweep,
         };
         qb.step_ops += sweep * levels * nnz;
-        qb.object_ops += group
-            .members
-            .iter()
-            .map(|&idx| ctx.db.object(idx).map_or(0.0, |o| o.anchor().distribution().nnz() as f64))
-            .sum::<f64>();
+        qb.object_ops += group.anchor_nnz as f64;
 
         mc.step_ops += spans * spec.sampling().samples as f64;
     }
@@ -484,7 +498,7 @@ fn plan_on(
                     Strategy::QueryBased,
                     format!(
                         "auto: backward sweep amortizes over {} object(s){}",
-                        indices.len(),
+                        examined,
                         if cached_fields > 0 {
                             format!(", {cached_fields} field(s) cache-resident")
                         } else {
@@ -497,7 +511,7 @@ fn plan_on(
                     Strategy::ObjectBased,
                     format!(
                         "auto: {} forward pass(es) estimated cheaper than the backward sweep",
-                        indices.len()
+                        examined
                     ),
                 )
             }
@@ -505,22 +519,32 @@ fn plan_on(
         explicit => (explicit, "explicit strategy override".to_string()),
     };
 
-    Ok(QueryPlan {
+    QueryPlan {
         strategy,
         object_based: ob,
         query_based: qb,
         monte_carlo: mc,
-        num_objects: indices.len() + pruned,
+        num_objects: examined + pruned,
         num_models: groups.len(),
         cached_fields,
         extendable_fields,
         window_states: window.states().count(),
         window_times: window.num_times(),
         horizon: t_end,
-        candidates_examined: indices.len(),
+        candidates_examined: examined,
         candidates_pruned: pruned,
         reason,
-    })
+    }
+}
+
+/// The objects one driver call evaluates: ascending database indices and,
+/// when `prepare` validated them, their model groups — the driver builds
+/// its field or reach plan from the groups; without them it validates
+/// `indices` itself, in its own order.
+#[derive(Clone, Copy)]
+struct Candidates<'a> {
+    indices: &'a [usize],
+    groups: Option<&'a [ModelGroup]>,
 }
 
 /// The refine half of a query's life: runs a prepared spec under its
@@ -533,17 +557,18 @@ pub(crate) fn refine(
     prepared: &Prepared,
     stats: &mut EvalStats,
 ) -> Result<QueryAnswer> {
-    let &Prepared { ref indices, ref pruned_from, strategy, .. } = prepared;
+    let &Prepared { ref indices, ref pruned_from, ref groups, strategy, .. } = prepared;
     debug_assert!(strategy != Strategy::Auto, "an Auto spec is prepared with costing");
     stats.candidates_examined += indices.len() as u64;
     stats.candidates_pruned += prepared.num_pruned() as u64;
     let window = spec.window();
+    let candidates = Candidates { indices, groups: groups.as_deref() };
 
     let sampling = spec.sampling();
     match spec.predicate() {
         Predicate::Exists => match spec.decorator() {
             Decorator::Probabilities => {
-                let probs = exists_probs(ctx, strategy, indices, window, sampling, stats)?;
+                let probs = exists_probs(ctx, strategy, candidates, window, sampling, stats)?;
                 Ok(QueryAnswer::Probabilities(match pruned_from {
                     Some(scope) => with_pruned_zeros(ctx.db, scope, indices, probs)?,
                     None => probs,
@@ -552,7 +577,7 @@ pub(crate) fn refine(
             Decorator::Threshold(tau) => {
                 let scope = pruned_from.as_ref();
                 let ids =
-                    threshold_ids(ctx, strategy, indices, scope, window, tau, sampling, stats)?;
+                    threshold_ids(ctx, strategy, candidates, scope, window, tau, sampling, stats)?;
                 Ok(QueryAnswer::ObjectIds(ids))
             }
             Decorator::TopK(k) => {
@@ -561,22 +586,22 @@ pub(crate) fn refine(
                     // Bound-pruned ranking on the reach-trimmed sweep:
                     // dismissed objects answer `None`.
                     Strategy::ObjectBased => {
-                        forward_answers(ctx, ranking::TopK::new(k), indices, window, stats)?
+                        forward_answers(ctx, ranking::TopK::new(k), candidates, window, stats)?
                             .into_iter()
                             .flatten()
                             .collect()
                     }
-                    _ => exists_probs(ctx, strategy, indices, window, sampling, stats)?,
+                    _ => exists_probs(ctx, strategy, candidates, window, sampling, stats)?,
                 };
                 Ok(QueryAnswer::Ranked(ranking::select_topk(survivors, k)))
             }
         },
         Predicate::ForAll => {
-            let probs = forall_probs(ctx, strategy, indices, window, sampling, stats)?;
+            let probs = forall_probs(ctx, strategy, candidates, window, sampling, stats)?;
             Ok(decorate(probs, spec.decorator()))
         }
         Predicate::KTimes(k) => {
-            let dists = ktimes_dists(ctx, strategy, indices, window, sampling, stats)?;
+            let dists = ktimes_dists(ctx, strategy, candidates, window, sampling, stats)?;
             match spec.decorator() {
                 Decorator::Probabilities => Ok(QueryAnswer::Distributions(dists)),
                 decorator => Ok(decorate(at_least(dists, k), decorator)),
@@ -611,15 +636,16 @@ fn with_pruned_zeros(
     survivors: &[usize],
     probs: Vec<ObjectProbability>,
 ) -> Result<Vec<ObjectProbability>> {
-    debug_assert_eq!(survivors.len(), probs.len());
+    const ONE_EACH: &str = "the survivor list carries one probability each";
+    if survivors.len() != probs.len() {
+        return Err(QueryError::internal(ONE_EACH));
+    }
     // Sized up front: an index-pruned answer is as long as its scope.
     let mut out = Vec::with_capacity(scope.len());
     let mut probs = probs.into_iter();
     for (idx, survivor) in scope.against(survivors) {
         out.push(match survivor {
-            Some(_) => probs
-                .next()
-                .ok_or(QueryError::internal("the survivor list carries one probability each"))?,
+            Some(_) => probs.next().ok_or(QueryError::internal(ONE_EACH))?,
             None => {
                 let object = db
                     .object(idx)
@@ -634,19 +660,20 @@ fn with_pruned_zeros(
 /// Thresholded-`∃` accepted ids over a prefiltered candidate set: cluster
 /// envelope bounds decide what they can (heterogeneous models only), the
 /// exact drivers evaluate the rest, and — only at `τ = 0`, where `P∃ = 0`
-/// still qualifies — the index-pruned rest of the scope `indices` were
+/// still qualifies — the index-pruned rest of the scope the candidates were
 /// `pruned_from` is accepted with them, in database-index order.
 #[allow(clippy::too_many_arguments)]
 fn threshold_ids(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     pruned_from: Option<&Scope>,
     window: &QueryWindow,
     tau: f64,
     sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<u64>> {
+    let indices = candidates.indices;
     let mut decisions: Vec<Option<bool>> = match envelope_clusters(ctx, strategy) {
         Some(index) => {
             cluster::decide_by_bounds(ctx.db, indices, window, tau, index.clusters(), stats)?
@@ -656,13 +683,24 @@ fn threshold_ids(
     let undecided: Vec<usize> =
         indices.iter().zip(&decisions).filter(|(_, d)| d.is_none()).map(|(&idx, _)| idx).collect();
     if !undecided.is_empty() {
+        // What the envelopes left keeps `prepare`'s validation: the same
+        // groups when nothing was decided, regrouped (not revalidated)
+        // otherwise.
+        let regrouped = match candidates.groups {
+            Some(_) if undecided.len() < indices.len() => {
+                Some(model_groups_on(ctx.db, &undecided)?)
+            }
+            _ => None,
+        };
+        let groups = regrouped.as_deref().or(candidates.groups);
+        let undecided = Candidates { indices: &undecided, groups };
         // The strategy's own driver: the bound-based forward rule (early
         // termination per object), or probabilities compared against `τ`.
         let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
-            let outcomes = forward_answers(ctx, Threshold { tau }, &undecided, window, stats)?;
+            let outcomes = forward_answers(ctx, Threshold { tau }, undecided, window, stats)?;
             outcomes.into_iter().map(|o| o.qualifies).collect()
         } else {
-            let probs = exists_probs(ctx, strategy, &undecided, window, sampling, stats)?;
+            let probs = exists_probs(ctx, strategy, undecided, window, sampling, stats)?;
             probs.into_iter().map(|r| r.probability >= tau).collect()
         };
         let mut q = qualifies.into_iter();
@@ -699,21 +737,25 @@ pub(crate) fn at_least(dists: Vec<ObjectKDistribution>, k: usize) -> Vec<ObjectP
         .collect()
 }
 
-/// PST∃Q probabilities over `indices` under the resolved strategy.
+/// PST∃Q probabilities over the candidates under the resolved strategy.
 fn exists_probs(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     window: &QueryWindow,
     sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
-        Strategy::ObjectBased => forward_answers(ctx, object_based::Exists, indices, window, stats),
-        Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::Exists, indices, window, stats, probability_row)
+        Strategy::ObjectBased => {
+            forward_answers(ctx, object_based::Exists, candidates, window, stats)
         }
-        Strategy::MonteCarlo => Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, 1)),
+        Strategy::QueryBased => {
+            field_answers(ctx, FieldRule::Exists, candidates, window, stats, probability_row)
+        }
+        Strategy::MonteCarlo => {
+            Ok(at_least(mc_counts(ctx, sampling, candidates.indices, window, stats)?, 1))
+        }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }
@@ -728,21 +770,28 @@ pub(crate) fn field_rule(predicate: Predicate) -> FieldRule {
     }
 }
 
-/// Query-based answers over `indices`: the cached backward field of `rule`
-/// per model, then the fan-out — `answer` once per object against the
-/// read-only field of the object's model (one dot product each), sharded.
-/// The rule rides in the fields; `answer` picks the matching read.
+/// Query-based answers over the candidates: the cached backward field of
+/// `rule` per model, then the fan-out — `answer` once per object against
+/// the read-only field of the object's model (one dot product each),
+/// sharded. The rule rides in the fields; `answer` picks the matching read.
 fn field_answers<T: Send>(
     ctx: &ExecContext<'_>,
     rule: FieldRule,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     window: &QueryWindow,
     stats: &mut EvalStats,
     answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T> + Sync,
 ) -> Result<Vec<T>> {
-    let plan = SharedFieldPlan::prepare_with_cache_on(
-        ctx.db, indices, window, rule, ctx.config, ctx.cache, stats,
-    )?;
+    let Candidates { indices, groups } = candidates;
+    let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
+    let plan = match groups {
+        Some(groups) => {
+            SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)
+        }
+        None => {
+            SharedFieldPlan::prepare_with_cache_on(db, indices, window, rule, config, cache, stats)
+        }
+    }?;
     stats.fields_shared += plan.num_fields() as u64;
     ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
@@ -764,15 +813,15 @@ fn field_answers<T: Send>(
     })
 }
 
-/// Object-based answers over `indices`: the reach schedules of `rule` per
-/// model (validating the objects in index order), then the fan-out — every
-/// shard runs the database loop of the one forward driver under its own
-/// copy of `rule` (a rule's state, like top-k's candidate list, is per
-/// shard).
+/// Object-based answers over the candidates: the reach schedules of `rule`
+/// per model (from the planner's groups, or validating the objects in index
+/// order), then the fan-out — every shard runs the database loop of the one
+/// forward driver under its own copy of `rule` (a rule's state, like
+/// top-k's candidate list, is per shard).
 fn forward_answers<R>(
     ctx: &ExecContext<'_>,
     rule: R,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     window: &QueryWindow,
     stats: &mut EvalStats,
 ) -> Result<Vec<R::Output>>
@@ -780,20 +829,24 @@ where
     R: ForwardRule + Clone + Sync,
     R::Output: Send,
 {
-    let reach = ReachPlan::prepare(ctx.db, indices, window, R::REACH)?;
+    let Candidates { indices, groups } = candidates;
+    let reach = match groups {
+        Some(groups) => ReachPlan::from_groups(ctx.db, groups, window, R::REACH)?,
+        None => ReachPlan::prepare(ctx.db, indices, window, R::REACH)?,
+    };
     ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
         object_based::forward_database(pipeline, ctx.db, idxs, window, &reach, &mut rule.clone())
     })
 }
 
-/// PST∀Q probabilities over `indices`: the Section VII complement
+/// PST∀Q probabilities over the candidates: the Section VII complement
 /// reduction object-based (the complement-window sweep under the ∀ reach
 /// of the original window), the direct ∀ backward field query-based, the
 /// all-visits tail for the sampling baseline.
 fn forall_probs(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     window: &QueryWindow,
     sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
@@ -801,35 +854,36 @@ fn forall_probs(
     match strategy {
         Strategy::MonteCarlo => {
             let k_max = window.num_times();
-            Ok(at_least(mc_counts(ctx, sampling, indices, window, stats)?, k_max))
+            Ok(at_least(mc_counts(ctx, sampling, candidates.indices, window, stats)?, k_max))
         }
         Strategy::QueryBased => {
             forall::reject_full_space(window)?;
-            field_answers(ctx, FieldRule::ForAll, indices, window, stats, probability_row)
+            field_answers(ctx, FieldRule::ForAll, candidates, window, stats, probability_row)
         }
         Strategy::ObjectBased => {
-            forward_answers(ctx, forall::ForAll::over(window)?, indices, window, stats)
+            forward_answers(ctx, forall::ForAll::over(window)?, candidates, window, stats)
         }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }
 
-/// PSTkQ visit-count distributions over `indices` under the resolved
+/// PSTkQ visit-count distributions over the candidates under the resolved
 /// strategy.
 fn ktimes_dists(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
-    indices: &[usize],
+    candidates: Candidates<'_>,
     window: &QueryWindow,
     sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
     match strategy {
-        Strategy::ObjectBased => forward_answers(ctx, ktimes::KTimes, indices, window, stats),
+        Strategy::ObjectBased => forward_answers(ctx, ktimes::KTimes, candidates, window, stats),
         Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::KTimes, indices, window, stats, ktimes::distribution_row)
+            let row = ktimes::distribution_row;
+            field_answers(ctx, FieldRule::KTimes, candidates, window, stats, row)
         }
-        Strategy::MonteCarlo => mc_counts(ctx, sampling, indices, window, stats),
+        Strategy::MonteCarlo => mc_counts(ctx, sampling, candidates.indices, window, stats),
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
 }

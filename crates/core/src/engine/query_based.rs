@@ -410,49 +410,97 @@ pub fn exists_probability(
     field_probability(chain, object, window, FieldRule::Exists, config)
 }
 
-/// A model's populated object group: database indices in insertion order
-/// plus their (validated) anchor times — everything a backward sweep needs.
+/// A model's populated object group, validated against one window: its
+/// members, their distinct anchor times and the anchor totals the planner
+/// costs with — everything a backward sweep, a reach plan or a cost
+/// estimate needs, gathered in the one pass that validates.
 pub(crate) struct ModelGroup {
     /// Model index into `db.models()`.
     pub model: usize,
     /// Database object indices following the model, ascending.
     pub members: Vec<usize>,
-    /// `members`' anchor times, parallel to `members`.
-    pub anchors: Vec<u32>,
+    /// The members' distinct anchor times, ascending — the snapshot times
+    /// of the model's backward field.
+    pub times: Vec<u32>,
+    /// Σ of the members' anchor times.
+    pub time_sum: u64,
+    /// Σ of the members' anchor-distribution `nnz`: the size of the
+    /// query-based dot products.
+    pub anchor_nnz: usize,
+}
+
+impl ModelGroup {
+    fn new(model: usize) -> Self {
+        ModelGroup { model, members: Vec::new(), times: Vec::new(), time_sum: 0, anchor_nnz: 0 }
+    }
+
+    /// Adds `object`, the object at database index `idx` (above every
+    /// member so far); [`group_on`] sorts and dedups `times` once at the
+    /// end.
+    fn push(&mut self, idx: usize, object: &UncertainObject) {
+        let t = object.anchor().time();
+        self.times.push(t);
+        self.members.push(idx);
+        self.time_sum += u64::from(t);
+        self.anchor_nnz += object.anchor().distribution().nnz();
+    }
 }
 
 /// Validates the objects at `indices` (ascending database indices) and
 /// groups them by model — the shared front half of the sequential reference
-/// drivers and the planner's shared-field plans, so the validation and
-/// anchor-collection rules cannot diverge between them. Validation runs
-/// model-major in member order.
+/// drivers, the planner's cost model and the shared-field plans, so the
+/// validation and anchor-collection rules cannot diverge between them.
+///
+/// One pass in index order, but the error is the one a model-major
+/// validation in member order reports: the first offender of the lowest
+/// model that has one.
 pub(crate) fn validated_model_groups_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
 ) -> Result<Vec<ModelGroup>> {
-    let mut members_by_model: Vec<Vec<usize>> = vec![Vec::new(); db.models().len()];
+    group_on(db, indices, |chain, object| validate(chain, object, window))
+}
+
+/// Groups objects that [`validated_model_groups_on`] already validated —
+/// an ascending subset of its indices — without validating them again.
+pub(crate) fn model_groups_on(
+    db: &TrajectoryDatabase,
+    indices: &[usize],
+) -> Result<Vec<ModelGroup>> {
+    group_on(db, indices, |_, _| Ok(()))
+}
+
+/// The one grouping pass under `check`. Objects of models at or above the
+/// current offender's are not checked any more; every index is still
+/// resolved.
+fn group_on(
+    db: &TrajectoryDatabase,
+    indices: &[usize],
+    check: impl Fn(&MarkovChain, &UncertainObject) -> Result<()>,
+) -> Result<Vec<ModelGroup>> {
+    let mut groups: Vec<ModelGroup> = (0..db.models().len()).map(ModelGroup::new).collect();
+    let mut offender: Option<(usize, QueryError)> = None;
     for &idx in indices {
         let object = db
             .object(idx)
             .ok_or(QueryError::internal("model grouping received an unresolved object index"))?;
-        members_by_model[object.model()].push(idx);
-    }
-    let mut groups = Vec::new();
-    for (model_idx, members) in members_by_model.into_iter().enumerate() {
-        if members.is_empty() {
+        let model = object.model();
+        if offender.as_ref().is_some_and(|&(first, _)| first <= model) {
             continue;
         }
-        let chain = &db.models()[model_idx];
-        let mut anchors = Vec::with_capacity(members.len());
-        for &idx in &members {
-            let object = db
-                .object(idx)
-                .ok_or(QueryError::internal("group membership indices resolve to objects"))?;
-            validate(chain, object, window)?;
-            anchors.push(object.anchor().time());
+        match check(&db.models()[model], object) {
+            Ok(()) => groups[model].push(idx, object),
+            Err(e) => offender = Some((model, e)),
         }
-        groups.push(ModelGroup { model: model_idx, members, anchors });
+    }
+    if let Some((_, e)) = offender {
+        return Err(e);
+    }
+    groups.retain(|group| !group.members.is_empty());
+    for group in &mut groups {
+        group.times.sort_unstable();
+        group.times.dedup();
     }
     Ok(groups)
 }
@@ -481,7 +529,8 @@ impl SharedFieldPlan {
     /// lock-guarded [`FieldCache`]: hits and suffix extensions pay
     /// no (or less) backward work, fresh windows sweep once and stay
     /// cached for the next query. `None` entries are models without
-    /// objects.
+    /// objects. A query the planner already validated serves its groups
+    /// through `SharedFieldPlan::from_groups` instead.
     ///
     /// The cache lock is held only to probe and install — the backward
     /// sweeps themselves run outside it
@@ -498,9 +547,25 @@ impl SharedFieldPlan {
         cache: &Mutex<FieldCache>,
         stats: &mut EvalStats,
     ) -> Result<SharedFieldPlan> {
+        let groups = validated_model_groups_on(db, indices, window)?;
+        Self::from_groups(db, &groups, window, rule, config, cache, stats)
+    }
+
+    /// As [`SharedFieldPlan::prepare_with_cache_on`] over groups already
+    /// validated against `window`: one cache lookup per group, at its
+    /// distinct anchor times.
+    pub(crate) fn from_groups(
+        db: &TrajectoryDatabase,
+        groups: &[ModelGroup],
+        window: &QueryWindow,
+        rule: FieldRule,
+        config: &EngineConfig,
+        cache: &Mutex<FieldCache>,
+        stats: &mut EvalStats,
+    ) -> Result<SharedFieldPlan> {
         let mut fields: Vec<Option<Arc<BackwardField>>> =
             (0..db.models().len()).map(|_| None).collect();
-        for group in validated_model_groups_on(db, indices, window)? {
+        for group in groups {
             let chain = &db.models()[group.model];
             fields[group.model] = Some(FieldCache::get_or_compute_shared_concurrent(
                 cache,
@@ -508,7 +573,7 @@ impl SharedFieldPlan {
                 chain,
                 window,
                 rule,
-                &group.anchors,
+                &group.times,
                 config,
                 stats,
             )?);
@@ -613,7 +678,7 @@ pub(crate) fn evaluate_fields<T>(
     for group in validated_model_groups_on(db, &indices, window)? {
         let chain = &db.models()[group.model];
         let field =
-            BackwardField::compute_with_config(chain, window, rule, &group.anchors, config, stats)?;
+            BackwardField::compute_with_config(chain, window, rule, &group.times, config, stats)?;
         let mut memo = AnchorMemo::new();
         for &idx in &group.members {
             let object = db
@@ -760,6 +825,70 @@ mod tests {
         assert!((results[0].probability - 0.864).abs() < 1e-12);
         // Frozen object stays at s2 ∈ S▫ forever: hits with certainty.
         assert!((results[1].probability - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn groups_carry_distinct_times_and_serve_the_cache_alike() {
+        // Stream-like: anchor times interleave and repeat.
+        let anchors = [0u32, 3, 0, 5, 3, 1, 5, 0, 3];
+        let mut db = TrajectoryDatabase::new(paper_chain());
+        for (id, &t) in anchors.iter().enumerate() {
+            let fix = Observation::exact(t, 3, id % 3).unwrap();
+            db.insert(UncertainObject::with_single_observation(id as u64, fix)).unwrap();
+        }
+        let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(6, 8)).unwrap();
+        let all: Vec<usize> = (0..anchors.len()).collect();
+        let groups = validated_model_groups_on(&db, &all, &window).unwrap();
+        let mut distinct = anchors.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].members, all);
+        assert_eq!(groups[0].times, distinct);
+        assert_eq!(groups[0].time_sum, anchors.iter().copied().map(u64::from).sum::<u64>());
+        assert_eq!(groups[0].anchor_nnz, anchors.len());
+
+        // One lookup sequence — a miss, two suffix extensions, a union
+        // recompute (t = 1 lies above the floor) and a hit — fed every
+        // anchor or only the distinct times.
+        let lookups: [&[usize]; 5] = [&all[3..4], &all[1..2], &all[..5], &all, &all];
+        let run = |distinct_only: bool| {
+            let cache = Mutex::new(FieldCache::new(4));
+            let mut stats = EvalStats::new();
+            let mut fields = Vec::new();
+            for indices in lookups {
+                let times: Vec<u32> = if distinct_only {
+                    validated_model_groups_on(&db, indices, &window).unwrap()[0].times.clone()
+                } else {
+                    indices.iter().map(|&i| anchors[i]).collect()
+                };
+                fields.push(
+                    FieldCache::get_or_compute_shared_concurrent(
+                        &cache,
+                        0,
+                        &db.models()[0],
+                        &window,
+                        FieldRule::Exists,
+                        &times,
+                        &EngineConfig::default(),
+                        &mut stats,
+                    )
+                    .unwrap(),
+                );
+            }
+            ((stats.cache_hits, stats.cache_misses, stats.backward_steps), fields)
+        };
+        let (every_anchor, fields) = run(false);
+        let (distinct_times, distinct_fields) = run(true);
+        assert_eq!(every_anchor.0, 3, "two extensions and a hit");
+        assert_eq!(every_anchor.1, 2, "the first lookup and the union recompute");
+        assert_eq!(every_anchor, distinct_times);
+        for (a, b) in fields.iter().zip(&distinct_fields) {
+            assert_eq!(a.times().collect::<Vec<_>>(), b.times().collect::<Vec<_>>());
+            for t in a.times() {
+                assert_eq!(a.at(t), b.at(t), "snapshot at t = {t}");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! threshold the writer drops the index and the next read rebuilds it in
 //! bulk (compaction).
 //!
+//! A probe ([`SpatioTemporalIndex::candidates`]) costs what it keeps: hits
+//! go into a bitset of `⌈|D|/64⌉` words and come back ascending, word by
+//! word, so a selective window pays the words, the visited R-tree leaves
+//! and its survivors, never a pass over `|D|` entries. The survivors are
+//! the planner's one candidate set; it validates and groups them once per
+//! query and `refine` reuses the groups ([`crate::engine::plan`]).
+//!
 //! [`TrajectoryDatabase::spatial_index`]: crate::database::TrajectoryDatabase::spatial_index
 
 use std::collections::BTreeMap;
@@ -80,6 +87,9 @@ pub struct SpatioTemporalIndex {
     /// Database indices whose geometry differs from the bulk build. Base
     /// results for these indices are stale; the overlay anchor decides.
     overlay: BTreeMap<usize, ConeAnchor>,
+    /// Latest anchor time over the bulk build and the overlay (0 when
+    /// empty), carried forward by `with_updated`.
+    max_anchor_time: u32,
     num_objects: usize,
 }
 
@@ -88,7 +98,7 @@ impl fmt::Debug for SpatioTemporalIndex {
         f.debug_struct("SpatioTemporalIndex")
             .field("num_objects", &self.num_objects)
             .field("overlay_len", &self.overlay.len())
-            .field("max_anchor_time", &self.max_anchor_time())
+            .field("max_anchor_time", &self.max_anchor_time)
             .field("clusters", &self.base.clusters.len())
             .finish_non_exhaustive()
     }
@@ -127,6 +137,7 @@ impl SpatioTemporalIndex {
             clusters,
         };
         SpatioTemporalIndex {
+            max_anchor_time: base.max_anchor_time,
             base: Arc::new(base),
             overlay: BTreeMap::new(),
             num_objects: db.len(),
@@ -139,11 +150,14 @@ impl SpatioTemporalIndex {
     /// a rebuild. Handles both mutation (`idx` already covered) and
     /// insertion (`idx == num_objects()`).
     pub fn with_updated(&self, idx: usize, object: &UncertainObject) -> SpatioTemporalIndex {
+        let anchor = ConeAnchor::of(object, self.base.space.as_ref());
+        let max_anchor_time = self.max_anchor_time.max(anchor.anchor_time);
         let mut overlay = self.overlay.clone();
-        overlay.insert(idx, ConeAnchor::of(object, self.base.space.as_ref()));
+        overlay.insert(idx, anchor);
         SpatioTemporalIndex {
             base: Arc::clone(&self.base),
             overlay,
+            max_anchor_time,
             num_objects: self.num_objects.max(idx + 1),
         }
     }
@@ -170,12 +184,12 @@ impl SpatioTemporalIndex {
     /// database is empty). Windows starting at or after this instant are
     /// guaranteed to pass per-object window validation, which is what
     /// licenses answering from pruned candidate sets without touching the
-    /// pruned objects. Overlay anchors are monotone over the base entries
-    /// they shadow (ingest never moves an anchor backwards), so the max of
-    /// both sides is exact.
+    /// pruned objects. Overlay anchors are monotone over the entries they
+    /// shadow (ingest never moves an anchor backwards), so the running max
+    /// [`SpatioTemporalIndex::with_updated`] carries is exact — O(1) here
+    /// instead of a fold over the overlay on every whole-database query.
     pub fn max_anchor_time(&self) -> u32 {
-        let overlay = self.overlay.values().map(|a| a.anchor_time).max().unwrap_or(0);
-        self.base.max_anchor_time.max(overlay)
+        self.max_anchor_time
     }
 
     /// The embedding the index was built against.
@@ -192,18 +206,22 @@ impl SpatioTemporalIndex {
 
     /// Bounding rectangle of the window's state set under the embedding.
     pub fn window_rect(&self, window: &QueryWindow) -> Rect {
-        let mut rect = Rect::empty();
-        for s in window.states().to_indices() {
-            rect = rect.union(&Rect::point(self.base.space.location(s)));
-        }
-        rect
+        window
+            .states()
+            .iter()
+            .fold(Rect::empty(), |rect, s| rect.union(&Rect::point(self.base.space.location(s))))
     }
 
-    /// Database indices of objects that *may* satisfy `window` (sorted):
-    /// observed by the window's end and with a reachability cone that
-    /// touches the window's bounding rectangle. Everything else is
-    /// guaranteed to have `P∃ = 0`. Conservative by construction — never
+    /// Database indices of objects that *may* satisfy `window`
+    /// (ascending): observed by the window's end and with a reachability
+    /// cone that touches the window's bounding rectangle. Everything else
+    /// is guaranteed to have `P∃ = 0`. Conservative by construction — never
     /// discards an object with non-zero probability.
+    ///
+    /// Hits land in a bitset of `⌈|D|/64⌉` words and are read back word by
+    /// word, lowest bit first, so the output is ascending without a sort
+    /// and a probe costs the words, the visited leaves and the survivors —
+    /// never a pass over `|D|` entries.
     pub fn candidates(&self, window: &QueryWindow) -> Vec<usize> {
         let base = &*self.base;
         let rect = self.window_rect(window);
@@ -220,20 +238,42 @@ impl SpatioTemporalIndex {
         let max_reach = (horizon + base.max_slack).max(0.0);
         let min_reach = horizon + base.min_slack;
         let all_observed = base.max_anchor_time <= t_end;
-        let mut hit = vec![false; self.num_objects];
+        let mut hits = vec![0u64; self.num_objects.div_ceil(64)];
         base.tree.visit_leaves(&rect.expand(max_reach), &mut |bbox, entries| {
             let whole_leaf = all_observed && rect.max_distance_to_rect(bbox) <= min_reach;
             for entry in entries {
-                hit[entry.id] = whole_leaf || reaches(&base.anchors[entry.id]);
+                if whole_leaf || reaches(&base.anchors[entry.id]) {
+                    hits[entry.id / 64] |= 1 << (entry.id % 64);
+                }
             }
         });
         // Overlay anchors replace whatever the bulk pass said about their
         // (stale or absent) base entries.
         for (&idx, anchor) in &self.overlay {
-            hit[idx] = reaches(anchor);
+            let bit = 1u64 << (idx % 64);
+            if reaches(anchor) {
+                hits[idx / 64] |= bit;
+            } else {
+                hits[idx / 64] &= !bit;
+            }
         }
-        hit.iter().enumerate().filter(|(_, &h)| h).map(|(id, _)| id).collect()
+        ascending_ones(&hits)
     }
+}
+
+/// The positions of the set bits of `words` (bit `i` of word `w` is
+/// position `64·w + i`), ascending: words in order, and within a word
+/// `trailing_zeros` peels the lowest set bit first.
+fn ascending_ones(words: &[u64]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(words.iter().map(|w| w.count_ones() as usize).sum());
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(64 * w + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 /// Intersection of two ascending-sorted index sets.
@@ -387,6 +427,41 @@ mod tests {
             );
         }
         assert_eq!(updated.max_anchor_time(), fresh.max_anchor_time());
+    }
+
+    #[test]
+    fn survivors_cross_word_boundaries_in_ascending_order() {
+        // Hits sit at state 101 (inside the window's reach), misses at 10.
+        let n = 200;
+        let (hit, miss) = (101, 10);
+        let window = QueryWindow::from_states(n, 100usize..=102, TimeSet::interval(1, 2)).unwrap();
+        let at = |id: usize, state| {
+            let fix = Observation::exact(0, n, state).unwrap();
+            UncertainObject::with_single_observation(id as u64, fix)
+        };
+        for len in [63usize, 64, 65, 128, 129] {
+            let mut survivors: Vec<usize> =
+                [0, 63, 64, len - 1].into_iter().filter(|&id| id < len).collect();
+            survivors.dedup();
+            let states: Vec<(u32, usize)> =
+                (0..len).map(|id| (0, if survivors.contains(&id) { hit } else { miss })).collect();
+            let db = db_with_anchors(n, &states);
+            let index = SpatioTemporalIndex::build(&db, Arc::new(LineSpace::new(n)));
+            assert_eq!(index.candidates(&window), survivors, "|D| = {len}");
+
+            // The overlay turns the last word's survivor off, object 1 on,
+            // and inserts a hit at `len` — a new word when `len` is a
+            // multiple of 64.
+            let last = len - 1;
+            let updated = index
+                .with_updated(last, &at(last, miss))
+                .with_updated(1, &at(1, hit))
+                .with_updated(len, &at(len, hit));
+            let mut expected: Vec<usize> =
+                survivors.iter().copied().filter(|&id| id != last).chain([1, len]).collect();
+            expected.sort_unstable();
+            assert_eq!(updated.candidates(&window), expected, "|D| = {len} + overlay");
+        }
     }
 
     #[test]

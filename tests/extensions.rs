@@ -7,7 +7,7 @@ mod common;
 use common::probs;
 use ust::prelude::*;
 use ust_core::cluster;
-use ust_core::Strategy::{ObjectBased, QueryBased};
+use ust_core::Strategy::{Auto, ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
 
 fn dataset() -> ust_data::SyntheticDataset {
@@ -175,6 +175,24 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
             assert_eq!(off_stats.objects_pruned, 0);
         }
     }
+    // `Auto` validates once, in the planner, and the driver evaluates what
+    // the envelopes leave undecided from the planner's groups.
+    for scope in [None, Some(&subset)] {
+        let mut query = Query::exists().window(window.clone()).threshold(tau).strategy(Auto);
+        if let Some(ids) = scope {
+            query = query.objects(ids.iter().copied());
+        }
+        let spec = query.build().unwrap();
+        let expected: Vec<u64> = reference
+            .iter()
+            .filter(|r| r.probability >= tau && scope.is_none_or(|s| s.contains(&r.object_id)))
+            .map(|r| r.object_id)
+            .collect();
+        let (with_envelopes, stats) = run(&db, PrefilterMode::On, &spec);
+        assert_eq!(with_envelopes.as_ref(), Ok(&expected), "Auto {:?}", scope.is_some());
+        assert!(stats.objects_pruned > 0, "the envelopes decided something");
+        assert_eq!(run(&db, PrefilterMode::Off, &spec).0.as_ref(), Ok(&expected));
+    }
 
     // A window that starts before two objects' (different) latest fixes.
     // The envelopes leave both undecided, so each strategy's own driver
@@ -195,5 +213,23 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
             Err(ust_core::QueryError::WindowBeforeObservation { window_start: 20, observation });
         assert_eq!(run(&db, PrefilterMode::On, &spec).0, first, "{strategy:?}");
         assert_eq!(run(&db, PrefilterMode::Off, &spec).0, first, "{strategy:?}");
+    }
+    // `Auto` reports the planner's model-major offender — the backward
+    // plan's — over the whole database and over a subset holding both.
+    let both: Vec<u64> =
+        db.objects().iter().enumerate().filter(|(i, _)| i % 5 != 4).map(|(_, o)| o.id()).collect();
+    for scope in [None, Some(&both)] {
+        let mut query = Query::exists().window(window.clone()).threshold(tau).strategy(Auto);
+        if let Some(ids) = scope {
+            query = query.objects(ids.iter().copied());
+        }
+        let spec = query.build().unwrap();
+        let first = Err(ust_core::QueryError::WindowBeforeObservation {
+            window_start: 20,
+            observation: 24,
+        });
+        for mode in [PrefilterMode::On, PrefilterMode::Off] {
+            assert_eq!(run(&db, mode, &spec).0, first, "{mode:?} {:?}", scope.is_some());
+        }
     }
 }
