@@ -53,23 +53,25 @@ struct DbInner {
     /// Spatial embedding of the state space, when one has been attached;
     /// required for the planner's spatio-temporal prefilter.
     space: Option<Arc<dyn StateSpace + Send + Sync>>,
-    /// Lazily built candidate index over this exact object store. Cleared
-    /// on every mutation (see [`TrajectoryDatabase::insert`]), so a
-    /// populated slot always describes the snapshot it lives in.
+    /// Lazily built candidate index over this exact object store. Taken
+    /// out on every mutation and replaced by its updated successor (see
+    /// [`TrajectoryDatabase::insert`]), so a populated slot always
+    /// describes the snapshot it lives in.
     index: OnceLock<Arc<SpatioTemporalIndex>>,
 }
 
 impl Clone for DbInner {
     fn clone(&self) -> Self {
-        // Copy-on-write invalidation: the freshly copied store starts with
-        // an empty index slot and rebuilds lazily on first use, while the
-        // source snapshot keeps its index.
+        // The copy shares the source's index handle. Every copy is made by
+        // a mutation, which takes the handle out of the slot and installs
+        // an updated copy of the index (the source snapshot keeps its own),
+        // so a populated slot still describes the store it lives in.
         DbInner {
             models: self.models.clone(),
             objects: self.objects.clone(),
             ids_ascending: self.ids_ascending,
             space: self.space.clone(),
-            index: OnceLock::new(),
+            index: self.index.clone(),
         }
     }
 }
@@ -179,19 +181,16 @@ impl TrajectoryDatabase {
         // A built index survives the insertion incrementally (overlay
         // entry) unless it is due for compaction, in which case the slot
         // stays empty and the next read rebuilds in bulk.
-        let prev_index = self.inner.index.get().cloned();
-        let idx = {
+        let (idx, prev_index) = {
             let inner = Arc::make_mut(&mut self.inner);
             let idx = inner.objects.len();
             if inner.objects.last().is_some_and(|last| object.id() <= last.id()) {
                 inner.ids_ascending = false;
             }
             inner.objects.push(object);
-            // When this handle was the sole owner, make_mut mutated in
-            // place — drop the index explicitly so it can never describe a
-            // stale store.
-            inner.index.take();
-            idx
+            // The index leaves the slot so it can never describe a stale
+            // store; refresh_index installs its successor.
+            (idx, inner.index.take())
         };
         self.refresh_index(prev_index, idx);
         Ok(())
@@ -227,13 +226,12 @@ impl TrajectoryDatabase {
         if observation.time() < current.anchor().time() {
             return Ok(IngestOutcome::IgnoredStale);
         }
-        let prev_index = self.inner.index.get().cloned();
-        {
+        let prev_index = {
             let inner = Arc::make_mut(&mut self.inner);
             inner.objects[idx] =
                 UncertainObject::with_single_observation(object_id, observation).with_model(model);
-            inner.index.take();
-        }
+            inner.index.take()
+        };
         self.refresh_index(prev_index, idx);
         Ok(IngestOutcome::Applied)
     }
@@ -260,15 +258,20 @@ impl TrajectoryDatabase {
 
     /// Installs the incrementally updated successor of `prev` (if any) into
     /// this handle's empty index slot, covering the mutated object at
-    /// `idx`. Past the compaction threshold the slot is left empty — the
-    /// next [`TrajectoryDatabase::spatial_index`] read rebuilds in bulk.
+    /// `idx`: in place when `prev` is the only handle to the index, on a
+    /// copy of its overlay when a snapshot, an in-flight query or a caller
+    /// still holds it (a mutation that copied the store shares the index
+    /// with the source snapshot). Past the compaction threshold the slot
+    /// is left empty — the next [`TrajectoryDatabase::spatial_index`] read
+    /// rebuilds in bulk.
     fn refresh_index(&self, prev: Option<Arc<SpatioTemporalIndex>>, idx: usize) {
-        if let Some(prev) = prev {
-            if !prev.wants_compaction() {
-                let updated = prev.with_updated(idx, &self.inner.objects[idx]);
-                let _ = self.inner.index.set(Arc::new(updated));
-            }
+        let Some(mut index) = prev.filter(|index| !index.wants_compaction()) else { return };
+        let object = &self.inner.objects[idx];
+        match Arc::get_mut(&mut index) {
+            Some(sole) => sole.update(idx, object),
+            None => index = Arc::new(index.with_updated(idx, object)),
         }
+        let _ = self.inner.index.set(index);
     }
 
     /// Bulk insert.

@@ -25,9 +25,21 @@
 //! [`FieldRule::KTimes`]), not `|S|` per anchor time. Hits and misses are
 //! reported through [`EvalStats::cache_hits`] /
 //! [`EvalStats::cache_misses`]. Eviction is least-recently-used at a fixed
-//! entry capacity. Cached answers are bit-for-bit identical to uncached
-//! evaluation — resumed sweeps replay the same per-slot floating-point
-//! accumulation order (property-tested in `tests/proptest_engines.rs` and
+//! entry capacity.
+//!
+//! The key holds the [`QueryWindow`] itself and is keyed by its *value*:
+//! it hashes the window's 64-bit fingerprint (computed once per window)
+//! and confirms a match by comparing states and times, which a clone of
+//! the same window — a standing query's probe, a resubmitted spec — skips
+//! on its shared pointer. A lookup by a window whose fingerprint is known
+//! is therefore O(1) in the window's size; two windows built separately
+//! from the same states and times share one entry for the price of one
+//! mask comparison, and a fingerprint collision can never serve another
+//! window's field.
+//!
+//! Cached answers are bit-for-bit identical to uncached evaluation —
+//! resumed sweeps replay the same per-slot floating-point accumulation
+//! order (property-tested in `tests/proptest_engines.rs` and
 //! `tests/backward_fields.rs`).
 
 // lint: allow-file(unordered-iteration-on-answer-path) — entries are only
@@ -36,6 +48,7 @@
 // values, so the minimum is unique and map order cannot change which entry
 // is evicted, let alone a cached field's contents.
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ust_markov::MarkovChain;
@@ -57,13 +70,18 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// whose models were swapped out) cannot serve another chain's field: a
 /// different `MarkovChain` allocation yields a different key, and the
 /// stale entry simply ages out of the LRU.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The window is held by handle and keyed by *value*: the key hashes its
+/// fingerprint, and equality confirms a fingerprint match by comparing
+/// states and times (a clone of the same window skips that on its shared
+/// pointer). Equal windows built separately share an entry, and a
+/// fingerprint collision can never serve another window's field.
+#[derive(Debug, Clone)]
 struct CacheKey {
     model: usize,
     chain_addr: usize,
     chain_shape: (usize, usize),
-    states: Vec<usize>,
-    times: Vec<u32>,
+    window: QueryWindow,
     rule: FieldRule,
 }
 
@@ -73,10 +91,27 @@ impl CacheKey {
             model,
             chain_addr: chain as *const MarkovChain as usize,
             chain_shape: (chain.num_states(), chain.matrix().nnz()),
-            states: window.states().to_indices(),
-            times: window.times().as_slice().to_vec(),
+            window: window.clone(),
             rule,
         }
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self.model, self.chain_addr, self.chain_shape, self.rule)
+            == (other.model, other.chain_addr, other.chain_shape, other.rule)
+            && self.window.fingerprint() == other.window.fingerprint()
+            && self.window == other.window
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.model, self.chain_addr, self.chain_shape, self.rule).hash(state);
+        self.window.fingerprint().hash(state);
     }
 }
 
@@ -390,6 +425,44 @@ mod tests {
         assert!(locked(&cache).contains(0, &chain, &w, EXISTS, &[0]));
         assert!(!locked(&cache).contains(0, &chain, &w, EXISTS, &[1]));
         assert!(!locked(&cache).contains(1, &chain, &w, EXISTS, &[0]));
+    }
+
+    #[test]
+    fn windows_are_keyed_by_value_with_identity_as_a_shortcut() {
+        use crate::query::Query;
+
+        let chain = paper_chain();
+        let cache = Mutex::new(FieldCache::new(8));
+        let mut stats = EvalStats::new();
+        let w = window(3);
+        get(&cache, &chain, &w, EXISTS, &[0], &mut stats);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
+
+        // Built separately from the same states and times: one entry.
+        let twin = QueryWindow::from_states(3, [1usize, 0], TimeSet::new([3, 2])).unwrap();
+        get(&cache, &chain, &twin, EXISTS, &[0], &mut stats);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+
+        // A cloned spec carries the same window handle and hits too.
+        let spec = Query::exists().window(w.clone()).build().unwrap();
+        let probe = spec.clone();
+        get(&cache, &chain, probe.window(), EXISTS, &[0], &mut stats);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (2, 1));
+
+        // One state fewer, one time more: both miss.
+        let fewer = QueryWindow::from_states(3, [0usize], TimeSet::interval(2, 3)).unwrap();
+        get(&cache, &chain, &fewer, EXISTS, &[0], &mut stats);
+        get(&cache, &chain, &window(4), EXISTS, &[0], &mut stats);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (2, 3));
+        assert_eq!(locked(&cache).len(), 3);
+
+        // The same states over a wider space are another window: no chain
+        // of this cache could even sweep it, and its key matches nothing.
+        let wider = QueryWindow::from_states(4, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
+        let key = |w: &QueryWindow| CacheKey::of(0, &chain, w, EXISTS);
+        assert!(key(&wider) != key(&w));
+        assert!(!locked(&cache).contains(0, &chain, &wider, EXISTS, &[0]));
+        assert!(key(&twin) == key(&w) && key(probe.window()) == key(&w));
     }
 
     #[test]

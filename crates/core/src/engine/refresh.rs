@@ -297,28 +297,34 @@ impl QueryProcessor {
         } else {
             evaluate(ctx, &sub.spec, Some(object_id), &mut stats).ok()
         };
-        let outcome = match entry {
-            Some(entry) => {
-                let mut inner = sub.lock();
-                if let Ok(raw) = inner.raw.as_mut() {
-                    raw.splice(entry);
-                }
-                inner.stale = false;
-                inner.notifications += 1;
-                AsyncOutcome::Completed
+        // A whole-database answer lists every object of the snapshot. One
+        // the splice leaves shorter has missed an insert that is in the
+        // snapshot but not yet notified (concurrent inserts can notify out
+        // of order), and resynchronizes below to keep database order.
+        let spliced = entry.is_some_and(|entry| {
+            let mut inner = sub.lock();
+            let Ok(raw) = inner.raw.as_mut() else { return false };
+            raw.splice(entry);
+            if sub.spec.objects().is_none() && raw.len() != ctx.db.len() {
+                return false;
             }
+            inner.stale = false;
+            inner.notifications += 1;
+            true
+        });
+        let outcome = if spliced {
+            AsyncOutcome::Completed
+        } else {
             // Resynchronizing — or the narrowed probe failed validation:
             // the full evaluation stores exactly the payload a from-scratch
             // execution reports (e.g. which object a window-validation
             // error names).
-            None => {
-                let whole = evaluate(ctx, &sub.spec, None, &mut stats);
-                let outcome = AsyncOutcome::of(&whole);
-                let mut inner = sub.lock();
-                inner.resync(whole);
-                inner.notifications += 1;
-                outcome
-            }
+            let whole = evaluate(ctx, &sub.spec, None, &mut stats);
+            let outcome = AsyncOutcome::of(&whole);
+            let mut inner = sub.lock();
+            inner.resync(whole);
+            inner.notifications += 1;
+            outcome
         };
         if needs_full {
             ctx.metrics.record_stream_resync(sub.id, stats.total_steps());
@@ -326,5 +332,46 @@ impl QueryProcessor {
             ctx.metrics.record_stream_refresh(sub.id, stats.total_steps());
         }
         slot.release(outcome);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::{Query, QueryWindow};
+    use ust_markov::{CsrMatrix, MarkovChain};
+    use ust_space::TimeSet;
+
+    /// Two inserts applied to the database notify in reverse order, as
+    /// concurrent inserts may: the first refresh runs on a snapshot that
+    /// holds both, and the subscription still lists them in database
+    /// order, as a fresh execution does.
+    #[test]
+    fn inserts_notified_out_of_order_keep_database_order() {
+        let chain = MarkovChain::from_csr(
+            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
+                .unwrap(),
+        )
+        .unwrap();
+        let object = |id, state| {
+            UncertainObject::with_single_observation(id, Observation::exact(0, 3, state).unwrap())
+        };
+        let mut db = TrajectoryDatabase::new(chain);
+        db.insert(object(1, 0)).unwrap();
+        let processor = QueryProcessor::new(&db);
+        let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
+        let sub = processor.watch(&Query::exists().window(window).build().unwrap()).unwrap();
+        {
+            let mut db = processor.db.write().unwrap();
+            db.insert(object(2, 1)).unwrap();
+            db.insert(object(3, 2)).unwrap();
+        }
+        for object_id in [3, 2] {
+            processor.notify(Cause::Arrival { object_id, arrived: Instant::now() });
+        }
+        let answer = sub.answer().unwrap();
+        let ids: Vec<u64> = answer.probabilities().unwrap().iter().map(|p| p.object_id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(Ok(answer), processor.execute(sub.spec()));
     }
 }

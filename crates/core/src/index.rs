@@ -19,7 +19,11 @@
 //! while mutations of the source database update it **incrementally** — the
 //! bulk-built structures stay immutable behind a shared `Arc` and mutated
 //! or inserted objects live in a small sorted *overlay* of the same anchors,
-//! tested by the same predicate ([`SpatioTemporalIndex::with_updated`]).
+//! tested by the same predicate. A writer that holds the only handle to
+//! the index updates the overlay in place, in O(log overlay); one that
+//! shares it — with a snapshot, an in-flight query or a caller's
+//! `spatial_index()` handle — updates a copy
+//! ([`SpatioTemporalIndex::with_updated`]), and both run the same update.
 //! Once the overlay outgrows [`SpatioTemporalIndex::wants_compaction`]'s
 //! threshold the writer drops the index and the next read rebuilds it in
 //! bulk (compaction).
@@ -150,16 +154,24 @@ impl SpatioTemporalIndex {
     /// a rebuild. Handles both mutation (`idx` already covered) and
     /// insertion (`idx == num_objects()`).
     pub fn with_updated(&self, idx: usize, object: &UncertainObject) -> SpatioTemporalIndex {
-        let anchor = ConeAnchor::of(object, self.base.space.as_ref());
-        let max_anchor_time = self.max_anchor_time.max(anchor.anchor_time);
-        let mut overlay = self.overlay.clone();
-        overlay.insert(idx, anchor);
-        SpatioTemporalIndex {
+        let mut next = SpatioTemporalIndex {
             base: Arc::clone(&self.base),
-            overlay,
-            max_anchor_time,
-            num_objects: self.num_objects.max(idx + 1),
-        }
+            overlay: self.overlay.clone(),
+            max_anchor_time: self.max_anchor_time,
+            num_objects: self.num_objects,
+        };
+        next.update(idx, object);
+        next
+    }
+
+    /// [`SpatioTemporalIndex::with_updated`] applied to this index in
+    /// place, in O(log overlay): the writer's path when it holds the only
+    /// handle to the index.
+    pub(crate) fn update(&mut self, idx: usize, object: &UncertainObject) {
+        let anchor = ConeAnchor::of(object, self.base.space.as_ref());
+        self.max_anchor_time = self.max_anchor_time.max(anchor.anchor_time);
+        self.overlay.insert(idx, anchor);
+        self.num_objects = self.num_objects.max(idx + 1);
     }
 
     /// True once the overlay has outgrown the point where linear overlay
@@ -427,6 +439,76 @@ mod tests {
             );
         }
         assert_eq!(updated.max_anchor_time(), fresh.max_anchor_time());
+    }
+
+    #[test]
+    fn the_writer_updates_in_place_while_a_snapshot_keeps_its_index() {
+        let n = 50;
+        let mut db = db_with_anchors(n, &[(0, 10), (0, 25), (8, 21), (0, 49)]);
+        db.attach_space(Arc::new(LineSpace::new(n))).unwrap();
+        let windows: Vec<QueryWindow> = [(3u32, 5u32), (0, 1), (0, 25), (9, 12)]
+            .into_iter()
+            .map(|(t0, t1)| QueryWindow::from_states(n, 20usize..=22, TimeSet::interval(t0, t1)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let probe = |index: &SpatioTemporalIndex| -> Vec<Vec<usize>> {
+            windows.iter().map(|w| index.candidates(w)).collect()
+        };
+        let built = db.spatial_index().unwrap();
+        let snapshot = db.clone();
+        let before = probe(&built);
+        drop(built);
+
+        // The store is shared with the snapshot: the first ingest copies it
+        // and updates a copy of the index.
+        let moved = Observation::exact(2, n, 21).unwrap();
+        db.ingest(0, moved.clone()).unwrap();
+        let copied = Arc::as_ptr(&db.spatial_index().unwrap());
+        // The writer now holds its store and index alone: the insert
+        // updates the same index in place.
+        let added =
+            UncertainObject::with_single_observation(4, Observation::exact(0, n, 20).unwrap());
+        db.insert(added.clone()).unwrap();
+        let index = db.spatial_index().unwrap();
+        assert_eq!(Arc::as_ptr(&index), copied, "updated in place");
+        assert_eq!(index.overlay_len(), 2);
+
+        // It matches a bulk build of the same objects...
+        let mut objects = snapshot.objects().to_vec();
+        objects[0] = UncertainObject::with_single_observation(0, moved);
+        objects.push(added);
+        let mut fresh_db = TrajectoryDatabase::new(line_chain(n));
+        fresh_db.insert_all(objects).unwrap();
+        let fresh = SpatioTemporalIndex::build(&fresh_db, Arc::new(LineSpace::new(n)));
+        assert_eq!(probe(&index), probe(&fresh));
+        assert_eq!(index.max_anchor_time(), fresh.max_anchor_time());
+        assert_eq!(index.num_objects(), 5);
+
+        // ...while the snapshot's index never saw either update.
+        let kept = snapshot.spatial_index().unwrap();
+        assert_eq!((kept.overlay_len(), kept.max_anchor_time(), kept.num_objects()), (0, 8, 4));
+        assert_eq!(probe(&kept), before);
+    }
+
+    #[test]
+    fn crossing_the_compaction_threshold_empties_the_slot() {
+        let n = 50;
+        let mut db = db_with_anchors(n, &[(0, 10), (0, 25)]);
+        db.attach_space(Arc::new(LineSpace::new(n))).unwrap();
+        db.spatial_index().unwrap();
+        let at = |id: u64| {
+            UncertainObject::with_single_observation(id, Observation::exact(0, n, 30).unwrap())
+        };
+        for id in 2..2 + OVERLAY_COMPACTION_MIN as u64 {
+            db.insert(at(id)).unwrap();
+            assert_eq!(db.spatial_index().unwrap().overlay_len(), id as usize - 1);
+        }
+        assert!(db.spatial_index().unwrap().wants_compaction());
+        // The next write leaves the slot empty; the read rebuilds in bulk.
+        let last = 2 + OVERLAY_COMPACTION_MIN as u64;
+        db.insert(at(last)).unwrap();
+        let rebuilt = db.spatial_index().unwrap();
+        assert_eq!((rebuilt.overlay_len(), rebuilt.num_objects()), (0, last as usize + 1));
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! [`crate::engine::QueryProcessor::submit`]), which returns a
 //! [`QueryAnswer`] variant matching the decorator.
 
+use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
 use ust_markov::StateMask;
 use ust_space::{Region, StateSpace, TimeSet};
 
@@ -34,10 +38,39 @@ use crate::error::{QueryError, Result};
 
 /// A resolved spatio-temporal query window `Q▫ = S▫ × T▫`: a set of states
 /// and a set of timestamps (neither necessarily contiguous).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The window is immutable and its shape is `Arc`-shared, so a clone (and
+/// with it a [`QuerySpec`] clone) is a reference-count bump. Equality is by
+/// value: two windows built separately from the same states and times are
+/// equal.
+#[derive(Clone)]
 pub struct QueryWindow {
+    shape: Arc<WindowShape>,
+}
+
+/// The shared body of a [`QueryWindow`].
+struct WindowShape {
     states: StateMask,
     times: TimeSet,
+    /// A 64-bit digest of `states` and `times`, computed on first use —
+    /// what the field cache hashes instead of the mask's words.
+    fingerprint: OnceLock<u64>,
+}
+
+impl fmt::Debug for QueryWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueryWindow")
+            .field("states", &self.shape.states)
+            .field("times", &self.shape.times)
+            .finish()
+    }
+}
+
+impl PartialEq for QueryWindow {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+            || (self.shape.states == other.shape.states && self.shape.times == other.shape.times)
+    }
 }
 
 impl QueryWindow {
@@ -50,7 +83,8 @@ impl QueryWindow {
         if times.is_empty() {
             return Err(QueryError::EmptyTemporalWindow);
         }
-        Ok(QueryWindow { states, times })
+        let shape = WindowShape { states, times, fingerprint: OnceLock::new() };
+        Ok(QueryWindow { shape: Arc::new(shape) })
     }
 
     /// Resolves a geometric [`Region`] against a state space.
@@ -75,42 +109,55 @@ impl QueryWindow {
 
     /// The spatial component `S▫`.
     pub fn states(&self) -> &StateMask {
-        &self.states
+        &self.shape.states
     }
 
     /// The temporal component `T▫`.
     pub fn times(&self) -> &TimeSet {
-        &self.times
+        &self.shape.times
     }
 
     /// `t_end = max(T▫)` — the anchor of backward passes.
     pub fn t_end(&self) -> u32 {
         // lint: allow(panicking-call-in-lib) — `QueryWindow::new` rejects an empty
         // time set with `EmptyTemporalWindow`, so `times` always has a maximum.
-        self.times.max().expect("validated non-empty")
+        self.times().max().expect("validated non-empty")
     }
 
     /// `t_start = min(T▫)`.
     pub fn t_start(&self) -> u32 {
         // lint: allow(panicking-call-in-lib) — same constructor invariant as
         // `t_end`: the validated time set is non-empty.
-        self.times.min().expect("validated non-empty")
+        self.times().min().expect("validated non-empty")
     }
 
     /// Number of query timestamps `|T▫|`.
     pub fn num_times(&self) -> usize {
-        self.times.len()
+        self.times().len()
     }
 
     /// True when `t ∈ T▫`.
     pub fn time_in_window(&self, t: u32) -> bool {
-        self.times.contains(t)
+        self.times().contains(t)
     }
 
     /// The complemented window `(S ∖ S▫) × T▫` used to reduce PST∀Q to
     /// PST∃Q (Section VII): `P∀(S▫, T▫) = 1 − P∃(S ∖ S▫, T▫)`.
     pub fn complement_states(&self) -> Result<QueryWindow> {
-        QueryWindow::new(self.states.complement(), self.times.clone())
+        QueryWindow::new(self.states().complement(), self.times().clone())
+    }
+
+    /// A 64-bit digest of the states and times, computed once per window
+    /// and shared by its clones. Equal windows have equal fingerprints; the
+    /// converse is only likely, so a fingerprint match still has to be
+    /// confirmed with `==`.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self.shape.fingerprint.get_or_init(|| {
+            let mut hasher = DefaultHasher::new();
+            self.states().hash(&mut hasher);
+            self.times().as_slice().hash(&mut hasher);
+            hasher.finish()
+        })
     }
 }
 
@@ -558,6 +605,37 @@ mod tests {
         // Complement of the full space is empty and must be rejected.
         let full = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::at(0)).unwrap();
         assert_eq!(full.complement_states(), Err(QueryError::EmptySpatialWindow));
+    }
+
+    #[test]
+    fn windows_compare_by_value_and_clones_share_one_shape() {
+        let w = QueryWindow::from_states(70, [3usize, 64], TimeSet::interval(2, 4)).unwrap();
+        let twin = QueryWindow::from_states(70, [64usize, 3], TimeSet::new([4, 3, 2])).unwrap();
+        assert_eq!(w, twin);
+        assert!(!Arc::ptr_eq(&w.shape, &twin.shape));
+        assert_eq!(w.fingerprint(), twin.fingerprint());
+
+        // A spec clone is a reference-count bump on the window's shape.
+        let spec = Query::exists().window(w.clone()).build().unwrap();
+        let probe = spec.clone().with_probabilities().restricted_to(3);
+        assert!(Arc::ptr_eq(&probe.window().shape, &w.shape));
+
+        // One state, one time or the dimension apart: unequal, and their
+        // fingerprints differ.
+        let others = [
+            QueryWindow::from_states(70, [3usize, 65], TimeSet::interval(2, 4)),
+            QueryWindow::from_states(70, [3usize, 64], TimeSet::interval(2, 5)),
+            QueryWindow::from_states(71, [3usize, 64], TimeSet::interval(2, 4)),
+        ];
+        for other in others.map(Result::unwrap) {
+            assert_ne!(w, other);
+            assert_ne!(w.fingerprint(), other.fingerprint());
+        }
+
+        // Debug output is the value's, as before the shape was shared.
+        let shown = format!("{w:?}");
+        assert!(shown.starts_with("QueryWindow { states: StateMask { dim: 70"), "{shown}");
+        assert!(shown.ends_with("times: TimeSet { times: [2, 3, 4] } }"), "{shown}");
     }
 
     #[test]

@@ -61,17 +61,34 @@ impl RawAnswer {
         }
     }
 
-    /// Splices a single-object probe result into the maintained state:
-    /// replaces the entry with the same object id, or appends one that was
-    /// not listed before (a freshly inserted object lands at the end of
-    /// the database, which is exactly where a full re-evaluation would
-    /// list it).
+    /// The number of maintained entries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RawAnswer::Probs(v) => v.len(),
+            RawAnswer::Dists(v) => v.len(),
+        }
+    }
+
+    /// Splices a single-object probe result into the maintained state. The
+    /// probe lists every holder of the object's id (ids may repeat) in
+    /// database order, and the maintained list holds its holders in
+    /// database order too, so the probe's k-th entry replaces the list's
+    /// k-th holder of the id. An entry beyond them — a freshly inserted
+    /// holder, last in the database — appends, exactly where a full
+    /// re-evaluation lists it. The scan stops with the probe's last entry.
     pub(crate) fn splice(&mut self, update: RawAnswer) {
         fn merge<T>(into: &mut Vec<T>, from: Vec<T>, id: impl Fn(&T) -> u64) {
+            let mut next = 0;
             for entry in from {
-                match into.iter_mut().find(|e| id(e) == id(&entry)) {
-                    Some(slot) => *slot = entry,
-                    None => into.push(entry),
+                match into[next..].iter().position(|e| id(e) == id(&entry)) {
+                    Some(offset) => {
+                        into[next + offset] = entry;
+                        next += offset + 1;
+                    }
+                    None => {
+                        into.push(entry);
+                        next = into.len();
+                    }
                 }
             }
         }
@@ -400,18 +417,32 @@ mod tests {
     #[test]
     fn splice_replaces_in_place_and_appends_new_objects() {
         let p = |id: u64, probability: f64| ObjectProbability { object_id: id, probability };
+        let listed = |raw: &RawAnswer| -> Vec<(u64, f64)> {
+            match raw {
+                RawAnswer::Probs(v) => v.iter().map(|e| (e.object_id, e.probability)).collect(),
+                RawAnswer::Dists(_) => Vec::new(),
+            }
+        };
+
         let mut raw = RawAnswer::Probs(vec![p(3, 0.1), p(1, 0.2), p(7, 0.3)]);
         raw.splice(RawAnswer::Probs(vec![p(1, 0.9)]));
         raw.splice(RawAnswer::Probs(vec![p(9, 0.4)]));
-        match &raw {
-            RawAnswer::Probs(v) => {
-                let ids: Vec<u64> = v.iter().map(|e| e.object_id).collect();
-                assert_eq!(ids, vec![3, 1, 7, 9], "in-place replace keeps database order");
-                assert_eq!(v[1].probability, 0.9);
-                assert_eq!(v[3].probability, 0.4);
-            }
-            RawAnswer::Dists(_) => unreachable!(),
-        }
+        assert_eq!(
+            listed(&raw),
+            vec![(3, 0.1), (1, 0.9), (7, 0.3), (9, 0.4)],
+            "in-place replace keeps database order"
+        );
+        assert_eq!(raw.len(), 4);
+
+        // A repeated id: the k-th holder takes the k-th entry.
+        let whole = || RawAnswer::Probs(vec![p(5, 0.1), p(2, 0.2), p(5, 0.3)]);
+        let mut raw = whole();
+        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8)]));
+        assert_eq!(listed(&raw), vec![(5, 0.7), (2, 0.2), (5, 0.8)]);
+        // An inserted holder of the id appends after the existing ones.
+        let mut raw = whole();
+        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8), p(5, 0.9)]));
+        assert_eq!(listed(&raw), vec![(5, 0.7), (2, 0.2), (5, 0.8), (5, 0.9)]);
     }
 
     #[test]

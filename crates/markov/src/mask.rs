@@ -10,7 +10,7 @@ use crate::error::{MarkovError, Result};
 const BITS: usize = 64;
 
 /// A fixed-dimension set of state ids backed by 64-bit words.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateMask {
     dim: usize,
     words: Vec<u64>,

@@ -250,6 +250,49 @@ fn warm_subscription_caches_serve_subsequent_queries() {
     assert_eq!(warm_answer, cold_answer, "cache reuse never changes bits");
 }
 
+/// A repeated id: `insert` accepts a second holder of an id, and a refresh
+/// probes every holder at once, in database order. Each refreshed entry
+/// must land on its own holder — in a whole-database answer and in a
+/// subset one, after an ingest and after a third holder is inserted — so
+/// the subscription keeps reading what a fresh execution returns.
+#[test]
+fn a_refresh_on_a_repeated_id_updates_each_holder() {
+    let chain = MarkovChain::from_csr(
+        CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
+            .unwrap(),
+    )
+    .unwrap();
+    let holder = |t, state| {
+        UncertainObject::with_single_observation(5, Observation::exact(t, 3, state).unwrap())
+    };
+    let mut db = TrajectoryDatabase::new(chain);
+    db.insert_all([holder(0, 0), holder(0, 2)]).unwrap();
+    let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
+    let whole = Query::exists().window(window.clone()).build().unwrap();
+    let subset = Query::exists().window(window).objects([5u64]).build().unwrap();
+    let processor = QueryProcessor::new(&db);
+    let subs = [processor.watch(&whole).unwrap(), processor.watch(&subset).unwrap()];
+    let probabilities = |answer: QueryAnswer| -> Vec<f64> {
+        answer.probabilities().unwrap().iter().map(|p| p.probability).collect()
+    };
+
+    // The first holder moves to state 1 at t = 1; the second keeps its fix.
+    processor.ingest(5, Observation::exact(1, 3, 1).unwrap()).unwrap();
+    for sub in &subs {
+        let fresh = processor.execute(sub.spec());
+        assert_eq!(canon(&sub.answer()), canon(&fresh));
+        let read = probabilities(sub.answer().unwrap());
+        assert!((read[0] - 0.92).abs() < 1e-12 && (read[1] - 0.928).abs() < 1e-12, "{read:?}");
+    }
+
+    // A third holder appends after the other two.
+    processor.insert(holder(1, 0)).unwrap();
+    for sub in &subs {
+        assert_eq!(canon(&sub.answer()), canon(&processor.execute(sub.spec())));
+        assert_eq!(sub.answer().unwrap().len(), 3);
+    }
+}
+
 /// Errors are maintained state too: once an arrival pushes an anchor past
 /// the window start, the subscription reports exactly the batch error —
 /// same variant, same first-violating-object payload — and keeps matching
