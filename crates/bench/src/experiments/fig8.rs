@@ -5,7 +5,6 @@
 //! at 100 samples (which carries ≥ 5% standard deviation), and QB beats OB.
 //! 8(b): large setting (MC excluded, as in the paper).
 
-use ust_core::engine::monte_carlo::MonteCarlo;
 use ust_core::engine::{object_based, query_based, EngineConfig};
 use ust_core::EvalStats;
 use ust_data::csv::fmt_secs;
@@ -13,6 +12,7 @@ use ust_data::workload::paper_default_window;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
 use super::{agreement_cell, paired};
+use crate::baselines::monte_carlo::MonteCarlo;
 use crate::{time, ExperimentOutput, Scale};
 
 /// Figure 8(a): PST∃Q runtime vs `|S|`, small database, MC vs OB vs QB.
@@ -37,10 +37,8 @@ pub fn fig8a(scale: Scale) -> ExperimentOutput {
             ..SyntheticConfig::default()
         });
         let window = paper_default_window(states).expect("window fits the space");
-        let (mc_t, _) =
-            time(|| mc.evaluate_exists(&data.db, &window, &mut EvalStats::new()).unwrap());
-        let (mc_acc_t, _) =
-            time(|| mc_acc.evaluate_exists(&data.db, &window, &mut EvalStats::new()).unwrap());
+        let (mc_t, _) = time(|| mc.evaluate_exists(&data.db, &window).unwrap());
+        let (mc_acc_t, _) = time(|| mc_acc.evaluate_exists(&data.db, &window).unwrap());
         let (ob_t, ob) = time(|| {
             object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
         });
@@ -124,9 +122,7 @@ mod tests {
         let config = EngineConfig::default();
         let ob = object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
         let qb = query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
-        let mc = MonteCarlo::new(50, 1)
-            .evaluate_exists(&data.db, &window, &mut EvalStats::new())
-            .unwrap();
+        let mc = MonteCarlo::new(50, 1).evaluate_exists(&data.db, &window).unwrap();
         assert_eq!(ob.len(), 20);
         assert_eq!(qb.len(), 20);
         assert_eq!(mc.len(), 20);

@@ -1,7 +1,7 @@
 //! Figure 9 — runtime w.r.t. the query start time (synthetic, Munich, NA)
 //! and the accuracy comparison against the temporal-independence model.
 
-use ust_core::engine::{independent, object_based, query_based, EngineConfig};
+use ust_core::engine::{object_based, query_based, EngineConfig};
 use ust_core::{EvalStats, QueryWindow};
 use ust_data::csv::fmt_secs;
 use ust_data::network_data::{self, NetworkObjectConfig};
@@ -9,6 +9,7 @@ use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 use ust_space::{NetworkConfig, TimeSet};
 
+use crate::baselines::independent;
 use crate::{time, ExperimentOutput, Scale};
 
 fn start_times(scale: Scale) -> Vec<u32> {
@@ -150,13 +151,7 @@ pub fn fig9d(scale: Scale) -> ExperimentOutput {
         let window = workload::with_duration(&base, len).expect("valid window");
         let correct =
             query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
-        let indep = independent::evaluate_exists_independent(
-            &data.db,
-            &window,
-            &config,
-            &mut EvalStats::new(),
-        )
-        .unwrap();
+        let indep = independent::evaluate_exists_independent(&data.db, &window).unwrap();
         // The paper averages over objects with non-zero probability.
         let mut sum_correct = 0.0;
         let mut sum_indep = 0.0;
@@ -224,13 +219,7 @@ mod tests {
             let window = workload::with_duration(&base, len).unwrap();
             let correct =
                 query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
-            let indep = independent::evaluate_exists_independent(
-                &data.db,
-                &window,
-                &config,
-                &mut EvalStats::new(),
-            )
-            .unwrap();
+            let indep = independent::evaluate_exists_independent(&data.db, &window).unwrap();
             let gap: f64 = correct
                 .iter()
                 .zip(&indep)

@@ -6,7 +6,9 @@
 //! [`ust_data::ResultTable`]s with the same axes as the corresponding
 //! figure; the `paper_experiments` binary renders them as Markdown/CSV.
 //! Performance over time is not tracked here but by the repository's
-//! benchmark (`BENCHMARK.json`, `benchmark/README.md`).
+//! benchmark (`BENCHMARK.json`, `benchmark/README.md`). The two baselines
+//! the figures compare against — Monte-Carlo sampling and the
+//! temporal-independence model — live here too, in [`baselines`].
 //!
 //! Two scales are supported: [`Scale::Ci`] shrinks `|D|`/`|S|` so the whole
 //! suite runs in a couple of minutes on a laptop, [`Scale::Paper`] uses the
@@ -16,6 +18,7 @@
 
 #![deny(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 
 use std::time::Instant;

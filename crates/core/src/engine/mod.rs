@@ -3,7 +3,7 @@
 //! Implements the paper's two exact strategies — the **object-based (OB)**
 //! forward approach (Section V-A) and the **query-based (QB)** backward
 //! approach (Section V-B) — for all three predicates (∃, ∀, k-times), plus
-//! the comparison baselines of the evaluation:
+//! the test oracle:
 //!
 //! * [`object_based`] / [`query_based`] — exact possible-worlds evaluation
 //!   using the virtual `M−`/`M+` operators;
@@ -11,14 +11,11 @@
 //!   the direct keep-`S▫` backward field query-based;
 //! * [`ktimes`] — the memory-efficient `C(t)` algorithm (Section VII), a
 //!   QB counterpart, and the blown-up-matrix reference;
-//! * [`monte_carlo`] — the sampling competitor (MC in Fig. 8);
-//! * [`independent`] — the temporal-independence model prior work uses
-//!   (the strawman of Fig. 1 / accuracy experiment Fig. 9d);
 //! * [`exhaustive`] — exact possible-world enumeration for tiny instances,
 //!   the ground truth of the test suite.
 //!
-//! All of them drive the shared propagation core in [`pipeline`]: the
-//! engines supply direction, start state and the accumulation rule applied
+//! The engines drive the shared propagation core in [`pipeline`]: they
+//! supply direction, start state and the accumulation rule applied
 //! at query timestamps, while the step loop, ε-pruning, sparse↔dense
 //! switching and statistics accounting exist exactly once.
 //!
@@ -33,9 +30,7 @@ pub mod cache;
 mod config;
 pub mod exhaustive;
 pub mod forall;
-pub mod independent;
 pub mod ktimes;
-pub mod monte_carlo;
 pub mod object_based;
 pub mod pipeline;
 pub mod plan;

@@ -392,13 +392,14 @@ pub fn evaluate(
     evaluate_rule(db, window, config, stats, Exists)
 }
 
-/// Common validation: dimensions agree and the window starts no earlier
-/// than the anchor observation.
-pub(crate) fn validate(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-) -> Result<()> {
+/// The per-object validation every engine runs before it evaluates
+/// `object` against `window`: the chain, the object and the window's state
+/// mask agree in dimension ([`QueryError::ModelDimensionMismatch`]
+/// otherwise), and the window starts no earlier than the object's anchor
+/// observation ([`QueryError::WindowBeforeObservation`]). Public so that
+/// code evaluating objects outside the engines reports the same first
+/// error for the same input.
+pub fn validate(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> Result<()> {
     if chain.num_states() != object.num_states() {
         return Err(QueryError::ModelDimensionMismatch {
             model_states: chain.num_states(),

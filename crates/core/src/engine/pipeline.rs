@@ -4,9 +4,8 @@
 //! distribution vector (or a small family of them) is pushed through the
 //! chain's transition matrix one timestamp at a time, and at every *query*
 //! timestamp the window states receive special treatment — mass is
-//! redirected to ⊤ (PST∃Q), shifted between count levels (PSTkQ), recorded
-//! as a marginal (the independence baseline) or clamped to certainty (the
-//! backward query-based sweep). [`Propagator`] owns the loop once and the
+//! redirected to ⊤ (PST∃Q), shifted between count levels (PSTkQ) or
+//! clamped to certainty (the backward query-based sweep). [`Propagator`] owns the loop once and the
 //! engines reduce to thin drivers that supply the direction (forward /
 //! backward), the start state and the accumulation rule applied at window
 //! timestamps.
@@ -527,41 +526,6 @@ impl<'s> Propagator<'s> {
         }
         Ok(())
     }
-
-    /// Drives an arbitrary per-step state through the masking schedule —
-    /// the degenerate "one world at a time" pipeline of the sampling
-    /// baseline.
-    ///
-    /// `advance` moves the state to the given target timestamp (counted as
-    /// a transition; returning [`ControlFlow::Break`] abandons the walk,
-    /// e.g. when an observation weight hits zero); `on_window` fires at
-    /// every query timestamp, including `start_time`. The walk runs to
-    /// `end_time`, which may exceed `window.t_end()` when later
-    /// observations must still be conditioned on.
-    pub fn walk<S>(
-        &mut self,
-        start_time: u32,
-        end_time: u32,
-        window: &QueryWindow,
-        state: &mut S,
-        mut advance: impl FnMut(&mut S, u32) -> Result<ControlFlow<()>>,
-        mut on_window: impl FnMut(&mut S, u32) -> Result<()>,
-    ) -> Result<()> {
-        if window.time_in_window(start_time) {
-            on_window(state, start_time)?;
-        }
-        for t in start_time..end_time {
-            let flow = advance(state, t + 1)?;
-            self.stats.transitions += 1;
-            if flow.is_break() {
-                return Ok(());
-            }
-            if window.time_in_window(t + 1) {
-                on_window(state, t + 1)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -873,33 +837,5 @@ mod tests {
                 assert_eq!(h.get(s).to_bits(), other.1.get(s).to_bits(), "t={t}, s={s}");
             }
         }
-    }
-
-    #[test]
-    fn walk_fires_window_hook_on_schedule() {
-        let window = paper_window();
-        let mut stats = EvalStats::new();
-        let mut pipeline = Propagator::new(&EngineConfig::default(), &mut stats);
-        let mut times = Vec::new();
-        let mut t_now = 0u32;
-        pipeline
-            .walk(
-                0,
-                5,
-                &window,
-                &mut t_now,
-                |state, t| {
-                    *state = t;
-                    Ok(ControlFlow::Continue(()))
-                },
-                |_, t| {
-                    times.push(t);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(times, vec![2, 3], "window times of T▫ = [2, 3]");
-        assert_eq!(stats.transitions, 5);
-        assert_eq!(t_now, 5);
     }
 }

@@ -44,8 +44,6 @@
 //!   object. A sweep whose `(model, window, rule)` field is **cache-resident**
 //!   costs nothing; a field extendable downward pays only the missing
 //!   suffix. This is what makes repeated dashboards and bursts plan to QB.
-//! * **Monte Carlo**: never chosen by [`Strategy::Auto`] (it is
-//!   approximate); its sampling cost is still estimated for `explain`.
 //!
 //! The estimates are deliberately coarse — they rank strategies, they do
 //! not predict wall clock.
@@ -86,8 +84,8 @@ const PREFILTER_AUTO_MIN_OBJECTS: usize = 256;
 /// A strategy's estimated evaluation cost, in matrix-entry touches.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostEstimate {
-    /// Propagation work: forward steps (OB), backward sweep steps (QB) or
-    /// sampled walk transitions (MC), scaled by the matrix density.
+    /// Propagation work: forward steps (OB) or backward sweep steps (QB),
+    /// scaled by the matrix density.
     pub step_ops: f64,
     /// Per-object finishing work: result assembly (OB) or anchor dot
     /// products (QB).
@@ -118,9 +116,6 @@ pub struct QueryPlan {
     pub object_based: CostEstimate,
     /// Estimated cost of query-based evaluation (cache-aware).
     pub query_based: CostEstimate,
-    /// Estimated cost of Monte-Carlo sampling (for comparison only; never
-    /// chosen automatically).
-    pub monte_carlo: CostEstimate,
     /// Objects the query touches (after any subset restriction).
     pub num_objects: usize,
     /// Populated transition models among those objects (= backward fields
@@ -169,7 +164,7 @@ impl fmt::Display for QueryPlan {
             self.object_based.object_ops,
             self.object_based.total()
         )?;
-        writeln!(
+        write!(
             f,
             "  query-based  : {:>12.0} step ops + {:>10.0} object ops = {:>12.0} \
              ({} cached, {} extendable of {} fields)",
@@ -179,11 +174,6 @@ impl fmt::Display for QueryPlan {
             self.cached_fields,
             self.extendable_fields,
             self.num_models,
-        )?;
-        write!(
-            f,
-            "  monte-carlo  : {:>12.0} walk transitions (approximate; explicit override only)",
-            self.monte_carlo.step_ops
         )?;
         if self.candidates_pruned > 0 {
             write!(
@@ -345,19 +335,13 @@ fn prefilter_candidates(
 }
 
 /// The interval-envelope clusters to decide threshold candidates with, when
-/// the clustered protocol applies: pruning enabled, an exact strategy, a
-/// heterogeneous model population, and an index carrying non-trivial
-/// clusters. Bounds-decided objects skip exact evaluation entirely;
-/// undecided ones fall through to the same batched drivers the unclustered
-/// path uses, so answers stay identical.
-fn envelope_clusters(
-    ctx: &ExecContext<'_>,
-    strategy: Strategy,
-) -> Option<Arc<SpatioTemporalIndex>> {
-    if ctx.config.prefilter == PrefilterMode::Off
-        || strategy == Strategy::MonteCarlo
-        || ctx.db.models().len() < 2
-    {
+/// the clustered protocol applies: pruning enabled, a heterogeneous model
+/// population, and an index carrying non-trivial clusters. Bounds-decided
+/// objects skip exact evaluation entirely; undecided ones fall through to
+/// the same batched drivers the unclustered path uses, so answers stay
+/// identical.
+fn envelope_clusters(ctx: &ExecContext<'_>) -> Option<Arc<SpatioTemporalIndex>> {
+    if ctx.config.prefilter == PrefilterMode::Off || ctx.db.models().len() < 2 {
         return None;
     }
     let index = ctx.db.spatial_index()?;
@@ -450,7 +434,6 @@ fn plan_on(
 
     let mut ob = CostEstimate::default();
     let mut qb = CostEstimate::default();
-    let mut mc = CostEstimate::default();
     let mut cached_fields = 0usize;
     let mut extendable_fields = 0usize;
 
@@ -483,8 +466,6 @@ fn plan_on(
         };
         qb.step_ops += sweep * levels * nnz;
         qb.object_ops += group.anchor_nnz as f64;
-
-        mc.step_ops += spans * spec.sampling().samples as f64;
     }
 
     if matches!(spec.decorator(), Decorator::Threshold(_) | Decorator::TopK(_)) {
@@ -523,7 +504,6 @@ fn plan_on(
         strategy,
         object_based: ob,
         query_based: qb,
-        monte_carlo: mc,
         num_objects: examined + pruned,
         num_models: groups.len(),
         cached_fields,
@@ -564,11 +544,10 @@ pub(crate) fn refine(
     let window = spec.window();
     let candidates = Candidates { indices, groups: groups.as_deref() };
 
-    let sampling = spec.sampling();
     match spec.predicate() {
         Predicate::Exists => match spec.decorator() {
             Decorator::Probabilities => {
-                let probs = exists_probs(ctx, strategy, candidates, window, sampling, stats)?;
+                let probs = exists_probs(ctx, strategy, candidates, window, stats)?;
                 Ok(QueryAnswer::Probabilities(match pruned_from {
                     Some(scope) => with_pruned_zeros(ctx.db, scope, indices, probs)?,
                     None => probs,
@@ -576,8 +555,7 @@ pub(crate) fn refine(
             }
             Decorator::Threshold(tau) => {
                 let scope = pruned_from.as_ref();
-                let ids =
-                    threshold_ids(ctx, strategy, candidates, scope, window, tau, sampling, stats)?;
+                let ids = threshold_ids(ctx, strategy, candidates, scope, window, tau, stats)?;
                 Ok(QueryAnswer::ObjectIds(ids))
             }
             Decorator::TopK(k) => {
@@ -591,17 +569,17 @@ pub(crate) fn refine(
                             .flatten()
                             .collect()
                     }
-                    _ => exists_probs(ctx, strategy, candidates, window, sampling, stats)?,
+                    _ => exists_probs(ctx, strategy, candidates, window, stats)?,
                 };
                 Ok(QueryAnswer::Ranked(ranking::select_topk(survivors, k)))
             }
         },
         Predicate::ForAll => {
-            let probs = forall_probs(ctx, strategy, candidates, window, sampling, stats)?;
+            let probs = forall_probs(ctx, strategy, candidates, window, stats)?;
             Ok(decorate(probs, spec.decorator()))
         }
         Predicate::KTimes(k) => {
-            let dists = ktimes_dists(ctx, strategy, candidates, window, sampling, stats)?;
+            let dists = ktimes_dists(ctx, strategy, candidates, window, stats)?;
             match spec.decorator() {
                 Decorator::Probabilities => Ok(QueryAnswer::Distributions(dists)),
                 decorator => Ok(decorate(at_least(dists, k), decorator)),
@@ -662,7 +640,6 @@ fn with_pruned_zeros(
 /// exact drivers evaluate the rest, and — only at `τ = 0`, where `P∃ = 0`
 /// still qualifies — the index-pruned rest of the scope the candidates were
 /// `pruned_from` is accepted with them, in database-index order.
-#[allow(clippy::too_many_arguments)]
 fn threshold_ids(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
@@ -670,11 +647,10 @@ fn threshold_ids(
     pruned_from: Option<&Scope>,
     window: &QueryWindow,
     tau: f64,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<u64>> {
     let indices = candidates.indices;
-    let mut decisions: Vec<Option<bool>> = match envelope_clusters(ctx, strategy) {
+    let mut decisions: Vec<Option<bool>> = match envelope_clusters(ctx) {
         Some(index) => {
             cluster::decide_by_bounds(ctx.db, indices, window, tau, index.clusters(), stats)?
         }
@@ -700,7 +676,7 @@ fn threshold_ids(
             let outcomes = forward_answers(ctx, Threshold { tau }, undecided, window, stats)?;
             outcomes.into_iter().map(|o| o.qualifies).collect()
         } else {
-            let probs = exists_probs(ctx, strategy, undecided, window, sampling, stats)?;
+            let probs = exists_probs(ctx, strategy, undecided, window, stats)?;
             probs.into_iter().map(|r| r.probability >= tau).collect()
         };
         let mut q = qualifies.into_iter();
@@ -743,7 +719,6 @@ fn exists_probs(
     strategy: Strategy,
     candidates: Candidates<'_>,
     window: &QueryWindow,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
@@ -752,9 +727,6 @@ fn exists_probs(
         }
         Strategy::QueryBased => {
             field_answers(ctx, FieldRule::Exists, candidates, window, stats, probability_row)
-        }
-        Strategy::MonteCarlo => {
-            Ok(at_least(mc_counts(ctx, sampling, candidates.indices, window, stats)?, 1))
         }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
@@ -841,21 +813,15 @@ where
 
 /// PST∀Q probabilities over the candidates: the Section VII complement
 /// reduction object-based (the complement-window sweep under the ∀ reach
-/// of the original window), the direct ∀ backward field query-based, the
-/// all-visits tail for the sampling baseline.
+/// of the original window), the direct ∀ backward field query-based.
 fn forall_probs(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
     candidates: Candidates<'_>,
     window: &QueryWindow,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
-        Strategy::MonteCarlo => {
-            let k_max = window.num_times();
-            Ok(at_least(mc_counts(ctx, sampling, candidates.indices, window, stats)?, k_max))
-        }
         Strategy::QueryBased => {
             forall::reject_full_space(window)?;
             field_answers(ctx, FieldRule::ForAll, candidates, window, stats, probability_row)
@@ -874,7 +840,6 @@ fn ktimes_dists(
     strategy: Strategy,
     candidates: Candidates<'_>,
     window: &QueryWindow,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
     stats: &mut EvalStats,
 ) -> Result<Vec<ObjectKDistribution>> {
     match strategy {
@@ -883,33 +848,6 @@ fn ktimes_dists(
             let row = ktimes::distribution_row;
             field_answers(ctx, FieldRule::KTimes, candidates, window, stats, row)
         }
-        Strategy::MonteCarlo => mc_counts(ctx, sampling, candidates.indices, window, stats),
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
-}
-
-/// The sampling baseline over `indices`: one visit-count distribution per
-/// object, sharded (per-object RNG streams are seeded by object id, so the
-/// estimates are independent of the shard layout).
-fn mc_counts(
-    ctx: &ExecContext<'_>,
-    sampling: crate::engine::monte_carlo::MonteCarlo,
-    indices: &[usize],
-    window: &QueryWindow,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    ctx.executor.run_on(indices, ctx.config, stats, move |pipeline, idxs| {
-        let mut out = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            let object = ctx
-                .db
-                .object(idx)
-                .ok_or(QueryError::internal("the executor shards validated indices"))?;
-            let chain = ctx.db.model_of(object);
-            let probabilities = sampling.visit_counts_with(pipeline, chain, object, window)?;
-            pipeline.stats().objects_evaluated += 1;
-            out.push(ObjectKDistribution { object_id: object.id(), probabilities });
-        }
-        Ok(out)
-    })
 }

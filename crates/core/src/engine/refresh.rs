@@ -278,15 +278,12 @@ impl QueryProcessor {
         // probe below and the commit relock.
         //
         // A stale or errored subscription resynchronizes with a full
-        // re-evaluation; so does a Monte-Carlo one, whose per-object
-        // sampling is only reproducible as a whole run. From here to the
-        // commit the database is ahead of the maintained state, so the
-        // subscription *is* stale — and stays so if the evaluation unwinds.
+        // re-evaluation. From here to the commit the database is ahead of
+        // the maintained state, so the subscription *is* stale — and stays
+        // so if the evaluation unwinds.
         let needs_full = {
             let mut inner = sub.lock();
-            std::mem::replace(&mut inner.stale, true)
-                || inner.raw.is_err()
-                || sub.spec.strategy() == Strategy::MonteCarlo
+            std::mem::replace(&mut inner.stale, true) || inner.raw.is_err()
         };
         // Suffix-scoped invalidation: exactly one maintained entry — the
         // arrived object's — is invalidated and recomputed; the

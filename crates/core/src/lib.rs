@@ -19,10 +19,10 @@
 //! (`M−`/`M+`) construction of Section V, applied virtually by the engines.
 //! Section VI (multiple observations / interpolation) lives in
 //! [`multi_obs`] and [`smoothing`]; Section V-C (cluster pruning with
-//! interval chains) in [`cluster`]. Baselines for the paper's evaluation —
-//! Monte-Carlo sampling and the temporal-independence model — live in
-//! [`engine::monte_carlo`] and [`engine::independent`], with
-//! [`engine::exhaustive`] as the test oracle.
+//! interval chains) in [`cluster`]; [`engine::exhaustive`] is the test
+//! oracle. The evaluation's baselines — Monte-Carlo sampling and the
+//! temporal-independence model — are not part of this crate: they live
+//! beside the figures that time them, in `ust-bench`.
 //!
 //! ## Quick start
 //!

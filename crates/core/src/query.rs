@@ -33,7 +33,6 @@ use std::sync::{Arc, OnceLock};
 use ust_markov::StateMask;
 use ust_space::{Region, StateSpace, TimeSet};
 
-use crate::engine::monte_carlo::MonteCarlo;
 use crate::error::{QueryError, Result};
 
 /// A resolved spatio-temporal query window `Q▫ = S▫ × T▫`: a set of states
@@ -271,17 +270,13 @@ pub enum Decorator {
 /// [`crate::engine::QueryProcessor::explain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Let the planner choose between the exact strategies (never picks
-    /// the sampling baseline).
+    /// Let the planner choose between the two strategies below.
     Auto,
     /// Force the object-based forward engine (Section V-A).
     ObjectBased,
     /// Force the query-based backward engine (Section V-B), served through
     /// the processor's backward-field caches.
     QueryBased,
-    /// Force the Monte-Carlo sampling baseline (approximate; configure via
-    /// [`QueryBuilder::sampling`]).
-    MonteCarlo,
 }
 
 /// A declarative, executable query: predicate × decorator × window ×
@@ -297,7 +292,6 @@ pub struct QuerySpec {
     window: QueryWindow,
     strategy: Strategy,
     objects: Option<Vec<u64>>,
-    sampling: MonteCarlo,
 }
 
 impl QuerySpec {
@@ -326,11 +320,6 @@ impl QuerySpec {
     /// (sorted, deduplicated). `None` means the whole database.
     pub fn objects(&self) -> Option<&[u64]> {
         self.objects.as_deref()
-    }
-
-    /// The sampling parameters used under [`Strategy::MonteCarlo`].
-    pub fn sampling(&self) -> MonteCarlo {
-        self.sampling
     }
 
     // The field updates standing queries derive their pinned and probe
@@ -403,7 +392,6 @@ pub struct QueryBuilder {
     window: Option<QueryWindow>,
     strategy: Strategy,
     objects: Option<Vec<u64>>,
-    sampling: MonteCarlo,
 }
 
 impl QueryBuilder {
@@ -414,7 +402,6 @@ impl QueryBuilder {
             window: None,
             strategy: Strategy::Auto,
             objects: None,
-            sampling: MonteCarlo::default(),
         }
     }
 
@@ -457,12 +444,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Sets the sampling parameters for [`Strategy::MonteCarlo`].
-    pub fn sampling(mut self, sampling: MonteCarlo) -> Self {
-        self.sampling = sampling;
-        self
-    }
-
     /// Validates and freezes the spec.
     ///
     /// Fails with [`QueryError::MissingWindow`] when no window was set and
@@ -486,7 +467,6 @@ impl QueryBuilder {
             window,
             strategy: self.strategy,
             objects,
-            sampling: self.sampling,
         })
     }
 }

@@ -541,8 +541,8 @@ impl Metrics {
         entry.incremental_steps += steps;
     }
 
-    /// Tallies a full resynchronization of a stale (or errored, or
-    /// Monte-Carlo) subscription.
+    /// Tallies a full resynchronization of a stale (or errored)
+    /// subscription.
     pub(crate) fn record_stream_resync(&self, subscription_id: u64, steps: u64) {
         let mut inner = self.lock();
         let entry = inner.stream_entry(subscription_id);

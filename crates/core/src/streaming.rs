@@ -200,7 +200,7 @@ pub(crate) fn pin_strategy(spec: &QuerySpec, strategy: crate::query::Strategy) -
 }
 
 /// The probabilities-decorated probe of `spec` the maintained state is
-/// computed with — same predicate, window, strategy, sampling and subset,
+/// computed with — same predicate, window, strategy and subset,
 /// optionally narrowed to a single object for incremental refreshes.
 pub(crate) fn probe_spec(spec: &QuerySpec, object: Option<u64>) -> QuerySpec {
     let probe = spec.clone().with_probabilities();

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use ust::prelude::*;
-use ust_core::engine::monte_carlo::MonteCarlo;
 
 fn main() -> Result<()> {
     // The transition matrix of the running example (rows sum to 1).
@@ -86,17 +85,5 @@ fn main() -> Result<()> {
         println!("async τ={tau}: {} object(s) qualify", ids.len());
     }
 
-    // The Monte-Carlo competitor only approximates these numbers.
-    let mc = Query::exists()
-        .window(window)
-        .strategy(Strategy::MonteCarlo)
-        .sampling(MonteCarlo::new(100, 42))
-        .build()?;
-    let estimate =
-        processor.execute(&mc)?.probabilities().expect("probabilities decorator")[0].probability;
-    println!(
-        "Monte-Carlo (100 samples): P ≈ {estimate:.3} (σ ≈ {:.3})",
-        MonteCarlo::standard_error(0.864, 100)
-    );
     Ok(())
 }

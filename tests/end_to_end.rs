@@ -6,7 +6,8 @@ mod common;
 
 use common::{dists, probs};
 use ust::prelude::*;
-use ust_core::engine::{independent, ktimes};
+use ust_bench::baselines::independent;
+use ust_core::engine::ktimes;
 use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::{iceberg, synthetic, traffic, workload, SyntheticConfig};
@@ -168,7 +169,6 @@ fn accuracy_experiment_shape_holds() {
         num_states: 2_000,
         ..SyntheticConfig::default()
     });
-    let config = EngineConfig::default();
     let base = workload::paper_default_window(2_000).unwrap();
     let mut deviations = Vec::new();
     for len in [1u32, 5, 10] {
@@ -177,13 +177,7 @@ fn accuracy_experiment_shape_holds() {
             &QueryProcessor::new(&data.db),
             Query::exists().window(window.clone()).strategy(QueryBased),
         );
-        let indep = independent::evaluate_exists_independent(
-            &data.db,
-            &window,
-            &config,
-            &mut EvalStats::new(),
-        )
-        .unwrap();
+        let indep = independent::evaluate_exists_independent(&data.db, &window).unwrap();
         let dev: f64 =
             exact.iter().zip(&indep).map(|(a, b)| (a.probability - b.probability).abs()).sum();
         deviations.push(dev);
@@ -208,8 +202,7 @@ fn ktimes_expected_visits_equals_marginal_sum_on_dataset() {
         ktimes::evaluate_query_based(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
     for (object, k) in data.db.objects().iter().zip(&kdist) {
         let marginals =
-            independent::window_marginals(data.db.model_of(object), object, &window, &config)
-                .unwrap();
+            independent::window_marginals(data.db.model_of(object), object, &window).unwrap();
         let marginal_sum: f64 = marginals.iter().sum();
         assert!(
             (k.expected_visits() - marginal_sum).abs() < 1e-9,

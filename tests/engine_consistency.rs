@@ -14,9 +14,8 @@ use proptest::prelude::*;
 
 use common::{dists, probs};
 use ust::prelude::*;
-use ust_core::engine::{
-    exhaustive, forall, ktimes, monte_carlo::MonteCarlo, object_based, query_based,
-};
+use ust_bench::baselines::monte_carlo::MonteCarlo;
+use ust_core::engine::{exhaustive, forall, ktimes, object_based, query_based};
 use ust_markov::testutil;
 
 /// Strategy: a random banded stochastic chain with 3..=7 states.

@@ -5,7 +5,8 @@ mod common;
 
 use common::{dists, probs};
 use ust::prelude::*;
-use ust_core::engine::{exhaustive, forall, monte_carlo::MonteCarlo};
+use ust_bench::baselines::monte_carlo::MonteCarlo;
+use ust_core::engine::{exhaustive, forall};
 use ust_core::multi_obs;
 use ust_core::Strategy::{ObjectBased, QueryBased};
 

@@ -435,24 +435,6 @@ fn overlapping_window_dashboard_sweeps_each_window_once() {
 }
 
 #[test]
-fn monte_carlo_override_is_deterministic_and_sane() {
-    let db = random_db(17, 10, 5, 0);
-    let window = QueryWindow::from_states(10, [1usize, 2], TimeSet::interval(2, 4)).unwrap();
-    let processor = QueryProcessor::new(&db);
-    let spec =
-        Query::exists().window(window.clone()).strategy(Strategy::MonteCarlo).build().unwrap();
-    let a = processor.execute(&spec).unwrap();
-    let b = processor.execute(&spec).unwrap();
-    assert_bit_eq(&a, &b, "MC estimates are deterministic per seed");
-    let exact = processor.execute(&Query::exists().window(window).build().unwrap()).unwrap();
-    for (est, exact) in a.probabilities().unwrap().iter().zip(exact.probabilities().unwrap()) {
-        assert!((0.0..=1.0).contains(&est.probability));
-        // 100 samples: allow a generous band around the exact value.
-        assert!((est.probability - exact.probability).abs() < 0.35);
-    }
-}
-
-#[test]
 fn submitted_queries_run_on_a_database_snapshot() {
     let mut db = random_db(19, 10, 6, 0);
     let window = QueryWindow::from_states(10, [1usize, 2], TimeSet::interval(2, 4)).unwrap();

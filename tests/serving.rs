@@ -26,7 +26,6 @@ use proptest::prelude::*;
 
 use common::{assert_bit_eq, gate_workers};
 use ust::prelude::*;
-use ust_core::engine::monte_carlo::MonteCarlo;
 use ust_core::Strategy;
 use ust_markov::testutil;
 use ust_space::TimeSet;
@@ -162,18 +161,16 @@ fn cancel_dequeues_queued_jobs_and_reports_finished_ones() {
 
 /// A slow query really exercises the timeout path end to end (the gated
 /// tests above pin the semantics; this one pins them against a genuinely
-/// running job).
+/// running job: a long-horizon object-based ∃ whose forward sweeps spread
+/// over a few hundred states, milliseconds of work even in a release
+/// build).
 #[test]
 fn wait_timeout_on_a_running_query() {
-    let db = random_db(83, 14, 6);
-    let w = window(14);
+    let n = 400;
+    let db = random_db(83, n, 64);
+    let w = QueryWindow::from_states(n, [1usize, 2], TimeSet::interval(60, 64)).unwrap();
     let processor = QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(2));
-    let slow = Query::exists()
-        .window(w)
-        .strategy(Strategy::MonteCarlo)
-        .sampling(MonteCarlo::new(400_000, 7))
-        .build()
-        .unwrap();
+    let slow = Query::exists().window(w).strategy(Strategy::ObjectBased).build().unwrap();
     let ticket = processor.submit(&slow).unwrap();
     // Whichever way the race goes, the ticket must stay coherent.
     match ticket.wait_timeout(Duration::from_micros(50)) {

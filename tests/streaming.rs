@@ -139,17 +139,14 @@ proptest! {
         }
     }
 
-    /// Explicit strategies hold the same equivalence — including
-    /// Monte Carlo, whose subscriptions resynchronize with a full run per
-    /// arrival because per-object subset sampling is not reproducible.
+    /// Explicit strategies hold the same equivalence.
     #[test]
     fn explicit_strategies_equal_batch_execution(
         seed in 0u64..2_000,
         t_start in 4u32..7,
-        strategy_idx in 0usize..3,
+        strategy_idx in 0usize..2,
     ) {
-        let strategy =
-            [Strategy::ObjectBased, Strategy::QueryBased, Strategy::MonteCarlo][strategy_idx];
+        let strategy = [Strategy::ObjectBased, Strategy::QueryBased][strategy_idx];
         let feed = feed(seed, 6);
         let n = feed.config.workload.num_states;
         let window =
