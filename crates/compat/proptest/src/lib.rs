@@ -100,7 +100,7 @@ macro_rules! impl_tuple_strategy {
     ($(($($s:ident),+)),*) => {$(
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the bindings reuse the type parameters' names")]
             fn sample(&self, rng: &mut StdRng) -> Self::Value {
                 let ($($s,)+) = self;
                 ($($s.sample(rng),)+)

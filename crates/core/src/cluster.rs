@@ -15,6 +15,9 @@
 //! calls it with the spatial index's envelope clusters and hands the
 //! undecided rest to its own strategy's exact driver.
 
+// Bound decisions are answers: no clock reads, no hashed containers.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 
 use ust_markov::{CsrMatrix, IntervalMatrix};
@@ -91,8 +94,8 @@ pub fn greedy_clusters(db: &TrajectoryDatabase, max_width: f64) -> Result<Vec<Mo
 /// out; `None` — the interval straddles `τ` and the object needs exact
 /// evaluation. Decided objects count into [`EvalStats::objects_pruned`].
 /// An object `window` is not valid for is left undecided: the exact driver
-/// that evaluates the undecided rest then fails with its own first error,
-/// in its own validation order, exactly as it would without bounds.
+/// that evaluates the undecided rest then fails with the first offender in
+/// index order — the error every strategy reports, with or without bounds.
 pub fn decide_by_bounds(
     db: &TrajectoryDatabase,
     indices: &[usize],

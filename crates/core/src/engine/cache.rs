@@ -42,11 +42,14 @@
 //! order (property-tested in `tests/proptest_engines.rs` and
 //! `tests/backward_fields.rs`).
 
-// lint: allow-file(unordered-iteration-on-answer-path) — entries are only
-// read by exact `(model, window, rule)` key lookup; the one iteration (LRU
-// eviction) takes `min_by_key(last_used)` over strictly increasing clock
-// values, so the minimum is unique and map order cannot change which entry
-// is evicted, let alone a cached field's contents.
+#![expect(
+    clippy::disallowed_types,
+    reason = "entries are only read by exact `(model, window, rule)` key lookup; the one \
+              iteration (LRU eviction) takes `min_by_key(last_used)` over strictly increasing \
+              clock values, so the minimum is unique and map order cannot change which entry \
+              is evicted, let alone a cached field's contents."
+)]
+
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -274,7 +277,7 @@ impl FieldCache {
     /// Two racing callers that miss on the same key may both sweep (the
     /// later install wins; outstanding `Arc` views stay valid) — wasted
     /// work, never a wrong answer.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the cache key's parts plus the sweep's inputs")]
     pub fn get_or_compute_shared_concurrent(
         cache: &std::sync::Mutex<Self>,
         model: usize,

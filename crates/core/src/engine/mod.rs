@@ -26,6 +26,12 @@
 //! `insert` and the serialized commit into standing queries). [`plan`] —
 //! prepare and refine, the two halves of that life — stays clock-free.
 
+// Plans and engines are pure functions of their inputs, and iteration
+// order never reaches an answer: no clock reads and no hashed containers
+// (clippy.toml lists both). `processor`, `refresh` and `ticket` re-allow
+// the clock to stamp stage boundaries around that code.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 pub mod cache;
 mod config;
 pub mod exhaustive;

@@ -29,7 +29,7 @@ use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
-use crate::engine::query_based::ModelGroup;
+use crate::engine::query_based::{validated_model_groups_on, ModelGroup};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -258,48 +258,26 @@ impl ReachPlan {
         window: &QueryWindow,
         rule: ReachRule,
     ) -> Result<ReachPlan> {
-        let mut earliest: Vec<Option<u32>> = vec![None; db.models().len()];
-        for &idx in indices {
-            let object = db.object(idx).ok_or(QueryError::internal(
-                "the reach plan received an unresolved object index",
-            ))?;
-            validate(db.model_of(object), object, window)?;
-            let slot = &mut earliest[object.model()];
-            let t0 = object.anchor().time();
-            *slot = Some(slot.map_or(t0, |t| t.min(t0)));
-        }
-        Self::from_earliest(db, earliest, window, rule)
+        let groups = validated_model_groups_on(db, indices, window)?;
+        Self::from_groups(db, &groups, window, rule)
     }
 
-    /// As [`ReachPlan::prepare`] over groups the planner already validated
-    /// against `window`: each group's earliest anchor is its first time.
+    /// As [`ReachPlan::prepare`] over groups already validated against
+    /// `window`: each group's earliest anchor is its first time.
     pub(crate) fn from_groups(
         db: &TrajectoryDatabase,
         groups: &[ModelGroup],
         window: &QueryWindow,
         rule: ReachRule,
     ) -> Result<ReachPlan> {
-        let mut earliest: Vec<Option<u32>> = vec![None; db.models().len()];
+        let mut schedules: Vec<Option<ReachSchedule>> =
+            (0..db.models().len()).map(|_| None).collect();
         for group in groups {
-            earliest[group.model] = group.times.first().copied();
+            if let Some(&t0) = group.times.first() {
+                let chain = &db.models()[group.model];
+                schedules[group.model] = Some(ReachSchedule::build(chain, window, rule, t0)?);
+            }
         }
-        Self::from_earliest(db, earliest, window, rule)
-    }
-
-    /// One schedule per model with an earliest anchor.
-    fn from_earliest(
-        db: &TrajectoryDatabase,
-        earliest: Vec<Option<u32>>,
-        window: &QueryWindow,
-        rule: ReachRule,
-    ) -> Result<ReachPlan> {
-        let schedules = earliest
-            .into_iter()
-            .zip(db.models())
-            .map(|(t0, chain)| {
-                t0.map(|t0| ReachSchedule::build(chain, window, rule, t0)).transpose()
-            })
-            .collect::<Result<_>>()?;
         Ok(ReachPlan { schedules })
     }
 

@@ -400,7 +400,7 @@ impl<'s> Propagator<'s> {
     /// the whole sweep without counting its groups as evaluated; the
     /// returned timestamp is where the sweep broke, `None` at the natural
     /// end.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one sweep's inputs and its hook")]
     pub fn forward(
         &mut self,
         matrix: &CsrMatrix,
@@ -487,7 +487,7 @@ impl<'s> Propagator<'s> {
     /// anchor times without recomputing the `(resume_time, t_end]` suffix.
     /// Snapshot times above `resume_time` are ignored — they belong to the
     /// already-computed part of the sweep.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one sweep's inputs and its three hooks")]
     pub fn backward_from<S>(
         &mut self,
         state: &mut S,

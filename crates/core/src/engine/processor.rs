@@ -3,6 +3,11 @@
 //! calls into [`serve`], a query's life written once (prepare → interrupt →
 //! refine → record), behind the one admission gate.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "`serve` stamps submission, plan and execute times around the clock-free planner"
+)]
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};

@@ -451,9 +451,8 @@ impl ModelGroup {
 /// drivers, the planner's cost model and the shared-field plans, so the
 /// validation and anchor-collection rules cannot diverge between them.
 ///
-/// One pass in index order, but the error is the one a model-major
-/// validation in member order reports: the first offender of the lowest
-/// model that has one.
+/// One pass in index order; the error is the first offender's, the one
+/// every strategy reports.
 pub(crate) fn validated_model_groups_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
@@ -471,31 +470,21 @@ pub(crate) fn model_groups_on(
     group_on(db, indices, |_, _| Ok(()))
 }
 
-/// The one grouping pass under `check`. Objects of models at or above the
-/// current offender's are not checked any more; every index is still
-/// resolved.
+/// The one grouping pass under `check`, in index order: the first object
+/// `check` rejects ends it with its error.
 fn group_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
     check: impl Fn(&MarkovChain, &UncertainObject) -> Result<()>,
 ) -> Result<Vec<ModelGroup>> {
     let mut groups: Vec<ModelGroup> = (0..db.models().len()).map(ModelGroup::new).collect();
-    let mut offender: Option<(usize, QueryError)> = None;
     for &idx in indices {
         let object = db
             .object(idx)
             .ok_or(QueryError::internal("model grouping received an unresolved object index"))?;
         let model = object.model();
-        if offender.as_ref().is_some_and(|&(first, _)| first <= model) {
-            continue;
-        }
-        match check(&db.models()[model], object) {
-            Ok(()) => groups[model].push(idx, object),
-            Err(e) => offender = Some((model, e)),
-        }
-    }
-    if let Some((_, e)) = offender {
-        return Err(e);
+        check(&db.models()[model], object)?;
+        groups[model].push(idx, object);
     }
     groups.retain(|group| !group.members.is_empty());
     for group in &mut groups {

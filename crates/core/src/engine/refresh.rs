@@ -3,6 +3,11 @@
 //! is committed into a subscription, which is what keeps a maintained
 //! answer the answer of the *current* database.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "an arrival's time stamps the deadline of the refreshes it triggers"
+)]
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;

@@ -2,6 +2,8 @@
 //! the caller's [`QueryTicket`] and the job-side [`TicketGuard`] that
 //! completes it on every exit path.
 
+#![allow(clippy::disallowed_methods, reason = "`wait_timeout` measures its own deadline")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};

@@ -37,6 +37,10 @@
 //!
 //! [`TrajectoryDatabase::spatial_index`]: crate::database::TrajectoryDatabase::spatial_index
 
+// The filter decides which objects are answered as exact zeros without
+// evaluation, so it sits on the answer path with the engines it feeds.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;

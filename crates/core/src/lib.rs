@@ -52,10 +52,24 @@
 //! ```
 
 #![deny(missing_docs)]
-// The workspace denies `unsafe_code`; this crate opts back in for the
-// scoped-job lifetime erasure in `parallel` (one transmute, documented and
-// bounded by `run_scoped`), with clippy-enforced safety comments.
-#![allow(unsafe_code)]
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![allow(
+    unsafe_code,
+    reason = "the scoped-job lifetime erasure in `parallel`: one transmute, documented and \
+              bounded by `run_scoped`, with clippy-enforced safety comments"
+)]
 pub mod cluster;
 pub mod database;
 pub mod engine;

@@ -76,10 +76,13 @@ impl UncertainObject {
     }
 
     /// The latest observation.
+    #[expect(
+        clippy::expect_used,
+        reason = "every constructor rejects an empty observation list with \
+                  `QueryError::NoObservations`, so `observations` is non-empty for the \
+                  lifetime of the object."
+    )]
     pub fn last_observation(&self) -> &Observation {
-        // lint: allow(panicking-call-in-lib) — every constructor rejects an empty
-        // observation list with `QueryError::NoObservations`, so `observations`
-        // is non-empty for the lifetime of the object.
         self.observations.last().expect("objects hold ≥ 1 observation")
     }
 

@@ -246,6 +246,12 @@ impl WorkerPool {
         WorkerPool::build(num_threads, true)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "OS thread spawn at pool construction: without workers the pool cannot \
+                  exist, and a spawn failure means the process is already resource-starved; \
+                  there is no degraded mode for a caller to fall back to."
+    )]
     fn build(num_threads: usize, discard_on_shutdown: bool) -> WorkerPool {
         let num_threads = num_threads.max(1);
         let queues: Arc<Vec<ShardQueue>> =
@@ -256,10 +262,6 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("ust-worker-{i}"))
                     .spawn(move || worker_loop(&queues[i], discard_on_shutdown))
-                    // lint: allow(panicking-call-in-lib) — OS thread spawn at pool
-                    // construction: without workers the pool cannot exist, and a
-                    // spawn failure means the process is already resource-starved;
-                    // there is no degraded mode for a caller to fall back to.
                     .expect("failed to spawn pool worker")
             })
             .collect();

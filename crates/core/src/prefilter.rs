@@ -14,6 +14,9 @@
 //! inside the matrices); it is conservative — never discards an object with
 //! non-zero probability — as verified against the exact engines.
 
+// On the answer path with the index it serves (see `index`).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use ust_markov::MarkovChain;
 use ust_space::{Point2, Rect, StateSpace};
 

@@ -117,16 +117,21 @@ impl QueryWindow {
     }
 
     /// `t_end = max(T▫)` — the anchor of backward passes.
+    #[expect(
+        clippy::expect_used,
+        reason = "`QueryWindow::new` rejects an empty time set with `EmptyTemporalWindow`, \
+                  so `times` always has a maximum."
+    )]
     pub fn t_end(&self) -> u32 {
-        // lint: allow(panicking-call-in-lib) — `QueryWindow::new` rejects an empty
-        // time set with `EmptyTemporalWindow`, so `times` always has a maximum.
         self.times().max().expect("validated non-empty")
     }
 
     /// `t_start = min(T▫)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "same constructor invariant as `t_end`: the validated time set is non-empty."
+    )]
     pub fn t_start(&self) -> u32 {
-        // lint: allow(panicking-call-in-lib) — same constructor invariant as
-        // `t_end`: the validated time set is non-empty.
         self.times().min().expect("validated non-empty")
     }
 

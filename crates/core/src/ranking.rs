@@ -17,6 +17,9 @@
 //!   shortly after) their first transition. Useful when objects follow *many distinct models* (where
 //!   QB would need one backward pass per model) or when `k` is small.
 
+// Iteration order never reaches a ranking: no hashed containers.
+#![deny(clippy::disallowed_types)]
+
 use ust_markov::PropagationVector;
 
 use crate::engine::object_based::{ForwardRule, Swept};

@@ -22,6 +22,9 @@
 //! `tests/streaming.rs` pins. This module holds the subscription handle
 //! and that maintained state.
 
+// Iteration order never reaches a maintained answer: no hashed containers.
+#![deny(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -54,9 +57,11 @@ impl RawAnswer {
         match answer {
             QueryAnswer::Probabilities(v) => RawAnswer::Probs(v),
             QueryAnswer::Distributions(v) => RawAnswer::Dists(v),
-            // lint: allow(panicking-call-in-lib) — `probe_spec` pins the
-            // decorator to Probabilities (or Distributions for PSTkQ); no other
-            // answer shape can come back from the engine.
+            #[expect(
+                clippy::unreachable,
+                reason = "`probe_spec` pins the decorator to Probabilities (or Distributions \
+                          for PSTkQ); no other answer shape can come back from the engine."
+            )]
             _ => unreachable!("the probe spec always uses the probabilities decorator"),
         }
     }
@@ -95,8 +100,11 @@ impl RawAnswer {
         match (self, update) {
             (RawAnswer::Probs(v), RawAnswer::Probs(u)) => merge(v, u, |e| e.object_id),
             (RawAnswer::Dists(v), RawAnswer::Dists(u)) => merge(v, u, |e| e.object_id),
-            // lint: allow(panicking-call-in-lib) — both operands come from the
-            // same subscription's probe spec, which is immutable after install.
+            #[expect(
+                clippy::unreachable,
+                reason = "both operands come from the same subscription's probe spec, which \
+                          is immutable after install."
+            )]
             _ => unreachable!("a subscription's probe shape never changes"),
         }
     }
@@ -184,8 +192,11 @@ impl SubscriptionState {
                 (Predicate::KTimes(k), decorator) => {
                     plan::decorate(plan::at_least(v.clone(), k), decorator)
                 }
-                // lint: allow(panicking-call-in-lib) — the Dists arm is only
-                // populated by PSTkQ probes, whose predicate is KTimes.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the Dists arm is only populated by PSTkQ probes, whose predicate \
+                              is KTimes."
+                )]
                 _ => unreachable!("distributions are maintained only for PSTkQ specs"),
             },
         }
@@ -268,8 +279,11 @@ impl Subscription {
             RawAnswer::Dists(v) => {
                 let k = match self.state.spec.predicate() {
                     Predicate::KTimes(k) => k,
-                    // lint: allow(panicking-call-in-lib) — same shape invariant:
-                    // Dists state exists only under a KTimes predicate.
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "same shape invariant: Dists state exists only under a KTimes \
+                                  predicate."
+                    )]
                     _ => unreachable!("distributions are maintained only for PSTkQ specs"),
                 };
                 v.iter().find(|e| e.object_id == object_id).map(|e| e.prob_at_least(k))

@@ -11,6 +11,9 @@
 //! The pipeline's reach trimming keeps `remaining` tight: what is left in
 //! the vector after a timestamp is exactly the mass that can still hit.
 
+// Iteration order never reaches a threshold answer: no hashed containers.
+#![deny(clippy::disallowed_types)]
+
 use ust_markov::{MarkovChain, PropagationVector};
 
 use crate::engine::object_based::{self, ForwardRule, Swept};

@@ -11,10 +11,13 @@
 //! optionally re-sighted later — exercising the multiple-observation
 //! machinery of Section VI.
 
-// lint: allow-file(panicking-call-in-lib) — synthetic dataset generator:
-// grid ids and neighbor cells come from iterating the grid itself, so every `expect` guards an
-// invariant the generator itself establishes; a failure is a bug in this
-// file, not recoverable caller input.
+#![expect(
+    clippy::expect_used,
+    reason = "synthetic dataset generator: grid ids and neighbor cells come from iterating the \
+              grid itself, so every `expect` guards an invariant the generator itself \
+              establishes; a failure is a bug in this file, not recoverable caller input."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

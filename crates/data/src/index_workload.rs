@@ -14,10 +14,13 @@
 //! The motion model is the same banded random chain as the synthetic
 //! generator; only object placement differs.
 
-// lint: allow-file(panicking-call-in-lib) — synthetic dataset generator:
-// states are sampled from `0..n` and weights are positive, so every `expect` guards an
-// invariant the generator itself establishes; a failure is a bug in this
-// file, not recoverable caller input.
+#![expect(
+    clippy::expect_used,
+    reason = "synthetic dataset generator: states are sampled from `0..n` and weights are \
+              positive, so every `expect` guards an invariant the generator itself \
+              establishes; a failure is a bug in this file, not recoverable caller input."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -9,10 +9,13 @@
 //! `ust_space::network_gen`) and populates a database of objects anchored
 //! at random nodes.
 
-// lint: allow-file(panicking-call-in-lib) — synthetic dataset generator:
-// node ids come from iterating the road-graph adjacency lists, so every `expect` guards an
-// invariant the generator itself establishes; a failure is a bug in this
-// file, not recoverable caller input.
+#![expect(
+    clippy::expect_used,
+    reason = "synthetic dataset generator: node ids come from iterating the road-graph \
+              adjacency lists, so every `expect` guards an invariant the generator itself \
+              establishes; a failure is a bug in this file, not recoverable caller input."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

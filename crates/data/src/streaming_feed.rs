@@ -14,10 +14,13 @@
 //! ([`crate::index_workload`]): the database a feed starts from is
 //! exactly `generate_index_workload(&config.workload).db`.
 
-// lint: allow-file(panicking-call-in-lib) — synthetic dataset generator:
-// events target objects the same generator created, so every `expect` guards an
-// invariant the generator itself establishes; a failure is a bug in this
-// file, not recoverable caller input.
+#![expect(
+    clippy::expect_used,
+    reason = "synthetic dataset generator: events target objects the same generator created, \
+              so every `expect` guards an invariant the generator itself establishes; a \
+              failure is a bug in this file, not recoverable caller input."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

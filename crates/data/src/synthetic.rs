@@ -17,10 +17,13 @@
 //! | `state_spread` | 1 – 20 | 5 |
 //! | `max_step` | 10 – 100 | 40 |
 
-// lint: allow-file(panicking-call-in-lib) — synthetic dataset generator:
-// successor states are sampled from `0..n`, so every `expect` guards an
-// invariant the generator itself establishes; a failure is a bug in this
-// file, not recoverable caller input.
+#![expect(
+    clippy::expect_used,
+    reason = "synthetic dataset generator: successor states are sampled from `0..n`, so every \
+              `expect` guards an invariant the generator itself establishes; a failure is a \
+              bug in this file, not recoverable caller input."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,17 +1,16 @@
-//! The rule engine: test-region tracking, waiver resolution, the five
-//! token-level conformance rules, and the driver for the semantic pass.
+//! The driver: waiver placement, the semantic pass, then waiver
+//! suppression and hygiene.
 //!
-//! Analysis is two-phase. [`file_pass`] lexes, parses and runs the token
-//! rules on one file, collecting raw findings and placed waivers.
-//! [`finish`] then builds the workspace symbol table over every parsed
-//! file, runs the interprocedural guard-liveness pass ([`crate::dataflow`])
-//! whose findings join each file's raw list, and only then applies waiver
-//! suppression and hygiene — so a waiver can suppress a semantic finding
-//! whose root cause lives in another file.
+//! Analysis is two-phase. [`file_pass`] lexes and parses one file and
+//! places its waivers. [`finish`] then builds the workspace symbol table
+//! over every parsed file, runs the interprocedural guard-liveness pass
+//! ([`crate::dataflow`]), and only then applies waiver suppression and
+//! hygiene — so a waiver can suppress a semantic finding whose root cause
+//! lives in another file.
 
 use crate::callgraph::summarize;
 use crate::dataflow::{analyze_semantic, LockEdge};
-use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
+use crate::lexer::{lex, Comment, Token};
 use crate::parse::{parse_file, ParsedFile};
 use crate::rules::RuleId;
 use crate::symbols::Workspace;
@@ -51,28 +50,16 @@ impl std::fmt::Display for Finding {
 pub struct FileReport {
     /// Findings that survived waiver suppression, in source order.
     pub findings: Vec<Finding>,
-    /// Lines (1-based) of safety markers claimed by an `unsafe` site —
-    /// each is load-bearing: the mutation test deletes each one and
-    /// expects the analyzer to object. Marker text in unrelated prose is
-    /// deliberately not recorded.
-    pub safety_marker_lines: Vec<u32>,
     /// Lines (1-based) carrying a parsed waiver directive.
     pub waiver_lines: Vec<u32>,
     /// How many waivers suppressed at least one finding.
     pub waivers_used: usize,
 }
 
-/// How far above an `unsafe` token its SAFETY justification may sit (in
-/// lines). Large enough for a doc comment's `# Safety` section followed by
-/// several explanatory lines, small enough to keep justifications local.
-const SAFETY_LOOKBACK_LINES: u32 = 20;
-
 /// One file's state between the per-file pass and the workspace finish.
 pub struct FilePass {
     /// Workspace-relative path.
     pub path: String,
-    /// Token-rule findings awaiting waiver suppression.
-    raw: Vec<Finding>,
     /// The report under construction (malformed-waiver findings land here
     /// directly; they are unwaivable).
     report: FileReport,
@@ -82,17 +69,12 @@ pub struct FilePass {
     pub parsed: ParsedFile,
 }
 
-/// Phase 1: lexes, parses and token-checks `src` as the file at
-/// workspace-relative `path`.
+/// Phase 1: lexes and parses `src` as the file at workspace-relative
+/// `path`, and places its waivers.
 pub fn file_pass(path: &str, src: &str) -> FilePass {
     let lexed = lex(src);
-    let test_regions = test_token_regions(&lexed.tokens);
-    let in_test = |idx: usize| test_regions.iter().any(|&(s, e)| idx >= s && idx <= e);
-
     let mut report = FileReport::default();
     let mut waivers: Vec<PlacedWaiver> = Vec::new();
-
-    // Comments: waiver directives and SAFETY markers.
     for comment in &lexed.comments {
         if let Some(body) = directive_body(&comment.text, comment.is_doc()) {
             match parse_directive(body) {
@@ -112,22 +94,14 @@ pub fn file_pass(path: &str, src: &str) -> FilePass {
         }
     }
 
-    // Token rules.
-    let mut raw: Vec<Finding> = Vec::new();
-    check_undocumented_unsafe(path, &lexed, &in_test, &mut raw, &mut report.safety_marker_lines);
-    check_lock_poison(path, &lexed.tokens, &in_test, &mut raw);
-    check_wall_clock(path, &lexed.tokens, &in_test, &mut raw);
-    check_panicking_calls(path, &lexed.tokens, &in_test, &mut raw);
-    check_unordered_iteration(path, &lexed.tokens, &in_test, &mut raw);
-
     let parsed = parse_file(&lexed);
-    FilePass { path: path.to_string(), raw, report, waivers, parsed }
+    FilePass { path: path.to_string(), report, waivers, parsed }
 }
 
 /// Phase 2: runs the semantic pass over all files, then waiver
 /// suppression and hygiene per file. Returns the per-file reports and the
 /// deduplicated lock-order edge list.
-pub fn finish(mut passes: Vec<FilePass>) -> (Vec<(String, FileReport)>, Vec<LockEdge>) {
+pub fn finish(passes: Vec<FilePass>) -> (Vec<(String, FileReport)>, Vec<LockEdge>) {
     let semantic = {
         let files: Vec<(String, &ParsedFile)> =
             passes.iter().map(|p| (p.path.clone(), &p.parsed)).collect();
@@ -135,30 +109,21 @@ pub fn finish(mut passes: Vec<FilePass>) -> (Vec<(String, FileReport)>, Vec<Lock
         let summaries = summarize(&ws);
         analyze_semantic(&ws, &summaries)
     };
-    for finding in semantic.findings {
-        if let Some(pass) = passes.iter_mut().find(|p| p.path == finding.file) {
-            pass.raw.push(finding);
-        }
-    }
 
     let mut out = Vec::with_capacity(passes.len());
     for mut pass in passes {
         let path = pass.path;
         let mut report = pass.report;
-        // Waiver suppression. Line-scoped waivers get first claim so a
-        // coexisting file-scope waiver is not spuriously reported unused.
-        pass.waivers.sort_by_key(|w| w.waiver.file_scope);
-        for finding in pass.raw {
-            let suppressed = pass.waivers.iter_mut().any(|w| {
-                w.waiver.rules.contains(&finding.rule)
-                    && (w.waiver.file_scope || w.target == Some(finding.line))
-                    && {
-                        w.used = true;
-                        true
-                    }
-            });
-            if !suppressed {
-                report.findings.push(finding);
+        // Waiver suppression: a waiver covers findings of its rules on its
+        // target line.
+        for finding in semantic.findings.iter().filter(|f| f.file == path) {
+            let waiver = pass
+                .waivers
+                .iter_mut()
+                .find(|w| w.waiver.rules.contains(&finding.rule) && w.target == Some(finding.line));
+            match waiver {
+                Some(w) => w.used = true,
+                None => report.findings.push(finding.clone()),
             }
         }
 
@@ -187,332 +152,20 @@ pub fn finish(mut passes: Vec<FilePass>) -> (Vec<(String, FileReport)>, Vec<Lock
     (out, semantic.edges)
 }
 
-/// Analyzes `src` alone as the file at workspace-relative `path` (the
-/// semantic pass sees a one-file workspace).
-pub fn analyze_source(path: &str, src: &str) -> FileReport {
-    let (mut reports, _) = finish(vec![file_pass(path, src)]);
-    reports.pop().map(|(_, r)| r).unwrap_or_default()
-}
-
 struct PlacedWaiver {
     waiver: Waiver,
     line: u32,
-    /// The line this waiver covers (`None` for file-scope waivers and for
-    /// trailing waivers with no code anywhere after them).
+    /// The line this waiver covers (`None` for a waiver with no code
+    /// anywhere after it).
     target: Option<u32>,
     used: bool,
 }
 
-/// A line-scoped waiver covers its own line when code precedes it there
-/// (trailing comment), otherwise the next line holding any token.
+/// A waiver covers its own line when code precedes it there (trailing
+/// comment), otherwise the next line holding any token.
 fn waiver_target_line(comment: &Comment, tokens: &[Token]) -> Option<u32> {
     if tokens.iter().any(|t| t.line == comment.line) {
         return Some(comment.line);
     }
     tokens.iter().map(|t| t.line).filter(|&l| l > comment.end_line).min()
-}
-
-/// If `comment` carries a SAFETY justification, the 1-based source line of
-/// the marker itself (block comments may span lines).
-fn safety_marker_line(comment: &Comment) -> Option<u32> {
-    let marker = if comment.text.contains("SAFETY:") {
-        "SAFETY:"
-    } else if comment.is_doc() && comment.text.contains("# Safety") {
-        "# Safety"
-    } else {
-        return None;
-    };
-    let offset = comment.text.find(marker)?;
-    let newlines = comment.text[..offset].matches('\n').count() as u32;
-    Some(comment.line + newlines)
-}
-
-/// Computes `(start, end)` token-index ranges of `#[cfg(test)]` /
-/// `#[test]`-gated items. Any attribute whose token stream contains the
-/// bare identifier `test` gates the next braced body (or is discharged by
-/// a `;` at the attribute's nesting depth — a gated declaration without a
-/// body).
-pub(crate) fn test_token_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut nest: i64 = 0;
-    let mut pending: Option<i64> = None;
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "#" => {
-                    // `#[...]` or `#![...]`
-                    let mut j = i + 1;
-                    if tokens.get(j).is_some_and(|t| t.text == "!") {
-                        j += 1;
-                    }
-                    if tokens.get(j).is_some_and(|t| t.text == "[") {
-                        let (end, is_test) = scan_attribute(tokens, j);
-                        if is_test {
-                            pending = Some(nest);
-                        }
-                        i = end + 1;
-                        continue;
-                    }
-                }
-                "(" | "[" => nest += 1,
-                ")" | "]" => nest -= 1,
-                "{" => {
-                    if pending.take().is_some() {
-                        // Consume the whole braced body (balanced, so
-                        // `nest` is unchanged afterwards).
-                        let end = matching_brace(tokens, i);
-                        regions.push((i, end));
-                        i = end + 1;
-                        continue;
-                    }
-                    nest += 1;
-                }
-                "}" => nest -= 1,
-                ";" if pending == Some(nest) => pending = None,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    regions
-}
-
-/// Scans the attribute starting at the `[` token index; returns the index
-/// of the matching `]` and whether the attribute mentions `test`.
-pub(crate) fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
-    let mut depth = 0i64;
-    let mut is_test = false;
-    let mut j = open;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.kind == TokenKind::Punct && t.text == "[" {
-            depth += 1;
-        } else if t.kind == TokenKind::Punct && t.text == "]" {
-            depth -= 1;
-            if depth == 0 {
-                return (j, is_test);
-            }
-        } else if t.kind == TokenKind::Ident && t.text == "test" {
-            is_test = true;
-        }
-        j += 1;
-    }
-    (tokens.len().saturating_sub(1), is_test)
-}
-
-/// Index of the `}` matching the `{` at `open` (last token on imbalance).
-pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind == TokenKind::Punct {
-            if t.text == "{" {
-                depth += 1;
-            } else if t.text == "}" {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-fn push(raw: &mut Vec<Finding>, rule: RuleId, path: &str, token: &Token, message: String) {
-    raw.push(Finding { rule, file: path.to_string(), line: token.line, col: token.col, message });
-}
-
-/// Rule 1: every `unsafe` outside test code must be justified by the
-/// nearest preceding `SAFETY:` comment (or `# Safety` doc section) with no
-/// other `unsafe` in between — so each justification is load-bearing for
-/// exactly one site — and within [`SAFETY_LOOKBACK_LINES`].
-fn check_undocumented_unsafe(
-    path: &str,
-    lexed: &Lexed,
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Finding>,
-    claimed_markers: &mut Vec<u32>,
-) {
-    if !RuleId::UndocumentedUnsafe.applies_to(path) {
-        return;
-    }
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" || in_test(i) {
-            continue;
-        }
-        let prev_unsafe_pos = tokens[..i]
-            .iter()
-            .rev()
-            .find(|p| p.kind == TokenKind::Ident && p.text == "unsafe")
-            .map(|p| (p.line, p.col));
-        let justification = lexed
-            .comments
-            .iter()
-            .filter_map(|c| {
-                let marker = safety_marker_line(c)?;
-                let before = c.end_line < t.line || (c.end_line == t.line && c.col < t.col);
-                let local = t.line.saturating_sub(marker) <= SAFETY_LOOKBACK_LINES;
-                // The justification must sit *after* the previous `unsafe`,
-                // so one comment can never cover two sites.
-                let unclaimed = prev_unsafe_pos
-                    .is_none_or(|(pl, pc)| pl < marker || (pl == marker && pc < c.col));
-                (before && local && unclaimed).then_some(marker)
-            })
-            // The nearest satisfying marker is the one that justifies this
-            // site; only claimed markers are load-bearing and recorded.
-            .max();
-        if let Some(marker) = justification {
-            claimed_markers.push(marker);
-        } else {
-            push(
-                raw,
-                RuleId::UndocumentedUnsafe,
-                path,
-                t,
-                "`unsafe` without a preceding `// SAFETY:` comment or `# Safety` doc \
-                 section justifying it"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// Rule 2: `.lock().unwrap()` / `.lock().expect(…)` outside tests.
-fn check_lock_poison(
-    path: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Finding>,
-) {
-    if !RuleId::LockPoisonIdiom.applies_to(path) {
-        return;
-    }
-    for i in 0..tokens.len().saturating_sub(6) {
-        let texts: Vec<&str> = tokens[i..i + 7].iter().map(|t| t.text.as_str()).collect();
-        if texts[0] == "."
-            && texts[1] == "lock"
-            && texts[2] == "("
-            && texts[3] == ")"
-            && texts[4] == "."
-            && (texts[5] == "unwrap" || texts[5] == "expect")
-            && texts[6] == "("
-            && !in_test(i + 5)
-        {
-            push(
-                raw,
-                RuleId::LockPoisonIdiom,
-                path,
-                &tokens[i + 5],
-                format!(
-                    "`.lock().{}()` panics on poisoning; recover the guard with \
-                     `.lock().unwrap_or_else(std::sync::PoisonError::into_inner)`",
-                    texts[5]
-                ),
-            );
-        }
-    }
-}
-
-/// Rule 3: `Instant::now` / `SystemTime::now` in deterministic modules.
-fn check_wall_clock(
-    path: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Finding>,
-) {
-    if !RuleId::WallClockInDeterministicPath.applies_to(path) {
-        return;
-    }
-    for i in 0..tokens.len().saturating_sub(3) {
-        let clock = tokens[i].text == "Instant" || tokens[i].text == "SystemTime";
-        if clock
-            && tokens[i].kind == TokenKind::Ident
-            && tokens[i + 1].text == ":"
-            && tokens[i + 2].text == ":"
-            && tokens[i + 3].text == "now"
-            && !in_test(i + 3)
-        {
-            push(
-                raw,
-                RuleId::WallClockInDeterministicPath,
-                path,
-                &tokens[i + 3],
-                format!(
-                    "`{}::now` in a deterministic module: plan decisions and kernels \
-                     must be pure functions of their inputs",
-                    tokens[i].text
-                ),
-            );
-        }
-    }
-}
-
-/// Rule 4: panicking calls in non-test library code.
-fn check_panicking_calls(
-    path: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Finding>,
-) {
-    if !RuleId::PanickingCallInLib.applies_to(path) {
-        return;
-    }
-    for i in 0..tokens.len() {
-        if tokens[i].kind != TokenKind::Ident || in_test(i) {
-            continue;
-        }
-        let text = tokens[i].text.as_str();
-        let next = tokens.get(i + 1).map(|t| t.text.as_str());
-        let prev = i.checked_sub(1).map(|p| tokens[p].text.as_str());
-        let is_macro =
-            matches!(text, "panic" | "unreachable" | "todo" | "unimplemented") && next == Some("!");
-        // `.unwrap()` / `.expect(…)` method calls, and `Result::unwrap`-style
-        // function references passed to combinators.
-        let is_call = matches!(text, "unwrap" | "expect") && matches!(prev, Some(".") | Some(":"));
-        if is_macro || is_call {
-            let shown = if is_macro { format!("{text}!") } else { format!("{text}()") };
-            push(
-                raw,
-                RuleId::PanickingCallInLib,
-                path,
-                &tokens[i],
-                format!(
-                    "`{shown}` in non-test library code: propagate an error, or waive \
-                     with a justification for why this cannot fire"
-                ),
-            );
-        }
-    }
-}
-
-/// Rule 5: `HashMap` / `HashSet` in answer-producing modules.
-fn check_unordered_iteration(
-    path: &str,
-    tokens: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    raw: &mut Vec<Finding>,
-) {
-    if !RuleId::UnorderedIterationOnAnswerPath.applies_to(path) {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Ident && (t.text == "HashMap" || t.text == "HashSet") && !in_test(i)
-        {
-            push(
-                raw,
-                RuleId::UnorderedIterationOnAnswerPath,
-                path,
-                t,
-                format!(
-                    "`{}` on an answer-producing path: iteration order is \
-                     nondeterministic; use `BTreeMap`/sorted vectors, or waive with \
-                     an argument for order-independence",
-                    t.text
-                ),
-            );
-        }
-    }
 }

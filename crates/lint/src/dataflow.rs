@@ -379,7 +379,7 @@ impl<'w, 'a> Walker<'w, 'a> {
     }
 
     /// Processes a (possibly unresolved) call at `flat[i]`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the scan's per-token position state")]
     fn call_event(
         &mut self,
         callee: Option<usize>,
@@ -467,7 +467,7 @@ impl<'w, 'a> Walker<'w, 'a> {
     }
 
     /// Records a direct acquisition of `lock` at `flat[i]` (the `.`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the scan's per-token position state")]
     fn acquire(
         &mut self,
         lock: &str,

@@ -1,12 +1,12 @@
 //! A hand-written Rust lexer, sufficient for conformance analysis.
 //!
-//! The rule engine only needs a faithful *token stream* — identifiers,
-//! punctuation and literal boundaries — plus the comment trivia the rules
-//! inspect (SAFETY comments, waivers). The lexer therefore handles every
-//! construct that could make a naive text scan misfire (line and nested
-//! block comments, string/raw-string/byte-string/char literals, the
-//! `'a`-lifetime vs `'a'`-char ambiguity, raw identifiers) but does not
-//! attempt full parsing: rules pattern-match over the token stream.
+//! The analyzer only needs a faithful *token stream* — identifiers,
+//! punctuation and literal boundaries — plus the comment trivia that
+//! carries waivers. The lexer therefore handles every construct that could
+//! make a naive text scan misfire (line and nested block comments,
+//! string/raw-string/byte-string/char literals, the `'a`-lifetime vs
+//! `'a'`-char ambiguity, raw identifiers) and leaves the shape of items to
+//! [`crate::parse`].
 
 /// The coarse classification of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,18 +1,33 @@
-//! # ust-lint — static conformance analyzer for the ust workspace
+//! # ust-lint — semantic conformance analyzer for the ust workspace
 //!
 //! The engines' exactness guarantees (bit-for-bit identity across batch
 //! sizes, thread counts, kernels, prefilter modes and streaming prefixes)
-//! rest on project conventions that nothing enforced mechanically: SAFETY
-//! comments on every `unsafe`, lock-poison recovery, no wall-clock reads in
-//! plan decisions, order-stable iteration on answer paths, no panics in
-//! library code. This crate is the enforcement: a zero-dependency binary
-//! (`cargo run -p ust-lint -- --deny`) built from a hand-written Rust
-//! [`lexer`] feeding a rule engine ([`analyze`]) with `#[cfg(test)]` region
-//! tracking and an inline waiver syntax ([`waiver`]).
+//! rest on project conventions. Clippy enforces the token-level ones (see
+//! the workspace `clippy.toml` and ARCHITECTURE.md's "Enforced invariants").
+//! This crate enforces what needs a whole-workspace view: lock-order
+//! inversions, guards held across blocking calls and allocation in kernel
+//! hot loops. It is a zero-dependency binary (`cargo run -p ust-lint --
+//! --deny`) built from a hand-written Rust [`lexer`], an item-level
+//! [`parse`], a workspace symbol table ([`symbols`]), a call graph
+//! ([`callgraph`]) and a guard-liveness [`dataflow`], with an inline waiver
+//! syntax ([`waiver`]) that [`analyze`] resolves.
 //!
-//! The rules and their rationale live in [`rules`]; ARCHITECTURE.md's
-//! "Enforced invariants" section is the prose version. The analyzer is
+//! The rules and their rationale live in [`rules`]. The analyzer is
 //! self-hosting — `crates/lint/src` is scanned like every other crate.
+
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod analyze;
 pub mod callgraph;
@@ -39,8 +54,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of waivers that suppressed at least one finding.
     pub waivers_used: usize,
-    /// `(file, line)` of every SAFETY marker outside test code.
-    pub safety_markers: Vec<(String, u32)>,
     /// `(file, line)` of every parsed waiver directive.
     pub waivers: Vec<(String, u32)>,
     /// The discovered lock-order graph: one witness edge per ordered pair
@@ -54,7 +67,6 @@ impl Report {
         self.files_scanned += 1;
         self.waivers_used += file.waivers_used;
         self.findings.extend(file.findings);
-        self.safety_markers.extend(file.safety_marker_lines.iter().map(|&l| (path.to_string(), l)));
         self.waivers.extend(file.waiver_lines.iter().map(|&l| (path.to_string(), l)));
     }
 
@@ -119,8 +131,8 @@ pub fn analyze_files(files: &[(String, String)]) -> Report {
 /// Analyzes one source string as the file at workspace-relative `path`.
 ///
 /// This is the in-memory entry point the tests (and the mutation harness
-/// pinning "deleting any SAFETY comment or waiver fails the build") drive.
-/// The semantic pass sees a one-file workspace.
+/// pinning "deleting any waiver fails the build") drive. The semantic pass
+/// sees a one-file workspace.
 pub fn analyze_str(path: &str, src: &str) -> Report {
     analyze_files(&[(path.to_string(), src.to_string())])
 }

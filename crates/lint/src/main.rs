@@ -9,6 +9,20 @@
 //! `--deny` or an undocumented lock-order edge under `--check-hierarchy`,
 //! `2` usage or I/O error.
 
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -26,8 +40,9 @@ struct Options {
 const USAGE: &str = "usage: ust-lint [--root DIR] [--format text|json] [--deny] [--list-rules]
                 [--emit DOT_PATH] [--check-hierarchy DOC_PATH]
 
-Statically checks the workspace against the engine's safety and
-determinism invariants. `--deny` exits nonzero on any finding (the CI
+Statically checks the workspace's lock order, guards held across
+blocking calls and allocation in kernel hot loops (clippy checks the
+token-level conventions). `--deny` exits nonzero on any finding (the CI
 mode); `--format json` emits a machine-readable report on stdout;
 `--emit` writes the discovered lock-order graph as Graphviz DOT;
 `--check-hierarchy` fails if that graph has an edge absent from the

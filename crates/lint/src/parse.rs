@@ -15,7 +15,6 @@
 //! every nested `{ ... }` becomes a child [`Block`], so struct literals
 //! parse as (harmless) blocks rather than derailing the statement walk.
 
-use crate::analyze::{matching_brace, scan_attribute, test_token_regions};
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// The parsed shape of one source file.
@@ -146,6 +145,101 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
     let mut items = Vec::new();
     parser.parse_items(0, lexed.tokens.len(), None, false, &mut items);
     ParsedFile { items }
+}
+
+/// Computes `(start, end)` token-index ranges of `#[cfg(test)]` /
+/// `#[test]`-gated items. Any attribute whose token stream contains the
+/// bare identifier `test` gates the next braced body (or is discharged by
+/// a `;` at the attribute's nesting depth — a gated declaration without a
+/// body).
+fn test_token_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut regions = Vec::new();
+    let mut nest: i64 = 0;
+    let mut pending: Option<i64> = None;
+    let mut i = 0usize;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        if t.kind == TokenKind::Punct {
+            match t.text.as_str() {
+                "#" => {
+                    // `#[...]` or `#![...]`
+                    let mut j = i + 1;
+                    if tokens.get(j).is_some_and(|t| t.text == "!") {
+                        j += 1;
+                    }
+                    if tokens.get(j).is_some_and(|t| t.text == "[") {
+                        let (end, is_test) = scan_attribute(tokens, j);
+                        if is_test {
+                            pending = Some(nest);
+                        }
+                        i = end + 1;
+                        continue;
+                    }
+                }
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest -= 1,
+                "{" => {
+                    if pending.take().is_some() {
+                        // Consume the whole braced body (balanced, so
+                        // `nest` is unchanged afterwards).
+                        let end = matching_brace(tokens, i);
+                        regions.push((i, end));
+                        i = end + 1;
+                        continue;
+                    }
+                    nest += 1;
+                }
+                "}" => nest -= 1,
+                ";" if pending == Some(nest) => pending = None,
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    regions
+}
+
+/// Scans the attribute starting at the `[` token index; returns the index
+/// of the matching `]` and whether the attribute mentions `test` other
+/// than as `not(test)` (the crate roots' `cfg_attr(not(test), …)`).
+fn scan_attribute(tokens: &[Token], open: usize) -> (usize, bool) {
+    let mut depth = 0i64;
+    let mut is_test = false;
+    let mut j = open;
+    while j < tokens.len() {
+        let t = &tokens[j];
+        if t.kind == TokenKind::Punct && t.text == "[" {
+            depth += 1;
+        } else if t.kind == TokenKind::Punct && t.text == "]" {
+            depth -= 1;
+            if depth == 0 {
+                return (j, is_test);
+            }
+        } else if t.kind == TokenKind::Ident && t.text == "test" {
+            let negated = j >= 2 && tokens[j - 1].text == "(" && tokens[j - 2].text == "not";
+            is_test |= !negated;
+        }
+        j += 1;
+    }
+    (tokens.len().saturating_sub(1), is_test)
+}
+
+/// Index of the `}` matching the `{` at `open` (last token on imbalance).
+fn matching_brace(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0i64;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        if t.kind == TokenKind::Punct {
+            if t.text == "{" {
+                depth += 1;
+            } else if t.text == "}" {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+        }
+    }
+    tokens.len().saturating_sub(1)
 }
 
 struct Parser<'a> {
@@ -763,6 +857,8 @@ mod tests {
     fn test_gated_fns_are_marked() {
         let p = parse_source(
             "fn lib_code() { work(); }\n\
+             #[cfg(not(test))]\n\
+             fn prod_only() { work(); }\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  fn helper() { aid(); }\n\
@@ -771,10 +867,11 @@ mod tests {
              }\n",
         );
         let all = fns(&p);
-        assert_eq!(all.len(), 3);
+        assert_eq!(all.len(), 4);
         assert!(!all[0].in_test);
-        assert!(all[1].in_test);
+        assert!(!all[1].in_test);
         assert!(all[2].in_test);
+        assert!(all[3].in_test);
     }
 
     #[test]

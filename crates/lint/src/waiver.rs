@@ -3,17 +3,16 @@
 //! A waiver is written in a **plain** (non-doc) comment:
 //!
 //! ```text
-//! // lint: allow(panicking-call-in-lib) — length is validated two lines up
-//! // lint: allow-file(unordered-iteration-on-answer-path) — keyed lookups only
+//! // lint: allow(lock-held-across-blocking) — the registry guard is held for exactly-once init
 //! ```
 //!
 //! `allow(...)` covers the comment's own line when it trails code, else the
-//! next line that holds code; `allow-file(...)` covers the whole file.
-//! Several rules may be waived at once (`allow(a, b)`), the separator may
-//! be an em dash, `--`, `-` or `:`, and the reason is mandatory — a waiver
-//! without a justification is a [`RuleId::MalformedWaiver`] finding, and a
-//! waiver that suppresses nothing is [`RuleId::UnusedWaiver`]. Doc comments
-//! never carry waivers, so documentation may quote the syntax freely.
+//! next line that holds code. Several rules may be waived at once
+//! (`allow(a, b)`), the separator may be an em dash, `--`, `-` or `:`, and
+//! the reason is mandatory — a waiver without a justification is a
+//! [`RuleId::MalformedWaiver`] finding, and a waiver that suppresses
+//! nothing is [`RuleId::UnusedWaiver`]. Doc comments never carry waivers,
+//! so documentation may quote the syntax freely.
 
 use crate::rules::RuleId;
 
@@ -24,14 +23,12 @@ pub struct Waiver {
     pub rules: Vec<RuleId>,
     /// The mandatory human justification.
     pub reason: String,
-    /// `allow-file` (whole file) vs `allow` (one line).
-    pub file_scope: bool,
 }
 
 /// Why a `lint:` directive failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaiverError {
-    /// The directive verb was not `allow` / `allow-file`.
+    /// The directive verb was not `allow`.
     UnknownDirective(String),
     /// The parenthesized rule list was missing or unbalanced.
     BadRuleList,
@@ -47,7 +44,7 @@ impl std::fmt::Display for WaiverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WaiverError::UnknownDirective(d) => {
-                write!(f, "unknown lint directive `{d}` (expected `allow` or `allow-file`)")
+                write!(f, "unknown lint directive `{d}` (expected `allow`)")
             }
             WaiverError::BadRuleList => {
                 write!(f, "expected a parenthesized rule list after `allow`")
@@ -78,14 +75,11 @@ pub fn directive_body(comment_text: &str, is_doc: bool) -> Option<&str> {
 /// Parses the body of a `lint:` directive (everything after `lint:`).
 pub fn parse_directive(body: &str) -> Result<Waiver, WaiverError> {
     let body = body.trim();
-    let (file_scope, rest) = if let Some(rest) = body.strip_prefix("allow-file") {
-        (true, rest)
-    } else if let Some(rest) = body.strip_prefix("allow") {
-        (false, rest)
-    } else {
-        let verb: String = body.chars().take_while(|c| !c.is_whitespace() && *c != '(').collect();
-        return Err(WaiverError::UnknownDirective(verb));
-    };
+    let (verb, rest) =
+        body.split_at(body.find(|c: char| c.is_whitespace() || c == '(').unwrap_or(body.len()));
+    if verb != "allow" {
+        return Err(WaiverError::UnknownDirective(verb.to_string()));
+    }
     let rest = rest.trim_start();
     let rest = rest.strip_prefix('(').ok_or(WaiverError::BadRuleList)?;
     let close = rest.find(')').ok_or(WaiverError::BadRuleList)?;
@@ -113,7 +107,7 @@ pub fn parse_directive(body: &str) -> Result<Waiver, WaiverError> {
     if reason.is_empty() {
         return Err(WaiverError::MissingReason);
     }
-    Ok(Waiver { rules, reason: reason.to_string(), file_scope })
+    Ok(Waiver { rules, reason: reason.to_string() })
 }
 
 /// Strips one reason separator (`—`, `–`, `--`, `-`, `:`) and surrounding
@@ -128,48 +122,43 @@ fn strip_separator(tail: &str) -> Option<&str> {
     None
 }
 
-/// Formats a waiver back into directive-body form (the inverse of
-/// [`parse_directive`], used by the round-trip tests).
-pub fn format_directive(waiver: &Waiver) -> String {
-    let verb = if waiver.file_scope { "allow-file" } else { "allow" };
-    let rules: Vec<&str> = waiver.rules.iter().map(|r| r.name()).collect();
-    format!("{verb}({}) — {}", rules.join(", "), waiver.reason)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_the_canonical_form() {
-        let w = parse_directive("allow(panicking-call-in-lib) — index bounded by len")
+        let w = parse_directive("allow(lock-held-across-blocking) — the waiter never takes it")
             .expect("canonical waiver parses");
-        assert_eq!(w.rules, vec![RuleId::PanickingCallInLib]);
-        assert_eq!(w.reason, "index bounded by len");
-        assert!(!w.file_scope);
+        assert_eq!(w.rules, vec![RuleId::LockHeldAcrossBlocking]);
+        assert_eq!(w.reason, "the waiter never takes it");
     }
 
     #[test]
     fn parses_multi_rule_and_ascii_separators() {
+        let rules = "lock-order-inversion, alloc-in-kernel-hot-loop";
         for sep in ["—", "--", "-", ":"] {
-            let body = format!(
-                "allow-file(unordered-iteration-on-answer-path, panicking-call-in-lib) {sep} keyed lookups only"
-            );
-            let w = parse_directive(&body).expect("waiver with every separator parses");
-            assert_eq!(w.rules.len(), 2);
-            assert!(w.file_scope);
+            let w = parse_directive(&format!("allow({rules}) {sep} keyed lookups only"))
+                .expect("waiver with every separator parses");
+            assert_eq!(w.rules, vec![RuleId::LockOrderInversion, RuleId::AllocInKernelHotLoop]);
             assert_eq!(w.reason, "keyed lookups only");
+        }
+        // Only the first separator is one: dashes, colons and non-ASCII
+        // text in the reason are kept verbatim.
+        for (body, reason) in [
+            ("allow(lock-order-inversion) — a - b: c -- d", "a - b: c -- d"),
+            ("allow(lock-order-inversion) -- §ünïcode — reason", "§ünïcode — reason"),
+            ("allow(lock-order-inversion): x: y", "x: y"),
+        ] {
+            assert_eq!(parse_directive(body).map(|w| w.reason), Ok(reason.to_string()), "{body}");
         }
     }
 
     #[test]
     fn rejects_missing_reason_unknown_rule_and_unwaivable() {
+        assert_eq!(parse_directive("allow(lock-order-inversion)"), Err(WaiverError::MissingReason));
         assert_eq!(
-            parse_directive("allow(panicking-call-in-lib)"),
-            Err(WaiverError::MissingReason)
-        );
-        assert_eq!(
-            parse_directive("allow(panicking-call-in-lib) — "),
+            parse_directive("allow(lock-order-inversion) — "),
             Err(WaiverError::MissingReason)
         );
         assert!(matches!(parse_directive("allow(no-such) — x"), Err(WaiverError::UnknownRule(_))));
@@ -178,26 +167,20 @@ mod tests {
             Err(WaiverError::Unwaivable(RuleId::UnusedWaiver))
         );
         assert!(matches!(
-            parse_directive("alow(panicking-call-in-lib) — typo"),
+            parse_directive("alow(lock-order-inversion) — typo"),
             Err(WaiverError::UnknownDirective(_))
         ));
+        assert_eq!(
+            parse_directive("allow-file(lock-order-inversion) — x"),
+            Err(WaiverError::UnknownDirective("allow-file".to_string()))
+        );
     }
 
     #[test]
     fn doc_comments_never_carry_directives() {
-        assert_eq!(directive_body("/// lint: allow(panicking-call-in-lib) — quoted", true), None);
+        assert_eq!(directive_body("/// lint: allow(lock-order-inversion) — quoted", true), None);
         assert!(directive_body("// lint: allow(x) — y", false).is_some());
         assert!(directive_body("/* lint: allow(x) — y */", false).is_some());
         assert_eq!(directive_body("// plain comment", false), None);
-    }
-
-    #[test]
-    fn format_parse_round_trips() {
-        let w = Waiver {
-            rules: vec![RuleId::PanickingCallInLib, RuleId::LockPoisonIdiom],
-            reason: "proved unreachable by the guard above".to_string(),
-            file_scope: false,
-        };
-        assert_eq!(parse_directive(&format_directive(&w)), Ok(w));
     }
 }

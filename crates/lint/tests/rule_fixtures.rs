@@ -6,100 +6,11 @@
 use ust_lint::analyze_str;
 use ust_lint::rules::RuleId;
 
-/// A path inside every rule's scope (engine code, where the unordered and
-/// panicking rules bite; wall-clock needs `plan.rs` specifically).
+/// A path outside the alloc rule's scope; the lock rules run everywhere.
 const ENGINE_PATH: &str = "crates/core/src/engine/plan.rs";
 
 fn rules_fired(path: &str, src: &str) -> Vec<RuleId> {
     analyze_str(path, src).findings.into_iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn undocumented_unsafe_positive() {
-    let fired = rules_fired(ENGINE_PATH, include_str!("fixtures/undocumented_unsafe_pos.rs"));
-    assert!(fired.contains(&RuleId::UndocumentedUnsafe), "fired: {fired:?}");
-}
-
-#[test]
-fn undocumented_unsafe_negative() {
-    let report = analyze_str(ENGINE_PATH, include_str!("fixtures/undocumented_unsafe_neg.rs"));
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
-    // Both the `# Safety` doc section and the `// SAFETY:` comment register
-    // as markers — the mutation harness depends on this.
-    assert_eq!(report.safety_markers.len(), 2);
-}
-
-#[test]
-fn lock_poison_positive() {
-    let fired = rules_fired(ENGINE_PATH, include_str!("fixtures/lock_poison_pos.rs"));
-    // `.lock().unwrap()` and `.lock().expect(...)` each fire once.
-    assert_eq!(fired.iter().filter(|r| **r == RuleId::LockPoisonIdiom).count(), 2, "{fired:?}");
-}
-
-#[test]
-fn lock_poison_negative() {
-    let fired = rules_fired(ENGINE_PATH, include_str!("fixtures/lock_poison_neg.rs"));
-    assert!(!fired.contains(&RuleId::LockPoisonIdiom), "fired: {fired:?}");
-}
-
-#[test]
-fn wall_clock_positive_in_scope() {
-    let src = include_str!("fixtures/wall_clock_pos.rs");
-    let fired = rules_fired(ENGINE_PATH, src);
-    assert_eq!(
-        fired.iter().filter(|r| **r == RuleId::WallClockInDeterministicPath).count(),
-        2,
-        "{fired:?}"
-    );
-    // The same source outside the deterministic scope is clean: serving
-    // and metrics code may read the clock freely.
-    let fired = rules_fired("crates/core/src/serving.rs", src);
-    assert!(!fired.contains(&RuleId::WallClockInDeterministicPath), "fired: {fired:?}");
-}
-
-#[test]
-fn wall_clock_negative() {
-    let report = analyze_str(ENGINE_PATH, include_str!("fixtures/wall_clock_neg.rs"));
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
-}
-
-#[test]
-fn panicking_positive() {
-    let fired = rules_fired(ENGINE_PATH, include_str!("fixtures/panicking_pos.rs"));
-    // unwrap, expect, panic!, todo!, unimplemented!, unreachable!.
-    assert_eq!(fired.iter().filter(|r| **r == RuleId::PanickingCallInLib).count(), 6, "{fired:?}");
-    // The bench harness is out of scope for this rule by design.
-    let fired =
-        rules_fired("crates/bench/src/experiments.rs", include_str!("fixtures/panicking_pos.rs"));
-    assert!(!fired.contains(&RuleId::PanickingCallInLib), "fired: {fired:?}");
-}
-
-#[test]
-fn panicking_negative() {
-    let report = analyze_str(ENGINE_PATH, include_str!("fixtures/panicking_neg.rs"));
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
-    // The waiver on `head()` did real work (the test-module panics are
-    // excluded by region tracking, not by the waiver).
-    assert_eq!(report.waivers_used, 1);
-}
-
-#[test]
-fn unordered_positive_in_scope() {
-    let src = include_str!("fixtures/unordered_pos.rs");
-    let fired = rules_fired(ENGINE_PATH, src);
-    assert!(
-        fired.iter().filter(|r| **r == RuleId::UnorderedIterationOnAnswerPath).count() >= 2,
-        "{fired:?}"
-    );
-    // Outside the answer path the same containers are fine.
-    let fired = rules_fired("crates/data/src/synthetic.rs", src);
-    assert!(!fired.contains(&RuleId::UnorderedIterationOnAnswerPath), "fired: {fired:?}");
-}
-
-#[test]
-fn unordered_negative() {
-    let report = analyze_str(ENGINE_PATH, include_str!("fixtures/unordered_neg.rs"));
-    assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
 }
 
 /// The alloc rule's only scope: the propagation kernels.
@@ -219,14 +130,14 @@ fn alloc_hot_loop_negative() {
 
 #[test]
 fn findings_carry_positions_and_render_stably() {
-    let report = analyze_str(ENGINE_PATH, include_str!("fixtures/wall_clock_pos.rs"));
+    let report = analyze_str(KERNELS_PATH, include_str!("fixtures/alloc_hot_loop_pos.rs"));
     let f = &report.findings[0];
-    assert_eq!(f.file, ENGINE_PATH);
+    assert_eq!(f.file, KERNELS_PATH);
     assert!(f.line > 0 && f.col > 0);
     let rendered = f.to_string();
-    assert!(rendered.starts_with(&format!("{ENGINE_PATH}:{}:{}: ", f.line, f.col)), "{rendered}");
-    assert!(rendered.contains("[wall-clock-in-deterministic-path]"), "{rendered}");
+    assert!(rendered.starts_with(&format!("{KERNELS_PATH}:{}:{}: ", f.line, f.col)), "{rendered}");
+    assert!(rendered.contains("[alloc-in-kernel-hot-loop]"), "{rendered}");
     let json = report.to_json();
-    assert!(json.contains("\"rule\": \"wall-clock-in-deterministic-path\""), "{json}");
-    assert!(json.contains("\"finding_count\": 2"), "{json}");
+    assert!(json.contains("\"rule\": \"alloc-in-kernel-hot-loop\""), "{json}");
+    assert!(json.contains("\"finding_count\": 3"), "{json}");
 }

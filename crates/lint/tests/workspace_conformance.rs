@@ -1,8 +1,10 @@
 //! The acceptance gates: the workspace itself is clean under `--deny`, and
-//! every SAFETY comment and waiver in the tree is load-bearing — deleting
-//! any single one of them makes the analyzer report at least one finding.
-//! The second property is what keeps the audit trail honest: a marker that
-//! can be deleted without consequence is a marker nobody needed.
+//! every waiver in the tree is load-bearing — deleting any single one of
+//! them makes the analyzer report at least one finding. The second
+//! property is what keeps the audit trail honest: a waiver that can be
+//! deleted without consequence is a waiver nobody needed. (The `#[expect]`s
+//! that waive clippy lints get the same guarantee from rustc: an
+//! expectation that suppresses nothing is an error of its own.)
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,19 +63,6 @@ fn findings_without_line(sources: &[(String, String)], rel: &str, line: u32) -> 
         })
         .collect();
     ust_lint::analyze_files(&mutated).findings.len()
-}
-
-#[test]
-fn every_safety_comment_is_load_bearing() {
-    let sources = workspace_sources();
-    let report = ust_lint::analyze_files(&sources);
-    assert!(!report.safety_markers.is_empty(), "the tree is known to contain unsafe code");
-    for (rel, line) in &report.safety_markers {
-        assert!(
-            findings_without_line(&sources, rel, *line) > 0,
-            "deleting the SAFETY comment at {rel}:{line} went unnoticed"
-        );
-    }
 }
 
 #[test]
@@ -162,14 +151,15 @@ fn cli_emits_the_lock_graph_and_checks_the_hierarchy() {
 
 #[test]
 fn cli_deny_fails_on_a_dirty_tree() {
-    // A throwaway one-crate workspace with a single deliberate violation.
+    // A throwaway workspace with a single deliberate violation: an
+    // allocation inside a loop of the kernels file.
     let dir = std::env::temp_dir().join(format!("ust-lint-deny-{}", std::process::id()));
-    let src = dir.join("src");
+    let src = dir.join("crates/markov/src");
     std::fs::create_dir_all(&src).expect("temp workspace dirs");
     std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("temp manifest");
     std::fs::write(
-        src.join("lib.rs"),
-        "pub fn f(v: &[u64]) -> u64 { v.first().copied().unwrap() }\n",
+        src.join("kernels.rs"),
+        "pub fn f(v: &mut Vec<u64>) { for i in 0..3 { v.push(i); } }\n",
     )
     .expect("temp source");
 
@@ -180,7 +170,7 @@ fn cli_deny_fails_on_a_dirty_tree() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("panicking-call-in-lib"),
+        String::from_utf8_lossy(&out.stdout).contains("alloc-in-kernel-hot-loop"),
         "stdout: {}",
         String::from_utf8_lossy(&out.stdout)
     );

@@ -19,11 +19,14 @@
 //! constructions below serve as the executable specification the engines are
 //! cross-checked against, and remain practical for small state spaces.
 
-// lint: allow-file(panicking-call-in-lib) — every `builder.push` here writes
-// indices derived from the loop bounds of the matrix being built (row `i < n`,
-// augmented offsets `off + i < dim`), so the bounds checks cannot fire; the
-// construction is a direct transcription of the paper's block matrices and a
-// Result-laden builder would bury the structure.
+#![expect(
+    clippy::expect_used,
+    reason = "every `builder.push` here writes indices derived from the loop bounds of the \
+              matrix being built (row `i < n`, augmented offsets `off + i < dim`), so the \
+              bounds checks cannot fire; the construction is a direct transcription of the \
+              paper's block matrices and a Result-laden builder would bury the structure."
+)]
+
 use crate::coo::CooBuilder;
 use crate::csr::CsrMatrix;
 use crate::error::Result;

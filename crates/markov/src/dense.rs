@@ -170,6 +170,11 @@ impl DenseVector {
     /// Removes the entries of states in `mask`, returning them as a sparse
     /// vector (dense-side counterpart of
     /// [`crate::sparse_vec::SparseVector::split_masked`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "`StateMask::iter` yields only indices below the mask's dimension, which \
+                  equals `self.dim()`."
+    )]
     pub fn split_masked(&mut self, mask: &StateMask) -> crate::sparse_vec::SparseVector {
         let mut pairs = Vec::new();
         for i in mask.iter() {
@@ -181,8 +186,6 @@ impl DenseVector {
             }
         }
         crate::sparse_vec::SparseVector::from_pairs(self.dim(), pairs)
-            // lint: allow(panicking-call-in-lib) — `StateMask::iter` yields only
-            // indices below the mask's dimension, which equals `self.dim()`.
             .expect("mask indices are within the vector dimension")
     }
 

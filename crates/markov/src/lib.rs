@@ -29,10 +29,27 @@
 //! * [`mask::StateMask`] — bitset state sets for query windows.
 
 #![deny(missing_docs)]
-// The workspace denies `unsafe_code`; this crate opts back in for the
-// fixed-width SIMD propagation kernels (`kernels`), where every block
-// carries a clippy-enforced safety comment.
-#![allow(unsafe_code)]
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Kernels are pure functions of their inputs: no clock reads anywhere in
+// this crate (clippy.toml lists the methods).
+#![deny(clippy::disallowed_methods)]
+#![allow(
+    unsafe_code,
+    reason = "the fixed-width SIMD propagation kernels (`kernels`); every block carries a \
+              clippy-enforced safety comment"
+)]
 pub mod augmented;
 pub mod chain;
 pub mod coo;

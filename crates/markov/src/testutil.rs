@@ -5,9 +5,13 @@
 //! same families of random-but-reproducible chains. Not intended for
 //! production use.
 
-// lint: allow-file(panicking-call-in-lib) — deterministic test-fixture
-// generators: indices come from `0..n` loops and weights are strictly
-// positive by construction. Not a production code path (see module docs).
+#![expect(
+    clippy::expect_used,
+    reason = "deterministic test-fixture generators: indices come from `0..n` loops and \
+              weights are strictly positive by construction. Not a production code path (see \
+              module docs)."
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

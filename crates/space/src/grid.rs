@@ -100,10 +100,13 @@ impl StateSpace for GridSpace {
     }
 
     fn location(&self, id: usize) -> Point2 {
+        #[expect(
+            clippy::panic,
+            reason = "the `Space` trait's `location` contract takes a state id of this space; \
+                      an out-of-range id is a construction bug in the caller, with no \
+                      recoverable answer."
+        )]
         let (r, c) = self.id_to_cell(id).unwrap_or_else(|| {
-            // lint: allow(panicking-call-in-lib) — the `Space` trait's `location`
-            // contract takes a state id of this space; an out-of-range id is a
-            // construction bug in the caller, with no recoverable answer.
             panic!("state id {id} out of range for {}×{} grid", self.rows, self.cols)
         });
         Point2::new(c as f64 + 0.5, r as f64 + 0.5)

@@ -21,6 +21,19 @@
 //! * [`rtree::RTree`] — STR bulk-loaded point R-tree.
 
 #![deny(missing_docs)]
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod grid;
 pub mod line;

@@ -230,8 +230,11 @@ impl RTree {
             if let Some(entry) = cand.entry {
                 return Some(entry); // closest possible candidate reached
             }
-            // lint: allow(panicking-call-in-lib) — entry candidates return
-            // early above; every candidate left on the heap was pushed with a node.
+            #[expect(
+                clippy::expect_used,
+                reason = "entry candidates return early above; every candidate left on the \
+                          heap was pushed with a node."
+            )]
             match cand.node.expect("non-entry candidates carry a node") {
                 Node::Leaf { entries, .. } => {
                     for e in entries {

@@ -140,6 +140,19 @@
 //! `BENCHMARK.json` / `benchmark/README.md` for the repository's benchmark.
 
 #![deny(missing_docs)]
+// Library code does not panic; a panic that an invariant rules out carries
+// an `#[expect]` naming the invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub use ust_core;
 pub use ust_data;

@@ -1,6 +1,6 @@
 //! Support shared by the integration tests: random instances and the
 //! `execute`-to-probabilities shorthand. Each test binary uses a subset.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a subset of these helpers")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -194,42 +194,30 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
         assert_eq!(run(&db, PrefilterMode::Off, &spec).0.as_ref(), Ok(&expected));
     }
 
-    // A window that starts before two objects' (different) latest fixes.
-    // The envelopes leave both undecided, so each strategy's own driver
-    // reports its own first offender: the forward sweep validates in index
-    // order (object 7), the backward plan model by model (object 30 follows
-    // model 2, object 7 model 3).
+    // A window that starts before two objects' (different) latest fixes:
+    // object 7 (model 3) and object 30 (model 2). The envelopes leave both
+    // undecided, and every strategy reports the first offender in index
+    // order — object 7 — over the whole database and over a subset holding
+    // both, with or without envelopes.
     let fix = |t: u32| Observation::exact(t, n, 110).unwrap();
     db.ingest(db.object(7).unwrap().id(), fix(23)).unwrap();
     db.ingest(db.object(30).unwrap().id(), fix(24)).unwrap();
-    for (strategy, observation) in [(ObjectBased, 23), (QueryBased, 24)] {
-        let spec = Query::exists()
-            .window(window.clone())
-            .threshold(tau)
-            .strategy(strategy)
-            .build()
-            .unwrap();
-        let first =
-            Err(ust_core::QueryError::WindowBeforeObservation { window_start: 20, observation });
-        assert_eq!(run(&db, PrefilterMode::On, &spec).0, first, "{strategy:?}");
-        assert_eq!(run(&db, PrefilterMode::Off, &spec).0, first, "{strategy:?}");
-    }
-    // `Auto` reports the planner's model-major offender — the backward
-    // plan's — over the whole database and over a subset holding both.
     let both: Vec<u64> =
         db.objects().iter().enumerate().filter(|(i, _)| i % 5 != 4).map(|(_, o)| o.id()).collect();
-    for scope in [None, Some(&both)] {
-        let mut query = Query::exists().window(window.clone()).threshold(tau).strategy(Auto);
-        if let Some(ids) = scope {
-            query = query.objects(ids.iter().copied());
-        }
-        let spec = query.build().unwrap();
-        let first = Err(ust_core::QueryError::WindowBeforeObservation {
-            window_start: 20,
-            observation: 24,
-        });
-        for mode in [PrefilterMode::On, PrefilterMode::Off] {
-            assert_eq!(run(&db, mode, &spec).0, first, "{mode:?} {:?}", scope.is_some());
+    let first =
+        Err(ust_core::QueryError::WindowBeforeObservation { window_start: 20, observation: 23 });
+    for strategy in [ObjectBased, QueryBased, Auto] {
+        for scope in [None, Some(&both)] {
+            let mut query =
+                Query::exists().window(window.clone()).threshold(tau).strategy(strategy);
+            if let Some(ids) = scope {
+                query = query.objects(ids.iter().copied());
+            }
+            let spec = query.build().unwrap();
+            for mode in [PrefilterMode::On, PrefilterMode::Off] {
+                let cell = format!("{strategy:?} {mode:?} subset: {}", scope.is_some());
+                assert_eq!(run(&db, mode, &spec).0, first, "{cell}");
+            }
         }
     }
 }
