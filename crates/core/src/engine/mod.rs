@@ -85,10 +85,9 @@ mod tests {
         Query::exists().window(window).build().unwrap()
     }
 
-    /// Blocks every worker of `processor`'s pool until the returned closure
-    /// is called, so submitted jobs stay deterministically queued.
-    fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
-        let pool = processor.pool().expect("gated tests need an owned pool");
+    /// Blocks every worker of `pool` until the returned closure is called,
+    /// so submitted jobs stay deterministically queued.
+    fn gate_workers(pool: &crate::parallel::WorkerPool) -> impl FnOnce() + 'static {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         for shard in 0..pool.num_threads() {
             let gate = Arc::clone(&gate);
@@ -150,21 +149,58 @@ mod tests {
         assert_eq!(ticket.wait().unwrap(), baseline);
     }
 
-    /// Satellite bugfix: an inline processor's submit must not funnel the
-    /// whole process through a single shared worker — the fallback pool is
+    /// An inline processor's submit must not funnel a burst through a
+    /// single worker: the submit pool it spawns on the first submission is
     /// sized from the host's available parallelism.
     #[test]
     fn inline_submit_fallback_pool_is_sized_from_available_parallelism() {
         let db = small_db(43, 10, 4);
         let processor = QueryProcessor::new(&db);
-        assert!(processor.pool().is_none(), "inline processors own no pool");
+        assert!(processor.pool().is_none(), "inline processors shard on no pool");
+        assert!(processor.submit_pool.get().is_none(), "spawned on the first submission");
         let ticket = processor.submit(&exists_spec(&db)).unwrap();
         ticket.wait().unwrap();
-        let expected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert!(
-            crate::parallel::shared_pool(1).num_threads() >= expected,
-            "the shared fallback pool must hold at least the host parallelism"
-        );
+        let expected = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(processor.submit_pool.get().map(|pool| pool.num_threads()), Some(expected));
+    }
+
+    /// Dropping an inline processor mid-burst sheds its submit pool's
+    /// backlog like any processor-owned pool: the job running at the drop
+    /// finishes, every queued ticket completes with `AsyncQueryDropped`, and
+    /// no `wait` blocks.
+    #[test]
+    fn dropping_an_inline_processor_mid_burst_completes_every_ticket() {
+        use std::time::Duration;
+
+        let db = small_db(37, 10, 4);
+        let spec = exists_spec(&db);
+        let processor = QueryProcessor::new(&db);
+        // The first submission spawns the pool. Then every worker runs a
+        // job that returns only once the drop has closed the queues, so
+        // the burst is still queued when the drop begins.
+        processor.submit(&spec).unwrap().wait().unwrap();
+        let pool = processor.submit_pool.get().unwrap();
+        let closed = pool.closed_probe();
+        for shard in 0..pool.num_threads() {
+            let closed = closed.clone();
+            pool.spawn(
+                shard,
+                Box::new(move || {
+                    while !closed() {
+                        std::thread::yield_now();
+                    }
+                }),
+            );
+        }
+        while pool.stats().queued_jobs > 0 {
+            std::thread::yield_now();
+        }
+        let burst: Vec<QueryTicket> = (0..8).map(|_| processor.submit(&spec).unwrap()).collect();
+        drop(processor);
+        for ticket in burst {
+            let outcome = ticket.wait_timeout(Duration::from_secs(30)).expect("no wait blocks");
+            assert_eq!(outcome, Err(QueryError::AsyncQueryDropped));
+        }
     }
 
     /// Satellite bugfix: a job discarded without running must still
@@ -179,7 +215,7 @@ mod tests {
         );
         let pool = processor.pool().unwrap();
         // Gate both workers so the submitted job stays queued.
-        let release = gate_workers(&processor);
+        let release = gate_workers(pool);
         let ticket = processor.submit(&spec).unwrap();
         assert!(!ticket.is_done());
         assert_eq!(processor.metrics().in_flight, 1);
@@ -334,8 +370,7 @@ mod tests {
         let metrics = processor.metrics();
         let stream = metrics.stream(sub.id()).expect("watch registered the stream");
         assert!(stream.recompute_steps > 0, "registration paid the dense sweep");
-        assert_eq!(stream.reevaluations, 1);
-        assert_eq!(stream.suffix_invalidations, 1, "exactly one maintained entry invalidated");
+        assert_eq!(stream.reevaluations, 1, "exactly one maintained entry re-evaluated");
         assert_eq!(stream.incremental_steps, 0, "the refresh was pure cache hits");
         assert_eq!(sub.answer(), fresh_answer(&processor, sub.spec()));
     }
@@ -518,7 +553,7 @@ mod tests {
                         assert_eq!(processor.metrics().completed, 1, "{cell}");
                     }
                     (_, Exit::QueueFull) => {
-                        let release = gate_workers(&processor);
+                        let release = gate_workers(processor.pool().unwrap());
                         let holder = processor.submit(&spec).unwrap();
                         let full = QueryError::QueueFull { limit: 1 };
                         match &sub {
@@ -548,7 +583,7 @@ mod tests {
                         assert_eq!(processor.metrics().deadline_expired, 1, "{cell}");
                     }
                     (_, Exit::CancelledWhileQueued) => {
-                        let release = gate_workers(&processor);
+                        let release = gate_workers(processor.pool().unwrap());
                         let ticket = processor.submit(&spec).unwrap();
                         assert!(ticket.cancel(), "{cell}");
                         assert_eq!(ticket.wait(), Err(QueryError::Cancelled), "{cell}");
@@ -583,7 +618,7 @@ mod tests {
                         }
                     }
                     (_, Exit::PoolDroppedMidBurst) => {
-                        let release = gate_workers(&processor);
+                        let release = gate_workers(processor.pool().unwrap());
                         let ticket = processor.submit(&spec).unwrap();
                         processor.pool().unwrap().close_queues();
                         release();

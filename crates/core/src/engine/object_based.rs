@@ -240,30 +240,18 @@ pub(crate) fn forward_chunk<R: ForwardRule>(
 /// start, so it serves every later anchor), **once per query** — before
 /// the fan-out, shared read-only by every shard.
 ///
-/// Preparing the plan is also where a query's objects are validated, in
-/// index order — so the first error is deterministic regardless of batch
-/// or shard layout; [`forward_database`] trusts a plan to cover its
-/// indices.
+/// A plan is built from model groups already validated against the window
+/// (by the planner's `prepare`, or by [`evaluate_rule`]), in index order —
+/// so the first error is deterministic regardless of batch or shard
+/// layout; [`forward_database`] trusts a plan to cover its indices.
 #[derive(Debug)]
 pub(crate) struct ReachPlan {
     schedules: Vec<Option<ReachSchedule>>,
 }
 
 impl ReachPlan {
-    /// Validates `indices` against `window` and sweeps one schedule of
-    /// `rule` per model they populate.
-    pub(crate) fn prepare(
-        db: &TrajectoryDatabase,
-        indices: &[usize],
-        window: &QueryWindow,
-        rule: ReachRule,
-    ) -> Result<ReachPlan> {
-        let groups = validated_model_groups_on(db, indices, window)?;
-        Self::from_groups(db, &groups, window, rule)
-    }
-
-    /// As [`ReachPlan::prepare`] over groups already validated against
-    /// `window`: each group's earliest anchor is its first time.
+    /// One schedule of `rule` per group, from groups already validated
+    /// against `window`: each group's earliest anchor is its first time.
     pub(crate) fn from_groups(
         db: &TrajectoryDatabase,
         groups: &[ModelGroup],
@@ -344,9 +332,9 @@ pub(crate) fn forward_database<R: ForwardRule>(
         .collect()
 }
 
-/// The sequential whole-database reference of `rule`: one reach plan, one
-/// pipeline, [`forward_database`] over every object — no planner, pool or
-/// cache.
+/// The sequential whole-database reference of `rule`: one validation pass,
+/// one reach plan from its groups, one pipeline, [`forward_database`] over
+/// every object — no planner, pool or cache.
 pub(crate) fn evaluate_rule<R: ForwardRule>(
     db: &TrajectoryDatabase,
     window: &QueryWindow,
@@ -355,7 +343,8 @@ pub(crate) fn evaluate_rule<R: ForwardRule>(
     mut rule: R,
 ) -> Result<Vec<R::Output>> {
     let indices: Vec<usize> = (0..db.len()).collect();
-    let reach = ReachPlan::prepare(db, &indices, window, R::REACH)?;
+    let groups = validated_model_groups_on(db, &indices, window)?;
+    let reach = ReachPlan::from_groups(db, &groups, window, R::REACH)?;
     forward_database(&mut Propagator::new(config, stats), db, &indices, window, &reach, &mut rule)
 }
 
@@ -588,7 +577,8 @@ mod tests {
         };
         let reference: Vec<R::Output> = db.objects().iter().map(solo).collect();
         let indices: Vec<usize> = (0..db.len()).collect();
-        let reach = ReachPlan::prepare(db, &indices, window, R::REACH).unwrap();
+        let groups = validated_model_groups_on(db, &indices, window).unwrap();
+        let reach = ReachPlan::from_groups(db, &groups, window, R::REACH).unwrap();
         for threads in [1usize, 3] {
             let executor = match threads {
                 1 => ShardedExecutor::sequential(),

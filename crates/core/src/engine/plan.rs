@@ -10,21 +10,21 @@
 //! window statistics (object count, propagation horizon, matrix density,
 //! backward-field cache residency), the chosen [`Strategy`], and a
 //! human-readable rationale. The module is the two halves of a query's
-//! life, and clock-free: `prepare` resolves the spec's scope, runs the
-//! index filter over it — it holds one candidate set, the survivors; the
-//! pruned rest of the scope stays implicit — and, when asked, costs
-//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). Costing
-//! is the query's one validation: a single pass validates the survivors and
-//! groups them by model with their distinct anchor times, and the groups
-//! ride in `Prepared` to `refine`, whose field and reach plans are built
-//! from them instead of validating the same objects again (an
-//! explicit-strategy execution skips costing and validates in its driver);
-//! `refine` dispatches to the batched, sharded counterparts of the
-//! sequential reference drivers and spells the pruned objects out as exact
-//! zeros only where an answer needs them — so planned answers are bit-for-bit
-//! identical to the paper's algorithms run with no planner, pool or cache
-//! (pinned by `tests/query_planner.rs`). The serving function that strings
-//! them together, times them and records them lives with the processor.
+//! life, and clock-free: `prepare` resolves the spec's scope, rejects a
+//! window no strategy answers, runs the index filter over the scope — it
+//! holds one candidate set, the survivors; the pruned rest of the scope
+//! stays implicit — and validates and groups the survivors by model with
+//! their distinct anchor times, whatever the strategy, so the strategy can
+//! never change which error a query reports. When asked it also costs
+//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). The
+//! groups ride in `Prepared` to `refine`, whose field and reach plans are
+//! built from them; `refine` dispatches to the batched, sharded
+//! counterparts of the sequential reference drivers and spells the pruned
+//! objects out as exact zeros only where an answer needs them — so planned
+//! answers are bit-for-bit identical to the paper's algorithms run with no
+//! planner, pool or cache (pinned by `tests/query_planner.rs`). The serving
+//! function that strings them together, times them and records them lives
+//! with the processor.
 //!
 //! ## Cost model
 //!
@@ -289,8 +289,8 @@ fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
 ///   different omission contract);
 /// * a window whose mask dimension differs from the database's, or one
 ///   starting before the latest first observation over the scope — in
-///   both cases the exact drivers are entitled to fail validation, and
-///   pruning must never mask that error;
+///   both cases validation may reject an object, it sees only the
+///   survivors, and pruning must never mask that error;
 /// * an index that prunes nothing.
 fn prefilter_candidates(
     ctx: &ExecContext<'_>,
@@ -351,8 +351,8 @@ fn envelope_clusters(ctx: &ExecContext<'_>) -> Option<Arc<SpatioTemporalIndex>> 
 /// A spec resolved against one database snapshot — what the *prepare* half
 /// of a query's life hands to [`refine`]: the candidates the engines will
 /// evaluate, the scope the index pruned them from, the candidates' model
-/// groups when costing validated them, the strategy to run under, and the
-/// cost model's record when it was asked for.
+/// groups, the strategy to run under, and the cost model's record when it
+/// was asked for.
 pub(crate) struct Prepared {
     /// Candidates to evaluate (ascending database indices): the index's
     /// survivors when it pruned, the whole scope otherwise.
@@ -361,11 +361,9 @@ pub(crate) struct Prepared {
     /// answered as exact `P∃ = 0`, unevaluated. `None` when nothing was
     /// pruned and `indices` is the scope.
     pub pruned_from: Option<Scope>,
-    /// `indices` validated against the window and grouped by model —
-    /// present exactly when `prepare` costed, and what [`refine`] builds
-    /// its field or reach plan from instead of validating again. An
-    /// explicit-strategy execution leaves validation to its driver.
-    pub groups: Option<Vec<ModelGroup>>,
+    /// `indices` validated against the window and grouped by model — what
+    /// [`refine`] builds its field or reach plan from.
+    pub groups: Vec<ModelGroup>,
     /// The strategy [`refine`] dispatches on: the spec's own, or the
     /// planner's resolution of [`Strategy::Auto`].
     pub strategy: Strategy,
@@ -382,31 +380,35 @@ impl Prepared {
 }
 
 /// The prepare half of a query's life, shared by `explain`, a standing
-/// query's strategy pinning and every execution: resolves the scope, runs
-/// the index prefilter over it, and — only when `cost` is set — validates
-/// and groups the surviving candidates (the one validation of the query:
-/// the groups ride to [`refine`]) and estimates every strategy from them
+/// query's strategy pinning and every execution, under every strategy:
+/// resolves the scope, rejects a full-space ∀ window, runs the index
+/// prefilter over the scope, and validates and groups the surviving
+/// candidates — the query's one validation, in index order, so every
+/// strategy reports the same first error; the groups ride to [`refine`].
+/// Only when `cost` is set does it estimate every strategy from the groups
 /// and cache residency, resolving [`Strategy::Auto`] to the cheaper exact
 /// strategy (explicit overrides are echoed with the same estimates
 /// attached). The cost model has a consumer only under `Auto` and in
-/// `explain`; an explicit-strategy execution skips its residency probes
-/// entirely.
+/// `explain`; an explicit-strategy execution skips its residency probes.
 pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Prepared> {
     let scope = resolve_scope(ctx.db, spec)?;
+    if spec.predicate() == Predicate::ForAll {
+        forall::reject_full_space(spec.window())?;
+    }
     let survivors = prefilter_candidates(ctx, spec, &scope);
     let (indices, pruned_from) = match (survivors, scope) {
         (Some(survivors), scope) => (survivors, Some(scope)),
         (None, Scope::Database(len)) => ((0..len).collect(), None),
         (None, Scope::Subset(indices)) => (indices, None),
     };
+    let groups = validated_model_groups_on(ctx.db, &indices, spec.window())?;
     let mut prepared =
-        Prepared { indices, pruned_from, groups: None, strategy: spec.strategy(), plan: None };
+        Prepared { indices, pruned_from, groups, strategy: spec.strategy(), plan: None };
     if cost {
-        let groups = validated_model_groups_on(ctx.db, &prepared.indices, spec.window())?;
-        let plan = plan_on(ctx, spec, &groups, prepared.indices.len(), prepared.num_pruned());
+        let examined = prepared.indices.len();
+        let plan = plan_on(ctx, spec, &prepared.groups, examined, prepared.num_pruned());
         prepared.strategy = plan.strategy;
         prepared.plan = Some(plan);
-        prepared.groups = Some(groups);
     }
     Ok(prepared)
 }
@@ -517,20 +519,20 @@ fn plan_on(
     }
 }
 
-/// The objects one driver call evaluates: ascending database indices and,
-/// when `prepare` validated them, their model groups — the driver builds
-/// its field or reach plan from the groups; without them it validates
-/// `indices` itself, in its own order.
+/// The objects one driver call evaluates: ascending database indices and
+/// their model groups, validated by `prepare` — the driver builds its field
+/// or reach plan from the groups.
 #[derive(Clone, Copy)]
 struct Candidates<'a> {
     indices: &'a [usize],
-    groups: Option<&'a [ModelGroup]>,
+    groups: &'a [ModelGroup],
 }
 
 /// The refine half of a query's life: runs a prepared spec under its
 /// resolved strategy — the strategy × predicate × decorator dispatch onto
-/// the batched, sharded drivers. Index-pruned candidates are answered as
-/// exact `P∃ = 0` without being evaluated.
+/// the batched, sharded drivers, over groups `prepare` already validated.
+/// Index-pruned candidates are answered as exact `P∃ = 0` without being
+/// evaluated.
 pub(crate) fn refine(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
@@ -542,7 +544,7 @@ pub(crate) fn refine(
     stats.candidates_examined += indices.len() as u64;
     stats.candidates_pruned += prepared.num_pruned() as u64;
     let window = spec.window();
-    let candidates = Candidates { indices, groups: groups.as_deref() };
+    let candidates = Candidates { indices, groups };
 
     match spec.predicate() {
         Predicate::Exists => match spec.decorator() {
@@ -662,13 +664,13 @@ fn threshold_ids(
         // What the envelopes left keeps `prepare`'s validation: the same
         // groups when nothing was decided, regrouped (not revalidated)
         // otherwise.
-        let regrouped = match candidates.groups {
-            Some(_) if undecided.len() < indices.len() => {
-                Some(model_groups_on(ctx.db, &undecided)?)
-            }
-            _ => None,
+        let regrouped;
+        let groups = if undecided.len() < indices.len() {
+            regrouped = model_groups_on(ctx.db, &undecided)?;
+            &regrouped
+        } else {
+            candidates.groups
         };
-        let groups = regrouped.as_deref().or(candidates.groups);
         let undecided = Candidates { indices: &undecided, groups };
         // The strategy's own driver: the bound-based forward rule (early
         // termination per object), or probabilities compared against `τ`.
@@ -756,14 +758,7 @@ fn field_answers<T: Send>(
 ) -> Result<Vec<T>> {
     let Candidates { indices, groups } = candidates;
     let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
-    let plan = match groups {
-        Some(groups) => {
-            SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)
-        }
-        None => {
-            SharedFieldPlan::prepare_with_cache_on(db, indices, window, rule, config, cache, stats)
-        }
-    }?;
+    let plan = SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)?;
     stats.fields_shared += plan.num_fields() as u64;
     ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
@@ -786,10 +781,9 @@ fn field_answers<T: Send>(
 }
 
 /// Object-based answers over the candidates: the reach schedules of `rule`
-/// per model (from the planner's groups, or validating the objects in index
-/// order), then the fan-out — every shard runs the database loop of the one
-/// forward driver under its own copy of `rule` (a rule's state, like
-/// top-k's candidate list, is per shard).
+/// per model, from the planner's groups, then the fan-out — every shard
+/// runs the database loop of the one forward driver under its own copy of
+/// `rule` (a rule's state, like top-k's candidate list, is per shard).
 fn forward_answers<R>(
     ctx: &ExecContext<'_>,
     rule: R,
@@ -802,10 +796,7 @@ where
     R::Output: Send,
 {
     let Candidates { indices, groups } = candidates;
-    let reach = match groups {
-        Some(groups) => ReachPlan::from_groups(ctx.db, groups, window, R::REACH)?,
-        None => ReachPlan::prepare(ctx.db, indices, window, R::REACH)?,
-    };
+    let reach = ReachPlan::from_groups(ctx.db, groups, window, R::REACH)?;
     ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
         object_based::forward_database(pipeline, ctx.db, idxs, window, &reach, &mut rule.clone())
     })
@@ -814,6 +805,7 @@ where
 /// PST∀Q probabilities over the candidates: the Section VII complement
 /// reduction object-based (the complement-window sweep under the ∀ reach
 /// of the original window), the direct ∀ backward field query-based.
+/// `prepare` has already rejected a full-space window.
 fn forall_probs(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
@@ -823,7 +815,6 @@ fn forall_probs(
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
         Strategy::QueryBased => {
-            forall::reject_full_space(window)?;
             field_answers(ctx, FieldRule::ForAll, candidates, window, stats, probability_row)
         }
         Strategy::ObjectBased => {

@@ -9,7 +9,7 @@
 )]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::database::TrajectoryDatabase;
@@ -18,7 +18,7 @@ use crate::engine::plan::{self, ExecContext, QueryPlan};
 use crate::engine::ticket::{QueryTicket, TicketGuard, TicketState};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
-use crate::parallel::{shared_pool, ShardedExecutor, WorkerPool};
+use crate::parallel::{ShardedExecutor, WorkerPool};
 use crate::query::{QueryAnswer, QuerySpec, Strategy};
 use crate::serving::{AdmissionGate, ExecutionRecord, MetricsSnapshot};
 use crate::stats::EvalStats;
@@ -78,9 +78,11 @@ impl ServingCore {
 /// thread; with [`EngineConfig::with_num_threads`] `> 1` the processor
 /// **owns a [`crate::parallel::WorkerPool`]** — the worker threads are
 /// spawned once at construction, reused by every query, and joined when
-/// the processor is dropped. Query-based evaluations share one
-/// [`FieldCache`] (sized by [`EngineConfig::cache_capacity`], behind
-/// a lock), so repeated or overlapping windows skip their backward sweeps.
+/// the processor is dropped. An inline processor spawns a pool for its
+/// [`QueryProcessor::submit`] jobs on the first submission instead.
+/// Query-based evaluations share one [`FieldCache`] (sized by
+/// [`EngineConfig::cache_capacity`], behind a lock), so repeated or
+/// overlapping windows skip their backward sweeps.
 /// Results are bit-for-bit independent of the strategy dispatch, the batch
 /// size, the worker count and the cache.
 ///
@@ -137,6 +139,10 @@ pub struct QueryProcessor {
     /// The processor's long-lived workers; `None` runs inline
     /// (`num_threads <= 1`).
     pool: Option<Arc<WorkerPool>>,
+    /// The pool `submit` jobs run on: `pool` when the processor owns one,
+    /// otherwise one sized from the host's available parallelism, spawned
+    /// on the first submission.
+    pub(super) submit_pool: OnceLock<Arc<WorkerPool>>,
     /// Round-robin shard assignment for submitted queries.
     submit_seq: AtomicUsize,
     /// Registered standing queries; cancelled entries are pruned on the
@@ -165,10 +171,8 @@ impl QueryProcessor {
     /// construct once and reuse, rather than per query.
     pub fn with_config(db: &TrajectoryDatabase, config: EngineConfig) -> Self {
         let threads = config.effective_num_threads();
-        // The owned pool is a serving pool: if the processor is dropped
-        // mid-burst its backlog is shed (tickets complete with
-        // `AsyncQueryDropped`) rather than drained.
-        let pool = (threads > 1).then(|| Arc::new(WorkerPool::shedding(threads)));
+        let pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
+        let submit_pool = pool.clone().map_or_else(OnceLock::new, OnceLock::from);
         let gate = AdmissionGate::new(config.max_queue_depth, config.default_deadline);
         QueryProcessor {
             db: RwLock::new(db.clone()),
@@ -178,6 +182,7 @@ impl QueryProcessor {
                 gate: Arc::new(gate),
             }),
             pool,
+            submit_pool,
             submit_seq: AtomicUsize::new(0),
             subscriptions: Mutex::new(Vec::new()),
             notify_lock: Mutex::new(()),
@@ -270,14 +275,17 @@ impl QueryProcessor {
     /// [`QueryTicket`] **immediately** — the async front door, now behind
     /// admission control.
     ///
-    /// The query runs as one job on the processor's worker pool (or the
-    /// process-wide shared pool — sized from the host's available
-    /// parallelism — when the processor evaluates inline), capturing an
-    /// owned snapshot of the database handle, the configuration and the
-    /// shared field cache — so the ticket outlives the borrow rules:
-    /// callers can submit a burst, keep inserting into their own database
-    /// handle, and await the answers later. Within the job the evaluation
-    /// is sequential (pool workers do not re-shard onto the pool); a
+    /// The query runs as one job on the processor's worker pool (or, when
+    /// the processor evaluates inline, on a pool of its own sized from the
+    /// host's available parallelism and spawned on the first submission),
+    /// capturing an owned snapshot of the database handle, the
+    /// configuration and the shared field cache — so the ticket outlives
+    /// the borrow rules: callers can submit a burst, keep inserting into
+    /// their own database handle, and await the answers later. Jobs still
+    /// queued when the processor is dropped are shed, their tickets
+    /// completing with [`QueryError::AsyncQueryDropped`]. Within the job
+    /// the evaluation is sequential (pool workers do not re-shard onto the
+    /// pool); a
     /// burst of submissions parallelizes **across** queries instead,
     /// round-robin over the shard queues. Submitted queries share the
     /// processor's cache, so a burst over the same window sweeps its
@@ -328,14 +336,12 @@ impl QueryProcessor {
         let db = self.snapshot();
         let core = Arc::clone(&self.core);
         let spec = spec.clone();
-        let pool = match &self.pool {
-            Some(pool) => Arc::clone(pool),
-            // Inline processors fall back to the process-wide pool, sized
-            // from the host rather than a single funnel worker (a 1-wide
-            // shared pool would serialize every inline submitter in the
-            // process behind one queue).
-            None => shared_pool(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
-        };
+        // Sized from the host rather than a single funnel worker, which
+        // would serialize a burst behind one queue.
+        let pool = self.submit_pool.get_or_init(|| {
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+            Arc::new(WorkerPool::new(host))
+        });
         let shard = self.submit_seq.fetch_add(1, Ordering::Relaxed);
         let job = Box::new(move || {
             let outcome = match guard.interrupted() {
@@ -351,12 +357,13 @@ impl QueryProcessor {
             guard.finish(outcome);
         });
         let handle = pool.spawn(shard, job);
-        Ok(QueryTicket { state, pool: Arc::downgrade(&pool), handle })
+        Ok(QueryTicket { state, pool: Arc::downgrade(pool), handle })
     }
 }
 
 /// A query's life after admission, written once: **prepare** (resolve the
-/// candidates, prefilter, cost when the strategy is `Auto`), let a
+/// candidates, check the window, prefilter, validate and group — under
+/// every strategy — and cost when the strategy is `Auto`), let a
 /// submitted `job`'s cancellation flag or deadline shed the expensive
 /// half, **refine**, and **record** — every call reports plan time,
 /// execute time and its evaluation counters to the serving registry, a

@@ -448,8 +448,9 @@ impl ModelGroup {
 
 /// Validates the objects at `indices` (ascending database indices) and
 /// groups them by model — the shared front half of the sequential reference
-/// drivers, the planner's cost model and the shared-field plans, so the
-/// validation and anchor-collection rules cannot diverge between them.
+/// drivers and the planner's `prepare`, whose groups the cost model, the
+/// shared-field plans and the reach plans read, so the validation and
+/// anchor-collection rules cannot diverge between them.
 ///
 /// One pass in index order; the error is the first offender's, the one
 /// every strategy reports.
@@ -500,49 +501,29 @@ fn group_on(
 ///
 /// This is the stage the planner's query-based dispatch runs *before*
 /// sharding: every populated model's [`BackwardField`] is fetched from (or
-/// swept into) the processor's lock-guarded [`FieldCache`] via
-/// [`SharedFieldPlan::prepare_with_cache_on`] and held as an [`Arc`], so
-/// workers receive cheap read-only views instead of re-sweeping the field
-/// per shard. The deduplication is surfaced through
+/// swept into) the processor's lock-guarded [`FieldCache`] and held as an
+/// [`Arc`], so workers receive cheap read-only views instead of
+/// re-sweeping the field per shard. The deduplication is surfaced through
 /// [`EvalStats::fields_shared`]: one increment per field a plan serves,
 /// independent of how many workers consume it.
-#[derive(Debug, Clone)]
-pub struct SharedFieldPlan {
+#[derive(Debug)]
+pub(crate) struct SharedFieldPlan {
     fields: Vec<Option<Arc<BackwardField>>>,
 }
 
 impl SharedFieldPlan {
-    /// Validates the objects at `indices` (ascending database indices),
-    /// groups them by model and serves one backward field per populated
-    /// model, snapshotted at that model's anchor times, through a
-    /// lock-guarded [`FieldCache`]: hits and suffix extensions pay
-    /// no (or less) backward work, fresh windows sweep once and stay
-    /// cached for the next query. `None` entries are models without
-    /// objects. A query the planner already validated serves its groups
-    /// through `SharedFieldPlan::from_groups` instead.
+    /// Serves one backward field per group the planner already validated
+    /// against `window` — one cache lookup per group, snapshotted at its
+    /// distinct anchor times: hits and suffix extensions pay no (or less)
+    /// backward work, fresh windows sweep once and stay cached for the
+    /// next query. `None` entries are models without objects.
     ///
     /// The cache lock is held only to probe and install — the backward
     /// sweeps themselves run outside it
-    /// ([`FieldCache::get_or_compute_shared_concurrent`]), so
-    /// concurrent queries over distinct windows (an async submission
-    /// burst) sweep in parallel instead of convoying on the cache, and the
-    /// fan-out works on the returned `Arc` views.
-    pub fn prepare_with_cache_on(
-        db: &TrajectoryDatabase,
-        indices: &[usize],
-        window: &QueryWindow,
-        rule: FieldRule,
-        config: &EngineConfig,
-        cache: &Mutex<FieldCache>,
-        stats: &mut EvalStats,
-    ) -> Result<SharedFieldPlan> {
-        let groups = validated_model_groups_on(db, indices, window)?;
-        Self::from_groups(db, &groups, window, rule, config, cache, stats)
-    }
-
-    /// As [`SharedFieldPlan::prepare_with_cache_on`] over groups already
-    /// validated against `window`: one cache lookup per group, at its
-    /// distinct anchor times.
+    /// ([`FieldCache::get_or_compute_shared_concurrent`]), so concurrent
+    /// queries over distinct windows (an async submission burst) sweep in
+    /// parallel instead of convoying on the cache, and the fan-out works on
+    /// the returned `Arc` views.
     pub(crate) fn from_groups(
         db: &TrajectoryDatabase,
         groups: &[ModelGroup],
@@ -571,12 +552,12 @@ impl SharedFieldPlan {
     }
 
     /// The shared field of `model`, if the model has objects.
-    pub fn field(&self, model: usize) -> Option<&Arc<BackwardField>> {
+    pub(crate) fn field(&self, model: usize) -> Option<&Arc<BackwardField>> {
         self.fields.get(model).and_then(|f| f.as_ref())
     }
 
     /// Number of populated models (fields the plan shares).
-    pub fn num_fields(&self) -> usize {
+    pub(crate) fn num_fields(&self) -> usize {
         self.fields.iter().filter(|f| f.is_some()).count()
     }
 }

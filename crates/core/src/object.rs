@@ -91,15 +91,6 @@ impl UncertainObject {
         self.observations.binary_search_by_key(&t, |o| o.time()).ok().map(|i| &self.observations[i])
     }
 
-    /// The latest observation at or before `t`, if any.
-    pub fn observation_at_or_before(&self, t: u32) -> Option<&Observation> {
-        match self.observations.binary_search_by_key(&t, |o| o.time()) {
-            Ok(i) => Some(&self.observations[i]),
-            Err(0) => None,
-            Err(i) => Some(&self.observations[i - 1]),
-        }
-    }
-
     /// The anchor distribution (initial `P(o, t_anchor)`).
     pub fn initial_distribution(&self) -> &SparseVector {
         self.anchor().distribution()
@@ -159,10 +150,8 @@ mod tests {
         let o = UncertainObject::new(1, vec![obs(2, 0), obs(5, 1), obs(9, 2)]).unwrap();
         assert_eq!(o.observation_at(5).unwrap().time(), 5);
         assert!(o.observation_at(4).is_none());
-        assert_eq!(o.observation_at_or_before(4).unwrap().time(), 2);
-        assert_eq!(o.observation_at_or_before(9).unwrap().time(), 9);
-        assert_eq!(o.observation_at_or_before(100).unwrap().time(), 9);
-        assert!(o.observation_at_or_before(1).is_none());
+        assert_eq!(o.observation_at(9).unwrap().time(), 9);
+        assert!(o.observation_at(100).is_none());
     }
 
     #[test]

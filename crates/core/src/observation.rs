@@ -60,11 +60,6 @@ impl Observation {
         &self.distribution
     }
 
-    /// Number of states the observation considers possible.
-    pub fn support_size(&self) -> usize {
-        self.distribution.nnz()
-    }
-
     /// Dimension of the underlying state space.
     pub fn num_states(&self) -> usize {
         self.distribution.dim()
@@ -79,7 +74,7 @@ mod tests {
     fn exact_observation_is_one_hot() {
         let o = Observation::exact(5, 10, 3).unwrap();
         assert_eq!(o.time(), 5);
-        assert_eq!(o.support_size(), 1);
+        assert_eq!(o.distribution().nnz(), 1);
         assert_eq!(o.distribution().get(3), 1.0);
         assert!(Observation::exact(5, 10, 10).is_err());
     }
@@ -104,7 +99,7 @@ mod tests {
     fn uniform_over_mask() {
         let mask = StateMask::from_indices(8, [2usize, 5, 6]).unwrap();
         let o = Observation::uniform_over(3, 8, &mask).unwrap();
-        assert_eq!(o.support_size(), 3);
+        assert_eq!(o.distribution().nnz(), 3);
         assert!((o.distribution().get(5) - 1.0 / 3.0).abs() < 1e-12);
         assert!(Observation::uniform_over(3, 8, &StateMask::new(8)).is_err());
     }

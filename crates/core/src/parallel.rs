@@ -8,8 +8,8 @@
 //! * [`WorkerPool`] — a fixed set of **long-lived worker threads**, one
 //!   per-shard work queue each, created once (typically owned by a
 //!   [`crate::engine::QueryProcessor`]) and reused by every query until the
-//!   pool is dropped, at which point the workers drain their queues and
-//!   shut down gracefully. This replaces the per-query
+//!   pool is dropped, at which point the workers shed their queues and
+//!   shut down. This replaces the per-query
 //!   `std::thread::scope` fan-out of earlier revisions: a query enqueues
 //!   one job per shard and blocks until all shards report completion.
 //! * [`ShardedExecutor`] — the sharding logic: it splits the database's
@@ -19,7 +19,7 @@
 //!   merging the per-worker [`EvalStats`] deterministically in shard order.
 //!
 //! The planner's query-based dispatch adds a third ingredient, the
-//! **shared-field plan** ([`crate::engine::query_based::SharedFieldPlan`]):
+//! **shared-field plan** (`engine::query_based::SharedFieldPlan`):
 //! each `(model, window, rule)`
 //! backward field is swept **exactly once** before the fan-out — or fetched
 //! from the processor's [`crate::engine::cache::FieldCache`] behind a lock —
@@ -43,13 +43,11 @@
 //! where overload lives: nothing blocks the submitter. The pool does not
 //! bound them — its queues are unbounded, and admission is decided once,
 //! by the processor's gate, before a job is ever built. Queue depths are
-//! observable through [`WorkerPool::stats`] / [`PoolStats`]. What the pool
-//! does choose is how it shuts down: a [`WorkerPool::shedding`] pool (the
-//! one a processor owns) behaves like a server — jobs still queued when it
-//! is dropped are **discarded** (their `Drop` impls run, which is how
-//! abandoned query tickets get completed with
-//! `QueryError::AsyncQueryDropped`) — whereas [`WorkerPool::new`] pools
-//! drain to completion, as the process-wide [`shared_pool`] relies on.
+//! observable through [`WorkerPool::stats`] / [`PoolStats`]. Every pool
+//! shuts down like a server: jobs still queued when it is dropped are
+//! **discarded** (their `Drop` impls run, which is how abandoned query
+//! tickets get completed with `QueryError::AsyncQueryDropped`), and the
+//! jobs already running finish before the workers are joined.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,22 +174,19 @@ impl Drop for CompletionGuard<'_> {
 
 /// A fixed set of long-lived worker threads with one work queue per shard.
 ///
-/// The pool is the process's reusable evaluation capacity: create it once
-/// (a [`crate::engine::QueryProcessor`] with
-/// [`EngineConfig::num_threads`] `> 1` owns one; an inline processor's
-/// `submit` borrows the process-wide pool of [`shared_pool`]) and submit
-/// every query's shard jobs to the same threads. Shard `i` of a run always lands on worker
+/// The pool is reusable evaluation capacity: create it once (a
+/// [`crate::engine::QueryProcessor`] with [`EngineConfig::num_threads`]
+/// `> 1` owns one for sharding; an inline processor creates one for its
+/// `submit` jobs on first use) and submit every query's shard jobs to the
+/// same threads. Shard `i` of a run always lands on worker
 /// `i % num_threads`, so repeated queries over the same database keep each
 /// worker on the same contiguous object range — the precondition for the
 /// NUMA/affinity work ROADMAP.md names as the next step.
 ///
-/// Dropping the pool shuts it down and joins the worker threads. What
-/// happens to jobs still queued at that point depends on the constructor:
-/// [`WorkerPool::new`] pools drain them to completion (what the
-/// process-wide [`shared_pool`] relies on), [`WorkerPool::shedding`] pools
-/// **discard** them — a serving pool shutting down mid-burst sheds its
-/// backlog, and dropping the job boxes runs their `Drop` impls, which is
-/// what completes abandoned query tickets with
+/// Dropping the pool shuts it down and joins the worker threads. Jobs still
+/// queued at that point are **discarded** — a serving pool shutting down
+/// mid-burst sheds its backlog, and dropping the job boxes runs their
+/// `Drop` impls, which is what completes abandoned query tickets with
 /// `QueryError::AsyncQueryDropped` instead of leaving their waiters
 /// blocked forever. A job that panics is caught on the
 /// worker (the thread survives for the next query) and the panic is
@@ -232,27 +227,14 @@ pub struct JobHandle {
 
 impl WorkerPool {
     /// Spawns a pool of `num_threads` workers (clamped to at least 1), each
-    /// owning one work queue; queued jobs are drained to completion on
-    /// drop.
-    pub fn new(num_threads: usize) -> WorkerPool {
-        WorkerPool::build(num_threads, false)
-    }
-
-    /// As [`WorkerPool::new`], but jobs still queued when the pool is
-    /// dropped are discarded rather than drained — the serving
-    /// configuration [`crate::engine::QueryProcessor`] uses for the pool
-    /// it owns.
-    pub fn shedding(num_threads: usize) -> WorkerPool {
-        WorkerPool::build(num_threads, true)
-    }
-
+    /// owning one work queue; jobs still queued on drop are discarded.
     #[expect(
         clippy::expect_used,
         reason = "OS thread spawn at pool construction: without workers the pool cannot \
                   exist, and a spawn failure means the process is already resource-starved; \
                   there is no degraded mode for a caller to fall back to."
     )]
-    fn build(num_threads: usize, discard_on_shutdown: bool) -> WorkerPool {
+    pub fn new(num_threads: usize) -> WorkerPool {
         let num_threads = num_threads.max(1);
         let queues: Arc<Vec<ShardQueue>> =
             Arc::new((0..num_threads).map(|_| ShardQueue::default()).collect());
@@ -261,7 +243,7 @@ impl WorkerPool {
                 let queues = Arc::clone(&queues);
                 std::thread::Builder::new()
                     .name(format!("ust-worker-{i}"))
-                    .spawn(move || worker_loop(&queues[i], discard_on_shutdown))
+                    .spawn(move || worker_loop(&queues[i]))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -271,12 +253,6 @@ impl WorkerPool {
     /// The number of worker threads (and shard queues).
     pub fn num_threads(&self) -> usize {
         self.queues.len()
-    }
-
-    /// Jobs currently queued (not yet running) on shard
-    /// `shard % num_threads`.
-    pub fn shard_depth(&self, shard: usize) -> usize {
-        self.queues[shard % self.queues.len()].depth()
     }
 
     /// A snapshot of every queue's depth plus the pool's shape.
@@ -344,13 +320,26 @@ impl WorkerPool {
         self.queues[handle.shard].remove(handle.id).is_some()
     }
 
-    /// Closes every queue without joining the workers — after this,
-    /// discard-mode workers shed their backlog and exit. Test hook for
+    /// Closes every queue without joining the workers — after this, the
+    /// workers shed their backlog and exit. Test hook for
     /// exercising the shutdown paths deterministically.
     #[cfg(test)]
     pub(crate) fn close_queues(&self) {
         for queue in self.queues.iter() {
             queue.close();
+        }
+    }
+
+    /// Whether every queue has been closed, readable without holding the
+    /// pool alive — a job can wait on it for the pool's drop to begin. Test
+    /// hook, like [`WorkerPool::close_queues`].
+    #[cfg(test)]
+    pub(crate) fn closed_probe(&self) -> impl Fn() -> bool + Clone + Send + 'static {
+        let queues = Arc::clone(&self.queues);
+        move || {
+            queues.iter().all(|queue| {
+                queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).shutdown
+            })
         }
     }
 }
@@ -363,9 +352,9 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        // Discard-mode workers shed their queues before exiting; anything
-        // still queued here (e.g. spawned after shutdown began) is
-        // dropped with the queues themselves when the last Arc goes.
+        // The workers shed their queues before exiting; anything still
+        // queued here (e.g. spawned after shutdown began) is dropped with
+        // the queues themselves when the last Arc goes.
     }
 }
 
@@ -387,17 +376,15 @@ unsafe fn erase_job_lifetime<'a>(job: Box<dyn FnOnce() + Send + 'a>) -> Job {
 }
 
 /// The loop each worker thread runs: pop a job or park on the condvar;
-/// exit once the queue is closed. On shutdown a drain-mode worker
-/// (`discard_on_shutdown == false`) runs the remaining jobs to
-/// completion, a discard-mode worker drops them unrun — outside the
-/// queue lock, since dropping a detached job may run ticket-completion
-/// logic that takes other locks.
-fn worker_loop(queue: &ShardQueue, discard_on_shutdown: bool) {
+/// once the queue is closed, drop the remaining jobs unrun and exit —
+/// outside the queue lock, since dropping a detached job may run
+/// ticket-completion logic that takes other locks.
+fn worker_loop(queue: &ShardQueue) {
     loop {
         let job = {
             let mut state = queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             loop {
-                if state.shutdown && discard_on_shutdown {
+                if state.shutdown {
                     let backlog: Vec<(u64, Job)> = state.jobs.drain(..).collect();
                     drop(state);
                     drop(backlog);
@@ -405,9 +392,6 @@ fn worker_loop(queue: &ShardQueue, discard_on_shutdown: bool) {
                 }
                 if let Some((_, job)) = state.jobs.pop_front() {
                     break job;
-                }
-                if state.shutdown {
-                    return;
                 }
                 state = queue.ready.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
@@ -417,34 +401,6 @@ fn worker_loop(queue: &ShardQueue, discard_on_shutdown: bool) {
         // on to the next job.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
     }
-}
-
-/// The process-wide shared pool inline processors submit detached jobs to.
-static SHARED_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
-
-/// A process-wide [`WorkerPool`] with at least `min_threads` workers.
-///
-/// The pool is created on first use and grown (by replacement; in-flight
-/// queries keep the previous pool alive until they finish) when a caller
-/// asks for more workers than it has. Callers that want an isolated pool —
-/// one per [`crate::engine::QueryProcessor`], differently sized pools side
-/// by side — construct [`WorkerPool::new`] directly instead.
-pub fn shared_pool(min_threads: usize) -> Arc<WorkerPool> {
-    let min_threads = min_threads.max(1);
-    let mut guard = SHARED_POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(pool) = guard.as_ref() {
-        if pool.num_threads() >= min_threads {
-            return Arc::clone(pool);
-        }
-    }
-    // lint: allow(lock-held-across-blocking) — the registry guard must be
-    // held across pool construction for exactly-once initialization; the
-    // blocking inside is `thread::spawn` of workers that never touch
-    // SHARED_POOL, so no thread can wait on this guard while it waits on
-    // them.
-    let pool = Arc::new(WorkerPool::new(min_threads));
-    *guard = Some(Arc::clone(&pool));
-    pool
 }
 
 /// Shards object work across the workers of a [`WorkerPool`].
@@ -667,8 +623,9 @@ mod tests {
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         let indices: Vec<usize> = (0..db.len()).collect();
+        let groups = query_based::validated_model_groups_on(&db, &indices, &window).unwrap();
         let reach =
-            object_based::ReachPlan::prepare(&db, &indices, &window, ReachRule::Exists).unwrap();
+            object_based::ReachPlan::from_groups(&db, &groups, &window, ReachRule::Exists).unwrap();
         // Many queries over the same pool: no respawn, identical bits.
         for _ in 0..3 {
             let out = executor
@@ -709,19 +666,6 @@ mod tests {
                 .collect(),
         );
         assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn shared_pool_grows_monotonically() {
-        // Other tests in this binary grow the process-wide pool
-        // concurrently, so only monotonicity can be asserted exactly.
-        let small = shared_pool(2);
-        assert!(small.num_threads() >= 2);
-        let big = shared_pool(small.num_threads() + 1);
-        assert!(big.num_threads() > small.num_threads());
-        // A smaller request reuses a grown pool instead of shrinking it.
-        let again = shared_pool(1);
-        assert!(again.num_threads() >= big.num_threads());
     }
 
     #[test]
@@ -815,7 +759,7 @@ mod tests {
 
     #[test]
     fn cancel_queued_removes_pending_jobs_only() {
-        let pool = WorkerPool::shedding(1);
+        let pool = WorkerPool::new(1);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let worker_gate = Arc::clone(&gate);
         pool.spawn(
@@ -828,7 +772,7 @@ mod tests {
                 }
             }),
         );
-        while pool.shard_depth(0) > 0 {
+        while pool.stats().shard_depths[0] > 0 {
             std::thread::yield_now();
         }
         let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -859,25 +803,20 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pool_discards_backlog_on_shutdown_unbounded_drains() {
-        for (discard, expect_ran) in [(true, false), (false, true)] {
-            let pool = if discard { WorkerPool::shedding(1) } else { WorkerPool::new(1) };
-            // Close the queues first: the worker exits immediately, so a
-            // job spawned afterwards can never be popped — it is dropped
-            // (discard mode) when the pool's queues are freed, exactly
-            // the shutdown-mid-burst scenario. For drain mode, enqueue
-            // before closing so the worker still runs it.
+    fn pool_discards_backlog_on_shutdown() {
+        // Two backlogs, both shed: a job queued behind a running one when
+        // the queues close (the worker finishes the running job, then
+        // drops the rest), and one spawned after the worker already exited
+        // (dropped with the queues when the pool is freed).
+        for queued_before_close in [true, false] {
+            let pool = WorkerPool::new(1);
             let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let ran_flag = Arc::clone(&ran);
             let job: Job = Box::new(move || {
                 ran_flag.store(true, std::sync::atomic::Ordering::SeqCst);
             });
-            if discard {
-                pool.close_queues();
-                pool.spawn(0, job);
-            } else {
-                // Gate the worker so the job is observably queued, then
-                // close: the drain must still run it.
+            if queued_before_close {
+                // Gate the worker so the job is observably queued.
                 let gate = Arc::new((Mutex::new(false), Condvar::new()));
                 let worker_gate = Arc::clone(&gate);
                 pool.spawn(
@@ -891,7 +830,7 @@ mod tests {
                         }
                     }),
                 );
-                while pool.shard_depth(0) > 0 {
+                while pool.stats().shard_depths[0] > 0 {
                     std::thread::yield_now();
                 }
                 pool.spawn(0, job);
@@ -899,13 +838,13 @@ mod tests {
                 let (lock, cv) = &*gate;
                 *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
                 cv.notify_all();
+            } else {
+                pool.close_queues();
+                pool.spawn(0, job);
             }
             drop(pool);
-            assert_eq!(
-                ran.load(std::sync::atomic::Ordering::SeqCst),
-                expect_ran,
-                "discard={discard}"
-            );
+            let ran = ran.load(std::sync::atomic::Ordering::SeqCst);
+            assert!(!ran, "queued_before_close={queued_before_close}");
         }
     }
 

@@ -207,15 +207,12 @@ pub struct StreamMetrics {
     /// refreshes plus full resynchronizations; the registration probe is
     /// not a notification).
     pub notifications: u64,
-    /// Incremental single-object re-evaluations.
+    /// Incremental single-object re-evaluations: each invalidated exactly
+    /// the arrived object's maintained entry, never the backward-field
+    /// caches (their keys are observation-independent).
     pub reevaluations: u64,
     /// Full evaluations: the registration probe plus stale resyncs.
     pub full_recomputes: u64,
-    /// Maintained result entries invalidated by arrivals — the scoped
-    /// inverse of a whole-cache flush: one entry per in-scope arrival,
-    /// never the backward-field caches (their keys are
-    /// observation-independent).
-    pub suffix_invalidations: u64,
     /// Refreshes shed at the admission bound or deadline.
     pub sheds: u64,
     /// Propagation steps (forward transitions + backward steps) spent on
@@ -232,7 +229,6 @@ impl StreamMetrics {
             notifications: 0,
             reevaluations: 0,
             full_recomputes: 0,
-            suffix_invalidations: 0,
             sheds: 0,
             incremental_steps: 0,
             recompute_steps: 0,
@@ -410,13 +406,12 @@ impl fmt::Display for MetricsSnapshot {
             write!(
                 f,
                 "\n  stream #{}: {} notified ({} incremental / {} full, {} shed), \
-                 {} entries invalidated, steps {} incr / {} full",
+                 steps {} incr / {} full",
                 s.subscription_id,
                 s.notifications,
                 s.reevaluations,
                 s.full_recomputes,
                 s.sheds,
-                s.suffix_invalidations,
                 s.incremental_steps,
                 s.recompute_steps,
             )?;
@@ -537,7 +532,6 @@ impl Metrics {
         let entry = inner.stream_entry(subscription_id);
         entry.notifications += 1;
         entry.reevaluations += 1;
-        entry.suffix_invalidations += 1;
         entry.incremental_steps += steps;
     }
 
@@ -641,7 +635,6 @@ mod tests {
         assert_eq!(three.notifications, 3, "watch is not a notification");
         assert_eq!(three.reevaluations, 2);
         assert_eq!(three.full_recomputes, 2, "watch + resync");
-        assert_eq!(three.suffix_invalidations, 2);
         assert_eq!(three.sheds, 1);
         assert_eq!(three.incremental_steps, 10);
         assert_eq!(three.recompute_steps, 190);

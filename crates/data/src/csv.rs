@@ -122,11 +122,6 @@ pub fn fmt_secs(seconds: f64) -> String {
     }
 }
 
-/// Formats a probability with fixed precision.
-pub fn fmt_prob(p: f64) -> String {
-    format!("{p:.6}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +169,5 @@ mod tests {
         assert_eq!(fmt_secs(0.0000005), "0.5µs");
         assert_eq!(fmt_secs(0.0025), "2.50ms");
         assert_eq!(fmt_secs(1.5), "1.500s");
-        assert_eq!(fmt_prob(0.8640001), "0.864000");
     }
 }

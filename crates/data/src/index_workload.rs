@@ -117,14 +117,6 @@ impl IndexWorkload {
         let lo = center.min(n - 9);
         QueryWindow::from_states(n, lo..lo + 8, TimeSet::interval(0, 2))
     }
-
-    /// A broad region query: the whole city band over a long horizon.
-    /// Most of the database survives the prefilter, so this window
-    /// measures index overhead rather than pruning benefit.
-    pub fn broad_window(&self) -> Result<QueryWindow> {
-        let n = self.config.num_states;
-        QueryWindow::from_states(n, 0..self.config.city_end(), TimeSet::interval(0, 25))
-    }
 }
 
 /// Draws one object anchored at time 0 with a contiguous `object_spread`
@@ -198,9 +190,8 @@ mod tests {
     fn windows_are_valid_and_disjoint_in_character() {
         let data = generate_index_workload(&IndexWorkloadConfig::small());
         let selective = data.selective_window().unwrap();
-        let broad = data.broad_window().unwrap();
-        assert!(selective.states().count() < broad.states().count());
-        assert!(selective.t_end() < broad.t_end());
+        assert_eq!(selective.states().count(), 8);
+        assert_eq!((selective.t_start(), selective.t_end()), (0, 2));
         // The selective window sits entirely outside the city band.
         let city_end = data.config.city_end();
         assert!(selective.states().to_indices().iter().all(|&s| s >= city_end));

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ust_core::{IngestOutcome, Observation, TrajectoryDatabase};
+use ust_core::{Observation, TrajectoryDatabase};
 use ust_markov::SparseVector;
 use ust_space::LineSpace;
 
@@ -102,19 +102,6 @@ impl StreamingFeed {
         }
         db
     }
-
-    /// How many of the first `n` events the latest-fix policy applies
-    /// (the rest are out-of-order and ignored).
-    pub fn applied_in_prefix(&self, n: usize) -> usize {
-        let mut db = self.db.clone();
-        self.events[..n.min(self.events.len())]
-            .iter()
-            .filter(|e| {
-                db.ingest(e.object_id, e.observation.clone()).expect("valid feed event")
-                    == IngestOutcome::Applied
-            })
-            .count()
-    }
 }
 
 /// Generates the feed for `config`: the clustered seed database plus
@@ -152,6 +139,7 @@ pub fn generate_streaming_feed(config: &FeedConfig) -> StreamingFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ust_core::IngestOutcome;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -169,7 +157,12 @@ mod tests {
         let feed = generate_streaming_feed(&config);
         assert_eq!(feed.events.len(), 200);
         assert!(feed.events.iter().all(|e| (e.object_id as usize) < config.hot_objects));
-        let applied = feed.applied_in_prefix(feed.events.len());
+        let mut db = feed.db.clone();
+        let applied = feed
+            .events
+            .iter()
+            .filter(|e| db.ingest(e.object_id, e.observation.clone()) == Ok(IngestOutcome::Applied))
+            .count();
         assert!(applied < feed.events.len(), "some events are out-of-order");
         assert!(
             applied * 2 > feed.events.len(),

@@ -1,8 +1,5 @@
 //! Query workload generators for the evaluation harness.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use ust_core::{QueryWindow, Result};
 use ust_space::TimeSet;
 
@@ -11,47 +8,6 @@ use ust_space::TimeSet;
 /// interval [20, 25]").
 pub fn paper_default_window(num_states: usize) -> Result<QueryWindow> {
     QueryWindow::from_states(num_states, 100usize..=120, TimeSet::interval(20, 25))
-}
-
-/// Parameters for random rectangular windows over a linear state space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowWorkloadConfig {
-    /// Number of windows to generate.
-    pub count: usize,
-    /// Total number of states.
-    pub num_states: usize,
-    /// Width of the state range per window (e.g. 21 for `[100, 120]`).
-    pub state_width: usize,
-    /// Earliest possible query start time.
-    pub min_start: u32,
-    /// Latest possible query start time.
-    pub max_start: u32,
-    /// Number of timestamps per window (e.g. 6 for `[20, 25]`).
-    pub duration: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Generates `count` random windows with the given shape.
-pub fn random_windows(config: &WindowWorkloadConfig) -> Result<Vec<QueryWindow>> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut out = Vec::with_capacity(config.count);
-    let width = config.state_width.clamp(1, config.num_states);
-    for _ in 0..config.count {
-        let lo = rng.random_range(0..=(config.num_states - width));
-        let start = if config.max_start > config.min_start {
-            rng.random_range(config.min_start..=config.max_start)
-        } else {
-            config.min_start
-        };
-        let end = start + config.duration.saturating_sub(1);
-        out.push(QueryWindow::from_states(
-            config.num_states,
-            lo..=(lo + width - 1),
-            TimeSet::interval(start, end),
-        )?);
-    }
-    Ok(out)
 }
 
 /// A window identical to `window` in space but re-anchored to start at
@@ -89,29 +45,6 @@ mod tests {
         assert_eq!(w.t_start(), 20);
         assert_eq!(w.t_end(), 25);
         assert!(paper_default_window(50).is_err(), "window must fit the space");
-    }
-
-    #[test]
-    fn random_windows_have_requested_shape() {
-        let config = WindowWorkloadConfig {
-            count: 25,
-            num_states: 5_000,
-            state_width: 21,
-            min_start: 5,
-            max_start: 50,
-            duration: 6,
-            seed: 8,
-        };
-        let windows = random_windows(&config).unwrap();
-        assert_eq!(windows.len(), 25);
-        for w in &windows {
-            assert_eq!(w.states().count(), 21);
-            assert_eq!(w.num_times(), 6);
-            assert!(w.t_start() >= 5 && w.t_start() <= 50);
-        }
-        // Determinism.
-        let again = random_windows(&config).unwrap();
-        assert_eq!(windows[3], again[3]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Lock identity is resolved to a **canonical field path**: every
 //! `Mutex<T>` / `RwLock<T>` type is keyed by its normalized type text, and
 //! displayed as the struct field that owns it (`Metrics.inner`,
-//! `QueryProcessor.cache`, `SHARED_POOL`). When several fields share a lock
+//! `QueryProcessor.cache`) or the static's name. When several fields share a lock
 //! type they are merged into one node — conservative for deadlock
 //! detection, since a `&Mutex<T>` parameter is almost always a borrow of
 //! the owning field. Owned fields win the naming contest over `&`-typed

@@ -2,16 +2,14 @@
 //!
 //! [`MarkovChain`] bundles a validated transition matrix with the derived
 //! artifacts query processing needs: the transposed matrix (built lazily and
-//! cached — the query-based approach uses it for every backward step),
-//! reachability analysis, and distribution propagation (Corollaries 1 and 2
-//! of the paper).
+//! cached — the query-based approach uses it for every backward step) and
+//! distribution propagation (Corollaries 1 and 2 of the paper).
 
 use std::sync::OnceLock;
 
 use crate::csr::{CsrMatrix, SpmvScratch};
 use crate::dense::DenseVector;
-use crate::error::{MarkovError, Result};
-use crate::mask::StateMask;
+use crate::error::Result;
 use crate::sparse_vec::SparseVector;
 use crate::stochastic::StochasticMatrix;
 
@@ -98,106 +96,6 @@ impl MarkovChain {
         }
         Ok(current)
     }
-
-    /// The `m`-step transition matrix `M^m` (Chapman-Kolmogorov equations).
-    pub fn m_step_matrix(&self, m: u32) -> Result<CsrMatrix> {
-        self.matrix().power(m)
-    }
-
-    /// States reachable from `start` within at most `steps` transitions
-    /// (the `S_reach` of the paper's complexity analysis). The start states
-    /// themselves are included.
-    pub fn reachable_within(&self, start: &StateMask, steps: u32) -> StateMask {
-        let n = self.num_states();
-        let mut reached = start.clone();
-        let mut frontier: Vec<usize> = start.iter().collect();
-        for _ in 0..steps {
-            let mut next = Vec::new();
-            for &s in &frontier {
-                let (cols, _) = self.matrix().row(s);
-                for &c in cols {
-                    let c = c as usize;
-                    if c < n && !reached.contains(c) {
-                        // insert cannot fail: c < n by construction
-                        let _ = reached.insert(c);
-                        next.push(c);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        reached
-    }
-
-    /// States that can reach `targets` within at most `steps` transitions
-    /// (backward reachability over `Mᵀ`), used for query-side pruning.
-    pub fn co_reachable_within(&self, targets: &StateMask, steps: u32) -> StateMask {
-        let n = self.num_states();
-        let transposed = self.transposed();
-        let mut reached = targets.clone();
-        let mut frontier: Vec<usize> = targets.iter().collect();
-        for _ in 0..steps {
-            let mut next = Vec::new();
-            for &s in &frontier {
-                let (cols, _) = transposed.row(s);
-                for &c in cols {
-                    let c = c as usize;
-                    if c < n && !reached.contains(c) {
-                        let _ = reached.insert(c);
-                        next.push(c);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        reached
-    }
-
-    /// Approximates the stationary distribution by power iteration from the
-    /// uniform distribution. Returns the distribution and the number of
-    /// iterations used; converges for irreducible aperiodic chains.
-    pub fn stationary(&self, tol: f64, max_iter: u32) -> Result<(DenseVector, u32)> {
-        if self.num_states() == 0 {
-            return Err(MarkovError::Empty { what: "state space" });
-        }
-        let mut current = DenseVector::uniform(self.num_states())?;
-        for iter in 0..max_iter {
-            let next = self.step_dense(&current)?;
-            let delta: f64 =
-                current.as_slice().iter().zip(next.as_slice()).map(|(a, b)| (a - b).abs()).sum();
-            current = next;
-            if delta < tol {
-                return Ok((current, iter + 1));
-            }
-        }
-        Ok((current, max_iter))
-    }
-
-    /// True when every state can reach every other state (single strongly
-    /// connected component). Uses two BFS passes (forward + backward) from
-    /// state 0 — O(nnz) each.
-    pub fn is_irreducible(&self) -> bool {
-        let n = self.num_states();
-        if n == 0 {
-            return false;
-        }
-        let origin = match StateMask::from_indices(n, [0usize]) {
-            Ok(m) => m,
-            Err(_) => return false,
-        };
-        let fwd = self.reachable_within(&origin, n as u32);
-        if fwd.count() != n {
-            return false;
-        }
-        let bwd = self.co_reachable_within(&origin, n as u32);
-        bwd.count() == n
-    }
 }
 
 #[cfg(test)]
@@ -223,61 +121,12 @@ mod tests {
     }
 
     #[test]
-    fn m_step_matrix_equals_stepwise_propagation() {
-        let chain = paper_chain();
-        let m3 = chain.m_step_matrix(3).unwrap();
-        let p0 = DenseVector::from_vec(vec![1.0, 0.0, 0.0]);
-        let direct = m3.vecmat_dense(&p0).unwrap();
-        let stepped = chain.propagate_dense(&p0, 3).unwrap();
-        assert!(direct.approx_eq(&stepped, 1e-12));
-    }
-
-    #[test]
     fn transposed_is_cached_and_correct() {
         let chain = paper_chain();
         let t1 = chain.transposed() as *const CsrMatrix;
         let t2 = chain.transposed() as *const CsrMatrix;
         assert_eq!(t1, t2, "transpose should be computed once");
         assert_eq!(chain.transposed().get(0, 1), 0.6);
-    }
-
-    #[test]
-    fn reachability_grows_with_steps() {
-        let chain = paper_chain();
-        let start = StateMask::from_indices(3, [0usize]).unwrap();
-        let r0 = chain.reachable_within(&start, 0);
-        assert_eq!(r0.to_indices(), vec![0]);
-        let r1 = chain.reachable_within(&start, 1);
-        assert_eq!(r1.to_indices(), vec![0, 2]);
-        let r2 = chain.reachable_within(&start, 2);
-        assert_eq!(r2.to_indices(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn co_reachability_uses_incoming_edges() {
-        let chain = paper_chain();
-        let target = StateMask::from_indices(3, [0usize]).unwrap();
-        // Only s1 (index 1) has an edge into s0.
-        let r1 = chain.co_reachable_within(&target, 1);
-        assert_eq!(r1.to_indices(), vec![0, 1]);
-    }
-
-    #[test]
-    fn stationary_distribution_is_fixed_point() {
-        let chain = paper_chain();
-        let (pi, iters) = chain.stationary(1e-12, 10_000).unwrap();
-        assert!(iters < 10_000, "power iteration should converge");
-        let next = chain.step_dense(&pi).unwrap();
-        assert!(next.approx_eq(&pi, 1e-9));
-        assert!((pi.sum() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn irreducibility_detection() {
-        assert!(paper_chain().is_irreducible());
-        // Two disconnected self-loop states: reducible.
-        let chain = MarkovChain::from_csr(CsrMatrix::identity(2)).unwrap();
-        assert!(!chain.is_irreducible());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! * [`CsrMatrix::vecmat_dense`] — `v · M` with a dense `v`,
 //! * [`CsrMatrix::vecmat_sparse`] — `v · M` with a sparse `v`, cost
 //!   proportional to the touched rows only,
-//! * [`CsrMatrix::matmul`] — `M · N` (Chapman-Kolmogorov m-step matrices),
 //! * [`CsrMatrix::transpose`] — `Mᵀ` for the query-based backward pass.
 
 use crate::dense::DenseVector;
@@ -404,72 +403,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Matrix product `self · other` (SpGEMM with a dense row accumulator).
-    pub fn matmul(&self, other: &CsrMatrix) -> Result<CsrMatrix> {
-        if self.ncols != other.nrows {
-            return Err(MarkovError::DimensionMismatch {
-                op: "matmul",
-                expected: self.ncols,
-                found: other.nrows,
-            });
-        }
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
-        indptr.push(0);
-        let mut acc = vec![0.0f64; other.ncols];
-        let mut touched: Vec<u32> = Vec::new();
-        for i in 0..self.nrows {
-            touched.clear();
-            let (cols, vals) = self.row(i);
-            for (&k, &a) in cols.iter().zip(vals) {
-                let (bcols, bvals) = other.row(k as usize);
-                for (&j, &b) in bcols.iter().zip(bvals) {
-                    let slot = &mut acc[j as usize];
-                    if *slot == 0.0 {
-                        touched.push(j);
-                    }
-                    *slot += a * b;
-                }
-            }
-            touched.sort_unstable();
-            for &j in &touched {
-                let v = acc[j as usize];
-                acc[j as usize] = 0.0;
-                if v != 0.0 {
-                    indices.push(j);
-                    data.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Ok(CsrMatrix { nrows: self.nrows, ncols: other.ncols, indptr, indices, data })
-    }
-
-    /// Matrix power `M^k` by exponentiation-by-squaring (Chapman-Kolmogorov
-    /// m-step transition matrices, Corollary 2 of the paper).
-    pub fn power(&self, mut k: u32) -> Result<CsrMatrix> {
-        if self.nrows != self.ncols {
-            return Err(MarkovError::DimensionMismatch {
-                op: "matrix power",
-                expected: self.nrows,
-                found: self.ncols,
-            });
-        }
-        let mut result = CsrMatrix::identity(self.nrows);
-        let mut base = self.clone();
-        while k > 0 {
-            if k & 1 == 1 {
-                result = result.matmul(&base)?;
-            }
-            k >>= 1;
-            if k > 0 {
-                base = base.matmul(&base)?;
-            }
-        }
-        Ok(result)
-    }
-
     /// Converts to a dense row-major representation (test convenience).
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut out = vec![vec![0.0; self.ncols]; self.nrows];
@@ -581,9 +514,6 @@ mod tests {
         let m = paper_matrix();
         assert!(m.vecmat_dense(&DenseVector::zeros(2)).is_err());
         assert!(m.vecmat_sparse(&SparseVector::zeros(5)).is_err());
-        let r = CsrMatrix::from_dense(&[vec![1.0, 0.0]]).unwrap();
-        assert!(m.matmul(&r).is_err());
-        assert!(r.power(2).is_err());
     }
 
     #[test]
@@ -593,52 +523,6 @@ mod tests {
         assert_eq!(t.get(0, 1), 0.6);
         assert_eq!(t.get(1, 2), 0.8);
         assert!(t.transpose().approx_eq(&m, 0.0));
-    }
-
-    #[test]
-    fn matmul_matches_dense_multiplication() {
-        let m = paper_matrix();
-        let m2 = m.matmul(&m).unwrap();
-        let dense = m.to_dense();
-        for i in 0..3 {
-            for j in 0..3 {
-                let expected: f64 = (0..3).map(|k| dense[i][k] * dense[k][j]).sum();
-                assert!((m2.get(i, j) - expected).abs() < 1e-12, "entry ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn power_matches_repeated_multiplication() {
-        let m = paper_matrix();
-        let p0 = m.power(0).unwrap();
-        assert!(p0.approx_eq(&CsrMatrix::identity(3), 0.0));
-        let p1 = m.power(1).unwrap();
-        assert!(p1.approx_eq(&m, 0.0));
-        let mut expected = m.clone();
-        for _ in 1..5 {
-            expected = expected.matmul(&m).unwrap();
-        }
-        assert!(m.power(5).unwrap().approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
-    fn chapman_kolmogorov_via_power() {
-        // P(o, t+m) = P(o, t) · M^m (Corollary 2).
-        let m = paper_matrix();
-        let p0 = DenseVector::from_vec(vec![0.0, 1.0, 0.0]);
-        let direct = m
-            .power(4)
-            .unwrap()
-            .transpose() // use vecmat on the untransposed power below instead
-            .transpose()
-            .vecmat_dense(&p0)
-            .unwrap();
-        let mut stepped = p0;
-        for _ in 0..4 {
-            stepped = m.vecmat_dense(&stepped).unwrap();
-        }
-        assert!(direct.approx_eq(&stepped, 1e-12));
     }
 
     #[test]

@@ -35,14 +35,6 @@ impl DenseVector {
         Ok(v)
     }
 
-    /// The uniform distribution over `dim` states.
-    pub fn uniform(dim: usize) -> Result<Self> {
-        if dim == 0 {
-            return Err(MarkovError::Empty { what: "dimension" });
-        }
-        Ok(DenseVector { values: vec![1.0 / dim as f64; dim] })
-    }
-
     /// Vector dimension.
     pub fn dim(&self) -> usize {
         self.values.len()
@@ -75,12 +67,7 @@ impl DenseVector {
         }
     }
 
-    /// Sum of all entries (L1 norm for non-negative vectors).
-    pub fn l1_norm(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
-    /// Plain sum of entries (equals [`Self::l1_norm`] for probability vectors).
+    /// Plain sum of entries (the L1 norm of a probability vector).
     pub fn sum(&self) -> f64 {
         self.values.iter().sum()
     }
@@ -218,18 +205,11 @@ mod tests {
     fn zeros_and_unit() {
         let z = DenseVector::zeros(4);
         assert_eq!(z.dim(), 4);
-        assert_eq!(z.l1_norm(), 0.0);
+        assert_eq!(z.sum(), 0.0);
         let u = DenseVector::unit(4, 2).unwrap();
         assert_eq!(u.get(2), 1.0);
         assert_eq!(u.nnz(), 1);
         assert!(DenseVector::unit(4, 4).is_err());
-    }
-
-    #[test]
-    fn uniform_distribution_sums_to_one() {
-        let u = DenseVector::uniform(8).unwrap();
-        assert!((u.sum() - 1.0).abs() < 1e-12);
-        assert!(DenseVector::uniform(0).is_err());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl SparseVector {
         self.values.iter().sum()
     }
 
-    /// L1 norm.
-    pub fn l1_norm(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
     /// Scales all entries.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.values {
@@ -197,31 +192,6 @@ impl SparseVector {
         }
         let slice = dense.as_slice();
         Ok(self.iter().map(|(i, v)| v * slice[i]).sum())
-    }
-
-    /// Dot product with another sparse vector (merge join on indices).
-    pub fn dot_sparse(&self, other: &SparseVector) -> Result<f64> {
-        if self.dim != other.dim {
-            return Err(MarkovError::DimensionMismatch {
-                op: "sparse·sparse dot product",
-                expected: self.dim,
-                found: other.dim,
-            });
-        }
-        let mut total = 0.0;
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.indices.len() && b < other.indices.len() {
-            match self.indices[a].cmp(&other.indices[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    total += self.values[a] * other.values[b];
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        Ok(total)
     }
 
     /// Element-wise (Hadamard) product with another sparse vector.
@@ -397,10 +367,7 @@ mod tests {
         let a = SparseVector::from_pairs(6, [(0, 1.0), (3, 2.0), (5, 3.0)]).unwrap();
         let b = SparseVector::from_pairs(6, [(3, 0.5), (4, 9.0), (5, 1.0)]).unwrap();
         let expected = a.to_dense().dot(&b.to_dense()).unwrap();
-        assert!((a.dot_sparse(&b).unwrap() - expected).abs() < 1e-12);
         assert!((a.dot_dense(&b.to_dense()).unwrap() - expected).abs() < 1e-12);
-        let c = SparseVector::zeros(5);
-        assert!(a.dot_sparse(&c).is_err());
         assert!(a.dot_dense(&DenseVector::zeros(5)).is_err());
     }
 

@@ -104,11 +104,6 @@ impl StochasticMatrix {
     pub fn transposed(&self) -> CsrMatrix {
         self.inner.transpose()
     }
-
-    /// `M^m` (Chapman-Kolmogorov). The result is again row-stochastic.
-    pub fn power(&self, m: u32) -> Result<StochasticMatrix> {
-        Ok(StochasticMatrix { inner: self.inner.power(m)? })
-    }
 }
 
 #[cfg(test)]
@@ -173,15 +168,6 @@ mod tests {
         assert_eq!(m.matrix().get(0, 0), 0.5);
         assert_eq!(m.matrix().get(1, 1), 1.0);
         assert_eq!(m.matrix().get(2, 1), 0.75);
-    }
-
-    #[test]
-    fn power_stays_stochastic() {
-        let m = StochasticMatrix::new(paper_matrix()).unwrap();
-        let m5 = m.power(5).unwrap();
-        for i in 0..3 {
-            assert!((m5.matrix().row_sum(i) - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -20,12 +20,6 @@ use crate::coo::CooBuilder;
 use crate::csr::CsrMatrix;
 use crate::sparse_vec::SparseVector;
 
-/// Asserts two floats are within `tol` of each other, with a useful message.
-#[track_caller]
-pub fn assert_close(a: f64, b: f64, tol: f64) {
-    assert!((a - b).abs() <= tol, "values differ: {a} vs {b} (|Δ| = {} > {tol})", (a - b).abs());
-}
-
 /// A deterministic RNG for a given seed.
 pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -155,7 +149,7 @@ mod tests {
         let mut r = rng(9);
         let d = random_distribution(&mut r, 100, 5);
         assert_eq!(d.nnz(), 5);
-        assert_close(d.sum(), 1.0, 1e-12);
+        assert!((d.sum() - 1.0).abs() <= 1e-12);
     }
 
     #[test]
@@ -163,11 +157,5 @@ mod tests {
         let a = random_chain(5, 20, 3);
         let b = random_chain(5, 20, 3);
         assert!(a.matrix().approx_eq(b.matrix(), 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "values differ")]
-    fn assert_close_panics_on_mismatch() {
-        assert_close(1.0, 2.0, 1e-9);
     }
 }

@@ -19,22 +19,6 @@ impl LineSpace {
     pub fn new(n: usize) -> Self {
         LineSpace { n }
     }
-
-    /// The inclusive index range `[lo, hi]` clipped to the space, matching
-    /// the paper's query windows like "states [100, 120]".
-    pub fn states_in_range(&self, lo: usize, hi: usize) -> Vec<usize> {
-        if self.n == 0 || lo > hi || lo >= self.n {
-            return Vec::new();
-        }
-        (lo..=hi.min(self.n - 1)).collect()
-    }
-
-    /// The band of states reachable from `i` in one step under the paper's
-    /// `max_step` locality rule (`[i − max_step/2, i + max_step/2]`).
-    pub fn step_band(&self, i: usize, max_step: usize) -> (usize, usize) {
-        let half = max_step / 2;
-        (i.saturating_sub(half), (i + half).min(self.n.saturating_sub(1)))
-    }
 }
 
 impl StateSpace for LineSpace {
@@ -99,20 +83,13 @@ mod tests {
     #[test]
     fn ranges_clip() {
         let l = LineSpace::new(10);
-        assert_eq!(l.states_in_range(3, 5), vec![3, 4, 5]);
-        assert_eq!(l.states_in_range(8, 20), vec![8, 9]);
-        assert!(l.states_in_range(12, 20).is_empty());
-        assert!(l.states_in_range(5, 3).is_empty());
-        assert!(LineSpace::new(0).states_in_range(0, 3).is_empty());
-    }
-
-    #[test]
-    fn step_band_respects_max_step() {
-        let l = LineSpace::new(100);
-        assert_eq!(l.step_band(50, 40), (30, 70));
-        assert_eq!(l.step_band(5, 40), (0, 25));
-        assert_eq!(l.step_band(95, 40), (75, 99));
-        assert_eq!(l.step_band(0, 1), (0, 0));
+        let range = |lo, hi| l.states_in_rect(&Rect::from_bounds(lo, 0.0, hi, 0.0));
+        assert_eq!(range(3.0, 5.0), vec![3, 4, 5]);
+        assert_eq!(range(8.0, 20.0), vec![8, 9]);
+        assert!(range(12.0, 20.0).is_empty());
+        assert!(LineSpace::new(0)
+            .states_in_rect(&Rect::from_bounds(0.0, 0.0, 3.0, 0.0))
+            .is_empty());
     }
 
     #[test]

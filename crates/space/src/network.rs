@@ -130,32 +130,6 @@ impl RoadNetwork {
         self.bfs(0).iter().all(|&v| v)
     }
 
-    /// The number of connected components.
-    pub fn component_count(&self) -> usize {
-        let n = self.num_nodes();
-        let mut visited = vec![false; n];
-        let mut count = 0;
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
-            if visited[s] {
-                continue;
-            }
-            count += 1;
-            visited[s] = true;
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                for &v in self.neighbors(u) {
-                    let v = v as usize;
-                    if !visited[v] {
-                        visited[v] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        count
-    }
-
     /// The lazily built spatial index over node locations.
     pub fn spatial_index(&self) -> &RTree {
         self.index.get_or_init(|| {
@@ -240,16 +214,13 @@ mod tests {
     #[test]
     fn connectivity() {
         assert!(square().is_connected());
-        assert_eq!(square().component_count(), 1);
         let disconnected = RoadNetwork::from_edges(
             vec![Point2::origin(), Point2::new(1.0, 0.0), Point2::new(2.0, 0.0)],
             &[(0, 1)],
         );
         assert!(!disconnected.is_connected());
-        assert_eq!(disconnected.component_count(), 2);
         let empty = RoadNetwork::from_edges(vec![], &[]);
         assert!(empty.is_connected());
-        assert_eq!(empty.component_count(), 0);
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl Rect {
             && other.min.y <= self.max.y
     }
 
-    /// True when `other` lies entirely inside `self`.
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        !other.is_empty()
-            && self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
-    }
-
     /// Smallest rectangle covering both operands.
     pub fn union(&self, other: &Rect) -> Rect {
         if self.is_empty() {
@@ -172,13 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_rect_and_expand() {
-        let a = Rect::from_bounds(0.0, 0.0, 4.0, 4.0);
+    fn expand_grows_every_side() {
         let b = Rect::from_bounds(1.0, 1.0, 2.0, 2.0);
-        assert!(a.contains_rect(&b));
-        assert!(!b.contains_rect(&a));
-        assert!(!a.contains_rect(&Rect::empty()));
-        assert!(b.expand(1.5).contains_rect(&Rect::from_bounds(0.0, 0.0, 3.0, 3.0)));
+        assert_eq!(b.expand(1.5), Rect::from_bounds(-0.5, -0.5, 3.5, 3.5));
+        assert_eq!(b.expand(0.0), b);
     }
 
     #[test]

@@ -181,19 +181,6 @@ impl RTree {
         }
     }
 
-    /// Ids of all entries within Euclidean `radius` of `center` (unsorted).
-    pub fn query_radius(&self, center: &Point2, radius: f64) -> Vec<usize> {
-        let bbox = Rect::point(*center).expand(radius);
-        let r_sq = radius * radius;
-        let mut out = Vec::new();
-        self.visit_rect(&bbox, &mut |e| {
-            if e.point.distance_sq(center) <= r_sq {
-                out.push(e.id);
-            }
-        });
-        out
-    }
-
     /// The entry nearest to `p` (best-first branch-and-bound), or `None`
     /// for an empty tree.
     pub fn nearest(&self, p: &Point2) -> Option<RTreeEntry> {
@@ -304,23 +291,6 @@ mod tests {
                     entries.iter().filter(|e| rect.contains(&e.point)).map(|e| e.id).collect();
                 assert_eq!(got, expected, "n={n}, rect={rect:?}");
             }
-        }
-    }
-
-    #[test]
-    fn radius_queries_match_linear_scan() {
-        let entries = random_entries(42, 500);
-        let tree = RTree::bulk_load(entries.clone());
-        let center = Point2::new(50.0, 50.0);
-        for radius in [0.0, 5.0, 25.0, 200.0] {
-            let mut got = tree.query_radius(&center, radius);
-            got.sort_unstable();
-            let expected: Vec<usize> = entries
-                .iter()
-                .filter(|e| e.point.distance(&center) <= radius)
-                .map(|e| e.id)
-                .collect();
-            assert_eq!(got, expected, "radius={radius}");
         }
     }
 

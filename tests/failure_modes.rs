@@ -54,20 +54,48 @@ fn empty_windows_are_rejected() {
 fn full_space_forall_is_rejected_by_every_exact_route() {
     // The object-based reduction cannot answer a ∀ window covering all of
     // S (its complement selects no states); the direct query-based field
-    // could, and must not: both strategies err identically, through the
-    // planner (one-shot and standing) and through the reference drivers.
+    // could, and must not. ∃ and k-times have no complement to lose: the
+    // same window answers.
     let mut db = TrajectoryDatabase::new(paper_chain());
     db.insert(UncertainObject::with_single_observation(7, Observation::exact(0, 3, 1).unwrap()))
         .unwrap();
     let full = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::interval(1, 2)).unwrap();
-    let config = EngineConfig::default();
     let processor = QueryProcessor::new(&db);
-    for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
-        let spec = Query::forall().window(full.clone()).strategy(strategy).build().unwrap();
-        assert_eq!(processor.execute(&spec), Err(QueryError::EmptySpatialWindow), "{strategy:?}");
-        let standing = processor.watch(&spec).unwrap();
-        assert_eq!(standing.answer(), Err(QueryError::EmptySpatialWindow), "{strategy:?} watch");
+    for query in [Query::exists(), Query::ktimes(1)] {
+        let spec = query.window(full.clone()).strategy(Strategy::QueryBased).build().unwrap();
+        assert!(processor.execute(&spec).is_ok());
     }
+
+    // One query life for every strategy and entry point: with an object
+    // anchored after the window's start, the window check still comes
+    // first, and an ∃ top-0 query — which object-based refinement answers
+    // without propagating — is validated like any other.
+    db.insert(UncertainObject::with_single_observation(8, Observation::exact(5, 3, 0).unwrap()))
+        .unwrap();
+    let processor = QueryProcessor::new(&db);
+    let late = QueryError::WindowBeforeObservation { window_start: 1, observation: 5 };
+    let cases = [
+        (Query::forall().window(full.clone()), QueryError::EmptySpatialWindow),
+        (Query::exists().window(full.clone()).top_k(0), late),
+    ];
+    for (query, expected) in cases {
+        for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+            let spec = query.clone().strategy(strategy).build().unwrap();
+            let cells = [
+                ("execute", processor.execute(&spec).map(drop)),
+                ("explain", processor.explain(&spec).map(drop)),
+                ("submit + wait", processor.submit(&spec).and_then(|t| t.wait()).map(drop)),
+                ("watch", processor.watch(&spec).and_then(|s| s.answer()).map(drop)),
+            ];
+            for (entry, outcome) in cells {
+                let cell = format!("{:?} × {strategy:?} × {entry}", spec.predicate());
+                assert_eq!(outcome, Err(expected.clone()), "{cell}");
+            }
+        }
+    }
+
+    // The reference drivers check the window first too.
+    let config = EngineConfig::default();
     let mut stats = EvalStats::new();
     for answer in [
         forall::evaluate_object_based(&db, &full, &config, &mut stats),
@@ -76,11 +104,6 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
         assert_eq!(answer, Err(QueryError::EmptySpatialWindow));
     }
     assert_eq!(stats.backward_steps, 0, "no route swept a field before rejecting");
-    // ∃ and k-times have no complement to lose: the same window answers.
-    for query in [Query::exists(), Query::ktimes(1)] {
-        let spec = query.window(full.clone()).strategy(Strategy::QueryBased).build().unwrap();
-        assert!(processor.execute(&spec).is_ok());
-    }
 }
 
 #[test]

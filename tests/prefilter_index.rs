@@ -184,6 +184,66 @@ fn selective_window_prunes_and_preserves_answers() {
     }
 }
 
+/// What ∀ and k-times answer, bit for bit, for the objects the index prunes
+/// under a window (evaluated with the prefilter `Off`, as those predicates
+/// always are): every such object is decided at its anchor, before any
+/// transition, so its answer is a function of the anchor alone — with `Σ`
+/// the anchor's mass summed in ascending state order:
+///
+/// * k-times: level 0 is `Σ` (clamped into `[0, 1]`), every other level
+///   `0.0` — under both strategies;
+/// * ∀: `0.0` query-based (the ∀ field is zero off the window's reach), but
+///   `1 − Σ` (clamped) object-based, whose complement reduction subtracts
+///   the escaped mass from 1 — a residue wherever `Σ` rounds below 1.
+#[test]
+fn pruned_objects_answer_from_their_anchor_alone() {
+    let mut data = generate_index_workload(&IndexWorkloadConfig::small());
+    let space = data.space;
+    data.db.attach_space(Arc::new(space)).unwrap();
+    let window = data.selective_window().unwrap();
+    let survivors = data.db.spatial_index().unwrap().candidates(&window);
+    let pruned: Vec<&UncertainObject> = (0..data.db.len())
+        .filter(|idx| survivors.binary_search(idx).is_err())
+        .map(|idx| data.db.object(idx).unwrap())
+        .collect();
+    assert!(pruned.len() * 2 > data.db.len(), "the selective window prunes most objects");
+    let ids: Vec<u64> = pruned.iter().map(|o| o.id()).collect();
+    let mass = |o: &UncertainObject| o.anchor().distribution().iter().fold(0.0, |s, (_, p)| s + p);
+    let levels = window.num_times() + 1;
+    let processor = QueryProcessor::with_config(
+        &data.db,
+        EngineConfig::default().with_prefilter(PrefilterMode::Off),
+    );
+    let mut residues = 0;
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased] {
+        let spec = |query: QueryBuilder| {
+            query.window(window.clone()).objects(ids.clone()).strategy(strategy).build().unwrap()
+        };
+        let mut stats = EvalStats::new();
+        let forall = processor.execute_with_stats(&spec(Query::forall()), &mut stats).unwrap();
+        let ktimes = processor.execute_with_stats(&spec(Query::ktimes(1)), &mut stats).unwrap();
+        if strategy == Strategy::ObjectBased {
+            assert_eq!(stats.transitions, 0, "every pruned object is decided at its anchor");
+        }
+        let forall = forall.probabilities().unwrap();
+        let ktimes = ktimes.distributions().unwrap();
+        for ((object, all), k) in pruned.iter().zip(forall).zip(ktimes) {
+            let sum = mass(object);
+            let expected = match strategy {
+                Strategy::ObjectBased => (1.0 - sum).clamp(0.0, 1.0),
+                _ => 0.0,
+            };
+            assert_eq!(all.probability.to_bits(), expected.to_bits(), "∀ {strategy:?}");
+            residues += usize::from(all.probability != 0.0);
+            let mut dist = vec![0.0f64; levels];
+            dist[0] = sum.clamp(0.0, 1.0);
+            let bits = |ps: &[f64]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&k.probabilities), bits(&dist), "k-times {strategy:?}");
+        }
+    }
+    assert!(residues > 0, "some anchor's mass rounds below 1: OB ∀ is not a constant");
+}
+
 /// The prefilter-armed processor reports its pruning in the plan and the
 /// serving metrics (the observability half of the PR 6 counter plumbing).
 #[test]
