@@ -19,10 +19,11 @@ use crate::observation::Observation;
 /// [`TrajectoryDatabase::ingest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestOutcome {
-    /// The fix is at or after the object's stored fix and replaced it.
+    /// The fix is at or after the object's latest stored observation and
+    /// replaced the object's observations.
     Applied,
-    /// The fix predates the stored one (out-of-order arrival) and was
-    /// ignored; the database is unchanged.
+    /// The fix predates the latest stored observation (out-of-order
+    /// arrival) and was ignored; the database is unchanged.
     IgnoredStale,
 }
 
@@ -202,11 +203,12 @@ impl TrajectoryDatabase {
     /// The database keeps each object's **latest fix** (the paper's engines
     /// anchor at the most recent observation and extrapolate forward, so a
     /// newer sighting supersedes the stored one): a fix at or after the
-    /// stored fix replaces it ([`IngestOutcome::Applied`]), an older
-    /// out-of-order fix is ignored ([`IngestOutcome::IgnoredStale`]). Per
-    /// object, anchors are therefore monotone non-decreasing and the
-    /// database state is a pure function of the applied feed prefix —
-    /// replaying the same feed always reproduces the same snapshot.
+    /// object's latest stored observation replaces all of them
+    /// ([`IngestOutcome::Applied`]), an older out-of-order fix is ignored
+    /// ([`IngestOutcome::IgnoredStale`]). Per object, anchors are therefore
+    /// monotone non-decreasing and the database state is a pure function of
+    /// the applied feed prefix — replaying the same feed always reproduces
+    /// the same snapshot.
     ///
     /// Copy-on-write semantics match [`TrajectoryDatabase::insert`]:
     /// existing clones never observe the mutation, and a built
@@ -223,7 +225,7 @@ impl TrajectoryDatabase {
                 object_states: observation.num_states(),
             });
         }
-        if observation.time() < current.anchor().time() {
+        if observation.time() < current.last_observation().time() {
             return Ok(IngestOutcome::IgnoredStale);
         }
         let prev_index = {
@@ -451,6 +453,32 @@ mod tests {
         assert_eq!(db.object(0).unwrap().anchor().time(), 4);
         // The pre-ingest snapshot never observed any of it.
         assert_eq!(snapshot.object(0).unwrap().anchor().time(), 0);
+    }
+
+    #[test]
+    fn ingest_judges_staleness_against_the_latest_observation() {
+        use ust_space::LineSpace;
+
+        let mut db = TrajectoryDatabase::new(chain3());
+        db.attach_space(Arc::new(LineSpace::new(3))).unwrap();
+        let sightings =
+            vec![Observation::exact(0, 3, 0).unwrap(), Observation::exact(4, 3, 1).unwrap()];
+        db.insert(UncertainObject::new(1, sightings).unwrap()).unwrap();
+        let stored = db.object(0).unwrap().clone();
+        let max_anchor = db.spatial_index().unwrap().max_anchor_time();
+
+        // Older than the t = 4 sighting, though later than the first one.
+        assert_eq!(
+            db.ingest(1, Observation::exact(2, 3, 2).unwrap()),
+            Ok(IngestOutcome::IgnoredStale)
+        );
+        assert_eq!(db.object(0), Some(&stored), "a stale fix leaves the store unchanged");
+        assert_eq!(db.spatial_index().unwrap().max_anchor_time(), max_anchor);
+
+        assert_eq!(db.ingest(1, Observation::exact(4, 3, 2).unwrap()), Ok(IngestOutcome::Applied));
+        let object = db.object(0).unwrap();
+        assert_eq!((object.anchor().time(), object.observations().len()), (4, 1));
+        assert!(db.spatial_index().unwrap().max_anchor_time() >= max_anchor);
     }
 
     #[test]

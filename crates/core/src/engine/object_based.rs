@@ -373,13 +373,26 @@ pub fn validate(chain: &MarkovChain, object: &UncertainObject, window: &QueryWin
             object_states: object.num_states(),
         });
     }
+    check_window(chain, window)?;
+    check_anchor_time(object.anchor().time(), window)
+}
+
+/// The window half of [`validate`]: the window's state mask has the chain's
+/// dimension.
+pub(crate) fn check_window(chain: &MarkovChain, window: &QueryWindow) -> Result<()> {
     if window.states().dim() != chain.num_states() {
         return Err(QueryError::ModelDimensionMismatch {
             model_states: chain.num_states(),
             object_states: window.states().dim(),
         });
     }
-    let anchor_time = object.anchor().time();
+    Ok(())
+}
+
+/// The per-object half of [`validate`]: the window starts no earlier than
+/// the anchor observation, at `anchor_time`.
+#[inline]
+pub(crate) fn check_anchor_time(anchor_time: u32, window: &QueryWindow) -> Result<()> {
     if window.t_start() < anchor_time {
         return Err(QueryError::WindowBeforeObservation {
             window_start: window.t_start(),

@@ -20,7 +20,9 @@
 //! groups ride in `Prepared` to `refine`, whose field and reach plans are
 //! built from them; `refine` dispatches to the batched, sharded
 //! counterparts of the sequential reference drivers and spells the pruned
-//! objects out as exact zeros only where an answer needs them — so planned
+//! objects out as exact zeros only where an answer needs them — a
+//! probability answer writes the scope's zeros in one pass in store order
+//! and overwrites the survivors' slots with their rows — so planned
 //! answers are bit-for-bit identical to the paper's algorithms run with no
 //! planner, pool or cache (pinned by `tests/query_planner.rs`). The serving
 //! function that strings them together, times them and records them lives
@@ -223,9 +225,8 @@ impl Scope {
 
     /// Each object in scope, ascending, with its position in the scope's
     /// ascending `survivors` — or `None` for one the index pruned, whose
-    /// `P∃` is `0` exactly. The pruned complement exists only as this walk
-    /// against a survivor cursor, run where an answer has to spell the
-    /// zeros out.
+    /// `P∃` is `0` exactly: the walk a `τ = 0` threshold answer, which
+    /// accepts the pruned objects, takes against a survivor cursor.
     fn against<'a>(
         &'a self,
         survivors: &'a [usize],
@@ -609,30 +610,39 @@ pub(crate) fn accepted_ids(probs: Vec<ObjectProbability>, tau: f64) -> Vec<u64> 
 
 /// A probability answer over `scope`, in database-index order: the
 /// survivors' computed `probs`, and an exact `0.0` for every object the
-/// index pruned.
+/// index pruned. One pass writes `(id, 0.0)` for the whole scope in store
+/// order — a whole-database scope walks `db.objects()` — and the survivors'
+/// rows then overwrite their slots; survivors ascend like the scope, so a
+/// subset scope finds each slot by a forward search.
 fn with_pruned_zeros(
     db: &TrajectoryDatabase,
     scope: &Scope,
     survivors: &[usize],
     probs: Vec<ObjectProbability>,
 ) -> Result<Vec<ObjectProbability>> {
-    const ONE_EACH: &str = "the survivor list carries one probability each";
     if survivors.len() != probs.len() {
-        return Err(QueryError::internal(ONE_EACH));
+        return Err(QueryError::internal("the survivor list carries one probability each"));
     }
-    // Sized up front: an index-pruned answer is as long as its scope.
-    let mut out = Vec::with_capacity(scope.len());
-    let mut probs = probs.into_iter();
-    for (idx, survivor) in scope.against(survivors) {
-        out.push(match survivor {
-            Some(_) => probs.next().ok_or(QueryError::internal(ONE_EACH))?,
-            None => {
-                let object = db
-                    .object(idx)
-                    .ok_or(QueryError::internal("pruned indices resolve to database objects"))?;
-                ObjectProbability { object_id: object.id(), probability: 0.0 }
+    let unresolved = || QueryError::internal("survivors resolve to slots of their scope");
+    let zero =
+        |object: &UncertainObject| ObjectProbability { object_id: object.id(), probability: 0.0 };
+    let mut out: Vec<ObjectProbability> = match scope {
+        Scope::Database(_) => db.objects().iter().map(zero).collect(),
+        Scope::Subset(indices) => indices
+            .iter()
+            .map(|&idx| db.object(idx).map(zero).ok_or_else(unresolved))
+            .collect::<Result<_>>()?,
+    };
+    let mut slot = 0usize;
+    for (&idx, row) in survivors.iter().zip(probs) {
+        slot = match scope {
+            Scope::Database(_) => idx,
+            Scope::Subset(indices) => {
+                let ahead = indices.get(slot..).unwrap_or_default();
+                slot + ahead.iter().position(|&i| i == idx).ok_or_else(unresolved)?
             }
-        });
+        };
+        *out.get_mut(slot).ok_or_else(unresolved)? = row;
     }
     Ok(out)
 }

@@ -39,7 +39,7 @@ use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector, State
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
-use crate::engine::object_based::validate;
+use crate::engine::object_based::{check_anchor_time, check_window, validate};
 use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
@@ -333,16 +333,18 @@ impl AnchoredField<'_> {
     /// with probability 0 under the ∀ rule.
     pub fn probability(&self, object: &UncertainObject) -> f64 {
         let h = &self.levels[0];
-        let mut p = 0.0;
-        for (s, mass) in object.anchor().distribution().iter() {
-            let value = match (self.rule, self.inside.map(|states| states.contains(s))) {
-                (FieldRule::Exists | FieldRule::KTimes, Some(true)) => 1.0,
-                (FieldRule::ForAll, Some(false)) => 0.0,
-                _ => h.get(s),
-            };
-            p += mass * value;
-        }
-        unit_clamp(p)
+        let anchor = object.anchor().distribution();
+        // The adjustment depends on the anchor time alone: it is picked
+        // once here, and an anchor outside T▫ reads the span as it is.
+        unit_clamp(match (self.rule, self.inside) {
+            (_, None) => dot(anchor, |s| h.get(s)),
+            (FieldRule::Exists | FieldRule::KTimes, Some(states)) => {
+                dot(anchor, |s| if states.contains(s) { 1.0 } else { h.get(s) })
+            }
+            (FieldRule::ForAll, Some(states)) => {
+                dot(anchor, |s| if states.contains(s) { h.get(s) } else { 0.0 })
+            }
+        })
     }
 
     /// Answers one object anchored at this time from a
@@ -372,6 +374,11 @@ impl AnchoredField<'_> {
         }
         Some(out)
     }
+}
+
+/// `Σ mass · value(s)` over the anchor's entries, in ascending state order.
+fn dot(anchor: &SparseVector, value: impl Fn(usize) -> f64) -> f64 {
+    anchor.iter().fold(0.0, |p, (s, mass)| p + mass * value(s))
 }
 
 /// Probability that `object` satisfies the window predicate of `rule`, via
@@ -434,12 +441,15 @@ impl ModelGroup {
         ModelGroup { model, members: Vec::new(), times: Vec::new(), time_sum: 0, anchor_nnz: 0 }
     }
 
-    /// Adds `object`, the object at database index `idx` (above every
-    /// member so far); [`group_on`] sorts and dedups `times` once at the
-    /// end.
-    fn push(&mut self, idx: usize, object: &UncertainObject) {
-        let t = object.anchor().time();
-        self.times.push(t);
+    /// Adds the object at database index `idx` (above every member so far),
+    /// anchored at `t`. A time equal to the previous member's is not pushed
+    /// again — objects ingested together sit next to each other — and
+    /// [`group_on`] sorts and dedups the short list that is left once at
+    /// the end.
+    fn push(&mut self, idx: usize, t: u32, object: &UncertainObject) {
+        if self.times.last() != Some(&t) {
+            self.times.push(t);
+        }
         self.members.push(idx);
         self.time_sum += u64::from(t);
         self.anchor_nnz += object.anchor().distribution().nnz();
@@ -452,14 +462,19 @@ impl ModelGroup {
 /// shared-field plans and the reach plans read, so the validation and
 /// anchor-collection rules cannot diverge between them.
 ///
-/// One pass in index order; the error is the first offender's, the one
-/// every strategy reports.
+/// One pass in index order; the error is the first offender's under
+/// [`validate`], the one every strategy reports. `insert`, `ingest` and
+/// `with_models` keep every object at its model's dimension and every model
+/// at the store's, so of `validate`'s checks only the anchor time can
+/// differ from object to object: the window's dimension is checked once
+/// per model, when its group gets its first member — the same error, at
+/// the same object, as checking it at every object.
 pub(crate) fn validated_model_groups_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
 ) -> Result<Vec<ModelGroup>> {
-    group_on(db, indices, |chain, object| validate(chain, object, window))
+    group_on(db, indices, Some(window))
 }
 
 /// Groups objects that [`validated_model_groups_on`] already validated —
@@ -468,24 +483,39 @@ pub(crate) fn model_groups_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
 ) -> Result<Vec<ModelGroup>> {
-    group_on(db, indices, |_, _| Ok(()))
+    group_on(db, indices, None)
 }
 
-/// The one grouping pass under `check`, in index order: the first object
-/// `check` rejects ends it with its error.
+/// The one grouping pass, in index order, validating against `window` when
+/// one is given: the first object that fails ends it with its error.
 fn group_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
-    check: impl Fn(&MarkovChain, &UncertainObject) -> Result<()>,
+    window: Option<&QueryWindow>,
 ) -> Result<Vec<ModelGroup>> {
-    let mut groups: Vec<ModelGroup> = (0..db.models().len()).map(ModelGroup::new).collect();
+    let models = db.models();
+    let mut groups: Vec<ModelGroup> = (0..models.len()).map(ModelGroup::new).collect();
+    // Only a single-model store knows its one group takes every candidate.
+    if let [only] = groups.as_mut_slice() {
+        only.members.reserve_exact(indices.len());
+    }
     for &idx in indices {
         let object = db
             .object(idx)
             .ok_or(QueryError::internal("model grouping received an unresolved object index"))?;
-        let model = object.model();
-        check(&db.models()[model], object)?;
-        groups[model].push(idx, object);
+        let (model, t) = (object.model(), object.anchor().time());
+        let (chain, group) = (&models[model], &mut groups[model]);
+        debug_assert!(
+            object.num_states() == chain.num_states() && chain.num_states() == db.num_states(),
+            "the store keeps objects and models at its dimension"
+        );
+        if let Some(window) = window {
+            if group.members.is_empty() {
+                check_window(chain, window)?;
+            }
+            check_anchor_time(t, window)?;
+        }
+        group.push(idx, t, object);
     }
     groups.retain(|group| !group.members.is_empty());
     for group in &mut groups {

@@ -108,8 +108,9 @@ impl QueryProcessor {
     }
 
     /// Applies a latest-fix observation to the processor's database (see
-    /// [`TrajectoryDatabase::ingest`]: a fix at or after the stored
-    /// anchor's time supersedes it, an older one is ignored as stale) and,
+    /// [`TrajectoryDatabase::ingest`]: a fix at or after the latest stored
+    /// observation supersedes the object's observations, an older one is
+    /// ignored as stale) and,
     /// when applied, refreshes every registered subscription whose scope
     /// contains `object_id` — synchronously, under the same admission
     /// bound and deadline as [`QueryProcessor::submit`]ted queries.

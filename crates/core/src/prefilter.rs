@@ -45,7 +45,8 @@ pub fn max_step_distance<S: StateSpace + ?Sized>(chain: &MarkovChain, space: &S)
 pub(crate) struct ConeAnchor {
     /// Weighted centroid of the anchor support.
     pub centroid: Point2,
-    /// Time of the anchoring (latest) observation.
+    /// Time of the anchoring observation: the object's first
+    /// ([`UncertainObject::anchor`]).
     pub anchor_time: u32,
     /// Radius of the anchor support around its centroid.
     pub radius: f64,

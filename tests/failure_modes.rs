@@ -106,6 +106,53 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
     assert_eq!(stats.backward_steps, 0, "no route swept a field before rejecting");
 }
 
+/// The grouping pass checks a window's dimension once per model and the
+/// anchor time per object. Every first error must still be the one
+/// `object_based::validate` reports applied to each object in index order,
+/// under every strategy and entry point.
+#[test]
+fn grouping_keeps_every_first_error() {
+    // Two models; object `id` follows model `id % 2` and is anchored at
+    // `times[id]`.
+    let store = |times: &[u32]| {
+        let mut db = TrajectoryDatabase::with_models(vec![paper_chain(), paper_chain()]).unwrap();
+        for (id, &t) in times.iter().enumerate() {
+            let fix = Observation::exact(t, 3, id % 3).unwrap();
+            let object = UncertainObject::with_single_observation(id as u64, fix);
+            db.insert(object.with_model(id % 2)).unwrap();
+        }
+        db
+    };
+    let wide = QueryWindow::from_states(4, [1usize], TimeSet::interval(2, 3)).unwrap();
+    let fits = QueryWindow::from_states(3, [1usize], TimeSet::interval(2, 3)).unwrap();
+    let dimension = Err(QueryError::ModelDimensionMismatch { model_states: 3, object_states: 4 });
+    let late = Err(QueryError::WindowBeforeObservation { window_start: 2, observation: 5 });
+    let rows = [
+        ("wrong dimension, no candidate", store(&[]), &wide, Ok(())),
+        ("wrong dimension, one candidate", store(&[0]), &wide, dimension.clone()),
+        ("wrong dimension, many candidates", store(&[0, 1, 5, 2, 0, 7]), &wide, dimension),
+        ("late at candidate 0", store(&[5, 7, 0, 1, 2, 0]), &fits, late.clone()),
+        ("late at candidate 1", store(&[0, 5, 7, 1, 2, 0]), &fits, late.clone()),
+        ("late at candidate 4", store(&[0, 1, 2, 0, 5, 7]), &fits, late),
+    ];
+    for (row, db, window, pinned) in rows {
+        let expected =
+            db.objects().iter().try_for_each(|o| object_based::validate(db.model_of(o), o, window));
+        assert_eq!(expected, pinned, "{row}: validate in index order");
+        let processor = QueryProcessor::new(&db);
+        for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+            let spec = Query::exists().window(window.clone()).strategy(strategy).build().unwrap();
+            let cells = [
+                ("execute", processor.execute(&spec).map(drop)),
+                ("explain", processor.explain(&spec).map(drop)),
+            ];
+            for (entry, outcome) in cells {
+                assert_eq!(outcome, expected, "{row} × {strategy:?} × {entry}");
+            }
+        }
+    }
+}
+
 #[test]
 fn malformed_objects_are_rejected() {
     assert_eq!(UncertainObject::new(1, vec![]), Err(QueryError::NoObservations));

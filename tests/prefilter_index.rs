@@ -83,8 +83,138 @@ fn specs(window: &QueryWindow, strategy: Strategy) -> Vec<QuerySpec> {
     ]
 }
 
+/// The stores on which the zero fill of a pruned answer and the grouping of
+/// its survivors could go wrong, each built around windows over states
+/// `0..3` of a line.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Two transition models, objects alternating between them.
+    TwoModels,
+    /// Ids inserted descending, so an id subset walks the store.
+    DescendingIds,
+    /// Objects `0` and `|D| − 1` on the window, the rest at the far end of
+    /// the line: the survivors are the store's two ends.
+    SurvivingEnds,
+    /// Every object at the far end of the line: the index prunes them all.
+    AllPruned,
+}
+
+const SHAPES: [Shape; 4] =
+    [Shape::TwoModels, Shape::DescendingIds, Shape::SurvivingEnds, Shape::AllPruned];
+
+fn banded_chain(rng: &mut rand::rngs::StdRng, n: usize) -> MarkovChain {
+    MarkovChain::from_csr(testutil::random_banded_stochastic(rng, n, 3, 4)).unwrap()
+}
+
+/// `m` objects over `n ≥ 24` line states in `shape`. The chain moves at
+/// most two states a step, so from the far end (`n − 2`, `n − 1`) no
+/// window over `0..3` ending by `t = 6` can be reached.
+fn shaped_db(seed: u64, n: usize, m: usize, shape: Shape) -> TrajectoryDatabase {
+    let mut rng = testutil::rng(seed);
+    let mut db = match shape {
+        Shape::TwoModels => {
+            let chains = vec![banded_chain(&mut rng, n), banded_chain(&mut rng, n)];
+            TrajectoryDatabase::with_models(chains).unwrap()
+        }
+        _ => TrajectoryDatabase::new(banded_chain(&mut rng, n)),
+    };
+    for i in 0..m {
+        let (id, model) = match shape {
+            Shape::TwoModels => (i as u64, i % 2),
+            Shape::DescendingIds => ((m - 1 - i) as u64, 0),
+            Shape::SurvivingEnds | Shape::AllPruned => (i as u64, 0),
+        };
+        let end = i == 0 || i == m - 1;
+        let fix = match shape {
+            Shape::TwoModels | Shape::DescendingIds => {
+                let dist = testutil::random_distribution(&mut rng, n, 2);
+                Observation::uncertain(i as u32 % 3, dist).unwrap()
+            }
+            Shape::SurvivingEnds if end => Observation::exact(0, n, i % 3).unwrap(),
+            Shape::SurvivingEnds | Shape::AllPruned => {
+                Observation::exact(i as u32 % 3, n, n - 1 - i % 2).unwrap()
+            }
+        };
+        db.insert(UncertainObject::with_single_observation(id, fix).with_model(model)).unwrap();
+    }
+    db.attach_space(Arc::new(LineSpace::new(n))).unwrap();
+    db
+}
+
+/// An ∃ query over `ids` (the whole store when `None`) answering
+/// probabilities, or the ids reaching `tau`, under every prefilter mode:
+/// OB and QB answer as they do unpruned. `Auto` costs the candidates the
+/// index left, so pruning may change which strategy it picks, and OB and QB
+/// may differ in the last ulp; in every mode it answers as the strategy it
+/// picked there does unpruned.
+fn assert_exists_matches_across_modes(
+    db: &TrajectoryDatabase,
+    window: &QueryWindow,
+    ids: Option<&[u64]>,
+    tau: Option<f64>,
+    shape: Shape,
+) {
+    let spec = |strategy: Strategy| {
+        let query = Query::exists().window(window.clone()).strategy(strategy);
+        let query = match ids {
+            Some(ids) => query.objects(ids.iter().copied()),
+            None => query,
+        };
+        match tau {
+            Some(tau) => query.threshold(tau),
+            None => query.probabilities(),
+        }
+        .build()
+        .unwrap()
+    };
+    let cell = format!("{shape:?}, ids {ids:?}, τ {tau:?}");
+    let ob = run(db, PrefilterMode::Off, &spec(Strategy::ObjectBased));
+    let qb = run(db, PrefilterMode::Off, &spec(Strategy::QueryBased));
+    for mode in [PrefilterMode::Off, PrefilterMode::On, PrefilterMode::Auto] {
+        assert_eq!(run(db, mode, &spec(Strategy::ObjectBased)), ob, "{cell}: OB, {mode:?}");
+        assert_eq!(run(db, mode, &spec(Strategy::QueryBased)), qb, "{cell}: QB, {mode:?}");
+        let processor =
+            QueryProcessor::with_config(db, EngineConfig::default().with_prefilter(mode));
+        let auto = spec(Strategy::Auto);
+        let picked = match processor.explain(&auto) {
+            Ok(plan) if plan.strategy == Strategy::QueryBased => &qb,
+            _ => &ob,
+        };
+        assert_eq!(&canon(&processor.execute(&auto)), picked, "{cell}: Auto, {mode:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pruned_shapes_are_bit_identical_across_prefilter_modes(
+        seed in 0u64..5_000,
+        n in 24usize..32,
+        m in 3usize..9,
+        shape in 0usize..SHAPES.len(),
+        t_start in 0u32..5,
+        t_len in 0u32..3,
+        subset_bits in 1u8..255,
+    ) {
+        let shape = SHAPES[shape];
+        let db = shaped_db(seed, n, m, shape);
+        let window =
+            QueryWindow::from_states(n, 0..3, TimeSet::interval(t_start, t_start + t_len)).unwrap();
+        let survivors = db.spatial_index().unwrap().candidates(&window);
+        match shape {
+            Shape::SurvivingEnds => prop_assert_eq!(survivors, vec![0, m - 1]),
+            Shape::AllPruned => prop_assert!(survivors.is_empty()),
+            Shape::TwoModels | Shape::DescendingIds => {}
+        }
+        let subset: Vec<u64> =
+            (0..m as u64).filter(|id| subset_bits & (1 << (id % 8)) != 0).collect();
+        for ids in [None, Some(subset.as_slice())] {
+            for tau in [None, Some(0.0), Some(0.3)] {
+                assert_exists_matches_across_modes(&db, &window, ids, tau, shape);
+            }
+        }
+    }
 
     #[test]
     fn answers_are_bit_identical_across_prefilter_modes(
