@@ -12,9 +12,9 @@
 //! not of this binary.)
 //!
 //! The run exits 1 when an experiment's `max |OB-QB|` column (Fig. 8(a),
-//! Fig. 10(a) — all three predicates —, Fig. 11) exceeds 1e-12: the forward
-//! and the backward engine are both exact, so a larger gap means one of
-//! them lost or double-counted worlds.
+//! Figs. 9(a)–(c), Fig. 10(a) — all three predicates —, Fig. 11) exceeds
+//! 1e-12: the forward and the backward engine are both exact, so a larger
+//! gap means one of them lost or double-counted worlds.
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -9,6 +9,7 @@ use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 use ust_space::{NetworkConfig, TimeSet};
 
+use super::{agreement_cell, paired};
 use crate::baselines::independent;
 use crate::{time, ExperimentOutput, Scale};
 
@@ -20,25 +21,28 @@ fn start_times(scale: Scale) -> Vec<u32> {
 }
 
 /// Shared sweep: runtime of OB and QB as the query window moves into the
-/// future (the window keeps the paper's 6-timestamp duration).
+/// future (the window keeps the paper's 6-timestamp duration), and the
+/// largest gap between their answers — the latest starts build the deepest
+/// reach schedules of any figure.
 fn start_time_sweep(
     db: &ust_core::TrajectoryDatabase,
     base_window: &QueryWindow,
     starts: &[u32],
 ) -> ResultTable {
     let config = EngineConfig::default();
-    let mut table = ResultTable::new(["start time", "OB (s)", "QB (s)", "OB/QB"]);
+    let mut table = ResultTable::new(["start time", "OB (s)", "QB (s)", "OB/QB", "max |OB-QB|"]);
     for &start in starts {
         let window = workload::with_start_time(base_window, start).expect("valid window");
-        let (ob_t, _) =
+        let (ob_t, ob) =
             time(|| object_based::evaluate(db, &window, &config, &mut EvalStats::new()).unwrap());
-        let (qb_t, _) =
+        let (qb_t, qb) =
             time(|| query_based::evaluate(db, &window, &config, &mut EvalStats::new()).unwrap());
         table.push_row([
             start.to_string(),
             fmt_secs(ob_t),
             fmt_secs(qb_t),
             format!("{:.0}×", ob_t / qb_t.max(1e-9)),
+            agreement_cell(paired(&ob, &qb)),
         ]);
     }
     table
@@ -202,6 +206,10 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert_eq!(table.rows()[0][0], "5");
         assert_eq!(table.rows()[1][0], "10");
+        assert_eq!(table.headers()[4], "max |OB-QB|");
+        for row in table.rows() {
+            assert!(row[4].parse::<f64>().unwrap() <= 1e-12, "OB ≡ QB at start {}", row[0]);
+        }
     }
 
     #[test]

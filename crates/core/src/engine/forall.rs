@@ -38,8 +38,8 @@ use ust_markov::MarkovChain;
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::{self, ForwardRule, Swept};
-use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{self, FieldRule};
+use crate::engine::reach::ReachRule;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;

@@ -23,8 +23,8 @@ use ust_markov::{DenseVector, MarkovChain, PropagationVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::object_based::{self, validate, ForwardRule, Swept};
-use crate::engine::pipeline::ReachRule;
 use crate::engine::query_based::{evaluate_fields, AnchoredField, BackwardField, FieldRule};
+use crate::engine::reach::ReachRule;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;

@@ -42,6 +42,7 @@ pub mod pipeline;
 pub mod plan;
 mod processor;
 pub mod query_based;
+pub mod reach;
 mod refresh;
 mod ticket;
 

@@ -28,8 +28,9 @@ use std::ops::ControlFlow;
 use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator, ReachRule, ReachSchedule};
+use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
 use crate::engine::query_based::{validated_model_groups_on, ModelGroup};
+use crate::engine::reach::{ReachRule, ReachSchedule};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;

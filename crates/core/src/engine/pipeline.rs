@@ -41,7 +41,8 @@
 //! * **ε-pruning** — with [`EngineConfig::epsilon`] `> 0`, entries `≤ ε`
 //!   are dropped right after every transition and the dropped mass is
 //!   accounted in [`EvalStats::pruned_mass`] (the absolute error bound);
-//! * **Reach trimming** — a windowed sweep carries a [`ReachSchedule`]:
+//! * **Reach trimming** — a windowed sweep carries a [`ReachSchedule`]
+//!   (the plan [`crate::engine::reach`] builds once per model and query):
 //!   right after the window hook of every processed timestamp `t` (the
 //!   anchor time included) and before `StepEnd`, every live row is cut
 //!   down to `mask(t)`, the states from which the window can still decide
@@ -68,105 +69,13 @@
 
 use std::ops::ControlFlow;
 
-use ust_markov::{CsrMatrix, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask};
+use ust_markov::{CsrMatrix, PropagationVector, SparseVector, SpmvScratch, StateMask};
 
+use crate::engine::reach::ReachSchedule;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
-
-/// Which predicate a [`ReachSchedule`] keeps decidable — the two window
-/// rules the backward fields of [`crate::engine::query_based`] are swept
-/// under (a k-times sweep lives on the ∃ reach: mass that cannot visit the
-/// window again keeps its count level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReachRule {
-    /// `mask(t)` = states that can still **enter** `S▫` at a query time in
-    /// `(t, t_end]` (union with the window, empty at `t_end`). Mass outside
-    /// can never hit: decided as a miss.
-    Exists,
-    /// `mask(t)` = states that can still be **inside** `S▫` at *all* query
-    /// times in `(t, t_end]` (intersection with the window, full at
-    /// `t_end`). Mass outside is certain to escape: decided as escaped.
-    ForAll,
-}
-
-/// Time-indexed backward reachability of a query window: the forward
-/// pipeline's trimming schedule.
-///
-/// `mask(t)` holds the states from which the *remaining* window
-/// (`T▫ ∩ (t, t_end]`) can still decide the predicate along the chain's
-/// stored transitions (see [`ReachRule`]). Mass outside `mask(t)` is
-/// decided, so the sweep drops it — the structural pruning the paper folds
-/// into the `M+` matrices, hoisted out as boolean masks built once per
-/// model and query from the transposed chain. The masks do not depend on
-/// where the sweep starts, so one schedule built from the earliest anchor
-/// time serves every later one.
-#[derive(Debug, Clone)]
-pub struct ReachSchedule {
-    t0: u32,
-    masks: Vec<StateMask>,
-}
-
-impl ReachSchedule {
-    /// Builds the masks for times `t0..=t_end` (one backward pass over the
-    /// transposed chain; `t0` is clamped to `t_end`).
-    pub fn build(
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        rule: ReachRule,
-        t0: u32,
-    ) -> Result<ReachSchedule> {
-        let n = chain.num_states();
-        let t_end = window.t_end();
-        let t0 = t0.min(t_end);
-        let transposed = chain.transposed();
-        let mut masks: Vec<StateMask> = Vec::with_capacity((t_end - t0) as usize + 1);
-        // Nothing of the window remains ahead of t_end: no state can still
-        // hit it, every state still satisfies "all remaining times".
-        masks.push(match rule {
-            ReachRule::Exists => StateMask::new(n),
-            ReachRule::ForAll => StateMask::full(n),
-        });
-        for t in (t0 + 1..=t_end).rev() {
-            let ahead = &masks[(t_end - t) as usize];
-            // Where a world must be at time `t` to stay undecided: on the
-            // states ahead, joined with the window by the rule when `t` is
-            // a query time.
-            let joins = window.time_in_window(t).then_some(rule);
-            // Every state has a successor (rows are stochastic), so a full
-            // target is reached from everywhere.
-            let sources = if ahead.count() == n && joins != Some(ReachRule::ForAll) {
-                StateMask::full(n)
-            } else {
-                let mut sources = StateMask::new(n);
-                let mut add_sources_of = |s: usize| {
-                    transposed.row(s).0.iter().try_for_each(|&p| sources.insert(p as usize))
-                };
-                let inside = window.states();
-                match joins {
-                    None => ahead.iter().try_for_each(&mut add_sources_of)?,
-                    Some(ReachRule::Exists) => {
-                        ahead.iter().chain(inside.iter()).try_for_each(&mut add_sources_of)?
-                    }
-                    Some(ReachRule::ForAll) => inside
-                        .iter()
-                        .filter(|&s| ahead.contains(s))
-                        .try_for_each(&mut add_sources_of)?,
-                }
-                sources
-            };
-            masks.push(sources);
-        }
-        masks.reverse();
-        Ok(ReachSchedule { t0, masks })
-    }
-
-    /// The mask at time `t` (`None` outside `t0..=t_end`).
-    pub fn mask_at(&self, t: u32) -> Option<&StateMask> {
-        self.masks.get(t.checked_sub(self.t0)? as usize)
-    }
-}
 
 /// Which hook of the masking schedule a forward event belongs to.
 ///
@@ -531,6 +440,7 @@ impl<'s> Propagator<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::reach::ReachRule;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use ust_markov::{CsrMatrix, MarkovChain};

@@ -499,7 +499,7 @@ impl ShardedExecutor {
 mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
-    use crate::engine::pipeline::ReachRule;
+    use crate::engine::reach::ReachRule;
     use crate::engine::{forall, ktimes, object_based, query_based, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;

@@ -23,7 +23,7 @@
 use ust_markov::PropagationVector;
 
 use crate::engine::object_based::{ForwardRule, Swept};
-use crate::engine::pipeline::ReachRule;
+use crate::engine::reach::ReachRule;
 use crate::query::{unit_clamp, ObjectProbability};
 use crate::stats::EvalStats;
 

@@ -11,7 +11,7 @@
 pub struct EvalStats {
     /// Forward vector–matrix transitions performed. A windowed forward
     /// sweep steps only rows that still hold mass inside the window's reach
-    /// (see [`crate::engine::pipeline::ReachSchedule`]): an object whose
+    /// (see [`crate::engine::reach::ReachSchedule`]): an object whose
     /// anchor lies outside it is answered with zero transitions.
     pub transitions: u64,
     /// Transition-matrix rows streamed during forward propagation. The

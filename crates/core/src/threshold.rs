@@ -17,7 +17,7 @@
 use ust_markov::{MarkovChain, PropagationVector};
 
 use crate::engine::object_based::{self, ForwardRule, Swept};
-use crate::engine::pipeline::ReachRule;
+use crate::engine::reach::ReachRule;
 use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::object::UncertainObject;
@@ -122,7 +122,7 @@ impl ForwardRule for Threshold {
 mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
-    use crate::engine::pipeline::ReachSchedule;
+    use crate::engine::reach::ReachSchedule;
     use crate::engine::{exhaustive, QueryProcessor};
     use crate::observation::Observation;
     use crate::query::{Query, Strategy};

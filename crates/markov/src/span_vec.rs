@@ -208,16 +208,19 @@ impl SpanVector {
     }
 
     /// Zeroes every entry outside `mask`, returning the mass dropped
-    /// (summed in ascending state order).
+    /// (summed in ascending state order). Visits only the span's states
+    /// outside the mask.
     pub(crate) fn retain_masked(&mut self, mask: &StateMask) -> f64 {
+        let offset = self.offset;
         let mut dropped = 0.0;
-        for (i, v) in self.values.iter_mut().enumerate() {
-            if *v != 0.0 && !mask.contains(self.offset + i) {
+        mask.for_each_outside(offset..offset + self.values.len(), |s| {
+            let v = &mut self.values[s - offset];
+            if *v != 0.0 {
                 dropped += *v;
                 *v = 0.0;
                 self.nnz -= 1;
             }
-        }
+        });
         self.trim();
         dropped
     }
@@ -339,5 +342,44 @@ mod tests {
         assert_eq!(v.span(), (6, &[1.0][..]));
         v.scale(0.0);
         assert_eq!(v, SpanVector::zeros(8));
+    }
+
+    #[test]
+    fn retain_masked_drops_what_a_per_state_scan_drops() {
+        // Spans that start, end and cross word boundaries, against masks of
+        // the vector's dimension and of a narrower one: the dropped mass
+        // and the kept vector equal a per-state scan's, bit for bit.
+        let dim = 200;
+        let masks = [
+            StateMask::from_indices(dim, (0..dim).filter(|s| s % 3 != 1)).unwrap(),
+            StateMask::from_indices(dim, [0usize, 63, 64, 127, 130, 199]).unwrap(),
+            StateMask::full(dim),
+            StateMask::new(dim),
+            StateMask::from_indices(100, (0..100usize).filter(|s| s % 2 == 0)).unwrap(),
+        ];
+        for (offset, len) in [(0, 200), (3, 61), (60, 8), (64, 64), (63, 1), (100, 99), (190, 10)] {
+            let dense: Vec<f64> = (0..dim)
+                .map(|s| {
+                    if (offset..offset + len).contains(&s) && s % 7 != 2 {
+                        0.1 + s as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            for mask in &masks {
+                let mut v = SpanVector::from_slice(&dense);
+                let mut expected = dense.clone();
+                let mut dropped = 0.0;
+                for (s, x) in expected.iter_mut().enumerate() {
+                    if *x != 0.0 && !mask.contains(s) {
+                        dropped += *x;
+                        *x = 0.0;
+                    }
+                }
+                assert_eq!(v.retain_masked(mask).to_bits(), f64::to_bits(dropped));
+                assert_eq!(v, SpanVector::from_slice(&expected), "span {offset}+{len}");
+            }
+        }
     }
 }

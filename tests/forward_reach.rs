@@ -2,11 +2,15 @@
 //!
 //! Every windowed object-based driver runs on `S_reach`: after each
 //! processed timestamp the pipeline drops the mass the window can no longer
-//! change the predicate for (`engine::pipeline::ReachSchedule`). Pinned
+//! change the predicate for (`engine::reach::ReachSchedule`). Pinned
 //! here, on banded **and** unstructured random chains, windows with
 //! non-contiguous `T▫`, anchors at time 0 / inside `T▫` / at `t_end`, and
 //! one- and two-model databases:
 //!
+//! * **the schedule grown from its frontiers is the from-scratch one** —
+//!   every mask, under both rules, has the words and count of a test-local
+//!   build that reads the predecessor rows of every target state, on
+//!   chains whose masks nest and on a shift chain whose masks do not;
 //! * **∃ did not move by a bit** — OB probabilities equal a test-local
 //!   *untrimmed* sweep (`PropagationVector::step` + `extract_masked`) to
 //!   the bit, at every batch size and through the single-object driver; the
@@ -28,12 +32,13 @@ use rand::Rng;
 
 use common::{bit_diff, dists, probs};
 use ust::prelude::*;
+use ust_core::engine::reach::{ReachRule, ReachSchedule};
 use ust_core::engine::{exhaustive, forall, ktimes, object_based};
 use ust_core::threshold;
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // strategy trait vs. the planner override enum); the planner enum wins.
 use ust_core::Strategy::{ObjectBased, QueryBased};
-use ust_markov::{testutil, PropagationVector, SpmvScratch};
+use ust_markov::{testutil, PropagationVector, SpmvScratch, StateMask};
 use ust_space::TimeSet;
 
 /// How tightly the trimmed ∀ / k-times answers must track the references.
@@ -121,6 +126,77 @@ fn untrimmed_exists(chain: &MarkovChain, object: &UncertainObject, window: &Quer
     hit.min(1.0)
 }
 
+/// The reach masks for `t0..=t_end` rebuilt from scratch at every step:
+/// the predecessor rows of every state of each target are read. The
+/// reference the frontier-grown [`ReachSchedule`] must equal mask for mask.
+fn from_scratch_masks(
+    chain: &MarkovChain,
+    window: &QueryWindow,
+    rule: ReachRule,
+    t0: u32,
+) -> Vec<StateMask> {
+    let n = chain.num_states();
+    let t_end = window.t_end();
+    let t0 = t0.min(t_end);
+    let transposed = chain.transposed();
+    let mut masks = vec![match rule {
+        ReachRule::Exists => StateMask::new(n),
+        ReachRule::ForAll => StateMask::full(n),
+    }];
+    for t in (t0 + 1..=t_end).rev() {
+        let ahead = masks.last().unwrap();
+        let joins = window.time_in_window(t).then_some(rule);
+        let sources = if ahead.count() == n && joins != Some(ReachRule::ForAll) {
+            StateMask::full(n)
+        } else {
+            let mut sources = StateMask::new(n);
+            let mut add_sources_of = |s: usize| {
+                transposed.row(s).0.iter().for_each(|&p| sources.insert(p as usize).unwrap())
+            };
+            let inside = window.states();
+            match joins {
+                None => ahead.iter().for_each(&mut add_sources_of),
+                Some(ReachRule::Exists) => {
+                    ahead.iter().chain(inside.iter()).for_each(&mut add_sources_of)
+                }
+                Some(ReachRule::ForAll) => {
+                    inside.iter().filter(|&s| ahead.contains(s)).for_each(&mut add_sources_of)
+                }
+            }
+            sources
+        };
+        masks.push(sources);
+    }
+    masks.reverse();
+    masks
+}
+
+/// The chains the schedule property runs on: random banded, banded with a
+/// self-loop at every state, a deterministic shift `s → s + 1` (cyclic),
+/// whose masks do not nest between query times, and unstructured random.
+fn schedule_chain(rng: &mut StdRng, kind: u8, n: usize) -> MarkovChain {
+    let matrix = match kind {
+        0 => testutil::random_banded_stochastic(rng, n, 3, 6),
+        1 => {
+            let mut b = ust_markov::CooBuilder::new(n, n);
+            for s in 0..n {
+                let lo = s.saturating_sub(rng.random_range(0..=2usize));
+                let hi = (s + rng.random_range(0..=2usize)).min(n - 1);
+                let weight = 1.0 / (hi - lo + 1) as f64;
+                (lo..=hi).try_for_each(|c| b.push(s, c, weight)).unwrap();
+            }
+            b.build()
+        }
+        2 => {
+            let mut b = ust_markov::CooBuilder::new(n, n);
+            (0..n).try_for_each(|s| b.push(s, (s + 1) % n, 1.0)).unwrap();
+            b.build()
+        }
+        _ => testutil::random_stochastic(rng, n, 2),
+    };
+    MarkovChain::from_csr(matrix).unwrap()
+}
+
 fn execute(db: &TrajectoryDatabase, batch_size: usize, builder: &QueryBuilder) -> QueryAnswer {
     let config = EngineConfig::default().with_batch_size(batch_size);
     QueryProcessor::with_config(db, config).execute(&builder.clone().build().unwrap()).unwrap()
@@ -128,6 +204,30 @@ fn execute(db: &TrajectoryDatabase, batch_size: usize, builder: &QueryBuilder) -
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_frontier_grown_schedule_equals_the_from_scratch_one(
+        (seed, n, kind) in (0u64..10_000, 2usize..=150, 0u8..=3),
+        (t_start, single_time) in (0u32..=6, 0u8..=1),
+        // From 0 to past the latest t_end (a start beyond it is clamped).
+        t0 in 0u32..=13,
+    ) {
+        let mut rng = testutil::rng(seed);
+        let chain = schedule_chain(&mut rng, kind, n);
+        let window = random_window(&mut rng, n, t_start, single_time == 1);
+        for rule in [ReachRule::Exists, ReachRule::ForAll] {
+            let schedule = ReachSchedule::build(&chain, &window, rule, t0).unwrap();
+            let reference = from_scratch_masks(&chain, &window, rule, t0);
+            let first = t0.min(window.t_end());
+            prop_assert_eq!(reference.len() as u32, window.t_end() - first + 1);
+            prop_assert!(schedule.mask_at(window.t_end() + 1).is_none());
+            for (t, expected) in (first..).zip(&reference) {
+                let mask = schedule.mask_at(t).unwrap();
+                prop_assert_eq!((mask.words(), mask.count()), (expected.words(), expected.count()),
+                    "{:?} mask at t = {} (chain kind {}, t0 = {})", rule, t, kind, t0);
+            }
+        }
+    }
 
     #[test]
     fn exists_and_its_decorators_equal_an_untrimmed_sweep_to_the_bit(
