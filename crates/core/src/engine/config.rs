@@ -41,10 +41,12 @@ pub struct EngineConfig {
     /// bit-for-bit identical; larger batches amortize matrix-row traversals
     /// across densified vectors.
     pub batch_size: usize,
-    /// Worker threads the [`crate::parallel::ShardedExecutor`] shards
-    /// object batches across (clamped to at least 1; `1` runs inline). A
-    /// [`super::QueryProcessor`] built with `num_threads > 1` owns a
-    /// long-lived [`crate::parallel::WorkerPool`] of this size.
+    /// Threads [`crate::parallel::run_sharded`] shards a query's objects
+    /// across (clamped to at least 1; `1` runs inline): the calling thread
+    /// takes the first shard and scoped threads, spawned per query, the
+    /// others. It also sizes the [`crate::parallel::WorkerPool`] a
+    /// [`super::QueryProcessor`] spawns for its `submit` jobs when
+    /// `> 1`; at `1` that pool has one worker per available core.
     pub num_threads: usize,
     /// `(model, window, rule)` entries retained by the
     /// [`super::QueryProcessor`]'s backward-field cache (clamped to at

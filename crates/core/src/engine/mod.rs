@@ -130,16 +130,17 @@ mod tests {
             .unwrap();
         let baseline = processor.execute(&forced).unwrap();
 
-        // Poison the cache mutex: a scoped job panics while holding it.
+        // Poison the cache mutex: a scoped thread panics while holding it.
         let cache = &processor.core.cache;
-        let pool = Arc::clone(processor.pool().unwrap());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_scoped(vec![Box::new(move || {
-                let _guard = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("poison the cache lock");
-            }) as Box<dyn FnOnce() + Send + '_>]);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _guard = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    panic!("poison the cache lock");
+                });
+            });
         }));
-        assert!(caught.is_err(), "the panic re-raises on the submitter");
+        assert!(caught.is_err(), "the panic re-raises on the spawner");
         assert!(cache.is_poisoned(), "the mutex really is poisoned");
 
         // Both the synchronous and the asynchronous paths must still
@@ -152,17 +153,21 @@ mod tests {
 
     /// An inline processor's submit must not funnel a burst through a
     /// single worker: the submit pool it spawns on the first submission is
-    /// sized from the host's available parallelism.
+    /// sized from the host's available parallelism. A sharding processor's
+    /// pool has `num_threads` workers. Construction spawns neither.
     #[test]
     fn inline_submit_fallback_pool_is_sized_from_available_parallelism() {
         let db = small_db(43, 10, 4);
-        let processor = QueryProcessor::new(&db);
-        assert!(processor.pool().is_none(), "inline processors shard on no pool");
-        assert!(processor.submit_pool.get().is_none(), "spawned on the first submission");
-        let ticket = processor.submit(&exists_spec(&db)).unwrap();
-        ticket.wait().unwrap();
-        let expected = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(processor.submit_pool.get().map(|pool| pool.num_threads()), Some(expected));
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (threads, expected) in [(1, host), (3, 3)] {
+            let config = EngineConfig::default().with_num_threads(threads);
+            let processor = QueryProcessor::with_config(&db, config);
+            assert!(processor.submit_pool.get().is_none(), "spawned on the first submission");
+            let ticket = processor.submit(&exists_spec(&db)).unwrap();
+            ticket.wait().unwrap();
+            let size = processor.submit_pool.get().map(|pool| pool.num_threads());
+            assert_eq!(size, Some(expected), "num_threads = {threads}");
+        }
     }
 
     /// Dropping an inline processor mid-burst sheds its submit pool's
@@ -214,7 +219,7 @@ mod tests {
             &db,
             EngineConfig::default().with_num_threads(2).with_max_queue_depth(8),
         );
-        let pool = processor.pool().unwrap();
+        let pool = processor.pool();
         // Gate both workers so the submitted job stays queued.
         let release = gate_workers(pool);
         let ticket = processor.submit(&spec).unwrap();
@@ -554,7 +559,7 @@ mod tests {
                         assert_eq!(processor.metrics().completed, 1, "{cell}");
                     }
                     (_, Exit::QueueFull) => {
-                        let release = gate_workers(processor.pool().unwrap());
+                        let release = gate_workers(processor.pool());
                         let holder = processor.submit(&spec).unwrap();
                         let full = QueryError::QueueFull { limit: 1 };
                         match &sub {
@@ -584,7 +589,7 @@ mod tests {
                         assert_eq!(processor.metrics().deadline_expired, 1, "{cell}");
                     }
                     (_, Exit::CancelledWhileQueued) => {
-                        let release = gate_workers(processor.pool().unwrap());
+                        let release = gate_workers(processor.pool());
                         let ticket = processor.submit(&spec).unwrap();
                         assert!(ticket.cancel(), "{cell}");
                         assert_eq!(ticket.wait(), Err(QueryError::Cancelled), "{cell}");
@@ -619,9 +624,9 @@ mod tests {
                         }
                     }
                     (_, Exit::PoolDroppedMidBurst) => {
-                        let release = gate_workers(processor.pool().unwrap());
+                        let release = gate_workers(processor.pool());
                         let ticket = processor.submit(&spec).unwrap();
-                        processor.pool().unwrap().close_queues();
+                        processor.pool().close_queues();
                         release();
                         assert_eq!(ticket.wait(), Err(QueryError::AsyncQueryDropped), "{cell}");
                         assert_eq!(processor.metrics().dropped, 1, "{cell}");

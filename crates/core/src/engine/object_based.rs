@@ -300,12 +300,12 @@ fn group_batchable<'d>(db: &'d TrajectoryDatabase, indices: &[usize]) -> Result<
 }
 
 /// The database-level loop of the object-based family over an explicit set
-/// of database object indices — the unit of work one `ShardedExecutor`
-/// worker owns. Objects are grouped by `(model, anchor time)`, each group
-/// runs through [`forward_chunk`] in [`EngineConfig::batch_size`] chunks
-/// (in group order, so a rule that carries state — top-k's candidate list
-/// — tightens from chunk to chunk), and the answers are scattered back
-/// into the order of `indices`.
+/// of database object indices — the unit of work one shard of
+/// [`crate::parallel::run_sharded`] owns. Objects are grouped by
+/// `(model, anchor time)`, each group runs through [`forward_chunk`] in
+/// [`EngineConfig::batch_size`] chunks (in group order, so a rule that
+/// carries state — top-k's candidate list — tightens from chunk to chunk),
+/// and the answers are scattered back into the order of `indices`.
 pub(crate) fn forward_database<R: ForwardRule>(
     pipeline: &mut Propagator<'_>,
     db: &TrajectoryDatabase,
@@ -409,10 +409,9 @@ mod tests {
     use crate::engine::forall::ForAll;
     use crate::engine::ktimes::KTimes;
     use crate::observation::Observation;
-    use crate::parallel::{ShardedExecutor, WorkerPool};
+    use crate::parallel::run_sharded;
     use crate::ranking::{select_topk, TopK};
     use crate::threshold::Threshold;
-    use std::sync::Arc;
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
@@ -594,18 +593,14 @@ mod tests {
         let groups = validated_model_groups_on(db, &indices, window).unwrap();
         let reach = ReachPlan::from_groups(db, &groups, window, R::REACH).unwrap();
         for threads in [1usize, 3] {
-            let executor = match threads {
-                1 => ShardedExecutor::sequential(),
-                _ => ShardedExecutor::on_pool(Arc::new(WorkerPool::new(threads))),
-            };
             for batch_size in [1usize, 3, 64] {
-                let config = EngineConfig::default().with_batch_size(batch_size);
+                let config =
+                    EngineConfig::default().with_batch_size(batch_size).with_num_threads(threads);
                 let mut stats = EvalStats::new();
-                let answers = executor
-                    .run_on(&indices, &config, &mut stats, |pipeline, idxs| {
-                        forward_database(pipeline, db, idxs, window, &reach, &mut rule.clone())
-                    })
-                    .unwrap();
+                let answers = run_sharded(&indices, &config, &mut stats, |pipeline, idxs| {
+                    forward_database(pipeline, db, idxs, window, &reach, &mut rule.clone())
+                })
+                .unwrap();
                 let at = format!("batch = {batch_size}, threads = {threads}");
                 assert_eq!(view(&answers), view(&reference), "{at}");
                 if ledger {

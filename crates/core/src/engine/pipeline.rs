@@ -22,10 +22,10 @@
 //!        └─ per-object accumulators updated by the driver's window rule
 //!        └─ per-group early-exit masks: a decided object drops out of the
 //!             batch (bound met, mass exhausted) without stopping the sweep
-//!   └─ shards: ShardedExecutor hands each long-lived WorkerPool thread
+//!   └─ shards: run_sharded hands the caller and each scoped thread
 //!        its own Propagator + scratch and a contiguous slice of the
 //!        batches; query-based drivers precompute shared backward fields
-//!        (SharedFieldPlan) so no worker re-sweeps a field
+//!        (SharedFieldPlan) so no shard re-sweeps a field
 //! ```
 //!
 //! Per object, the floating-point operations and their order are identical

@@ -65,7 +65,7 @@ use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
 use crate::index::{intersect_sorted, SpatioTemporalIndex};
 use crate::object::UncertainObject;
-use crate::parallel::ShardedExecutor;
+use crate::parallel::run_sharded;
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
     QueryWindow, Strategy,
@@ -197,8 +197,6 @@ pub(crate) struct ExecContext<'a> {
     pub db: &'a TrajectoryDatabase,
     /// Engine tuning knobs.
     pub config: &'a EngineConfig,
-    /// The fan-out executor (inline or pooled).
-    pub executor: ShardedExecutor,
     /// The backward-field cache shared across queries.
     pub cache: &'a Mutex<FieldCache>,
     /// The processor's serving registry: every execution is recorded
@@ -770,14 +768,14 @@ fn field_answers<T: Send>(
     let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
     let plan = SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)?;
     stats.fields_shared += plan.num_fields() as u64;
-    ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
+    run_sharded(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
         let mut memo = AnchorMemo::new();
         for &idx in idxs {
             let object = ctx
                 .db
                 .object(idx)
-                .ok_or(QueryError::internal("the executor shards validated indices"))?;
+                .ok_or(QueryError::internal("the shards hold validated indices"))?;
             let anchored =
                 memo.resolve(object, window, |model| plan.field(model).map(|field| &**field))?;
             out.push(
@@ -807,7 +805,7 @@ where
 {
     let Candidates { indices, groups } = candidates;
     let reach = ReachPlan::from_groups(ctx.db, groups, window, R::REACH)?;
-    ctx.executor.run_on(indices, ctx.config, stats, |pipeline, idxs| {
+    run_sharded(indices, ctx.config, stats, |pipeline, idxs| {
         object_based::forward_database(pipeline, ctx.db, idxs, window, &reach, &mut rule.clone())
     })
 }

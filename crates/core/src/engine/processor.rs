@@ -18,7 +18,7 @@ use crate::engine::plan::{self, ExecContext, QueryPlan};
 use crate::engine::ticket::{QueryTicket, TicketGuard, TicketState};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
-use crate::parallel::{ShardedExecutor, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::query::{QueryAnswer, QuerySpec, Strategy};
 use crate::serving::{AdmissionGate, ExecutionRecord, MetricsSnapshot};
 use crate::stats::EvalStats;
@@ -42,18 +42,8 @@ pub(super) struct ServingCore {
 impl ServingCore {
     /// The execution context over `db` — the processor's database or an
     /// owned snapshot of it.
-    pub(super) fn context<'s>(
-        &'s self,
-        db: &'s TrajectoryDatabase,
-        executor: ShardedExecutor,
-    ) -> ExecContext<'s> {
-        ExecContext {
-            db,
-            config: &self.config,
-            executor,
-            cache: &self.cache,
-            metrics: self.gate.metrics(),
-        }
+    pub(super) fn context<'s>(&'s self, db: &'s TrajectoryDatabase) -> ExecContext<'s> {
+        ExecContext { db, config: &self.config, cache: &self.cache, metrics: self.gate.metrics() }
     }
 }
 
@@ -72,14 +62,14 @@ impl ServingCore {
 ///   returns a [`QueryTicket`] immediately — the async front door for
 ///   bursts.
 ///
-/// Every execution routes through the batched propagation kernel and the
-/// [`crate::parallel::ShardedExecutor`]: with the default configuration
+/// Every execution routes through the batched propagation kernel and
+/// [`crate::parallel::run_sharded`]: with the default configuration
 /// (`num_threads == 1`) the single shard runs inline on the caller's
-/// thread; with [`EngineConfig::with_num_threads`] `> 1` the processor
-/// **owns a [`crate::parallel::WorkerPool`]** — the worker threads are
-/// spawned once at construction, reused by every query, and joined when
-/// the processor is dropped. An inline processor spawns a pool for its
-/// [`QueryProcessor::submit`] jobs on the first submission instead.
+/// thread; with [`EngineConfig::with_num_threads`] `> 1` the first shard
+/// runs on the caller and the others on scoped threads spawned for the
+/// query. [`QueryProcessor::submit`] jobs run on the processor's
+/// **[`crate::parallel::WorkerPool`]**, spawned on first use, reused by
+/// every submission, and joined when the processor is dropped.
 /// Query-based evaluations share one [`FieldCache`] (sized by
 /// [`EngineConfig::cache_capacity`], behind a lock), so repeated or
 /// overlapping windows skip their backward sweeps.
@@ -136,12 +126,8 @@ pub struct QueryProcessor {
     /// evaluate refreshes against a fresh snapshot outside the lock.
     pub(super) db: RwLock<TrajectoryDatabase>,
     pub(super) core: Arc<ServingCore>,
-    /// The processor's long-lived workers; `None` runs inline
-    /// (`num_threads <= 1`).
-    pool: Option<Arc<WorkerPool>>,
-    /// The pool `submit` jobs run on: `pool` when the processor owns one,
-    /// otherwise one sized from the host's available parallelism, spawned
-    /// on the first submission.
+    /// The pool `submit` jobs run on, spawned on first use (see
+    /// [`QueryProcessor::pool`]).
     pub(super) submit_pool: OnceLock<Arc<WorkerPool>>,
     /// Round-robin shard assignment for submitted queries.
     submit_seq: AtomicUsize,
@@ -166,13 +152,9 @@ impl QueryProcessor {
         QueryProcessor::with_config(db, EngineConfig::default())
     }
 
-    /// Creates a processor with a custom configuration. With
-    /// `config.num_threads > 1` this spawns the processor's worker pool —
-    /// construct once and reuse, rather than per query.
+    /// Creates a processor with a custom configuration. Construction
+    /// spawns no threads: the `submit` pool is spawned on first use.
     pub fn with_config(db: &TrajectoryDatabase, config: EngineConfig) -> Self {
-        let threads = config.effective_num_threads();
-        let pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
-        let submit_pool = pool.clone().map_or_else(OnceLock::new, OnceLock::from);
         let gate = AdmissionGate::new(config.max_queue_depth, config.default_deadline);
         QueryProcessor {
             db: RwLock::new(db.clone()),
@@ -181,8 +163,7 @@ impl QueryProcessor {
                 cache: Mutex::new(FieldCache::new(config.effective_cache_capacity())),
                 gate: Arc::new(gate),
             }),
-            pool,
-            submit_pool,
+            submit_pool: OnceLock::new(),
             submit_seq: AtomicUsize::new(0),
             subscriptions: Mutex::new(Vec::new()),
             notify_lock: Mutex::new(()),
@@ -213,19 +194,18 @@ impl QueryProcessor {
         &self.core.config
     }
 
-    /// The processor's worker pool (`None` when it evaluates inline).
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// The execution context over a caller-held database snapshot, fanning
-    /// out over the processor's own pool (or inline).
-    pub(super) fn context_on<'s>(&'s self, db: &'s TrajectoryDatabase) -> ExecContext<'s> {
-        let executor = match &self.pool {
-            Some(pool) => ShardedExecutor::on_pool(Arc::clone(pool)),
-            None => ShardedExecutor::sequential(),
-        };
-        self.core.context(db, executor)
+    /// The worker pool [`QueryProcessor::submit`] jobs run on, spawning it
+    /// on first use: `num_threads` workers when that is `> 1`, otherwise
+    /// one per core the host makes available — a single funnel worker
+    /// would serialize a burst behind one queue.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        self.submit_pool.get_or_init(|| {
+            let threads = match self.core.config.effective_num_threads() {
+                1 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                threads => threads,
+            };
+            Arc::new(WorkerPool::new(threads))
+        })
     }
 
     /// A snapshot of the processor's serving counters: submissions
@@ -256,7 +236,7 @@ impl QueryProcessor {
         stats: &mut EvalStats,
     ) -> Result<QueryAnswer> {
         let snapshot = self.snapshot();
-        serve(&self.context_on(&snapshot), spec, stats, None)
+        serve(&self.core.context(&snapshot), spec, stats, None)
     }
 
     /// Returns the planner's decision for a spec without executing it:
@@ -266,7 +246,7 @@ impl QueryProcessor {
     /// snapshot, not a reservation).
     pub fn explain(&self, spec: &QuerySpec) -> Result<QueryPlan> {
         let snapshot = self.snapshot();
-        plan::prepare(&self.context_on(&snapshot), spec, true)?
+        plan::prepare(&self.core.context(&snapshot), spec, true)?
             .plan
             .ok_or(QueryError::internal("prepare costs when asked to"))
     }
@@ -275,20 +255,18 @@ impl QueryProcessor {
     /// [`QueryTicket`] **immediately** — the async front door, now behind
     /// admission control.
     ///
-    /// The query runs as one job on the processor's worker pool (or, when
-    /// the processor evaluates inline, on a pool of its own sized from the
-    /// host's available parallelism and spawned on the first submission),
-    /// capturing an owned snapshot of the database handle, the
-    /// configuration and the shared field cache — so the ticket outlives
-    /// the borrow rules: callers can submit a burst, keep inserting into
-    /// their own database handle, and await the answers later. Jobs still
-    /// queued when the processor is dropped are shed, their tickets
-    /// completing with [`QueryError::AsyncQueryDropped`]. Within the job
-    /// the evaluation is sequential (pool workers do not re-shard onto the
-    /// pool); a
-    /// burst of submissions parallelizes **across** queries instead,
-    /// round-robin over the shard queues. Submitted queries share the
-    /// processor's cache, so a burst over the same window sweeps its
+    /// The query runs as one job on the processor's worker pool (see
+    /// [`QueryProcessor::pool`]), capturing an owned snapshot of the
+    /// database handle, the configuration and the shared field cache — so
+    /// the ticket outlives the borrow rules: callers can submit a burst,
+    /// keep inserting into their own database handle, and await the
+    /// answers later. Jobs still queued when the processor is dropped are
+    /// shed, their tickets completing with
+    /// [`QueryError::AsyncQueryDropped`]. Within the job the query shards
+    /// exactly as [`QueryProcessor::execute`] does, on scoped threads of
+    /// its own; a burst of submissions parallelizes **across** queries as
+    /// well, round-robin over the pool's queues. Submitted queries share
+    /// the processor's cache, so a burst over the same window sweeps its
     /// backward field once.
     ///
     /// With [`EngineConfig::max_queue_depth`] set, a submission beyond
@@ -336,21 +314,13 @@ impl QueryProcessor {
         let db = self.snapshot();
         let core = Arc::clone(&self.core);
         let spec = spec.clone();
-        // Sized from the host rather than a single funnel worker, which
-        // would serialize a burst behind one queue.
-        let pool = self.submit_pool.get_or_init(|| {
-            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-            Arc::new(WorkerPool::new(host))
-        });
+        let pool = self.pool();
         let shard = self.submit_seq.fetch_add(1, Ordering::Relaxed);
         let job = Box::new(move || {
             let outcome = match guard.interrupted() {
                 Some(shed) => Err(shed),
                 None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Sequential inside the job: a pool worker must not
-                    // block re-sharding onto its own pool.
-                    let ctx = core.context(&db, ShardedExecutor::sequential());
-                    serve(&ctx, &spec, &mut EvalStats::new(), Some(&guard))
+                    serve(&core.context(&db), &spec, &mut EvalStats::new(), Some(&guard))
                 }))
                 .unwrap_or(Err(QueryError::AsyncQueryPanicked)),
             };

@@ -103,7 +103,9 @@ impl ReachSchedule {
         let mut prev = masks[0].words().to_vec();
         let mut target = vec![0u64; prev.len()];
         let mut reads = 0;
-        for t in (t0 + 1..=t_end).rev() {
+        // `t_end` down to `t0 + 1`, without forming `t0 + 1`: it overflows
+        // for a sweep anchored at `u32::MAX`.
+        for t in (t0..=t_end).rev().take_while(|&t| t > t0) {
             let ahead = &masks[(t_end - t) as usize];
             // Where a world must be at time `t` to stay undecided: on the
             // states ahead, joined with the window by the rule when `t` is

@@ -88,7 +88,7 @@ impl QueryProcessor {
         // run before the serialized phase, against a snapshot of their own.
         let snapshot = self.snapshot();
         let pinned_strategy = match spec.strategy() {
-            Strategy::Auto => plan::prepare(&self.context_on(&snapshot), spec, true)
+            Strategy::Auto => plan::prepare(&self.core.context(&snapshot), spec, true)
                 .map_or(Strategy::QueryBased, |prepared| prepared.strategy),
             explicit => explicit,
         };
@@ -217,7 +217,7 @@ impl QueryProcessor {
             return;
         }
         let snapshot = self.snapshot();
-        let ctx = self.context_on(&snapshot);
+        let ctx = self.core.context(&snapshot);
         for sub in &subs {
             // lint: allow(lock-held-across-blocking) — notify_lock is the
             // root of the lock hierarchy and exists precisely to hold
@@ -277,7 +277,7 @@ impl QueryProcessor {
             return shed(QueryError::DeadlineExceeded);
         }
         // Decide the refresh shape under a short guard, then evaluate with
-        // the guard released: plan execution fans out to the worker pool,
+        // the guard released: plan execution fans out to shard threads,
         // and a guard held across it would order `SubscriptionState.inner`
         // above the whole execution stack. `notify_lock` serializes
         // commits, so nothing else writes this subscription between the

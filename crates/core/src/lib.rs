@@ -65,11 +65,6 @@
         clippy::unimplemented
     )
 )]
-#![allow(
-    unsafe_code,
-    reason = "the scoped-job lifetime erasure in `parallel`: one transmute, documented and \
-              bounded by `run_scoped`, with clippy-enforced safety comments"
-)]
 pub mod cluster;
 pub mod database;
 pub mod engine;

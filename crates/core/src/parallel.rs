@@ -1,53 +1,53 @@
-//! Long-lived worker-pool execution behind [`crate::engine::QueryProcessor`].
+//! Sharded evaluation and the worker pool behind
+//! [`crate::engine::QueryProcessor::submit`].
 //!
 //! All of the paper's queries are embarrassingly parallel over objects —
-//! each propagation touches only the shared read-only chain. Two layers
-//! turn that observation into a serving architecture rather than a
-//! per-query thread spawn:
+//! each propagation touches only the shared read-only chain. Two pieces
+//! turn that observation into execution:
 //!
+//! * [`run_sharded`] — the sharding logic: it splits the database's
+//!   object indices into contiguous chunks, one per thread of
+//!   [`crate::engine::EngineConfig::num_threads`], runs the first chunk on
+//!   the calling thread and the others on [`std::thread::scope`]d threads,
+//!   gives each shard **its own [`Propagator`]** (and thus its own scratch
+//!   accumulator and batch buffers), and stitches the per-object outputs
+//!   back in database order, merging the per-shard [`EvalStats`]
+//!   deterministically in shard order.
 //! * [`WorkerPool`] — a fixed set of **long-lived worker threads**, one
-//!   per-shard work queue each, created once (typically owned by a
-//!   [`crate::engine::QueryProcessor`]) and reused by every query until the
-//!   pool is dropped, at which point the workers shed their queues and
-//!   shut down. This replaces the per-query
-//!   `std::thread::scope` fan-out of earlier revisions: a query enqueues
-//!   one job per shard and blocks until all shards report completion.
-//! * [`ShardedExecutor`] — the sharding logic: it splits the database's
-//!   object indices into contiguous chunks, gives each worker **its own
-//!   [`Propagator`]** (and thus its own scratch accumulator and batch
-//!   buffers), and stitches the per-object outputs back in database order,
-//!   merging the per-worker [`EvalStats`] deterministically in shard order.
+//!   work queue each, that runs the detached `'static` jobs of `submit`.
+//!   A submitted query shards inside its job exactly as a synchronous one
+//!   does, so a burst parallelizes across queries and a large query within
+//!   itself.
 //!
 //! The planner's query-based dispatch adds a third ingredient, the
 //! **shared-field plan** (`engine::query_based::SharedFieldPlan`):
 //! each `(model, window, rule)`
 //! backward field is swept **exactly once** before the fan-out — or fetched
 //! from the processor's [`crate::engine::cache::FieldCache`] behind a lock —
-//! and the workers receive read-only [`std::sync::Arc`] views, so no worker
-//! ever re-sweeps a field another worker (or a previous query) already
+//! and the shards receive read-only [`std::sync::Arc`] views, so no shard
+//! ever re-sweeps a field another shard (or a previous query) already
 //! paid for. The deduplication is observable through
 //! [`EvalStats::fields_shared`].
 //!
-//! Every [`crate::engine::QueryProcessor`] execution routes through the
-//! executor: with [`crate::engine::EngineConfig::num_threads`] `== 1` the
-//! worker runs inline on the caller's thread (no queue hop), at higher
-//! counts the shards run on the pool. Within each shard the drivers are
-//! the same batched ones the sequential reference drivers use, so parallel
-//! results are **bit-for-bit identical** to sequential evaluation for
-//! ∃/∀/k, threshold decisions and top-k rankings (asserted by the tests
-//! below and the property suite).
+//! Every [`crate::engine::QueryProcessor`] execution routes through
+//! [`run_sharded`]: with `num_threads == 1` (or a single candidate) the
+//! worker runs inline on the caller's thread with no spawn. Within each
+//! shard the drivers are the same batched ones the sequential reference
+//! drivers use, so parallel results are **bit-for-bit identical** to
+//! sequential evaluation for ∃/∀/k, threshold decisions and top-k rankings
+//! (asserted by the tests below and the property suite).
 //!
 //! ## Detached jobs and shutdown
 //!
-//! Detached jobs (the [`crate::engine::QueryProcessor::submit`] path) are
-//! where overload lives: nothing blocks the submitter. The pool does not
-//! bound them — its queues are unbounded, and admission is decided once,
-//! by the processor's gate, before a job is ever built. Queue depths are
-//! observable through [`WorkerPool::stats`] / [`PoolStats`]. Every pool
-//! shuts down like a server: jobs still queued when it is dropped are
-//! **discarded** (their `Drop` impls run, which is how abandoned query
-//! tickets get completed with `QueryError::AsyncQueryDropped`), and the
-//! jobs already running finish before the workers are joined.
+//! Detached jobs are where overload lives: nothing blocks the submitter.
+//! The pool does not bound them — its queues are unbounded, and admission
+//! is decided once, by the processor's gate, before a job is ever built.
+//! Queue depths are observable through [`WorkerPool::stats`] /
+//! [`PoolStats`]. Every pool shuts down like a server: jobs still queued
+//! when it is dropped are **discarded** (their `Drop` impls run, which is
+//! how abandoned query tickets get completed with
+//! `QueryError::AsyncQueryDropped`), and the jobs already running finish
+//! before the workers are joined.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,12 +56,10 @@ use std::thread::JoinHandle;
 
 use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
-use crate::error::{QueryError, Result};
+use crate::error::Result;
 use crate::stats::EvalStats;
 
-/// A unit of pool work. Jobs are type-erased to `'static`; soundness of the
-/// erasure is the contract of [`WorkerPool::run_scoped`], which never
-/// returns before every submitted job has finished.
+/// A unit of pool work: a detached job that owns everything it touches.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// One worker's work queue: jobs in FIFO order (tagged with their
@@ -92,9 +90,8 @@ struct ShardQueue {
 
 impl ShardQueue {
     // Every lock below recovers from poisoning instead of panicking: the
-    // queue and latch state stay consistent under unwinds (a panicking job
-    // never holds these locks), and `run_scoped`'s soundness argument
-    // requires the submit-to-wait window to be panic-free.
+    // queue state stays consistent under unwinds (a panicking job never
+    // holds these locks).
     fn push(&self, id: u64, job: Job) {
         let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         state.jobs.push_back((id, job));
@@ -122,75 +119,20 @@ impl ShardQueue {
     }
 }
 
-/// Completion tracking for one [`WorkerPool::run_scoped`] call: the caller
-/// blocks until `remaining` hits zero; jobs that unwound are counted so the
-/// panic can be re-raised on the submitting thread.
-#[derive(Debug)]
-struct Latch {
-    state: Mutex<(usize, usize)>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(jobs: usize) -> Latch {
-        Latch { state: Mutex::new((jobs, 0)), done: Condvar::new() }
-    }
-
-    fn complete(&self, panicked: bool) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.0 -= 1;
-        if panicked {
-            state.1 += 1;
-        }
-        if state.0 == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every job has completed; returns how many panicked.
-    /// Must not panic before the last job has finished (`run_scoped`'s
-    /// borrows are only released afterwards), hence the poison recovery.
-    fn wait(&self) -> usize {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        while state.0 > 0 {
-            state = self.done.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        state.1
-    }
-}
-
-/// Decrements the latch when the job ends — by running to completion *or*
-/// by unwinding — so [`WorkerPool::run_scoped`] can never deadlock on a
-/// panicking job.
-struct CompletionGuard<'l> {
-    latch: &'l Latch,
-}
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        self.latch.complete(std::thread::panicking());
-    }
-}
-
 /// A fixed set of long-lived worker threads with one work queue per shard.
 ///
-/// The pool is reusable evaluation capacity: create it once (a
-/// [`crate::engine::QueryProcessor`] with [`EngineConfig::num_threads`]
-/// `> 1` owns one for sharding; an inline processor creates one for its
-/// `submit` jobs on first use) and submit every query's shard jobs to the
-/// same threads. Shard `i` of a run always lands on worker
-/// `i % num_threads`, so repeated queries over the same database keep each
-/// worker on the same contiguous object range — the precondition for the
-/// NUMA/affinity work ROADMAP.md names as the next step.
+/// The pool is reusable serving capacity for detached jobs: a
+/// [`crate::engine::QueryProcessor`] spawns one on first use and runs
+/// every [`crate::engine::QueryProcessor::submit`] job on the same
+/// threads, round-robin over the queues.
 ///
 /// Dropping the pool shuts it down and joins the worker threads. Jobs still
 /// queued at that point are **discarded** — a serving pool shutting down
 /// mid-burst sheds its backlog, and dropping the job boxes runs their
 /// `Drop` impls, which is what completes abandoned query tickets with
 /// `QueryError::AsyncQueryDropped` instead of leaving their waiters
-/// blocked forever. A job that panics is caught on the
-/// worker (the thread survives for the next query) and the panic is
-/// re-raised on the thread that submitted the batch.
+/// blocked forever. A job that panics is caught on the worker, which
+/// survives for the next job.
 pub struct WorkerPool {
     queues: Arc<Vec<ShardQueue>>,
     handles: Vec<JoinHandle<()>>,
@@ -265,47 +207,16 @@ impl WorkerPool {
         }
     }
 
-    /// Runs every job on the pool and blocks until all of them have
-    /// finished. Job `i` goes to shard queue `i % num_threads`.
-    ///
-    /// Jobs may borrow from the caller's stack (the `'env` lifetime): the
-    /// call does not return before every job has completed, which is what
-    /// makes the internal lifetime erasure sound. If any job panics, the
-    /// panic is re-raised here after the whole batch has settled.
-    pub fn run_scoped<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let latch = Latch::new(jobs.len());
-        let latch_ref: &Latch = &latch;
-        for (i, job) in jobs.into_iter().enumerate() {
-            let wrapped: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // The guard decrements the latch even if `job` unwinds.
-                let _guard = CompletionGuard { latch: latch_ref };
-                job();
-            });
-            // SAFETY: `run_scoped` blocks on the latch below until every
-            // job (including this one) has run to completion or unwound,
-            // so no borrow captured by `wrapped` (the caller's `'env` data
-            // and the latch local) outlives this call.
-            let erased: Job = unsafe { erase_job_lifetime(wrapped) };
-            let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-            self.queues[i % self.queues.len()].push(id, erased);
-        }
-        let panicked = latch.wait();
-        assert!(panicked == 0, "{panicked} worker-pool job(s) panicked");
-    }
-
     /// Enqueues one detached `'static` job on shard queue
     /// `shard % num_threads` and returns immediately.
     ///
-    /// Unlike [`WorkerPool::run_scoped`] nothing blocks: the job must own
-    /// everything it touches (completion is typically signalled through a
-    /// shared `Arc` latch). A panicking job is caught on the worker;
-    /// detached submitters that need to observe it should catch it inside
-    /// the job (the pool has no caller to re-raise it on). See the type
-    /// docs for what happens to jobs still queued when the pool drops.
-    pub fn spawn(&self, shard: usize, job: Box<dyn FnOnce() + Send + 'static>) -> JobHandle {
+    /// Nothing blocks: the job must own everything it touches (completion
+    /// is typically signalled through a shared `Arc` latch). A panicking
+    /// job is caught on the worker; detached submitters that need to
+    /// observe it should catch it inside the job (the pool has no caller to
+    /// re-raise it on). See the type docs for what happens to jobs still
+    /// queued when the pool drops.
+    pub fn spawn(&self, shard: usize, job: Job) -> JobHandle {
         let shard = shard % self.queues.len();
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.queues[shard].push(id, job);
@@ -358,23 +269,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Erases a job's borrow lifetime so it can cross into the long-lived
-/// queues.
-///
-/// # Safety
-///
-/// The caller must not let the erased job outlive the borrows it captures —
-/// [`WorkerPool::run_scoped`] guarantees this by blocking until every
-/// submitted job has finished. The two trait-object types differ only in
-/// their lifetime bound, so the transmute does not change layout.
-unsafe fn erase_job_lifetime<'a>(job: Box<dyn FnOnce() + Send + 'a>) -> Job {
-    // SAFETY: the lifetime contract is deferred to the caller (see
-    // `# Safety` above); the transmute itself only widens the lifetime
-    // bound between two otherwise identical trait-object types, so the
-    // layout is unchanged.
-    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Job>(job) }
-}
-
 /// The loop each worker thread runs: pop a job or park on the condvar;
 /// once the queue is closed, drop the remaining jobs unrun and exit —
 /// outside the queue lock, since dropping a detached job may run
@@ -397,102 +291,77 @@ fn worker_loop(queue: &ShardQueue) {
             }
         };
         // A panicking job must not take the worker down with it — catch
-        // the unwind (the submitter re-raises it via the latch) and move
-        // on to the next job.
+        // the unwind and move on to the next job.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
     }
 }
 
-/// Shards object work across the workers of a [`WorkerPool`].
+/// Runs `worker` over contiguous shards of `indices` (database object
+/// indices: the whole database, a spec's subset, or a prefilter's
+/// survivors) and concatenates the outputs in `indices` order.
 ///
-/// The executor is a cheap handle (an `Arc` to the pool plus a thread
-/// count); construct one per query or keep one around — the threads behind
-/// it live in the pool either way.
-#[derive(Debug, Clone)]
-pub struct ShardedExecutor {
-    num_threads: usize,
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl ShardedExecutor {
-    /// A strictly sequential executor (inline on the caller's thread).
-    pub fn sequential() -> ShardedExecutor {
-        ShardedExecutor { num_threads: 1, pool: None }
+/// The shard count is [`EngineConfig::effective_num_threads`], capped at
+/// one shard per index. A single shard runs inline over `stats`. Otherwise
+/// shard 0 runs on the calling thread and every other shard on a scoped
+/// thread (one that cannot be spawned runs on the caller instead, with
+/// the same arithmetic); each shard owns one [`Propagator`] over a private
+/// [`EvalStats`] that is merged into `stats` afterwards —
+/// deterministically, in shard order, as is the first error should any
+/// shard fail. Workers that return one output per index therefore produce
+/// the same vector the sequential driver would; reduction-style workers
+/// (top-k candidates) return fewer and the caller merges. A panicking
+/// shard unwinds into the caller once every shard has settled.
+pub fn run_sharded<T, F>(
+    indices: &[usize],
+    config: &EngineConfig,
+    stats: &mut EvalStats,
+    worker: F,
+) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(&mut Propagator<'_>, &[usize]) -> Result<Vec<T>> + Sync,
+{
+    let n = indices.len();
+    if n == 0 {
+        return Ok(Vec::new());
     }
-
-    /// An executor over all workers of a specific pool — the constructor
-    /// [`crate::engine::QueryProcessor`] uses for the pool it owns.
-    pub fn on_pool(pool: Arc<WorkerPool>) -> ShardedExecutor {
-        ShardedExecutor { num_threads: pool.num_threads(), pool: Some(pool) }
+    let threads = config.effective_num_threads().min(n);
+    if threads == 1 {
+        return worker(&mut Propagator::new(config, stats), indices);
     }
-
-    /// The worker count.
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Runs `worker` over contiguous shards of `indices` (database object
-    /// indices: the whole database, a spec's subset, or a prefilter's
-    /// survivors) and concatenates the outputs in `indices` order.
-    ///
-    /// Each worker owns one [`Propagator`] over a private [`EvalStats`]
-    /// that is merged into `stats` afterwards (deterministically, in shard
-    /// order — as is the first error, should any shard fail). Workers that
-    /// return one output per index therefore produce the same vector the
-    /// sequential driver would; reduction-style workers (top-k candidates)
-    /// return fewer and the caller merges.
-    pub fn run_on<T, F>(
-        &self,
-        indices: &[usize],
-        config: &EngineConfig,
-        stats: &mut EvalStats,
-        worker: F,
-    ) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(&mut Propagator<'_>, &[usize]) -> Result<Vec<T>> + Sync,
-    {
-        let n = indices.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let threads = self.num_threads.min(n);
-        let pool = match (&self.pool, threads) {
-            (Some(pool), 2..) => pool,
-            _ => {
-                let mut pipeline = Propagator::new(config, stats);
-                return worker(&mut pipeline, indices);
-            }
-        };
-
-        let chunk_size = n.div_ceil(threads);
-        type WorkerOutput<T> = Result<(Vec<T>, EvalStats)>;
-        let shards: Vec<&[usize]> = indices.chunks(chunk_size).collect();
-        let mut slots: Vec<Option<WorkerOutput<T>>> = (0..shards.len()).map(|_| None).collect();
-        let worker = &worker;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .zip(shards)
-            .map(|(slot, shard)| {
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let mut local_stats = EvalStats::new();
-                    let mut pipeline = Propagator::new(config, &mut local_stats);
-                    *slot = Some(worker(&mut pipeline, shard).map(|out| (out, local_stats)));
-                });
-                job
+    let run = |shard: &[usize]| {
+        let mut local = EvalStats::new();
+        worker(&mut Propagator::new(config, &mut local), shard).map(|out| (out, local))
+    };
+    let shards: Vec<&[usize]> = indices.chunks(n.div_ceil(threads)).collect();
+    let settled = std::thread::scope(|scope| {
+        let run = &run;
+        let spawned: Vec<_> = shards[1..]
+            .iter()
+            .map(|&shard| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || run(shard))
+                    .map_err(|_| shard)
             })
             .collect();
-        pool.run_scoped(jobs);
-
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            let (shard_out, local_stats) =
-                slot.ok_or(QueryError::internal("run_scoped completes every job"))??;
-            stats.merge(&local_stats);
-            out.extend(shard_out);
+        let mut settled = vec![run(shards[0])];
+        for shard in spawned {
+            settled.push(match shard {
+                Ok(handle) => {
+                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }
+                Err(unspawned) => run(unspawned),
+            });
         }
-        Ok(out)
+        settled
+    });
+    let mut out = Vec::with_capacity(n);
+    for shard in settled {
+        let (shard_out, local) = shard?;
+        stats.merge(&local);
+        out.extend(shard_out);
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -501,6 +370,7 @@ mod tests {
     use crate::database::TrajectoryDatabase;
     use crate::engine::reach::ReachRule;
     use crate::engine::{forall, ktimes, object_based, query_based, QueryProcessor};
+    use crate::error::QueryError;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, QueryAnswer, QueryBuilder, QueryWindow, Strategy};
@@ -608,6 +478,13 @@ mod tests {
             for (builder, reference) in &expected {
                 let answer = run(&processor, builder.clone(), &window, &mut EvalStats::new());
                 assert_eq!(bits(&answer), bits(reference), "threads={threads} {builder:?}");
+                // A submitted query shards inside its pool job as `execute`
+                // does on the caller.
+                if threads == 2 {
+                    let spec = builder.clone().window(window.clone()).build().unwrap();
+                    let submitted = processor.submit(&spec).unwrap().wait().unwrap();
+                    assert_eq!(bits(&submitted), bits(reference), "submit {builder:?}");
+                }
             }
         }
     }
@@ -617,55 +494,65 @@ mod tests {
         let db = random_db(29, 40, 23);
         let window = window(40);
         let config = EngineConfig::default().with_num_threads(4);
-        let pool = Arc::new(WorkerPool::new(4));
-        assert_eq!(pool.num_threads(), 4);
-        let executor = ShardedExecutor::on_pool(Arc::clone(&pool));
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         let indices: Vec<usize> = (0..db.len()).collect();
         let groups = query_based::validated_model_groups_on(&db, &indices, &window).unwrap();
         let reach =
             object_based::ReachPlan::from_groups(&db, &groups, &window, ReachRule::Exists).unwrap();
-        // Many queries over the same pool: no respawn, identical bits.
+        // Many sharded queries: identical bits every time.
         for _ in 0..3 {
-            let out = executor
-                .run_on(&indices, &config, &mut EvalStats::new(), |pipeline, idxs| {
-                    let rule = &mut object_based::Exists;
-                    object_based::forward_database(pipeline, &db, idxs, &window, &reach, rule)
-                })
-                .unwrap();
+            let out = run_sharded(&indices, &config, &mut EvalStats::new(), |pipeline, idxs| {
+                let rule = &mut object_based::Exists;
+                object_based::forward_database(pipeline, &db, idxs, &window, &reach, rule)
+            })
+            .unwrap();
             for (a, b) in out.iter().zip(&sequential) {
                 assert_eq!(a.probability.to_bits(), b.probability.to_bits());
             }
         }
-        drop(executor);
-        // Dropping the last handle joins the workers without hanging.
+        // Many submissions over one pool: no respawn, identical bits.
+        let processor = QueryProcessor::with_config(&db, config);
+        let pool = Arc::clone(processor.pool());
+        assert_eq!(pool.num_threads(), 4);
+        let spec = Query::exists().window(window).strategy(Strategy::ObjectBased).build().unwrap();
+        for _ in 0..3 {
+            let answer = processor.submit(&spec).unwrap().wait().unwrap();
+            assert_eq!(bits(&answer), bits(&QueryAnswer::Probabilities(sequential.clone())));
+            assert!(Arc::ptr_eq(&pool, processor.pool()));
+        }
+        // Dropping the processor and the last handle joins the workers
+        // without hanging.
+        drop(processor);
         drop(pool);
     }
 
     #[test]
-    fn pool_propagates_job_panics_and_survives_them() {
-        let pool = WorkerPool::new(2);
+    fn shard_panics_surface_after_every_shard_settles() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let db = random_db(7, 30, 9);
+        let window = window(30);
+        let processor =
+            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(3));
+        let spec = Query::exists().window(window).build().unwrap();
+        let before = processor.execute(&spec).unwrap();
+        // Shard 1 of 3 (indices 3..6) panics at once; the other two finish
+        // only after a pause, so a panic surfacing before they settle
+        // would find them unfinished.
+        let indices: Vec<usize> = (0..9).collect();
+        let finished = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_scoped(vec![
-                Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>,
-                Box::new(|| {}),
-            ]);
+            run_sharded(&indices, processor.config(), &mut EvalStats::new(), |_, idxs| {
+                assert!(idxs[0] != 3, "shard 1 panics");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, SeqCst);
+                Ok(idxs.to_vec())
+            })
         }));
-        assert!(caught.is_err(), "the job panic must surface on the submitter");
-        // The workers survived the panic and still run jobs.
-        let flag = std::sync::atomic::AtomicUsize::new(0);
-        pool.run_scoped(
-            (0..4)
-                .map(|_| {
-                    let flag = &flag;
-                    Box::new(move || {
-                        flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect(),
-        );
-        assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
+        assert!(caught.is_err(), "the shard panic surfaces on the caller");
+        assert_eq!(finished.load(SeqCst), 2, "after every other shard finished");
+        // The next query on the same processor answers bit-identically.
+        assert_eq!(bits(&processor.execute(&spec).unwrap()), bits(&before));
     }
 
     #[test]
@@ -852,12 +739,18 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let db = random_db(3, 20, 5);
         let window = QueryWindow::from_states(20, [1usize, 2], TimeSet::interval(2, 4)).unwrap();
-        let processor =
-            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(0));
-        assert!(processor.pool().is_none(), "zero threads evaluates inline");
+        let config = EngineConfig::default().with_num_threads(0);
+        assert_eq!(config.effective_num_threads(), 1, "zero threads evaluates inline");
+        let processor = QueryProcessor::with_config(&db, config);
         let out = run(&processor, Query::exists(), &window, &mut EvalStats::new());
         assert_eq!(out.len(), 5);
-        assert_eq!(ShardedExecutor::sequential().num_threads(), 1);
+        let indices: Vec<usize> = (0..5).collect();
+        let caller = std::thread::current().id();
+        let shards = run_sharded(&indices, &config, &mut EvalStats::new(), |_, idxs| {
+            Ok(vec![(std::thread::current().id(), idxs.len())])
+        })
+        .unwrap();
+        assert_eq!(shards, [(caller, 5)], "one shard, on the caller");
         assert_eq!(WorkerPool::new(0).num_threads(), 1);
     }
 }

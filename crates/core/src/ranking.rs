@@ -46,7 +46,7 @@ pub(crate) fn select_topk(mut all: Vec<ObjectProbability>, k: usize) -> Vec<Rank
 }
 
 /// The bound-pruned top-k rule. It carries the `k` best lower bounds seen
-/// so far (one list per executor shard, tightened after every chunk, so
+/// so far (one list per shard, tightened after every chunk, so
 /// later chunks prune against the tighter bound): the ∃ rule accumulates,
 /// and after every timestamp an object whose upper bound `⊤ + alive` can
 /// no longer beat the k-th best drops out of its batch. A dismissed object

@@ -10,7 +10,7 @@
 //! Each function gets a [`Summary`] of the locks it acquires and whether
 //! it can block, closed transitively over resolved calls, which is what
 //! lets the guard-liveness walk in [`crate::dataflow`] see one call level
-//! past a held guard (`refresh → plan::execute → … → pool.run_scoped`).
+//! past a held guard (`refresh → plan::refine → … → parallel::run_sharded`).
 
 use std::collections::BTreeSet;
 
@@ -24,10 +24,10 @@ pub struct Summary {
     pub acquires: BTreeSet<String>,
     /// Canonical lock names acquired here or in any resolved callee.
     pub acquires_star: BTreeSet<String>,
-    /// Description of a direct blocking call (`wait`, `run_scoped`, …).
+    /// Description of a direct blocking call (`wait`, `join`, …).
     pub blocks: Option<String>,
     /// Description of a blocking call reachable through resolved calls,
-    /// qualified with the path (`run_scoped via plan::execute`).
+    /// qualified with the path (`join via plan::refine`).
     pub blocks_star: Option<String>,
     /// The lock whose guard this fn returns, when its return type is a
     /// guard (`fn lock(&self) -> MutexGuard<'_, Inner>` patterns).

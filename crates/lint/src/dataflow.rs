@@ -9,13 +9,13 @@
 //! * acquiring another lock adds an edge to the global **lock-order
 //!   graph** (`lock-order-inversion` reports any cycle, with the witness
 //!   site of every edge);
-//! * a blocking call (`Condvar::wait`, `WorkerPool::spawn`/`run_scoped`,
-//!   ticket `wait*`, channel `recv*`, `join`) is `lock-held-across-
-//!   blocking` — unless the guard is *passed to* the wait, which releases
-//!   it (the condvar protocol);
+//! * a blocking call (`Condvar::wait`, a thread or pool `spawn`, ticket
+//!   `wait*`, channel `recv*`, `join`) is `lock-held-across-blocking` —
+//!   unless the guard is *passed to* the wait, which releases it (the
+//!   condvar protocol);
 //! * resolved callees contribute their transitive lock/blocking summary,
-//!   so a guard held across `plan::execute` sees the `run_scoped` four
-//!   frames down.
+//!   so a guard held across `plan::refine` sees the shard `join` of
+//!   `parallel::run_sharded` frames down.
 //!
 //! A third rule, `alloc-in-kernel-hot-loop`, flags `Vec::new` / `vec!` /
 //! `.push` / `.to_vec` / `.collect` inside loop bodies of the propagation
@@ -34,11 +34,10 @@ use crate::rules::RuleId;
 use crate::symbols::{normalize_type, Workspace};
 
 /// Method names that block the calling thread.
-pub const BLOCKING_METHODS: [&str; 9] = [
+pub const BLOCKING_METHODS: [&str; 8] = [
     "wait",
     "wait_timeout",
     "wait_while",
-    "run_scoped",
     "spawn",
     "recv",
     "recv_timeout",

@@ -14,7 +14,7 @@ pub enum RuleId {
     /// lock-order graph (a deadlock waiting for the right interleaving).
     LockOrderInversion,
     /// A live lock guard is held across a blocking call (`Condvar::wait`,
-    /// pool `run_scoped`/`spawn`, ticket `wait*`, channel `recv*`).
+    /// thread or pool `spawn`, `join`, ticket `wait*`, channel `recv*`).
     LockHeldAcrossBlocking,
     /// Heap allocation inside a propagation-kernel hot loop; kernels must
     /// recycle `SpmvScratch` buffers.
@@ -61,8 +61,8 @@ impl RuleId {
                  deadlock waiting for the right thread interleaving"
             }
             RuleId::LockHeldAcrossBlocking => {
-                "a lock guard held across `Condvar::wait`, pool \
-                 `run_scoped`/`spawn`, ticket `wait*` or channel `recv*` stalls \
+                "a lock guard held across `Condvar::wait`, a thread or pool \
+                 `spawn`, `join`, ticket `wait*` or channel `recv*` stalls \
                  every thread contending on that lock; drop the guard first or \
                  waive with the protocol that makes it safe"
             }

@@ -106,6 +106,23 @@ fn lock_blocking_negative() {
     assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
 }
 
+/// A guard held across a scoped-thread fan-out — `parallel::run_sharded`
+/// under a held lock — is flagged; dropping the guard first clears it.
+#[test]
+fn lock_held_across_scoped_fan_out() {
+    let src = include_str!("fixtures/lock_scope_pos.rs");
+    let report = analyze_str(ENGINE_PATH, src);
+    assert!(!report.findings.is_empty(), "the fan-out must be flagged");
+    for finding in &report.findings {
+        assert_eq!(finding.rule, RuleId::LockHeldAcrossBlocking, "{finding}");
+        assert!(finding.message.contains("Registry.entries"), "{}", finding.message);
+    }
+    let held = "let base = entries.len() as u64;";
+    let dropped = src.replacen(held, &format!("{held}\n        drop(entries);"), 1);
+    assert_ne!(dropped, src, "the mutation must change the source");
+    assert_eq!(rules_fired(ENGINE_PATH, &dropped), [], "no guard is live at the fan-out");
+}
+
 #[test]
 fn alloc_hot_loop_positive_in_scope() {
     let src = include_str!("fixtures/alloc_hot_loop_pos.rs");

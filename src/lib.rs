@@ -9,9 +9,9 @@
 //! * [`ust_space`] — state spaces (grid / line / road network), regions,
 //!   time sets, R-tree;
 //! * [`ust_core`] — the paper's query model and engines (PST∃Q, PST∀Q,
-//!   PSTkQ; object-based and query-based; multiple observations;
-//!   baselines), the batch-first propagation pipeline and the worker-pool
-//!   executor;
+//!   PSTkQ; object-based and query-based; multiple observations), the
+//!   batch-first propagation pipeline, scoped-thread sharding and the
+//!   worker pool behind `submit`;
 //! * [`ust_data`] — dataset generators (Table I synthetic, road networks,
 //!   iceberg and traffic scenarios) and workloads.
 //!

@@ -55,12 +55,12 @@ pub fn random_db(
     db
 }
 
-/// Blocks every worker of `processor`'s pool until the returned closure is
-/// called, so jobs submitted or sharded onto the pool in between stay
-/// deterministically queued.
+/// Blocks every worker of `processor`'s `submit` pool until the returned
+/// closure is called, so jobs submitted in between stay deterministically
+/// queued.
 pub fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
-    let pool = processor.pool().expect("gated tests need an owned pool");
+    let pool = processor.pool();
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     for shard in 0..pool.num_threads() {
         let gate = Arc::clone(&gate);

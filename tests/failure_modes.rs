@@ -205,6 +205,35 @@ fn window_before_observation_is_rejected_by_all_engines() {
     ));
 }
 
+/// The last representable time: objects anchored at `u32::MAX` (alone, and
+/// beside one anchored earlier) under a window at `u32::MAX` answer under
+/// every strategy and predicate, object- and query-based bit-identically.
+#[test]
+fn anchors_at_the_last_timestamp_answer_under_every_strategy() {
+    let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::at(u32::MAX)).unwrap();
+    for anchors in [vec![u32::MAX], vec![u32::MAX, u32::MAX - 3]] {
+        let mut db = TrajectoryDatabase::new(paper_chain());
+        for (id, &t) in anchors.iter().enumerate() {
+            let anchor = Observation::exact(t, 3, 1).unwrap();
+            db.insert(UncertainObject::with_single_observation(id as u64, anchor)).unwrap();
+        }
+        let processor = QueryProcessor::new(&db);
+        for predicate in [Query::exists(), Query::forall(), Query::ktimes(1)] {
+            let [ob, qb, auto] =
+                [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto].map(|strategy| {
+                    let spec = predicate.clone().window(window.clone()).strategy(strategy);
+                    processor.execute(&spec.build().unwrap()).unwrap()
+                });
+            let at = format!("anchors {anchors:?}, {predicate:?}");
+            common::assert_bit_eq(&ob, &qb, &at);
+            common::assert_bit_eq(&auto, &ob, &at);
+        }
+        // The object anchored at `s₂ ∈ S▫` inside the window is a sure hit.
+        let exists = Query::exists().window(window.clone()).strategy(Strategy::ObjectBased);
+        assert_eq!(common::probs(&processor, exists)[0].probability, 1.0);
+    }
+}
+
 #[test]
 fn impossible_evidence_is_consistent_across_engines() {
     let chain = paper_chain();

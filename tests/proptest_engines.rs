@@ -265,11 +265,10 @@ proptest! {
 
         for threads in [2usize, 4] {
             let config = EngineConfig::default().with_num_threads(threads);
-            // The processor owns a long-lived pool and a lock-guarded
+            // The processor shards on scoped threads over a lock-guarded
             // backward-field cache; run every shape twice so both the
             // fresh-sweep and the pure-cache-hit paths are pinned.
             let processor = QueryProcessor::with_config(&db, config);
-            prop_assert!(processor.pool().is_some());
             let mut first = None;
             for round in 0..2 {
                 for (shape, reference) in shapes.iter().zip(&references) {

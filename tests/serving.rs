@@ -24,7 +24,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{assert_bit_eq, gate_workers};
+use common::{assert_bit_eq, bit_diff, gate_workers};
 use ust::prelude::*;
 use ust_core::Strategy;
 use ust_markov::testutil;
@@ -368,33 +368,79 @@ fn mixed_submits_and_ingests_keep_accounting_identities() {
     );
 }
 
+/// A line embedding whose `location` parks for one state while armed,
+/// until disarmed: the index probe of a query's prepare asks for the
+/// window states' locations, so a query over a window holding that state
+/// stops inside its evaluation, on its own thread, for as long as a test
+/// needs.
+struct GatedSpace {
+    line: ust_space::LineSpace,
+    gated: usize,
+    /// `(armed, parked)` and the condvar both sides wait on.
+    gate: std::sync::Arc<(std::sync::Mutex<(bool, bool)>, std::sync::Condvar)>,
+}
+
+impl ust_space::StateSpace for GatedSpace {
+    fn num_states(&self) -> usize {
+        self.line.num_states()
+    }
+
+    fn location(&self, id: usize) -> ust_space::Point2 {
+        if id == self.gated {
+            let (lock, cv) = &*self.gate;
+            let mut state = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            if state.0 {
+                state.1 = true;
+                cv.notify_all();
+            }
+            while state.0 {
+                state = cv.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+        }
+        self.line.location(id)
+    }
+}
+
 /// `watch` must not lose an arrival. The seed evaluation of a new
 /// subscription runs under the same lock as every refresh, from its
 /// database snapshot through its registration — so an `ingest` (or an
 /// `insert`) applied while the seed is still evaluating finds the
 /// subscription registered and refreshes it. The interleaving is forced:
-/// the seed's shard jobs sit on a gated pool, the arrival is applied
-/// meanwhile, and only then does the seed finish.
+/// the seed parks inside its prepare (the index probe asks a gated space
+/// for a window state's location), the arrival is applied meanwhile — its
+/// fix avoids the gated state, so the index-overlay write passes — and only
+/// then does the seed finish.
 #[test]
 fn arrivals_during_watch_are_not_lost() {
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    const GATED: usize = 2;
     for inserting in [false, true] {
-        let db = random_db(0x51AF, 8, 6);
+        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let mut db = random_db(0x51AF, 8, 6);
+        let line = ust_space::LineSpace::new(8);
+        db.attach_space(Arc::new(GatedSpace { line, gated: GATED, gate: Arc::clone(&gate) }))
+            .unwrap();
         let spec =
             Query::exists().window(window(8)).strategy(Strategy::QueryBased).build().unwrap();
-        let processor =
-            QueryProcessor::with_config(&db, EngineConfig::default().with_num_threads(2));
-        let pool = processor.pool().unwrap();
-        let mut rng = testutil::rng(0x51B0);
-        let fix = Observation::uncertain(1, testutil::random_distribution(&mut rng, 8, 2)).unwrap();
+        assert!(spec.window().states().contains(GATED));
+        let config = EngineConfig::default().with_prefilter(PrefilterMode::On);
+        let processor = QueryProcessor::with_config(&db, config);
+        // Builds the index while the space is still open.
+        processor.execute(&spec).unwrap();
+        let before = processor.snapshot();
+        let fix = Observation::exact(1, 8, 5).unwrap();
 
-        let release = gate_workers(&processor);
+        let (lock, cv) = &*gate;
+        lock.lock().unwrap_or_else(PoisonError::into_inner).0 = true;
         let sub = std::thread::scope(|scope| {
             let watching = scope.spawn(|| processor.watch(&spec).unwrap());
-            // The seed evaluation has sharded onto the gated pool: `watch`
-            // holds its snapshot and cannot finish before the gate opens.
-            while pool.stats().queued_jobs == 0 {
-                std::thread::yield_now();
+            // The seed is parked in its prepare: `watch` holds its snapshot
+            // and cannot finish before the gate opens.
+            let mut state = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            while !state.1 {
+                state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
+            drop(state);
             let arriving = scope.spawn(|| match inserting {
                 true => processor.insert(UncertainObject::with_single_observation(99, fix.clone())),
                 false => processor.ingest(1, fix.clone()).map(|_| ()),
@@ -408,12 +454,15 @@ fn arrivals_during_watch_are_not_lost() {
             while !written(&processor.snapshot()) {
                 std::thread::yield_now();
             }
-            release();
+            lock.lock().unwrap_or_else(PoisonError::into_inner).0 = false;
+            cv.notify_all();
             arriving.join().unwrap().unwrap();
             watching.join().unwrap()
         });
 
         let fresh = QueryProcessor::new(&processor.snapshot()).execute(sub.spec()).unwrap();
+        let stale = QueryProcessor::new(&before).execute(sub.spec()).unwrap();
+        assert!(bit_diff(&fresh, &stale).is_err(), "the arrival changes the answer");
         assert_bit_eq(&sub.answer().unwrap(), &fresh, "the arrival reached the new subscription");
         assert!(!sub.is_stale());
         assert_eq!(sub.notifications(), 1, "inserting={inserting}");
