@@ -1,8 +1,8 @@
 //! The uncertain-trajectory database `D`.
 //!
 //! Holds the transition models (one shared chain in the common case the
-//! paper optimizes for, or several per-class chains as discussed in
-//! Section V-C) and the uncertain objects referencing them.
+//! paper optimizes for, or several per-class chains, each object naming
+//! its own) and the uncertain objects referencing them.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};

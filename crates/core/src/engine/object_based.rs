@@ -29,7 +29,7 @@ use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::engine::query_based::{validated_model_groups_on, ModelGroup};
+use crate::engine::query_based::{group_on, ModelGroup};
 use crate::engine::reach::{ReachRule, ReachSchedule};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
@@ -344,7 +344,7 @@ pub(crate) fn evaluate_rule<R: ForwardRule>(
     mut rule: R,
 ) -> Result<Vec<R::Output>> {
     let indices: Vec<usize> = (0..db.len()).collect();
-    let groups = validated_model_groups_on(db, &indices, window)?;
+    let groups = group_on(db, &indices, window)?;
     let reach = ReachPlan::from_groups(db, &groups, window, R::REACH)?;
     forward_database(&mut Propagator::new(config, stats), db, &indices, window, &reach, &mut rule)
 }
@@ -590,7 +590,7 @@ mod tests {
         };
         let reference: Vec<R::Output> = db.objects().iter().map(solo).collect();
         let indices: Vec<usize> = (0..db.len()).collect();
-        let groups = validated_model_groups_on(db, &indices, window).unwrap();
+        let groups = group_on(db, &indices, window).unwrap();
         let reach = ReachPlan::from_groups(db, &groups, window, R::REACH).unwrap();
         for threads in [1usize, 3] {
             for batch_size in [1usize, 3, 64] {

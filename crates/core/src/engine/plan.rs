@@ -51,19 +51,17 @@
 //! not predict wall clock.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::cluster;
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
 use crate::engine::object_based::{ForwardRule, ReachPlan};
 use crate::engine::query_based::{
-    model_groups_on, probability_row, validated_model_groups_on, AnchorMemo, AnchoredField,
-    FieldRule, ModelGroup, SharedFieldPlan,
+    group_on, probability_row, AnchorMemo, AnchoredField, FieldRule, ModelGroup, SharedFieldPlan,
 };
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
-use crate::index::{intersect_sorted, SpatioTemporalIndex};
+use crate::index::intersect_sorted;
 use crate::object::UncertainObject;
 use crate::parallel::run_sharded;
 use crate::query::{
@@ -333,20 +331,6 @@ fn prefilter_candidates(
     (survivors.len() < scope.len()).then_some(survivors)
 }
 
-/// The interval-envelope clusters to decide threshold candidates with, when
-/// the clustered protocol applies: pruning enabled, a heterogeneous model
-/// population, and an index carrying non-trivial clusters. Bounds-decided
-/// objects skip exact evaluation entirely; undecided ones fall through to
-/// the same batched drivers the unclustered path uses, so answers stay
-/// identical.
-fn envelope_clusters(ctx: &ExecContext<'_>) -> Option<Arc<SpatioTemporalIndex>> {
-    if ctx.config.prefilter == PrefilterMode::Off || ctx.db.models().len() < 2 {
-        return None;
-    }
-    let index = ctx.db.spatial_index()?;
-    (!index.clusters().is_empty()).then_some(index)
-}
-
 /// A spec resolved against one database snapshot — what the *prepare* half
 /// of a query's life hands to [`refine`]: the candidates the engines will
 /// evaluate, the scope the index pruned them from, the candidates' model
@@ -400,7 +384,7 @@ pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Re
         (None, Scope::Database(len)) => ((0..len).collect(), None),
         (None, Scope::Subset(indices)) => (indices, None),
     };
-    let groups = validated_model_groups_on(ctx.db, &indices, spec.window())?;
+    let groups = group_on(ctx.db, &indices, spec.window())?;
     let mut prepared =
         Prepared { indices, pruned_from, groups, strategy: spec.strategy(), plan: None };
     if cost {
@@ -645,11 +629,12 @@ fn with_pruned_zeros(
     Ok(out)
 }
 
-/// Thresholded-`∃` accepted ids over a prefiltered candidate set: cluster
-/// envelope bounds decide what they can (heterogeneous models only), the
-/// exact drivers evaluate the rest, and — only at `τ = 0`, where `P∃ = 0`
-/// still qualifies — the index-pruned rest of the scope the candidates were
-/// `pruned_from` is accepted with them, in database-index order.
+/// Thresholded-`∃` accepted ids over a prefiltered candidate set: the
+/// strategy's own driver evaluates every candidate — the bound-based
+/// forward rule (early termination per object), or probabilities compared
+/// against `τ` — and, only at `τ = 0`, where `P∃ = 0` still qualifies, the
+/// index-pruned rest of the scope the candidates were `pruned_from` is
+/// accepted with them, in database-index order.
 fn threshold_ids(
     ctx: &ExecContext<'_>,
     strategy: Strategy,
@@ -660,42 +645,15 @@ fn threshold_ids(
     stats: &mut EvalStats,
 ) -> Result<Vec<u64>> {
     let indices = candidates.indices;
-    let mut decisions: Vec<Option<bool>> = match envelope_clusters(ctx) {
-        Some(index) => {
-            cluster::decide_by_bounds(ctx.db, indices, window, tau, index.clusters(), stats)?
-        }
-        None => vec![None; indices.len()],
+    let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
+        let outcomes = forward_answers(ctx, Threshold { tau }, candidates, window, stats)?;
+        outcomes.into_iter().map(|o| o.qualifies).collect()
+    } else {
+        let probs = exists_probs(ctx, strategy, candidates, window, stats)?;
+        probs.into_iter().map(|r| r.probability >= tau).collect()
     };
-    let undecided: Vec<usize> =
-        indices.iter().zip(&decisions).filter(|(_, d)| d.is_none()).map(|(&idx, _)| idx).collect();
-    if !undecided.is_empty() {
-        // What the envelopes left keeps `prepare`'s validation: the same
-        // groups when nothing was decided, regrouped (not revalidated)
-        // otherwise.
-        let regrouped;
-        let groups = if undecided.len() < indices.len() {
-            regrouped = model_groups_on(ctx.db, &undecided)?;
-            &regrouped
-        } else {
-            candidates.groups
-        };
-        let undecided = Candidates { indices: &undecided, groups };
-        // The strategy's own driver: the bound-based forward rule (early
-        // termination per object), or probabilities compared against `τ`.
-        let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
-            let outcomes = forward_answers(ctx, Threshold { tau }, undecided, window, stats)?;
-            outcomes.into_iter().map(|o| o.qualifies).collect()
-        } else {
-            let probs = exists_probs(ctx, strategy, undecided, window, stats)?;
-            probs.into_iter().map(|r| r.probability >= tau).collect()
-        };
-        let mut q = qualifies.into_iter();
-        for d in decisions.iter_mut().filter(|d| d.is_none()) {
-            let outcome = q
-                .next()
-                .ok_or(QueryError::internal("the driver yields one outcome per candidate"))?;
-            *d = Some(outcome);
-        }
+    if qualifies.len() != indices.len() {
+        return Err(QueryError::internal("the driver yields one outcome per candidate"));
     }
     let id_of = |idx: usize| {
         ctx.db
@@ -703,12 +661,11 @@ fn threshold_ids(
             .map(|o| o.id())
             .ok_or(QueryError::internal("threshold candidates resolve to database objects"))
     };
-    let accepted = |survivor: usize| decisions[survivor] == Some(true);
     match pruned_from.filter(|_| tau <= 0.0) {
-        None => (0..indices.len()).filter(|&i| accepted(i)).map(|i| id_of(indices[i])).collect(),
+        None => (0..indices.len()).filter(|&i| qualifies[i]).map(|i| id_of(indices[i])).collect(),
         Some(scope) => scope
             .against(indices)
-            .filter(|&(_, survivor)| survivor.is_none_or(accepted))
+            .filter(|&(_, survivor)| survivor.is_none_or(|i| qualifies[i]))
             .map(|(idx, _)| id_of(idx))
             .collect(),
     }

@@ -469,29 +469,10 @@ impl ModelGroup {
 /// differ from object to object: the window's dimension is checked once
 /// per model, when its group gets its first member — the same error, at
 /// the same object, as checking it at every object.
-pub(crate) fn validated_model_groups_on(
+pub(crate) fn group_on(
     db: &TrajectoryDatabase,
     indices: &[usize],
     window: &QueryWindow,
-) -> Result<Vec<ModelGroup>> {
-    group_on(db, indices, Some(window))
-}
-
-/// Groups objects that [`validated_model_groups_on`] already validated —
-/// an ascending subset of its indices — without validating them again.
-pub(crate) fn model_groups_on(
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-) -> Result<Vec<ModelGroup>> {
-    group_on(db, indices, None)
-}
-
-/// The one grouping pass, in index order, validating against `window` when
-/// one is given: the first object that fails ends it with its error.
-fn group_on(
-    db: &TrajectoryDatabase,
-    indices: &[usize],
-    window: Option<&QueryWindow>,
 ) -> Result<Vec<ModelGroup>> {
     let models = db.models();
     let mut groups: Vec<ModelGroup> = (0..models.len()).map(ModelGroup::new).collect();
@@ -509,12 +490,10 @@ fn group_on(
             object.num_states() == chain.num_states() && chain.num_states() == db.num_states(),
             "the store keeps objects and models at its dimension"
         );
-        if let Some(window) = window {
-            if group.members.is_empty() {
-                check_window(chain, window)?;
-            }
-            check_anchor_time(t, window)?;
+        if group.members.is_empty() {
+            check_window(chain, window)?;
         }
+        check_anchor_time(t, window)?;
         group.push(idx, t, object);
     }
     groups.retain(|group| !group.members.is_empty());
@@ -675,7 +654,7 @@ pub(crate) fn evaluate_fields<T>(
 ) -> Result<Vec<T>> {
     let indices: Vec<usize> = (0..db.len()).collect();
     let mut results: Vec<Option<T>> = (0..db.len()).map(|_| None).collect();
-    for group in validated_model_groups_on(db, &indices, window)? {
+    for group in group_on(db, &indices, window)? {
         let chain = &db.models()[group.model];
         let field =
             BackwardField::compute_with_config(chain, window, rule, &group.times, config, stats)?;
@@ -838,7 +817,7 @@ mod tests {
         }
         let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(6, 8)).unwrap();
         let all: Vec<usize> = (0..anchors.len()).collect();
-        let groups = validated_model_groups_on(&db, &all, &window).unwrap();
+        let groups = group_on(&db, &all, &window).unwrap();
         let mut distinct = anchors.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
@@ -858,7 +837,7 @@ mod tests {
             let mut fields = Vec::new();
             for indices in lookups {
                 let times: Vec<u32> = if distinct_only {
-                    validated_model_groups_on(&db, indices, &window).unwrap()[0].times.clone()
+                    group_on(&db, indices, &window).unwrap()[0].times.clone()
                 } else {
                     indices.iter().map(|&i| anchors[i]).collect()
                 };

@@ -1,17 +1,13 @@
 //! The spatio-temporal candidate index: the filter step in front of the
 //! planner's refine step.
 //!
-//! Two pruning structures over one database snapshot:
-//!
-//! 1. an R-tree over the objects' reachability-cone anchors
-//!    ([`crate::prefilter`]): which objects can possibly be inside the query
-//!    region by `t_end`. Liveness — the object has been observed by `t_end`;
-//!    the motion model extrapolates indefinitely past the last observation,
-//!    so that is the whole temporal test — is part of the same per-anchor
-//!    predicate, `ConeAnchor::reaches`, which is the only place either
-//!    comparison is written;
-//! 2. the interval-envelope [`ModelCluster`]s used by the clustered
-//!    threshold protocol when the database hosts heterogeneous models.
+//! One pruning structure over one database snapshot: an R-tree over the
+//! objects' reachability-cone anchors ([`crate::prefilter`]) — which
+//! objects can possibly be inside the query region by `t_end`. Liveness —
+//! the object has been observed by `t_end`; the motion model extrapolates
+//! indefinitely past the last observation, so that is the whole temporal
+//! test — is part of the same per-anchor predicate, `ConeAnchor::reaches`,
+//! which is the only place either comparison is written.
 //!
 //! The index is built lazily per snapshot via
 //! [`TrajectoryDatabase::spatial_index`] and maintained copy-on-write:
@@ -47,16 +43,10 @@ use std::sync::Arc;
 
 use ust_space::{RTree, RTreeEntry, Rect, StateSpace};
 
-use crate::cluster::{greedy_clusters, ModelCluster};
 use crate::database::TrajectoryDatabase;
 use crate::object::UncertainObject;
 use crate::prefilter::{max_step_distance, ConeAnchor};
 use crate::query::QueryWindow;
-
-/// Greedy model-clustering budget, expressed as total envelope width per
-/// state (row). Clusters only form between near-identical models; anything
-/// wider stays a singleton and is always decided exactly.
-const CLUSTER_WIDTH_PER_STATE: f64 = 0.1;
 
 /// Overlay entries per base object below which incremental updates keep
 /// extending the overlay; above it the writer compacts (full rebuild).
@@ -86,10 +76,9 @@ struct IndexBase {
     /// Latest anchor time over `anchors` (0 when empty).
     max_anchor_time: u32,
     space: Arc<dyn StateSpace + Send + Sync>,
-    clusters: Vec<ModelCluster>,
 }
 
-/// The combined cone + cluster index over one database snapshot.
+/// The reachability-cone index over one database snapshot.
 pub struct SpatioTemporalIndex {
     base: Arc<IndexBase>,
     /// Database indices whose geometry differs from the bulk build. Base
@@ -107,7 +96,6 @@ impl fmt::Debug for SpatioTemporalIndex {
             .field("num_objects", &self.num_objects)
             .field("overlay_len", &self.overlay.len())
             .field("max_anchor_time", &self.max_anchor_time)
-            .field("clusters", &self.base.clusters.len())
             .finish_non_exhaustive()
     }
 }
@@ -125,15 +113,6 @@ impl SpatioTemporalIndex {
         let slacks = || anchors.iter().map(|a| a.slack(max_step));
         let entries =
             anchors.iter().enumerate().map(|(id, a)| RTreeEntry { point: a.centroid, id });
-        // Envelope clusters only pay off with heterogeneous models; the
-        // models are valid by construction, so a build error (impossible
-        // for database-resident model indices) just disables the protocol.
-        let clusters = if db.models().len() > 1 {
-            let width = CLUSTER_WIDTH_PER_STATE * db.num_states() as f64;
-            greedy_clusters(db, width).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
         let base = IndexBase {
             tree: RTree::bulk_load(entries.collect()),
             max_step,
@@ -142,7 +121,6 @@ impl SpatioTemporalIndex {
             max_anchor_time: anchors.iter().map(|a| a.anchor_time).max().unwrap_or(0),
             anchors,
             space,
-            clusters,
         };
         SpatioTemporalIndex {
             max_anchor_time: base.max_anchor_time,
@@ -211,13 +189,6 @@ impl SpatioTemporalIndex {
     /// The embedding the index was built against.
     pub fn space(&self) -> &Arc<dyn StateSpace + Send + Sync> {
         &self.base.space
-    }
-
-    /// Interval-envelope clusters for the clustered threshold protocol
-    /// (empty for single-model databases). Clusters group *models*, not
-    /// objects, so they survive object mutation unchanged.
-    pub fn clusters(&self) -> &[ModelCluster] {
-        &self.base.clusters
     }
 
     /// Bounding rectangle of the window's state set under the embedding.
@@ -384,13 +355,6 @@ mod tests {
         let window = QueryWindow::from_states(10, [5usize], TimeSet::at(1)).unwrap();
         assert!(index.candidates(&window).is_empty());
         assert_eq!(index.max_anchor_time(), 0);
-    }
-
-    #[test]
-    fn single_model_builds_no_clusters() {
-        let db = db_with_anchors(20, &[(0, 5)]);
-        let index = SpatioTemporalIndex::build(&db, Arc::new(LineSpace::new(20)));
-        assert!(index.clusters().is_empty());
     }
 
     #[test]

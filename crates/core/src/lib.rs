@@ -18,11 +18,12 @@
 //! Correct possible-worlds semantics comes from the absorbing-state
 //! (`M−`/`M+`) construction of Section V, applied virtually by the engines.
 //! Section VI (multiple observations / interpolation) lives in
-//! [`multi_obs`] and [`smoothing`]; Section V-C (cluster pruning with
-//! interval chains) in [`cluster`]; [`engine::exhaustive`] is the test
-//! oracle. The evaluation's baselines — Monte-Carlo sampling and the
-//! temporal-independence model — are not part of this crate: they live
-//! beside the figures that time them, in `ust-bench`.
+//! [`multi_obs`] and [`smoothing`]; [`engine::exhaustive`] is the test
+//! oracle. Section V-C's interval-chain cluster pruning is not reproduced:
+//! the one filter in front of the exact engines is the reachability-cone
+//! probe of [`index`]. The evaluation's baselines — Monte-Carlo sampling
+//! and the temporal-independence model — are not part of this crate: they
+//! live beside the figures that time them, in `ust-bench`.
 //!
 //! ## Quick start
 //!
@@ -65,7 +66,6 @@
         clippy::unimplemented
     )
 )]
-pub mod cluster;
 pub mod database;
 pub mod engine;
 pub mod error;

@@ -497,7 +497,7 @@ mod tests {
         let sequential =
             object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         let indices: Vec<usize> = (0..db.len()).collect();
-        let groups = query_based::validated_model_groups_on(&db, &indices, &window).unwrap();
+        let groups = query_based::group_on(&db, &indices, &window).unwrap();
         let reach =
             object_based::ReachPlan::from_groups(&db, &groups, &window, ReachRule::Exists).unwrap();
         // Many sharded queries: identical bits every time.

@@ -33,10 +33,11 @@ pub struct EvalStats {
     pub backward_steps: u64,
     /// Objects whose probability was computed.
     pub objects_evaluated: u64,
-    /// Objects skipped by a prefilter, a cluster bound or the top-k
-    /// driver's dismissal at the anchor time. An object the reach trimming
-    /// empties under any other driver is *not* pruned: it was evaluated
-    /// (its answer is exact) and retires as an early termination.
+    /// Objects the top-k driver dismissed at their anchor time, before any
+    /// step; the index's prunings count in `candidates_pruned`. An object
+    /// the reach trimming empties under any other driver is *not* pruned:
+    /// it was evaluated (its answer is exact) and retires as an early
+    /// termination.
     pub objects_pruned: u64,
     /// Candidate objects the spatio-temporal index handed to the engines —
     /// the post-pruning `|D∩|` a query actually dispatched on. Without an

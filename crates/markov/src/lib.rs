@@ -24,8 +24,6 @@
 //!   specifications the fast engines are cross-checked against;
 //! * [`kernels`] — the cache-blocked, SIMD-friendly span panel kernel
 //!   behind `CsrMatrix::step_batch`;
-//! * [`interval::IntervalMatrix`] — interval Markov chains for the
-//!   cluster-level pruning sketched in Section V-C;
 //! * [`mask::StateMask`] — bitset state sets for query windows.
 
 #![deny(missing_docs)]
@@ -57,7 +55,6 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod hybrid;
-pub mod interval;
 pub mod kernels;
 pub mod mask;
 pub mod span_vec;
@@ -71,7 +68,6 @@ pub use csr::{CsrMatrix, SpmvScratch};
 pub use dense::DenseVector;
 pub use error::{MarkovError, Result};
 pub use hybrid::{BatchStepStats, PropagationVector};
-pub use interval::IntervalMatrix;
 pub use mask::StateMask;
 pub use span_vec::SpanVector;
 pub use sparse_vec::SparseVector;

@@ -321,32 +321,6 @@ proptest! {
 }
 
 #[test]
-fn interval_envelope_brackets_every_member_backward_vector() {
-    // Deterministic variant of the Section V-C soundness property on a
-    // family of perturbed chains.
-    for seed in 0..20u64 {
-        let n = 6;
-        let mut rng = testutil::rng(seed);
-        let base = testutil::random_banded_stochastic(&mut rng, n, 3, 4);
-        let alt = testutil::random_banded_stochastic(&mut rng, n, 3, 4);
-        let env = ust_markov::IntervalMatrix::envelope(&[&base, &alt]).unwrap();
-        let window = StateMask::from_indices(n, [0usize, 1]).unwrap();
-        let in_window = |t: u32| (2..=3).contains(&t);
-        let (lo, hi) = env.backward_exists_bounds(&window, 3, in_window).unwrap();
-        for m in [&base, &alt] {
-            let exact_env = ust_markov::IntervalMatrix::envelope(&[m]).unwrap();
-            let (exact, _) = exact_env.backward_exists_bounds(&window, 3, in_window).unwrap();
-            for s in 0..n {
-                assert!(
-                    lo.get(s) <= exact.get(s) + 1e-12 && exact.get(s) <= hi.get(s) + 1e-12,
-                    "seed {seed}, state {s}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn dense_vector_masked_ops_match_naive() {
     for seed in 0..10u64 {
         let n = 64;

@@ -1,12 +1,12 @@
 //! Integration tests for the engineering extensions layered on the paper's
-//! framework: persistence, top-k ranking and cluster pruning — all
-//! exercised together through the public facade.
+//! framework: persistence, top-k ranking and thresholds on a heterogeneous
+//! store behind the index probe, exercised together through the public
+//! facade.
 
 mod common;
 
 use common::probs;
 use ust::prelude::*;
-use ust_core::cluster;
 use ust_core::Strategy::{Auto, ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
 
@@ -69,49 +69,11 @@ fn topk_matches_threshold_and_exact_order() {
     }
 }
 
-#[test]
-fn cluster_bounds_respect_exact_results_on_perturbed_models() {
-    // Build a 4-model database by perturbing the synthetic chain's weights.
-    let base = dataset();
-    let n = base.db.num_states();
-    let models: Vec<_> = (0..4u64)
-        .map(|i| {
-            let m = base.db.models()[0].matrix().map_values(|v| v * (1.0 + i as f64 * 0.01));
-            ust_markov::MarkovChain::from_weights(m).unwrap()
-        })
-        .collect();
-    let mut db = TrajectoryDatabase::with_models(models).unwrap();
-    for (i, o) in base.db.objects().iter().take(60).enumerate() {
-        db.insert(o.clone().with_model(i % 4)).unwrap();
-    }
-    let window = workload::paper_default_window(n).unwrap();
-    let clusters = vec![cluster::ModelCluster::build(&db, vec![0, 1, 2, 3]).unwrap()];
-    let tau = 0.05;
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let decisions =
-        cluster::decide_by_bounds(&db, &indices, &window, tau, &clusters, &mut EvalStats::new())
-            .unwrap();
-    // The oracle evaluates every object exactly: no bounds, no index.
-    let exact = QueryProcessor::with_config(
-        &db,
-        EngineConfig::default().with_prefilter(PrefilterMode::Off),
-    )
-    .execute(&Query::exists().window(window).threshold(tau).strategy(ObjectBased).build().unwrap())
-    .unwrap();
-    let accepted = exact.ids().unwrap();
-    assert!(decisions.iter().any(Option::is_some), "the envelope decides something");
-    for (object, decision) in db.objects().iter().zip(decisions) {
-        if let Some(accept) = decision {
-            assert_eq!(accept, accepted.contains(&object.id()), "object {}", object.id());
-        }
-    }
-}
-
-/// The planner's own use of the envelopes: a heterogeneous database *with*
-/// an attached space, so `execute` consults the index's model clusters
-/// (three near-identical models form one, the divergent fourth stays a
-/// singleton) behind the index probe. Bounds-decided objects skip exact
-/// evaluation, and nothing about the answer — ids or first error — moves.
+/// Thresholded ∃ on a heterogeneous database *with* an attached space, so
+/// `execute` runs the index probe in front of the planner: three
+/// near-identical models and a divergent fourth. The planner decides every
+/// threshold by exact evaluation, and nothing about the answer — ids or
+/// first error — moves between strategies, scopes or prefilter modes.
 #[test]
 fn planner_envelopes_decide_thresholds_without_changing_answers() {
     let base = dataset();
@@ -128,9 +90,6 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
         db.insert(o.clone().with_model(i % 4)).unwrap();
     }
     db.attach_space(std::sync::Arc::new(base.space)).unwrap();
-    let clusters: Vec<Vec<usize>> =
-        db.spatial_index().unwrap().clusters().iter().map(|c| c.models.clone()).collect();
-    assert_eq!(clusters, vec![vec![0, 1, 2], vec![3]]);
 
     let window = workload::paper_default_window(n).unwrap();
     let reference = ust_core::engine::object_based::evaluate(
@@ -142,13 +101,12 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
     .unwrap();
     let subset: Vec<u64> = db.objects().iter().map(|o| o.id()).filter(|id| id % 3 != 1).collect();
     let run = |db: &TrajectoryDatabase, mode, spec: &ust_core::QuerySpec| {
-        let mut stats = EvalStats::new();
         let config = EngineConfig::default().with_prefilter(mode);
-        let result = QueryProcessor::with_config(db, config).execute_with_stats(spec, &mut stats);
-        (result.map(|answer| answer.ids().unwrap().to_vec()), stats)
+        let result = QueryProcessor::with_config(db, config).execute(spec);
+        result.map(|answer| answer.ids().unwrap().to_vec())
     };
     let tau = 0.05;
-    for strategy in [ObjectBased, QueryBased] {
+    for strategy in [ObjectBased, QueryBased, Auto] {
         for scope in [None, Some(&subset)] {
             let mut query =
                 Query::exists().window(window.clone()).threshold(tau).strategy(strategy);
@@ -156,49 +114,23 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
                 query = query.objects(ids.iter().copied());
             }
             let spec = query.build().unwrap();
-            let (with_envelopes, stats) = run(&db, PrefilterMode::On, &spec);
-            let (without, off_stats) = run(&db, PrefilterMode::Off, &spec);
             let expected: Vec<u64> = reference
                 .iter()
                 .filter(|r| r.probability >= tau && scope.is_none_or(|s| s.contains(&r.object_id)))
                 .map(|r| r.object_id)
                 .collect();
             assert!(!expected.is_empty(), "the window is reachable");
-            assert_eq!(
-                with_envelopes.as_ref(),
-                Ok(&expected),
-                "{strategy:?} {:?}",
-                scope.is_some()
-            );
-            assert_eq!(without.as_ref(), Ok(&expected), "{strategy:?} {:?}", scope.is_some());
-            assert!(stats.objects_pruned > 0, "the envelopes decided something");
-            assert_eq!(off_stats.objects_pruned, 0);
+            for mode in [PrefilterMode::On, PrefilterMode::Off] {
+                let cell = format!("{strategy:?} {mode:?} subset: {}", scope.is_some());
+                assert_eq!(run(&db, mode, &spec).as_ref(), Ok(&expected), "{cell}");
+            }
         }
-    }
-    // `Auto` validates once, in the planner, and the driver evaluates what
-    // the envelopes leave undecided from the planner's groups.
-    for scope in [None, Some(&subset)] {
-        let mut query = Query::exists().window(window.clone()).threshold(tau).strategy(Auto);
-        if let Some(ids) = scope {
-            query = query.objects(ids.iter().copied());
-        }
-        let spec = query.build().unwrap();
-        let expected: Vec<u64> = reference
-            .iter()
-            .filter(|r| r.probability >= tau && scope.is_none_or(|s| s.contains(&r.object_id)))
-            .map(|r| r.object_id)
-            .collect();
-        let (with_envelopes, stats) = run(&db, PrefilterMode::On, &spec);
-        assert_eq!(with_envelopes.as_ref(), Ok(&expected), "Auto {:?}", scope.is_some());
-        assert!(stats.objects_pruned > 0, "the envelopes decided something");
-        assert_eq!(run(&db, PrefilterMode::Off, &spec).0.as_ref(), Ok(&expected));
     }
 
     // A window that starts before two objects' (different) latest fixes:
-    // object 7 (model 3) and object 30 (model 2). The envelopes leave both
-    // undecided, and every strategy reports the first offender in index
-    // order — object 7 — over the whole database and over a subset holding
-    // both, with or without envelopes.
+    // object 7 (model 3) and object 30 (model 2). Every strategy reports
+    // the first offender in index order — object 7 — over the whole
+    // database and over a subset holding both, in either prefilter mode.
     let fix = |t: u32| Observation::exact(t, n, 110).unwrap();
     db.ingest(db.object(7).unwrap().id(), fix(23)).unwrap();
     db.ingest(db.object(30).unwrap().id(), fix(24)).unwrap();
@@ -216,7 +148,7 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
             let spec = query.build().unwrap();
             for mode in [PrefilterMode::On, PrefilterMode::Off] {
                 let cell = format!("{strategy:?} {mode:?} subset: {}", scope.is_some());
-                assert_eq!(run(&db, mode, &spec).0, first, "{cell}");
+                assert_eq!(run(&db, mode, &spec), first, "{cell}");
             }
         }
     }

@@ -4,6 +4,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::gate_workers;
 use ust::prelude::*;
 use ust_core::engine::{exhaustive, forall, object_based, query_based};
@@ -108,8 +110,11 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
 
 /// The grouping pass checks a window's dimension once per model and the
 /// anchor time per object. Every first error must still be the one
-/// `object_based::validate` reports applied to each object in index order,
-/// under every strategy and entry point.
+/// `object_based::validate` reports applied to each object in index order
+/// — over the whole store and over a subset, for probabilities and for a
+/// threshold, under every strategy and entry point, and with a line
+/// embedding attached, whose index probe runs in front of the planner
+/// under `PrefilterMode::On` and stays out of it under `Off`.
 #[test]
 fn grouping_keeps_every_first_error() {
     // Two models; object `id` follows model `id % 2` and is anchored at
@@ -136,18 +141,51 @@ fn grouping_keeps_every_first_error() {
         ("late at candidate 4", store(&[0, 1, 2, 0, 5, 7]), &fits, late),
     ];
     for (row, db, window, pinned) in rows {
-        let expected =
-            db.objects().iter().try_for_each(|o| object_based::validate(db.model_of(o), o, window));
-        assert_eq!(expected, pinned, "{row}: validate in index order");
-        let processor = QueryProcessor::new(&db);
-        for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
-            let spec = Query::exists().window(window.clone()).strategy(strategy).build().unwrap();
-            let cells = [
-                ("execute", processor.execute(&spec).map(drop)),
-                ("explain", processor.explain(&spec).map(drop)),
-            ];
-            for (entry, outcome) in cells {
-                assert_eq!(outcome, expected, "{row} × {strategy:?} × {entry}");
+        let first_error = |ids: Option<&[u64]>| {
+            db.objects()
+                .iter()
+                .filter(|o| ids.is_none_or(|ids| ids.contains(&o.id())))
+                .try_for_each(|o| object_based::validate(db.model_of(o), o, window))
+        };
+        assert_eq!(first_error(None), pinned, "{row}: validate in index order");
+        let mut spaced = db.clone();
+        spaced.attach_space(Arc::new(LineSpace::new(3))).unwrap();
+        let prefiltered = |mode| {
+            QueryProcessor::with_config(&spaced, EngineConfig::default().with_prefilter(mode))
+        };
+        let processors = [
+            ("no space", QueryProcessor::new(&db)),
+            ("space, On", prefiltered(PrefilterMode::On)),
+            ("space, Off", prefiltered(PrefilterMode::Off)),
+        ];
+        // Every third object left out: the subset's first offender is its own.
+        let subset: Vec<u64> =
+            db.objects().iter().map(|o| o.id()).filter(|id| id % 3 != 1).collect();
+        let spec = |ids: Option<&[u64]>, strategy, tau: Option<f64>| {
+            let mut query = Query::exists().window(window.clone()).strategy(strategy);
+            if let Some(ids) = ids {
+                query = query.objects(ids.iter().copied());
+            }
+            if let Some(tau) = tau {
+                query = query.threshold(tau);
+            }
+            query.build().unwrap()
+        };
+        for ids in [None, Some(subset.as_slice())] {
+            let expected = first_error(ids);
+            for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+                for tau in [None, Some(0.05)] {
+                    let spec = spec(ids, strategy, tau);
+                    for (store, processor) in &processors {
+                        let cells = [
+                            ("execute", processor.execute(&spec).map(drop)),
+                            ("explain", processor.explain(&spec).map(drop)),
+                        ];
+                        for (entry, outcome) in cells {
+                            assert_eq!(outcome, expected, "{row} × {store} × {spec:?} × {entry}");
+                        }
+                    }
+                }
             }
         }
     }

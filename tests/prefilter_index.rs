@@ -184,6 +184,26 @@ fn assert_exists_matches_across_modes(
     }
 }
 
+/// Every exact `P∃` of the store under `window`, object- and query-based
+/// (the two may differ in the last ulp), unpruned: thresholds that sit on
+/// an object's probability, where an evaluation that drifts by one ulp
+/// flips that object's answer. Empty when the window fails validation.
+fn exact_probabilities(db: &TrajectoryDatabase, window: &QueryWindow) -> Vec<f64> {
+    let processor =
+        QueryProcessor::with_config(db, EngineConfig::default().with_prefilter(PrefilterMode::Off));
+    let mut taus = Vec::new();
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased] {
+        let spec = Query::exists().window(window.clone()).strategy(strategy).build().unwrap();
+        if let Ok(answer) = processor.execute(&spec) {
+            taus.extend(answer.probabilities().unwrap().iter().map(|p| p.probability));
+        }
+    }
+    taus.retain(|&p| p > 0.0);
+    taus.sort_by(f64::total_cmp);
+    taus.dedup();
+    taus
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -209,8 +229,14 @@ proptest! {
         }
         let subset: Vec<u64> =
             (0..m as u64).filter(|id| subset_bits & (1 << (id % 8)) != 0).collect();
+        // On the multi-model store, also every τ that equals an object's
+        // exact probability: the object must be accepted in every mode.
+        let mut taus = vec![None, Some(0.0), Some(0.3)];
+        if let Shape::TwoModels = shape {
+            taus.extend(exact_probabilities(&db, &window).into_iter().map(Some));
+        }
         for ids in [None, Some(subset.as_slice())] {
-            for tau in [None, Some(0.0), Some(0.3)] {
+            for &tau in &taus {
                 assert_exists_matches_across_modes(&db, &window, ids, tau, shape);
             }
         }
