@@ -55,15 +55,20 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ust_markov::MarkovChain;
+use ust_space::StateSpace;
 
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::Result;
+use crate::prefilter::Superlevel;
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
 
 /// Default number of `(model, window, rule)` entries a cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
+
+/// A state embedding, as the spatio-temporal index holds it.
+type Space = Arc<dyn StateSpace + Send + Sync>;
 
 /// The identity of a backward field: which chain it was swept over, which
 /// query window shaped the sweep and under which rule.
@@ -118,7 +123,6 @@ impl Hash for CacheKey {
     }
 }
 
-#[derive(Debug)]
 struct CacheEntry {
     /// The field is held behind an [`Arc`] so
     /// [`FieldCache::get_or_compute_shared_concurrent`] can hand out
@@ -127,6 +131,21 @@ struct CacheEntry {
     /// untouched.
     field: Arc<BackwardField>,
     last_used: u64,
+    /// The superlevel geometry of `field` read last, under the threshold
+    /// and the embedding it was measured at; another `(τ, embedding)`
+    /// replaces it. A replaced field starts a new entry, so the memo never
+    /// outlives the snapshots it was read from.
+    superlevel: Option<(f64, Space, Arc<Superlevel>)>,
+}
+
+impl std::fmt::Debug for CacheEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CacheEntry")
+            .field("field", &self.field)
+            .field("last_used", &self.last_used)
+            .field("superlevel", &self.superlevel.as_ref().map(|(tau, _, _)| tau))
+            .finish()
+    }
 }
 
 /// An LRU cache of [`BackwardField`]s — every query-based evaluation of a
@@ -171,6 +190,23 @@ impl Lookup {
             union.extend_from_slice(anchor_times);
             Lookup::Compute(union)
         }
+    }
+}
+
+/// How much of a lookup of `anchor_times` the cached `field` (if any)
+/// could serve without a fresh sweep — [`FieldCache::residency`] of a field
+/// already in hand: `(hit, resumable_from)`.
+pub(crate) fn residency_of(
+    field: Option<&BackwardField>,
+    anchor_times: &[u32],
+) -> (bool, Option<u32>) {
+    let Some(field) = field else {
+        return (false, None);
+    };
+    match Lookup::classify(field, anchor_times) {
+        Lookup::Hit => (true, field.min_time()),
+        Lookup::Extend(_) => (false, field.min_time()),
+        Lookup::Compute(_) => (false, None),
     }
 }
 
@@ -247,14 +283,48 @@ impl FieldCache {
         rule: FieldRule,
         anchor_times: &[u32],
     ) -> (bool, Option<u32>) {
-        let Some(entry) = self.entries.get(&CacheKey::of(model, chain, window, rule)) else {
-            return (false, None);
-        };
-        let floor = entry.field.min_time();
-        match Lookup::classify(entry.field.as_ref(), anchor_times) {
-            Lookup::Hit => (true, floor),
-            Lookup::Extend(_) => (false, floor),
-            Lookup::Compute(_) => (false, None),
+        let entry = self.entries.get(&CacheKey::of(model, chain, window, rule));
+        residency_of(entry.map(|e| e.field.as_ref()), anchor_times)
+    }
+
+    /// The ∃ field of `(model, window)`, when cached, with its superlevel
+    /// geometry at threshold `tau` under `space` when that is the one
+    /// memoised beside the entry ([`FieldCache::remember_superlevel`]). A
+    /// peek is not a lookup: it counts nothing and leaves the LRU order
+    /// alone (the lookup that serves the query does both).
+    pub(crate) fn peek_exists(
+        &self,
+        model: usize,
+        chain: &MarkovChain,
+        window: &QueryWindow,
+        tau: f64,
+        space: &Space,
+    ) -> Option<(Arc<BackwardField>, Option<Arc<Superlevel>>)> {
+        let entry = self.entries.get(&CacheKey::of(model, chain, window, FieldRule::Exists))?;
+        let memo = entry.superlevel.as_ref().and_then(|(t, s, geometry)| {
+            (t.to_bits() == tau.to_bits() && Arc::ptr_eq(s, space)).then(|| Arc::clone(geometry))
+        });
+        Some((Arc::clone(&entry.field), memo))
+    }
+
+    /// Memoises `geometry` — [`Superlevel::of`] `field` at `tau` under
+    /// `space`, measured outside the lock — beside the ∃ entry of
+    /// `(model, window)`, if that entry still holds `field` (a field
+    /// replaced in the meantime is left alone).
+    #[allow(clippy::too_many_arguments, reason = "the cache key's parts plus the memo's")]
+    pub(crate) fn remember_superlevel(
+        &mut self,
+        model: usize,
+        chain: &MarkovChain,
+        window: &QueryWindow,
+        field: &Arc<BackwardField>,
+        tau: f64,
+        space: &Space,
+        geometry: Arc<Superlevel>,
+    ) {
+        let key = CacheKey::of(model, chain, window, FieldRule::Exists);
+        if let Some(entry) = self.entries.get_mut(&key).filter(|e| Arc::ptr_eq(&e.field, field)) {
+            entry.superlevel = Some((tau, Arc::clone(space), geometry));
         }
     }
 
@@ -350,7 +420,8 @@ impl FieldCache {
             self.evict_lru();
         }
         let field = Arc::new(field);
-        self.entries.insert(key, CacheEntry { field: Arc::clone(&field), last_used: clock });
+        let entry = CacheEntry { field: Arc::clone(&field), last_used: clock, superlevel: None };
+        self.entries.insert(key, entry);
         field
     }
 

@@ -9,9 +9,11 @@ use crate::engine::cache;
 /// Pruning applies only where the pruned answer is provably bit-identical
 /// to the unpruned one: `∃` queries with the probability or threshold
 /// decorator (a geometrically unreachable object has `P∃ = 0` exactly, in
-/// both exact engines). Other predicates, top-k ranking, and databases
-/// without an attached space always take the unpruned path, whatever the
-/// mode.
+/// both exact engines; under a threshold `τ > 0` whose backward field is
+/// already cached, an object whose anchor misses the field's τ-superlevel
+/// set has `P∃ < τ` in both, so it is not accepted either way). Other
+/// predicates, top-k ranking, and databases without an attached space
+/// always take the unpruned path, whatever the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefilterMode {
     /// Prune when an index is available and the database is large enough

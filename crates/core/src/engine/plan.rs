@@ -11,9 +11,11 @@
 //! backward-field cache residency), the chosen [`Strategy`], and a
 //! human-readable rationale. The module is the two halves of a query's
 //! life, and clock-free: `prepare` resolves the spec's scope, rejects a
-//! window no strategy answers, runs the index filter over the scope — it
-//! holds one candidate set, the survivors; the pruned rest of the scope
-//! stays implicit — and validates and groups the survivors by model with
+//! window no strategy answers, runs the index filter over the scope — the
+//! reachability cone, narrowed for an ∃ threshold by the τ-superlevel set
+//! of a backward field already in the cache; it holds one candidate set,
+//! the survivors; the pruned rest of the scope stays implicit — and
+//! validates and groups the survivors by model with
 //! their distinct anchor times, whatever the strategy, so the strategy can
 //! never change which error a query reports. When asked it also costs
 //! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). The
@@ -51,19 +53,21 @@
 //! not predict wall clock.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::cache::FieldCache;
+use crate::engine::cache::{residency_of, FieldCache};
 use crate::engine::object_based::{ForwardRule, ReachPlan};
 use crate::engine::query_based::{
-    group_on, probability_row, AnchorMemo, AnchoredField, FieldRule, ModelGroup, SharedFieldPlan,
+    group_on, probability_row, AnchorMemo, AnchoredField, BackwardField, FieldRule, ModelGroup,
+    SharedFieldPlan,
 };
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
-use crate::index::intersect_sorted;
+use crate::index::{intersect_sorted, SpatioTemporalIndex};
 use crate::object::UncertainObject;
 use crate::parallel::run_sharded;
+use crate::prefilter::Superlevel;
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
     QueryWindow, Strategy,
@@ -138,8 +142,15 @@ pub struct QueryPlan {
     /// [`QueryPlan::num_objects`] when no pruning ran.
     pub candidates_examined: usize,
     /// Candidate objects discarded by the spatio-temporal index before
-    /// costing (provably `P∃ = 0`; zero when no pruning ran).
+    /// costing, by either of its filters (zero when no pruning ran): the
+    /// cone's have `P∃ = 0` exactly, the superlevel's `P∃ < τ`.
     pub candidates_pruned: usize,
+    /// The part of [`QueryPlan::candidates_pruned`] only the τ-superlevel
+    /// filter discarded: objects whose cone reaches the window but whose
+    /// anchor support misses the cached field's superlevel set, so their
+    /// `P∃` is below the threshold `τ`. Non-zero only for an ∃ threshold
+    /// `τ > 0` whose backward field was already cached.
+    pub superlevel_pruned: usize,
     /// One-line human-readable rationale for the choice.
     pub reason: String,
 }
@@ -182,6 +193,9 @@ impl fmt::Display for QueryPlan {
                  spatio-temporal index",
                 self.candidates_examined, self.num_objects, self.candidates_pruned,
             )?;
+            if self.superlevel_pruned > 0 {
+                write!(f, " ({} of them by the τ-superlevel set)", self.superlevel_pruned)?;
+            }
         }
         Ok(())
     }
@@ -270,30 +284,27 @@ fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
     }
 }
 
-/// Runs the spatio-temporal index over the spec's scope, when that is both
-/// enabled and *provably answer-preserving*: the candidates that survive
-/// (ascending); the rest of the scope is provably `P∃ = 0` and answered
-/// without evaluation. Returns `None` whenever the unpruned path must run
-/// instead — which is the common case:
+/// The spatio-temporal index, when running it over the spec's scope is
+/// both enabled and *provably answer-preserving*. Returns `None` whenever
+/// the unpruned path must run instead — which is the common case:
 ///
 /// * [`PrefilterMode::Off`], or [`PrefilterMode::Auto`] on a scope below
 ///   the size floor, or no index (no attached space);
 /// * a predicate other than `∃`, or the top-k decorator: pruned objects
 ///   would have to be re-synthesized into the answer, and only the `∃`
-///   probability/threshold shapes make that bit-exact (a pruned object's
-///   `P∃` is `0.0` exactly in every engine, whereas `∀`/PSTkQ answers
-///   carry float residue and OB top-k dismisses on its own bounds, with a
-///   different omission contract);
+///   probability/threshold shapes make that bit-exact (a cone-pruned
+///   object's `P∃` is `0.0` exactly in every engine, whereas `∀`/PSTkQ
+///   answers carry float residue and OB top-k dismisses on its own bounds,
+///   with a different omission contract);
 /// * a window whose mask dimension differs from the database's, or one
 ///   starting before the latest first observation over the scope — in
 ///   both cases validation may reject an object, it sees only the
-///   survivors, and pruning must never mask that error;
-/// * an index that prunes nothing.
-fn prefilter_candidates(
+///   survivors, and pruning must never mask that error.
+fn armed_index(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
     scope: &Scope,
-) -> Option<Vec<usize>> {
+) -> Option<Arc<SpatioTemporalIndex>> {
     match ctx.config.prefilter {
         PrefilterMode::Off => return None,
         PrefilterMode::Auto if scope.len() < PREFILTER_AUTO_MIN_OBJECTS => return None,
@@ -320,15 +331,96 @@ fn prefilter_candidates(
             .max()
             .unwrap_or(0),
     };
-    if window.t_start() < max_anchor {
-        return None;
-    }
-    let candidates = index.candidates(window);
-    let survivors = match scope {
-        Scope::Database(_) => candidates,
-        Scope::Subset(indices) => intersect_sorted(indices, &candidates),
+    (window.t_start() >= max_anchor).then_some(index)
+}
+
+/// The ∃ fields of a window that the cache already holds, read under one
+/// lock before the index runs.
+struct Resident {
+    /// Per model, its cached ∃ field (`None` when not cached): what the
+    /// cost model classifies residency from, so peeking costs a warm query
+    /// no extra lock.
+    fields: Vec<Option<Arc<BackwardField>>>,
+    /// The union over models of the fields' τ-superlevel geometries — only
+    /// when every model's field is cached, since an object of any model may
+    /// be anchored at any time.
+    superlevel: Option<Arc<Superlevel>>,
+}
+
+/// Peeks every model's ∃ field of `window` under one cache lock
+/// ([`FieldCache::peek_exists`]: counted nowhere) and, when all are there,
+/// their superlevel geometries at `tau` under the index's embedding. A
+/// geometry the entry has not memoised is measured after the lock is
+/// released and installed under a second, brief one, so concurrent queries
+/// never wait on a field scan.
+fn peek_resident(
+    ctx: &ExecContext<'_>,
+    window: &QueryWindow,
+    tau: f64,
+    index: &SpatioTemporalIndex,
+) -> Resident {
+    let (models, space) = (ctx.db.models(), index.space());
+    let lock = || ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let peeked: Vec<_> = {
+        let cache = lock();
+        let models = models.iter().enumerate();
+        models.map(|(m, chain)| cache.peek_exists(m, chain, window, tau, space)).collect()
     };
-    (survivors.len() < scope.len()).then_some(survivors)
+    let superlevel = peeked.iter().all(Option::is_some).then(|| {
+        let mut measured = Vec::new();
+        let geometries: Vec<Arc<Superlevel>> = (peeked.iter().flatten().zip(models).enumerate())
+            .map(|(m, ((field, memo), chain))| match memo {
+                Some(geometry) => Arc::clone(geometry),
+                None => {
+                    let geometry =
+                        Arc::new(Superlevel::of(field, window, tau, chain, space.as_ref()));
+                    measured.push((m, Arc::clone(field), Arc::clone(&geometry)));
+                    geometry
+                }
+            })
+            .collect();
+        if !measured.is_empty() {
+            let mut cache = lock();
+            for (m, field, geometry) in measured {
+                cache.remember_superlevel(m, &models[m], window, &field, tau, space, geometry);
+            }
+        }
+        geometries.into_iter().reduce(|union, g| Arc::new(union.union(&g)))
+    });
+    Resident {
+        fields: peeked.into_iter().map(|peek| peek.map(|(field, _)| field)).collect(),
+        superlevel: superlevel.flatten(),
+    }
+}
+
+/// Runs the armed index over the spec's scope: the candidates that survive
+/// (ascending) and how many of the pruned only the superlevel filter
+/// discarded. The rest of the scope is answered without evaluation:
+///
+/// * cone-pruned objects provably have `P∃ = 0` exactly — they are the
+///   exact zeros of a probability answer and the extra accepted ids of a
+///   `τ = 0` threshold;
+/// * superlevel-pruned objects (only when `superlevel` is given: an ∃
+///   threshold `τ > 0` over a window whose fields were all cached) provably
+///   have `P∃ < τ` under either strategy ([`crate::prefilter::SUPERLEVEL_MARGIN`]
+///   bounds the rounding), so they are simply not accepted.
+///
+/// `None` when the index prunes nothing.
+fn prefilter_candidates(
+    index: &SpatioTemporalIndex,
+    window: &QueryWindow,
+    scope: &Scope,
+    superlevel: Option<&Superlevel>,
+) -> Option<(Vec<usize>, usize)> {
+    let probe = index.probe(window, superlevel);
+    let (survivors, superlevel_pruned) = match scope {
+        Scope::Database(_) => (probe.survivors, probe.superlevel_pruned.len()),
+        Scope::Subset(indices) => (
+            intersect_sorted(indices, &probe.survivors),
+            probe.superlevel_pruned.iter().filter(|idx| indices.binary_search(idx).is_ok()).count(),
+        ),
+    };
+    (survivors.len() < scope.len()).then_some((survivors, superlevel_pruned))
 }
 
 /// A spec resolved against one database snapshot — what the *prepare* half
@@ -341,9 +433,12 @@ pub(crate) struct Prepared {
     /// survivors when it pruned, the whole scope otherwise.
     pub indices: Vec<usize>,
     /// The scope `indices` are the survivors of — its other members are
-    /// answered as exact `P∃ = 0`, unevaluated. `None` when nothing was
-    /// pruned and `indices` is the scope.
+    /// answered unevaluated: as exact `P∃ = 0`, or, pruned by the
+    /// superlevel filter, as not reaching the threshold. `None` when nothing
+    /// was pruned and `indices` is the scope.
     pub pruned_from: Option<Scope>,
+    /// How many of the pruned only the τ-superlevel filter discarded.
+    pub superlevel_pruned: usize,
     /// `indices` validated against the window and grouped by model — what
     /// [`refine`] builds its field or reach plan from.
     pub groups: Vec<ModelGroup>,
@@ -368,8 +463,13 @@ impl Prepared {
 /// prefilter over the scope, and validates and groups the surviving
 /// candidates — the query's one validation, in index order, so every
 /// strategy reports the same first error; the groups ride to [`refine`].
-/// Only when `cost` is set does it estimate every strategy from the groups
-/// and cache residency, resolving [`Strategy::Auto`] to the cheaper exact
+/// For an ∃ threshold `τ > 0` on an armed index it first peeks the
+/// window's cached ∃ fields under one cache lock: when every model's is
+/// there, their τ-superlevel set narrows the index's survivors, whatever
+/// the strategy. Only when `cost` is set does it estimate every strategy
+/// from the groups and cache residency — classified from the peeked fields
+/// when there are any, so a warm threshold takes the lock no more often
+/// than before — resolving [`Strategy::Auto`] to the cheaper exact
 /// strategy (explicit overrides are echoed with the same estimates
 /// attached). The cost model has a consumer only under `Auto` and in
 /// `explain`; an explicit-strategy execution skips its residency probes.
@@ -378,35 +478,56 @@ pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Re
     if spec.predicate() == Predicate::ForAll {
         forall::reject_full_space(spec.window())?;
     }
-    let survivors = prefilter_candidates(ctx, spec, &scope);
-    let (indices, pruned_from) = match (survivors, scope) {
-        (Some(survivors), scope) => (survivors, Some(scope)),
-        (None, Scope::Database(len)) => ((0..len).collect(), None),
-        (None, Scope::Subset(indices)) => (indices, None),
+    let window = spec.window();
+    let index = armed_index(ctx, spec, &scope);
+    // The superlevel filter needs a threshold above 0 — at `τ = 0` every
+    // object qualifies — and a field it can read without sweeping.
+    let resident = match (&index, spec.decorator()) {
+        (Some(index), Decorator::Threshold(tau)) if tau > 0.0 => {
+            Some(peek_resident(ctx, window, tau, index))
+        }
+        _ => None,
     };
-    let groups = group_on(ctx.db, &indices, spec.window())?;
-    let mut prepared =
-        Prepared { indices, pruned_from, groups, strategy: spec.strategy(), plan: None };
+    let superlevel = resident.as_ref().and_then(|r| r.superlevel.as_deref());
+    let survivors =
+        index.and_then(|index| prefilter_candidates(&index, window, &scope, superlevel));
+    let (indices, pruned_from, superlevel_pruned) = match (survivors, scope) {
+        (Some((survivors, superlevel_pruned)), scope) => {
+            (survivors, Some(scope), superlevel_pruned)
+        }
+        (None, Scope::Database(len)) => ((0..len).collect(), None, 0),
+        (None, Scope::Subset(indices)) => (indices, None, 0),
+    };
+    let groups = group_on(ctx.db, &indices, window)?;
+    let mut prepared = Prepared {
+        indices,
+        pruned_from,
+        superlevel_pruned,
+        groups,
+        strategy: spec.strategy(),
+        plan: None,
+    };
     if cost {
-        let examined = prepared.indices.len();
-        let plan = plan_on(ctx, spec, &prepared.groups, examined, prepared.num_pruned());
+        let plan = plan_on(ctx, spec, &prepared, resident.as_ref().map(|r| r.fields.as_slice()));
         prepared.strategy = plan.strategy;
         prepared.plan = Some(plan);
     }
     Ok(prepared)
 }
 
-/// The cost model over the validated groups of the `examined` candidates
-/// that survived the prefilter (`pruned` counts the ones the index
-/// discarded). The estimates see only the surviving candidates — this is
-/// where pruning shrinks the planner's `|D|`.
+/// The cost model over the validated groups of the candidates that
+/// survived the prefilter. The estimates see only the surviving candidates
+/// — this is where pruning, by either filter, shrinks the planner's `|D|`.
+/// Residency is classified from the fields `prepare` already peeked when
+/// it has them (`resident`, per model), and probed under the cache lock
+/// otherwise.
 fn plan_on(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
-    groups: &[ModelGroup],
-    examined: usize,
-    pruned: usize,
+    prepared: &Prepared,
+    resident: Option<&[Option<Arc<BackwardField>>]>,
 ) -> QueryPlan {
+    let (groups, examined) = (&prepared.groups, prepared.indices.len());
     let window = spec.window();
     let levels = match spec.predicate() {
         Predicate::KTimes(_) => (window.num_times() + 1) as f64,
@@ -433,11 +554,16 @@ fn plan_on(
 
         let min_anchor = group.times.first().copied().unwrap_or(t_end);
         let full_sweep = (t_end - min_anchor.min(t_end)) as f64;
-        let residency = ctx
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .residency(group.model, chain, window, rule, &group.times);
+        // Only an ∃ threshold peeks, and it peeks ∃ fields: the rule above.
+        let residency =
+            match resident {
+                Some(fields) => residency_of(fields[group.model].as_deref(), &group.times),
+                None => ctx
+                    .cache
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .residency(group.model, chain, window, rule, &group.times),
+            };
         let sweep = match residency {
             (true, _) => {
                 cached_fields += 1;
@@ -489,7 +615,7 @@ fn plan_on(
         strategy,
         object_based: ob,
         query_based: qb,
-        num_objects: examined + pruned,
+        num_objects: examined + prepared.num_pruned(),
         num_models: groups.len(),
         cached_fields,
         extendable_fields,
@@ -497,7 +623,8 @@ fn plan_on(
         window_times: window.num_times(),
         horizon: t_end,
         candidates_examined: examined,
-        candidates_pruned: pruned,
+        candidates_pruned: prepared.num_pruned(),
+        superlevel_pruned: prepared.superlevel_pruned,
         reason,
     }
 }
@@ -514,8 +641,8 @@ struct Candidates<'a> {
 /// The refine half of a query's life: runs a prepared spec under its
 /// resolved strategy — the strategy × predicate × decorator dispatch onto
 /// the batched, sharded drivers, over groups `prepare` already validated.
-/// Index-pruned candidates are answered as exact `P∃ = 0` without being
-/// evaluated.
+/// Index-pruned candidates are answered without being evaluated: as exact
+/// `P∃ = 0`, or — pruned by the superlevel set — as not accepted.
 pub(crate) fn refine(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,

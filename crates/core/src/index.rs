@@ -7,7 +7,16 @@
 //! the object has been observed by `t_end`; the motion model extrapolates
 //! indefinitely past the last observation, so that is the whole temporal
 //! test — is part of the same per-anchor predicate, `ConeAnchor::reaches`,
-//! which is the only place either comparison is written.
+//! which is the only place either comparison is written. A cone-pruned
+//! object has `P∃ = 0` exactly.
+//!
+//! A thresholded ∃ query over a window whose backward field is cached may
+//! narrow the cone's survivors in the same R-tree pass
+//! ([`SpatioTemporalIndex::probe`]): an object anchored at a time the
+//! field has a [`Superlevel`] rectangle for must also meet that rectangle
+//! (`ConeAnchor::meets`), or its `P∃` is below `τ`. That guarantee serves
+//! thresholds only, and only from a warm field; objects anchored at times
+//! without a rectangle keep the cone test alone.
 //!
 //! The index is built lazily per snapshot via
 //! [`TrajectoryDatabase::spatial_index`] and maintained copy-on-write:
@@ -24,7 +33,7 @@
 //! threshold the writer drops the index and the next read rebuilds it in
 //! bulk (compaction).
 //!
-//! A probe ([`SpatioTemporalIndex::candidates`]) costs what it keeps: hits
+//! A probe ([`SpatioTemporalIndex::probe`]) costs what it keeps: hits
 //! go into a bitset of `⌈|D|/64⌉` words and come back ascending, word by
 //! word, so a selective window pays the words, the visited R-tree leaves
 //! and its survivors, never a pass over `|D|` entries. The survivors are
@@ -33,8 +42,9 @@
 //!
 //! [`TrajectoryDatabase::spatial_index`]: crate::database::TrajectoryDatabase::spatial_index
 
-// The filter decides which objects are answered as exact zeros without
-// evaluation, so it sits on the answer path with the engines it feeds.
+// The filter decides which objects are answered without evaluation — as
+// exact zeros, or as below a threshold — so it sits on the answer path with
+// the engines it feeds.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::collections::BTreeMap;
@@ -45,7 +55,7 @@ use ust_space::{RTree, RTreeEntry, Rect, StateSpace};
 
 use crate::database::TrajectoryDatabase;
 use crate::object::UncertainObject;
-use crate::prefilter::{max_step_distance, ConeAnchor};
+use crate::prefilter::{bounding_rect, max_step_distance, ConeAnchor, Superlevel};
 use crate::query::QueryWindow;
 
 /// Overlay entries per base object below which incremental updates keep
@@ -75,6 +85,11 @@ struct IndexBase {
     min_slack: f64,
     /// Latest anchor time over `anchors` (0 when empty).
     max_anchor_time: u32,
+    /// The distinct anchor times over `anchors`, ascending.
+    anchor_times: Vec<u32>,
+    /// `min_a radius_a`: the narrowest anchor support, for accepting whole
+    /// R-tree leaves that sit inside every superlevel rectangle.
+    min_radius: f64,
     space: Arc<dyn StateSpace + Send + Sync>,
 }
 
@@ -111,6 +126,14 @@ impl SpatioTemporalIndex {
         let anchors: Vec<ConeAnchor> =
             db.objects().iter().map(|o| ConeAnchor::of(o, space.as_ref())).collect();
         let slacks = || anchors.iter().map(|a| a.slack(max_step));
+        // A handful of distinct times, however many anchors: inserted in
+        // place rather than collected, sorted and deduplicated.
+        let mut anchor_times: Vec<u32> = Vec::new();
+        for a in &anchors {
+            if let Err(at) = anchor_times.binary_search(&a.anchor_time) {
+                anchor_times.insert(at, a.anchor_time);
+            }
+        }
         let entries =
             anchors.iter().enumerate().map(|(id, a)| RTreeEntry { point: a.centroid, id });
         let base = IndexBase {
@@ -118,7 +141,9 @@ impl SpatioTemporalIndex {
             max_step,
             max_slack: slacks().fold(f64::NEG_INFINITY, f64::max),
             min_slack: slacks().fold(f64::INFINITY, f64::min),
-            max_anchor_time: anchors.iter().map(|a| a.anchor_time).max().unwrap_or(0),
+            max_anchor_time: anchor_times.last().copied().unwrap_or(0),
+            anchor_times,
+            min_radius: anchors.iter().map(|a| a.radius).fold(f64::INFINITY, f64::min),
             anchors,
             space,
         };
@@ -193,10 +218,7 @@ impl SpatioTemporalIndex {
 
     /// Bounding rectangle of the window's state set under the embedding.
     pub fn window_rect(&self, window: &QueryWindow) -> Rect {
-        window
-            .states()
-            .iter()
-            .fold(Rect::empty(), |rect, s| rect.union(&Rect::point(self.base.space.location(s))))
+        bounding_rect(self.base.space.as_ref(), window.states().iter())
     }
 
     /// Database indices of objects that *may* satisfy `window`
@@ -204,48 +226,105 @@ impl SpatioTemporalIndex {
     /// cone that touches the window's bounding rectangle. Everything else
     /// is guaranteed to have `P∃ = 0`. Conservative by construction — never
     /// discards an object with non-zero probability.
+    pub fn candidates(&self, window: &QueryWindow) -> Vec<usize> {
+        self.probe(window, None).survivors
+    }
+
+    /// The cone filter of [`SpatioTemporalIndex::candidates`], narrowed by
+    /// a τ-superlevel geometry when one is given: an object whose anchor
+    /// time has a superlevel rectangle survives only if its support disc
+    /// also meets that rectangle ([`Superlevel`]); every other object keeps
+    /// the cone test alone. A superlevel-pruned object has `P∃ < τ`, not
+    /// `0` — the narrowing serves a threshold of `τ` and nothing else.
     ///
     /// Hits land in a bitset of `⌈|D|/64⌉` words and are read back word by
     /// word, lowest bit first, so the output is ascending without a sort
     /// and a probe costs the words, the visited leaves and the survivors —
-    /// never a pass over `|D|` entries.
-    pub fn candidates(&self, window: &QueryWindow) -> Vec<usize> {
+    /// never a pass over `|D|` entries. Both tests run in the one R-tree
+    /// pass over the cone's region, so the objects only the superlevel
+    /// test discarded are listed exactly.
+    pub fn probe(&self, window: &QueryWindow, superlevel: Option<&Superlevel>) -> Probe {
         let base = &*self.base;
         let rect = self.window_rect(window);
         let t_end = window.t_end();
-        let reaches = |a: &ConeAnchor| a.reaches(&rect, t_end, base.max_step);
+        // `(kept, discarded by the superlevel test alone)` for an anchor
+        // whose cone test came out `cone`.
+        let verdict =
+            |a: &ConeAnchor, cone: bool| match superlevel.and_then(|s| s.at(a.anchor_time)) {
+                Some(level) if cone => {
+                    let meets = a.meets(level);
+                    (meets, !meets)
+                }
+                _ => (cone, false),
+            };
         // An anchor observed by `t_end` reaches `t_end · max_step` plus its
         // slack: the coarse R-tree pass expands the rectangle by the widest
         // such reach (anchors after `t_end` fail the predicate wherever
         // they sit), and a leaf whose box lies entirely within the
-        // narrowest passes wholesale — which only holds while no bulk
-        // anchor is later than `t_end`. Every other visited entry is
+        // narrowest passes the cone wholesale — which only holds while no
+        // bulk anchor is later than `t_end`. Every other visited entry is
         // confirmed by its own cone.
         let horizon = f64::from(t_end) * base.max_step;
         let max_reach = (horizon + base.max_slack).max(0.0);
         let min_reach = horizon + base.min_slack;
         let all_observed = base.max_anchor_time <= t_end;
+        // A leaf inside the narrowest cone passes the superlevel test
+        // wholesale too when every bulk anchor time has a rectangle and the
+        // leaf's box sits within the narrowest support of their common
+        // part — and without superlevel rectangles, always: such a leaf is
+        // kept without reading its anchors.
+        let common = superlevel.map(|s| s.common(&base.anchor_times));
         let mut hits = vec![0u64; self.num_objects.div_ceil(64)];
+        let mut cut = Vec::new();
         base.tree.visit_leaves(&rect.expand(max_reach), &mut |bbox, entries| {
             let whole_leaf = all_observed && rect.max_distance_to_rect(bbox) <= min_reach;
+            let keep_all = whole_leaf
+                && common.is_none_or(|common| {
+                    common.is_some_and(|c| c.max_distance_to_rect(bbox) <= base.min_radius)
+                });
             for entry in entries {
-                if whole_leaf || reaches(&base.anchors[entry.id]) {
-                    hits[entry.id / 64] |= 1 << (entry.id % 64);
+                let (word, bit) = (entry.id / 64, 1u64 << (entry.id % 64));
+                if keep_all {
+                    hits[word] |= bit;
+                    continue;
+                }
+                let anchor = &base.anchors[entry.id];
+                let cone = whole_leaf || anchor.reaches(&rect, t_end, base.max_step);
+                let (kept, superlevel_pruned) = verdict(anchor, cone);
+                if kept {
+                    hits[word] |= bit;
+                }
+                if superlevel_pruned {
+                    cut.push(entry.id);
                 }
             }
         });
         // Overlay anchors replace whatever the bulk pass said about their
         // (stale or absent) base entries.
+        cut.retain(|idx| !self.overlay.contains_key(idx));
         for (&idx, anchor) in &self.overlay {
-            let bit = 1u64 << (idx % 64);
-            if reaches(anchor) {
-                hits[idx / 64] |= bit;
-            } else {
-                hits[idx / 64] &= !bit;
+            let (kept, superlevel_pruned) =
+                verdict(anchor, anchor.reaches(&rect, t_end, base.max_step));
+            let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+            hits[word] = if kept { hits[word] | bit } else { hits[word] & !bit };
+            if superlevel_pruned {
+                cut.push(idx);
             }
         }
-        ascending_ones(&hits)
+        Probe { survivors: ascending_ones(&hits), superlevel_pruned: cut }
     }
+}
+
+/// What one [`SpatioTemporalIndex::probe`] keeps, and what the superlevel
+/// test took from the cone's survivors.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Probe {
+    /// Database indices that may satisfy the query (ascending).
+    pub survivors: Vec<usize>,
+    /// Database indices the cone test kept and the superlevel test
+    /// discarded, in no particular order (empty without a superlevel
+    /// geometry).
+    pub superlevel_pruned: Vec<usize>,
 }
 
 /// The positions of the set bits of `words` (bit `i` of word `w` is

@@ -44,7 +44,9 @@ pub struct EvalStats {
     /// index pass this equals the resolved candidate set size.
     pub candidates_examined: u64,
     /// Candidate objects discarded by the spatio-temporal index before any
-    /// matrix work (provably `P∃ = 0`).
+    /// matrix work, by either filter: the reachability cone (provably
+    /// `P∃ = 0`) or, for an ∃ threshold over a cached field, the
+    /// τ-superlevel set (provably `P∃ < τ`).
     pub candidates_pruned: u64,
     /// Propagations cut short because all worlds were already decided —
     /// absorbed by the window, or trimmed because the window can no longer

@@ -18,18 +18,19 @@ use crate::stochastic::StochasticMatrix;
 pub struct MarkovChain {
     matrix: StochasticMatrix,
     transposed: OnceLock<CsrMatrix>,
+    max_line_nnz: OnceLock<usize>,
 }
 
 impl Clone for MarkovChain {
     fn clone(&self) -> Self {
-        MarkovChain { matrix: self.matrix.clone(), transposed: OnceLock::new() }
+        MarkovChain::new(self.matrix.clone())
     }
 }
 
 impl MarkovChain {
     /// Wraps a validated transition matrix.
     pub fn new(matrix: StochasticMatrix) -> Self {
-        MarkovChain { matrix, transposed: OnceLock::new() }
+        MarkovChain { matrix, transposed: OnceLock::new(), max_line_nnz: OnceLock::new() }
     }
 
     /// Validates `matrix` and wraps it.
@@ -60,6 +61,19 @@ impl MarkovChain {
     /// The cached transposed matrix `Mᵀ` (computed on first use).
     pub fn transposed(&self) -> &CsrMatrix {
         self.transposed.get_or_init(|| self.matrix.transposed())
+    }
+
+    /// The most stored entries of any row or column of `M` — the longest
+    /// sum one backward (row) or forward (column) step accumulates per
+    /// state (computed on first use).
+    pub fn max_line_nnz(&self) -> usize {
+        *self.max_line_nnz.get_or_init(|| {
+            [self.matrix(), self.transposed()]
+                .into_iter()
+                .flat_map(|m| (0..m.nrows()).map(move |i| m.row_nnz(i)))
+                .max()
+                .unwrap_or(0)
+        })
     }
 
     /// One forward step: `P(o, t+1) = P(o, t) · M` (Corollary 1).

@@ -92,6 +92,19 @@ impl Rect {
         }
     }
 
+    /// The rectangle both operands cover ([`Rect::empty`] when they are
+    /// disjoint).
+    pub fn intersection(&self, other: &Rect) -> Rect {
+        let min = Point2::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y));
+        let max = Point2::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y));
+        let rect = Rect { min, max };
+        if rect.is_empty() {
+            Rect::empty()
+        } else {
+            rect
+        }
+    }
+
     /// Grows the rectangle by `margin` on every side.
     pub fn expand(&self, margin: f64) -> Rect {
         Rect { min: self.min.translate(-margin, -margin), max: self.max.translate(margin, margin) }
@@ -148,6 +161,9 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
         assert!(!a.intersects(&Rect::empty()));
+        assert_eq!(a.intersection(&b), Rect::point(Point2::new(2.0, 2.0)));
+        assert!(a.intersection(&c).is_empty());
+        assert!(a.intersection(&Rect::empty()).is_empty());
     }
 
     #[test]

@@ -427,3 +427,122 @@ fn pruning_shows_up_in_explain_and_metrics() {
     assert_eq!(entry.candidates_pruned, plan.candidates_pruned as u64);
     assert_eq!(entry.candidates_examined, plan.candidates_examined as u64);
 }
+
+/// β of the superlevel filter: the τ grid below sits on it.
+const BETA: f64 = ust_core::prefilter::SUPERLEVEL_MARGIN;
+
+/// `m` objects on a line of `n ≥ 24` states, each spread over two states
+/// three apart — `{s, s + 3}` for every `s` in turn, anchored at `t = i mod
+/// 3` — so whatever interval of the line a superlevel set covers, some
+/// anchors straddle its edge, and with a window starting at `t = 2` some
+/// anchor at a query time inside `S▫`.
+fn straddling_db(seed: u64, n: usize, m: usize) -> TrajectoryDatabase {
+    let mut rng = testutil::rng(seed);
+    let mut db = TrajectoryDatabase::new(banded_chain(&mut rng, n));
+    for i in 0..m {
+        let s = i % (n - 3);
+        let w = 0.05 + 0.9 * (i * 7 % 11) as f64 / 10.0;
+        let dist = ust_markov::SparseVector::from_pairs(n, [(s, w), (s + 3, 1.0 - w)]).unwrap();
+        let fix = Observation::uncertain(i as u32 % 3, dist).unwrap();
+        db.insert(UncertainObject::with_single_observation(i as u64, fix)).unwrap();
+    }
+    db.attach_space(Arc::new(LineSpace::new(n))).unwrap();
+    db
+}
+
+/// Every `τ` of `exact` (the store's exact probabilities), each also moved
+/// by one and two `β` either way — the values a margin that is too thin, or
+/// a filter that is not conservative, would get wrong — every `stride`-th
+/// value only.
+fn tau_grid(exact: &[f64], stride: usize) -> Vec<f64> {
+    let mut taus: Vec<f64> = exact
+        .iter()
+        .step_by(stride.max(1))
+        .flat_map(|&p| [-2.0, -1.0, 0.0, 1.0, 2.0].map(|k| p * (1.0 + k * BETA)))
+        .filter(|tau| (0.0..=1.0).contains(tau))
+        .collect();
+    taus.push(0.3);
+    taus
+}
+
+/// The ∃ threshold answers of `taus` over `ids` (the whole store when
+/// `None`) on *warm* processors — each under `On` and `Auto`, its window's
+/// ∃ fields cached by one query-based run over the store first, so the
+/// superlevel filter may fire under every strategy — against the unpruned
+/// answer of the strategy that ran. Returns the superlevel-pruned objects
+/// `explain` reported over all of them (and printed on its prefilter line).
+fn assert_warm_thresholds_match(
+    db: &TrajectoryDatabase,
+    window: &QueryWindow,
+    ids: Option<&[u64]>,
+    taus: &[f64],
+    cell: &str,
+) -> usize {
+    let spec = |strategy: Strategy, tau: f64| {
+        let query = Query::exists().window(window.clone()).strategy(strategy).threshold(tau);
+        match ids {
+            Some(ids) => query.objects(ids.iter().copied()),
+            None => query,
+        }
+        .build()
+        .unwrap()
+    };
+    let off =
+        QueryProcessor::with_config(db, EngineConfig::default().with_prefilter(PrefilterMode::Off));
+    let mut superlevel_pruned = 0;
+    for mode in [PrefilterMode::On, PrefilterMode::Auto] {
+        let warm = QueryProcessor::with_config(db, EngineConfig::default().with_prefilter(mode));
+        let fill = Query::exists().window(window.clone()).strategy(Strategy::QueryBased);
+        let _ = warm.execute(&fill.build().unwrap());
+        for &tau in taus {
+            for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+                let plan = warm.explain(&spec(strategy, tau));
+                let ran = plan.as_ref().map_or(strategy, |plan| plan.strategy);
+                if let Ok(plan) = plan {
+                    let line =
+                        format!("({} of them by the τ-superlevel set)", plan.superlevel_pruned);
+                    assert_eq!(plan.to_string().contains(&line), plan.superlevel_pruned > 0);
+                    superlevel_pruned += plan.superlevel_pruned;
+                }
+                assert_eq!(
+                    canon(&warm.execute(&spec(strategy, tau))),
+                    canon(&off.execute(&spec(ran, tau))),
+                    "{cell}, ids {ids:?}, τ {tau:e}: {strategy:?} ran {ran:?}, {mode:?}"
+                );
+            }
+        }
+    }
+    superlevel_pruned
+}
+
+/// The superlevel filter prunes on a warm field and changes no accepted id:
+/// τ on, and within two `β` of, every exact probability; every strategy
+/// and both pruning modes; whole stores and subsets; one and two models;
+/// anchors straddling `U_τ`'s edge; anchors at a query time (a window that
+/// starts at `t = 2`, and one that also ends there, where the field is
+/// zero and only `S▫` makes the anchor count). A store past `Auto`'s size
+/// floor arms the filter under `Auto` too.
+#[test]
+fn warm_thresholds_accept_the_same_ids_with_the_superlevel_filter() {
+    let mut fired = 0;
+    for seed in 0..3u64 {
+        let n = 24 + seed as usize * 3;
+        let stores = [
+            ("straddling", straddling_db(seed, n, 24), 1),
+            ("two models", shaped_db(seed, n, 9, Shape::TwoModels), 1),
+            ("past the Auto floor", straddling_db(seed, n, 300), 40),
+        ];
+        for (name, db, stride) in &stores {
+            for (t0, t1) in [(2u32, 2u32), (2, 4), (3, 5)] {
+                let window = QueryWindow::from_states(n, 0..3, TimeSet::interval(t0, t1)).unwrap();
+                let taus = tau_grid(&exact_probabilities(db, &window), *stride);
+                let subset: Vec<u64> = (0..db.len() as u64).filter(|id| id % 3 != 1).collect();
+                let cell = format!("{name}, seed {seed}, window [{t0}, {t1}]");
+                for ids in [None, Some(subset.as_slice())] {
+                    fired += assert_warm_thresholds_match(db, &window, ids, &taus, &cell);
+                }
+            }
+        }
+    }
+    assert!(fired > 0, "the superlevel filter never pruned an object");
+}

@@ -316,3 +316,39 @@ fn error_answers_match_batch_bit_for_bit() {
     assert!(saw_error, "the feed reached the error regime");
     assert!(matches!(sub.answer(), Err(QueryError::WindowBeforeObservation { .. })));
 }
+
+/// A τ-threshold subscription beside warm executions on which the
+/// superlevel filter fires: the subscription maintains probabilities (its
+/// probes never run the filter), the execution prunes by the cached field's
+/// superlevel set — and across every arrival, including ones that re-anchor
+/// objects at times the field has no snapshot of yet, both accept the same
+/// ids.
+#[test]
+fn threshold_subscriptions_answer_like_superlevel_filtered_executions() {
+    let mut fired = 0;
+    for seed in [3u64, 0x5EED, 0xF17E] {
+        let feed = feed(seed, 24);
+        let n = feed.config.workload.num_states;
+        let mut db = feed.db.clone();
+        db.attach_space(std::sync::Arc::new(feed.space)).unwrap();
+        let window = QueryWindow::from_states(n, 4usize..14, TimeSet::interval(30, 32)).unwrap();
+        let config = EngineConfig::default().with_prefilter(PrefilterMode::On);
+        let processor = QueryProcessor::with_config(&db, config);
+        for tau in [0.05, 0.3] {
+            let spec = Query::exists()
+                .window(window.clone())
+                .strategy(Strategy::QueryBased)
+                .threshold(tau)
+                .build()
+                .unwrap();
+            let sub = processor.watch(&spec).unwrap();
+            for (i, event) in feed.events.iter().enumerate() {
+                processor.ingest(event.object_id, event.observation.clone()).unwrap();
+                fired += processor.explain(&spec).unwrap().superlevel_pruned;
+                let warm = processor.execute(&spec);
+                assert_eq!(canon(&sub.answer()), canon(&warm), "seed {seed}, τ {tau}, arrival {i}");
+            }
+        }
+    }
+    assert!(fired > 0, "the warm executions never pruned by the superlevel set");
+}
