@@ -2,8 +2,9 @@
 //! predicates.
 //!
 //! The computation is reversed: starting from the assumption that a world
-//! satisfies the query at `t_end = max(T▫)`, the transposed augmented
-//! matrices propagate that assumption backward to the observation time,
+//! satisfies the query at `t_end = max(T▫)`, the augmented matrices,
+//! applied from the right, propagate that assumption backward to the
+//! observation time,
 //! yielding a **backward field** `h_t(s)` = probability that a world at
 //! state `s` at time `t` (not having hit the window at `≤ t`) satisfies the
 //! predicate at some later query timestamp. Every object is then answered
@@ -11,8 +12,8 @@
 //! — the `O(|D| + |S_reach|²·δt)` cost that makes QB orders of magnitude
 //! faster than OB on large databases.
 //!
-//! As with the forward engine, the transposed matrices `(M−)ᵀ`/`(M+)ᵀ` are
-//! applied virtually: the recurrence
+//! As with the forward engine, the augmented matrices `M−`/`M+` are applied
+//! virtually: the recurrence
 //!
 //! ```text
 //! h_t(s) = Σ_{j∈S▫} M(s,j)          + Σ_{j∉S▫} M(s,j)·h_{t+1}(j)   if t+1 ∈ T▫
@@ -20,7 +21,9 @@
 //! ```
 //!
 //! is one `M · w` product per step, where `w` is `h_{t+1}` with the window
-//! states clamped to 1 when `t+1 ∈ T▫`.
+//! states clamped to 1 when `t+1 ∈ T▫` — one dot product per row of `M`,
+//! which [`MarkovChain::step_backward`] gathers along `M`'s rows (a span
+//! vector) or scatters over `Mᵀ` (a vector on the sorted-index arm).
 //!
 //! The PST∀Q and PSTkQ fields are the same sweep under the other
 //! [`FieldRule`]s. For ∀, `w` *keeps* only the window states of `g_{t+1}`
@@ -100,8 +103,9 @@ impl BackwardField {
     /// time in `anchor_times` (each must be ≤ `t_end`). One backward sweep
     /// from `t_end` down to the earliest anchor.
     ///
-    /// The sweep runs on **hybrid vectors over the transposed chain**: the
-    /// support of `h_t` is exactly the set of states that can still reach
+    /// The sweep runs on **hybrid vectors**, one
+    /// [`MarkovChain::step_backward`] per step: the support of `h_t` is
+    /// exactly the set of states that can still reach
     /// the remaining window (`S_reach` in the paper's cost analysis), so
     /// for small windows each step costs `O(|S_reach|·deg)` instead of
     /// `O(nnz(M))`, densifying automatically as the support grows.
@@ -184,7 +188,6 @@ impl BackwardField {
         config: &EngineConfig,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let transposed = chain.transposed();
         let rule = self.rule;
         let inside = window.states();
         let ones = window_indicator(window)?;
@@ -213,7 +216,7 @@ impl BackwardField {
             window,
             anchor_times,
             // Transposed M+ surgery, applied when the step's target time is
-            // in T▫, before the levels of t-1 are evaluated as w · Mᵀ on the
+            // in T▫, before the levels of t-1 are evaluated as M · w on the
             // hybrid vectors.
             |levels| {
                 match rule {
@@ -248,10 +251,11 @@ impl BackwardField {
                 }
                 Ok(())
             },
-            // A one-member batch performs exactly the operations of
-            // `PropagationVector::step`, in the same order.
+            // Each level on its own: a gather along M's rows, or the
+            // sorted-index scatter over Mᵀ — the operations of
+            // `PropagationVector::step` over Mᵀ, in the same order.
             |levels, scratch| {
-                transposed.step_batch(levels, &[], scratch)?;
+                chain.step_backward(levels, scratch)?;
                 Ok(levels.len() as u64)
             },
             |levels, t| {

@@ -1,15 +1,20 @@
 //! Homogeneous Markov chains over a discrete state space (Definition 5/6).
 //!
 //! [`MarkovChain`] bundles a validated transition matrix with the derived
-//! artifacts query processing needs: the transposed matrix (built lazily and
-//! cached — the query-based approach uses it for every backward step) and
-//! distribution propagation (Corollaries 1 and 2 of the paper).
+//! artifacts query processing needs, each built lazily on first use and
+//! cached: the sliced-row copy of `M` every backward step of the
+//! query-based approach gathers through ([`MarkovChain::step_backward`]),
+//! the transposed matrix (the forward reach schedules, and backward steps
+//! of vectors on the sorted-index arm) — and distribution propagation
+//! (Corollaries 1 and 2 of the paper).
 
 use std::sync::OnceLock;
 
 use crate::csr::{CsrMatrix, SpmvScratch};
 use crate::dense::DenseVector;
-use crate::error::Result;
+use crate::error::{MarkovError, Result};
+use crate::hybrid::PropagationVector;
+use crate::kernels::{GatherArm, SlicedRows};
 use crate::sparse_vec::SparseVector;
 use crate::stochastic::StochasticMatrix;
 
@@ -18,6 +23,7 @@ use crate::stochastic::StochasticMatrix;
 pub struct MarkovChain {
     matrix: StochasticMatrix,
     transposed: OnceLock<CsrMatrix>,
+    sliced: OnceLock<SlicedRows>,
     max_line_nnz: OnceLock<usize>,
 }
 
@@ -30,7 +36,12 @@ impl Clone for MarkovChain {
 impl MarkovChain {
     /// Wraps a validated transition matrix.
     pub fn new(matrix: StochasticMatrix) -> Self {
-        MarkovChain { matrix, transposed: OnceLock::new(), max_line_nnz: OnceLock::new() }
+        MarkovChain {
+            matrix,
+            transposed: OnceLock::new(),
+            sliced: OnceLock::new(),
+            max_line_nnz: OnceLock::new(),
+        }
     }
 
     /// Validates `matrix` and wraps it.
@@ -58,22 +69,67 @@ impl MarkovChain {
         self.matrix.matrix()
     }
 
-    /// The cached transposed matrix `Mᵀ` (computed on first use).
+    /// The cached transposed matrix `Mᵀ` (computed on first use). It serves
+    /// the forward reach schedules and the backward steps of vectors on the
+    /// sorted-index arm; a chain that only runs span-arm backward sweeps
+    /// never builds it.
     pub fn transposed(&self) -> &CsrMatrix {
         self.transposed.get_or_init(|| self.matrix.transposed())
     }
 
     /// The most stored entries of any row or column of `M` — the longest
     /// sum one backward (row) or forward (column) step accumulates per
-    /// state (computed on first use).
+    /// state. Read off the sliced copy of `M` backward steps gather
+    /// through (its widest slice and its per-column entry counts), built
+    /// here if no backward step has run yet; computed on first use.
     pub fn max_line_nnz(&self) -> usize {
-        *self.max_line_nnz.get_or_init(|| {
-            [self.matrix(), self.transposed()]
-                .into_iter()
-                .flat_map(|m| (0..m.nrows()).map(move |i| m.row_nnz(i)))
-                .max()
-                .unwrap_or(0)
-        })
+        *self.max_line_nnz.get_or_init(|| self.sliced().max_line_nnz())
+    }
+
+    /// The sliced-row copy of `M` (built on first use).
+    fn sliced(&self) -> &SlicedRows {
+        self.sliced.get_or_init(|| SlicedRows::new(self.matrix()))
+    }
+
+    /// One backward step `h ← M · h` of every non-empty vector of `levels`
+    /// (Section V-B's query-based recurrence, a k-times level family one
+    /// level at a time), on the widest gather arm the CPU has.
+    ///
+    /// A span-arm vector takes one dot product per row of `M`, gathered
+    /// through the chain's sliced-row copy of `M` (built on first use); a
+    /// vector whose sources scatter, or that is on the sorted-index arm,
+    /// takes the sorted-index scatter over [`Self::transposed`]. Per
+    /// output slot the terms add in ascending source order either way, so
+    /// the result is bit-identical to [`PropagationVector::step`] over
+    /// `Mᵀ`.
+    pub fn step_backward(
+        &self,
+        levels: &mut [PropagationVector],
+        scratch: &mut SpmvScratch,
+    ) -> Result<()> {
+        self.step_backward_on(GatherArm::detect(), levels, scratch)
+    }
+
+    /// As [`Self::step_backward`] on an explicit gather arm — one the CPU
+    /// lacks runs the scalar arm. Every arm gives the same bits.
+    pub fn step_backward_on(
+        &self,
+        arm: GatherArm,
+        levels: &mut [PropagationVector],
+        scratch: &mut SpmvScratch,
+    ) -> Result<()> {
+        let rows = self.sliced();
+        for level in levels.iter_mut().filter(|level| level.nnz() > 0) {
+            if level.dim() != self.num_states() {
+                return Err(MarkovError::DimensionMismatch {
+                    op: "backward step",
+                    expected: self.num_states(),
+                    found: level.dim(),
+                });
+            }
+            level.step_backward(rows, || self.transposed(), arm, scratch)?;
+        }
+        Ok(())
     }
 
     /// One forward step: `P(o, t+1) = P(o, t) · M` (Corollary 1).
@@ -141,6 +197,24 @@ mod tests {
         let t2 = chain.transposed() as *const CsrMatrix;
         assert_eq!(t1, t2, "transpose should be computed once");
         assert_eq!(chain.transposed().get(0, 1), 0.6);
+    }
+
+    #[test]
+    fn max_line_nnz_reads_the_sliced_copy_without_transposing() {
+        for seed in 0..40 {
+            let mut rng = crate::testutil::rng(seed);
+            let n = 1 + (seed as usize * 7) % 60;
+            let m = match seed % 2 {
+                0 => crate::testutil::random_stochastic(&mut rng, n, 1 + seed as usize % 6),
+                _ => crate::testutil::random_banded_stochastic(&mut rng, n, 3, 10),
+            };
+            let chain = MarkovChain::from_csr(m).unwrap();
+            let widest = chain.max_line_nnz();
+            assert!(chain.transposed.get().is_none(), "reading it builds no Mᵀ");
+            let lines = [chain.matrix(), chain.transposed()];
+            let old = lines.iter().flat_map(|m| (0..m.nrows()).map(|i| m.row_nnz(i))).max();
+            assert_eq!(widest, old.unwrap_or(0), "seed {seed}");
+        }
     }
 
     #[test]

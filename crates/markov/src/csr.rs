@@ -9,7 +9,8 @@
 //! * [`CsrMatrix::vecmat_dense`] — `v · M` with a dense `v`,
 //! * [`CsrMatrix::vecmat_sparse`] — `v · M` with a sparse `v`, cost
 //!   proportional to the touched rows only,
-//! * [`CsrMatrix::transpose`] — `Mᵀ` for the query-based backward pass.
+//! * [`CsrMatrix::transpose`] — `Mᵀ`, for the forward reach schedules and
+//!   the sorted-index arm of the query-based backward pass.
 
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
@@ -55,6 +56,10 @@ pub struct SpmvScratch {
     pub(crate) panel_out: Vec<f64>,
     /// The output buffers of one panel's lanes while they are unpacked.
     pub(crate) panel_lanes: Vec<Vec<f64>>,
+    /// The zero-padded input of the backward gather
+    /// ([`crate::kernels::SlicedRows`]): the stepped vector over the column
+    /// extent of the output's slices.
+    pub(crate) gather_in: Vec<f64>,
 }
 
 /// What a set of matrix rows touches: the column range `[lo, hi)` (CSR

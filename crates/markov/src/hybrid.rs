@@ -31,7 +31,7 @@
 use crate::csr::{CsrMatrix, Reach, SpmvScratch};
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
-use crate::kernels;
+use crate::kernels::{self, GatherArm, SlicedRows};
 use crate::mask::StateMask;
 use crate::span_vec::SpanVector;
 use crate::sparse_vec::SparseVector;
@@ -306,6 +306,33 @@ impl PropagationVector {
             None => self.step_sparse(matrix, scratch, &mut BatchStepStats::default())?,
         }
         Ok(())
+    }
+
+    /// One backward step `v ← M · v` on the arm the vector is on: a span
+    /// through the sliced-row gather of `rows` (`M`'s layout) on `arm`, a
+    /// vector whose sources scatter ([`Reach::is_scattered`]) or that is
+    /// already on the sorted-index arm through the sorted-index scatter
+    /// over `Mᵀ`, which `transposed` supplies only then. Bit-identical to
+    /// [`Self::step`] over `Mᵀ`.
+    pub(crate) fn step_backward<'m>(
+        &mut self,
+        rows: &SlicedRows,
+        transposed: impl FnOnce() -> &'m CsrMatrix,
+        arm: GatherArm,
+        scratch: &mut SpmvScratch,
+    ) -> Result<()> {
+        if let Repr::Span(v) = &self.repr {
+            let reach = rows.reach_of(v);
+            if !reach.is_scattered() {
+                let next = PropagationVector::from_span(rows.step(v, reach, arm, scratch));
+                if let Repr::Span(previous) = std::mem::replace(self, next).repr {
+                    scratch.span_pool.push(previous.into_values());
+                }
+                return Ok(());
+            }
+            self.repr = Repr::Sparse(v.to_sparse());
+        }
+        self.step_sparse(transposed(), scratch, &mut BatchStepStats::default())
     }
 
     /// The reach of this vector's next transition when it takes the span

@@ -1,31 +1,51 @@
-//! The cache-blocked panel kernel behind [`CsrMatrix::step_batch`].
+//! The SIMD propagation kernels: the cache-blocked panel kernel behind
+//! [`CsrMatrix::step_batch`] (forward steps) and the sliced-row gather
+//! behind [`crate::chain::MarkovChain::step_backward`] (backward steps).
 //!
-//! Span vectors whose spans overlap — a k-times level family, clustered
-//! objects — step together through one interleaved *panel*:
-//! `panel[j * P + k]` holds vector `k`'s value at the panel's `j`-th
-//! column, so for a given matrix entry the `P` vector values are contiguous
-//! and the inner loop is an unrolled (and, on `x86_64` with AVX,
-//! vectorized) multiply-add over the panel row. The panel covers the
+//! **Forward panel.** Span vectors whose spans overlap — a k-times level
+//! family, clustered objects — step together through one interleaved
+//! *panel*: `panel[j * P + k]` holds vector `k`'s value at the panel's
+//! `j`-th column, so for a given matrix entry the `P` vector values are
+//! contiguous and the inner loop is an unrolled (and, on `x86_64` with
+//! AVX, vectorized) multiply-add over the panel row. The panel covers the
 //! members' union span, not the state space; its width `P` is sized so the
 //! panel fits a slice of L2 (`panel_width`), and the matrix rows of the
 //! union span are streamed once per panel instead of once per vector.
 //!
+//! **Backward gather.** A backward step `h ← M · h` is one dot product per
+//! row of `M`. `SlicedRows` holds `M` in sliced ELLPACK layout (SELL-C-σ,
+//! Kreutzer et al., SIAM J. Sci. Comput. 2014, with C = 8 and no sorting):
+//! slice `k` interleaves rows `8k … 8k+7`, so entry `e` of the eight rows
+//! is eight consecutive `(offset, value)` pairs and one output slot per
+//! lane accumulates its row's terms in vector registers — two 4-lane
+//! gathers of input values per slice entry on AVX2, a scalar loop
+//! otherwise. The output range is the rows the live inputs
+//! reach, read off a per-column `(first row, last row, entries)` table: the
+//! `Reach` the scatter over `Mᵀ` would compute, so the same
+//! `Reach::is_scattered` guard picks the same arm.
+//!
 //! **Bit-identity contract.** Per vector, the floating-point operations
 //! and their order are exactly those of a solo
-//! [`crate::hybrid::PropagationVector::step`]: ascending source state,
-//! then ascending column within each matrix row, with a first touch
-//! computed as `0.0 + vi * m` (a zeroed slot plus the term). SIMD and
-//! unrolling only ever act *across* independent vectors of a panel, never
-//! across the terms of one vector's accumulation, so no sum is reassociated
-//! and no FMA contraction is introduced. The proptests in
-//! `tests/proptests.rs` pin this contract across panel widths and batch
-//! compositions.
+//! [`crate::hybrid::PropagationVector::step`]: per output slot, the terms
+//! in ascending source state (ascending column within each matrix row for
+//! the panel; ascending column of `M`'s row — the scatter's ascending
+//! source over `Mᵀ` — for the gather), accumulated from `0.0` as a separate
+//! multiply and add, never an FMA. SIMD and unrolling only ever act
+//! *across* independent slots or vectors, never across the terms of one
+//! slot's accumulation, so no sum is reassociated. The gather adds `+0.0`
+//! for the padded entries and the in-span zero sources the scatter skips:
+//! the identity on the finite, non-negative values a validated chain and
+//! its fields carry. The proptests in `tests/proptests.rs` pin this
+//! contract across panel widths, batch compositions and gather arms.
 
 use std::ops::Range;
 
 use crate::csr::{CsrMatrix, Reach, SpmvScratch};
 use crate::hybrid::BatchStepStats;
 use crate::span_vec::SpanVector;
+
+/// Rows per slice of [`SlicedRows`]: two AVX2 registers of doubles.
+const SLICE_ROWS: usize = 8;
 
 /// Byte budget for one input + output panel pair — a conservative slice
 /// of a typical per-core L2 so the hot panel data stays cache-resident
@@ -234,6 +254,335 @@ unsafe fn axpy_panel_avx(out: &mut [f64], vals: &[f64], m: f64) {
             _mm256_storeu_pd(oc.as_mut_ptr(), sum);
         }
     }
+}
+
+/// A SIMD arm of the backward gather (`SlicedRows`). Every arm performs
+/// the same operations per output slot, so both are bit-identical;
+/// [`GatherArm::detect`] picks the widest the CPU has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GatherArm {
+    /// One scalar multiply-add per slot and entry.
+    Scalar,
+    /// Two 4-lane `i32` gathers per slice entry (AVX2).
+    Avx2,
+}
+
+impl GatherArm {
+    /// The widest arm the CPU supports.
+    pub fn detect() -> GatherArm {
+        if GatherArm::Avx2.is_supported() {
+            GatherArm::Avx2
+        } else {
+            GatherArm::Scalar
+        }
+    }
+
+    /// Every arm the CPU supports, narrowest first; always starts with
+    /// [`GatherArm::Scalar`].
+    pub fn available() -> Vec<GatherArm> {
+        [GatherArm::Scalar, GatherArm::Avx2].into_iter().filter(|arm| arm.is_supported()).collect()
+    }
+
+    /// True when the CPU can run this arm.
+    fn is_supported(self) -> bool {
+        match self {
+            GatherArm::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            GatherArm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+/// One column's footprint in `M`: the rows `first..end` holding its
+/// entries and how many entries it has — the row of `Mᵀ` the scatter
+/// would read, reduced to what a [`Reach`] needs. An empty column is
+/// `(u32::MAX, 0, 0)`, the identity of the min / max a reach folds.
+#[derive(Debug, Clone, Copy)]
+struct ColumnReach {
+    first: u32,
+    end: u32,
+    entries: u32,
+}
+
+/// A square matrix `M` in sliced ELLPACK layout with 8-row slices — the
+/// operand of the backward gather.
+///
+/// Slice `k` holds rows `8k … 8k+7`; entry `e` of row `r` sits at
+/// `slice_off[k] + 8e + (r mod 8)`, as its column's offset from the
+/// slice's first column and its value. A row shorter than its slice's
+/// longest row is padded with value `0.0` at the row's own last column
+/// (at the slice's first column if it has none, and for the rows past
+/// `|S|` of a partial last slice), so storage and gather work per slice
+/// are 8 × its longest row: the copy stays about `M`'s size, and a step
+/// about the scatter's work, only while the rows within each slice have
+/// similar lengths (one 1 000-entry row pads its 7 neighbours to 1 000
+/// entries each; sorting rows by length, the σ of SELL-C-σ, is not done).
+/// The fields stay private to this module: the gathers' memory safety rests on every stored offset lying
+/// inside its slice's column extent, which only [`SlicedRows::new`]
+/// establishes.
+#[derive(Debug)]
+pub(crate) struct SlicedRows {
+    dim: usize,
+    /// Slice `k`'s entries are `slice_off[k]..slice_off[k + 1]`.
+    slice_off: Vec<usize>,
+    /// Each entry's column minus its slice's first column.
+    offsets: Vec<u32>,
+    values: Vec<f64>,
+    /// Per slice: its first and last column (`(u32::MAX, 0)` when the
+    /// slice stores nothing).
+    extent: Vec<(u32, u32)>,
+    /// Per column of `M`.
+    columns: Vec<ColumnReach>,
+}
+
+impl SlicedRows {
+    /// Lays out the square matrix `m` in one pass over its rows, every
+    /// vector allocated at its exact final size.
+    pub(crate) fn new(m: &CsrMatrix) -> SlicedRows {
+        debug_assert_eq!(m.nrows(), m.ncols(), "a transition matrix is square");
+        let dim = m.nrows();
+        let rows_of = |k: usize| k * SLICE_ROWS..((k + 1) * SLICE_ROWS).min(dim);
+        let slices = dim.div_ceil(SLICE_ROWS);
+        let slice_off: Vec<usize> = std::iter::once(0)
+            .chain((0..slices).scan(0, |total, k| {
+                *total += SLICE_ROWS * rows_of(k).map(|r| m.row_nnz(r)).max().unwrap_or(0);
+                Some(*total)
+            }))
+            .collect();
+        let total = slice_off[slices];
+        let mut offsets = vec![0u32; total];
+        let mut values = vec![0.0; total];
+        let mut extent = vec![(u32::MAX, 0); slices];
+        let mut columns = vec![ColumnReach { first: u32::MAX, end: 0, entries: 0 }; dim];
+        for (k, slice_extent) in extent.iter_mut().enumerate() {
+            let lanes = rows_of(k).map(|r| m.row(r));
+            let ends = lanes.clone().filter_map(|(cols, _)| Some((*cols.first()?, *cols.last()?)));
+            *slice_extent = ends.fold(*slice_extent, |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+            let first = slice_extent.0;
+            let span = slice_off[k]..slice_off[k + 1];
+            let width = span.len() / SLICE_ROWS;
+            let (slice_offsets, slice_values) = (&mut offsets[span.clone()], &mut values[span]);
+            for (lane, (r, (cols, vals))) in rows_of(k).zip(lanes).enumerate() {
+                let slots = |e: usize| e * SLICE_ROWS + lane;
+                for (e, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+                    (slice_offsets[slots(e)], slice_values[slots(e)]) = (c - first, v);
+                }
+                // Padding keeps the value 0.0 the buffers start with.
+                let pad = cols.last().map_or(0, |&c| c - first);
+                for e in cols.len()..width {
+                    slice_offsets[slots(e)] = pad;
+                }
+                // Branch-free: whether a column was seen before is as good
+                // as random on a banded chain.
+                for &c in cols {
+                    let column = &mut columns[c as usize];
+                    column.first = column.first.min(r as u32);
+                    column.end = r as u32 + 1;
+                    column.entries += 1;
+                }
+            }
+        }
+        SlicedRows { dim, slice_off, offsets, values, extent, columns }
+    }
+
+    /// The most stored entries of any row (a slice's width) or column of
+    /// `M`.
+    pub(crate) fn max_line_nnz(&self) -> usize {
+        let rows = self.slice_off.windows(2).map(|pair| (pair[1] - pair[0]) / SLICE_ROWS);
+        let columns = self.columns.iter().map(|column| column.entries as usize);
+        rows.chain(columns).max().unwrap_or(0)
+    }
+
+    /// The [`Reach`] of one backward step of `v`: the rows of `M` that
+    /// hold an entry in a column where `v` is non-zero — the same range,
+    /// row and entry counts as the scatter's reach over `Mᵀ`.
+    pub(crate) fn reach_of(&self, v: &SpanVector) -> Reach {
+        let (offset, values) = v.span();
+        let columns = &self.columns[offset..offset + values.len()];
+        let live = columns.iter().zip(values).filter(|(_, vi)| **vi != 0.0);
+        let (lo, hi, entries) = live.fold((u32::MAX, 0, 0), |(lo, hi, entries), (column, _)| {
+            (lo.min(column.first), hi.max(column.end), entries + u64::from(column.entries))
+        });
+        let hi = hi as usize;
+        Reach { lo: (lo as usize).min(hi), hi, rows: v.nnz() as u64, entries }
+    }
+
+    /// One backward step `M · v` of a span vector whose `reach` is known,
+    /// on `arm`: rows `reach.lo..reach.hi` — the scatter's output range —
+    /// written slice by slice into a buffer from `scratch.span_pool`, then
+    /// counted and trimmed. The input is first copied into the pooled,
+    /// zero-padded buffer `scratch.gather_in` covering the column extent
+    /// of those rows' slices.
+    pub(crate) fn step(
+        &self,
+        v: &SpanVector,
+        reach: Reach,
+        arm: GatherArm,
+        scratch: &mut SpmvScratch,
+    ) -> SpanVector {
+        let mut out = scratch.zeroed_span(reach.hi - reach.lo);
+        let mut input = std::mem::take(&mut scratch.gather_in);
+        self.gather(v, reach.lo, &mut input, &mut out, arm);
+        scratch.gather_in = input;
+        SpanVector::from_parts(self.dim, reach.lo, out)
+    }
+
+    /// Fills `input` with `v` over the column extent of the slices holding
+    /// rows `out_lo..out_lo + out.len()` and writes those rows of `M · v`
+    /// to `out`, on `arm` when the CPU has it and every buffer offset fits
+    /// an `i32`, on the scalar loop otherwise.
+    fn gather(
+        &self,
+        v: &SpanVector,
+        out_lo: usize,
+        input: &mut Vec<f64>,
+        out: &mut [f64],
+        arm: GatherArm,
+    ) {
+        let slices = out_lo / SLICE_ROWS..(out_lo + out.len()).div_ceil(SLICE_ROWS);
+        let (first, last) = self.extent[slices.clone()]
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &(a, b)| (lo.min(a), hi.max(b)));
+        let (base, len) = (first as usize, (last as usize + 1).saturating_sub(first as usize));
+        let (offset, values) = v.span();
+        let copy = offset.max(base)..(offset + values.len()).min(base + len);
+        input.clear();
+        if !copy.is_empty() {
+            input.resize(copy.start - base, 0.0);
+            input.extend_from_slice(&values[copy.start - offset..copy.end - offset]);
+        }
+        input.resize(len, 0.0);
+        // Every slice with entries starts inside `input` (so `&input[first
+        // - base..]` cannot panic) and every offset it stores is at most
+        // its extent's width (`new`), so the gathers read inside `input`
+        // exactly when every such slice's last column does.
+        assert!(
+            self.extent[slices.clone()]
+                .iter()
+                .all(|&(a, b)| a > b || (b as usize) < base + input.len()),
+            "every gathered slice lies inside the input buffer"
+        );
+        let arm = if input.len() <= i32::MAX as usize && arm.is_supported() {
+            arm
+        } else {
+            GatherArm::Scalar
+        };
+        let rows = (slices, out_lo);
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2 was just checked, every gathered slice lies inside
+            // `input` (asserted above) and every buffer offset fits an `i32`.
+            GatherArm::Avx2 => unsafe { self.gather_avx2(rows, input, base, out) },
+            _ => self.sweep_slices(rows, input, base, out, slice_dot_scalar),
+        }
+    }
+
+    /// The slice loop every arm shares: `dot` turns one slice's entries
+    /// and its input (the buffer from the slice's first column on) into
+    /// the slice's 8 row sums, and the rows of `out_lo..out_lo + out.len()`
+    /// among them are copied out. A slice without entries sums to zero.
+    #[inline(always)]
+    fn sweep_slices(
+        &self,
+        (slices, out_lo): (Range<usize>, usize),
+        input: &[f64],
+        base: usize,
+        out: &mut [f64],
+        dot: impl Fn(&[u32], &[f64], &[f64]) -> [f64; SLICE_ROWS],
+    ) {
+        let out_hi = out_lo + out.len();
+        for k in slices {
+            let span = self.slice_off[k]..self.slice_off[k + 1];
+            let (offsets, values) = (&self.offsets[span.clone()], &self.values[span]);
+            let sums = if offsets.is_empty() {
+                [0.0; SLICE_ROWS]
+            } else {
+                dot(offsets, values, &input[self.extent[k].0 as usize - base..])
+            };
+            let rows = (k * SLICE_ROWS).max(out_lo)..((k + 1) * SLICE_ROWS).min(out_hi);
+            out[rows.start - out_lo..rows.end - out_lo]
+                .copy_from_slice(&sums[rows.start - k * SLICE_ROWS..rows.end - k * SLICE_ROWS]);
+        }
+    }
+
+    /// [`Self::sweep_slices`] compiled with AVX2, two 4-lane gathers per
+    /// slice entry.
+    ///
+    /// # Safety
+    /// Caller must ensure `avx2` is available, that every slice of `rows`
+    /// with entries has its last column inside `base..base + input.len()`,
+    /// and that `input.len()` fits an `i32`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather_avx2(
+        &self,
+        rows: (Range<usize>, usize),
+        input: &[f64],
+        base: usize,
+        out: &mut [f64],
+    ) {
+        self.sweep_slices(rows, input, base, out, |offsets, values, src| {
+            // SAFETY: this closure only runs with AVX2 available (the
+            // caller's contract), on a slice whose offsets lie inside `src`.
+            unsafe { slice_dot_avx2(offsets, values, src) }
+        })
+    }
+}
+
+/// One slice's 8 row sums, scalar: per lane `acc ← acc + m·h`, entries in
+/// order.
+#[inline(always)]
+fn slice_dot_scalar(offsets: &[u32], values: &[f64], src: &[f64]) -> [f64; SLICE_ROWS] {
+    let mut acc = [0.0; SLICE_ROWS];
+    for (o, m) in offsets.chunks_exact(SLICE_ROWS).zip(values.chunks_exact(SLICE_ROWS)) {
+        for lane in 0..SLICE_ROWS {
+            acc[lane] += m[lane] * src[o[lane] as usize];
+        }
+    }
+    acc
+}
+
+/// [`slice_dot_scalar`] with two 4-lane gathers, multiplies and adds per
+/// entry (no fused multiply-add).
+///
+/// # Safety
+/// Caller must ensure `avx2` is available and that every offset is below
+/// `src.len()` and fits an `i32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn slice_dot_avx2(offsets: &[u32], values: &[f64], src: &[f64]) -> [f64; SLICE_ROWS] {
+    use std::arch::x86_64::{
+        __m128i, _mm256_add_pd, _mm256_i32gather_pd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm_loadu_si128,
+    };
+    let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    for (o, m) in offsets.chunks_exact(SLICE_ROWS).zip(values.chunks_exact(SLICE_ROWS)) {
+        // SAFETY: `o` and `m` hold 8 `u32` / 8 `f64`, two unaligned 128- /
+        // 256-bit loads each, and every gathered offset lies inside `src`
+        // (caller's contract).
+        unsafe {
+            let h_lo = _mm256_i32gather_pd::<8>(
+                src.as_ptr(),
+                _mm_loadu_si128(o.as_ptr().cast::<__m128i>()),
+            );
+            let h_hi = _mm256_i32gather_pd::<8>(
+                src.as_ptr(),
+                _mm_loadu_si128(o.as_ptr().add(4).cast::<__m128i>()),
+            );
+            lo = _mm256_add_pd(lo, _mm256_mul_pd(_mm256_loadu_pd(m.as_ptr()), h_lo));
+            hi = _mm256_add_pd(hi, _mm256_mul_pd(_mm256_loadu_pd(m.as_ptr().add(4)), h_hi));
+        }
+    }
+    let mut sums = [0.0; SLICE_ROWS];
+    // SAFETY: `sums` holds exactly 8 doubles, two 256-bit stores.
+    unsafe {
+        _mm256_storeu_pd(sums.as_mut_ptr(), lo);
+        _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
+    }
+    sums
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@
 //!   (Section VI) and the k-times blow-up (Section VII), kept as executable
 //!   specifications the fast engines are cross-checked against;
 //! * [`kernels`] — the cache-blocked, SIMD-friendly span panel kernel
-//!   behind `CsrMatrix::step_batch`;
+//!   behind `CsrMatrix::step_batch` (forward steps) and the sliced-row
+//!   gather behind `MarkovChain::step_backward` (backward steps);
 //! * [`mask::StateMask`] — bitset state sets for query windows.
 
 #![deny(missing_docs)]

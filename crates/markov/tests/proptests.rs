@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use ust_markov::augmented;
+use ust_markov::kernels::GatherArm;
 use ust_markov::testutil;
 use ust_markov::{
     CsrMatrix, DenseVector, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask,
@@ -55,6 +56,48 @@ fn entries_of(m: &CsrMatrix, v: &SparseVector) -> u64 {
 
 fn chain_params() -> impl Strategy<Value = (u64, usize, usize)> {
     (0u64..10_000, 2usize..=24, 1usize..=5)
+}
+
+/// A stochastic chain on `n` states whose rows have 1 to `max_deg`
+/// successors — within `±band` of the row when `band` is set, anywhere
+/// otherwise — so rows differ in length and the gather's slices pad. Every
+/// third row also stores one explicit zero entry, which `CooBuilder` would
+/// drop.
+fn uneven_chain(seed: u64, n: usize, max_deg: usize, band: Option<usize>) -> MarkovChain {
+    use rand::Rng as _;
+    let mut rng = testutil::rng(seed);
+    let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..n {
+        let (lo, hi) = band.map_or((0, n - 1), |b| (i.saturating_sub(b), (i + b).min(n - 1)));
+        let room = hi - lo + 1;
+        let deg = rng.random_range(1..=max_deg).min(room);
+        let zero = i % 3 == 0 && deg < room;
+        let mut cols: Vec<usize> = Vec::new();
+        while cols.len() < deg + usize::from(zero) {
+            let c = lo + rng.random_range(0..room);
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        let weights: Vec<f64> = (0..deg).map(|_| rng.random::<f64>() + 1e-3).collect();
+        let total: f64 = weights.iter().sum();
+        // The last sampled column is the explicit zero, wherever it sorts.
+        let mut row: Vec<(usize, f64)> = cols
+            .iter()
+            .zip(weights.iter().map(|w| w / total).chain([0.0]))
+            .map(|(&c, w)| (c, w))
+            .collect();
+        row.sort_by_key(|&(c, _)| c);
+        indices.extend(row.iter().map(|&(c, _)| c as u32));
+        data.extend(row.iter().map(|&(_, w)| w));
+        indptr.push(indices.len());
+    }
+    MarkovChain::from_csr(CsrMatrix::from_raw_parts(n, n, indptr, indices, data)).unwrap()
+}
+
+/// A vector's arm and its value at every state, as bits.
+fn arm_and_bits(v: &PropagationVector) -> (bool, Vec<u64>) {
+    (v.is_sparse(), v.to_dense().as_slice().iter().map(|x| x.to_bits()).collect())
 }
 
 proptest! {
@@ -253,6 +296,61 @@ proptest! {
     }
 
     #[test]
+    fn backward_gather_matches_the_transposed_step(
+        seed in 0u64..10_000,
+        n in 1usize..=70,
+        max_deg in 1usize..=6,
+        band in 0usize..=6,
+        start in 0u8..5,
+    ) {
+        // Every gather arm the CPU has (the scalar arm always) against the
+        // scatter over Mᵀ, bit for bit and on the same arm, over several
+        // steps: spans touching state 0 and state |S| − 1, one with zero
+        // gaps inside, a sorted-index start, and two far-apart states that
+        // the scattered-sources guard sends to the sorted-index arm.
+        use rand::Rng as _;
+        // Band 0: successors anywhere.
+        let chain = uneven_chain(seed, n, max_deg, (band > 0).then_some(band));
+        let mut rng = testutil::rng(seed ^ 0x5EED);
+        let width = rng.random_range(1..=n);
+        let dense = |range: std::ops::Range<usize>, gaps: bool| {
+            let mut v = vec![0.0; n];
+            for s in range.filter(|s| !gaps || s % 3 != 1) {
+                v[s] = 0.05 + (s % 7) as f64 / 7.0;
+            }
+            PropagationVector::from_dense(DenseVector::from_vec(v))
+        };
+        let start = match start {
+            0 => dense(0..width, false),
+            1 => dense(n - width..n, false),
+            2 => dense(n / 3..(n / 3 + width).min(n), true),
+            3 => PropagationVector::from_sparse(testutil::random_distribution(&mut rng, n, 3)),
+            _ => {
+                let mut ends = vec![0.0; n];
+                ends[0] = 0.25;
+                ends[n - 1] += 0.75;
+                PropagationVector::from_dense(DenseVector::from_vec(ends))
+            }
+        };
+        let arms = GatherArm::available();
+        prop_assert_eq!(arms[0], GatherArm::Scalar);
+        for arm in arms {
+            let mut expected = start.clone();
+            let mut gathered = [start.clone()];
+            let mut scratch = SpmvScratch::new();
+            for step in 0..5 {
+                if expected.nnz() > 0 {
+                    expected.step(chain.transposed(), &mut scratch).unwrap();
+                }
+                chain.step_backward_on(arm, &mut gathered, &mut scratch).unwrap();
+                prop_assert_eq!(arm_and_bits(&gathered[0]), arm_and_bits(&expected),
+                    "{:?} arm, step {}", arm, step);
+                prop_assert_eq!(&gathered[0], &expected);
+            }
+        }
+    }
+
+    #[test]
     fn mask_set_laws(n in 1usize..200, seed in 0u64..1_000) {
         let mut rng = testutil::rng(seed);
         use rand::Rng as _;
@@ -317,6 +415,28 @@ proptest! {
         let m = builder.build();
         let reference = CsrMatrix::from_dense(&dense).unwrap();
         prop_assert!(m.approx_eq(&reference, 1e-12));
+    }
+}
+
+#[test]
+fn scattered_sources_keep_the_sorted_index_arm_under_every_gather_arm() {
+    // Mass on the two ends of a banded chain: the live columns reach rows
+    // 0..4 and 60..64, 64 output slots for a handful of entries — past the
+    // 4× guard, so the step goes to the sorted-index scatter over Mᵀ.
+    let chain = uneven_chain(7, 64, 3, Some(2));
+    let mut ends = vec![0.0; 64];
+    (ends[0], ends[63]) = (0.25, 0.75);
+    let start = PropagationVector::from_dense(DenseVector::from_vec(ends));
+    assert!(!start.is_sparse());
+    let mut expected = start.clone();
+    let mut scratch = SpmvScratch::new();
+    expected.step(chain.transposed(), &mut scratch).unwrap();
+    assert!(expected.is_sparse());
+    for arm in GatherArm::available() {
+        let mut gathered = [start.clone()];
+        chain.step_backward_on(arm, &mut gathered, &mut scratch).unwrap();
+        assert!(gathered[0].is_sparse(), "{arm:?}");
+        assert_eq!(arm_and_bits(&gathered[0]), arm_and_bits(&expected), "{arm:?}");
     }
 }
 

@@ -10,6 +10,8 @@
 //! `T▫`, which the interval generator of `tests/proptest_engines.rs` never
 //! produces.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,7 +24,7 @@ use ust_core::engine::{exhaustive, object_based};
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // trait and the engine's enum).
 use ust_core::Strategy;
-use ust_markov::{testutil, SpanVector};
+use ust_markov::{testutil, PropagationVector, SpanVector, SpmvScratch};
 use ust_space::TimeSet;
 
 const TOL: f64 = 1e-12;
@@ -87,6 +89,86 @@ fn banded_chain(seed: u64, n: usize, reach: usize) -> MarkovChain {
 fn object(id: u64, seed: u64, n: usize, time: u32) -> UncertainObject {
     let dist = testutil::random_distribution(&mut testutil::rng(seed), n, 2);
     UncertainObject::with_single_observation(id, Observation::uncertain(time, dist).unwrap())
+}
+
+/// A chain on a line whose rows have 1 to 4 successors within `±band`
+/// (`band` ≥ the state count: anywhere), so rows differ in length.
+fn uneven_chain(seed: u64, n: usize, band: usize) -> MarkovChain {
+    let mut rng = testutil::rng(seed);
+    let rows: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|s| {
+            let (lo, hi) = (s.saturating_sub(band), (s + band).min(n - 1));
+            let mut cols: Vec<usize> = (lo..=hi).collect();
+            let keep = rng.random_range(1..=4usize).min(cols.len());
+            while cols.len() > keep {
+                cols.remove(rng.random_range(0..cols.len()));
+            }
+            let weights: Vec<f64> = cols.iter().map(|_| rng.random::<f64>() + 0.05).collect();
+            let total: f64 = weights.iter().sum();
+            cols.into_iter().zip(weights).map(|(c, w)| (c, w / total)).collect()
+        })
+        .collect();
+    MarkovChain::from_csr(CsrMatrix::from_rows(n, &rows).unwrap()).unwrap()
+}
+
+/// The backward sweep of `rule` stepped with the public transposed step —
+/// [`PropagationVector::step`] over `Mᵀ` for every non-empty level — and
+/// the rule's window surgery written out again: the snapshots at `times`.
+fn reference_sweep(
+    chain: &MarkovChain,
+    window: &QueryWindow,
+    rule: FieldRule,
+    times: &[u32],
+) -> BTreeMap<u32, Vec<SpanVector>> {
+    let n = chain.num_states();
+    let inside = window.states();
+    let ones = SparseVector::from_pairs(n, inside.iter().map(|s| (s, 1.0))).unwrap();
+    let empty = || PropagationVector::from_sparse(SparseVector::zeros(n));
+    let mut levels: Vec<PropagationVector> = match rule {
+        FieldRule::Exists => vec![empty()],
+        FieldRule::ForAll => vec![PropagationVector::from_sparse(ones.clone())],
+        FieldRule::KTimes => (0..=window.num_times()).map(|_| empty()).collect(),
+    };
+    let mut snapshots = BTreeMap::new();
+    let mut keep = |t: u32, levels: &[PropagationVector]| {
+        if times.contains(&t) {
+            snapshots.insert(t, levels.iter().map(PropagationVector::to_span).collect());
+        }
+    };
+    let mut scratch = SpmvScratch::new();
+    let mut t = window.t_end();
+    keep(t, &levels);
+    while t > *times.iter().min().unwrap() {
+        if window.time_in_window(t) {
+            match rule {
+                FieldRule::Exists => {
+                    let _ = levels[0].extract_masked(inside);
+                    levels[0].add_sparse(&ones).unwrap();
+                }
+                FieldRule::ForAll => {
+                    levels[0] = PropagationVector::from_sparse(levels[0].split_masked(inside));
+                }
+                FieldRule::KTimes => {
+                    let k_max = levels.len() - 1;
+                    let _ = levels[k_max].split_masked(inside);
+                    for j in (2..=k_max).rev() {
+                        let moved = levels[j - 1].split_masked(inside);
+                        levels[j].add_sparse(&moved).unwrap();
+                    }
+                    let deficit = levels[0].split_masked(inside);
+                    let no_visit = inside.iter().map(|s| (s, 1.0 - deficit.get(s)));
+                    levels[1].add_sparse(&SparseVector::from_pairs(n, no_visit).unwrap()).unwrap();
+                    levels[0].add_sparse(&ones).unwrap();
+                }
+            }
+        }
+        for level in levels.iter_mut().filter(|level| level.nnz() > 0) {
+            level.step(chain.transposed(), &mut scratch).unwrap();
+        }
+        t -= 1;
+        keep(t, &levels);
+    }
+    snapshots
 }
 
 fn span_bits(v: &SpanVector) -> (usize, Vec<u64>) {
@@ -210,6 +292,53 @@ proptest! {
                 for (j, (x, y)) in a.iter().zip(b).enumerate() {
                     prop_assert_eq!(span_bits(x), span_bits(y),
                         "{:?} field, level {} at t={}", rule, j, t);
+                }
+            }
+        }
+    }
+
+    // (e) What the fields gather along M's rows — fresh sweeps and sweeps
+    // resumed with `extend_down`, under every rule — equals a reference
+    // sweep stepped over Mᵀ with the public `PropagationVector::step`, bit
+    // for bit: per output slot the same terms in the same order. Banded
+    // chains keep the levels on the span arm (the gather); unstructured
+    // ones (band ≥ |S|) scatter them to the sorted-index arm and back.
+    #[test]
+    fn fields_equal_a_reference_sweep_over_the_transposed_chain(
+        seed in 0u64..10_000,
+        n in 9usize..=90,
+        band in 0usize..3,
+        first in 0usize..=8,
+        width in 1usize..=4,
+        t_lo in 2u32..=5,
+        window_seed in 0u64..1_000,
+    ) {
+        let chain = uneven_chain(seed, n, [2, 5, n][band]);
+        let mut rng = StdRng::seed_from_u64(window_seed);
+        let mut times: Vec<u32> = (t_lo..=t_lo + 3).filter(|_| rng.random::<f64>() < 0.6).collect();
+        times.push(t_lo + 3);
+        let states = first.min(n - width)..first.min(n - width) + width;
+        let window = QueryWindow::from_states(n, states, TimeSet::new(times)).unwrap();
+        let config = EngineConfig::default();
+        let (early, late) = ([0u32, 1], [2u32, t_lo]);
+        let all = [0u32, 1, 2, t_lo];
+
+        for rule in [FieldRule::Exists, FieldRule::ForAll, FieldRule::KTimes] {
+            let reference = reference_sweep(&chain, &window, rule, &all);
+            let fresh = BackwardField::compute_with_config(
+                &chain, &window, rule, &all, &config, &mut EvalStats::new()).unwrap();
+            let mut resumed = BackwardField::compute_with_config(
+                &chain, &window, rule, &late, &config, &mut EvalStats::new()).unwrap();
+            resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
+            for t in all {
+                let expected = &reference[&t];
+                for (how, field) in [("fresh", &fresh), ("resumed", &resumed)] {
+                    let levels = field.at(t).unwrap();
+                    prop_assert_eq!(levels.len(), expected.len());
+                    for (j, (x, y)) in levels.iter().zip(expected).enumerate() {
+                        prop_assert_eq!(span_bits(x), span_bits(y),
+                            "{} {:?} field, level {} at t={}", how, rule, j, t);
+                    }
                 }
             }
         }
