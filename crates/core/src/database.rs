@@ -5,6 +5,7 @@
 //! its own) and the uncertain objects referencing them.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ust_markov::MarkovChain;
@@ -44,7 +45,18 @@ pub struct TrajectoryDatabase {
     inner: Arc<DbInner>,
 }
 
+/// The source of [`TrajectoryDatabase::version`]: one counter for the whole
+/// process, so no two differing stores ever share a value.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
+
+fn next_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
 struct DbInner {
+    /// Taken from [`NEXT_VERSION`] at construction and at every mutation
+    /// ([`TrajectoryDatabase::mutate`]); clones share it with their store.
+    version: u64,
     models: Vec<Arc<MarkovChain>>,
     objects: Vec<UncertainObject>,
     /// True while every insert carried an id above the previous one, i.e.
@@ -68,6 +80,7 @@ impl Clone for DbInner {
         // an updated copy of the index (the source snapshot keeps its own),
         // so a populated slot still describes the store it lives in.
         DbInner {
+            version: self.version,
             models: self.models.clone(),
             objects: self.objects.clone(),
             ids_ascending: self.ids_ascending,
@@ -80,6 +93,7 @@ impl Clone for DbInner {
 impl fmt::Debug for DbInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DbInner")
+            .field("version", &self.version)
             .field("models", &self.models)
             .field("objects", &self.objects)
             .field("space", &self.space.as_ref().map(|s| s.num_states()))
@@ -94,6 +108,7 @@ impl TrajectoryDatabase {
     pub fn new(chain: MarkovChain) -> Self {
         TrajectoryDatabase {
             inner: Arc::new(DbInner {
+                version: next_version(),
                 models: vec![Arc::new(chain)],
                 objects: Vec::new(),
                 ids_ascending: true,
@@ -119,6 +134,7 @@ impl TrajectoryDatabase {
         }
         Ok(TrajectoryDatabase {
             inner: Arc::new(DbInner {
+                version: next_version(),
                 models: chains.into_iter().map(Arc::new).collect(),
                 objects: Vec::new(),
                 ids_ascending: true,
@@ -139,10 +155,27 @@ impl TrajectoryDatabase {
                 object_states: space.num_states(),
             });
         }
-        let inner = Arc::make_mut(&mut self.inner);
+        let inner = self.mutate();
         inner.space = Some(space);
         inner.index.take();
         Ok(())
+    }
+
+    /// This handle's store, copied first if another handle shares it, under
+    /// a fresh [`TrajectoryDatabase::version`]: every mutation goes
+    /// through here.
+    fn mutate(&mut self) -> &mut DbInner {
+        let inner = Arc::make_mut(&mut self.inner);
+        inner.version = next_version();
+        inner
+    }
+
+    /// The store's version: equal on two handles only when they share one
+    /// unmutated store (a clone, a snapshot), so whatever is computed from
+    /// a snapshot may be reused while the version it was computed at
+    /// stands. An ignored stale ingest keeps it.
+    pub(crate) fn version(&self) -> u64 {
+        self.inner.version
     }
 
     /// The attached spatial embedding, if any.
@@ -183,7 +216,7 @@ impl TrajectoryDatabase {
         // entry) unless it is due for compaction, in which case the slot
         // stays empty and the next read rebuilds in bulk.
         let (idx, prev_index) = {
-            let inner = Arc::make_mut(&mut self.inner);
+            let inner = self.mutate();
             let idx = inner.objects.len();
             if inner.objects.last().is_some_and(|last| object.id() <= last.id()) {
                 inner.ids_ascending = false;
@@ -229,7 +262,7 @@ impl TrajectoryDatabase {
             return Ok(IngestOutcome::IgnoredStale);
         }
         let prev_index = {
-            let inner = Arc::make_mut(&mut self.inner);
+            let inner = self.mutate();
             inner.objects[idx] =
                 UncertainObject::with_single_observation(object_id, observation).with_model(model);
             inner.index.take()
@@ -385,6 +418,34 @@ mod tests {
         assert_eq!(db.len(), 2);
         assert_eq!(snapshot.len(), 1);
         assert_eq!(snapshot.object(0).unwrap().id(), 1);
+    }
+
+    #[test]
+    fn every_mutation_takes_a_fresh_version_and_clones_share_theirs() {
+        use ust_space::LineSpace;
+
+        let mut db = TrajectoryDatabase::new(chain3());
+        let other = TrajectoryDatabase::new(chain3());
+        assert_ne!(db.version(), other.version(), "two stores never share a version");
+        let mut seen = vec![db.version()];
+        db.insert(object(1, 0)).unwrap();
+        seen.push(db.version());
+        let snapshot = db.clone();
+        assert_eq!(snapshot.version(), db.version());
+        db.attach_space(Arc::new(LineSpace::new(3))).unwrap();
+        seen.push(db.version());
+        assert_eq!(db.ingest(1, Observation::exact(2, 3, 1).unwrap()), Ok(IngestOutcome::Applied));
+        seen.push(db.version());
+        let applied = db.version();
+        assert_eq!(
+            db.ingest(1, Observation::exact(1, 3, 0).unwrap()),
+            Ok(IngestOutcome::IgnoredStale)
+        );
+        assert_eq!(db.version(), applied, "a stale fix changes nothing");
+        assert!(db.insert(object(1, 0).with_model(3)).is_err());
+        assert_eq!(db.version(), applied, "a rejected insert changes nothing");
+        assert!(seen.windows(2).all(|pair| pair[0] < pair[1]), "each mutation a fresh version");
+        assert_eq!(snapshot.version(), seen[1], "the snapshot keeps its store's version");
     }
 
     #[test]

@@ -57,6 +57,7 @@ use std::sync::Arc;
 use ust_markov::MarkovChain;
 use ust_space::StateSpace;
 
+use crate::engine::plan::PlanMemo;
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::Result;
@@ -136,6 +137,22 @@ struct CacheEntry {
     /// replaces it. A replaced field starts a new entry, so the memo never
     /// outlives the snapshots it was read from.
     superlevel: Option<(f64, Space, Arc<Superlevel>)>,
+    /// The plan of the ∃ threshold over this window prepared last, when
+    /// this is model 0's ∃ entry and every model's field was resident (see
+    /// [`PlanMemo`]); the next plan prepared here replaces it. It dies with
+    /// the entry, as the superlevel memo does.
+    plan: Option<PlanMemo>,
+}
+
+/// What [`FieldCache::peek_exists`] finds on a cached ∃ entry, borrowed
+/// under the cache lock.
+pub(crate) struct ExistsPeek<'a> {
+    /// The cached field.
+    pub field: &'a Arc<BackwardField>,
+    /// Its superlevel geometry, when memoised at the peeked `(τ, space)`.
+    pub superlevel: Option<&'a Arc<Superlevel>>,
+    /// The plan memoised on the entry, whatever it was prepared under.
+    pub plan: Option<&'a PlanMemo>,
 }
 
 impl std::fmt::Debug for CacheEntry {
@@ -144,6 +161,7 @@ impl std::fmt::Debug for CacheEntry {
             .field("field", &self.field)
             .field("last_used", &self.last_used)
             .field("superlevel", &self.superlevel.as_ref().map(|(tau, _, _)| tau))
+            .field("plan", &self.plan.is_some())
             .finish()
     }
 }
@@ -289,9 +307,10 @@ impl FieldCache {
 
     /// The ∃ field of `(model, window)`, when cached, with its superlevel
     /// geometry at threshold `tau` under `space` when that is the one
-    /// memoised beside the entry ([`FieldCache::remember_superlevel`]). A
-    /// peek is not a lookup: it counts nothing and leaves the LRU order
-    /// alone (the lookup that serves the query does both).
+    /// memoised beside the entry ([`FieldCache::remember_superlevel`]), and
+    /// the entry's plan memo ([`FieldCache::remember_plan`]). A peek is not
+    /// a lookup: it counts nothing and leaves the LRU order alone (the
+    /// lookup that serves the query does both).
     pub(crate) fn peek_exists(
         &self,
         model: usize,
@@ -299,12 +318,12 @@ impl FieldCache {
         window: &QueryWindow,
         tau: f64,
         space: &Space,
-    ) -> Option<(Arc<BackwardField>, Option<Arc<Superlevel>>)> {
+    ) -> Option<ExistsPeek<'_>> {
         let entry = self.entries.get(&CacheKey::of(model, chain, window, FieldRule::Exists))?;
-        let memo = entry.superlevel.as_ref().and_then(|(t, s, geometry)| {
-            (t.to_bits() == tau.to_bits() && Arc::ptr_eq(s, space)).then(|| Arc::clone(geometry))
+        let superlevel = entry.superlevel.as_ref().and_then(|(t, s, geometry)| {
+            (t.to_bits() == tau.to_bits() && Arc::ptr_eq(s, space)).then_some(geometry)
         });
-        Some((Arc::clone(&entry.field), memo))
+        Some(ExistsPeek { field: &entry.field, superlevel, plan: entry.plan.as_ref() })
     }
 
     /// Memoises `geometry` — [`Superlevel::of`] `field` at `tau` under
@@ -325,6 +344,22 @@ impl FieldCache {
         let key = CacheKey::of(model, chain, window, FieldRule::Exists);
         if let Some(entry) = self.entries.get_mut(&key).filter(|e| Arc::ptr_eq(&e.field, field)) {
             entry.superlevel = Some((tau, Arc::clone(space), geometry));
+        }
+    }
+
+    /// Memoises `memo` — a plan prepared outside the lock against `field`,
+    /// model 0's peeked ∃ field of `window` — on that entry, replacing the
+    /// plan memoised there, if the entry still holds `field`.
+    pub(crate) fn remember_plan(
+        &mut self,
+        chain: &MarkovChain,
+        window: &QueryWindow,
+        field: &Arc<BackwardField>,
+        memo: PlanMemo,
+    ) {
+        let key = CacheKey::of(0, chain, window, FieldRule::Exists);
+        if let Some(entry) = self.entries.get_mut(&key).filter(|e| Arc::ptr_eq(&e.field, field)) {
+            entry.plan = Some(memo);
         }
     }
 
@@ -420,7 +455,12 @@ impl FieldCache {
             self.evict_lru();
         }
         let field = Arc::new(field);
-        let entry = CacheEntry { field: Arc::clone(&field), last_used: clock, superlevel: None };
+        let entry = CacheEntry {
+            field: Arc::clone(&field),
+            last_used: clock,
+            superlevel: None,
+            plan: None,
+        };
         self.entries.insert(key, entry);
         field
     }

@@ -53,10 +53,10 @@
 //! not predict wall clock.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::database::TrajectoryDatabase;
-use crate::engine::cache::{residency_of, FieldCache};
+use crate::engine::cache::{residency_of, ExistsPeek, FieldCache};
 use crate::engine::object_based::{ForwardRule, ReachPlan};
 use crate::engine::query_based::{
     group_on, probability_row, AnchorMemo, AnchoredField, BackwardField, FieldRule, ModelGroup,
@@ -155,6 +155,45 @@ pub struct QueryPlan {
     pub reason: String,
 }
 
+/// Estimates compare by their bits, so two equal plans render identically.
+impl PartialEq for QueryPlan {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |c: &CostEstimate| [c.step_ops.to_bits(), c.object_ops.to_bits()];
+        // Destructured, so a field added later cannot be left out.
+        let QueryPlan {
+            strategy,
+            object_based,
+            query_based,
+            num_objects,
+            num_models,
+            cached_fields,
+            extendable_fields,
+            window_states,
+            window_times,
+            horizon,
+            candidates_examined,
+            candidates_pruned,
+            superlevel_pruned,
+            reason,
+        } = self;
+        *strategy == other.strategy
+            && bits(object_based) == bits(&other.object_based)
+            && bits(query_based) == bits(&other.query_based)
+            && (*num_objects, *num_models, *cached_fields, *extendable_fields)
+                == (
+                    other.num_objects,
+                    other.num_models,
+                    other.cached_fields,
+                    other.extendable_fields,
+                )
+            && (*window_states, *window_times, *horizon)
+                == (other.window_states, other.window_times, other.horizon)
+            && (*candidates_examined, *candidates_pruned, *superlevel_pruned)
+                == (other.candidates_examined, other.candidates_pruned, other.superlevel_pruned)
+            && *reason == other.reason
+    }
+}
+
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -217,6 +256,7 @@ pub(crate) struct ExecContext<'a> {
 }
 
 /// What a spec addresses, before any filtering.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Scope {
     /// The whole database, as its length: an index probe never has to
     /// materialise `0..len` just to discard most of it.
@@ -335,38 +375,100 @@ fn armed_index(
 }
 
 /// The ∃ fields of a window that the cache already holds, read under one
-/// lock before the index runs.
+/// lock before the index runs for an ∃ threshold `tau`.
 struct Resident {
+    tau: f64,
     /// Per model, its cached ∃ field (`None` when not cached): what the
     /// cost model classifies residency from, so peeking costs a warm query
     /// no extra lock.
     fields: Vec<Option<Arc<BackwardField>>>,
     /// The union over models of the fields' τ-superlevel geometries — only
     /// when every model's field is cached, since an object of any model may
-    /// be anchored at any time.
+    /// be anchored at any time. Left unmeasured when `reused` is set, except
+    /// where debug assertions re-derive the reused plan from it.
     superlevel: Option<Arc<Superlevel>>,
+    /// The plan memoised on model 0's entry, when it was prepared under
+    /// everything this call reads ([`PlanMemo::serves`]).
+    reused: Option<Arc<Prepared>>,
 }
 
-/// Peeks every model's ∃ field of `window` under one cache lock
-/// ([`FieldCache::peek_exists`]: counted nowhere) and, when all are there,
-/// their superlevel geometries at `tau` under the index's embedding. A
-/// geometry the entry has not memoised is measured after the lock is
-/// released and installed under a second, brief one, so concurrent queries
-/// never wait on a field scan.
+/// A [`Prepared`] memoised on model 0's cached ∃ entry of its window,
+/// beside the superlevel memo, under everything else `prepare` read: the
+/// store's version, the threshold, the requested strategy and whether it
+/// was costed, the id subset, and every other model's field. The entry
+/// itself stands for the window and model 0's field — a replaced field
+/// starts a new entry — so the memo never outlives what it was prepared
+/// from, and `cache_capacity` bounds how many there are.
+pub(crate) struct PlanMemo {
+    version: u64,
+    tau_bits: u64,
+    strategy: Strategy,
+    cost: bool,
+    subset: Option<Vec<u64>>,
+    /// Models 1 onward, by identity: a `Weak` holds the allocation, so an
+    /// address cannot be reused by another field while the memo lives,
+    /// without keeping an evicted field's snapshots alive.
+    others: Vec<Weak<BackwardField>>,
+    prepared: Arc<Prepared>,
+}
+
+impl PlanMemo {
+    /// True when `prepare(ctx, spec, cost)` over the peeked fields of every
+    /// model (model 0's being the entry this memo sits on) would prepare
+    /// exactly the memoised plan.
+    fn serves(
+        &self,
+        db: &TrajectoryDatabase,
+        spec: &QuerySpec,
+        cost: bool,
+        tau: f64,
+        others: &[Option<ExistsPeek<'_>>],
+    ) -> bool {
+        let same_field = |(memo, peek): (&Weak<BackwardField>, &Option<ExistsPeek<'_>>)| {
+            peek.as_ref().is_some_and(|peek| std::ptr::eq(memo.as_ptr(), Arc::as_ptr(peek.field)))
+        };
+        self.version == db.version()
+            && self.tau_bits == tau.to_bits()
+            && (self.strategy, self.cost) == (spec.strategy(), cost)
+            && self.subset.as_deref() == spec.objects()
+            && self.others.len() == others.len()
+            && self.others.iter().zip(others).all(same_field)
+    }
+}
+
+/// Peeks every model's ∃ field of the spec's window under one cache lock
+/// ([`FieldCache::peek_exists`]: counted nowhere), with the plan memoised
+/// on model 0's entry when it serves this call, and, when every field is
+/// there and no plan is reused, their superlevel geometries at `tau` under
+/// the index's embedding. A geometry the entry has not memoised is measured
+/// after the lock is released and installed under a second, brief one, so
+/// concurrent queries never wait on a field scan.
 fn peek_resident(
     ctx: &ExecContext<'_>,
-    window: &QueryWindow,
+    spec: &QuerySpec,
+    cost: bool,
     tau: f64,
     index: &SpatioTemporalIndex,
 ) -> Resident {
-    let (models, space) = (ctx.db.models(), index.space());
+    let (models, space, window) = (ctx.db.models(), index.space(), spec.window());
     let lock = || ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let peeked: Vec<_> = {
+    let (peeked, reused) = {
         let cache = lock();
         let models = models.iter().enumerate();
-        models.map(|(m, chain)| cache.peek_exists(m, chain, window, tau, space)).collect()
+        let peeks: Vec<_> =
+            models.map(|(m, chain)| cache.peek_exists(m, chain, window, tau, space)).collect();
+        let reused = match peeks.split_first() {
+            Some((Some(first), others)) => first
+                .plan
+                .filter(|memo| memo.serves(ctx.db, spec, cost, tau, others))
+                .map(|memo| Arc::clone(&memo.prepared)),
+            _ => None,
+        };
+        let own = |peek: ExistsPeek<'_>| (Arc::clone(peek.field), peek.superlevel.cloned());
+        (peeks.into_iter().map(|peek| peek.map(own)).collect::<Vec<_>>(), reused)
     };
-    let superlevel = peeked.iter().all(Option::is_some).then(|| {
+    let measure = reused.is_none() || cfg!(debug_assertions);
+    let superlevel = (measure && peeked.iter().all(Option::is_some)).then(|| {
         let mut measured = Vec::new();
         let geometries: Vec<Arc<Superlevel>> = (peeked.iter().flatten().zip(models).enumerate())
             .map(|(m, ((field, memo), chain))| match memo {
@@ -388,8 +490,39 @@ fn peek_resident(
         geometries.into_iter().reduce(|union, g| Arc::new(union.union(&g)))
     });
     Resident {
+        tau,
         fields: peeked.into_iter().map(|peek| peek.map(|(field, _)| field)).collect(),
         superlevel: superlevel.flatten(),
+        reused,
+    }
+}
+
+impl Resident {
+    /// Memoises `prepared` on model 0's entry, when every model's field
+    /// was resident — the fields it was prepared against.
+    fn remember(
+        &self,
+        ctx: &ExecContext<'_>,
+        spec: &QuerySpec,
+        cost: bool,
+        prepared: &Arc<Prepared>,
+    ) {
+        let Some(fields) = self.fields.iter().map(Option::as_ref).collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        let Some((first, others)) = fields.split_first() else { return };
+        let memo = PlanMemo {
+            version: ctx.db.version(),
+            tau_bits: self.tau.to_bits(),
+            strategy: spec.strategy(),
+            cost,
+            subset: spec.objects().map(<[u64]>::to_vec),
+            others: others.iter().map(|field| Arc::downgrade(field)).collect(),
+            prepared: Arc::clone(prepared),
+        };
+        let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        cache.remember_plan(&ctx.db.models()[0], spec.window(), first, memo);
     }
 }
 
@@ -428,6 +561,7 @@ fn prefilter_candidates(
 /// evaluate, the scope the index pruned them from, the candidates' model
 /// groups, the strategy to run under, and the cost model's record when it
 /// was asked for.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Prepared {
     /// Candidates to evaluate (ascending database indices): the index's
     /// survivors when it pruned, the whole scope otherwise.
@@ -473,24 +607,60 @@ impl Prepared {
 /// strategy (explicit overrides are echoed with the same estimates
 /// attached). The cost model has a consumer only under `Auto` and in
 /// `explain`; an explicit-strategy execution skips its residency probes.
-pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Prepared> {
+///
+/// Where every model's field was peeked, the result is memoised on model
+/// 0's entry ([`PlanMemo`]), and a later call that reads the same inputs
+/// returns it — `true` beside it — skipping the probe, validation,
+/// grouping and costing. Debug builds re-derive every reused plan from the
+/// same peeked fields and assert it equals the fresh one.
+pub(crate) fn prepare(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    cost: bool,
+) -> Result<(Arc<Prepared>, bool)> {
     let scope = resolve_scope(ctx.db, spec)?;
     if spec.predicate() == Predicate::ForAll {
         forall::reject_full_space(spec.window())?;
     }
-    let window = spec.window();
     let index = armed_index(ctx, spec, &scope);
     // The superlevel filter needs a threshold above 0 — at `τ = 0` every
     // object qualifies — and a field it can read without sweeping.
     let resident = match (&index, spec.decorator()) {
         (Some(index), Decorator::Threshold(tau)) if tau > 0.0 => {
-            Some(peek_resident(ctx, window, tau, index))
+            Some(peek_resident(ctx, spec, cost, tau, index))
         }
         _ => None,
     };
-    let superlevel = resident.as_ref().and_then(|r| r.superlevel.as_deref());
-    let survivors =
-        index.and_then(|index| prefilter_candidates(&index, window, &scope, superlevel));
+    if let Some(reused) = resident.as_ref().and_then(|r| r.reused.clone()) {
+        debug_assert!(
+            prepare_on(ctx, spec, cost, scope, index.as_deref(), resident.as_ref())
+                .is_ok_and(|fresh| fresh == *reused),
+            "a reused plan equals the plan prepared afresh from the same peeked fields"
+        );
+        return Ok((reused, true));
+    }
+    let prepared =
+        Arc::new(prepare_on(ctx, spec, cost, scope, index.as_deref(), resident.as_ref())?);
+    if let Some(resident) = &resident {
+        resident.remember(ctx, spec, cost, &prepared);
+    }
+    Ok((prepared, false))
+}
+
+/// [`prepare`] past the peek: the index filter over `scope` (narrowed by
+/// the resident fields' superlevel set when there is one), validation and
+/// grouping, and the cost model when asked.
+fn prepare_on(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    cost: bool,
+    scope: Scope,
+    index: Option<&SpatioTemporalIndex>,
+    resident: Option<&Resident>,
+) -> Result<Prepared> {
+    let window = spec.window();
+    let superlevel = resident.and_then(|r| r.superlevel.as_deref());
+    let survivors = index.and_then(|index| prefilter_candidates(index, window, &scope, superlevel));
     let (indices, pruned_from, superlevel_pruned) = match (survivors, scope) {
         (Some((survivors, superlevel_pruned)), scope) => {
             (survivors, Some(scope), superlevel_pruned)
@@ -508,7 +678,7 @@ pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Re
         plan: None,
     };
     if cost {
-        let plan = plan_on(ctx, spec, &prepared, resident.as_ref().map(|r| r.fields.as_slice()));
+        let plan = plan_on(ctx, spec, &prepared, resident.map(|r| r.fields.as_slice()));
         prepared.strategy = plan.strategy;
         prepared.plan = Some(plan);
     }
@@ -932,5 +1102,106 @@ fn ktimes_dists(
             field_answers(ctx, FieldRule::KTimes, candidates, window, stats, row)
         }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::UncertainObject;
+    use crate::observation::Observation;
+    use crate::query::Query;
+    use crate::serving::Metrics;
+    use ust_markov::{testutil, MarkovChain};
+    use ust_space::{LineSpace, TimeSet};
+
+    const N: usize = 30;
+
+    /// 60 objects on a line of `N` states, anchored at `t = i mod 3`, with a
+    /// line embedding attached.
+    fn store() -> TrajectoryDatabase {
+        let mut rng = testutil::rng(11);
+        let chain = testutil::random_banded_stochastic(&mut rng, N, 3, 2);
+        let mut db = TrajectoryDatabase::new(MarkovChain::from_csr(chain).unwrap());
+        for i in 0..60u64 {
+            let fix = Observation::exact(i as u32 % 3, N, (i as usize * 7) % N).unwrap();
+            db.insert(UncertainObject::with_single_observation(i, fix)).unwrap();
+        }
+        db.attach_space(Arc::new(LineSpace::new(N))).unwrap();
+        db
+    }
+
+    fn window(lo: usize) -> QueryWindow {
+        QueryWindow::from_states(N, lo..lo + 4, TimeSet::interval(3, 5)).unwrap()
+    }
+
+    /// Prepares and refines `spec` over `db` against `cache`: the plan, and
+    /// whether it was reused.
+    fn run(
+        db: &TrajectoryDatabase,
+        cache: &Mutex<FieldCache>,
+        spec: &QuerySpec,
+    ) -> (Arc<Prepared>, bool) {
+        let (config, metrics) =
+            (EngineConfig::default().with_prefilter(PrefilterMode::On), Metrics::new());
+        let ctx = ExecContext { db, config: &config, cache, metrics: &metrics };
+        let (prepared, reused) = prepare(&ctx, spec, spec.strategy() == Strategy::Auto).unwrap();
+        refine(&ctx, spec, &prepared, &mut EvalStats::new()).unwrap();
+        (prepared, reused)
+    }
+
+    fn threshold(lo: usize) -> QuerySpec {
+        Query::exists().window(window(lo)).threshold(0.05).build().unwrap()
+    }
+
+    /// A warm cache holding the ∃ field of `window(lo)` at every anchor time.
+    fn warm(db: &TrajectoryDatabase, cache: &Mutex<FieldCache>, lo: usize) {
+        let fill = Query::exists().window(window(lo)).strategy(Strategy::QueryBased);
+        run(db, cache, &fill.build().unwrap());
+    }
+
+    /// Snapshots share their store's plans; a store mutated by `insert` or
+    /// re-embedded by `attach_space` never reuses one, even through a cache
+    /// it shares with the snapshot it was copied from.
+    #[test]
+    fn mutated_stores_miss_the_memo_of_their_snapshots() {
+        let db = store();
+        let cache = Mutex::new(FieldCache::new(8));
+        warm(&db, &cache, 4);
+        let (first, reused) = run(&db, &cache, &threshold(4));
+        assert!(!reused);
+        let (again, reused) = run(&db.clone(), &cache, &threshold(4));
+        assert!(reused && Arc::ptr_eq(&first, &again), "a snapshot shares the memo");
+
+        let mut inserted = db.clone();
+        inserted
+            .insert(UncertainObject::with_single_observation(
+                99,
+                Observation::exact(1, N, 5).unwrap(),
+            ))
+            .unwrap();
+        let mut embedded = db.clone();
+        embedded.attach_space(Arc::new(LineSpace::new(N))).unwrap();
+        for mutated in [inserted, embedded] {
+            assert!(!run(&mutated, &cache, &threshold(4)).1, "a mutated store prepares afresh");
+            assert!(run(&mutated, &cache, &threshold(4)).1, "and then reuses its own plan");
+            assert!(!run(&db, &cache, &threshold(4)).1, "which the source store does not");
+        }
+    }
+
+    /// The memo lives on its cache entry: evicting the entry frees it.
+    #[test]
+    fn an_evicted_entry_frees_its_memo() {
+        let db = store();
+        let cache = Mutex::new(FieldCache::new(1));
+        warm(&db, &cache, 4);
+        let (prepared, reused) = run(&db, &cache, &threshold(4));
+        assert!(!reused);
+        let memo = Arc::downgrade(&prepared);
+        drop(prepared);
+        assert!(memo.upgrade().is_some(), "the entry holds the plan");
+        warm(&db, &cache, 12);
+        assert_eq!(cache.lock().unwrap().len(), 1);
+        assert!(memo.upgrade().is_none(), "the evicted entry took its plan along");
     }
 }

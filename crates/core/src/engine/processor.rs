@@ -246,9 +246,8 @@ impl QueryProcessor {
     /// snapshot, not a reservation).
     pub fn explain(&self, spec: &QuerySpec) -> Result<QueryPlan> {
         let snapshot = self.snapshot();
-        plan::prepare(&self.core.context(&snapshot), spec, true)?
-            .plan
-            .ok_or(QueryError::internal("prepare costs when asked to"))
+        let (prepared, _) = plan::prepare(&self.core.context(&snapshot), spec, true)?;
+        prepared.plan.clone().ok_or(QueryError::internal("prepare costs when asked to"))
     }
 
     /// Submits a query for asynchronous evaluation and returns a
@@ -333,7 +332,8 @@ impl QueryProcessor {
 
 /// A query's life after admission, written once: **prepare** (resolve the
 /// candidates, check the window, prefilter, validate and group — under
-/// every strategy — and cost when the strategy is `Auto`), let a
+/// every strategy — and cost when the strategy is `Auto`; or reuse the plan
+/// memoised for a warm threshold, counted in `plans_reused`), let a
 /// submitted `job`'s cancellation flag or deadline shed the expensive
 /// half, **refine**, and **record** — every call reports plan time,
 /// execute time and its evaluation counters to the serving registry, a
@@ -363,7 +363,7 @@ pub(super) fn serve(
         });
     };
     let plan_start = Instant::now();
-    let prepared = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
+    let (prepared, reused) = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
         Ok(prepared) => prepared,
         Err(e) => {
             record(spec.strategy(), plan_start.elapsed(), Duration::ZERO, EvalStats::new(), false);
@@ -375,6 +375,7 @@ pub(super) fn serve(
         return Err(shed);
     }
     let before = stats.clone();
+    stats.plans_reused += u64::from(reused);
     let exec_start = Instant::now();
     let result = plan::refine(ctx, spec, &prepared, stats);
     record(

@@ -425,6 +425,7 @@ pub fn exists_probability(
 /// members, their distinct anchor times and the anchor totals the planner
 /// costs with — everything a backward sweep, a reach plan or a cost
 /// estimate needs, gathered in the one pass that validates.
+#[derive(Debug, PartialEq)]
 pub(crate) struct ModelGroup {
     /// Model index into `db.models()`.
     pub model: usize,

@@ -89,7 +89,7 @@ impl QueryProcessor {
         let snapshot = self.snapshot();
         let pinned_strategy = match spec.strategy() {
             Strategy::Auto => plan::prepare(&self.core.context(&snapshot), spec, true)
-                .map_or(Strategy::QueryBased, |prepared| prepared.strategy),
+                .map_or(Strategy::QueryBased, |(prepared, _)| prepared.strategy),
             explicit => explicit,
         };
         let pinned_strategy = match (spec.predicate(), spec.decorator(), pinned_strategy) {

@@ -263,6 +263,9 @@ pub struct PlanMetrics {
     pub cache_hits: u64,
     /// Backward-field cache misses accumulated by these executions.
     pub cache_misses: u64,
+    /// Executions that reused a memoised prepared plan (see
+    /// [`EvalStats::plans_reused`]).
+    pub plans_reused: u64,
     /// Forward transitions accumulated by these executions.
     pub transitions: u64,
     /// Backward steps accumulated by these executions.
@@ -290,6 +293,7 @@ impl PlanMetrics {
             execute_secs: 0.0,
             cache_hits: 0,
             cache_misses: 0,
+            plans_reused: 0,
             transitions: 0,
             backward_steps: 0,
             entries_touched: 0,
@@ -508,6 +512,7 @@ impl Metrics {
         entry.execute_secs += record.execute_time.as_secs_f64();
         entry.cache_hits += record.delta.cache_hits;
         entry.cache_misses += record.delta.cache_misses;
+        entry.plans_reused += record.delta.plans_reused;
         entry.transitions += record.delta.transitions;
         entry.backward_steps += record.delta.backward_steps;
         entry.entries_touched += record.delta.entries_touched;
@@ -572,6 +577,7 @@ mod tests {
                 backward_steps: actual,
                 entries_touched: 500,
                 cache_hits: 1,
+                plans_reused: 1,
                 candidates_examined: 8,
                 candidates_pruned: 2,
                 ..Default::default()
@@ -612,6 +618,7 @@ mod tests {
         assert_eq!(ob.executions, 2);
         assert_eq!(ob.failures, 1);
         assert_eq!(ob.cache_hits, 2);
+        assert_eq!(ob.plans_reused, 2);
         assert_eq!(ob.candidates_examined, 16);
         assert_eq!(ob.candidates_pruned, 4);
         assert!(s.to_string().contains("prefilter 16/20 examined"));

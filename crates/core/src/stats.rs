@@ -57,6 +57,13 @@ pub struct EvalStats {
     pub cache_hits: u64,
     /// Backward-field cache lookups that required a full backward sweep.
     pub cache_misses: u64,
+    /// Executions whose prepared plan — survivors, groups, strategy and
+    /// cost record — came from the memo on the window's cached ∃ field
+    /// instead of a fresh index probe, validation and costing. Only a warm
+    /// ∃ threshold `τ > 0` over an indexed store, repeated on an unchanged
+    /// snapshot, reuses one; its refine (the counted cache lookup and the
+    /// dot products) still runs.
+    pub plans_reused: u64,
     /// `(model, window)` backward fields computed (or fetched from the
     /// cache) exactly once by a shared-field plan and handed to the worker
     /// fan-out as read-only views — sweeps that a per-worker evaluation
@@ -85,6 +92,7 @@ impl EvalStats {
         self.early_terminations += other.early_terminations;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.plans_reused += other.plans_reused;
         self.fields_shared += other.fields_shared;
         self.pruned_mass += other.pruned_mass;
     }
@@ -114,6 +122,7 @@ impl EvalStats {
             early_terminations: self.early_terminations.saturating_sub(before.early_terminations),
             cache_hits: self.cache_hits.saturating_sub(before.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(before.cache_misses),
+            plans_reused: self.plans_reused.saturating_sub(before.plans_reused),
             fields_shared: self.fields_shared.saturating_sub(before.fields_shared),
             pruned_mass: (self.pruned_mass - before.pruned_mass).max(0.0),
         }
@@ -139,6 +148,7 @@ mod tests {
             early_terminations: 2,
             cache_hits: 3,
             cache_misses: 2,
+            plans_reused: 6,
             fields_shared: 4,
             pruned_mass: 0.5,
         };
@@ -154,6 +164,7 @@ mod tests {
         assert_eq!(a.early_terminations, 2);
         assert_eq!(a.cache_hits, 3);
         assert_eq!(a.cache_misses, 2);
+        assert_eq!(a.plans_reused, 6);
         assert_eq!(a.fields_shared, 4);
         assert_eq!(a.total_steps(), 10);
         assert!((a.pruned_mass - 0.5).abs() < 1e-12);
@@ -173,12 +184,14 @@ mod tests {
         after.backward_steps += 2;
         after.candidates_pruned += 3;
         after.cache_hits += 1;
+        after.plans_reused += 2;
         after.pruned_mass += 0.25;
         let delta = after.delta_since(&before);
         assert_eq!(delta.transitions, 4);
         assert_eq!(delta.backward_steps, 2);
         assert_eq!(delta.candidates_pruned, 3);
         assert_eq!(delta.cache_hits, 1);
+        assert_eq!(delta.plans_reused, 2);
         assert!((delta.pruned_mass - 0.25).abs() < 1e-12);
         // A mismatched (newer) snapshot saturates instead of wrapping.
         assert_eq!(before.delta_since(&after).transitions, 0);
