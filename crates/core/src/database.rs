@@ -4,6 +4,7 @@
 //! paper optimizes for, or several per-class chains, each object naming
 //! its own) and the uncertain objects referencing them.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -12,7 +13,7 @@ use ust_markov::MarkovChain;
 use ust_space::StateSpace;
 
 use crate::error::{QueryError, Result};
-use crate::index::SpatioTemporalIndex;
+use crate::index::{compaction_size, SpatioTemporalIndex};
 use crate::object::UncertainObject;
 use crate::observation::Observation;
 
@@ -53,10 +54,83 @@ fn next_version() -> u64 {
     NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// What a written object looked like before the write: its model, anchor
+/// time and anchor-support size — what a memoised plan counted it under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AnchorKey {
+    /// The object's model.
+    pub model: usize,
+    /// The time of its anchor observation.
+    pub time: u32,
+    /// The `nnz` of its anchor distribution.
+    pub nnz: usize,
+}
+
+impl AnchorKey {
+    /// The anchor of `object`.
+    pub(crate) fn of(object: &UncertainObject) -> AnchorKey {
+        let anchor = object.anchor();
+        AnchorKey { model: object.model(), time: anchor.time(), nnz: anchor.distribution().nnz() }
+    }
+}
+
+/// One applied write, as the [`WriteLog`] keeps it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Write {
+    /// The store's version after the write.
+    pub version: u64,
+    /// The database index written.
+    pub idx: usize,
+    /// The object before the write; `None` for an insert.
+    pub previous: Option<AnchorKey>,
+}
+
+/// The store's recent applied writes (`insert`, an applied `ingest`), in
+/// order, so what was computed at an earlier version can be brought up to
+/// date instead of recomputed. Bounded by the index's compaction size
+/// (`max(16, |D|/8)`): past it the oldest write is dropped and the log no
+/// longer reaches the versions before it. `attach_space` clears it.
+#[derive(Debug, Clone)]
+struct WriteLog {
+    /// The oldest version the log reaches back to: every write after it is
+    /// in `writes`.
+    floor: u64,
+    writes: VecDeque<Write>,
+}
+
+impl WriteLog {
+    fn new(floor: u64) -> WriteLog {
+        WriteLog { floor, writes: VecDeque::new() }
+    }
+
+    /// Appends `write`, dropping the oldest writes past `bound`.
+    fn push(&mut self, write: Write, bound: usize) {
+        self.writes.push_back(write);
+        while self.writes.len() > bound {
+            if let Some(dropped) = self.writes.pop_front() {
+                self.floor = dropped.version;
+            }
+        }
+    }
+
+    /// Every write after `version`, oldest first, when the log reaches
+    /// back to it.
+    fn since(&self, version: u64) -> Option<impl Iterator<Item = &Write>> {
+        let start = if version == self.floor {
+            0
+        } else {
+            self.writes.binary_search_by_key(&version, |w| w.version).ok()? + 1
+        };
+        Some(self.writes.range(start..))
+    }
+}
+
 struct DbInner {
     /// Taken from [`NEXT_VERSION`] at construction and at every mutation
     /// ([`TrajectoryDatabase::mutate`]); clones share it with their store.
     version: u64,
+    /// The applied writes since [`WriteLog::floor`].
+    log: WriteLog,
     models: Vec<Arc<MarkovChain>>,
     objects: Vec<UncertainObject>,
     /// True while every insert carried an id above the previous one, i.e.
@@ -81,6 +155,7 @@ impl Clone for DbInner {
         // so a populated slot still describes the store it lives in.
         DbInner {
             version: self.version,
+            log: self.log.clone(),
             models: self.models.clone(),
             objects: self.objects.clone(),
             ids_ascending: self.ids_ascending,
@@ -94,6 +169,7 @@ impl fmt::Debug for DbInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DbInner")
             .field("version", &self.version)
+            .field("log", &self.log.writes.len())
             .field("models", &self.models)
             .field("objects", &self.objects)
             .field("space", &self.space.as_ref().map(|s| s.num_states()))
@@ -106,9 +182,11 @@ impl TrajectoryDatabase {
     /// Creates a database with a single shared model (the paper's primary
     /// setting: "all objects follow the same model").
     pub fn new(chain: MarkovChain) -> Self {
+        let version = next_version();
         TrajectoryDatabase {
             inner: Arc::new(DbInner {
-                version: next_version(),
+                version,
+                log: WriteLog::new(version),
                 models: vec![Arc::new(chain)],
                 objects: Vec::new(),
                 ids_ascending: true,
@@ -132,9 +210,11 @@ impl TrajectoryDatabase {
                 });
             }
         }
+        let version = next_version();
         Ok(TrajectoryDatabase {
             inner: Arc::new(DbInner {
-                version: next_version(),
+                version,
+                log: WriteLog::new(version),
                 models: chains.into_iter().map(Arc::new).collect(),
                 objects: Vec::new(),
                 ids_ascending: true,
@@ -158,6 +238,7 @@ impl TrajectoryDatabase {
         let inner = self.mutate();
         inner.space = Some(space);
         inner.index.take();
+        inner.log = WriteLog::new(inner.version);
         Ok(())
     }
 
@@ -176,6 +257,21 @@ impl TrajectoryDatabase {
     /// stands. An ignored stale ingest keeps it.
     pub(crate) fn version(&self) -> u64 {
         self.inner.version
+    }
+
+    /// The applied writes between `version` and this store's, oldest
+    /// first — `None` when `version` is not one this store passed through
+    /// within its write log's reach (another store, a later or branched
+    /// snapshot, a write dropped from the log, or an `attach_space` since).
+    pub(crate) fn writes_since(&self, version: u64) -> Option<impl Iterator<Item = &Write>> {
+        self.inner.log.since(version)
+    }
+
+    /// Logs the write of `idx` the last [`TrajectoryDatabase::mutate`]
+    /// versioned.
+    fn log_write(inner: &mut DbInner, idx: usize, previous: Option<AnchorKey>) {
+        let write = Write { version: inner.version, idx, previous };
+        inner.log.push(write, compaction_size(inner.objects.len()));
     }
 
     /// The attached spatial embedding, if any.
@@ -222,6 +318,7 @@ impl TrajectoryDatabase {
                 inner.ids_ascending = false;
             }
             inner.objects.push(object);
+            Self::log_write(inner, idx, None);
             // The index leaves the slot so it can never describe a stale
             // store; refresh_index installs its successor.
             (idx, inner.index.take())
@@ -261,10 +358,12 @@ impl TrajectoryDatabase {
         if observation.time() < current.last_observation().time() {
             return Ok(IngestOutcome::IgnoredStale);
         }
+        let previous = AnchorKey::of(current);
         let prev_index = {
             let inner = self.mutate();
             inner.objects[idx] =
                 UncertainObject::with_single_observation(object_id, observation).with_model(model);
+            Self::log_write(inner, idx, Some(previous));
             inner.index.take()
         };
         self.refresh_index(prev_index, idx);
@@ -446,6 +545,35 @@ mod tests {
         assert_eq!(db.version(), applied, "a rejected insert changes nothing");
         assert!(seen.windows(2).all(|pair| pair[0] < pair[1]), "each mutation a fresh version");
         assert_eq!(snapshot.version(), seen[1], "the snapshot keeps its store's version");
+    }
+
+    #[test]
+    fn the_write_log_holds_each_applied_write_back_to_its_floor() {
+        let mut db = TrajectoryDatabase::new(chain3());
+        let start = db.version();
+        db.insert(object(1, 0)).unwrap();
+        db.ingest(1, Observation::exact(2, 3, 1).unwrap()).unwrap();
+        assert_eq!(
+            db.ingest(1, Observation::exact(1, 3, 2).unwrap()),
+            Ok(IngestOutcome::IgnoredStale)
+        );
+        let logged: Vec<(usize, Option<AnchorKey>)> =
+            db.writes_since(start).unwrap().map(|w| (w.idx, w.previous)).collect();
+        let before = AnchorKey { model: 0, time: 0, nnz: 1 };
+        assert_eq!(logged, vec![(0, None), (0, Some(before))], "a stale fix is not a write");
+        assert_eq!(db.writes_since(db.version()).unwrap().count(), 0);
+        assert!(db.writes_since(TrajectoryDatabase::new(chain3()).version()).is_none());
+
+        // Past the bound (16 for a store this small) the oldest writes go,
+        // and with them the versions before them.
+        let first = db.version();
+        for t in 3..3 + 16 {
+            db.ingest(1, Observation::exact(t, 3, 0).unwrap()).unwrap();
+        }
+        assert!(db.writes_since(start).is_none());
+        assert_eq!(db.writes_since(first).unwrap().count(), 16);
+        db.ingest(1, Observation::exact(40, 3, 0).unwrap()).unwrap();
+        assert!(db.writes_since(first).is_none(), "the log no longer reaches back");
     }
 
     #[test]

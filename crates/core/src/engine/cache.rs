@@ -44,20 +44,20 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "entries are only read by exact `(model, window, rule)` key lookup; the one \
-              iteration (LRU eviction) takes `min_by_key(last_used)` over strictly increasing \
-              clock values, so the minimum is unique and map order cannot change which entry \
-              is evicted, let alone a cached field's contents."
+    reason = "fields, plan memos and superlevel memos are only read by exact key lookup; the \
+              one iteration of each map (LRU eviction) takes `min_by_key(last_used)` over \
+              strictly increasing clock values, so the minimum is unique and map order cannot \
+              change which entry is evicted, let alone a cached field's contents or a memo."
 )]
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, Weak};
 
 use ust_markov::MarkovChain;
 use ust_space::StateSpace;
 
-use crate::engine::plan::PlanMemo;
+use crate::engine::plan::{AsPlanKey, PlanKey, PlanKeyRef, PlanMemo};
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::Result;
@@ -67,9 +67,6 @@ use crate::stats::EvalStats;
 
 /// Default number of `(model, window, rule)` entries a cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-/// A state embedding, as the spatio-temporal index holds it.
-type Space = Arc<dyn StateSpace + Send + Sync>;
 
 /// The identity of a backward field: which chain it was swept over, which
 /// query window shaped the sweep and under which rule.
@@ -132,27 +129,6 @@ struct CacheEntry {
     /// untouched.
     field: Arc<BackwardField>,
     last_used: u64,
-    /// The superlevel geometry of `field` read last, under the threshold
-    /// and the embedding it was measured at; another `(τ, embedding)`
-    /// replaces it. A replaced field starts a new entry, so the memo never
-    /// outlives the snapshots it was read from.
-    superlevel: Option<(f64, Space, Arc<Superlevel>)>,
-    /// The plan of the ∃ threshold over this window prepared last, when
-    /// this is model 0's ∃ entry and every model's field was resident (see
-    /// [`PlanMemo`]); the next plan prepared here replaces it. It dies with
-    /// the entry, as the superlevel memo does.
-    plan: Option<PlanMemo>,
-}
-
-/// What [`FieldCache::peek_exists`] finds on a cached ∃ entry, borrowed
-/// under the cache lock.
-pub(crate) struct ExistsPeek<'a> {
-    /// The cached field.
-    pub field: &'a Arc<BackwardField>,
-    /// Its superlevel geometry, when memoised at the peeked `(τ, space)`.
-    pub superlevel: Option<&'a Arc<Superlevel>>,
-    /// The plan memoised on the entry, whatever it was prepared under.
-    pub plan: Option<&'a PlanMemo>,
 }
 
 impl std::fmt::Debug for CacheEntry {
@@ -160,19 +136,100 @@ impl std::fmt::Debug for CacheEntry {
         f.debug_struct("CacheEntry")
             .field("field", &self.field)
             .field("last_used", &self.last_used)
-            .field("superlevel", &self.superlevel.as_ref().map(|(tau, _, _)| tau))
-            .field("plan", &self.plan.is_some())
             .finish()
     }
 }
 
+/// The hasher of the cache's maps. Field and plan keys hold a window's
+/// fingerprint — already a SipHash digest — and superlevel keys are
+/// addresses and τ's bits, so folding a key's words in with FxHash's step
+/// (rotate, xor, multiply) spreads them over a table of at most
+/// `capacity` entries, where a second SipHash would cost every lookup
+/// several times as much. Windows come from callers, so keys can be made
+/// to collide; a map never holds more than `capacity` entries, so a lookup
+/// then compares at most that many — what every LRU eviction already scans.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A map of the cache, hashed by [`FoldHasher`].
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+/// A memoised plan and when it was last read or written.
+struct PlanSlot {
+    memo: Arc<PlanMemo>,
+    last_used: u64,
+}
+
+/// A state embedding, as the spatio-temporal index holds it.
+type Space = Arc<dyn StateSpace + Send + Sync>;
+
+/// Which superlevel geometry a [`SuperlevelSlot`] holds: a cached ∃ field
+/// and an embedding, by address, and a threshold, by bits.
+type SuperlevelKey = (usize, u64, usize);
+
+/// The τ-superlevel geometry of one cached ∃ field under one embedding, and
+/// when it was last read or written. The `Weak`s pin the addresses the key
+/// holds, so no other field or embedding can take them while the slot
+/// lives, without keeping an evicted field's snapshots alive.
+struct SuperlevelSlot {
+    _field: Weak<BackwardField>,
+    _space: Weak<dyn StateSpace + Send + Sync>,
+    geometry: Arc<Superlevel>,
+    last_used: u64,
+}
+
+impl SuperlevelSlot {
+    fn key(field: &Arc<BackwardField>, tau: f64, space: &Space) -> SuperlevelKey {
+        (Arc::as_ptr(field) as usize, tau.to_bits(), Arc::as_ptr(space) as *const () as usize)
+    }
+}
+
 /// An LRU cache of [`BackwardField`]s — every query-based evaluation of a
-/// processor (∃, ∀ and k-times, plain, thresholded or ranked) shares one.
-#[derive(Debug)]
+/// processor (∃, ∀ and k-times, plain, thresholded or ranked) shares one —
+/// and, beside them under the same lock and the same capacity, the plan
+/// memo of the reads the index serves (`plan::PlanMemo`) and the
+/// superlevel geometries measured from cached ∃ fields, so a field's is
+/// measured once per threshold, whatever read needs it.
 pub struct FieldCache {
     capacity: usize,
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: FoldMap<CacheKey, CacheEntry>,
+    plans: FoldMap<PlanKey, PlanSlot>,
+    superlevels: FoldMap<SuperlevelKey, SuperlevelSlot>,
     clock: u64,
+}
+
+impl std::fmt::Debug for FieldCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FieldCache")
+            .field("capacity", &self.capacity)
+            .field("entries", &self.entries)
+            .field("plans", &self.plans.len())
+            .field("superlevels", &self.superlevels.len())
+            .field("clock", &self.clock)
+            .finish()
+    }
 }
 
 impl Default for FieldCache {
@@ -248,7 +305,13 @@ impl FieldCache {
     /// A cache retaining at most `capacity` `(model, window, rule)` entries
     /// (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
-        FieldCache { capacity: capacity.max(1), entries: HashMap::new(), clock: 0 }
+        FieldCache {
+            capacity: capacity.max(1),
+            entries: FoldMap::default(),
+            plans: FoldMap::default(),
+            superlevels: FoldMap::default(),
+            clock: 0,
+        }
     }
 
     /// Number of cached fields.
@@ -266,9 +329,11 @@ impl FieldCache {
         self.capacity
     }
 
-    /// Drops every cached field.
+    /// Drops every cached field and every memo.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.plans.clear();
+        self.superlevels.clear();
     }
 
     /// True when the `(model, chain, window, rule)` tuple has a cached
@@ -305,62 +370,82 @@ impl FieldCache {
         residency_of(entry.map(|e| e.field.as_ref()), anchor_times)
     }
 
-    /// The ∃ field of `(model, window)`, when cached, with its superlevel
-    /// geometry at threshold `tau` under `space` when that is the one
-    /// memoised beside the entry ([`FieldCache::remember_superlevel`]), and
-    /// the entry's plan memo ([`FieldCache::remember_plan`]). A peek is not
-    /// a lookup: it counts nothing and leaves the LRU order alone (the
-    /// lookup that serves the query does both).
+    /// The ∃ field of `(model, window)`, when cached. A peek is not a
+    /// lookup: it counts nothing and leaves the LRU order alone (the lookup
+    /// that serves the query does both).
     pub(crate) fn peek_exists(
         &self,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
-        tau: f64,
-        space: &Space,
-    ) -> Option<ExistsPeek<'_>> {
+    ) -> Option<&Arc<BackwardField>> {
         let entry = self.entries.get(&CacheKey::of(model, chain, window, FieldRule::Exists))?;
-        let superlevel = entry.superlevel.as_ref().and_then(|(t, s, geometry)| {
-            (t.to_bits() == tau.to_bits() && Arc::ptr_eq(s, space)).then_some(geometry)
-        });
-        Some(ExistsPeek { field: &entry.field, superlevel, plan: entry.plan.as_ref() })
+        Some(&entry.field)
     }
 
-    /// Memoises `geometry` — [`Superlevel::of`] `field` at `tau` under
-    /// `space`, measured outside the lock — beside the ∃ entry of
-    /// `(model, window)`, if that entry still holds `field` (a field
-    /// replaced in the meantime is left alone).
-    #[allow(clippy::too_many_arguments, reason = "the cache key's parts plus the memo's")]
-    pub(crate) fn remember_superlevel(
+    /// The plan memoised under `key`, marked used. Reading a memo counts
+    /// no cache lookup: only field lookups do.
+    pub(crate) fn plan_memo(&mut self, key: PlanKeyRef<'_>) -> Option<&Arc<PlanMemo>> {
+        self.clock += 1;
+        let slot = self.plans.get_mut(&key as &dyn AsPlanKey)?;
+        slot.last_used = self.clock;
+        Some(&slot.memo)
+    }
+
+    /// Memoises `memo` under `key`, replacing the plan memoised there; at
+    /// capacity a new key evicts the least recently used plan.
+    pub(crate) fn memoise_plan(&mut self, key: PlanKey, memo: Arc<PlanMemo>) {
+        self.clock += 1;
+        if !self.plans.contains_key(&key) && self.plans.len() >= self.capacity {
+            let lru = self.plans.iter().min_by_key(|(_, slot)| slot.last_used);
+            if let Some(victim) = lru.map(|(key, _)| key.clone()) {
+                self.plans.remove(&victim);
+            }
+        }
+        self.plans.insert(key, PlanSlot { memo, last_used: self.clock });
+    }
+
+    /// Number of memoised plans.
+    #[cfg(test)]
+    pub(crate) fn plans(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// The τ-superlevel geometry of `field` under `space` memoised by
+    /// [`FieldCache::memoise_superlevel`], marked used.
+    pub(crate) fn superlevel_memo(
         &mut self,
-        model: usize,
-        chain: &MarkovChain,
-        window: &QueryWindow,
+        field: &Arc<BackwardField>,
+        tau: f64,
+        space: &Space,
+    ) -> Option<Arc<Superlevel>> {
+        self.clock += 1;
+        let slot = self.superlevels.get_mut(&SuperlevelSlot::key(field, tau, space))?;
+        slot.last_used = self.clock;
+        Some(Arc::clone(&slot.geometry))
+    }
+
+    /// Memoises `geometry`, the τ-superlevel geometry of `field` under
+    /// `space` measured outside the lock; at capacity a new one evicts the
+    /// least recently used.
+    pub(crate) fn memoise_superlevel(
+        &mut self,
         field: &Arc<BackwardField>,
         tau: f64,
         space: &Space,
         geometry: Arc<Superlevel>,
     ) {
-        let key = CacheKey::of(model, chain, window, FieldRule::Exists);
-        if let Some(entry) = self.entries.get_mut(&key).filter(|e| Arc::ptr_eq(&e.field, field)) {
-            entry.superlevel = Some((tau, Arc::clone(space), geometry));
+        self.clock += 1;
+        let key = SuperlevelSlot::key(field, tau, space);
+        if !self.superlevels.contains_key(&key) && self.superlevels.len() >= self.capacity {
+            let lru = self.superlevels.iter().min_by_key(|(_, slot)| slot.last_used);
+            if let Some(victim) = lru.map(|(&key, _)| key) {
+                self.superlevels.remove(&victim);
+            }
         }
-    }
-
-    /// Memoises `memo` — a plan prepared outside the lock against `field`,
-    /// model 0's peeked ∃ field of `window` — on that entry, replacing the
-    /// plan memoised there, if the entry still holds `field`.
-    pub(crate) fn remember_plan(
-        &mut self,
-        chain: &MarkovChain,
-        window: &QueryWindow,
-        field: &Arc<BackwardField>,
-        memo: PlanMemo,
-    ) {
-        let key = CacheKey::of(0, chain, window, FieldRule::Exists);
-        if let Some(entry) = self.entries.get_mut(&key).filter(|e| Arc::ptr_eq(&e.field, field)) {
-            entry.plan = Some(memo);
-        }
+        let (_field, _space) = (Arc::downgrade(field), Arc::downgrade(space));
+        let slot = SuperlevelSlot { _field, _space, geometry, last_used: self.clock };
+        self.superlevels.insert(key, slot);
     }
 
     /// The backward field of `(model, window, rule)` with snapshots at
@@ -455,13 +540,7 @@ impl FieldCache {
             self.evict_lru();
         }
         let field = Arc::new(field);
-        let entry = CacheEntry {
-            field: Arc::clone(&field),
-            last_used: clock,
-            superlevel: None,
-            plan: None,
-        };
-        self.entries.insert(key, entry);
+        self.entries.insert(key, CacheEntry { field: Arc::clone(&field), last_used: clock });
         field
     }
 

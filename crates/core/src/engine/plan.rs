@@ -18,9 +18,11 @@
 //! validates and groups the survivors by model with
 //! their distinct anchor times, whatever the strategy, so the strategy can
 //! never change which error a query reports. When asked it also costs
-//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). The
-//! groups ride in `Prepared` to `refine`, whose field and reach plans are
-//! built from them; `refine` dispatches to the batched, sharded
+//! ([`crate::engine::QueryProcessor::explain`] is `prepare` alone). An
+//! indexed read memoises what it prepared (`PlanMemo`) and, after the
+//! store was written, patches it from the store's write log instead of
+//! preparing it again. The groups ride in `Prepared` to `refine`, whose
+//! field and reach plans are built from them; `refine` dispatches to the batched, sharded
 //! counterparts of the sequential reference drivers and spells the pruned
 //! objects out as exact zeros only where an answer needs them — a
 //! probability answer writes the scope's zeros in one pass in store order
@@ -52,19 +54,21 @@
 //! The estimates are deliberately coarse — they rank strategies, they do
 //! not predict wall clock.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, Weak};
 
-use crate::database::TrajectoryDatabase;
-use crate::engine::cache::{residency_of, ExistsPeek, FieldCache};
-use crate::engine::object_based::{ForwardRule, ReachPlan};
+use crate::database::{AnchorKey, TrajectoryDatabase};
+use crate::engine::cache::{residency_of, FieldCache};
+use crate::engine::object_based::{check_anchor_time, check_window, ForwardRule, ReachPlan};
 use crate::engine::query_based::{
     group_on, probability_row, AnchorMemo, AnchoredField, BackwardField, FieldRule, ModelGroup,
     SharedFieldPlan,
 };
 use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
-use crate::index::{intersect_sorted, SpatioTemporalIndex};
+use crate::index::{intersect_sorted, IndexBuild, SpatioTemporalIndex};
 use crate::object::UncertainObject;
 use crate::parallel::run_sharded;
 use crate::prefilter::Superlevel;
@@ -256,7 +260,7 @@ pub(crate) struct ExecContext<'a> {
 }
 
 /// What a spec addresses, before any filtering.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Scope {
     /// The whole database, as its length: an index probe never has to
     /// materialise `0..len` just to discard most of it.
@@ -374,161 +378,396 @@ fn armed_index(
     (window.t_start() >= max_anchor).then_some(index)
 }
 
-/// The ∃ fields of a window that the cache already holds, read under one
-/// lock before the index runs for an ∃ threshold `tau`.
-struct Resident {
-    tau: f64,
-    /// Per model, its cached ∃ field (`None` when not cached): what the
-    /// cost model classifies residency from, so peeking costs a warm query
-    /// no extra lock.
-    fields: Vec<Option<Arc<BackwardField>>>,
-    /// The union over models of the fields' τ-superlevel geometries — only
-    /// when every model's field is cached, since an object of any model may
-    /// be anchored at any time. Left unmeasured when `reused` is set, except
-    /// where debug assertions re-derive the reused plan from it.
-    superlevel: Option<Arc<Superlevel>>,
-    /// The plan memoised on model 0's entry, when it was prepared under
-    /// everything this call reads ([`PlanMemo::serves`]).
-    reused: Option<Arc<Prepared>>,
-}
-
-/// A [`Prepared`] memoised on model 0's cached ∃ entry of its window,
-/// beside the superlevel memo, under everything else `prepare` read: the
-/// store's version, the threshold, the requested strategy and whether it
-/// was costed, the id subset, and every other model's field. The entry
-/// itself stands for the window and model 0's field — a replaced field
-/// starts a new entry — so the memo never outlives what it was prepared
-/// from, and `cache_capacity` bounds how many there are.
-pub(crate) struct PlanMemo {
-    version: u64,
-    tau_bits: u64,
+/// The key of a memoised plan: everything of the spec that `prepare`
+/// reads besides the store — the window (by value: hashed by its
+/// fingerprint, confirmed by comparing states and times), the decorator
+/// with its τ by bits, the requested strategy, whether it was costed, and
+/// the id subset by value. The memo map owns these; a read looks its plan
+/// up by the [`PlanKeyRef`] it borrows from its spec, and builds an owned
+/// key only to install a plan.
+#[derive(Clone)]
+pub(crate) struct PlanKey {
+    window: QueryWindow,
+    decorator: (u8, u64),
     strategy: Strategy,
     cost: bool,
     subset: Option<Vec<u64>>,
-    /// Models 1 onward, by identity: a `Weak` holds the allocation, so an
-    /// address cannot be reused by another field while the memo lives,
-    /// without keeping an evicted field's snapshots alive.
-    others: Vec<Weak<BackwardField>>,
+}
+
+/// A [`PlanKey`] borrowed from the spec it is made of.
+#[derive(Clone, Copy)]
+pub(crate) struct PlanKeyRef<'a> {
+    window: &'a QueryWindow,
+    decorator: (u8, u64),
+    strategy: Strategy,
+    cost: bool,
+    subset: Option<&'a [u64]>,
+}
+
+impl<'a> PlanKeyRef<'a> {
+    fn of(spec: &'a QuerySpec, cost: bool) -> PlanKeyRef<'a> {
+        let decorator = match spec.decorator() {
+            Decorator::Probabilities => (0, 0),
+            Decorator::Threshold(tau) => (1, tau.to_bits()),
+            Decorator::TopK(k) => (2, k as u64),
+        };
+        let (window, strategy, subset) = (spec.window(), spec.strategy(), spec.objects());
+        PlanKeyRef { window, decorator, strategy, cost, subset }
+    }
+
+    fn owned(self) -> PlanKey {
+        PlanKey {
+            window: self.window.clone(),
+            decorator: self.decorator,
+            strategy: self.strategy,
+            cost: self.cost,
+            subset: self.subset.map(<[u64]>::to_vec),
+        }
+    }
+}
+
+impl PartialEq for PlanKeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.decorator, self.strategy, self.cost) == (other.decorator, other.strategy, other.cost)
+            && self.subset == other.subset
+            && self.window.fingerprint() == other.window.fingerprint()
+            && self.window == other.window
+    }
+}
+
+/// A plan key, owned or borrowed: what the memo map hashes and compares,
+/// so a lookup by a [`PlanKeyRef`] finds the [`PlanKey`] it equals.
+pub(crate) trait AsPlanKey {
+    fn key(&self) -> PlanKeyRef<'_>;
+}
+
+impl AsPlanKey for PlanKey {
+    fn key(&self) -> PlanKeyRef<'_> {
+        let (window, subset) = (&self.window, self.subset.as_deref());
+        PlanKeyRef {
+            window,
+            decorator: self.decorator,
+            strategy: self.strategy,
+            cost: self.cost,
+            subset,
+        }
+    }
+}
+
+impl AsPlanKey for PlanKeyRef<'_> {
+    fn key(&self) -> PlanKeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsPlanKey + 'a> for PlanKey {
+    fn borrow(&self) -> &(dyn AsPlanKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn AsPlanKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn AsPlanKey + '_ {}
+
+/// Hashes the window's fingerprint and τ's bits alone — what tells a
+/// processor's reads apart; keys that differ only in strategy, `cost` or
+/// subset share a bucket and `eq` separates them.
+impl Hash for dyn AsPlanKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let key = self.key();
+        (key.window.fingerprint(), key.decorator.1).hash(state);
+    }
+}
+
+impl PartialEq for PlanKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for PlanKey {}
+
+/// Hashes as its borrowed form, as the memo map's lookups require.
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn AsPlanKey).hash(state);
+    }
+}
+
+/// A plan `prepare` made, memoised in the [`FieldCache`] under its
+/// [`PlanKey`] with everything else it was prepared from: the store's
+/// version, the index build it filtered with, every model's cached ∃ field
+/// of the window (by identity) and the superlevel geometry measured from
+/// them. A later read of the same key on a store whose write log still
+/// reaches that version patches it ([`PlanMemo::patched`]) instead of
+/// preparing afresh.
+pub(crate) struct PlanMemo {
+    version: u64,
+    build: IndexBuild,
+    /// Per model, the ∃ field the plan was costed (and, under a threshold,
+    /// filtered) against; `None` where none was cached. A `Weak` pins the
+    /// allocation, so no other field can take its address while the memo
+    /// lives, without keeping an evicted field's snapshots alive.
+    fields: Vec<Option<Weak<BackwardField>>>,
+    /// The τ-superlevel geometry the index filtered with.
+    superlevel: Option<Arc<Superlevel>>,
+    /// The objects in scope only the superlevel test discarded, ascending.
+    cut: Vec<usize>,
+    /// Per model, the survivors per anchor time, ascending by time: what
+    /// keeps a group's distinct anchor times exact as objects leave it.
+    tallies: Vec<Vec<(u32, usize)>>,
     prepared: Arc<Prepared>,
 }
 
 impl PlanMemo {
-    /// True when `prepare(ctx, spec, cost)` over the peeked fields of every
-    /// model (model 0's being the entry this memo sits on) would prepare
-    /// exactly the memoised plan.
-    fn serves(
-        &self,
+    /// The memo of `prepared`, made against `resident` by the armed
+    /// `index` of `db`, with `cut` the scope's superlevel-pruned objects.
+    fn of(
         db: &TrajectoryDatabase,
-        spec: &QuerySpec,
-        cost: bool,
-        tau: f64,
-        others: &[Option<ExistsPeek<'_>>],
-    ) -> bool {
-        let same_field = |(memo, peek): (&Weak<BackwardField>, &Option<ExistsPeek<'_>>)| {
-            peek.as_ref().is_some_and(|peek| std::ptr::eq(memo.as_ptr(), Arc::as_ptr(peek.field)))
-        };
-        self.version == db.version()
-            && self.tau_bits == tau.to_bits()
-            && (self.strategy, self.cost) == (spec.strategy(), cost)
-            && self.subset.as_deref() == spec.objects()
-            && self.others.len() == others.len()
-            && self.others.iter().zip(others).all(same_field)
-    }
-}
-
-/// Peeks every model's ∃ field of the spec's window under one cache lock
-/// ([`FieldCache::peek_exists`]: counted nowhere), with the plan memoised
-/// on model 0's entry when it serves this call, and, when every field is
-/// there and no plan is reused, their superlevel geometries at `tau` under
-/// the index's embedding. A geometry the entry has not memoised is measured
-/// after the lock is released and installed under a second, brief one, so
-/// concurrent queries never wait on a field scan.
-fn peek_resident(
-    ctx: &ExecContext<'_>,
-    spec: &QuerySpec,
-    cost: bool,
-    tau: f64,
-    index: &SpatioTemporalIndex,
-) -> Resident {
-    let (models, space, window) = (ctx.db.models(), index.space(), spec.window());
-    let lock = || ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (peeked, reused) = {
-        let cache = lock();
-        let models = models.iter().enumerate();
-        let peeks: Vec<_> =
-            models.map(|(m, chain)| cache.peek_exists(m, chain, window, tau, space)).collect();
-        let reused = match peeks.split_first() {
-            Some((Some(first), others)) => first
-                .plan
-                .filter(|memo| memo.serves(ctx.db, spec, cost, tau, others))
-                .map(|memo| Arc::clone(&memo.prepared)),
-            _ => None,
-        };
-        let own = |peek: ExistsPeek<'_>| (Arc::clone(peek.field), peek.superlevel.cloned());
-        (peeks.into_iter().map(|peek| peek.map(own)).collect::<Vec<_>>(), reused)
-    };
-    let measure = reused.is_none() || cfg!(debug_assertions);
-    let superlevel = (measure && peeked.iter().all(Option::is_some)).then(|| {
-        let mut measured = Vec::new();
-        let geometries: Vec<Arc<Superlevel>> = (peeked.iter().flatten().zip(models).enumerate())
-            .map(|(m, ((field, memo), chain))| match memo {
-                Some(geometry) => Arc::clone(geometry),
-                None => {
-                    let geometry =
-                        Arc::new(Superlevel::of(field, window, tau, chain, space.as_ref()));
-                    measured.push((m, Arc::clone(field), Arc::clone(&geometry)));
-                    geometry
-                }
-            })
-            .collect();
-        if !measured.is_empty() {
-            let mut cache = lock();
-            for (m, field, geometry) in measured {
-                cache.remember_superlevel(m, &models[m], window, &field, tau, space, geometry);
-            }
+        index: &SpatioTemporalIndex,
+        resident: &Resident,
+        cut: Vec<usize>,
+        prepared: Arc<Prepared>,
+    ) -> PlanMemo {
+        PlanMemo {
+            version: db.version(),
+            build: index.build_id(),
+            fields: resident.fields.iter().map(|f| f.as_ref().map(Arc::downgrade)).collect(),
+            superlevel: resident.superlevel.clone(),
+            cut,
+            tallies: tallies(db, &prepared.indices),
+            prepared,
         }
-        geometries.into_iter().reduce(|union, g| Arc::new(union.union(&g)))
-    });
-    Resident {
-        tau,
-        fields: peeked.into_iter().map(|peek| peek.map(|(field, _)| field)).collect(),
-        superlevel: superlevel.flatten(),
-        reused,
     }
-}
 
-impl Resident {
-    /// Memoises `prepared` on model 0's entry, when every model's field
-    /// was resident — the fields it was prepared against.
-    fn remember(
+    /// True when `fields` are, model by model, the fields the plan was
+    /// prepared against.
+    fn same_fields(&self, fields: &[Option<Arc<BackwardField>>]) -> bool {
+        let same =
+            |(memo, peek): (&Option<Weak<BackwardField>>, &Option<Arc<BackwardField>>)| match (
+                memo, peek,
+            ) {
+                (Some(memo), Some(peek)) => std::ptr::eq(memo.as_ptr(), Arc::as_ptr(peek)),
+                (None, None) => true,
+                _ => false,
+            };
+        self.fields.len() == fields.len() && self.fields.iter().zip(fields).all(same)
+    }
+
+    /// The plan brought up to date with the store: every object in `scope`
+    /// written since the memo's version — `touched`, ascending and
+    /// distinct, each with what it was at that version (`None`: inserted
+    /// since) — is re-tested by the index and validated, its group counts
+    /// move, and the survivors and the superlevel cut take the changes in
+    /// one merge pass each; the plan is then costed afresh when `cost` is
+    /// set. `None` — prepare afresh instead — when anything cannot be
+    /// patched: an object the index does not hold in its overlay, a
+    /// validation error, a model change, counts that do not add up.
+    #[allow(clippy::too_many_arguments, reason = "prepare's inputs plus the memo's")]
+    fn patched(
         &self,
         ctx: &ExecContext<'_>,
         spec: &QuerySpec,
         cost: bool,
-        prepared: &Arc<Prepared>,
-    ) {
-        let Some(fields) = self.fields.iter().map(Option::as_ref).collect::<Option<Vec<_>>>()
-        else {
-            return;
+        scope: &Scope,
+        index: &SpatioTemporalIndex,
+        resident: &Resident,
+        touched: &[(usize, Option<AnchorKey>)],
+    ) -> Option<(PlanMemo, usize)> {
+        let (db, window, old) = (ctx.db, spec.window(), &self.prepared);
+        let (rect, t_end) = (index.window_rect(window), window.t_end());
+        let mut groups: Vec<ModelGroup> = (0..db.models().len()).map(ModelGroup::new).collect();
+        for group in &old.groups {
+            *groups.get_mut(group.model)? = group.clone();
+        }
+        let mut tallies = self.tallies.clone();
+        let (mut survivor_edits, mut cut_edits) = (Vec::new(), Vec::new());
+        let mut retested = 0;
+        for &(idx, before) in touched {
+            let in_scope = match scope {
+                Scope::Database(len) => idx < *len,
+                Scope::Subset(indices) => indices.binary_search(&idx).is_ok(),
+            };
+            if !in_scope {
+                continue;
+            }
+            retested += 1;
+            let (kept, cut) = index.retest(idx, &rect, t_end, resident.superlevel.as_deref())?;
+            let was = old.indices.binary_search(&idx).is_ok();
+            let was_cut = self.cut.binary_search(&idx).is_ok();
+            if was {
+                let before = before?;
+                tally(tallies.get_mut(before.model)?, before.time, false)?;
+                groups.get_mut(before.model)?.leave(before.time, before.nnz)?;
+            }
+            if kept {
+                let object = db.object(idx)?;
+                let now = AnchorKey::of(object);
+                if before.is_some_and(|before| before.model != now.model) {
+                    return None;
+                }
+                let group = groups.get_mut(now.model)?;
+                if group.count == 0 {
+                    check_window(&db.models()[now.model], window).ok()?;
+                }
+                check_anchor_time(now.time, window).ok()?;
+                tally(tallies.get_mut(now.model)?, now.time, true)?;
+                group.join(now.time, now.nnz);
+            }
+            if was != kept {
+                survivor_edits.push((idx, kept));
+            }
+            if was_cut != cut {
+                cut_edits.push((idx, cut));
+            }
+        }
+        for group in &mut groups {
+            group.times = tallies.get(group.model)?.iter().map(|&(t, _)| t).collect();
+        }
+        groups.retain(|group| group.count > 0);
+        let indices = merged(&old.indices, &survivor_edits)?;
+        let cut = merged(&self.cut, &cut_edits)?;
+        let (pruned_from, superlevel_pruned) = match indices.len() < scope.len() {
+            true => (Some(scope.clone()), cut.len()),
+            false => (None, 0),
         };
-        let Some((first, others)) = fields.split_first() else { return };
-        let memo = PlanMemo {
-            version: ctx.db.version(),
-            tau_bits: self.tau.to_bits(),
+        let mut prepared = Prepared {
+            indices,
+            pruned_from,
+            superlevel_pruned,
+            groups,
             strategy: spec.strategy(),
-            cost,
-            subset: spec.objects().map(<[u64]>::to_vec),
-            others: others.iter().map(|field| Arc::downgrade(field)).collect(),
-            prepared: Arc::clone(prepared),
+            plan: None,
         };
-        let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        cache.remember_plan(&ctx.db.models()[0], spec.window(), first, memo);
+        if cost {
+            cost_into(ctx, spec, &mut prepared, Some(resident));
+        }
+        let memo = PlanMemo {
+            version: db.version(),
+            build: self.build.clone(),
+            fields: resident.fields.iter().map(|f| f.as_ref().map(Arc::downgrade)).collect(),
+            superlevel: resident.superlevel.clone(),
+            cut,
+            tallies,
+            prepared: Arc::new(prepared),
+        };
+        Some((memo, retested))
     }
 }
 
+/// Per model, how many of the objects at `indices` are anchored at each
+/// time, ascending by time.
+fn tallies(db: &TrajectoryDatabase, indices: &[usize]) -> Vec<Vec<(u32, usize)>> {
+    let mut tallies = vec![Vec::new(); db.models().len()];
+    for object in indices.iter().filter_map(|&idx| db.object(idx)) {
+        if let Some(per_time) = tallies.get_mut(object.model()) {
+            // Counts of one model; a survivor is always counted.
+            let _ = tally(per_time, object.anchor().time(), true);
+        }
+    }
+    tallies
+}
+
+/// Counts one object anchored at `time` into (`joins`) or out of a model's
+/// per-time tally; `None` when there is none to take out.
+fn tally(per_time: &mut Vec<(u32, usize)>, time: u32, joins: bool) -> Option<()> {
+    match (per_time.binary_search_by_key(&time, |&(t, _)| t), joins) {
+        (Ok(at), true) => per_time[at].1 += 1,
+        (Err(at), true) => per_time.insert(at, (time, 1)),
+        (Ok(at), false) if per_time[at].1 > 1 => per_time[at].1 -= 1,
+        (Ok(at), false) => drop(per_time.remove(at)),
+        (Err(_), false) => return None,
+    }
+    Some(())
+}
+
+/// The ascending `list` with `edits` applied — `(idx, true)` adds `idx`,
+/// `(idx, false)` removes it; ascending by `idx` — in one pass that copies
+/// the runs between edits whole. `None` when an edit does not fit the list
+/// (an added index already there, a removed one missing).
+fn merged(list: &[usize], edits: &[(usize, bool)]) -> Option<Vec<usize>> {
+    let added = edits.iter().filter(|&&(_, adds)| adds).count();
+    let mut out = Vec::with_capacity(list.len() + added);
+    let mut rest = list;
+    for &(idx, adds) in edits {
+        let at = rest.partition_point(|&i| i < idx);
+        out.extend_from_slice(&rest[..at]);
+        rest = &rest[at..];
+        let present = rest.first() == Some(&idx);
+        if adds == present {
+            return None;
+        }
+        if adds {
+            out.push(idx);
+        } else {
+            rest = &rest[1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    Some(out)
+}
+
+/// The ∃ fields of a window that the cache holds, peeked under the lock
+/// in which `prepare` reads its plan memo.
+struct Resident {
+    /// Per model, its cached ∃ field (`None` when not cached): what the
+    /// cost model classifies residency from, so costing an armed read takes
+    /// no lock of its own.
+    fields: Vec<Option<Arc<BackwardField>>>,
+    /// For an ∃ threshold `τ > 0` whose every model's field is cached: the
+    /// union over models of the fields' τ-superlevel geometries under the
+    /// index's embedding, since an object of any model may be anchored at
+    /// any time.
+    superlevel: Option<Arc<Superlevel>>,
+}
+
+/// A field the caller peeked and the τ-superlevel geometry measured from it.
+type Measured = (Arc<BackwardField>, Arc<Superlevel>);
+
+/// The union over models of the τ-superlevel geometries of `fields`, when
+/// every model has one: each model's taken from `memoised` where the cache
+/// held it, measured otherwise — returned beside the union for the caller
+/// to memoise.
+fn superlevel_of(
+    ctx: &ExecContext<'_>,
+    window: &QueryWindow,
+    tau: f64,
+    index: &SpatioTemporalIndex,
+    fields: &[Option<Arc<BackwardField>>],
+    memoised: &[Option<Arc<Superlevel>>],
+) -> (Option<Arc<Superlevel>>, Vec<Measured>) {
+    let space = index.space();
+    let (mut geometries, mut measured) = (Vec::with_capacity(fields.len()), Vec::new());
+    for (m, (field, chain)) in fields.iter().zip(ctx.db.models()).enumerate() {
+        let Some(field) = field else {
+            return (None, measured);
+        };
+        let measure = || Superlevel::of(field, window, tau, chain, space.as_ref());
+        let geometry = match memoised.get(m).cloned().flatten() {
+            Some(geometry) => {
+                debug_assert!(*geometry == measure(), "a memoised geometry equals a measured one");
+                geometry
+            }
+            None => {
+                let geometry = Arc::new(measure());
+                measured.push((Arc::clone(field), Arc::clone(&geometry)));
+                geometry
+            }
+        };
+        geometries.push(geometry);
+    }
+    (geometries.into_iter().reduce(|union, g| Arc::new(union.union(&g))), measured)
+}
+
 /// Runs the armed index over the spec's scope: the candidates that survive
-/// (ascending) and how many of the pruned only the superlevel filter
-/// discarded. The rest of the scope is answered without evaluation:
+/// (ascending) and the objects in scope only the superlevel filter
+/// discarded (ascending). The rest of the scope is answered without
+/// evaluation:
 ///
 /// * cone-pruned objects provably have `P∃ = 0` exactly — they are the
 ///   exact zeros of a probability answer and the extra accepted ids of a
@@ -544,16 +783,18 @@ fn prefilter_candidates(
     window: &QueryWindow,
     scope: &Scope,
     superlevel: Option<&Superlevel>,
-) -> Option<(Vec<usize>, usize)> {
+) -> Option<(Vec<usize>, Vec<usize>)> {
     let probe = index.probe(window, superlevel);
-    let (survivors, superlevel_pruned) = match scope {
-        Scope::Database(_) => (probe.survivors, probe.superlevel_pruned.len()),
-        Scope::Subset(indices) => (
-            intersect_sorted(indices, &probe.survivors),
-            probe.superlevel_pruned.iter().filter(|idx| indices.binary_search(idx).is_ok()).count(),
-        ),
+    let (survivors, mut cut) = match scope {
+        Scope::Database(_) => (probe.survivors, probe.superlevel_pruned),
+        Scope::Subset(indices) => {
+            let mut cut = probe.superlevel_pruned;
+            cut.retain(|idx| indices.binary_search(idx).is_ok());
+            (intersect_sorted(indices, &probe.survivors), cut)
+        }
     };
-    (survivors.len() < scope.len()).then_some((survivors, superlevel_pruned))
+    cut.sort_unstable();
+    (survivors.len() < scope.len()).then_some((survivors, cut))
 }
 
 /// A spec resolved against one database snapshot — what the *prepare* half
@@ -591,65 +832,215 @@ impl Prepared {
     }
 }
 
+/// How [`prepare`] came by its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Provenance {
+    /// Prepared afresh.
+    Fresh,
+    /// The memoised plan, on the store it was prepared on (re-costed when
+    /// the cached fields changed).
+    Reused,
+    /// The memoised plan patched over the store's writes since, with this
+    /// many objects in scope re-tested.
+    Patched(usize),
+}
+
 /// The prepare half of a query's life, shared by `explain`, a standing
 /// query's strategy pinning and every execution, under every strategy:
 /// resolves the scope, rejects a full-space ∀ window, runs the index
 /// prefilter over the scope, and validates and groups the surviving
 /// candidates — the query's one validation, in index order, so every
 /// strategy reports the same first error; the groups ride to [`refine`].
-/// For an ∃ threshold `τ > 0` on an armed index it first peeks the
-/// window's cached ∃ fields under one cache lock: when every model's is
-/// there, their τ-superlevel set narrows the index's survivors, whatever
-/// the strategy. Only when `cost` is set does it estimate every strategy
-/// from the groups and cache residency — classified from the peeked fields
-/// when there are any, so a warm threshold takes the lock no more often
-/// than before — resolving [`Strategy::Auto`] to the cheaper exact
+/// On an armed index it first peeks the window's cached ∃ fields under one
+/// cache lock: the cost model classifies residency from them, and for an
+/// ∃ threshold `τ > 0` whose every model's field is there, their
+/// τ-superlevel set narrows the index's survivors, whatever the strategy.
+/// Only when `cost` is set does it estimate every strategy from the groups
+/// and cache residency, resolving [`Strategy::Auto`] to the cheaper exact
 /// strategy (explicit overrides are echoed with the same estimates
 /// attached). The cost model has a consumer only under `Auto` and in
-/// `explain`; an explicit-strategy execution skips its residency probes.
+/// `explain`; an explicit-strategy execution skips it.
 ///
-/// Where every model's field was peeked, the result is memoised on model
-/// 0's entry ([`PlanMemo`]), and a later call that reads the same inputs
-/// returns it — `true` beside it — skipping the probe, validation,
-/// grouping and costing. Debug builds re-derive every reused plan from the
-/// same peeked fields and assert it equals the fresh one.
+/// An armed read over a scope of at least [`PREFILTER_AUTO_MIN_OBJECTS`]
+/// objects, or under an ∃ threshold `τ > 0` over any armed scope, memoises
+/// its plan in the cache ([`PlanMemo`], read under the same lock as the
+/// fields). A fresh plan under such a threshold filters with the superlevel
+/// geometries the cache memoised for the fields, measuring only the
+/// missing ones. A later read of the same key returns it
+/// unchanged on the same store ([`Provenance::Reused`]) or patched over
+/// the store's logged writes since ([`Provenance::Patched`]), skipping the
+/// probe, validation and grouping of everything else; it prepares afresh
+/// when the write log no longer reaches the memo, the index was rebuilt,
+/// the id subset resolves differently, or — under a threshold — a field
+/// changed. Debug builds re-derive every reused or patched plan and assert
+/// it equals a fresh one.
 pub(crate) fn prepare(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
     cost: bool,
-) -> Result<(Arc<Prepared>, bool)> {
+) -> Result<(Arc<Prepared>, Provenance)> {
     let scope = resolve_scope(ctx.db, spec)?;
     if spec.predicate() == Predicate::ForAll {
         forall::reject_full_space(spec.window())?;
     }
-    let index = armed_index(ctx, spec, &scope);
+    let Some(index) = armed_index(ctx, spec, &scope) else {
+        let (prepared, _) = prepare_on(ctx, spec, cost, scope, None, None)?;
+        return Ok((Arc::new(prepared), Provenance::Fresh));
+    };
     // The superlevel filter needs a threshold above 0 — at `τ = 0` every
-    // object qualifies — and a field it can read without sweeping.
-    let resident = match (&index, spec.decorator()) {
-        (Some(index), Decorator::Threshold(tau)) if tau > 0.0 => {
-            Some(peek_resident(ctx, spec, cost, tau, index))
-        }
+    // object qualifies — and fields it can read without sweeping; a memo
+    // filtered with other fields is no use under it.
+    let tau = match spec.decorator() {
+        Decorator::Threshold(tau) if tau > 0.0 => Some(tau),
         _ => None,
     };
-    if let Some(reused) = resident.as_ref().and_then(|r| r.reused.clone()) {
+    // A read below the size floor (armed by `PrefilterMode::On`) memoises
+    // only under such a threshold: the one-object probabilities probes of
+    // subscription refreshes never enter the memo.
+    let admitted = scope.len() >= PREFILTER_AUTO_MIN_OBJECTS || tau.is_some();
+    let key = admitted.then(|| PlanKeyRef::of(spec, cost));
+    let lock = || ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (fields, memo, unchanged, memoised) = {
+        let mut cache = lock();
+        let (models, window) = (ctx.db.models().iter().enumerate(), spec.window());
+        let fields: Vec<_> =
+            models.map(|(m, chain)| cache.peek_exists(m, chain, window).cloned()).collect();
+        let memo = key.and_then(|key| cache.plan_memo(key)).filter(|memo| {
+            memo.build.is_of(&index) && (tau.is_none() || memo.same_fields(&fields))
+        });
+        // The same store, and a plan costed against these fields or not
+        // costed at all: served as it is, straight from the lock.
+        let unchanged = memo
+            .filter(|memo| memo.version == ctx.db.version())
+            .filter(|memo| !cost || memo.same_fields(&fields))
+            .map(|memo| Arc::clone(&memo.prepared));
+        let patchable = unchanged.is_none() || cfg!(debug_assertions);
+        let memo = memo.filter(|_| patchable).cloned();
+        // A read without a memo filters with the geometries the cache holds
+        // for these fields, and measures only the missing ones.
+        let memoised: Vec<_> = match tau {
+            Some(tau) if memo.is_none() && unchanged.is_none() => (fields.iter())
+                .map(|f| f.as_ref().and_then(|f| cache.superlevel_memo(f, tau, index.space())))
+                .collect(),
+            _ => Vec::new(),
+        };
+        (fields, memo, unchanged, memoised)
+    };
+    if let Some(prepared) = unchanged {
         debug_assert!(
-            prepare_on(ctx, spec, cost, scope, index.as_deref(), resident.as_ref())
-                .is_ok_and(|fresh| fresh == *reused),
-            "a reused plan equals the plan prepared afresh from the same peeked fields"
+            memo.is_some_and(|memo| {
+                let resident = Resident { fields, superlevel: memo.superlevel.clone() };
+                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, &prepared)
+            }),
+            "a reused plan equals the plan prepared afresh from the same fields"
         );
-        return Ok((reused, true));
+        return Ok((prepared, Provenance::Reused));
     }
-    let prepared =
-        Arc::new(prepare_on(ctx, spec, cost, scope, index.as_deref(), resident.as_ref())?);
-    if let Some(resident) = &resident {
-        resident.remember(ctx, spec, cost, &prepared);
+    let superlevel = match (tau, &memo) {
+        (None, _) => None,
+        (Some(_), Some(memo)) => memo.superlevel.clone(),
+        (Some(tau), None) => {
+            let window = spec.window();
+            let (union, measured) = superlevel_of(ctx, window, tau, &index, &fields, &memoised);
+            if !measured.is_empty() {
+                let mut cache = lock();
+                for (field, geometry) in measured {
+                    cache.memoise_superlevel(&field, tau, index.space(), geometry);
+                }
+            }
+            union
+        }
+    };
+    let resident = Resident { fields, superlevel };
+    if let (Some(memo), Some(key)) = (memo, key) {
+        if let Some(served) = from_memo(ctx, spec, cost, &scope, &index, &resident, &memo, key) {
+            debug_assert!(
+                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, &served.0),
+                "a patched plan equals the plan prepared afresh from the same fields"
+            );
+            return Ok(served);
+        }
     }
-    Ok((prepared, false))
+    let (prepared, cut) = prepare_on(ctx, spec, cost, scope, Some(&index), Some(&resident))?;
+    let prepared = Arc::new(prepared);
+    if let Some(key) = key {
+        let memo = PlanMemo::of(ctx.db, &index, &resident, cut, Arc::clone(&prepared));
+        memoise(ctx, key.owned(), memo);
+    }
+    Ok((prepared, Provenance::Fresh))
+}
+
+/// The memo's plan for this read, when the store's write log reaches the
+/// memo's version and the plan is not served unchanged: patched over the
+/// writes since, or only re-costed when there were none (the fields it
+/// was costed against changed) — the new memo replacing the old under
+/// `key`.
+#[allow(clippy::too_many_arguments, reason = "prepare's inputs plus the memo and its key")]
+fn from_memo(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    cost: bool,
+    scope: &Scope,
+    index: &SpatioTemporalIndex,
+    resident: &Resident,
+    memo: &PlanMemo,
+    key: PlanKeyRef<'_>,
+) -> Option<(Arc<Prepared>, Provenance)> {
+    let mut touched: Vec<(usize, Option<AnchorKey>)> =
+        ctx.db.writes_since(memo.version)?.map(|w| (w.idx, w.previous)).collect();
+    // Each object as it was at the memo's version: its first write since
+    // (a stable sort keeps log order among one object's writes).
+    touched.sort_by_key(|&(idx, _)| idx);
+    touched.dedup_by_key(|&mut (idx, _)| idx);
+    // An insert can change what an id subset resolves to (a repeated id).
+    if let Scope::Subset(now) = scope {
+        let before = match &memo.prepared.pruned_from {
+            Some(Scope::Subset(before)) => before,
+            Some(Scope::Database(_)) => return None,
+            None => &memo.prepared.indices,
+        };
+        if before != now {
+            return None;
+        }
+    }
+    let wrote = !touched.is_empty();
+    let (patched, retested) = memo.patched(ctx, spec, cost, scope, index, resident, &touched)?;
+    let prepared = Arc::clone(&patched.prepared);
+    memoise(ctx, key.owned(), patched);
+    Some((prepared, if wrote { Provenance::Patched(retested) } else { Provenance::Reused }))
+}
+
+/// Installs `memo` under `key`.
+fn memoise(ctx: &ExecContext<'_>, key: PlanKey, memo: PlanMemo) {
+    let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    cache.memoise_plan(key, Arc::new(memo));
+}
+
+/// Debug builds' check of a plan served from the memo: the plan prepared
+/// afresh from the same peeked fields equals it, and so does the
+/// superlevel geometry measured afresh from them.
+#[allow(clippy::too_many_arguments, reason = "prepare's inputs plus the served plan")]
+fn matches_fresh(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    cost: bool,
+    scope: Scope,
+    index: &SpatioTemporalIndex,
+    resident: &Resident,
+    tau: Option<f64>,
+    served: &Prepared,
+) -> bool {
+    let measured =
+        tau.and_then(|tau| superlevel_of(ctx, spec.window(), tau, index, &resident.fields, &[]).0);
+    measured == resident.superlevel
+        && prepare_on(ctx, spec, cost, scope, Some(index), Some(resident))
+            .is_ok_and(|(fresh, _)| fresh == *served)
 }
 
 /// [`prepare`] past the peek: the index filter over `scope` (narrowed by
 /// the resident fields' superlevel set when there is one), validation and
-/// grouping, and the cost model when asked.
+/// grouping, and the cost model when asked — with the objects in scope
+/// only the superlevel filter discarded, ascending.
 fn prepare_on(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
@@ -657,32 +1048,40 @@ fn prepare_on(
     scope: Scope,
     index: Option<&SpatioTemporalIndex>,
     resident: Option<&Resident>,
-) -> Result<Prepared> {
+) -> Result<(Prepared, Vec<usize>)> {
     let window = spec.window();
     let superlevel = resident.and_then(|r| r.superlevel.as_deref());
     let survivors = index.and_then(|index| prefilter_candidates(index, window, &scope, superlevel));
-    let (indices, pruned_from, superlevel_pruned) = match (survivors, scope) {
-        (Some((survivors, superlevel_pruned)), scope) => {
-            (survivors, Some(scope), superlevel_pruned)
-        }
-        (None, Scope::Database(len)) => ((0..len).collect(), None, 0),
-        (None, Scope::Subset(indices)) => (indices, None, 0),
+    let (indices, pruned_from, cut) = match (survivors, scope) {
+        (Some((survivors, cut)), scope) => (survivors, Some(scope), cut),
+        (None, Scope::Database(len)) => ((0..len).collect(), None, Vec::new()),
+        (None, Scope::Subset(indices)) => (indices, None, Vec::new()),
     };
     let groups = group_on(ctx.db, &indices, window)?;
     let mut prepared = Prepared {
         indices,
         pruned_from,
-        superlevel_pruned,
+        superlevel_pruned: cut.len(),
         groups,
         strategy: spec.strategy(),
         plan: None,
     };
     if cost {
-        let plan = plan_on(ctx, spec, &prepared, resident.map(|r| r.fields.as_slice()));
-        prepared.strategy = plan.strategy;
-        prepared.plan = Some(plan);
+        cost_into(ctx, spec, &mut prepared, resident);
     }
-    Ok(prepared)
+    Ok((prepared, cut))
+}
+
+/// Records the cost model's plan on `prepared` and resolves its strategy.
+fn cost_into(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    prepared: &mut Prepared,
+    resident: Option<&Resident>,
+) {
+    let plan = plan_on(ctx, spec, prepared, resident.map(|r| r.fields.as_slice()));
+    prepared.strategy = plan.strategy;
+    prepared.plan = Some(plan);
 }
 
 /// The cost model over the validated groups of the candidates that
@@ -718,13 +1117,14 @@ fn plan_on(
         let nnz = chain.matrix().nnz() as f64;
         // Σ (t_end − anchor) over the members; validated anchors lie at or
         // before `t_start ≤ t_end`.
-        let spans = (group.members.len() as u64 * u64::from(t_end) - group.time_sum) as f64;
+        let spans = (group.count as u64 * u64::from(t_end) - group.time_sum) as f64;
         ob.step_ops += spans * levels * nnz;
-        ob.object_ops += group.members.len() as f64;
+        ob.object_ops += group.count as f64;
 
         let min_anchor = group.times.first().copied().unwrap_or(t_end);
         let full_sweep = (t_end - min_anchor.min(t_end)) as f64;
-        // Only an ∃ threshold peeks, and it peeks ∃ fields: the rule above.
+        // Only an armed read peeks — an ∃ read — and it peeks ∃ fields: the
+        // rule above.
         let residency =
             match resident {
                 Some(fields) => residency_of(fields[group.model].as_deref(), &group.times),
@@ -1116,14 +1516,16 @@ mod tests {
     use ust_space::{LineSpace, TimeSet};
 
     const N: usize = 30;
+    /// Objects in the store: enough for the memo's admission floor.
+    const OBJECTS: u64 = 300;
 
-    /// 60 objects on a line of `N` states, anchored at `t = i mod 3`, with a
-    /// line embedding attached.
+    /// `OBJECTS` objects on a line of `N` states, anchored at `t = i mod 3`,
+    /// with a line embedding attached.
     fn store() -> TrajectoryDatabase {
         let mut rng = testutil::rng(11);
         let chain = testutil::random_banded_stochastic(&mut rng, N, 3, 2);
         let mut db = TrajectoryDatabase::new(MarkovChain::from_csr(chain).unwrap());
-        for i in 0..60u64 {
+        for i in 0..OBJECTS {
             let fix = Observation::exact(i as u32 % 3, N, (i as usize * 7) % N).unwrap();
             db.insert(UncertainObject::with_single_observation(i, fix)).unwrap();
         }
@@ -1136,18 +1538,19 @@ mod tests {
     }
 
     /// Prepares and refines `spec` over `db` against `cache`: the plan, and
-    /// whether it was reused.
+    /// how it was come by.
     fn run(
         db: &TrajectoryDatabase,
         cache: &Mutex<FieldCache>,
         spec: &QuerySpec,
-    ) -> (Arc<Prepared>, bool) {
+    ) -> (Arc<Prepared>, Provenance) {
         let (config, metrics) =
             (EngineConfig::default().with_prefilter(PrefilterMode::On), Metrics::new());
         let ctx = ExecContext { db, config: &config, cache, metrics: &metrics };
-        let (prepared, reused) = prepare(&ctx, spec, spec.strategy() == Strategy::Auto).unwrap();
+        let (prepared, provenance) =
+            prepare(&ctx, spec, spec.strategy() == Strategy::Auto).unwrap();
         refine(&ctx, spec, &prepared, &mut EvalStats::new()).unwrap();
-        (prepared, reused)
+        (prepared, provenance)
     }
 
     fn threshold(lo: usize) -> QuerySpec {
@@ -1160,48 +1563,113 @@ mod tests {
         run(db, cache, &fill.build().unwrap());
     }
 
-    /// Snapshots share their store's plans; a store mutated by `insert` or
-    /// re-embedded by `attach_space` never reuses one, even through a cache
-    /// it shares with the snapshot it was copied from.
+    /// A new object anchored at `t = 1` in state 5.
+    fn newcomer(id: u64) -> UncertainObject {
+        UncertainObject::with_single_observation(id, Observation::exact(1, N, 5).unwrap())
+    }
+
+    /// Snapshots share their store's plans; a store mutated by `insert`
+    /// patches the plan of the snapshot it was copied from, which the
+    /// snapshot — whose log never saw the insert — cannot use.
     #[test]
-    fn mutated_stores_miss_the_memo_of_their_snapshots() {
+    fn snapshots_share_plans_and_writes_patch_them() {
         let db = store();
         let cache = Mutex::new(FieldCache::new(8));
         warm(&db, &cache, 4);
-        let (first, reused) = run(&db, &cache, &threshold(4));
-        assert!(!reused);
-        let (again, reused) = run(&db.clone(), &cache, &threshold(4));
-        assert!(reused && Arc::ptr_eq(&first, &again), "a snapshot shares the memo");
+        let (first, provenance) = run(&db, &cache, &threshold(4));
+        assert_eq!(provenance, Provenance::Fresh);
+        let (again, provenance) = run(&db.clone(), &cache, &threshold(4));
+        assert_eq!(provenance, Provenance::Reused);
+        assert!(Arc::ptr_eq(&first, &again), "a snapshot shares the memo");
 
         let mut inserted = db.clone();
-        inserted
-            .insert(UncertainObject::with_single_observation(
-                99,
-                Observation::exact(1, N, 5).unwrap(),
-            ))
-            .unwrap();
-        let mut embedded = db.clone();
-        embedded.attach_space(Arc::new(LineSpace::new(N))).unwrap();
-        for mutated in [inserted, embedded] {
-            assert!(!run(&mutated, &cache, &threshold(4)).1, "a mutated store prepares afresh");
-            assert!(run(&mutated, &cache, &threshold(4)).1, "and then reuses its own plan");
-            assert!(!run(&db, &cache, &threshold(4)).1, "which the source store does not");
-        }
+        inserted.insert(newcomer(999)).unwrap();
+        assert_eq!(run(&inserted, &cache, &threshold(4)).1, Provenance::Patched(1));
+        assert_eq!(run(&inserted, &cache, &threshold(4)).1, Provenance::Reused);
+        assert_eq!(run(&db, &cache, &threshold(4)).1, Provenance::Fresh, "the log never saw it");
     }
 
-    /// The memo lives on its cache entry: evicting the entry frees it.
+    /// `attach_space` re-embeds the store: the write log restarts and the
+    /// index is rebuilt, so no plan made before is patched — not even
+    /// across an embedding equal to the old one — and one made after is.
+    #[test]
+    fn attach_space_clears_the_write_log() {
+        let mut db = store();
+        let cache = Mutex::new(FieldCache::new(8));
+        warm(&db, &cache, 4);
+        let spec = Query::exists().window(window(4)).build().unwrap();
+        assert_eq!(run(&db, &cache, &spec).1, Provenance::Fresh);
+        db.insert(newcomer(999)).unwrap();
+        let before = db.version();
+        assert!(db.writes_since(before).is_some_and(|mut w| w.next().is_none()));
+        db.attach_space(Arc::new(LineSpace::new(N))).unwrap();
+        assert!(db.writes_since(before).is_none(), "the log no longer reaches back");
+        assert!(db.writes_since(db.version()).is_some());
+        assert_eq!(run(&db, &cache, &spec).1, Provenance::Fresh);
+        db.insert(newcomer(1000)).unwrap();
+        assert_eq!(run(&db, &cache, &spec).1, Provenance::Patched(1));
+    }
+
+    /// The memo holds at most `cache_capacity` plans and evicts the least
+    /// recently used; a plan read counts as a use.
     #[test]
     fn an_evicted_entry_frees_its_memo() {
         let db = store();
-        let cache = Mutex::new(FieldCache::new(1));
-        warm(&db, &cache, 4);
-        let (prepared, reused) = run(&db, &cache, &threshold(4));
-        assert!(!reused);
-        let memo = Arc::downgrade(&prepared);
+        let cache = Mutex::new(FieldCache::new(2));
+        let probabilities = |lo| Query::exists().window(window(lo)).build().unwrap();
+        for lo in [4, 12] {
+            assert_eq!(run(&db, &cache, &probabilities(lo)).1, Provenance::Fresh);
+        }
+        assert_eq!(run(&db, &cache, &probabilities(4)).1, Provenance::Reused);
+        let (prepared, _) = run(&db, &cache, &probabilities(20));
+        let evicted = Arc::downgrade(&prepared);
+        assert_eq!(cache.lock().unwrap().plans(), 2);
+        assert_eq!(run(&db, &cache, &probabilities(4)).1, Provenance::Reused, "used last");
+        assert_eq!(run(&db, &cache, &probabilities(12)).1, Provenance::Fresh, "evicted");
         drop(prepared);
-        assert!(memo.upgrade().is_some(), "the entry holds the plan");
-        warm(&db, &cache, 12);
-        assert_eq!(cache.lock().unwrap().len(), 1);
-        assert!(memo.upgrade().is_none(), "the evicted entry took its plan along");
+        assert!(evicted.upgrade().is_none(), "window 20's plan went with its slot");
+    }
+
+    /// Below the admission floor only an ∃ threshold `τ > 0` enters the
+    /// memo: probabilities over one object — a subscription's refresh
+    /// probe — prepare afresh every time. A fresh threshold plan filters
+    /// with the superlevel geometry the cache memoised for the field, so
+    /// another subset at the same τ measures none.
+    #[test]
+    fn below_the_floor_only_thresholds_memoise_and_geometries_are_shared() {
+        let db = store();
+        let cache = Mutex::new(FieldCache::new(8));
+        warm(&db, &cache, 4);
+        let plans = || cache.lock().unwrap().plans();
+        let whole_store = plans();
+        let few = |ids: std::ops::Range<u64>| Query::exists().window(window(4)).objects(ids);
+        let probe = few(0..1).build().unwrap();
+        assert_eq!(run(&db, &cache, &probe).1, Provenance::Fresh);
+        assert_eq!(run(&db, &cache, &probe).1, Provenance::Fresh);
+        assert_eq!(plans(), whole_store);
+
+        let geometry = || {
+            let mut cache = cache.lock().unwrap();
+            let field = cache.peek_exists(0, &db.models()[0], &window(4)).cloned().unwrap();
+            let space = db.spatial_index().unwrap().space().clone();
+            cache.superlevel_memo(&field, 0.05, &space).unwrap()
+        };
+        let subset = |ids| few(ids).threshold(0.05).build().unwrap();
+        assert_eq!(run(&db, &cache, &subset(0..10)).1, Provenance::Fresh);
+        assert_eq!(run(&db, &cache, &subset(0..10)).1, Provenance::Reused);
+        let measured = geometry();
+        assert_eq!(run(&db, &cache, &subset(10..20)).1, Provenance::Fresh);
+        assert!(Arc::ptr_eq(&measured, &geometry()), "measured once");
+        assert_eq!(plans(), whole_store + 2);
+    }
+
+    #[test]
+    fn merged_applies_ascending_edits_in_one_pass() {
+        let list = [2, 5, 9, 14];
+        let edits = [(0, true), (5, false), (10, true), (14, false), (20, true)];
+        assert_eq!(merged(&list, &edits), Some(vec![0, 2, 9, 10, 20]));
+        assert_eq!(merged(&list, &[]), Some(list.to_vec()));
+        assert_eq!(merged(&list, &[(5, true)]), None, "already there");
+        assert_eq!(merged(&list, &[(6, false)]), None, "not there");
     }
 }

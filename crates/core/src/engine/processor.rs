@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
-use crate::engine::plan::{self, ExecContext, QueryPlan};
+use crate::engine::plan::{self, ExecContext, Provenance, QueryPlan};
 use crate::engine::ticket::{QueryTicket, TicketGuard, TicketState};
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
@@ -332,8 +332,9 @@ impl QueryProcessor {
 
 /// A query's life after admission, written once: **prepare** (resolve the
 /// candidates, check the window, prefilter, validate and group — under
-/// every strategy — and cost when the strategy is `Auto`; or reuse the plan
-/// memoised for a warm threshold, counted in `plans_reused`), let a
+/// every strategy — and cost when the strategy is `Auto`; or take the plan
+/// memoised for an indexed read, unchanged or patched over the writes
+/// since, counted in `plans_reused` / `plans_patched`), let a
 /// submitted `job`'s cancellation flag or deadline shed the expensive
 /// half, **refine**, and **record** — every call reports plan time,
 /// execute time and its evaluation counters to the serving registry, a
@@ -363,7 +364,7 @@ pub(super) fn serve(
         });
     };
     let plan_start = Instant::now();
-    let (prepared, reused) = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
+    let (prepared, provenance) = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
         Ok(prepared) => prepared,
         Err(e) => {
             record(spec.strategy(), plan_start.elapsed(), Duration::ZERO, EvalStats::new(), false);
@@ -375,7 +376,14 @@ pub(super) fn serve(
         return Err(shed);
     }
     let before = stats.clone();
-    stats.plans_reused += u64::from(reused);
+    match provenance {
+        Provenance::Fresh => {}
+        Provenance::Reused => stats.plans_reused += 1,
+        Provenance::Patched(retested) => {
+            stats.plans_patched += 1;
+            stats.objects_retested += retested as u64;
+        }
+    }
     let exec_start = Instant::now();
     let result = plan::refine(ctx, spec, &prepared, stats);
     record(

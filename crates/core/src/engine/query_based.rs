@@ -421,16 +421,17 @@ pub fn exists_probability(
     field_probability(chain, object, window, FieldRule::Exists, config)
 }
 
-/// A model's populated object group, validated against one window: its
-/// members, their distinct anchor times and the anchor totals the planner
-/// costs with — everything a backward sweep, a reach plan or a cost
-/// estimate needs, gathered in the one pass that validates.
-#[derive(Debug, PartialEq)]
+/// A model's populated object group, validated against one window: how
+/// many members it has, their distinct anchor times and the anchor totals
+/// the planner costs with — everything a backward sweep, a reach plan or a
+/// cost estimate needs, gathered in the one pass that validates. Which
+/// objects the members are is the grouped index list's to say.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ModelGroup {
     /// Model index into `db.models()`.
     pub model: usize,
-    /// Database object indices following the model, ascending.
-    pub members: Vec<usize>,
+    /// Number of grouped objects following the model.
+    pub count: usize,
     /// The members' distinct anchor times, ascending — the snapshot times
     /// of the model's backward field.
     pub times: Vec<u32>,
@@ -442,22 +443,37 @@ pub(crate) struct ModelGroup {
 }
 
 impl ModelGroup {
-    fn new(model: usize) -> Self {
-        ModelGroup { model, members: Vec::new(), times: Vec::new(), time_sum: 0, anchor_nnz: 0 }
+    pub(crate) fn new(model: usize) -> Self {
+        ModelGroup { model, count: 0, times: Vec::new(), time_sum: 0, anchor_nnz: 0 }
     }
 
-    /// Adds the object at database index `idx` (above every member so far),
-    /// anchored at `t`. A time equal to the previous member's is not pushed
+    /// Adds an object anchored at `t`, above every member so far in index
+    /// order. A time equal to the previous member's is not pushed
     /// again — objects ingested together sit next to each other — and
     /// [`group_on`] sorts and dedups the short list that is left once at
     /// the end.
-    fn push(&mut self, idx: usize, t: u32, object: &UncertainObject) {
+    fn push(&mut self, t: u32, object: &UncertainObject) {
         if self.times.last() != Some(&t) {
             self.times.push(t);
         }
-        self.members.push(idx);
+        self.join(t, object.anchor().distribution().nnz());
+    }
+
+    /// Counts in a member anchored at `t` with `nnz` anchor entries — the
+    /// distinct times are the caller's to keep.
+    pub(crate) fn join(&mut self, t: u32, nnz: usize) {
+        self.count += 1;
         self.time_sum += u64::from(t);
-        self.anchor_nnz += object.anchor().distribution().nnz();
+        self.anchor_nnz += nnz;
+    }
+
+    /// Counts out a member [`ModelGroup::join`] counted in; `None` when the
+    /// totals hold no such member.
+    pub(crate) fn leave(&mut self, t: u32, nnz: usize) -> Option<()> {
+        self.count = self.count.checked_sub(1)?;
+        self.time_sum = self.time_sum.checked_sub(u64::from(t))?;
+        self.anchor_nnz = self.anchor_nnz.checked_sub(nnz)?;
+        Some(())
     }
 }
 
@@ -481,10 +497,6 @@ pub(crate) fn group_on(
 ) -> Result<Vec<ModelGroup>> {
     let models = db.models();
     let mut groups: Vec<ModelGroup> = (0..models.len()).map(ModelGroup::new).collect();
-    // Only a single-model store knows its one group takes every candidate.
-    if let [only] = groups.as_mut_slice() {
-        only.members.reserve_exact(indices.len());
-    }
     for &idx in indices {
         let object = db
             .object(idx)
@@ -495,13 +507,13 @@ pub(crate) fn group_on(
             object.num_states() == chain.num_states() && chain.num_states() == db.num_states(),
             "the store keeps objects and models at its dimension"
         );
-        if group.members.is_empty() {
+        if group.count == 0 {
             check_window(chain, window)?;
         }
         check_anchor_time(t, window)?;
-        group.push(idx, t, object);
+        group.push(t, object);
     }
-    groups.retain(|group| !group.members.is_empty());
+    groups.retain(|group| group.count > 0);
     for group in &mut groups {
         group.times.sort_unstable();
         group.times.dedup();
@@ -658,26 +670,29 @@ pub(crate) fn evaluate_fields<T>(
     answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T>,
 ) -> Result<Vec<T>> {
     let indices: Vec<usize> = (0..db.len()).collect();
-    let mut results: Vec<Option<T>> = (0..db.len()).map(|_| None).collect();
+    let mut fields: Vec<Option<BackwardField>> = (0..db.models().len()).map(|_| None).collect();
     for group in group_on(db, &indices, window)? {
         let chain = &db.models()[group.model];
-        let field =
-            BackwardField::compute_with_config(chain, window, rule, &group.times, config, stats)?;
-        let mut memo = AnchorMemo::new();
-        for &idx in &group.members {
-            let object = db
-                .object(idx)
-                .ok_or(QueryError::internal("group membership indices resolve to objects"))?;
-            let anchored = memo.resolve(object, window, |_| Some(&field))?;
-            results[idx] = Some(answer(&anchored, object).ok_or(QueryError::internal(
-                "the field was swept under the rule the answer reads",
-            ))?);
-            stats.objects_evaluated += 1;
-        }
+        fields[group.model] = Some(BackwardField::compute_with_config(
+            chain,
+            window,
+            rule,
+            &group.times,
+            config,
+            stats,
+        )?);
     }
-    results
-        .into_iter()
-        .map(|r| r.ok_or(QueryError::internal("every object belongs to exactly one model group")))
+    let mut memo = AnchorMemo::new();
+    db.objects()
+        .iter()
+        .map(|object| {
+            let anchored = memo.resolve(object, window, |model| fields[model].as_ref())?;
+            let row = answer(&anchored, object).ok_or(QueryError::internal(
+                "the field was swept under the rule the answer reads",
+            ))?;
+            stats.objects_evaluated += 1;
+            Ok(row)
+        })
         .collect()
 }
 
@@ -827,7 +842,7 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].members, all);
+        assert_eq!(groups[0].count, all.len());
         assert_eq!(groups[0].times, distinct);
         assert_eq!(groups[0].time_sum, anchors.iter().copied().map(u64::from).sum::<u64>());
         assert_eq!(groups[0].anchor_nnz, anchors.len());

@@ -185,8 +185,14 @@ impl SpatioTemporalIndex {
     /// scans stop being cheaper than a bulk rebuild; the writer should drop
     /// the index and let the next read rebuild it.
     pub fn wants_compaction(&self) -> bool {
-        self.overlay.len()
-            >= OVERLAY_COMPACTION_MIN.max(self.base.anchors.len() / OVERLAY_COMPACTION_FRACTION)
+        self.overlay.len() >= compaction_size(self.base.anchors.len())
+    }
+
+    /// The identity of the bulk build this index overlays: an index
+    /// updated in place or copied by [`SpatioTemporalIndex::with_updated`]
+    /// keeps it, a rebuild (compaction, a new embedding) starts another.
+    pub(crate) fn build_id(&self) -> IndexBuild {
+        IndexBuild(Arc::downgrade(&self.base))
     }
 
     /// Number of objects mutated or inserted since the bulk build.
@@ -247,16 +253,7 @@ impl SpatioTemporalIndex {
         let base = &*self.base;
         let rect = self.window_rect(window);
         let t_end = window.t_end();
-        // `(kept, discarded by the superlevel test alone)` for an anchor
-        // whose cone test came out `cone`.
-        let verdict =
-            |a: &ConeAnchor, cone: bool| match superlevel.and_then(|s| s.at(a.anchor_time)) {
-                Some(level) if cone => {
-                    let meets = a.meets(level);
-                    (meets, !meets)
-                }
-                _ => (cone, false),
-            };
+        let verdict = |a: &ConeAnchor, cone: bool| verdict(a, cone, superlevel);
         // An anchor observed by `t_end` reaches `t_end · max_step` plus its
         // slack: the coarse R-tree pass expands the rectangle by the widest
         // such reach (anchors after `t_end` fail the predicate wherever
@@ -303,8 +300,7 @@ impl SpatioTemporalIndex {
         // (stale or absent) base entries.
         cut.retain(|idx| !self.overlay.contains_key(idx));
         for (&idx, anchor) in &self.overlay {
-            let (kept, superlevel_pruned) =
-                verdict(anchor, anchor.reaches(&rect, t_end, base.max_step));
+            let (kept, superlevel_pruned) = self.retest_anchor(anchor, &rect, t_end, superlevel);
             let (word, bit) = (idx / 64, 1u64 << (idx % 64));
             hits[word] = if kept { hits[word] | bit } else { hits[word] & !bit };
             if superlevel_pruned {
@@ -312,6 +308,71 @@ impl SpatioTemporalIndex {
             }
         }
         Probe { survivors: ascending_ones(&hits), superlevel_pruned: cut }
+    }
+
+    /// What [`SpatioTemporalIndex::probe`] decides for the overlay entry of
+    /// database index `idx` — `(kept, discarded by the superlevel test
+    /// alone)` — without a pass over the tree; `rect` is the window's
+    /// [`SpatioTemporalIndex::window_rect`]. `None` when `idx` is not in
+    /// the overlay: a bulk entry's verdict may come from a whole-leaf
+    /// acceptance, which no per-object test reproduces.
+    pub(crate) fn retest(
+        &self,
+        idx: usize,
+        rect: &Rect,
+        t_end: u32,
+        superlevel: Option<&Superlevel>,
+    ) -> Option<(bool, bool)> {
+        let anchor = self.overlay.get(&idx)?;
+        Some(self.retest_anchor(anchor, rect, t_end, superlevel))
+    }
+
+    /// The cone and superlevel test of one anchor, as a probe applies it
+    /// to every overlay entry.
+    fn retest_anchor(
+        &self,
+        anchor: &ConeAnchor,
+        rect: &Rect,
+        t_end: u32,
+        superlevel: Option<&Superlevel>,
+    ) -> (bool, bool) {
+        verdict(anchor, anchor.reaches(rect, t_end, self.base.max_step), superlevel)
+    }
+}
+
+/// The one per-anchor verdict of a probe: `(kept, discarded by the
+/// superlevel test alone)` for an anchor whose cone test came out `cone` —
+/// a cone survivor anchored at a time with a superlevel rectangle is kept
+/// only if its support meets the rectangle.
+fn verdict(anchor: &ConeAnchor, cone: bool, superlevel: Option<&Superlevel>) -> (bool, bool) {
+    match superlevel.and_then(|s| s.at(anchor.anchor_time)) {
+        Some(level) if cone => {
+            let meets = anchor.meets(level);
+            (meets, !meets)
+        }
+        _ => (cone, false),
+    }
+}
+
+/// The overlay size at which an index over `base_len` bulk-built objects
+/// wants compaction: at least [`OVERLAY_COMPACTION_MIN`], else one entry
+/// per [`OVERLAY_COMPACTION_FRACTION`] objects. The database's write log
+/// is bounded by the same size.
+pub(crate) fn compaction_size(base_len: usize) -> usize {
+    OVERLAY_COMPACTION_MIN.max(base_len / OVERLAY_COMPACTION_FRACTION)
+}
+
+/// The identity of one bulk build of the index
+/// ([`SpatioTemporalIndex::build_id`]). It holds the build's allocation
+/// weakly, so no later build can take its address, without keeping its
+/// anchors or tree alive.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexBuild(std::sync::Weak<IndexBase>);
+
+impl IndexBuild {
+    /// True when `index` overlays this build.
+    pub(crate) fn is_of(&self, index: &SpatioTemporalIndex) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&index.base))
     }
 }
 

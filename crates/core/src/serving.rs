@@ -266,6 +266,12 @@ pub struct PlanMetrics {
     /// Executions that reused a memoised prepared plan (see
     /// [`EvalStats::plans_reused`]).
     pub plans_reused: u64,
+    /// Executions that patched a memoised plan from the write log (see
+    /// [`EvalStats::plans_patched`]).
+    pub plans_patched: u64,
+    /// Objects the patched plans re-tested (see
+    /// [`EvalStats::objects_retested`]).
+    pub objects_retested: u64,
     /// Forward transitions accumulated by these executions.
     pub transitions: u64,
     /// Backward steps accumulated by these executions.
@@ -294,6 +300,8 @@ impl PlanMetrics {
             cache_hits: 0,
             cache_misses: 0,
             plans_reused: 0,
+            plans_patched: 0,
+            objects_retested: 0,
             transitions: 0,
             backward_steps: 0,
             entries_touched: 0,
@@ -513,6 +521,8 @@ impl Metrics {
         entry.cache_hits += record.delta.cache_hits;
         entry.cache_misses += record.delta.cache_misses;
         entry.plans_reused += record.delta.plans_reused;
+        entry.plans_patched += record.delta.plans_patched;
+        entry.objects_retested += record.delta.objects_retested;
         entry.transitions += record.delta.transitions;
         entry.backward_steps += record.delta.backward_steps;
         entry.entries_touched += record.delta.entries_touched;
@@ -578,6 +588,8 @@ mod tests {
                 entries_touched: 500,
                 cache_hits: 1,
                 plans_reused: 1,
+                plans_patched: 1,
+                objects_retested: 3,
                 candidates_examined: 8,
                 candidates_pruned: 2,
                 ..Default::default()
@@ -619,6 +631,7 @@ mod tests {
         assert_eq!(ob.failures, 1);
         assert_eq!(ob.cache_hits, 2);
         assert_eq!(ob.plans_reused, 2);
+        assert_eq!((ob.plans_patched, ob.objects_retested), (2, 6));
         assert_eq!(ob.candidates_examined, 16);
         assert_eq!(ob.candidates_pruned, 4);
         assert!(s.to_string().contains("prefilter 16/20 examined"));

@@ -58,12 +58,20 @@ pub struct EvalStats {
     /// Backward-field cache lookups that required a full backward sweep.
     pub cache_misses: u64,
     /// Executions whose prepared plan — survivors, groups, strategy and
-    /// cost record — came from the memo on the window's cached ∃ field
-    /// instead of a fresh index probe, validation and costing. Only a warm
-    /// ∃ threshold `τ > 0` over an indexed store, repeated on an unchanged
-    /// snapshot, reuses one; its refine (the counted cache lookup and the
-    /// dot products) still runs.
+    /// cost record — came from the plan memo unchanged, instead of a fresh
+    /// index probe, validation and costing: an ∃ read over an indexed scope
+    /// of at least 256 objects, repeated on an unchanged snapshot (re-costed
+    /// when the cached fields it was costed against changed). Its refine
+    /// (the counted cache lookups and the dot products) still runs.
     pub plans_reused: u64,
+    /// Executions whose memoised plan was brought up to date from the
+    /// store's write log instead of prepared afresh: the objects written
+    /// since the memo was made were re-tested against the index and merged
+    /// into its survivors, and the plan re-costed.
+    pub plans_patched: u64,
+    /// Objects in scope that patched plans re-tested: per patch, the
+    /// distinct objects written since its memo was made.
+    pub objects_retested: u64,
     /// `(model, window)` backward fields computed (or fetched from the
     /// cache) exactly once by a shared-field plan and handed to the worker
     /// fan-out as read-only views — sweeps that a per-worker evaluation
@@ -93,6 +101,8 @@ impl EvalStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.plans_reused += other.plans_reused;
+        self.plans_patched += other.plans_patched;
+        self.objects_retested += other.objects_retested;
         self.fields_shared += other.fields_shared;
         self.pruned_mass += other.pruned_mass;
     }
@@ -123,6 +133,8 @@ impl EvalStats {
             cache_hits: self.cache_hits.saturating_sub(before.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(before.cache_misses),
             plans_reused: self.plans_reused.saturating_sub(before.plans_reused),
+            plans_patched: self.plans_patched.saturating_sub(before.plans_patched),
+            objects_retested: self.objects_retested.saturating_sub(before.objects_retested),
             fields_shared: self.fields_shared.saturating_sub(before.fields_shared),
             pruned_mass: (self.pruned_mass - before.pruned_mass).max(0.0),
         }
@@ -149,6 +161,8 @@ mod tests {
             cache_hits: 3,
             cache_misses: 2,
             plans_reused: 6,
+            plans_patched: 3,
+            objects_retested: 8,
             fields_shared: 4,
             pruned_mass: 0.5,
         };
@@ -165,6 +179,7 @@ mod tests {
         assert_eq!(a.cache_hits, 3);
         assert_eq!(a.cache_misses, 2);
         assert_eq!(a.plans_reused, 6);
+        assert_eq!((a.plans_patched, a.objects_retested), (3, 8));
         assert_eq!(a.fields_shared, 4);
         assert_eq!(a.total_steps(), 10);
         assert!((a.pruned_mass - 0.5).abs() < 1e-12);
@@ -185,6 +200,8 @@ mod tests {
         after.candidates_pruned += 3;
         after.cache_hits += 1;
         after.plans_reused += 2;
+        after.plans_patched += 1;
+        after.objects_retested += 5;
         after.pruned_mass += 0.25;
         let delta = after.delta_since(&before);
         assert_eq!(delta.transitions, 4);
@@ -192,6 +209,7 @@ mod tests {
         assert_eq!(delta.candidates_pruned, 3);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(delta.plans_reused, 2);
+        assert_eq!((delta.plans_patched, delta.objects_retested), (1, 5));
         assert!((delta.pruned_mass - 0.25).abs() < 1e-12);
         // A mismatched (newer) snapshot saturates instead of wrapping.
         assert_eq!(before.delta_since(&after).transitions, 0);
