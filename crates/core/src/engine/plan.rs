@@ -1328,8 +1328,9 @@ fn with_pruned_zeros(
 
 /// Thresholded-`∃` accepted ids over a prefiltered candidate set: the
 /// strategy's own driver evaluates every candidate — the bound-based
-/// forward rule (early termination per object), or probabilities compared
-/// against `τ` — and, only at `τ = 0`, where `P∃ = 0` still qualifies, the
+/// forward rule (early termination per object), or query-based each dot
+/// compared against `τ` inside the fan-out, so only accepted ids leave it
+/// — and, only at `τ = 0`, where `P∃ = 0` still qualifies, the
 /// index-pruned rest of the scope the candidates were `pruned_from` is
 /// accepted with them, in database-index order.
 fn threshold_ids(
@@ -1341,6 +1342,19 @@ fn threshold_ids(
     tau: f64,
     stats: &mut EvalStats,
 ) -> Result<Vec<u64>> {
+    let pruned_from = pruned_from.filter(|_| tau <= 0.0);
+    if strategy == Strategy::QueryBased && pruned_from.is_none() {
+        // The fused accept: each dot is compared where it is computed and
+        // only an accepted object's id leaves the fan-out.
+        return field_answers(
+            ctx,
+            FieldRule::Exists,
+            candidates,
+            window,
+            stats,
+            |field, object| Ok((field.probability(object) >= tau).then(|| object.id())),
+        );
+    }
     let indices = candidates.indices;
     let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
         let outcomes = forward_answers(ctx, Threshold { tau }, candidates, window, stats)?;
@@ -1358,7 +1372,7 @@ fn threshold_ids(
             .map(|o| o.id())
             .ok_or(QueryError::internal("threshold candidates resolve to database objects"))
     };
-    match pruned_from.filter(|_| tau <= 0.0) {
+    match pruned_from {
         None => (0..indices.len()).filter(|&i| qualifies[i]).map(|i| id_of(indices[i])).collect(),
         Some(scope) => scope
             .against(indices)
@@ -1390,7 +1404,7 @@ fn exists_probs(
             forward_answers(ctx, object_based::Exists, candidates, window, stats)
         }
         Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::Exists, candidates, window, stats, probability_row)
+            field_answers(ctx, FieldRule::Exists, candidates, window, stats, each(probability_row))
         }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }
@@ -1407,16 +1421,21 @@ pub(crate) fn field_rule(predicate: Predicate) -> FieldRule {
 }
 
 /// Query-based answers over the candidates: the cached backward field of
-/// `rule` per model, then the fan-out — `answer` once per object against
+/// `rule` per model, then the fan-out — `rows` once per object against
 /// the read-only field of the object's model (one dot product each),
-/// sharded. The rule rides in the fields; `answer` picks the matching read.
+/// sharded, each object yielding at most one row: a probability or
+/// distribution each ([`each`]), an id per accepted object for a fused
+/// threshold. The rule rides in the fields; `rows` picks the matching
+/// read. A shard whose objects lie sparse in the store
+/// ([`sparse_survivors`]) is walked [`FETCH_BLOCK`] objects at a time,
+/// each block's anchors loaded together before any of them is read.
 fn field_answers<T: Send>(
     ctx: &ExecContext<'_>,
     rule: FieldRule,
     candidates: Candidates<'_>,
     window: &QueryWindow,
     stats: &mut EvalStats,
-    answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T> + Sync,
+    rows: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Result<Option<T>> + Sync,
 ) -> Result<Vec<T>> {
     let Candidates { indices, groups } = candidates;
     let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
@@ -1425,21 +1444,75 @@ fn field_answers<T: Send>(
     run_sharded(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
         let mut memo = AnchorMemo::new();
-        for &idx in idxs {
-            let object = ctx
-                .db
-                .object(idx)
-                .ok_or(QueryError::internal("the shards hold validated indices"))?;
+        let mut visit = |idx: usize| -> Result<()> {
+            let object =
+                db.object(idx).ok_or(QueryError::internal("the shards hold validated indices"))?;
             let anchored =
                 memo.resolve(object, window, |model| plan.field(model).map(|field| &**field))?;
-            out.push(
-                answer(&anchored, object)
-                    .ok_or(QueryError::internal("the field was swept under the answer's rule"))?,
-            );
+            out.extend(rows(&anchored, object)?);
             pipeline.stats().objects_evaluated += 1;
+            Ok(())
+        };
+        if sparse_survivors(idxs) {
+            for block in idxs.chunks(FETCH_BLOCK) {
+                let heads = block.iter().fold(0, |heads, &idx| heads ^ anchor_head(db, idx));
+                std::hint::black_box(heads);
+                for &idx in block {
+                    visit(idx)?;
+                }
+            }
+        } else {
+            for &idx in idxs {
+                visit(idx)?;
+            }
         }
         Ok(out)
     })
+}
+
+/// Objects per block of a sparse walk: enough loads in flight to cover a
+/// miss's latency, few enough that the block's lines are still cached
+/// when its dots read them (ARCHITECTURE.md, "The query-based fan-out").
+pub const FETCH_BLOCK: usize = 16;
+
+/// Mean store-order gap between a shard's objects from which its walk is
+/// blocked: below it the walk streams through the store and the hardware
+/// prefetcher already runs ahead of it.
+pub const SPARSE_GAP: usize = 8;
+
+/// Whether the fan-out walks the shard `idxs` (ascending store indices) in
+/// blocks: true when they span at least [`SPARSE_GAP`] store slots per
+/// object, so consecutive objects seldom share a cache line or a page.
+pub fn sparse_survivors(idxs: &[usize]) -> bool {
+    match (idxs.first(), idxs.last()) {
+        (Some(&first), Some(&last)) => last - first >= SPARSE_GAP * idxs.len(),
+        _ => false,
+    }
+}
+
+/// The first state and mass of the anchor of the object at `idx`, folded
+/// into one word. Only the loads matter: a block folds its members' heads
+/// and hands the fold to `black_box` once, so the block's misses are in
+/// flight together before its dots read the same lines.
+fn anchor_head(db: &TrajectoryDatabase, idx: usize) -> u64 {
+    db.object(idx).map_or(0, |object| {
+        let anchor = object.anchor().distribution();
+        let state = anchor.indices().first().map_or(0, |&s| u64::from(s));
+        state ^ anchor.values().first().map_or(0, |mass| mass.to_bits())
+    })
+}
+
+/// A row read that answers every object (`∃` / `∀` probabilities, k-times
+/// distributions) as a fan-out row: `None` from `row` is a field swept
+/// under another rule than the row reads.
+fn each<T>(
+    row: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T> + Sync,
+) -> impl Fn(&AnchoredField<'_>, &UncertainObject) -> Result<Option<T>> + Sync {
+    move |field, object| {
+        row(field, object)
+            .map(Some)
+            .ok_or(QueryError::internal("the field was swept under the answer's rule"))
+    }
 }
 
 /// Object-based answers over the candidates: the reach schedules of `rule`
@@ -1477,7 +1550,7 @@ fn forall_probs(
 ) -> Result<Vec<ObjectProbability>> {
     match strategy {
         Strategy::QueryBased => {
-            field_answers(ctx, FieldRule::ForAll, candidates, window, stats, probability_row)
+            field_answers(ctx, FieldRule::ForAll, candidates, window, stats, each(probability_row))
         }
         Strategy::ObjectBased => {
             forward_answers(ctx, forall::ForAll::over(window)?, candidates, window, stats)
@@ -1498,8 +1571,8 @@ fn ktimes_dists(
     match strategy {
         Strategy::ObjectBased => forward_answers(ctx, ktimes::KTimes, candidates, window, stats),
         Strategy::QueryBased => {
-            let row = ktimes::distribution_row;
-            field_answers(ctx, FieldRule::KTimes, candidates, window, stats, row)
+            let rows = each(ktimes::distribution_row);
+            field_answers(ctx, FieldRule::KTimes, candidates, window, stats, rows)
         }
         Strategy::Auto => Err(QueryError::internal("prepare resolves Auto before refine")),
     }

@@ -4,6 +4,9 @@
 //! timestamped observations plus the (shared or per-class) Markov chain that
 //! instantiates its location at all unobserved timestamps.
 
+use std::fmt;
+use std::slice;
+
 use ust_markov::SparseVector;
 
 use crate::error::{QueryError, Result};
@@ -11,11 +14,33 @@ use crate::observation::Observation;
 
 /// An uncertain moving object: id, observations, and the index of the
 /// transition model it follows (into its database's model table).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct UncertainObject {
     id: u64,
-    observations: Vec<Observation>,
+    observations: Fixes,
     model: usize,
+}
+
+/// An object's observations, ascending by time. A single fix — every
+/// streaming ingest, every single-fix generator — is held inline, so a
+/// query reads its anchor one dependent load after the object instead of
+/// two and the object owns no observation list; `Many` always holds two
+/// or more (every constructor turns a one-element list into `One`), so
+/// equal observations compare equal whichever way the object was built.
+#[derive(Clone, PartialEq)]
+enum Fixes {
+    One(Observation),
+    Many(Vec<Observation>),
+}
+
+impl fmt::Debug for UncertainObject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UncertainObject")
+            .field("id", &self.id)
+            .field("observations", &self.observations())
+            .field("model", &self.model)
+            .finish()
+    }
 }
 
 impl UncertainObject {
@@ -41,12 +66,16 @@ impl UncertainObject {
                 });
             }
         }
+        let observations = match <[Observation; 1]>::try_from(observations) {
+            Ok([single]) => Fixes::One(single),
+            Err(several) => Fixes::Many(several),
+        };
         Ok(UncertainObject { id, observations, model: 0 })
     }
 
     /// Creates an object with a single observation.
     pub fn with_single_observation(id: u64, observation: Observation) -> Self {
-        UncertainObject { id, observations: vec![observation], model: 0 }
+        UncertainObject { id, observations: Fixes::One(observation), model: 0 }
     }
 
     /// Assigns a transition-model index (defaults to 0, the shared model).
@@ -67,12 +96,18 @@ impl UncertainObject {
 
     /// All observations, ascending by time.
     pub fn observations(&self) -> &[Observation] {
-        &self.observations
+        match &self.observations {
+            Fixes::One(single) => slice::from_ref(single),
+            Fixes::Many(several) => several,
+        }
     }
 
     /// The earliest observation — the anchor of forward propagation.
     pub fn anchor(&self) -> &Observation {
-        &self.observations[0]
+        match &self.observations {
+            Fixes::One(single) => single,
+            Fixes::Many(several) => &several[0],
+        }
     }
 
     /// The latest observation.
@@ -83,12 +118,13 @@ impl UncertainObject {
                   lifetime of the object."
     )]
     pub fn last_observation(&self) -> &Observation {
-        self.observations.last().expect("objects hold ≥ 1 observation")
+        self.observations().last().expect("objects hold ≥ 1 observation")
     }
 
     /// The observation at exactly time `t`, if any.
     pub fn observation_at(&self, t: u32) -> Option<&Observation> {
-        self.observations.binary_search_by_key(&t, |o| o.time()).ok().map(|i| &self.observations[i])
+        let observations = self.observations();
+        observations.binary_search_by_key(&t, |o| o.time()).ok().map(|i| &observations[i])
     }
 
     /// The anchor distribution (initial `P(o, t_anchor)`).
@@ -104,7 +140,7 @@ impl UncertainObject {
     /// True when more than one observation is attached (interpolation
     /// semantics of Section VI apply).
     pub fn has_multiple_observations(&self) -> bool {
-        self.observations.len() > 1
+        matches!(self.observations, Fixes::Many(_))
     }
 }
 
@@ -152,6 +188,69 @@ mod tests {
         assert!(o.observation_at(4).is_none());
         assert_eq!(o.observation_at(9).unwrap().time(), 9);
         assert!(o.observation_at(100).is_none());
+    }
+
+    #[test]
+    fn a_one_element_list_is_the_inline_arm() {
+        let built = UncertainObject::new(3, vec![obs(4, 2)]).unwrap();
+        let single = UncertainObject::with_single_observation(3, obs(4, 2));
+        assert_eq!(built, single);
+        assert!(matches!(built.observations, Fixes::One(_)));
+        let several = UncertainObject::new(3, vec![obs(4, 2), obs(6, 1)]).unwrap();
+        assert!(matches!(several.observations, Fixes::Many(ref v) if v.len() == 2));
+        assert_ne!(several, single);
+    }
+
+    #[test]
+    fn both_arms_answer_every_accessor() {
+        let single = UncertainObject::with_single_observation(5, obs(4, 2));
+        assert_eq!(single.observations(), &[obs(4, 2)]);
+        assert_eq!(single.anchor(), &obs(4, 2));
+        assert_eq!(single.last_observation(), &obs(4, 2));
+        assert_eq!(single.observation_at(4), Some(&obs(4, 2)));
+        assert_eq!(single.observation_at(3), None);
+        assert!(!single.has_multiple_observations());
+
+        let several = UncertainObject::new(5, vec![obs(9, 3), obs(4, 2), obs(6, 1)]).unwrap();
+        assert_eq!(several.observations(), &[obs(4, 2), obs(6, 1), obs(9, 3)]);
+        assert_eq!(several.anchor(), &obs(4, 2));
+        assert_eq!(several.last_observation(), &obs(9, 3));
+        assert_eq!(several.observation_at(6), Some(&obs(6, 1)));
+        assert_eq!(several.observation_at(5), None);
+        assert!(several.has_multiple_observations());
+    }
+
+    /// The field layout `Debug` printed while the observations were a plain
+    /// list, for either arm, compact and pretty.
+    #[test]
+    fn debug_prints_the_observation_list() {
+        mod listed {
+            #[derive(Debug)]
+            #[expect(dead_code, reason = "read by the derived Debug only")]
+            pub(super) struct UncertainObject {
+                pub(super) id: u64,
+                pub(super) observations: Vec<crate::observation::Observation>,
+                pub(super) model: usize,
+            }
+        }
+        for list in [vec![obs(4, 2)], vec![obs(4, 2), obs(6, 1)]] {
+            let object = UncertainObject::new(7, list.clone()).unwrap().with_model(1);
+            let reference = listed::UncertainObject { id: 7, observations: list, model: 1 };
+            assert_eq!(format!("{object:?}"), format!("{reference:?}"));
+            assert_eq!(format!("{object:#?}"), format!("{reference:#?}"));
+        }
+    }
+
+    #[test]
+    fn an_applied_ingest_stores_the_inline_arm() {
+        let chain = ust_markov::testutil::random_chain(1, 10, 3);
+        let mut db = crate::database::TrajectoryDatabase::new(chain);
+        db.insert(UncertainObject::new(8, vec![obs(1, 0), obs(3, 1)]).unwrap()).unwrap();
+        assert!(db.objects()[0].has_multiple_observations());
+        db.ingest(8, obs(5, 4)).unwrap();
+        let stored = &db.objects()[0];
+        assert!(matches!(stored.observations, Fixes::One(_)));
+        assert_eq!(stored, &UncertainObject::new(8, vec![obs(5, 4)]).unwrap());
     }
 
     #[test]
