@@ -69,9 +69,14 @@ pub fn evaluate_exists_independent(
 mod tests {
     use super::*;
     use crate::baselines::fixtures::{object_at_s2, paper_chain, paper_window};
-    use ust_core::engine::{object_based, EngineConfig};
     use ust_data::{synthetic, workload, SyntheticConfig};
     use ust_space::TimeSet;
+
+    /// The exact `P∃` by possible-worlds enumeration.
+    fn exact(chain: &MarkovChain, o: &UncertainObject, w: &QueryWindow) -> f64 {
+        let anchor = (o.anchor().time(), o.anchor().distribution());
+        ust_oracle::enumerate(chain, &[anchor], w.states(), w.times(), 1 << 20).unwrap().exists()
+    }
 
     #[test]
     fn marginals_match_hand_computation() {
@@ -88,8 +93,7 @@ mod tests {
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
-        let correct =
-            object_based::exists_probability(&chain, &o, &w, &EngineConfig::default()).unwrap();
+        let correct = exact(&chain, &o, &w);
         let indep = exists_from_marginals(&window_marginals(&chain, &o, &w).unwrap());
         // 1 − (1−0.32)(1−0.736) = 1 − 0.68·0.264 = 0.82048 < 0.864 here —
         // the bias direction depends on the correlation sign; what must
@@ -103,8 +107,7 @@ mod tests {
         // With |T▫| = 1 there is nothing to correlate: both models agree.
         let w = QueryWindow::from_states(3, [0usize, 1], TimeSet::at(2)).unwrap();
         let (chain, o) = (paper_chain(), object_at_s2());
-        let correct =
-            object_based::exists_probability(&chain, &o, &w, &EngineConfig::default()).unwrap();
+        let correct = exact(&chain, &o, &w);
         let indep = exists_from_marginals(&window_marginals(&chain, &o, &w).unwrap());
         assert!((correct - indep).abs() < 1e-12);
     }

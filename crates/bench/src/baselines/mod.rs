@@ -16,17 +16,9 @@ pub mod monte_carlo;
 #[cfg(test)]
 mod fixtures {
     use ust_core::{Observation, QueryWindow, UncertainObject};
-    use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 
-    /// The paper's running 3-state chain.
-    pub fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
+    pub use ust_oracle::testutil::paper_chain;
 
     /// The paper's object, observed at `s2` at time 0.
     pub fn object_at_s2() -> UncertainObject {

@@ -5,18 +5,38 @@
 //! algorithms (virtual operators, ε-pruning, bound-based early
 //! termination).
 
-use ust_core::engine::{object_based, EngineConfig};
-use ust_core::{EvalStats, Query, QueryProcessor, Strategy};
+use ust_core::{EngineConfig, EvalStats, Query, QueryProcessor, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
-use ust_markov::{augmented, DenseVector};
+use ust_markov::{CooBuilder, CsrMatrix, DenseVector, StateMask};
 
+use super::{probabilities, timed, timed_with_stats};
 use crate::{time, ExperimentOutput, Scale};
 
 /// All ablation experiments.
 pub fn all(scale: Scale) -> Vec<ExperimentOutput> {
     vec![ablation_augmented(scale), ablation_epsilon(scale), ablation_threshold(scale)]
+}
+
+/// The paper's explicit PST∃Q matrices (Example 1): `M−` is `M` plus an
+/// absorbing ⊤ state at index `|S|`, and `M+` is `M−` with every
+/// transition into `window` redirected to ⊤.
+fn materialized(m: &CsrMatrix, window: &StateMask) -> (CsrMatrix, CsrMatrix) {
+    let n = m.nrows();
+    let mut minus = CooBuilder::with_capacity(n + 1, n + 1, m.nnz() + 1);
+    let mut plus = CooBuilder::with_capacity(n + 1, n + 1, m.nnz() + 1);
+    for i in 0..n {
+        let (cols, vals) = m.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            let c = c as usize;
+            minus.push(i, c, v).expect("a row of M is in bounds");
+            plus.push(i, if window.contains(c) { n } else { c }, v).expect("⊤ is in bounds");
+        }
+    }
+    minus.push(n, n, 1.0).expect("⊤ is in bounds");
+    plus.push(n, n, 1.0).expect("⊤ is in bounds");
+    (minus.build(), plus.build())
 }
 
 /// Virtual `M−`/`M+` operators vs materialized augmented matrices.
@@ -39,20 +59,14 @@ pub fn ablation_augmented(scale: Scale) -> ExperimentOutput {
             ..SyntheticConfig::default()
         });
         let window = workload::paper_default_window(states).expect("window fits");
-        let (virt_t, virt) = time(|| {
-            object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
+        let (virt_t, virt) =
+            timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
 
         // Materialized variant: build M−/M+ once, then propagate dense
         // (|S|+1)-vectors through them for every object.
         let chain = &data.db.models()[0];
-        let (build_t, (minus, plus)) = time(|| {
-            (
-                augmented::exists_minus(chain.matrix()),
-                augmented::exists_plus(chain.matrix(), window.states()),
-            )
-        });
-        let top = augmented::top_index(states);
+        let (build_t, (minus, plus)) = time(|| materialized(chain.matrix(), window.states()));
+        let top = states; // ⊤ follows the |S| states.
         let (run_t, results) = time(|| {
             let mut out = Vec::with_capacity(data.db.len());
             for object in data.db.objects() {
@@ -69,7 +83,7 @@ pub fn ablation_augmented(scale: Scale) -> ExperimentOutput {
             out
         });
         // Sanity: both must agree.
-        for (a, b) in virt.iter().zip(&results) {
+        for (a, b) in probabilities(&virt).iter().zip(&results) {
             assert!((a.probability - b).abs() < 1e-9, "virtual vs materialized mismatch");
         }
         table.push_row([
@@ -100,18 +114,22 @@ pub fn ablation_epsilon(scale: Scale) -> ExperimentOutput {
     };
     let data = synthetic::generate(&cfg);
     let window = workload::paper_default_window(cfg.num_states).expect("window fits");
-    let exact =
-        object_based::evaluate(&data.db, &window, &EngineConfig::default(), &mut EvalStats::new())
-            .unwrap();
+    let config = EngineConfig::default();
+    let (_, exact) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
     let mut table = ResultTable::new(["ε", "OB (s)", "max |error|", "dropped mass (total)"]);
     for eps in [0.0, 1e-9, 1e-6, 1e-4] {
-        let config = EngineConfig::default().with_epsilon(eps);
         let mut stats = EvalStats::new();
-        let (t, results) =
-            time(|| object_based::evaluate(&data.db, &window, &config, &mut stats).unwrap());
-        let max_err = results
+        let (t, results) = timed_with_stats(
+            &data.db,
+            config.with_epsilon(eps),
+            Query::exists(),
+            &window,
+            Strategy::ObjectBased,
+            &mut stats,
+        );
+        let max_err = probabilities(&results)
             .iter()
-            .zip(&exact)
+            .zip(probabilities(&exact))
             .map(|(a, b)| (a.probability - b.probability).abs())
             .fold(0.0f64, f64::max);
         table.push_row([
@@ -142,8 +160,7 @@ pub fn ablation_threshold(scale: Scale) -> ExperimentOutput {
     let data = synthetic::generate(&cfg);
     let window = workload::paper_default_window(cfg.num_states).expect("window fits");
     let config = EngineConfig::default();
-    let (exact_t, _) =
-        time(|| object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap());
+    let (exact_t, _) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
     let processor = QueryProcessor::new(&data.db);
     let mut table = ResultTable::new([
         "τ",
@@ -183,6 +200,15 @@ pub fn ablation_threshold(scale: Scale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn materialized_matrices_are_the_oracles() {
+        let m = ust_oracle::testutil::random_chain(7, 30, 4).matrix().clone();
+        let window = StateMask::from_indices(30, [3usize, 4, 17]).unwrap();
+        let (minus, plus) = materialized(&m, &window);
+        assert!(minus.approx_eq(&ust_oracle::augmented::exists_minus(&m), 0.0));
+        assert!(plus.approx_eq(&ust_oracle::augmented::exists_plus(&m, &window), 0.0));
+    }
 
     #[test]
     fn augmented_ablation_runs_and_validates_at_micro_scale() {

@@ -1,14 +1,13 @@
 //! Figure 10 — runtime of the three query predicates (∃, ∀, k-times) as a
 //! function of the query window length, for both evaluation strategies.
 
-use ust_core::engine::{forall, ktimes, object_based, query_based, EngineConfig};
-use ust_core::EvalStats;
+use ust_core::{EngineConfig, Query, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig, SyntheticDataset};
 
-use super::{agreement_cell, paired};
-use crate::{time, ExperimentOutput, Scale};
+use super::{agreement_cell, distributions, paired, timed};
+use crate::{ExperimentOutput, Scale};
 
 fn dataset(scale: Scale) -> SyntheticDataset {
     let cfg = match scale {
@@ -38,16 +37,14 @@ pub fn fig10a(scale: Scale) -> ExperimentOutput {
         ResultTable::new(["window timeslots", "∃OB (s)", "∀OB (s)", "kOB (s)", "max |OB-QB|"]);
     for len in window_lengths(scale) {
         let window = workload::with_duration(&base, len).expect("valid");
-        let stats = &mut EvalStats::new();
-        let (e_t, e) = time(|| object_based::evaluate(&data.db, &window, &config, stats).unwrap());
-        let (a_t, a) =
-            time(|| forall::evaluate_object_based(&data.db, &window, &config, stats).unwrap());
-        let (k_t, k) =
-            time(|| ktimes::evaluate_object_based(&data.db, &window, &config, stats).unwrap());
-        let e_qb = query_based::evaluate(&data.db, &window, &config, stats).unwrap();
-        let a_qb = forall::evaluate_query_based(&data.db, &window, &config, stats).unwrap();
-        let k_qb = ktimes::evaluate_query_based(&data.db, &window, &config, stats).unwrap();
-        let levels = k.iter().zip(&k_qb).flat_map(|(ob, qb)| {
+        let run = |query, strategy| timed(&data.db, config, query, &window, strategy);
+        let (e_t, e) = run(Query::exists(), Strategy::ObjectBased);
+        let (a_t, a) = run(Query::forall(), Strategy::ObjectBased);
+        let (k_t, k) = run(Query::ktimes(1), Strategy::ObjectBased);
+        let (_, e_qb) = run(Query::exists(), Strategy::QueryBased);
+        let (_, a_qb) = run(Query::forall(), Strategy::QueryBased);
+        let (_, k_qb) = run(Query::ktimes(1), Strategy::QueryBased);
+        let levels = distributions(&k).iter().zip(distributions(&k_qb)).flat_map(|(ob, qb)| {
             ob.probabilities.iter().copied().zip(qb.probabilities.iter().copied())
         });
         let gap = agreement_cell(paired(&e, &e_qb).chain(paired(&a, &a_qb)).chain(levels));
@@ -73,15 +70,8 @@ pub fn fig10b(scale: Scale) -> ExperimentOutput {
     let mut table = ResultTable::new(["window timeslots", "∃QB (s)", "∀QB (s)", "kQB (s)"]);
     for len in window_lengths(scale) {
         let window = workload::with_duration(&base, len).expect("valid");
-        let (e_t, _) = time(|| {
-            query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
-        let (a_t, _) = time(|| {
-            forall::evaluate_query_based(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
-        let (k_t, _) = time(|| {
-            ktimes::evaluate_query_based(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
+        let run = |query| timed(&data.db, config, query, &window, Strategy::QueryBased).0;
+        let (e_t, a_t, k_t) = (run(Query::exists()), run(Query::forall()), run(Query::ktimes(1)));
         table.push_row([len.to_string(), fmt_secs(e_t), fmt_secs(a_t), fmt_secs(k_t)]);
     }
     ExperimentOutput {
@@ -98,6 +88,7 @@ pub fn fig10b(scale: Scale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::probabilities;
     use ust_core::QueryWindow;
     use ust_space::TimeSet;
 
@@ -113,15 +104,11 @@ mod tests {
         let config = EngineConfig::default();
         let window =
             QueryWindow::from_states(1_500, 100usize..=120, TimeSet::interval(8, 11)).unwrap();
-        let exists =
-            object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
-        let forall_r =
-            forall::evaluate_query_based(&data.db, &window, &config, &mut EvalStats::new())
-                .unwrap();
-        let kdist =
-            ktimes::evaluate_object_based(&data.db, &window, &config, &mut EvalStats::new())
-                .unwrap();
-        for ((e, a), k) in exists.iter().zip(&forall_r).zip(&kdist) {
+        let (_, exists) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
+        let (_, forall_r) = timed(&data.db, config, Query::forall(), &window, Strategy::QueryBased);
+        let (_, kdist) = timed(&data.db, config, Query::ktimes(1), &window, Strategy::ObjectBased);
+        let (exists, forall_r) = (probabilities(&exists), probabilities(&forall_r));
+        for ((e, a), k) in exists.iter().zip(forall_r).zip(distributions(&kdist)) {
             assert!((e.probability - k.prob_at_least_once()).abs() < 1e-9);
             assert!((a.probability - k.prob_always()).abs() < 1e-9);
         }

@@ -2,14 +2,13 @@
 //! generator: `max_step` (how far one transition can jump) and
 //! `state_spread` (how many successors each state has).
 
-use ust_core::engine::{object_based, query_based, EngineConfig};
-use ust_core::EvalStats;
+use ust_core::{EngineConfig, Query, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
-use super::{agreement_cell, paired};
-use crate::{time, ExperimentOutput, Scale};
+use super::{agreement_cell, paired, timed};
+use crate::{ExperimentOutput, Scale};
 
 /// The fig11 locality dataset shape.
 fn base_config(scale: Scale) -> SyntheticConfig {
@@ -27,12 +26,8 @@ fn sweep(configs: impl Iterator<Item = (String, SyntheticConfig)>) -> ResultTabl
     for (label, cfg) in configs {
         let data = synthetic::generate(&cfg);
         let window = workload::paper_default_window(cfg.num_states).expect("window fits");
-        let (ob_t, ob) = time(|| {
-            object_based::evaluate(&data.db, &window, &engine, &mut EvalStats::new()).unwrap()
-        });
-        let (qb_t, qb) = time(|| {
-            query_based::evaluate(&data.db, &window, &engine, &mut EvalStats::new()).unwrap()
-        });
+        let (ob_t, ob) = timed(&data.db, engine, Query::exists(), &window, Strategy::ObjectBased);
+        let (qb_t, qb) = timed(&data.db, engine, Query::exists(), &window, Strategy::QueryBased);
         table.push_row([label, fmt_secs(ob_t), fmt_secs(qb_t), agreement_cell(paired(&ob, &qb))]);
     }
     table

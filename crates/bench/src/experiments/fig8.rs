@@ -5,13 +5,12 @@
 //! at 100 samples (which carries ≥ 5% standard deviation), and QB beats OB.
 //! 8(b): large setting (MC excluded, as in the paper).
 
-use ust_core::engine::{object_based, query_based, EngineConfig};
-use ust_core::EvalStats;
+use ust_core::{EngineConfig, Query, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::workload::paper_default_window;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 
-use super::{agreement_cell, paired};
+use super::{agreement_cell, paired, timed};
 use crate::baselines::monte_carlo::MonteCarlo;
 use crate::{time, ExperimentOutput, Scale};
 
@@ -39,12 +38,8 @@ pub fn fig8a(scale: Scale) -> ExperimentOutput {
         let window = paper_default_window(states).expect("window fits the space");
         let (mc_t, _) = time(|| mc.evaluate_exists(&data.db, &window).unwrap());
         let (mc_acc_t, _) = time(|| mc_acc.evaluate_exists(&data.db, &window).unwrap());
-        let (ob_t, ob) = time(|| {
-            object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
-        let (qb_t, qb) = time(|| {
-            query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
+        let (ob_t, ob) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
+        let (qb_t, qb) = timed(&data.db, config, Query::exists(), &window, Strategy::QueryBased);
         table.push_row([
             states.to_string(),
             fmt_secs(mc_t),
@@ -81,12 +76,8 @@ pub fn fig8b(scale: Scale) -> ExperimentOutput {
             ..SyntheticConfig::default()
         });
         let window = paper_default_window(states).expect("window fits the space");
-        let (ob_t, _) = time(|| {
-            object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
-        let (qb_t, _) = time(|| {
-            query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap()
-        });
+        let (ob_t, _) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
+        let (qb_t, _) = timed(&data.db, config, Query::exists(), &window, Strategy::QueryBased);
         table.push_row([
             states.to_string(),
             fmt_secs(ob_t),
@@ -107,6 +98,7 @@ pub fn fig8b(scale: Scale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::probabilities;
 
     #[test]
     fn fig8a_tiny_run_produces_all_rows() {
@@ -120,13 +112,14 @@ mod tests {
         });
         let window = paper_default_window(2_000).unwrap();
         let config = EngineConfig::default();
-        let ob = object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
-        let qb = query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
+        let (_, ob) = timed(&data.db, config, Query::exists(), &window, Strategy::ObjectBased);
+        let (_, qb) = timed(&data.db, config, Query::exists(), &window, Strategy::QueryBased);
+        let (ob, qb) = (probabilities(&ob), probabilities(&qb));
         let mc = MonteCarlo::new(50, 1).evaluate_exists(&data.db, &window).unwrap();
         assert_eq!(ob.len(), 20);
         assert_eq!(qb.len(), 20);
         assert_eq!(mc.len(), 20);
-        for ((a, b), m) in ob.iter().zip(&qb).zip(&mc) {
+        for ((a, b), m) in ob.iter().zip(qb).zip(&mc) {
             assert!((a.probability - b.probability).abs() < 1e-9);
             // MC within 4σ of the exact value at n = 50.
             let sigma = MonteCarlo::standard_error(a.probability.clamp(0.01, 0.99), 50);

@@ -1,17 +1,16 @@
 //! Figure 9 — runtime w.r.t. the query start time (synthetic, Munich, NA)
 //! and the accuracy comparison against the temporal-independence model.
 
-use ust_core::engine::{object_based, query_based, EngineConfig};
-use ust_core::{EvalStats, QueryWindow};
+use ust_core::{EngineConfig, Query, QueryWindow, Strategy};
 use ust_data::csv::fmt_secs;
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::workload;
 use ust_data::{synthetic, ResultTable, SyntheticConfig};
 use ust_space::{NetworkConfig, TimeSet};
 
-use super::{agreement_cell, paired};
+use super::{agreement_cell, paired, probabilities, timed};
 use crate::baselines::independent;
-use crate::{time, ExperimentOutput, Scale};
+use crate::{ExperimentOutput, Scale};
 
 fn start_times(scale: Scale) -> Vec<u32> {
     match scale {
@@ -33,10 +32,8 @@ fn start_time_sweep(
     let mut table = ResultTable::new(["start time", "OB (s)", "QB (s)", "OB/QB", "max |OB-QB|"]);
     for &start in starts {
         let window = workload::with_start_time(base_window, start).expect("valid window");
-        let (ob_t, ob) =
-            time(|| object_based::evaluate(db, &window, &config, &mut EvalStats::new()).unwrap());
-        let (qb_t, qb) =
-            time(|| query_based::evaluate(db, &window, &config, &mut EvalStats::new()).unwrap());
+        let (ob_t, ob) = timed(db, config, Query::exists(), &window, Strategy::ObjectBased);
+        let (qb_t, qb) = timed(db, config, Query::exists(), &window, Strategy::QueryBased);
         table.push_row([
             start.to_string(),
             fmt_secs(ob_t),
@@ -153,14 +150,13 @@ pub fn fig9d(scale: Scale) -> ExperimentOutput {
     let base = workload::paper_default_window(cfg.num_states).expect("window fits");
     for len in 1..=10u32 {
         let window = workload::with_duration(&base, len).expect("valid window");
-        let correct =
-            query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
+        let (_, correct) = timed(&data.db, config, Query::exists(), &window, Strategy::QueryBased);
         let indep = independent::evaluate_exists_independent(&data.db, &window).unwrap();
         // The paper averages over objects with non-zero probability.
         let mut sum_correct = 0.0;
         let mut sum_indep = 0.0;
         let mut count = 0usize;
-        for (c, i) in correct.iter().zip(&indep) {
+        for (c, i) in probabilities(&correct).iter().zip(&indep) {
             if c.probability > 0.0 {
                 sum_correct += c.probability;
                 sum_indep += i.probability;
@@ -225,10 +221,10 @@ mod tests {
         let mut gaps = Vec::new();
         for len in [1u32, 6, 10] {
             let window = workload::with_duration(&base, len).unwrap();
-            let correct =
-                query_based::evaluate(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
+            let (_, correct) =
+                timed(&data.db, config, Query::exists(), &window, Strategy::QueryBased);
             let indep = independent::evaluate_exists_independent(&data.db, &window).unwrap();
-            let gap: f64 = correct
+            let gap: f64 = probabilities(&correct)
                 .iter()
                 .zip(&indep)
                 .map(|(c, i)| (c.probability - i.probability).abs())

@@ -6,9 +6,50 @@ pub mod fig11;
 pub mod fig8;
 pub mod fig9;
 
-use ust_core::ObjectProbability;
+use ust_core::{
+    EngineConfig, EvalStats, ObjectKDistribution, ObjectProbability, PrefilterMode, QueryAnswer,
+    QueryBuilder, QueryProcessor, QueryWindow, Strategy, TrajectoryDatabase,
+};
 
-use crate::{ExperimentOutput, Scale};
+use crate::{time, ExperimentOutput, Scale};
+
+/// Executes `query` over `window` under `strategy` once, timed, through a
+/// fresh processor with the prefilter off: every object is evaluated, and a
+/// query-based time always includes its backward sweep (the field cache
+/// starts cold).
+fn timed(
+    db: &TrajectoryDatabase,
+    config: EngineConfig,
+    query: QueryBuilder,
+    window: &QueryWindow,
+    strategy: Strategy,
+) -> (f64, QueryAnswer) {
+    timed_with_stats(db, config, query, window, strategy, &mut EvalStats::new())
+}
+
+/// As [`timed`], accumulating the evaluation counters into `stats`.
+fn timed_with_stats(
+    db: &TrajectoryDatabase,
+    config: EngineConfig,
+    query: QueryBuilder,
+    window: &QueryWindow,
+    strategy: Strategy,
+    stats: &mut EvalStats,
+) -> (f64, QueryAnswer) {
+    let processor = QueryProcessor::with_config(db, config.with_prefilter(PrefilterMode::Off));
+    let spec = query.window(window.clone()).strategy(strategy).build().expect("a valid query");
+    time(|| processor.execute_with_stats(&spec, stats).expect("the experiment's query runs"))
+}
+
+/// The per-object probabilities of an ∃ or ∀ answer.
+fn probabilities(answer: &QueryAnswer) -> &[ObjectProbability] {
+    answer.probabilities().expect("an ∃ or ∀ query answers probabilities")
+}
+
+/// The per-object visit-count distributions of a k-times answer.
+fn distributions(answer: &QueryAnswer) -> &[ObjectKDistribution] {
+    answer.distributions().expect("a k-times query answers distributions")
+}
 
 /// The cell of a `max |OB-QB|` column: the largest gap over the paired
 /// object-based and query-based values of one row's queries, which the
@@ -17,12 +58,10 @@ fn agreement_cell(pairs: impl IntoIterator<Item = (f64, f64)>) -> String {
     format!("{:.2e}", pairs.into_iter().map(|(ob, qb)| (ob - qb).abs()).fold(0.0f64, f64::max))
 }
 
-/// The paired probabilities of the two strategies' answers to one query.
-fn paired<'a>(
-    ob: &'a [ObjectProbability],
-    qb: &'a [ObjectProbability],
-) -> impl Iterator<Item = (f64, f64)> + 'a {
-    ob.iter().zip(qb).map(|(a, b)| (a.probability, b.probability))
+/// The paired probabilities of the two strategies' answers to one ∃ or ∀
+/// query.
+fn paired<'a>(ob: &'a QueryAnswer, qb: &'a QueryAnswer) -> impl Iterator<Item = (f64, f64)> + 'a {
+    probabilities(ob).iter().zip(probabilities(qb)).map(|(a, b)| (a.probability, b.probability))
 }
 
 /// Runs every experiment of the evaluation section (Figures 8–11) plus the

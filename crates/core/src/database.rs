@@ -459,15 +459,8 @@ impl TrajectoryDatabase {
 mod tests {
     use super::*;
     use crate::observation::Observation;
+    use crate::testkit::paper_chain;
     use ust_markov::CsrMatrix;
-
-    fn chain3() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     fn object(id: u64, state: usize) -> UncertainObject {
         UncertainObject::with_single_observation(id, Observation::exact(0, 3, state).unwrap())
@@ -475,7 +468,7 @@ mod tests {
 
     #[test]
     fn insert_and_query_objects() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.insert(object(1, 0)).unwrap();
         db.insert(object(2, 1)).unwrap();
         assert_eq!(db.len(), 2);
@@ -488,7 +481,7 @@ mod tests {
 
     #[test]
     fn insert_validates_model_and_dimension() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         let bad_model = object(3, 0).with_model(7);
         assert_eq!(db.insert(bad_model), Err(QueryError::UnknownModel { model: 7 }));
         let bad_dim =
@@ -498,7 +491,7 @@ mod tests {
 
     #[test]
     fn multi_model_grouping() {
-        let mut db = TrajectoryDatabase::with_models(vec![chain3(), chain3()]).unwrap();
+        let mut db = TrajectoryDatabase::with_models(vec![paper_chain(), paper_chain()]).unwrap();
         db.insert_all([object(1, 0), object(2, 1).with_model(1), object(3, 2)]).unwrap();
         let models: Vec<usize> = db.objects().iter().map(UncertainObject::model).collect();
         assert_eq!(models, vec![0, 1, 0]);
@@ -507,7 +500,7 @@ mod tests {
 
     #[test]
     fn clones_are_snapshots_with_shared_models() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.insert(object(1, 0)).unwrap();
         let snapshot = db.clone();
         // The clone shares the model allocation (cache keys stay valid)...
@@ -523,8 +516,8 @@ mod tests {
     fn every_mutation_takes_a_fresh_version_and_clones_share_theirs() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
-        let other = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
+        let other = TrajectoryDatabase::new(paper_chain());
         assert_ne!(db.version(), other.version(), "two stores never share a version");
         let mut seen = vec![db.version()];
         db.insert(object(1, 0)).unwrap();
@@ -549,7 +542,7 @@ mod tests {
 
     #[test]
     fn the_write_log_holds_each_applied_write_back_to_its_floor() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         let start = db.version();
         db.insert(object(1, 0)).unwrap();
         db.ingest(1, Observation::exact(2, 3, 1).unwrap()).unwrap();
@@ -562,7 +555,7 @@ mod tests {
         let before = AnchorKey { model: 0, time: 0, nnz: 1 };
         assert_eq!(logged, vec![(0, None), (0, Some(before))], "a stale fix is not a write");
         assert_eq!(db.writes_since(db.version()).unwrap().count(), 0);
-        assert!(db.writes_since(TrajectoryDatabase::new(chain3()).version()).is_none());
+        assert!(db.writes_since(TrajectoryDatabase::new(paper_chain()).version()).is_none());
 
         // Past the bound (16 for a store this small) the oldest writes go,
         // and with them the versions before them.
@@ -580,7 +573,7 @@ mod tests {
     fn spatial_index_is_lazy_and_invalidated_on_write() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.insert(object(1, 0)).unwrap();
         assert!(db.spatial_index().is_none(), "no index before a space is attached");
 
@@ -607,7 +600,7 @@ mod tests {
     fn sole_owner_insert_still_invalidates_index() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.attach_space(Arc::new(LineSpace::new(3))).unwrap();
         db.insert(object(1, 0)).unwrap();
         let before = db.spatial_index().unwrap();
@@ -621,7 +614,7 @@ mod tests {
 
     #[test]
     fn ingest_keeps_the_latest_fix_and_ignores_stale_ones() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.insert(object(1, 0)).unwrap();
         let snapshot = db.clone();
 
@@ -648,7 +641,7 @@ mod tests {
     fn ingest_judges_staleness_against_the_latest_observation() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.attach_space(Arc::new(LineSpace::new(3))).unwrap();
         let sightings =
             vec![Observation::exact(0, 3, 0).unwrap(), Observation::exact(4, 3, 1).unwrap()];
@@ -672,7 +665,7 @@ mod tests {
 
     #[test]
     fn ingest_validates_id_and_dimension() {
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.insert(object(1, 0)).unwrap();
         assert_eq!(
             db.ingest(9, Observation::exact(1, 3, 0).unwrap()),
@@ -690,7 +683,7 @@ mod tests {
     fn index_of_bisects_ascending_ids_and_falls_back_otherwise() {
         let scan =
             |db: &TrajectoryDatabase, id: u64| db.objects().iter().position(|o| o.id() == id);
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         assert_eq!(db.index_of(1), None, "empty store");
         db.insert_all([2u64, 5, 7, 11, 40].map(|id| object(id, 0))).unwrap();
         assert!(db.ids_ascending());
@@ -733,7 +726,7 @@ mod tests {
     fn ingest_updates_the_spatial_index_incrementally() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         db.attach_space(Arc::new(LineSpace::new(3))).unwrap();
         db.insert(object(1, 0)).unwrap();
         db.insert(object(2, 1)).unwrap();
@@ -754,7 +747,7 @@ mod tests {
     fn attach_space_validates_dimension() {
         use ust_space::LineSpace;
 
-        let mut db = TrajectoryDatabase::new(chain3());
+        let mut db = TrajectoryDatabase::new(paper_chain());
         assert!(matches!(
             db.attach_space(Arc::new(LineSpace::new(7))),
             Err(QueryError::ModelDimensionMismatch { .. })
@@ -768,6 +761,6 @@ mod tests {
     fn with_models_validates() {
         assert!(TrajectoryDatabase::with_models(vec![]).is_err());
         let two = MarkovChain::from_csr(CsrMatrix::identity(2)).unwrap();
-        assert!(TrajectoryDatabase::with_models(vec![chain3(), two]).is_err());
+        assert!(TrajectoryDatabase::with_models(vec![paper_chain(), two]).is_err());
     }
 }

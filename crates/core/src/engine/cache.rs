@@ -556,20 +556,13 @@ impl FieldCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::paper_chain;
     use std::sync::{Mutex, MutexGuard};
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
     const EXISTS: FieldRule = FieldRule::Exists;
     const KTIMES: FieldRule = FieldRule::KTimes;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     fn window(t_hi: u32) -> QueryWindow {
         QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, t_hi)).unwrap()
@@ -802,9 +795,11 @@ mod tests {
     #[test]
     fn one_capacity_bounds_every_rule() {
         use crate::database::TrajectoryDatabase;
-        use crate::engine::{ktimes, query_based};
+        use crate::engine::QueryProcessor;
         use crate::object::UncertainObject;
         use crate::observation::Observation;
+        use crate::query::{Query, Strategy};
+        use crate::testkit::reference_config;
 
         let mut db = TrajectoryDatabase::new(paper_chain());
         for s in 0..3usize {
@@ -816,7 +811,6 @@ mod tests {
         }
         let chain = &db.models()[0];
         let w = window(3);
-        let config = EngineConfig::default();
         let cache = Mutex::new(FieldCache::new(2));
         let mut stats = EvalStats::new();
 
@@ -831,19 +825,24 @@ mod tests {
         assert!(!locked(&cache).contains(0, chain, &w, EXISTS, &[0]));
 
         // The surviving two serve repeats without backward work, and what
-        // they serve is what the uncached reference drivers compute.
+        // they serve is what the reference configuration answers.
         let mut repeat = EvalStats::new();
         let forall = get(&cache, chain, &w, FieldRule::ForAll, &[0], &mut repeat);
         let levels = get(&cache, chain, &w, KTIMES, &[0], &mut repeat);
         assert_eq!((repeat.cache_hits, repeat.cache_misses), (2, 0));
         assert_eq!(repeat.backward_steps, 0);
-        let sink = &mut EvalStats::new();
-        let probs = query_based::evaluate_rule(&db, &w, FieldRule::ForAll, &config, sink).unwrap();
-        let dists = ktimes::evaluate_query_based(&db, &w, &config, sink).unwrap();
-        for (object, (p, d)) in db.objects().iter().zip(probs.iter().zip(&dists)) {
+        let reference = QueryProcessor::with_config(&db, reference_config());
+        let run = |builder: crate::query::QueryBuilder| {
+            let spec = builder.window(w.clone()).strategy(Strategy::QueryBased).build().unwrap();
+            reference.execute(&spec).unwrap()
+        };
+        let (probs, dists) = (run(Query::forall()), run(Query::ktimes(1)));
+        let (probs, dists) = (probs.probabilities().unwrap(), dists.distributions().unwrap());
+        for (object, (p, d)) in db.objects().iter().zip(probs.iter().zip(dists)) {
             let served = forall.object_probability(object, &w).unwrap();
             assert_eq!(served.to_bits(), p.probability.to_bits());
-            assert_eq!(levels.object_distribution(object, &w).unwrap(), d.probabilities);
+            let anchored = levels.anchored_at(object.anchor().time(), &w).unwrap();
+            assert_eq!(anchored.distribution(object).unwrap(), d.probabilities);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! P∀(o, S▫, T▫) = 1 − P∃(o, S ∖ S▫, T▫)
 //! ```
 //!
-//! The **object-based** drivers evaluate exactly this reduction: the paper
+//! The **object-based** rule evaluates exactly this reduction: the paper
 //! notes that despite `|S ∖ S▫| ≫ |S▫|` the complemented forward run is
 //! "generally not larger" — and often faster, because `M+` of the
 //! complement zeroes *more* columns, i.e. the forward pass absorbs worlds
@@ -21,9 +21,10 @@
 //! Backward, the reduction is the wrong way round: the ∃ field of the
 //! complement window is non-zero on every state that can *leave* `S▫` —
 //! nearly all of `S`, dense from the first step. The **query-based**
-//! drivers therefore sweep the ∀ field directly
-//! ([`FieldRule::ForAll`]): at a query timestamp the backward vector
-//! *keeps* only `S▫` instead of clamping it to 1, so `g_t(s)` =
+//! strategy therefore sweeps the ∀ field directly
+//! ([`FieldRule::ForAll`](crate::engine::query_based::FieldRule::ForAll)):
+//! at a query timestamp the backward vector *keeps* only `S▫` instead of
+//! clamping it to 1, so `g_t(s)` =
 //! P(inside `S▫` at all query times in `(t, t_end]` | `s` at `t`) lives on
 //! the states that can reach `S▫`, like the ∃ field of the window itself.
 //! The complement reduction stays the oracle the direct field is tested
@@ -34,41 +35,11 @@
 //! complement selects no states), so the two cannot disagree on where a ∀
 //! query is answerable.
 
-use ust_markov::MarkovChain;
-
-use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{self, ForwardRule, Swept};
-use crate::engine::query_based::{self, FieldRule};
+use crate::engine::object_based::{ForwardRule, Swept};
 use crate::engine::reach::ReachRule;
-use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
-use crate::object::UncertainObject;
 use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
-
-/// PST∀Q (Definition 3) for one object, object-based evaluation.
-pub fn forall_probability_ob(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<f64> {
-    let rule = ForAll::over(window)?;
-    let answer =
-        object_based::evaluate_one(chain, object, window, config, &mut EvalStats::new(), rule)?;
-    Ok(answer.probability)
-}
-
-/// PST∀Q for one object, query-based evaluation (direct ∀ field).
-pub fn forall_probability_qb(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<f64> {
-    reject_full_space(window)?;
-    query_based::field_probability(chain, object, window, FieldRule::ForAll, config)
-}
 
 /// The query-based side of the full-space parity: the direct ∀ field could
 /// answer a window covering all of `S` (with 1), but the object-based
@@ -120,45 +91,41 @@ fn forall_answer(escaped: f64, decided: f64) -> f64 {
     unit_clamp(1.0 - (escaped + decided))
 }
 
-/// PST∀Q for the whole database, object-based.
-pub fn evaluate_object_based(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    object_based::evaluate_rule(db, window, config, stats, ForAll::over(window)?)
-}
-
-/// PST∀Q for the whole database, query-based: one direct ∀ backward field
-/// per model, one dot product per object.
-pub fn evaluate_query_based(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    reject_full_space(window)?;
-    query_based::evaluate_rule(db, window, FieldRule::ForAll, config, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::TrajectoryDatabase;
+    use crate::engine::object_based::{evaluate_one, Exists};
+    use crate::engine::{EngineConfig, QueryProcessor};
+    use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use ust_markov::CsrMatrix;
+    use crate::query::{Query, Strategy};
+    use crate::testkit::{paper_chain, solo};
+    use ust_markov::MarkovChain;
     use ust_space::TimeSet;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     fn object_at(state: usize) -> UncertainObject {
         UncertainObject::with_single_observation(1, Observation::exact(0, 3, state).unwrap())
+    }
+
+    /// `P∀` of one object by the chunk-of-one driver.
+    fn forall_ob(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+    ) -> Result<f64> {
+        let (config, stats) = (&EngineConfig::default(), &mut EvalStats::new());
+        Ok(evaluate_one(chain, object, window, config, stats, ForAll::over(window)?)?.probability)
+    }
+
+    /// `P∀` of one object through the front door, query-based.
+    fn forall_qb(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+    ) -> Result<f64> {
+        let spec = Query::forall().window(window.clone()).strategy(Strategy::QueryBased);
+        Ok(solo(chain, object, spec)?.probabilities().unwrap()[0].probability)
     }
 
     #[test]
@@ -166,12 +133,8 @@ mod tests {
         // P(stay at s3 during t ∈ {1, 2} | start s2):
         // paths s2→s3→s3 with probability 0.4 · 0.2 = 0.08.
         let window = QueryWindow::from_states(3, [2usize], TimeSet::interval(1, 2)).unwrap();
-        let ob =
-            forall_probability_ob(&paper_chain(), &object_at(1), &window, &EngineConfig::default())
-                .unwrap();
-        let qb =
-            forall_probability_qb(&paper_chain(), &object_at(1), &window, &EngineConfig::default())
-                .unwrap();
+        let ob = forall_ob(&paper_chain(), &object_at(1), &window).unwrap();
+        let qb = forall_qb(&paper_chain(), &object_at(1), &window).unwrap();
         assert!((ob - 0.08).abs() < 1e-12, "ob = {ob}");
         assert!((qb - 0.08).abs() < 1e-12, "qb = {qb}");
     }
@@ -180,11 +143,11 @@ mod tests {
     fn single_timestamp_forall_equals_exists() {
         // For |T▫| = 1 the predicates coincide.
         let window = QueryWindow::from_states(3, [1usize, 2], TimeSet::at(2)).unwrap();
-        let config = EngineConfig::default();
+        let (config, stats) = (&EngineConfig::default(), &mut EvalStats::new());
         let chain = paper_chain();
         let o = object_at(1);
-        let forall = forall_probability_ob(&chain, &o, &window, &config).unwrap();
-        let exists = object_based::exists_probability(&chain, &o, &window, &config).unwrap();
+        let forall = forall_ob(&chain, &o, &window).unwrap();
+        let exists = evaluate_one(&chain, &o, &window, config, stats, Exists).unwrap().probability;
         assert!((forall - exists).abs() < 1e-12);
     }
 
@@ -193,8 +156,8 @@ mod tests {
         // Staying "somewhere in S" is certain, but the complement window
         // would be empty — the reduction must surface that as an error.
         let window = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::interval(1, 2)).unwrap();
-        for forall in [forall_probability_ob, forall_probability_qb] {
-            let r = forall(&paper_chain(), &object_at(0), &window, &EngineConfig::default());
+        for forall in [forall_ob, forall_qb] {
+            let r = forall(&paper_chain(), &object_at(0), &window);
             assert_eq!(r, Err(QueryError::EmptySpatialWindow), "degenerate full-space ∀ query");
         }
     }
@@ -210,12 +173,13 @@ mod tests {
             .unwrap();
         }
         let window = QueryWindow::from_states(3, [1usize, 2], TimeSet::interval(2, 3)).unwrap();
-        let ob =
-            evaluate_object_based(&db, &window, &EngineConfig::default(), &mut EvalStats::new())
-                .unwrap();
-        let qb =
-            evaluate_query_based(&db, &window, &EngineConfig::default(), &mut EvalStats::new())
-                .unwrap();
+        let processor = QueryProcessor::new(&db);
+        let run = |strategy| {
+            let spec = Query::forall().window(window.clone()).strategy(strategy).build().unwrap();
+            processor.execute(&spec).unwrap().probabilities().unwrap().to_vec()
+        };
+        let (ob, qb) = (run(Strategy::ObjectBased), run(Strategy::QueryBased));
+        assert_eq!(ob.len(), 3);
         for (a, b) in ob.iter().zip(&qb) {
             assert_eq!(a.object_id, b.object_id);
             assert!((a.probability - b.probability).abs() < 1e-12);

@@ -3,56 +3,33 @@
 //! Computes, for each object, the full distribution over the number of
 //! query timestamps `k ∈ {0..|T▫|}` at which the object is inside `S▫`.
 //!
-//! Three implementations:
+//! Two strategies:
 //!
-//! * [`ktimes_distribution_ob`] — the paper's memory-efficient algorithm:
-//!   a `(|T▫|+1) × |S|` matrix `C(t)` whose row `i` holds the probability
-//!   mass currently at each state *having visited the window exactly `i`
-//!   times*; a transition steps every row through `M`, and each query
-//!   timestamp "shifts down" the columns of `S▫` by one row.
-//! * [`ktimes_distribution_qb`] — the query-based counterpart: the shared
-//!   [`BackwardField`] swept under [`FieldRule::KTimes`], whose snapshots
-//!   are the backward level vectors `f_t(s, j)` = probability of exactly
-//!   `j` further window visits in `(t, t_end]` given state `s` at `t`.
-//! * [`ktimes_distribution_blowup`] — the explicit `S × {0..|T▫|}`
-//!   blown-up-matrix construction, kept as the executable specification
-//!   (exercised by tests on small instances).
+//! * object-based, the `KTimes` rule — the paper's memory-efficient
+//!   algorithm: a `(|T▫|+1) × |S|` matrix `C(t)` whose row `i` holds the
+//!   probability mass currently at each state *having visited the window
+//!   exactly `i` times*; a transition steps every row through `M`, and
+//!   each query timestamp "shifts down" the columns of `S▫` by one row.
+//! * query-based — the shared [`BackwardField`] swept under
+//!   [`FieldRule::KTimes`], whose snapshots are the backward level vectors
+//!   `f_t(s, j)` = probability of exactly `j` further window visits in
+//!   `(t, t_end]` given state `s` at `t`.
+//!
+//! The explicit `S × {0..|T▫|}` blown-up-matrix construction both are
+//! checked against lives in `ust-oracle`.
+//!
+//! [`BackwardField`]: crate::engine::query_based::BackwardField
+//! [`FieldRule::KTimes`]: crate::engine::query_based::FieldRule::KTimes
 
-use ust_markov::augmented;
-use ust_markov::{DenseVector, MarkovChain, PropagationVector};
+use ust_markov::PropagationVector;
 
-use crate::database::TrajectoryDatabase;
-use crate::engine::object_based::{self, validate, ForwardRule, Swept};
-use crate::engine::query_based::{evaluate_fields, AnchoredField, BackwardField, FieldRule};
+use crate::engine::object_based::{ForwardRule, Swept};
+use crate::engine::query_based::AnchoredField;
 use crate::engine::reach::ReachRule;
-use crate::engine::EngineConfig;
-use crate::error::{QueryError, Result};
+use crate::error::Result;
 use crate::object::UncertainObject;
 use crate::query::{unit_clamp, ObjectKDistribution, QueryWindow};
 use crate::stats::EvalStats;
-
-/// The paper's memory-efficient `C(t)` algorithm (object-based).
-///
-/// Returns `P(k)` for `k ∈ {0..|T▫|}` (length `|T▫| + 1`).
-pub fn ktimes_distribution_ob(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<Vec<f64>> {
-    ktimes_distribution_ob_with_stats(chain, object, window, config, &mut EvalStats::new())
-}
-
-/// As [`ktimes_distribution_ob`], accumulating counters into `stats`.
-pub fn ktimes_distribution_ob_with_stats(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<f64>> {
-    Ok(object_based::evaluate_one(chain, object, window, config, stats, KTimes)?.probabilities)
-}
 
 /// The `C(t)` rule: the propagated state is the family of count-level
 /// vectors (`rows[i]` = mass at each state having visited the window
@@ -112,81 +89,6 @@ fn shift_down(rows: &mut [PropagationVector], window: &QueryWindow) -> Result<()
     Ok(())
 }
 
-/// Query-based PSTkQ for a single object.
-pub fn ktimes_distribution_qb(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<Vec<f64>> {
-    validate(chain, object, window)?;
-    let field = BackwardField::compute_with_config(
-        chain,
-        window,
-        FieldRule::KTimes,
-        &[object.anchor().time()],
-        config,
-        &mut EvalStats::new(),
-    )?;
-    field
-        .object_distribution(object, window)
-        .ok_or(QueryError::internal("anchor snapshot was requested from the level field"))
-}
-
-/// Reference implementation over the explicit blown-up matrices of
-/// Section VII (`S′ = S × {0..|T▫|}`). Exponential memory in nothing, but
-/// `(|T▫|+1)·|S|`-dimensional — use for validation on small instances only.
-pub fn ktimes_distribution_blowup(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-) -> Result<Vec<f64>> {
-    validate(chain, object, window)?;
-    let n = chain.num_states();
-    let k_max = window.num_times();
-    let levels = k_max + 1;
-    let minus = augmented::ktimes_minus(chain.matrix(), levels);
-    let plus = augmented::ktimes_plus(chain.matrix(), window.states(), levels);
-
-    let anchor = object.anchor();
-    let mut v = DenseVector::zeros(levels * n);
-    for (s, p) in anchor.distribution().iter() {
-        // Footnote 3: anchor mass inside the window starts at level 1.
-        let level =
-            if window.time_in_window(anchor.time()) && window.states().contains(s) { 1 } else { 0 };
-        v.set(level * n + s, p).map_err(crate::error::QueryError::from)?;
-    }
-    for t in anchor.time()..window.t_end() {
-        let m = if window.time_in_window(t + 1) { &plus } else { &minus };
-        v = m.vecmat_dense(&v)?;
-    }
-    Ok((0..levels).map(|k| (0..n).map(|s| v.get(k * n + s)).sum()).collect())
-}
-
-/// PSTkQ for the whole database, object-based `C(t)` algorithm, through the
-/// batched kernel: each object contributes `|T▫| + 1` count-level rows, so
-/// a batch of `B` objects steps `B · (|T▫|+1)` rows through one shared
-/// matrix traversal per timestamp.
-pub fn evaluate_object_based(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    object_based::evaluate_rule(db, window, config, stats, KTimes)
-}
-
-/// PSTkQ for the whole database, query-based: one backward level sweep per
-/// model, one `(|T▫|+1)`-way dot product per object.
-pub fn evaluate_query_based(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectKDistribution>> {
-    evaluate_fields(db, window, FieldRule::KTimes, config, stats, distribution_row)
-}
-
 /// `object`'s PSTkQ answer row, read from its model's level field at the
 /// object's anchor time.
 pub(crate) fn distribution_row(
@@ -199,36 +101,47 @@ pub(crate) fn distribution_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::TrajectoryDatabase;
+    use crate::engine::forall::ForAll;
+    use crate::engine::object_based::{evaluate_one, Exists, ForwardRule};
+    use crate::engine::{EngineConfig, QueryProcessor};
     use crate::observation::Observation;
-    use ust_markov::CsrMatrix;
+    use crate::query::{ObjectProbability, Query, Strategy};
+    use crate::testkit::{object_at_s2, observations, paper_chain, paper_window, solo};
+    use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
+    /// One object's answer under `rule` by the chunk-of-one driver.
+    fn solo_ob<R: ForwardRule>(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+        rule: R,
+    ) -> R::Output {
+        let (config, stats) = (&EngineConfig::default(), &mut EvalStats::new());
+        evaluate_one(chain, object, window, config, stats, rule).unwrap()
     }
 
-    fn object_at_s2() -> UncertainObject {
-        UncertainObject::with_single_observation(1, Observation::exact(0, 3, 1).unwrap())
+    fn ktimes_ob(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> Vec<f64> {
+        solo_ob(chain, object, window, KTimes).probabilities
     }
 
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+    fn ktimes_qb(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> Vec<f64> {
+        let spec = Query::ktimes(1).window(window.clone()).strategy(Strategy::QueryBased);
+        solo(chain, object, spec).unwrap().distributions().unwrap()[0].probabilities.clone()
+    }
+
+    /// The oracle's blown-up-matrix reference.
+    fn blowup(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> Vec<f64> {
+        let anchor = observations(object)[0];
+        let (states, times) = (window.states(), window.times());
+        ust_oracle::augmented::ktimes_distribution_blowup(chain, anchor, states, times).unwrap()
     }
 
     #[test]
     fn section_7_worked_example() {
         // The paper derives P(k = 0, 1, 2) = (0.136, 0.672, 0.192).
-        let dist = ktimes_distribution_ob(
-            &paper_chain(),
-            &object_at_s2(),
-            &paper_window(),
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        let dist = ktimes_ob(&paper_chain(), &object_at_s2(), &paper_window());
         assert_eq!(dist.len(), 3);
         assert!((dist[0] - 0.136).abs() < 1e-12, "{dist:?}");
         assert!((dist[1] - 0.672).abs() < 1e-12, "{dist:?}");
@@ -237,15 +150,8 @@ mod tests {
 
     #[test]
     fn qb_and_blowup_match_worked_example() {
-        let qb = ktimes_distribution_qb(
-            &paper_chain(),
-            &object_at_s2(),
-            &paper_window(),
-            &EngineConfig::default(),
-        )
-        .unwrap();
-        let blow =
-            ktimes_distribution_blowup(&paper_chain(), &object_at_s2(), &paper_window()).unwrap();
+        let qb = ktimes_qb(&paper_chain(), &object_at_s2(), &paper_window());
+        let blow = blowup(&paper_chain(), &object_at_s2(), &paper_window());
         for (k, expected) in [0.136, 0.672, 0.192].into_iter().enumerate() {
             assert!((qb[k] - expected).abs() < 1e-12, "qb = {qb:?}");
             assert!((blow[k] - expected).abs() < 1e-12, "blowup = {blow:?}");
@@ -254,17 +160,15 @@ mod tests {
 
     #[test]
     fn distribution_sums_to_one_and_ties_to_exists_forall() {
-        let config = EngineConfig::default();
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
-        let dist = ktimes_distribution_ob(&chain, &o, &w, &config).unwrap();
+        let dist = ktimes_ob(&chain, &o, &w);
         let total: f64 = dist.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
-        let exists =
-            crate::engine::object_based::exists_probability(&chain, &o, &w, &config).unwrap();
+        let ObjectProbability { probability: exists, .. } = solo_ob(&chain, &o, &w, Exists);
         assert!((1.0 - dist[0] - exists).abs() < 1e-12);
-        let forall = crate::engine::forall::forall_probability_ob(&chain, &o, &w, &config).unwrap();
+        let forall = solo_ob(&chain, &o, &w, ForAll::over(&w).unwrap()).probability;
         assert!((dist[dist.len() - 1] - forall).abs() < 1e-12);
     }
 
@@ -273,11 +177,9 @@ mod tests {
         // Anchor at t=2 (∈ T▫) on state s1 (∈ S▫): already one visit.
         let o = UncertainObject::with_single_observation(1, Observation::exact(2, 3, 0).unwrap());
         for dist in [
-            ktimes_distribution_ob(&paper_chain(), &o, &paper_window(), &EngineConfig::default())
-                .unwrap(),
-            ktimes_distribution_qb(&paper_chain(), &o, &paper_window(), &EngineConfig::default())
-                .unwrap(),
-            ktimes_distribution_blowup(&paper_chain(), &o, &paper_window()).unwrap(),
+            ktimes_ob(&paper_chain(), &o, &paper_window()),
+            ktimes_qb(&paper_chain(), &o, &paper_window()),
+            blowup(&paper_chain(), &o, &paper_window()),
         ] {
             assert!(dist[0].abs() < 1e-12, "{dist:?}");
             // From s1 at t=2, the object moves to s3 ∉ S▫ at t=3: k = 1
@@ -299,11 +201,7 @@ mod tests {
             UncertainObject::with_single_observation(3, Observation::uncertain(0, start).unwrap());
         assert!(o.anchor().distribution().sum() > 1.0, "the instance must overshoot");
         let w = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::at(1)).unwrap();
-        let config = EngineConfig::default();
-        for dist in [
-            ktimes_distribution_ob(&frozen, &o, &w, &config).unwrap(),
-            ktimes_distribution_qb(&frozen, &o, &w, &config).unwrap(),
-        ] {
+        for dist in [ktimes_ob(&frozen, &o, &w), ktimes_qb(&frozen, &o, &w)] {
             assert_eq!(dist, vec![0.0, 1.0]);
         }
     }
@@ -324,11 +222,7 @@ mod tests {
         let o =
             UncertainObject::with_single_observation(3, Observation::uncertain(0, start).unwrap());
         let w = QueryWindow::from_states(6, [3usize, 4, 5], TimeSet::interval(1, 3)).unwrap();
-        let config = EngineConfig::default();
-        for probabilities in [
-            ktimes_distribution_ob(&chain, &o, &w, &config).unwrap(),
-            ktimes_distribution_qb(&chain, &o, &w, &config).unwrap(),
-        ] {
+        for probabilities in [ktimes_ob(&chain, &o, &w), ktimes_qb(&chain, &o, &w)] {
             assert_eq!(probabilities, vec![0.0, 0.35000000000000003, 0.55, 0.1]);
             assert!(probabilities.iter().skip(1).sum::<f64>() > 1.0, "the instance overshoots");
             let dist = ObjectKDistribution { object_id: 3, probabilities };
@@ -353,10 +247,9 @@ mod tests {
         let o =
             UncertainObject::with_single_observation(2, Observation::uncertain(0, start).unwrap());
         let w = QueryWindow::from_states(3, [1usize], TimeSet::new([1, 3, 4])).unwrap();
-        let config = EngineConfig::default();
-        let ob = ktimes_distribution_ob(&chain, &o, &w, &config).unwrap();
-        let qb = ktimes_distribution_qb(&chain, &o, &w, &config).unwrap();
-        let blow = ktimes_distribution_blowup(&chain, &o, &w).unwrap();
+        let ob = ktimes_ob(&chain, &o, &w);
+        let qb = ktimes_qb(&chain, &o, &w);
+        let blow = blowup(&chain, &o, &w);
         assert_eq!(ob.len(), 4);
         for k in 0..4 {
             assert!((ob[k] - qb[k]).abs() < 1e-12, "k={k}: ob={ob:?} qb={qb:?}");
@@ -375,10 +268,13 @@ mod tests {
             .unwrap();
         }
         let w = paper_window();
-        let ob = evaluate_object_based(&db, &w, &EngineConfig::default(), &mut EvalStats::new())
-            .unwrap();
-        let qb =
-            evaluate_query_based(&db, &w, &EngineConfig::default(), &mut EvalStats::new()).unwrap();
+        let processor = QueryProcessor::new(&db);
+        let run = |strategy| {
+            let spec = Query::ktimes(1).window(w.clone()).strategy(strategy).build().unwrap();
+            processor.execute(&spec).unwrap().distributions().unwrap().to_vec()
+        };
+        let (ob, qb) = (run(Strategy::ObjectBased), run(Strategy::QueryBased));
+        assert_eq!(ob.len(), 3);
         for (a, b) in ob.iter().zip(&qb) {
             assert_eq!(a.object_id, b.object_id);
             for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
@@ -395,7 +291,7 @@ mod tests {
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
-        let dist = ktimes_distribution_ob(&chain, &o, &w, &EngineConfig::default()).unwrap();
+        let dist = ktimes_ob(&chain, &o, &w);
         let expected: f64 = dist.iter().enumerate().map(|(k, p)| k as f64 * p).sum();
         let mut marginal_sum = 0.0;
         let mut v = o.anchor().distribution().to_dense();

@@ -2,17 +2,21 @@
 //!
 //! Implements the paper's two exact strategies — the **object-based (OB)**
 //! forward approach (Section V-A) and the **query-based (QB)** backward
-//! approach (Section V-B) — for all three predicates (∃, ∀, k-times), plus
-//! the test oracle:
+//! approach (Section V-B) — for all three predicates (∃, ∀, k-times):
 //!
 //! * [`object_based`] / [`query_based`] — exact possible-worlds evaluation
 //!   using the virtual `M−`/`M+` operators;
 //! * [`forall`] — PST∀Q (Section VII): complement reduction object-based,
 //!   the direct keep-`S▫` backward field query-based;
-//! * [`ktimes`] — the memory-efficient `C(t)` algorithm (Section VII), a
-//!   QB counterpart, and the blown-up-matrix reference;
-//! * [`exhaustive`] — exact possible-world enumeration for tiny instances,
-//!   the ground truth of the test suite.
+//! * [`ktimes`] — the memory-efficient `C(t)` algorithm (Section VII) and
+//!   its QB counterpart.
+//!
+//! Every query reaches them through one front door,
+//! [`QueryProcessor::execute`] (or `submit` / `watch`), with an explicit
+//! [`crate::query::Strategy`] or the planner's choice; these modules keep
+//! their rules and drivers crate-private. The references they are checked
+//! against — possible-worlds enumeration, the explicit augmented matrices
+//! — live in the `ust-oracle` crate, which shares no code with them.
 //!
 //! The engines drive the shared propagation core in [`pipeline`]: they
 //! supply direction, start state and the accumulation rule applied
@@ -34,7 +38,6 @@
 
 pub mod cache;
 mod config;
-pub mod exhaustive;
 pub mod forall;
 pub mod ktimes;
 pub mod object_based;
@@ -61,7 +64,7 @@ mod tests {
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, QueryAnswer, QuerySpec, QueryWindow, Strategy};
-    use ust_markov::testutil;
+    use ust_oracle::testutil;
     use ust_space::TimeSet;
 
     fn small_db(seed: u64, n_states: usize, n_objects: usize) -> TrajectoryDatabase {

@@ -7,7 +7,7 @@
 //! is removed from the vector and accumulated into the scalar ⊤ — exactly
 //! the column surgery `M+` performs, without materializing an
 //! `(|S|+1)²` matrix per query (cross-checked against the explicit
-//! construction in `ust_markov::augmented` by the test suite).
+//! construction in `ust_oracle::augmented` by the test suite).
 //!
 //! Worlds that reached the window are *excluded from further propagation*,
 //! which is what makes the result correct under possible-worlds semantics —
@@ -29,9 +29,8 @@ use ust_markov::{MarkovChain, PropagationVector, SparseVector};
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::pipeline::{BatchPhase, ObjectBatch, Propagator};
-use crate::engine::query_based::{group_on, ModelGroup};
+use crate::engine::query_based::ModelGroup;
 use crate::engine::reach::{ReachRule, ReachSchedule};
-use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
@@ -118,37 +117,15 @@ impl ForwardRule for Exists {
     }
 }
 
-/// Probability that `object` intersects the query window at some query
-/// timestamp (PST∃Q, Definition 2), evaluated forward from the object's
-/// anchor observation.
-pub fn exists_probability(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<f64> {
-    exists_probability_with_stats(chain, object, window, config, &mut EvalStats::new())
-}
-
-/// As [`exists_probability`], accumulating operation counters into `stats`.
-pub fn exists_probability_with_stats(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<f64> {
-    Ok(evaluate_one(chain, object, window, config, stats, Exists)?.probability)
-}
-
 /// The per-object reference of `rule`: validation, the object's own reach
 /// schedule and [`forward_chunk`] on a chunk of one — no planner, pool or
-/// cache.
+/// cache. The unit tests' yardstick for batch invariance.
+#[cfg(test)]
 pub(crate) fn evaluate_one<R: ForwardRule>(
     chain: &MarkovChain,
     object: &UncertainObject,
     window: &QueryWindow,
-    config: &EngineConfig,
+    config: &crate::engine::EngineConfig,
     stats: &mut EvalStats,
     mut rule: R,
 ) -> Result<R::Output> {
@@ -242,7 +219,7 @@ pub(crate) fn forward_chunk<R: ForwardRule>(
 /// the fan-out, shared read-only by every shard.
 ///
 /// A plan is built from model groups already validated against the window
-/// (by the planner's `prepare`, or by [`evaluate_rule`]), in index order —
+/// (by the planner's `prepare`), in index order —
 /// so the first error is deterministic regardless of batch or shard
 /// layout; [`forward_database`] trusts a plan to cover its indices.
 #[derive(Debug)]
@@ -303,7 +280,7 @@ fn group_batchable<'d>(db: &'d TrajectoryDatabase, indices: &[usize]) -> Result<
 /// of database object indices — the unit of work one shard of
 /// [`crate::parallel::run_sharded`] owns. Objects are grouped by
 /// `(model, anchor time)`, each group runs through [`forward_chunk`] in
-/// [`EngineConfig::batch_size`] chunks (in group order, so a rule that
+/// [`crate::engine::EngineConfig::batch_size`] chunks (in group order, so a rule that
 /// carries state — top-k's candidate list — tightens from chunk to chunk),
 /// and the answers are scattered back into the order of `indices`.
 pub(crate) fn forward_database<R: ForwardRule>(
@@ -331,33 +308,6 @@ pub(crate) fn forward_database<R: ForwardRule>(
         .into_iter()
         .map(|r| r.ok_or(QueryError::internal("the batch loop covers every position")))
         .collect()
-}
-
-/// The sequential whole-database reference of `rule`: one validation pass,
-/// one reach plan from its groups, one pipeline, [`forward_database`] over
-/// every object — no planner, pool or cache.
-pub(crate) fn evaluate_rule<R: ForwardRule>(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-    mut rule: R,
-) -> Result<Vec<R::Output>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let groups = group_on(db, &indices, window)?;
-    let reach = ReachPlan::from_groups(db, &groups, window, R::REACH)?;
-    forward_database(&mut Propagator::new(config, stats), db, &indices, window, &reach, &mut rule)
-}
-
-/// Evaluates the PST∃Q for every object in the database through the batched
-/// kernel ([`EngineConfig::batch_size`] objects per shared traversal).
-pub fn evaluate(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_rule(db, window, config, stats, Exists)
 }
 
 /// The per-object validation every engine runs before it evaluates
@@ -408,38 +358,34 @@ mod tests {
     use super::*;
     use crate::engine::forall::ForAll;
     use crate::engine::ktimes::KTimes;
+    use crate::engine::query_based::group_on;
+    use crate::engine::{EngineConfig, QueryProcessor};
     use crate::observation::Observation;
     use crate::parallel::run_sharded;
+    use crate::query::{Query, Strategy};
     use crate::ranking::{select_topk, TopK};
+    use crate::testkit::{object_at_s2, paper_chain, paper_window};
     use crate::threshold::Threshold;
-    use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
+    /// `P∃` of one object by the chunk-of-one driver.
+    fn exists_with(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+        config: &EngineConfig,
+        stats: &mut EvalStats,
+    ) -> Result<f64> {
+        Ok(evaluate_one(chain, object, window, config, stats, Exists)?.probability)
     }
 
-    fn object_at_s2() -> UncertainObject {
-        UncertainObject::with_single_observation(1, Observation::exact(0, 3, 1).unwrap())
-    }
-
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+    fn exists(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> Result<f64> {
+        exists_with(chain, object, window, &EngineConfig::default(), &mut EvalStats::new())
     }
 
     #[test]
     fn worked_example_yields_0864() {
-        let p = exists_probability(
-            &paper_chain(),
-            &object_at_s2(),
-            &paper_window(),
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        let p = exists(&paper_chain(), &object_at_s2(), &paper_window()).unwrap();
         assert!((p - 0.864).abs() < 1e-12);
     }
 
@@ -454,11 +400,11 @@ mod tests {
             Observation::uncertain(0, start.clone()).unwrap(),
         );
         let window = paper_window();
-        let fast = exists_probability(&chain, &object, &window, &EngineConfig::default()).unwrap();
+        let fast = exists(&chain, &object, &window).unwrap();
 
         // Reference: explicit augmented matrices.
-        let minus = ust_markov::augmented::exists_minus(chain.matrix());
-        let plus = ust_markov::augmented::exists_plus(chain.matrix(), window.states());
+        let minus = ust_oracle::augmented::exists_minus(chain.matrix());
+        let plus = ust_oracle::augmented::exists_plus(chain.matrix(), window.states());
         let mut v = ust_markov::DenseVector::zeros(4);
         for (i, p) in start.iter() {
             v.set(i, p).unwrap();
@@ -475,9 +421,7 @@ mod tests {
         // Anchor at t=2 which is in T▫ and at a window state: probability 1.
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(2, 3, 0).unwrap());
-        let p =
-            exists_probability(&paper_chain(), &object, &paper_window(), &EngineConfig::default())
-                .unwrap();
+        let p = exists(&paper_chain(), &object, &paper_window()).unwrap();
         assert!((p - 1.0).abs() < 1e-12);
     }
 
@@ -486,7 +430,7 @@ mod tests {
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(5, 3, 0).unwrap());
         assert!(matches!(
-            exists_probability(&paper_chain(), &object, &paper_window(), &EngineConfig::default()),
+            exists(&paper_chain(), &object, &paper_window()),
             Err(QueryError::WindowBeforeObservation { .. })
         ));
     }
@@ -496,12 +440,12 @@ mod tests {
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(0, 5, 0).unwrap());
         assert!(matches!(
-            exists_probability(&paper_chain(), &object, &paper_window(), &EngineConfig::default()),
+            exists(&paper_chain(), &object, &paper_window()),
             Err(QueryError::ModelDimensionMismatch { .. })
         ));
         let window = QueryWindow::from_states(4, [0usize], TimeSet::at(1)).unwrap();
         assert!(matches!(
-            exists_probability(&paper_chain(), &object_at_s2(), &window, &EngineConfig::default()),
+            exists(&paper_chain(), &object_at_s2(), &window),
             Err(QueryError::ModelDimensionMismatch { .. })
         ));
     }
@@ -512,7 +456,7 @@ mod tests {
         // so propagation to t=9 must stop early.
         let window = QueryWindow::from_states(3, [0usize, 1, 2], TimeSet::new([1, 9])).unwrap();
         let mut stats = EvalStats::new();
-        let p = exists_probability_with_stats(
+        let p = exists_with(
             &paper_chain(),
             &object_at_s2(),
             &window,
@@ -529,14 +473,8 @@ mod tests {
     fn epsilon_pruning_reports_dropped_mass() {
         let config = EngineConfig::default().with_epsilon(0.05);
         let mut stats = EvalStats::new();
-        let p = exists_probability_with_stats(
-            &paper_chain(),
-            &object_at_s2(),
-            &paper_window(),
-            &config,
-            &mut stats,
-        )
-        .unwrap();
+        let p = exists_with(&paper_chain(), &object_at_s2(), &paper_window(), &config, &mut stats)
+            .unwrap();
         // The pruned result may deviate by at most the dropped mass.
         assert!((p - 0.864).abs() <= stats.pruned_mass + 1e-12);
     }
@@ -552,7 +490,10 @@ mod tests {
             .unwrap();
         }
         let mut stats = EvalStats::new();
-        let results = evaluate(&db, &paper_window(), &EngineConfig::default(), &mut stats).unwrap();
+        let spec = Query::exists().window(paper_window()).strategy(Strategy::ObjectBased);
+        let answer =
+            QueryProcessor::new(&db).execute_with_stats(&spec.build().unwrap(), &mut stats);
+        let results = answer.unwrap().probabilities().unwrap().to_vec();
         assert_eq!(results.len(), 3);
         assert_eq!(stats.objects_evaluated, 3);
         // From Example 2's backward vector: starting at s1 → 0.96,
@@ -616,17 +557,17 @@ mod tests {
         // Two models, three anchor times, exact and uncertain anchors mixed.
         let n = 40;
         let chains = vec![
-            ust_markov::testutil::random_chain(11, n, 3),
-            ust_markov::testutil::random_chain(13, n, 4),
+            ust_oracle::testutil::random_chain(11, n, 3),
+            ust_oracle::testutil::random_chain(13, n, 4),
         ];
         let mut db = TrajectoryDatabase::with_models(chains).unwrap();
-        let mut rng = ust_markov::testutil::rng(12);
+        let mut rng = ust_oracle::testutil::rng(12);
         for id in 0..23u64 {
             let t0 = (id % 3) as u32;
             let anchor = match id % 4 {
                 0 => Observation::exact(t0, n, (id as usize * 7) % n).unwrap(),
                 _ => {
-                    let dist = ust_markov::testutil::random_distribution(&mut rng, n, 3);
+                    let dist = ust_oracle::testutil::random_distribution(&mut rng, n, 3);
                     Observation::uncertain(t0, dist).unwrap()
                 }
             };
@@ -668,9 +609,7 @@ mod tests {
     fn noncontiguous_window_times() {
         // T▫ = {1, 3} skips t=2 entirely.
         let window = QueryWindow::from_states(3, [0usize], TimeSet::new([1, 3])).unwrap();
-        let p =
-            exists_probability(&paper_chain(), &object_at_s2(), &window, &EngineConfig::default())
-                .unwrap();
+        let p = exists(&paper_chain(), &object_at_s2(), &window).unwrap();
         // By hand: at t=1 mass at s1 = 0.6 (hit). Remaining (0, 0, 0.4):
         // t=2 → (0, 0.32, 0.08); t=3 → s1 gets 0.32·0.6 = 0.192 (hit).
         assert!((p - (0.6 + 0.192)).abs() < 1e-12);

@@ -443,20 +443,9 @@ mod tests {
     use crate::engine::reach::ReachRule;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
+    use crate::testkit::{paper_chain, paper_window};
     use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
-
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
-    }
 
     /// The sweep the tests below share: from `t = 0` to `window.t_end()`,
     /// hooked on `window` and trimmed to its ∃ reach.

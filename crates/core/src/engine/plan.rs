@@ -23,12 +23,12 @@
 //! store was written, patches it from the store's write log instead of
 //! preparing it again. The groups ride in `Prepared` to `refine`, whose
 //! field and reach plans are built from them; `refine` dispatches to the batched, sharded
-//! counterparts of the sequential reference drivers and spells the pruned
-//! objects out as exact zeros only where an answer needs them — a
-//! probability answer writes the scope's zeros in one pass in store order
-//! and overwrites the survivors' slots with their rows — so planned
-//! answers are bit-for-bit identical to the paper's algorithms run with no
-//! planner, pool or cache (pinned by `tests/query_planner.rs`). The serving
+//! forward and backward drivers and spells the pruned objects out as exact
+//! zeros only where an answer needs them — a probability answer writes the
+//! scope's zeros in one pass in store order and overwrites the survivors'
+//! slots with their rows — so planned answers are bit-for-bit identical to
+//! the reference configuration's (one thread, batch 1, one cache entry, no
+//! prefilter; pinned by `tests/query_planner.rs`). The serving
 //! function that strings them together, times them and records them lives
 //! with the processor.
 //!
@@ -1585,7 +1585,8 @@ mod tests {
     use crate::observation::Observation;
     use crate::query::Query;
     use crate::serving::Metrics;
-    use ust_markov::{testutil, MarkovChain};
+    use ust_markov::MarkovChain;
+    use ust_oracle::testutil;
     use ust_space::{LineSpace, TimeSet};
 
     const N: usize = 30;

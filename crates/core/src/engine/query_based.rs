@@ -42,7 +42,7 @@ use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector, State
 
 use crate::database::TrajectoryDatabase;
 use crate::engine::cache::FieldCache;
-use crate::engine::object_based::{check_anchor_time, check_window, validate};
+use crate::engine::object_based::{check_anchor_time, check_window};
 use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
 use crate::error::{QueryError, Result};
@@ -305,16 +305,6 @@ impl BackwardField {
     ) -> Option<f64> {
         Some(self.anchored_at(object.anchor().time(), window)?.probability(object))
     }
-
-    /// Answers one object from a [`FieldRule::KTimes`] field
-    /// ([`AnchoredField::distribution`] at the object's anchor time).
-    pub fn object_distribution(
-        &self,
-        object: &UncertainObject,
-        window: &QueryWindow,
-    ) -> Option<Vec<f64>> {
-        self.anchored_at(object.anchor().time(), window)?.distribution(object)
-    }
 }
 
 /// A [`BackwardField`] read at one anchor time
@@ -383,42 +373,6 @@ impl AnchoredField<'_> {
 /// `Σ mass · value(s)` over the anchor's entries, in ascending state order.
 fn dot(anchor: &SparseVector, value: impl Fn(usize) -> f64) -> f64 {
     anchor.iter().fold(0.0, |p, (s, mass)| p + mass * value(s))
-}
-
-/// Probability that `object` satisfies the window predicate of `rule`, via
-/// a (single-object) backward pass. For batches prefer [`evaluate_rule`],
-/// which amortizes the pass.
-pub fn field_probability(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    rule: FieldRule,
-    config: &EngineConfig,
-) -> Result<f64> {
-    let mut stats = EvalStats::new();
-    validate(chain, object, window)?;
-    let field = BackwardField::compute_with_config(
-        chain,
-        window,
-        rule,
-        &[object.anchor().time()],
-        config,
-        &mut stats,
-    )?;
-    field
-        .object_probability(object, window)
-        .ok_or(QueryError::internal("anchor snapshot was requested from the backward field"))
-}
-
-/// Probability that `object` satisfies the PST∃Q
-/// ([`field_probability`] under [`FieldRule::Exists`]).
-pub fn exists_probability(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    config: &EngineConfig,
-) -> Result<f64> {
-    field_probability(chain, object, window, FieldRule::Exists, config)
 }
 
 /// A model's populated object group, validated against one window: how
@@ -588,29 +542,6 @@ impl SharedFieldPlan {
     }
 }
 
-/// Evaluates the PST∃Q for every object in the database: one backward pass
-/// per transition model (Section V-C), then one dot product per object.
-pub fn evaluate(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_rule(db, window, FieldRule::Exists, config, stats)
-}
-
-/// As [`evaluate`] under an explicit window rule — [`FieldRule::ForAll`]
-/// answers the PST∀Q from its direct backward field.
-pub fn evaluate_rule(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    rule: FieldRule,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<Vec<ObjectProbability>> {
-    evaluate_fields(db, window, rule, config, stats, probability_row)
-}
-
 /// `object`'s ∃ / ∀ answer row, read from its model's field at the
 /// object's anchor time.
 pub(crate) fn probability_row(
@@ -657,62 +588,32 @@ impl<'f> AnchorMemo<'f> {
     }
 }
 
-/// The sequential reference driver behind every query-based whole-database
-/// evaluation: one uncached backward sweep of `rule` per populated model,
-/// then `answer` once per object against its model's field, in database
-/// order.
-pub(crate) fn evaluate_fields<T>(
-    db: &TrajectoryDatabase,
-    window: &QueryWindow,
-    rule: FieldRule,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-    answer: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Option<T>,
-) -> Result<Vec<T>> {
-    let indices: Vec<usize> = (0..db.len()).collect();
-    let mut fields: Vec<Option<BackwardField>> = (0..db.models().len()).map(|_| None).collect();
-    for group in group_on(db, &indices, window)? {
-        let chain = &db.models()[group.model];
-        fields[group.model] = Some(BackwardField::compute_with_config(
-            chain,
-            window,
-            rule,
-            &group.times,
-            config,
-            stats,
-        )?);
-    }
-    let mut memo = AnchorMemo::new();
-    db.objects()
-        .iter()
-        .map(|object| {
-            let anchored = memo.resolve(object, window, |model| fields[model].as_ref())?;
-            let row = answer(&anchored, object).ok_or(QueryError::internal(
-                "the field was swept under the rule the answer reads",
-            ))?;
-            stats.objects_evaluated += 1;
-            Ok(row)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::object_based::{evaluate_one, Exists};
+    use crate::engine::QueryProcessor;
     use crate::observation::Observation;
+    use crate::query::{Query, Strategy};
+    use crate::testkit::{paper_chain, paper_window, solo};
     use ust_markov::{CsrMatrix, DenseVector};
     use ust_space::TimeSet;
 
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
+    /// `P∃` of one object through the front door, query-based.
+    fn exists_qb(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> f64 {
+        let spec = Query::exists().window(window.clone()).strategy(Strategy::QueryBased);
+        solo(chain, object, spec).unwrap().probabilities().unwrap()[0].probability
     }
 
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+    /// The query-based ∃ probabilities of every object of `db`.
+    fn evaluate(
+        db: &TrajectoryDatabase,
+        window: &QueryWindow,
+        stats: &mut EvalStats,
+    ) -> Vec<ObjectProbability> {
+        let spec = Query::exists().window(window.clone()).strategy(Strategy::QueryBased);
+        let answer = QueryProcessor::new(db).execute_with_stats(&spec.build().unwrap(), stats);
+        answer.unwrap().probabilities().unwrap().to_vec()
     }
 
     #[test]
@@ -732,9 +633,7 @@ mod tests {
     fn single_object_probability_is_0864() {
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(0, 3, 1).unwrap());
-        let p =
-            exists_probability(&paper_chain(), &object, &paper_window(), &EngineConfig::default())
-                .unwrap();
+        let p = exists_qb(&paper_chain(), &object, &paper_window());
         assert!((p - 0.864).abs() < 1e-12);
     }
 
@@ -746,14 +645,10 @@ mod tests {
         let object =
             UncertainObject::with_single_observation(9, Observation::uncertain(0, start).unwrap());
         let window = paper_window();
-        let qb = exists_probability(&chain, &object, &window, &EngineConfig::default()).unwrap();
-        let ob = crate::engine::object_based::exists_probability(
-            &chain,
-            &object,
-            &window,
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        let qb = exists_qb(&chain, &object, &window);
+        let config = EngineConfig::default();
+        let ob = evaluate_one(&chain, &object, &window, &config, &mut EvalStats::new(), Exists);
+        let ob = ob.unwrap().probability;
         assert!((qb - ob).abs() < 1e-12);
     }
 
@@ -761,9 +656,7 @@ mod tests {
     fn anchor_inside_window_clamps_to_one() {
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(2, 3, 1).unwrap());
-        let p =
-            exists_probability(&paper_chain(), &object, &paper_window(), &EngineConfig::default())
-                .unwrap();
+        let p = exists_qb(&paper_chain(), &object, &paper_window());
         assert!((p - 1.0).abs() < 1e-12);
     }
 
@@ -774,8 +667,7 @@ mod tests {
         let object =
             UncertainObject::with_single_observation(1, Observation::exact(3, 3, 2).unwrap());
         let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::at(3)).unwrap();
-        let p =
-            exists_probability(&paper_chain(), &object, &window, &EngineConfig::default()).unwrap();
+        let p = exists_qb(&paper_chain(), &object, &window);
         assert_eq!(p, 0.0);
     }
 
@@ -793,7 +685,7 @@ mod tests {
         ))
         .unwrap();
         let mut stats = EvalStats::new();
-        let results = evaluate(&db, &paper_window(), &EngineConfig::default(), &mut stats).unwrap();
+        let results = evaluate(&db, &paper_window(), &mut stats);
         assert_eq!(results.len(), 2);
         assert!((results[0].probability - 0.864).abs() < 1e-12);
         // Object anchored at t=1 on s3: h_1(s3) = 0.96 (from Example 2).
@@ -818,9 +710,7 @@ mod tests {
                 .with_model(1),
         )
         .unwrap();
-        let results =
-            evaluate(&db, &paper_window(), &EngineConfig::default(), &mut EvalStats::new())
-                .unwrap();
+        let results = evaluate(&db, &paper_window(), &mut EvalStats::new());
         assert!((results[0].probability - 0.864).abs() < 1e-12);
         // Frozen object stays at s2 ∈ S▫ forever: hits with certainty.
         assert!((results[1].probability - 1.0).abs() < 1e-12);
@@ -893,9 +783,7 @@ mod tests {
     #[test]
     fn empty_database_evaluates_to_empty() {
         let db = TrajectoryDatabase::new(paper_chain());
-        let results =
-            evaluate(&db, &paper_window(), &EngineConfig::default(), &mut EvalStats::new())
-                .unwrap();
+        let results = evaluate(&db, &paper_window(), &mut EvalStats::new());
         assert!(results.is_empty());
     }
 }

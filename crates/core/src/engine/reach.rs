@@ -162,7 +162,7 @@ impl ReachSchedule {
 mod tests {
     use super::*;
     use crate::error::QueryError;
-    use ust_markov::testutil;
+    use ust_oracle::testutil;
     use ust_space::TimeSet;
 
     #[test]

@@ -342,7 +342,6 @@ impl QueryProcessor {
 mod tests {
     use super::*;
     use crate::query::{Query, QueryWindow};
-    use ust_markov::{CsrMatrix, MarkovChain};
     use ust_space::TimeSet;
 
     /// Two inserts applied to the database notify in reverse order, as
@@ -351,11 +350,7 @@ mod tests {
     /// order, as a fresh execution does.
     #[test]
     fn inserts_notified_out_of_order_keep_database_order() {
-        let chain = MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap();
+        let chain = crate::testkit::paper_chain();
         let object = |id, state| {
             UncertainObject::with_single_observation(id, Observation::exact(0, 3, state).unwrap())
         };

@@ -44,12 +44,6 @@ pub enum QueryError {
     /// The observations made an evaluated scenario impossible (all possible
     /// worlds eliminated — zero joint likelihood).
     ImpossibleEvidence,
-    /// Exhaustive possible-world enumeration exceeded its work budget
-    /// (`O(|S|^δt)` worlds — the blow-up the paper's framework avoids).
-    ExhaustiveBudgetExceeded {
-        /// The budget that was exceeded (expanded path prefixes).
-        budget: u64,
-    },
     /// A propagation batch's row count is not a multiple of its per-object
     /// group size (every object must contribute the same number of rows).
     MalformedBatch {
@@ -134,9 +128,6 @@ impl fmt::Display for QueryError {
             ),
             QueryError::ImpossibleEvidence => {
                 write!(f, "observations are jointly impossible under the model")
-            }
-            QueryError::ExhaustiveBudgetExceeded { budget } => {
-                write!(f, "exhaustive enumeration exceeded its budget of {budget} expansions")
             }
             QueryError::MalformedBatch { rows, group_size } => {
                 write!(f, "batch of {rows} rows is not divisible into groups of {group_size}")

@@ -426,23 +426,8 @@ mod tests {
     use super::*;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use ust_markov::{CooBuilder, MarkovChain};
+    use crate::testkit::line_chain;
     use ust_space::{LineSpace, TimeSet};
-
-    fn line_chain(n: usize) -> MarkovChain {
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            let left = i.saturating_sub(1);
-            let right = (i + 1).min(n - 1);
-            if left == right {
-                b.push(i, i, 1.0).unwrap();
-            } else {
-                b.push(i, left, 0.5).unwrap();
-                b.push(i, right, 0.5).unwrap();
-            }
-        }
-        MarkovChain::from_weights(b.build()).unwrap()
-    }
 
     fn db_with_anchors(n: usize, anchors: &[(u32, usize)]) -> TrajectoryDatabase {
         let mut db = TrajectoryDatabase::new(line_chain(n));

@@ -15,15 +15,20 @@
 //! | PST∀Q | object inside `S▫` at *all* `t ∈ T▫` | [`engine::forall`] |
 //! | PSTkQ | inside `S▫` at exactly `k` times of `T▫` | [`engine::ktimes`] |
 //!
+//! Every query runs through one front door, [`QueryProcessor::execute`]
+//! (or `submit` / `watch`), which answers from each object's *first*
+//! observation: later fixes of a multi-observation object are ignored
+//! there. Section VI (multiple observations / interpolation) is reachable
+//! only through [`multi_obs`] (∃, object-based) and [`smoothing`].
 //! Correct possible-worlds semantics comes from the absorbing-state
-//! (`M−`/`M+`) construction of Section V, applied virtually by the engines.
-//! Section VI (multiple observations / interpolation) lives in
-//! [`multi_obs`] and [`smoothing`]; [`engine::exhaustive`] is the test
-//! oracle. Section V-C's interval-chain cluster pruning is not reproduced:
-//! the one filter in front of the exact engines is the reachability-cone
-//! probe of [`index`]. The evaluation's baselines — Monte-Carlo sampling
-//! and the temporal-independence model — are not part of this crate: they
-//! live beside the figures that time them, in `ust-bench`.
+//! (`M−`/`M+`) construction of Section V, applied virtually by the engines;
+//! the references they are checked against live in the `ust-oracle` crate,
+//! which depends on none of this one. Section V-C's interval-chain cluster
+//! pruning is not reproduced: the one filter in front of the exact engines
+//! is the reachability-cone probe of [`index`]. The evaluation's baselines
+//! — Monte-Carlo sampling and the temporal-independence model — are not
+//! part of this crate: they live beside the figures that time them, in
+//! `ust-bench`.
 //!
 //! ## Quick start
 //!
@@ -81,6 +86,8 @@ pub mod serving;
 pub mod smoothing;
 pub mod stats;
 pub mod streaming;
+#[cfg(test)]
+mod testkit;
 pub mod threshold;
 
 pub use database::{IngestOutcome, TrajectoryDatabase};

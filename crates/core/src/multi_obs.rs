@@ -138,19 +138,11 @@ pub fn evaluate_exists_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exhaustive;
-    use crate::engine::object_based;
+    use crate::engine::object_based::{evaluate_one, Exists};
     use crate::observation::Observation;
+    use crate::testkit::{oracle, paper_chain};
     use ust_markov::{CsrMatrix, DenseVector};
     use ust_space::TimeSet;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     /// The Section VI chain (second row 0.5 / 0.5).
     fn section6_chain() -> MarkovChain {
@@ -185,8 +177,8 @@ mod tests {
         // the same final answer.
         let chain = section6_chain();
         let window = QueryWindow::from_states(3, [1usize], TimeSet::interval(1, 2)).unwrap();
-        let minus = ust_markov::augmented::doubled_minus(chain.matrix());
-        let plus = ust_markov::augmented::doubled_plus(chain.matrix(), window.states());
+        let minus = ust_oracle::augmented::doubled_minus(chain.matrix());
+        let plus = ust_oracle::augmented::doubled_plus(chain.matrix(), window.states());
         let mut v = DenseVector::zeros(6);
         v.set(0, 1.0).unwrap(); // observed at s1, not hit
                                 // t=1 ∈ T▫.
@@ -214,9 +206,9 @@ mod tests {
         let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
         let multi =
             exists_probability_multi(&chain, &object, &window, &EngineConfig::default()).unwrap();
-        let single =
-            object_based::exists_probability(&chain, &object, &window, &EngineConfig::default())
-                .unwrap();
+        let config = EngineConfig::default();
+        let single = evaluate_one(&chain, &object, &window, &config, &mut EvalStats::new(), Exists);
+        let single = single.unwrap().probability;
         assert!((multi - single).abs() < 1e-12);
         assert!((multi - 0.864).abs() < 1e-12);
     }
@@ -243,7 +235,7 @@ mod tests {
         let window = QueryWindow::from_states(3, [0usize], TimeSet::interval(1, 3)).unwrap();
         let exact =
             exists_probability_multi(&chain, &object, &window, &EngineConfig::default()).unwrap();
-        let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+        let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
         assert!(
             (exact - oracle.exists()).abs() < 1e-12,
             "multi-obs {exact} vs oracle {}",
@@ -270,7 +262,7 @@ mod tests {
         let p_informed = exists_probability_multi(&chain, &informed, &window, &config).unwrap();
         assert!((p_plain - p_informed).abs() > 1e-6);
         // Cross-check the informed value against enumeration.
-        let oracle = exhaustive::enumerate(&chain, &informed, &window, 1 << 22).unwrap();
+        let oracle = oracle(&chain, &informed, &window, 1 << 22).unwrap();
         assert!((p_informed - oracle.exists()).abs() < 1e-12);
     }
 

@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn an_applied_ingest_stores_the_inline_arm() {
-        let chain = ust_markov::testutil::random_chain(1, 10, 3);
+        let chain = ust_oracle::testutil::random_chain(1, 10, 3);
         let mut db = crate::database::TrajectoryDatabase::new(chain);
         db.insert(UncertainObject::new(8, vec![obs(1, 0), obs(3, 1)]).unwrap()).unwrap();
         assert!(db.objects()[0].has_multiple_observations());

@@ -369,12 +369,13 @@ mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
     use crate::engine::reach::ReachRule;
-    use crate::engine::{forall, ktimes, object_based, query_based, QueryProcessor};
+    use crate::engine::{object_based, query_based, QueryProcessor};
     use crate::error::QueryError;
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, QueryAnswer, QueryBuilder, QueryWindow, Strategy};
-    use ust_markov::testutil;
+    use crate::testkit::reference_config;
+    use ust_oracle::testutil;
     use ust_space::TimeSet;
 
     fn random_db(seed: u64, n_states: usize, n_objects: usize) -> TrajectoryDatabase {
@@ -419,22 +420,14 @@ mod tests {
         let db = random_db(17, 60, 37);
         let window = window(60);
         let config = EngineConfig::default();
-        let sequential =
-            object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let exists_ob = Query::exists().strategy(Strategy::ObjectBased);
+        let reference = QueryProcessor::with_config(&db, reference_config());
+        let sequential = run(&reference, exists_ob.clone(), &window, &mut EvalStats::new());
         for threads in [1usize, 2, 3, 8, 64] {
             let processor = QueryProcessor::with_config(&db, config.with_num_threads(threads));
             let mut stats = EvalStats::new();
-            let parallel = run(
-                &processor,
-                Query::exists().strategy(Strategy::ObjectBased),
-                &window,
-                &mut stats,
-            );
-            assert_eq!(
-                bits(&parallel),
-                bits(&QueryAnswer::Probabilities(sequential.clone())),
-                "threads={threads}"
-            );
+            let parallel = run(&processor, exists_ob.clone(), &window, &mut stats);
+            assert_eq!(bits(&parallel), bits(&sequential), "threads={threads}");
             assert_eq!(stats.objects_evaluated, db.len() as u64);
         }
     }
@@ -445,34 +438,27 @@ mod tests {
         let db = random_db(23, 60, 29);
         let window = window(60);
         let config = EngineConfig::default().with_batch_size(7);
-        let mut seq = EvalStats::new();
-        let exists_ob = object_based::evaluate(&db, &window, &config, &mut seq).unwrap();
-        let exists_qb = query_based::evaluate(&db, &window, &config, &mut seq).unwrap();
-        let forall_ob = forall::evaluate_object_based(&db, &window, &config, &mut seq).unwrap();
-        let forall_qb = forall::evaluate_query_based(&db, &window, &config, &mut seq).unwrap();
-        let ktimes_ob = ktimes::evaluate_object_based(&db, &window, &config, &mut seq).unwrap();
-        let ktimes_qb = ktimes::evaluate_query_based(&db, &window, &config, &mut seq).unwrap();
-        let mut expected = vec![
-            (Query::exists().strategy(Ob), QueryAnswer::Probabilities(exists_ob)),
-            (Query::exists().strategy(Qb), QueryAnswer::Probabilities(exists_qb)),
-            (Query::forall().strategy(Ob), QueryAnswer::Probabilities(forall_ob)),
-            (Query::forall().strategy(Qb), QueryAnswer::Probabilities(forall_qb)),
-            (Query::ktimes(1).strategy(Ob), QueryAnswer::Distributions(ktimes_ob)),
-            (Query::ktimes(1).strategy(Qb), QueryAnswer::Distributions(ktimes_qb)),
-        ];
-        // The decorated shapes have no sequential driver of their own:
-        // their reference is the one-worker (inline) run, itself pinned to
-        // the drivers above by `tests/query_planner.rs`.
-        let inline = QueryProcessor::with_config(&db, config.with_num_threads(1));
-        for builder in [
+        // Every shape's reference is the reference configuration's answer
+        // (one thread, batch 1, one cache entry, no prefilter).
+        let reference = QueryProcessor::with_config(&db, reference_config());
+        let expected: Vec<_> = [
+            Query::exists().strategy(Ob),
+            Query::exists().strategy(Qb),
+            Query::forall().strategy(Ob),
+            Query::forall().strategy(Qb),
+            Query::ktimes(1).strategy(Ob),
+            Query::ktimes(1).strategy(Qb),
             Query::exists().threshold(0.4).strategy(Ob),
             Query::exists().threshold(0.4).strategy(Qb),
             Query::exists().top_k(5).strategy(Ob),
             Query::exists().top_k(5).strategy(Qb),
-        ] {
-            let reference = run(&inline, builder.clone(), &window, &mut EvalStats::new());
-            expected.push((builder, reference));
-        }
+        ]
+        .into_iter()
+        .map(|builder| {
+            let answer = run(&reference, builder.clone(), &window, &mut EvalStats::new());
+            (builder, answer)
+        })
+        .collect();
         for threads in [2usize, 5, 16] {
             let processor = QueryProcessor::with_config(&db, config.with_num_threads(threads));
             for (builder, reference) in &expected {
@@ -494,8 +480,10 @@ mod tests {
         let db = random_db(29, 40, 23);
         let window = window(40);
         let config = EngineConfig::default().with_num_threads(4);
-        let sequential =
-            object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let exists_ob = Query::exists().strategy(Strategy::ObjectBased);
+        let reference = QueryProcessor::with_config(&db, reference_config());
+        let sequential = run(&reference, exists_ob, &window, &mut EvalStats::new());
+        let sequential = sequential.probabilities().unwrap().to_vec();
         let indices: Vec<usize> = (0..db.len()).collect();
         let groups = query_based::group_on(&db, &indices, &window).unwrap();
         let reach =
@@ -561,18 +549,15 @@ mod tests {
         let window = window(50);
         let config = EngineConfig::default().with_num_threads(3);
         let processor = QueryProcessor::with_config(&db, config);
-        let uncached = query_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
         let exists_qb = Query::exists().strategy(Strategy::QueryBased);
+        let reference = QueryProcessor::with_config(&db, reference_config());
+        let uncached = run(&reference, exists_qb.clone(), &window, &mut EvalStats::new());
         // Twice through the cache: a miss-then-sweep pass and a pure-hit
         // pass must both reproduce the uncached bits.
         for pass in 0..2 {
             let mut stats = EvalStats::new();
             let cached = run(&processor, exists_qb.clone(), &window, &mut stats);
-            assert_eq!(
-                bits(&cached),
-                bits(&QueryAnswer::Probabilities(uncached.clone())),
-                "pass={pass}"
-            );
+            assert_eq!(bits(&cached), bits(&uncached), "pass={pass}");
             assert_eq!((stats.cache_misses, stats.cache_hits), [(1, 0), (0, 1)][pass]);
             assert_eq!(stats.backward_steps == 0, pass == 1, "only the first pass sweeps");
             assert_eq!(stats.fields_shared, 1, "one model, one shared field");
@@ -592,8 +577,10 @@ mod tests {
     fn qb_sweeps_each_field_once_regardless_of_threads() {
         let db = random_db(37, 50, 24);
         let window = window(50);
+        let exists_qb = Query::exists().strategy(Strategy::QueryBased);
+        let reference = QueryProcessor::with_config(&db, reference_config());
         let mut baseline = EvalStats::new();
-        query_based::evaluate(&db, &window, &EngineConfig::default(), &mut baseline).unwrap();
+        run(&reference, exists_qb, &window, &mut baseline);
         assert!(baseline.backward_steps > 0);
         for threads in [1usize, 2, 4, 8] {
             // A fresh processor per count: a cold cache, so the sweep is paid.

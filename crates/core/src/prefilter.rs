@@ -243,32 +243,18 @@ mod tests {
 
     use super::*;
     use crate::database::TrajectoryDatabase;
-    use crate::engine::{object_based, EngineConfig};
+    use crate::engine::QueryProcessor;
     use crate::index::SpatioTemporalIndex;
     use crate::observation::Observation;
     use crate::query::QueryWindow;
+    use crate::query::{Query, Strategy};
+    use crate::testkit::line_chain;
     use ust_markov::{CooBuilder, MarkovChain};
     use ust_space::{LineSpace, TimeSet};
 
     /// The index's survivors of `window` over `db` on a line of `n` states.
     fn candidates(db: &TrajectoryDatabase, n: usize, window: &QueryWindow) -> Vec<usize> {
         SpatioTemporalIndex::build(db, Arc::new(LineSpace::new(n))).candidates(window)
-    }
-
-    /// A random-walk chain on a line: state i moves to i±1 (clipped).
-    fn line_chain(n: usize) -> MarkovChain {
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            let left = i.saturating_sub(1);
-            let right = (i + 1).min(n - 1);
-            if left == right {
-                b.push(i, i, 1.0).unwrap();
-            } else {
-                b.push(i, left, 0.5).unwrap();
-                b.push(i, right, 0.5).unwrap();
-            }
-        }
-        MarkovChain::from_weights(b.build()).unwrap()
     }
 
     fn db_on_line(n: usize, positions: &[usize]) -> TrajectoryDatabase {
@@ -299,9 +285,9 @@ mod tests {
         let survivors = candidates(&db, n, &window);
 
         // Exact check: every object with non-zero probability must survive.
-        let exact =
-            object_based::evaluate(&db, &window, &EngineConfig::default(), &mut Default::default())
-                .unwrap();
+        let spec = Query::exists().window(window.clone()).strategy(Strategy::ObjectBased);
+        let exact = QueryProcessor::new(&db).execute(&spec.build().unwrap()).unwrap();
+        let exact = exact.probabilities().unwrap();
         for (idx, r) in exact.iter().enumerate() {
             if r.probability > 0.0 {
                 assert!(

@@ -115,7 +115,8 @@ mod tests {
     use crate::observation::Observation;
     use crate::query::Strategy::{self, ObjectBased, QueryBased};
     use crate::query::{Query, QueryAnswer, QueryWindow};
-    use ust_markov::{CsrMatrix, MarkovChain};
+    use crate::testkit::paper_chain;
+    use ust_markov::MarkovChain;
     use ust_space::TimeSet;
 
     /// The top-k answer of `execute` under an explicit strategy, with the
@@ -132,14 +133,6 @@ mod tests {
             QueryAnswer::Ranked(ranked) => (ranked, stats),
             other => panic!("top-k must rank, got {other:?}"),
         }
-    }
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
     }
 
     fn three_object_db() -> TrajectoryDatabase {
@@ -185,11 +178,11 @@ mod tests {
 
     #[test]
     fn agreement_on_random_dataset() {
-        let chain = ust_markov::testutil::random_chain(3, 100, 4);
-        let mut rng = ust_markov::testutil::rng(4);
+        let chain = ust_oracle::testutil::random_chain(3, 100, 4);
+        let mut rng = ust_oracle::testutil::rng(4);
         let mut db = TrajectoryDatabase::new(chain);
         for id in 0..40u64 {
-            let dist = ust_markov::testutil::random_distribution(&mut rng, 100, 3);
+            let dist = ust_oracle::testutil::random_distribution(&mut rng, 100, 3);
             db.insert(UncertainObject::with_single_observation(
                 id,
                 Observation::uncertain(0, dist).unwrap(),

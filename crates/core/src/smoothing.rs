@@ -137,19 +137,10 @@ pub fn smoothed_trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::exhaustive;
     use crate::observation::Observation;
     use crate::query::QueryWindow;
-    use ust_markov::CsrMatrix;
+    use crate::testkit::{oracle, paper_chain};
     use ust_space::TimeSet;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn without_future_observations_equals_forward_prediction() {
@@ -184,7 +175,7 @@ mod tests {
             let smoothed = smoothed_distribution(&chain, &object, t).unwrap();
             for s in 0..3usize {
                 let window = QueryWindow::from_states(3, [s], TimeSet::at(t)).unwrap();
-                let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+                let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
                 assert!(
                     (smoothed.get(s) - oracle.exists()).abs() < 1e-12,
                     "t={t}, s={s}: smoothed {} vs oracle {}",

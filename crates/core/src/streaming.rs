@@ -336,26 +336,14 @@ impl Drop for Subscription {
 mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
+    use crate::engine::object_based::{evaluate_one, Exists};
     use crate::engine::query_based::BackwardField;
-    use crate::engine::{object_based, EngineConfig, QueryProcessor};
+    use crate::engine::{EngineConfig, QueryProcessor};
     use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use crate::query::{Query, QueryWindow};
+    use crate::query::Query;
     use crate::stats::EvalStats;
-    use ust_markov::{CsrMatrix, MarkovChain};
-    use ust_space::TimeSet;
-
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
-    }
-
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
-    }
+    use crate::testkit::{paper_chain, paper_window};
 
     /// The dense field `watch` pre-sweeps: snapshots at every anchor time
     /// in `[0, t_end]` score a fix at any of them as the batch engine does.
@@ -374,13 +362,17 @@ mod tests {
                 );
                 let streamed = field.object_probability(&object, &window).unwrap();
                 if t <= window.t_start() {
-                    let direct = object_based::exists_probability(
+                    let config = EngineConfig::default();
+                    let direct = evaluate_one(
                         &chain,
                         &object,
                         &window,
-                        &EngineConfig::default(),
+                        &config,
+                        &mut EvalStats::new(),
+                        Exists,
                     )
-                    .unwrap();
+                    .unwrap()
+                    .probability;
                     assert!((streamed - direct).abs() < 1e-12, "t={t}, s={s}");
                 } else {
                     // A fix inside the window (t = 3 > t_start) scores the

@@ -14,19 +14,16 @@
 // Iteration order never reaches a threshold answer: no hashed containers.
 #![deny(clippy::disallowed_types)]
 
-use ust_markov::{MarkovChain, PropagationVector};
+use ust_markov::PropagationVector;
 
-use crate::engine::object_based::{self, ForwardRule, Swept};
+use crate::engine::object_based::{ForwardRule, Swept};
 use crate::engine::reach::ReachRule;
-use crate::engine::EngineConfig;
-use crate::error::Result;
-use crate::object::UncertainObject;
-use crate::query::{unit_clamp, QueryWindow};
+use crate::query::unit_clamp;
 use crate::stats::EvalStats;
 
 /// Outcome of a thresholded PST∃Q on one object.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdOutcome {
+pub(crate) struct ThresholdOutcome {
     /// True when `P∃ ≥ τ`.
     pub qualifies: bool,
     /// Lower bound on `P∃` at the decision point.
@@ -35,30 +32,6 @@ pub struct ThresholdOutcome {
     pub upper: f64,
     /// True when the decision was reached before `t_end`.
     pub early: bool,
-}
-
-/// Thresholded PST∃Q for one object (object-based with bound-based early
-/// termination).
-pub fn exists_threshold(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-) -> Result<ThresholdOutcome> {
-    exists_threshold_with_stats(chain, object, window, tau, config, &mut EvalStats::new())
-}
-
-/// As [`exists_threshold`], accumulating counters.
-fn exists_threshold_with_stats(
-    chain: &MarkovChain,
-    object: &UncertainObject,
-    window: &QueryWindow,
-    tau: f64,
-    config: &EngineConfig,
-    stats: &mut EvalStats,
-) -> Result<ThresholdOutcome> {
-    object_based::evaluate_one(chain, object, window, config, stats, Threshold { tau })
 }
 
 /// Where a thresholded sweep stands after a timestamp: `Some(qualifies)`
@@ -122,27 +95,39 @@ impl ForwardRule for Threshold {
 mod tests {
     use super::*;
     use crate::database::TrajectoryDatabase;
+    use crate::engine::object_based::{evaluate_one, Exists};
     use crate::engine::reach::ReachSchedule;
-    use crate::engine::{exhaustive, QueryProcessor};
+    use crate::engine::{EngineConfig, QueryProcessor};
+    use crate::error::Result;
+    use crate::object::UncertainObject;
     use crate::observation::Observation;
-    use crate::query::{Query, Strategy};
-    use ust_markov::{testutil, CsrMatrix};
+    use crate::query::{Query, QueryWindow, Strategy};
+    use crate::testkit::{object_at_s2, oracle, paper_chain, paper_window};
+    use ust_markov::{CsrMatrix, MarkovChain};
+    use ust_oracle::testutil;
     use ust_space::TimeSet;
 
-    fn paper_chain() -> MarkovChain {
-        MarkovChain::from_csr(
-            CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-                .unwrap(),
-        )
-        .unwrap()
+    /// Thresholded PST∃Q for one object by the chunk-of-one driver,
+    /// accumulating counters.
+    fn exists_threshold_with_stats(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+        tau: f64,
+        config: &EngineConfig,
+        stats: &mut EvalStats,
+    ) -> Result<ThresholdOutcome> {
+        evaluate_one(chain, object, window, config, stats, Threshold { tau })
     }
 
-    fn object_at_s2() -> UncertainObject {
-        UncertainObject::with_single_observation(1, Observation::exact(0, 3, 1).unwrap())
-    }
-
-    fn paper_window() -> QueryWindow {
-        QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+    fn exists_threshold(
+        chain: &MarkovChain,
+        object: &UncertainObject,
+        window: &QueryWindow,
+        tau: f64,
+        config: &EngineConfig,
+    ) -> Result<ThresholdOutcome> {
+        exists_threshold_with_stats(chain, object, window, tau, config, &mut EvalStats::new())
     }
 
     #[test]
@@ -151,7 +136,8 @@ mod tests {
         let o = object_at_s2();
         let w = paper_window();
         let config = EngineConfig::default();
-        let exact = object_based::exists_probability(&chain, &o, &w, &config).unwrap();
+        let exact = evaluate_one(&chain, &o, &w, &config, &mut EvalStats::new(), Exists);
+        let exact = exact.unwrap().probability;
         for tau in [0.01, 0.1, 0.3, 0.5, 0.8, 0.863, 0.865, 0.99] {
             let outcome = exists_threshold(&chain, &o, &w, tau, &config).unwrap();
             assert_eq!(
@@ -255,7 +241,7 @@ mod tests {
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
-        let exact = exhaustive::enumerate(&chain, &o, &w, 10_000).unwrap().exists();
+        let exact = oracle(&chain, &o, &w, 10_000).unwrap().exists();
         for tau in [0.05, 0.3, 0.5, 0.8, 0.9] {
             let outcome = exists_threshold(&chain, &o, &w, tau, &EngineConfig::default()).unwrap();
             assert_eq!(outcome.qualifies, exact >= tau, "τ = {tau}");

@@ -229,8 +229,7 @@ pub fn load_database(path: &Path) -> Result<TrajectoryDatabase, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ust_core::engine::{query_based, EngineConfig};
-    use ust_core::{EvalStats, QueryWindow};
+    use ust_core::{Query, QueryProcessor, QueryWindow, Strategy};
     use ust_space::TimeSet;
 
     fn sample_db() -> TrajectoryDatabase {
@@ -252,17 +251,12 @@ mod tests {
         assert_eq!(loaded.num_states(), db.num_states());
 
         let window = QueryWindow::from_states(200, 50usize..=60, TimeSet::interval(4, 8)).unwrap();
-        let a =
-            query_based::evaluate(&db, &window, &EngineConfig::default(), &mut EvalStats::new())
-                .unwrap();
-        let b = query_based::evaluate(
-            &loaded,
-            &window,
-            &EngineConfig::default(),
-            &mut EvalStats::new(),
-        )
-        .unwrap();
-        for (x, y) in a.iter().zip(&b) {
+        let spec = Query::exists().window(window).strategy(Strategy::QueryBased).build().unwrap();
+        let a = QueryProcessor::new(&db).execute(&spec).unwrap();
+        let b = QueryProcessor::new(&loaded).execute(&spec).unwrap();
+        let (a, b) = (a.probabilities().unwrap(), b.probabilities().unwrap());
+        assert_eq!(a.len(), db.len());
+        for (x, y) in a.iter().zip(b) {
             assert_eq!(x.object_id, y.object_id);
             assert!((x.probability - y.probability).abs() < 1e-12);
         }
@@ -270,8 +264,8 @@ mod tests {
 
     #[test]
     fn roundtrip_multi_model_and_multi_observation() {
-        let chain_a = ust_markov::testutil::random_chain(1, 50, 3);
-        let chain_b = ust_markov::testutil::random_chain(2, 50, 3);
+        let chain_a = ust_oracle::testutil::random_chain(1, 50, 3);
+        let chain_b = ust_oracle::testutil::random_chain(2, 50, 3);
         let mut db = TrajectoryDatabase::with_models(vec![chain_a, chain_b]).unwrap();
         db.insert(
             UncertainObject::new(

@@ -8,8 +8,9 @@
 //! the per-object PST∃Q probabilities (or, for occupancy at a single time,
 //! the sum of marginals).
 
-use ust_core::engine::{query_based, EngineConfig};
-use ust_core::{EvalStats, QueryWindow, Result, TrajectoryDatabase};
+use ust_core::{
+    Query, QueryError, QueryProcessor, QueryWindow, Result, Strategy, TrajectoryDatabase,
+};
 use ust_space::{network_gen, NetworkConfig, Region, RoadNetwork, TimeSet};
 
 use crate::network_data::{generate_on_network, NetworkDataset, NetworkObjectConfig};
@@ -38,10 +39,14 @@ pub fn generate(config: &TrafficConfig) -> NetworkDataset {
 }
 
 /// Expected number of objects intersecting `window` (Σ_o P∃(o)) — the
-/// paper's "how many cars will be in this segment in 10–15 minutes".
+/// paper's "how many cars will be in this segment in 10–15 minutes" — from
+/// one query-based ∃ query.
 pub fn expected_objects_in_window(db: &TrajectoryDatabase, window: &QueryWindow) -> Result<f64> {
-    let results =
-        query_based::evaluate(db, window, &EngineConfig::default(), &mut EvalStats::new())?;
+    let spec = Query::exists().window(window.clone()).strategy(Strategy::QueryBased).build()?;
+    let answer = QueryProcessor::new(db).execute(&spec)?;
+    let results = answer
+        .probabilities()
+        .ok_or(QueryError::Internal { invariant: "a probabilities query answers probabilities" })?;
     Ok(results.iter().map(|r| r.probability).sum())
 }
 

@@ -201,19 +201,25 @@ mod tests {
 
     #[test]
     fn max_line_nnz_reads_the_sliced_copy_without_transposing() {
-        for seed in 0..40 {
-            let mut rng = crate::testutil::rng(seed);
-            let n = 1 + (seed as usize * 7) % 60;
-            let m = match seed % 2 {
-                0 => crate::testutil::random_stochastic(&mut rng, n, 1 + seed as usize % 6),
-                _ => crate::testutil::random_banded_stochastic(&mut rng, n, 3, 10),
-            };
-            let chain = MarkovChain::from_csr(m).unwrap();
-            let widest = chain.max_line_nnz();
-            assert!(chain.transposed.get().is_none(), "reading it builds no Mᵀ");
-            let lines = [chain.matrix(), chain.transposed()];
-            let old = lines.iter().flat_map(|m| (0..m.nrows()).map(|i| m.row_nnz(i))).max();
-            assert_eq!(widest, old.unwrap_or(0), "seed {seed}");
+        // Rows fan out to 1..=5 successors and columns collect from up to
+        // 5 predecessors, so either line kind can be the widest. (Random
+        // chains: `tests/proptests.rs`.)
+        for n in [1usize, 2, 7, 23, 60] {
+            for spread in [1usize, 3, 5] {
+                let mut builder = crate::coo::CooBuilder::new(n, n);
+                for i in 0..n {
+                    let successors = 1 + (i * spread) % 5;
+                    for k in 0..successors {
+                        builder.push(i, (i * 3 + k) % n, 1.0).unwrap();
+                    }
+                }
+                let chain = MarkovChain::from_weights(builder.build()).unwrap();
+                let widest = chain.max_line_nnz();
+                assert!(chain.transposed.get().is_none(), "reading it builds no Mᵀ");
+                let lines = [chain.matrix(), chain.transposed()];
+                let old = lines.iter().flat_map(|m| (0..m.nrows()).map(|i| m.row_nnz(i))).max();
+                assert_eq!(widest, old.unwrap_or(0), "n = {n}, spread = {spread}");
+            }
         }
     }
 

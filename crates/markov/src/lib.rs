@@ -18,10 +18,6 @@
 //!   [`dense::DenseVector`] for whole-space vectors;
 //! * [`stochastic::StochasticMatrix`] / [`chain::MarkovChain`] — validated
 //!   transition matrices and chains (Definitions 5/6, Corollaries 1/2);
-//! * [`augmented`] — the paper's `M−`/`M+` constructions with the absorbing
-//!   ⊤ state (Section V), the doubled state space for multiple observations
-//!   (Section VI) and the k-times blow-up (Section VII), kept as executable
-//!   specifications the fast engines are cross-checked against;
 //! * [`kernels`] — the cache-blocked, SIMD-friendly span panel kernel
 //!   behind `CsrMatrix::step_batch` (forward steps) and the sliced-row
 //!   gather behind `MarkovChain::step_backward` (backward steps);
@@ -49,7 +45,6 @@
     reason = "the fixed-width SIMD propagation kernels (`kernels`); every block carries a \
               clippy-enforced safety comment"
 )]
-pub mod augmented;
 pub mod chain;
 pub mod coo;
 pub mod csr;
@@ -61,7 +56,6 @@ pub mod mask;
 pub mod span_vec;
 pub mod sparse_vec;
 pub mod stochastic;
-pub mod testutil;
 
 pub use chain::MarkovChain;
 pub use coo::CooBuilder;

@@ -3,13 +3,12 @@
 
 use proptest::prelude::*;
 
-use ust_markov::augmented;
 use ust_markov::kernels::GatherArm;
-use ust_markov::testutil;
 use ust_markov::{
     CsrMatrix, DenseVector, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask,
     StochasticMatrix,
 };
+use ust_oracle::{augmented, testutil};
 
 /// A batch of propagation vectors on both arms — scattered supports
 /// through either constructor, and (every third member) a contiguous
@@ -149,6 +148,23 @@ proptest! {
         let start = testutil::random_distribution(&mut rng, n, 2);
         let out = chain.propagate_sparse(&start, steps).unwrap();
         prop_assert!((out.sum() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn max_line_nnz_is_the_widest_row_or_column(
+        (seed, n, deg) in chain_params(),
+        banded in 0u8..=1,
+    ) {
+        let mut rng = testutil::rng(seed);
+        let m = match banded {
+            0 => testutil::random_stochastic(&mut rng, n, deg),
+            _ => testutil::random_banded_stochastic(&mut rng, n, 3, 10),
+        };
+        let chain = MarkovChain::from_csr(m).unwrap();
+        let widest = chain.max_line_nnz();
+        let lines = [chain.matrix(), chain.transposed()];
+        let old = lines.iter().flat_map(|m| (0..m.nrows()).map(|i| m.row_nnz(i))).max();
+        prop_assert_eq!(widest, old.unwrap_or(0));
     }
 
     #[test]

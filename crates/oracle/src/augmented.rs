@@ -17,7 +17,8 @@
 //! The production engines apply these operators *virtually* (they never
 //! materialize the augmented matrices; see `ust-core::engine`). The explicit
 //! constructions below serve as the executable specification the engines are
-//! cross-checked against, and remain practical for small state spaces.
+//! cross-checked against, and remain practical for small state spaces —
+//! with [`ktimes_distribution_blowup`], the k-times answer read off them.
 
 #![expect(
     clippy::expect_used,
@@ -27,10 +28,11 @@
               paper's block matrices and a Result-laden builder would bury the structure."
 )]
 
-use crate::coo::CooBuilder;
-use crate::csr::CsrMatrix;
+use ust_markov::{CooBuilder, CsrMatrix, DenseVector, MarkovChain, SparseVector, StateMask};
+use ust_space::TimeSet;
+
 use crate::error::Result;
-use crate::mask::StateMask;
+use crate::exhaustive::check_inputs;
 
 /// Index of the absorbing ⊤ state in the `exists_*` matrices.
 pub fn top_index(num_states: usize) -> usize {
@@ -158,13 +160,43 @@ pub fn ktimes_plus(m: &CsrMatrix, window: &StateMask, levels: usize) -> CsrMatri
 /// Validates that an augmented matrix is still row-stochastic — every
 /// construction in this module must preserve total probability mass.
 pub fn assert_stochastic(m: &CsrMatrix) -> Result<()> {
-    crate::stochastic::StochasticMatrix::new(m.clone()).map(|_| ())
+    ust_markov::StochasticMatrix::new(m.clone())?;
+    Ok(())
+}
+
+/// PSTkQ over the explicit blown-up matrices of Section VII
+/// (`S′ = S × {0..|T▫|}`): `P(k)` for `k ∈ {0..|T▫|}` of an object
+/// anchored at `anchor = (time, distribution)`. Exponential memory in
+/// nothing, but `(|T▫|+1)·|S|`-dimensional — for small instances only.
+pub fn ktimes_distribution_blowup(
+    chain: &MarkovChain,
+    anchor: (u32, &SparseVector),
+    states: &StateMask,
+    times: &TimeSet,
+) -> Result<Vec<f64>> {
+    check_inputs(chain, &[anchor], states, times)?;
+    let (t0, distribution) = anchor;
+    let n = chain.num_states();
+    let levels = times.len() + 1;
+    let minus = ktimes_minus(chain.matrix(), levels);
+    let plus = ktimes_plus(chain.matrix(), states, levels);
+
+    let mut v = DenseVector::zeros(levels * n);
+    for (s, p) in distribution.iter() {
+        // Footnote 3: anchor mass inside the window starts at level 1.
+        let level = usize::from(times.contains(t0) && states.contains(s));
+        v.set(level * n + s, p)?;
+    }
+    for t in t0..times.max().unwrap_or(t0) {
+        let m = if times.contains(t + 1) { &plus } else { &minus };
+        v = m.vecmat_dense(&v)?;
+    }
+    Ok((0..levels).map(|k| (0..n).map(|s| v.get(k * n + s)).sum()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseVector;
 
     fn paper_matrix() -> CsrMatrix {
         CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])

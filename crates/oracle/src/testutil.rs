@@ -1,9 +1,9 @@
-//! Shared test utilities: random chains and distributions.
+//! Shared test utilities: the paper's running chain, random chains and
+//! distributions.
 //!
-//! Exposed as a public module so downstream crates (`ust-core`'s
-//! cross-engine consistency suites, the benchmark harness) can generate the
-//! same families of random-but-reproducible chains. Not intended for
-//! production use.
+//! Every crate's test suites (and the examples) draw their
+//! random-but-reproducible chains and distributions from here, so they
+//! generate the same families. Not intended for production use.
 
 #![expect(
     clippy::expect_used,
@@ -15,10 +15,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chain::MarkovChain;
-use crate::coo::CooBuilder;
-use crate::csr::CsrMatrix;
-use crate::sparse_vec::SparseVector;
+use ust_markov::{CooBuilder, CsrMatrix, MarkovChain, SparseVector};
+
+/// The paper's running 3-state chain (Example 1): `s1 → s3`,
+/// `s2 → s1 | s3` (0.6 / 0.4), `s3 → s2 | s3` (0.8 / 0.2).
+pub fn paper_chain() -> MarkovChain {
+    let rows = [vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]];
+    MarkovChain::from_csr(CsrMatrix::from_dense(&rows).expect("rows of equal length"))
+        .expect("rows are stochastic")
+}
 
 /// A deterministic RNG for a given seed.
 pub fn rng(seed: u64) -> StdRng {
@@ -117,7 +122,7 @@ pub fn random_distribution(rng: &mut StdRng, n: usize, spread: usize) -> SparseV
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stochastic::StochasticMatrix;
+    use ust_markov::StochasticMatrix;
 
     #[test]
     fn random_stochastic_is_valid() {

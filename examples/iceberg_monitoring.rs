@@ -18,7 +18,7 @@
 //! Run with: `cargo run --release --example iceberg_monitoring`
 
 use ust::prelude::*;
-use ust_core::{smoothing, threshold};
+use ust_core::smoothing;
 use ust_data::iceberg::{self, IcebergConfig};
 
 fn main() -> Result<()> {
@@ -38,23 +38,22 @@ fn main() -> Result<()> {
     // relevant during the next 12 time steps.
     let lane = Region::rect(10.0, 18.0, 30.0, 22.0);
     let lane_window = QueryWindow::from_region(grid, &lane, TimeSet::interval(1, 12))?;
-    let config = EngineConfig::default();
+    let processor = QueryProcessor::new(db);
 
-    let mut risky = Vec::new();
-    for object in db.objects() {
-        let outcome =
-            threshold::exists_threshold(db.model_of(object), object, &lane_window, 0.05, &config)?;
-        if outcome.qualifies {
-            risky.push((object.id(), outcome.lower));
-        }
-    }
-    risky.sort_by(|a, b| b.1.total_cmp(&a.1));
+    // The threshold query picks the icebergs; a probabilities query scoped
+    // to them reads their exact risk.
+    let lane_risk = Query::exists().window(lane_window);
+    let accepted = processor.execute(&lane_risk.clone().threshold(0.05).build()?)?;
+    let accepted = accepted.ids().expect("threshold decorator");
+    let risky = processor.execute(&lane_risk.objects(accepted.iter().copied()).build()?)?;
+    let mut risky = risky.probabilities().expect("probabilities decorator").to_vec();
+    risky.sort_by(|a, b| b.probability.total_cmp(&a.probability));
     println!(
         "\nIcebergs with ≥5% probability of entering the shipping lane in t ∈ [1, 12]: {}",
         risky.len()
     );
-    for (id, p) in risky.iter().take(5) {
-        println!("  iceberg #{id}: P ≥ {p:.3}");
+    for r in risky.iter().take(5) {
+        println!("  iceberg #{}: P = {:.3}", r.object_id, r.probability);
     }
 
     // --- 2. Survey-area loitering ----------------------------------------
@@ -62,7 +61,6 @@ fn main() -> Result<()> {
     // in this region for a specified period of time."
     let survey = Region::circle(Point2::new(20.0, 20.0), 6.0);
     let survey_window = QueryWindow::from_region(grid, &survey, TimeSet::interval(2, 5))?;
-    let processor = QueryProcessor::new(db);
     let stay = processor
         .execute(&Query::forall().window(survey_window).strategy(Strategy::QueryBased).build()?)?;
     let stay = stay.probabilities().expect("probabilities decorator");

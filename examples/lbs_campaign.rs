@@ -13,7 +13,6 @@
 //! Run with: `cargo run --release --example lbs_campaign`
 
 use ust::prelude::*;
-use ust_core::engine::{ktimes, EngineConfig};
 use ust_data::{synthetic, SyntheticConfig};
 
 fn main() -> Result<()> {
@@ -28,11 +27,11 @@ fn main() -> Result<()> {
     // The mall covers states [100, 130]; the campaign runs at t ∈ [10, 15].
     let mall =
         QueryWindow::from_states(config.num_states, 100usize..=130, TimeSet::interval(10, 15))?;
-    let engine = EngineConfig::default();
+    let processor = QueryProcessor::new(&data.db);
 
     // --- Stage 1: cheap threshold prefilter -------------------------------
     let mut stats = EvalStats::new();
-    let candidates = QueryProcessor::new(&data.db).execute_with_stats(
+    let candidates = processor.execute_with_stats(
         &Query::exists()
             .window(mall.clone())
             .threshold(0.01)
@@ -50,13 +49,17 @@ fn main() -> Result<()> {
     );
 
     // --- Stage 2: dwell-time distribution for the candidates --------------
+    let dwell = processor.execute(
+        &Query::ktimes(1)
+            .window(mall.clone())
+            .objects(reachable.iter().copied())
+            .strategy(Strategy::ObjectBased)
+            .build()?,
+    )?;
     let mut tiers = [0usize; 3]; // bronze (1), silver (2-3), gold (4+)
     let mut total_expected_dwell = 0.0;
-    for &id in reachable {
-        let object =
-            data.db.objects().iter().find(|o| o.id() == id).expect("id from this database");
-        let dist =
-            ktimes::ktimes_distribution_ob(data.db.model_of(object), object, &mall, &engine)?;
+    for candidate in dwell.distributions().expect("probabilities decorator") {
+        let dist = &candidate.probabilities;
         let expected: f64 = dist.iter().enumerate().map(|(k, p)| k as f64 * p).sum();
         total_expected_dwell += expected;
         let p_ge = |k0: usize| -> f64 { dist.iter().skip(k0).sum() };
@@ -80,7 +83,6 @@ fn main() -> Result<()> {
     }
 
     // --- Stage 3: who never leaves? ----------------------------------------
-    let processor = QueryProcessor::new(&data.db);
     let stayers = processor.execute(&Query::forall().window(mall).build()?)?;
     let committed: Vec<_> = stayers
         .probabilities()

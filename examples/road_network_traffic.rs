@@ -16,7 +16,6 @@
 //! Run with: `cargo run --release --example road_network_traffic`
 
 use ust::prelude::*;
-use ust_core::engine::query_based;
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::traffic::{self, TrafficConfig};
 
@@ -65,14 +64,10 @@ fn main() -> Result<()> {
         classed.insert(object.clone().with_model(class))?;
     }
     let class_window = QueryWindow::from_states(n, 100usize..=140, TimeSet::interval(10, 15))?;
-    let results = query_based::evaluate(
-        &classed,
-        &class_window,
-        &EngineConfig::default(),
-        &mut EvalStats::new(),
-    )?;
+    let spec = Query::exists().window(class_window).strategy(Strategy::QueryBased).build()?;
+    let results = QueryProcessor::new(&classed).execute(&spec)?;
     let (mut car_sum, mut truck_sum) = (0.0, 0.0);
-    for (i, r) in results.iter().enumerate() {
+    for (i, r) in results.probabilities().expect("probabilities decorator").iter().enumerate() {
         if i % 2 == 0 {
             car_sum += r.probability;
         } else {

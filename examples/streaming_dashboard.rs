@@ -13,14 +13,14 @@
 //!
 //! Run with: `cargo run --release --example streaming_dashboard`
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ust::prelude::*;
 use ust_core::engine::query_based::BackwardField;
 use ust_data::iceberg::{self, IcebergConfig};
-use ust_markov::testutil;
 
 fn main() -> Result<()> {
     // Ocean + drift model from the iceberg scenario (chain reused for the
@@ -53,7 +53,7 @@ fn main() -> Result<()> {
     // Simulate 12 icebergs drifting along the chain, reporting noisy fixes
     // at irregular times. They spawn upstream of the lane (the prevailing
     // current runs toward larger rows/columns), so some will drift in.
-    let mut rng = testutil::rng(0xD45B);
+    let mut rng = StdRng::seed_from_u64(0xD45B);
     let mut positions: Vec<usize> = (0..12)
         .map(|_| {
             let row = rng.random_range(5..14);

@@ -4,11 +4,14 @@
 //! resumes from.
 //!
 //! The oracles are the routes the direct fields replaced or sit beside:
-//! the Section VII complement reduction, `engine::exhaustive`, the blown-up
-//! matrix construction and the object-based `C(t)` driver. Windows here
+//! the Section VII complement reduction, the oracle crate's possible-worlds
+//! enumeration and blown-up matrix construction, and the object-based
+//! `C(t)` rule. Windows here
 //! have arbitrary (non-contiguous) time sets and anchors may lie inside
 //! `T▫`, which the interval generator of `tests/proptest_engines.rs` never
 //! produces.
+
+mod common;
 
 use std::collections::BTreeMap;
 
@@ -16,15 +19,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use common::{blowup, oracle, reference, solo_distribution, solo_probability};
 use ust::prelude::*;
-use ust_core::engine::forall;
-use ust_core::engine::ktimes;
-use ust_core::engine::query_based::{self, BackwardField, FieldRule};
-use ust_core::engine::{exhaustive, object_based};
+use ust_core::engine::query_based::{BackwardField, FieldRule};
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // trait and the engine's enum).
 use ust_core::Strategy;
-use ust_markov::{testutil, PropagationVector, SpanVector, SpmvScratch};
+use ust_markov::{PropagationVector, SpanVector, SpmvScratch};
+use ust_oracle::testutil;
 use ust_space::TimeSet;
 
 const TOL: f64 = 1e-12;
@@ -193,7 +195,6 @@ proptest! {
             Some(w) => w,
             None => { prop_assume!(false); unreachable!() }
         };
-        let config = EngineConfig::default();
         // anchor_gap = 0 puts the anchor on min(T▫): inside the window.
         let anchor_time = window.t_start() - anchor_gap.min(window.t_start());
         let dist = testutil::random_distribution(&mut testutil::rng(seed ^ 0xA11), n, 2);
@@ -201,21 +202,22 @@ proptest! {
         let o = UncertainObject::with_single_observation(
             0, Observation::uncertain(anchor_time, dist).unwrap());
 
-        let direct = forall::forall_probability_qb(&chain, &o, &window, &config).unwrap();
-        let complement = window.complement_states().unwrap();
+        let forall = |strategy| Query::forall().window(window.clone()).strategy(strategy);
+        let direct = solo_probability(&chain, &o, forall(Strategy::QueryBased)).unwrap();
+        let complement = Query::exists().window(window.complement_states().unwrap());
         let reduced =
-            1.0 - query_based::exists_probability(&chain, &o, &complement, &config).unwrap();
+            1.0 - solo_probability(&chain, &o, complement.strategy(Strategy::QueryBased)).unwrap();
         prop_assert!((direct - reduced).abs() < TOL, "direct {direct} vs 1 − ∃(complement) {reduced}");
-        let ob = forall::forall_probability_ob(&chain, &o, &window, &config).unwrap();
+        let ob = solo_probability(&chain, &o, forall(Strategy::ObjectBased)).unwrap();
         prop_assert!((direct - ob).abs() < TOL, "direct {direct} vs OB {ob}");
-        let truth = exhaustive::enumerate(&chain, &o, &window, 1 << 22).unwrap();
+        let truth = oracle(&chain, &o, &window, 1 << 22).unwrap();
         prop_assert!((direct - truth.forall()).abs() < TOL,
             "direct {direct} vs exhaustive {}", truth.forall());
         prop_assert!((0.0..=1.0).contains(&direct));
 
         let stranded = UncertainObject::with_single_observation(
             1, Observation::exact(anchor_time, n + 1, n).unwrap());
-        let p = forall::forall_probability_qb(&chain, &stranded, &window, &config).unwrap();
+        let p = solo_probability(&chain, &stranded, forall(Strategy::QueryBased)).unwrap();
         prop_assert_eq!(p.to_bits(), 0.0f64.to_bits(), "unreachable object scored {}", p);
     }
 
@@ -237,12 +239,12 @@ proptest! {
             Some(w) => w,
             None => { prop_assume!(false); unreachable!() }
         };
-        let config = EngineConfig::default();
         let o = object(0, seed ^ 0xB0B, n, window.t_start() - anchor_gap.min(window.t_start()));
 
-        let qb = ktimes::ktimes_distribution_qb(&chain, &o, &window, &config).unwrap();
-        let ob = ktimes::ktimes_distribution_ob(&chain, &o, &window, &config).unwrap();
-        let blowup = ktimes::ktimes_distribution_blowup(&chain, &o, &window).unwrap();
+        let ktimes = |strategy| Query::ktimes(1).window(window.clone()).strategy(strategy);
+        let qb = solo_distribution(&chain, &o, ktimes(Strategy::QueryBased)).unwrap();
+        let ob = solo_distribution(&chain, &o, ktimes(Strategy::ObjectBased)).unwrap();
+        let blowup = blowup(&chain, &o, &window).unwrap();
         prop_assert_eq!(qb.len(), window.num_times() + 1);
         for k in 0..qb.len() {
             prop_assert!((qb[k] - blowup[k]).abs() < TOL, "k={k}: qb {qb:?} blowup {blowup:?}");
@@ -368,8 +370,15 @@ proptest! {
             query.window(window.clone()).strategy(Strategy::QueryBased).build().unwrap()
         };
         let (exists, forall) = (spec(Query::exists()), spec(Query::forall()));
-        let uncached = |rule| {
-            query_based::evaluate_rule(&db, &window, rule, &config, &mut EvalStats::new()).unwrap()
+        // The reference configuration's answer: one cache entry, filled by
+        // this query alone.
+        let at_reference = |query: QueryBuilder, strategy| {
+            let answer = reference(&db, query.window(window.clone()).strategy(strategy)).unwrap();
+            answer.probabilities().unwrap().to_vec()
+        };
+        let uncached = |rule| match rule {
+            FieldRule::ForAll => at_reference(Query::forall(), Strategy::QueryBased),
+            _ => at_reference(Query::exists(), Strategy::QueryBased),
         };
 
         for (spec, rule, miss) in [
@@ -391,11 +400,11 @@ proptest! {
         }
 
         // The two answers are different predicates, not one field read twice.
-        let e = object_based::evaluate(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let e = at_reference(Query::exists(), Strategy::ObjectBased);
         for (p, q) in uncached(FieldRule::Exists).iter().zip(&e) {
             prop_assert!((p.probability - q.probability).abs() < TOL);
         }
-        let a = forall::evaluate_object_based(&db, &window, &config, &mut EvalStats::new()).unwrap();
+        let a = at_reference(Query::forall(), Strategy::ObjectBased);
         for (p, q) in uncached(FieldRule::ForAll).iter().zip(&a) {
             prop_assert!((p.probability - q.probability).abs() < TOL);
         }

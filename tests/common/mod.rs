@@ -1,13 +1,96 @@
-//! Support shared by the integration tests: random instances and the
-//! `execute`-to-probabilities shorthand. Each test binary uses a subset.
+//! Support shared by the integration tests: random instances, the
+//! reference configuration, the `execute`-to-probabilities shorthand and
+//! the oracle on engine types. Each test binary uses a subset.
 #![allow(dead_code, reason = "each test binary uses a subset of these helpers")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ust::prelude::*;
-use ust_markov::{testutil, StateMask};
+use ust_markov::{SparseVector, StateMask};
+use ust_oracle::{testutil, ExhaustiveResult};
 use ust_space::TimeSet;
+
+/// The paper's window `{s1, s2} × [2, 3]`.
+pub fn paper_window() -> QueryWindow {
+    QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
+}
+
+/// The reference configuration every answer is checked against: one
+/// thread, one object per batch, one cache entry, no prefilter (the
+/// benchmark's `reference_config`).
+pub fn reference_config() -> EngineConfig {
+    EngineConfig::default()
+        .with_num_threads(1)
+        .with_batch_size(1)
+        .with_cache_capacity(1)
+        .with_prefilter(PrefilterMode::Off)
+}
+
+/// `builder` (window and strategy attached) executed over `db` by a fresh
+/// processor in the [`reference_config`].
+pub fn reference(db: &TrajectoryDatabase, builder: QueryBuilder) -> Result<QueryAnswer> {
+    QueryProcessor::with_config(db, reference_config()).execute(&builder.build()?)
+}
+
+/// `builder` executed over `object` alone — as model 0, on `chain` — in
+/// the [`reference_config`].
+pub fn solo(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    builder: QueryBuilder,
+) -> Result<QueryAnswer> {
+    let mut db = TrajectoryDatabase::new(chain.clone());
+    db.insert(object.clone().with_model(0))?;
+    reference(&db, builder)
+}
+
+/// [`solo`]'s one probability (an ∃ or ∀ query).
+pub fn solo_probability(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    builder: QueryBuilder,
+) -> Result<f64> {
+    Ok(solo(chain, object, builder)?.probabilities().expect("probabilities")[0].probability)
+}
+
+/// [`solo`]'s one visit-count distribution (a k-times query).
+pub fn solo_distribution(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    builder: QueryBuilder,
+) -> Result<Vec<f64>> {
+    let answer = solo(chain, object, builder)?;
+    Ok(answer.distributions().expect("distributions")[0].probabilities.clone())
+}
+
+/// Possible-worlds enumeration of `object` (every observation) against
+/// `window`.
+pub fn oracle(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    window: &QueryWindow,
+    budget: u64,
+) -> ust_oracle::Result<ExhaustiveResult> {
+    let observations: Vec<(u32, &SparseVector)> =
+        object.observations().iter().map(|o| (o.time(), o.distribution())).collect();
+    ust_oracle::enumerate(chain, &observations, window.states(), window.times(), budget)
+}
+
+/// The oracle's blown-up-matrix k-times distribution of `object`'s anchor.
+pub fn blowup(
+    chain: &MarkovChain,
+    object: &UncertainObject,
+    window: &QueryWindow,
+) -> ust_oracle::Result<Vec<f64>> {
+    let anchor = (object.anchor().time(), object.anchor().distribution());
+    ust_oracle::augmented::ktimes_distribution_blowup(
+        chain,
+        anchor,
+        window.states(),
+        window.times(),
+    )
+}
 
 /// A random query window over `n` states: each state joins `S▫` with
 /// probability 0.4; `T▫ = [t_start, t_start + t_len]`. `None` unless `S▫`

@@ -4,10 +4,9 @@
 
 mod common;
 
-use common::{dists, probs};
+use common::{dists, probs, reference};
 use ust::prelude::*;
 use ust_bench::baselines::independent;
-use ust_core::engine::ktimes;
 use ust_core::Strategy::{ObjectBased, QueryBased};
 use ust_data::network_data::{self, NetworkObjectConfig};
 use ust_data::{iceberg, synthetic, traffic, workload, SyntheticConfig};
@@ -52,12 +51,11 @@ fn parallel_threshold_and_prefilter_consistency() {
     let window = workload::paper_default_window(4_000).unwrap();
     let config = EngineConfig::default();
 
-    // Parallel == sequential.
-    let sequential =
-        ust_core::engine::object_based::evaluate(&data.db, &window, &config, &mut EvalStats::new())
-            .unwrap();
-    let pooled = QueryProcessor::with_config(&data.db, config.with_num_threads(4));
+    // Parallel == the reference configuration.
     let exists_ob = Query::exists().window(window.clone()).strategy(ObjectBased);
+    let sequential = reference(&data.db, exists_ob.clone()).unwrap();
+    let sequential = sequential.probabilities().unwrap();
+    let pooled = QueryProcessor::with_config(&data.db, config.with_num_threads(4));
     assert_eq!(probs(&pooled, exists_ob.clone()), sequential);
 
     // Threshold query == filtering the exact results.
@@ -197,9 +195,10 @@ fn ktimes_expected_visits_equals_marginal_sum_on_dataset() {
         ..SyntheticConfig::default()
     });
     let window = workload::paper_default_window(2_000).unwrap();
-    let config = EngineConfig::default();
-    let kdist =
-        ktimes::evaluate_query_based(&data.db, &window, &config, &mut EvalStats::new()).unwrap();
+    let kdist = dists(
+        &QueryProcessor::new(&data.db),
+        Query::ktimes(1).window(window.clone()).strategy(QueryBased),
+    );
     for (object, k) in data.db.objects().iter().zip(&kdist) {
         let marginals =
             independent::window_marginals(data.db.model_of(object), object, &window).unwrap();

@@ -12,11 +12,11 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{dists, probs};
+use common::{blowup, dists, oracle, probs, reference_config, solo_distribution, solo_probability};
 use ust::prelude::*;
 use ust_bench::baselines::monte_carlo::MonteCarlo;
-use ust_core::engine::{exhaustive, forall, ktimes, object_based, query_based};
-use ust_markov::testutil;
+use ust_core::Strategy::{ObjectBased, QueryBased};
+use ust_oracle::testutil;
 
 /// Strategy: a random banded stochastic chain with 3..=7 states.
 /// (`proptest::Strategy` spelled out — `ust::prelude` now also exports a
@@ -59,14 +59,15 @@ proptest! {
             states,
             TimeSet::interval(t_start, t_start + t_len),
         ).unwrap();
-        let config = EngineConfig::default();
+        let exists = Query::exists().window(window.clone());
+        let ktimes = Query::ktimes(1).window(window.clone());
 
-        let ob = object_based::exists_probability(&chain, &object, &window, &config).unwrap();
-        let qb = query_based::exists_probability(&chain, &object, &window, &config).unwrap();
-        let kd = ktimes::ktimes_distribution_ob(&chain, &object, &window, &config).unwrap();
-        let kq = ktimes::ktimes_distribution_qb(&chain, &object, &window, &config).unwrap();
-        let kb = ktimes::ktimes_distribution_blowup(&chain, &object, &window).unwrap();
-        let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+        let ob = solo_probability(&chain, &object, exists.clone().strategy(ObjectBased)).unwrap();
+        let qb = solo_probability(&chain, &object, exists.strategy(QueryBased)).unwrap();
+        let kd = solo_distribution(&chain, &object, ktimes.clone().strategy(ObjectBased)).unwrap();
+        let kq = solo_distribution(&chain, &object, ktimes.strategy(QueryBased)).unwrap();
+        let kb = blowup(&chain, &object, &window).unwrap();
+        let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
 
         prop_assert!((ob - qb).abs() < 1e-9, "OB {ob} vs QB {qb}");
         prop_assert!((ob - oracle.exists()).abs() < 1e-9, "OB {ob} vs oracle {}", oracle.exists());
@@ -92,12 +93,13 @@ proptest! {
         prop_assume!(!states.is_empty());
         let window =
             QueryWindow::from_states(n, states, TimeSet::interval(1, 1 + t_len)).unwrap();
-        let config = EngineConfig::default();
+        let forall = Query::forall().window(window.clone());
+        let ktimes = Query::ktimes(1).window(window.clone()).strategy(ObjectBased);
 
-        let fa_ob = forall::forall_probability_ob(&chain, &object, &window, &config).unwrap();
-        let fa_qb = forall::forall_probability_qb(&chain, &object, &window, &config).unwrap();
-        let kd = ktimes::ktimes_distribution_ob(&chain, &object, &window, &config).unwrap();
-        let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+        let fa_ob = solo_probability(&chain, &object, forall.clone().strategy(ObjectBased)).unwrap();
+        let fa_qb = solo_probability(&chain, &object, forall.strategy(QueryBased)).unwrap();
+        let kd = solo_distribution(&chain, &object, ktimes).unwrap();
+        let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
 
         prop_assert!((fa_ob - fa_qb).abs() < 1e-9);
         prop_assert!((fa_ob - kd[kd.len() - 1]).abs() < 1e-9);
@@ -112,13 +114,15 @@ proptest! {
         let chain = build_chain(seed, n);
         let object = build_object(seed, n, 0);
         let window = QueryWindow::from_states(n, [0usize], TimeSet::interval(2, 4)).unwrap();
-        let exact = object_based::exists_probability(
-            &chain, &object, &window, &EngineConfig::default()).unwrap();
+        let exists = Query::exists().window(window).strategy(ObjectBased);
+        let exact = solo_probability(&chain, &object, exists.clone()).unwrap();
         let eps = 10f64.powi(-(eps_exp as i32));
+        let mut db = TrajectoryDatabase::new(chain);
+        db.insert(object).unwrap();
+        let pruning = QueryProcessor::with_config(&db, reference_config().with_epsilon(eps));
         let mut stats = EvalStats::new();
-        let pruned = object_based::exists_probability_with_stats(
-            &chain, &object, &window,
-            &EngineConfig::default().with_epsilon(eps), &mut stats).unwrap();
+        let pruned = pruning.execute_with_stats(&exists.build().unwrap(), &mut stats).unwrap();
+        let pruned = pruned.probabilities().unwrap()[0].probability;
         prop_assert!(
             (exact - pruned).abs() <= stats.pruned_mass + 1e-12,
             "error {} exceeds dropped mass {}", (exact - pruned).abs(), stats.pruned_mass
@@ -134,9 +138,8 @@ fn monte_carlo_confidence_band() {
         let chain = build_chain(seed, n);
         let object = build_object(seed, n, 0);
         let window = QueryWindow::from_states(n, [0usize, 1], TimeSet::interval(2, 4)).unwrap();
-        let exact =
-            object_based::exists_probability(&chain, &object, &window, &EngineConfig::default())
-                .unwrap();
+        let exists = Query::exists().window(window.clone()).strategy(ObjectBased);
+        let exact = solo_probability(&chain, &object, exists).unwrap();
         let samples = 20_000;
         let estimate =
             MonteCarlo::new(samples, seed).exists_probability(&chain, &object, &window).unwrap();

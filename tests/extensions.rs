@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::probs;
+use common::{probs, reference};
 use ust::prelude::*;
 use ust_core::Strategy::{Auto, ObjectBased, QueryBased};
 use ust_data::{io, synthetic, workload, SyntheticConfig};
@@ -92,13 +92,8 @@ fn planner_envelopes_decide_thresholds_without_changing_answers() {
     db.attach_space(std::sync::Arc::new(base.space)).unwrap();
 
     let window = workload::paper_default_window(n).unwrap();
-    let reference = ust_core::engine::object_based::evaluate(
-        &db,
-        &window,
-        &EngineConfig::default(),
-        &mut EvalStats::new(),
-    )
-    .unwrap();
+    let reference = reference(&db, Query::exists().window(window.clone()).strategy(ObjectBased));
+    let reference = reference.unwrap().probabilities().unwrap().to_vec();
     let subset: Vec<u64> = db.objects().iter().map(|o| o.id()).filter(|id| id % 3 != 1).collect();
     let run = |db: &TrajectoryDatabase, mode, spec: &ust_core::QuerySpec| {
         let config = EngineConfig::default().with_prefilter(mode);

@@ -6,19 +6,13 @@ mod common;
 
 use std::sync::Arc;
 
-use common::gate_workers;
+use common::{gate_workers, oracle, reference_config, solo_probability};
 use ust::prelude::*;
-use ust_core::engine::{exhaustive, forall, object_based, query_based};
+use ust_core::engine::object_based;
 use ust_core::{multi_obs, smoothing, QueryError};
 use ust_markov::{MarkovError, StochasticMatrix};
-
-fn paper_chain() -> MarkovChain {
-    MarkovChain::from_csr(
-        CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-            .unwrap(),
-    )
-    .unwrap()
-}
+use ust_oracle::testutil::paper_chain;
+use ust_oracle::OracleError;
 
 #[test]
 fn non_stochastic_matrices_are_rejected() {
@@ -96,14 +90,13 @@ fn full_space_forall_is_rejected_by_every_exact_route() {
         }
     }
 
-    // The reference drivers check the window first too.
-    let config = EngineConfig::default();
+    // The reference configuration checks the window first too.
+    let reference = QueryProcessor::with_config(&db, reference_config());
     let mut stats = EvalStats::new();
-    for answer in [
-        forall::evaluate_object_based(&db, &full, &config, &mut stats),
-        forall::evaluate_query_based(&db, &full, &config, &mut stats),
-    ] {
-        assert_eq!(answer, Err(QueryError::EmptySpatialWindow));
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased] {
+        let spec = Query::forall().window(full.clone()).strategy(strategy).build().unwrap();
+        let answer = reference.execute_with_stats(&spec, &mut stats).map(drop);
+        assert_eq!(answer, Err(QueryError::EmptySpatialWindow), "{strategy:?}");
     }
     assert_eq!(stats.backward_steps, 0, "no route swept a field before rejecting");
 }
@@ -225,13 +218,16 @@ fn window_before_observation_is_rejected_by_all_engines() {
         UncertainObject::with_single_observation(1, Observation::exact(10, 3, 0).unwrap());
     let window = QueryWindow::from_states(3, [0usize], TimeSet::interval(2, 4)).unwrap();
     let config = EngineConfig::default();
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+        let exists = Query::exists().window(window.clone()).strategy(strategy);
+        assert!(matches!(
+            solo_probability(&chain, &late_object, exists),
+            Err(QueryError::WindowBeforeObservation { .. })
+        ));
+    }
     assert!(matches!(
-        object_based::exists_probability(&chain, &late_object, &window, &config),
-        Err(QueryError::WindowBeforeObservation { .. })
-    ));
-    assert!(matches!(
-        query_based::exists_probability(&chain, &late_object, &window, &config),
-        Err(QueryError::WindowBeforeObservation { .. })
+        oracle(&chain, &late_object, &window, 1 << 20),
+        Err(OracleError::WindowBeforeObservation { window_start: 2, observation: 10 })
     ));
     assert!(matches!(
         multi_obs::exists_probability_multi(&chain, &late_object, &window, &config),
@@ -288,8 +284,8 @@ fn impossible_evidence_is_consistent_across_engines() {
         Err(QueryError::ImpossibleEvidence)
     );
     assert_eq!(
-        exhaustive::enumerate(&chain, &contradictory, &window, 1 << 20).map(|r| r.exists()),
-        Err(QueryError::ImpossibleEvidence)
+        oracle(&chain, &contradictory, &window, 1 << 20).map(|r| r.exists()),
+        Err(OracleError::ImpossibleEvidence)
     );
     assert_eq!(
         smoothing::smoothed_distribution(&chain, &contradictory, 1).map(|_| ()),
@@ -297,18 +293,59 @@ fn impossible_evidence_is_consistent_across_engines() {
     );
 }
 
+/// Every input `object_based::validate` rejects is rejected by the front
+/// door (at `insert` or at `execute`, under every strategy) and by the
+/// oracle's own checks, which share no code with it.
+#[test]
+fn the_oracle_and_execute_reject_what_validate_rejects() {
+    let chain = paper_chain();
+    let at_s2 = UncertainObject::with_single_observation(1, Observation::exact(2, 3, 1).unwrap());
+    let fits = QueryWindow::from_states(3, [0usize], TimeSet::interval(2, 3)).unwrap();
+    let cases = [
+        // A window state ≥ |S|: the mask is one state wider than the chain.
+        ("window state ≥ |S|", QueryWindow::from_states(4, [3usize], TimeSet::at(3)).unwrap()),
+        ("window before the first observation", {
+            QueryWindow::from_states(3, [0usize], TimeSet::interval(1, 3)).unwrap()
+        }),
+    ];
+    for (case, window) in cases {
+        assert!(object_based::validate(&chain, &at_s2, &window).is_err(), "{case}");
+        for strategy in [Strategy::ObjectBased, Strategy::QueryBased, Strategy::Auto] {
+            let exists = Query::exists().window(window.clone()).strategy(strategy);
+            let engine = solo_probability(&chain, &at_s2, exists);
+            assert_eq!(engine.map(drop), object_based::validate(&chain, &at_s2, &window), "{case}");
+        }
+        assert!(oracle(&chain, &at_s2, &window, 1 << 20).is_err(), "{case}");
+    }
+    assert!(matches!(
+        oracle(&chain, &at_s2, &QueryWindow::from_states(4, [3usize], TimeSet::at(3)).unwrap(), 9),
+        Err(OracleError::WindowDimension { num_states: 3, found: 4 })
+    ));
+
+    // An object over another state space: `insert` refuses it, and so does
+    // the oracle.
+    let wide = UncertainObject::with_single_observation(2, Observation::exact(2, 4, 3).unwrap());
+    assert!(object_based::validate(&chain, &wide, &fits).is_err());
+    let mut db = TrajectoryDatabase::new(chain.clone());
+    assert!(matches!(db.insert(wide.clone()), Err(QueryError::ModelDimensionMismatch { .. })));
+    assert_eq!(
+        oracle(&chain, &wide, &fits, 1 << 20),
+        Err(OracleError::ObservationDimension { num_states: 3, found: 4 })
+    );
+}
+
 #[test]
 fn exhaustive_budget_guard() {
     // A 20-state dense-ish chain over 20 steps overflows a tiny budget.
-    let mut rng = ust_markov::testutil::rng(5);
+    let mut rng = ust_oracle::testutil::rng(5);
     let chain =
-        MarkovChain::from_csr(ust_markov::testutil::random_stochastic(&mut rng, 20, 4)).unwrap();
+        MarkovChain::from_csr(ust_oracle::testutil::random_stochastic(&mut rng, 20, 4)).unwrap();
     let object = UncertainObject::with_single_observation(1, Observation::exact(0, 20, 0).unwrap());
     let window = QueryWindow::from_states(20, [5usize], TimeSet::interval(15, 20)).unwrap();
-    assert!(matches!(
-        exhaustive::enumerate(&chain, &object, &window, 1_000),
-        Err(QueryError::ExhaustiveBudgetExceeded { budget: 1_000 })
-    ));
+    assert_eq!(
+        oracle(&chain, &object, &window, 1_000),
+        Err(OracleError::BudgetExceeded { budget: 1_000 })
+    );
 }
 
 #[test]
@@ -326,11 +363,10 @@ fn degenerate_chain_sizes() {
     let chain = MarkovChain::from_csr(CsrMatrix::identity(1)).unwrap();
     let object = UncertainObject::with_single_observation(1, Observation::exact(0, 1, 0).unwrap());
     let window = QueryWindow::from_states(1, [0usize], TimeSet::interval(1, 3)).unwrap();
-    let config = EngineConfig::default();
-    let p = object_based::exists_probability(&chain, &object, &window, &config).unwrap();
-    assert_eq!(p, 1.0);
-    let q = query_based::exists_probability(&chain, &object, &window, &config).unwrap();
-    assert_eq!(q, 1.0);
+    for strategy in [Strategy::ObjectBased, Strategy::QueryBased] {
+        let exists = Query::exists().window(window.clone()).strategy(strategy);
+        assert_eq!(solo_probability(&chain, &object, exists).unwrap(), 1.0, "{strategy:?}");
+    }
 }
 
 // --- Streaming ingest failure modes -------------------------------------

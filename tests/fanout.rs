@@ -2,10 +2,10 @@
 //! order when the survivors lie dense, in blocks of
 //! [`plan::FETCH_BLOCK`] when they lie sparse ([`plan::sparse_survivors`]),
 //! and — for a threshold — compared with τ where it is computed. Whatever
-//! the walk, every answer equals the sequential reference drivers
-//! (`query_based::evaluate_rule`, `ktimes::evaluate_query_based`) to the
-//! bit, filtered by `≥ τ` or sorted by `(p desc, id asc)` where the
-//! decorator asks.
+//! the walk, every answer equals the reference configuration's (one
+//! thread, batch 1, no prefilter: every object's dot product, in store
+//! order) to the bit, filtered by `≥ τ` or sorted by `(p desc, id asc)`
+//! where the decorator asks.
 //!
 //! Stores: near objects (their anchors can reach the window) among far
 //! ones (the index prunes them), spaced [`GAP`] slots apart (sparse),
@@ -13,13 +13,15 @@
 //! and multi-observation objects. Near counts walk the block edges: 0, 1,
 //! a block less one, a block, a block and one, two blocks and one.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::reference;
 use ust::prelude::*;
-use ust_core::engine::query_based::{self, FieldRule};
-use ust_core::engine::{ktimes, plan, PrefilterMode};
+use ust_core::engine::{plan, PrefilterMode};
 use ust_core::{ObjectKDistribution, ObjectProbability, QuerySpec};
-use ust_markov::testutil;
+use ust_oracle::testutil;
 use ust_space::TimeSet;
 
 /// Line states.
@@ -150,15 +152,13 @@ fn every_walk_answers_as_the_reference_drivers() {
         for near in COUNTS {
             let (db, slots) = store(layout, near);
             let near_ids: Vec<u64> = slots.iter().map(|&slot| slot as u64).collect();
-            let reference = |rule| {
-                let stats = &mut EvalStats::new();
-                query_based::evaluate_rule(&db, &window(), rule, &config(1), stats).unwrap()
+            let reference = |query: QueryBuilder| {
+                let spec = query.window(window()).strategy(Strategy::QueryBased);
+                reference(&db, spec).unwrap()
             };
-            let exists = reference(FieldRule::Exists);
-            let forall = reference(FieldRule::ForAll);
-            let levels =
-                ktimes::evaluate_query_based(&db, &window(), &config(1), &mut EvalStats::new())
-                    .unwrap();
+            let exists = reference(Query::exists()).probabilities().unwrap().to_vec();
+            let forall = reference(Query::forall()).probabilities().unwrap().to_vec();
+            let levels = reference(Query::ktimes(1)).distributions().unwrap().to_vec();
             // τ at a computed probability's exact bits: a near object's.
             let tau = slots.get(near / 2).map_or(0.5, |&slot| exists[slot].probability);
             assert!(

@@ -11,15 +11,15 @@
 //!   every mask, under both rules, has the words and count of a test-local
 //!   build that reads the predecessor rows of every target state, on
 //!   chains whose masks nest and on a shift chain whose masks do not;
-//! * **∃ did not move by a bit** — OB probabilities equal a test-local
-//!   *untrimmed* sweep (`PropagationVector::step` + `extract_masked`) to
-//!   the bit, at every batch size and through the single-object driver; the
-//!   threshold and top-k decorators equal filtering / sorting those
-//!   probabilities.
+//! * **∃ did not move by a bit** — OB probabilities equal the oracle
+//!   crate's *untrimmed* sweep (`PropagationVector::step` +
+//!   `extract_masked`) to the bit, at every batch size; the threshold and
+//!   top-k decorators equal filtering / sorting those probabilities.
 //! * **∀ and k-times moved within rounding only** — OB answers sit within
 //!   1e-12 of the query-based field (and of exhaustive enumeration on
 //!   instances small enough to enumerate), every probability lies in
-//!   `[0, 1]` exactly, and visit-count distributions sum to 1.
+//!   `[0, 1]` exactly, visit-count distributions sum to 1, and a batch of
+//!   one answers to the bit as the default batch does.
 //! * **an object outside the reach costs nothing** — it is answered `0.0` /
 //!   `[1, 0, …, 0]` with zero transitions, and is counted as evaluated, not
 //!   pruned.
@@ -30,15 +30,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use common::{bit_diff, dists, probs};
+use common::{bit_diff, dists, oracle, probs};
 use ust::prelude::*;
 use ust_core::engine::reach::{ReachRule, ReachSchedule};
-use ust_core::engine::{exhaustive, forall, ktimes, object_based};
-use ust_core::threshold;
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // strategy trait vs. the planner override enum); the planner enum wins.
 use ust_core::Strategy::{ObjectBased, QueryBased};
-use ust_markov::{testutil, PropagationVector, SpmvScratch, StateMask};
+use ust_markov::StateMask;
+use ust_oracle::testutil;
 use ust_space::TimeSet;
 
 /// How tightly the trimmed ∀ / k-times answers must track the references.
@@ -106,24 +105,11 @@ fn random_window(rng: &mut StdRng, n: usize, t_start: u32, single_time: bool) ->
     QueryWindow::from_states(n, states, TimeSet::new(times)).unwrap()
 }
 
-/// PST∃Q by the textbook forward loop, with no reach trimming: step the
-/// whole distribution to `t_end`, moving the window mass to ⊤ at every
-/// query time. The reference the trimmed sweep must equal to the bit.
+/// PST∃Q by the oracle crate's textbook forward loop, with no reach
+/// trimming: the reference the trimmed sweep must equal to the bit.
 fn untrimmed_exists(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> f64 {
-    let anchor = object.anchor();
-    let mut v = PropagationVector::from_sparse(anchor.distribution().clone());
-    let mut scratch = SpmvScratch::new();
-    let mut hit = 0.0;
-    if window.time_in_window(anchor.time()) {
-        hit += v.extract_masked(window.states());
-    }
-    for t in anchor.time()..window.t_end() {
-        v.step(chain.matrix(), &mut scratch).unwrap();
-        if window.time_in_window(t + 1) {
-            hit += v.extract_masked(window.states());
-        }
-    }
-    hit.min(1.0)
+    let anchor = (object.anchor().time(), object.anchor().distribution());
+    ust_oracle::textbook::untrimmed_exists(chain, anchor, window.states(), window.times()).unwrap()
 }
 
 /// The reach masks for `t0..=t_end` rebuilt from scratch at every step:
@@ -249,23 +235,6 @@ proptest! {
             .collect();
         let exists = Query::exists().window(window.clone()).strategy(ObjectBased);
 
-        // The single-object reference driver and the threshold bounds.
-        let config = EngineConfig::default();
-        for (object, expected) in db.objects().iter().zip(&reference) {
-            let chain = db.model_of(object);
-            let single = object_based::exists_probability(chain, object, &window, &config).unwrap();
-            prop_assert_eq!(single.to_bits(), expected.probability.to_bits(),
-                "single-object ∃ {} vs untrimmed {}", single, expected.probability);
-            let outcome = threshold::exists_threshold(chain, object, &window, tau, &config).unwrap();
-            prop_assert_eq!(outcome.qualifies, expected.probability >= tau,
-                "τ = {}: {:?} vs untrimmed {}", tau, outcome, expected.probability);
-            // `⊤ + alive` is summed in a different order than ⊤ alone ends
-            // up being: the bracket holds up to rounding.
-            prop_assert!(outcome.lower <= expected.probability + ROUNDING
-                && expected.probability <= outcome.upper + ROUNDING,
-                "bounds {:?} must bracket {}", outcome, expected.probability);
-        }
-
         let accepted: Vec<u64> = reference
             .iter()
             .filter(|r| r.probability >= tau)
@@ -316,13 +285,19 @@ proptest! {
         let forall_spec = Query::forall().window(window.clone());
         let ktimes_spec = Query::ktimes(1).window(window.clone());
         let forall_ob = probs(&processor, forall_spec.clone().strategy(ObjectBased));
-        let forall_qb = probs(&processor, forall_spec.strategy(QueryBased));
+        let forall_qb = probs(&processor, forall_spec.clone().strategy(QueryBased));
         let ktimes_ob = dists(&processor, ktimes_spec.clone().strategy(ObjectBased));
-        let ktimes_qb = dists(&processor, ktimes_spec.strategy(QueryBased));
+        let ktimes_qb = dists(&processor, ktimes_spec.clone().strategy(QueryBased));
+        // Invariant 7: a batch of one runs the same trimmed core.
+        for (spec, answer) in [
+            (forall_spec.strategy(ObjectBased), QueryAnswer::Probabilities(forall_ob.clone())),
+            (ktimes_spec.strategy(ObjectBased), QueryAnswer::Distributions(ktimes_ob.clone())),
+        ] {
+            prop_assert_eq!(bit_diff(&execute(&db, 1, &spec), &answer), Ok(()));
+        }
         // Enumeration walks every path: only instances it can finish.
         let enumerable = n <= 8;
 
-        let config = EngineConfig::default();
         let unit = |p: &f64| (0.0..=1.0).contains(p);
         for (idx, object) in db.objects().iter().enumerate() {
             let chain = db.model_of(object);
@@ -337,15 +312,8 @@ proptest! {
                 prop_assert!((ob - qb).abs() <= ROUNDING, "k OB {:?} vs QB {:?}",
                     kd, ktimes_qb[idx].probabilities);
             }
-            // Invariant 7: the single-object reference drivers run the same
-            // trimmed core as `execute`.
-            let fa_single = forall::forall_probability_ob(chain, object, &window, &config).unwrap();
-            prop_assert_eq!(fa_single.to_bits(), fa.to_bits());
-            let kd_single = ktimes::ktimes_distribution_ob(chain, object, &window, &config).unwrap();
-            prop_assert_eq!(kd_single.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                kd.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
             if enumerable {
-                let truth = exhaustive::enumerate(chain, object, &window, 1 << 22).unwrap();
+                let truth = oracle(chain, object, &window, 1 << 22).unwrap();
                 prop_assert!((fa - truth.forall()).abs() <= ROUNDING,
                     "∀ OB {} vs exhaustive {}", fa, truth.forall());
                 for (ob, expected) in kd.iter().zip(&truth.ktimes) {

@@ -9,9 +9,11 @@
 //! the property below drives both with anchors on either side of the
 //! window's end — including overlay entries first observed after it — over
 //! databases that straddle the probe's 64-bit words, checks the exact
-//! survivor set against [`brute_force_candidates`] (which shares no code
-//! with the index) and the result against both exact engines, so neither
+//! survivor set against the oracle crate's cone filter (which shares no
+//! code with the index) and the result against both exact engines, so neither
 //! path can drop an object that has a chance of being in the window.
+
+mod common;
 
 use std::sync::Arc;
 
@@ -19,12 +21,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use common::reference;
 use ust::prelude::*;
 use ust_core::engine::query_based::BackwardField;
-use ust_core::engine::{object_based, query_based};
 use ust_core::prefilter::{Superlevel, SUPERLEVEL_MARGIN};
+// Explicit import: both glob preludes export a `Strategy`.
 use ust_core::SpatioTemporalIndex;
-use ust_markov::testutil;
+use ust_core::Strategy::{ObjectBased, QueryBased};
+use ust_oracle::testutil;
 
 /// An object on a line of `n` states, anchored — exactly or spread over two
 /// states — at a random time in `t_min..t_min + 6`.
@@ -38,37 +42,15 @@ fn random_object(rng: &mut StdRng, id: u64, n: usize, t_min: u32) -> UncertainOb
     UncertainObject::with_single_observation(id, observation)
 }
 
-/// The cone filter written from its definition, one object at a time, on
-/// a line of states (state `s` at `x = s`): the chain moves at most
-/// `max_step` states per transition, so an object anchored at `a ≤ t_end`
-/// with anchor centroid `c` and support radius `r` may be in the window's
-/// span `[lo, hi]` by `t_end` only if `dist(c, [lo, hi]) ≤ (t_end − a) ·
-/// max_step + r`.
+/// The oracle crate's brute-force cone filter over `objects`' anchors.
 fn brute_force_candidates(
     chain: &MarkovChain,
     objects: &[UncertainObject],
     window: &QueryWindow,
 ) -> Vec<usize> {
-    let matrix = chain.matrix();
-    let max_step = (0..chain.num_states())
-        .flat_map(|i| matrix.row(i).0.iter().map(move |&j| (j as f64 - i as f64).abs()))
-        .fold(0.0f64, f64::max);
-    let states: Vec<usize> = window.states().iter().collect();
-    let (lo, hi) = (states[0] as f64, states[states.len() - 1] as f64);
-    let t_end = window.t_end();
-    let reaches = |object: &UncertainObject| {
-        let anchor = object.anchor();
-        let (mut weighted, mut total) = (0.0, 0.0);
-        for (s, p) in anchor.distribution().iter() {
-            weighted += s as f64 * p;
-            total += p;
-        }
-        let c = if total > 0.0 { weighted / total } else { 0.0 };
-        let r = anchor.distribution().iter().map(|(s, _)| (s as f64 - c).abs()).fold(0.0, f64::max);
-        let dist = (lo - c).max(0.0).max(c - hi);
-        anchor.time() <= t_end && dist <= f64::from(t_end - anchor.time()) * max_step + r
-    };
-    (0..objects.len()).filter(|&i| reaches(&objects[i])).collect()
+    let anchors: Vec<_> =
+        objects.iter().map(|o| (o.anchor().time(), o.anchor().distribution())).collect();
+    ust_oracle::cone::line_candidates(chain, &anchors, window.states(), window.times())
 }
 
 fn database(chain: &MarkovChain, objects: &[UncertainObject]) -> TrajectoryDatabase {
@@ -87,9 +69,11 @@ fn exact_exists(
     let valid: Vec<usize> =
         (0..objects.len()).filter(|&i| objects[i].anchor().time() <= window.t_start()).collect();
     let db = database(chain, &valid.iter().map(|&i| objects[i].clone()).collect::<Vec<_>>());
-    let config = EngineConfig::default();
-    let ob = object_based::evaluate(&db, window, &config, &mut EvalStats::new()).unwrap();
-    let qb = query_based::evaluate(&db, window, &config, &mut EvalStats::new()).unwrap();
+    let exists = |strategy| {
+        let answer = reference(&db, Query::exists().window(window.clone()).strategy(strategy));
+        answer.unwrap().probabilities().unwrap().to_vec()
+    };
+    let (ob, qb) = (exists(ObjectBased), exists(QueryBased));
     valid
         .into_iter()
         .zip(ob.iter().zip(&qb))

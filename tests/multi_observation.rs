@@ -2,12 +2,14 @@
 //! state-space PST∃Q with multiple observations and forward–backward
 //! smoothing, both against the exhaustive possible-worlds oracle.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{oracle, solo_probability};
 use ust::prelude::*;
-use ust_core::engine::exhaustive;
 use ust_core::{multi_obs, smoothing, QueryError};
-use ust_markov::testutil;
+use ust_oracle::{testutil, OracleError};
 
 fn build_chain(seed: u64, n: usize) -> MarkovChain {
     let mut rng = testutil::rng(seed);
@@ -55,13 +57,13 @@ proptest! {
             n, [0usize], TimeSet::interval(t_lo, t_lo + t_len)).unwrap();
         let exact = multi_obs::exists_probability_multi(
             &chain, &object, &window, &EngineConfig::default());
-        let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22);
+        let oracle = oracle(&chain, &object, &window, 1 << 22);
         match (exact, oracle) {
             (Ok(p), Ok(o)) => {
                 prop_assert!((p - o.exists()).abs() < 1e-9,
                     "multi-obs {p} vs oracle {}", o.exists());
             }
-            (Err(QueryError::ImpossibleEvidence), Err(QueryError::ImpossibleEvidence)) => {}
+            (Err(QueryError::ImpossibleEvidence), Err(OracleError::ImpossibleEvidence)) => {}
             (a, b) => prop_assert!(false, "divergent outcomes: {a:?} vs {b:?}"),
         }
     }
@@ -87,7 +89,7 @@ proptest! {
         let mut total = 0.0;
         for s in 0..n {
             let window = QueryWindow::from_states(n, [s], TimeSet::at(t)).unwrap();
-            let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+            let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
             prop_assert!((smoothed.get(s) - oracle.exists()).abs() < 1e-9,
                 "state {s}: smoothed {} vs oracle {}", smoothed.get(s), oracle.exists());
             total += smoothed.get(s);
@@ -111,8 +113,8 @@ proptest! {
         let config = EngineConfig::default();
         let multi = multi_obs::exists_probability_multi(&chain, &object, &window, &config)
             .unwrap();
-        let plain = ust_core::engine::object_based::exists_probability(
-            &chain, &object, &window, &config).unwrap();
+        let exists = Query::exists().window(window).strategy(ust_core::Strategy::ObjectBased);
+        let plain = solo_probability(&chain, &object, exists).unwrap();
         prop_assert!((multi - plain).abs() < 1e-12);
     }
 }
@@ -143,7 +145,7 @@ fn three_observations_are_fused_in_order() {
     let window = QueryWindow::from_states(4, [1usize], TimeSet::at(1)).unwrap();
     let p = multi_obs::exists_probability_multi(&chain, &object, &window, &EngineConfig::default())
         .unwrap();
-    let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 20).unwrap();
+    let oracle = oracle(&chain, &object, &window, 1 << 20).unwrap();
     assert!((p - oracle.exists()).abs() < 1e-12);
     // Both routes (via s2 or s3) are consistent with all three fixes, so
     // the window {s2}×{1} is hit with probability 1/2.

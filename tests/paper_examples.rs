@@ -3,22 +3,14 @@
 
 mod common;
 
-use common::{dists, probs};
+use common::{dists, oracle, paper_window, probs, solo_probability};
 use ust::prelude::*;
 use ust_bench::baselines::monte_carlo::MonteCarlo;
-use ust_core::engine::{exhaustive, forall};
 use ust_core::multi_obs;
 use ust_core::Strategy::{ObjectBased, QueryBased};
+use ust_oracle::testutil::paper_chain;
 
 /// The running-example chain of Section V.
-fn paper_chain() -> MarkovChain {
-    MarkovChain::from_csr(
-        CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-            .unwrap(),
-    )
-    .unwrap()
-}
-
 /// The Section VI variant (row s2 = 0.5 / 0.5).
 fn section6_chain() -> MarkovChain {
     MarkovChain::from_csr(
@@ -37,10 +29,6 @@ fn single_object_db(chain: MarkovChain, state: usize) -> TrajectoryDatabase {
     ))
     .unwrap();
     db
-}
-
-fn paper_window() -> QueryWindow {
-    QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap()
 }
 
 #[test]
@@ -101,7 +89,7 @@ fn section_6_interpolation_forces_zero() {
         .unwrap();
     assert_eq!(p, 0.0);
     // The exhaustive possible-worlds oracle agrees.
-    let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 20).unwrap();
+    let oracle = oracle(&chain, &object, &window, 1 << 20).unwrap();
     assert_eq!(oracle.exists(), 0.0);
 }
 
@@ -136,11 +124,11 @@ fn section_7_forall_complement_identity() {
     let k = dists(&processor, ktimes_ob)[0].clone();
     assert!((forall_ob - forall_qb).abs() < 1e-12);
     assert!((forall_ob - k.prob_always()).abs() < 1e-12);
-    // Direct identity check.
+    // Direct identity check: the ∃ query of the complement window.
     let o = db.object(0).unwrap();
-    let direct =
-        forall::forall_probability_ob(&chain, o, &window, &EngineConfig::default()).unwrap();
-    assert!((direct - forall_ob).abs() < 1e-12);
+    let outside = Query::exists().window(window.complement_states().unwrap());
+    let escape = solo_probability(&chain, o, outside.strategy(ObjectBased)).unwrap();
+    assert!((1.0 - escape - forall_ob).abs() < 1e-12);
 }
 
 #[test]
@@ -173,13 +161,11 @@ fn figure_1_dependency_argument() {
     }
     let chain = MarkovChain::from_csr(CsrMatrix::from_dense(&rows).unwrap()).unwrap();
     let object = UncertainObject::with_single_observation(1, Observation::exact(0, n, 0).unwrap());
-    let config = EngineConfig::default();
     let mut previous = 0.0;
     for t_hi in 2..=8u32 {
         let window = QueryWindow::from_states(n, [2usize], TimeSet::interval(1, t_hi)).unwrap();
-        let p =
-            ust_core::engine::object_based::exists_probability(&chain, &object, &window, &config)
-                .unwrap();
+        let exists = Query::exists().window(window).strategy(ObjectBased);
+        let p = solo_probability(&chain, &object, exists).unwrap();
         // Deterministic motion passes state 2 exactly at t=2: P = 1 for
         // every window containing t=2, never "converging to 1" spuriously
         // from below as the independence model would.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ust::prelude::*;
 use ust_core::QuerySpec;
-use ust_markov::testutil;
+use ust_oracle::testutil;
 use ust_space::TimeSet;
 
 /// Line states of the store.

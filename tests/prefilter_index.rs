@@ -19,7 +19,7 @@ use ust::prelude::*;
 // planner-override enum, not the shadowing `proptest::Strategy` trait.
 use ust_core::{QuerySpec, Strategy};
 use ust_data::{generate_index_workload, IndexWorkloadConfig};
-use ust_markov::testutil;
+use ust_oracle::testutil;
 
 /// A random banded database with a 1-D embedding attached, so the
 /// prefilter is armed (`PrefilterMode::On` ignores the Auto size floor).

@@ -11,7 +11,7 @@
 //! properties of the batch-first core are pinned down exactly (to the bit,
 //! not a tolerance):
 //!
-//! * batched OB evaluation is **bit-identical** to the per-object path at
+//! * batched OB evaluation is **bit-identical** to a batch of one at
 //!   every batch size, for ∃/∀/k results, threshold decisions and top-k
 //!   rankings;
 //! * query-based results served through the `FieldCache` are
@@ -27,10 +27,8 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{bit_diff, dists, probs, random_db, random_window};
+use common::{bit_diff, dists, oracle, probs, random_db, random_window, reference};
 use ust::prelude::*;
-use ust_core::engine::{exhaustive, forall, ktimes, object_based, query_based};
-use ust_core::threshold;
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // strategy trait vs. the planner override enum); the planner enum wins.
 use ust_core::Strategy::{ObjectBased, QueryBased};
@@ -71,8 +69,7 @@ proptest! {
         let ktimes_qb = dists(&processor, ktimes.strategy(QueryBased));
 
         for (idx, object) in db.objects().iter().enumerate() {
-            let truth =
-                exhaustive::enumerate(db.model_of(object), object, &window, 1 << 22).unwrap();
+            let truth = oracle(db.model_of(object), object, &window, 1 << 22).unwrap();
 
             prop_assert!((exists_ob[idx].probability - truth.exists()).abs() < TOL,
                 "∃ OB {} vs exhaustive {}", exists_ob[idx].probability, truth.exists());
@@ -124,13 +121,10 @@ proptest! {
         );
 
         let mut stats = EvalStats::new();
-        let pruned = object_based::evaluate(
-            &db,
-            &window,
-            &EngineConfig::exact().with_epsilon(epsilon),
-            &mut stats,
-        )
-        .unwrap();
+        let pruning = QueryProcessor::with_config(&db, EngineConfig::exact().with_epsilon(epsilon));
+        let spec = Query::exists().window(window.clone()).strategy(ObjectBased).build().unwrap();
+        let pruned = pruning.execute_with_stats(&spec, &mut stats).unwrap();
+        let pruned = pruned.probabilities().unwrap();
         // The pipeline reports every unit of dropped mass; the result may
         // deviate from the exact probability by at most that much.
         prop_assert!(
@@ -155,39 +149,22 @@ proptest! {
             None => { prop_assume!(false); unreachable!() }
         };
         let db = random_db(seed, n, deg, objects, t_start.min(1));
-        let per_object = EngineConfig::default().with_batch_size(1);
-        let stats = &mut EvalStats::new();
-        let exists_ref = object_based::evaluate(&db, &window, &per_object, stats).unwrap();
-        let forall_ref = forall::evaluate_object_based(&db, &window, &per_object, stats).unwrap();
-        let ktimes_ref = ktimes::evaluate_object_based(&db, &window, &per_object, stats).unwrap();
         let exists_ob = Query::exists().window(window.clone()).strategy(ObjectBased);
-        let threshold_ob = exists_ob.clone().threshold(tau);
-        let topk_ob = exists_ob.top_k(k);
-        let accepted_ref = run(&db, per_object, &threshold_ob);
-        let topk_ref = run(&db, per_object, &topk_ob);
-
-        for batch_size in [3usize, 16] {
-            let config = EngineConfig::default().with_batch_size(batch_size);
-            let exists = object_based::evaluate(&db, &window, &config, stats).unwrap();
-            for (a, b) in exists.iter().zip(&exists_ref) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
-                    "∃ batch={} {} vs {}", batch_size, a.probability, b.probability);
+        let shapes = [
+            ("∃", exists_ob.clone()),
+            ("∀", Query::forall().window(window.clone()).strategy(ObjectBased)),
+            ("k-times", Query::ktimes(1).window(window.clone()).strategy(ObjectBased)),
+            ("threshold", exists_ob.clone().threshold(tau)),
+            ("top-k", exists_ob.top_k(k)),
+        ];
+        for (what, shape) in &shapes {
+            // The reference configuration runs a batch of one.
+            let per_object = reference(&db, shape.clone()).unwrap();
+            for batch_size in [3usize, 16] {
+                let config = EngineConfig::default().with_batch_size(batch_size);
+                prop_assert_eq!(bit_diff(&run(&db, config, shape), &per_object), Ok(()),
+                    "{} batch={}", what, batch_size);
             }
-            let forall = forall::evaluate_object_based(&db, &window, &config, stats).unwrap();
-            for (a, b) in forall.iter().zip(&forall_ref) {
-                prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits());
-            }
-            let ktimes = ktimes::evaluate_object_based(&db, &window, &config, stats).unwrap();
-            for (a, b) in ktimes.iter().zip(&ktimes_ref) {
-                prop_assert_eq!(a.object_id, b.object_id);
-                for (x, y) in a.probabilities.iter().zip(&b.probabilities) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            prop_assert_eq!(bit_diff(&run(&db, config, &threshold_ob), &accepted_ref), Ok(()),
-                "threshold batch={}", batch_size);
-            prop_assert_eq!(bit_diff(&run(&db, config, &topk_ob), &topk_ref), Ok(()),
-                "top-k batch={}", batch_size);
         }
     }
 
@@ -218,11 +195,10 @@ proptest! {
         // exercised; anchors alternate (0 / max_anchor), so the second
         // population can extend a cached suffix downward.
         for w in [&window, &slid, &window, &slid] {
-            let uncached =
-                query_based::evaluate(&db, w, &config, &mut EvalStats::new()).unwrap();
-            let spec = Query::exists().window(w.clone()).strategy(QueryBased).build().unwrap();
-            let cached = processor.execute_with_stats(&spec, &mut stats).unwrap();
-            for (a, b) in cached.probabilities().unwrap().iter().zip(&uncached) {
+            let exists_qb = Query::exists().window(w.clone()).strategy(QueryBased);
+            let uncached = reference(&db, exists_qb.clone()).unwrap();
+            let cached = processor.execute_with_stats(&exists_qb.build().unwrap(), &mut stats).unwrap();
+            for (a, b) in cached.probabilities().unwrap().iter().zip(uncached.probabilities().unwrap()) {
                 prop_assert_eq!(a.object_id, b.object_id);
                 prop_assert_eq!(a.probability.to_bits(), b.probability.to_bits(),
                     "cached {} vs uncached {}", a.probability, b.probability);
@@ -259,9 +235,11 @@ proptest! {
         ];
         let references: Vec<QueryAnswer> =
             shapes.iter().map(|shape| run(&db, sequential, shape)).collect();
+        // A cold sequential ∃ QB sweep's backward steps.
         let mut baseline = EvalStats::new();
-        let exists_qb_ref = query_based::evaluate(&db, &window, &sequential, &mut baseline).unwrap();
-        prop_assert_eq!(references[0].probabilities().unwrap(), &exists_qb_ref[..]);
+        QueryProcessor::with_config(&db, sequential)
+            .execute_with_stats(&shapes[0].clone().build().unwrap(), &mut baseline)
+            .unwrap();
 
         for threads in [2usize, 4] {
             let config = EngineConfig::default().with_num_threads(threads);
@@ -303,7 +281,6 @@ proptest! {
             None => { prop_assume!(false); unreachable!() }
         };
         let db = random_db(seed, n, deg, 1, 0);
-        let object = &db.objects()[0];
         let exact = probs(
             &QueryProcessor::new(&db),
             Query::exists().window(window.clone()).strategy(ObjectBased),
@@ -312,18 +289,11 @@ proptest! {
         // Bound-based early decisions must agree with the exact value
         // whenever τ is not razor-close to it.
         prop_assume!((exact - tau).abs() > 1e-6);
-        let outcome = threshold::exists_threshold(
-            db.model_of(object),
-            object,
-            &window,
-            tau,
-            &EngineConfig::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(outcome.qualifies, exact >= tau,
-            "τ = {}, exact = {}, outcome = {:?}", tau, exact, outcome);
-        prop_assert!(outcome.lower <= exact + TOL && exact <= outcome.upper + TOL);
-        prop_assert!(0.0 <= outcome.lower && outcome.lower <= outcome.upper && outcome.upper <= 1.0,
-            "outcome = {:?}", outcome);
+        for config in [EngineConfig::default(), common::reference_config()] {
+            let threshold = Query::exists().window(window.clone()).threshold(tau);
+            let accepted = run(&db, config, &threshold.strategy(ObjectBased));
+            prop_assert_eq!(accepted.ids().unwrap().len() == 1, exact >= tau,
+                "τ = {}, exact = {}, accepted = {:?}", tau, exact, accepted);
+        }
     }
 }

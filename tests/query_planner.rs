@@ -23,9 +23,8 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{assert_bit_eq, bit_diff, random_window};
+use common::{assert_bit_eq, bit_diff, random_window, reference};
 use ust::prelude::*;
-use ust_core::engine::{forall, ktimes, object_based, query_based};
 // Explicit import: both glob preludes export a `Strategy` (proptest's
 // strategy trait vs. the planner override enum); the planner enum wins.
 use ust_core::Strategy;
@@ -256,13 +255,17 @@ proptest! {
         };
         let db = random_db(seed, n, objects, 1);
         let config = EngineConfig::default();
-        let stats = &mut EvalStats::new();
-        let exists_ob = object_based::evaluate(&db, &window, &config, stats).unwrap();
-        let exists_qb = query_based::evaluate(&db, &window, &config, stats).unwrap();
-        let forall_ob = forall::evaluate_object_based(&db, &window, &config, stats).unwrap();
-        let forall_qb = forall::evaluate_query_based(&db, &window, &config, stats).unwrap();
-        let ktimes_ob = ktimes::evaluate_object_based(&db, &window, &config, stats).unwrap();
-        let ktimes_qb = ktimes::evaluate_query_based(&db, &window, &config, stats).unwrap();
+        // The reference configuration's answers (batch 1, one thread, no
+        // prefilter); thresholds and rankings are read off its ∃
+        // probabilities.
+        let at_reference = |builder: QueryBuilder| reference(&db, builder.window(window.clone())).unwrap();
+        let probabilities = |answer: QueryAnswer| answer.probabilities().unwrap().to_vec();
+        let exists_ob = probabilities(at_reference(Query::exists().strategy(Ob)));
+        let exists_qb = probabilities(at_reference(Query::exists().strategy(Qb)));
+        let forall_ob = at_reference(Query::forall().strategy(Ob));
+        let forall_qb = at_reference(Query::forall().strategy(Qb));
+        let ktimes_ob = at_reference(Query::ktimes(1).strategy(Ob));
+        let ktimes_qb = at_reference(Query::ktimes(1).strategy(Qb));
         let accepted = |reference: &[ObjectProbability]| {
             QueryAnswer::ObjectIds(
                 reference.iter().filter(|r| r.probability >= tau).map(|r| r.object_id).collect(),
@@ -271,10 +274,10 @@ proptest! {
         let exact = [
             ("exists/ob", Query::exists().strategy(Ob), QueryAnswer::Probabilities(exists_ob.clone())),
             ("exists/qb", Query::exists().strategy(Qb), QueryAnswer::Probabilities(exists_qb.clone())),
-            ("forall/ob", Query::forall().strategy(Ob), QueryAnswer::Probabilities(forall_ob)),
-            ("forall/qb", Query::forall().strategy(Qb), QueryAnswer::Probabilities(forall_qb)),
-            ("ktimes/ob", Query::ktimes(1).strategy(Ob), QueryAnswer::Distributions(ktimes_ob)),
-            ("ktimes/qb", Query::ktimes(1).strategy(Qb), QueryAnswer::Distributions(ktimes_qb)),
+            ("forall/ob", Query::forall().strategy(Ob), forall_ob),
+            ("forall/qb", Query::forall().strategy(Qb), forall_qb),
+            ("ktimes/ob", Query::ktimes(1).strategy(Ob), ktimes_ob),
+            ("ktimes/qb", Query::ktimes(1).strategy(Qb), ktimes_qb),
             ("threshold/ob", Query::exists().threshold(tau).strategy(Ob), accepted(&exists_ob)),
             ("threshold/qb", Query::exists().threshold(tau).strategy(Qb), accepted(&exists_qb)),
         ];

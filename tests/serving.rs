@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use common::{assert_bit_eq, bit_diff, gate_workers};
 use ust::prelude::*;
 use ust_core::Strategy;
-use ust_markov::testutil;
+use ust_oracle::testutil;
 use ust_space::TimeSet;
 
 fn random_db(seed: u64, n: usize, objects: usize) -> TrajectoryDatabase {

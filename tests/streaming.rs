@@ -253,11 +253,7 @@ fn warm_subscription_caches_serve_subsequent_queries() {
 /// the subscription keeps reading what a fresh execution returns.
 #[test]
 fn a_refresh_on_a_repeated_id_updates_each_holder() {
-    let chain = MarkovChain::from_csr(
-        CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-            .unwrap(),
-    )
-    .unwrap();
+    let chain = ust_oracle::testutil::paper_chain();
     let holder = |t, state| {
         UncertainObject::with_single_observation(5, Observation::exact(t, 3, state).unwrap())
     };

@@ -3,26 +3,22 @@
 //! degenerate single-cell windows — the "arbitrary subset of the space
 //! (time) domain" generality the paper explicitly claims.
 
-use ust::prelude::*;
-use ust_core::engine::{exhaustive, ktimes, object_based, query_based};
+mod common;
 
-fn paper_chain() -> MarkovChain {
-    MarkovChain::from_csr(
-        CsrMatrix::from_dense(&[vec![0.0, 0.0, 1.0], vec![0.6, 0.0, 0.4], vec![0.0, 0.8, 0.2]])
-            .unwrap(),
-    )
-    .unwrap()
-}
+use common::{blowup, oracle, solo_distribution, solo_probability};
+use ust::prelude::*;
+use ust_oracle::testutil::paper_chain;
 
 fn object_at(state: usize, time: u32) -> UncertainObject {
     UncertainObject::with_single_observation(1, Observation::exact(time, 3, state).unwrap())
 }
 
 fn engines_agree(chain: &MarkovChain, object: &UncertainObject, window: &QueryWindow) -> f64 {
-    let config = EngineConfig::default();
-    let ob = object_based::exists_probability(chain, object, window, &config).unwrap();
-    let qb = query_based::exists_probability(chain, object, window, &config).unwrap();
-    let oracle = exhaustive::enumerate(chain, object, window, 1 << 22).unwrap();
+    let exists = Query::exists().window(window.clone());
+    let ob = solo_probability(chain, object, exists.clone().strategy(Strategy::ObjectBased));
+    let qb = solo_probability(chain, object, exists.strategy(Strategy::QueryBased));
+    let (ob, qb) = (ob.unwrap(), qb.unwrap());
+    let oracle = oracle(chain, object, window, 1 << 22).unwrap();
     assert!((ob - qb).abs() < 1e-12, "OB {ob} vs QB {qb}");
     assert!((ob - oracle.exists()).abs() < 1e-12, "OB {ob} vs oracle");
     ob
@@ -81,11 +77,12 @@ fn ktimes_on_non_contiguous_times() {
     let chain = paper_chain();
     let object = object_at(1, 0);
     let window = QueryWindow::from_states(3, [1usize], TimeSet::new([2, 4])).unwrap();
-    let config = EngineConfig::default();
-    let ob = ktimes::ktimes_distribution_ob(&chain, &object, &window, &config).unwrap();
-    let qb = ktimes::ktimes_distribution_qb(&chain, &object, &window, &config).unwrap();
-    let blow = ktimes::ktimes_distribution_blowup(&chain, &object, &window).unwrap();
-    let oracle = exhaustive::enumerate(&chain, &object, &window, 1 << 22).unwrap();
+    let ktimes = Query::ktimes(1).window(window.clone());
+    let ob = solo_distribution(&chain, &object, ktimes.clone().strategy(Strategy::ObjectBased));
+    let qb = solo_distribution(&chain, &object, ktimes.strategy(Strategy::QueryBased));
+    let (ob, qb) = (ob.unwrap(), qb.unwrap());
+    let blow = blowup(&chain, &object, &window).unwrap();
+    let oracle = oracle(&chain, &object, &window, 1 << 22).unwrap();
     assert_eq!(ob.len(), 3); // k ∈ {0, 1, 2}
     for k in 0..3 {
         assert!((ob[k] - qb[k]).abs() < 1e-12);
