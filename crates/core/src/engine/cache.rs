@@ -64,6 +64,7 @@ use crate::error::Result;
 use crate::prefilter::Superlevel;
 use crate::query::QueryWindow;
 use crate::stats::EvalStats;
+use crate::sync::{Mutex, CACHE};
 
 /// Default number of `(model, window, rule)` entries a cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
@@ -468,8 +469,8 @@ impl FieldCache {
     /// later install wins; outstanding `Arc` views stay valid) — wasted
     /// work, never a wrong answer.
     #[allow(clippy::too_many_arguments, reason = "the cache key's parts plus the sweep's inputs")]
-    pub fn get_or_compute_shared_concurrent(
-        cache: &std::sync::Mutex<Self>,
+    pub(crate) fn get_or_compute_shared_concurrent(
+        cache: &Mutex<Self, CACHE>,
         model: usize,
         chain: &MarkovChain,
         window: &QueryWindow,
@@ -480,7 +481,7 @@ impl FieldCache {
     ) -> Result<Arc<BackwardField>> {
         let key = CacheKey::of(model, chain, window, rule);
         let probe = {
-            let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut cache = cache.lock();
             cache.probe(&key, anchor_times, stats)
         };
         match probe {
@@ -488,13 +489,13 @@ impl FieldCache {
             Probe::Extend { base, missing } => {
                 let mut field = (*base).clone();
                 field.extend_down(chain, window, &missing, config, stats)?;
-                let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut cache = cache.lock();
                 Ok(cache.install(key, field))
             }
             Probe::Compute(times) => {
                 let field =
                     BackwardField::compute_with_config(chain, window, rule, &times, config, stats)?;
-                let mut cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut cache = cache.lock();
                 Ok(cache.install(key, field))
             }
         }
@@ -557,7 +558,6 @@ impl FieldCache {
 mod tests {
     use super::*;
     use crate::testkit::paper_chain;
-    use std::sync::{Mutex, MutexGuard};
     use ust_markov::CsrMatrix;
     use ust_space::TimeSet;
 
@@ -570,7 +570,7 @@ mod tests {
 
     /// One lookup on model 0 under the default configuration.
     fn get(
-        cache: &Mutex<FieldCache>,
+        cache: &Mutex<FieldCache, CACHE>,
         chain: &MarkovChain,
         window: &QueryWindow,
         rule: FieldRule,
@@ -591,10 +591,6 @@ mod tests {
         .unwrap()
     }
 
-    fn locked(cache: &Mutex<FieldCache>) -> MutexGuard<'_, FieldCache> {
-        cache.lock().unwrap()
-    }
-
     #[test]
     fn repeated_lookup_hits_without_backward_work() {
         let chain = paper_chain();
@@ -608,9 +604,9 @@ mod tests {
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         assert_eq!(stats.backward_steps, sweeps_after_miss, "a hit performs no sweep");
         assert_eq!(first, again, "hits return the identical field");
-        assert!(locked(&cache).contains(0, &chain, &w, EXISTS, &[0]));
-        assert!(!locked(&cache).contains(0, &chain, &w, EXISTS, &[1]));
-        assert!(!locked(&cache).contains(1, &chain, &w, EXISTS, &[0]));
+        assert!(cache.lock().contains(0, &chain, &w, EXISTS, &[0]));
+        assert!(!cache.lock().contains(0, &chain, &w, EXISTS, &[1]));
+        assert!(!cache.lock().contains(1, &chain, &w, EXISTS, &[0]));
     }
 
     #[test]
@@ -640,14 +636,14 @@ mod tests {
         get(&cache, &chain, &fewer, EXISTS, &[0], &mut stats);
         get(&cache, &chain, &window(4), EXISTS, &[0], &mut stats);
         assert_eq!((stats.cache_hits, stats.cache_misses), (2, 3));
-        assert_eq!(locked(&cache).len(), 3);
+        assert_eq!(cache.lock().len(), 3);
 
         // The same states over a wider space are another window: no chain
         // of this cache could even sweep it, and its key matches nothing.
         let wider = QueryWindow::from_states(4, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
         let key = |w: &QueryWindow| CacheKey::of(0, &chain, w, EXISTS);
         assert!(key(&wider) != key(&w));
-        assert!(!locked(&cache).contains(0, &chain, &wider, EXISTS, &[0]));
+        assert!(!cache.lock().contains(0, &chain, &wider, EXISTS, &[0]));
         assert!(key(&twin) == key(&w) && key(probe.window()) == key(&w));
     }
 
@@ -682,16 +678,16 @@ mod tests {
         get(&cache, &chain, &w3, EXISTS, &[0], &mut stats);
         // ...then inserting a third window must evict w4, not w3.
         get(&cache, &chain, &w5, EXISTS, &[0], &mut stats);
-        assert_eq!(locked(&cache).len(), 2);
-        assert!(locked(&cache).contains(0, &chain, &w3, EXISTS, &[0]));
-        assert!(!locked(&cache).contains(0, &chain, &w4, EXISTS, &[0]));
-        assert!(locked(&cache).contains(0, &chain, &w5, EXISTS, &[0]));
+        assert_eq!(cache.lock().len(), 2);
+        assert!(cache.lock().contains(0, &chain, &w3, EXISTS, &[0]));
+        assert!(!cache.lock().contains(0, &chain, &w4, EXISTS, &[0]));
+        assert!(cache.lock().contains(0, &chain, &w5, EXISTS, &[0]));
         // Re-requesting the evicted window is a fresh miss.
         get(&cache, &chain, &w4, EXISTS, &[0], &mut stats);
         assert_eq!(stats.cache_misses, 4);
-        locked(&cache).clear();
-        assert!(locked(&cache).is_empty());
-        assert_eq!(locked(&cache).capacity(), 2);
+        cache.lock().clear();
+        assert!(cache.lock().is_empty());
+        assert_eq!(cache.lock().capacity(), 2);
         assert_eq!(FieldCache::new(0).capacity(), 1, "capacity clamps to 1");
     }
 
@@ -741,13 +737,13 @@ mod tests {
         let cache = Mutex::new(FieldCache::new(4));
         let mut stats = EvalStats::new();
         let w = window(3);
-        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[0]), (false, None));
+        assert_eq!(cache.lock().residency(0, &chain, &w, EXISTS, &[0]), (false, None));
         get(&cache, &chain, &w, EXISTS, &[2], &mut stats);
         // Full hit at the snapshotted time, extendable below it, dead
         // between floor and t_end.
-        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[2]), (true, Some(2)));
-        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[0]), (false, Some(2)));
-        assert_eq!(locked(&cache).residency(0, &chain, &w, EXISTS, &[3]), (false, None));
+        assert_eq!(cache.lock().residency(0, &chain, &w, EXISTS, &[2]), (true, Some(2)));
+        assert_eq!(cache.lock().residency(0, &chain, &w, EXISTS, &[0]), (false, Some(2)));
+        assert_eq!(cache.lock().residency(0, &chain, &w, EXISTS, &[3]), (false, None));
         // Probing changed no counters and swept nothing.
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
@@ -821,8 +817,8 @@ mod tests {
             get(&cache, chain, &w, rule, &[0], &mut stats);
         }
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 3));
-        assert_eq!(locked(&cache).len(), 2);
-        assert!(!locked(&cache).contains(0, chain, &w, EXISTS, &[0]));
+        assert_eq!(cache.lock().len(), 2);
+        assert!(!cache.lock().contains(0, chain, &w, EXISTS, &[0]));
 
         // The surviving two serve repeats without backward work, and what
         // they serve is what the reference configuration answers.

@@ -28,7 +28,7 @@ pub enum PrefilterMode {
 }
 
 /// Default number of objects propagated per [`super::pipeline::ObjectBatch`].
-pub const DEFAULT_BATCH_SIZE: usize = 32;
+const DEFAULT_BATCH_SIZE: usize = 32;
 
 /// Tuning knobs shared by the exact engines.
 #[derive(Debug, Clone, Copy, PartialEq)]

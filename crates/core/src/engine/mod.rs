@@ -49,14 +49,14 @@ pub mod reach;
 mod refresh;
 mod ticket;
 
-pub use config::{EngineConfig, PrefilterMode, DEFAULT_BATCH_SIZE};
+pub use config::{EngineConfig, PrefilterMode};
 pub use plan::{CostEstimate, QueryPlan};
 pub use processor::QueryProcessor;
 pub use ticket::QueryTicket;
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::Arc;
 
     use super::*;
     use crate::database::{IngestOutcome, TrajectoryDatabase};
@@ -64,6 +64,7 @@ mod tests {
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, QueryAnswer, QuerySpec, QueryWindow, Strategy};
+    use crate::testkit::gate_workers;
     use ust_oracle::testutil;
     use ust_space::TimeSet;
 
@@ -89,36 +90,9 @@ mod tests {
         Query::exists().window(window).build().unwrap()
     }
 
-    /// Blocks every worker of `pool` until the returned closure is called,
-    /// so submitted jobs stay deterministically queued.
-    fn gate_workers(pool: &crate::parallel::WorkerPool) -> impl FnOnce() + 'static {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        for shard in 0..pool.num_threads() {
-            let gate = Arc::clone(&gate);
-            pool.spawn(
-                shard,
-                Box::new(move || {
-                    let (lock, cv) = &*gate;
-                    let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    while !*open {
-                        open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                }),
-            );
-        }
-        while pool.stats().queued_jobs > 0 {
-            std::thread::yield_now();
-        }
-        move || {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-            cv.notify_all();
-        }
-    }
-
-    /// Satellite bugfix: a panicking job leaves the shared field-cache
-    /// mutex poisoned; every lock site must recover via
-    /// `PoisonError::into_inner` so the processor keeps serving.
+    /// A panicking job leaves the shared field-cache mutex poisoned; the
+    /// ranked lock recovers it on every acquisition, so the processor
+    /// keeps serving.
     #[test]
     fn poisoned_cache_mutex_recovers_after_panicking_job() {
         let db = small_db(41, 12, 6);
@@ -138,7 +112,7 @@ mod tests {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _guard = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let _guard = cache.lock();
                     panic!("poison the cache lock");
                 });
             });
@@ -427,8 +401,7 @@ mod tests {
         let dist = testutil::random_distribution(&mut rng, 12, 3);
         processor.ingest(1, Observation::uncertain(1, dist).unwrap()).unwrap();
         assert_eq!(sub.notifications(), 0, "cancelled subscriptions never refresh");
-        let registry =
-            processor.subscriptions.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let registry = processor.subscriptions.lock();
         assert!(registry.is_empty(), "the arrival pruned both dead subscriptions");
         // The cancelled subscription still answers from its last state.
         assert!(sub.answer().is_ok());

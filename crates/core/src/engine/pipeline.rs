@@ -357,40 +357,20 @@ impl<'s> Propagator<'s> {
         Ok(None)
     }
 
-    /// Backward sweep from `window.t_end()` down to the earliest time in
-    /// `snapshot_times`, for the query-based engines.
+    /// Backward sweep from `resume_time` down to the earliest time in
+    /// `snapshot_times`, for the query-based engines: `state` holds
+    /// `h_{resume_time}` — the start state at `window.t_end()`, or where an
+    /// earlier sweep stopped.
     ///
     /// The driver supplies the state (a hybrid vector for PST∃Q, the level
     /// family for PSTkQ) and three hooks: `apply_window` — the transposed
     /// `M+` surgery, applied *before* stepping out of a query timestamp;
     /// `step` — one backward transition, returning the number of products
     /// performed (accounted as [`EvalStats::backward_steps`]);
-    /// `snapshot` — called at `window.t_end()` and at every requested time
-    /// reached by the sweep, in descending time order.
-    pub fn backward<S>(
-        &mut self,
-        state: &mut S,
-        window: &QueryWindow,
-        snapshot_times: &[u32],
-        apply_window: impl FnMut(&mut S) -> Result<()>,
-        step: impl FnMut(&mut S, &mut SpmvScratch) -> Result<u64>,
-        snapshot: impl FnMut(&S, u32),
-    ) -> Result<()> {
-        self.backward_from(
-            state,
-            window.t_end(),
-            window,
-            snapshot_times,
-            apply_window,
-            step,
-            snapshot,
-        )
-    }
-
-    /// As [`Propagator::backward`], resuming a sweep whose state is already
-    /// at `resume_time` (i.e. `state` holds `h_{resume_time}`).
+    /// `snapshot` — called at every requested time the sweep reaches,
+    /// `resume_time` included, in descending time order.
     ///
-    /// This is the suffix-sharing primitive behind
+    /// Resuming is the suffix-sharing primitive behind
     /// [`crate::engine::cache::FieldCache`]: a cached sweep that
     /// stopped at its earliest snapshot can be extended further down to new
     /// anchor times without recomputing the `(resume_time, t_end]` suffix.
@@ -660,8 +640,9 @@ mod tests {
         let mut seen = Vec::new();
         let transposed = chain.transposed();
         pipeline
-            .backward(
+            .backward_from(
                 &mut h,
+                window.t_end(),
                 &window,
                 &[0, 2],
                 |h| {

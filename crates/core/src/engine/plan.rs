@@ -57,7 +57,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 use crate::database::{AnchorKey, TrajectoryDatabase};
 use crate::engine::cache::{residency_of, FieldCache};
@@ -78,6 +78,7 @@ use crate::query::{
 };
 use crate::ranking;
 use crate::stats::EvalStats;
+use crate::sync::{Mutex, CACHE};
 use crate::threshold::Threshold;
 
 /// Discount applied to the object-based step estimate when a threshold or
@@ -253,7 +254,7 @@ pub(crate) struct ExecContext<'a> {
     /// Engine tuning knobs.
     pub config: &'a EngineConfig,
     /// The backward-field cache shared across queries.
-    pub cache: &'a Mutex<FieldCache>,
+    pub cache: &'a Mutex<FieldCache, CACHE>,
     /// The processor's serving registry: every execution is recorded
     /// here.
     pub metrics: &'a crate::serving::Metrics,
@@ -899,7 +900,7 @@ pub(crate) fn prepare(
     // subscription refreshes never enter the memo.
     let admitted = scope.len() >= PREFILTER_AUTO_MIN_OBJECTS || tau.is_some();
     let key = admitted.then(|| PlanKeyRef::of(spec, cost));
-    let lock = || ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let lock = || ctx.cache.lock();
     let (fields, memo, unchanged, memoised) = {
         let mut cache = lock();
         let (models, window) = (ctx.db.models().iter().enumerate(), spec.window());
@@ -1012,7 +1013,7 @@ fn from_memo(
 
 /// Installs `memo` under `key`.
 fn memoise(ctx: &ExecContext<'_>, key: PlanKey, memo: PlanMemo) {
-    let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut cache = ctx.cache.lock();
     cache.memoise_plan(key, Arc::new(memo));
 }
 
@@ -1125,15 +1126,10 @@ fn plan_on(
         let full_sweep = (t_end - min_anchor.min(t_end)) as f64;
         // Only an armed read peeks — an ∃ read — and it peeks ∃ fields: the
         // rule above.
-        let residency =
-            match resident {
-                Some(fields) => residency_of(fields[group.model].as_deref(), &group.times),
-                None => ctx
-                    .cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .residency(group.model, chain, window, rule, &group.times),
-            };
+        let residency = match resident {
+            Some(fields) => residency_of(fields[group.model].as_deref(), &group.times),
+            None => ctx.cache.lock().residency(group.model, chain, window, rule, &group.times),
+        };
         let sweep = match residency {
             (true, _) => {
                 cached_fields += 1;
@@ -1615,7 +1611,7 @@ mod tests {
     /// how it was come by.
     fn run(
         db: &TrajectoryDatabase,
-        cache: &Mutex<FieldCache>,
+        cache: &Mutex<FieldCache, CACHE>,
         spec: &QuerySpec,
     ) -> (Arc<Prepared>, Provenance) {
         let (config, metrics) =
@@ -1632,7 +1628,7 @@ mod tests {
     }
 
     /// A warm cache holding the ∃ field of `window(lo)` at every anchor time.
-    fn warm(db: &TrajectoryDatabase, cache: &Mutex<FieldCache>, lo: usize) {
+    fn warm(db: &TrajectoryDatabase, cache: &Mutex<FieldCache, CACHE>, lo: usize) {
         let fill = Query::exists().window(window(lo)).strategy(Strategy::QueryBased);
         run(db, cache, &fill.build().unwrap());
     }
@@ -1697,7 +1693,7 @@ mod tests {
         assert_eq!(run(&db, &cache, &probabilities(4)).1, Provenance::Reused);
         let (prepared, _) = run(&db, &cache, &probabilities(20));
         let evicted = Arc::downgrade(&prepared);
-        assert_eq!(cache.lock().unwrap().plans(), 2);
+        assert_eq!(cache.lock().plans(), 2);
         assert_eq!(run(&db, &cache, &probabilities(4)).1, Provenance::Reused, "used last");
         assert_eq!(run(&db, &cache, &probabilities(12)).1, Provenance::Fresh, "evicted");
         drop(prepared);
@@ -1714,7 +1710,7 @@ mod tests {
         let db = store();
         let cache = Mutex::new(FieldCache::new(8));
         warm(&db, &cache, 4);
-        let plans = || cache.lock().unwrap().plans();
+        let plans = || cache.lock().plans();
         let whole_store = plans();
         let few = |ids: std::ops::Range<u64>| Query::exists().window(window(4)).objects(ids);
         let probe = few(0..1).build().unwrap();
@@ -1723,7 +1719,7 @@ mod tests {
         assert_eq!(plans(), whole_store);
 
         let geometry = || {
-            let mut cache = cache.lock().unwrap();
+            let mut cache = cache.lock();
             let field = cache.peek_exists(0, &db.models()[0], &window(4)).cloned().unwrap();
             let space = db.spatial_index().unwrap().space().clone();
             cache.superlevel_memo(&field, 0.05, &space).unwrap()

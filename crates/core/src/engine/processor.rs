@@ -9,7 +9,7 @@
 )]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::database::TrajectoryDatabase;
@@ -23,6 +23,7 @@ use crate::query::{QueryAnswer, QuerySpec, Strategy};
 use crate::serving::{AdmissionGate, ExecutionRecord, MetricsSnapshot};
 use crate::stats::EvalStats;
 use crate::streaming::SubscriptionState;
+use crate::sync::{Mutex, RwLock, CACHE, DB, NOTIFY, SUBSCRIPTIONS};
 
 /// What a query's life needs of its processor besides a database snapshot.
 /// One `Arc`, shared with every submitted job — which owns everything it
@@ -33,7 +34,7 @@ pub(super) struct ServingCore {
     /// The backward fields of every rule, shared by the query-based
     /// evaluations (and by asynchronous submissions), reused across
     /// queries and windows.
-    pub(super) cache: Mutex<FieldCache>,
+    pub(super) cache: Mutex<FieldCache, CACHE>,
     /// The admission gate submitted queries and standing-query refreshes
     /// pass, with the serving registry every outcome is tallied in.
     pub(super) gate: Arc<AdmissionGate>,
@@ -124,7 +125,7 @@ pub struct QueryProcessor {
     /// copy-on-write inner) and evaluate against it; the streaming entry
     /// points take the write half briefly to apply an arrival, then
     /// evaluate refreshes against a fresh snapshot outside the lock.
-    pub(super) db: RwLock<TrajectoryDatabase>,
+    pub(super) db: RwLock<TrajectoryDatabase, DB>,
     pub(super) core: Arc<ServingCore>,
     /// The pool `submit` jobs run on, spawned on first use (see
     /// [`QueryProcessor::pool`]).
@@ -133,11 +134,11 @@ pub struct QueryProcessor {
     submit_seq: AtomicUsize,
     /// Registered standing queries; cancelled entries are pruned on the
     /// next arrival.
-    pub(super) subscriptions: Mutex<Vec<Arc<SubscriptionState>>>,
+    pub(super) subscriptions: Mutex<Vec<Arc<SubscriptionState>>, SUBSCRIPTIONS>,
     /// Serializes every commit into a subscription — a registration's seed
     /// as much as an arrival's refreshes — so subscriptions observe
     /// arrivals in a single global order and none is lost.
-    pub(super) notify_lock: Mutex<()>,
+    pub(super) notify_lock: Mutex<(), NOTIFY>,
     /// Monotonic subscription ids.
     pub(super) watch_seq: AtomicU64,
 }
@@ -176,12 +177,12 @@ impl QueryProcessor {
     /// spatial index. Every query and refresh evaluates against one
     /// snapshot end to end, so concurrent ingests never tear an answer.
     pub fn snapshot(&self) -> TrajectoryDatabase {
-        self.db.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        self.db.read().clone()
     }
 
     /// Number of objects currently in the processor's database.
     pub fn len(&self) -> usize {
-        self.db.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.db.read().len()
     }
 
     /// True when the processor's database holds no objects.

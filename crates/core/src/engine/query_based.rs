@@ -36,7 +36,7 @@
 //! `(|T▫|+1)`-way dot product.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector, StateMask};
 
@@ -49,6 +49,7 @@ use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
 use crate::query::{unit_clamp, ObjectProbability, QueryWindow};
 use crate::stats::EvalStats;
+use crate::sync::{Mutex, CACHE};
 
 /// What a backward sweep does to the window states `S▫` at a query
 /// timestamp — the one difference between the PST∃Q, the PST∀Q and the
@@ -510,7 +511,7 @@ impl SharedFieldPlan {
         window: &QueryWindow,
         rule: FieldRule,
         config: &EngineConfig,
-        cache: &Mutex<FieldCache>,
+        cache: &Mutex<FieldCache, CACHE>,
         stats: &mut EvalStats,
     ) -> Result<SharedFieldPlan> {
         let mut fields: Vec<Option<Arc<BackwardField>>> =

@@ -126,7 +126,7 @@ impl QueryProcessor {
     pub fn ingest(&self, object_id: u64, observation: Observation) -> Result<IngestOutcome> {
         let arrived = Instant::now();
         let outcome = {
-            let mut db = self.db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut db = self.db.write();
             db.ingest(object_id, observation)?
         };
         if outcome == IngestOutcome::Applied {
@@ -143,7 +143,7 @@ impl QueryProcessor {
         let arrived = Instant::now();
         let object_id = object.id();
         {
-            let mut db = self.db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut db = self.db.write();
             db.insert(object)?;
         }
         self.notify(Cause::Arrival { object_id, arrived });
@@ -202,13 +202,11 @@ impl QueryProcessor {
     /// registration enters the registry before the lock is released, so no
     /// arrival can fall between its seed snapshot and its first refresh.
     fn notify(&self, cause: Cause) {
-        let _serialized =
-            self.notify_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _serialized = self.notify_lock.lock();
         let subs: Vec<Arc<SubscriptionState>> = match &cause {
             Cause::Watch { state, .. } => vec![Arc::clone(state)],
             Cause::Arrival { .. } => {
-                let mut registry =
-                    self.subscriptions.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut registry = self.subscriptions.lock();
                 registry.retain(|s| !s.is_cancelled());
                 registry.clone()
             }
@@ -219,18 +217,10 @@ impl QueryProcessor {
         let snapshot = self.snapshot();
         let ctx = self.core.context(&snapshot);
         for sub in &subs {
-            // lint: allow(lock-held-across-blocking) — notify_lock is the
-            // root of the lock hierarchy and exists precisely to hold
-            // across subscription evaluation: registrations and concurrent
-            // ingests must commit in one global order, and nothing ever
-            // acquires notify_lock while holding another lock.
             self.commit(&ctx, sub, &cause);
         }
         if let Cause::Watch { state, .. } = cause {
-            self.subscriptions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(state);
+            self.subscriptions.lock().push(state);
         }
     }
 
@@ -248,7 +238,7 @@ impl QueryProcessor {
         let (object_id, arrived) = match *cause {
             Cause::Watch { warm_steps, .. } => {
                 let seed = evaluate(ctx, &sub.spec, None, &mut stats);
-                sub.lock().resync(seed);
+                sub.inner.lock().resync(seed);
                 ctx.metrics.record_stream_watch(sub.id, warm_steps + stats.total_steps());
                 return;
             }
@@ -264,7 +254,7 @@ impl QueryProcessor {
             // The subscription is stale until its next admitted refresh;
             // the shed error is kept for inspection.
             ctx.metrics.record_stream_shed(sub.id);
-            let mut inner = sub.lock();
+            let mut inner = sub.inner.lock();
             inner.stale = true;
             inner.last_shed = Some(error);
         };
@@ -288,7 +278,7 @@ impl QueryProcessor {
         // the maintained state, so the subscription *is* stale — and stays
         // so if the evaluation unwinds.
         let needs_full = {
-            let mut inner = sub.lock();
+            let mut inner = sub.inner.lock();
             std::mem::replace(&mut inner.stale, true) || inner.raw.is_err()
         };
         // Suffix-scoped invalidation: exactly one maintained entry — the
@@ -305,7 +295,7 @@ impl QueryProcessor {
         // snapshot but not yet notified (concurrent inserts can notify out
         // of order), and resynchronizes below to keep database order.
         let spliced = entry.is_some_and(|entry| {
-            let mut inner = sub.lock();
+            let mut inner = sub.inner.lock();
             let Ok(raw) = inner.raw.as_mut() else { return false };
             raw.splice(entry);
             if sub.spec.objects().is_none() && raw.len() != ctx.db.len() {
@@ -324,7 +314,7 @@ impl QueryProcessor {
             // error names).
             let whole = evaluate(ctx, &sub.spec, None, &mut stats);
             let outcome = AsyncOutcome::of(&whole);
-            let mut inner = sub.lock();
+            let mut inner = sub.inner.lock();
             inner.resync(whole);
             inner.notifications += 1;
             outcome
@@ -360,7 +350,7 @@ mod tests {
         let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 3)).unwrap();
         let sub = processor.watch(&Query::exists().window(window).build().unwrap()).unwrap();
         {
-            let mut db = processor.db.write().unwrap();
+            let mut db = processor.db.write();
             db.insert(object(2, 1)).unwrap();
             db.insert(object(3, 2)).unwrap();
         }

@@ -5,13 +5,14 @@
 #![allow(clippy::disallowed_methods, reason = "`wait_timeout` measures its own deadline")]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::error::{QueryError, Result};
 use crate::parallel::{JobHandle, WorkerPool};
 use crate::query::QueryAnswer;
 use crate::serving::{AdmissionSlot, AsyncOutcome};
+use crate::sync::{self, Condvar, Mutex, TICKET};
 
 /// A pending asynchronously submitted query: the completion latch behind
 /// [`crate::engine::QueryProcessor::submit`].
@@ -37,7 +38,7 @@ pub struct QueryTicket {
 
 #[derive(Debug, Default)]
 pub(super) struct TicketState {
-    slot: Mutex<Option<Result<QueryAnswer>>>,
+    slot: Mutex<Option<Result<QueryAnswer>>, TICKET>,
     done: Condvar,
     /// Cheap completion flag so `is_done` never touches the mutex. Set
     /// strictly after the guard's bookkeeping, so a caller that observes
@@ -52,7 +53,7 @@ impl TicketState {
     /// Installs the outcome and wakes the waiters. Only
     /// [`TicketGuard::finish`] calls this, once.
     fn complete(&self, outcome: Result<QueryAnswer>) {
-        let mut slot = self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = self.slot.lock();
         debug_assert!(slot.is_none(), "complete is gated by the guard's admission slot");
         *slot = Some(outcome);
         self.finished.store(true, Ordering::Release);
@@ -79,12 +80,13 @@ impl QueryTicket {
     /// [`QueryError::DeadlineExceeded`], and one whose job was discarded
     /// without running [`QueryError::AsyncQueryDropped`].
     pub fn wait(self) -> Result<QueryAnswer> {
-        let mut slot = self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        sync::blocking_point("QueryTicket::wait");
+        let mut slot = self.state.slot.lock();
         loop {
             if let Some(outcome) = slot.take() {
                 return outcome;
             }
-            slot = self.state.done.wait(slot).unwrap_or_else(std::sync::PoisonError::into_inner);
+            slot = self.state.done.wait(slot);
         }
     }
 
@@ -95,8 +97,9 @@ impl QueryTicket {
     /// so expiry and completion can race freely: whichever wins, a later
     /// wait sees the same answer.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryAnswer>> {
+        sync::blocking_point("QueryTicket::wait_timeout");
         let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = self.state.slot.lock();
         loop {
             if let Some(outcome) = slot.as_ref() {
                 return Some(outcome.clone());
@@ -105,11 +108,7 @@ impl QueryTicket {
             if remaining.is_zero() {
                 return None;
             }
-            let (guard, timed_out) = self
-                .state
-                .done
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (guard, timed_out) = self.state.done.wait_timeout(slot, remaining);
             slot = guard;
             if timed_out.timed_out() && slot.is_none() {
                 return None;

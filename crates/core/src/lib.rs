@@ -86,6 +86,7 @@ pub mod serving;
 pub mod smoothing;
 pub mod stats;
 pub mod streaming;
+mod sync;
 #[cfg(test)]
 mod testkit;
 pub mod threshold;

@@ -51,13 +51,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::engine::pipeline::Propagator;
 use crate::engine::EngineConfig;
 use crate::error::Result;
 use crate::stats::EvalStats;
+use crate::sync::{self, Condvar, Mutex, QUEUE};
 
 /// A unit of pool work: a detached job that owns everything it touches.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -84,16 +85,13 @@ impl std::fmt::Debug for QueueState {
 /// worker parks on while the queue is empty.
 #[derive(Debug, Default)]
 struct ShardQueue {
-    state: Mutex<QueueState>,
+    state: Mutex<QueueState, QUEUE>,
     ready: Condvar,
 }
 
 impl ShardQueue {
-    // Every lock below recovers from poisoning instead of panicking: the
-    // queue state stays consistent under unwinds (a panicking job never
-    // holds these locks).
     fn push(&self, id: u64, job: Job) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.state.lock();
         state.jobs.push_back((id, job));
         drop(state);
         self.ready.notify_one();
@@ -102,17 +100,17 @@ impl ShardQueue {
     /// Removes a still-queued job by id — the dequeue half of best-effort
     /// cancellation. `None` once the worker has already popped it.
     fn remove(&self, id: u64) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.state.lock();
         let pos = state.jobs.iter().position(|(jid, _)| *jid == id)?;
         state.jobs.remove(pos).map(|(_, job)| job)
     }
 
     fn depth(&self) -> usize {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).jobs.len()
+        self.state.lock().jobs.len()
     }
 
     fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.state.lock();
         state.shutdown = true;
         drop(state);
         self.ready.notify_all();
@@ -217,6 +215,7 @@ impl WorkerPool {
     /// re-raise it on). See the type docs for what happens to jobs still
     /// queued when the pool drops.
     pub fn spawn(&self, shard: usize, job: Job) -> JobHandle {
+        sync::blocking_point("WorkerPool::spawn");
         let shard = shard % self.queues.len();
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.queues[shard].push(id, job);
@@ -247,11 +246,7 @@ impl WorkerPool {
     #[cfg(test)]
     pub(crate) fn closed_probe(&self) -> impl Fn() -> bool + Clone + Send + 'static {
         let queues = Arc::clone(&self.queues);
-        move || {
-            queues.iter().all(|queue| {
-                queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).shutdown
-            })
-        }
+        move || queues.iter().all(|queue| queue.state.lock().shutdown)
     }
 }
 
@@ -260,6 +255,7 @@ impl Drop for WorkerPool {
         for queue in self.queues.iter() {
             queue.close();
         }
+        sync::blocking_point("WorkerPool join");
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -276,7 +272,7 @@ impl Drop for WorkerPool {
 fn worker_loop(queue: &ShardQueue) {
     loop {
         let job = {
-            let mut state = queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut state = queue.state.lock();
             loop {
                 if state.shutdown {
                     let backlog: Vec<(u64, Job)> = state.jobs.drain(..).collect();
@@ -287,7 +283,7 @@ fn worker_loop(queue: &ShardQueue) {
                 if let Some((_, job)) = state.jobs.pop_front() {
                     break job;
                 }
-                state = queue.ready.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
+                state = queue.ready.wait(state);
             }
         };
         // A panicking job must not take the worker down with it — catch
@@ -334,6 +330,7 @@ where
         worker(&mut Propagator::new(config, &mut local), shard).map(|out| (out, local))
     };
     let shards: Vec<&[usize]> = indices.chunks(n.div_ceil(threads)).collect();
+    sync::blocking_point("run_sharded spawn");
     let settled = std::thread::scope(|scope| {
         let run = &run;
         let spawned: Vec<_> = shards[1..]
@@ -345,6 +342,7 @@ where
             })
             .collect();
         let mut settled = vec![run(shards[0])];
+        sync::blocking_point("run_sharded join");
         for shard in spawned {
             settled.push(match shard {
                 Ok(handle) => {
@@ -374,7 +372,7 @@ mod tests {
     use crate::object::UncertainObject;
     use crate::observation::Observation;
     use crate::query::{Query, QueryAnswer, QueryBuilder, QueryWindow, Strategy};
-    use crate::testkit::reference_config;
+    use crate::testkit::{gate_workers, reference_config};
     use ust_oracle::testutil;
     use ust_space::TimeSet;
 
@@ -634,21 +632,7 @@ mod tests {
     #[test]
     fn cancel_queued_removes_pending_jobs_only() {
         let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let worker_gate = Arc::clone(&gate);
-        pool.spawn(
-            0,
-            Box::new(move || {
-                let (lock, cv) = &*worker_gate;
-                let mut open = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            }),
-        );
-        while pool.stats().shard_depths[0] > 0 {
-            std::thread::yield_now();
-        }
+        let release = gate_workers(&pool);
         let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
         struct DropSensor(Arc<std::sync::atomic::AtomicBool>);
@@ -669,9 +653,7 @@ mod tests {
         assert!(pool.cancel_queued(handle), "still queued — removable");
         assert!(dropped.load(std::sync::atomic::Ordering::SeqCst), "the job box was dropped");
         assert!(!pool.cancel_queued(handle), "second cancel finds nothing");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cv.notify_all();
+        release();
         drop(pool);
         assert!(!ran.load(std::sync::atomic::Ordering::SeqCst), "cancelled job never ran");
     }
@@ -691,27 +673,10 @@ mod tests {
             });
             if queued_before_close {
                 // Gate the worker so the job is observably queued.
-                let gate = Arc::new((Mutex::new(false), Condvar::new()));
-                let worker_gate = Arc::clone(&gate);
-                pool.spawn(
-                    0,
-                    Box::new(move || {
-                        let (lock, cv) = &*worker_gate;
-                        let mut open =
-                            lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        while !*open {
-                            open = cv.wait(open).unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    }),
-                );
-                while pool.stats().shard_depths[0] > 0 {
-                    std::thread::yield_now();
-                }
+                let release = gate_workers(&pool);
                 pool.spawn(0, job);
                 pool.close_queues();
-                let (lock, cv) = &*gate;
-                *lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-                cv.notify_all();
+                release();
             } else {
                 pool.close_queues();
                 pool.spawn(0, job);
@@ -720,6 +685,29 @@ mod tests {
             let ran = ran.load(std::sync::atomic::Ordering::SeqCst);
             assert!(!ran, "queued_before_close={queued_before_close}");
         }
+    }
+
+    /// A guard held across a scoped fan-out stalls every thread contending
+    /// on its lock until all shards settle: debug builds reject it, naming
+    /// the lock; dropped first, the same fan-out runs.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_guard_held_across_a_scoped_fan_out_panics() {
+        let registry = Mutex::<_, { crate::sync::CACHE }>::new(vec![7u64, 8, 9, 10]);
+        let config = EngineConfig::default().with_num_threads(2);
+        let fan_out = |entries: &[u64]| {
+            run_sharded(&[0, 1, 2, 3], &config, &mut EvalStats::new(), |_, shard| {
+                Ok(shard.iter().map(|&i| entries[i]).collect())
+            })
+        };
+        let entries = registry.lock();
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fan_out(&entries)));
+        let message = *held.unwrap_err().downcast::<String>().unwrap();
+        let expected = "ServingCore.cache (rank 0) held across the blocking point run_sharded";
+        assert!(message.starts_with(expected), "{message}");
+        let snapshot = entries.clone();
+        drop(entries);
+        assert_eq!(fan_out(&snapshot).unwrap(), [7, 8, 9, 10]);
     }
 
     #[test]

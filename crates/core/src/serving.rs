@@ -21,12 +21,13 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{QueryError, Result};
 use crate::query::{Predicate, QuerySpec, Strategy};
 use crate::stats::EvalStats;
+use crate::sync::{Mutex, METRICS};
 
 /// How an asynchronously submitted query left the system — the
 /// classification [`Metrics::record_async_finished`] tallies.
@@ -459,7 +460,7 @@ impl MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// The live ledger *is* a snapshot — the one every reader clones.
-    inner: Mutex<MetricsSnapshot>,
+    inner: Mutex<MetricsSnapshot, METRICS>,
 }
 
 impl Metrics {
@@ -468,16 +469,12 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Tallies a rejected submission. `submitted` is bumped under the
     /// same lock acquisition as the rejection so the
     /// `submitted == accepted + rejected` identity holds in **every**
     /// snapshot, including one taken concurrently with a submit.
     pub(crate) fn record_rejected(&self, predicate: Predicate, requested: Strategy) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.submitted += 1;
         inner.rejected += 1;
         inner.plan_entry(predicate, requested).rejections += 1;
@@ -486,14 +483,14 @@ impl Metrics {
     /// Tallies an admitted submission (see [`Metrics::record_rejected`]
     /// for why `submitted` is bumped here rather than separately).
     pub(crate) fn record_accepted(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.submitted += 1;
         inner.accepted += 1;
         inner.in_flight += 1;
     }
 
     pub(crate) fn record_async_finished(&self, outcome: AsyncOutcome) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.in_flight = inner.in_flight.saturating_sub(1);
         match outcome {
             AsyncOutcome::Completed => inner.completed += 1,
@@ -506,7 +503,7 @@ impl Metrics {
     }
 
     pub(crate) fn record_execution(&self, record: &ExecutionRecord) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.executions += 1;
         let entry = inner.plan_entry(record.predicate, record.strategy);
         entry.executions += 1;
@@ -534,7 +531,7 @@ impl Metrics {
     /// [`crate::engine::QueryProcessor::watch`] performs to seed the
     /// maintained answer.
     pub(crate) fn record_stream_watch(&self, subscription_id: u64, steps: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let entry = inner.stream_entry(subscription_id);
         entry.full_recomputes += 1;
         entry.recompute_steps += steps;
@@ -543,7 +540,7 @@ impl Metrics {
     /// Tallies a committed incremental refresh: one arrival invalidated
     /// exactly one maintained entry and re-evaluated it.
     pub(crate) fn record_stream_refresh(&self, subscription_id: u64, steps: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let entry = inner.stream_entry(subscription_id);
         entry.notifications += 1;
         entry.reevaluations += 1;
@@ -553,7 +550,7 @@ impl Metrics {
     /// Tallies a full resynchronization of a stale (or errored)
     /// subscription.
     pub(crate) fn record_stream_resync(&self, subscription_id: u64, steps: u64) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let entry = inner.stream_entry(subscription_id);
         entry.notifications += 1;
         entry.full_recomputes += 1;
@@ -562,12 +559,12 @@ impl Metrics {
 
     /// Tallies a refresh shed at the admission bound or deadline.
     pub(crate) fn record_stream_shed(&self, subscription_id: u64) {
-        self.lock().stream_entry(subscription_id).sheds += 1;
+        self.inner.lock().stream_entry(subscription_id).sheds += 1;
     }
 
     /// An owned, consistent snapshot of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.lock().clone()
+        self.inner.lock().clone()
     }
 }
 

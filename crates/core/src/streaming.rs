@@ -26,13 +26,14 @@
 #![deny(clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::engine::plan;
 use crate::error::{QueryError, Result};
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
 };
+use crate::sync::{Mutex, SUBSCRIPTION};
 
 /// The undecorated per-object state a [`Subscription`] maintains between
 /// arrivals: exact probabilities for ∃/∀ specs, visit-count distributions
@@ -140,7 +141,7 @@ pub(crate) struct SubscriptionState {
     /// only to rounding, so a pinned strategy is what keeps the
     /// maintained bits stable.
     pub(crate) spec: QuerySpec,
-    pub(crate) inner: Mutex<SubscriptionInner>,
+    pub(crate) inner: Mutex<SubscriptionInner, SUBSCRIPTION>,
     /// Set by [`Subscription::cancel`] (and its `Drop`); the processor
     /// skips and prunes cancelled entries.
     pub(crate) cancelled: AtomicBool,
@@ -171,10 +172,6 @@ impl SubscriptionState {
             }),
             cancelled: AtomicBool::new(false),
         }
-    }
-
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, SubscriptionInner> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
@@ -260,7 +257,7 @@ impl Subscription {
     /// same applied observations returns, including the error when that
     /// execution fails.
     pub fn answer(&self) -> Result<QueryAnswer> {
-        let inner = self.state.lock();
+        let inner = self.state.inner.lock();
         match &inner.raw {
             Ok(raw) => Ok(self.state.derive(raw)),
             Err(e) => Err(e.clone()),
@@ -271,7 +268,7 @@ impl Subscription {
     /// or `P(visits ≥ k)` for PSTkQ specs. `None` when the object is not
     /// in scope or the subscription is in an error state.
     pub fn probability(&self, object_id: u64) -> Option<f64> {
-        let inner = self.state.lock();
+        let inner = self.state.inner.lock();
         match inner.raw.as_ref().ok()? {
             RawAnswer::Probs(v) => {
                 v.iter().find(|e| e.object_id == object_id).map(|e| e.probability)
@@ -294,7 +291,7 @@ impl Subscription {
     /// Committed refreshes since `watch` (incremental splices and full
     /// resynchronizations; shed refreshes do not count).
     pub fn notifications(&self) -> u64 {
-        self.state.lock().notifications
+        self.state.inner.lock().notifications
     }
 
     /// True while the answer is behind the database: a re-evaluation was
@@ -302,14 +299,14 @@ impl Subscription {
     /// re-evaluation, on its next admitted refresh — or a refresh is
     /// running right now and about to commit.
     pub fn is_stale(&self) -> bool {
-        self.state.lock().stale
+        self.state.inner.lock().stale
     }
 
     /// The most recent shed error
     /// ([`QueryError::QueueFull`] / [`QueryError::DeadlineExceeded`]),
     /// if any refresh was ever shed.
     pub fn last_shed(&self) -> Option<QueryError> {
-        self.state.lock().last_shed.clone()
+        self.state.inner.lock().last_shed.clone()
     }
 
     /// Detaches the subscription: no further refreshes or notifications.

@@ -72,3 +72,20 @@ pub(crate) fn oracle(
 ) -> ust_oracle::Result<ust_oracle::ExhaustiveResult> {
     ust_oracle::enumerate(chain, &observations(object), window.states(), window.times(), budget)
 }
+
+/// Parks every worker of `pool` in a job that waits on a channel until the
+/// returned closure drops its sender, so jobs spawned in between stay
+/// deterministically queued.
+pub(crate) fn gate_workers(pool: &crate::parallel::WorkerPool) -> impl FnOnce() + 'static {
+    let senders: Vec<std::sync::mpsc::Sender<()>> = (0..pool.num_threads())
+        .map(|shard| {
+            let (open, gate) = std::sync::mpsc::channel();
+            pool.spawn(shard, Box::new(move || while gate.recv().is_ok() {}));
+            open
+        })
+        .collect();
+    while pool.stats().queued_jobs > 0 {
+        std::thread::yield_now();
+    }
+    move || drop(senders)
+}

@@ -119,7 +119,9 @@ pub(crate) fn step_span_panel(
     for (member, lane_out) in panel.iter_mut().zip(outs.drain(..)) {
         let next = SpanVector::from_parts(m.ncols(), out.lo, lane_out);
         let previous = std::mem::replace(member, next);
-        // lint: allow(alloc-in-kernel-hot-loop) — returns the input's buffer to the pool it was taken from; one push per lane, not per element
+        // Returns the input's buffer to the pool it was taken from: the push
+        // reuses the pool's capacity once a sweep is warm, so it allocates
+        // nothing (`tests/kernel_allocations.rs`).
         scratch.span_pool.push(previous.into_values());
     }
     scratch.panel_out = panel_out;

@@ -138,36 +138,24 @@ pub fn random_db(
     db
 }
 
-/// Blocks every worker of `processor`'s `submit` pool until the returned
-/// closure is called, so jobs submitted in between stay deterministically
-/// queued.
+/// Parks every worker of `processor`'s `submit` pool in a job that waits on
+/// a channel until the returned closure drops its sender, so jobs
+/// submitted in between stay deterministically queued.
 pub fn gate_workers(processor: &QueryProcessor) -> impl FnOnce() + 'static {
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
     let pool = processor.pool();
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    for shard in 0..pool.num_threads() {
-        let gate = Arc::clone(&gate);
-        pool.spawn(
-            shard,
-            Box::new(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(PoisonError::into_inner);
-                }
-            }),
-        );
-    }
-    // Wait until every gate job has been popped: the queues are now empty
-    // and every worker is parked inside its gate.
+    let senders: Vec<std::sync::mpsc::Sender<()>> = (0..pool.num_threads())
+        .map(|shard| {
+            let (open, gate) = std::sync::mpsc::channel();
+            pool.spawn(shard, Box::new(move || while gate.recv().is_ok() {}));
+            open
+        })
+        .collect();
+    // Every gate job has been popped once the queues are empty: each
+    // worker is parked inside its gate.
     while pool.stats().queued_jobs > 0 {
         std::thread::yield_now();
     }
-    move || {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-    }
+    move || drop(senders)
 }
 
 /// Executes `builder` (window and strategy already attached) and returns

@@ -1,7 +1,7 @@
-//! The reference algorithms share no code with the engines, as a fact of
-//! the manifests: `ust-oracle` depends on neither `ust-core` nor
+//! Facts of the manifests and the sources. The reference algorithms share
+//! no code with the engines: `ust-oracle` depends on neither `ust-core` nor
 //! `ust-data`, and no crate takes `ust-oracle` as a normal (non-dev)
-//! dependency.
+//! dependency. And every lock in product code is a ranked one.
 
 use std::path::{Path, PathBuf};
 
@@ -56,8 +56,54 @@ fn the_oracle_is_a_dev_dependency_only_and_depends_on_no_engine() {
     for engine in ["ust-core", "ust-data"] {
         assert!(!oracle.contains(&engine.to_string()), "ust-oracle depends on {engine}");
     }
-    assert!(crates.len() >= 10, "every crate is scanned: {crates:?}");
+    assert!(crates.len() >= 9, "every crate is scanned: {crates:?}");
     for (name, deps) in &crates {
         assert!(!deps.contains(&"ust-oracle".to_string()), "{name} depends on ust-oracle");
+    }
+}
+
+/// Every `.rs` file under the `src/` of each crate.
+fn product_sources() -> Vec<PathBuf> {
+    let mut dirs: Vec<_> = manifests().iter().map(|m| m.parent().unwrap().join("src")).collect();
+    let mut found = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(&dir).unwrap().map(|entry| entry.unwrap().path()) {
+            match path.is_dir() {
+                true => dirs.push(path),
+                false => found.extend(path.extension().is_some_and(|e| e == "rs").then_some(path)),
+            }
+        }
+    }
+    found
+}
+
+/// The `std::sync` lock types `source` names outside comments and its
+/// closing unit-test module (`#[cfg(test)] mod tests {`).
+fn std_locks_named(source: &str) -> Vec<String> {
+    let product = source.split("#[cfg(test)]\nmod tests {").next().unwrap();
+    let code: String =
+        product.lines().map(|line| line.split("//").next().unwrap().replace(' ', "")).collect();
+    let in_path = |c: char| c.is_alphanumeric() || "_:{},".contains(c);
+    let paths = code.split("std::sync::").skip(1);
+    let names = paths
+        .flat_map(|rest| rest.split(|c| !in_path(c)).next().unwrap().split([':', '{', '}', ',']));
+    names
+        .filter(|name| ["Mutex", "RwLock", "Condvar"].iter().any(|lock| name.starts_with(lock)))
+        .map(str::to_string)
+        .collect()
+}
+
+/// A lock in product code is a ranked one from `ust-core`'s `sync.rs`, so
+/// no lock can skip the rank table the lock order is checked against.
+#[test]
+fn product_code_takes_its_locks_from_the_rank_table() {
+    let sync = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/sync.rs");
+    let wrapped = std_locks_named(&std::fs::read_to_string(&sync).unwrap());
+    assert!(wrapped.contains(&"Mutex".to_string()), "the check sees sync.rs's own: {wrapped:?}");
+    let sources = product_sources();
+    assert!(sources.len() > 50, "every crate's sources are scanned: {}", sources.len());
+    for path in sources.iter().filter(|path| **path != sync) {
+        let named = std_locks_named(&std::fs::read_to_string(path).unwrap());
+        assert!(named.is_empty(), "{} names std::sync::{named:?}", path.display());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Every evaluation below drives the shared `engine::pipeline` propagation
 //! core — OB through the batched forward sweep, QB through
-//! `Propagator::backward` — so this is an end-to-end consistency check of
+//! `Propagator::backward_from` — so this is an end-to-end consistency check of
 //! the pipeline from both directions, across all six (predicate,
 //! strategy) shapes of `QueryProcessor::execute`. Three further structural
 //! properties of the batch-first core are pinned down exactly (to the bit,

@@ -438,7 +438,10 @@ fn arrivals_during_watch_are_not_lost() {
             // and cannot finish before the gate opens.
             let mut state = lock.lock().unwrap_or_else(PoisonError::into_inner);
             while !state.1 {
-                state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+                // A watch that fails before it parks fails the test, not hangs it.
+                assert!(!watching.is_finished(), "watch returned before parking in its prepare");
+                let wait = cv.wait_timeout(state, std::time::Duration::from_millis(10));
+                state = wait.unwrap_or_else(PoisonError::into_inner).0;
             }
             drop(state);
             let arriving = scope.spawn(|| match inserting {
