@@ -454,7 +454,10 @@ mod tests {
     /// The path that now exists once, cell by cell: {`submit`, refresh} ×
     /// {admitted, `QueueFull`, `DeadlineExceeded`, cancelled while queued,
     /// panicking, pool dropped mid-burst}. A refresh is synchronous — it is
-    /// never queued on the pool — so its last two columns cannot occur.
+    /// never queued on the pool — so its last two columns cannot occur. The
+    /// panicking refresh runs twice, for an object-based subscription and
+    /// for a stale query-based one: the two ways a refresh still reaches
+    /// the injected fault.
     /// Every cell asserts the same four things: the admission slot is
     /// released (at `max_queue_depth = 1` a leaked slot would reject the
     /// following submission), `submitted == accepted + rejected`,
@@ -478,19 +481,30 @@ mod tests {
         const POISONED: usize = 2;
 
         for refresh in [false, true] {
-            for exit in [
-                Exit::Admitted,
-                Exit::QueueFull,
-                Exit::DeadlineExceeded,
-                Exit::CancelledWhileQueued,
-                Exit::Panicking,
-                Exit::PoolDroppedMidBurst,
+            // A subscription watches the spec under its own strategy, or
+            // pinned: a panicking refresh reaches the space through an
+            // object-based subscription's served probe and through a stale
+            // query-based one's resync, never through a fresh query-based
+            // one's dot.
+            for (exit, pin) in [
+                (Exit::Admitted, None),
+                (Exit::QueueFull, None),
+                (Exit::DeadlineExceeded, None),
+                (Exit::CancelledWhileQueued, None),
+                (Exit::Panicking, Some(Strategy::ObjectBased)),
+                (Exit::Panicking, Some(Strategy::QueryBased)),
+                (Exit::PoolDroppedMidBurst, None),
             ] {
-                if refresh && matches!(exit, Exit::CancelledWhileQueued | Exit::PoolDroppedMidBurst)
-                {
+                let queued = matches!(exit, Exit::CancelledWhileQueued | Exit::PoolDroppedMidBurst);
+                if (refresh && queued) || (!refresh && pin == Some(Strategy::QueryBased)) {
                     continue;
                 }
-                let cell = format!("{} × {exit:?}", if refresh { "refresh" } else { "submit" });
+                let route = match (refresh, pin) {
+                    (false, _) => "submit".to_string(),
+                    (true, None) => "refresh".to_string(),
+                    (true, Some(pin)) => format!("refresh pinned {pin:?}"),
+                };
+                let cell = format!("{route} × {exit:?}");
 
                 // Anchors avoid the poisoned state; the window contains it.
                 let armed = Arc::new(AtomicBool::new(false));
@@ -519,7 +533,8 @@ mod tests {
                 let processor = QueryProcessor::with_config(&db, config);
                 // Builds the index while the space is still harmless.
                 processor.execute(&spec).unwrap();
-                let sub = refresh.then(|| processor.watch(&spec).unwrap());
+                let watched = pin.map_or(spec.clone(), |pin| spec.clone().with_strategy(pin));
+                let sub = refresh.then(|| processor.watch(&watched).unwrap());
                 let arrival = || processor.ingest(1, Observation::exact(1, N, 5).unwrap());
 
                 match (&sub, exit) {
@@ -580,6 +595,21 @@ mod tests {
                                 assert_eq!(panicked, Err(QueryError::AsyncQueryPanicked), "{cell}");
                             }
                             Some(sub) => {
+                                // Staled first, by a refresh shed at the
+                                // admission bound: the query-based arrival
+                                // below then resyncs through a served
+                                // evaluation, whose prepare runs the index
+                                // prefilter.
+                                if sub.spec().strategy() == Strategy::QueryBased {
+                                    armed.store(false, Ordering::SeqCst);
+                                    let release = gate_workers(processor.pool());
+                                    let holder = processor.submit(&spec).unwrap();
+                                    assert_eq!(arrival(), Ok(IngestOutcome::Applied), "{cell}");
+                                    assert!(sub.is_stale(), "{cell}");
+                                    release();
+                                    holder.wait().unwrap();
+                                    armed.store(true, Ordering::SeqCst);
+                                }
                                 // The panic is the ingest caller's; the
                                 // arrival itself was applied.
                                 let unwound =

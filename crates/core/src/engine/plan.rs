@@ -299,34 +299,41 @@ impl Scope {
     }
 }
 
-/// Maps a spec's optional object-id subset to its [`Scope`]. Fails with
+/// Maps a spec's optional object-id subset to its [`Scope`]: the whole
+/// database, or the [`holders`] of the ids.
+fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
+    match spec.objects() {
+        None => Ok(Scope::Database(db.len())),
+        Some(ids) => holders(db, ids).map(Scope::Subset),
+    }
+}
+
+/// The ascending database indices of every object holding one of `ids`
+/// (ascending, distinct) — the scope of an id subset, and the entries a
+/// standing query's refresh rewrites. Fails with
 /// [`QueryError::UnknownObject`] (the smallest missing id) when an id does
 /// not exist. On a store with ascending ids — id order is index order —
 /// each id is bisected, O(k·log |D|); otherwise one walk over the store
 /// collects every holder of a requested id.
-fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
-    match spec.objects() {
-        None => Ok(Scope::Database(db.len())),
-        Some(ids) if db.ids_ascending() => ids
+pub(crate) fn holders(db: &TrajectoryDatabase, ids: &[u64]) -> Result<Vec<usize>> {
+    if db.ids_ascending() {
+        return ids
             .iter()
             .map(|&id| db.index_of(id).ok_or(QueryError::UnknownObject { id }))
-            .collect::<Result<_>>()
-            .map(Scope::Subset),
-        Some(ids) => {
-            let mut out = Vec::with_capacity(ids.len());
-            let mut matched = vec![false; ids.len()];
-            for (idx, object) in db.objects().iter().enumerate() {
-                if let Ok(pos) = ids.binary_search(&object.id()) {
-                    matched[pos] = true;
-                    out.push(idx);
-                }
-            }
-            if let Some(pos) = matched.iter().position(|m| !m) {
-                return Err(QueryError::UnknownObject { id: ids[pos] });
-            }
-            Ok(Scope::Subset(out))
+            .collect();
+    }
+    let mut out = Vec::with_capacity(ids.len());
+    let mut matched = vec![false; ids.len()];
+    for (idx, object) in db.objects().iter().enumerate() {
+        if let Ok(pos) = ids.binary_search(&object.id()) {
+            matched[pos] = true;
+            out.push(idx);
         }
     }
+    if let Some(pos) = matched.iter().position(|m| !m) {
+        return Err(QueryError::UnknownObject { id: ids[pos] });
+    }
+    Ok(out)
 }
 
 /// The spatio-temporal index, when running it over the spec's scope is
@@ -897,7 +904,7 @@ pub(crate) fn prepare(
     };
     // A read below the size floor (armed by `PrefilterMode::On`) memoises
     // only under such a threshold: the one-object probabilities probes of
-    // subscription refreshes never enter the memo.
+    // object-based subscription refreshes never enter the memo.
     let admitted = scope.len() >= PREFILTER_AUTO_MIN_OBJECTS || tau.is_some();
     let key = admitted.then(|| PlanKeyRef::of(spec, cost));
     let lock = || ctx.cache.lock();

@@ -1,7 +1,9 @@
 //! The processor and the one serving path: `execute`, `explain` and
-//! `submit` — and, from [`super::refresh`], `watch` and every refresh — are
-//! calls into [`serve`], a query's life written once (prepare → interrupt →
-//! refine → record), behind the one admission gate.
+//! `submit` — and, from [`super::refresh`], a subscription's seed, its
+//! resynchronizations and its object-based refreshes — are calls into
+//! [`serve`], a query's life written once (prepare → interrupt → refine →
+//! record), behind the one admission gate. A query-based refresh is a dot
+//! product against the subscription's held fields and does not come here.
 
 #![allow(
     clippy::disallowed_methods,
@@ -340,10 +342,10 @@ impl QueryProcessor {
 /// half, **refine**, and **record** — every call reports plan time,
 /// execute time and its evaluation counters to the serving registry, a
 /// job's queue wait (submission to here) with them. `execute`, the `submit`
-/// job and every subscription evaluation are this function; the two clock
-/// reads here are the stage boundary, outside the clock-free planner. A
-/// shed execution is *not* recorded as one; the admission gate's lifecycle
-/// counters account for it instead.
+/// job and every served subscription evaluation are this function; the
+/// two clock reads here are the stage boundary, outside the clock-free
+/// planner. A shed execution is *not* recorded as one; the admission
+/// gate's lifecycle counters account for it instead.
 pub(super) fn serve(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,

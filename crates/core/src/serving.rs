@@ -196,10 +196,14 @@ pub(crate) struct ExecutionRecord {
 /// The step split is the streaming story in numbers: `recompute_steps`
 /// is what full evaluations (the registration probe plus any stale
 /// resynchronizations) cost, `incremental_steps` what the per-arrival
-/// single-object refreshes cost. On a warmed query-based subscription
-/// the latter stays at zero backward steps per arrival (pinned by
+/// single-object refreshes cost. A query-based subscription scores each
+/// arrival against the backward fields it holds, so the latter stays at
+/// zero backward steps per arrival, except for the one sweep of a model
+/// that had no object in scope at registration (pinned by
 /// `tests/streaming.rs`, reported by the benchmark's `stream_mixed`
-/// workload).
+/// workload). Those refreshes are not served executions and never reach
+/// [`MetricsSnapshot::executions`]; an object-based subscription's
+/// refresh serves a one-object probe and counts there too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamMetrics {
     /// The subscription this row accounts for.
@@ -208,9 +212,9 @@ pub struct StreamMetrics {
     /// refreshes plus full resynchronizations; the registration probe is
     /// not a notification).
     pub notifications: u64,
-    /// Incremental single-object re-evaluations: each invalidated exactly
-    /// the arrived object's maintained entry, never the backward-field
-    /// caches (their keys are observation-independent).
+    /// Incremental single-object refreshes: each recomputed exactly the
+    /// arrived object's maintained entries, never the backward fields
+    /// (their keys are observation-independent).
     pub reevaluations: u64,
     /// Full evaluations: the registration probe plus stale resyncs.
     pub full_recomputes: u64,
@@ -341,8 +345,10 @@ pub struct MetricsSnapshot {
     pub panicked: u64,
     /// Accepted queries still queued or running.
     pub in_flight: u64,
-    /// Executions recorded in total — synchronous `execute` calls plus
-    /// asynchronous job bodies.
+    /// Executions recorded in total — synchronous `execute` calls,
+    /// asynchronous job bodies and served subscription evaluations (seeds,
+    /// resynchronizations and object-based refreshes; a query-based
+    /// refresh is a dot product against held fields, not an execution).
     pub executions: u64,
     /// Per-`(predicate, strategy)` counters, in first-seen order.
     pub plans: Vec<PlanMetrics>,

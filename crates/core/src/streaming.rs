@@ -8,19 +8,23 @@
 //! sparse dot product, regardless of how many fixes arrive.
 //!
 //! The mechanism lives on [`crate::engine::QueryProcessor`]: `watch`
-//! registers a full [`QuerySpec`] as a [`Subscription`] (pre-sweeping its
-//! backward fields over every anchor time in `[0, t_end]`), `ingest`
-//! applies latest-fix observations to the processor's database (each new
-//! fix supersedes the previous one, the standard dashboard behaviour; full
+//! registers a full [`QuerySpec`] as a [`Subscription`], `ingest` applies
+//! latest-fix observations to the processor's database (each new fix
+//! supersedes the previous one, the standard dashboard behaviour; full
 //! Bayesian fusion of *all* fixes is [`crate::multi_obs`]), and every
-//! applied arrival re-evaluates exactly the affected object of each
-//! registered subscription through the planner (prefilter, batching, cache
-//! and serving metrics all apply). The subscription's decorated answer is
-//! *derived* from its maintained per-object state through the same
-//! `engine::plan` helpers the batch dispatcher uses, so incremental and
-//! from-scratch answers are bit-for-bit identical — the property
-//! `tests/streaming.rs` pins. This module holds the subscription handle
-//! and that maintained state.
+//! applied arrival refreshes exactly the affected object of each
+//! registered subscription. A query-based subscription sweeps its backward
+//! fields at `watch` — every anchor time in `[0, t_end]` — and holds them:
+//! an arrival is then validated and scored against the held field of its
+//! model with one sparse dot product, and the result is written into the
+//! object's slot of the maintained state, with no planning, index probe or
+//! cache lookup. An object-based subscription re-evaluates the object with
+//! a served probe. The subscription's decorated answer is *derived* from
+//! its maintained per-object state through the same `engine::plan`
+//! helpers the batch dispatcher uses, so incremental and from-scratch
+//! answers are bit-for-bit identical — the property `tests/streaming.rs`
+//! pins. This module holds the subscription handle and that maintained
+//! state.
 
 // Iteration order never reaches a maintained answer: no hashed containers.
 #![deny(clippy::disallowed_types)]
@@ -29,6 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::engine::plan;
+use crate::engine::query_based::BackwardField;
 use crate::error::{QueryError, Result};
 use crate::query::{
     Decorator, ObjectKDistribution, ObjectProbability, Predicate, QueryAnswer, QuerySpec,
@@ -75,15 +80,30 @@ impl RawAnswer {
         }
     }
 
-    /// Splices a single-object probe result into the maintained state. The
-    /// probe lists every holder of the object's id (ids may repeat) in
+    /// Splices a single-object refresh into the maintained state. The
+    /// update lists every holder of the object's id (ids may repeat) in
     /// database order, and the maintained list holds its holders in
-    /// database order too, so the probe's k-th entry replaces the list's
+    /// database order too, so the update's k-th entry replaces the list's
     /// k-th holder of the id. An entry beyond them — a freshly inserted
     /// holder, last in the database — appends, exactly where a full
-    /// re-evaluation lists it. The scan stops with the probe's last entry.
-    pub(crate) fn splice(&mut self, update: RawAnswer) {
-        fn merge<T>(into: &mut Vec<T>, from: Vec<T>, id: impl Fn(&T) -> u64) {
+    /// re-evaluation lists it.
+    ///
+    /// `slot` is the store index of a lone holder when the list is a
+    /// whole-database answer, which every commit leaves in database order:
+    /// the entry is written at that slot when the slot holds the same id,
+    /// or appended when the slot is the list's end. Otherwise the list is
+    /// scanned forward for each holder, stopping with the update's last
+    /// entry.
+    pub(crate) fn splice(&mut self, update: RawAnswer, slot: Option<usize>) {
+        fn merge<T>(into: &mut Vec<T>, from: Vec<T>, slot: Option<usize>, id: impl Fn(&T) -> u64) {
+            if let (Some(idx), [entry]) = (slot, from.as_slice()) {
+                let fits = into.get(idx).map_or(idx == into.len(), |kept| id(kept) == id(entry));
+                if fits {
+                    // Replaces the slot's entry, or appends at the end.
+                    into.splice(idx..into.len().min(idx + 1), from);
+                    return;
+                }
+            }
             let mut next = 0;
             for entry in from {
                 match into[next..].iter().position(|e| id(e) == id(&entry)) {
@@ -99,14 +119,32 @@ impl RawAnswer {
             }
         }
         match (self, update) {
-            (RawAnswer::Probs(v), RawAnswer::Probs(u)) => merge(v, u, |e| e.object_id),
-            (RawAnswer::Dists(v), RawAnswer::Dists(u)) => merge(v, u, |e| e.object_id),
+            (RawAnswer::Probs(v), RawAnswer::Probs(u)) => merge(v, u, slot, |e| e.object_id),
+            (RawAnswer::Dists(v), RawAnswer::Dists(u)) => merge(v, u, slot, |e| e.object_id),
             #[expect(
                 clippy::unreachable,
                 reason = "both operands come from the same subscription's probe spec, which \
                           is immutable after install."
             )]
             _ => unreachable!("a subscription's probe shape never changes"),
+        }
+    }
+
+    /// Whether `other` holds the same entries to the bit — the check debug
+    /// builds make of a committed refresh against a fresh evaluation.
+    pub(crate) fn same_bits(&self, other: &RawAnswer) -> bool {
+        let probs = |v: &[ObjectProbability]| -> Vec<(u64, u64)> {
+            v.iter().map(|e| (e.object_id, e.probability.to_bits())).collect()
+        };
+        let dists = |v: &[ObjectKDistribution]| -> Vec<(u64, Vec<u64>)> {
+            v.iter()
+                .map(|e| (e.object_id, e.probabilities.iter().map(|p| p.to_bits()).collect()))
+                .collect()
+        };
+        match (self, other) {
+            (RawAnswer::Probs(a), RawAnswer::Probs(b)) => probs(a) == probs(b),
+            (RawAnswer::Dists(a), RawAnswer::Dists(b)) => dists(a) == dists(b),
+            _ => false,
         }
     }
 }
@@ -127,6 +165,19 @@ pub(crate) struct SubscriptionInner {
     pub(crate) last_shed: Option<QueryError>,
     /// Committed refreshes since `watch` (incremental or full).
     pub(crate) notifications: u64,
+    /// A query-based subscription's backward fields, by model: swept at
+    /// `watch` over every anchor time in `[0, t_end]`, or on the first
+    /// arrival for a model that had no object in scope then. A held field
+    /// outlives its cache entry, so memory is bounded by subscriptions ×
+    /// models; while the cache keeps the entry, both hold the same `Arc`.
+    pub(crate) fields: Vec<Option<Arc<BackwardField>>>,
+    /// The version of the store the maintained state is known to equal a
+    /// full evaluation on — set by a full evaluation, carried forward by a
+    /// refresh whose snapshot holds no write since but the arrival's, and
+    /// `None` once a refresh commits past a write not yet notified
+    /// (concurrent arrivals may notify out of order). Debug builds check
+    /// the state against a fresh evaluation only while it is known.
+    pub(crate) in_step_with: Option<u64>,
 }
 
 /// Shared state behind a [`Subscription`] handle; the registering
@@ -149,18 +200,25 @@ pub(crate) struct SubscriptionState {
 
 impl SubscriptionInner {
     /// Replaces the maintained state with a full evaluation's outcome: the
-    /// subscription reflects the database that evaluation ran against.
-    pub(crate) fn resync(&mut self, raw: Result<RawAnswer>) {
+    /// subscription reflects the database that evaluation ran against, of
+    /// store version `version`.
+    pub(crate) fn resync(&mut self, raw: Result<RawAnswer>, version: u64) {
         self.raw = raw;
         self.stale = false;
+        self.in_step_with = Some(version);
     }
 }
 
 impl SubscriptionState {
-    /// A subscription that has not been evaluated yet. It is born stale —
-    /// its state reflects no database — and `watch` seeds it with a full
-    /// evaluation before anyone can read it.
-    pub(crate) fn unseeded(id: u64, spec: QuerySpec) -> SubscriptionState {
+    /// A subscription that has not been evaluated yet, holding `fields`
+    /// (see [`SubscriptionInner::fields`]). It is born stale — its state
+    /// reflects no database — and `watch` seeds it with a full evaluation
+    /// before anyone can read it.
+    pub(crate) fn unseeded(
+        id: u64,
+        spec: QuerySpec,
+        fields: Vec<Option<Arc<BackwardField>>>,
+    ) -> SubscriptionState {
         SubscriptionState {
             id,
             spec,
@@ -169,6 +227,8 @@ impl SubscriptionState {
                 stale: true,
                 last_shed: None,
                 notifications: 0,
+                fields,
+                in_step_with: None,
             }),
             cancelled: AtomicBool::new(false),
         }
@@ -209,7 +269,8 @@ pub(crate) fn pin_strategy(spec: &QuerySpec, strategy: crate::query::Strategy) -
 
 /// The probabilities-decorated probe of `spec` the maintained state is
 /// computed with — same predicate, window, strategy and subset,
-/// optionally narrowed to a single object for incremental refreshes.
+/// optionally narrowed to a single object for an object-based
+/// subscription's refresh.
 pub(crate) fn probe_spec(spec: &QuerySpec, object: Option<u64>) -> QuerySpec {
     let probe = spec.clone().with_probabilities();
     match object {
@@ -428,8 +489,8 @@ mod tests {
         };
 
         let mut raw = RawAnswer::Probs(vec![p(3, 0.1), p(1, 0.2), p(7, 0.3)]);
-        raw.splice(RawAnswer::Probs(vec![p(1, 0.9)]));
-        raw.splice(RawAnswer::Probs(vec![p(9, 0.4)]));
+        raw.splice(RawAnswer::Probs(vec![p(1, 0.9)]), None);
+        raw.splice(RawAnswer::Probs(vec![p(9, 0.4)]), None);
         assert_eq!(
             listed(&raw),
             vec![(3, 0.1), (1, 0.9), (7, 0.3), (9, 0.4)],
@@ -440,12 +501,24 @@ mod tests {
         // A repeated id: the k-th holder takes the k-th entry.
         let whole = || RawAnswer::Probs(vec![p(5, 0.1), p(2, 0.2), p(5, 0.3)]);
         let mut raw = whole();
-        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8)]));
+        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8)]), None);
         assert_eq!(listed(&raw), vec![(5, 0.7), (2, 0.2), (5, 0.8)]);
         // An inserted holder of the id appends after the existing ones.
         let mut raw = whole();
-        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8), p(5, 0.9)]));
+        raw.splice(RawAnswer::Probs(vec![p(5, 0.7), p(5, 0.8), p(5, 0.9)]), None);
         assert_eq!(listed(&raw), vec![(5, 0.7), (2, 0.2), (5, 0.8), (5, 0.9)]);
+
+        // A lone holder's store index is its slot in a whole-database list:
+        // written there, or appended at the list's end; a slot holding
+        // another id, or past the end, falls back to the forward scan.
+        let mut raw = RawAnswer::Probs(vec![p(3, 0.1), p(1, 0.2), p(7, 0.3)]);
+        raw.splice(RawAnswer::Probs(vec![p(3, 0.5)]), Some(0));
+        raw.splice(RawAnswer::Probs(vec![p(7, 0.6)]), Some(2));
+        raw.splice(RawAnswer::Probs(vec![p(9, 0.4)]), Some(3));
+        assert_eq!(listed(&raw), vec![(3, 0.5), (1, 0.2), (7, 0.6), (9, 0.4)]);
+        raw.splice(RawAnswer::Probs(vec![p(1, 0.9)]), Some(0));
+        raw.splice(RawAnswer::Probs(vec![p(4, 0.8)]), Some(9));
+        assert_eq!(listed(&raw), vec![(3, 0.5), (1, 0.9), (7, 0.6), (9, 0.4), (4, 0.8)]);
     }
 
     #[test]
@@ -456,7 +529,7 @@ mod tests {
         let probs = vec![p(1, 0.9), p(2, 0.3), p(3, 0.7)];
 
         let threshold = Query::exists().window(window.clone()).threshold(0.5).build().unwrap();
-        let state = SubscriptionState::unseeded(0, threshold);
+        let state = SubscriptionState::unseeded(0, threshold, Vec::new());
         assert_eq!(
             state.derive(&RawAnswer::Probs(probs.clone())),
             QueryAnswer::ObjectIds(vec![1, 3]),
@@ -464,7 +537,7 @@ mod tests {
         );
 
         let topk = Query::exists().window(window.clone()).top_k(2).build().unwrap();
-        let state = SubscriptionState::unseeded(1, topk);
+        let state = SubscriptionState::unseeded(1, topk, Vec::new());
         match state.derive(&RawAnswer::Probs(probs)) {
             QueryAnswer::Ranked(r) => {
                 assert_eq!(r.len(), 2);
@@ -483,7 +556,7 @@ mod tests {
             .strategy(Strategy::QueryBased)
             .build()
             .unwrap();
-        let state = SubscriptionState::unseeded(2, ktimes);
+        let state = SubscriptionState::unseeded(2, ktimes, Vec::new());
         assert_eq!(state.derive(&RawAnswer::Dists(dists)), QueryAnswer::ObjectIds(vec![1]));
     }
 

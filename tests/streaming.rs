@@ -348,3 +348,140 @@ fn threshold_subscriptions_answer_like_superlevel_filtered_executions() {
     }
     assert!(fired > 0, "the warm executions never pruned by the superlevel set");
 }
+
+/// The canonical outcome of a from-scratch execution of `spec` on a fresh
+/// processor over `processor`'s current database.
+fn fresh(processor: &QueryProcessor, spec: &QuerySpec) -> String {
+    canon(&QueryProcessor::new(&processor.snapshot()).execute(spec))
+}
+
+/// A query-based subscription holds one backward field per model in scope
+/// at `watch`. A model with no object then has its field fetched on the
+/// first arrival of one of its objects — an `insert` — and kept: the fetch
+/// is the only propagation work the refreshes do, and every answer equals a
+/// fresh execution, for each predicate.
+#[test]
+fn a_model_without_objects_at_watch_fetches_its_field_on_its_first_arrival() {
+    const N: usize = 12;
+    let chains = vec![
+        ust_oracle::testutil::random_chain(0xA1, N, 3),
+        ust_oracle::testutil::random_chain(0xB2, N, 3),
+    ];
+    let fix = |t, state| Observation::exact(t, N, state).unwrap();
+    let mut db = TrajectoryDatabase::with_models(chains).unwrap();
+    for id in 0..5u64 {
+        db.insert(UncertainObject::with_single_observation(id, fix(0, id as usize + 2))).unwrap();
+    }
+    let window = QueryWindow::from_states(N, 1usize..5, TimeSet::interval(3, 5)).unwrap();
+    for query in [Query::exists(), Query::forall(), Query::ktimes(1)] {
+        let spec = query.window(window.clone()).strategy(Strategy::QueryBased).build().unwrap();
+        let processor = QueryProcessor::new(&db);
+        let sub = processor.watch(&spec).unwrap();
+        let steps = |processor: &QueryProcessor| {
+            processor.metrics().stream(sub.id()).unwrap().incremental_steps
+        };
+        assert_eq!(canon(&sub.answer()), fresh(&processor, &spec));
+
+        let newcomer = UncertainObject::with_single_observation(9, fix(1, 7)).with_model(1);
+        processor.insert(newcomer).unwrap();
+        assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: the insert");
+        let fetched = steps(&processor);
+        assert!(fetched > 0, "{spec:?}: model 1's field is swept on its first arrival");
+
+        processor.ingest(9, fix(2, 3)).unwrap();
+        processor.ingest(4, fix(1, 0)).unwrap();
+        assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: the ingests");
+        assert_eq!(steps(&processor), fetched, "{spec:?}: the fetched field is kept");
+        assert_eq!(sub.notifications(), 3);
+    }
+}
+
+/// A held field outlives its cache entry: under a one-entry cache an
+/// unrelated query-based read between arrivals evicts the subscription's
+/// field, and every refresh still answers from the held field — bit for
+/// bit a fresh execution, at zero propagation steps.
+#[test]
+fn held_fields_outlive_their_cache_entries() {
+    let feed = feed(0x5EAF, 12);
+    let n = feed.config.workload.num_states;
+    let window = QueryWindow::from_states(n, 4usize..14, TimeSet::interval(20, 22)).unwrap();
+    let spec = Query::exists().window(window).strategy(Strategy::QueryBased).build().unwrap();
+    let unrelated = Query::exists()
+        .window(QueryWindow::from_states(n, 20usize..30, TimeSet::interval(9, 11)).unwrap())
+        .strategy(Strategy::QueryBased)
+        .build()
+        .unwrap();
+    let config = EngineConfig::default().with_cache_capacity(1);
+    let processor = QueryProcessor::with_config(&feed.db, config);
+    let sub = processor.watch(&spec).unwrap();
+    for (i, event) in feed.events.iter().enumerate() {
+        processor.execute(&unrelated).unwrap();
+        processor.ingest(event.object_id, event.observation.clone()).unwrap();
+        assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "arrival {i}");
+    }
+    let stream = processor.metrics().stream(sub.id()).unwrap().clone();
+    assert!(stream.reevaluations >= 10, "the feed applies most events");
+    assert_eq!(stream.incremental_steps, 0, "no refresh swept a field");
+    // The subscription's field was indeed out of the cache.
+    processor.execute(&unrelated).unwrap();
+    let mut stats = EvalStats::new();
+    processor.execute_with_stats(&spec, &mut stats).unwrap();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
+}
+
+/// A whole-store answer is in database order after every commit, so an
+/// arrival is written at its object's slot: the first object, the last
+/// one, an inserted object (an append) and then that newcomer again.
+#[test]
+fn arrivals_for_the_first_and_the_last_object_write_their_slots() {
+    let feed = feed(0xF125, 0);
+    let n = feed.config.workload.num_states;
+    let window = QueryWindow::from_states(n, 4usize..14, TimeSet::interval(6, 8)).unwrap();
+    let objects = feed.db.objects();
+    let (first, last) = (objects[0].id(), objects[objects.len() - 1].id());
+    let newcomer = objects.iter().map(UncertainObject::id).max().unwrap() + 1;
+    for query in [Query::exists(), Query::ktimes(2)] {
+        for strategy in [Strategy::QueryBased, Strategy::ObjectBased] {
+            let spec = query.clone().window(window.clone()).strategy(strategy).build().unwrap();
+            let processor = QueryProcessor::new(&feed.db);
+            let sub = processor.watch(&spec).unwrap();
+            let fix = |t, state| Observation::exact(t, n, state).unwrap();
+            processor.ingest(first, fix(1, 5)).unwrap();
+            assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: first");
+            processor.ingest(last, fix(2, 9)).unwrap();
+            assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: last");
+            processor
+                .insert(UncertainObject::with_single_observation(newcomer, fix(1, 6)))
+                .unwrap();
+            assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: insert");
+            processor.ingest(newcomer, fix(3, 11)).unwrap();
+            assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{spec:?}: newcomer");
+            assert_eq!(sub.notifications(), 4);
+            assert_eq!(sub.answer().unwrap().len(), objects.len() + 1);
+        }
+    }
+}
+
+/// A query-based refresh is a dot against the held field, not a served
+/// execution: the processor's execution count does not move across
+/// applied arrivals. An object-based refresh serves a probe narrowed to the
+/// object: one execution per arrival.
+#[test]
+fn query_based_refreshes_are_not_served_executions() {
+    let feed = feed(0xD07, 0);
+    let n = feed.config.workload.num_states;
+    let window = QueryWindow::from_states(n, 4usize..14, TimeSet::interval(6, 8)).unwrap();
+    for (strategy, per_arrival) in [(Strategy::QueryBased, 0), (Strategy::ObjectBased, 1)] {
+        let spec = Query::exists().window(window.clone()).strategy(strategy).build().unwrap();
+        let processor = QueryProcessor::new(&feed.db);
+        let sub = processor.watch(&spec).unwrap();
+        let before = processor.metrics().executions;
+        for (i, id) in [0u64, 3, 7, 3].into_iter().enumerate() {
+            let fix = Observation::exact(1 + i as u32, n, 2 * i + 4).unwrap();
+            assert_eq!(processor.ingest(id, fix).unwrap(), IngestOutcome::Applied);
+        }
+        assert_eq!(processor.metrics().executions - before, 4 * per_arrival, "{strategy:?}");
+        assert_eq!((sub.notifications(), sub.is_stale()), (4, false));
+        assert_eq!(canon(&sub.answer()), fresh(&processor, &spec), "{strategy:?}");
+    }
+}
