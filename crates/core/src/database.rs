@@ -133,6 +133,10 @@ struct DbInner {
     log: WriteLog,
     models: Vec<Arc<MarkovChain>>,
     objects: Vec<UncertainObject>,
+    /// Each object's id, in store order: what id lookups bisect and what a
+    /// probability answer's pruned zeros are written from, so neither
+    /// reads the objects.
+    ids: Vec<u64>,
     /// True while every insert carried an id above the previous one, i.e.
     /// the store is strictly ascending in id and id lookups may bisect it
     /// (see [`TrajectoryDatabase::index_of`]).
@@ -158,6 +162,7 @@ impl Clone for DbInner {
             log: self.log.clone(),
             models: self.models.clone(),
             objects: self.objects.clone(),
+            ids: self.ids.clone(),
             ids_ascending: self.ids_ascending,
             space: self.space.clone(),
             index: self.index.clone(),
@@ -189,6 +194,7 @@ impl TrajectoryDatabase {
                 log: WriteLog::new(version),
                 models: vec![Arc::new(chain)],
                 objects: Vec::new(),
+                ids: Vec::new(),
                 ids_ascending: true,
                 space: None,
                 index: OnceLock::new(),
@@ -217,6 +223,7 @@ impl TrajectoryDatabase {
                 log: WriteLog::new(version),
                 models: chains.into_iter().map(Arc::new).collect(),
                 objects: Vec::new(),
+                ids: Vec::new(),
                 ids_ascending: true,
                 space: None,
                 index: OnceLock::new(),
@@ -314,9 +321,10 @@ impl TrajectoryDatabase {
         let (idx, prev_index) = {
             let inner = self.mutate();
             let idx = inner.objects.len();
-            if inner.objects.last().is_some_and(|last| object.id() <= last.id()) {
+            if inner.ids.last().is_some_and(|&last| object.id() <= last) {
                 inner.ids_ascending = false;
             }
+            inner.ids.push(object.id());
             inner.objects.push(object);
             Self::log_write(inner, idx, None);
             // The index leaves the slot so it can never describe a stale
@@ -376,12 +384,18 @@ impl TrajectoryDatabase {
     /// A store filled in strictly ascending id order — what every
     /// generator and loader produces — is bisected; one out-of-order or
     /// duplicate insert drops the database back to a linear scan for good.
+    /// Either way only the id column is read.
     pub fn index_of(&self, object_id: u64) -> Option<usize> {
         if self.inner.ids_ascending {
-            self.inner.objects.binary_search_by_key(&object_id, UncertainObject::id).ok()
+            self.inner.ids.binary_search(&object_id).ok()
         } else {
-            self.inner.objects.iter().position(|o| o.id() == object_id)
+            self.inner.ids.iter().position(|&id| id == object_id)
         }
+    }
+
+    /// Every object's id, in store order.
+    pub(crate) fn ids(&self) -> &[u64] {
+        &self.inner.ids
     }
 
     /// True while ids were inserted strictly ascending: id order is then

@@ -57,7 +57,7 @@ use std::sync::{Arc, Weak};
 use ust_markov::MarkovChain;
 use ust_space::StateSpace;
 
-use crate::engine::plan::{AsPlanKey, PlanKey, PlanKeyRef, PlanMemo};
+use crate::engine::plan::{AsPlanKey, PlanKey, PlanKeyRef, PlanMemo, Rows};
 use crate::engine::query_based::{BackwardField, FieldRule};
 use crate::engine::EngineConfig;
 use crate::error::Result;
@@ -177,9 +177,11 @@ impl Hasher for FoldHasher {
 /// A map of the cache, hashed by [`FoldHasher`].
 type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
-/// A memoised plan and when it was last read or written.
+/// A memoised plan, the rows the last query-based probabilities read of
+/// it computed, and when it was last read or written.
 struct PlanSlot {
     memo: Arc<PlanMemo>,
+    rows: Option<Arc<Rows>>,
     last_used: u64,
 }
 
@@ -384,16 +386,36 @@ impl FieldCache {
         Some(&entry.field)
     }
 
-    /// The plan memoised under `key`, marked used. Reading a memo counts
-    /// no cache lookup: only field lookups do.
-    pub(crate) fn plan_memo(&mut self, key: PlanKeyRef<'_>) -> Option<&Arc<PlanMemo>> {
+    /// The plan memoised under `key`, marked used, with the rows kept
+    /// beside it. Reading a memo counts no cache lookup: only field lookups
+    /// do.
+    pub(crate) fn plan_memo(
+        &mut self,
+        key: PlanKeyRef<'_>,
+    ) -> Option<(&Arc<PlanMemo>, Option<&Arc<Rows>>)> {
         self.clock += 1;
         let slot = self.plans.get_mut(&key as &dyn AsPlanKey)?;
         slot.last_used = self.clock;
-        Some(&slot.memo)
+        Some((&slot.memo, slot.rows.as_ref()))
     }
 
-    /// Memoises `memo` under `key`, replacing the plan memoised there; at
+    /// Keeps `rows` beside the plan memoised under `key`, replacing the
+    /// rows kept there, when that plan is still `memo` — the one whose
+    /// survivors the rows follow.
+    pub(crate) fn memoise_rows(
+        &mut self,
+        key: PlanKeyRef<'_>,
+        memo: &Arc<PlanMemo>,
+        rows: Arc<Rows>,
+    ) {
+        let slot = self.plans.get_mut(&key as &dyn AsPlanKey);
+        if let Some(slot) = slot.filter(|slot| Arc::ptr_eq(&slot.memo, memo)) {
+            slot.rows = Some(rows);
+        }
+    }
+
+    /// Memoises `memo` under `key`, replacing the plan memoised there and
+    /// dropping the rows kept beside it; at
     /// capacity a new key evicts the least recently used plan.
     pub(crate) fn memoise_plan(&mut self, key: PlanKey, memo: Arc<PlanMemo>) {
         self.clock += 1;
@@ -403,7 +425,7 @@ impl FieldCache {
                 self.plans.remove(&victim);
             }
         }
-        self.plans.insert(key, PlanSlot { memo, last_used: self.clock });
+        self.plans.insert(key, PlanSlot { memo, rows: None, last_used: self.clock });
     }
 
     /// Number of memoised plans.

@@ -47,6 +47,7 @@ mod processor;
 pub mod query_based;
 pub mod reach;
 mod refresh;
+mod shadow;
 mod ticket;
 
 pub use config::{EngineConfig, PrefilterMode};

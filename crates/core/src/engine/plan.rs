@@ -22,11 +22,14 @@
 //! indexed read memoises what it prepared (`PlanMemo`) and, after the
 //! store was written, patches it from the store's write log instead of
 //! preparing it again. The groups ride in `Prepared` to `refine`, whose
-//! field and reach plans are built from them; `refine` dispatches to the batched, sharded
-//! forward and backward drivers and spells the pruned objects out as exact
-//! zeros only where an answer needs them — a probability answer writes the
-//! scope's zeros in one pass in store order and overwrites the survivors'
-//! slots with their rows — so planned answers are bit-for-bit identical to
+//! field and reach plans are built from them; `refine` dispatches to the
+//! batched, sharded forward and backward drivers — a query-based ∃
+//! probabilities read of a memoised plan re-scores the rows kept beside
+//! it, dotting only the survivors written since (`Rows`) — and spells the
+//! pruned objects out as exact zeros only where an answer needs them — a
+//! probability answer writes the scope's zeros in one pass from the
+//! store's id column and overwrites the survivors' slots with their rows
+//! — so planned answers are bit-for-bit identical to
 //! the reference configuration's (one thread, batch 1, one cache entry, no
 //! prefilter; pinned by `tests/query_planner.rs`). The serving
 //! function that strings them together, times them and records them lives
@@ -66,7 +69,7 @@ use crate::engine::query_based::{
     group_on, probability_row, AnchorMemo, AnchoredField, BackwardField, FieldRule, ModelGroup,
     SharedFieldPlan,
 };
-use crate::engine::{forall, ktimes, object_based, EngineConfig, PrefilterMode};
+use crate::engine::{forall, ktimes, object_based, shadow, EngineConfig, PrefilterMode};
 use crate::error::{QueryError, Result};
 use crate::index::{intersect_sorted, IndexBuild, SpatioTemporalIndex};
 use crate::object::UncertainObject;
@@ -312,9 +315,10 @@ fn resolve_scope(db: &TrajectoryDatabase, spec: &QuerySpec) -> Result<Scope> {
 /// (ascending, distinct) — the scope of an id subset, and the entries a
 /// standing query's refresh rewrites. Fails with
 /// [`QueryError::UnknownObject`] (the smallest missing id) when an id does
-/// not exist. On a store with ascending ids — id order is index order —
-/// each id is bisected, O(k·log |D|); otherwise one walk over the store
-/// collects every holder of a requested id.
+/// not exist. Only the store's id column is read: on a store with
+/// ascending ids — id order is index order — each id is bisected,
+/// O(k·log |D|); otherwise one walk over the column collects every holder
+/// of a requested id.
 pub(crate) fn holders(db: &TrajectoryDatabase, ids: &[u64]) -> Result<Vec<usize>> {
     if db.ids_ascending() {
         return ids
@@ -324,8 +328,8 @@ pub(crate) fn holders(db: &TrajectoryDatabase, ids: &[u64]) -> Result<Vec<usize>
     }
     let mut out = Vec::with_capacity(ids.len());
     let mut matched = vec![false; ids.len()];
-    for (idx, object) in db.objects().iter().enumerate() {
-        if let Ok(pos) = ids.binary_search(&object.id()) {
+    for (idx, id) in db.ids().iter().enumerate() {
+        if let Ok(pos) = ids.binary_search(id) {
             matched[pos] = true;
             out.push(idx);
         }
@@ -545,7 +549,7 @@ impl PlanMemo {
         PlanMemo {
             version: db.version(),
             build: index.build_id(),
-            fields: resident.fields.iter().map(|f| f.as_ref().map(Arc::downgrade)).collect(),
+            fields: pinned(&resident.fields),
             superlevel: resident.superlevel.clone(),
             cut,
             tallies: tallies(db, &prepared.indices),
@@ -556,15 +560,7 @@ impl PlanMemo {
     /// True when `fields` are, model by model, the fields the plan was
     /// prepared against.
     fn same_fields(&self, fields: &[Option<Arc<BackwardField>>]) -> bool {
-        let same =
-            |(memo, peek): (&Option<Weak<BackwardField>>, &Option<Arc<BackwardField>>)| match (
-                memo, peek,
-            ) {
-                (Some(memo), Some(peek)) => std::ptr::eq(memo.as_ptr(), Arc::as_ptr(peek)),
-                (None, None) => true,
-                _ => false,
-            };
-        self.fields.len() == fields.len() && self.fields.iter().zip(fields).all(same)
+        same_fields(&self.fields, fields)
     }
 
     /// The plan brought up to date with the store: every object in `scope`
@@ -658,7 +654,7 @@ impl PlanMemo {
         let memo = PlanMemo {
             version: db.version(),
             build: self.build.clone(),
-            fields: resident.fields.iter().map(|f| f.as_ref().map(Arc::downgrade)).collect(),
+            fields: pinned(&resident.fields),
             superlevel: resident.superlevel.clone(),
             cut,
             tallies,
@@ -666,6 +662,27 @@ impl PlanMemo {
         };
         Some((memo, retested))
     }
+}
+
+/// Per model, a handle on `fields` that pins each allocation without
+/// keeping it alive.
+fn pinned(fields: &[Option<Arc<BackwardField>>]) -> Vec<Option<Weak<BackwardField>>> {
+    fields.iter().map(|f| f.as_ref().map(Arc::downgrade)).collect()
+}
+
+/// True when `fields` are, model by model, the allocations `pinned` holds.
+fn same_fields(
+    pinned: &[Option<Weak<BackwardField>>],
+    fields: &[Option<Arc<BackwardField>>],
+) -> bool {
+    let same = |(pin, field): (&Option<Weak<BackwardField>>, &Option<Arc<BackwardField>>)| match (
+        pin, field,
+    ) {
+        (Some(pin), Some(field)) => std::ptr::eq(pin.as_ptr(), Arc::as_ptr(field)),
+        (None, None) => true,
+        _ => false,
+    };
+    pinned.len() == fields.len() && pinned.iter().zip(fields).all(same)
 }
 
 /// Per model, how many of the objects at `indices` are anchored at each
@@ -853,6 +870,49 @@ pub(crate) enum Provenance {
     Patched(usize),
 }
 
+/// What [`prepare`] hands [`refine`]: the plan, how it was come by, and —
+/// for an ∃ probabilities read the plan memo admits — what its rows are
+/// re-scored from.
+pub(crate) struct Planned {
+    pub prepared: Arc<Prepared>,
+    pub provenance: Provenance,
+    rescore: Option<Rescore>,
+}
+
+/// The ∃ probabilities the last query-based read of a memoised plan
+/// computed, one per survivor in the plan's order, and per model the field
+/// they were dotted against (pinned, not kept alive). The cache keeps them
+/// beside the plan they follow ([`FieldCache::memoise_rows`]). A row is a
+/// pure function of the object's anchor, its model's field snapshot at the
+/// anchor time and the window, so while the fields are the same
+/// allocations, an unwritten survivor's row is still its answer.
+pub(crate) struct Rows {
+    fields: Vec<Option<Weak<BackwardField>>>,
+    probs: Vec<f64>,
+}
+
+/// What a probabilities read under a memo key re-scores from.
+struct Rescore {
+    /// Whether the read was costed — with the spec, its memo key.
+    cost: bool,
+    /// The memo now under the key: the plan [`refine`] runs, beside which
+    /// the rows it computes are kept.
+    memo: Arc<PlanMemo>,
+    /// The rows kept beside the memo the plan was served or patched from,
+    /// when there were any.
+    base: Option<Base>,
+}
+
+/// Rows of an earlier plan and what was written since they were computed.
+struct Base {
+    /// The plan the rows follow.
+    plan: Arc<Prepared>,
+    rows: Arc<Rows>,
+    /// The objects written since that plan's memo was made, ascending and
+    /// distinct.
+    touched: Vec<usize>,
+}
+
 /// The prepare half of a query's life, shared by `explain`, a standing
 /// query's strategy pinning and every execution, under every strategy:
 /// resolves the scope, rejects a full-space ∀ window, runs the index
@@ -881,19 +941,21 @@ pub(crate) enum Provenance {
 /// when the write log no longer reaches the memo, the index was rebuilt,
 /// the id subset resolves differently, or — under a threshold — a field
 /// changed. Debug builds re-derive every reused or patched plan and assert
-/// it equals a fresh one.
-pub(crate) fn prepare(
-    ctx: &ExecContext<'_>,
-    spec: &QuerySpec,
-    cost: bool,
-) -> Result<(Arc<Prepared>, Provenance)> {
+/// it equals a fresh one. A probabilities read also takes the [`Rows`]
+/// kept beside the memo it was served or patched from, with the objects
+/// written since, for [`refine`] to re-score.
+pub(crate) fn prepare(ctx: &ExecContext<'_>, spec: &QuerySpec, cost: bool) -> Result<Planned> {
     let scope = resolve_scope(ctx.db, spec)?;
     if spec.predicate() == Predicate::ForAll {
         forall::reject_full_space(spec.window())?;
     }
     let Some(index) = armed_index(ctx, spec, &scope) else {
         let (prepared, _) = prepare_on(ctx, spec, cost, scope, None, None)?;
-        return Ok((Arc::new(prepared), Provenance::Fresh));
+        return Ok(Planned {
+            prepared: Arc::new(prepared),
+            provenance: Provenance::Fresh,
+            rescore: None,
+        });
     };
     // The superlevel filter needs a threshold above 0 — at `τ = 0` every
     // object qualifies — and fields it can read without sweeping; a memo
@@ -907,23 +969,35 @@ pub(crate) fn prepare(
     // object-based subscription refreshes never enter the memo.
     let admitted = scope.len() >= PREFILTER_AUTO_MIN_OBJECTS || tau.is_some();
     let key = admitted.then(|| PlanKeyRef::of(spec, cost));
+    // Only probabilities answers are rows of the survivors.
+    let rescores = spec.decorator() == Decorator::Probabilities;
+    let planned = |memo: &Arc<PlanMemo>, provenance, base: Option<Base>| Planned {
+        prepared: Arc::clone(&memo.prepared),
+        provenance,
+        rescore: rescores.then(|| Rescore { cost, memo: Arc::clone(memo), base }),
+    };
+    // The rows kept beside `memo`, with the objects written since it.
+    let base = |memo: &Arc<PlanMemo>, rows: Option<&Arc<Rows>>, touched| {
+        let rows = Arc::clone(rows.filter(|_| rescores)?);
+        Some(Base { plan: Arc::clone(&memo.prepared), rows, touched })
+    };
     let lock = || ctx.cache.lock();
     let (fields, memo, unchanged, memoised) = {
         let mut cache = lock();
         let (models, window) = (ctx.db.models().iter().enumerate(), spec.window());
         let fields: Vec<_> =
             models.map(|(m, chain)| cache.peek_exists(m, chain, window).cloned()).collect();
-        let memo = key.and_then(|key| cache.plan_memo(key)).filter(|memo| {
+        let memo = key.and_then(|key| cache.plan_memo(key)).filter(|(memo, _)| {
             memo.build.is_of(&index) && (tau.is_none() || memo.same_fields(&fields))
         });
         // The same store, and a plan costed against these fields or not
         // costed at all: served as it is, straight from the lock.
         let unchanged = memo
-            .filter(|memo| memo.version == ctx.db.version())
-            .filter(|memo| !cost || memo.same_fields(&fields))
-            .map(|memo| Arc::clone(&memo.prepared));
+            .filter(|(memo, _)| memo.version == ctx.db.version())
+            .filter(|(memo, _)| !cost || memo.same_fields(&fields))
+            .map(|(memo, rows)| planned(memo, Provenance::Reused, base(memo, rows, Vec::new())));
         let patchable = unchanged.is_none() || cfg!(debug_assertions);
-        let memo = memo.filter(|_| patchable).cloned();
+        let memo = memo.filter(|_| patchable).map(|(memo, rows)| (Arc::clone(memo), rows.cloned()));
         // A read without a memo filters with the geometries the cache holds
         // for these fields, and measures only the missing ones.
         let memoised: Vec<_> = match tau {
@@ -934,19 +1008,20 @@ pub(crate) fn prepare(
         };
         (fields, memo, unchanged, memoised)
     };
-    if let Some(prepared) = unchanged {
+    if let Some(unchanged) = unchanged {
         debug_assert!(
-            memo.is_some_and(|memo| {
+            memo.is_some_and(|(memo, _)| {
                 let resident = Resident { fields, superlevel: memo.superlevel.clone() };
-                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, &prepared)
+                let served = &unchanged.prepared;
+                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, served)
             }),
             "a reused plan equals the plan prepared afresh from the same fields"
         );
-        return Ok((prepared, Provenance::Reused));
+        return Ok(unchanged);
     }
     let superlevel = match (tau, &memo) {
         (None, _) => None,
-        (Some(_), Some(memo)) => memo.superlevel.clone(),
+        (Some(_), Some((memo, _))) => memo.superlevel.clone(),
         (Some(tau), None) => {
             let window = spec.window();
             let (union, measured) = superlevel_of(ctx, window, tau, &index, &fields, &memoised);
@@ -960,29 +1035,34 @@ pub(crate) fn prepare(
         }
     };
     let resident = Resident { fields, superlevel };
-    if let (Some(memo), Some(key)) = (memo, key) {
-        if let Some(served) = from_memo(ctx, spec, cost, &scope, &index, &resident, &memo, key) {
+    if let (Some((memo, rows)), Some(key)) = (memo, key) {
+        if let Some((patched, provenance, touched)) =
+            from_memo(ctx, spec, cost, &scope, &index, &resident, &memo, key)
+        {
             debug_assert!(
-                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, &served.0),
+                matches_fresh(ctx, spec, cost, scope, &index, &resident, tau, &patched.prepared),
                 "a patched plan equals the plan prepared afresh from the same fields"
             );
-            return Ok(served);
+            return Ok(planned(&patched, provenance, base(&memo, rows.as_ref(), touched)));
         }
     }
     let (prepared, cut) = prepare_on(ctx, spec, cost, scope, Some(&index), Some(&resident))?;
     let prepared = Arc::new(prepared);
-    if let Some(key) = key {
-        let memo = PlanMemo::of(ctx.db, &index, &resident, cut, Arc::clone(&prepared));
-        memoise(ctx, key.owned(), memo);
+    match key {
+        Some(key) => {
+            let memo = Arc::new(PlanMemo::of(ctx.db, &index, &resident, cut, prepared));
+            memoise(ctx, key.owned(), Arc::clone(&memo));
+            Ok(planned(&memo, Provenance::Fresh, None))
+        }
+        None => Ok(Planned { prepared, provenance: Provenance::Fresh, rescore: None }),
     }
-    Ok((prepared, Provenance::Fresh))
 }
 
 /// The memo's plan for this read, when the store's write log reaches the
 /// memo's version and the plan is not served unchanged: patched over the
 /// writes since, or only re-costed when there were none (the fields it
 /// was costed against changed) — the new memo replacing the old under
-/// `key`.
+/// `key`, returned with the objects written since the old one.
 #[allow(clippy::too_many_arguments, reason = "prepare's inputs plus the memo and its key")]
 fn from_memo(
     ctx: &ExecContext<'_>,
@@ -993,7 +1073,7 @@ fn from_memo(
     resident: &Resident,
     memo: &PlanMemo,
     key: PlanKeyRef<'_>,
-) -> Option<(Arc<Prepared>, Provenance)> {
+) -> Option<(Arc<PlanMemo>, Provenance, Vec<usize>)> {
     let mut touched: Vec<(usize, Option<AnchorKey>)> =
         ctx.db.writes_since(memo.version)?.map(|w| (w.idx, w.previous)).collect();
     // Each object as it was at the memo's version: its first write since
@@ -1013,15 +1093,16 @@ fn from_memo(
     }
     let wrote = !touched.is_empty();
     let (patched, retested) = memo.patched(ctx, spec, cost, scope, index, resident, &touched)?;
-    let prepared = Arc::clone(&patched.prepared);
-    memoise(ctx, key.owned(), patched);
-    Some((prepared, if wrote { Provenance::Patched(retested) } else { Provenance::Reused }))
+    let patched = Arc::new(patched);
+    memoise(ctx, key.owned(), Arc::clone(&patched));
+    let provenance = if wrote { Provenance::Patched(retested) } else { Provenance::Reused };
+    Some((patched, provenance, touched.into_iter().map(|(idx, _)| idx).collect()))
 }
 
 /// Installs `memo` under `key`.
-fn memoise(ctx: &ExecContext<'_>, key: PlanKey, memo: PlanMemo) {
+fn memoise(ctx: &ExecContext<'_>, key: PlanKey, memo: Arc<PlanMemo>) {
     let mut cache = ctx.cache.lock();
-    cache.memoise_plan(key, Arc::new(memo));
+    cache.memoise_plan(key, memo);
 }
 
 /// Debug builds' check of a plan served from the memo: the plan prepared
@@ -1215,13 +1296,17 @@ struct Candidates<'a> {
 /// resolved strategy — the strategy × predicate × decorator dispatch onto
 /// the batched, sharded drivers, over groups `prepare` already validated.
 /// Index-pruned candidates are answered without being evaluated: as exact
-/// `P∃ = 0`, or — pruned by the superlevel set — as not accepted.
+/// `P∃ = 0`, or — pruned by the superlevel set — as not accepted. A
+/// query-based ∃ probabilities read under a memo key re-scores the rows
+/// kept beside the memo it came from ([`rescored`]): only the survivors
+/// written since are dotted again when the fields are the same.
 pub(crate) fn refine(
     ctx: &ExecContext<'_>,
     spec: &QuerySpec,
-    prepared: &Prepared,
+    planned: &Planned,
     stats: &mut EvalStats,
 ) -> Result<QueryAnswer> {
+    let prepared = &*planned.prepared;
     let &Prepared { ref indices, ref pruned_from, ref groups, strategy, .. } = prepared;
     debug_assert!(strategy != Strategy::Auto, "an Auto spec is prepared with costing");
     stats.candidates_examined += indices.len() as u64;
@@ -1232,9 +1317,19 @@ pub(crate) fn refine(
     match spec.predicate() {
         Predicate::Exists => match spec.decorator() {
             Decorator::Probabilities => {
+                let scope = pruned_from.as_ref();
+                if let (Strategy::QueryBased, Some(rescore)) = (strategy, &planned.rescore) {
+                    let rows = rescored(ctx, spec, candidates, window, rescore, stats)?;
+                    let probs = rows.probs.iter().copied();
+                    return with_pruned_zeros(ctx.db, scope, indices, probs)
+                        .map(QueryAnswer::Probabilities);
+                }
                 let probs = exists_probs(ctx, strategy, candidates, window, stats)?;
-                Ok(QueryAnswer::Probabilities(match pruned_from {
-                    Some(scope) => with_pruned_zeros(ctx.db, scope, indices, probs)?,
+                Ok(QueryAnswer::Probabilities(match scope {
+                    Some(_) => {
+                        let probs = probs.into_iter().map(|r| r.probability);
+                        with_pruned_zeros(ctx.db, scope, indices, probs)?
+                    }
                     None => probs,
                 }))
             }
@@ -1292,39 +1387,44 @@ pub(crate) fn accepted_ids(probs: Vec<ObjectProbability>, tau: f64) -> Vec<u64> 
 
 /// A probability answer over `scope`, in database-index order: the
 /// survivors' computed `probs`, and an exact `0.0` for every object the
-/// index pruned. One pass writes `(id, 0.0)` for the whole scope in store
-/// order — a whole-database scope walks `db.objects()` — and the survivors'
-/// rows then overwrite their slots; survivors ascend like the scope, so a
-/// subset scope finds each slot by a forward search.
+/// index pruned; with no `scope` the survivors are the scope. One pass
+/// writes `(id, 0.0)` for the whole scope in store order from the store's
+/// id column — no object is read — and the survivors' probabilities then
+/// overwrite their slots; survivors ascend like the scope, so a subset
+/// scope finds each slot by a forward search.
 fn with_pruned_zeros(
     db: &TrajectoryDatabase,
-    scope: &Scope,
+    scope: Option<&Scope>,
     survivors: &[usize],
-    probs: Vec<ObjectProbability>,
+    probs: impl ExactSizeIterator<Item = f64>,
 ) -> Result<Vec<ObjectProbability>> {
     if survivors.len() != probs.len() {
         return Err(QueryError::internal("the survivor list carries one probability each"));
     }
     let unresolved = || QueryError::internal("survivors resolve to slots of their scope");
-    let zero =
-        |object: &UncertainObject| ObjectProbability { object_id: object.id(), probability: 0.0 };
-    let mut out: Vec<ObjectProbability> = match scope {
-        Scope::Database(_) => db.objects().iter().map(zero).collect(),
-        Scope::Subset(indices) => indices
-            .iter()
-            .map(|&idx| db.object(idx).map(zero).ok_or_else(unresolved))
-            .collect::<Result<_>>()?,
+    let ids = db.ids();
+    let zero = |&id: &u64| ObjectProbability { object_id: id, probability: 0.0 };
+    let zeros = |indices: &[usize]| -> Result<Vec<ObjectProbability>> {
+        indices.iter().map(|&idx| ids.get(idx).map(zero).ok_or_else(unresolved)).collect()
+    };
+    let mut out = match scope {
+        Some(Scope::Database(len)) => {
+            ids.get(..*len).ok_or_else(unresolved)?.iter().map(zero).collect()
+        }
+        Some(Scope::Subset(indices)) => zeros(indices)?,
+        None => zeros(survivors)?,
     };
     let mut slot = 0usize;
-    for (&idx, row) in survivors.iter().zip(probs) {
+    for (i, (&idx, probability)) in survivors.iter().zip(probs).enumerate() {
         slot = match scope {
-            Scope::Database(_) => idx,
-            Scope::Subset(indices) => {
+            Some(Scope::Database(_)) => idx,
+            Some(Scope::Subset(indices)) => {
                 let ahead = indices.get(slot..).unwrap_or_default();
                 slot + ahead.iter().position(|&i| i == idx).ok_or_else(unresolved)?
             }
+            None => i,
         };
-        *out.get_mut(slot).ok_or_else(unresolved)? = row;
+        out.get_mut(slot).ok_or_else(unresolved)?.probability = probability;
     }
     Ok(out)
 }
@@ -1424,14 +1524,7 @@ pub(crate) fn field_rule(predicate: Predicate) -> FieldRule {
 }
 
 /// Query-based answers over the candidates: the cached backward field of
-/// `rule` per model, then the fan-out — `rows` once per object against
-/// the read-only field of the object's model (one dot product each),
-/// sharded, each object yielding at most one row: a probability or
-/// distribution each ([`each`]), an id per accepted object for a fused
-/// threshold. The rule rides in the fields; `rows` picks the matching
-/// read. A shard whose objects lie sparse in the store
-/// ([`sparse_survivors`]) is walked [`FETCH_BLOCK`] objects at a time,
-/// each block's anchors loaded together before any of them is read.
+/// `rule` per model, then the fan-out ([`fan_out`]).
 fn field_answers<T: Send>(
     ctx: &ExecContext<'_>,
     rule: FieldRule,
@@ -1444,6 +1537,26 @@ fn field_answers<T: Send>(
     let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
     let plan = SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)?;
     stats.fields_shared += plan.num_fields() as u64;
+    fan_out(ctx, &plan, indices, window, stats, rows)
+}
+
+/// The query-based fan-out: `rows` once per object at `indices` against
+/// the read-only field of the object's model in `plan` (one dot product
+/// each), sharded, each object yielding at most one row: a probability or
+/// distribution each ([`each`]), an id per accepted object for a fused
+/// threshold. The rule rides in the fields; `rows` picks the matching
+/// read. A shard whose objects lie sparse in the store
+/// ([`sparse_survivors`]) is walked [`FETCH_BLOCK`] objects at a time,
+/// each block's anchors loaded together before any of them is read.
+fn fan_out<T: Send>(
+    ctx: &ExecContext<'_>,
+    plan: &SharedFieldPlan,
+    indices: &[usize],
+    window: &QueryWindow,
+    stats: &mut EvalStats,
+    rows: impl Fn(&AnchoredField<'_>, &UncertainObject) -> Result<Option<T>> + Sync,
+) -> Result<Vec<T>> {
+    let db = ctx.db;
     run_sharded(indices, ctx.config, stats, |pipeline, idxs| {
         let mut out = Vec::with_capacity(idxs.len());
         let mut memo = AnchorMemo::new();
@@ -1471,6 +1584,111 @@ fn field_answers<T: Send>(
         }
         Ok(out)
     })
+}
+
+/// An object's query-based `P∃`: the one dot product of the fan-out.
+fn exists_row(field: &AnchoredField<'_>, object: &UncertainObject) -> Result<Option<f64>> {
+    Ok(Some(field.probability(object)))
+}
+
+/// The re-scored reads [`rescored`]'s debug-build shadow samples.
+static RESCORED: shadow::Site = shadow::Site::new();
+
+/// Query-based ∃ probabilities over the candidates of a plan read under a
+/// memo key. When the rows kept beside the memo it came from were dotted
+/// against the very fields — by allocation — that this read's
+/// [`SharedFieldPlan`] serves, they are carried over ([`carried_rows`]):
+/// only the survivors written since are dotted again. Otherwise — a fresh
+/// plan, a changed field, rows that do not line up — the full fan-out
+/// runs. Either way the rows are then kept beside the memo for the next
+/// read. `objects_evaluated` counts the dots taken; debug builds re-run
+/// the full fan-out for a sample of carried reads ([`shadow::check`]) and
+/// assert the rows are bit-equal.
+fn rescored(
+    ctx: &ExecContext<'_>,
+    spec: &QuerySpec,
+    candidates: Candidates<'_>,
+    window: &QueryWindow,
+    rescore: &Rescore,
+    stats: &mut EvalStats,
+) -> Result<Arc<Rows>> {
+    let Candidates { indices, groups } = candidates;
+    let (db, config, cache) = (ctx.db, ctx.config, ctx.cache);
+    let rule = FieldRule::Exists;
+    let plan = SharedFieldPlan::from_groups(db, groups, window, rule, config, cache, stats)?;
+    stats.fields_shared += plan.num_fields() as u64;
+    let base = rescore.base.as_ref();
+    let carried = match base.filter(|base| same_fields(&base.rows.fields, plan.fields())) {
+        Some(base) => carried_rows(ctx, &plan, window, base, indices, stats)?,
+        None => None,
+    };
+    let probs = match carried {
+        Some(probs) => {
+            shadow::check(&RESCORED, |n| {
+                let fresh = fan_out(ctx, &plan, indices, window, &mut EvalStats::new(), exists_row);
+                debug_assert!(
+                    fresh.is_ok_and(|fresh| fresh
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .eq(probs.iter().map(|p| p.to_bits()))),
+                    "carried rows equal the full fan-out's over the same fields (read {n})"
+                );
+            });
+            probs
+        }
+        None => fan_out(ctx, &plan, indices, window, stats, exists_row)?,
+    };
+    let rows = Arc::new(Rows { fields: pinned(plan.fields()), probs });
+    let key = PlanKeyRef::of(spec, rescore.cost);
+    ctx.cache.lock().memoise_rows(key, &rescore.memo, Arc::clone(&rows));
+    Ok(rows)
+}
+
+/// The rows of `base` carried to the plan whose survivors are `indices`,
+/// in one pass over the objects written since, ascending: the run of
+/// unwritten survivors before each is copied whole, a written survivor's
+/// row is dotted again against `plan`'s field, and a written object that
+/// left the survivors drops its row. `None` when the rows do not line up
+/// with the survivors — the full fan-out runs instead, and the dots taken
+/// here are not counted.
+fn carried_rows(
+    ctx: &ExecContext<'_>,
+    plan: &SharedFieldPlan,
+    window: &QueryWindow,
+    base: &Base,
+    indices: &[usize],
+    stats: &mut EvalStats,
+) -> Result<Option<Vec<f64>>> {
+    let (mut old, mut rows) = (base.plan.indices.as_slice(), base.rows.probs.as_slice());
+    if old.len() != rows.len() {
+        return Ok(None);
+    }
+    let (mut out, mut dots) = (Vec::with_capacity(indices.len()), 0);
+    let mut memo = AnchorMemo::new();
+    let mut dot = |idx: usize| -> Result<f64> {
+        let object = ctx.db.object(idx).ok_or(QueryError::internal("survivors are objects"))?;
+        let anchored =
+            memo.resolve(object, window, |model| plan.field(model).map(|field| &**field))?;
+        Ok(anchored.probability(object))
+    };
+    for &t in &base.touched {
+        let run = old.partition_point(|&i| i < t);
+        out.extend_from_slice(&rows[..run]);
+        (old, rows) = (&old[run..], &rows[run..]);
+        if indices.binary_search(&t).is_ok() {
+            out.push(dot(t)?);
+            dots += 1;
+        }
+        if old.first() == Some(&t) {
+            (old, rows) = (&old[1..], &rows[1..]);
+        }
+    }
+    out.extend_from_slice(rows);
+    if out.len() != indices.len() {
+        return Ok(None);
+    }
+    stats.objects_evaluated += dots;
+    Ok(Some(out))
 }
 
 /// Objects per block of a sparse walk: enough loads in flight to cover a
@@ -1624,10 +1842,9 @@ mod tests {
         let (config, metrics) =
             (EngineConfig::default().with_prefilter(PrefilterMode::On), Metrics::new());
         let ctx = ExecContext { db, config: &config, cache, metrics: &metrics };
-        let (prepared, provenance) =
-            prepare(&ctx, spec, spec.strategy() == Strategy::Auto).unwrap();
-        refine(&ctx, spec, &prepared, &mut EvalStats::new()).unwrap();
-        (prepared, provenance)
+        let planned = prepare(&ctx, spec, spec.strategy() == Strategy::Auto).unwrap();
+        refine(&ctx, spec, &planned, &mut EvalStats::new()).unwrap();
+        (planned.prepared, planned.provenance)
     }
 
     fn threshold(lo: usize) -> QuerySpec {

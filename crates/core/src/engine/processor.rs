@@ -249,8 +249,8 @@ impl QueryProcessor {
     /// snapshot, not a reservation).
     pub fn explain(&self, spec: &QuerySpec) -> Result<QueryPlan> {
         let snapshot = self.snapshot();
-        let (prepared, _) = plan::prepare(&self.core.context(&snapshot), spec, true)?;
-        prepared.plan.clone().ok_or(QueryError::internal("prepare costs when asked to"))
+        let planned = plan::prepare(&self.core.context(&snapshot), spec, true)?;
+        planned.prepared.plan.clone().ok_or(QueryError::internal("prepare costs when asked to"))
     }
 
     /// Submits a query for asynchronous evaluation and returns a
@@ -367,8 +367,8 @@ pub(super) fn serve(
         });
     };
     let plan_start = Instant::now();
-    let (prepared, provenance) = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
-        Ok(prepared) => prepared,
+    let planned = match plan::prepare(ctx, spec, spec.strategy() == Strategy::Auto) {
+        Ok(planned) => planned,
         Err(e) => {
             record(spec.strategy(), plan_start.elapsed(), Duration::ZERO, EvalStats::new(), false);
             return Err(e);
@@ -379,7 +379,7 @@ pub(super) fn serve(
         return Err(shed);
     }
     let before = stats.clone();
-    match provenance {
+    match planned.provenance {
         Provenance::Fresh => {}
         Provenance::Reused => stats.plans_reused += 1,
         Provenance::Patched(retested) => {
@@ -388,9 +388,9 @@ pub(super) fn serve(
         }
     }
     let exec_start = Instant::now();
-    let result = plan::refine(ctx, spec, &prepared, stats);
+    let result = plan::refine(ctx, spec, &planned, stats);
     record(
-        prepared.strategy,
+        planned.prepared.strategy,
         plan_time,
         exec_start.elapsed(),
         stats.delta_since(&before),

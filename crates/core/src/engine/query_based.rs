@@ -537,6 +537,11 @@ impl SharedFieldPlan {
         self.fields.get(model).and_then(|f| f.as_ref())
     }
 
+    /// Per model, its shared field (`None`: a model without objects).
+    pub(crate) fn fields(&self) -> &[Option<Arc<BackwardField>>] {
+        &self.fields
+    }
+
     /// Number of populated models (fields the plan shares).
     pub(crate) fn num_fields(&self) -> usize {
         self.fields.iter().filter(|f| f.is_some()).count()

@@ -8,7 +8,7 @@
     reason = "an arrival's time stamps the deadline of the refreshes it triggers"
 )]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -18,6 +18,7 @@ use crate::engine::object_based::{check_anchor_time, check_window};
 use crate::engine::plan::{self, ExecContext};
 use crate::engine::processor::{serve, QueryProcessor};
 use crate::engine::query_based::{self, BackwardField};
+use crate::engine::shadow;
 use crate::engine::{forall, ktimes};
 use crate::error::{QueryError, Result};
 use crate::object::UncertainObject;
@@ -151,43 +152,37 @@ fn only_the_arrival_since(
         .is_some_and(|mut writes| writes.all(|w| holders.contains(&w.idx) || out_of_scope(w.idx)))
 }
 
-/// Commits a debug build could check so far, process-wide: the first
-/// [`SHADOWED_FIRST`] are checked, then every 2ᵏ-th, so a failure
-/// reproduces from the same commit sequence.
-static SHADOWED: AtomicU64 = AtomicU64::new(0);
-
-/// Commits checked before the shadow thins out to powers of two.
-const SHADOWED_FIRST: u64 = 64;
+/// The commits [`shadow`] samples.
+static COMMITS: shadow::Site = shadow::Site::new();
 
 /// Debug builds' shadow of a commit into `sub`: while its maintained state
 /// is known to reflect `ctx`'s snapshot in full
 /// ([`streaming::SubscriptionInner::in_step_with`]), a sampled commit
-/// re-evaluates the subscription's probe on that snapshot — with a
-/// private field cache and metrics registry, so nothing a caller reads
-/// moves — and asserts it equals the maintained state to the bit, errors
-/// included. Runs outside `SubscriptionState.inner`.
+/// ([`shadow::check`]) re-evaluates the subscription's probe on that
+/// snapshot — with a private field cache and metrics registry, so nothing
+/// a caller reads moves — and asserts it equals the maintained state to
+/// the bit, errors included. Runs outside `SubscriptionState.inner`.
 fn shadow(ctx: &ExecContext<'_>, sub: &SubscriptionState) {
     if sub.inner.lock().in_step_with != Some(ctx.db.version()) {
         return;
     }
-    let n = SHADOWED.fetch_add(1, Ordering::Relaxed);
-    if n >= SHADOWED_FIRST && !n.is_power_of_two() {
-        return;
-    }
-    let cache = Mutex::new(FieldCache::new(ctx.config.effective_cache_capacity()));
-    let metrics = Metrics::new();
-    let private = ExecContext { db: ctx.db, config: ctx.config, cache: &cache, metrics: &metrics };
-    let fresh = evaluate(&private, &sub.spec, None, &mut EvalStats::new());
-    let committed = sub.inner.lock().raw.clone();
-    debug_assert!(
-        match (&committed, &fresh) {
-            (Ok(kept), Ok(fresh)) => kept.same_bits(fresh),
-            (kept, fresh) => kept.as_ref().err() == fresh.as_ref().err(),
-        },
-        "subscription {}: the committed state equals a fresh evaluation of the committed \
-         snapshot (commit {n})",
-        sub.id
-    );
+    shadow::check(&COMMITS, |n| {
+        let cache = Mutex::new(FieldCache::new(ctx.config.effective_cache_capacity()));
+        let metrics = Metrics::new();
+        let private =
+            ExecContext { db: ctx.db, config: ctx.config, cache: &cache, metrics: &metrics };
+        let fresh = evaluate(&private, &sub.spec, None, &mut EvalStats::new());
+        let committed = sub.inner.lock().raw.clone();
+        debug_assert!(
+            match (&committed, &fresh) {
+                (Ok(kept), Ok(fresh)) => kept.same_bits(fresh),
+                (kept, fresh) => kept.as_ref().err() == fresh.as_ref().err(),
+            },
+            "subscription {}: the committed state equals a fresh evaluation of the committed \
+             snapshot (commit {n})",
+            sub.id
+        );
+    });
 }
 
 impl QueryProcessor {
@@ -240,7 +235,7 @@ impl QueryProcessor {
         let snapshot = self.snapshot();
         let pinned_strategy = match spec.strategy() {
             Strategy::Auto => plan::prepare(&self.core.context(&snapshot), spec, true)
-                .map_or(Strategy::QueryBased, |(prepared, _)| prepared.strategy),
+                .map_or(Strategy::QueryBased, |planned| planned.prepared.strategy),
             explicit => explicit,
         };
         let pinned_strategy = match (spec.predicate(), spec.decorator(), pinned_strategy) {
@@ -489,10 +484,12 @@ impl QueryProcessor {
             inner.notifications += 1;
             outcome
         };
-        if needs_full {
-            ctx.metrics.record_stream_resync(sub.id, stats.total_steps());
-        } else {
+        // Tallied by what ran: a refresh that fell back to the full
+        // evaluation resynchronized, like a stale one.
+        if spliced {
             ctx.metrics.record_stream_refresh(sub.id, stats.total_steps());
+        } else {
+            ctx.metrics.record_stream_resync(sub.id, stats.total_steps());
         }
         slot.release(outcome);
     }

@@ -194,9 +194,10 @@ pub(crate) struct ExecutionRecord {
 /// [`crate::streaming::Subscription::id`].
 ///
 /// The step split is the streaming story in numbers: `recompute_steps`
-/// is what full evaluations (the registration probe plus any stale
-/// resynchronizations) cost, `incremental_steps` what the per-arrival
-/// single-object refreshes cost. A query-based subscription scores each
+/// is what full evaluations (the registration probe, stale
+/// resynchronizations and refreshes that fell back to a full evaluation)
+/// cost, `incremental_steps` what the per-arrival single-object refreshes
+/// cost. A query-based subscription scores each
 /// arrival against the backward fields it holds, so the latter stays at
 /// zero backward steps per arrival, except for the one sweep of a model
 /// that had no object in scope at registration (pinned by
@@ -212,11 +213,14 @@ pub struct StreamMetrics {
     /// refreshes plus full resynchronizations; the registration probe is
     /// not a notification).
     pub notifications: u64,
-    /// Incremental single-object refreshes: each recomputed exactly the
-    /// arrived object's maintained entries, never the backward fields
-    /// (their keys are observation-independent).
+    /// Incremental single-object refreshes committed as such: each
+    /// recomputed exactly the arrived object's maintained entries, never
+    /// the backward fields (their keys are observation-independent).
     pub reevaluations: u64,
-    /// Full evaluations: the registration probe plus stale resyncs.
+    /// Full evaluations: the registration probe plus every refresh that
+    /// ran one — a stale or errored subscription's resync, and a refresh
+    /// that fell back to one (its arrival failed validation, or its
+    /// narrowed probe failed). Tallied by what ran, not by what was tried.
     pub full_recomputes: u64,
     /// Refreshes shed at the admission bound or deadline.
     pub sheds: u64,
@@ -553,8 +557,9 @@ impl Metrics {
         entry.incremental_steps += steps;
     }
 
-    /// Tallies a full resynchronization of a stale (or errored)
-    /// subscription.
+    /// Tallies a refresh that ran a full evaluation: the resynchronization
+    /// of a stale (or errored) subscription, or a refresh that fell back
+    /// to one.
     pub(crate) fn record_stream_resync(&self, subscription_id: u64, steps: u64) {
         let mut inner = self.inner.lock();
         let entry = inner.stream_entry(subscription_id);

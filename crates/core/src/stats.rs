@@ -31,7 +31,11 @@ pub struct EvalStats {
     pub entries_touched: u64,
     /// Backward vector–matrix transitions performed (query-based passes).
     pub backward_steps: u64,
-    /// Objects whose probability was computed.
+    /// Objects whose answer was computed: every candidate a driver
+    /// evaluated. A query-based ∃ probabilities read that re-scores the
+    /// rows kept beside its memoised plan counts only the survivors it
+    /// dotted again — those written since the plan it was served or
+    /// patched from — and 0 on an unchanged store.
     pub objects_evaluated: u64,
     /// Objects the top-k driver dismissed at their anchor time, before any
     /// step; the index's prunings count in `candidates_pruned`. An object
@@ -41,7 +45,9 @@ pub struct EvalStats {
     pub objects_pruned: u64,
     /// Candidate objects the spatio-temporal index handed to the engines —
     /// the post-pruning `|D∩|` a query actually dispatched on. Without an
-    /// index pass this equals the resolved candidate set size.
+    /// index pass this equals the resolved candidate set size. A re-scored
+    /// read counts every survivor here, whether its row was copied or
+    /// dotted again.
     pub candidates_examined: u64,
     /// Candidate objects discarded by the spatio-temporal index before any
     /// matrix work, by either filter: the reachability cone (provably
@@ -62,7 +68,9 @@ pub struct EvalStats {
     /// index probe, validation and costing: an ∃ read over an indexed scope
     /// of at least 256 objects, repeated on an unchanged snapshot (re-costed
     /// when the cached fields it was costed against changed). Its refine
-    /// (the counted cache lookups and the dot products) still runs.
+    /// still runs: the counted cache lookups, and the dot products —
+    /// which a query-based probabilities read takes only where its kept
+    /// rows no longer hold (see `objects_evaluated`).
     pub plans_reused: u64,
     /// Executions whose memoised plan was brought up to date from the
     /// store's write log instead of prepared afresh: the objects written

@@ -10,9 +10,15 @@
 //! fresh processor warmed by the same prefix then answers the same query
 //! with every memo displaced (`capacity` explains of other thresholds
 //! fill the memo), so it prepares afresh: the answer — or the error — must
-//! be the same to the bit and every other counter equal. Debug builds also
-//! re-derive every reused or patched plan inside `prepare`; release builds
-//! (`cargo test --release --test plan_memo`) compile that out, and these
+//! be the same to the bit and every other counter equal, but for one: a
+//! query-based probabilities read re-scores the rows kept beside the memo
+//! it came from, and must evaluate exactly the objects the row names —
+//! the survivors written since — or, when its rows cannot hold (a fresh
+//! plan, a recomputed field, a plan resolved object-based), every survivor
+//! as the fresh processor does. Debug builds also re-derive every reused
+//! or patched plan inside `prepare`, and re-run the full fan-out for a
+//! sample of re-scored reads; release builds
+//! (`cargo test --release --test plan_memo`) compile both out, and these
 //! comparisons carry the check.
 
 mod common;
@@ -182,6 +188,16 @@ enum Memo {
     Patched(u64),
 }
 
+/// How many objects the measured query must evaluate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Dots {
+    /// As many as the fresh processor: every survivor.
+    All,
+    /// Exactly this many: a query-based probabilities read re-scores the
+    /// rows kept beside its memo, dotting only the survivors written since.
+    Rescored(u64),
+}
+
 struct Row {
     name: &'static str,
     models: usize,
@@ -189,12 +205,20 @@ struct Row {
     prefix: Vec<Op>,
     last: Last,
     memo: Memo,
+    dots: Dots,
     /// The error the measured query must fail with; `None`: it must answer.
     rejects: Option<QueryError>,
 }
 
 fn row(name: &'static str, prefix: Vec<Op>, last: Q, memo: Memo) -> Row {
-    Row { name, models: 1, capacity: 64, prefix, last: Last::Run(last), memo, rejects: None }
+    let (models, capacity, last, dots) = (1, 64, Last::Run(last), Dots::All);
+    Row { name, models, capacity, prefix, last, memo, dots, rejects: None }
+}
+
+/// A probabilities row whose measured read re-scores its memo's rows with
+/// `dots` dot products.
+fn rescored(name: &'static str, prefix: Vec<Op>, last: Q, memo: Memo, dots: u64) -> Row {
+    Row { dots: Dots::Rescored(dots), ..row(name, prefix, last, memo) }
 }
 
 fn table() -> Vec<Row> {
@@ -212,6 +236,9 @@ fn table() -> Vec<Row> {
     let b = Q::qb(1, Ids::All);
     let few = Q::qb(0, FEW);
     let few_p = Q { tau: None, ..few };
+    let odd_p = Q { tau: None, ..odd };
+    let qb_p = Q { tau: None, ..A };
+    let ob_p = Q { strategy: Strategy::ObjectBased, ..qb_p };
     let to = |id, state| Ingest { id, time: 2, state };
     let stale = Ingest { id: 5, time: 1, state: 6 };
     let at_t3 = Ingest { id: 3, time: 3, state: INSIDE };
@@ -270,20 +297,88 @@ fn table() -> Vec<Row> {
             Patched(1),
         ),
         row("probabilities over a few objects repeated", warm(few_p), few_p, Fresh),
-        row("a probabilities repeat", warm(P), P, Reused),
-        row("probabilities after an arrival", then(P, &[to(3, INSIDE)]), P, Patched(1)),
+        rescored("a probabilities repeat", warm(P), P, Reused, 0),
+        rescored("probabilities after an arrival", then(P, &[to(3, INSIDE)]), P, Patched(1), 1),
+        rescored(
+            "probabilities after an arrival that keeps a survivor",
+            then(P, &[to(3, INSIDE), Run(P), to(3, INSIDE + 1)]),
+            P,
+            Patched(1),
+            1,
+        ),
+        rescored(
+            "probabilities after a survivor leaves",
+            then(P, &[to(3, INSIDE), Run(P), to(3, FAR)]),
+            P,
+            Patched(1),
+            0,
+        ),
+        rescored(
+            "probabilities after an object enters",
+            then(P, &[to(3, FAR), Run(P), to(3, INSIDE)]),
+            P,
+            Patched(1),
+            1,
+        ),
+        rescored(
+            "probabilities after an insert",
+            then(P, &[Insert { id: 1000, state: INSIDE }]),
+            P,
+            Patched(1),
+            1,
+        ),
+        row("probabilities after a write log past its bound", then(P, &[Churn(LOG + 1)]), P, Fresh),
+        rescored(
+            "probabilities over an id subset after an arrival in it",
+            then(odd_p, &[to(3, INSIDE)]),
+            odd_p,
+            Patched(1),
+            1,
+        ),
+        rescored(
+            "probabilities over an id subset after an arrival outside it",
+            then(odd_p, &[to(4, INSIDE)]),
+            odd_p,
+            Patched(0),
+            0,
+        ),
         row(
             "probabilities after an arrival at a new anchor time",
             then(P, &[at_t3]),
             P,
             Patched(1),
         ),
-        row(
+        rescored(
             "probabilities after their field was swept again",
             then(P, &[at_t3, Run(P)]),
             P,
             Reused,
+            0,
         ),
+        Row {
+            capacity: 1,
+            ..row("probabilities over a recomputed field", then(P, &[Fill(1, FEW)]), P, Reused)
+        },
+        Row {
+            capacity: 1,
+            ..row(
+                "an unchanged plan's probabilities over a recomputed field",
+                then(qb_p, &[Fill(1, FEW)]),
+                qb_p,
+                Reused,
+            )
+        },
+        Row {
+            capacity: 1,
+            ..rescored(
+                "an unchanged plan's probabilities after the rows were re-seeded",
+                then(qb_p, &[Fill(1, FEW), Run(qb_p)]),
+                qb_p,
+                Reused,
+                0,
+            )
+        },
+        row("an object-based probabilities repeat", warm(ob_p), ob_p, Reused),
         Row {
             capacity: 1,
             ..row("the field evicted at capacity 1", then(A, &[Fill(1, Ids::All)]), A, Fresh)
@@ -471,10 +566,18 @@ fn the_memo_serves_an_unchanged_repeat_and_patches_logged_writes() {
         assert_eq!(memo, row.memo, "{}", row.name);
         let fresh = reference(&db, &row);
         assert_same_answer(&row, &measured, &fresh);
+        let objects_evaluated = match row.dots {
+            Dots::All => stats.objects_evaluated,
+            Dots::Rescored(dots) => {
+                assert_eq!(stats.objects_evaluated, dots, "{}: the objects dotted", row.name);
+                fresh.stats.objects_evaluated
+            }
+        };
         let prepared_afresh = EvalStats {
             plans_reused: 0,
             plans_patched: 0,
             objects_retested: 0,
+            objects_evaluated,
             ..measured.stats.clone()
         };
         assert_eq!(prepared_afresh, fresh.stats, "{}", row.name);

@@ -313,6 +313,31 @@ fn error_answers_match_batch_bit_for_bit() {
     assert!(matches!(sub.answer(), Err(QueryError::WindowBeforeObservation { .. })));
 }
 
+/// A refresh is tallied by what ran: an arrival that lifts its object's
+/// anchor past the window start fails the refresh's validation (or, pinned
+/// object-based, its narrowed probe), and the full evaluation it falls
+/// back to, which reports the error, is a full recompute — under either
+/// pinned strategy.
+#[test]
+fn a_refresh_that_falls_back_to_a_full_evaluation_is_tallied_as_one() {
+    let mut db = TrajectoryDatabase::new(ust_oracle::testutil::paper_chain());
+    for id in 0..4u64 {
+        let fix = Observation::exact(0, 3, id as usize % 3).unwrap();
+        db.insert(UncertainObject::with_single_observation(id, fix)).unwrap();
+    }
+    let window = QueryWindow::from_states(3, [0usize, 1], TimeSet::interval(2, 4)).unwrap();
+    for strategy in [Strategy::QueryBased, Strategy::ObjectBased] {
+        let processor = QueryProcessor::new(&db);
+        let spec = Query::exists().window(window.clone()).strategy(strategy).build().unwrap();
+        let sub = processor.watch(&spec).unwrap();
+        processor.ingest(1, Observation::exact(3, 3, 0).unwrap()).unwrap();
+        let stream = processor.metrics().stream(sub.id()).unwrap().clone();
+        let tally = (stream.notifications, stream.reevaluations, stream.full_recomputes);
+        assert_eq!(tally, (1, 0, 2), "{strategy:?}: watch and the fallback are full recomputes");
+        assert!(matches!(sub.answer(), Err(QueryError::WindowBeforeObservation { .. })));
+    }
+}
+
 /// A τ-threshold subscription beside warm executions on which the
 /// superlevel filter fires: the subscription maintains probabilities (its
 /// probes never run the filter), the execution prunes by the cached field's
