@@ -362,11 +362,13 @@ impl<'s> Propagator<'s> {
     /// `h_{resume_time}` — the start state at `window.t_end()`, or where an
     /// earlier sweep stopped.
     ///
-    /// The driver supplies the state (a hybrid vector for PST∃Q, the level
-    /// family for PSTkQ) and three hooks: `apply_window` — the transposed
-    /// `M+` surgery, applied *before* stepping out of a query timestamp;
-    /// `step` — one backward transition, returning the number of products
-    /// performed (accounted as [`EvalStats::backward_steps`]);
+    /// The driver supplies the state (a hybrid vector for PST∃Q and PST∀Q,
+    /// the interleaved level panel for PSTkQ) and three hooks:
+    /// `apply_window` — the transposed `M+` surgery (the k-times lane
+    /// shift), applied *before* stepping out of a query timestamp;
+    /// `step` — one backward transition, returning the number of vectors
+    /// it stepped, one per level (accounted as
+    /// [`EvalStats::backward_steps`]);
     /// `snapshot` — called at every requested time the sweep reaches,
     /// `resume_time` included, in descending time order.
     ///

@@ -31,13 +31,19 @@
 //! `g_t` too lives on the states that can reach the window and one object
 //! is one dot product. For k-times the swept state is a family of
 //! `|T▫| + 1` visit-level vectors and entering `S▫` shifts each level up by
-//! one — one `M · w` product per level and step, hence the "scales rather
-//! linearly with k" behaviour the paper observes — and one object is a
-//! `(|T▫|+1)`-way dot product.
+//! one. The levels are the coefficients of one generating function in the
+//! visit count per state, so `M` acts on all of them at once: the sweep
+//! keeps them interleaved in a [`LevelPanel`], and each step is one walk
+//! over `M`'s rows whose per-entry work grows with the level count — the
+//! "scales rather linearly with k" behaviour the paper observes — with the
+//! window rule a lane shift on the rows of `S▫`. The levels unpack into
+//! per-level span snapshots only at the requested anchor times, and one
+//! object is a `(|T▫|+1)`-way dot product.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ust_markov::kernels::LevelPanel;
 use ust_markov::{MarkovChain, PropagationVector, SpanVector, SparseVector, StateMask};
 
 use crate::database::TrajectoryDatabase;
@@ -191,76 +197,79 @@ impl BackwardField {
     ) -> Result<()> {
         let rule = self.rule;
         let inside = window.states();
-        let ones = window_indicator(window)?;
-        let (mut levels, resume): (Vec<PropagationVector>, u32) = match resume {
-            Some(t) => {
-                let family = self.snapshots.get(&t).ok_or(QueryError::internal(
+        let family = match resume {
+            Some(t) => Some((
+                self.snapshots.get(&t).ok_or(QueryError::internal(
                     "a backward field's floor is always snapshotted",
-                ))?;
-                (family.iter().cloned().map(PropagationVector::from_span).collect(), t)
-            }
-            None => {
-                let empty = PropagationVector::from_sparse(SparseVector::zeros(inside.dim()));
-                let boundary = match rule {
-                    FieldRule::Exists => vec![empty],
-                    FieldRule::ForAll => vec![PropagationVector::from_sparse(ones.clone())],
-                    FieldRule::KTimes => vec![empty; window.num_times() + 1],
-                };
-                (boundary, window.t_end())
-            }
+                ))?,
+                t,
+            )),
+            None => None,
         };
+        let resume = family.map_or(window.t_end(), |(_, t)| t);
         let mut pipeline = Propagator::new(config, stats);
+        if rule == FieldRule::KTimes {
+            // The |T▫| + 1 levels stay interleaved for the whole sweep and
+            // unpack only at the requested anchor times.
+            let mut panel = match family {
+                Some((levels, _)) => LevelPanel::from_levels(inside.dim(), levels)?,
+                None => LevelPanel::zeros(inside.dim(), window.num_times() + 1),
+            };
+            let snapshots = &mut self.snapshots;
+            return pipeline.backward_from(
+                &mut panel,
+                resume,
+                window,
+                anchor_times,
+                // Entering a window state consumes one visit level:
+                // f_j[S▫] ← f_{j−1}[S▫] top-down, f₁[S▫] ← f₀[S▫] =
+                // 1 − d[S▫], and f₀[S▫] ← 0, i.e. d[S▫] ← 1.
+                |panel| Ok(panel.shift_window(inside)?),
+                // One walk over M's rows for every level, each level's
+                // operations those of `PropagationVector::step` over Mᵀ.
+                |panel, _| {
+                    chain.step_levels_backward(panel)?;
+                    Ok(panel.levels() as u64)
+                },
+                |panel, t| {
+                    snapshots.insert(t, panel.to_levels());
+                },
+            );
+        }
+        let ones = window_indicator(window)?;
+        let mut h = match family {
+            Some((levels, _)) => PropagationVector::from_span(levels[0].clone()),
+            None if rule == FieldRule::ForAll => PropagationVector::from_sparse(ones.clone()),
+            None => PropagationVector::from_sparse(SparseVector::zeros(inside.dim())),
+        };
         let snapshots = &mut self.snapshots;
         pipeline.backward_from(
-            &mut levels,
+            &mut h,
             resume,
             window,
             anchor_times,
             // Transposed M+ surgery, applied when the step's target time is
-            // in T▫, before the levels of t-1 are evaluated as M · w on the
-            // hybrid vectors.
-            |levels| {
-                match rule {
-                    FieldRule::Exists => {
-                        let _ = levels[0].extract_masked(inside);
-                        levels[0].add_sparse(&ones)?;
-                    }
+            // in T▫, before h_{t-1} is evaluated as M · w on the hybrid
+            // vector.
+            |h| {
+                if rule == FieldRule::ForAll {
                     // What is kept has at most |S▫| entries: back to sparse.
-                    FieldRule::ForAll => {
-                        levels[0] = PropagationVector::from_sparse(levels[0].split_masked(inside));
-                    }
-                    // Entering a window state consumes one visit level:
-                    // f_j[S▫] ← f_{j−1}[S▫], top-down so each lower level is
-                    // still unmodified when the level above takes it; then
-                    // f₁[S▫] ← f₀[S▫] = 1 − d[S▫] and f₀[S▫] ← 0, i.e.
-                    // d[S▫] ← 1.
-                    FieldRule::KTimes => {
-                        let k_max = levels.len() - 1;
-                        let _ = levels[k_max].split_masked(inside);
-                        for j in (2..=k_max).rev() {
-                            let moved = levels[j - 1].split_masked(inside);
-                            levels[j].add_sparse(&moved)?;
-                        }
-                        let deficit = levels[0].split_masked(inside);
-                        let no_visit = SparseVector::from_pairs(
-                            inside.dim(),
-                            inside.iter().map(|s| (s, 1.0 - deficit.get(s))),
-                        )?;
-                        levels[1].add_sparse(&no_visit)?;
-                        levels[0].add_sparse(&ones)?;
-                    }
+                    *h = PropagationVector::from_sparse(h.split_masked(inside));
+                } else {
+                    let _ = h.extract_masked(inside);
+                    h.add_sparse(&ones)?;
                 }
                 Ok(())
             },
-            // Each level on its own: a gather along M's rows, or the
-            // sorted-index scatter over Mᵀ — the operations of
-            // `PropagationVector::step` over Mᵀ, in the same order.
-            |levels, scratch| {
-                chain.step_backward(levels, scratch)?;
-                Ok(levels.len() as u64)
+            // A gather along M's rows, or the sorted-index scatter over
+            // Mᵀ — the operations of `PropagationVector::step` over Mᵀ, in
+            // the same order.
+            |h, scratch| {
+                chain.step_backward(h, scratch)?;
+                Ok(1)
             },
-            |levels, t| {
-                snapshots.insert(t, levels.iter().map(PropagationVector::to_span).collect());
+            |h, t| {
+                snapshots.insert(t, vec![h.to_span()]);
             },
         )
     }

@@ -14,7 +14,7 @@ use crate::csr::{CsrMatrix, SpmvScratch};
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
 use crate::hybrid::PropagationVector;
-use crate::kernels::{GatherArm, SlicedRows};
+use crate::kernels::{GatherArm, LevelPanel, SlicedRows};
 use crate::sparse_vec::SparseVector;
 use crate::stochastic::StochasticMatrix;
 
@@ -91,9 +91,9 @@ impl MarkovChain {
         self.sliced.get_or_init(|| SlicedRows::new(self.matrix()))
     }
 
-    /// One backward step `h ← M · h` of every non-empty vector of `levels`
-    /// (Section V-B's query-based recurrence, a k-times level family one
-    /// level at a time), on the widest gather arm the CPU has.
+    /// One backward step `h ← M · h` of the vector `h` (Section V-B's
+    /// query-based recurrence), on the widest gather arm the CPU has; an
+    /// empty vector stays as it is.
     ///
     /// A span-arm vector takes one dot product per row of `M`, gathered
     /// through the chain's sliced-row copy of `M` (built on first use); a
@@ -104,10 +104,10 @@ impl MarkovChain {
     /// `Mᵀ`.
     pub fn step_backward(
         &self,
-        levels: &mut [PropagationVector],
+        h: &mut PropagationVector,
         scratch: &mut SpmvScratch,
     ) -> Result<()> {
-        self.step_backward_on(GatherArm::detect(), levels, scratch)
+        self.step_backward_on(GatherArm::detect(), h, scratch)
     }
 
     /// As [`Self::step_backward`] on an explicit gather arm — one the CPU
@@ -115,21 +115,39 @@ impl MarkovChain {
     pub fn step_backward_on(
         &self,
         arm: GatherArm,
-        levels: &mut [PropagationVector],
+        h: &mut PropagationVector,
         scratch: &mut SpmvScratch,
     ) -> Result<()> {
-        let rows = self.sliced();
-        for level in levels.iter_mut().filter(|level| level.nnz() > 0) {
-            if level.dim() != self.num_states() {
-                return Err(MarkovError::DimensionMismatch {
-                    op: "backward step",
-                    expected: self.num_states(),
-                    found: level.dim(),
-                });
-            }
-            level.step_backward(rows, || self.transposed(), arm, scratch)?;
+        self.check_backward("backward step", h.dim())?;
+        if h.nnz() == 0 {
+            return Ok(());
         }
+        h.step_backward(self.sliced(), || self.transposed(), arm, scratch)
+    }
+
+    /// One backward step `h ← M · h` of every level of a k-times field,
+    /// interleaved in `panel`, on the widest arm the CPU has: one walk over
+    /// `M`'s rows for all levels, its output range read off the column
+    /// table of the chain's sliced-row copy of `M`. Each level's bits are
+    /// those of [`Self::step_backward`] on that level alone.
+    pub fn step_levels_backward(&self, panel: &mut LevelPanel) -> Result<()> {
+        self.step_levels_backward_on(GatherArm::detect(), panel)
+    }
+
+    /// As [`Self::step_levels_backward`] on an explicit arm — one the CPU
+    /// lacks runs the scalar arm. Every arm gives the same bits.
+    pub fn step_levels_backward_on(&self, arm: GatherArm, panel: &mut LevelPanel) -> Result<()> {
+        self.check_backward("level panel step", panel.dim())?;
+        panel.step_backward(self.matrix(), self.sliced(), arm);
         Ok(())
+    }
+
+    /// Fails unless a backward operand of dimension `found` fits the chain.
+    fn check_backward(&self, op: &'static str, found: usize) -> Result<()> {
+        if found == self.num_states() {
+            return Ok(());
+        }
+        Err(MarkovError::DimensionMismatch { op, expected: self.num_states(), found })
     }
 
     /// One forward step: `P(o, t+1) = P(o, t) · M` (Corollary 1).

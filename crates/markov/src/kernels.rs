@@ -1,6 +1,9 @@
 //! The SIMD propagation kernels: the cache-blocked panel kernel behind
-//! [`CsrMatrix::step_batch`] (forward steps) and the sliced-row gather
-//! behind [`crate::chain::MarkovChain::step_backward`] (backward steps).
+//! [`CsrMatrix::step_batch`] (forward steps), the sliced-row gather behind
+//! [`crate::chain::MarkovChain::step_backward`] (backward steps of one
+//! vector) and the level panel behind
+//! [`crate::chain::MarkovChain::step_levels_backward`] (backward steps of a
+//! k-times level family).
 //!
 //! **Forward panel.** Span vectors whose spans overlap — a k-times level
 //! family, clustered objects — step together through one interleaved
@@ -24,24 +27,41 @@
 //! `Reach` the scatter over `Mᵀ` would compute, so the same
 //! `Reach::is_scattered` guard picks the same arm.
 //!
+//! **Level panel.** The `|T▫| + 1` visit levels of a k-times backward
+//! field are one generating function's coefficients per state, so
+//! [`LevelPanel`] keeps them interleaved for the whole sweep:
+//! `vals[(s − lo) · W + j]`, `W` the level count rounded up to whole lane
+//! groups, over the levels' union span. A step walks `M`'s CSR rows over
+//! the output range — read off the same column table — and adds each
+//! entry's `W` source lanes into its row with the forward panel's lane op:
+//! contiguous loads, no gathers, one pass over `M` for up to 16 lanes,
+//! whose accumulators stay in registers across a row (wider families take
+//! one pass per 16-lane block). The k-times window rule is a lane shift
+//! on the rows of `S▫`; the levels are unpacked into span vectors only
+//! where a field keeps a snapshot.
+//!
 //! **Bit-identity contract.** Per vector, the floating-point operations
 //! and their order are exactly those of a solo
 //! [`crate::hybrid::PropagationVector::step`]: per output slot, the terms
 //! in ascending source state (ascending column within each matrix row for
 //! the panel; ascending column of `M`'s row — the scatter's ascending
-//! source over `Mᵀ` — for the gather), accumulated from `0.0` as a separate
-//! multiply and add, never an FMA. SIMD and unrolling only ever act
-//! *across* independent slots or vectors, never across the terms of one
-//! slot's accumulation, so no sum is reassociated. The gather adds `+0.0`
-//! for the padded entries and the in-span zero sources the scatter skips:
-//! the identity on the finite, non-negative values a validated chain and
-//! its fields carry. The proptests in `tests/proptests.rs` pin this
-//! contract across panel widths, batch compositions and gather arms.
+//! source over `Mᵀ` — for the gather and the level panel), accumulated from
+//! `0.0` as a separate multiply and add, never an FMA. SIMD and unrolling
+//! only ever act *across* independent slots or vectors, never across the
+//! terms of one slot's accumulation, so no sum is reassociated. The gather
+//! adds `+0.0` for the padded entries and the in-span zero sources the
+//! scatter skips, the level panel for every zero lane (a source outside
+//! its span it skips): the identity on the finite, non-negative values a
+//! validated chain and its fields carry. The proptests in
+//! `tests/proptests.rs` pin this contract across panel widths, batch
+//! compositions, level families and arms.
 
 use std::ops::Range;
 
 use crate::csr::{CsrMatrix, Reach, SpmvScratch};
+use crate::error::{MarkovError, Result};
 use crate::hybrid::BatchStepStats;
+use crate::mask::StateMask;
 use crate::span_vec::SpanVector;
 
 /// Rows per slice of [`SlicedRows`]: two AVX2 registers of doubles.
@@ -57,6 +77,10 @@ pub(crate) const LANE_WIDTH: usize = 4;
 
 /// Most lanes a panel ever interleaves.
 const MAX_PANEL_WIDTH: usize = 64;
+
+/// Most lanes of a level panel one walk over a row accumulates: four
+/// AVX registers.
+const LEVEL_BLOCK: usize = 16;
 
 /// Panel rows transposed per block when unpacking: a block of the widest
 /// panel is 32 KiB, an L1-resident tile.
@@ -258,14 +282,16 @@ unsafe fn axpy_panel_avx(out: &mut [f64], vals: &[f64], m: f64) {
     }
 }
 
-/// A SIMD arm of the backward gather (`SlicedRows`). Every arm performs
-/// the same operations per output slot, so both are bit-identical;
-/// [`GatherArm::detect`] picks the widest the CPU has.
+/// A SIMD arm of the backward kernels: the gather (`SlicedRows`) and the
+/// level panel ([`LevelPanel`]). Every arm performs the same operations per
+/// output slot, so both are bit-identical; [`GatherArm::detect`] picks the
+/// widest the CPU has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatherArm {
     /// One scalar multiply-add per slot and entry.
     Scalar,
-    /// Two 4-lane `i32` gathers per slice entry (AVX2).
+    /// Two 4-lane `i32` gathers per slice entry; the level panel's AVX
+    /// lane op (AVX2 implies AVX).
     Avx2,
 }
 
@@ -409,6 +435,17 @@ impl SlicedRows {
         });
         let hi = hi as usize;
         Reach { lo: (lo as usize).min(hi), hi, rows: v.nnz() as u64, entries }
+    }
+
+    /// The rows of `M` that hold an entry in one of `columns`: `first..end`
+    /// folded over the column table, empty for no column (or only empty
+    /// ones).
+    fn rows_reaching(&self, columns: impl Iterator<Item = usize>) -> Range<usize> {
+        let (lo, hi) = columns
+            .map(|c| self.columns[c])
+            .fold((u32::MAX, 0), |(lo, hi), column| (lo.min(column.first), hi.max(column.end)));
+        let hi = hi as usize;
+        (lo as usize).min(hi)..hi
     }
 
     /// One backward step `M · v` of a span vector whose `reach` is known,
@@ -585,6 +622,268 @@ unsafe fn slice_dot_avx2(offsets: &[u32], values: &[f64], src: &[f64]) -> [f64; 
         _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
     }
     sums
+}
+
+/// The visit levels of a k-times backward field, interleaved per state —
+/// the state of a whole k-times sweep.
+///
+/// `vals[(s − lo) · W + j]` holds level `j` at state `s` for the states of
+/// [`LevelPanel::span`], the union of the levels' spans (its end rows are
+/// never all zero); `W` is the level count rounded up to whole 4-lane
+/// groups, and the pad lanes stay zero. A backward step walks `M`'s CSR
+/// rows over the output range and adds each entry's `W` source lanes into
+/// its row's `W` output lanes with the forward panel's lane op
+/// (`axpy_panel_*`): contiguous loads, no gathers, the accumulators of up
+/// to 16 lanes held in registers across a row. Both buffers are recycled
+/// from step to step, so once a sweep's span stops growing it allocates
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct LevelPanel {
+    dim: usize,
+    levels: usize,
+    width: usize,
+    /// The first state of the stored rows.
+    lo: usize,
+    vals: Vec<f64>,
+    /// The buffer the next step (or widening) writes.
+    spare: Vec<f64>,
+}
+
+impl LevelPanel {
+    /// `levels` all-zero levels over `dim` states; stores nothing.
+    pub fn zeros(dim: usize, levels: usize) -> LevelPanel {
+        let width = levels.max(1).next_multiple_of(LANE_WIDTH);
+        LevelPanel { dim, levels, width, lo: 0, vals: Vec::new(), spare: Vec::new() }
+    }
+
+    /// Interleaves `levels`, each of dimension `dim`, over the union of
+    /// their spans.
+    pub fn from_levels(dim: usize, levels: &[SpanVector]) -> Result<LevelPanel> {
+        if let Some(level) = levels.iter().find(|level| level.dim() != dim) {
+            return Err(MarkovError::DimensionMismatch {
+                op: "level panel",
+                expected: dim,
+                found: level.dim(),
+            });
+        }
+        let mut panel = LevelPanel::zeros(dim, levels.len());
+        let spans = levels.iter().map(SpanVector::span).filter(|(_, values)| !values.is_empty());
+        let (lo, hi) = spans.fold((usize::MAX, 0), |(lo, hi), (offset, values)| {
+            (lo.min(offset), hi.max(offset + values.len()))
+        });
+        if hi > 0 {
+            panel.widen(lo..hi);
+        }
+        let width = panel.width;
+        for (j, level) in levels.iter().enumerate() {
+            let (offset, values) = level.span();
+            if values.is_empty() {
+                continue;
+            }
+            let rows = panel.vals[(offset - lo) * width..].chunks_exact_mut(width);
+            for (row, &v) in rows.zip(values) {
+                row[j] = v;
+            }
+        }
+        Ok(panel)
+    }
+
+    /// Dimension of the state space.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of levels.
+    pub fn levels(&self) -> usize {
+        self.levels
+    }
+
+    /// The states the panel stores: outside it every level is zero.
+    pub fn span(&self) -> Range<usize> {
+        self.lo..self.lo + self.vals.len() / self.width
+    }
+
+    /// The levels one by one, each trimmed to its own non-zero span — the
+    /// snapshot format of a backward field.
+    pub fn to_levels(&self) -> Vec<SpanVector> {
+        (0..self.levels)
+            .map(|j| {
+                let lane = || self.vals.iter().skip(j).step_by(self.width);
+                let Some(first) = lane().position(|v| *v != 0.0) else {
+                    return SpanVector::zeros(self.dim);
+                };
+                let end = lane().rposition(|v| *v != 0.0).map_or(first, |last| last + 1);
+                let values = lane().skip(first).take(end - first).copied().collect();
+                SpanVector::from_parts(self.dim, self.lo + first, values)
+            })
+            .collect()
+    }
+
+    /// The k-times window rule on the states of `inside`, in place: per
+    /// state, level `j` takes level `j − 1` from the top down, level 1
+    /// takes `1 −` level 0 (level 0 holds the deficit) and level 0 becomes
+    /// 1. The panel first widens to cover `inside`.
+    pub fn shift_window(&mut self, inside: &StateMask) -> Result<()> {
+        if inside.dim() != self.dim {
+            return Err(MarkovError::DimensionMismatch {
+                op: "level panel window",
+                expected: self.dim,
+                found: inside.dim(),
+            });
+        }
+        // The mask iterates in ascending order.
+        let (lo, hi) = inside.iter().fold((usize::MAX, 0), |(lo, _), s| (lo.min(s), s + 1));
+        if hi == 0 {
+            return Ok(());
+        }
+        self.widen(lo..hi);
+        for s in inside.iter() {
+            let row = (s - self.lo) * self.width;
+            let levels = &mut self.vals[row..row + self.levels];
+            for j in (2..levels.len()).rev() {
+                levels[j] = levels[j - 1];
+            }
+            if let [deficit, rest @ ..] = levels {
+                if let Some(once) = rest.first_mut() {
+                    *once = 1.0 - *deficit;
+                }
+                *deficit = 1.0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Grows the stored rows to cover `states` (non-empty) as well,
+    /// through the spare buffer.
+    fn widen(&mut self, states: Range<usize>) {
+        let span = self.span();
+        let (lo, hi) = if span.is_empty() {
+            (states.start, states.end)
+        } else {
+            (span.start.min(states.start), span.end.max(states.end))
+        };
+        if (lo..hi) == span {
+            return;
+        }
+        let mut grown = std::mem::take(&mut self.spare);
+        grown.clear();
+        grown.resize((hi - lo) * self.width, 0.0);
+        if !span.is_empty() {
+            let at = (span.start - lo) * self.width;
+            grown[at..at + self.vals.len()].copy_from_slice(&self.vals);
+        }
+        self.spare = std::mem::replace(&mut self.vals, grown);
+        self.lo = lo;
+    }
+
+    /// One backward step `h ← M · h` of every level, on `arm` when the CPU
+    /// has it: `m` is `M` and `rows` its sliced copy, whose column table
+    /// gives the output range — the rows holding an entry in a column
+    /// where some level is non-zero. Each output row sums its `M` row's
+    /// entries in ascending column from `0.0`, per lane as a separate
+    /// multiply and add; a source outside the panel is skipped and a zero
+    /// lane adds `+0.0`, so each level's bits are those of its own gather
+    /// or of the scatter over `Mᵀ`. All-zero end rows are then dropped.
+    pub(crate) fn step_backward(&mut self, m: &CsrMatrix, rows: &SlicedRows, arm: GatherArm) {
+        if self.vals.is_empty() {
+            return;
+        }
+        let (lo, width) = (self.lo, self.width);
+        let nonzero = |row: &[f64]| row.iter().any(|v| *v != 0.0);
+        let live = self.vals.chunks_exact(width).enumerate().filter(|(_, row)| nonzero(row));
+        let reached = rows.rows_reaching(live.map(|(i, _)| lo + i));
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        out.resize(reached.len() * width, 0.0);
+        let input = (self.vals.as_slice(), lo, width);
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX2, and with it AVX, was just checked.
+            GatherArm::Avx2 if arm.is_supported() => unsafe {
+                step_levels_avx(m, input, &mut out, reached.start)
+            },
+            _ => step_levels_with(m, input, &mut out, reached.start, axpy_panel_scalar),
+        }
+        let first = out.chunks_exact(width).position(nonzero).unwrap_or(0);
+        let end = out.chunks_exact(width).rposition(nonzero).map_or(first, |last| last + 1);
+        out.copy_within(first * width..end * width, 0);
+        out.truncate((end - first) * width);
+        self.spare = std::mem::replace(&mut self.vals, out);
+        self.lo = if first < end { reached.start + first } else { 0 };
+    }
+}
+
+/// [`step_levels_with`] compiled with AVX enabled, so the lane op inlines
+/// into the row loop.
+///
+/// # Safety
+/// Caller must ensure the `avx` target feature is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn step_levels_avx(
+    m: &CsrMatrix,
+    input: (&[f64], usize, usize),
+    out: &mut [f64],
+    out_lo: usize,
+) {
+    step_levels_with(m, input, out, out_lo, |acc, src, mv| {
+        // SAFETY: this function is only entered with AVX available.
+        unsafe { axpy_panel_avx(acc, src, mv) }
+    })
+}
+
+/// The row walk of [`LevelPanel::step_backward`]: the `width` lanes of
+/// output row `out_lo + i` live at `out[i · width..]`, those of source state
+/// `lo + k` at `vals[k · width..]`, and `axpy` adds one source row times
+/// `M`'s entry into an output row. The lanes go in blocks of at most
+/// [`LEVEL_BLOCK`], each block's row walked once.
+#[inline(always)]
+fn step_levels_with(
+    m: &CsrMatrix,
+    (vals, lo, width): (&[f64], usize, usize),
+    out: &mut [f64],
+    out_lo: usize,
+    axpy: impl Fn(&mut [f64], &[f64], f64) + Copy,
+) {
+    let input = (vals, lo, width);
+    // `width` is a whole number of lane groups, so what is left of a row
+    // is 4, 8, 12 or at least 16 lanes.
+    for first in (0..width).step_by(LEVEL_BLOCK) {
+        match width - first {
+            4 => step_level_block::<4>(m, input, first, out, out_lo, axpy),
+            8 => step_level_block::<8>(m, input, first, out, out_lo, axpy),
+            12 => step_level_block::<12>(m, input, first, out, out_lo, axpy),
+            _ => step_level_block::<LEVEL_BLOCK>(m, input, first, out, out_lo, axpy),
+        }
+    }
+}
+
+/// Lanes `first..first + B` of every output row: the block's `B`
+/// accumulators start at `0.0`, stay in a fixed-size array (registers)
+/// across the row's entries in ascending column, and are stored once per
+/// row. A source outside the panel is zero on every level: skipped.
+#[inline(always)]
+fn step_level_block<const B: usize>(
+    m: &CsrMatrix,
+    (vals, lo, width): (&[f64], usize, usize),
+    first: usize,
+    out: &mut [f64],
+    out_lo: usize,
+    axpy: impl Fn(&mut [f64], &[f64], f64),
+) {
+    let stored = vals.len() / width;
+    for (i, row) in (out_lo..).zip(out.chunks_exact_mut(width)) {
+        let mut acc = [0.0; B];
+        let (cols, mvals) = m.row(i);
+        for (&c, &mv) in cols.iter().zip(mvals) {
+            let k = (c as usize).wrapping_sub(lo);
+            if k < stored {
+                let src = k * width + first;
+                axpy(&mut acc, &vals[src..src + B], mv);
+            }
+        }
+        row[first..first + B].copy_from_slice(&acc);
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The propagation kernels allocate nothing once their buffers have grown:
 //! every step recycles its input's storage through the [`SpmvScratch`]
-//! pools. A counting global allocator checks this by running the kernels,
-//! callees included. Each arm — the sorted-index CSR rows, a single span
-//! step, the span panel of `step_batch`, and the backward gather on every
-//! arm the CPU has — first steps until its support stops growing (growing
+//! pools (the level panel through its own two buffers). A counting global
+//! allocator checks this by running the kernels, callees included. Each
+//! arm — the sorted-index CSR rows, a single span step, the span panel of
+//! `step_batch`, and the backward gather and the level panel on every arm
+//! the CPU has — first steps until its support stops growing (growing
 //! vectors do allocate larger buffers), then must take 100 more steps
 //! without a single allocation.
 
@@ -12,8 +13,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ust_markov::kernels::GatherArm;
-use ust_markov::{CsrMatrix, MarkovChain, PropagationVector, SparseVector, SpmvScratch};
+use ust_markov::kernels::{GatherArm, LevelPanel};
+use ust_markov::{
+    CsrMatrix, MarkovChain, PropagationVector, SpanVector, SparseVector, SpmvScratch, StateMask,
+};
 
 /// The system allocator, counting the allocations made on each thread
 /// (`GlobalAlloc`'s default `alloc_zeroed` and `realloc` go through
@@ -150,9 +153,30 @@ fn the_backward_gather_recycles_its_storage_on_every_arm() {
         for (n, chain) in banded() {
             let (mut scratch, mut levels) = (SpmvScratch::new(), clustered(n, 3));
             assert_steady(&format!("the {arm:?} gather"), n, || {
-                chain.step_backward_on(arm, &mut levels, &mut scratch).unwrap();
+                for level in &mut levels {
+                    chain.step_backward_on(arm, level, &mut scratch).unwrap();
+                }
                 assert!(levels.iter().all(|level| !level.is_sparse()), "the gather's arm");
                 levels.iter().map(PropagationVector::nnz).sum()
+            });
+        }
+    }
+}
+
+#[test]
+fn the_level_panel_recycles_its_storage() {
+    // Five levels started on the clustered distributions, stepped with a
+    // window shift on three states next to the cluster before every step,
+    // as a k-times sweep whose every step enters a query time.
+    for arm in GatherArm::available() {
+        for (n, chain) in banded() {
+            let starts: Vec<SpanVector> = clustered(n, 5).iter().map(|v| v.to_span()).collect();
+            let mut panel = LevelPanel::from_levels(n, &starts).unwrap();
+            let inside = StateMask::from_indices(n, [n / 2 - 3, n / 2 - 2, n / 2 - 1]).unwrap();
+            assert_steady(&format!("the {arm:?} level panel"), n, || {
+                panel.shift_window(&inside).unwrap();
+                chain.step_levels_backward_on(arm, &mut panel).unwrap();
+                panel.span().len()
             });
         }
     }

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use ust_markov::kernels::GatherArm;
+use ust_markov::kernels::{GatherArm, LevelPanel};
 use ust_markov::{
-    CsrMatrix, DenseVector, MarkovChain, PropagationVector, SparseVector, SpmvScratch, StateMask,
-    StochasticMatrix,
+    CsrMatrix, DenseVector, MarkovChain, PropagationVector, SpanVector, SparseVector, SpmvScratch,
+    StateMask, StochasticMatrix,
 };
 use ust_oracle::{augmented, testutil};
 
@@ -97,6 +97,57 @@ fn uneven_chain(seed: u64, n: usize, max_deg: usize, band: Option<usize>) -> Mar
 /// A vector's arm and its value at every state, as bits.
 fn arm_and_bits(v: &PropagationVector) -> (bool, Vec<u64>) {
     (v.is_sparse(), v.to_dense().as_slice().iter().map(|x| x.to_bits()).collect())
+}
+
+/// A span vector's offset and stored values, as bits.
+fn span_bits(v: &SpanVector) -> (usize, Vec<u64>) {
+    let (offset, values) = v.span();
+    (offset, values.iter().map(|x| x.to_bits()).collect())
+}
+
+/// A family of `levels` visit levels on `n` states, values in `(0, 1]`:
+/// level `j` is, by `(j + shape) % 5`, empty, a span from state 0, a span
+/// up to state `n − 1`, a span with zero gaps, or a span anywhere — so
+/// spans overlap, nest or are disjoint.
+fn level_family(seed: u64, n: usize, levels: usize, shape: usize) -> Vec<SpanVector> {
+    use rand::Rng as _;
+    let mut rng = testutil::rng(seed);
+    (0..levels)
+        .map(|j| {
+            let width = rng.random_range(1..=n.min(12));
+            let first = rng.random_range(0..=n - width);
+            let (range, gaps) = match (j + shape) % 5 {
+                0 => return SpanVector::zeros(n),
+                1 => (0..width, false),
+                2 => (n - width..n, false),
+                3 => (first..first + width, true),
+                _ => (first..first + width, false),
+            };
+            let mut v = vec![0.0; n];
+            for s in range.filter(|s| !gaps || s % 3 != 1) {
+                v[s] = 0.01 + 0.99 * rng.random::<f64>();
+            }
+            SpanVector::from_slice(&v)
+        })
+        .collect()
+}
+
+/// The k-times window rule written out level by level on hybrid vectors,
+/// as a field sweep ran it before the level panel.
+fn shift_levels(levels: &mut [PropagationVector], inside: &StateMask) {
+    let n = inside.dim();
+    let k_max = levels.len() - 1;
+    let _ = levels[k_max].split_masked(inside);
+    for j in (2..=k_max).rev() {
+        let moved = levels[j - 1].split_masked(inside);
+        levels[j].add_sparse(&moved).unwrap();
+    }
+    let deficit = levels[0].split_masked(inside);
+    let no_visit = inside.iter().map(|s| (s, 1.0 - deficit.get(s)));
+    levels[1].add_sparse(&SparseVector::from_pairs(n, no_visit).unwrap()).unwrap();
+    levels[0]
+        .add_sparse(&SparseVector::from_pairs(n, inside.iter().map(|s| (s, 1.0))).unwrap())
+        .unwrap();
 }
 
 proptest! {
@@ -352,16 +403,67 @@ proptest! {
         prop_assert_eq!(arms[0], GatherArm::Scalar);
         for arm in arms {
             let mut expected = start.clone();
-            let mut gathered = [start.clone()];
+            let mut gathered = start.clone();
             let mut scratch = SpmvScratch::new();
             for step in 0..5 {
                 if expected.nnz() > 0 {
                     expected.step(chain.transposed(), &mut scratch).unwrap();
                 }
                 chain.step_backward_on(arm, &mut gathered, &mut scratch).unwrap();
-                prop_assert_eq!(arm_and_bits(&gathered[0]), arm_and_bits(&expected),
+                prop_assert_eq!(arm_and_bits(&gathered), arm_and_bits(&expected),
                     "{:?} arm, step {}", arm, step);
-                prop_assert_eq!(&gathered[0], &expected);
+                prop_assert_eq!(&gathered, &expected);
+            }
+        }
+    }
+
+    #[test]
+    fn level_panel_steps_match_the_transposed_step_per_level(
+        seed in 0u64..10_000,
+        n in 1usize..=70,
+        max_deg in 1usize..=6,
+        band in 0usize..=6,
+        levels in 2usize..=21,
+        shape in 0usize..5,
+        shift_at in 0usize..4,
+    ) {
+        // One panel step against `PropagationVector::step` over Mᵀ for
+        // every level, bit for bit, on every arm the CPU has, over four
+        // steps with a window shift before step `shift_at`: banded and
+        // unstructured chains with uneven rows and explicit zeros, 2 to 21
+        // levels (4 to 24 lanes: one lane block or two), empty and disjoint
+        // levels, spans touching
+        // both ends of the space, and a window that may lie outside the
+        // panel's span.
+        use rand::Rng as _;
+        let chain = uneven_chain(seed, n, max_deg, (band > 0).then_some(band));
+        let family = level_family(seed ^ 0x1E7E1, n, levels, shape);
+        let mut rng = testutil::rng(seed ^ 0x5417);
+        let inside = StateMask::from_indices(n, (0..3).map(|_| rng.random_range(0..n))).unwrap();
+        let arms = GatherArm::available();
+        prop_assert_eq!(arms[0], GatherArm::Scalar);
+        for arm in arms {
+            let mut expected: Vec<PropagationVector> =
+                family.iter().cloned().map(PropagationVector::from_span).collect();
+            let mut panel = LevelPanel::from_levels(n, &family).unwrap();
+            prop_assert_eq!(panel.levels(), levels);
+            let mut scratch = SpmvScratch::new();
+            for step in 0..4 {
+                if step == shift_at {
+                    shift_levels(&mut expected, &inside);
+                    panel.shift_window(&inside).unwrap();
+                }
+                for level in expected.iter_mut().filter(|level| level.nnz() > 0) {
+                    level.step(chain.transposed(), &mut scratch).unwrap();
+                }
+                chain.step_levels_backward_on(arm, &mut panel).unwrap();
+                let unpacked = panel.to_levels();
+                prop_assert_eq!(unpacked.len(), levels);
+                for (j, (got, want)) in unpacked.iter().zip(&expected).enumerate() {
+                    prop_assert_eq!(span_bits(got), span_bits(&want.to_span()),
+                        "{:?} arm, step {}, level {}", arm, step, j);
+                    prop_assert!(panel.span().contains(&got.span().0) || got.nnz() == 0);
+                }
             }
         }
     }
@@ -449,10 +551,10 @@ fn scattered_sources_keep_the_sorted_index_arm_under_every_gather_arm() {
     expected.step(chain.transposed(), &mut scratch).unwrap();
     assert!(expected.is_sparse());
     for arm in GatherArm::available() {
-        let mut gathered = [start.clone()];
+        let mut gathered = start.clone();
         chain.step_backward_on(arm, &mut gathered, &mut scratch).unwrap();
-        assert!(gathered[0].is_sparse(), "{arm:?}");
-        assert_eq!(arm_and_bits(&gathered[0]), arm_and_bits(&expected), "{arm:?}");
+        assert!(gathered.is_sparse(), "{arm:?}");
+        assert_eq!(arm_and_bits(&gathered), arm_and_bits(&expected), "{arm:?}");
     }
 }
 

@@ -173,6 +173,26 @@ fn reference_sweep(
     snapshots
 }
 
+/// A chain on `n ≥ 10` states drifting up: state `s` steps to `s + 2` or
+/// `s + 3` (unevenly weighted), the top two states back to state 0; and
+/// those top two states. Three steps back from them, a backward field
+/// lives on states below `n − 6`.
+fn drift_chain(seed: u64, n: usize) -> (MarkovChain, std::ops::Range<usize>) {
+    let mut rng = testutil::rng(seed);
+    let rows: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|s| {
+            let cols: Vec<usize> = [s + 2, s + 3].into_iter().filter(|&c| c < n).collect();
+            if cols.is_empty() {
+                return vec![(0, 1.0)];
+            }
+            let weights: Vec<f64> = cols.iter().map(|_| rng.random::<f64>() + 0.05).collect();
+            let total: f64 = weights.iter().sum();
+            cols.into_iter().zip(weights).map(|(c, w)| (c, w / total)).collect()
+        })
+        .collect();
+    (MarkovChain::from_csr(CsrMatrix::from_rows(n, &rows).unwrap()).unwrap(), n - 2..n)
+}
+
 fn span_bits(v: &SpanVector) -> (usize, Vec<u64>) {
     let (offset, values) = v.span();
     (offset, values.iter().map(|x| x.to_bits()).collect())
@@ -305,6 +325,10 @@ proptest! {
     // for bit: per output slot the same terms in the same order. Banded
     // chains keep the levels on the span arm (the gather); unstructured
     // ones (band ≥ |S|) scatter them to the sorted-index arm and back.
+    // Three more k-times families exercise the level panel: a window of 18
+    // query times (19 levels, 20 lanes in two blocks), a chain drifting up whose field
+    // has left S▫ behind when the second shift fires (the panel widens),
+    // and anchors inside T▫ (snapshots taken before that time's shift).
     #[test]
     fn fields_equal_a_reference_sweep_over_the_transposed_chain(
         seed in 0u64..10_000,
@@ -320,19 +344,17 @@ proptest! {
         let mut times: Vec<u32> = (t_lo..=t_lo + 3).filter(|_| rng.random::<f64>() < 0.6).collect();
         times.push(t_lo + 3);
         let states = first.min(n - width)..first.min(n - width) + width;
-        let window = QueryWindow::from_states(n, states, TimeSet::new(times)).unwrap();
+        let window = QueryWindow::from_states(n, states.clone(), TimeSet::new(times)).unwrap();
         let config = EngineConfig::default();
-        let (early, late) = ([0u32, 1], [2u32, t_lo]);
-        let all = [0u32, 1, 2, t_lo];
-
-        for rule in [FieldRule::Exists, FieldRule::ForAll, FieldRule::KTimes] {
-            let reference = reference_sweep(&chain, &window, rule, &all);
+        let check = |chain: &MarkovChain, window: &QueryWindow, rule, early: &[u32], late: &[u32]| {
+            let all: Vec<u32> = early.iter().chain(late).copied().collect();
+            let reference = reference_sweep(chain, window, rule, &all);
             let fresh = BackwardField::compute_with_config(
-                &chain, &window, rule, &all, &config, &mut EvalStats::new()).unwrap();
+                chain, window, rule, &all, &config, &mut EvalStats::new()).unwrap();
             let mut resumed = BackwardField::compute_with_config(
-                &chain, &window, rule, &late, &config, &mut EvalStats::new()).unwrap();
-            resumed.extend_down(&chain, &window, &early, &config, &mut EvalStats::new()).unwrap();
-            for t in all {
+                chain, window, rule, late, &config, &mut EvalStats::new()).unwrap();
+            resumed.extend_down(chain, window, early, &config, &mut EvalStats::new()).unwrap();
+            for &t in &all {
                 let expected = &reference[&t];
                 for (how, field) in [("fresh", &fresh), ("resumed", &resumed)] {
                     let levels = field.at(t).unwrap();
@@ -343,7 +365,23 @@ proptest! {
                     }
                 }
             }
+            Ok(())
+        };
+
+        for rule in [FieldRule::Exists, FieldRule::ForAll, FieldRule::KTimes] {
+            check(&chain, &window, rule, &[0, 1], &[2, t_lo])?;
         }
+        let long = QueryWindow::from_states(n, states, TimeSet::interval(t_lo, t_lo + 17)).unwrap();
+        check(&chain, &long, FieldRule::KTimes, &[0, 1], &[t_lo + 1, t_lo + 9])?;
+
+        let (drift, top) = drift_chain(seed, n + 1);
+        let gap = QueryWindow::from_states(n + 1, top.clone(), TimeSet::new(vec![t_lo, t_lo + 3]))
+            .unwrap();
+        let before_shift = &reference_sweep(&drift, &gap, FieldRule::KTimes, &[t_lo])[&t_lo];
+        let ends = before_shift.iter().filter(|level| level.nnz() > 0);
+        let end = ends.map(|level| level.span().0 + level.span().1.len()).max();
+        prop_assert!(end.is_some_and(|end| end <= top.start), "S▫ lies past the levels' span");
+        check(&drift, &gap, FieldRule::KTimes, &[0, 1], &[t_lo, t_lo + 3])?;
     }
 
     // (d) ∃ and ∀ over one window share the cache but never an entry, and
