@@ -10,11 +10,12 @@
 
 use std::sync::OnceLock;
 
-use crate::csr::{CsrMatrix, SpmvScratch};
+use crate::csr::{reach_of, CsrMatrix, Reach, SpmvScratch};
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
 use crate::hybrid::PropagationVector;
 use crate::kernels::{GatherArm, LevelPanel, SlicedRows};
+use crate::span_vec::SpanVector;
 use crate::sparse_vec::SparseVector;
 use crate::stochastic::StochasticMatrix;
 
@@ -89,6 +90,15 @@ impl MarkovChain {
     /// The sliced-row copy of `M` (built on first use).
     fn sliced(&self) -> &SlicedRows {
         self.sliced.get_or_init(|| SlicedRows::new(self.matrix()))
+    }
+
+    /// The [`Reach`] of one backward step of `h`: the rows of `M` holding
+    /// an entry in a column where `h` is non-zero, and the count of those
+    /// columns and of their entries — read off the column table of the
+    /// chain's sliced-row copy of `M` (built on first use) within the
+    /// table's band. It equals [`CsrMatrix::reach_of`] over [`Self::transposed`].
+    pub fn backward_reach_of(&self, h: &SpanVector) -> Reach {
+        reach_of(self.sliced(), h)
     }
 
     /// One backward step `h ← M · h` of the vector `h` (Section V-B's

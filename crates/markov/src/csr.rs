@@ -11,6 +11,13 @@
 //!   proportional to the touched rows only,
 //! * [`CsrMatrix::transpose`] — `Mᵀ`, for the forward reach schedules and
 //!   the sorted-index arm of the query-based backward pass.
+//!
+//! The output range of a step ([`Reach`]) is read off a table of lines —
+//! `M`'s rows for forward steps, its columns for backward ones — bounded by
+//! the table's band: how far any line's entries lie from the line's own
+//! index.
+
+use std::ops::Range;
 
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
@@ -25,6 +32,8 @@ pub struct CsrMatrix {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     data: Vec<f64>,
+    /// How far each row's columns lie from the row's own index.
+    band: Band,
 }
 
 /// Reusable scratch space for the propagation products.
@@ -62,23 +71,140 @@ pub struct SpmvScratch {
     pub(crate) gather_in: Vec<f64>,
 }
 
-/// What a set of matrix rows touches: the column range `[lo, hi)` (CSR
-/// columns are sorted, so each row contributes its first and last), the
-/// row count and the matrix entries they hold.
+/// What a step over a set of lines (matrix rows forward, columns backward)
+/// touches: the output range `[lo, hi)`, the line count and the matrix
+/// entries the lines hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Reach {
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) rows: u64,
-    pub(crate) entries: u64,
+pub struct Reach {
+    /// First output index (`0` when nothing is reached).
+    pub lo: usize,
+    /// One past the last output index (`0` when nothing is reached).
+    pub hi: usize,
+    /// Lines stepped.
+    pub rows: u64,
+    /// Matrix entries those lines hold.
+    pub entries: u64,
 }
 
 impl Reach {
     /// True when the live rows scatter so far apart that a contiguous
     /// output would be mostly zeros (more than 4 slots per matrix entry
     /// read): the step belongs to the sorted-index kernel.
-    pub(crate) fn is_scattered(&self) -> bool {
+    pub fn is_scattered(&self) -> bool {
         (self.hi - self.lo) as u64 > 4 * self.entries
+    }
+}
+
+/// How far a line table's lines reach from their own index: every
+/// non-empty line `i` holds its entries at outputs `i − below ..= i +
+/// above`. Recorded when the table is built; `0` / `0` for a table without
+/// entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Band {
+    pub(crate) below: usize,
+    pub(crate) above: usize,
+}
+
+impl Band {
+    /// The band of the lines `(i, (first, last))` — each non-empty line's
+    /// index and its first and last output.
+    pub(crate) fn of(lines: impl Iterator<Item = (usize, (usize, usize))>) -> Band {
+        lines.fold(Band::default(), |band, (i, (first, last))| Band {
+            below: band.below.max(i.saturating_sub(first)),
+            above: band.above.max(last.saturating_sub(i)),
+        })
+    }
+}
+
+/// A table of lines — the rows of `M` that a forward step scatters, or the
+/// columns of `M` that a backward step's inputs reach through — read for a
+/// step's [`Reach`]. One routine serves every step kernel.
+pub(crate) trait LineTable {
+    /// Line `i`'s first and last output, `None` when it stores nothing.
+    fn ends(&self, i: usize) -> Option<(usize, usize)>;
+    /// The entries stored in lines `0..i`.
+    fn entries_before(&self, i: usize) -> u64;
+    /// The table's [`Band`].
+    fn band(&self) -> Band;
+
+    /// The outputs the `live` lines of `span` reach: `min first .. max last
+    /// + 1`, empty (`0..0`) when no live line stores anything.
+    ///
+    /// **Band rule.** Lines are scanned upward from `span.start` only while
+    /// `i < lo + below` (`lo` the least first output so far): a later line's
+    /// first output is at least `i − below ≥ lo`. The lines that scan left
+    /// are scanned downward from `span.end` only while `i + above ≥ hi`
+    /// (`hi` the greatest last output + 1 so far). On a banded
+    /// chain a step reads about `below + above` lines whatever its span; a
+    /// table whose band is as wide as the space reads every line once, as a
+    /// plain fold does.
+    fn reached(&self, span: Range<usize>, live: impl Fn(usize) -> bool) -> Range<usize> {
+        let Band { below, above } = self.band();
+        let add = |(lo, hi): (usize, usize), i: usize| match live(i).then(|| self.ends(i)) {
+            Some(Some((first, last))) => (lo.min(first), hi.max(last + 1)),
+            _ => (lo, hi),
+        };
+        let mut ends = (usize::MAX, 0);
+        let mut upward = span;
+        for i in upward.by_ref() {
+            ends = add(ends, i);
+            if i + 1 >= ends.0.saturating_add(below) {
+                break;
+            }
+        }
+        for i in upward.rev() {
+            if i + above < ends.1 {
+                break;
+            }
+            ends = add(ends, i);
+        }
+        let (lo, hi) = ends;
+        lo.min(hi)..hi
+    }
+
+    /// The [`Reach`] of the lines of `span` where `live` holds, the others
+    /// listed (ascending) by `dead`: [`Self::reached`]'s range, and the
+    /// span's line and entry counts as contiguous totals minus those of
+    /// the dead lines.
+    fn reach(
+        &self,
+        span: Range<usize>,
+        live: impl Fn(usize) -> bool,
+        dead: impl Iterator<Item = usize>,
+    ) -> Reach {
+        let range = self.reached(span.clone(), live);
+        let mut rows = span.len() as u64;
+        let mut entries = self.entries_before(span.end) - self.entries_before(span.start);
+        for i in dead {
+            rows -= 1;
+            entries -= self.entries_before(i + 1) - self.entries_before(i);
+        }
+        Reach { lo: range.start, hi: range.end, rows, entries }
+    }
+}
+
+/// The [`Reach`] of one step of `v` through `table`: of the lines where `v`
+/// is non-zero.
+pub(crate) fn reach_of(table: &impl LineTable, v: &SpanVector) -> Reach {
+    let (offset, values) = v.span();
+    let live = |i: usize| values[i - offset] != 0.0;
+    table.reach(offset..offset + values.len(), live, v.interior_zeros())
+}
+
+impl LineTable for CsrMatrix {
+    #[inline]
+    fn ends(&self, i: usize) -> Option<(usize, usize)> {
+        let (cols, _) = self.row(i);
+        Some((*cols.first()? as usize, *cols.last()? as usize))
+    }
+
+    #[inline]
+    fn entries_before(&self, i: usize) -> u64 {
+        self.indptr[i] as u64
+    }
+
+    fn band(&self) -> Band {
+        self.band
     }
 }
 
@@ -130,7 +256,20 @@ impl CsrMatrix {
             indices.iter().all(|&c| (c as usize) < ncols),
             "CSR column index out of range (ncols = {ncols})"
         );
-        CsrMatrix { nrows, ncols, indptr, indices, data }
+        CsrMatrix::with_band(nrows, ncols, indptr, indices, data)
+    }
+
+    /// Assembles the matrix and records its [`Band`].
+    fn with_band(
+        nrows: usize,
+        ncols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        data: Vec<f64>,
+    ) -> Self {
+        let mut m = CsrMatrix { nrows, ncols, indptr, indices, data, band: Band::default() };
+        m.band = Band::of((0..nrows).filter_map(|i| Some((i, m.ends(i)?))));
+        m
     }
 
     /// Builds a matrix from per-row `(col, value)` lists.
@@ -171,6 +310,7 @@ impl CsrMatrix {
             indptr: (0..=n).collect(),
             indices: (0..n as u32).collect(),
             data: vec![1.0; n],
+            band: Band::default(),
         }
     }
 
@@ -253,7 +393,7 @@ impl CsrMatrix {
                 next[c as usize] += 1;
             }
         }
-        CsrMatrix { nrows: self.ncols, ncols: self.nrows, indptr, indices, data }
+        CsrMatrix::with_band(self.ncols, self.nrows, indptr, indices, data)
     }
 
     /// Row-vector × matrix with a dense input: `out = v · M`.
@@ -325,28 +465,11 @@ impl CsrMatrix {
         Ok(SparseVector::from_sorted_parts(self.ncols, indices, values))
     }
 
-    /// The [`Reach`] of `rows`.
-    pub(crate) fn reach(&self, rows: impl Iterator<Item = usize>) -> Reach {
-        let mut reach = Reach { lo: usize::MAX, ..Reach::default() };
-        for i in rows {
-            let (cols, _) = self.row(i);
-            if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
-                reach.lo = reach.lo.min(first as usize);
-                reach.hi = reach.hi.max(last as usize + 1);
-            }
-            reach.rows += 1;
-            reach.entries += cols.len() as u64;
-        }
-        reach.lo = reach.lo.min(reach.hi);
-        reach
-    }
-
     /// The [`Reach`] of one transition of `v`: of the rows where it is
-    /// non-zero.
-    pub(crate) fn reach_of(&self, v: &SpanVector) -> Reach {
-        let (offset, values) = v.span();
-        let live = values.iter().enumerate().filter(|(_, vi)| **vi != 0.0);
-        self.reach(live.map(|(i, _)| offset + i))
+    /// non-zero, scanning only the rows near the span's ends that the
+    /// rows' band allows to move the range.
+    pub fn reach_of(&self, v: &SpanVector) -> Reach {
+        reach_of(self, v)
     }
 
     /// Row-vector × matrix with a span input whose `reach` is known — the

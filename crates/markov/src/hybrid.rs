@@ -28,7 +28,7 @@
 //! sends span members that overlap to the cache-blocked panel kernel in
 //! [`crate::kernels`].
 
-use crate::csr::{CsrMatrix, Reach, SpmvScratch};
+use crate::csr::{reach_of, CsrMatrix, LineTable, Reach, SpmvScratch};
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
 use crate::kernels::{self, GatherArm, SlicedRows};
@@ -179,7 +179,7 @@ impl CsrMatrix {
             let group = &members[start..end];
             start = end;
             if fills(filled, hi - lo, group.len().next_multiple_of(kernels::LANE_WIDTH)) {
-                let out = self.reach(lo..hi);
+                let out = self.reach(lo..hi, |_| true, std::iter::empty());
                 if !out.is_scattered() {
                     let mut panel = std::mem::take(&mut scratch.panel_members);
                     panel.clear();
@@ -322,7 +322,7 @@ impl PropagationVector {
         scratch: &mut SpmvScratch,
     ) -> Result<()> {
         if let Repr::Span(v) = &self.repr {
-            let reach = rows.reach_of(v);
+            let reach = reach_of(rows, v);
             if !reach.is_scattered() {
                 let next = PropagationVector::from_span(rows.step(v, reach, arm, scratch));
                 if let Repr::Span(previous) = std::mem::replace(self, next).repr {

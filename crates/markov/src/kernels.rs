@@ -22,10 +22,12 @@
 //! is eight consecutive `(offset, value)` pairs and one output slot per
 //! lane accumulates its row's terms in vector registers — two 4-lane
 //! gathers of input values per slice entry on AVX2, a scalar loop
-//! otherwise. The output range is the rows the live inputs
-//! reach, read off a per-column `(first row, last row, entries)` table: the
-//! `Reach` the scatter over `Mᵀ` would compute, so the same
-//! `Reach::is_scattered` guard picks the same arm.
+//! otherwise; a slice wholly inside the output range is stored as one
+//! fixed-size block. The output range is the rows the live inputs reach,
+//! read off a per-column `(first row, last row, running entry total)` table
+//! within the table's band (`csr::LineTable::reached`): the `Reach` the scatter
+//! over `Mᵀ` would compute, so the same `Reach::is_scattered` guard picks
+//! the same arm.
 //!
 //! **Level panel.** The `|T▫| + 1` visit levels of a k-times backward
 //! field are one generating function's coefficients per state, so
@@ -38,7 +40,7 @@
 //! whose accumulators stay in registers across a row (wider families take
 //! one pass per 16-lane block). The k-times window rule is a lane shift
 //! on the rows of `S▫`; the levels are unpacked into span vectors only
-//! where a field keeps a snapshot.
+//! where a field keeps a snapshot, all levels in one blocked pass.
 //!
 //! **Bit-identity contract.** Per vector, the floating-point operations
 //! and their order are exactly those of a solo
@@ -48,7 +50,10 @@
 //! source over `Mᵀ` — for the gather and the level panel), accumulated from
 //! `0.0` as a separate multiply and add, never an FMA. SIMD and unrolling
 //! only ever act *across* independent slots or vectors, never across the
-//! terms of one slot's accumulation, so no sum is reassociated. The gather
+//! terms of one slot's accumulation, so no sum is reassociated. The band
+//! rule that bounds a step's output range changes only which lines are
+//! read to find it, never the range, the counts or the arm they select
+//! (`band_bounded_reach_equals_the_full_fold`). The gather
 //! adds `+0.0` for the padded entries and the in-span zero sources the
 //! scatter skips, the level panel for every zero lane (a source outside
 //! its span it skips): the identity on the finite, non-negative values a
@@ -58,7 +63,7 @@
 
 use std::ops::Range;
 
-use crate::csr::{CsrMatrix, Reach, SpmvScratch};
+use crate::csr::{Band, CsrMatrix, LineTable, Reach, SpmvScratch};
 use crate::error::{MarkovError, Result};
 use crate::hybrid::BatchStepStats;
 use crate::mask::StateMask;
@@ -324,14 +329,15 @@ impl GatherArm {
 }
 
 /// One column's footprint in `M`: the rows `first..end` holding its
-/// entries and how many entries it has — the row of `Mᵀ` the scatter
-/// would read, reduced to what a [`Reach`] needs. An empty column is
-/// `(u32::MAX, 0, 0)`, the identity of the min / max a reach folds.
+/// entries — the row of `Mᵀ` the scatter would read, reduced to what a
+/// [`Reach`] needs — and the entries of columns `0..=c` (a running total,
+/// so the entries of a run of columns are one difference). An empty column
+/// has `first = u32::MAX`.
 #[derive(Debug, Clone, Copy)]
 struct ColumnReach {
     first: u32,
     end: u32,
-    entries: u32,
+    through: u32,
 }
 
 /// A square matrix `M` in sliced ELLPACK layout with 8-row slices — the
@@ -363,6 +369,8 @@ pub(crate) struct SlicedRows {
     extent: Vec<(u32, u32)>,
     /// Per column of `M`.
     columns: Vec<ColumnReach>,
+    /// How far the columns' rows lie from the column's own index.
+    band: Band,
 }
 
 impl SlicedRows {
@@ -383,7 +391,9 @@ impl SlicedRows {
         let mut offsets = vec![0u32; total];
         let mut values = vec![0.0; total];
         let mut extent = vec![(u32::MAX, 0); slices];
-        let mut columns = vec![ColumnReach { first: u32::MAX, end: 0, entries: 0 }; dim];
+        // The running totals count in `u32`, as the stored offsets do.
+        assert!(u32::try_from(m.nnz()).is_ok(), "the sliced copy holds fewer than 2³² entries");
+        let mut columns = vec![ColumnReach { first: u32::MAX, end: 0, through: 0 }; dim];
         for (k, slice_extent) in extent.iter_mut().enumerate() {
             let lanes = rows_of(k).map(|r| m.row(r));
             let ends = lanes.clone().filter_map(|(cols, _)| Some((*cols.first()?, *cols.last()?)));
@@ -408,44 +418,28 @@ impl SlicedRows {
                     let column = &mut columns[c as usize];
                     column.first = column.first.min(r as u32);
                     column.end = r as u32 + 1;
-                    column.entries += 1;
+                    column.through += 1;
                 }
             }
         }
-        SlicedRows { dim, slice_off, offsets, values, extent, columns }
+        let mut total = 0;
+        for column in &mut columns {
+            total += column.through;
+            column.through = total;
+        }
+        let mut rows =
+            SlicedRows { dim, slice_off, offsets, values, extent, columns, band: Band::default() };
+        rows.band = Band::of((0..dim).filter_map(|c| Some((c, rows.ends(c)?))));
+        rows
     }
 
     /// The most stored entries of any row (a slice's width) or column of
     /// `M`.
     pub(crate) fn max_line_nnz(&self) -> usize {
         let rows = self.slice_off.windows(2).map(|pair| (pair[1] - pair[0]) / SLICE_ROWS);
-        let columns = self.columns.iter().map(|column| column.entries as usize);
+        let columns =
+            (0..self.dim).map(|c| (self.entries_before(c + 1) - self.entries_before(c)) as usize);
         rows.chain(columns).max().unwrap_or(0)
-    }
-
-    /// The [`Reach`] of one backward step of `v`: the rows of `M` that
-    /// hold an entry in a column where `v` is non-zero — the same range,
-    /// row and entry counts as the scatter's reach over `Mᵀ`.
-    pub(crate) fn reach_of(&self, v: &SpanVector) -> Reach {
-        let (offset, values) = v.span();
-        let columns = &self.columns[offset..offset + values.len()];
-        let live = columns.iter().zip(values).filter(|(_, vi)| **vi != 0.0);
-        let (lo, hi, entries) = live.fold((u32::MAX, 0, 0), |(lo, hi, entries), (column, _)| {
-            (lo.min(column.first), hi.max(column.end), entries + u64::from(column.entries))
-        });
-        let hi = hi as usize;
-        Reach { lo: (lo as usize).min(hi), hi, rows: v.nnz() as u64, entries }
-    }
-
-    /// The rows of `M` that hold an entry in one of `columns`: `first..end`
-    /// folded over the column table, empty for no column (or only empty
-    /// ones).
-    fn rows_reaching(&self, columns: impl Iterator<Item = usize>) -> Range<usize> {
-        let (lo, hi) = columns
-            .map(|c| self.columns[c])
-            .fold((u32::MAX, 0), |(lo, hi), column| (lo.min(column.first), hi.max(column.end)));
-        let hi = hi as usize;
-        (lo as usize).min(hi)..hi
     }
 
     /// One backward step `M · v` of a span vector whose `reach` is known,
@@ -541,8 +535,13 @@ impl SlicedRows {
                 dot(offsets, values, &input[self.extent[k].0 as usize - base..])
             };
             let rows = (k * SLICE_ROWS).max(out_lo)..((k + 1) * SLICE_ROWS).min(out_hi);
-            out[rows.start - out_lo..rows.end - out_lo]
-                .copy_from_slice(&sums[rows.start - k * SLICE_ROWS..rows.end - k * SLICE_ROWS]);
+            let dst = &mut out[rows.start - out_lo..rows.end - out_lo];
+            // A whole slice is one fixed-size store, not a `memcpy` call.
+            if let Ok(whole) = <&mut [f64; SLICE_ROWS]>::try_from(&mut *dst) {
+                *whole = sums;
+            } else {
+                dst.copy_from_slice(&sums[rows.start - k * SLICE_ROWS..rows.end - k * SLICE_ROWS]);
+            }
         }
     }
 
@@ -567,6 +566,25 @@ impl SlicedRows {
             // caller's contract), on a slice whose offsets lie inside `src`.
             unsafe { slice_dot_avx2(offsets, values, src) }
         })
+    }
+}
+
+/// The column table: line `c` is column `c` of `M`, its outputs the rows
+/// holding its entries.
+impl LineTable for SlicedRows {
+    #[inline]
+    fn ends(&self, c: usize) -> Option<(usize, usize)> {
+        let column = self.columns[c];
+        (column.first != u32::MAX).then(|| (column.first as usize, column.end as usize - 1))
+    }
+
+    #[inline]
+    fn entries_before(&self, c: usize) -> u64 {
+        c.checked_sub(1).map_or(0, |last| u64::from(self.columns[last].through))
+    }
+
+    fn band(&self) -> Band {
+        self.band
     }
 }
 
@@ -704,19 +722,58 @@ impl LevelPanel {
     }
 
     /// The levels one by one, each trimmed to its own non-zero span — the
-    /// snapshot format of a backward field.
+    /// snapshot format of a backward field. Each level's first and last
+    /// non-zero row come from two scans that stop once every level is
+    /// found; the levels are then unpacked together in one pass over the
+    /// panel, a block of 64 rows (an L1 tile) at a time, each into a
+    /// buffer of its exact length.
     pub fn to_levels(&self) -> Vec<SpanVector> {
-        (0..self.levels)
-            .map(|j| {
-                let lane = || self.vals.iter().skip(j).step_by(self.width);
-                let Some(first) = lane().position(|v| *v != 0.0) else {
-                    return SpanVector::zeros(self.dim);
-                };
-                let end = lane().rposition(|v| *v != 0.0).map_or(first, |last| last + 1);
-                let values = lane().skip(first).take(end - first).copied().collect();
-                SpanVector::from_parts(self.dim, self.lo + first, values)
+        let (width, rows) = (self.width, self.vals.len() / self.width);
+        let firsts = self.first_nonzero_rows(0..rows);
+        let lasts = self.first_nonzero_rows((0..rows).rev());
+        let mut lanes: Vec<(Range<usize>, Vec<f64>)> = firsts
+            .into_iter()
+            .zip(lasts)
+            .map(|ends| match ends {
+                (Some(first), Some(last)) => {
+                    (first..last + 1, Vec::with_capacity(last + 1 - first))
+                }
+                _ => (0..0, Vec::new()),
             })
-            .collect()
+            .collect();
+        for block in (0..rows).step_by(TRANSPOSE_ROWS) {
+            for (j, (span, values)) in lanes.iter_mut().enumerate() {
+                let rows = block.max(span.start)..(block + TRANSPOSE_ROWS).min(span.end);
+                if !rows.is_empty() {
+                    let lane = self.vals[rows.start * width + j..].iter().step_by(width);
+                    values.extend(lane.take(rows.len()));
+                }
+            }
+        }
+        let snapshot = |(span, values): (Range<usize>, _)| {
+            SpanVector::from_parts(self.dim, self.lo + span.start, values)
+        };
+        lanes.into_iter().map(snapshot).collect()
+    }
+
+    /// Per level, the first of the panel rows `rows` (in the order given)
+    /// where it is non-zero; the scan stops once every level is found.
+    fn first_nonzero_rows(&self, rows: impl Iterator<Item = usize>) -> Vec<Option<usize>> {
+        let mut found = vec![None; self.levels];
+        let mut missing = self.levels;
+        for r in rows {
+            if missing == 0 {
+                break;
+            }
+            let lanes = &self.vals[r * self.width..][..self.levels];
+            for (slot, v) in found.iter_mut().zip(lanes).filter(|(slot, _)| slot.is_none()) {
+                if *v != 0.0 {
+                    *slot = Some(r);
+                    missing -= 1;
+                }
+            }
+        }
+        found
     }
 
     /// The k-times window rule on the states of `inside`, in place: per
@@ -779,7 +836,8 @@ impl LevelPanel {
     /// One backward step `h ← M · h` of every level, on `arm` when the CPU
     /// has it: `m` is `M` and `rows` its sliced copy, whose column table
     /// gives the output range — the rows holding an entry in a column
-    /// where some level is non-zero. Each output row sums its `M` row's
+    /// where some level is non-zero, read within the table's band
+    /// ([`LineTable::reached`]). Each output row sums its `M` row's
     /// entries in ascending column from `0.0`, per lane as a separate
     /// multiply and add; a source outside the panel is skipped and a zero
     /// lane adds `+0.0`, so each level's bits are those of its own gather
@@ -790,8 +848,8 @@ impl LevelPanel {
         }
         let (lo, width) = (self.lo, self.width);
         let nonzero = |row: &[f64]| row.iter().any(|v| *v != 0.0);
-        let live = self.vals.chunks_exact(width).enumerate().filter(|(_, row)| nonzero(row));
-        let reached = rows.rows_reaching(live.map(|(i, _)| lo + i));
+        let live = |s: usize| nonzero(&self.vals[(s - lo) * width..][..width]);
+        let reached = rows.reached(self.span(), live);
         let mut out = std::mem::take(&mut self.spare);
         out.clear();
         out.resize(reached.len() * width, 0.0);

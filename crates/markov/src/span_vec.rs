@@ -17,6 +17,10 @@ use crate::dense::DenseVector;
 use crate::mask::StateMask;
 use crate::sparse_vec::SparseVector;
 
+/// Values tested together when [`SpanVector::interior_zeros`] looks for
+/// zeros: two AVX registers.
+const ZERO_BLOCK: usize = 8;
+
 /// An `f64` vector stored as the dense span between its first and last
 /// non-zero entry; everything outside the span reads as `0.0`.
 ///
@@ -116,6 +120,24 @@ impl SpanVector {
     /// The stored span: its first state id and the values from there on.
     pub fn span(&self) -> (usize, &[f64]) {
         (self.offset, &self.values)
+    }
+
+    /// The states inside the stored span whose value is zero, ascending.
+    /// Blocks of [`ZERO_BLOCK`] values are tested at once, only a block
+    /// holding a zero is read value by value, and the scan stops at the
+    /// last zero the exact count promises — before the first block when
+    /// there is none.
+    pub(crate) fn interior_zeros(&self) -> impl Iterator<Item = usize> + '_ {
+        let (blocks, tail) = self.values.as_chunks::<ZERO_BLOCK>();
+        let any_zero = |block: &[f64; ZERO_BLOCK]| block.iter().fold(false, |z, v| z | (*v == 0.0));
+        let blocks = blocks.iter().enumerate().filter(move |(_, block)| any_zero(block));
+        let blocks = blocks.map(|(k, block)| (k * ZERO_BLOCK, block.as_slice()));
+        let tail = (self.values.len() - tail.len(), tail);
+        let zeros = blocks.chain([tail]).flat_map(move |(start, block)| {
+            let zeros = block.iter().enumerate().filter(|(_, v)| **v == 0.0);
+            zeros.map(move |(i, _)| self.offset + start + i)
+        });
+        zeros.take(self.values.len() - self.nnz)
     }
 
     /// Sum of the entries, folded in ascending state order.

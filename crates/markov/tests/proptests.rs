@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use ust_markov::csr::Reach;
 use ust_markov::kernels::{GatherArm, LevelPanel};
 use ust_markov::{
     CsrMatrix, DenseVector, MarkovChain, PropagationVector, SpanVector, SparseVector, SpmvScratch,
@@ -92,6 +93,74 @@ fn uneven_chain(seed: u64, n: usize, max_deg: usize, band: Option<usize>) -> Mar
         indptr.push(indices.len());
     }
     MarkovChain::from_csr(CsrMatrix::from_raw_parts(n, n, indptr, indices, data)).unwrap()
+}
+
+/// A chain for the reach tests on `n` states, by `kind`: 0 banded within
+/// `±(1 + seed % 6)` and 1 unstructured (both [`uneven_chain`], uneven rows
+/// with explicit zeros); 2 banded within `±3` onto even states only, so
+/// every odd column is empty; 3 banded within `±2` plus an entry from the
+/// first state to the last and back, a band as wide as the space.
+fn reach_chain(seed: u64, n: usize, max_deg: usize, kind: u8) -> MarkovChain {
+    use rand::Rng as _;
+    let band = 1 + (seed % 6) as usize;
+    let rows = |band: usize, keep: &dyn Fn(usize) -> bool| {
+        let mut rng = testutil::rng(seed);
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|i| {
+                let near = i.saturating_sub(band)..(i + band + 1).min(n);
+                let cols: Vec<usize> = near.filter(|&c| keep(c)).collect();
+                let deg = rng.random_range(1..=max_deg).min(cols.len());
+                cols.iter().take(deg).map(|&c| (c, rng.random::<f64>() + 1e-3)).collect()
+            })
+            .collect();
+        rows
+    };
+    let m = match kind {
+        0 => return uneven_chain(seed, n, max_deg, Some(band)),
+        1 => return uneven_chain(seed, n, max_deg, None),
+        2 => rows(3, &|c| c % 2 == 0),
+        _ => {
+            let mut rows = rows(2, &|_| true);
+            rows[0].push((n - 1, 0.5));
+            rows[n - 1].insert(0, (0, 0.5));
+            for row in &mut rows {
+                row.sort_by_key(|&(c, _)| c);
+                row.dedup_by_key(|&mut (c, _)| c);
+            }
+            rows
+        }
+    };
+    MarkovChain::from_weights(CsrMatrix::from_rows(n, &m).unwrap()).unwrap()
+}
+
+/// The [`Reach`] of one step of `v` through the rows of `lines`, folded
+/// over every live row: `M`'s rows for a forward step, `Mᵀ`'s (the columns
+/// of `M`) for a backward one.
+fn folded_reach(lines: &CsrMatrix, v: &SpanVector) -> Reach {
+    let (offset, values) = v.span();
+    let live = values.iter().enumerate().filter(|(_, x)| **x != 0.0).map(|(i, _)| offset + i);
+    let mut reach = Reach { lo: usize::MAX, ..Reach::default() };
+    for i in live {
+        let (cols, _) = lines.row(i);
+        if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+            reach.lo = reach.lo.min(first as usize);
+            reach.hi = reach.hi.max(last as usize + 1);
+        }
+        reach.rows += 1;
+        reach.entries += cols.len() as u64;
+    }
+    reach.lo = reach.lo.min(reach.hi);
+    reach
+}
+
+/// A span vector on `n` states over `range`, values in `(0, 1]`, with a
+/// zero at every state `s` where `gap(s)` holds.
+fn span_over(n: usize, range: std::ops::Range<usize>, gap: impl Fn(usize) -> bool) -> SpanVector {
+    let mut v = vec![0.0; n];
+    for s in range.filter(|&s| !gap(s)) {
+        v[s] = 0.05 + (s % 7) as f64 / 7.0;
+    }
+    SpanVector::from_slice(&v)
 }
 
 /// A vector's arm and its value at every state, as bits.
@@ -413,6 +482,94 @@ proptest! {
                 prop_assert_eq!(arm_and_bits(&gathered), arm_and_bits(&expected),
                     "{:?} arm, step {}", arm, step);
                 prop_assert_eq!(&gathered, &expected);
+            }
+        }
+    }
+
+    #[test]
+    fn band_bounded_reach_equals_the_full_fold(
+        seed in 0u64..10_000,
+        n in 1usize..=70,
+        max_deg in 1usize..=6,
+        kind in 0u8..4,
+    ) {
+        // The band rule against a fold over every live line, on the row
+        // table (`CsrMatrix::reach_of`, forward) and the column table
+        // (`MarkovChain::backward_reach_of`, backward): banded and
+        // unstructured chains, empty columns, a band as wide as the space;
+        // spans with interior zeros, touching state 0 and state |S| − 1,
+        // of one state, covering the space, and two far-apart states.
+        use rand::Rng as _;
+        let chain = reach_chain(seed, n, max_deg, kind);
+        let mut rng = testutil::rng(seed ^ 0x4EAC);
+        let (width, at) = (rng.random_range(1..=n), rng.random_range(0..n));
+        let (first, step) = (rng.random_range(0..n), rng.random_range(2usize..=4));
+        let vectors = [
+            span_over(n, 0..n, |_| false),
+            span_over(n, 0..n, |s| s % step == 1),
+            span_over(n, 0..width, |s| s % step == 0 && s > 0),
+            span_over(n, n - width..n, |s| s % 5 == 2 && s + 1 < n),
+            span_over(n, first..(first + width).min(n), |s| s % step == 1),
+            span_over(n, at..at + 1, |_| false),
+            span_over(n, 0..1, |_| false),
+            span_over(n, n - 1..n, |_| false),
+            span_over(n, 0..n, |s| s != 0 && s != n - 1),
+        ];
+        let empty_columns = (0..n).filter(|&c| chain.transposed().row_nnz(c) == 0).count();
+        prop_assert!(kind != 2 || n < 2 || empty_columns > 0, "odd columns are empty");
+        for (k, v) in vectors.iter().enumerate() {
+            let forward = (chain.matrix().reach_of(v), folded_reach(chain.matrix(), v));
+            let backward = (chain.backward_reach_of(v), folded_reach(chain.transposed(), v));
+            for (table, (banded, folded)) in [("row", forward), ("column", backward)] {
+                prop_assert_eq!(banded, folded, "{} table, vector {}", table, k);
+                prop_assert_eq!(banded.is_scattered(), folded.is_scattered());
+            }
+        }
+    }
+
+    #[test]
+    fn gather_matches_the_transposed_step_over_uneven_slices(
+        seed in 0u64..10_000,
+        slices in 0usize..=4,
+        short in 1usize..=7,
+        max_deg in 2usize..=7,
+        steps in 1usize..=4,
+    ) {
+        // The gather on every arm against the scatter over Mᵀ, bit for bit
+        // and on the same arm: an odd number of 8-row slices whose last is
+        // partial (`short` rows missing), consecutive slices of different
+        // widths (slice k's first row has 1 + (5k + seed) mod max_deg
+        // successors, its other rows at most that many), and a start over
+        // the whole space with zero gaps, so output ranges start and end
+        // inside slices as the vector spreads and trims.
+        use rand::Rng as _;
+        let n = 8 * (2 * slices + 1) - short;
+        let mut rng = testutil::rng(seed);
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|i| {
+                let widest = 1 + (5 * (i / 8) + seed as usize) % max_deg;
+                let deg = if i % 8 == 0 { widest } else { rng.random_range(1..=widest) };
+                let near: Vec<usize> = (i.saturating_sub(4)..(i + 5).min(n)).collect();
+                let deg = deg.min(near.len());
+                let skip = rng.random_range(0..=near.len() - deg);
+                near[skip..skip + deg].iter().map(|&c| (c, rng.random::<f64>() + 1e-3)).collect()
+            })
+            .collect();
+        let chain =
+            MarkovChain::from_weights(CsrMatrix::from_rows(n, &rows).unwrap()).unwrap();
+        let start = PropagationVector::from_span(span_over(n, 0..n, |s| s % 5 == 3));
+        let arms = GatherArm::available();
+        prop_assert_eq!(arms[0], GatherArm::Scalar);
+        for arm in arms {
+            let (mut expected, mut gathered) = (start.clone(), start.clone());
+            let mut scratch = SpmvScratch::new();
+            for step in 0..steps {
+                if expected.nnz() > 0 {
+                    expected.step(chain.transposed(), &mut scratch).unwrap();
+                }
+                chain.step_backward_on(arm, &mut gathered, &mut scratch).unwrap();
+                prop_assert_eq!(arm_and_bits(&gathered), arm_and_bits(&expected),
+                    "{:?} arm, step {}", arm, step);
             }
         }
     }
