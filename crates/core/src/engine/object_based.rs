@@ -21,6 +21,15 @@
 //! its plainest rule; ∀ ([`crate::engine::forall`]), threshold `τ`
 //! ([`crate::threshold`]), top-k ([`crate::ranking`]) and `C(t)` k-times
 //! ([`crate::engine::ktimes`]) declare theirs beside their answer types.
+//!
+//! The paper charges the OB algorithm `O(|D|·|S_reach|²·δt)`: only states
+//! that can still reach the window cost anything. An object whose anchor
+//! misses the reach altogether (at an anchor time that is not a query time
+//! and lies before `t_end`) is decided at the filter stage:
+//! `forward_chunk` answers it from its anchor — no row is seeded, the
+//! anchor's mass is decided, the rule's own step-end decision still
+//! applies — with the answer and the counters its trimmed row would have
+//! had.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -147,6 +156,15 @@ pub(crate) fn evaluate_one<R: ForwardRule>(
 /// floating-point work does not depend on what else the chunk holds, so a
 /// chunk of one *is* the per-object algorithm. Step loop, trimming, pruning
 /// and accounting live in [`Propagator::forward`].
+///
+/// An object the reach decides at its anchor never becomes a row: when
+/// `t0` is no query time and lies before `t_end`, the trim at `t0` is the
+/// first thing to touch the anchor, and an anchor wholly outside
+/// `mask(t0)` leaves nothing. Such an object is answered as its trimmed
+/// row would be — no rows, its whole anchor mass decided (summed in
+/// ascending state order from `0.0`, as the trim sums it), the rule's
+/// [`ForwardRule::retires`] applied at `t0`, and otherwise the early
+/// termination and evaluation the pipeline counts for a row that ran empty.
 pub(crate) fn forward_chunk<R: ForwardRule>(
     pipeline: &mut Propagator<'_>,
     chain: &MarkovChain,
@@ -159,54 +177,94 @@ pub(crate) fn forward_chunk<R: ForwardRule>(
     let window = rule.absorbing(window);
     let t_end = window.t_end();
     let group_size = rule.rows_per_object(window);
+    let anchor_trim = reach.mask_at(t0).filter(|_| t0 < t_end && !window.time_in_window(t0));
+    let decided_at_anchor = |object: &UncertainObject| {
+        let support = object.anchor().distribution().indices();
+        anchor_trim.is_some_and(|mask| support.iter().all(|&s| !mask.contains(s as usize)))
+    };
+    // Per object, its group in the batch; `None` when decided at its anchor.
+    let mut groups: Vec<Option<usize>> = Vec::with_capacity(objects.len());
     let mut rows: Vec<PropagationVector> = Vec::with_capacity(objects.len() * group_size);
     for object in objects {
+        if decided_at_anchor(object) {
+            groups.push(None);
+            continue;
+        }
+        groups.push(Some(rows.len() / group_size));
         rows.push(pipeline.seed(object.anchor().distribution().clone()));
         for _ in 1..group_size {
             rows.push(pipeline.seed(SparseVector::zeros(chain.num_states())));
         }
     }
+    let live = rows.len() / group_size;
     let mut batch = ObjectBatch::new(&mut rows, group_size)?;
-    let mut hits = vec![0.0f64; objects.len()];
-    let mut retired_at: Vec<Option<u32>> = vec![None; objects.len()];
-    pipeline.forward(
-        chain.matrix(),
-        &mut batch,
-        t0,
-        t_end,
-        Some(window),
-        Some(reach),
-        |phase, batch, t| {
-            for g in 0..batch.num_groups() {
-                if !batch.is_active(g) {
-                    continue;
-                }
-                match phase {
-                    BatchPhase::Window => {
-                        rule.at_window(batch.group_mut(g), &mut hits[g], window)?
+    let mut hits = vec![0.0f64; live];
+    let mut retired_at: Vec<Option<u32>> = vec![None; live];
+    if live > 0 {
+        pipeline.forward(
+            chain.matrix(),
+            &mut batch,
+            t0,
+            t_end,
+            Some(window),
+            Some(reach),
+            |phase, batch, t| {
+                for g in 0..batch.num_groups() {
+                    if !batch.is_active(g) {
+                        continue;
                     }
-                    BatchPhase::StepEnd => {
-                        if rule.retires(hits[g], batch.group(g)) {
-                            retired_at[g] = Some(t);
-                            batch.deactivate(g);
+                    match phase {
+                        BatchPhase::Window => {
+                            rule.at_window(batch.group_mut(g), &mut hits[g], window)?
+                        }
+                        BatchPhase::StepEnd => {
+                            if rule.retires(hits[g], batch.group(g)) {
+                                retired_at[g] = Some(t);
+                                batch.deactivate(g);
+                            }
                         }
                     }
                 }
-            }
-            Ok(ControlFlow::Continue(()))
-        },
-    )?;
+                Ok(ControlFlow::Continue(()))
+            },
+        )?;
+    }
+    // What a row decided at its anchor is left as: empty, ⊤ untouched.
+    let trimmed: Vec<PropagationVector> = (0..group_size)
+        .map(|_| PropagationVector::from_sparse(SparseVector::zeros(chain.num_states())))
+        .collect();
+    let anchor_retires = rule.retires(0.0, &trimmed);
+    let mut decided = vec![0.0f64; group_size];
     Ok(objects
         .iter()
-        .enumerate()
-        .map(|(g, object)| {
-            let swept = Swept {
-                object,
-                hit: hits[g],
-                rows: batch.group(g),
-                decided: batch.decided(g),
-                retired_at: retired_at[g],
-                t_end,
+        .zip(groups)
+        .map(|(object, group)| {
+            let swept = match group {
+                Some(g) => Swept {
+                    object,
+                    hit: hits[g],
+                    rows: batch.group(g),
+                    decided: batch.decided(g),
+                    retired_at: retired_at[g],
+                    t_end,
+                },
+                None => {
+                    let mass = object.anchor().distribution().values();
+                    decided[0] = mass.iter().fold(0.0, |sum, &p| sum + p);
+                    if !anchor_retires {
+                        let stats = pipeline.stats();
+                        stats.early_terminations += 1;
+                        stats.objects_evaluated += 1;
+                    }
+                    Swept {
+                        object,
+                        hit: 0.0,
+                        rows: &trimmed,
+                        decided: &decided,
+                        retired_at: anchor_retires.then_some(t0),
+                        t_end,
+                    }
+                }
             };
             rule.finish(swept, pipeline.stats())
         })
@@ -506,16 +564,17 @@ mod tests {
     /// Runs `rule` over `db` the way the planner does (one reach plan,
     /// sharded database loops) at every batch size × thread count and
     /// checks it against the chunk-of-one reference ([`evaluate_one`] per
-    /// object, returned): `view` of the answers — `Debug` text, which
-    /// round-trips every `f64` bit — and, with `ledger`, the counters that
-    /// do not depend on how objects share a batch.
+    /// object, returned with the counters it accumulated): `view` of the
+    /// answers — `Debug` text, which round-trips every `f64` bit — and,
+    /// with `ledger`, the counters that do not depend on how objects share
+    /// a batch.
     fn assert_matches_chunk_of_one<R>(
         db: &TrajectoryDatabase,
         window: &QueryWindow,
         rule: R,
         ledger: bool,
         mut view: impl FnMut(&[R::Output]) -> String,
-    ) -> Vec<R::Output>
+    ) -> (Vec<R::Output>, EvalStats)
     where
         R: ForwardRule + Clone + Sync,
         R::Output: Send,
@@ -549,7 +608,7 @@ mod tests {
                 }
             }
         }
-        reference
+        (reference, expected)
     }
 
     #[test]
@@ -579,14 +638,15 @@ mod tests {
             format!("{answers:?}")
         }
 
-        let exists = assert_matches_chunk_of_one(&db, &window, Exists, true, bits);
+        let (exists, _) = assert_matches_chunk_of_one(&db, &window, Exists, true, bits);
         assert_matches_chunk_of_one(&db, &window, ForAll::over(&window).unwrap(), true, bits);
         assert_matches_chunk_of_one(&db, &window, KTimes, true, bits);
         for tau in [0.05, 0.2, 0.5, 0.9] {
-            let outcomes = assert_matches_chunk_of_one(&db, &window, Threshold { tau }, true, bits);
-            assert!(outcomes.iter().any(|o| o.early), "τ = {tau}: some bound must decide early");
-            for (outcome, exact) in outcomes.iter().zip(&exists) {
-                assert_eq!(outcome.qualifies, exact.probability >= tau, "τ = {tau}");
+            let (accepted, stats) =
+                assert_matches_chunk_of_one(&db, &window, Threshold { tau }, true, bits);
+            assert!(stats.early_terminations > 0, "τ = {tau}: some bound must decide early");
+            for (&qualifies, exact) in accepted.iter().zip(&exists) {
+                assert_eq!(qualifies, exact.probability >= tau, "τ = {tau}");
             }
         }
         // Top-k: which objects a shard dismisses depends on the bound its
@@ -596,7 +656,7 @@ mod tests {
         // (Each of the six runs views its answers and the reference.)
         let k = 4;
         let mut dismissed = 0;
-        let solo = assert_matches_chunk_of_one(&db, &window, TopK::new(k), false, |answers| {
+        let (solo, _) = assert_matches_chunk_of_one(&db, &window, TopK::new(k), false, |answers| {
             dismissed += answers.iter().filter(|a| a.is_none()).count();
             bits(&select_topk(answers.iter().flatten().cloned().collect(), k))
         });

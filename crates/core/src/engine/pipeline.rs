@@ -52,8 +52,13 @@
 //!   order does not depend on what else the row holds, so the entries that
 //!   stay are bit-identical to an untrimmed sweep's — the sweep just stops
 //!   paying for the `|S| ∖ S_reach` states the paper's
-//!   `O(|D|·|S_reach|²·δt)` never charges for. Sweeps without a window or
-//!   a schedule pass `None` and run unhooked or untrimmed;
+//!   `O(|D|·|S_reach|²·δt)` never charges for. An object whose anchor the
+//!   first trim would empty (an anchor time that is not a query time,
+//!   before `t_end`, with no anchor state in `mask(t0)`) is decided at the
+//!   filter stage: the object-based driver answers it without seeding a
+//!   row, so the per-timestamp loops run over the live groups only.
+//!   Sweeps without a window or a schedule pass `None` and run unhooked or
+//!   untrimmed;
 //! * **Densification** — vectors created through [`Propagator::seed`]
 //!   move from the sorted-index arm to the span arm at
 //!   [`ust_markov::hybrid::DEFAULT_DENSIFY_THRESHOLD`];
@@ -63,7 +68,10 @@
 //!   group remains. Drivers with their own stopping rules (threshold and
 //!   top-k bounds) retire groups via [`ObjectBatch::deactivate`] instead;
 //! * **Counters** — transitions and matrix-row traversals are counted per
-//!   product, and [`EvalStats::objects_evaluated`] is bumped for every
+//!   product (a span step whose output range cannot be scattered counts
+//!   its matrix entries while it scatters, see
+//!   [`ust_markov::CsrMatrix::span_range`]), and
+//!   [`EvalStats::objects_evaluated`] is bumped for every
 //!   group that ran to its natural end (groups a driver deactivated are the
 //!   driver's outcome: a dismissal is not an evaluation).
 

@@ -1460,8 +1460,7 @@ fn threshold_ids(
     }
     let indices = candidates.indices;
     let qualifies: Vec<bool> = if strategy == Strategy::ObjectBased {
-        let outcomes = forward_answers(ctx, Threshold { tau }, candidates, window, stats)?;
-        outcomes.into_iter().map(|o| o.qualifies).collect()
+        forward_answers(ctx, Threshold { tau }, candidates, window, stats)?
     } else {
         let probs = exists_probs(ctx, strategy, candidates, window, stats)?;
         probs.into_iter().map(|r| r.probability >= tau).collect()

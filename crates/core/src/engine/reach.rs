@@ -17,6 +17,13 @@
 //! each predecessor row at most once. A step whose target shrank (a ∀ step
 //! inside the window, or a chain whose masks do not nest) falls back to the
 //! full `pred(X_t)`. Either way the masks are the same sets, bit for bit.
+//!
+//! Every pass reads only the words a mask's extent
+//! ([`StateMask::extent`]) covers — the join of the target, the nesting
+//! test and the frontier — so a step costs O(reach / 64) words, not
+//! `|S| / 64`, besides the copy of the mask it grows.
+
+use std::ops::Range;
 
 use ust_markov::{MarkovChain, StateMask};
 
@@ -26,6 +33,25 @@ use crate::query::QueryWindow;
 
 /// States per packed word of a [`StateMask`].
 const BITS: usize = 64;
+
+/// The smallest word range holding both `a` and `b` (either may be empty).
+fn hull(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    match (a.is_empty(), b.is_empty()) {
+        (true, _) => b,
+        (_, true) => a,
+        _ => a.start.min(b.start)..a.end.max(b.end),
+    }
+}
+
+/// The words both `a` and `b` cover (`0..0` when none).
+fn overlap(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    let (start, end) = (a.start.max(b.start), a.end.min(b.end));
+    if start < end {
+        start..end
+    } else {
+        0..0
+    }
+}
 
 /// Which predicate a [`ReachSchedule`] keeps decidable — the two window
 /// rules the backward fields of [`crate::engine::query_based`] are swept
@@ -89,7 +115,7 @@ impl ReachSchedule {
         let t_end = window.t_end();
         let t0 = t0.min(t_end);
         let transposed = chain.transposed();
-        let inside = window.states().words();
+        let inside = window.states();
         let mut masks: Vec<StateMask> = Vec::with_capacity((t_end - t0) as usize + 1);
         // Nothing of the window remains ahead of t_end: no state can still
         // hit it, every state still satisfies "all remaining times".
@@ -99,9 +125,10 @@ impl ReachSchedule {
         });
         // The target the last mask is the predecessor set of: `pred(∅) = ∅`
         // and `pred(S) = S` (every state has a successor), so the first
-        // mask is its own.
-        let mut prev = masks[0].words().to_vec();
-        let mut target = vec![0u64; prev.len()];
+        // mask is its own. Each buffer is zero outside its extent, and every
+        // pass below reads extents only.
+        let mut prev = (masks[0].words().to_vec(), masks[0].extent());
+        let mut target = (vec![0u64; prev.0.len()], 0..0);
         let mut reads = 0;
         // `t_end` down to `t0 + 1`, without forming `t0 + 1`: it overflows
         // for a sweep anchored at `u32::MAX`.
@@ -111,17 +138,24 @@ impl ReachSchedule {
             // states ahead, joined with the window by the rule when `t` is
             // a query time.
             let joins = window.time_in_window(t).then_some(rule);
-            // The target, and whether it kept every state of the last one.
-            let mut nested = true;
-            let words = target.iter_mut().zip(ahead.words()).zip(inside).zip(&prev);
-            for (((x, &a), &s), &before) in words {
-                *x = match joins {
-                    None => a,
-                    Some(ReachRule::Exists) => a | s,
-                    Some(ReachRule::ForAll) => a & s,
+            let (x, extent) = &mut target;
+            x[extent.clone()].fill(0);
+            *extent = match joins {
+                None => ahead.extent(),
+                Some(ReachRule::Exists) => hull(ahead.extent(), inside.extent()),
+                Some(ReachRule::ForAll) => overlap(ahead.extent(), inside.extent()),
+            };
+            let (a, s) = (ahead.words(), inside.words());
+            for w in extent.clone() {
+                x[w] = match joins {
+                    None => a[w],
+                    Some(ReachRule::Exists) => a[w] | s[w],
+                    Some(ReachRule::ForAll) => a[w] & s[w],
                 };
-                nested &= before & !*x == 0;
             }
+            // Whether the target kept every state of the last one.
+            let before = &prev.0;
+            let nested = prev.1.clone().all(|w| before[w] & !x[w] == 0);
             // Every state has a successor (rows are stochastic), so a full
             // target is reached from everywhere.
             let sources = if ahead.count() == n && joins != Some(ReachRule::ForAll) {
@@ -130,20 +164,25 @@ impl ReachSchedule {
                 // Grow `mask(t)` by the predecessors of the new part of a
                 // target that kept the last one; of the whole target when
                 // it shrank.
-                let mut sources =
-                    if nested { ahead.words().to_vec() } else { vec![0; target.len()] };
-                for (w, (&x, &before)) in target.iter().zip(&prev).enumerate() {
-                    let mut frontier = if nested { x & !before } else { x };
+                let (mut sources, mut grown) =
+                    if nested { (a.to_vec(), ahead.extent()) } else { (vec![0; x.len()], 0..0) };
+                for w in extent.clone() {
+                    let mut frontier = if nested { x[w] & !before[w] } else { x[w] };
                     while frontier != 0 {
                         let s = w * BITS + frontier.trailing_zeros() as usize;
                         frontier &= frontier - 1;
                         reads += 1;
-                        for &p in transposed.row(s).0 {
+                        let (preds, _) = transposed.row(s);
+                        if let (Some(&first), Some(&last)) = (preds.first(), preds.last()) {
+                            let words = first as usize / BITS..last as usize / BITS + 1;
+                            grown = hull(grown, words);
+                        }
+                        for &p in preds {
                             sources[p as usize / BITS] |= 1 << (p as usize % BITS);
                         }
                     }
                 }
-                StateMask::from_words(n, sources)?
+                StateMask::from_words_within(n, sources, grown)?
             };
             masks.push(sources);
             std::mem::swap(&mut prev, &mut target);

@@ -21,40 +21,13 @@ use crate::engine::reach::ReachRule;
 use crate::query::unit_clamp;
 use crate::stats::EvalStats;
 
-/// Outcome of a thresholded PST∃Q on one object.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ThresholdOutcome {
-    /// True when `P∃ ≥ τ`.
-    pub qualifies: bool,
-    /// Lower bound on `P∃` at the decision point.
-    pub lower: f64,
-    /// Upper bound on `P∃` at the decision point.
-    pub upper: f64,
-    /// True when the decision was reached before `t_end`.
-    pub early: bool,
-}
-
-/// Where a thresholded sweep stands after a timestamp: `Some(qualifies)`
-/// once either bound decides `τ`, with the upper bound it was decided on.
-/// `alive` is what reach trimming left in the vector — the mass that can
-/// still hit (none at `t_end`).
-fn decide(hit: f64, alive: f64, tau: f64) -> (Option<bool>, f64) {
-    let upper = unit_clamp(hit + alive);
-    let decision = if hit >= tau {
-        Some(true)
-    } else if upper < tau {
-        Some(false)
-    } else {
-        None
-    };
-    (decision, upper)
-}
-
 /// The thresholded-∃ rule: the accumulation rule is the ⊤ redirect of the
 /// OB engine, and the decision rule compares the monotone lower bound `⊤` /
 /// shrinking upper bound `⊤ + alive` against `τ` after every timestamp,
 /// retiring the object at the first decision — without stopping the sweep
-/// for the undecided rest of its batch.
+/// for the undecided rest of its batch. `alive` is what reach trimming left
+/// in the vector — the mass that can still hit (none at `t_end`). The
+/// answer is the decision alone: `P∃ ≥ τ`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Threshold {
     /// The probability threshold `τ`.
@@ -62,32 +35,24 @@ pub(crate) struct Threshold {
 }
 
 impl ForwardRule for Threshold {
-    type Output = ThresholdOutcome;
+    type Output = bool;
     const REACH: ReachRule = ReachRule::Exists;
 
     fn retires(&self, hit: f64, rows: &[PropagationVector]) -> bool {
-        decide(hit, rows[0].sum(), self.tau).0.is_some()
+        hit >= self.tau || unit_clamp(hit + rows[0].sum()) < self.tau
     }
 
-    fn finish(&mut self, swept: Swept<'_>, stats: &mut EvalStats) -> ThresholdOutcome {
-        // A retired object's row and ⊤ are as the decision saw them; one
-        // that ran to `t_end` (or out of mass) has nothing alive, so its
-        // bounds have met at ⊤.
-        let (decision, upper) = decide(swept.hit, swept.rows[0].sum(), self.tau);
-        let early = swept.retired_at.is_some_and(|t| t < swept.t_end);
-        if swept.retired_at.is_some() {
+    fn finish(&mut self, swept: Swept<'_>, stats: &mut EvalStats) -> bool {
+        if let Some(t) = swept.retired_at {
             // The pipeline does not count a retirement as an evaluation.
-            stats.early_terminations += u64::from(early);
+            stats.early_terminations += u64::from(t < swept.t_end);
             stats.objects_evaluated += 1;
         }
-        // ⊤ is a sum of many products and may overshoot 1 by an ulp: the
-        // decisions compare it raw, the reported bound is clamped.
-        ThresholdOutcome {
-            qualifies: decision == Some(true),
-            lower: unit_clamp(swept.hit),
-            upper,
-            early,
-        }
+        // A retired object's ⊤ is as the decision saw it; one that ran to
+        // `t_end` (or out of mass) has nothing alive, so its bounds have met
+        // at ⊤. ⊤ is a sum of many products and may overshoot 1 by an ulp:
+        // it is compared raw.
+        swept.hit >= self.tau
     }
 }
 
@@ -116,7 +81,7 @@ mod tests {
         tau: f64,
         config: &EngineConfig,
         stats: &mut EvalStats,
-    ) -> Result<ThresholdOutcome> {
+    ) -> Result<bool> {
         evaluate_one(chain, object, window, config, stats, Threshold { tau })
     }
 
@@ -126,7 +91,7 @@ mod tests {
         window: &QueryWindow,
         tau: f64,
         config: &EngineConfig,
-    ) -> Result<ThresholdOutcome> {
+    ) -> Result<bool> {
         exists_threshold_with_stats(chain, object, window, tau, config, &mut EvalStats::new())
     }
 
@@ -139,14 +104,8 @@ mod tests {
         let exact = evaluate_one(&chain, &o, &w, &config, &mut EvalStats::new(), Exists);
         let exact = exact.unwrap().probability;
         for tau in [0.01, 0.1, 0.3, 0.5, 0.8, 0.863, 0.865, 0.99] {
-            let outcome = exists_threshold(&chain, &o, &w, tau, &config).unwrap();
-            assert_eq!(
-                outcome.qualifies,
-                exact >= tau,
-                "τ = {tau}: exact {exact}, outcome {outcome:?}"
-            );
-            assert!(outcome.lower <= exact + 1e-12);
-            assert!(outcome.upper >= exact - 1e-12);
+            let qualifies = exists_threshold(&chain, &o, &w, tau, &config).unwrap();
+            assert_eq!(qualifies, exact >= tau, "τ = {tau}: exact {exact}");
         }
     }
 
@@ -155,7 +114,7 @@ mod tests {
         // After the first window timestamp the ⊤ mass is already 0.32,
         // so τ = 0.3 must accept without propagating to t=3.
         let mut stats = EvalStats::new();
-        let outcome = exists_threshold_with_stats(
+        let qualifies = exists_threshold_with_stats(
             &paper_chain(),
             &object_at_s2(),
             &paper_window(),
@@ -164,31 +123,33 @@ mod tests {
             &mut stats,
         )
         .unwrap();
-        assert!(outcome.qualifies);
-        assert!(outcome.early);
+        assert!(qualifies);
         assert_eq!(stats.transitions, 2);
         assert_eq!(stats.early_terminations, 1);
     }
 
     #[test]
     fn unreachable_window_rejects_early() {
-        // Query on a state that s1-anchored worlds cannot reach in 1 step
-        // with τ above the total reachable mass: from s1 all mass goes to
-        // s3, so window {s2}×{1} has probability 0 → upper bound drops to 0
-        // at t=1 < t_end=1 edge; use τ > 0 with a longer horizon instead.
+        // Query on a state that s1-anchored worlds cannot reach in 1 step:
+        // from s1 all mass goes to s3, so window {s2}×{1} has probability
+        // 0 — s1 is outside the reach at t = 0, and the upper bound is 0
+        // there, before any transition.
         let o = UncertainObject::with_single_observation(2, Observation::exact(0, 3, 0).unwrap());
         let w = QueryWindow::from_states(3, [1usize], TimeSet::at(1)).unwrap();
-        let outcome =
-            exists_threshold(&paper_chain(), &o, &w, 0.5, &EngineConfig::default()).unwrap();
-        assert!(!outcome.qualifies);
-        assert_eq!(outcome.upper, 0.0);
+        let mut stats = EvalStats::new();
+        let config = EngineConfig::default();
+        let qualifies =
+            exists_threshold_with_stats(&paper_chain(), &o, &w, 0.5, &config, &mut stats).unwrap();
+        assert!(!qualifies);
+        assert_eq!((stats.objects_evaluated, stats.early_terminations), (1, 1));
+        assert_eq!(stats.transitions, 0);
     }
 
     #[test]
     fn anchor_in_window_can_decide_before_any_transition() {
         let o = UncertainObject::with_single_observation(3, Observation::exact(2, 3, 0).unwrap());
         let mut stats = EvalStats::new();
-        let outcome = exists_threshold_with_stats(
+        let qualifies = exists_threshold_with_stats(
             &paper_chain(),
             &o,
             &paper_window(),
@@ -197,8 +158,8 @@ mod tests {
             &mut stats,
         )
         .unwrap();
-        assert!(outcome.qualifies);
-        assert!(outcome.early);
+        assert!(qualifies);
+        assert_eq!(stats.early_terminations, 1);
         assert_eq!(stats.transitions, 0);
     }
 
@@ -234,25 +195,29 @@ mod tests {
     }
 
     #[test]
-    fn reach_trimmed_bounds_bracket_the_enumerated_probability() {
+    fn reach_trimmed_decisions_match_the_enumerated_probability() {
         // The trimmed sweep reads `⊤ + alive` as its upper bound; against
         // the possible-worlds enumeration (no sweep, no schedule) every
-        // decision is right and the bounds bracket the true probability.
+        // decision is right, early ones included.
         let chain = paper_chain();
         let o = object_at_s2();
         let w = paper_window();
         let exact = oracle(&chain, &o, &w, 10_000).unwrap().exists();
+        let mut stats = EvalStats::new();
         for tau in [0.05, 0.3, 0.5, 0.8, 0.9] {
-            let outcome = exists_threshold(&chain, &o, &w, tau, &EngineConfig::default()).unwrap();
-            assert_eq!(outcome.qualifies, exact >= tau, "τ = {tau}");
-            assert!(outcome.lower <= exact + 1e-12 && exact <= outcome.upper + 1e-12, "τ = {tau}");
+            let config = EngineConfig::default();
+            let qualifies =
+                exists_threshold_with_stats(&chain, &o, &w, tau, &config, &mut stats).unwrap();
+            assert_eq!(qualifies, exact >= tau, "τ = {tau}");
         }
+        assert!(stats.early_terminations > 0, "some bound decides before t_end");
     }
 
     #[test]
-    fn reported_bounds_stay_ordered_inside_the_unit_interval() {
+    fn a_top_mass_past_one_qualifies_at_tau_one() {
         // ⊤ is a sum of many products: on this instance it reaches
-        // 1 + 1 ulp, which `lower` used to report raw — above `upper`.
+        // 1 + 1 ulp, and the decision compares it raw — τ = 1 accepts
+        // early.
         let seed = 14u64;
         let n = 6 + (seed % 6) as usize;
         let matrix =
@@ -263,11 +228,12 @@ mod tests {
             UncertainObject::with_single_observation(1, Observation::uncertain(0, start).unwrap());
         let inside = (0..n).filter(|&s| s != (seed as usize) % n);
         let w = QueryWindow::from_states(n, inside, TimeSet::interval(1, 6)).unwrap();
-        let outcome = exists_threshold(&chain, &o, &w, 1.0, &EngineConfig::default()).unwrap();
-        assert_eq!(
-            outcome,
-            ThresholdOutcome { qualifies: true, lower: 1.0, upper: 1.0, early: true }
-        );
+        let mut stats = EvalStats::new();
+        let config = EngineConfig::default();
+        let qualifies =
+            exists_threshold_with_stats(&chain, &o, &w, 1.0, &config, &mut stats).unwrap();
+        assert!(qualifies);
+        assert_eq!((stats.objects_evaluated, stats.early_terminations), (1, 1));
     }
 
     #[test]
@@ -288,11 +254,11 @@ mod tests {
         let o = UncertainObject::with_single_observation(1, Observation::exact(0, 5, 4).unwrap());
         let w = QueryWindow::from_states(5, [0usize], TimeSet::interval(3, 8)).unwrap();
         let mut stats = EvalStats::new();
-        let outcome =
+        let qualifies =
             exists_threshold_with_stats(&chain, &o, &w, 0.01, &EngineConfig::default(), &mut stats)
                 .unwrap();
-        assert!(!outcome.qualifies);
-        assert!(outcome.early);
+        assert!(!qualifies);
+        assert_eq!(stats.early_terminations, 1);
         assert_eq!(stats.transitions, 0, "decided before any propagation");
     }
 

@@ -34,6 +34,8 @@ pub struct CsrMatrix {
     data: Vec<f64>,
     /// How far each row's columns lie from the row's own index.
     band: Band,
+    /// The fewest entries any row stores (`0` with an empty row).
+    least: u64,
 }
 
 /// Reusable scratch space for the propagation products.
@@ -173,6 +175,17 @@ pub(crate) trait LineTable {
         dead: impl Iterator<Item = usize>,
     ) -> Reach {
         let range = self.reached(span.clone(), live);
+        self.counted(span, range, dead)
+    }
+
+    /// The [`Reach`] over `range` (the live lines' outputs) of the lines of
+    /// `span` but the `dead` ones: their line and entry counts.
+    fn counted(
+        &self,
+        span: Range<usize>,
+        range: Range<usize>,
+        dead: impl Iterator<Item = usize>,
+    ) -> Reach {
         let mut rows = span.len() as u64;
         let mut entries = self.entries_before(span.end) - self.entries_before(span.start);
         for i in dead {
@@ -267,8 +280,10 @@ impl CsrMatrix {
         indices: Vec<u32>,
         data: Vec<f64>,
     ) -> Self {
-        let mut m = CsrMatrix { nrows, ncols, indptr, indices, data, band: Band::default() };
+        let mut m =
+            CsrMatrix { nrows, ncols, indptr, indices, data, band: Band::default(), least: 0 };
         m.band = Band::of((0..nrows).filter_map(|i| Some((i, m.ends(i)?))));
+        m.least = m.indptr.windows(2).map(|w| (w[1] - w[0]) as u64).min().unwrap_or(0);
         m
     }
 
@@ -311,6 +326,7 @@ impl CsrMatrix {
             indices: (0..n as u32).collect(),
             data: vec![1.0; n],
             band: Band::default(),
+            least: u64::from(n > 0),
         }
     }
 
@@ -472,29 +488,50 @@ impl CsrMatrix {
         reach_of(self, v)
     }
 
-    /// Row-vector × matrix with a span input whose `reach` is known — the
-    /// span kernel: the products scatter into the zeroed contiguous output
-    /// range (ascending source, ascending column, zero sources skipped as
-    /// in [`CsrMatrix::vecmat_dense`]), which is then counted and trimmed
-    /// in one pass. No index is built and nothing is sorted.
+    /// The output range of one span-kernel transition of `v`, `None` when
+    /// its live rows scatter ([`Reach::is_scattered`]). The entry count
+    /// only decides that: every live row stores at least the fewest
+    /// entries of any row, so a range of at most 4 × `nnz` × that many
+    /// slots cannot scatter and no zero of the span is looked for — the
+    /// scatter counts the entries it reads. A wider range is counted as
+    /// [`CsrMatrix::reach_of`] counts it.
+    pub fn span_range(&self, v: &SpanVector) -> Option<Range<usize>> {
+        let (offset, values) = v.span();
+        let span = offset..offset + values.len();
+        let range = self.reached(span.clone(), |i| values[i - offset] != 0.0);
+        if range.len() as u64 <= 4 * v.nnz() as u64 * self.least {
+            return Some(range);
+        }
+        let reach = self.counted(span, range.clone(), v.interior_zeros());
+        (!reach.is_scattered()).then_some(range)
+    }
+
+    /// Row-vector × matrix with a span input over its output `range` (see
+    /// [`CsrMatrix::span_range`]) — the span kernel: the products scatter
+    /// into the zeroed contiguous output range (ascending source, ascending
+    /// column, zero sources skipped as in [`CsrMatrix::vecmat_dense`]),
+    /// which is then counted and trimmed in one pass. No index is built and
+    /// nothing is sorted. Also returns the matrix entries read.
     pub(crate) fn vecmat_span_with(
         &self,
         v: &SpanVector,
-        reach: Reach,
+        range: Range<usize>,
         scratch: &mut SpmvScratch,
-    ) -> SpanVector {
-        let mut out = scratch.zeroed_span(reach.hi - reach.lo);
+    ) -> (SpanVector, u64) {
+        let mut out = scratch.zeroed_span(range.len());
         let (offset, values) = v.span();
+        let mut entries = 0;
         for (i, &vi) in values.iter().enumerate() {
             if vi == 0.0 {
                 continue;
             }
             let (cols, vals) = self.row(offset + i);
+            entries += cols.len() as u64;
             for (&c, &m) in cols.iter().zip(vals) {
-                out[c as usize - reach.lo] += vi * m;
+                out[c as usize - range.start] += vi * m;
             }
         }
-        SpanVector::from_parts(self.ncols, reach.lo, out)
+        (SpanVector::from_parts(self.ncols, range.start, out), entries)
     }
 
     /// Row-vector × matrix with a sparse input (allocating convenience).

@@ -28,7 +28,9 @@
 //! sends span members that overlap to the cache-blocked panel kernel in
 //! [`crate::kernels`].
 
-use crate::csr::{reach_of, CsrMatrix, LineTable, Reach, SpmvScratch};
+use std::ops::Range;
+
+use crate::csr::{reach_of, CsrMatrix, LineTable, SpmvScratch};
 use crate::dense::DenseVector;
 use crate::error::{MarkovError, Result};
 use crate::kernels::{self, GatherArm, SlicedRows};
@@ -150,8 +152,9 @@ impl CsrMatrix {
     /// rounded up to whole SIMD groups; below that a panel moves more zeros
     /// than it saves matrix reads, and each member scatters on its own. A
     /// member — or a whole panel — whose sources lie too far apart for a
-    /// contiguous output ([`Reach::is_scattered`]) joins `scattered` for
-    /// the sorted-index kernel.
+    /// contiguous output
+    /// ([`Reach::is_scattered`](crate::csr::Reach::is_scattered)) joins
+    /// `scattered` for the sorted-index kernel.
     fn step_span_members(
         &self,
         rows: &mut [PropagationVector],
@@ -193,11 +196,10 @@ impl CsrMatrix {
                 }
             }
             for &r in group {
-                match rows[r].span_reach(self) {
-                    Some(reach) => {
-                        stats.rows_traversed += reach.rows;
-                        stats.entries_touched += reach.entries;
-                        rows[r].step_span(self, reach, scratch);
+                match rows[r].span_range(self) {
+                    Some(range) => {
+                        stats.rows_traversed += rows[r].nnz() as u64;
+                        stats.entries_touched += rows[r].step_span(self, range, scratch);
                     }
                     None => scattered.push(r),
                 }
@@ -301,8 +303,10 @@ impl PropagationVector {
                 found: self.dim(),
             });
         }
-        match self.span_reach(matrix) {
-            Some(reach) => self.step_span(matrix, reach, scratch),
+        match self.span_range(matrix) {
+            Some(range) => {
+                self.step_span(matrix, range, scratch);
+            }
             None => self.step_sparse(matrix, scratch, &mut BatchStepStats::default())?,
         }
         Ok(())
@@ -310,7 +314,8 @@ impl PropagationVector {
 
     /// One backward step `v ← M · v` on the arm the vector is on: a span
     /// through the sliced-row gather of `rows` (`M`'s layout) on `arm`, a
-    /// vector whose sources scatter ([`Reach::is_scattered`]) or that is
+    /// vector whose sources scatter
+    /// ([`Reach::is_scattered`](crate::csr::Reach::is_scattered)) or that is
     /// already on the sorted-index arm through the sorted-index scatter
     /// over `Mᵀ`, which `transposed` supplies only then. Bit-identical to
     /// [`Self::step`] over `Mᵀ`.
@@ -335,30 +340,40 @@ impl PropagationVector {
         self.step_sparse(transposed(), scratch, &mut BatchStepStats::default())
     }
 
-    /// The reach of this vector's next transition when it takes the span
-    /// kernel. A span whose live rows scatter too far apart
-    /// ([`Reach::is_scattered`]) moves to the sorted-index arm here and,
-    /// like a vector already on it, answers `None`.
-    fn span_reach(&mut self, matrix: &CsrMatrix) -> Option<Reach> {
+    /// The output range of this vector's next transition when it takes the
+    /// span kernel. A span whose live rows scatter too far apart
+    /// ([`Reach::is_scattered`](crate::csr::Reach::is_scattered)) moves to
+    /// the sorted-index arm here and, like a vector already on it, answers
+    /// `None`.
+    fn span_range(&mut self, matrix: &CsrMatrix) -> Option<Range<usize>> {
         let Repr::Span(v) = &self.repr else {
             return None;
         };
-        let reach = matrix.reach_of(v);
-        if reach.is_scattered() {
+        let range = matrix.span_range(v);
+        if range.is_none() {
             self.repr = Repr::Sparse(v.to_sparse());
-            return None;
         }
-        Some(reach)
+        range
     }
 
-    /// The span kernel step of a vector [`Self::span_reach`] answered for.
-    fn step_span(&mut self, matrix: &CsrMatrix, reach: Reach, scratch: &mut SpmvScratch) {
-        if let Repr::Span(v) = &self.repr {
-            let next = PropagationVector::from_span(matrix.vecmat_span_with(v, reach, scratch));
-            if let Repr::Span(previous) = std::mem::replace(self, next).repr {
-                scratch.span_pool.push(previous.into_values());
-            }
+    /// The span kernel step of a vector [`Self::span_range`] answered for;
+    /// returns the matrix entries it read.
+    fn step_span(
+        &mut self,
+        matrix: &CsrMatrix,
+        range: Range<usize>,
+        scratch: &mut SpmvScratch,
+    ) -> u64 {
+        let Repr::Span(v) = &self.repr else {
+            return 0;
+        };
+        let (next, entries) = matrix.vecmat_span_with(v, range, scratch);
+        if let Repr::Span(previous) =
+            std::mem::replace(self, PropagationVector::from_span(next)).repr
+        {
+            scratch.span_pool.push(previous.into_values());
         }
+        entries
     }
 
     /// The sorted-index kernel step of a vector on that arm, adding its

@@ -4,7 +4,13 @@
 //! test membership for every entry produced by a transition. A packed bitset
 //! gives O(1) membership with 1 bit per state — at the paper's default
 //! `|S| = 100,000` that is 12.5 KB, which stays resident in L1/L2 cache.
+//!
+//! A mask also keeps its *extent*: the range of words that can hold its set
+//! bits. The sets the engines build — a window, a reach mask — cover a
+//! narrow band of the space, so iterating a mask (and the reach build's word
+//! passes) costs the band's words, not `|S| / 64`.
 
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use crate::error::{MarkovError, Result};
@@ -12,17 +18,62 @@ use crate::error::{MarkovError, Result};
 const BITS: usize = 64;
 
 /// A fixed-dimension set of state ids backed by 64-bit words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality and hashing read the dimension and the words only: two masks
+/// holding the same states are equal however their extents were reached.
+#[derive(Debug, Clone)]
 pub struct StateMask {
     dim: usize,
     words: Vec<u64>,
     count: usize,
+    /// The words that can hold set bits: every word outside is zero
+    /// (`0..0` for an empty mask).
+    extent: Range<usize>,
+}
+
+impl PartialEq for StateMask {
+    fn eq(&self, other: &StateMask) -> bool {
+        self.dim == other.dim && self.words == other.words
+    }
+}
+
+impl Eq for StateMask {}
+
+impl Hash for StateMask {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The count is a function of the words; it is hashed as it always
+        // was, so window fingerprints keep their values.
+        self.dim.hash(state);
+        self.words.hash(state);
+        self.count.hash(state);
+    }
+}
+
+/// The smallest range holding both `a` and `b` (either may be empty).
+fn hull(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    match (a.is_empty(), b.is_empty()) {
+        (true, _) => b,
+        (_, true) => a,
+        _ => a.start.min(b.start)..a.end.max(b.end),
+    }
 }
 
 impl StateMask {
     /// Creates an empty mask over `dim` states.
     pub fn new(dim: usize) -> Self {
-        StateMask { dim, words: vec![0; dim.div_ceil(BITS)], count: 0 }
+        StateMask { dim, words: vec![0; dim.div_ceil(BITS)], count: 0, extent: 0..0 }
+    }
+
+    /// The mask over `dim` states packed in `words`, its count and its
+    /// extent read from the words of `within` (every other word is zero).
+    fn packed(dim: usize, words: Vec<u64>, within: Range<usize>) -> Self {
+        let live = |w: &usize| words[*w] != 0;
+        let extent = match (within.clone().find(live), within.clone().rev().find(live)) {
+            (Some(first), Some(last)) => first..last + 1,
+            _ => 0..0,
+        };
+        let count = words[extent.clone()].iter().map(|w| w.count_ones() as usize).sum();
+        StateMask { dim, words, count, extent }
     }
 
     /// Builds a mask from an iterator of state ids.
@@ -52,6 +103,7 @@ impl StateMask {
             }
         }
         mask.count = dim;
+        mask.extent = 0..mask.words.len();
         mask
     }
 
@@ -77,10 +129,27 @@ impl StateMask {
         &self.words
     }
 
+    /// The range of [`StateMask::words`] that can hold set bits: every word
+    /// outside it is zero (`0..0` when the mask is empty). It may be wider
+    /// than the set's words after [`StateMask::remove`]; passes that
+    /// combine masks a word at a time need read only their extents.
+    pub fn extent(&self) -> Range<usize> {
+        self.extent.clone()
+    }
+
     /// The mask over `dim` states packed in `words` (the layout of
     /// [`StateMask::words`]). Fails unless there are `⌈dim / 64⌉` words
     /// with no bit set at or beyond `dim`.
     pub fn from_words(dim: usize, words: Vec<u64>) -> Result<Self> {
+        let all = 0..words.len();
+        Self::from_words_within(dim, words, all)
+    }
+
+    /// [`StateMask::from_words`] for words that are zero outside `within`
+    /// (a word range, clamped to the words): only those words are read.
+    /// A word outside `within` that is not zero is a caller error, caught
+    /// by debug builds.
+    pub fn from_words_within(dim: usize, words: Vec<u64>, within: Range<usize>) -> Result<Self> {
         let expected = dim.div_ceil(BITS);
         if words.len() != expected {
             return Err(MarkovError::DimensionMismatch {
@@ -89,6 +158,11 @@ impl StateMask {
                 found: words.len(),
             });
         }
+        let within = within.start.min(expected)..within.end.min(expected);
+        debug_assert!(
+            words.iter().enumerate().all(|(w, &word)| word == 0 || within.contains(&w)),
+            "every word outside {within:?} is zero"
+        );
         let spill = match dim % BITS {
             0 => 0,
             tail => words.last().map_or(0, |w| w >> tail),
@@ -97,8 +171,7 @@ impl StateMask {
             let index = dim + spill.trailing_zeros() as usize;
             return Err(MarkovError::IndexOutOfBounds { index, dim });
         }
-        let count = words.iter().map(|w| w.count_ones() as usize).sum();
-        Ok(StateMask { dim, words, count })
+        Ok(Self::packed(dim, words, within))
     }
 
     /// Adds a state id; idempotent.
@@ -110,11 +183,12 @@ impl StateMask {
         if self.words[word] & (1 << bit) == 0 {
             self.words[word] |= 1 << bit;
             self.count += 1;
+            self.extent = hull(self.extent.clone(), word..word + 1);
         }
         Ok(())
     }
 
-    /// Removes a state id; idempotent.
+    /// Removes a state id; idempotent. The extent is kept.
     pub fn remove(&mut self, index: usize) -> Result<()> {
         if index >= self.dim {
             return Err(MarkovError::IndexOutOfBounds { index, dim: self.dim });
@@ -139,54 +213,55 @@ impl StateMask {
     /// The complement set `S ∖ self`, used to answer PST∀Q via
     /// `P∀(S▫) = 1 − P∃(S ∖ S▫)` (Section VII of the paper).
     pub fn complement(&self) -> StateMask {
-        let mut out =
-            StateMask { dim: self.dim, words: Vec::with_capacity(self.words.len()), count: 0 };
-        for w in &self.words {
-            out.words.push(!w);
-        }
-        let extra = out.words.len() * BITS - self.dim;
+        let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
+        let extra = words.len() * BITS - self.dim;
         if extra > 0 {
-            if let Some(last) = out.words.last_mut() {
+            if let Some(last) = words.last_mut() {
                 *last &= u64::MAX >> extra;
             }
         }
-        out.count = self.dim - self.count;
-        out
+        let all = 0..words.len();
+        StateMask::packed(self.dim, words, all)
     }
 
     /// Set union.
     pub fn union(&self, other: &StateMask) -> Result<StateMask> {
-        if self.dim != other.dim {
-            return Err(MarkovError::DimensionMismatch {
-                op: "mask union",
-                expected: self.dim,
-                found: other.dim,
-            });
-        }
+        self.same_dim(other, "mask union")?;
         let words: Vec<u64> = self.words.iter().zip(&other.words).map(|(a, b)| a | b).collect();
-        let count = words.iter().map(|w| w.count_ones() as usize).sum();
-        Ok(StateMask { dim: self.dim, words, count })
+        Ok(StateMask::packed(self.dim, words, hull(self.extent(), other.extent())))
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &StateMask) -> Result<StateMask> {
+        self.same_dim(other, "mask intersection")?;
+        let words: Vec<u64> = self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect();
+        Ok(StateMask::packed(self.dim, words, self.overlap(other)))
+    }
+
+    /// Fails unless `other` has this mask's dimension.
+    fn same_dim(&self, other: &StateMask, op: &'static str) -> Result<()> {
         if self.dim != other.dim {
             return Err(MarkovError::DimensionMismatch {
-                op: "mask intersection",
+                op,
                 expected: self.dim,
                 found: other.dim,
             });
         }
-        let words: Vec<u64> = self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect();
-        let count = words.iter().map(|w| w.count_ones() as usize).sum();
-        Ok(StateMask { dim: self.dim, words, count })
+        Ok(())
+    }
+
+    /// The words both extents cover.
+    fn overlap(&self, other: &StateMask) -> Range<usize> {
+        let start = self.extent.start.max(other.extent.start);
+        start..self.extent.end.min(other.extent.end).max(start)
     }
 
     /// True when the two masks share at least one state.
     pub fn intersects(&self, other: &StateMask) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        let both = self.overlap(other);
+        let (a, b) = (self.words.get(both.clone()), other.words.get(both));
+        a.zip(b).is_some_and(|(a, b)| a.iter().zip(b).any(|(a, b)| a & b != 0))
     }
-
     /// Visits, in ascending order, every state of `range` that is not in
     /// the mask (states at or beyond `dim` never are), reading the mask a
     /// word at a time: the cost follows the states outside, not the range.
@@ -213,9 +288,12 @@ impl StateMask {
         }
     }
 
-    /// Iterates the set state ids in ascending order.
+    /// Iterates the set state ids in ascending order, reading only the
+    /// words of the mask's extent.
     pub fn iter(&self) -> MaskIter<'_> {
-        MaskIter { mask: self, word_idx: 0, current: self.words.first().copied().unwrap_or(0) }
+        let Range { start, end } = self.extent();
+        let current = self.words.get(start).copied().unwrap_or(0);
+        MaskIter { words: &self.words[..end], word_idx: start, current }
     }
 
     /// Collects the set state ids into a vector.
@@ -226,7 +304,8 @@ impl StateMask {
 
 /// Iterator over set bits of a [`StateMask`].
 pub struct MaskIter<'a> {
-    mask: &'a StateMask,
+    /// The mask's words up to the end of its extent.
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -242,10 +321,7 @@ impl Iterator for MaskIter<'_> {
                 return Some(self.word_idx * BITS + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.mask.words.len() {
-                return None;
-            }
-            self.current = self.mask.words[self.word_idx];
+            self.current = *self.words.get(self.word_idx)?;
         }
     }
 }
@@ -336,6 +412,98 @@ mod tests {
             let expected: Vec<usize> = range.clone().filter(|&s| !m.contains(s)).collect();
             assert_eq!(seen, expected, "{range:?}");
         }
+    }
+
+    /// `iter()` yields exactly the members, `count()` counts them, and no
+    /// word outside the extent holds one.
+    fn assert_members(mask: &StateMask, what: &str) {
+        let members: Vec<usize> = (0..mask.dim()).filter(|&s| mask.contains(s)).collect();
+        assert_eq!(mask.to_indices(), members, "{what}");
+        assert_eq!(mask.count(), members.len(), "{what}");
+        let extent = mask.extent();
+        let outside = mask.words().iter().enumerate().filter(|(w, _)| !extent.contains(w));
+        assert!(outside.clone().all(|(_, &word)| word == 0), "{what}: {extent:?}");
+    }
+
+    fn hash_of(mask: &StateMask) -> u64 {
+        let mut hasher = std::hash::DefaultHasher::new();
+        mask.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn every_constructor_and_mutation_keeps_the_extent_over_the_members() {
+        for dim in [0usize, 1, 63, 64, 65, 130, 200, 256] {
+            let at = |s: usize| s.min(dim.saturating_sub(1));
+            let picks = [at(0), at(70), at(129), at(dim.saturating_sub(1))];
+            let picks = &picks[..picks.len().min(dim)];
+            let mut m = StateMask::from_indices(dim, picks.iter().copied()).unwrap();
+            assert_members(&m, &format!("from_indices over {dim}"));
+            assert_members(&StateMask::new(dim), "new");
+            assert_members(&StateMask::full(dim), "full");
+            assert_members(&m.complement(), "complement");
+            assert_members(&StateMask::full(dim).complement(), "complement of full");
+            assert_members(&StateMask::new(dim).complement(), "complement of empty");
+            let words = StateMask::from_words(dim, m.words().to_vec()).unwrap();
+            assert_members(&words, "from_words");
+            assert_eq!(words, m);
+            // Removing every member one by one leaves an empty set whose
+            // extent may stay wide; inserting them again in reverse order
+            // rebuilds the set.
+            for &s in picks {
+                m.remove(s).unwrap();
+                assert_members(&m, &format!("remove {s} over {dim}"));
+            }
+            assert_eq!(m, StateMask::new(dim));
+            assert_eq!(hash_of(&m), hash_of(&StateMask::new(dim)));
+            for &s in picks.iter().rev() {
+                m.insert(s).unwrap();
+                assert_members(&m, &format!("insert {s} over {dim}"));
+            }
+            let odd = StateMask::from_indices(dim, (0..dim).filter(|s| s % 3 == 1)).unwrap();
+            for (what, set) in [
+                ("union", m.union(&odd).unwrap()),
+                ("intersection", m.intersection(&odd).unwrap()),
+                ("intersection with full", odd.intersection(&StateMask::full(dim)).unwrap()),
+                ("union with empty", m.union(&StateMask::new(dim)).unwrap()),
+                ("disjoint", m.intersection(&m.complement()).unwrap()),
+            ] {
+                assert_members(&set, &format!("{what} over {dim}"));
+            }
+        }
+    }
+
+    #[test]
+    fn equal_sets_compare_and_hash_equal_whatever_their_extent() {
+        let dim = 300;
+        let members = [3usize, 130, 131, 250];
+        let inserted = StateMask::from_indices(dim, members).unwrap();
+        // The same set after a far member came and went (a wider extent),
+        // as the complement of its complement, as a union and an
+        // intersection, and packed from words with a loose word range.
+        let mut widened =
+            StateMask::from_indices(dim, members.into_iter().chain([299, 0])).unwrap();
+        widened.remove(299).unwrap();
+        widened.remove(0).unwrap();
+        assert_ne!(widened.extent(), inserted.extent());
+        let low = StateMask::from_indices(dim, [3usize, 130]).unwrap();
+        let high = StateMask::from_indices(dim, [131usize, 250, 299]).unwrap();
+        let union = low.union(&StateMask::from_indices(dim, [131usize, 250]).unwrap()).unwrap();
+        let intersection = high.union(&low).unwrap().intersection(&inserted).unwrap();
+        let packed = StateMask::from_words_within(dim, inserted.words().to_vec(), 0..5).unwrap();
+        for (what, other) in [
+            ("widened", widened),
+            ("complement of complement", inserted.complement().complement()),
+            ("union", union),
+            ("intersection", intersection),
+            ("from_words_within", packed),
+        ] {
+            assert_members(&other, what);
+            assert_eq!(other, inserted, "{what}");
+            assert_eq!(hash_of(&other), hash_of(&inserted), "{what}");
+        }
+        assert!(inserted.intersects(&high) && !inserted.intersects(&StateMask::new(dim)));
+        assert!(StateMask::from_words_within(70, vec![0, 1 << 6], 1..2).is_err(), "past dim");
     }
 
     #[test]

@@ -528,6 +528,66 @@ proptest! {
     }
 
     #[test]
+    fn counted_entries_equal_the_full_fold(
+        seed in 0u64..10_000,
+        n in 1usize..=70,
+        max_deg in 1usize..=6,
+        kind in 0u8..5,
+    ) {
+        // A forward span step counts its entries while it scatters once its
+        // output range is within 4 × nnz × the fewest entries of any row;
+        // past that bound, or on a chain with an empty row (kind 4: the
+        // fewest is 0), the exact count decides the arm. Either way
+        // `step_batch` reports a fold over the live rows — per vector and
+        // for the whole batch — and the range and arm are the fold's.
+        use rand::Rng as _;
+        let matrix = match kind {
+            4 => {
+                let chain = reach_chain(seed, n, max_deg, 0);
+                let mut rows: Vec<Vec<(usize, f64)>> = (0..n)
+                    .map(|i| {
+                        let (cols, vals) = chain.matrix().row(i);
+                        cols.iter().map(|&c| c as usize).zip(vals.iter().copied()).collect()
+                    })
+                    .collect();
+                rows[(seed as usize) % n].clear();
+                CsrMatrix::from_rows(n, &rows).unwrap()
+            }
+            _ => reach_chain(seed, n, max_deg, kind).matrix().clone(),
+        };
+        let mut rng = testutil::rng(seed ^ 0xC0DE);
+        let (width, at) = (rng.random_range(1..=n), rng.random_range(0..n));
+        let (first, step) = (rng.random_range(0..n), rng.random_range(2usize..=4));
+        let vectors = [
+            span_over(n, 0..n, |_| false),
+            span_over(n, 0..n, |s| s % step == 1),
+            span_over(n, 0..width, |s| s % step == 0 && s > 0),
+            span_over(n, n - width..n, |s| s % 5 == 2 && s + 1 < n),
+            span_over(n, first..(first + width).min(n), |s| s % step == 1),
+            span_over(n, at..at + 1, |_| false),
+            span_over(n, 0..n, |s| s != 0 && s != n - 1),
+        ];
+        let mut batch: Vec<PropagationVector> =
+            vectors.iter().cloned().map(PropagationVector::from_span).collect();
+        let mut expected = (0, 0, 0);
+        for v in &vectors {
+            let fold = folded_reach(&matrix, v);
+            let range = (!fold.is_scattered()).then_some(fold.lo..fold.hi);
+            prop_assert_eq!(matrix.span_range(v), range, "the fold's range and arm");
+            let mut one = [PropagationVector::from_span(v.clone())];
+            let stats = matrix.step_batch(&mut one, &[], &mut SpmvScratch::new()).unwrap();
+            let stepped = u64::from(v.nnz() > 0);
+            let counted = (stats.rows_traversed, stats.entries_touched, stats.vectors_stepped);
+            prop_assert_eq!(counted, (fold.rows, fold.entries, stepped));
+            expected = (expected.0 + fold.rows, expected.1 + fold.entries, expected.2 + stepped);
+        }
+        let stats = matrix.step_batch(&mut batch, &[], &mut SpmvScratch::new()).unwrap();
+        let entries = stats.entries_touched;
+        prop_assert_eq!((entries, stats.vectors_stepped), (expected.1, expected.2), "whole batch");
+        prop_assert!(stats.rows_traversed <= expected.0, "a panel reads a shared row once");
+    }
+
+    #[test]
     fn gather_matches_the_transposed_step_over_uneven_slices(
         seed in 0u64..10_000,
         slices in 0usize..=4,

@@ -8,9 +8,10 @@
 //! one- and two-model databases:
 //!
 //! * **the schedule grown from its frontiers is the from-scratch one** —
-//!   every mask, under both rules, has the words and count of a test-local
-//!   build that reads the predecessor rows of every target state, on
-//!   chains whose masks nest and on a shift chain whose masks do not;
+//!   every mask, under both rules, has the words, count and members of a
+//!   test-local build that reads the predecessor rows of every target
+//!   state, on chains whose masks nest and on a shift chain whose masks do
+//!   not, with windows touching state 0 and state |S| − 1;
 //! * **∃ did not move by a bit** — OB probabilities equal the oracle
 //!   crate's *untrimmed* sweep (`PropagationVector::step` +
 //!   `extract_masked`) to the bit, at every batch size; the threshold and
@@ -22,7 +23,16 @@
 //!   one answers to the bit as the default batch does.
 //! * **an object outside the reach costs nothing** — it is answered `0.0` /
 //!   `[1, 0, …, 0]` with zero transitions, and is counted as evaluated, not
-//!   pruned.
+//!   pruned;
+//! * **an object the reach decides at its anchor never becomes a row** —
+//!   mixed into chunks with live objects, objects wholly outside `mask(t0)`
+//!   answer the anchor formula to the bit (∃ `0.0`, ∀ `clamp(1 − Σ)`,
+//!   k-times `[clamp(Σ), 0, …]`, with `Σ` the anchor's masses summed in
+//!   ascending state order), a threshold accepts them at τ = 0 only and
+//!   top-k prunes them; objects straddling the reach's edge or anchored at
+//!   a query time run as before; every answer equals a chunk of one, and
+//!   every counter is the live objects' plus one early termination and
+//!   evaluation (or one prune) per decided object, as before the shortcut.
 
 mod common;
 
@@ -197,10 +207,21 @@ proptest! {
         (t_start, single_time) in (0u32..=6, 0u8..=1),
         // From 0 to past the latest t_end (a start beyond it is clamped).
         t0 in 0u32..=13,
+        // The window as drawn, or with state 0, or state |S| − 1, added:
+        // masks whose extents start at the first word or end at the last.
+        edge in 0u8..=2,
     ) {
         let mut rng = testutil::rng(seed);
         let chain = schedule_chain(&mut rng, kind, n);
         let window = random_window(&mut rng, n, t_start, single_time == 1);
+        let window = match edge {
+            0 => window,
+            _ => {
+                let extra = if edge == 1 { 0 } else { n - 1 };
+                let states = window.states().iter().chain([extra]);
+                QueryWindow::from_states(n, states, window.times().clone()).unwrap()
+            }
+        };
         for rule in [ReachRule::Exists, ReachRule::ForAll] {
             let schedule = ReachSchedule::build(&chain, &window, rule, t0).unwrap();
             let reference = from_scratch_masks(&chain, &window, rule, t0);
@@ -211,6 +232,7 @@ proptest! {
                 let mask = schedule.mask_at(t).unwrap();
                 prop_assert_eq!((mask.words(), mask.count()), (expected.words(), expected.count()),
                     "{:?} mask at t = {} (chain kind {}, t0 = {})", rule, t, kind, t0);
+                prop_assert_eq!(mask.to_indices(), expected.to_indices());
             }
         }
     }
@@ -377,6 +399,174 @@ fn an_anchor_outside_the_reach_is_answered_without_a_transition() {
             assert_eq!((stats.objects_evaluated, stats.early_terminations), (1, 1));
             assert_eq!((stats.objects_pruned, stats.candidates_pruned), (0, 0));
             assert_eq!(stats.cache_hits + stats.cache_misses + stats.backward_steps, 0);
+        }
+    }
+}
+
+/// The anchor mass an object decided at its anchor leaves behind: its
+/// stored masses summed in ascending state order from `0.0`, as the trim
+/// at the anchor sums what it drops.
+fn anchor_mass(object: &UncertainObject) -> f64 {
+    object.anchor().distribution().values().iter().fold(0.0, |sum, &p| sum + p)
+}
+
+#[test]
+fn objects_decided_at_their_anchor_are_answered_from_it_in_a_mixed_chunk() {
+    // A lazy conveyor moving right (stay, one or two states on) with an
+    // absorbing end; window 40..=42 at t ∈ {4, 7}. The chunks mix live
+    // objects with objects wholly outside the reach at a time that is not a
+    // query time (left and right of the window, at t0 = 0 and t0 = 2), an
+    // object straddling the reach's edge, and objects anchored at the query
+    // time 4 — inside and outside the reach — which are seeded and hooked
+    // as before.
+    let n = 64;
+    let mut b = ust_markov::CooBuilder::new(n, n);
+    for i in 0..n {
+        for (j, p) in [(i, 0.3), (i + 1, 0.5), (i + 2, 0.2)] {
+            b.push(i, j.min(n - 1), p).unwrap();
+        }
+    }
+    let chain = MarkovChain::from_csr(b.build()).unwrap();
+    let window = QueryWindow::from_states(n, 40usize..=42, TimeSet::new([4, 7])).unwrap();
+    let exists_reach = ReachSchedule::build(&chain, &window, ReachRule::Exists, 0).unwrap();
+    let edge = exists_reach.mask_at(0).unwrap().iter().next().unwrap();
+    assert!(edge >= 2, "the ∃ reach at t = 0 starts at state {edge}");
+    let anchors: [(u32, std::ops::RangeInclusive<usize>); 10] = [
+        (0, 36..=39),
+        (0, 2..=6),
+        (0, edge - 2..=edge + 1),
+        (0, 50..=53),
+        (4, 50..=52),
+        (4, 40..=41),
+        (2, 10..=12),
+        (2, 38..=41),
+        (4, 20..=22),
+        (0, 12..=13),
+    ];
+    let mut db = TrajectoryDatabase::new(chain.clone());
+    for (id, (t0, support)) in anchors.iter().enumerate() {
+        let weights: Vec<f64> = support.clone().map(|s| 0.1 + (s % 7) as f64 / 10.0).collect();
+        let total: f64 = weights.iter().sum();
+        let dist =
+            SparseVector::from_pairs(n, support.clone().zip(weights.iter().map(|w| w / total)))
+                .unwrap();
+        let anchor = Observation::uncertain(*t0, dist).unwrap();
+        db.insert(UncertainObject::with_single_observation(id as u64, anchor)).unwrap();
+    }
+    // Decided at the anchor under `rule`: not a query time, before t_end,
+    // and no anchor state in the reach.
+    let decided_under = |rule: ReachRule| -> Vec<bool> {
+        let schedule = ReachSchedule::build(&chain, &window, rule, 0).unwrap();
+        let decided = |o: &UncertainObject| {
+            let t0 = o.anchor().time();
+            let mask = schedule.mask_at(t0).unwrap();
+            t0 < window.t_end()
+                && !window.time_in_window(t0)
+                && o.anchor().distribution().indices().iter().all(|&s| !mask.contains(s as usize))
+        };
+        db.objects().iter().map(decided).collect()
+    };
+    let (exists_decided, forall_decided) =
+        (decided_under(ReachRule::Exists), decided_under(ReachRule::ForAll));
+    let count = |decided: &[bool]| decided.iter().filter(|d| **d).count();
+    assert_eq!(count(&exists_decided), 4, "objects 1, 3, 6 and 9");
+    assert!(count(&forall_decided) >= 4);
+    // The same objects without the decided ones.
+    let live_db = |decided: &[bool]| {
+        let mut live = TrajectoryDatabase::new(chain.clone());
+        for (object, _) in db.objects().iter().zip(decided).filter(|(_, d)| !**d) {
+            live.insert(object.clone()).unwrap();
+        }
+        live
+    };
+    let run = |db: &TrajectoryDatabase, batch_size: usize, builder: QueryBuilder| {
+        let config = EngineConfig::default().with_batch_size(batch_size).with_num_threads(1);
+        let spec = builder.window(window.clone()).strategy(ObjectBased).build().unwrap();
+        let mut stats = EvalStats::new();
+        let answer =
+            QueryProcessor::with_config(db, config).execute_with_stats(&spec, &mut stats).unwrap();
+        (answer, stats)
+    };
+    let counters = |s: &EvalStats| {
+        (s.transitions, s.entries_touched, s.early_terminations, s.objects_evaluated)
+    };
+    let specs: [(&str, QueryBuilder, &[bool]); 7] = [
+        ("∃", Query::exists(), &exists_decided),
+        ("∀", Query::forall(), &forall_decided),
+        ("k-times", Query::ktimes(2), &exists_decided),
+        ("τ = 0", Query::exists().threshold(0.0), &exists_decided),
+        ("τ = 0.3", Query::exists().threshold(0.3), &exists_decided),
+        ("top-2", Query::exists().top_k(2), &exists_decided),
+        ("top-20", Query::exists().top_k(20), &exists_decided),
+    ];
+    for (what, builder, decided) in specs {
+        let (answer, stats) = run(&db, 64, builder.clone());
+        let (alone, _) = run(&db, 1, builder.clone());
+        let (live, live_stats) = run(&live_db(decided), 64, builder.clone());
+        // Whatever a chunk holds, each object answers as a chunk of one.
+        assert_eq!(bit_diff(&answer, &alone), Ok(()), "{what}: a chunk against chunks of one");
+        let d = count(decided) as u64;
+        let (transitions, entries, early, evaluated) = counters(&live_stats);
+        let pruned = live_stats.objects_pruned;
+        if what.starts_with("top") {
+            // Dismissed at the anchor: one prune each, no evaluation.
+            assert_eq!(bit_diff(&answer, &live), Ok(()), "{what}: the ranking");
+            assert_eq!(counters(&stats), counters(&live_stats), "{what}");
+            assert_eq!(stats.objects_pruned, pruned + d, "{what}");
+            continue;
+        }
+        // One evaluation and one early termination each (a threshold
+        // decides them before t_end), no step, no prune.
+        assert_eq!(counters(&stats), (transitions, entries, early + d, evaluated + d), "{what}");
+        assert_eq!(stats.objects_pruned, pruned, "{what}");
+        let objects = db.objects();
+        match (&answer, &live) {
+            (QueryAnswer::Probabilities(all), QueryAnswer::Probabilities(kept)) => {
+                if what == "∃" {
+                    assert_eq!(all[5].probability, 1.0, "object 5 is hooked at its anchor");
+                }
+                let mut kept = kept.iter();
+                for ((row, object), decided) in all.iter().zip(objects).zip(decided) {
+                    let bits = row.probability.to_bits();
+                    if !*decided {
+                        assert_eq!(bits, kept.next().unwrap().probability.to_bits(), "{what}");
+                        continue;
+                    }
+                    let expected = if what == "∀" {
+                        (1.0 - anchor_mass(object)).clamp(0.0, 1.0)
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(bits, expected.to_bits(), "{what}: object {}", object.id());
+                }
+            }
+            (QueryAnswer::Distributions(all), QueryAnswer::Distributions(kept)) => {
+                let mut kept = kept.iter();
+                for ((row, object), decided) in all.iter().zip(objects).zip(decided) {
+                    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    if !*decided {
+                        assert_eq!(
+                            bits(&row.probabilities),
+                            bits(&kept.next().unwrap().probabilities)
+                        );
+                        continue;
+                    }
+                    let expected = [anchor_mass(object).clamp(0.0, 1.0), 0.0, 0.0];
+                    assert_eq!(bits(&row.probabilities), bits(&expected), "object {}", object.id());
+                }
+            }
+            (QueryAnswer::ObjectIds(all), QueryAnswer::ObjectIds(kept)) => {
+                // τ = 0 accepts everything, decided objects included; a
+                // positive τ rejects them.
+                let mut expected: Vec<u64> = kept.clone();
+                if what == "τ = 0" {
+                    let decided = objects.iter().zip(decided).filter(|(_, d)| **d);
+                    expected.extend(decided.map(|(o, _)| o.id()));
+                    expected.sort_unstable();
+                }
+                assert_eq!(all, &expected, "{what}");
+            }
+            other => panic!("{what}: unexpected answers {other:?}"),
         }
     }
 }
